@@ -2,9 +2,14 @@
 //! loop of every reduce task, and the constant the cluster simulator
 //! calibrates.
 //!
-//! The `blocked_matching` group measures the tentpole win: all-pairs
-//! matching over one block through the naive per-pair string path vs
-//! the prepare-once path (`Matcher::prepare` + `score_prepared`).
+//! The `blocked_matching` group measures the prepare-once win:
+//! all-pairs matching over one block through the naive per-pair string
+//! path vs the prepare-once path (`Matcher::prepare` +
+//! `matches_prepared`). The `thresholded_levenshtein` group times the
+//! legs of the thresholded edit-distance cascade one pair at a time —
+//! a pair the histogram filter rejects, a pair the bit-parallel
+//! verifier accepts, and a pair past 64 scalars that falls back to the
+//! banded DP — so a later change can tell which leg it moved.
 
 use std::sync::Arc;
 
@@ -110,6 +115,33 @@ fn bench_blocked_matching(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_thresholded_levenshtein(c: &mut Criterion) {
+    const FLOOR: f64 = 0.8;
+    let s = NormalizedLevenshtein;
+    let long_a = format!("{A} {A} {A}");
+    let long_b = format!("{A} {B} {A}");
+    assert!(long_a.chars().count() > 64);
+    // (leg, a, b, matches at FLOOR)
+    let legs = [
+        ("filter_reject", A, C, false),
+        ("verify_accept", A, B, true),
+        ("fallback_past_64", long_a.as_str(), long_b.as_str(), true),
+    ];
+    let mut g = c.benchmark_group("thresholded_levenshtein");
+    for (leg, a, b, matches) in legs {
+        let (pa, pb) = (s.prepare(a), s.prepare(b));
+        assert_eq!(
+            s.sim_prepared_at_least(&pa, &pb, FLOOR).is_some(),
+            matches,
+            "{leg}"
+        );
+        g.bench_function(leg, |bench| {
+            bench.iter(|| s.sim_prepared_at_least(black_box(&pa), black_box(&pb), black_box(FLOOR)))
+        });
+    }
+    g.finish();
+}
+
 fn bench_similarity(c: &mut Criterion) {
     let mut g = c.benchmark_group("similarity");
     g.bench_function("levenshtein/near", |b| {
@@ -143,6 +175,6 @@ fn bench_similarity(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_similarity, bench_blocked_matching
+    targets = bench_similarity, bench_thresholded_levenshtein, bench_blocked_matching
 }
 criterion_main!(benches);

@@ -15,6 +15,7 @@
 //! | slab | element | feeds |
 //! |---|---|---|
 //! | `chars` | `char` | edit-distance family (`Chars`) |
+//! | `histograms` | `[u8; 32]` | `Chars` values prepared by `NormalizedLevenshtein` (its reject filter) |
 //! | `hashes` | `u64` | set-overlap family (`HashedSet`) |
 //! | `counts` | `(u64, f64)` | cosine family (`HashedCounts`) |
 //! | `nodes` | [`ArenaValue`] | token lists (`Tokens`), recursively |
@@ -34,7 +35,7 @@
 //! borrow problems an owning-arena-with-references design would hit.
 
 use crate::entity::EntityRef;
-use crate::similarity::{Prepared, PreparedView, TokenListView};
+use crate::similarity::{Prepared, PreparedView, TokenListView, HISTOGRAM_BUCKETS};
 
 /// A contiguous `u32` range into one arena slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +65,14 @@ impl Span {
 /// [`Prepared`], but holding slab [`Span`]s instead of owned `Vec`s.
 #[derive(Debug, Clone, Copy)]
 pub enum ArenaValue {
-    /// Span into the `chars` slab.
-    Chars(Span),
+    /// Span into the `chars` slab, plus the index of the value's
+    /// histogram in the `histograms` slab when it was prepared with one.
+    Chars {
+        /// The scalar values.
+        chars: Span,
+        /// Index into the `histograms` slab.
+        histogram: Option<u32>,
+    },
     /// Span into the `hashes` slab (sorted, deduplicated).
     HashedSet(Span),
     /// Span into the `counts` slab plus the precomputed L2 norm.
@@ -101,6 +108,7 @@ impl PreparedId {
 #[derive(Debug, Clone, Default)]
 pub struct PreparedArena {
     chars: Vec<char>,
+    histograms: Vec<[u8; HISTOGRAM_BUCKETS]>,
     hashes: Vec<u64>,
     counts: Vec<(u64, f64)>,
     nodes: Vec<ArenaValue>,
@@ -133,10 +141,19 @@ impl PreparedArena {
 
     fn intern_value(&mut self, p: &Prepared) -> ArenaValue {
         match p {
-            Prepared::Chars(c) => {
+            Prepared::Chars { chars, histogram } => {
                 let start = self.chars.len();
-                self.chars.extend_from_slice(c);
-                ArenaValue::Chars(Span::new(start, c.len()))
+                self.chars.extend_from_slice(chars);
+                let histogram = histogram.as_deref().map(|h| {
+                    let index = u32::try_from(self.histograms.len())
+                        .expect("arena slab exceeds the u32 address space");
+                    self.histograms.push(*h);
+                    index
+                });
+                ArenaValue::Chars {
+                    chars: Span::new(start, chars.len()),
+                    histogram,
+                }
             }
             Prepared::HashedSet(h) => {
                 let start = self.hashes.len();
@@ -182,7 +199,10 @@ impl PreparedArena {
 
     pub(crate) fn view(&self, value: ArenaValue) -> PreparedView<'_> {
         match value {
-            ArenaValue::Chars(s) => PreparedView::Chars(&self.chars[s.range()]),
+            ArenaValue::Chars { chars, histogram } => PreparedView::Chars {
+                chars: &self.chars[chars.range()],
+                histogram: histogram.map(|h| &self.histograms[h as usize]),
+            },
             ArenaValue::HashedSet(s) => PreparedView::HashedSet(&self.hashes[s.range()]),
             ArenaValue::HashedCounts { counts, norm } => PreparedView::HashedCounts {
                 counts: &self.counts[counts.range()],
@@ -209,10 +229,12 @@ impl PreparedArena {
         self.interned == 0
     }
 
-    /// Total slab elements resident (chars + hashes + counts + nodes +
-    /// slots) — a cheap proxy for the arena's memory footprint.
+    /// Total slab elements resident (chars + histograms + hashes +
+    /// counts + nodes + slots) — a cheap proxy for the arena's memory
+    /// footprint.
     pub fn slab_len(&self) -> usize {
         self.chars.len()
+            + self.histograms.len()
             + self.hashes.len()
             + self.counts.len()
             + self.nodes.len()
@@ -226,6 +248,7 @@ impl PreparedArena {
     /// arena reused across inputs stays allocation-free.
     pub fn clear(&mut self) {
         self.chars.clear();
+        self.histograms.clear();
         self.hashes.clear();
         self.counts.clear();
         self.nodes.clear();
@@ -280,7 +303,16 @@ mod tests {
     fn missing_rule_values_stay_missing() {
         let mut arena = PreparedArena::new();
         let e = Entity::new(1, [("brand", "canon")]);
-        let id = arena.intern(e.entity_ref(), &[None, Some(Prepared::Chars(vec!['x']))]);
+        let id = arena.intern(
+            e.entity_ref(),
+            &[
+                None,
+                Some(Prepared::Chars {
+                    chars: vec!['x'],
+                    histogram: None,
+                }),
+            ],
+        );
         assert_eq!(arena.rule_slots(id), 2);
         assert!(arena.value(id, 0).is_none());
         assert!(arena.value(id, 1).is_some());

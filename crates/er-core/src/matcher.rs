@@ -161,7 +161,8 @@ impl Matcher {
     /// paper's default) the score equals the rule similarity
     /// bit-exactly, so the decision is delegated to the measure's
     /// threshold-aware kernel ([`Similarity::sim_view_at_least`]),
-    /// which may abandon hopeless pairs early (banded edit distance).
+    /// which may abandon hopeless pairs early (edit distance: length
+    /// and histogram filter, then a bit-parallel verifier).
     /// Decisions and scores are identical to the exact path in all
     /// cases.
     pub fn matches_prepared(&self, a: &PreparedEntity, b: &PreparedEntity) -> Option<f64> {
@@ -235,9 +236,11 @@ impl Matcher {
                     "prepared entity {} does not match this matcher's rules",
                     b.entity_ref()
                 );
-                return match (a.value(0), b.value(0)) {
+                // Matched by reference: the views are handed to the
+                // kernel where they were built, not copied first.
+                return match (&a.value(0), &b.value(0)) {
                     (Some(pa), Some(pb)) => {
-                        rule.similarity.sim_view_at_least(&pa, &pb, self.threshold)
+                        rule.similarity.sim_view_at_least(pa, pb, self.threshold)
                     }
                     // Missing attribute scores zero, exactly like the
                     // weighted path.
@@ -666,8 +669,8 @@ mod tests {
 
     #[test]
     fn fast_path_decision_equals_exact_path() {
-        // paper_default is single-rule unit-weight -> banded fast
-        // path; decisions and scores must match the string path.
+        // paper_default is single-rule unit-weight -> thresholded
+        // kernel; decisions and scores must match the string path.
         let m = Matcher::paper_default();
         for (ta, tb) in [
             ("abcdefghij", "abcdefghij"),

@@ -78,7 +78,10 @@ impl Default for JaroWinkler {
 
 impl Similarity for JaroWinkler {
     fn prepare(&self, s: &str) -> Prepared {
-        Prepared::Chars(s.chars().collect())
+        Prepared::Chars {
+            chars: s.chars().collect(),
+            histogram: None,
+        }
     }
 
     fn sim_view(&self, a: &PreparedView<'_>, b: &PreparedView<'_>) -> f64 {

@@ -2,18 +2,168 @@
 //! paper's match function: "Two entities were compared by computing
 //! the edit distance of their title. Two entities with a minimal
 //! similarity of 0.8 were regarded as matches."
+//!
+//! The thresholded path ([`Similarity::sim_view_at_least`]) is an exact
+//! filter → verify cascade: a length check and a bucketed character
+//! histogram reject every pair that provably cannot reach the floor,
+//! and the survivors get their true distance from a bit-parallel
+//! (Myers/Hyyrö) kernel — or, past 64 scalars, from the banded DP.
 
 use std::cell::RefCell;
 
-use super::{Prepared, PreparedView, Similarity};
+use super::{Prepared, PreparedView, Similarity, HISTOGRAM_BUCKETS};
 
 thread_local! {
-    /// The two DP rows both Levenshtein kernels work in. Thread-local
+    /// The two DP rows both Levenshtein DP kernels work in. Thread-local
     /// so the O(b²) compare loop performs zero heap allocations after
     /// the rows have grown to the corpus's longest string; `RefCell`
     /// borrows are confined to one (non-recursive) kernel invocation.
     static DP_ROWS: RefCell<(Vec<usize>, Vec<usize>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
+
+    /// The bit-parallel kernel's pattern masks, rebuilt per pair.
+    static PATTERN_MASKS: RefCell<PatternMasks> = const { RefCell::new(PatternMasks::new()) };
+}
+
+/// Bucketed character counts of `chars`: scalar value → one of
+/// [`HISTOGRAM_BUCKETS`] saturating `u8` counters.
+fn char_histogram(chars: &[char]) -> [u8; HISTOGRAM_BUCKETS] {
+    let mut histogram = [0u8; HISTOGRAM_BUCKETS];
+    for &c in chars {
+        // Fibonacci hashing: the top five bits of the product spread
+        // neighbouring code points (a script's letters, the digits)
+        // over all 32 buckets.
+        let bucket = (c as u32).wrapping_mul(0x9E37_79B1) >> (32 - HISTOGRAM_BUCKETS.ilog2());
+        let count = &mut histogram[bucket as usize];
+        *count = count.saturating_add(1);
+    }
+    histogram
+}
+
+/// `Σ |a[i] − b[i]|` — a lower bound on the L1 distance of the exact
+/// (unbucketed, unsaturated) character counts, since merging buckets
+/// and clamping counts can only bring two histograms closer.
+///
+/// Summed as `u32` (32 · 255 fits easily): that is the width at which
+/// the compiler turns the whole loop into two `psadbw`.
+fn histogram_l1(a: &[u8; HISTOGRAM_BUCKETS], b: &[u8; HISTOGRAM_BUCKETS]) -> u32 {
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| u32::from(x.abs_diff(y)))
+        .sum()
+}
+
+/// Longest pattern the bit-parallel kernel handles: one bit per scalar
+/// of the shorter string in a `u64`.
+const WORD: usize = 64;
+
+/// `char → u64` map of the positions each scalar occupies in the
+/// pattern: an open-addressed table indexed by the scalar's low byte
+/// (so ASCII never probes) that holds at most [`WORD`] entries.
+/// Entries carry the generation that wrote them, so starting the next
+/// pattern is one increment instead of a sweep over the table.
+struct PatternMasks {
+    slots: [MaskSlot; Self::SLOTS],
+    generation: u32,
+}
+
+#[derive(Clone, Copy)]
+struct MaskSlot {
+    scalar: char,
+    generation: u32,
+    mask: u64,
+}
+
+impl PatternMasks {
+    /// Four times the most entries ever resident, so probe runs stay
+    /// short whatever the script.
+    const SLOTS: usize = 4 * WORD;
+
+    const fn new() -> Self {
+        Self {
+            slots: [MaskSlot {
+                scalar: '\0',
+                generation: 0,
+                mask: 0,
+            }; Self::SLOTS],
+            generation: 0,
+        }
+    }
+
+    /// Forgets the previous pattern and records `pattern`'s positions.
+    fn load(&mut self, pattern: &[char]) {
+        debug_assert!(pattern.len() <= WORD);
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: entries of 2³² patterns ago would read as live.
+            self.slots.iter_mut().for_each(|s| s.generation = 0);
+            self.generation = 1;
+        }
+        for (i, &c) in pattern.iter().enumerate() {
+            let slot = self.slot_of(c);
+            let slot = &mut self.slots[slot];
+            if slot.generation != self.generation {
+                *slot = MaskSlot {
+                    scalar: c,
+                    generation: self.generation,
+                    mask: 0,
+                };
+            }
+            slot.mask |= 1 << i;
+        }
+    }
+
+    /// The slot holding `c`, or the free slot where its probe run ends.
+    fn slot_of(&self, c: char) -> usize {
+        let mut i = c as usize % Self::SLOTS;
+        while self.slots[i].generation == self.generation && self.slots[i].scalar != c {
+            i = (i + 1) % Self::SLOTS;
+        }
+        i
+    }
+
+    /// Bit `i` set iff `pattern[i] == c`.
+    fn mask(&self, c: char) -> u64 {
+        let slot = &self.slots[self.slot_of(c)];
+        if slot.generation == self.generation {
+            slot.mask
+        } else {
+            0
+        }
+    }
+}
+
+/// Levenshtein distance by Myers' bit-parallel algorithm in Hyyrö's
+/// global-distance form: one `u64` holds a whole DP column as vertical
+/// ±1 deltas, so each scalar of `text` costs a dozen word operations
+/// instead of `|pattern|` cell updates.
+///
+/// `pattern` must hold 1 to [`WORD`] scalars.
+fn levenshtein_bit_parallel(pattern: &[char], text: &[char]) -> usize {
+    debug_assert!((1..=WORD).contains(&pattern.len()));
+    PATTERN_MASKS.with(|masks| {
+        let mut masks = masks.borrow_mut();
+        masks.load(pattern);
+        let last_row = 1u64 << (pattern.len() - 1);
+        // Vertical deltas of the current column: +1 everywhere in
+        // column 0 (D[i][0] = i), whose bottom cell is |pattern|.
+        let (mut plus_v, mut minus_v) = (!0u64, 0u64);
+        let mut distance = pattern.len();
+        for &c in text {
+            let eq = masks.mask(c);
+            let diag_zero = (((eq & plus_v).wrapping_add(plus_v)) ^ plus_v) | eq | minus_v;
+            let plus_h = minus_v | !(diag_zero | plus_v);
+            let minus_h = diag_zero & plus_v;
+            distance += usize::from(plus_h & last_row != 0);
+            distance -= usize::from(minus_h & last_row != 0);
+            // Row 0 grows by one per column (D[0][j] = j).
+            let plus_h = (plus_h << 1) | 1;
+            let minus_h = minus_h << 1;
+            plus_v = minus_h | !(diag_zero | plus_h);
+            minus_v = plus_h & diag_zero;
+        }
+        distance
+    })
 }
 
 /// Unrestricted Levenshtein distance over Unicode scalar values.
@@ -78,9 +228,10 @@ pub fn levenshtein_within(a: &str, b: &str, k: usize) -> bool {
 /// *exact* distance when `d <= k`, `None` when the distance exceeds
 /// `k` (detected early, without filling the full DP matrix).
 ///
-/// The thresholded-matching kernel: [`crate::Matcher`] derives the
-/// largest admissible distance from its similarity threshold and calls
-/// this instead of the unrestricted `O(|a|·|b|)` DP.
+/// [`NormalizedLevenshtein`]'s thresholded kernel verifies with this
+/// only when both strings exceed 64 scalars (shorter ones take the
+/// bit-parallel kernel); it is also the oracle the tests hold that
+/// kernel against.
 pub fn levenshtein_bounded_chars(a_chars: &[char], b_chars: &[char], k: usize) -> Option<usize> {
     let (n, m) = (a_chars.len(), b_chars.len());
     if n.abs_diff(m) > k {
@@ -140,7 +291,9 @@ pub struct NormalizedLevenshtein;
 
 impl Similarity for NormalizedLevenshtein {
     fn prepare(&self, s: &str) -> Prepared {
-        Prepared::Chars(s.chars().collect())
+        let chars: Vec<char> = s.chars().collect();
+        let histogram = Some(Box::new(char_histogram(&chars)));
+        Prepared::Chars { chars, histogram }
     }
 
     fn sim_view(&self, a: &PreparedView<'_>, b: &PreparedView<'_>) -> f64 {
@@ -152,20 +305,23 @@ impl Similarity for NormalizedLevenshtein {
         1.0 - levenshtein_distance_chars(ac, bc) as f64 / max_len as f64
     }
 
-    /// Banded fast path: only distances `d` with
-    /// `1 − d/max_len >= floor` can match, so the DP evaluates a
-    /// diagonal band of width `2k+1` instead of the full matrix and
-    /// abandons the pair as soon as a row exceeds `k`. Bit-exact with
-    /// the unrestricted path: a returned distance inside the band *is*
-    /// the true distance, and the similarity is computed by the same
-    /// expression.
+    /// Filter → verify: only distances `d ≤ k` with
+    /// `1 − k/max_len >= floor` can match, so a pair is rejected
+    /// without any edit-distance work when its lengths differ by more
+    /// than `k`, or when its character histograms are further apart
+    /// than `k` edits can bring them. Survivors are verified by the
+    /// bit-parallel kernel (shorter string ≤ 64 scalars) or the banded
+    /// DP (both longer). Bit-exact with the unrestricted path: both
+    /// filters only reject pairs whose distance exceeds `k`, both
+    /// verifiers return the true distance, and the similarity is
+    /// computed by the same expression.
     fn sim_view_at_least(
         &self,
         a: &PreparedView<'_>,
         b: &PreparedView<'_>,
         floor: f64,
     ) -> Option<f64> {
-        let (ac, bc) = (a.chars(), b.chars());
+        let ((ac, ah), (bc, bh)) = (a.chars_and_histogram(), b.chars_and_histogram());
         let max_len = ac.len().max(bc.len());
         if max_len == 0 {
             return (1.0 >= floor).then_some(1.0);
@@ -180,12 +336,41 @@ impl Similarity for NormalizedLevenshtein {
         // the slow path applies — derived by nudging a float estimate
         // down until the predicate holds, so threshold-boundary pairs
         // (e.g. distance 2 at length 10 against floor 0.8) behave
-        // identically to `sim_prepared(..) >= floor`.
-        let mut k = (((1.0 - floor) * max_len as f64).ceil() as usize + 1).min(max_len);
+        // identically to `sim_prepared(..) >= floor`. The estimate is
+        // the product truncated, plus one: above the product, which is
+        // within rounding error (far below 1) of any distance the
+        // predicate admits, hence never below the bound — and at most
+        // two steps above it, without a call into libm's `ceil`.
+        let mut k = (((1.0 - floor) * max_len as f64) as usize + 1).min(max_len);
         while k > 0 && sim_of(k) < floor {
             k -= 1;
         }
-        levenshtein_bounded_chars(ac, bc, k).map(sim_of)
+        let (short, long) = if ac.len() <= bc.len() {
+            (ac, bc)
+        } else {
+            (bc, ac)
+        };
+        let length_gap = long.len() - short.len();
+        if length_gap > k {
+            return None;
+        }
+        if let (Some(ah), Some(bh)) = (ah, bh) {
+            // `d` edits are `i ≥ length_gap` insertions/deletions, each
+            // moving one count by one, and `d − i` substitutions, each
+            // moving two: the exact counts differ by at most
+            // `2d − length_gap` in L1, and the bucketed ones by no more.
+            if histogram_l1(ah, bh) as usize > 2 * k - length_gap {
+                return None;
+            }
+        }
+        let d = if short.is_empty() {
+            long.len()
+        } else if short.len() <= WORD {
+            levenshtein_bit_parallel(short, long)
+        } else {
+            levenshtein_bounded_chars(short, long, k)?
+        };
+        (d <= k).then(|| sim_of(d))
     }
 
     fn name(&self) -> &'static str {
@@ -196,7 +381,77 @@ impl Similarity for NormalizedLevenshtein {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::PreparedArena;
+    use crate::Entity;
+    use proptest::collection::vec;
     use proptest::prelude::*;
+    use proptest::strategy::BoxedStrategy;
+
+    fn chars(s: &str) -> Vec<char> {
+        s.chars().collect()
+    }
+
+    /// `a` after a few random substitutions, insertions and deletions —
+    /// the pairs independent draws almost never produce: close enough
+    /// to pass the filter and to sit on either side of a floor.
+    fn near(base: &'static str) -> BoxedStrategy<(String, String)> {
+        (base, vec((0u8..3, 0usize..400, "\\PC{1}"), 0..12))
+            .prop_map(|(a, edits)| {
+                let mut b = chars(&a);
+                for (op, at, c) in edits {
+                    let c = c.chars().next().expect("one char");
+                    match op {
+                        0 if !b.is_empty() => {
+                            let at = at % b.len();
+                            b[at] = c;
+                        }
+                        1 if !b.is_empty() => {
+                            b.remove(at % b.len());
+                        }
+                        _ => b.insert(at % (b.len() + 1), c),
+                    }
+                }
+                (a, b.into_iter().collect())
+            })
+            .boxed()
+    }
+
+    /// String pairs over every shape the cascade branches on: arbitrary
+    /// Unicode, a two-letter alphabet (many equal histograms), runs of
+    /// one character past the 255 a bucket saturates at, and lengths on
+    /// both sides of the 64-scalar word — drawn independently and as
+    /// near-duplicates.
+    fn string_pairs() -> impl Strategy<Value = (String, String)> {
+        prop_oneof![
+            ("\\PC{0,80}", "\\PC{0,80}"),
+            ("[ab]{0,90}", "[ab]{0,90}"),
+            ("a{0,300}[ab]{0,8}", "a{0,300}[ab]{0,8}"),
+            near("\\PC{0,80}"),
+            near("[ab]{0,90}"),
+            near("a{200,300}b{0,70}"),
+        ]
+    }
+
+    fn floors() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            0.0f64..1.0,
+            (0u32..21).prop_map(|step| f64::from(step) / 20.0),
+            Just(0.0),
+            Just(1.0),
+            Just(1.5),
+            Just(f64::NAN),
+        ]
+    }
+
+    /// `sim_view_at_least` over the arena-interned forms of `a` and `b`.
+    fn arena_at_least(a: &Prepared, b: &Prepared, floor: f64) -> Option<f64> {
+        let mut arena = PreparedArena::new();
+        let owner = Entity::new(1, [("t", "")]).entity_ref();
+        let ia = arena.intern(owner, &[Some(a.clone())]);
+        let ib = arena.intern(owner, &[Some(b.clone())]);
+        let (va, vb) = (arena.value(ia, 0).unwrap(), arena.value(ib, 0).unwrap());
+        NormalizedLevenshtein.sim_view_at_least(&va, &vb, floor)
+    }
 
     #[test]
     fn classic_distances() {
@@ -269,7 +524,107 @@ mod tests {
         );
     }
 
+    #[test]
+    fn bit_parallel_kernel_on_fixed_cases() {
+        let d = |p: &str, t: &str| levenshtein_bit_parallel(&chars(p), &chars(t));
+        assert_eq!(d("kitten", "sitting"), 3);
+        assert_eq!(d("a", ""), 1);
+        assert_eq!(d("abc", "abc"), 0);
+        assert_eq!(d("日本語", "日本"), 1);
+        // A full word: bit 63 is the last row, and the row-0 carry
+        // shifts out of it.
+        let word = "abcdefgh".repeat(8);
+        assert_eq!(word.chars().count(), WORD);
+        assert_eq!(d(&word, &word), 0);
+        assert_eq!(d(&word, &word.replace('h', "x")), 8);
+        assert_eq!(d(&word, &"z".repeat(100)), 100);
+        // Scalars that share a low byte probe past each other.
+        assert_eq!(d("a\u{161}\u{261}", "\u{261}a\u{161}"), 2);
+    }
+
+    #[test]
+    fn pattern_masks_survive_the_generation_wrap() {
+        let mut masks = PatternMasks::new();
+        masks.load(&chars("ab"));
+        masks.generation = u32::MAX;
+        masks.load(&chars("ba"));
+        assert_eq!(
+            (masks.mask('b'), masks.mask('a'), masks.mask('c')),
+            (1, 2, 0)
+        );
+        assert_eq!(masks.generation, 1);
+    }
+
+    #[test]
+    fn cascade_past_the_word_and_past_saturation() {
+        let s = NormalizedLevenshtein;
+        let run = "a".repeat(300);
+        for (a, b) in [
+            // Both past 64 scalars: the banded DP verifies.
+            ("x".repeat(65), "x".repeat(64) + "y"),
+            ("ab".repeat(40), "ab".repeat(39) + "ba"),
+            // One bucket saturated on both sides: the histograms are
+            // equal although 44 edits separate the strings.
+            (run.clone(), "a".repeat(256)),
+            (run.clone(), "a".repeat(280) + &"b".repeat(20)),
+            // 64 vs 65: bit-parallel with the longer string as text.
+            ("q".repeat(64), "q".repeat(65)),
+        ] {
+            let (pa, pb) = (s.prepare(&a), s.prepare(&b));
+            let slow = s.sim_prepared(&pa, &pb);
+            for step in 0..=20 {
+                let floor = f64::from(step) / 20.0;
+                let expected = (slow >= floor).then(|| slow.to_bits());
+                assert_eq!(
+                    s.sim_prepared_at_least(&pa, &pb, floor).map(f64::to_bits),
+                    expected,
+                    "{} vs {} scalars at floor {floor}",
+                    a.chars().count(),
+                    b.chars().count()
+                );
+                assert_eq!(arena_at_least(&pa, &pb, floor).map(f64::to_bits), expected);
+            }
+        }
+        // The fallback is still the banded DP, callable on its own.
+        assert_eq!(
+            levenshtein_bounded_chars(&chars(&"x".repeat(65)), &chars(&("x".repeat(64) + "y")), 1),
+            Some(1)
+        );
+    }
+
     proptest! {
+        #[test]
+        fn bit_parallel_equals_full_dp(pair in string_pairs()) {
+            let (a, b) = (chars(&pair.0), chars(&pair.1));
+            let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+            if (1..=WORD).contains(&short.len()) {
+                prop_assert_eq!(
+                    levenshtein_bit_parallel(short, long),
+                    levenshtein_distance_chars(short, long)
+                );
+            }
+        }
+
+        #[test]
+        fn histogram_filter_never_rejects_a_pair_within_k(pair in string_pairs()) {
+            // The filter rejects when L1 > 2k − gap; with d ≤ k that
+            // never happens iff L1 ≤ 2d − gap.
+            let (a, b) = (chars(&pair.0), chars(&pair.1));
+            let d = levenshtein_distance_chars(&a, &b);
+            let l1 = histogram_l1(&char_histogram(&a), &char_histogram(&b)) as usize;
+            prop_assert!(l1 + a.len().abs_diff(b.len()) <= 2 * d, "l1={} d={}", l1, d);
+        }
+
+        #[test]
+        fn cascade_is_bit_exact_with_slow_path(pair in string_pairs(), floor in floors()) {
+            let s = NormalizedLevenshtein;
+            let (pa, pb) = (s.prepare(&pair.0), s.prepare(&pair.1));
+            let slow = s.sim_prepared(&pa, &pb);
+            let expected = (slow >= floor).then(|| slow.to_bits());
+            prop_assert_eq!(s.sim_prepared_at_least(&pa, &pb, floor).map(f64::to_bits), expected);
+            prop_assert_eq!(arena_at_least(&pa, &pb, floor).map(f64::to_bits), expected);
+        }
+
         #[test]
         fn banded_agrees_with_full_dp(a in "[a-d]{0,12}", b in "[a-d]{0,12}", k in 0usize..6) {
             let d = levenshtein_distance(&a, &b);

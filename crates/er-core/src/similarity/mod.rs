@@ -28,8 +28,8 @@
 //!
 //! | measure | [`Prepared`] variant | contents |
 //! |---|---|---|
-//! | [`NormalizedLevenshtein`] | `Chars` | Unicode scalar values |
-//! | [`JaroWinkler`] | `Chars` | Unicode scalar values |
+//! | [`NormalizedLevenshtein`] | `Chars` | Unicode scalar values + a 32-byte bucketed character histogram |
+//! | [`JaroWinkler`] | `Chars` | Unicode scalar values (no histogram) |
 //! | [`Jaccard`] | `HashedSet` | sorted FNV-1a hashes of lowercased tokens |
 //! | [`NGram`] | `HashedSet` | sorted FNV-1a hashes of padded lowercased grams |
 //! | [`CosineTokens`] | `HashedCounts` | sorted (token hash, count) + L2 norm |
@@ -40,6 +40,16 @@
 //! between two *distinct* grams of the same corpus (probability
 //! ≈ 2⁻⁶⁴ per pair) is the only way the hashed result could diverge
 //! from exact string sets, and both `sim` and `sim_prepared` share it.
+//!
+//! Thresholded matching ([`Similarity::sim_view_at_least`]) is where
+//! the histogram pays: of the pairs a blocking key throws together,
+//! nearly all are far apart, and [`NormalizedLevenshtein`] rejects them
+//! on the two lengths and the two histograms alone — a lower bound on
+//! the edit distance that never rejects a pair the full computation
+//! would accept. Only the survivors get an edit distance, bit-parallel
+//! when the shorter string fits a 64-bit word and by the banded DP
+//! otherwise; either returns the true distance, so decisions and
+//! scores equal the unthresholded path's bit for bit.
 //!
 //! Every kernel is written against borrowed [`PreparedView`]s, so the
 //! same code path serves heap [`Prepared`] values and entities
@@ -68,6 +78,11 @@ pub use levenshtein::{
 pub use monge_elkan::MongeElkan;
 pub use ngram::NGram;
 
+/// Buckets of the character histogram a [`Prepared::Chars`] may carry:
+/// 32 saturating `u8` counts are two SSE registers (one AVX2 register),
+/// so the L1 distance of two histograms is a handful of instructions.
+pub(crate) const HISTOGRAM_BUCKETS: usize = 32;
+
 /// A measure-specific preprocessed representation of one string.
 ///
 /// Produced by [`Similarity::prepare`]; only meaningful when handed
@@ -76,7 +91,16 @@ pub use ngram::NGram;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Prepared {
     /// Unicode scalar values of the string (edit-distance family).
-    Chars(Vec<char>),
+    Chars {
+        /// The scalar values, in order.
+        chars: Vec<char>,
+        /// Bucketed character counts of `chars`, stored only by
+        /// [`NormalizedLevenshtein`], whose thresholded kernel rejects
+        /// most non-matching pairs on it before any edit distance runs.
+        /// Boxed so the enum — and with it every token of a
+        /// [`MongeElkan`] list — is no larger than without it.
+        histogram: Option<Box<[u8; HISTOGRAM_BUCKETS]>>,
+    },
     /// Sorted, deduplicated 64-bit element hashes (set-overlap family).
     HashedSet(Vec<u64>),
     /// Sorted `(element hash, count)` pairs with the precomputed L2
@@ -101,7 +125,10 @@ impl Prepared {
     /// by construction).
     pub fn view(&self) -> PreparedView<'_> {
         match self {
-            Prepared::Chars(c) => PreparedView::Chars(c),
+            Prepared::Chars { chars, histogram } => PreparedView::Chars {
+                chars,
+                histogram: histogram.as_deref(),
+            },
             Prepared::HashedSet(h) => PreparedView::HashedSet(h),
             Prepared::HashedCounts { counts, norm } => PreparedView::HashedCounts {
                 counts,
@@ -118,7 +145,12 @@ impl Prepared {
 #[derive(Debug, Clone, Copy)]
 pub enum PreparedView<'a> {
     /// Unicode scalar values (edit-distance family).
-    Chars(&'a [char]),
+    Chars {
+        /// The scalar values, in order.
+        chars: &'a [char],
+        /// Bucketed character counts, when the measure stored them.
+        histogram: Option<&'a [u8; HISTOGRAM_BUCKETS]>,
+    },
     /// Sorted, deduplicated element hashes (set-overlap family).
     HashedSet(&'a [u64]),
     /// Sorted `(hash, count)` pairs plus the precomputed L2 norm
@@ -136,8 +168,14 @@ pub enum PreparedView<'a> {
 impl<'a> PreparedView<'a> {
     /// The char buffer, panicking on a foreign variant.
     pub(crate) fn chars(self) -> &'a [char] {
+        self.chars_and_histogram().0
+    }
+
+    /// The char buffer with its histogram (if the preparing measure
+    /// stored one), panicking on a foreign variant.
+    pub(crate) fn chars_and_histogram(self) -> (&'a [char], Option<&'a [u8; HISTOGRAM_BUCKETS]>) {
         match self {
-            PreparedView::Chars(c) => c,
+            PreparedView::Chars { chars, histogram } => (chars, histogram),
             other => panic!("expected Prepared::Chars, got {other:?}"),
         }
     }
@@ -308,10 +346,10 @@ pub trait Similarity: Send + Sync {
     /// [`sim_view`](Similarity::sim_view).
     ///
     /// The default computes the full similarity and compares. Measures
-    /// with a cheaper bounded kernel override it to abandon hopeless
-    /// pairs early — [`NormalizedLevenshtein`] evaluates only a
-    /// diagonal DP band wide enough for distances that can still reach
-    /// `floor`, which is what makes thresholded matching at paper
+    /// that can bound the similarity more cheaply override it to
+    /// abandon hopeless pairs early — [`NormalizedLevenshtein`] rejects
+    /// on lengths and character histograms before computing any edit
+    /// distance, which is what makes thresholded matching at paper
     /// scale affordable.
     fn sim_view_at_least(
         &self,

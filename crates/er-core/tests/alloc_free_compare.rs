@@ -1,7 +1,9 @@
 //! Proves the arena-backed compare loop is allocation-free after
 //! warm-up: once every entity of a block has been interned, an entire
 //! all-pairs `matches_handles` sweep performs **zero** heap
-//! allocations.
+//! allocations — through the weighted multi-rule path and through the
+//! thresholded edit-distance kernel (histogram filter, bit-parallel
+//! verifier, banded fallback) alike.
 //!
 //! A single `#[test]` drives the whole file — integration tests in one
 //! binary may run on multiple threads, which would make a global
@@ -38,9 +40,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn corpus() -> Vec<Entity> {
-    // Titles long and varied enough to exercise the banded DP, the
-    // token measures, and the set measures; one entity lacks a title
-    // to cover the missing-attribute path.
+    // Titles long and varied enough to exercise the edit-distance
+    // kernels, the token measures, and the set measures; one entity
+    // lacks a title to cover the missing-attribute path. The last two
+    // exceed 64 scalars, so the thresholded kernel verifies them with
+    // the banded DP instead of the bit-parallel word.
     let titles = [
         "canon eos 5d mark iii body kit",
         "canon eos 5d mark ii body kit",
@@ -54,6 +58,8 @@ fn corpus() -> Vec<Entity> {
         "pentax k-5 ii dslr weather sealed",
         "leica m9 rangefinder digital",
         "samsung nx200 compact system camera",
+        "hasselblad h5d-50c medium format digital camera body with hv 90x-ii viewfinder",
+        "hasselblad h5d-50c medium format digital camera body with hv 90x viewfinder",
     ];
     let mut entities: Vec<Entity> = titles
         .iter()
@@ -64,28 +70,12 @@ fn corpus() -> Vec<Entity> {
     entities
 }
 
-#[test]
-fn arena_compare_loop_allocates_nothing_after_warm_up() {
-    // A multi-rule matcher exercises every measure family through the
-    // weighted path: edit distance (chars + DP scratch), Jaro-Winkler
-    // (match scratch), Monge-Elkan (nested token views), Jaccard /
-    // n-gram (hashed sets), cosine (hashed counts).
-    let matcher = Arc::new(Matcher::new(
-        vec![
-            MatchRule::new("title", Arc::new(er_core::NormalizedLevenshtein)).with_weight(2.0),
-            MatchRule::new("title", Arc::new(er_core::JaroWinkler::default())),
-            MatchRule::new("title", Arc::new(er_core::MongeElkan::default())),
-            MatchRule::new("title", Arc::new(er_core::Jaccard)),
-            MatchRule::new("title", Arc::new(er_core::NGram::trigram())),
-            MatchRule::new("brand", Arc::new(er_core::CosineTokens)),
-        ],
-        0.5,
-    ));
-    let entities = corpus();
-    let mut cache = MatcherCache::new(Arc::clone(&matcher));
-
-    // Warm-up: intern every entity, then run one full all-pairs sweep
-    // so thread-local scratch buffers grow to their high-water marks.
+/// Interns `entities`, runs one warm-up all-pairs sweep (so the
+/// thread-local scratch buffers grow to their high-water marks), then
+/// the identical sweep again, and asserts the second one never touched
+/// the allocator. Returns the decisions.
+fn assert_hot_sweep_allocates_nothing(matcher: Matcher, entities: &[Entity]) -> Vec<Option<f64>> {
+    let mut cache = MatcherCache::new(Arc::new(matcher));
     let handles: Vec<_> = entities.iter().map(|e| cache.handle(e)).collect();
     let mut warm_decisions = Vec::with_capacity(handles.len() * handles.len());
     for i in 0..handles.len() {
@@ -94,7 +84,6 @@ fn arena_compare_loop_allocates_nothing_after_warm_up() {
         }
     }
 
-    // Measured pass: the identical sweep must not touch the allocator.
     // The result buffer is allocated before the snapshot so only the
     // compare loop itself is counted.
     let mut hot_decisions = Vec::with_capacity(warm_decisions.len());
@@ -127,4 +116,37 @@ fn arena_compare_loop_allocates_nothing_after_warm_up() {
     // Sanity: the sweep actually compared things both ways.
     assert!(warm_decisions.iter().any(|d| d.is_some()));
     assert!(warm_decisions.iter().any(|d| d.is_none()));
+    hot_decisions
+}
+
+#[test]
+fn arena_compare_loop_allocates_nothing_after_warm_up() {
+    let entities = corpus();
+    // A multi-rule matcher exercises every measure family through the
+    // weighted path: edit distance (chars + DP scratch), Jaro-Winkler
+    // (match scratch), Monge-Elkan (nested token views), Jaccard /
+    // n-gram (hashed sets), cosine (hashed counts).
+    assert_hot_sweep_allocates_nothing(
+        Matcher::new(
+            vec![
+                MatchRule::new("title", Arc::new(er_core::NormalizedLevenshtein)).with_weight(2.0),
+                MatchRule::new("title", Arc::new(er_core::JaroWinkler::default())),
+                MatchRule::new("title", Arc::new(er_core::MongeElkan::default())),
+                MatchRule::new("title", Arc::new(er_core::Jaccard)),
+                MatchRule::new("title", Arc::new(er_core::NGram::trigram())),
+                MatchRule::new("brand", Arc::new(er_core::CosineTokens)),
+            ],
+            0.5,
+        ),
+        &entities,
+    );
+    // The paper's single-rule matcher takes the thresholded kernel:
+    // most pairs die in the histogram filter, the near-duplicates are
+    // verified bit-parallel, the two long titles by the banded DP.
+    let decisions = assert_hot_sweep_allocates_nothing(Matcher::paper_default(), &entities);
+    assert_eq!(
+        decisions.iter().flatten().count(),
+        4,
+        "canon, nikon, sony and the long hasselblad near-duplicates"
+    );
 }

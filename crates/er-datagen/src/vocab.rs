@@ -121,21 +121,32 @@ const ONSETS: &[&str] = &[
 ];
 const VOWELS: &[&str] = &["a", "e", "i", "o", "u", "y"];
 
-/// Deterministic, pairwise-distinct, plausible 3-letter block prefix
-/// for block index `k` (consonant-vowel-consonant, e.g. "bab", "bac").
+/// Deterministic 3-letter block prefix for block index `k`, pairwise
+/// distinct — so blocks stay apart under a three-character prefix key
+/// such as `PrefixBlocking::title3()` — for every `k < 12 800`.
 ///
-/// Capacity: 20 · 6 · 20 = 2 400 distinct prefixes; beyond that a
-/// numeric suffix keeps prefixes distinct but 4+ letters long (still a
-/// valid blocking key, just not colliding with the CVC space).
+/// The first 20 · 6 · 20 = 2 400 are consonant-vowel-consonant ("bab",
+/// "bac", …); the next 20 · 20 · 26 = 10 400 are consonant-consonant-
+/// letter ("bba", "bbb", …), which no CVC prefix can equal. From
+/// `k = 12 800` on the prefix is `zz` plus a number: still distinct as
+/// a whole string, but its first three characters repeat (`zz1`,
+/// `zz10`, …), so a three-character key folds those blocks together.
 pub fn block_prefix(k: usize) -> String {
-    let capacity = ONSETS.len() * VOWELS.len() * ONSETS.len();
-    if k < capacity {
+    let cvc = ONSETS.len() * VOWELS.len() * ONSETS.len();
+    let ccl = ONSETS.len() * ONSETS.len() * 26;
+    if k < cvc {
         let onset = ONSETS[k / (VOWELS.len() * ONSETS.len())];
         let vowel = VOWELS[(k / ONSETS.len()) % VOWELS.len()];
         let coda = ONSETS[k % ONSETS.len()];
         format!("{onset}{vowel}{coda}")
+    } else if k < cvc + ccl {
+        let k = k - cvc;
+        let first = ONSETS[k / (ONSETS.len() * 26)];
+        let second = ONSETS[(k / 26) % ONSETS.len()];
+        let third = char::from(b'a' + (k % 26) as u8);
+        format!("{first}{second}{third}")
     } else {
-        format!("zz{}", k - capacity)
+        format!("zz{}", k - cvc - ccl)
     }
 }
 
@@ -146,9 +157,36 @@ mod tests {
 
     #[test]
     fn prefixes_are_distinct() {
-        let n = 3000;
+        // Past the three-letter space too, where only the whole string
+        // still tells blocks apart.
+        let n = 13_000;
         let set: HashSet<String> = (0..n).map(block_prefix).collect();
         assert_eq!(set.len(), n);
+    }
+
+    #[test]
+    fn first_three_characters_are_distinct_below_10_000() {
+        // What `PrefixBlocking::title3()` keys on. Whole-string
+        // distinctness is not enough: `zz1` and `zz10` differ, their
+        // three-character keys do not.
+        let n = 10_000;
+        let keys: HashSet<String> = (0..n)
+            .map(|k| block_prefix(k).chars().take(3).collect())
+            .collect();
+        assert_eq!(keys.len(), n);
+        assert!((0..n).all(|k| block_prefix(k).chars().all(|c| c.is_ascii_lowercase())));
+    }
+
+    #[test]
+    fn cvc_prefixes_are_unchanged() {
+        // Every committed corpus below 2 400 blocks depends on these.
+        assert_eq!(block_prefix(0), "bab");
+        assert_eq!(block_prefix(1), "bac");
+        assert_eq!(block_prefix(20), "beb");
+        assert_eq!(block_prefix(2399), "zyz");
+        assert_eq!(block_prefix(2400), "bba");
+        assert_eq!(block_prefix(12_799), "zzz");
+        assert_eq!(block_prefix(12_800), "zz0");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use mr_engine::prelude::*;
 
 use er_core::MatcherCache;
 
-use crate::compare::{PairComparer, PreparedRef};
+use crate::compare::{PairComparer, PairTally, PreparedRef};
 use crate::{Ent, Keyed};
 
 /// Basic mapper: derive the blocking key(s), emit `(key, entity)`.
@@ -79,15 +79,17 @@ impl Reducer for BasicReducer {
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let block = group.key().clone();
+        let mut tally = PairTally::default();
         let mut buffer: Vec<PreparedRef<'_>> = Vec::with_capacity(group.len());
         for e2 in group.values() {
             let e2 = self.comparer.prepare_cached(&mut self.cache, e2);
             for e1 in &buffer {
                 self.comparer
-                    .compare_prepared(&self.cache, e1, &e2, &block, ctx);
+                    .compare_prepared(&self.cache, e1, &e2, &block, &mut tally, ctx);
             }
             buffer.push(e2);
         }
+        tally.flush(ctx);
     }
 }
 

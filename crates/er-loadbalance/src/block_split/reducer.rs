@@ -15,7 +15,7 @@ use er_core::result::MatchPair;
 use er_core::MatcherCache;
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
-use crate::compare::{PairComparer, PreparedRef};
+use crate::compare::{PairComparer, PairTally, PreparedRef};
 use crate::keys::{BlockSplitKey, BlockSplitValue};
 
 /// The BlockSplit reducer.
@@ -52,14 +52,21 @@ impl Reducer for BlockSplitReducer {
             .keyed
             .key
             .clone();
+        let mut tally = PairTally::default();
         if key.i == key.j {
             // Match task k.* or k.i: all pairs within the group.
             let mut buffer: Vec<PreparedRef<'_>> = Vec::with_capacity(group.len());
             for e2 in group.values() {
                 let e2 = self.comparer.prepare_cached(&mut self.cache, &e2.keyed);
                 for e1 in &buffer {
-                    self.comparer
-                        .compare_prepared(&self.cache, e1, &e2, &block_key, ctx);
+                    self.comparer.compare_prepared(
+                        &self.cache,
+                        e1,
+                        &e2,
+                        &block_key,
+                        &mut tally,
+                        ctx,
+                    );
                 }
                 buffer.push(e2);
             }
@@ -83,11 +90,18 @@ impl Reducer for BlockSplitReducer {
             }
             for e1 in &bucket_a {
                 for e2 in &bucket_b {
-                    self.comparer
-                        .compare_prepared(&self.cache, e1, e2, &block_key, ctx);
+                    self.comparer.compare_prepared(
+                        &self.cache,
+                        e1,
+                        e2,
+                        &block_key,
+                        &mut tally,
+                        ctx,
+                    );
                 }
             }
         }
+        tally.flush(ctx);
     }
 }
 

@@ -11,6 +11,11 @@
 //! handles are `Copy`-sized ids into contiguous slabs and the compare
 //! loop allocates nothing after warm-up. In count-only mode
 //! preparation is skipped entirely; the similarity measure never runs.
+//!
+//! The loop counts into a [`PairTally`] — three local integers — and
+//! the reducer flushes it into the task's counters once per reduce
+//! group: with the thresholded kernel at some ten nanoseconds a pair,
+//! a by-name counter update per pair would cost more than the compare.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -36,12 +41,34 @@ pub const MULTIPASS_SKIPPED: &str = "er.multipass.skipped";
 /// evaluate R × S window pairs.
 pub const SAME_SOURCE_SKIPPED: &str = "er.two_source.same_source_skipped";
 
-/// Whether a pair passes this comparer's gates or is skipped (and
-/// under which counter).
-enum Gate {
-    Evaluate,
-    SkipMultipass,
-    SkipSameSource,
+/// What one reduce group's pair loop has counted so far: evaluated
+/// pairs ([`COMPARISONS`]) and pairs a gate skipped
+/// ([`MULTIPASS_SKIPPED`], [`SAME_SOURCE_SKIPPED`]). Filled by
+/// [`PairComparer::compare_prepared`]; the reducer must
+/// [`flush`](PairTally::flush) it before its `reduce` returns, or the
+/// counts are lost.
+#[derive(Debug, Default)]
+pub struct PairTally {
+    comparisons: u64,
+    multipass_skipped: u64,
+    same_source_skipped: u64,
+}
+
+impl PairTally {
+    /// Adds the tallied counts to `ctx`'s counters and resets the
+    /// tally. A count of zero is not written, so a counter still exists
+    /// only where at least one pair was counted under it.
+    pub fn flush<KO, VO>(&mut self, ctx: &mut ReduceContext<KO, VO>) {
+        for (name, count) in [
+            (COMPARISONS, &mut self.comparisons),
+            (MULTIPASS_SKIPPED, &mut self.multipass_skipped),
+            (SAME_SOURCE_SKIPPED, &mut self.same_source_skipped),
+        ] {
+            if *count > 0 {
+                ctx.add_counter(name, std::mem::take(count));
+            }
+        }
+    }
 }
 
 /// Evaluates entity pairs inside reduce functions: applies the
@@ -112,24 +139,30 @@ impl PairComparer {
         self.cross_source_only
     }
 
-    /// Applies every gate in order: smallest-common-block (multi-pass
-    /// blocking), cross-source-only, already-compared (multi-pass SN).
-    fn gate(&self, a: &Keyed, b: &Keyed, current: &BlockKey) -> Gate {
+    /// Applies every gate in order — smallest-common-block (multi-pass
+    /// blocking), cross-source-only, already-compared (multi-pass SN) —
+    /// and counts the pair under the counter it falls to. True iff the
+    /// pair is to be evaluated.
+    fn admit(&self, a: &Keyed, b: &Keyed, current: &BlockKey, tally: &mut PairTally) -> bool {
         if !a.should_compare_in(b, current) {
-            return Gate::SkipMultipass;
+            tally.multipass_skipped += 1;
+            return false;
         }
         if self.cross_source_only && a.entity.source() == b.entity.source() {
-            return Gate::SkipSameSource;
+            tally.same_source_skipped += 1;
+            return false;
         }
         if let Some(skip) = &self.skip_pairs {
             if skip.contains(&MatchPair::new(
                 a.entity.entity_ref(),
                 b.entity.entity_ref(),
             )) {
-                return Gate::SkipMultipass;
+                tally.multipass_skipped += 1;
+                return false;
             }
         }
-        Gate::Evaluate
+        tally.comparisons += 1;
+        true
     }
 
     /// Bounds every cache this comparer hands out (LRU eviction, see
@@ -173,19 +206,10 @@ impl PairComparer {
         current: &BlockKey,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
-        match self.gate(a, b, current) {
-            Gate::SkipMultipass => {
-                ctx.add_counter(MULTIPASS_SKIPPED, 1);
-                return;
-            }
-            Gate::SkipSameSource => {
-                ctx.add_counter(SAME_SOURCE_SKIPPED, 1);
-                return;
-            }
-            Gate::Evaluate => {}
-        }
-        ctx.add_counter(COMPARISONS, 1);
-        if self.count_only {
+        let mut tally = PairTally::default();
+        let admitted = self.admit(a, b, current, &mut tally);
+        tally.flush(ctx);
+        if !admitted || self.count_only {
             return;
         }
         if let Some(score) = self.matcher.matches(&a.entity, &b.entity) {
@@ -231,63 +255,47 @@ impl PairComparer {
     }
 
     /// [`PairComparer::compare`] over prepared handles: same gate,
-    /// same counters, same emissions — but similarity runs on the
-    /// cached representations (through `cache`, which must be the one
-    /// that issued the handles), bit-exact with the string path.
+    /// same emissions — but similarity runs on the cached
+    /// representations (through `cache`, which must be the one that
+    /// issued the handles), bit-exact with the string path, and the
+    /// pair is counted into `tally` instead of `ctx`'s counters: the
+    /// caller [`flush`](PairTally::flush)es once per reduce group.
     pub fn compare_prepared(
         &self,
         cache: &MatcherCache,
         a: &PreparedRef<'_>,
         b: &PreparedRef<'_>,
         current: &BlockKey,
+        tally: &mut PairTally,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
-        self.compare_prepared_into(cache, a, b, current, ctx, |ctx, pair, score| {
+        if let Some((pair, score)) = self.match_prepared(cache, a, b, current, tally) {
             ctx.emit(pair, score);
-        });
+        }
     }
 
-    /// [`PairComparer::compare_prepared`] generalized over the reduce
-    /// output shape: gate, counters and matching are identical, but a
-    /// found match is delivered to `sink` instead of being emitted
-    /// directly — for reducers whose output type is not
-    /// `(MatchPair, f64)` (er-sn's window reducer interleaves matches
-    /// with boundary records).
-    pub fn compare_prepared_into<KO, VO>(
+    /// [`PairComparer::compare_prepared`] without the emit: gate, tally
+    /// and matching are identical, but a found match is returned — for
+    /// reducers whose output type is not `(MatchPair, f64)` (er-sn's
+    /// window reducer interleaves matches with boundary records).
+    pub fn match_prepared(
         &self,
         cache: &MatcherCache,
         a: &PreparedRef<'_>,
         b: &PreparedRef<'_>,
         current: &BlockKey,
-        ctx: &mut ReduceContext<KO, VO>,
-        mut sink: impl FnMut(&mut ReduceContext<KO, VO>, MatchPair, f64),
-    ) {
-        match self.gate(a.keyed, b.keyed, current) {
-            Gate::SkipMultipass => {
-                ctx.add_counter(MULTIPASS_SKIPPED, 1);
-                return;
-            }
-            Gate::SkipSameSource => {
-                ctx.add_counter(SAME_SOURCE_SKIPPED, 1);
-                return;
-            }
-            Gate::Evaluate => {}
-        }
-        ctx.add_counter(COMPARISONS, 1);
-        if self.count_only {
-            return;
+        tally: &mut PairTally,
+    ) -> Option<(MatchPair, f64)> {
+        if !self.admit(a.keyed, b.keyed, current, tally) || self.count_only {
+            return None;
         }
         let (pa, pb) = (
             a.prepared.as_ref().expect("prepared under !count_only"),
             b.prepared.as_ref().expect("prepared under !count_only"),
         );
-        if let Some(score) = cache.matches_handles(pa, pb) {
-            sink(
-                ctx,
-                MatchPair::new(a.keyed.entity.entity_ref(), b.keyed.entity.entity_ref()),
-                score,
-            );
-        }
+        let score = cache.matches_handles(pa, pb)?;
+        let pair = MatchPair::new(a.keyed.entity.entity_ref(), b.keyed.entity.entity_ref());
+        Some((pair, score))
     }
 }
 
@@ -334,6 +342,21 @@ mod tests {
             num_reduce_tasks: 1,
             num_map_tasks: 1,
         })
+    }
+
+    /// One pair through the prepared path as a reducer drives it:
+    /// compare into a tally, then flush.
+    fn compare_prepared(
+        comparer: &PairComparer,
+        cache: &MatcherCache,
+        a: &PreparedRef<'_>,
+        b: &PreparedRef<'_>,
+        current: &BlockKey,
+        ctx: &mut ReduceContext<MatchPair, f64>,
+    ) {
+        let mut tally = PairTally::default();
+        comparer.compare_prepared(cache, a, b, current, &mut tally, ctx);
+        tally.flush(ctx);
     }
 
     fn keyed(id: u64, title: &str) -> Keyed {
@@ -409,7 +432,7 @@ mod tests {
                 comparer.prepare_cached(&mut cache, &a),
                 comparer.prepare_cached(&mut cache, &b),
             );
-            comparer.compare_prepared(&cache, &pa, &pb, &block, &mut prepared);
+            compare_prepared(&comparer, &cache, &pa, &pb, &block, &mut prepared);
             assert_eq!(direct.output(), prepared.output());
             assert_eq!(
                 direct.counters().get(COMPARISONS),
@@ -430,7 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn compare_prepared_into_delivers_matches_to_the_sink() {
+    fn match_prepared_returns_the_match_and_counts_into_the_tally() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
         let mut cache = comparer.new_cache();
         let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghiX"));
@@ -438,25 +461,27 @@ mod tests {
             comparer.prepare_cached(&mut cache, &a),
             comparer.prepare_cached(&mut cache, &b),
         );
-        // A reduce context whose output shape is NOT (MatchPair, f64).
+        let mut tally = PairTally::default();
+        let (pair, score) = comparer
+            .match_prepared(&cache, &pa, &pb, &BlockKey::new("blk"), &mut tally)
+            .expect("one edit in ten matches at 0.8");
+        assert_eq!(
+            pair,
+            MatchPair::new(a.entity.entity_ref(), b.entity.entity_ref())
+        );
+        assert!((score - 0.9).abs() < 1e-12);
+        // A reduce context whose output shape is NOT (MatchPair, f64)
+        // can take the counts all the same.
         let mut ctx: ReduceContext<(), String> = ReduceContext::for_testing(ReduceTaskInfo {
             task_index: 0,
             num_reduce_tasks: 1,
             num_map_tasks: 1,
         });
-        comparer.compare_prepared_into(
-            &cache,
-            &pa,
-            &pb,
-            &BlockKey::new("blk"),
-            &mut ctx,
-            |c, pair, s| {
-                c.emit((), format!("{pair} @ {s:.1}"));
-            },
-        );
+        tally.flush(&mut ctx);
         assert_eq!(ctx.counters().get(COMPARISONS), 1);
-        assert_eq!(ctx.output().len(), 1);
-        assert!(ctx.output()[0].1.contains("0.9"));
+        assert_eq!(ctx.counters().len(), 1, "a zero count writes no counter");
+        tally.flush(&mut ctx);
+        assert_eq!(ctx.counters().get(COMPARISONS), 1, "flush resets the tally");
     }
 
     #[test]
@@ -467,7 +492,14 @@ mod tests {
         let pa = comparer.prepare_cached(&mut cache, &a);
         assert!(cache.is_empty(), "count-only must not prepare entities");
         let mut c = ctx();
-        comparer.compare_prepared(&cache, &pa, &pa.clone(), &BlockKey::new("blk"), &mut c);
+        compare_prepared(
+            &comparer,
+            &cache,
+            &pa,
+            &pa.clone(),
+            &BlockKey::new("blk"),
+            &mut c,
+        );
         assert_eq!(c.counters().get(COMPARISONS), 1);
         assert!(c.output().is_empty());
     }
@@ -503,7 +535,7 @@ mod tests {
             comparer.prepare_cached(&mut cache, &b),
         );
         let mut c = ctx();
-        comparer.compare_prepared(&cache, &pa, &pb, &BlockKey::new("zzz"), &mut c);
+        compare_prepared(&comparer, &cache, &pa, &pb, &BlockKey::new("zzz"), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 0);
         assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 1);
     }
@@ -529,7 +561,7 @@ mod tests {
             comparer.prepare_cached(&mut cache, &a),
             comparer.prepare_cached(&mut cache, &b),
         );
-        comparer.compare_prepared(&cache, &pa, &pb, &BlockKey::new("blk"), &mut c);
+        compare_prepared(&comparer, &cache, &pa, &pb, &BlockKey::new("blk"), &mut c);
         assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 2);
         assert_eq!(c.counters().get(COMPARISONS), 1);
     }
@@ -564,7 +596,7 @@ mod tests {
             comparer.prepare_cached(&mut cache, &r2),
             comparer.prepare_cached(&mut cache, &s1),
         );
-        comparer.compare_prepared(&cache, &pr, &ps, &BlockKey::new("blk"), &mut c);
+        compare_prepared(&comparer, &cache, &pr, &ps, &BlockKey::new("blk"), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 2);
     }
 

@@ -135,6 +135,10 @@ impl Keyed {
     /// smallest common key of the two entities must be `current`
     /// (trivially true for single-pass blocking).
     pub fn should_compare_in(&self, other: &Keyed, current: &BlockKey) -> bool {
+        if let ([a], [b]) = (&*self.all_keys, &*other.all_keys) {
+            // Single-pass blocking, i.e. nearly every pair evaluated.
+            return a == b && a == current;
+        }
         let mut a = self.all_keys.iter();
         let mut b = other.all_keys.iter();
         // Both key lists are sorted: merge-walk to the first common key.

@@ -26,7 +26,7 @@ use mr_engine::reducer::{Group, ReduceContext, Reducer};
 use super::enumeration::pair_index;
 use super::ranges::{RangeIndexer, RangePolicy};
 use crate::bdm::BlockDistributionMatrix;
-use crate::compare::{PairComparer, PreparedRef};
+use crate::compare::{PairComparer, PairTally, PreparedRef};
 use crate::keys::{PairRangeKey, PairRangeValue};
 
 /// The PairRange reducer.
@@ -87,6 +87,7 @@ impl Reducer for PairRangeReducer {
             .keyed
             .key
             .clone();
+        let mut tally = PairTally::default();
         let mut buffer: Vec<(u64, PreparedRef<'_>)> = Vec::with_capacity(group.len());
         for e2 in group.values() {
             let prepared2 = self.comparer.prepare_cached(&mut self.cache, &e2.keyed);
@@ -94,8 +95,14 @@ impl Reducer for PairRangeReducer {
                 debug_assert!(*index1 < e2.index, "sorted by entity index");
                 let k = ranges.range_of(pair_index(&self.bdm, block, *index1, e2.index));
                 if k == my_range {
-                    self.comparer
-                        .compare_prepared(&self.cache, e1, &prepared2, &block_key, ctx);
+                    self.comparer.compare_prepared(
+                        &self.cache,
+                        e1,
+                        &prepared2,
+                        &block_key,
+                        &mut tally,
+                        ctx,
+                    );
                 } else if k > my_range {
                     // Monotone in the buffer coordinate: nothing later
                     // in the buffer can still belong to this range.
@@ -104,6 +111,7 @@ impl Reducer for PairRangeReducer {
             }
             buffer.push((e2.index, prepared2));
         }
+        tally.flush(ctx);
     }
 }
 

@@ -10,7 +10,7 @@ use er_core::result::MatchPair;
 use er_core::{MatcherCache, SourceId};
 use mr_engine::prelude::*;
 
-use crate::compare::{PairComparer, PreparedRef};
+use crate::compare::{PairComparer, PairTally, PreparedRef};
 use crate::keys::BlockSplitValue;
 use crate::{Ent, Keyed};
 
@@ -111,12 +111,14 @@ impl Reducer for TwoSourceBasicReducer {
                 s_side.push(prepared);
             }
         }
+        let mut tally = PairTally::default();
         for e1 in &r_side {
             for e2 in &s_side {
                 self.comparer
-                    .compare_prepared(&self.cache, e1, e2, &block, ctx);
+                    .compare_prepared(&self.cache, e1, e2, &block, &mut tally, ctx);
             }
         }
+        tally.flush(ctx);
     }
 }
 

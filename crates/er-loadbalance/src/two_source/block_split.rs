@@ -18,7 +18,7 @@ use er_core::MatcherCache;
 use super::TwoSourceBdm;
 use crate::block_split::assign::TaskAssignment;
 use crate::block_split::match_tasks::{fits_average, MatchTask};
-use crate::compare::{PairComparer, PreparedRef};
+use crate::compare::{PairComparer, PairTally, PreparedRef};
 use crate::keys::{BlockSplitKey, BlockSplitValue};
 use crate::Keyed;
 
@@ -201,12 +201,14 @@ impl Reducer for TwoSourceBlockSplitReducer {
                 s_side.push(prepared);
             }
         }
+        let mut tally = PairTally::default();
         for e1 in &r_side {
             for e2 in &s_side {
                 self.comparer
-                    .compare_prepared(&self.cache, e1, e2, &block_key, ctx);
+                    .compare_prepared(&self.cache, e1, e2, &block_key, &mut tally, ctx);
             }
         }
+        tally.flush(ctx);
     }
 }
 

@@ -16,7 +16,7 @@ use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
 use super::TwoSourceBdm;
-use crate::compare::{PairComparer, PreparedRef};
+use crate::compare::{PairComparer, PairTally, PreparedRef};
 use crate::keys::{PairRangeKey, PairRangeValue};
 use crate::pair_range::ranges::{RangeIndexer, RangePolicy};
 use crate::Keyed;
@@ -178,6 +178,7 @@ impl Reducer for TwoSourcePairRangeReducer {
             .keyed
             .key
             .clone();
+        let mut tally = PairTally::default();
         let mut r_buffer: Vec<(u64, PreparedRef<'_>)> = Vec::new();
         for (key, value) in group.iter() {
             if key.source == SourceId::R {
@@ -194,6 +195,7 @@ impl Reducer for TwoSourcePairRangeReducer {
                             e1,
                             &prepared_s,
                             &block_key,
+                            &mut tally,
                             ctx,
                         );
                     } else if k > my_range {
@@ -204,6 +206,7 @@ impl Reducer for TwoSourcePairRangeReducer {
                 }
             }
         }
+        tally.flush(ctx);
     }
 }
 

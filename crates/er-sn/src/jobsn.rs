@@ -26,7 +26,7 @@ use std::sync::Arc;
 use er_core::result::MatchPair;
 use er_core::sortkey::{RangePartitioner, SortKey};
 use er_core::MatcherCache;
-use er_loadbalance::compare::{PairComparer, PreparedRef};
+use er_loadbalance::compare::{PairComparer, PairTally, PreparedRef};
 use er_loadbalance::Ent;
 use mr_engine::prelude::*;
 
@@ -396,6 +396,7 @@ impl Reducer for StitchReducer {
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let w = self.window as u32;
+        let mut tally = PairTally::default();
         let mut lefts: Vec<(u32, PreparedRef<'_>)> = Vec::new();
         for (key, value) in group.iter() {
             let prepared = self.comparer.prepare_cached(&mut self.cache, &value.keyed);
@@ -413,12 +414,14 @@ impl Reducer for StitchReducer {
                             left,
                             &prepared,
                             &er_core::blocking::BlockKey::bottom(),
+                            &mut tally,
                             ctx,
                         );
                     }
                 }
             }
         }
+        tally.flush(ctx);
     }
 }
 

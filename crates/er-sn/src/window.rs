@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
 use er_core::{MatcherCache, PreparedHandle};
-use er_loadbalance::compare::{PairComparer, PreparedRef};
+use er_loadbalance::compare::{PairComparer, PairTally, PreparedRef};
 use er_loadbalance::Keyed;
 use mr_engine::reducer::ReduceContext;
 
@@ -70,10 +70,16 @@ impl WindowBuffer {
     ) {
         let prepared = comparer.prepare_owned(cache, keyed);
         let next = PreparedRef::from_parts(keyed, prepared.clone());
+        let mut tally = PairTally::default();
         for (prev_keyed, prev_prepared) in &self.ring {
             let prev = PreparedRef::from_parts(prev_keyed, prev_prepared.clone());
-            comparer.compare_prepared_into(cache, &prev, &next, &self.block, ctx, &mut sink);
+            if let Some((pair, score)) =
+                comparer.match_prepared(cache, &prev, &next, &self.block, &mut tally)
+            {
+                sink(ctx, pair, score);
+            }
         }
+        tally.flush(ctx);
         self.push(keyed.clone(), prepared);
     }
 
