@@ -1,0 +1,182 @@
+//! Micro-benchmarks for the planning path — everything a resolve does
+//! before it compares — one leg at a time, so a later change can tell
+//! which leg it moved:
+//!
+//! * **BDM assembly**: `BlockDistributionMatrix::from_counts` over the
+//!   shape the BDM job hands over (32 reduce outputs, each sorted by
+//!   key, one or two cells per block), at 1 000 and 50 000 blocks;
+//! * **block lookup**: 50 000 `block_index` calls against each of the
+//!   two matrices, in an order unrelated to the key order;
+//! * **PairRange membership**: `for_each_relevant_interval` over every
+//!   entity of one 1 300-entity block at `r = 32`;
+//! * **key derivation**: `Keyed::derive_all` under the paper's
+//!   three-letter title prefix, per entity of a DS1-shaped corpus.
+//!
+//! Exports `BENCH_micro_planning.json` (median wall per leg plus the
+//! deterministic counts each leg produced); CI smoke-runs it with
+//! `--test`, and `compare_bench_json` diffs it against the stored
+//! baseline.
+
+use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Instant;
+
+use er_bench::{median_ms, write_bench_json, Json, PAPER_SEED};
+use er_core::blocking::{BlockKey, PrefixBlocking};
+use er_loadbalance::pair_range::mapper::for_each_relevant_interval;
+use er_loadbalance::pair_range::ranges::{RangeIndexer, RangePolicy};
+use er_loadbalance::{BlockDistributionMatrix, Ent, Keyed};
+use mr_engine::partitioner::HashPartitioner;
+
+const MAP_TASKS: usize = 8;
+const REDUCE_TASKS: usize = 32;
+const LOOKUPS: usize = 50_000;
+const DERIVE_ENTITIES: usize = 50_000;
+const RANGE_BLOCK: u64 = 1_300;
+
+/// Median wall of `reps` runs of `body`, in ms; `body` gets a fresh
+/// `setup()` value each run, built off the clock.
+fn median_wall_ms<I, O>(
+    reps: usize,
+    mut setup: impl FnMut() -> I,
+    mut body: impl FnMut(I) -> O,
+) -> f64 {
+    let walls: Vec<f64> = (0..reps)
+        .map(|_| {
+            let input = setup();
+            let start = Instant::now();
+            black_box(body(input));
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    median_ms(&walls)
+}
+
+/// The BDM job's output for `blocks` ten-character keys: every block
+/// has a cell in one partition and every third block in a second one,
+/// keys are hashed to `REDUCE_TASKS` reduce outputs like the job's
+/// partitioner does, and each output is sorted by `(key, partition)`.
+fn bdm_job_output(blocks: usize) -> Vec<(BlockKey, usize, u64)> {
+    let mut runs: Vec<Vec<(BlockKey, usize, u64)>> = vec![Vec::new(); REDUCE_TASKS];
+    for k in 0..blocks {
+        // Multiplying by an odd constant scatters consecutive `k`
+        // over the key space, as real skus are.
+        let key = BlockKey::new(format!(
+            "{:010}",
+            (k as u64).wrapping_mul(2_654_435_761) % 10_000_000_000
+        ));
+        let run = &mut runs[HashPartitioner::bucket(&key, REDUCE_TASKS)];
+        run.push((key.clone(), k % MAP_TASKS, 1));
+        if k % 3 == 0 {
+            run.push((key, (k + 3) % MAP_TASKS, 1));
+        }
+    }
+    for run in &mut runs {
+        run.sort();
+    }
+    runs.into_iter().flatten().collect()
+}
+
+fn main() {
+    let test_mode = std::env::args().any(|a| a == "--test");
+    let reps = if test_mode { 1 } else { 15 };
+    println!(
+        "== micro_planning: BDM assembly, block lookup, PairRange membership, key derivation ==\n"
+    );
+    let mut export: Vec<(String, Json)> = vec![
+        ("bench".into(), Json::str("micro_planning")),
+        ("samples".into(), Json::Num(reps as f64)),
+    ];
+
+    for (label, blocks) in [("1k", 1_000usize), ("50k", 50_000)] {
+        let cells = bdm_job_output(blocks);
+        let assembly_ms = median_wall_ms(
+            reps,
+            || cells.clone(),
+            |cells| BlockDistributionMatrix::from_counts(MAP_TASKS, cells),
+        );
+        let bdm = BlockDistributionMatrix::from_counts(MAP_TASKS, cells.clone());
+        // Cell order is run-major, i.e. unrelated to the key order.
+        let probes: Vec<&BlockKey> = cells
+            .iter()
+            .map(|(key, _, _)| key)
+            .cycle()
+            .take(LOOKUPS)
+            .collect();
+        let lookup_ms = median_wall_ms(
+            reps,
+            || (),
+            |()| {
+                probes
+                    .iter()
+                    .map(|key| bdm.block_index(key).expect("every probe is a block") as u64)
+                    .sum::<u64>()
+            },
+        );
+        println!(
+            "{blocks:>6} blocks ({} cells): assembly {assembly_ms:.3} ms, {LOOKUPS} lookups {lookup_ms:.3} ms",
+            cells.len()
+        );
+        export.push((
+            format!("blocks_{label}"),
+            Json::Num(bdm.num_blocks() as f64),
+        ));
+        export.push((format!("assembly_{label}_ms"), Json::Num(assembly_ms)));
+        export.push((format!("lookups_at_{label}_ms"), Json::Num(lookup_ms)));
+    }
+
+    let bdm = BlockDistributionMatrix::from_counts(1, vec![(BlockKey::new("big"), 0, RANGE_BLOCK)]);
+    let ranges = RangeIndexer::new(bdm.total_pairs(), REDUCE_TASKS, RangePolicy::CeilDiv);
+    let mut memberships = 0u64;
+    let membership_ms = median_wall_ms(
+        reps,
+        || (),
+        |()| {
+            memberships = 0;
+            for x in 0..RANGE_BLOCK {
+                for_each_relevant_interval(&bdm, &ranges, 0, black_box(x), |first, last| {
+                    memberships += black_box(last) - black_box(first) + 1;
+                });
+            }
+            memberships
+        },
+    );
+    println!(
+        "PairRange membership, {RANGE_BLOCK}-entity block, r = {REDUCE_TASKS}: {membership_ms:.3} ms for {memberships} memberships over {} pairs",
+        bdm.total_pairs()
+    );
+    export.push(("range_memberships".into(), Json::Num(memberships as f64)));
+    export.push(("range_membership_ms".into(), Json::Num(membership_ms)));
+
+    let scale = DERIVE_ENTITIES as f64 / 100_000.0;
+    let entities: Vec<Ent> =
+        er_datagen::generate_products(&er_datagen::ds1_spec(PAPER_SEED).scaled(scale))
+            .entities
+            .into_iter()
+            .take(DERIVE_ENTITIES)
+            .map(Arc::new)
+            .collect();
+    let blocking = PrefixBlocking::title3();
+    let mut derived = 0usize;
+    let derive_ms = median_wall_ms(
+        reps,
+        || (),
+        |()| {
+            derived = entities
+                .iter()
+                .map(|entity| black_box(Keyed::derive_all(&blocking, black_box(entity))).len())
+                .sum();
+            derived
+        },
+    );
+    println!(
+        "Keyed::derive_all, {} entities: {derive_ms:.3} ms ({:.0} ns per entity, {derived} replicas)",
+        entities.len(),
+        derive_ms * 1e6 / entities.len() as f64
+    );
+    export.push(("derive_entities".into(), Json::Num(entities.len() as f64)));
+    export.push(("derive_replicas".into(), Json::Num(derived as f64)));
+    export.push(("derive_all_ms".into(), Json::Num(derive_ms)));
+
+    write_bench_json("micro_planning", &Json::obj(export)).expect("bench json export");
+}

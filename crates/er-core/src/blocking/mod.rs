@@ -88,11 +88,12 @@ impl PrefixBlocking {
     pub fn title3() -> Self {
         Self::new("title", 3)
     }
-}
 
-impl BlockingFunction for PrefixBlocking {
-    fn key(&self, entity: &Entity) -> Option<BlockKey> {
-        let value = entity.get(&self.attribute)?;
+    /// Longest prefix the ASCII fast path of `key` builds on the stack.
+    const STACK_PREFIX: usize = 32;
+
+    /// The defining normalization, for any text.
+    fn general_key(&self, value: &str) -> Option<BlockKey> {
         let normalized: String = value
             .chars()
             .filter(|c| c.is_alphanumeric())
@@ -104,6 +105,36 @@ impl BlockingFunction for PrefixBlocking {
         } else {
             Some(BlockKey::new(normalized))
         }
+    }
+}
+
+impl BlockingFunction for PrefixBlocking {
+    fn key(&self, entity: &Entity) -> Option<BlockKey> {
+        let value = entity.get(&self.attribute)?;
+        if self.len > Self::STACK_PREFIX {
+            return self.general_key(value);
+        }
+        // ASCII fast path: on ASCII, `is_alphanumeric` and
+        // `to_lowercase` are their one-byte `is_ascii_*` forms, so the
+        // prefix is built in a stack buffer with one allocation (the
+        // key). The first non-ASCII byte met before the prefix is
+        // complete hands the whole value to the general path.
+        let mut prefix = [0u8; Self::STACK_PREFIX];
+        let mut filled = 0;
+        for &byte in value.as_bytes() {
+            if filled == self.len {
+                break;
+            }
+            if !byte.is_ascii() {
+                return self.general_key(value);
+            }
+            if byte.is_ascii_alphanumeric() {
+                prefix[filled] = byte.to_ascii_lowercase();
+                filled += 1;
+            }
+        }
+        let prefix = std::str::from_utf8(&prefix[..filled]).expect("ASCII bytes are UTF-8");
+        (!prefix.is_empty()).then(|| BlockKey::new(prefix))
     }
 }
 
@@ -179,9 +210,62 @@ impl BlockingFunction for MultiPassBlocking {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn product(title: &str) -> Entity {
         Entity::new(1, [("title", title)])
+    }
+
+    proptest! {
+        #[test]
+        fn prefix_fast_path_equals_the_general_path(
+            pieces in proptest::collection::vec(
+                prop_oneof![
+                    "[a-zA-Z0-9]{0,6}",
+                    "[ -/:-@]{0,4}",
+                    "\\PC{0,3}",
+                    Just("İ".to_string()),
+                    Just("ǅ".to_string()),
+                    Just("e\u{301}".to_string()),
+                    Just("ß".to_string()),
+                ],
+                0..8,
+            ),
+            len in prop_oneof![Just(0usize), 1usize..12, Just(32usize), Just(33usize), Just(40usize)],
+        ) {
+            let value = pieces.concat();
+            let blocking = PrefixBlocking::new("title", len);
+            prop_assert_eq!(blocking.key(&product(&value)), blocking.general_key(&value));
+        }
+    }
+
+    #[test]
+    fn prefix_fast_path_edge_inputs() {
+        for len in [0, 1, 3, 32, 33, 64] {
+            let blocking = PrefixBlocking::new("title", len);
+            for value in [
+                "",
+                "---",
+                " \t.,;",
+                "İstanbul",
+                "abİ",
+                "ǅungla",
+                "e\u{301}cole",
+                "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJ",
+                "ABC-DEF ghi_jkl mno.pqr stu,vwx yz0 123 456 789 ǅ",
+                "abc\u{e9}",
+                "ab\u{e9}",
+            ] {
+                assert_eq!(
+                    blocking.key(&product(value)),
+                    blocking.general_key(value),
+                    "len {len}, value {value:?}"
+                );
+            }
+        }
+        // Text past a complete ASCII prefix is never inspected.
+        let b = PrefixBlocking::title3();
+        assert_eq!(b.key(&product("Canİ")).unwrap().as_str(), "can");
     }
 
     #[test]

@@ -12,12 +12,9 @@
 //!   execution agree bucket for bucket);
 //! * **BlockSplit** — the greedy assignment *is* the workload;
 //! * **PairRange** — range sizes are closed-form; per-entity range
-//!   memberships (map output / reduce input) use the contiguity of
-//!   each entity's pair-index span: when every gap between an entity's
-//!   consecutive pair indexes is at most one range width, the hit
-//!   ranges form one interval (`O(1)` per entity, provably exact);
-//!   otherwise the mapper's own `relevant_ranges` runs (`O(x)` per
-//!   entity, only ever needed for blocks smaller than ~`P/r`).
+//!   memberships (map output / reduce input) come from the mapper's
+//!   own [`for_each_relevant_interval`], one call per entity, so the
+//!   model and the executed map phase cannot disagree.
 //!
 //! Equivalence with executed counters is asserted by
 //! `tests/analysis_matches_execution.rs`.
@@ -26,8 +23,7 @@ use mr_engine::partitioner::HashPartitioner;
 
 use crate::bdm::BlockDistributionMatrix;
 use crate::block_split::{create_match_tasks, TaskAssignment};
-use crate::pair_range::enumeration::pair_index;
-use crate::pair_range::mapper::relevant_ranges;
+use crate::pair_range::mapper::for_each_relevant_interval;
 use crate::pair_range::ranges::{RangeIndexer, RangePolicy};
 use crate::StrategyKind;
 
@@ -175,54 +171,17 @@ fn analyze_pair_range(
     let ranges = RangeIndexer::new(bdm.total_pairs(), r, policy);
     let comparisons: Vec<u64> = (0..r as u64).map(|t| ranges.range_size(t)).collect();
 
-    // Per-entity range memberships. Dense shortcut: if every gap
-    // between an entity's consecutive pair indexes is <= the minimum
-    // range width, the hit ranges are the full interval
-    // [range(first), range(last)]. The largest gap within a block of
-    // size N is < N (row gaps N-k-2, row->column junction N-x-1,
-    // column gaps 1), so N <= w_min makes the shortcut exact.
-    let w_min = if r as u64 > 0 && bdm.total_pairs() > 0 {
-        match policy {
-            RangePolicy::CeilDiv => bdm.total_pairs().div_ceil(r as u64),
-            RangePolicy::Proportional => bdm.total_pairs() / r as u64,
-        }
-    } else {
-        0
-    };
+    // Memberships arrive as intervals of ranges; a difference array
+    // tallies each in O(1), whatever its length.
     let mut membership_diff = vec![0i64; r + 1];
     let mut map_output = 0u64;
     for k in 0..bdm.num_blocks() {
-        let n = bdm.size(k);
-        if n < 2 {
-            continue;
-        }
-        if n <= w_min {
-            for x in 0..n {
-                let first = if x == 0 {
-                    pair_index(bdm, k, 0, 1)
-                } else {
-                    pair_index(bdm, k, 0, x)
-                };
-                let last = if x + 1 < n {
-                    pair_index(bdm, k, x, n - 1)
-                } else {
-                    pair_index(bdm, k, x.saturating_sub(1), n - 1)
-                };
-                let lo = ranges.range_of(first);
-                let hi = ranges.range_of(last);
-                membership_diff[lo as usize] += 1;
-                membership_diff[hi as usize + 1] -= 1;
-                map_output += hi - lo + 1;
-            }
-        } else {
-            for x in 0..n {
-                let hits = relevant_ranges(bdm, &ranges, k, x);
-                map_output += hits.len() as u64;
-                for t in hits {
-                    membership_diff[t as usize] += 1;
-                    membership_diff[t as usize + 1] -= 1;
-                }
-            }
+        for x in 0..bdm.size(k) {
+            for_each_relevant_interval(bdm, &ranges, k, x, |first, last| {
+                membership_diff[first as usize] += 1;
+                membership_diff[last as usize + 1] -= 1;
+                map_output += last - first + 1;
+            });
         }
     }
     let mut inputs = Vec::with_capacity(r);
@@ -245,6 +204,7 @@ fn analyze_pair_range(
 mod tests {
     use super::*;
     use crate::bdm::running_example_bdm;
+    use crate::pair_range::mapper::relevant_ranges;
 
     #[test]
     fn basic_keeps_blocks_whole() {
@@ -282,13 +242,13 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_exact_membership_paths_agree() {
-        // Force both paths on the same BDM by sweeping r: small r
-        // makes all blocks dense, large r forces the exact loop.
+    fn memberships_equal_the_mappers_ranges_at_every_r() {
+        // Small r puts whole blocks into one range, large r leaves
+        // gaps between an entity's hit ranges.
         let bdm = running_example_bdm();
         for r in 1..=25 {
             let w = analyze(&bdm, StrategyKind::PairRange, r, RangePolicy::CeilDiv);
-            // Reference: brute-force memberships via relevant_ranges.
+            // Reference: per-entity memberships via relevant_ranges.
             let ranges = RangeIndexer::new(bdm.total_pairs(), r, RangePolicy::CeilDiv);
             let mut expect_output = 0u64;
             let mut expect_inputs = vec![0u64; r];

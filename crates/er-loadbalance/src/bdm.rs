@@ -3,79 +3,136 @@
 //! A `b × m` matrix giving the number of entities of each of `b`
 //! blocks in each of `m` input partitions. Both load-balancing
 //! strategies read it at map-task initialization to plan the entity
-//! redistribution. Block indexes are assigned in lexicographic
-//! blocking-key order — a deterministic stand-in for the paper's
-//! "(arbitrary) order of the blocks from the reduce output", which in
-//! the running example is lexicographic as well (w, x, y, z).
+//! redistribution.
+//!
+//! **Layout.** Flat, one allocation per column of the paper's figure:
+//! `keys[k]` is block `k`'s blocking key; `prefix` is a row-major
+//! `b × (m + 1)` matrix whose row `k` holds the running per-partition
+//! sums `0, |Φ_k^0|, |Φ_k^0| + |Φ_k^1|, …, |Φ_k|`, so a cell, a block
+//! size and the entity-index offset of a map task (Section V) are each
+//! one or two loads; `pair_offsets[k]` is `o(k)`.
+//!
+//! **Block indexes are lexicographic in the blocking key** — a
+//! deterministic stand-in for the paper's "(arbitrary) order of the
+//! blocks from the reduce output", which in the running example is
+//! lexicographic as well (w, x, y, z). Greedy tie-breaks, the pair
+//! enumeration, reduce placement and every output digest depend on
+//! that order and on nothing else about how the matrix was assembled.
+//!
+//! **The hash index is for lookup only.** `block_index` resolves a key
+//! through a `HashMap<BlockKey, u32>`; nothing that produces output
+//! iterates the map. It hashes with a fixed seed, like
+//! `HashPartitioner`, so lookup cost is the same in every process too.
+//!
+//! **Assembly is a sort, not a tree.** The BDM job hands over `r`
+//! reduce outputs, each already sorted by `(key, partition)`; the
+//! cells are collected and stable-sorted by key — a run-adaptive merge
+//! sort does about `log₂ r` merge passes over them, comparing the
+//! keys' first eight bytes inline before their text — and then grouped
+//! in linear passes into a matrix allocated once.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::BuildHasherDefault;
 
 use er_core::blocking::BlockKey;
 use er_core::pairs::triangle_pairs;
 
-/// One row of the BDM: a block and its per-partition entity counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockRow {
-    /// The blocking key of this block.
-    pub key: BlockKey,
-    /// Entity count per input partition (length `m`).
-    pub per_partition: Vec<u64>,
-    /// Total entities in the block.
-    pub total: u64,
+use crate::keys::key_index;
+
+/// The first eight bytes of a key, zero-padded, as a big-endian
+/// integer: ordering by `(key_head, key)` is ordering by key, and
+/// equal keys have equal heads.
+fn key_head(key: &BlockKey) -> u64 {
+    let bytes = key.as_str().as_bytes();
+    let mut head = [0u8; 8];
+    let len = bytes.len().min(8);
+    head[..len].copy_from_slice(&bytes[..len]);
+    u64::from_be_bytes(head)
 }
 
 /// The block distribution matrix.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BlockDistributionMatrix {
-    rows: Vec<BlockRow>,
-    by_key: BTreeMap<BlockKey, usize>,
-    num_partitions: usize,
+    /// Blocking keys, lexicographically sorted; position = block index.
+    keys: Vec<BlockKey>,
+    /// Row-major `b × (m + 1)` running per-partition sums (see the
+    /// module header).
+    prefix: Vec<u64>,
     /// `pair_offsets[k]` = o(k) = pairs in blocks 0..k; last entry = P.
     pair_offsets: Vec<u64>,
+    /// Key → block index; looked up, never iterated.
+    index: HashMap<BlockKey, u32, BuildHasherDefault<DefaultHasher>>,
+    num_partitions: usize,
+}
+
+impl std::fmt::Debug for BlockDistributionMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BlockDistributionMatrix")
+            .field("keys", &self.keys)
+            .field("prefix", &self.prefix)
+            .field("num_partitions", &self.num_partitions)
+            .finish_non_exhaustive()
+    }
 }
 
 impl BlockDistributionMatrix {
     /// Builds a BDM from `(blocking key, partition index, count)`
     /// triples — the output records of the BDM job (Algorithm 3).
     ///
-    /// Duplicate `(key, partition)` triples are summed. `m` is the
-    /// total number of input partitions.
+    /// Triples may arrive in any order; duplicate `(key, partition)`
+    /// triples are summed. `m` is the total number of input partitions.
     ///
     /// # Panics
-    /// If a partition index is `>= m`.
+    /// If a partition index is `>= m`, or there are more than
+    /// `u32::MAX` distinct keys.
     pub fn from_counts(m: usize, counts: impl IntoIterator<Item = (BlockKey, usize, u64)>) -> Self {
-        let mut per_key: BTreeMap<BlockKey, Vec<u64>> = BTreeMap::new();
-        for (key, partition, count) in counts {
-            assert!(
-                partition < m,
-                "partition index {partition} out of range (m = {m})"
-            );
-            per_key.entry(key).or_insert_with(|| vec![0; m])[partition] += count;
+        // `(key_head, key, partition, count)`: with the head inline,
+        // most comparisons below never follow the key's pointer.
+        type Cell = (u64, BlockKey, usize, u64);
+        let mut cells: Vec<Cell> = counts
+            .into_iter()
+            .map(|(key, partition, count)| (key_head(&key), key, partition, count))
+            .collect();
+        cells.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        let same_block = |a: &Cell, b: &Cell| a.0 == b.0 && a.1 == b.1;
+        let stride = m + 1;
+        let blocks = cells.chunk_by(same_block).count();
+        let mut prefix = vec![0u64; blocks * stride];
+        let mut pair_offsets = Vec::with_capacity(blocks + 1);
+        let mut pairs = 0u64;
+        for (row, group) in prefix
+            .chunks_exact_mut(stride)
+            .zip(cells.chunk_by(same_block))
+        {
+            for &(_, _, partition, count) in group {
+                assert!(
+                    partition < m,
+                    "partition index {partition} out of range (m = {m})"
+                );
+                row[1 + partition] += count;
+            }
+            for p in 1..stride {
+                row[p] += row[p - 1];
+            }
+            pair_offsets.push(pairs);
+            pairs += triangle_pairs(row[m]);
         }
-        let mut rows = Vec::with_capacity(per_key.len());
-        let mut by_key = BTreeMap::new();
-        for (key, per_partition) in per_key {
-            let total = per_partition.iter().sum();
-            by_key.insert(key.clone(), rows.len());
-            rows.push(BlockRow {
-                key,
-                per_partition,
-                total,
-            });
-        }
-        let mut pair_offsets = Vec::with_capacity(rows.len() + 1);
-        let mut acc = 0u64;
-        for row in &rows {
-            pair_offsets.push(acc);
-            acc += triangle_pairs(row.total);
-        }
-        pair_offsets.push(acc);
+        pair_offsets.push(pairs);
+        cells.dedup_by(|later, first| same_block(first, later));
+        let keys: Vec<BlockKey> = cells.into_iter().map(|(_, key, _, _)| key).collect();
+        let index = keys
+            .iter()
+            .cloned()
+            .zip(0..key_index(blocks, "number of blocks"))
+            .collect();
         Self {
-            rows,
-            by_key,
-            num_partitions: m,
+            keys,
+            prefix,
             pair_offsets,
+            index,
+            num_partitions: m,
         }
     }
 
@@ -83,19 +140,16 @@ impl BlockDistributionMatrix {
     /// key sequences (used by the analytic experiment path, bypassing
     /// job execution).
     pub fn from_key_partitions(partitions: &[Vec<BlockKey>]) -> Self {
-        let m = partitions.len();
-        let mut counts: BTreeMap<(BlockKey, usize), u64> = BTreeMap::new();
-        for (p, keys) in partitions.iter().enumerate() {
-            for key in keys {
-                *counts.entry((key.clone(), p)).or_insert(0) += 1;
-            }
-        }
-        Self::from_counts(m, counts.into_iter().map(|((k, p), c)| (k, p, c)))
+        let cells = partitions
+            .iter()
+            .enumerate()
+            .flat_map(|(p, keys)| keys.iter().map(move |key| (key.clone(), p, 1)));
+        Self::from_counts(partitions.len(), cells)
     }
 
     /// Number of blocks `b`.
     pub fn num_blocks(&self) -> usize {
-        self.rows.len()
+        self.keys.len()
     }
 
     /// Number of input partitions `m`.
@@ -103,29 +157,32 @@ impl BlockDistributionMatrix {
         self.num_partitions
     }
 
-    /// Index of the block with `key`, if present.
-    pub fn block_index(&self, key: &BlockKey) -> Option<usize> {
-        self.by_key.get(key).copied()
+    /// Index of the block with `key`, if present — as the `u32` the
+    /// composite map-output keys carry.
+    pub fn block_index(&self, key: &BlockKey) -> Option<u32> {
+        self.index.get(key).copied()
     }
 
     /// The blocking key of block `k`.
     pub fn key(&self, k: usize) -> &BlockKey {
-        &self.rows[k].key
+        &self.keys[k]
     }
 
-    /// Row access.
-    pub fn row(&self, k: usize) -> &BlockRow {
-        &self.rows[k]
+    /// Row `k` of the running-sum matrix (`m + 1` entries).
+    fn row(&self, k: usize) -> &[u64] {
+        let stride = self.num_partitions + 1;
+        &self.prefix[k * stride..(k + 1) * stride]
     }
 
     /// |Φ_k|: entities in block `k`.
     pub fn size(&self, k: usize) -> u64 {
-        self.rows[k].total
+        self.row(k)[self.num_partitions]
     }
 
     /// |Φ_k^i|: entities of block `k` in partition `i`.
     pub fn size_in(&self, k: usize, partition: usize) -> u64 {
-        self.rows[k].per_partition[partition]
+        let row = self.row(k);
+        row[partition + 1] - row[partition]
     }
 
     /// Number of comparisons within block `k`.
@@ -147,17 +204,18 @@ impl BlockDistributionMatrix {
     /// partitions before `partition` — what a map task adds to its
     /// local enumeration to obtain global entity indexes (Section V).
     pub fn entity_index_offset(&self, k: usize, partition: usize) -> u64 {
-        self.rows[k].per_partition[..partition].iter().sum()
+        self.row(k)[partition]
     }
 
     /// Serializes to a TSV string (`key<TAB>partition<TAB>count` per
     /// line, matching Algorithm 3's reduce output format).
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();
-        for row in &self.rows {
-            for (p, &count) in row.per_partition.iter().enumerate() {
+        for (k, key) in self.keys.iter().enumerate() {
+            for p in 0..self.num_partitions {
+                let count = self.size_in(k, p);
                 if count > 0 {
-                    let _ = writeln!(out, "{}\t{p}\t{count}", row.key);
+                    let _ = writeln!(out, "{key}\t{p}\t{count}");
                 }
             }
         }
@@ -209,6 +267,126 @@ pub fn running_example_bdm() -> BlockDistributionMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The previous tree-based BDM, kept as the model the flat layout
+    /// is checked against: one `BTreeMap` insert per cell, one `Vec`
+    /// per row, a second tree for lookup.
+    struct TreeBdm {
+        rows: Vec<(BlockKey, Vec<u64>)>,
+        by_key: BTreeMap<BlockKey, usize>,
+    }
+
+    impl TreeBdm {
+        fn from_counts(m: usize, counts: &[(BlockKey, usize, u64)]) -> Self {
+            let mut per_key: BTreeMap<BlockKey, Vec<u64>> = BTreeMap::new();
+            for (key, partition, count) in counts {
+                per_key.entry(key.clone()).or_insert_with(|| vec![0; m])[*partition] += count;
+            }
+            let rows: Vec<_> = per_key.into_iter().collect();
+            let by_key = rows
+                .iter()
+                .enumerate()
+                .map(|(k, (key, _))| (key.clone(), k))
+                .collect();
+            Self { rows, by_key }
+        }
+
+        fn to_tsv(&self) -> String {
+            let mut out = String::new();
+            for (key, per_partition) in &self.rows {
+                for (p, &count) in per_partition.iter().enumerate() {
+                    if count > 0 {
+                        let _ = writeln!(out, "{key}\t{p}\t{count}");
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// Every accessor of the flat BDM against the tree model.
+    fn assert_matches_model(m: usize, cells: &[(BlockKey, usize, u64)], probes: &[BlockKey]) {
+        let bdm = BlockDistributionMatrix::from_counts(m, cells.to_vec());
+        let model = TreeBdm::from_counts(m, cells);
+        assert_eq!(bdm.num_blocks(), model.rows.len());
+        assert_eq!(bdm.num_partitions(), m);
+        let mut pairs = 0u64;
+        for (k, (key, per_partition)) in model.rows.iter().enumerate() {
+            let total: u64 = per_partition.iter().sum();
+            assert_eq!(bdm.key(k), key);
+            assert_eq!(bdm.size(k), total);
+            assert_eq!(bdm.pair_offset(k), pairs);
+            pairs += triangle_pairs(total);
+            for p in 0..m {
+                assert_eq!(bdm.size_in(k, p), per_partition[p]);
+                assert_eq!(
+                    bdm.entity_index_offset(k, p),
+                    per_partition[..p].iter().sum::<u64>()
+                );
+            }
+        }
+        assert_eq!(bdm.total_pairs(), pairs);
+        for key in probes.iter().chain(model.rows.iter().map(|(key, _)| key)) {
+            assert_eq!(
+                bdm.block_index(key).map(|k| k as usize),
+                model.by_key.get(key).copied(),
+                "lookup of {key:?}"
+            );
+        }
+        assert_eq!(bdm.to_tsv(), model.to_tsv());
+    }
+
+    /// A tiny alphabet so random cells collide: the empty key, ASCII,
+    /// multi-byte text, keys that are prefixes of one another (one by
+    /// a NUL, which the zero-padded `key_head` cannot tell apart) and
+    /// keys that differ only past their first eight bytes.
+    const ALPHABET: [&str; 10] = [
+        "",
+        "a",
+        "a\u{0}",
+        "ab",
+        "b",
+        "zz",
+        "é",
+        "名前",
+        "sku0012345",
+        "sku0012399",
+    ];
+
+    fn alphabet_keys() -> Vec<BlockKey> {
+        ALPHABET.iter().map(BlockKey::new).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn flat_assembly_matches_the_tree_model(
+            m in 1usize..=8,
+            raw in proptest::collection::vec((0usize..10, 0usize..8, 0u64..5), 0..60),
+        ) {
+            let keys = alphabet_keys();
+            let cells: Vec<_> = raw
+                .iter()
+                .map(|&(key, partition, count)| (keys[key].clone(), partition % m, count))
+                .collect();
+            assert_matches_model(m, &cells, &keys);
+        }
+    }
+
+    #[test]
+    fn edge_shapes_match_the_tree_model() {
+        let keys = alphabet_keys();
+        // Empty BDM, also with no partitions at all.
+        assert_matches_model(3, &[], &keys);
+        assert_matches_model(0, &[], &keys);
+        // One giant block spread over every partition.
+        let giant: Vec<_> = (0..8).map(|p| (keys[5].clone(), p, 1_000_000)).collect();
+        assert_matches_model(8, &giant, &keys);
+        // Every cell in one partition, keys arriving in reverse order.
+        let one_partition: Vec<_> = keys.iter().rev().map(|k| (k.clone(), 5, 2)).collect();
+        assert_matches_model(8, &one_partition, &keys);
+    }
 
     #[test]
     fn running_example_figure4() {
@@ -278,7 +456,6 @@ mod tests {
         let bdm = running_example_bdm();
         assert_eq!(bdm.block_index(&BlockKey::new("y")), Some(2));
         assert_eq!(bdm.block_index(&BlockKey::new("nope")), None);
-        assert_eq!(bdm.row(2).key.as_str(), "y");
     }
 
     #[test]

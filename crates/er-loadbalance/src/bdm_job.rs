@@ -17,6 +17,7 @@ use mr_engine::combiner::sum_u64_combiner;
 use mr_engine::prelude::*;
 
 use crate::bdm::BlockDistributionMatrix;
+use crate::keys::key_index;
 use crate::{Ent, Keyed};
 
 /// Counter: entities skipped because they had no valid blocking key
@@ -30,7 +31,7 @@ pub type BdmKey = (BlockKey, u32);
 #[derive(Clone)]
 pub struct BdmMapper {
     blocking: Arc<dyn BlockingFunction>,
-    partition: Option<usize>,
+    partition: Option<u32>,
 }
 
 impl BdmMapper {
@@ -51,11 +52,11 @@ impl Mapper for BdmMapper {
     type Side = (BlockKey, Keyed);
 
     fn setup(&mut self, info: &MapTaskInfo) {
-        self.partition = Some(info.task_index);
+        self.partition = Some(key_index(info.task_index, "input partition index"));
     }
 
     fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<BdmKey, u64, Self::Side>) {
-        let partition = self.partition.expect("setup ran") as u32;
+        let partition = self.partition.expect("setup ran");
         let replicas = Keyed::derive_all(self.blocking.as_ref(), entity);
         if replicas.is_empty() {
             ctx.add_counter(NULL_KEY_ENTITIES, 1);

@@ -1,6 +1,6 @@
 //! BlockSplit map function (Algorithm 1, lines 1–44).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use er_core::blocking::BlockKey;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
@@ -8,23 +8,25 @@ use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 use super::assign::TaskAssignment;
 use super::match_tasks::{create_match_tasks_with_policy, SplitPolicy};
 use crate::bdm::BlockDistributionMatrix;
-use crate::keys::{BlockSplitKey, BlockSplitValue};
+use crate::keys::{key_index, BlockSplitKey, BlockSplitValue};
 use crate::Keyed;
 
-/// The BlockSplit mapper. Each map task re-derives the match-task
-/// assignment from the (shared) BDM at `setup` time — mirroring the
-/// paper's `map_configure`, where every map task independently reads
-/// the BDM and computes the same deterministic assignment.
+/// The BlockSplit mapper. In the paper's `map_configure` every map
+/// task reads the BDM and computes the same deterministic match-task
+/// assignment; here the job's map tasks are clones of one mapper, so
+/// the assignment is planned once — by whichever task's `setup` runs
+/// first — and shared.
 #[derive(Clone)]
 pub struct BlockSplitMapper {
     bdm: Arc<BlockDistributionMatrix>,
     policy: SplitPolicy,
+    /// The job's plan, shared by all clones of this mapper.
+    plan: Arc<OnceLock<TaskAssignment>>,
     state: Option<TaskState>,
 }
 
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct TaskState {
-    assignment: Arc<TaskAssignment>,
     partition: usize,
     m: usize,
     r: usize,
@@ -41,6 +43,7 @@ impl BlockSplitMapper {
         Self {
             bdm,
             policy,
+            plan: Arc::default(),
             state: None,
         }
     }
@@ -54,12 +57,19 @@ impl Mapper for BlockSplitMapper {
     type Side = ();
 
     fn setup(&mut self, info: &MapTaskInfo) {
-        let tasks = create_match_tasks_with_policy(&self.bdm, info.num_reduce_tasks, self.policy);
+        let r = info.num_reduce_tasks;
+        let plan = self.plan.get_or_init(|| {
+            TaskAssignment::greedy(create_match_tasks_with_policy(&self.bdm, r, self.policy), r)
+        });
+        assert_eq!(
+            plan.loads().len(),
+            r,
+            "a BlockSplitMapper and its clones serve one job: the shared plan is for another r"
+        );
         self.state = Some(TaskState {
-            assignment: Arc::new(TaskAssignment::greedy(tasks, info.num_reduce_tasks)),
             partition: info.task_index,
             m: info.num_map_tasks,
-            r: info.num_reduce_tasks,
+            r,
         });
     }
 
@@ -69,26 +79,27 @@ impl Mapper for BlockSplitMapper {
         keyed: &Keyed,
         ctx: &mut MapContext<BlockSplitKey, BlockSplitValue, ()>,
     ) {
-        let state = self.state.as_ref().expect("setup ran");
-        let Some(k) = self.bdm.block_index(key) else {
+        let state = self.state.expect("setup ran");
+        let assignment = self.plan.get().expect("setup planned the job");
+        let Some(block) = self.bdm.block_index(key) else {
             // A key absent from the BDM means the two jobs saw
             // different data — a pipeline bug worth failing loudly on.
             panic!("blocking key {key} not present in the BDM");
         };
+        let k = block as usize;
         let comps = self.bdm.pairs_in_block(k);
         let split =
             self.policy
                 .should_split(self.bdm.size(k), comps, self.bdm.total_pairs(), state.r);
         if !split {
             if comps > 0 {
-                let rt = state
-                    .assignment
+                let rt = assignment
                     .reduce_task_for(k, 0, 0)
                     .expect("unsplit task exists for non-empty block");
                 ctx.emit(
                     BlockSplitKey {
-                        reduce_task: rt as u32,
-                        block: k as u32,
+                        reduce_task: key_index(rt, "reduce task index"),
+                        block,
                         i: 0,
                         j: 0,
                     },
@@ -101,13 +112,13 @@ impl Mapper for BlockSplitMapper {
             for i in 0..state.m {
                 let hi = state.partition.max(i);
                 let lo = state.partition.min(i);
-                if let Some(rt) = state.assignment.reduce_task_for(k, hi, lo) {
+                if let Some(rt) = assignment.reduce_task_for(k, hi, lo) {
                     ctx.emit(
                         BlockSplitKey {
-                            reduce_task: rt as u32,
-                            block: k as u32,
-                            i: hi as u32,
-                            j: lo as u32,
+                            reduce_task: key_index(rt, "reduce task index"),
+                            block,
+                            i: key_index(hi, "input partition index"),
+                            j: key_index(lo, "input partition index"),
                         },
                         BlockSplitValue::new(keyed.clone(), state.partition),
                     );

@@ -12,6 +12,22 @@ use er_core::SourceId;
 
 use crate::{Ent, Keyed};
 
+/// Narrows an index or count into the `u32` that composite map-output
+/// keys and the BDM's block index store.
+///
+/// # Panics
+/// If `value` does not fit, naming `what` overflowed — a silent
+/// truncation here would route records to the wrong block or reduce
+/// task.
+pub(crate) fn key_index<T>(value: T, what: &str) -> u32
+where
+    T: TryInto<u32> + Copy + std::fmt::Display,
+{
+    value.try_into().unwrap_or_else(|_| {
+        panic!("{what} {value} does not fit the u32 component of a composite map-output key")
+    })
+}
+
 /// Map output key of BlockSplit: `reduce_task.block.i.j`
 /// (`i == j == 0` encodes an unsplit block's single match task, which
 /// the paper writes `k.*`; `i == j` a sub-block task `k.i`; `i > j`
@@ -71,7 +87,7 @@ impl BlockSplitValue {
     pub fn new(keyed: Keyed, partition: usize) -> Self {
         Self {
             keyed,
-            partition: partition as u32,
+            partition: key_index(partition, "input partition index"),
             source: SourceId::R,
         }
     }
@@ -80,7 +96,7 @@ impl BlockSplitValue {
     pub fn with_source(keyed: Keyed, partition: usize, source: SourceId) -> Self {
         Self {
             keyed,
-            partition: partition as u32,
+            partition: key_index(partition, "input partition index"),
             source,
         }
     }
@@ -148,6 +164,18 @@ pub struct PairRangeValue {
 mod tests {
     use super::*;
     use mr_engine::partitioner::Partitioner;
+
+    #[test]
+    fn key_index_narrows_or_names_the_overflow() {
+        assert_eq!(key_index(7usize, "number of blocks"), 7);
+        assert_eq!(key_index(u64::from(u32::MAX), "range index"), u32::MAX);
+        let overflow = std::panic::catch_unwind(|| key_index(1u64 << 32, "number of blocks"));
+        let message = *overflow.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            message.contains("number of blocks 4294967296 does not fit"),
+            "{message}"
+        );
+    }
 
     #[test]
     fn block_split_key_orders_like_the_paper() {

@@ -88,7 +88,7 @@ impl Keyed {
     /// Annotates an entity with a single blocking key.
     pub fn single(key: BlockKey, entity: Ent) -> Self {
         Keyed {
-            all_keys: Arc::from(vec![key.clone()].into_boxed_slice()),
+            all_keys: Arc::from([key.clone()]),
             key,
             entity,
         }
@@ -104,11 +104,14 @@ impl Keyed {
         entity: &Ent,
     ) -> Vec<Keyed> {
         let mut keys = blocking.keys(entity);
+        if keys.len() <= 1 {
+            // Single-pass blocking, i.e. nearly every entity: nothing
+            // to sort, no shared key list to build.
+            let only = keys.pop().map(|key| Keyed::single(key, Arc::clone(entity)));
+            return only.into_iter().collect();
+        }
         keys.sort();
         keys.dedup();
-        if keys.is_empty() {
-            return Vec::new();
-        }
         let all: Arc<[BlockKey]> = Arc::from(keys.into_boxed_slice());
         all.iter()
             .map(|key| Keyed::replica(key.clone(), Arc::clone(&all), Arc::clone(entity)))

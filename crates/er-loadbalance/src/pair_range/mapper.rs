@@ -7,23 +7,25 @@
 //!   index space, so all ranges from `range(p(x, x+1))` through
 //!   `range(p(x, N−1))` are relevant;
 //! * the *row pairs* `(0, x) … (x−1, x)` are scattered (one per
-//!   column); their range indexes are computed individually — the
-//!   literal reading of the listing's line 19–20 loop (`ranges ∪ {k}`)
-//!   would insert raw loop counters instead of range indexes, which
-//!   contradicts both the prose and the worked example, so we compute
-//!   `rangeIndex(k, x, N, i)` as intended.
+//!   column) — the literal reading of the listing's line 19–20 loop
+//!   (`ranges ∪ {k}`) would insert raw loop counters instead of range
+//!   indexes, which contradicts both the prose and the worked example,
+//!   so we compute `rangeIndex(k, x, N, i)` as intended. The distance
+//!   between consecutive row pairs shrinks as `k` grows, which lets
+//!   [`for_each_relevant_interval`] report an entity's ranges in time
+//!   proportional to their number instead of visiting every pair.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
+use er_core::pairs::triangle_cell_index;
 use er_core::SourceId;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
-use super::enumeration::{pair_index, EntityIndexer};
+use super::enumeration::EntityIndexer;
 use super::ranges::{RangeIndexer, RangePolicy};
 use crate::bdm::BlockDistributionMatrix;
-use crate::keys::{PairRangeKey, PairRangeValue};
+use crate::keys::{key_index, PairRangeKey, PairRangeValue};
 use crate::Keyed;
 
 /// The PairRange mapper.
@@ -51,29 +53,77 @@ impl PairRangeMapper {
     }
 }
 
-/// Computes the set of ranges relevant for the entity with index `x`
-/// in `block` (shared by the mapper and the analytic workload model).
+/// Reports the ranges relevant for the entity with index `x` in
+/// `block` as disjoint inclusive intervals `emit(first, last)` in
+/// ascending order — the one membership routine the mapper and the
+/// analytic workload model share.
+///
+/// Monotonicity argument. In pair-index order the entity's `N − 1`
+/// pairs are its row pairs `(0, x) … (x−1, x)` followed by its column
+/// run `(x, x+1) … (x, N−1)`. With the column-wise cell index,
+/// consecutive row pairs are `N − k − 2` apart (`k ≤ x − 2`), the last
+/// row pair and the first column pair `N − x`, column pairs 1: the
+/// distances never grow. So there is one position `dense_from` before
+/// which every pair is followed by a gap wider than any range — such a
+/// pair is alone in its range — and from which on no gap can skip a
+/// range (see [`RangeIndexer::min_width`]) — those pairs cover every
+/// range from theirs to the last pair's. The cost is one `range_of`
+/// per reported interval, never one per pair.
+///
+/// The column run always counts as gap-free, also when `r > P` under
+/// [`RangePolicy::Proportional`] leaves empty ranges between
+/// neighbouring pair indexes: the reducers ignore the surplus records,
+/// and map output stays what Algorithm 2's `first..=last` loop emits.
+pub fn for_each_relevant_interval(
+    bdm: &BlockDistributionMatrix,
+    ranges: &RangeIndexer,
+    block: usize,
+    x: u64,
+    mut emit: impl FnMut(u64, u64),
+) {
+    let n = bdm.size(block);
+    if n < 2 {
+        return;
+    }
+    let offset = bdm.pair_offset(block);
+    // The entity's k-th pair in pair-index order, k in 0..=n−2.
+    let range_of_pair = |k: u64| {
+        let cell = if k < x {
+            triangle_cell_index(k, x, n)
+        } else {
+            triangle_cell_index(x, k + 1, n)
+        };
+        ranges.range_of(cell + offset)
+    };
+    let width = ranges.min_width();
+    // The gaps before the column run are N−2, N−3, …, N−x, N−x: if
+    // the last one cannot skip a range, neither can those from row
+    // N−2−width on.
+    let dense_from = if x >= 1 && n - x <= width {
+        (n - 2).saturating_sub(width).min(x - 1)
+    } else {
+        x.min(n - 2)
+    };
+    for k in 0..dense_from {
+        let range = range_of_pair(k);
+        emit(range, range);
+    }
+    emit(range_of_pair(dense_from), range_of_pair(n - 2));
+}
+
+/// The ranges [`for_each_relevant_interval`] reports, one by one in
+/// ascending order (tests and benches; the mapper and the analysis
+/// consume the intervals directly).
 pub fn relevant_ranges(
     bdm: &BlockDistributionMatrix,
     ranges: &RangeIndexer,
     block: usize,
     x: u64,
-) -> BTreeSet<u64> {
-    let n = bdm.size(block);
-    let mut out = BTreeSet::new();
-    if n < 2 {
-        return out;
-    }
-    // Row pairs (k, x) for k < x — scattered, one per column.
-    for k in 0..x {
-        out.insert(ranges.range_of(pair_index(bdm, block, k, x)));
-    }
-    // Column run (x, x+1) … (x, N−1) — contiguous.
-    if x + 1 < n {
-        let first = ranges.range_of(pair_index(bdm, block, x, x + 1));
-        let last = ranges.range_of(pair_index(bdm, block, x, n - 1));
-        out.extend(first..=last);
-    }
+) -> Vec<u64> {
+    let mut out = Vec::new();
+    for_each_relevant_interval(bdm, ranges, block, x, |first, last| {
+        out.extend(first..=last)
+    });
     out
 }
 
@@ -101,21 +151,24 @@ impl Mapper for PairRangeMapper {
         let Some(block) = self.bdm.block_index(key) else {
             panic!("blocking key {key} not present in the BDM");
         };
-        let x = state.indexer.next(block);
-        for range in relevant_ranges(&self.bdm, &state.ranges, block, x) {
-            ctx.emit(
-                PairRangeKey {
-                    range: range as u32,
-                    block: block as u32,
-                    source: SourceId::R,
-                    index: x,
-                },
-                PairRangeValue {
-                    keyed: keyed.clone(),
-                    index: x,
-                },
-            );
-        }
+        let x = state.indexer.next(block as usize);
+        let emit = |first: u64, last: u64| {
+            for range in first..=last {
+                ctx.emit(
+                    PairRangeKey {
+                        range: key_index(range, "range index"),
+                        block,
+                        source: SourceId::R,
+                        index: x,
+                    },
+                    PairRangeValue {
+                        keyed: keyed.clone(),
+                        index: x,
+                    },
+                );
+            }
+        };
+        for_each_relevant_interval(&self.bdm, &state.ranges, block as usize, x, emit);
     }
 }
 
@@ -123,7 +176,92 @@ impl Mapper for PairRangeMapper {
 mod tests {
     use super::*;
     use crate::bdm::running_example_bdm;
+    use crate::pair_range::enumeration::pair_index;
     use crate::running_example;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The previous membership routine, kept as the oracle: one
+    /// `range_of` and one set insert per row pair.
+    fn brute_force_ranges(
+        bdm: &BlockDistributionMatrix,
+        ranges: &RangeIndexer,
+        block: usize,
+        x: u64,
+    ) -> Vec<u64> {
+        let n = bdm.size(block);
+        let mut out = BTreeSet::new();
+        if n < 2 {
+            return Vec::new();
+        }
+        for k in 0..x {
+            out.insert(ranges.range_of(pair_index(bdm, block, k, x)));
+        }
+        if x + 1 < n {
+            let first = ranges.range_of(pair_index(bdm, block, x, x + 1));
+            let last = ranges.range_of(pair_index(bdm, block, x, n - 1));
+            out.extend(first..=last);
+        }
+        out.into_iter().collect()
+    }
+
+    proptest! {
+        #[test]
+        fn reported_ranges_equal_the_brute_force_walk(
+            sizes in proptest::collection::vec(0u64..40, 1..6),
+            r in 1usize..=200,
+            policy in prop_oneof![Just(RangePolicy::CeilDiv), Just(RangePolicy::Proportional)],
+            pick in 0u64..1_000,
+        ) {
+            let bdm = BlockDistributionMatrix::from_counts(
+                1,
+                sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &n)| (BlockKey::new(format!("b{k}")), 0, n)),
+            );
+            let ranges = RangeIndexer::new(bdm.total_pairs(), r, policy);
+            for block in 0..bdm.num_blocks() {
+                let n = bdm.size(block);
+                if n == 0 {
+                    continue;
+                }
+                for x in [0, 1, n.saturating_sub(2), n - 1, pick % n] {
+                    if x < n {
+                        prop_assert_eq!(
+                            relevant_ranges(&bdm, &ranges, block, x),
+                            brute_force_ranges(&bdm, &ranges, block, x),
+                            "block {} (N = {}), x = {}", block, n, x
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_blocks_equal_the_brute_force_walk_exhaustively() {
+        // Every x of every block size 2..=14 behind a 3-pair block, at
+        // every r from one range to more ranges than pairs.
+        for n in 2u64..=14 {
+            let bdm = BlockDistributionMatrix::from_counts(
+                1,
+                vec![(BlockKey::new("a"), 0, 3), (BlockKey::new("b"), 0, n)],
+            );
+            for r in 1..=bdm.total_pairs() as usize + 3 {
+                for policy in [RangePolicy::CeilDiv, RangePolicy::Proportional] {
+                    let ranges = RangeIndexer::new(bdm.total_pairs(), r, policy);
+                    for x in 0..n {
+                        assert_eq!(
+                            relevant_ranges(&bdm, &ranges, 1, x),
+                            brute_force_ranges(&bdm, &ranges, 1, x),
+                            "N = {n}, r = {r}, {policy:?}, x = {x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn run_partition(p: usize) -> Vec<(PairRangeKey, String)> {
         let bdm = Arc::new(running_example_bdm());

@@ -24,6 +24,8 @@ pub enum RangePolicy {
 pub struct RangeIndexer {
     total_pairs: u64,
     num_ranges: u64,
+    /// `max(⌈P/r⌉, 1)`, the `CeilDiv` range width.
+    width: u64,
     policy: RangePolicy,
 }
 
@@ -31,9 +33,11 @@ impl RangeIndexer {
     /// Creates the indexer for `P` pairs and `r` ranges.
     pub fn new(total_pairs: u64, num_ranges: usize, policy: RangePolicy) -> Self {
         assert!(num_ranges > 0, "need at least one range");
+        let num_ranges = num_ranges as u64;
         Self {
             total_pairs,
-            num_ranges: num_ranges as u64,
+            num_ranges,
+            width: total_pairs.div_ceil(num_ranges).max(1),
             policy,
         }
     }
@@ -46,10 +50,7 @@ impl RangeIndexer {
             self.total_pairs
         );
         match self.policy {
-            RangePolicy::CeilDiv => {
-                let width = self.total_pairs.div_ceil(self.num_ranges).max(1);
-                p / width
-            }
+            RangePolicy::CeilDiv => p / self.width,
             RangePolicy::Proportional => {
                 ((p as u128 * self.num_ranges as u128) / self.total_pairs as u128) as u64
             }
@@ -63,12 +64,11 @@ impl RangeIndexer {
         }
         match self.policy {
             RangePolicy::CeilDiv => {
-                let width = self.total_pairs.div_ceil(self.num_ranges).max(1);
-                let start = k * width;
+                let start = k * self.width;
                 if start >= self.total_pairs {
                     0
                 } else {
-                    width.min(self.total_pairs - start)
+                    self.width.min(self.total_pairs - start)
                 }
             }
             RangePolicy::Proportional => self.range_start(k + 1) - self.range_start(k),
@@ -81,14 +81,23 @@ impl RangeIndexer {
             return self.total_pairs;
         }
         match self.policy {
-            RangePolicy::CeilDiv => {
-                let width = self.total_pairs.div_ceil(self.num_ranges).max(1);
-                (k * width).min(self.total_pairs)
-            }
+            RangePolicy::CeilDiv => (k * self.width).min(self.total_pairs),
             RangePolicy::Proportional => {
                 // Smallest p with ⌊r·p/P⌋ >= k  <=>  p >= ⌈k·P/r⌉.
                 ((k as u128 * self.total_pairs as u128).div_ceil(self.num_ranges as u128)) as u64
             }
+        }
+    }
+
+    /// Width of the narrowest range that has a range after it: two
+    /// pair indexes at most this far apart cannot have a whole range
+    /// between them, two indexes further apart cannot share a range.
+    /// (`CeilDiv` ranges are all `⌈P/r⌉` wide up to the last non-empty
+    /// one; `Proportional` ranges are `⌊P/r⌋` or `⌈P/r⌉` wide.)
+    pub fn min_width(&self) -> u64 {
+        match self.policy {
+            RangePolicy::CeilDiv => self.width,
+            RangePolicy::Proportional => self.total_pairs / self.num_ranges,
         }
     }
 

@@ -19,7 +19,7 @@ use super::TwoSourceBdm;
 use crate::block_split::assign::TaskAssignment;
 use crate::block_split::match_tasks::{fits_average, MatchTask};
 use crate::compare::{PairComparer, PairTally, PreparedRef};
-use crate::keys::{BlockSplitKey, BlockSplitValue};
+use crate::keys::{key_index, BlockSplitKey, BlockSplitValue};
 use crate::Keyed;
 
 /// Creates the two-source match tasks: unsplit `k.*` when the block's
@@ -110,9 +110,10 @@ impl Mapper for TwoSourceBlockSplitMapper {
         ctx: &mut MapContext<BlockSplitKey, BlockSplitValue, ()>,
     ) {
         let state = self.state.as_ref().expect("setup ran");
-        let Some(k) = self.ts.block_index(key) else {
+        let Some(block) = self.ts.block_index(key) else {
             panic!("blocking key {key} not present in the BDM");
         };
+        let k = block as usize;
         let comps = self.ts.pairs_in_block(k);
         if fits_average(comps, self.ts.total_pairs(), state.r) {
             if comps > 0 {
@@ -122,8 +123,8 @@ impl Mapper for TwoSourceBlockSplitMapper {
                     .expect("unsplit task exists");
                 ctx.emit(
                     BlockSplitKey {
-                        reduce_task: rt as u32,
-                        block: k as u32,
+                        reduce_task: key_index(rt, "reduce task index"),
+                        block,
                         i: 0,
                         j: 0,
                     },
@@ -143,10 +144,10 @@ impl Mapper for TwoSourceBlockSplitMapper {
                 if let Some(rt) = state.assignment.reduce_task_for(k, i, j) {
                     ctx.emit(
                         BlockSplitKey {
-                            reduce_task: rt as u32,
-                            block: k as u32,
-                            i: i as u32,
-                            j: j as u32,
+                            reduce_task: key_index(rt, "reduce task index"),
+                            block,
+                            i: key_index(i, "input partition index"),
+                            j: key_index(j, "input partition index"),
                         },
                         BlockSplitValue::with_source(keyed.clone(), state.partition, state.source),
                     );

@@ -114,7 +114,7 @@ impl TwoSourceBdm {
     }
 
     /// Block index lookup.
-    pub fn block_index(&self, key: &BlockKey) -> Option<usize> {
+    pub fn block_index(&self, key: &BlockKey) -> Option<u32> {
         self.bdm.block_index(key)
     }
 

@@ -5,7 +5,6 @@
 //! form one contiguous run (its whole matrix row), an S entity's pairs
 //! stride by `|Φ_i,S|` (its matrix column).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
@@ -17,35 +16,44 @@ use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
 use super::TwoSourceBdm;
 use crate::compare::{PairComparer, PairTally, PreparedRef};
-use crate::keys::{PairRangeKey, PairRangeValue};
+use crate::keys::{key_index, PairRangeKey, PairRangeValue};
 use crate::pair_range::ranges::{RangeIndexer, RangePolicy};
 use crate::Keyed;
 
-/// Ranges relevant for an entity (shared with tests/benches).
-pub fn relevant_ranges_two_source(
+/// Reports the ranges relevant for entity `index` of `source` in
+/// `block` as disjoint inclusive intervals `emit(first, last)` in
+/// ascending order.
+///
+/// An R entity's pairs are one contiguous run. An S entity's pairs
+/// `(0, index), (1, index), …` are `|Φ_S|` apart: no wider than the
+/// narrowest range (see [`RangeIndexer::min_width`]) they skip none,
+/// otherwise no two of them share one — one `range_of` per reported
+/// interval either way.
+pub fn for_each_relevant_interval_two_source(
     ts: &TwoSourceBdm,
     ranges: &RangeIndexer,
     block: usize,
     source: SourceId,
     index: u64,
-) -> BTreeSet<u64> {
-    let mut out = BTreeSet::new();
+    mut emit: impl FnMut(u64, u64),
+) {
     let (nr, ns) = (ts.size_r(block), ts.size_s(block));
     if nr == 0 || ns == 0 {
-        return out;
+        return;
     }
+    let range_of_pair = |x: u64, y: u64| ranges.range_of(ts.pair_index(block, x, y));
     if source == SourceId::R {
         // Row: pairs (index, 0) .. (index, ns-1) — contiguous.
-        let first = ranges.range_of(ts.pair_index(block, index, 0));
-        let last = ranges.range_of(ts.pair_index(block, index, ns - 1));
-        out.extend(first..=last);
-    } else {
+        emit(range_of_pair(index, 0), range_of_pair(index, ns - 1));
+    } else if ns <= ranges.min_width() {
         // Column: pairs (0, index) .. (nr-1, index) — stride ns.
+        emit(range_of_pair(0, index), range_of_pair(nr - 1, index));
+    } else {
         for x in 0..nr {
-            out.insert(ranges.range_of(ts.pair_index(block, x, index)));
+            let range = range_of_pair(x, index);
+            emit(range, range);
         }
     }
-    out
 }
 
 /// The two-source PairRange mapper.
@@ -102,23 +110,27 @@ impl Mapper for TwoSourcePairRangeMapper {
         let Some(block) = self.ts.block_index(key) else {
             panic!("blocking key {key} not present in the BDM");
         };
-        let index = state.next_index[block];
-        state.next_index[block] += 1;
-        for range in relevant_ranges_two_source(&self.ts, &state.ranges, block, state.source, index)
-        {
-            ctx.emit(
-                PairRangeKey {
-                    range: range as u32,
-                    block: block as u32,
-                    source: state.source,
-                    index,
-                },
-                PairRangeValue {
-                    keyed: keyed.clone(),
-                    index,
-                },
-            );
-        }
+        let k = block as usize;
+        let index = state.next_index[k];
+        state.next_index[k] += 1;
+        let source = state.source;
+        let emit = |first: u64, last: u64| {
+            for range in first..=last {
+                ctx.emit(
+                    PairRangeKey {
+                        range: key_index(range, "range index"),
+                        block,
+                        source,
+                        index,
+                    },
+                    PairRangeValue {
+                        keyed: keyed.clone(),
+                        index,
+                    },
+                );
+            }
+        };
+        for_each_relevant_interval_two_source(&self.ts, &state.ranges, k, source, index, emit);
     }
 }
 
@@ -233,9 +245,91 @@ pub fn pair_range_two_source_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bdm::BlockDistributionMatrix;
     use crate::two_source::appendix_example;
     use crate::COMPARISONS;
     use er_core::Matcher;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The ranges `for_each_relevant_interval_two_source` reports, one
+    /// by one in ascending order.
+    fn relevant_ranges_two_source(
+        ts: &TwoSourceBdm,
+        ranges: &RangeIndexer,
+        block: usize,
+        source: SourceId,
+        index: u64,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        for_each_relevant_interval_two_source(ts, ranges, block, source, index, |first, last| {
+            out.extend(first..=last)
+        });
+        out
+    }
+
+    /// The previous membership routine, kept as the oracle: one
+    /// `range_of` and one set insert per pair of an S entity's column.
+    fn brute_force_ranges(
+        ts: &TwoSourceBdm,
+        ranges: &RangeIndexer,
+        block: usize,
+        source: SourceId,
+        index: u64,
+    ) -> Vec<u64> {
+        let mut out = BTreeSet::new();
+        let (nr, ns) = (ts.size_r(block), ts.size_s(block));
+        if nr == 0 || ns == 0 {
+            return Vec::new();
+        }
+        if source == SourceId::R {
+            let first = ranges.range_of(ts.pair_index(block, index, 0));
+            let last = ranges.range_of(ts.pair_index(block, index, ns - 1));
+            out.extend(first..=last);
+        } else {
+            for x in 0..nr {
+                out.insert(ranges.range_of(ts.pair_index(block, x, index)));
+            }
+        }
+        out.into_iter().collect()
+    }
+
+    proptest! {
+        #[test]
+        fn reported_ranges_equal_the_brute_force_walk(
+            sizes in proptest::collection::vec((0u64..25, 0u64..25), 1..5),
+            r in 1usize..=200,
+            policy in prop_oneof![Just(RangePolicy::CeilDiv), Just(RangePolicy::Proportional)],
+            pick in 0u64..1_000,
+        ) {
+            // Partition 0 is R, partition 1 is S.
+            let cells = sizes.iter().enumerate().flat_map(|(k, &(nr, ns))| {
+                let key = BlockKey::new(format!("b{k}"));
+                [(key.clone(), 0, nr), (key, 1, ns)]
+            });
+            let ts = TwoSourceBdm::new(
+                Arc::new(BlockDistributionMatrix::from_counts(2, cells)),
+                vec![SourceId::R, SourceId::S],
+            );
+            let ranges = RangeIndexer::new(ts.total_pairs(), r, policy);
+            for block in 0..ts.num_blocks() {
+                for (source, n) in [(SourceId::R, ts.size_r(block)), (SourceId::S, ts.size_s(block))] {
+                    if n == 0 {
+                        continue;
+                    }
+                    for index in [0, 1, n.saturating_sub(2), n - 1, pick % n] {
+                        if index < n {
+                            prop_assert_eq!(
+                                relevant_ranges_two_source(&ts, &ranges, block, source, index),
+                                brute_force_ranges(&ts, &ranges, block, source, index),
+                                "block {}, {:?} entity {} of {}", block, source, index, n
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn entity_c_is_sent_to_ranges_1_and_2() {
@@ -243,7 +337,7 @@ mod tests {
         let ts = appendix_example::bdm();
         let ranges = RangeIndexer::new(12, 3, RangePolicy::CeilDiv);
         let hits = relevant_ranges_two_source(&ts, &ranges, 3, SourceId::R, 0);
-        assert_eq!(hits.into_iter().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(hits, vec![1, 2]);
     }
 
     #[test]
