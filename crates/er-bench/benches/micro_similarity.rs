@@ -9,16 +9,25 @@
 //! legs of the thresholded edit-distance cascade one pair at a time —
 //! a pair the histogram filter rejects, a pair the bit-parallel
 //! verifier accepts, and a pair past 64 scalars that falls back to the
-//! banded DP — so a later change can tell which leg it moved.
+//! banded DP — so a later change can tell which leg it moved. The
+//! `pair_loop` group does the same for what a reduce task spends on one
+//! large block: the compare driver's sweep over all its pairs, the bare
+//! scalar kernel over the same pairs, and preparing its entities into a
+//! cold cache.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use er_core::blocking::{BlockKey, BlockingFunction, PrefixBlocking};
 use er_core::similarity::{
     levenshtein_distance, levenshtein_within, Jaccard, JaroWinkler, MongeElkan, NGram,
     NormalizedLevenshtein, Similarity,
 };
-use er_core::{Entity, MatchRule, Matcher};
+use er_core::{Entity, MatchRule, Matcher, MatcherCache};
+use er_datagen::{ds1_spec, generate_products};
+use er_loadbalance::compare::{GroupComparer, PairComparer};
+use er_loadbalance::Keyed;
 
 const A: &str = "babpro k3vd9qmzx21ab camera";
 const B: &str = "babpro k3vd9qmzx21ac camera";
@@ -142,6 +151,71 @@ fn bench_thresholded_levenshtein(c: &mut Criterion) {
     g.finish();
 }
 
+/// One iteration of each leg is a whole block: divide `driver_sweep`
+/// and `scalar_kernel_sweep` by the pair count and `prepare_cold` by
+/// the entity count the header line prints.
+fn bench_pair_loop(c: &mut Criterion) {
+    // The largest title-prefix block of an eighth of DS1 — the block
+    // the ledger's `ds1_*` workloads spend most of their reduce time in.
+    let dataset = generate_products(&ds1_spec(2012).scaled(0.125));
+    let blocking = PrefixBlocking::title3();
+    let mut blocks: BTreeMap<BlockKey, Vec<Keyed>> = BTreeMap::new();
+    for entity in dataset.entities.iter() {
+        let key = blocking.key(entity).expect("every product has a title");
+        let keyed = Keyed::single(key.clone(), Arc::new(entity.clone()));
+        blocks.entry(key).or_default().push(keyed);
+    }
+    let (key, block) = blocks
+        .into_iter()
+        .max_by_key(|(_, members)| members.len())
+        .expect("the dataset has blocks");
+    let n = block.len();
+    println!(
+        "pair_loop: one block of {n} entities, {} pairs per sweep",
+        n * (n - 1) / 2
+    );
+
+    let matcher = Arc::new(Matcher::paper_default());
+    let mut driver = GroupComparer::new(PairComparer::new(Arc::clone(&matcher)));
+    let driver_sweep = |driver: &mut GroupComparer| {
+        let mut matches = 0usize;
+        driver.load(&key, &block);
+        driver.all_pairs(|_, _| matches += 1);
+        matches
+    };
+    let measure = NormalizedLevenshtein;
+    let prepared: Vec<_> = block
+        .iter()
+        .map(|k| measure.prepare(k.entity.get("title").expect("every product has a title")))
+        .collect();
+    let kernel_sweep = || {
+        let mut matches = 0usize;
+        for (j, b) in prepared.iter().enumerate() {
+            for a in &prepared[..j] {
+                matches += usize::from(measure.sim_prepared_at_least(a, b, 0.8).is_some());
+            }
+        }
+        matches
+    };
+    // Sanity: the driver decides what the bare kernel decides.
+    assert_eq!(driver_sweep(&mut driver), kernel_sweep());
+
+    let mut g = c.benchmark_group("pair_loop");
+    g.bench_function("driver_sweep", |b| {
+        b.iter(|| driver_sweep(black_box(&mut driver)))
+    });
+    g.bench_function("scalar_kernel_sweep", |b| b.iter(kernel_sweep));
+    g.bench_function("prepare_cold", |b| {
+        b.iter(|| {
+            let mut cache = MatcherCache::new(Arc::clone(&matcher));
+            for keyed in &block {
+                black_box(cache.handle(black_box(&keyed.entity)));
+            }
+        })
+    });
+    g.finish();
+}
+
 fn bench_similarity(c: &mut Criterion) {
     let mut g = c.benchmark_group("similarity");
     g.bench_function("levenshtein/near", |b| {
@@ -175,6 +249,6 @@ fn bench_similarity(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_similarity, bench_thresholded_levenshtein, bench_blocked_matching
+    targets = bench_similarity, bench_thresholded_levenshtein, bench_blocked_matching, bench_pair_loop
 }
 criterion_main!(benches);

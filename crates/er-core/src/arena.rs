@@ -21,9 +21,14 @@
 //! | `nodes` | [`ArenaValue`] | token lists (`Tokens`), recursively |
 //! | `slots` | `Option<ArenaValue>` | one per match rule per entity |
 //!
-//! [`PreparedArena::intern`] copies a temporarily heap-prepared entity
-//! into the slabs once and returns a [`PreparedId`] — a [`Span`] into
-//! `slots` plus the entity's reference. After interning, scoring a pair
+//! [`PreparedArena::intern_with`] lays one entity's rule slots down,
+//! each value written in place by its measure
+//! ([`crate::similarity::Similarity::prepare_into`]: the edit-distance
+//! family decodes straight into the `chars` slab, the other families
+//! copy a heap-prepared temporary), and returns a [`PreparedId`] — a
+//! [`Span`] into `slots` plus the entity's reference;
+//! [`PreparedArena::intern`] copies an already heap-prepared entity
+//! instead. After interning, scoring a pair
 //! reads slices straight out of the slabs through
 //! [`crate::similarity::PreparedView`] borrows: **zero allocations per
 //! comparison**, all warm-up cost confined to the first sighting of
@@ -35,7 +40,7 @@
 //! borrow problems an owning-arena-with-references design would hit.
 
 use crate::entity::EntityRef;
-use crate::similarity::{Prepared, PreparedView, TokenListView, HISTOGRAM_BUCKETS};
+use crate::similarity::{char_histogram, Prepared, PreparedView, TokenListView, HISTOGRAM_BUCKETS};
 
 /// A contiguous `u32` range into one arena slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,30 +131,71 @@ impl PreparedArena {
     /// rule) into the slabs, returning its handle. The temporary heap
     /// form can be dropped afterwards — the arena owns a full copy.
     pub fn intern(&mut self, entity_ref: EntityRef, values: &[Option<Prepared>]) -> PreparedId {
-        let interned: Vec<Option<ArenaValue>> = values
-            .iter()
-            .map(|v| v.as_ref().map(|p| self.intern_value(p)))
-            .collect();
+        self.intern_with(entity_ref, values.len(), |arena, rule| {
+            values[rule].as_ref().map(|p| arena.intern_value(p))
+        })
+    }
+
+    /// Interns one entity of `rules` rule slots whose values are
+    /// written by `value(arena, rule)` — through
+    /// [`PreparedArena::intern_value`], [`PreparedArena::intern_chars`]
+    /// or a measure's `prepare_into` — as the slots are laid down, so
+    /// no per-entity temporary exists.
+    pub fn intern_with(
+        &mut self,
+        entity_ref: EntityRef,
+        rules: usize,
+        mut value: impl FnMut(&mut Self, usize) -> Option<ArenaValue>,
+    ) -> PreparedId {
         let start = self.slots.len();
-        self.slots.extend(interned);
+        for rule in 0..rules {
+            let value = value(self, rule);
+            self.slots.push(value);
+        }
+        assert_eq!(
+            self.slots.len(),
+            start + rules,
+            "interning a value must not lay down rule slots"
+        );
         self.interned += 1;
         PreparedId {
             entity_ref,
-            slots: Span::new(start, values.len()),
+            slots: Span::new(start, rules),
         }
     }
 
-    fn intern_value(&mut self, p: &Prepared) -> ArenaValue {
+    /// Appends `chars` to the char slab and, when `with_histogram`,
+    /// their bucketed counts to the histogram slab: the arena form of
+    /// a `Prepared::Chars`, built without the heap one.
+    pub fn intern_chars(
+        &mut self,
+        chars: impl Iterator<Item = char>,
+        with_histogram: bool,
+    ) -> ArenaValue {
+        let start = self.chars.len();
+        self.chars.extend(chars);
+        let chars = Span::new(start, self.chars.len() - start);
+        let histogram = with_histogram.then(|| {
+            let histogram = char_histogram(&self.chars[chars.range()]);
+            self.push_histogram(histogram)
+        });
+        ArenaValue::Chars { chars, histogram }
+    }
+
+    fn push_histogram(&mut self, histogram: [u8; HISTOGRAM_BUCKETS]) -> u32 {
+        let index =
+            u32::try_from(self.histograms.len()).expect("arena slab exceeds the u32 address space");
+        self.histograms.push(histogram);
+        index
+    }
+
+    /// Copies one heap-prepared value into the slabs.
+    pub fn intern_value(&mut self, p: &Prepared) -> ArenaValue {
         match p {
             Prepared::Chars { chars, histogram } => {
                 let start = self.chars.len();
                 self.chars.extend_from_slice(chars);
-                let histogram = histogram.as_deref().map(|h| {
-                    let index = u32::try_from(self.histograms.len())
-                        .expect("arena slab exceeds the u32 address space");
-                    self.histograms.push(*h);
-                    index
-                });
+                let histogram = histogram.as_deref().map(|h| self.push_histogram(*h));
                 ArenaValue::Chars {
                     chars: Span::new(start, chars.len()),
                     histogram,
@@ -260,19 +306,23 @@ impl PreparedArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::similarity::{CosineTokens, Jaccard, MongeElkan, NormalizedLevenshtein, Similarity};
+    use crate::similarity::{
+        CosineTokens, Jaccard, JaroWinkler, MongeElkan, NormalizedLevenshtein, Similarity,
+    };
     use crate::Entity;
 
+    /// Interns `s` the way the matcher cache does: written in place by
+    /// the measure's `prepare_into`.
     fn intern_one(arena: &mut PreparedArena, m: &dyn Similarity, s: &str) -> PreparedId {
         let e = Entity::new(7, [("t", s)]);
-        let prepared = vec![Some(m.prepare(s))];
-        arena.intern(e.entity_ref(), &prepared)
+        arena.intern_with(e.entity_ref(), 1, |arena, _| Some(m.prepare_into(s, arena)))
     }
 
     #[test]
     fn interned_views_score_bit_exact_with_heap_forms() {
         let measures: Vec<Box<dyn Similarity>> = vec![
             Box::new(NormalizedLevenshtein),
+            Box::new(JaroWinkler::default()),
             Box::new(Jaccard),
             Box::new(CosineTokens),
             Box::new(MongeElkan::default()),
@@ -296,6 +346,12 @@ mod tests {
                 "{} diverged between arena and heap",
                 m.name()
             );
+            // Written in place or copied from the heap form: the same
+            // value either way, histogram included.
+            let in_place = format!("{va:?}");
+            let copied = arena.intern(ia.entity_ref(), &[Some(m.prepare(a))]);
+            let copied = arena.value(copied, 0).expect("attribute present");
+            assert_eq!(in_place, format!("{copied:?}"), "{}", m.name());
         }
     }
 

@@ -120,6 +120,25 @@ impl Entity {
             .map(|(_, v)| v.as_ref())
     }
 
+    /// [`Entity::get`] for callers that look the same attribute up on
+    /// entity after entity: tries position `*hint` — where the previous
+    /// entity had it — before scanning, and leaves the position found
+    /// in `*hint`. Entities of one source share a schema, so the scan
+    /// all but never runs.
+    pub fn get_hinted(&self, name: &str, hint: &mut usize) -> Option<&str> {
+        if let Some((k, v)) = self.attributes.get(*hint) {
+            if k.as_ref() == name {
+                return Some(v.as_ref());
+            }
+        }
+        let position = self
+            .attributes
+            .iter()
+            .position(|(k, _)| k.as_ref() == name)?;
+        *hint = position;
+        Some(self.attributes[position].1.as_ref())
+    }
+
     /// Iterates `(name, value)` attribute pairs in insertion order.
     pub fn attributes(&self) -> impl Iterator<Item = (&str, &str)> {
         self.attributes
@@ -169,6 +188,22 @@ mod tests {
         assert_eq!(e.get("brand"), Some("Canon"));
         assert_eq!(e.get("price"), None);
         assert_eq!(e.attribute_count(), 2);
+    }
+
+    #[test]
+    fn hinted_lookup_equals_plain_lookup_whatever_the_hint() {
+        let e = Entity::new(7, [("title", "Canon EOS 5D"), ("brand", "Canon")]);
+        for name in ["title", "brand", "price"] {
+            for start in 0..4 {
+                let mut hint = start;
+                assert_eq!(e.get_hinted(name, &mut hint), e.get(name));
+                if e.get(name).is_some() {
+                    assert_eq!(e.attributes[hint].0.as_ref(), name);
+                } else {
+                    assert_eq!(hint, start, "a miss keeps the hint");
+                }
+            }
+        }
     }
 
     #[test]

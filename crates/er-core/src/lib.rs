@@ -38,13 +38,15 @@ pub mod sortkey;
 pub use arena::{PreparedArena, PreparedId};
 pub use blocking::{BlockKey, BlockingFunction, ConstantBlocking, PrefixBlocking};
 pub use entity::{Entity, EntityId, EntityRef, SourceId};
-pub use matcher::{MatchRule, Matcher, MatcherCache, PreparedEntity, PreparedHandle};
+pub use matcher::{
+    MatchRule, Matcher, MatcherCache, PreparedColumn, PreparedEntity, PreparedHandle,
+};
 pub use minhash::{
     band_hash, banding_probability, estimate_jaccard, shingle_hashes, MinHasher, ShingleScheme,
 };
 pub use result::{GoldStandard, MatchPair, MatchResult, QualityReport};
 pub use similarity::{
     CosineTokens, Jaccard, JaroWinkler, MongeElkan, NGram, NormalizedLevenshtein, Prepared,
-    PreparedView, Similarity, TokenListView,
+    PreparedView, Similarity, Sketch, TokenListView,
 };
 pub use sortkey::{AttributeSortKey, RangePartitioner, SortKey, SortKeyFunction};

@@ -7,17 +7,21 @@
 //! re-tokenizing. [`MatcherCache`] memoizes prepared entities by
 //! [`EntityRef`] for reducers whose groups revisit the same entity
 //! (PairRange replicas, multi-pass blocking). In its default arena
-//! mode the cache interns every prepared form into a
+//! mode the cache prepares every entity straight into a
 //! [`PreparedArena`], so the pair loop over [`PreparedHandle`]s
 //! performs no heap allocation at all once each entity has been seen
-//! once.
+//! once. Reducers do not score pair by pair: they fill a
+//! [`PreparedColumn`] with a group's members and sweep it in strips
+//! ([`MatcherCache::matches_strip`]), which settles what is common to
+//! a strip once and lets the measure's batch prefilter discard most
+//! pairs on a dense sketch column before the scalar kernel sees them.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use crate::arena::{PreparedArena, PreparedId};
 use crate::entity::{Entity, EntityRef};
-use crate::similarity::{NormalizedLevenshtein, Prepared, PreparedView, Similarity};
+use crate::similarity::{NormalizedLevenshtein, Prepared, PreparedView, Similarity, Sketch};
 
 /// One attribute-level comparison: similarity measure over one
 /// attribute, with an optional weight for aggregation.
@@ -195,18 +199,8 @@ impl Matcher {
     }
 
     fn score_values(&self, a: ValuesRef<'_>, b: ValuesRef<'_>) -> f64 {
-        assert_eq!(
-            self.rules.len(),
-            a.len(),
-            "prepared entity {} does not match this matcher's rules",
-            a.entity_ref()
-        );
-        assert_eq!(
-            self.rules.len(),
-            b.len(),
-            "prepared entity {} does not match this matcher's rules",
-            b.entity_ref()
-        );
+        self.check_rule_slots(a);
+        self.check_rule_slots(b);
         let weighted: f64 = self
             .rules
             .iter()
@@ -222,34 +216,87 @@ impl Matcher {
     }
 
     fn matches_values(&self, a: ValuesRef<'_>, b: ValuesRef<'_>) -> Option<f64> {
-        if let [rule] = self.rules.as_slice() {
-            if rule.weight == 1.0 {
-                assert_eq!(
-                    a.len(),
-                    1,
-                    "prepared entity {} does not match this matcher's rules",
-                    a.entity_ref()
-                );
-                assert_eq!(
-                    b.len(),
-                    1,
-                    "prepared entity {} does not match this matcher's rules",
-                    b.entity_ref()
-                );
-                // Matched by reference: the views are handed to the
-                // kernel where they were built, not copied first.
-                return match (&a.value(0), &b.value(0)) {
-                    (Some(pa), Some(pb)) => {
-                        rule.similarity.sim_view_at_least(pa, pb, self.threshold)
-                    }
-                    // Missing attribute scores zero, exactly like the
-                    // weighted path.
-                    _ => (0.0 >= self.threshold).then_some(0.0),
-                };
-            }
+        self.check_rule_slots(b);
+        ProbeKernel::new(self, a, true).matches(b)
+    }
+
+    /// The rule whose thresholded kernel decides a pair on its own: a
+    /// single rule of unit weight (the paper's configuration), for
+    /// which the score equals the rule similarity bit for bit.
+    fn sole_rule(&self) -> Option<&MatchRule> {
+        match self.rules.as_slice() {
+            [rule] if rule.weight == 1.0 => Some(rule),
+            _ => None,
         }
-        let s = self.score_values(a, b);
-        (s >= self.threshold).then_some(s)
+    }
+
+    fn check_rule_slots(&self, values: ValuesRef<'_>) {
+        assert_eq!(
+            self.rules.len(),
+            values.len(),
+            "prepared entity {} does not match this matcher's rules",
+            values.entity_ref()
+        );
+    }
+}
+
+/// Threshold decisions against one fixed entity, the *probe*: what
+/// depends on the matcher and the probe alone — the single-rule
+/// dispatch, the probe's rule-count check and its view — is settled
+/// once, so a strip of pairs sharing the probe pays it once.
+struct ProbeKernel<'a> {
+    matcher: &'a Matcher,
+    probe: ValuesRef<'a>,
+    /// Whether the probe is the measure's left argument.
+    probe_first: bool,
+    /// Under a [sole rule](Matcher::sole_rule): its measure and the
+    /// probe's view (`None`: the probe lacks the attribute).
+    sole: Option<(&'a dyn Similarity, Option<PreparedView<'a>>)>,
+}
+
+impl<'a> ProbeKernel<'a> {
+    fn new(matcher: &'a Matcher, probe: ValuesRef<'a>, probe_first: bool) -> Self {
+        matcher.check_rule_slots(probe);
+        let sole = matcher
+            .sole_rule()
+            .map(|rule| (rule.similarity.as_ref(), probe.value(0)));
+        Self {
+            matcher,
+            probe,
+            probe_first,
+            sole,
+        }
+    }
+
+    /// `Some(score)` iff the probe and `member` match (see
+    /// [`Matcher::matches_prepared`]). `member` must have as many rule
+    /// slots as the matcher has rules.
+    fn matches(&self, member: ValuesRef<'a>) -> Option<f64> {
+        let threshold = self.matcher.threshold;
+        let Some((similarity, probe_view)) = &self.sole else {
+            let (a, b) = self.ordered(self.probe, member);
+            let s = self.matcher.score_values(a, b);
+            return (s >= threshold).then_some(s);
+        };
+        match (probe_view, &member.value(0)) {
+            // Matched by reference: the views are handed to the kernel
+            // where they were built, not copied first.
+            (Some(p), Some(m)) => {
+                let (a, b) = self.ordered(p, m);
+                similarity.sim_view_at_least(a, b, threshold)
+            }
+            // Missing attribute scores zero, exactly like the weighted
+            // path.
+            _ => (0.0 >= threshold).then_some(0.0),
+        }
+    }
+
+    fn ordered<T>(&self, probe: T, member: T) -> (T, T) {
+        if self.probe_first {
+            (probe, member)
+        } else {
+            (member, probe)
+        }
     }
 }
 
@@ -325,6 +372,66 @@ pub enum PreparedHandle {
     Heap(Arc<PreparedEntity>),
 }
 
+/// The cached prepared entities of one compare batch — the members of a
+/// reduce group, or the ring of a sliding window — as columns: the
+/// handles [`MatcherCache::push`] issued and, under a single-rule
+/// matcher whose values carry one, each member's [`Sketch`] in a dense
+/// array for the measure's batch prefilter
+/// ([`Similarity::survivors_at_least`]). Owns no borrow, so it can be
+/// kept and refilled across batches; positions are stable until
+/// [`evict_front`](PreparedColumn::evict_front).
+#[derive(Debug, Clone)]
+pub struct PreparedColumn {
+    handles: Vec<PreparedHandle>,
+    /// One per handle while `sketched`, empty otherwise.
+    sketches: Vec<Sketch>,
+    /// False from the first member without a sketch until the column
+    /// is emptied: the prefilter needs every member's.
+    sketched: bool,
+}
+
+impl PreparedColumn {
+    /// An empty column.
+    pub fn new() -> Self {
+        Self {
+            handles: Vec::new(),
+            sketches: Vec::new(),
+            sketched: true,
+        }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.handles.len()
+    }
+
+    /// True when the column holds no member.
+    pub fn is_empty(&self) -> bool {
+        self.handles.is_empty()
+    }
+
+    /// Drops the members from position `len` on, keeping the capacity.
+    pub fn truncate(&mut self, len: usize) {
+        self.handles.truncate(len);
+        self.sketches.truncate(len);
+        self.sketched |= len == 0;
+    }
+
+    /// Drops the first `n` members; the rest move down by `n`.
+    pub fn evict_front(&mut self, n: usize) {
+        self.handles.drain(..n);
+        if self.sketched {
+            self.sketches.drain(..n);
+        }
+    }
+}
+
+impl Default for PreparedColumn {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// Memoizing cache of prepared entities keyed by entity reference —
 /// one prepare per distinct entity per cache lifetime, no matter how
 /// many reduce groups (PairRange ranges, multi-pass replicas) revisit
@@ -337,8 +444,8 @@ pub enum PreparedHandle {
 /// # Arena mode (default)
 ///
 /// [`MatcherCache::new`] backs the cache with a [`PreparedArena`]:
-/// every first sighting of an entity is heap-prepared once, interned
-/// into contiguous slabs, and the temporary dropped. Pair scoring via
+/// every first sighting of an entity is prepared once, straight into
+/// contiguous slabs. Pair scoring via
 /// [`MatcherCache::matches_handles`] then reads slab slices directly —
 /// **zero allocations per comparison** once every entity of a block
 /// has been seen, which is what keeps the O(b²) inner loop
@@ -359,6 +466,9 @@ pub enum PreparedHandle {
 pub struct MatcherCache {
     matcher: Arc<Matcher>,
     store: Store,
+    /// Per rule, where the last prepared entity kept the rule's
+    /// attribute ([`Entity::get_hinted`]).
+    attribute_hints: Vec<usize>,
 }
 
 /// The two backing stores of a [`MatcherCache`].
@@ -386,6 +496,7 @@ impl MatcherCache {
     /// An empty, unbounded arena-mode cache bound to `matcher`.
     pub fn new(matcher: Arc<Matcher>) -> Self {
         Self {
+            attribute_hints: vec![0; matcher.rules.len()],
             matcher,
             store: Store::Arena {
                 ids: HashMap::new(),
@@ -404,6 +515,7 @@ impl MatcherCache {
     pub fn with_capacity(matcher: Arc<Matcher>, capacity: usize) -> Self {
         assert!(capacity >= 2, "a bounded cache needs room for a pair");
         Self {
+            attribute_hints: vec![0; matcher.rules.len()],
             matcher,
             store: Store::Lru {
                 prepared: HashMap::new(),
@@ -453,10 +565,18 @@ impl MatcherCache {
                 if let Some(&id) = ids.get(&key) {
                     return PreparedHandle::Arena(id);
                 }
-                // The heap form is a warm-up temporary: interning
-                // copies it into the slabs, then it is dropped.
-                let prepared = self.matcher.prepare(e);
-                let id = arena.intern(key, &prepared.values);
+                // Each rule's measure writes its form straight into the
+                // slabs; no heap `PreparedEntity` is built.
+                let (rules, hints) = (&self.matcher.rules, &mut self.attribute_hints);
+                let id = arena.intern_with(key, rules.len(), |arena, rule| {
+                    let MatchRule {
+                        attribute,
+                        similarity,
+                        ..
+                    } = &rules[rule];
+                    e.get_hinted(attribute, &mut hints[rule])
+                        .map(|value| similarity.prepare_into(value, arena))
+                });
                 ids.insert(key, id);
                 PreparedHandle::Arena(id)
             }
@@ -522,6 +642,97 @@ impl MatcherCache {
                 arena.expect("arena handle requires an arena-mode cache"),
                 *id,
             ),
+        }
+    }
+
+    /// Appends the prepared form of `e` to `column` (preparing it on
+    /// first sight, like [`MatcherCache::handle`]).
+    pub fn push(&mut self, column: &mut PreparedColumn, e: &Entity) {
+        let handle = self.handle(e);
+        let values = Self::values_ref(self.arena(), &handle);
+        self.matcher.check_rule_slots(values);
+        if column.sketched {
+            let sketch = self
+                .matcher
+                .sole_rule()
+                .and_then(|_| match values.value(0) {
+                    Some(view) => view.sketch(),
+                    // A missing attribute sketches as the empty string. The
+                    // prefilter drops a pair only when the measure provably
+                    // scores it below the threshold; no measure scores
+                    // below 0.0, so the threshold is then positive and the
+                    // 0.0 a missing attribute scores falls short of it too.
+                    None => Some(Sketch::EMPTY),
+                });
+            match sketch {
+                Some(sketch) => column.sketches.push(sketch),
+                None => {
+                    column.sketched = false;
+                    column.sketches.clear();
+                }
+            }
+        }
+        column.handles.push(handle);
+    }
+
+    /// Threshold decisions of `column`'s member `probe` against each
+    /// member in `members`: calls `hit(position, score)` for the
+    /// matching ones, in ascending position. `probe_first` puts the
+    /// probe on the measures' left. Decisions and scores equal
+    /// [`MatcherCache::matches_handles`] pair by pair; the strip just
+    /// gets there cheaper — the measure's batch prefilter discards
+    /// what it can on the sketch column, and only the survivors
+    /// (positions relative to `members.start`, left in `scratch`) reach
+    /// the scalar kernel. Allocates nothing once `scratch` has grown.
+    ///
+    /// # Panics
+    /// If `column` was not filled by this cache's
+    /// [`push`](MatcherCache::push), or a position is out of range.
+    pub fn matches_strip(
+        &self,
+        column: &PreparedColumn,
+        probe: usize,
+        members: std::ops::Range<usize>,
+        probe_first: bool,
+        scratch: &mut Vec<u32>,
+        hit: impl FnMut(usize, f64),
+    ) {
+        scratch.clear();
+        match self.matcher.sole_rule() {
+            Some(rule) if column.sketched => rule.similarity.survivors_at_least(
+                &column.sketches[probe],
+                &column.sketches[members.clone()],
+                self.matcher.threshold,
+                scratch,
+            ),
+            _ => scratch
+                .extend(0..u32::try_from(members.len()).expect("a column fits u32 positions")),
+        }
+        self.matches_picked(column, probe, members.start, scratch, probe_first, hit);
+    }
+
+    /// [`MatcherCache::matches_strip`] over an explicit selection: the
+    /// members at `base + offset` for each of `picked`, no prefilter.
+    pub fn matches_picked(
+        &self,
+        column: &PreparedColumn,
+        probe: usize,
+        base: usize,
+        picked: &[u32],
+        probe_first: bool,
+        mut hit: impl FnMut(usize, f64),
+    ) {
+        let arena = self.arena();
+        let kernel = ProbeKernel::new(
+            &self.matcher,
+            Self::values_ref(arena, &column.handles[probe]),
+            probe_first,
+        );
+        for &offset in picked {
+            let member = base + offset as usize;
+            if let Some(score) = kernel.matches(Self::values_ref(arena, &column.handles[member])) {
+                hit(member, score);
+            }
         }
     }
 

@@ -4,6 +4,7 @@
 use std::cell::RefCell;
 
 use super::{Prepared, PreparedView, Similarity};
+use crate::arena::{ArenaValue, PreparedArena};
 
 thread_local! {
     /// Match bookkeeping (`b_used`, matched chars of each side) reused
@@ -82,6 +83,10 @@ impl Similarity for JaroWinkler {
             chars: s.chars().collect(),
             histogram: None,
         }
+    }
+
+    fn prepare_into(&self, s: &str, arena: &mut PreparedArena) -> ArenaValue {
+        arena.intern_chars(s.chars(), false)
     }
 
     fn sim_view(&self, a: &PreparedView<'_>, b: &PreparedView<'_>) -> f64 {

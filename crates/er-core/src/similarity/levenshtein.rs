@@ -11,7 +11,8 @@
 
 use std::cell::RefCell;
 
-use super::{Prepared, PreparedView, Similarity, HISTOGRAM_BUCKETS};
+use super::{Prepared, PreparedView, Similarity, Sketch, HISTOGRAM_BUCKETS};
+use crate::arena::{ArenaValue, PreparedArena};
 
 thread_local! {
     /// The two DP rows both Levenshtein DP kernels work in. Thread-local
@@ -23,11 +24,14 @@ thread_local! {
 
     /// The bit-parallel kernel's pattern masks, rebuilt per pair.
     static PATTERN_MASKS: RefCell<PatternMasks> = const { RefCell::new(PatternMasks::new()) };
+
+    /// The batch prefilter's [`max_distance`] table, kept across calls.
+    static MAX_DISTANCES: RefCell<MaxDistances> = const { RefCell::new(MaxDistances::new()) };
 }
 
 /// Bucketed character counts of `chars`: scalar value → one of
 /// [`HISTOGRAM_BUCKETS`] saturating `u8` counters.
-fn char_histogram(chars: &[char]) -> [u8; HISTOGRAM_BUCKETS] {
+pub(crate) fn char_histogram(chars: &[char]) -> [u8; HISTOGRAM_BUCKETS] {
     let mut histogram = [0u8; HISTOGRAM_BUCKETS];
     for &c in chars {
         // Fibonacci hashing: the top five bits of the product spread
@@ -284,6 +288,67 @@ pub fn levenshtein_bounded_chars(a_chars: &[char], b_chars: &[char], k: usize) -
     })
 }
 
+/// The similarity of two strings `d` edits apart, the longer `max_len`
+/// scalars long.
+fn similarity_at(d: usize, max_len: usize) -> f64 {
+    1.0 - d as f64 / max_len as f64
+}
+
+/// Largest distance two strings, the longer `max_len > 0` scalars long,
+/// can be apart and still reach `floor` — under the *exact f64
+/// predicate* the slow path applies. Derived by nudging a float
+/// estimate down until the predicate holds, so threshold-boundary pairs
+/// (e.g. distance 2 at length 10 against floor 0.8) behave identically
+/// to `sim_prepared(..) >= floor`. The estimate is the product
+/// truncated, plus one: above the product, which is within rounding
+/// error (far below 1) of any distance the predicate admits, hence
+/// never below the bound — and at most two steps above it, without a
+/// call into libm's `ceil`.
+fn max_distance(max_len: usize, floor: f64) -> usize {
+    let mut k = (((1.0 - floor) * max_len as f64) as usize + 1).min(max_len);
+    while k > 0 && similarity_at(k, max_len) < floor {
+        k -= 1;
+    }
+    k
+}
+
+/// [`max_distance`] by `max_len` for one floor, filled on demand: the
+/// batch prefilter looks `k` up instead of deriving it per pair.
+struct MaxDistances {
+    floor_bits: u64,
+    by_max_len: Vec<u32>,
+}
+
+impl MaxDistances {
+    const fn new() -> Self {
+        Self {
+            floor_bits: 0,
+            by_max_len: Vec::new(),
+        }
+    }
+
+    /// Forgets the table when it was filled for another floor.
+    fn reset_for(&mut self, floor: f64) {
+        if self.floor_bits != floor.to_bits() {
+            self.floor_bits = floor.to_bits();
+            self.by_max_len.clear();
+        }
+    }
+
+    /// `max_distance(max_len, floor)`; `floor` is the one last passed
+    /// to [`reset_for`](Self::reset_for).
+    fn get(&mut self, max_len: u32, floor: f64) -> u32 {
+        if let Some(&k) = self.by_max_len.get(max_len as usize) {
+            return k;
+        }
+        for len in self.by_max_len.len()..=max_len as usize {
+            // `k ≤ len ≤ max_len`, so it fits.
+            self.by_max_len.push(max_distance(len, floor) as u32);
+        }
+        self.by_max_len[max_len as usize]
+    }
+}
+
 /// `1 − d(a,b) / max(|a|,|b|)`: the similarity the paper thresholds at
 /// 0.8. Empty-vs-empty compares as identical (similarity 1).
 #[derive(Debug, Clone, Copy, Default)]
@@ -331,20 +396,7 @@ impl Similarity for NormalizedLevenshtein {
             // `sim >= floor` being false for every pair.
             return None;
         }
-        let sim_of = |d: usize| 1.0 - d as f64 / max_len as f64;
-        // Largest admissible distance under the *exact f64 predicate*
-        // the slow path applies — derived by nudging a float estimate
-        // down until the predicate holds, so threshold-boundary pairs
-        // (e.g. distance 2 at length 10 against floor 0.8) behave
-        // identically to `sim_prepared(..) >= floor`. The estimate is
-        // the product truncated, plus one: above the product, which is
-        // within rounding error (far below 1) of any distance the
-        // predicate admits, hence never below the bound — and at most
-        // two steps above it, without a call into libm's `ceil`.
-        let mut k = (((1.0 - floor) * max_len as f64) as usize + 1).min(max_len);
-        while k > 0 && sim_of(k) < floor {
-            k -= 1;
-        }
+        let k = max_distance(max_len, floor);
         let (short, long) = if ac.len() <= bc.len() {
             (ac, bc)
         } else {
@@ -370,7 +422,40 @@ impl Similarity for NormalizedLevenshtein {
         } else {
             levenshtein_bounded_chars(short, long, k)?
         };
-        (d <= k).then(|| sim_of(d))
+        (d <= k).then(|| similarity_at(d, max_len))
+    }
+
+    /// The first two stages of
+    /// [`sim_view_at_least`](Similarity::sim_view_at_least) — the
+    /// length gap and the histogram bound against the same
+    /// `max_distance` — over a dense column: whatever they reject
+    /// here the scalar kernel rejects too, and everything else is left
+    /// to it.
+    fn survivors_at_least(
+        &self,
+        probe: &Sketch,
+        members: &[Sketch],
+        floor: f64,
+        survivors: &mut Vec<u32>,
+    ) {
+        MAX_DISTANCES.with(|table| {
+            let mut table = table.borrow_mut();
+            table.reset_for(floor);
+            for (position, member) in (0u32..).zip(members) {
+                let k = u64::from(table.get(probe.len.max(member.len), floor));
+                let gap = u64::from(probe.len.abs_diff(member.len));
+                let l1 = u64::from(histogram_l1(&probe.histogram, &member.histogram));
+                // One rarely-taken branch: the two tests are evaluated
+                // together so the common reject never mispredicts.
+                if (gap <= k) & (l1 + gap <= 2 * k) {
+                    survivors.push(position);
+                }
+            }
+        });
+    }
+
+    fn prepare_into(&self, s: &str, arena: &mut PreparedArena) -> ArenaValue {
+        arena.intern_chars(s.chars(), true)
     }
 
     fn name(&self) -> &'static str {
@@ -525,6 +610,33 @@ mod tests {
     }
 
     #[test]
+    fn batch_prefilter_drops_far_pairs_and_keeps_near_ones() {
+        let s = NormalizedLevenshtein;
+        let sketch = |t: &str| s.prepare(t).view().sketch().expect("has a histogram");
+        let column: Vec<Sketch> = [
+            "abcdefghij",           // identical
+            "abcdefghXY",           // two substitutions: exactly 0.8
+            "abcdefgXYZ",           // three: the histograms are 6 apart
+            "abcdefghijklmnopqrst", // same letters and more: the gap decides
+            "jihgfedcba",           // an anagram: only the kernel can tell
+            "",
+        ]
+        .map(sketch)
+        .into();
+        let survivors = |probe: &str, floor: f64| {
+            let mut out = Vec::new();
+            s.survivors_at_least(&sketch(probe), &column, floor, &mut out);
+            out
+        };
+        assert_eq!(survivors("abcdefghij", 0.8), [0, 1, 4]);
+        assert_eq!(survivors("abcdefghij", 1.0), [0, 4]);
+        assert_eq!(survivors("abcdefghij", 0.0), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(survivors("", 0.8), [5]);
+        // The table restarts when the floor changes back.
+        assert_eq!(survivors("abcdefghij", 0.8), [0, 1, 4]);
+    }
+
+    #[test]
     fn bit_parallel_kernel_on_fixed_cases() {
         let d = |p: &str, t: &str| levenshtein_bit_parallel(&chars(p), &chars(t));
         assert_eq!(d("kitten", "sitting"), 3);
@@ -623,6 +735,37 @@ mod tests {
             let expected = (slow >= floor).then(|| slow.to_bits());
             prop_assert_eq!(s.sim_prepared_at_least(&pa, &pb, floor).map(f64::to_bits), expected);
             prop_assert_eq!(arena_at_least(&pa, &pb, floor).map(f64::to_bits), expected);
+        }
+
+        #[test]
+        fn batch_prefilter_never_drops_a_pair_the_kernel_accepts(
+            probe in string_pairs(),
+            others in vec(string_pairs(), 0..6),
+            floor in floors(),
+        ) {
+            // One column out of every shape `string_pairs` draws; the
+            // probe's near-duplicate is a member, so survivors exist.
+            let s = NormalizedLevenshtein;
+            let members: Vec<String> = std::iter::once(probe.1)
+                .chain(others.into_iter().flat_map(|(a, b)| [a, b]))
+                .collect();
+            let prepared: Vec<Prepared> = members.iter().map(|m| s.prepare(m)).collect();
+            let sketch = |p: &Prepared| p.view().sketch().expect("prepared with a histogram");
+            let column: Vec<Sketch> = prepared.iter().map(sketch).collect();
+            let probe = s.prepare(&probe.0);
+            // Stale content must survive the call: survivors are appended.
+            let mut survivors = vec![u32::MAX];
+            s.survivors_at_least(&sketch(&probe), &column, floor, &mut survivors);
+            prop_assert_eq!(survivors.remove(0), u32::MAX);
+            prop_assert!(survivors.windows(2).all(|w| w[0] < w[1]), "{:?}", survivors);
+            for (position, member) in (0u32..).zip(&prepared) {
+                if s.sim_prepared_at_least(&probe, member, floor).is_some() {
+                    prop_assert!(
+                        survivors.contains(&position),
+                        "dropped {:?} at floor {}", members[position as usize], floor
+                    );
+                }
+            }
         }
 
         #[test]

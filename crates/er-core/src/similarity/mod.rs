@@ -51,6 +51,12 @@
 //! otherwise; either returns the true distance, so decisions and
 //! scores equal the unthresholded path's bit for bit.
 //!
+//! A compare loop that holds a whole block can go one step further:
+//! [`Similarity::survivors_at_least`] applies the same two bounds to a
+//! dense column of [`Sketch`]es (count and histogram, 36 bytes a
+//! value) and names the members still worth a kernel call — a
+//! prefilter only, so it cannot change a decision or a score.
+//!
 //! Every kernel is written against borrowed [`PreparedView`]s, so the
 //! same code path serves heap [`Prepared`] values and entities
 //! interned into a [`crate::arena::PreparedArena`] slab; kernels keep
@@ -62,6 +68,8 @@
 //! [`crate::matcher::PreparedEntity`] and
 //! [`crate::matcher::MatcherCache`].
 
+use crate::arena::{ArenaValue, PreparedArena};
+
 mod cosine;
 mod jaccard;
 mod jaro;
@@ -72,6 +80,7 @@ mod ngram;
 pub use cosine::CosineTokens;
 pub use jaccard::Jaccard;
 pub use jaro::JaroWinkler;
+pub(crate) use levenshtein::char_histogram;
 pub use levenshtein::{
     levenshtein_distance, levenshtein_distance_chars, levenshtein_within, NormalizedLevenshtein,
 };
@@ -82,6 +91,25 @@ pub use ngram::NGram;
 /// 32 saturating `u8` counts are two SSE registers (one AVX2 register),
 /// so the L1 distance of two histograms is a handful of instructions.
 pub(crate) const HISTOGRAM_BUCKETS: usize = 32;
+
+/// A fixed-size digest of one prepared value — its scalar count and its
+/// bucketed character histogram — laid out so that a column of them is
+/// one dense array. [`Similarity::survivors_at_least`] decides on
+/// sketches alone, so a block-at-a-time compare loop touches 36 bytes
+/// per member instead of chasing each value through its slab.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sketch {
+    pub(crate) histogram: [u8; HISTOGRAM_BUCKETS],
+    pub(crate) len: u32,
+}
+
+impl Sketch {
+    /// The sketch of the empty string.
+    pub const EMPTY: Sketch = Sketch {
+        histogram: [0; HISTOGRAM_BUCKETS],
+        len: 0,
+    };
+}
 
 /// A measure-specific preprocessed representation of one string.
 ///
@@ -177,6 +205,21 @@ impl<'a> PreparedView<'a> {
         match self {
             PreparedView::Chars { chars, histogram } => (chars, histogram),
             other => panic!("expected Prepared::Chars, got {other:?}"),
+        }
+    }
+
+    /// The value's [`Sketch`]: `Some` exactly for char buffers prepared
+    /// with a histogram (and short enough for a `u32` count).
+    pub fn sketch(self) -> Option<Sketch> {
+        match self {
+            PreparedView::Chars {
+                chars,
+                histogram: Some(histogram),
+            } => Some(Sketch {
+                histogram: *histogram,
+                len: u32::try_from(chars.len()).ok()?,
+            }),
+            _ => None,
         }
     }
 
@@ -313,6 +356,15 @@ pub trait Similarity: Send + Sync {
     /// [`sim_view`](Similarity::sim_view)).
     fn prepare(&self, s: &str) -> Prepared;
 
+    /// [`prepare`](Similarity::prepare) written straight into `arena`'s
+    /// slabs. The default prepares on the heap and copies; measures
+    /// whose prepared form is one flat buffer override it to skip the
+    /// temporary. Either way the interned value views exactly like
+    /// `prepare(s)`.
+    fn prepare_into(&self, s: &str, arena: &mut PreparedArena) -> ArenaValue {
+        arena.intern_value(&self.prepare(s))
+    }
+
     /// Similarity of two prepared views; `1.0` means identical. The
     /// single kernel both storage paths (heap [`Prepared`] and arena
     /// slabs) funnel into — implementations must not allocate per
@@ -359,6 +411,31 @@ pub trait Similarity: Send + Sync {
     ) -> Option<f64> {
         let s = self.sim_view(a, b);
         (s >= floor).then_some(s)
+    }
+
+    /// Batch prefilter of
+    /// [`sim_view_at_least`](Similarity::sim_view_at_least): appends to
+    /// `survivors`, in ascending order, the position in `members` of
+    /// every value whose pair with `probe` **may** reach `floor`. All
+    /// sketches are of values this measure prepared.
+    ///
+    /// The contract is one-sided: a position left out is a pair for
+    /// which `sim_view_at_least` returns `None`; a position kept
+    /// promises nothing, and the caller hands it to
+    /// `sim_view_at_least`. Decisions and scores therefore cannot
+    /// depend on the filter. The default keeps everything;
+    /// [`NormalizedLevenshtein`] drops what its length and histogram
+    /// bounds already reject, at two loads and a 32-byte L1 a pair.
+    fn survivors_at_least(
+        &self,
+        probe: &Sketch,
+        members: &[Sketch],
+        floor: f64,
+        survivors: &mut Vec<u32>,
+    ) {
+        let _ = (probe, floor);
+        let len = u32::try_from(members.len()).expect("a sketch column fits u32 positions");
+        survivors.extend(0..len);
     }
 
     /// [`sim_view_at_least`](Similarity::sim_view_at_least) over heap

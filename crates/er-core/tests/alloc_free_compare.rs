@@ -3,7 +3,10 @@
 //! all-pairs `matches_handles` sweep performs **zero** heap
 //! allocations — through the weighted multi-rule path and through the
 //! thresholded edit-distance kernel (histogram filter, bit-parallel
-//! verifier, banded fallback) alike.
+//! verifier, banded fallback) alike. The block-at-a-time form the
+//! reducers run — a `PreparedColumn` swept in `matches_strip`s — is
+//! held to the same: nothing per pair, and nothing per group either
+//! once the column and the cache have seen the group's entities.
 //!
 //! A single `#[test]` drives the whole file — integration tests in one
 //! binary may run on multiple threads, which would make a global
@@ -13,7 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use er_core::{Entity, MatchRule, Matcher, MatcherCache};
+use er_core::{Entity, MatchRule, Matcher, MatcherCache, PreparedColumn};
 
 /// Counts every allocation routed through the global allocator.
 struct CountingAlloc;
@@ -103,14 +106,8 @@ fn assert_hot_sweep_allocates_nothing(matcher: Matcher, entities: &[Entity]) -> 
         "arena compare loop allocated {during} times after warm-up"
     );
     assert_eq!(
-        warm_decisions
-            .iter()
-            .map(|d| d.map(f64::to_bits))
-            .collect::<Vec<_>>(),
-        hot_decisions
-            .iter()
-            .map(|d| d.map(f64::to_bits))
-            .collect::<Vec<_>>(),
+        bits(&warm_decisions),
+        bits(&hot_decisions),
         "hot pass must reproduce warm-up decisions bit-exactly"
     );
     // Sanity: the sweep actually compared things both ways.
@@ -119,14 +116,53 @@ fn assert_hot_sweep_allocates_nothing(matcher: Matcher, entities: &[Entity]) -> 
     hot_decisions
 }
 
+/// The same sweep as strips over a column, the way a reducer runs a
+/// group: the first group pays for the column, the cache entries and
+/// the scratch; loading and sweeping the group again must not touch the
+/// allocator at all. Returns the second sweep's decisions, in the order
+/// of [`assert_hot_sweep_allocates_nothing`].
+fn assert_hot_group_allocates_nothing(matcher: Matcher, entities: &[Entity]) -> Vec<Option<f64>> {
+    let mut cache = MatcherCache::new(Arc::new(matcher));
+    let mut column = PreparedColumn::new();
+    let mut scratch = Vec::new();
+    let n = entities.len();
+    // decisions[i][j - i - 1] is pair (i, j); every row pre-sized.
+    let mut decisions: Vec<Vec<Option<f64>>> = (0..n).map(|i| vec![None; n - i - 1]).collect();
+    let mut group_allocations = [0u64; 2];
+    for allocations in &mut group_allocations {
+        decisions.iter_mut().flatten().for_each(|d| *d = None);
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        column.truncate(0);
+        for entity in entities {
+            cache.push(&mut column, entity);
+        }
+        for later in 1..n {
+            cache.matches_strip(
+                &column,
+                later,
+                0..later,
+                false,
+                &mut scratch,
+                |earlier, score| {
+                    decisions[earlier][later - earlier - 1] = Some(score);
+                },
+            );
+        }
+        *allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    }
+    let [first, second] = group_allocations;
+    assert!(first > 0, "the first group builds the column");
+    assert_eq!(
+        second, 0,
+        "a warm group allocated {second} times ({first} when cold)"
+    );
+    decisions.into_iter().flatten().collect()
+}
+
 #[test]
 fn arena_compare_loop_allocates_nothing_after_warm_up() {
     let entities = corpus();
-    // A multi-rule matcher exercises every measure family through the
-    // weighted path: edit distance (chars + DP scratch), Jaro-Winkler
-    // (match scratch), Monge-Elkan (nested token views), Jaccard /
-    // n-gram (hashed sets), cosine (hashed counts).
-    assert_hot_sweep_allocates_nothing(
+    let weighted = || {
         Matcher::new(
             vec![
                 MatchRule::new("title", Arc::new(er_core::NormalizedLevenshtein)).with_weight(2.0),
@@ -137,9 +173,15 @@ fn arena_compare_loop_allocates_nothing_after_warm_up() {
                 MatchRule::new("brand", Arc::new(er_core::CosineTokens)),
             ],
             0.5,
-        ),
-        &entities,
-    );
+        )
+    };
+    // A multi-rule matcher exercises every measure family through the
+    // weighted path: edit distance (chars + DP scratch), Jaro-Winkler
+    // (match scratch), Monge-Elkan (nested token views), Jaccard /
+    // n-gram (hashed sets), cosine (hashed counts).
+    let pairwise = assert_hot_sweep_allocates_nothing(weighted(), &entities);
+    let by_strips = assert_hot_group_allocates_nothing(weighted(), &entities);
+    assert_eq!(bits(&pairwise), bits(&by_strips));
     // The paper's single-rule matcher takes the thresholded kernel:
     // most pairs die in the histogram filter, the near-duplicates are
     // verified bit-parallel, the two long titles by the banded DP.
@@ -149,4 +191,11 @@ fn arena_compare_loop_allocates_nothing_after_warm_up() {
         4,
         "canon, nikon, sony and the long hasselblad near-duplicates"
     );
+    // The strips reach them through the batch prefilter.
+    let by_strips = assert_hot_group_allocates_nothing(Matcher::paper_default(), &entities);
+    assert_eq!(bits(&decisions), bits(&by_strips));
+}
+
+fn bits(decisions: &[Option<f64>]) -> Vec<Option<u64>> {
+    decisions.iter().map(|d| d.map(f64::to_bits)).collect()
 }

@@ -9,9 +9,7 @@ use er_core::blocking::{BlockKey, BlockingFunction};
 use er_core::result::MatchPair;
 use mr_engine::prelude::*;
 
-use er_core::MatcherCache;
-
-use crate::compare::{PairComparer, PairTally, PreparedRef};
+use crate::compare::{GroupComparer, PairComparer};
 use crate::{Ent, Keyed};
 
 /// Basic mapper: derive the blocking key(s), emit `(key, entity)`.
@@ -46,24 +44,24 @@ impl Mapper for BasicMapper {
     }
 }
 
-/// Basic reducer: stream all pairs of one block.
+/// Basic reducer: all pairs of one block.
 ///
 /// Every entity of the block must be buffered — the memory problem the
 /// paper points out ("a reduce task must therefore store all entities
 /// passed to a reduce call in main memory"). Each entity is prepared
-/// once as it is buffered; the O(b²) pair loop runs entirely on cached
-/// prepared forms.
+/// once as it enters the driver's columns; the O(b²) pairs run block
+/// at a time on those.
 #[derive(Clone)]
 pub struct BasicReducer {
-    comparer: PairComparer,
-    cache: MatcherCache,
+    driver: GroupComparer,
 }
 
 impl BasicReducer {
     /// Creates the reducer.
     pub fn new(comparer: PairComparer) -> Self {
-        let cache = comparer.new_cache();
-        Self { comparer, cache }
+        Self {
+            driver: GroupComparer::new(comparer),
+        }
     }
 }
 
@@ -78,18 +76,9 @@ impl Reducer for BasicReducer {
         group: Group<'_, BlockKey, Keyed>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
-        let block = group.key().clone();
-        let mut tally = PairTally::default();
-        let mut buffer: Vec<PreparedRef<'_>> = Vec::with_capacity(group.len());
-        for e2 in group.values() {
-            let e2 = self.comparer.prepare_cached(&mut self.cache, e2);
-            for e1 in &buffer {
-                self.comparer
-                    .compare_prepared(&self.cache, e1, &e2, &block, &mut tally, ctx);
-            }
-            buffer.push(e2);
-        }
-        tally.flush(ctx);
+        self.driver.load(group.key(), group.values());
+        self.driver.all_pairs(|pair, score| ctx.emit(pair, score));
+        self.driver.flush(ctx);
     }
 }
 

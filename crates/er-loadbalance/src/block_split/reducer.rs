@@ -12,24 +12,23 @@
 //! interleaving.
 
 use er_core::result::MatchPair;
-use er_core::MatcherCache;
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
-use crate::compare::{PairComparer, PairTally, PreparedRef};
+use crate::compare::{GroupComparer, PairComparer};
 use crate::keys::{BlockSplitKey, BlockSplitValue};
 
 /// The BlockSplit reducer.
 #[derive(Clone)]
 pub struct BlockSplitReducer {
-    comparer: PairComparer,
-    cache: MatcherCache,
+    driver: GroupComparer,
 }
 
 impl BlockSplitReducer {
     /// Creates the reducer.
     pub fn new(comparer: PairComparer) -> Self {
-        let cache = comparer.new_cache();
-        Self { comparer, cache }
+        Self {
+            driver: GroupComparer::new(comparer),
+        }
     }
 }
 
@@ -45,63 +44,26 @@ impl Reducer for BlockSplitReducer {
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let key = *group.key();
-        let block_key = group
-            .values()
-            .next()
-            .expect("groups are non-empty")
-            .keyed
-            .key
-            .clone();
-        let mut tally = PairTally::default();
+        let first = group.values().next().expect("groups are non-empty");
+        let driver = &mut self.driver;
+        let emit = |pair, score| ctx.emit(pair, score);
         if key.i == key.j {
             // Match task k.* or k.i: all pairs within the group.
-            let mut buffer: Vec<PreparedRef<'_>> = Vec::with_capacity(group.len());
-            for e2 in group.values() {
-                let e2 = self.comparer.prepare_cached(&mut self.cache, &e2.keyed);
-                for e1 in &buffer {
-                    self.comparer.compare_prepared(
-                        &self.cache,
-                        e1,
-                        &e2,
-                        &block_key,
-                        &mut tally,
-                        ctx,
-                    );
-                }
-                buffer.push(e2);
-            }
+            driver.load(&first.keyed.key, group.values().map(|v| &v.keyed));
+            driver.all_pairs(emit);
         } else {
             // Match task k.i×j: Cartesian product of two sub-blocks.
             // Bucket by the partition annotation of the first value
             // seen (paper: `firstPartitionIndex`).
-            let mut values = group.values();
-            let first = values.next().expect("groups are non-empty");
-            let first_partition = first.partition;
-            let mut bucket_a: Vec<PreparedRef<'_>> =
-                vec![self.comparer.prepare_cached(&mut self.cache, &first.keyed)];
-            let mut bucket_b: Vec<PreparedRef<'_>> = Vec::new();
-            for v in values {
-                let prepared = self.comparer.prepare_cached(&mut self.cache, &v.keyed);
-                if v.partition == first_partition {
-                    bucket_a.push(prepared);
-                } else {
-                    bucket_b.push(prepared);
-                }
-            }
-            for e1 in &bucket_a {
-                for e2 in &bucket_b {
-                    self.comparer.compare_prepared(
-                        &self.cache,
-                        e1,
-                        e2,
-                        &block_key,
-                        &mut tally,
-                        ctx,
-                    );
-                }
-            }
+            let side = |first_side: bool| {
+                group
+                    .values()
+                    .filter(move |v| (v.partition == first.partition) == first_side)
+                    .map(|v| &v.keyed)
+            };
+            driver.cross(&first.keyed.key, side(true), side(false), emit);
         }
-        tally.flush(ctx);
+        driver.flush(ctx);
     }
 }
 

@@ -1,31 +1,61 @@
-//! Shared pair-comparison context used by every strategy's reducer.
+//! The compare path every reducer shares, block at a time.
 //!
-//! Reducers buffer a block's entities and evaluate all O(b²) pairs.
-//! The prepared path keeps that quadratic loop allocation-free: each
-//! entity is preprocessed **once** via [`PairComparer::prepare_cached`]
-//! (backed by a per-task [`MatcherCache`], so even entities revisited
-//! across groups — PairRange range replicas, multi-pass blocking — are
-//! prepared a single time), and pairs are scored through
-//! [`PairComparer::compare_prepared`] on the cached
-//! [`PreparedHandle`]s. The default cache runs in arena mode, so the
-//! handles are `Copy`-sized ids into contiguous slabs and the compare
-//! loop allocates nothing after warm-up. In count-only mode
-//! preparation is skipped entirely; the similarity measure never runs.
+//! The paper balances *comparisons*, so what one comparison costs
+//! inside a reduce group is the constant every figure multiplies. A
+//! reducer therefore never walks pairs itself: it hands its group to
+//! the task's [`GroupComparer`], which works in four steps.
 //!
-//! The loop counts into a [`PairTally`] — three local integers — and
-//! the reducer flushes it into the task's counters once per reduce
-//! group: with the thresholded kernel at some ten nanoseconds a pair,
-//! a by-name counter update per pair would cost more than the compare.
+//! 1. **Group → columns.** [`GroupComparer::push`] resolves each member
+//!    once: its [`EntityRef`], its key list (see 2.) and — unless the
+//!    comparer is count-only — its cached prepared form in an
+//!    [`er_core::PreparedColumn`] (the task's [`MatcherCache`] prepares
+//!    an entity on first sight only, however many groups revisit it).
+//!    The columns borrow nothing: they are refilled group after group,
+//!    and a sliding window keeps them across groups, evicting from the
+//!    front.
+//! 2. **Gates, where they are cheapest.** The smallest-common-block
+//!    rule is decided *per member*: for single-key lists it reads
+//!    `a == b && a == block`, so a group whose members all have the
+//!    group's block as their only key (all of single-pass blocking)
+//!    needs no per-pair key test — O(n) key compares instead of O(n²).
+//!    One member that is multi-key, or keyed elsewhere, drops the group
+//!    to the per-pair rule. `cross_source_only`, `skip_pairs` and
+//!    `count_only` are properties of the comparer, read once per strip.
+//! 3. **Strips.** Every shape a reducer needs — all pairs of a group,
+//!    the cross product of two member ranges, a window's new arrival
+//!    against its ring, a PairRange slice — is a sequence of *strips*:
+//!    one probe member against a contiguous member range
+//!    ([`GroupComparer::strip`]). An ungated strip counts its
+//!    [`COMPARISONS`] in one addition; a count-only one is done then.
+//! 4. **Prefilter → kernel.** Under a single-rule matcher the
+//!    measure's batch prefilter
+//!    ([`er_core::Similarity::survivors_at_least`]) runs over the
+//!    strip's dense sketch column — for edit distance two loads, the
+//!    length gap and a 32-byte L1 per pair — and every member it cannot
+//!    reject goes to the unchanged scalar kernel (`sim_view_at_least`),
+//!    which decides and scores it.
+//!
+//! Both shortcuts are sound by construction. The per-member gate skips
+//! the per-pair rule only where that rule is a tautology. The prefilter
+//! may only drop pairs the kernel would reject and never decides a
+//! match: every emitted pair and score bit comes from the same kernel
+//! call the one-shot [`PairComparer::compare`] makes — the reference
+//! the module's proptest holds the driver against, counters included.
+//!
+//! Counts go to three integers flushed once per reduce group
+//! ([`GroupComparer::flush`]): at a few nanoseconds a pair, a by-name
+//! counter update per pair would cost more than the compare.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
-use er_core::{Matcher, MatcherCache, PreparedHandle};
+use er_core::{EntityRef, Matcher, MatcherCache, PreparedColumn};
 use mr_engine::reducer::ReduceContext;
 
-use crate::{Keyed, COMPARISONS};
+use crate::{smallest_common_key_is, Keyed, COMPARISONS};
 
 /// Counter: pairs skipped by a multi-pass dedup gate — either the
 /// smallest-common-block rule of multi-pass *blocking*, or the
@@ -41,24 +71,16 @@ pub const MULTIPASS_SKIPPED: &str = "er.multipass.skipped";
 /// evaluate R × S window pairs.
 pub const SAME_SOURCE_SKIPPED: &str = "er.two_source.same_source_skipped";
 
-/// What one reduce group's pair loop has counted so far: evaluated
-/// pairs ([`COMPARISONS`]) and pairs a gate skipped
-/// ([`MULTIPASS_SKIPPED`], [`SAME_SOURCE_SKIPPED`]). Filled by
-/// [`PairComparer::compare_prepared`]; the reducer must
-/// [`flush`](PairTally::flush) it before its `reduce` returns, or the
-/// counts are lost.
-#[derive(Debug, Default)]
-pub struct PairTally {
+/// Pairs counted since the last flush, by counter.
+#[derive(Debug, Clone, Default)]
+struct PairTally {
     comparisons: u64,
     multipass_skipped: u64,
     same_source_skipped: u64,
 }
 
 impl PairTally {
-    /// Adds the tallied counts to `ctx`'s counters and resets the
-    /// tally. A count of zero is not written, so a counter still exists
-    /// only where at least one pair was counted under it.
-    pub fn flush<KO, VO>(&mut self, ctx: &mut ReduceContext<KO, VO>) {
+    fn flush<KO, VO>(&mut self, ctx: &mut ReduceContext<KO, VO>) {
         for (name, count) in [
             (COMPARISONS, &mut self.comparisons),
             (MULTIPASS_SKIPPED, &mut self.multipass_skipped),
@@ -107,11 +129,8 @@ impl PairComparer {
     /// match output does not.
     pub fn count_only(matcher: Arc<Matcher>) -> Self {
         Self {
-            matcher,
             count_only: true,
-            cache_capacity: None,
-            skip_pairs: None,
-            cross_source_only: false,
+            ..Self::new(matcher)
         }
     }
 
@@ -143,20 +162,23 @@ impl PairComparer {
     /// blocking), cross-source-only, already-compared (multi-pass SN) —
     /// and counts the pair under the counter it falls to. True iff the
     /// pair is to be evaluated.
-    fn admit(&self, a: &Keyed, b: &Keyed, current: &BlockKey, tally: &mut PairTally) -> bool {
-        if !a.should_compare_in(b, current) {
+    fn admit(
+        &self,
+        (a, a_keys): (EntityRef, &[BlockKey]),
+        (b, b_keys): (EntityRef, &[BlockKey]),
+        current: &BlockKey,
+        tally: &mut PairTally,
+    ) -> bool {
+        if !smallest_common_key_is(a_keys, b_keys, current) {
             tally.multipass_skipped += 1;
             return false;
         }
-        if self.cross_source_only && a.entity.source() == b.entity.source() {
+        if self.cross_source_only && a.source == b.source {
             tally.same_source_skipped += 1;
             return false;
         }
         if let Some(skip) = &self.skip_pairs {
-            if skip.contains(&MatchPair::new(
-                a.entity.entity_ref(),
-                b.entity.entity_ref(),
-            )) {
+            if skip.contains(&MatchPair::new(a, b)) {
                 tally.multipass_skipped += 1;
                 return false;
             }
@@ -195,10 +217,9 @@ impl PairComparer {
     /// Compares `a` and `b` within `current` block, emitting a match
     /// record if the pair reaches the matcher's threshold.
     ///
-    /// One-shot entry point: both entities are preprocessed from
-    /// scratch. Reducers evaluating whole blocks should use
-    /// [`PairComparer::prepare_cached`] +
-    /// [`PairComparer::compare_prepared`] instead.
+    /// One-shot: both entities are preprocessed from scratch, the pair
+    /// gated, counted and scored on its own. Reducers go through a
+    /// [`GroupComparer`]; this is the reference it is tested against.
     pub fn compare(
         &self,
         a: &Keyed,
@@ -207,7 +228,12 @@ impl PairComparer {
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let mut tally = PairTally::default();
-        let admitted = self.admit(a, b, current, &mut tally);
+        let admitted = self.admit(
+            (a.entity.entity_ref(), &a.all_keys),
+            (b.entity.entity_ref(), &b.all_keys),
+            current,
+            &mut tally,
+        );
         tally.flush(ctx);
         if !admitted || self.count_only {
             return;
@@ -220,103 +246,203 @@ impl PairComparer {
         }
     }
 
-    /// A fresh per-reduce-task cache for
-    /// [`PairComparer::prepare_cached`], honouring the configured
-    /// capacity bound.
+    /// A fresh per-reduce-task cache honouring the configured capacity
+    /// bound.
     pub fn new_cache(&self) -> MatcherCache {
         match self.cache_capacity {
             Some(capacity) => MatcherCache::with_capacity(Arc::clone(&self.matcher), capacity),
             None => MatcherCache::new(Arc::clone(&self.matcher)),
         }
     }
-
-    /// Wraps `keyed` with its cached prepared form, computing it on
-    /// first sight of the entity. Count-only comparers skip
-    /// preparation — the matcher never runs, so the work would be
-    /// wasted.
-    pub fn prepare_cached<'a>(
-        &self,
-        cache: &mut MatcherCache,
-        keyed: &'a Keyed,
-    ) -> PreparedRef<'a> {
-        PreparedRef {
-            keyed,
-            prepared: self.prepare_owned(cache, keyed),
-        }
-    }
-
-    /// The owned half of [`PairComparer::prepare_cached`]: just the
-    /// cached prepared handle (`None` exactly when count-only), for
-    /// buffers that outlive a borrow scope — e.g. a sliding window
-    /// carried across reduce groups. Reassemble a comparison handle
-    /// with [`PreparedRef::from_parts`].
-    pub fn prepare_owned(&self, cache: &mut MatcherCache, keyed: &Keyed) -> Option<PreparedHandle> {
-        (!self.count_only).then(|| cache.handle(&keyed.entity))
-    }
-
-    /// [`PairComparer::compare`] over prepared handles: same gate,
-    /// same emissions — but similarity runs on the cached
-    /// representations (through `cache`, which must be the one that
-    /// issued the handles), bit-exact with the string path, and the
-    /// pair is counted into `tally` instead of `ctx`'s counters: the
-    /// caller [`flush`](PairTally::flush)es once per reduce group.
-    pub fn compare_prepared(
-        &self,
-        cache: &MatcherCache,
-        a: &PreparedRef<'_>,
-        b: &PreparedRef<'_>,
-        current: &BlockKey,
-        tally: &mut PairTally,
-        ctx: &mut ReduceContext<MatchPair, f64>,
-    ) {
-        if let Some((pair, score)) = self.match_prepared(cache, a, b, current, tally) {
-            ctx.emit(pair, score);
-        }
-    }
-
-    /// [`PairComparer::compare_prepared`] without the emit: gate, tally
-    /// and matching are identical, but a found match is returned — for
-    /// reducers whose output type is not `(MatchPair, f64)` (er-sn's
-    /// window reducer interleaves matches with boundary records).
-    pub fn match_prepared(
-        &self,
-        cache: &MatcherCache,
-        a: &PreparedRef<'_>,
-        b: &PreparedRef<'_>,
-        current: &BlockKey,
-        tally: &mut PairTally,
-    ) -> Option<(MatchPair, f64)> {
-        if !self.admit(a.keyed, b.keyed, current, tally) || self.count_only {
-            return None;
-        }
-        let (pa, pb) = (
-            a.prepared.as_ref().expect("prepared under !count_only"),
-            b.prepared.as_ref().expect("prepared under !count_only"),
-        );
-        let score = cache.matches_handles(pa, pb)?;
-        let pair = MatchPair::new(a.keyed.entity.entity_ref(), b.keyed.entity.entity_ref());
-        Some((pair, score))
-    }
 }
 
-/// A block entity paired with its cached prepared handle — what the
-/// strategy reducers buffer instead of bare [`Keyed`] references.
-/// `prepared` is `None` exactly when the comparer is count-only.
+/// The group-level compare driver (see the [module documentation](self)):
+/// one per reduce task, holding the task's [`MatcherCache`] and the
+/// member columns. A reducer [`load`](Self::load)s a group, runs
+/// [`all_pairs`](Self::all_pairs), [`cross`](Self::cross) or its own
+/// [`strip`](Self::strip)s, and [`flush`](Self::flush)es the counts
+/// before its `reduce` returns.
 #[derive(Debug, Clone)]
-pub struct PreparedRef<'a> {
-    /// The annotated entity.
-    pub keyed: &'a Keyed,
-    prepared: Option<PreparedHandle>,
+pub struct GroupComparer {
+    comparer: PairComparer,
+    cache: MatcherCache,
+    /// The block the members are compared under.
+    block: BlockKey,
+    refs: Vec<EntityRef>,
+    /// Per member: `None` when its only key is `block` (it passes the
+    /// smallest-common-block rule against every other such member),
+    /// else its key list for the per-pair rule.
+    other_keys: Vec<Option<Arc<[BlockKey]>>>,
+    /// How many `other_keys` are `Some`.
+    per_pair_members: usize,
+    /// The members' prepared forms; stays empty under count-only.
+    prepared: PreparedColumn,
+    /// Member offsets a strip is about to score.
+    picked: Vec<u32>,
+    tally: PairTally,
 }
 
-impl<'a> PreparedRef<'a> {
-    /// Reassembles a comparison handle from parts produced by
-    /// [`PairComparer::prepare_owned`]. `prepared` must be the handle
-    /// that comparer's cache returned for this entity (`None` exactly
-    /// for count-only comparers) — handing a non-count-only comparer a
-    /// `None` panics inside the compare call.
-    pub fn from_parts(keyed: &'a Keyed, prepared: Option<PreparedHandle>) -> Self {
-        Self { keyed, prepared }
+impl GroupComparer {
+    /// A driver with a fresh cache.
+    pub fn new(comparer: PairComparer) -> Self {
+        Self {
+            cache: comparer.new_cache(),
+            comparer,
+            block: BlockKey::bottom(),
+            refs: Vec::new(),
+            other_keys: Vec::new(),
+            per_pair_members: 0,
+            prepared: PreparedColumn::new(),
+            picked: Vec::new(),
+            tally: PairTally::default(),
+        }
+    }
+
+    /// The task's prepared-entity cache.
+    pub fn cache(&self) -> &MatcherCache {
+        &self.cache
+    }
+
+    /// Starts a group compared under `block`: empties the columns.
+    pub fn begin(&mut self, block: &BlockKey) {
+        self.block = block.clone();
+        self.truncate(0);
+    }
+
+    /// [`begin`](Self::begin)s a group under `block` and
+    /// [`push`](Self::push)es `members` in order.
+    pub fn load<'a>(&mut self, block: &BlockKey, members: impl IntoIterator<Item = &'a Keyed>) {
+        self.begin(block);
+        for keyed in members {
+            self.push(keyed);
+        }
+    }
+
+    /// Appends `keyed` to the columns, preparing its entity on first
+    /// sight (never, under count-only); returns its position.
+    pub fn push(&mut self, keyed: &Keyed) -> usize {
+        let on_block = matches!(&*keyed.all_keys, [only] if *only == self.block);
+        self.per_pair_members += usize::from(!on_block);
+        self.other_keys
+            .push((!on_block).then(|| Arc::clone(&keyed.all_keys)));
+        self.refs.push(keyed.entity.entity_ref());
+        if !self.comparer.count_only {
+            self.cache.push(&mut self.prepared, &keyed.entity);
+        }
+        self.refs.len() - 1
+    }
+
+    /// Number of members in the columns.
+    pub fn len(&self) -> usize {
+        self.refs.len()
+    }
+
+    /// True when the columns hold no member.
+    pub fn is_empty(&self) -> bool {
+        self.refs.is_empty()
+    }
+
+    /// Drops the members from position `len <= self.len()` on.
+    pub fn truncate(&mut self, len: usize) {
+        self.per_pair_members -= self.other_keys.drain(len..).flatten().count();
+        self.refs.truncate(len);
+        self.prepared.truncate(len);
+    }
+
+    /// Drops the first `n` members; the rest move down by `n` — how a
+    /// sliding window forgets.
+    pub fn evict_front(&mut self, n: usize) {
+        self.per_pair_members -= self.other_keys.drain(..n).flatten().count();
+        self.refs.drain(..n);
+        if !self.comparer.count_only {
+            self.prepared.evict_front(n);
+        }
+    }
+
+    /// Evaluates member `probe` against each of `members`, in ascending
+    /// position, handing every match to `sink`. `probe_first` makes the
+    /// probe the pair's first entity (the measures' left argument).
+    pub fn strip(
+        &mut self,
+        probe: usize,
+        members: Range<usize>,
+        probe_first: bool,
+        mut sink: impl FnMut(MatchPair, f64),
+    ) {
+        let per_pair = self.per_pair_members > 0
+            || self.comparer.cross_source_only
+            || self.comparer.skip_pairs.is_some();
+        if per_pair {
+            let gate_entry = |position: usize| {
+                let keys = self.other_keys[position].as_deref();
+                let keys = keys.unwrap_or(std::slice::from_ref(&self.block));
+                (self.refs[position], keys)
+            };
+            let probe = gate_entry(probe);
+            self.picked.clear();
+            for (offset, member) in (0u32..).zip(members.clone()) {
+                let (a, b) = ordered(probe_first, probe, gate_entry(member));
+                if self.comparer.admit(a, b, &self.block, &mut self.tally) {
+                    self.picked.push(offset);
+                }
+            }
+        } else {
+            self.tally.comparisons += members.len() as u64;
+        }
+        if self.comparer.count_only {
+            return;
+        }
+        let hit = |member: usize, score: f64| {
+            let (a, b) = ordered(probe_first, self.refs[probe], self.refs[member]);
+            sink(MatchPair::new(a, b), score);
+        };
+        let (cache, prepared, picked) = (&self.cache, &self.prepared, &mut self.picked);
+        if per_pair {
+            cache.matches_picked(prepared, probe, members.start, picked, probe_first, hit);
+        } else {
+            cache.matches_strip(prepared, probe, members, probe_first, picked, hit);
+        }
+    }
+
+    /// Every pair of the columns' members: each against all before it.
+    pub fn all_pairs(&mut self, mut sink: impl FnMut(MatchPair, f64)) {
+        for later in 1..self.len() {
+            self.strip(later, 0..later, false, &mut sink);
+        }
+    }
+
+    /// Loads a group of two sides under `block` and evaluates their
+    /// cross product: each of `first` against all of `second`.
+    pub fn cross<'a>(
+        &mut self,
+        block: &BlockKey,
+        first: impl IntoIterator<Item = &'a Keyed>,
+        second: impl IntoIterator<Item = &'a Keyed>,
+        mut sink: impl FnMut(MatchPair, f64),
+    ) {
+        self.load(block, first);
+        let split = self.len();
+        for keyed in second {
+            self.push(keyed);
+        }
+        for probe in 0..split {
+            self.strip(probe, split..self.len(), true, &mut sink);
+        }
+    }
+
+    /// Adds what the strips counted since the last flush to `ctx`'s
+    /// counters; a zero count writes no counter.
+    pub fn flush<KO, VO>(&mut self, ctx: &mut ReduceContext<KO, VO>) {
+        self.tally.flush(ctx);
+    }
+}
+
+/// `(probe, member)` in pair order.
+fn ordered<T>(probe_first: bool, probe: T, member: T) -> (T, T) {
+    if probe_first {
+        (probe, member)
+    } else {
+        (member, probe)
     }
 }
 
@@ -333,8 +459,11 @@ impl std::fmt::Debug for PairComparer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_core::Entity;
+    use er_core::similarity::{Prepared, PreparedView, Similarity};
+    use er_core::{Entity, JaroWinkler, MatchRule, NormalizedLevenshtein, SourceId};
     use mr_engine::reducer::ReduceTaskInfo;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn ctx() -> ReduceContext<MatchPair, f64> {
         ReduceContext::for_testing(ReduceTaskInfo {
@@ -344,19 +473,22 @@ mod tests {
         })
     }
 
-    /// One pair through the prepared path as a reducer drives it:
-    /// compare into a tally, then flush.
-    fn compare_prepared(
-        comparer: &PairComparer,
-        cache: &MatcherCache,
-        a: &PreparedRef<'_>,
-        b: &PreparedRef<'_>,
-        current: &BlockKey,
-        ctx: &mut ReduceContext<MatchPair, f64>,
-    ) {
-        let mut tally = PairTally::default();
-        comparer.compare_prepared(cache, a, b, current, &mut tally, ctx);
-        tally.flush(ctx);
+    /// `members` through `driver` as a reducer runs a block: load, all
+    /// pairs, flush.
+    fn all_pairs(
+        driver: &mut GroupComparer,
+        block: &BlockKey,
+        members: &[&Keyed],
+    ) -> ReduceContext<MatchPair, f64> {
+        let mut c = ctx();
+        driver.load(block, members.iter().copied());
+        driver.all_pairs(|pair, score| c.emit(pair, score));
+        driver.flush(&mut c);
+        c
+    }
+
+    fn paper_comparer() -> PairComparer {
+        PairComparer::new(Arc::new(Matcher::paper_default()))
     }
 
     fn keyed(id: u64, title: &str) -> Keyed {
@@ -366,9 +498,24 @@ mod tests {
         )
     }
 
+    /// Two replicas of a two-key entity pair meeting in their *larger*
+    /// common block `zzz`.
+    fn multipass_pair() -> (Keyed, Keyed) {
+        let all: Arc<[BlockKey]> =
+            Arc::from(vec![BlockKey::new("aaa"), BlockKey::new("zzz")].into_boxed_slice());
+        let replica = |id| {
+            Keyed::replica(
+                BlockKey::new("zzz"),
+                Arc::clone(&all),
+                Arc::new(Entity::new(id, [("title", "same title")])),
+            )
+        };
+        (replica(1), replica(2))
+    }
+
     #[test]
     fn matching_pair_is_emitted_with_score() {
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+        let comparer = paper_comparer();
         let mut c = ctx();
         comparer.compare(
             &keyed(1, "abcdefghij"),
@@ -384,7 +531,7 @@ mod tests {
 
     #[test]
     fn non_matching_pair_is_counted_but_not_emitted() {
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+        let comparer = paper_comparer();
         let mut c = ctx();
         comparer.compare(
             &keyed(1, "abcdefghij"),
@@ -413,8 +560,8 @@ mod tests {
 
     #[test]
     fn prepared_path_matches_unprepared_path() {
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut cache = comparer.new_cache();
+        let comparer = paper_comparer();
+        let mut driver = GroupComparer::new(comparer.clone());
         let block = BlockKey::new("blk");
         for (id, (ta, tb)) in [
             ("abcdefghij", "abcdefghiX"), // match at 0.9
@@ -427,12 +574,7 @@ mod tests {
             let (a, b) = (keyed(2 * id as u64, ta), keyed(2 * id as u64 + 1, tb));
             let mut direct = ctx();
             comparer.compare(&a, &b, &block, &mut direct);
-            let mut prepared = ctx();
-            let (pa, pb) = (
-                comparer.prepare_cached(&mut cache, &a),
-                comparer.prepare_cached(&mut cache, &b),
-            );
-            compare_prepared(&comparer, &cache, &pa, &pb, &block, &mut prepared);
+            let prepared = all_pairs(&mut driver, &block, &[&a, &b]);
             assert_eq!(direct.output(), prepared.output());
             assert_eq!(
                 direct.counters().get(COMPARISONS),
@@ -443,28 +585,28 @@ mod tests {
 
     #[test]
     fn cache_capacity_threads_into_new_cache() {
-        let comparer =
-            PairComparer::new(Arc::new(Matcher::paper_default())).with_cache_capacity(Some(4));
+        let comparer = paper_comparer().with_cache_capacity(Some(4));
         assert_eq!(comparer.cache_capacity(), Some(4));
         assert_eq!(comparer.new_cache().capacity(), Some(4));
+        assert_eq!(
+            GroupComparer::new(comparer.clone()).cache().capacity(),
+            Some(4)
+        );
         let unbounded = comparer.with_cache_capacity(None);
         assert_eq!(unbounded.cache_capacity(), None);
         assert_eq!(unbounded.new_cache().capacity(), None);
     }
 
     #[test]
-    fn match_prepared_returns_the_match_and_counts_into_the_tally() {
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut cache = comparer.new_cache();
+    fn strip_hands_matches_to_the_sink_and_flush_writes_each_count_once() {
+        let mut driver = GroupComparer::new(paper_comparer());
         let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghiX"));
-        let (pa, pb) = (
-            comparer.prepare_cached(&mut cache, &a),
-            comparer.prepare_cached(&mut cache, &b),
-        );
-        let mut tally = PairTally::default();
-        let (pair, score) = comparer
-            .match_prepared(&cache, &pa, &pb, &BlockKey::new("blk"), &mut tally)
-            .expect("one edit in ten matches at 0.8");
+        driver.load(&BlockKey::new("blk"), [&a, &b]);
+        let mut matches = Vec::new();
+        driver.strip(1, 0..1, false, |pair, score| matches.push((pair, score)));
+        let [(pair, score)] = matches[..] else {
+            panic!("one edit in ten matches at 0.8: {matches:?}");
+        };
         assert_eq!(
             pair,
             MatchPair::new(a.entity.entity_ref(), b.entity.entity_ref())
@@ -477,28 +619,22 @@ mod tests {
             num_reduce_tasks: 1,
             num_map_tasks: 1,
         });
-        tally.flush(&mut ctx);
+        driver.flush(&mut ctx);
         assert_eq!(ctx.counters().get(COMPARISONS), 1);
         assert_eq!(ctx.counters().len(), 1, "a zero count writes no counter");
-        tally.flush(&mut ctx);
+        driver.flush(&mut ctx);
         assert_eq!(ctx.counters().get(COMPARISONS), 1, "flush resets the tally");
     }
 
     #[test]
     fn count_only_skips_preparation() {
-        let comparer = PairComparer::count_only(Arc::new(Matcher::paper_default()));
-        let mut cache = comparer.new_cache();
-        let a = keyed(1, "abcdefghij");
-        let pa = comparer.prepare_cached(&mut cache, &a);
-        assert!(cache.is_empty(), "count-only must not prepare entities");
-        let mut c = ctx();
-        compare_prepared(
-            &comparer,
-            &cache,
-            &pa,
-            &pa.clone(),
-            &BlockKey::new("blk"),
-            &mut c,
+        let mut driver =
+            GroupComparer::new(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+        let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghij"));
+        let c = all_pairs(&mut driver, &BlockKey::new("blk"), &[&a, &b]);
+        assert!(
+            driver.cache().is_empty(),
+            "count-only must not prepare entities"
         );
         assert_eq!(c.counters().get(COMPARISONS), 1);
         assert!(c.output().is_empty());
@@ -506,38 +642,27 @@ mod tests {
 
     #[test]
     fn prepared_cache_hits_across_groups() {
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut cache = comparer.new_cache();
-        let a = keyed(1, "abcdefghij");
-        let _ = comparer.prepare_cached(&mut cache, &a);
-        let _ = comparer.prepare_cached(&mut cache, &a);
-        assert_eq!(cache.len(), 1, "same entity must be prepared once");
+        let mut driver = GroupComparer::new(paper_comparer());
+        let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghiX"));
+        for _ in 0..2 {
+            let c = all_pairs(&mut driver, &BlockKey::new("blk"), &[&a, &b]);
+            assert_eq!(c.output().len(), 1);
+        }
+        assert_eq!(driver.cache().len(), 2, "same entity must be prepared once");
     }
 
     #[test]
     fn prepared_multipass_gate_skips_non_smallest_common_block() {
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut cache = comparer.new_cache();
-        let all: Arc<[BlockKey]> =
-            Arc::from(vec![BlockKey::new("aaa"), BlockKey::new("zzz")].into_boxed_slice());
-        let a = Keyed::replica(
-            BlockKey::new("zzz"),
-            Arc::clone(&all),
-            Arc::new(Entity::new(1, [("title", "same title")])),
-        );
-        let b = Keyed::replica(
-            BlockKey::new("zzz"),
-            all,
-            Arc::new(Entity::new(2, [("title", "same title")])),
-        );
-        let (pa, pb) = (
-            comparer.prepare_cached(&mut cache, &a),
-            comparer.prepare_cached(&mut cache, &b),
-        );
-        let mut c = ctx();
-        compare_prepared(&comparer, &cache, &pa, &pb, &BlockKey::new("zzz"), &mut c);
+        let (a, b) = multipass_pair();
+        let mut driver = GroupComparer::new(paper_comparer());
+        let c = all_pairs(&mut driver, &BlockKey::new("zzz"), &[&a, &b]);
         assert_eq!(c.counters().get(COMPARISONS), 0);
         assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 1);
+        assert!(c.output().is_empty());
+        // In their smallest common block the same two compare.
+        let c = all_pairs(&mut driver, &BlockKey::new("aaa"), &[&a, &b]);
+        assert_eq!(c.counters().get(COMPARISONS), 1);
+        assert_eq!(c.output().len(), 1);
     }
 
     #[test]
@@ -545,8 +670,7 @@ mod tests {
         let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghij"));
         let seen: BTreeSet<MatchPair> =
             [MatchPair::new(a.entity.entity_ref(), b.entity.entity_ref())].into();
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()))
-            .with_skip_pairs(Some(Arc::new(seen)));
+        let comparer = paper_comparer().with_skip_pairs(Some(Arc::new(seen)));
         let mut c = ctx();
         comparer.compare(&a, &b, &BlockKey::new("blk"), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 0);
@@ -556,21 +680,16 @@ mod tests {
         let fresh = keyed(3, "abcdefghij");
         comparer.compare(&a, &fresh, &BlockKey::new("blk"), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 1);
-        let mut cache = comparer.new_cache();
-        let (pa, pb) = (
-            comparer.prepare_cached(&mut cache, &a),
-            comparer.prepare_cached(&mut cache, &b),
-        );
-        compare_prepared(&comparer, &cache, &pa, &pb, &BlockKey::new("blk"), &mut c);
-        assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 2);
-        assert_eq!(c.counters().get(COMPARISONS), 1);
+        let mut driver = GroupComparer::new(comparer);
+        let c = all_pairs(&mut driver, &BlockKey::new("blk"), &[&a, &b, &fresh]);
+        assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 1);
+        assert_eq!(c.counters().get(COMPARISONS), 2);
+        assert_eq!(c.output().len(), 2);
     }
 
     #[test]
     fn cross_source_gate_skips_same_source_pairs() {
-        use er_core::SourceId;
-        let comparer =
-            PairComparer::new(Arc::new(Matcher::paper_default())).with_cross_source_only(true);
+        let comparer = paper_comparer().with_cross_source_only(true);
         assert!(comparer.is_cross_source_only());
         let r1 = keyed(1, "abcdefghij");
         let r2 = keyed(2, "abcdefghij");
@@ -591,34 +710,225 @@ mod tests {
         comparer.compare(&r1, &s1, &BlockKey::new("blk"), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 1);
         assert_eq!(c.output().len(), 1);
-        let mut cache = comparer.new_cache();
-        let (pr, ps) = (
-            comparer.prepare_cached(&mut cache, &r2),
-            comparer.prepare_cached(&mut cache, &s1),
-        );
-        compare_prepared(&comparer, &cache, &pr, &ps, &BlockKey::new("blk"), &mut c);
+        let mut driver = GroupComparer::new(comparer);
+        let c = all_pairs(&mut driver, &BlockKey::new("blk"), &[&r1, &r2, &s1]);
+        assert_eq!(c.counters().get(SAME_SOURCE_SKIPPED), 1);
         assert_eq!(c.counters().get(COMPARISONS), 2);
     }
 
     #[test]
     fn multipass_gate_skips_non_smallest_common_block() {
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let all: Arc<[BlockKey]> =
-            Arc::from(vec![BlockKey::new("aaa"), BlockKey::new("zzz")].into_boxed_slice());
-        let a = Keyed::replica(
-            BlockKey::new("zzz"),
-            Arc::clone(&all),
-            Arc::new(Entity::new(1, [("title", "same title")])),
-        );
-        let b = Keyed::replica(
-            BlockKey::new("zzz"),
-            all,
-            Arc::new(Entity::new(2, [("title", "same title")])),
-        );
+        let (a, b) = multipass_pair();
         let mut c = ctx();
-        comparer.compare(&a, &b, &BlockKey::new("zzz"), &mut c);
+        paper_comparer().compare(&a, &b, &BlockKey::new("zzz"), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 0);
         assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 1);
         assert!(c.output().is_empty());
+    }
+
+    #[test]
+    fn eviction_and_truncation_keep_the_columns_in_step() {
+        let mut driver = GroupComparer::new(paper_comparer());
+        let (a, b) = multipass_pair();
+        let plain: Vec<Keyed> = (10..14)
+            .map(|id| {
+                Keyed::single(
+                    BlockKey::new("aaa"),
+                    Arc::new(Entity::new(id, [("title", "same title")])),
+                )
+            })
+            .collect();
+        driver.load(&BlockKey::new("aaa"), [&a, &plain[0], &plain[1], &b]);
+        // The multi-key member at the front leaves: what remains of the
+        // first three is single-key, and the strip takes the bulk path.
+        driver.truncate(3);
+        driver.evict_front(1);
+        assert_eq!(driver.len(), 2);
+        let next = driver.push(&plain[2]);
+        let mut pairs = Vec::new();
+        driver.strip(next, 0..next, false, |pair, _| pairs.push(pair));
+        let refs = |i: usize| plain[i].entity.entity_ref();
+        assert_eq!(
+            pairs,
+            [
+                MatchPair::new(refs(0), refs(2)),
+                MatchPair::new(refs(1), refs(2))
+            ]
+        );
+        let mut c = ctx();
+        driver.flush(&mut c);
+        assert_eq!(c.counters().get(COMPARISONS), 2);
+        assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 0);
+    }
+
+    /// What the differential proptest draws per member:
+    /// `(source, key choice, title choice)`.
+    type MemberSpec = (u8, u8, u8);
+
+    /// Titles around both interesting thresholds — 0 to 3 edits at ten
+    /// scalars (0.8 sits at 2), identical twins for 1.0 — plus the
+    /// kernel's branches: missing, empty, non-ASCII, past 64 scalars.
+    fn title(choice: u8) -> Option<String> {
+        let long = "the quick brown fox jumps over the lazy dog again and again ".repeat(2);
+        Some(match choice {
+            0 => return None,
+            1 => String::new(),
+            2 | 3 => "abcdefghij".into(),
+            4 => "abcdefghiX".into(),
+            5 => "abcdefghXY".into(),
+            6 => "abcdefgXYZ".into(),
+            7 => "abcdefghijk".into(),
+            8 => "bcdefghij".into(),
+            9 => "jihgfedcba".into(),
+            10 => "àbcdéfghîj".into(),
+            11 => "zz".into(),
+            12 => long,
+            13 => long.replacen("fox", "fax", 1),
+            _ => long.replace("again", "agian"),
+        })
+    }
+
+    /// Member `id` of a group compared under block `m`.
+    fn member(id: u64, (source, keys, title_choice): MemberSpec) -> Keyed {
+        let mut attributes = vec![("brand", "acme corp".to_string())];
+        attributes.extend(title(title_choice).map(|t| ("title", t)));
+        let entity = Arc::new(Entity::with_source(SourceId(source), id, attributes));
+        let all = |keys: &[&str]| -> Arc<[BlockKey]> { keys.iter().map(BlockKey::new).collect() };
+        match keys {
+            // Single-pass blocking, keyed by the group's block.
+            0 => Keyed::single(BlockKey::new("m"), entity),
+            // Multi-pass: `m` is (1) or is not (2, 3) the smallest key.
+            1 => Keyed::replica(BlockKey::new("m"), all(&["m", "z"]), entity),
+            2 => Keyed::replica(BlockKey::new("m"), all(&["a", "m"]), entity),
+            3 => Keyed::replica(BlockKey::new("m"), all(&["a", "m", "z"]), entity),
+            // A member the framework should never have sent here.
+            _ => Keyed::single(BlockKey::new("a"), entity),
+        }
+    }
+
+    /// A measure that is *not* symmetric, so a driver that swapped a
+    /// pair's entities would score it differently.
+    struct LeftHeavy;
+
+    impl Similarity for LeftHeavy {
+        fn prepare(&self, s: &str) -> Prepared {
+            Prepared::HashedSet(vec![s.chars().count() as u64])
+        }
+
+        fn sim_view(&self, a: &PreparedView<'_>, b: &PreparedView<'_>) -> f64 {
+            let (PreparedView::HashedSet(a), PreparedView::HashedSet(b)) = (a, b) else {
+                panic!("prepared by another measure");
+            };
+            (1 + a[0]) as f64 / (2 + a[0] + 2 * b[0]) as f64
+        }
+
+        fn name(&self) -> &'static str {
+            "left-heavy"
+        }
+    }
+
+    fn matcher(choice: u8) -> Matcher {
+        let lev = || MatchRule::new("title", Arc::new(NormalizedLevenshtein));
+        match choice {
+            0 => Matcher::new(vec![lev()], 0.0),
+            1 => Matcher::new(vec![lev()], 0.8),
+            2 => Matcher::new(vec![lev()], 1.0),
+            3 => Matcher::new(
+                vec![
+                    lev().with_weight(2.0),
+                    MatchRule::new("brand", Arc::new(er_core::Jaccard)),
+                ],
+                0.5,
+            ),
+            4 => Matcher::new(
+                vec![MatchRule::new("title", Arc::new(JaroWinkler::default()))],
+                0.8,
+            ),
+            _ => Matcher::new(vec![MatchRule::new("title", Arc::new(LeftHeavy))], 0.3),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// The driver against the one-shot `compare`: same matches with
+        /// the same score bits in the same order, same three counters —
+        /// whatever the group, the gates, the matcher and the shape.
+        /// Every second group is pure single-pass and every gate is off
+        /// three times in four, so the bulk path is drawn as often as
+        /// the per-pair one.
+        #[test]
+        fn driver_equals_one_shot_compare(
+            specs in vec((0u8..2, 0u8..5, 0u8..15), 0..9),
+            matcher_choice in 0u8..6,
+            gates in ((0u8..2, 0u8..4, 0u8..4), 0u8..4, vec(0usize..81, 1..6)),
+            shape in (0u8..3, 0usize..9, 1usize..4),
+        ) {
+            let ((single_pass, count_only, cross_source_only), skips, skipped) = gates;
+            let members: Vec<Keyed> = (0u64..)
+                .zip(specs)
+                .map(|(id, (source, keys, title))| {
+                    member(id, (source, if single_pass == 0 { 0 } else { keys }, title))
+                })
+                .collect();
+            let n = members.len();
+            let skip: BTreeSet<MatchPair> = skipped
+                .into_iter()
+                .map(|cell| (cell / 9, cell % 9))
+                .filter(|&(i, j)| i < j && j < n)
+                .map(|(i, j)| MatchPair::new(members[i].entity.entity_ref(), members[j].entity.entity_ref()))
+                .collect();
+            let matcher = Arc::new(matcher(matcher_choice));
+            let comparer = if count_only == 0 {
+                PairComparer::count_only(matcher)
+            } else {
+                PairComparer::new(matcher)
+            }
+            .with_cross_source_only(cross_source_only == 0)
+            .with_skip_pairs((skips == 0).then(|| Arc::new(skip)));
+            // The strips of the drawn shape, as (probe, members, probe_first).
+            let (kind, split, window) = shape;
+            let split = split.min(n);
+            let strips: Vec<(usize, Range<usize>, bool)> = match kind {
+                0 => (1..n).map(|j| (j, 0..j, false)).collect(),
+                1 => (0..split).map(|i| (i, split..n, true)).collect(),
+                _ => (1..n).map(|j| (j, j.saturating_sub(window)..j, false)).collect(),
+            };
+            let block = BlockKey::new("m");
+
+            let mut expected = ctx();
+            for (probe, partners, probe_first) in strips.clone() {
+                for partner in partners {
+                    let (a, b) = ordered(probe_first, &members[probe], &members[partner]);
+                    comparer.compare(a, b, &block, &mut expected);
+                }
+            }
+
+            let mut driver = GroupComparer::new(comparer);
+            let mut got = ctx();
+            driver.load(&block, &members);
+            match kind {
+                0 => driver.all_pairs(|pair, score| got.emit(pair, score)),
+                1 => driver.cross(&block, &members[..split], &members[split..], |pair, score| {
+                    got.emit(pair, score)
+                }),
+                _ => for (probe, partners, probe_first) in strips {
+                    driver.strip(probe, partners, probe_first, |pair, score| got.emit(pair, score));
+                },
+            }
+            driver.flush(&mut got);
+
+            let bits = |c: &ReduceContext<MatchPair, f64>| -> Vec<(MatchPair, u64)> {
+                c.output().iter().map(|(pair, score)| (*pair, score.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&got), bits(&expected));
+            for counter in [COMPARISONS, MULTIPASS_SKIPPED, SAME_SOURCE_SKIPPED] {
+                prop_assert_eq!(
+                    got.counters().get(counter),
+                    expected.counters().get(counter),
+                    "{}", counter
+                );
+            }
+        }
     }
 }

@@ -138,26 +138,33 @@ impl Keyed {
     /// smallest common key of the two entities must be `current`
     /// (trivially true for single-pass blocking).
     pub fn should_compare_in(&self, other: &Keyed, current: &BlockKey) -> bool {
-        if let ([a], [b]) = (&*self.all_keys, &*other.all_keys) {
-            // Single-pass blocking, i.e. nearly every pair evaluated.
-            return a == b && a == current;
-        }
-        let mut a = self.all_keys.iter();
-        let mut b = other.all_keys.iter();
-        // Both key lists are sorted: merge-walk to the first common key.
-        let mut x = a.next();
-        let mut y = b.next();
-        while let (Some(ka), Some(kb)) = (x, y) {
-            match ka.cmp(kb) {
-                std::cmp::Ordering::Equal => return ka == current,
-                std::cmp::Ordering::Less => x = a.next(),
-                std::cmp::Ordering::Greater => y = b.next(),
-            }
-        }
-        // No common key: the pair met in a block neither claims — a
-        // framework bug; never compare.
-        false
+        smallest_common_key_is(&self.all_keys, &other.all_keys, current)
     }
+}
+
+/// True iff the smallest key the sorted key lists `a` and `b` share is
+/// `current` — the smallest-common-block rule behind
+/// [`Keyed::should_compare_in`], on bare key lists.
+pub(crate) fn smallest_common_key_is(a: &[BlockKey], b: &[BlockKey], current: &BlockKey) -> bool {
+    if let ([a], [b]) = (a, b) {
+        // Single-pass blocking, i.e. nearly every pair evaluated.
+        return a == b && a == current;
+    }
+    let mut a = a.iter();
+    let mut b = b.iter();
+    // Both key lists are sorted: merge-walk to the first common key.
+    let mut x = a.next();
+    let mut y = b.next();
+    while let (Some(ka), Some(kb)) = (x, y) {
+        match ka.cmp(kb) {
+            std::cmp::Ordering::Equal => return ka == current,
+            std::cmp::Ordering::Less => x = a.next(),
+            std::cmp::Ordering::Greater => y = b.next(),
+        }
+    }
+    // No common key: the pair met in a block neither claims — a
+    // framework bug; never compare.
+    false
 }
 
 /// Which matching strategy the second MR job uses.

@@ -89,6 +89,12 @@ impl RangeIndexer {
         }
     }
 
+    /// The pair indexes of range `k`, as `start..end`: `range_of(p) ==
+    /// k` exactly for the `p` inside.
+    pub fn span(&self, k: u64) -> std::ops::Range<u64> {
+        self.range_start(k)..self.range_start(k + 1)
+    }
+
     /// Width of the narrowest range that has a range after it: two
     /// pair indexes at most this far apart cannot have a whole range
     /// between them, two indexes further apart cannot share a range.

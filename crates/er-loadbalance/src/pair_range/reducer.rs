@@ -2,41 +2,62 @@
 //!
 //! One reduce group == all entities of one block relevant to this
 //! task's range, sorted by entity index. Streaming entity `e2` with
-//! index `x2`, the reducer pairs it against every buffered `e1` with
+//! index `x2`, the listing pairs it against every buffered `e1` with
 //! `x1 < x2`, computes the pair's range and evaluates it only when it
 //! belongs to this task.
 //!
+//! Pair indexes grow monotonically in `x1` for fixed `x2` (column-wise
+//! enumeration), so the buffered partners whose pair falls into this
+//! task's range are one contiguous slice of the buffer: the reducer
+//! finds its two ends by binary search (`partners_in_span`) and hands
+//! the slice to the compare driver — no pair index, no range division
+//! per candidate pair.
+//!
 //! The listing's early exit reads `else if k > r then return` —
 //! aborting the whole group. That is correct only *per stream
-//! element*: pair indexes grow monotonically in `x1` for fixed `x2`
-//! (column-wise enumeration), so once a pair overshoots the range, all
-//! later *buffer* entries overshoot too — but the **next** stream
-//! element may still own in-range pairs in column 0 (e.g. range 0 of a
-//! large block: pair (1, x2) overshoots while (0, x2+1) is still in
-//! range). We therefore `break` the buffer scan instead of returning;
+//! element*: once a pair overshoots the range, all later *buffer*
+//! entries overshoot too — but the **next** stream element may still
+//! own in-range pairs in column 0 (e.g. range 0 of a large block: pair
+//! (1, x2) overshoots while (0, x2+1) is still in range). The slice is
+//! therefore computed per stream element;
 //! `tests/pair_range_semantics.rs` constructs the counterexample and
 //! the equivalence suite verifies no pair is lost or duplicated.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use er_core::result::MatchPair;
-use er_core::MatcherCache;
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
 use super::enumeration::pair_index;
 use super::ranges::{RangeIndexer, RangePolicy};
 use crate::bdm::BlockDistributionMatrix;
-use crate::compare::{PairComparer, PairTally, PreparedRef};
+use crate::compare::{GroupComparer, PairComparer};
 use crate::keys::{PairRangeKey, PairRangeValue};
+
+/// The positions of `buffered` — entity indexes in ascending order —
+/// whose pair with one fixed stream element lies in `span`, a range's
+/// pair indexes. `pair_index_with` maps a buffered entity index to that
+/// pair's index and must grow with it.
+pub(crate) fn partners_in_span(
+    buffered: &[u64],
+    span: &Range<u64>,
+    pair_index_with: impl Fn(u64) -> u64,
+) -> Range<usize> {
+    let lo = buffered.partition_point(|&x| pair_index_with(x) < span.start);
+    let hi = lo + buffered[lo..].partition_point(|&x| pair_index_with(x) < span.end);
+    lo..hi
+}
 
 /// The PairRange reducer.
 #[derive(Clone)]
 pub struct PairRangeReducer {
     bdm: Arc<BlockDistributionMatrix>,
-    comparer: PairComparer,
     policy: RangePolicy,
     ranges: Option<RangeIndexer>,
-    cache: MatcherCache,
+    driver: GroupComparer,
+    /// The group's entity indexes, by driver position.
+    indexes: Vec<u64>,
 }
 
 impl PairRangeReducer {
@@ -46,13 +67,12 @@ impl PairRangeReducer {
         comparer: PairComparer,
         policy: RangePolicy,
     ) -> Self {
-        let cache = comparer.new_cache();
         Self {
             bdm,
-            comparer,
             policy,
             ranges: None,
-            cache,
+            driver: GroupComparer::new(comparer),
+            indexes: Vec::new(),
         }
     }
 }
@@ -79,40 +99,49 @@ impl Reducer for PairRangeReducer {
         let ranges = self.ranges.expect("setup ran");
         let key = *group.key();
         let block = key.block as usize;
-        let my_range = key.range as u64;
-        let block_key = group
-            .values()
-            .next()
-            .expect("groups are non-empty")
-            .keyed
-            .key
-            .clone();
-        let mut tally = PairTally::default();
-        let mut buffer: Vec<(u64, PreparedRef<'_>)> = Vec::with_capacity(group.len());
-        for e2 in group.values() {
-            let prepared2 = self.comparer.prepare_cached(&mut self.cache, &e2.keyed);
-            for (index1, e1) in &buffer {
-                debug_assert!(*index1 < e2.index, "sorted by entity index");
-                let k = ranges.range_of(pair_index(&self.bdm, block, *index1, e2.index));
-                if k == my_range {
-                    self.comparer.compare_prepared(
-                        &self.cache,
-                        e1,
-                        &prepared2,
-                        &block_key,
-                        &mut tally,
-                        ctx,
-                    );
-                } else if k > my_range {
-                    // Monotone in the buffer coordinate: nothing later
-                    // in the buffer can still belong to this range.
-                    break;
-                }
-            }
-            buffer.push((e2.index, prepared2));
+        let span = ranges.span(u64::from(key.range));
+        let first = group.values().next().expect("groups are non-empty");
+        self.driver
+            .load(&first.keyed.key, group.values().map(|v| &v.keyed));
+        self.indexes.clear();
+        self.indexes.extend(group.values().map(|v| v.index));
+        debug_assert!(
+            self.indexes.windows(2).all(|w| w[0] < w[1]),
+            "sorted by entity index"
+        );
+        for (later, &x2) in self.indexes.iter().enumerate().skip(1) {
+            let partners = partners_in_span(&self.indexes[..later], &span, |x1| {
+                pair_index(&self.bdm, block, x1, x2)
+            });
+            self.driver
+                .strip(later, partners, false, |pair, score| ctx.emit(pair, score));
         }
-        tally.flush(ctx);
+        self.driver.flush(ctx);
     }
+}
+
+/// The listing's per-pair walk, kept as the oracle
+/// [`partners_in_span`] is tested against: one pair index and one
+/// range division per candidate, stopping at the first overshoot.
+#[cfg(test)]
+pub(crate) fn partners_by_walk(
+    buffered: &[u64],
+    range: u64,
+    ranges: &RangeIndexer,
+    pair_index_with: impl Fn(u64) -> u64,
+) -> Vec<usize> {
+    let mut partners = Vec::new();
+    for (position, &x) in buffered.iter().enumerate() {
+        let k = ranges.range_of(pair_index_with(x));
+        if k == range {
+            partners.push(position);
+        } else if k > range {
+            // Monotone in the buffer coordinate: nothing later in the
+            // buffer can still belong to this range.
+            break;
+        }
+    }
+    partners
 }
 
 #[cfg(test)]
@@ -156,6 +185,63 @@ mod tests {
             num_reduce_tasks: 3,
             num_map_tasks: 2,
         })
+    }
+
+    #[test]
+    fn slices_equal_the_per_pair_walk() {
+        // Blocks of 5, 1, 9 and 3 entities: P = 10 + 0 + 36 + 3 = 49,
+        // so r sweeps past P.
+        let sizes = [5u64, 1, 9, 3];
+        let bdm = BlockDistributionMatrix::from_counts(
+            1,
+            sizes
+                .iter()
+                .enumerate()
+                .map(|(k, &n)| (BlockKey::new(format!("b{k}")), 0, n)),
+        );
+        let mut evaluated = 0u64;
+        for policy in [RangePolicy::CeilDiv, RangePolicy::Proportional] {
+            for r in 1..=64usize {
+                let ranges = RangeIndexer::new(bdm.total_pairs(), r, policy);
+                for range in 0..r as u64 {
+                    for (block, &n) in sizes.iter().enumerate() {
+                        // The group the mapper would send: the block's
+                        // entities relevant to `range`, by index.
+                        let members: Vec<u64> = (0..n)
+                            .filter(|&x| {
+                                super::super::mapper::relevant_ranges(&bdm, &ranges, block, x)
+                                    .contains(&range)
+                            })
+                            .collect();
+                        for (later, &x2) in members.iter().enumerate().skip(1) {
+                            let pair_index_with = |x1| pair_index(&bdm, block, x1, x2);
+                            let slice = partners_in_span(
+                                &members[..later],
+                                &ranges.span(range),
+                                pair_index_with,
+                            );
+                            let walk = partners_by_walk(
+                                &members[..later],
+                                range,
+                                &ranges,
+                                pair_index_with,
+                            );
+                            assert_eq!(
+                                slice.clone().collect::<Vec<_>>(),
+                                walk,
+                                "{policy:?} r={r} range={range} block={block} x2={x2}"
+                            );
+                            evaluated += slice.len() as u64;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            evaluated,
+            2 * 64 * bdm.total_pairs(),
+            "every pair exactly once per (policy, r)"
+        );
     }
 
     #[test]

@@ -7,10 +7,10 @@ use std::sync::Arc;
 
 use er_core::blocking::{BlockKey, BlockingFunction};
 use er_core::result::MatchPair;
-use er_core::{MatcherCache, SourceId};
+use er_core::SourceId;
 use mr_engine::prelude::*;
 
-use crate::compare::{PairComparer, PairTally, PreparedRef};
+use crate::compare::{GroupComparer, PairComparer};
 use crate::keys::BlockSplitValue;
 use crate::{Ent, Keyed};
 
@@ -73,19 +73,18 @@ impl Mapper for TwoSourceBasicMapper {
     }
 }
 
-/// Two-source Basic reducer: cross-source pairs of one block, each
-/// side prepared once while bucketing.
+/// Two-source Basic reducer: cross-source pairs of one block.
 #[derive(Clone)]
 pub struct TwoSourceBasicReducer {
-    comparer: PairComparer,
-    cache: MatcherCache,
+    driver: GroupComparer,
 }
 
 impl TwoSourceBasicReducer {
     /// Creates the reducer.
     pub fn new(comparer: PairComparer) -> Self {
-        let cache = comparer.new_cache();
-        Self { comparer, cache }
+        Self {
+            driver: GroupComparer::new(comparer),
+        }
     }
 }
 
@@ -100,26 +99,28 @@ impl Reducer for TwoSourceBasicReducer {
         group: Group<'_, BlockKey, BlockSplitValue>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
-        let block = group.key().clone();
-        let mut r_side: Vec<PreparedRef<'_>> = Vec::new();
-        let mut s_side: Vec<PreparedRef<'_>> = Vec::new();
-        for v in group.values() {
-            let prepared = self.comparer.prepare_cached(&mut self.cache, &v.keyed);
-            if v.source == SourceId::R {
-                r_side.push(prepared);
-            } else {
-                s_side.push(prepared);
-            }
-        }
-        let mut tally = PairTally::default();
-        for e1 in &r_side {
-            for e2 in &s_side {
-                self.comparer
-                    .compare_prepared(&self.cache, e1, e2, &block, &mut tally, ctx);
-            }
-        }
-        tally.flush(ctx);
+        cross_sources(&mut self.driver, group.key(), &group, ctx);
     }
+}
+
+/// Evaluates R × S of `group` under `block` and flushes the counts: the
+/// reduce step the two-source Basic and BlockSplit reducers share.
+pub(crate) fn cross_sources<K>(
+    driver: &mut GroupComparer,
+    block: &BlockKey,
+    group: &Group<'_, K, BlockSplitValue>,
+    ctx: &mut ReduceContext<MatchPair, f64>,
+) {
+    let side = |r_side: bool| {
+        group
+            .values()
+            .filter(move |v| (v.source == SourceId::R) == r_side)
+            .map(|v| &v.keyed)
+    };
+    driver.cross(block, side(true), side(false), |pair, score| {
+        ctx.emit(pair, score)
+    });
+    driver.flush(ctx);
 }
 
 /// Builds the two-source Basic job.

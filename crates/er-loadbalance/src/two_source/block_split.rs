@@ -13,12 +13,11 @@ use mr_engine::engine::Job;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
-use er_core::MatcherCache;
-
+use super::basic::cross_sources;
 use super::TwoSourceBdm;
 use crate::block_split::assign::TaskAssignment;
 use crate::block_split::match_tasks::{fits_average, MatchTask};
-use crate::compare::{PairComparer, PairTally, PreparedRef};
+use crate::compare::{GroupComparer, PairComparer};
 use crate::keys::{key_index, BlockSplitKey, BlockSplitValue};
 use crate::Keyed;
 
@@ -162,15 +161,15 @@ impl Mapper for TwoSourceBlockSplitMapper {
 /// compare each entity of S to all entities of R").
 #[derive(Clone)]
 pub struct TwoSourceBlockSplitReducer {
-    comparer: PairComparer,
-    cache: MatcherCache,
+    driver: GroupComparer,
 }
 
 impl TwoSourceBlockSplitReducer {
     /// Creates the reducer.
     pub fn new(comparer: PairComparer) -> Self {
-        let cache = comparer.new_cache();
-        Self { comparer, cache }
+        Self {
+            driver: GroupComparer::new(comparer),
+        }
     }
 }
 
@@ -185,31 +184,8 @@ impl Reducer for TwoSourceBlockSplitReducer {
         group: Group<'_, BlockSplitKey, BlockSplitValue>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
-        let block_key = group
-            .values()
-            .next()
-            .expect("groups are non-empty")
-            .keyed
-            .key
-            .clone();
-        let mut r_side: Vec<PreparedRef<'_>> = Vec::new();
-        let mut s_side: Vec<PreparedRef<'_>> = Vec::new();
-        for v in group.values() {
-            let prepared = self.comparer.prepare_cached(&mut self.cache, &v.keyed);
-            if v.source == SourceId::R {
-                r_side.push(prepared);
-            } else {
-                s_side.push(prepared);
-            }
-        }
-        let mut tally = PairTally::default();
-        for e1 in &r_side {
-            for e2 in &s_side {
-                self.comparer
-                    .compare_prepared(&self.cache, e1, e2, &block_key, &mut tally, ctx);
-            }
-        }
-        tally.flush(ctx);
+        let first = group.values().next().expect("groups are non-empty");
+        cross_sources(&mut self.driver, &first.keyed.key, &group, ctx);
     }
 }
 

@@ -9,15 +9,16 @@ use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
-use er_core::{MatcherCache, SourceId};
+use er_core::SourceId;
 use mr_engine::engine::Job;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
 use super::TwoSourceBdm;
-use crate::compare::{PairComparer, PairTally, PreparedRef};
+use crate::compare::{GroupComparer, PairComparer};
 use crate::keys::{key_index, PairRangeKey, PairRangeValue};
 use crate::pair_range::ranges::{RangeIndexer, RangePolicy};
+use crate::pair_range::reducer::partners_in_span;
 use crate::Keyed;
 
 /// Reports the ranges relevant for entity `index` of `source` in
@@ -135,27 +136,29 @@ impl Mapper for TwoSourcePairRangeMapper {
 }
 
 /// The two-source PairRange reducer: R entities arrive first (the key
-/// sorts source `R` before `S`), get buffered, and every streamed S
-/// entity is paired against them, keeping only this range's pairs.
+/// sorts source `R` before `S`) in ascending index order; every S
+/// entity is then paired against the slice of them whose pair lies in
+/// this range — contiguous, because the pair index grows with the R
+/// index for a fixed S entity.
 #[derive(Clone)]
 pub struct TwoSourcePairRangeReducer {
     ts: Arc<TwoSourceBdm>,
-    comparer: PairComparer,
     policy: RangePolicy,
     ranges: Option<RangeIndexer>,
-    cache: MatcherCache,
+    driver: GroupComparer,
+    /// The group's R entity indexes, by driver position.
+    r_indexes: Vec<u64>,
 }
 
 impl TwoSourcePairRangeReducer {
     /// Creates the reducer.
     pub fn new(ts: Arc<TwoSourceBdm>, comparer: PairComparer, policy: RangePolicy) -> Self {
-        let cache = comparer.new_cache();
         Self {
             ts,
-            comparer,
             policy,
             ranges: None,
-            cache,
+            driver: GroupComparer::new(comparer),
+            r_indexes: Vec::new(),
         }
     }
 }
@@ -182,43 +185,28 @@ impl Reducer for TwoSourcePairRangeReducer {
         let ranges = self.ranges.expect("setup ran");
         let gk = *group.key();
         let block = gk.block as usize;
-        let my_range = gk.range as u64;
-        let block_key = group
-            .values()
-            .next()
-            .expect("groups are non-empty")
-            .keyed
-            .key
-            .clone();
-        let mut tally = PairTally::default();
-        let mut r_buffer: Vec<(u64, PreparedRef<'_>)> = Vec::new();
-        for (key, value) in group.iter() {
-            if key.source == SourceId::R {
-                let prepared = self.comparer.prepare_cached(&mut self.cache, &value.keyed);
-                r_buffer.push((value.index, prepared));
-            } else {
-                let prepared_s = self.comparer.prepare_cached(&mut self.cache, &value.keyed);
-                for (index1, e1) in &r_buffer {
-                    let p = self.ts.pair_index(block, *index1, value.index);
-                    let k = ranges.range_of(p);
-                    if k == my_range {
-                        self.comparer.compare_prepared(
-                            &self.cache,
-                            e1,
-                            &prepared_s,
-                            &block_key,
-                            &mut tally,
-                            ctx,
-                        );
-                    } else if k > my_range {
-                        // Pair index grows with the R index for a fixed
-                        // S entity: nothing later in the buffer fits.
-                        break;
-                    }
-                }
-            }
+        let span = ranges.span(u64::from(gk.range));
+        let first = group.values().next().expect("groups are non-empty");
+        let side = |source: SourceId| group.iter().filter(move |(key, _)| key.source == source);
+        self.driver.begin(&first.keyed.key);
+        self.r_indexes.clear();
+        for (_, value) in side(SourceId::R) {
+            self.driver.push(&value.keyed);
+            self.r_indexes.push(value.index);
         }
-        tally.flush(ctx);
+        debug_assert!(
+            self.r_indexes.windows(2).all(|w| w[0] < w[1]),
+            "sorted by entity index"
+        );
+        for (_, value) in side(SourceId::S) {
+            let probe = self.driver.push(&value.keyed);
+            let partners = partners_in_span(&self.r_indexes, &span, |x| {
+                self.ts.pair_index(block, x, value.index)
+            });
+            self.driver
+                .strip(probe, partners, false, |pair, score| ctx.emit(pair, score));
+        }
+        self.driver.flush(ctx);
     }
 }
 
@@ -329,6 +317,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn slices_equal_the_per_pair_walk() {
+        use crate::pair_range::reducer::partners_by_walk;
+        // (|R|, |S|) per block: P = 12 + 0 + 14 + 5 = 31, so r sweeps
+        // past P. Partition 0 is R, partition 1 is S.
+        let sizes = [(3u64, 4u64), (2, 0), (7, 2), (1, 5)];
+        let cells = sizes.iter().enumerate().flat_map(|(k, &(nr, ns))| {
+            let key = BlockKey::new(format!("b{k}"));
+            [(key.clone(), 0, nr), (key, 1, ns)]
+        });
+        let ts = TwoSourceBdm::new(
+            Arc::new(BlockDistributionMatrix::from_counts(2, cells)),
+            vec![SourceId::R, SourceId::S],
+        );
+        let mut evaluated = 0u64;
+        for policy in [RangePolicy::CeilDiv, RangePolicy::Proportional] {
+            for r in 1..=64usize {
+                let ranges = RangeIndexer::new(ts.total_pairs(), r, policy);
+                for range in 0..r as u64 {
+                    for (block, &(nr, ns)) in sizes.iter().enumerate() {
+                        // The group the mapper would send, per side.
+                        let relevant = |source, n: u64| -> Vec<u64> {
+                            (0..n)
+                                .filter(|&x| {
+                                    relevant_ranges_two_source(&ts, &ranges, block, source, x)
+                                        .contains(&range)
+                                })
+                                .collect()
+                        };
+                        let r_side = relevant(SourceId::R, nr);
+                        for y in relevant(SourceId::S, ns) {
+                            let pair_index_with = |x| ts.pair_index(block, x, y);
+                            let slice =
+                                partners_in_span(&r_side, &ranges.span(range), pair_index_with);
+                            let walk = partners_by_walk(&r_side, range, &ranges, pair_index_with);
+                            assert_eq!(
+                                slice.clone().collect::<Vec<_>>(),
+                                walk,
+                                "{policy:?} r={r} range={range} block={block} y={y}"
+                            );
+                            evaluated += slice.len() as u64;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            evaluated,
+            2 * 64 * ts.total_pairs(),
+            "every pair exactly once per (policy, r)"
+        );
     }
 
     #[test]

@@ -1,0 +1,77 @@
+//! The compare driver allocates per *task*, not per pair and not per
+//! group: once a [`GroupComparer`] has run a group — its columns, its
+//! cache entries and its scratch have grown — loading that group again
+//! and evaluating all its pairs, the cross product of its halves and a
+//! window over it performs **zero** heap allocations.
+//!
+//! A single `#[test]` drives the whole file — integration tests in one
+//! binary may run on multiple threads, which would make a global
+//! allocation counter racy across tests.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use er_core::blocking::BlockKey;
+use er_core::{Entity, Matcher};
+use er_loadbalance::compare::{GroupComparer, PairComparer};
+use er_loadbalance::Keyed;
+
+/// Counts every allocation routed through the global allocator.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+#[test]
+fn a_warm_driver_allocates_nothing_per_group() {
+    let block = BlockKey::new("can");
+    let members: Vec<Keyed> = (0..40u64)
+        .map(|id| {
+            let title = format!("canon eos {}d mark {} body kit", id % 7, id % 3);
+            let entity = Arc::new(Entity::new(id, [("title", title.as_str())]));
+            Keyed::single(block.clone(), entity)
+        })
+        .collect();
+    let n = members.len();
+    let mut driver = GroupComparer::new(PairComparer::new(Arc::new(Matcher::paper_default())));
+
+    let mut rounds = [(0u64, 0u64); 2];
+    for (allocations, matches) in &mut rounds {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        driver.cross(&block, &members[..n / 2], &members[n / 2..], |_, _| {
+            *matches += 1
+        });
+        driver.load(&block, &members);
+        driver.all_pairs(|_, _| *matches += 1);
+        for next in 1..n {
+            driver.strip(next, next.saturating_sub(5)..next, false, |_, _| {
+                *matches += 1
+            });
+        }
+        *allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    }
+    let [(cold, cold_matches), (warm, warm_matches)] = rounds;
+    assert!(cold > 0, "the first group grows the columns");
+    assert_eq!(warm, 0, "a warm group allocated {warm} times ({cold} cold)");
+    assert!(cold_matches > 0 && cold_matches < (n * n) as u64);
+    assert_eq!(cold_matches, warm_matches);
+}

@@ -25,8 +25,7 @@ use std::sync::Arc;
 
 use er_core::result::MatchPair;
 use er_core::sortkey::{RangePartitioner, SortKey};
-use er_core::MatcherCache;
-use er_loadbalance::compare::{PairComparer, PairTally, PreparedRef};
+use er_loadbalance::compare::{GroupComparer, PairComparer};
 use er_loadbalance::Ent;
 use mr_engine::prelude::*;
 
@@ -106,8 +105,6 @@ pub enum WindowOut {
 /// task end ([`Reducer::finish`]).
 #[derive(Clone)]
 pub struct WindowReducer {
-    comparer: PairComparer,
-    cache: MatcherCache,
     window: usize,
     /// Whether to publish head/tail candidates (false when the job
     /// runs with a single partition — there are no boundaries).
@@ -127,11 +124,8 @@ pub struct WindowReducer {
 impl WindowReducer {
     /// Creates the reducer.
     pub fn new(comparer: PairComparer, window: usize, emit_boundaries: bool) -> Self {
-        let cache = comparer.new_cache();
-        let buffer = WindowBuffer::new(window);
+        let buffer = WindowBuffer::new(comparer, window);
         Self {
-            comparer,
-            cache,
             window,
             emit_boundaries,
             buffer,
@@ -188,15 +182,9 @@ impl Reducer for WindowReducer {
                 );
             }
             self.seen += 1;
-            self.buffer.advance(
-                &self.comparer,
-                &mut self.cache,
-                &value.keyed,
-                ctx,
-                |ctx, pair, score| {
-                    ctx.emit((), WindowOut::Match(pair, score));
-                },
-            );
+            self.buffer.advance(&value.keyed, ctx, |ctx, pair, score| {
+                ctx.emit((), WindowOut::Match(pair, score));
+            });
         }
     }
 
@@ -213,13 +201,13 @@ impl Reducer for WindowReducer {
         // The ring holds exactly the last min(w − 1, n) entities,
         // oldest first.
         let tail_len = self.buffer.len() as u32;
-        for (i, keyed) in self.buffer.entries().enumerate() {
+        for (i, entity) in self.buffer.entries().enumerate() {
             ctx.emit(
                 (),
                 WindowOut::Tail {
                     partition,
                     dist: tail_len - i as u32,
-                    entity: Arc::clone(&keyed.entity),
+                    entity: Arc::clone(entity),
                 },
             );
         }
@@ -367,19 +355,22 @@ pub fn assemble_boundary_input(
 /// compare every pair within `dl + dr ≤ w`.
 #[derive(Clone)]
 pub struct StitchReducer {
-    comparer: PairComparer,
-    cache: MatcherCache,
+    driver: GroupComparer,
     window: usize,
+    /// Distances of the buffered lefts, by driver position.
+    left_dists: Vec<u32>,
 }
 
 impl StitchReducer {
     /// Creates the reducer.
     pub fn new(comparer: PairComparer, window: usize) -> Self {
-        let cache = comparer.new_cache();
+        let mut driver = GroupComparer::new(comparer);
+        // All SN comparisons run under the constant `⊥` block key.
+        driver.begin(&er_core::blocking::BlockKey::bottom());
         Self {
-            comparer,
-            cache,
+            driver,
             window,
+            left_dists: Vec::new(),
         }
     }
 }
@@ -396,32 +387,25 @@ impl Reducer for StitchReducer {
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let w = self.window as u32;
-        let mut tally = PairTally::default();
-        let mut lefts: Vec<(u32, PreparedRef<'_>)> = Vec::new();
+        self.driver.truncate(0);
+        self.left_dists.clear();
         for (key, value) in group.iter() {
-            let prepared = self.comparer.prepare_cached(&mut self.cache, &value.keyed);
+            let position = self.driver.push(&value.keyed);
             match key.side {
-                BoundarySide::Left => lefts.push((key.dist, prepared)),
+                BoundarySide::Left => self.left_dists.push(key.dist),
                 BoundarySide::Right => {
                     // Lefts arrive ascending by dist, so the window
-                    // condition fails monotonically.
-                    for (dl, left) in &lefts {
-                        if dl + key.dist > w {
-                            break;
-                        }
-                        self.comparer.compare_prepared(
-                            &self.cache,
-                            left,
-                            &prepared,
-                            &er_core::blocking::BlockKey::bottom(),
-                            &mut tally,
-                            ctx,
-                        );
-                    }
+                    // condition holds for a prefix of them.
+                    let reach = self.left_dists.partition_point(|dl| dl + key.dist <= w);
+                    self.driver.strip(position, 0..reach, false, |pair, score| {
+                        ctx.emit(pair, score)
+                    });
+                    // Only lefts stay: a right is never a partner.
+                    self.driver.truncate(position);
                 }
             }
         }
-        tally.flush(ctx);
+        self.driver.flush(ctx);
     }
 }
 

@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use er_core::result::MatchPair;
 use er_core::sortkey::{RangePartitioner, SortKey};
-use er_core::MatcherCache;
 use er_loadbalance::compare::PairComparer;
 use er_loadbalance::Ent;
 use mr_engine::prelude::*;
@@ -121,8 +120,6 @@ impl Mapper for RepSnMapper {
 /// it.
 #[derive(Clone)]
 pub struct RepSnReducer {
-    comparer: PairComparer,
-    cache: MatcherCache,
     buffer: WindowBuffer,
     /// Original entities streamed so far.
     originals: u64,
@@ -133,11 +130,8 @@ pub struct RepSnReducer {
 impl RepSnReducer {
     /// Creates the reducer.
     pub fn new(comparer: PairComparer, window: usize) -> Self {
-        let cache = comparer.new_cache();
-        let buffer = WindowBuffer::new(window);
+        let buffer = WindowBuffer::new(comparer, window);
         Self {
-            comparer,
-            cache,
             buffer,
             originals: 0,
             saw_original: false,
@@ -168,20 +162,13 @@ impl Reducer for RepSnReducer {
                     !self.saw_original,
                     "replicas must sort strictly before originals"
                 );
-                self.buffer
-                    .prime(&self.comparer, &mut self.cache, &value.keyed);
+                self.buffer.prime(&value.keyed);
             } else {
                 self.saw_original = true;
                 self.originals += 1;
-                self.buffer.advance(
-                    &self.comparer,
-                    &mut self.cache,
-                    &value.keyed,
-                    ctx,
-                    |ctx, pair, score| {
-                        ctx.emit(pair, score);
-                    },
-                );
+                self.buffer.advance(&value.keyed, ctx, |ctx, pair, score| {
+                    ctx.emit(pair, score);
+                });
             }
         }
     }

@@ -2,29 +2,173 @@
 //! shape the benchmarks run: every pair of the largest title-prefix
 //! block of a DS1-shaped dataset, decided by the filter → verify
 //! cascade (heap and arena forms) and by the full dynamic program, must
-//! agree on the decision and on every bit of the score.
+//! agree on the decision and on every bit of the score — and so must
+//! the BlockSplit and PairRange reducers, which reach the same kernel
+//! block at a time through the batch prefilter.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use er_core::blocking::{BlockKey, BlockingFunction, PrefixBlocking};
-use er_core::{Entity, Matcher, MatcherCache};
+use er_core::{MatchPair, Matcher, MatcherCache, SourceId};
 use er_datagen::{ds1_spec, generate_products};
+use er_loadbalance::block_split::reducer::BlockSplitReducer;
+use er_loadbalance::compare::PairComparer;
+use er_loadbalance::keys::{BlockSplitKey, BlockSplitValue, PairRangeKey, PairRangeValue};
+use er_loadbalance::pair_range::mapper::relevant_ranges;
+use er_loadbalance::pair_range::ranges::RangeIndexer;
+use er_loadbalance::pair_range::reducer::PairRangeReducer;
+use er_loadbalance::{BlockDistributionMatrix, Ent, Keyed, RangePolicy, COMPARISONS};
+use mr_engine::reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer};
+
+/// The largest title-prefix block of a 1 %-scale DS1 corpus.
+fn largest_ds1_block() -> (BlockKey, Vec<Ent>) {
+    let dataset = generate_products(&ds1_spec(7).scaled(0.01));
+    let blocking = PrefixBlocking::title3();
+    let mut blocks: BTreeMap<BlockKey, Vec<Ent>> = BTreeMap::new();
+    for entity in dataset.entities.iter() {
+        let key = blocking.key(entity).expect("every product has a title");
+        blocks
+            .entry(key)
+            .or_default()
+            .push(Arc::new(entity.clone()));
+    }
+    let (key, block) = blocks
+        .into_iter()
+        .max_by_key(|(_, entities)| entities.len())
+        .expect("the dataset has blocks");
+    assert!(block.len() >= 50, "largest block has {}", block.len());
+    (key, block)
+}
+
+/// Every matching pair of `block` with its score bits, by the full
+/// dynamic program and the plain threshold test.
+fn full_dp_matches(matcher: &Matcher, block: &[Ent]) -> BTreeMap<MatchPair, u64> {
+    let prepared: Vec<_> = block.iter().map(|e| matcher.prepare(e)).collect();
+    let mut matches = BTreeMap::new();
+    for i in 0..block.len() {
+        for j in (i + 1)..block.len() {
+            let score = matcher.score_prepared(&prepared[i], &prepared[j]);
+            if score >= matcher.threshold() {
+                let pair = MatchPair::new(block[i].entity_ref(), block[j].entity_ref());
+                matches.insert(pair, score.to_bits());
+            }
+        }
+    }
+    matches
+}
+
+/// Runs one reduce group through `reducer` as task 0 of `tasks`,
+/// collecting matches (each pair at most once over all calls) and the
+/// comparison count.
+fn reduce_group<R, K, V>(
+    reducer: &mut R,
+    tasks: usize,
+    entries: &[(K, V)],
+    matches: &mut BTreeMap<MatchPair, u64>,
+    comparisons: &mut u64,
+) where
+    R: Reducer<KIn = K, VIn = V, KOut = MatchPair, VOut = f64>,
+{
+    let info = ReduceTaskInfo {
+        task_index: 0,
+        num_reduce_tasks: tasks,
+        num_map_tasks: 1,
+    };
+    reducer.setup(&info);
+    let mut ctx = ReduceContext::for_testing(info);
+    reducer.reduce(Group::for_testing(entries), &mut ctx);
+    *comparisons += ctx.counters().get(COMPARISONS);
+    for (pair, score) in ctx.output() {
+        let again = matches.insert(*pair, score.to_bits());
+        assert!(again.is_none(), "{pair} emitted twice");
+    }
+}
+
+#[test]
+fn reducers_equal_full_dp_on_the_largest_ds1_block() {
+    let (key, block) = largest_ds1_block();
+    let n = block.len() as u64;
+    let matcher = Arc::new(Matcher::paper_default());
+    let expected = full_dp_matches(&matcher, &block);
+    assert!(!expected.is_empty() && (expected.len() as u64) < n * (n - 1) / 2);
+    let keyed = |e: &Ent| Keyed::single(key.clone(), Arc::clone(e));
+
+    // BlockSplit: the block split in two sub-blocks is three match
+    // tasks — each half's pairs, and their cross product.
+    let (mut matches, mut comparisons) = (BTreeMap::new(), 0);
+    let mut reducer = BlockSplitReducer::new(PairComparer::new(Arc::clone(&matcher)));
+    let half = block.len() / 2;
+    let task = |i: u32, j: u32, members: &[(usize, &Ent)]| -> Vec<_> {
+        let key = BlockSplitKey {
+            reduce_task: 0,
+            block: 0,
+            i,
+            j,
+        };
+        members
+            .iter()
+            .map(|&(partition, e)| (key, BlockSplitValue::new(keyed(e), partition)))
+            .collect()
+    };
+    let halves: Vec<(usize, &Ent)> = block
+        .iter()
+        .enumerate()
+        .map(|(x, e)| (usize::from(x >= half), e))
+        .collect();
+    for entries in [
+        task(0, 0, &halves[..half]),
+        task(1, 1, &halves[half..]),
+        task(1, 0, &halves),
+    ] {
+        reduce_group(&mut reducer, 1, &entries, &mut matches, &mut comparisons);
+    }
+    assert_eq!(comparisons, n * (n - 1) / 2);
+    assert_eq!(matches, expected, "BlockSplit diverged from the full DP");
+
+    // PairRange: the block's pairs cut into seven ranges, each reduced
+    // from the members the mapper would send it.
+    let (mut matches, mut comparisons) = (BTreeMap::new(), 0);
+    let bdm = Arc::new(BlockDistributionMatrix::from_counts(
+        1,
+        [(key.clone(), 0, n)],
+    ));
+    let tasks = 7;
+    let ranges = RangeIndexer::new(bdm.total_pairs(), tasks, RangePolicy::CeilDiv);
+    let mut reducer = PairRangeReducer::new(
+        Arc::clone(&bdm),
+        PairComparer::new(Arc::clone(&matcher)),
+        RangePolicy::CeilDiv,
+    );
+    for range in 0..tasks as u32 {
+        let entries: Vec<_> = (0..n)
+            .filter(|&x| relevant_ranges(&bdm, &ranges, 0, x).contains(&u64::from(range)))
+            .map(|index| {
+                let key = PairRangeKey {
+                    range,
+                    block: 0,
+                    source: SourceId::R,
+                    index,
+                };
+                let keyed = keyed(&block[index as usize]);
+                (key, PairRangeValue { keyed, index })
+            })
+            .collect();
+        reduce_group(
+            &mut reducer,
+            tasks,
+            &entries,
+            &mut matches,
+            &mut comparisons,
+        );
+    }
+    assert_eq!(comparisons, n * (n - 1) / 2);
+    assert_eq!(matches, expected, "PairRange diverged from the full DP");
+}
 
 #[test]
 fn cascade_equals_full_dp_on_the_largest_ds1_block() {
-    let dataset = generate_products(&ds1_spec(7).scaled(0.01));
-    let blocking = PrefixBlocking::title3();
-    let mut blocks: BTreeMap<BlockKey, Vec<&Entity>> = BTreeMap::new();
-    for entity in dataset.entities.iter() {
-        let key = blocking.key(entity).expect("every product has a title");
-        blocks.entry(key).or_default().push(entity);
-    }
-    let block = blocks
-        .values()
-        .max_by_key(|entities| entities.len())
-        .expect("the dataset has blocks");
-    assert!(block.len() >= 50, "largest block has {}", block.len());
+    let (_, block) = largest_ds1_block();
 
     let matcher = Arc::new(Matcher::paper_default());
     let mut cache = MatcherCache::new(Arc::clone(&matcher));
