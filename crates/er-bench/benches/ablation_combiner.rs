@@ -11,8 +11,9 @@ use std::time::Instant;
 use er_bench::table::{fmt_count, fmt_ms, TextTable};
 use er_bench::PAPER_SEED;
 use er_core::blocking::PrefixBlocking;
-use er_loadbalance::bdm_job::compute_bdm;
+use er_loadbalance::bdm_job::compute_bdm_in;
 use mr_engine::input::partition_evenly;
+use mr_engine::runtime::{Runtime, RuntimeConfig};
 
 fn main() {
     println!("== Ablation: BDM-job combiner on/off (DS1-like @5%, m = 20, r = 20) ==\n");
@@ -23,17 +24,19 @@ fn main() {
         .map(|e| ((), Arc::new(e.clone())))
         .collect();
     let mut table = TextTable::new(&["combiner", "shuffled records", "wall time", "bdm blocks"]);
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(4));
     let mut shuffled = Vec::new();
     let mut bdms = Vec::new();
     for use_combiner in [false, true] {
         let input = partition_evenly(entities.clone(), 20);
         let start = Instant::now();
-        let (bdm, _, metrics) = compute_bdm(
+        let (bdm, _, metrics) = compute_bdm_in(
+            &mut runtime.workflow("bdm"),
             input,
             Arc::new(PrefixBlocking::title3()),
             20,
-            4,
             use_combiner,
+            None,
         )
         .unwrap();
         let wall = start.elapsed().as_secs_f64() * 1e3;

@@ -17,42 +17,43 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use dedupe_mr::{Resolver, Runtime, RuntimeConfig, Scenario};
 use er_bench::table::TextTable;
 use er_bench::{write_bench_json, Json, PAPER_SEED};
 use er_core::SourceId;
-use er_loadbalance::driver::ErConfig;
-use er_loadbalance::two_source::{appendix_example, run_linkage};
+use er_loadbalance::two_source::appendix_example;
 use er_loadbalance::{StrategyKind, COMPARISONS};
-use er_sn::{
-    run_two_source_sn, two_source_oracle_comparisons, two_source_sn_oracle, SnConfig, SnStrategy,
-};
+use er_sn::{two_source_oracle_comparisons, two_source_sn_oracle, SnStrategy};
 
-fn example_section(records: &mut Vec<(String, Json)>) {
+fn example_section(runtime: &Runtime, records: &mut Vec<(String, Json)>) {
     println!("-- Figures 15-17: the worked example (12 cross-source pairs, r = 3) --\n");
     let mut table = TextTable::new(&["strategy", "comparisons", "reduce loads", "map KV pairs"]);
     let mut rows = Vec::new();
+    let resolver = Resolver::new(runtime)
+        .with_blocking(er_loadbalance::running_example::blocking())
+        .with_reduce_tasks(3)
+        .with_count_only(true);
     for strategy in [
         StrategyKind::Basic,
         StrategyKind::BlockSplit,
         StrategyKind::PairRange,
     ] {
-        let config = ErConfig::new(strategy)
-            .with_blocking(er_loadbalance::running_example::blocking())
-            .with_reduce_tasks(3)
-            .with_parallelism(1)
-            .with_count_only(true);
-        let outcome = run_linkage(
-            appendix_example::entity_partitions(),
-            appendix_example::partition_sources(),
-            &config,
-        )
-        .unwrap();
-        let loads = outcome.match_metrics.per_reduce_counter(COMPARISONS);
+        let outcome = resolver
+            .resolve(
+                &Scenario::Linkage {
+                    strategy,
+                    sources: appendix_example::partition_sources(),
+                },
+                appendix_example::entity_partitions(),
+            )
+            .unwrap();
+        let match_metrics = outcome.details.match_metrics().expect("one matching job");
+        let loads = match_metrics.per_reduce_counter(COMPARISONS);
         table.row(vec![
             strategy.to_string(),
             outcome.total_comparisons().to_string(),
             format!("{loads:?}"),
-            outcome.match_metrics.map_output_records().to_string(),
+            match_metrics.map_output_records().to_string(),
         ]);
         rows.push(Json::obj([
             ("strategy", Json::str(strategy.to_string())),
@@ -63,7 +64,7 @@ fn example_section(records: &mut Vec<(String, Json)>) {
             ),
             (
                 "map_output_records",
-                Json::Num(outcome.match_metrics.map_output_records() as f64),
+                Json::Num(match_metrics.map_output_records() as f64),
             ),
         ]));
     }
@@ -106,6 +107,7 @@ fn catalogs() -> (Vec<Vec<((), er_loadbalance::Ent)>>, Vec<SourceId>) {
 }
 
 fn linkage_section(
+    runtime: &Runtime,
     partitions: &[Vec<((), er_loadbalance::Ent)>],
     sources: &[SourceId],
     records: &mut Vec<(String, Json)>,
@@ -113,18 +115,24 @@ fn linkage_section(
     println!("-- scaled two-source linkage: two product catalogs, 2% DS1 each --\n");
     let mut table = TextTable::new(&["strategy", "comparisons", "max/mean load", "matches"]);
     let mut rows = Vec::new();
+    let resolver = Resolver::new(runtime).with_reduce_tasks(16);
     for strategy in [
         StrategyKind::Basic,
         StrategyKind::BlockSplit,
         StrategyKind::PairRange,
     ] {
-        let config = ErConfig::new(strategy)
-            .with_reduce_tasks(16)
-            .with_parallelism(4);
+        let scenario = Scenario::Linkage {
+            strategy,
+            sources: sources.to_vec(),
+        };
         let start = Instant::now();
-        let outcome = run_linkage(partitions.to_vec(), sources.to_vec(), &config).unwrap();
+        let outcome = resolver.resolve(&scenario, partitions.to_vec()).unwrap();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let imbalance = outcome.match_metrics.reduce_imbalance(COMPARISONS);
+        let imbalance = outcome
+            .details
+            .match_metrics()
+            .expect("one matching job")
+            .reduce_imbalance(COMPARISONS);
         table.row(vec![
             strategy.to_string(),
             outcome.total_comparisons().to_string(),
@@ -144,6 +152,7 @@ fn linkage_section(
 }
 
 fn sn_section(
+    runtime: &Runtime,
     partitions: &[Vec<((), er_loadbalance::Ent)>],
     sources: &[SourceId],
     records: &mut Vec<(String, Json)>,
@@ -163,20 +172,20 @@ fn sn_section(
     // compute it once against a base config and check both strategies
     // against the same set.
     let input = partitions.to_vec();
-    let base_config = SnConfig::new(SnStrategy::JobSn)
+    let resolver = Resolver::new(runtime)
         .with_window(WINDOW)
         .with_partitions(RANGES)
-        .with_sample_rate(0.1)
-        .with_parallelism(4);
+        .with_sample_rate(0.1);
+    let base_config = resolver.sn_config(SnStrategy::JobSn);
     let oracle_pairs = two_source_sn_oracle(&input, &base_config).pair_set();
     let oracle_comparisons = two_source_oracle_comparisons(&input, &base_config);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let config = SnConfig {
+        let scenario = Scenario::TwoSourceSn {
             strategy,
-            ..base_config.clone()
+            sources: sources.to_vec(),
         };
         let start = Instant::now();
-        let outcome = run_two_source_sn(input.clone(), sources.to_vec(), &config).unwrap();
+        let outcome = resolver.resolve(&scenario, input.clone()).unwrap();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             outcome.result.pair_set(),
@@ -217,12 +226,13 @@ fn main() {
         ("bench".into(), Json::str("appendix_two_sources")),
         ("cross_source_pairs_example".into(), Json::Num(12.0)),
     ];
-    example_section(&mut records);
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(4));
+    example_section(&runtime, &mut records);
     let (partitions, sources) = catalogs();
     let entities: usize = partitions.iter().map(Vec::len).sum();
     records.push(("entities".into(), Json::Num(entities as f64)));
-    linkage_section(&partitions, &sources, &mut records);
-    sn_section(&partitions, &sources, &mut records);
+    linkage_section(&runtime, &partitions, &sources, &mut records);
+    sn_section(&runtime, &partitions, &sources, &mut records);
     println!("\n[NOTE] expected: all strategies agree on 12 comparisons in the example;");
     println!("       BlockSplit loads [4,4,4] (paper Figure 16), PairRange loads [4,4,4]");
     println!("       (Figure 17); in the scaled run the balanced strategies show");

@@ -8,13 +8,13 @@
 
 use std::sync::Arc;
 
+use dedupe_mr::{Resolver, Runtime, RuntimeConfig, Scenario};
 use er_bench::table::{fmt_ms, TextTable};
 use er_bench::{
     bdm_from_keys, simulate_strategy, write_bench_json, ExperimentCost, Json, Series, PAPER_SEED,
 };
 use er_datagen::dataset::key_sequence;
 use er_datagen::ds1_spec;
-use er_loadbalance::driver::{run_er, ErConfig};
 use er_loadbalance::StrategyKind;
 
 const NODES: usize = 10;
@@ -29,6 +29,11 @@ fn engine_memory_sweep() -> Vec<Json> {
     let input: Vec<Vec<((), er_loadbalance::Ent)>> = mr_engine::input::partition_evenly(
         ds.entities.into_iter().map(|e| ((), Arc::new(e))).collect(),
         8,
+    );
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(4)
+            .with_count_only(true),
     );
     let mut records = Vec::new();
     let mut table = TextTable::new(&[
@@ -45,12 +50,11 @@ fn engine_memory_sweep() -> Vec<Json> {
         StrategyKind::PairRange,
     ] {
         for r in [8usize, 16, 32] {
-            let config = ErConfig::new(strategy)
+            let outcome = Resolver::new(&runtime)
                 .with_reduce_tasks(r)
-                .with_parallelism(4)
-                .with_count_only(true);
-            let outcome = run_er(input.clone(), &config).unwrap();
-            let m = &outcome.match_metrics;
+                .resolve(&Scenario::Dedup { strategy }, input.clone())
+                .unwrap();
+            let m = outcome.details.match_metrics().expect("one matching job");
             let input_records: u64 = m.reduce_tasks.iter().map(|t| t.records_in).sum();
             let fraction = m.peak_resident_fraction();
             table.row(vec![

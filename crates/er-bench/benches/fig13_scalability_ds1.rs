@@ -9,17 +9,15 @@
 
 use std::sync::Arc;
 
+use dedupe_mr::{Resolver, Runtime, RuntimeConfig, Scenario};
 use er_bench::table::{fmt_ms, TextTable};
 use er_bench::{
     bdm_from_keys, simulate_strategy, write_bench_json, ExperimentCost, Json, Series, PAPER_SEED,
 };
 use er_datagen::dataset::key_sequence;
 use er_datagen::ds1_spec;
-use er_loadbalance::driver::{run_er_in, ErConfig};
 use er_loadbalance::StrategyKind;
-use mr_engine::pool::WorkerPool;
 use mr_engine::trace::{TraceRecorder, TraceReport, TraceSink};
-use mr_engine::workflow::Workflow;
 
 const NODE_STEPS: [usize; 7] = [1, 2, 5, 10, 20, 40, 100];
 
@@ -48,19 +46,25 @@ fn engine_parallelism_sweep() -> Vec<Json> {
         "slot utilization",
     ]);
     for parallelism in [1usize, 2, 4] {
-        let config = ErConfig::new(StrategyKind::BlockSplit)
-            .with_reduce_tasks(40)
-            .with_parallelism(parallelism)
-            .with_count_only(true);
+        let runtime = Runtime::new(
+            RuntimeConfig::new()
+                .with_parallelism(parallelism)
+                .with_reduce_tasks(40)
+                .with_count_only(true),
+        );
         let recorder = Arc::new(TraceRecorder::new());
         let concrete: Arc<TraceRecorder> = Arc::clone(&recorder);
         let sink: Arc<dyn TraceSink> = concrete;
-        let pool = Arc::new(WorkerPool::new(parallelism));
-        let mut workflow =
-            Workflow::on_pool(format!("fig13-x{parallelism}"), pool).with_trace_sink(sink);
-        let stages = run_er_in(&mut workflow, input.clone(), &config).unwrap();
-        workflow.finish();
-        let m = &stages.match_metrics;
+        let outcome = Resolver::new(&runtime)
+            .with_trace_sink(sink)
+            .resolve(
+                &Scenario::Dedup {
+                    strategy: StrategyKind::BlockSplit,
+                },
+                input.clone(),
+            )
+            .unwrap();
+        let m = outcome.details.match_metrics().expect("one matching job");
         let gauges = (m.peak_group_len(), m.peak_resident_records());
         match &reference {
             None => reference = Some(gauges),

@@ -28,6 +28,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use dedupe_mr::{Outcome, Resolver, Runtime, RuntimeConfig, Scenario};
 use er_bench::table::{fmt_count, fmt_ms, TextTable};
 use er_bench::{median_ms, write_bench_json, Json, PAPER_SEED};
 use er_core::{Entity, GoldStandard, MatchPair, QualityReport};
@@ -35,10 +36,9 @@ use er_datagen::duplicates::{perturb_title, rs_code, EditOps};
 use er_datagen::exponential_block_sizes;
 use er_datagen::rng::stream_rng;
 use er_datagen::vocab::{block_prefix, PRODUCT_NOUNS, PRODUCT_QUALIFIERS};
-use er_loadbalance::driver::{run_er, ErConfig};
 use er_loadbalance::{Ent, StrategyKind, COMPARISONS};
-use er_lsh::{run_lsh, LshConfig, LshOutcome, LshParams};
-use er_sn::{run_sorted_neighborhood, SnConfig, SnStrategy};
+use er_lsh::LshParams;
+use er_sn::SnStrategy;
 use mr_engine::input::{partition_evenly, Partitions};
 
 const MAP_TASKS: usize = 4;
@@ -103,22 +103,29 @@ fn partitions(entities: &[Ent]) -> Partitions<(), Ent> {
     )
 }
 
-fn lsh_config(params: LshParams) -> LshConfig {
-    LshConfig::new()
-        .with_params(params)
-        .with_reduce_tasks(REDUCE_TASKS)
-        .with_parallelism(MAP_TASKS)
-}
-
-fn timed_lsh(input: &Partitions<(), Ent>, config: &LshConfig) -> (LshOutcome, f64) {
+/// Resolves `scenario` `SAMPLES` times; the last outcome and the
+/// median wall in ms.
+fn timed(
+    resolver: &Resolver<'_>,
+    scenario: &Scenario,
+    input: &Partitions<(), Ent>,
+) -> (Outcome, f64) {
     let mut walls = Vec::with_capacity(SAMPLES);
     let mut outcome = None;
     for _ in 0..SAMPLES {
         let start = Instant::now();
-        outcome = Some(run_lsh(input.clone(), None, config).expect("LSH run"));
+        outcome = Some(resolver.resolve(scenario, input.clone()).expect("resolve"));
         walls.push(start.elapsed().as_secs_f64() * 1e3);
     }
     (outcome.expect("at least one sample"), median_ms(&walls))
+}
+
+fn reduce_imbalance(outcome: &Outcome) -> f64 {
+    outcome
+        .details
+        .match_metrics()
+        .expect("one matching job")
+        .reduce_imbalance(COMPARISONS)
 }
 
 fn main() {
@@ -126,6 +133,12 @@ fn main() {
     const N: usize = 1_500;
     const BLOCKS: usize = 24;
     const DUP_EVERY: usize = 6;
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(MAP_TASKS)
+            .with_reduce_tasks(REDUCE_TASKS),
+    );
+    let resolver = Resolver::new(&runtime);
 
     // ---- 1. skew study --------------------------------------------------
     println!("-- skew study (n = {N} originals + duplicates, b = {BLOCKS} blocks) --\n");
@@ -147,30 +160,26 @@ fn main() {
         let (entities, gold) = skewed_dup_corpus(N, BLOCKS, s, DUP_EVERY, PAPER_SEED);
         let input = partitions(&entities);
 
-        let (lsh, lsh_ms) = timed_lsh(&input, &lsh_config(HEADLINE));
+        let (lsh, lsh_ms) = timed(&resolver, &Scenario::lsh(HEADLINE), &input);
         let lsh_quality = QualityReport::evaluate(&lsh.result, &gold);
-        let lsh_imbalance = lsh.match_metrics.reduce_imbalance(COMPARISONS);
+        let lsh_imbalance = reduce_imbalance(&lsh);
 
-        let bs_cfg = ErConfig::new(StrategyKind::BlockSplit)
-            .with_reduce_tasks(REDUCE_TASKS)
-            .with_parallelism(MAP_TASKS);
-        let mut bs_walls = Vec::with_capacity(SAMPLES);
-        let mut bs = None;
-        for _ in 0..SAMPLES {
-            let start = Instant::now();
-            bs = Some(run_er(input.clone(), &bs_cfg).expect("BlockSplit run"));
-            bs_walls.push(start.elapsed().as_secs_f64() * 1e3);
-        }
-        let bs = bs.expect("at least one sample");
-        let bs_ms = median_ms(&bs_walls);
+        let block_split = Scenario::Dedup {
+            strategy: StrategyKind::BlockSplit,
+        };
+        let (bs, bs_ms) = timed(&resolver, &block_split, &input);
         let bs_quality = QualityReport::evaluate(&bs.result, &gold);
         let bs_comparisons = bs.total_comparisons();
 
-        let sn_cfg = SnConfig::new(SnStrategy::JobSn)
+        let sn = resolver
+            .clone()
             .with_window(4)
-            .with_partitions(REDUCE_TASKS)
-            .with_sample_rate(0.1);
-        let sn = run_sorted_neighborhood(input.clone(), &sn_cfg).expect("SN run");
+            .with_sample_rate(0.1)
+            .resolve(
+                &Scenario::sorted_neighborhood(SnStrategy::JobSn),
+                input.clone(),
+            )
+            .expect("SN run");
         let sn_quality = QualityReport::evaluate(&sn.result, &gold);
 
         table.row(vec![
@@ -254,10 +263,10 @@ fn main() {
         LshParams { bands: 8, rows: 4 },
         LshParams { bands: 4, rows: 8 },
     ] {
-        let (outcome, _) = timed_lsh(&input, &lsh_config(params));
+        let (outcome, _) = timed(&resolver, &Scenario::lsh(params), &input);
         let quality = QualityReport::evaluate(&outcome.result, &gold);
         let est = params.collision_probability(0.8);
-        let imbalance = outcome.match_metrics.reduce_imbalance(COMPARISONS);
+        let imbalance = reduce_imbalance(&outcome);
         table.row(vec![
             params.to_string(),
             fmt_count(outcome.total_comparisons()),
@@ -293,12 +302,14 @@ fn main() {
     // A budget between the tightest and widest rungs' workloads: the
     // driver must walk down until a rung fits.
     let budget = prev_comparisons.max(1) * 4;
-    let adaptive_cfg = LshConfig::new()
-        .with_ladder(ladder)
-        .with_candidate_budget(Some(budget))
-        .with_reduce_tasks(REDUCE_TASKS)
-        .with_parallelism(MAP_TASKS);
-    let adaptive = run_lsh(input.clone(), None, &adaptive_cfg).expect("adaptive run");
+    let adaptive = resolver
+        .clone()
+        .with_lsh_ladder(ladder)
+        .with_lsh_budget(Some(budget))
+        .resolve(&Scenario::lsh_adaptive(), input.clone())
+        .expect("adaptive run");
+    let rounds = adaptive.details.lsh_rounds().expect("LSH rounds");
+    let accepted = adaptive.details.lsh_params().expect("accepted banding");
     let mut table = TextTable::new(&[
         "round",
         "bands x rows",
@@ -307,7 +318,7 @@ fn main() {
         "accepted",
     ]);
     let mut round_records = Vec::new();
-    for (i, round) in adaptive.rounds.iter().enumerate() {
+    for (i, round) in rounds.iter().enumerate() {
         table.row(vec![
             (i + 1).to_string(),
             round.params.to_string(),
@@ -328,17 +339,17 @@ fn main() {
     }
     table.print();
     assert!(
-        adaptive.rounds.last().expect("rounds reported").accepted,
+        rounds.last().expect("rounds reported").accepted,
         "the final measured round is the accepted one"
     );
     assert!(
-        adaptive.rounds.len() > 1,
+        rounds.len() > 1,
         "the budget {budget} must force at least one tightening step"
     );
     println!(
         "\n[PASS] ladder tightened over {} rounds to {} within budget {}",
-        adaptive.rounds.len(),
-        adaptive.params,
+        rounds.len(),
+        accepted,
         fmt_count(budget)
     );
 
@@ -356,8 +367,8 @@ fn main() {
         ("sn_comparisons_s1", Json::Num(sn_cmp as f64)),
         ("lsh_recall_s1", Json::Num(lsh_recall)),
         ("lsh_imbalance_s1", Json::Num(lsh_imb)),
-        ("adaptive_rounds", Json::Num(adaptive.rounds.len() as f64)),
-        ("accepted_bands", Json::Num(adaptive.params.bands as f64)),
+        ("adaptive_rounds", Json::Num(rounds.len() as f64)),
+        ("accepted_bands", Json::Num(accepted.bands as f64)),
         ("lsh_wall_ms", Json::Num(lsh_ms)),
         ("blocksplit_wall_ms", Json::Num(bs_ms)),
         ("skew_study", Json::Arr(skew_records)),

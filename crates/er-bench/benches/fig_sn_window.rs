@@ -29,17 +29,16 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use dedupe_mr::{Outcome, Resolver, Runtime, RuntimeConfig, Scenario, ScenarioDetails};
 use er_bench::table::{fmt_count, fmt_ms, TextTable};
 use er_bench::{median_ms, write_bench_json, Json, PAPER_SEED};
 use er_core::sortkey::{AttributeSortKey, ReversedSortKey, SortKeyFunction};
 use er_core::QualityReport;
 use er_datagen::{ds1_spec, exponential_dataset, generate_products};
-use er_loadbalance::driver::{run_er, ErConfig};
 use er_loadbalance::{Ent, StrategyKind, WorkloadStats};
-use er_sn::{
-    multipass_oracle_comparisons, run_multipass_sn, run_sorted_neighborhood, SnConfig, SnStrategy,
-};
+use er_sn::{multipass_oracle_comparisons, SnStrategy, REPLICAS};
 use mr_engine::input::{partition_evenly, Partitions};
+use mr_engine::metrics::JobMetrics;
 
 const MAP_TASKS: usize = 4;
 const SAMPLES: usize = 3;
@@ -55,31 +54,53 @@ fn corpus() -> (Partitions<(), Ent>, er_core::GoldStandard, usize) {
     (input, gold, n)
 }
 
-fn run_once(
-    input: &Partitions<(), Ent>,
-    strategy: SnStrategy,
-    window: usize,
-    partitions: usize,
-) -> (er_sn::SnOutcome, f64) {
-    let config = SnConfig::new(strategy)
+/// The bench's SN session: 10 % key sampling under `window` over
+/// `partitions` key ranges.
+fn sn_session(runtime: &Runtime, window: usize, partitions: usize) -> Resolver<'_> {
+    Resolver::new(runtime)
         .with_window(window)
         .with_partitions(partitions)
-        .with_sample_rate(0.1);
+        .with_sample_rate(0.1)
+}
+
+/// Resolves `scenario` `SAMPLES` times; the last outcome and the
+/// median wall in ms.
+fn run_once(
+    resolver: &Resolver<'_>,
+    scenario: &Scenario,
+    input: &Partitions<(), Ent>,
+) -> (Outcome, f64) {
     let mut walls = Vec::with_capacity(SAMPLES);
     let mut outcome = None;
     for _ in 0..SAMPLES {
         let start = Instant::now();
-        let run = run_sorted_neighborhood(input.clone(), &config).expect("SN run");
+        let run = resolver.resolve(scenario, input.clone()).expect("SN run");
         walls.push(start.elapsed().as_secs_f64() * 1e3);
         outcome = Some(run);
     }
     (outcome.expect("at least one sample"), median_ms(&walls))
 }
 
+/// The matching and (JobSN, when boundaries had candidates) stitch job
+/// metrics of a single-pass SN outcome.
+fn sn_jobs(outcome: &Outcome) -> (&JobMetrics, Option<&JobMetrics>) {
+    match &outcome.details {
+        ScenarioDetails::Sorted {
+            match_metrics,
+            stitch_metrics,
+            ..
+        } => (match_metrics, stitch_metrics.as_ref()),
+        other => panic!("expected a single-pass SN outcome, got {other:?}"),
+    }
+}
+
 fn main() {
     println!("== fig_sn_window: Sorted Neighborhood window/partition sweeps (real runs) ==");
     let (input, gold, n) = corpus();
     println!("   corpus: {n} DS1-shaped products, m = {MAP_TASKS} map tasks\n");
+    let runtime = Runtime::new(RuntimeConfig::new());
+    let jobsn_scenario = Scenario::sorted_neighborhood(SnStrategy::JobSn);
+    let repsn_scenario = Scenario::sorted_neighborhood(SnStrategy::RepSn);
 
     // ---- 1. window sweep ------------------------------------------------
     const R: usize = 4;
@@ -94,8 +115,10 @@ fn main() {
     ]);
     let mut window_records = Vec::new();
     for window in [2usize, 4, 8, 16] {
-        let (jobsn, jobsn_ms) = run_once(&input, SnStrategy::JobSn, window, R);
-        let (repsn, repsn_ms) = run_once(&input, SnStrategy::RepSn, window, R);
+        let session = sn_session(&runtime, window, R);
+        let (jobsn, jobsn_ms) = run_once(&session, &jobsn_scenario, &input);
+        let (repsn, repsn_ms) = run_once(&session, &repsn_scenario, &input);
+        let replicas = sn_jobs(&repsn).0.counters.get(REPLICAS);
         assert_eq!(
             jobsn.result.pair_set(),
             repsn.result.pair_set(),
@@ -108,7 +131,7 @@ fn main() {
             fmt_count(jobsn.total_comparisons()),
             fmt_ms(jobsn_ms),
             fmt_ms(repsn_ms),
-            fmt_count(repsn.replicas()),
+            fmt_count(replicas),
             format!("{:.3}", quality.recall()),
         ]);
         window_records.push(Json::obj([
@@ -116,7 +139,7 @@ fn main() {
             ("comparisons", Json::Num(jobsn.total_comparisons() as f64)),
             ("jobsn_wall_ms", Json::Num(jobsn_ms)),
             ("repsn_wall_ms", Json::Num(repsn_ms)),
-            ("repsn_replicas", Json::Num(repsn.replicas() as f64)),
+            ("repsn_replicas", Json::Num(replicas as f64)),
             ("recall", Json::Num(quality.recall())),
             ("precision", Json::Num(quality.precision())),
         ]));
@@ -137,8 +160,9 @@ fn main() {
     let mut partition_records = Vec::new();
     let mut reference_pairs = None;
     for partitions in [2usize, 4, 8] {
-        let (jobsn, jobsn_ms) = run_once(&input, SnStrategy::JobSn, W, partitions);
-        let (repsn, repsn_ms) = run_once(&input, SnStrategy::RepSn, W, partitions);
+        let session = sn_session(&runtime, W, partitions);
+        let (jobsn, jobsn_ms) = run_once(&session, &jobsn_scenario, &input);
+        let (repsn, repsn_ms) = run_once(&session, &repsn_scenario, &input);
         assert_eq!(jobsn.result.pair_set(), repsn.result.pair_set());
         match &reference_pairs {
             None => reference_pairs = Some(jobsn.result.pair_set()),
@@ -148,16 +172,12 @@ fn main() {
                 "pair set must not depend on the partition count"
             ),
         }
-        let rep_factor = repsn.match_metrics.map_output_records() as f64
-            / repsn.match_metrics.map_input_records() as f64;
-        let stitch_candidates = jobsn
-            .stitch_metrics
-            .as_ref()
-            .map(|m| m.map_input_records())
-            .unwrap_or(0);
-        let balance = jobsn
-            .match_metrics
-            .reduce_imbalance(er_loadbalance::COMPARISONS);
+        let repsn_match = sn_jobs(&repsn).0;
+        let rep_factor =
+            repsn_match.map_output_records() as f64 / repsn_match.map_input_records() as f64;
+        let (jobsn_match, jobsn_stitch) = sn_jobs(&jobsn);
+        let stitch_candidates = jobsn_stitch.map(|m| m.map_input_records()).unwrap_or(0);
+        let balance = jobsn_match.reduce_imbalance(er_loadbalance::COMPARISONS);
         table.row(vec![
             partitions.to_string(),
             fmt_ms(jobsn_ms),
@@ -192,21 +212,26 @@ fn main() {
         MAP_TASKS,
     );
     const SKEW_R: usize = 8;
-    let sn_cfg = SnConfig::new(SnStrategy::JobSn)
-        .with_window(W)
-        .with_partitions(SKEW_R)
-        .with_sample_rate(0.1);
-    let sn = run_sorted_neighborhood(skew_input.clone(), &sn_cfg).expect("SN skew run");
-    let bs_cfg = ErConfig::new(StrategyKind::BlockSplit)
+    let sn = sn_session(&runtime, W, SKEW_R)
+        .resolve(&jobsn_scenario, skew_input.clone())
+        .expect("SN skew run");
+    let bs = Resolver::new(&runtime)
         .with_reduce_tasks(SKEW_R)
-        .with_count_only(true);
-    let bs = run_er(skew_input, &bs_cfg).expect("BlockSplit skew run");
-    let bs_stats = WorkloadStats::from_metrics(StrategyKind::BlockSplit, &bs.match_metrics);
+        .with_count_only(true)
+        .resolve(
+            &Scenario::Dedup {
+                strategy: StrategyKind::BlockSplit,
+            },
+            skew_input,
+        )
+        .expect("BlockSplit skew run");
+    let bs_stats = WorkloadStats::from_metrics(
+        StrategyKind::BlockSplit,
+        bs.details.match_metrics().expect("one matching job"),
+    );
     let sn_total = sn.total_comparisons();
     let bs_total = bs_stats.total_comparisons();
-    let sn_imb = sn
-        .match_metrics
-        .reduce_imbalance(er_loadbalance::COMPARISONS);
+    let sn_imb = sn_jobs(&sn).0.reduce_imbalance(er_loadbalance::COMPARISONS);
     let mut table = TextTable::new(&["strategy", "comparisons", "imbalance"]);
     table.row(vec![
         "SN (JobSN)".into(),
@@ -249,20 +274,17 @@ fn main() {
     let mut recalls = Vec::new();
     for pass_count in 1..=all_passes.len() {
         let passes = &all_passes[..pass_count];
-        let config = SnConfig::new(SnStrategy::JobSn)
-            .with_window(MP_WINDOW)
-            .with_partitions(R)
-            .with_sample_rate(0.1);
-        let mut walls = Vec::with_capacity(SAMPLES);
-        let mut outcome = None;
-        for _ in 0..SAMPLES {
-            let start = Instant::now();
-            let run = run_multipass_sn(input.clone(), &config, passes).expect("multi-pass run");
-            walls.push(start.elapsed().as_secs_f64() * 1e3);
-            outcome = Some(run);
-        }
-        let outcome = outcome.expect("at least one sample");
-        let wall = median_ms(&walls);
+        let session = sn_session(&runtime, MP_WINDOW, R);
+        let config = session.sn_config(SnStrategy::JobSn);
+        let scenario = Scenario::multipass_sn(SnStrategy::JobSn, passes.iter().cloned());
+        let (outcome, wall) = run_once(&session, &scenario, &input);
+        let gated: u64 = outcome
+            .details
+            .passes()
+            .expect("multi-pass reports")
+            .iter()
+            .map(|p| p.skipped)
+            .sum();
         assert_eq!(
             outcome.total_comparisons(),
             multipass_oracle_comparisons(&input, &config, passes),
@@ -272,7 +294,7 @@ fn main() {
         table.row(vec![
             pass_count.to_string(),
             fmt_count(outcome.total_comparisons()),
-            fmt_count(outcome.total_skipped()),
+            fmt_count(gated),
             fmt_ms(wall),
             format!("{:.3}", quality.recall()),
             format!("{:.3}", quality.precision()),
@@ -281,7 +303,7 @@ fn main() {
             ("passes", Json::Num(pass_count as f64)),
             ("window", Json::Num(MP_WINDOW as f64)),
             ("comparisons", Json::Num(outcome.total_comparisons() as f64)),
-            ("gated_pairs", Json::Num(outcome.total_skipped() as f64)),
+            ("gated_pairs", Json::Num(gated as f64)),
             ("wall_ms", Json::Num(wall)),
             ("recall", Json::Num(quality.recall())),
             ("precision", Json::Num(quality.precision())),

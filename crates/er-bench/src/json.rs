@@ -6,9 +6,9 @@
 //! a tiny JSON value type with a writer and a strict parser (both
 //! dependency-free — the build container has no crates.io access), and
 //! [`write_bench_json`], which drops `BENCH_<name>.json` into
-//! [`bench_json_dir`]. CI smoke-runs the engine micro-bench and
-//! re-parses its export with [`Json::parse`], so the format cannot rot
-//! silently.
+//! [`bench_json_dir`]. CI smoke-runs the exporting benches and
+//! re-parses their exports with [`Json::parse`], so the format cannot
+//! rot silently.
 //!
 //! The value type itself now lives in [`mr_engine::json`] so the
 //! engine's JSONL trace sink can use it without depending on this

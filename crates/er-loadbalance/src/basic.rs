@@ -88,7 +88,6 @@ pub fn basic_job(
     blocking: Arc<dyn BlockingFunction>,
     comparer: PairComparer,
     reduce_tasks: usize,
-    parallelism: usize,
 ) -> Job<BasicMapper, BasicReducer> {
     Job::builder(
         "er-basic",
@@ -96,7 +95,6 @@ pub fn basic_job(
         BasicReducer::new(comparer),
     )
     .reduce_tasks(reduce_tasks)
-    .parallelism(parallelism)
     .partitioner(HashPartitioner)
     .build()
 }
@@ -107,6 +105,7 @@ mod tests {
     use crate::COMPARISONS;
     use er_core::blocking::PrefixBlocking;
     use er_core::{Entity, Matcher};
+    use mr_engine::pool::WorkerPool;
 
     fn input() -> Partitions<(), Ent> {
         let e = |id: u64, t: &str| ((), Arc::new(Entity::new(id, [("title", t)])));
@@ -125,9 +124,8 @@ mod tests {
             Arc::new(PrefixBlocking::new("title", 2)),
             PairComparer::new(Arc::new(Matcher::paper_default())),
             r,
-            1,
         );
-        let out = job.run(input()).unwrap();
+        let out = job.run_on(&WorkerPool::new(1), input()).unwrap();
         let metrics = out.metrics.clone();
         (out.into_records(), metrics)
     }

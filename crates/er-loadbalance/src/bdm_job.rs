@@ -79,10 +79,9 @@ pub type BdmReducer = mr_engine::reducer::SumReducer<BdmKey>;
 pub fn bdm_job(
     blocking: Arc<dyn BlockingFunction>,
     reduce_tasks: usize,
-    parallelism: usize,
     use_combiner: bool,
 ) -> Job<BdmMapper, BdmReducer> {
-    bdm_job_named("bdm", blocking, reduce_tasks, parallelism, use_combiner)
+    bdm_job_named("bdm", blocking, reduce_tasks, use_combiner)
 }
 
 /// [`bdm_job`] under a caller-chosen job name — for workflows that run
@@ -93,12 +92,10 @@ pub fn bdm_job_named(
     name: &str,
     blocking: Arc<dyn BlockingFunction>,
     reduce_tasks: usize,
-    parallelism: usize,
     use_combiner: bool,
 ) -> Job<BdmMapper, BdmReducer> {
     let mut builder = Job::builder(name, BdmMapper::new(blocking), BdmReducer::default())
         .reduce_tasks(reduce_tasks)
-        .parallelism(parallelism)
         .partitioner(FnPartitioner::new(|key: &BdmKey, r: usize| {
             HashPartitioner::bucket(&key.0, r)
         }));
@@ -125,7 +122,6 @@ pub fn compute_bdm_in(
     input: Partitions<(), Ent>,
     blocking: Arc<dyn BlockingFunction>,
     reduce_tasks: usize,
-    parallelism: usize,
     use_combiner: bool,
     spill_threshold: Option<usize>,
 ) -> Result<BdmProducts, MrError> {
@@ -135,7 +131,6 @@ pub fn compute_bdm_in(
         input,
         blocking,
         reduce_tasks,
-        parallelism,
         use_combiner,
         spill_threshold,
     )
@@ -143,19 +138,17 @@ pub fn compute_bdm_in(
 
 /// [`compute_bdm_in`] under a caller-chosen stage name (see
 /// [`bdm_job_named`]).
-#[allow(clippy::too_many_arguments)]
 pub fn compute_bdm_named_in(
     workflow: &mut Workflow,
     name: &str,
     input: Partitions<(), Ent>,
     blocking: Arc<dyn BlockingFunction>,
     reduce_tasks: usize,
-    parallelism: usize,
     use_combiner: bool,
     spill_threshold: Option<usize>,
 ) -> Result<BdmProducts, MrError> {
     let m = input.len();
-    let job = bdm_job_named(name, blocking, reduce_tasks, parallelism, use_combiner)
+    let job = bdm_job_named(name, blocking, reduce_tasks, use_combiner)
         .with_spill_threshold(spill_threshold);
     let out = workflow.chained_stage(&job, input)?;
     let bdm = BlockDistributionMatrix::from_counts(
@@ -168,8 +161,9 @@ pub fn compute_bdm_named_in(
     Ok((bdm, out.side_outputs, out.metrics))
 }
 
-/// Runs the BDM job standalone (outside a larger workflow) and
-/// assembles its [`BdmProducts`].
+/// Runs the BDM job standalone (outside a larger workflow), on a pool
+/// of `parallelism` workers built for this one call, and assembles its
+/// [`BdmProducts`].
 pub fn compute_bdm(
     input: Partitions<(), Ent>,
     blocking: Arc<dyn BlockingFunction>,
@@ -177,13 +171,15 @@ pub fn compute_bdm(
     parallelism: usize,
     use_combiner: bool,
 ) -> Result<BdmProducts, MrError> {
-    let mut workflow = Workflow::new("bdm");
+    if parallelism == 0 {
+        return Err(MrError::ZeroParallelism);
+    }
+    let mut workflow = Workflow::on_pool("bdm", Arc::new(WorkerPool::new(parallelism)));
     compute_bdm_in(
         &mut workflow,
         input,
         blocking,
         reduce_tasks,
-        parallelism,
         use_combiner,
         None,
     )
@@ -257,8 +253,8 @@ mod tests {
     fn entities_without_keys_are_counted_and_skipped() {
         let mut input = example_input();
         input[0].push(((), Arc::new(Entity::new(99, [("brand", "no title")]))));
-        let job = bdm_job(blocking(), 2, 1, false);
-        let out = job.run(input).unwrap();
+        let job = bdm_job(blocking(), 2, false);
+        let out = job.run_on(&WorkerPool::new(1), input).unwrap();
         assert_eq!(out.metrics.counters.get(NULL_KEY_ENTITIES), 1);
         let total: u64 = out.records().map(|(_, c)| c).sum();
         assert_eq!(total, 14, "the keyless entity is not counted");
@@ -275,8 +271,8 @@ mod tests {
             (),
             Arc::new(Entity::new(0, [("title", "w thing"), ("brand", "acme")])),
         )]];
-        let job = bdm_job(mp, 2, 1, false);
-        let out = job.run(input).unwrap();
+        let job = bdm_job(mp, 2, false);
+        let out = job.run_on(&WorkerPool::new(1), input).unwrap();
         // Two keys -> two count records and two side records.
         assert_eq!(out.num_records(), 2);
         assert_eq!(out.side_outputs[0].len(), 2);

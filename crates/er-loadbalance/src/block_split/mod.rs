@@ -16,9 +16,7 @@ pub mod reducer;
 
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use mr_engine::engine::Job;
-use mr_engine::prelude::Partitions;
 
 use crate::bdm::BlockDistributionMatrix;
 use crate::compare::PairComparer;
@@ -28,30 +26,14 @@ pub use assign::TaskAssignment;
 pub use match_tasks::{create_match_tasks, create_match_tasks_with_policy, MatchTask, SplitPolicy};
 
 /// Builds the BlockSplit matching job over the BDM job's annotated
-/// side output.
+/// side output, splitting blocks under `policy` (the paper's workload
+/// criterion, optionally with a memory cap forcing oversized blocks
+/// apart).
 pub fn block_split_job(
-    bdm: Arc<BlockDistributionMatrix>,
-    comparer: PairComparer,
-    reduce_tasks: usize,
-    parallelism: usize,
-) -> Job<mapper::BlockSplitMapper, reducer::BlockSplitReducer> {
-    block_split_job_with_policy(
-        bdm,
-        comparer,
-        SplitPolicy::paper(),
-        reduce_tasks,
-        parallelism,
-    )
-}
-
-/// [`block_split_job`] under an explicit [`SplitPolicy`] (e.g. a
-/// memory cap forcing oversized blocks apart).
-pub fn block_split_job_with_policy(
     bdm: Arc<BlockDistributionMatrix>,
     comparer: PairComparer,
     policy: SplitPolicy,
     reduce_tasks: usize,
-    parallelism: usize,
 ) -> Job<mapper::BlockSplitMapper, reducer::BlockSplitReducer> {
     Job::builder(
         "er-block-split",
@@ -59,22 +41,6 @@ pub fn block_split_job_with_policy(
         reducer::BlockSplitReducer::new(comparer),
     )
     .reduce_tasks(reduce_tasks)
-    .parallelism(parallelism)
     .partitioner(BlockSplitKey::partitioner())
     .build()
-}
-
-/// Convenience used by tests and benches: run BlockSplit end to end on
-/// already-annotated input.
-pub fn run_block_split(
-    annotated: Partitions<BlockKey, crate::Keyed>,
-    bdm: Arc<BlockDistributionMatrix>,
-    comparer: PairComparer,
-    reduce_tasks: usize,
-    parallelism: usize,
-) -> Result<
-    mr_engine::engine::JobOutput<er_core::result::MatchPair, f64, ()>,
-    mr_engine::error::MrError,
-> {
-    block_split_job(bdm, comparer, reduce_tasks, parallelism).run(annotated)
 }

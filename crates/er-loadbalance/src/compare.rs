@@ -54,6 +54,7 @@ use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
 use er_core::{EntityRef, Matcher, MatcherCache, PreparedColumn};
 use mr_engine::reducer::ReduceContext;
+use mr_engine::runtime::RuntimeConfig;
 
 use crate::{smallest_common_key_is, Keyed, COMPARISONS};
 
@@ -132,6 +133,17 @@ impl PairComparer {
             count_only: true,
             ..Self::new(matcher)
         }
+    }
+
+    /// The comparer a scenario's reducers run under: `matcher` with
+    /// the session's count-only switch and prepared-entity cache
+    /// bound.
+    pub fn from_runtime(matcher: Arc<Matcher>, runtime: &RuntimeConfig) -> Self {
+        Self {
+            count_only: runtime.count_only,
+            ..Self::new(matcher)
+        }
+        .with_cache_capacity(runtime.matcher_cache_capacity)
     }
 
     /// Skips (without counting as comparisons) every pair in `pairs` —

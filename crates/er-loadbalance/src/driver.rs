@@ -1,29 +1,29 @@
 //! The end-to-end ER workflow (paper Figure 2).
 //!
-//! Both the single-source [`run_er`] and the two-source
-//! [`crate::two_source::run_linkage`] execute through the shared
-//! [`mr_engine::workflow::Workflow`] layer: the BDM job's side outputs
-//! are chained into the matching job with the identical-partitioning
-//! invariant enforced by the layer (a violation is the typed
-//! [`MrError::StageShapeMismatch`], not a debug assertion), and each
-//! outcome carries the rolled-up [`WorkflowMetrics`] alongside the
-//! per-job metrics.
+//! Both the single-source [`run_er_in`] and the two-source
+//! [`crate::two_source::run_linkage_in`] compile their scenario onto a
+//! caller-owned [`mr_engine::workflow::Workflow`]: the BDM job's side
+//! outputs are chained into the matching job with the
+//! identical-partitioning invariant enforced by the layer (a violation
+//! is the typed [`MrError::StageShapeMismatch`], not a debug
+//! assertion), and the workflow rolls the per-job metrics up when the
+//! caller finishes it.
 
 use std::sync::Arc;
 
 use er_core::blocking::{BlockingFunction, PrefixBlocking};
 use er_core::{MatchResult, Matcher};
 use mr_engine::error::MrError;
-use mr_engine::fault::{FaultPlan, FaultPolicy};
+use mr_engine::fault::FaultPlan;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::RuntimeConfig;
-use mr_engine::workflow::{StageGraph, Workflow, WorkflowMetrics};
+use mr_engine::workflow::{StageGraph, Workflow};
 
 use crate::basic::basic_job;
 use crate::bdm::BlockDistributionMatrix;
 use crate::bdm_job::compute_bdm_in;
-use crate::block_split::{block_split_job_with_policy, SplitPolicy};
+use crate::block_split::{block_split_job, SplitPolicy};
 use crate::compare::PairComparer;
 use crate::pair_range::{pair_range_job, RangePolicy};
 use crate::{Ent, StrategyKind};
@@ -31,9 +31,9 @@ use crate::{Ent, StrategyKind};
 /// Configuration of one ER run.
 ///
 /// The execution knobs every scenario shares (`reduce_tasks`,
-/// `parallelism`, `count_only`, `matcher_cache_capacity`) live in the
-/// embedded [`RuntimeConfig`]; the `with_*` builders forward to it, so
-/// call sites predating the extraction compile unchanged.
+/// `count_only`, `matcher_cache_capacity`, `spill_threshold`,
+/// `fault_policy`) live in the embedded [`RuntimeConfig`]; set them
+/// there and install the block with [`ErConfig::with_runtime`].
 #[derive(Clone)]
 pub struct ErConfig {
     /// Blocking function (paper default: first 3 letters of `title`).
@@ -49,12 +49,15 @@ pub struct ErConfig {
     /// BlockSplit splitting policy (workload criterion + optional
     /// memory cap).
     pub split_policy: SplitPolicy,
-    /// Shared execution knobs: reduce tasks `r` (both jobs), worker
-    /// threads, count-only mode, prepared-entity cache bound.
+    /// Shared execution knobs: reduce tasks `r` (both jobs),
+    /// count-only mode, prepared-entity cache bound, spill threshold,
+    /// fault policy.
     pub runtime: RuntimeConfig,
-    /// Deterministic fault-injection schedule applied to every job of
-    /// the run (empty by default — injection is a test/bench harness,
-    /// never implied by a policy). See [`FaultPlan`].
+    /// Deterministic fault-injection schedule of the run (empty by
+    /// default — injection is a test/bench harness, never implied by
+    /// a policy). Like `runtime.fault_policy` it takes effect on the
+    /// [`Workflow`] the scenario runs on: whoever builds that workflow
+    /// (the facade's `Resolver`, [`crate::null_keys`]) installs both.
     pub fault_plan: FaultPlan,
 }
 
@@ -85,13 +88,6 @@ impl ErConfig {
         self
     }
 
-    /// Overrides the strategy (the `Resolver` compiles one scenario
-    /// template into each requested strategy through this).
-    pub fn with_strategy(mut self, strategy: StrategyKind) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Replaces the whole shared-knob block (e.g. with a `Runtime`'s
     /// configuration).
     pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
@@ -99,126 +95,17 @@ impl ErConfig {
         self
     }
 
-    /// Overrides the number of reduce tasks (forwards to
-    /// [`RuntimeConfig::reduce_tasks`]).
-    pub fn with_reduce_tasks(mut self, r: usize) -> Self {
-        self.runtime.reduce_tasks = r;
-        self
-    }
-
-    /// Overrides the worker-thread count (forwards to
-    /// [`RuntimeConfig::parallelism`]).
-    pub fn with_parallelism(mut self, p: usize) -> Self {
-        self.runtime.parallelism = p;
-        self
-    }
-
-    /// Overrides the PairRange range formula.
-    pub fn with_range_policy(mut self, policy: RangePolicy) -> Self {
-        self.range_policy = policy;
-        self
-    }
-
-    /// Switches comparison counting only (forwards to
-    /// [`RuntimeConfig::count_only`]).
-    pub fn with_count_only(mut self, count_only: bool) -> Self {
-        self.runtime.count_only = count_only;
-        self
-    }
-
-    /// Forces BlockSplit to split any block larger than `cap`
-    /// entities, bounding reduce-side memory (see
-    /// [`crate::block_split::SplitPolicy`]).
-    pub fn with_memory_cap(mut self, cap: u64) -> Self {
-        self.split_policy = SplitPolicy::with_memory_cap(cap);
-        self
-    }
-
-    /// Seals map-side shuffle buckets into sorted runs every
-    /// `threshold` open records, bounding map-phase resident memory
-    /// (forwards to [`RuntimeConfig::spill_threshold`]); `None`
-    /// restores the spill-free default. Outputs are byte-identical at
-    /// any threshold.
-    ///
-    /// # Panics
-    /// If `threshold` is `Some(0)`.
-    pub fn with_spill_threshold(mut self, threshold: Option<usize>) -> Self {
-        self.runtime = self.runtime.with_spill_threshold(threshold);
-        self
-    }
-
-    /// Bounds every strategy reducer's prepared-entity cache (forwards
-    /// to [`RuntimeConfig::matcher_cache_capacity`]); `None` restores
-    /// the unbounded default.
-    ///
-    /// # Panics
-    /// If `capacity` is `Some(n)` with `n < 2` — comparing a pair
-    /// needs both sides resident.
-    pub fn with_matcher_cache_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.runtime = self.runtime.with_matcher_cache_capacity(capacity);
-        self
-    }
-
-    /// Replaces the per-task fault-tolerance policy — retry budget and
-    /// straggler deadline — every job of the run executes under
-    /// (forwards to [`RuntimeConfig::fault_policy`]).
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.runtime = self.runtime.with_fault_policy(policy);
-        self
-    }
-
-    /// Installs a deterministic fault-injection schedule (panics or
-    /// delays at exact task coordinates) for every job of the run —
-    /// the test/bench harness proving the retry path. An empty plan
-    /// (the default) injects nothing.
+    /// Sets the deterministic fault-injection schedule (panics or
+    /// delays at exact task coordinates) — the test/bench harness
+    /// proving the retry path. An empty plan (the default) injects
+    /// nothing.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
     }
 
-    /// The per-task fault-tolerance policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.runtime.fault_policy
-    }
-
-    /// The deterministic fault-injection schedule (empty = none).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
-    }
-
-    /// Number of reduce tasks `r` (both jobs).
-    pub fn reduce_tasks(&self) -> usize {
-        self.runtime.reduce_tasks
-    }
-
-    /// Local worker threads.
-    pub fn parallelism(&self) -> usize {
-        self.runtime.parallelism
-    }
-
-    /// Whether similarity evaluation is skipped (comparisons are only
-    /// counted).
-    pub fn count_only(&self) -> bool {
-        self.runtime.count_only
-    }
-
-    /// The prepared-entity cache bound (`None` = unbounded).
-    pub fn matcher_cache_capacity(&self) -> Option<usize> {
-        self.runtime.matcher_cache_capacity
-    }
-
-    /// The map-side spill threshold (`None` = never spill).
-    pub fn spill_threshold(&self) -> Option<usize> {
-        self.runtime.spill_threshold
-    }
-
     pub(crate) fn comparer(&self) -> PairComparer {
-        let comparer = if self.count_only() {
-            PairComparer::count_only(Arc::clone(&self.matcher))
-        } else {
-            PairComparer::new(Arc::clone(&self.matcher))
-        };
-        comparer.with_cache_capacity(self.matcher_cache_capacity())
+        PairComparer::from_runtime(Arc::clone(&self.matcher), &self.runtime)
     }
 }
 
@@ -235,39 +122,9 @@ impl std::fmt::Debug for ErConfig {
     }
 }
 
-/// Everything a completed run produces.
-#[derive(Debug)]
-pub struct ErOutcome {
-    /// The deduplicated match result.
-    pub result: MatchResult,
-    /// The BDM (absent for Basic, which runs without preprocessing).
-    pub bdm: Option<Arc<BlockDistributionMatrix>>,
-    /// Metrics of the BDM job (absent for Basic).
-    pub bdm_metrics: Option<JobMetrics>,
-    /// Metrics of the matching job.
-    pub match_metrics: JobMetrics,
-    /// Rolled-up metrics of the whole run: per-stage walls, end-to-end
-    /// wall, merged counters, peak-memory gauges.
-    pub workflow: WorkflowMetrics,
-}
-
-impl ErOutcome {
-    /// Comparison counts per reduce task of the matching job — the
-    /// distribution the paper's strategies balance.
-    pub fn reduce_loads(&self) -> Vec<u64> {
-        self.match_metrics.per_reduce_counter(crate::COMPARISONS)
-    }
-
-    /// Total comparisons across all reduce tasks.
-    pub fn total_comparisons(&self) -> u64 {
-        self.reduce_loads().iter().sum()
-    }
-}
-
 /// Products of the ER stages executed inside a caller-owned
-/// [`Workflow`] — what [`run_er_in`] produces and [`run_er`] (plus the
-/// unified `Resolver` front end of the facade crate) wraps into an
-/// outcome.
+/// [`Workflow`] — what [`run_er_in`] produces and the facade crate's
+/// `Resolver` wraps into its outcome.
 #[derive(Debug)]
 pub struct ErStages {
     /// The deduplicated match result.
@@ -280,11 +137,29 @@ pub struct ErStages {
     pub match_metrics: JobMetrics,
 }
 
+impl ErStages {
+    /// Comparison counts per reduce task of the matching job — the
+    /// distribution the paper's strategies balance.
+    pub fn reduce_loads(&self) -> Vec<u64> {
+        self.match_metrics.per_reduce_counter(crate::COMPARISONS)
+    }
+
+    /// Total comparisons across all reduce tasks.
+    pub fn total_comparisons(&self) -> u64 {
+        self.reduce_loads().iter().sum()
+    }
+}
+
 /// Executes the ER scenario (paper Figure 2) as stages of `workflow` —
-/// the scenario compiler both [`run_er`] and the facade crate's
-/// `Resolver` drive. The workflow decides *where* stages run (its own
-/// transient threads, or a shared persistent pool); the stages are the
-/// same either way, so outputs are byte-identical.
+/// the scenario compiler the facade crate's `Resolver` drives. The
+/// workflow decides *where* stages run (which pool, under which cap,
+/// tenant, fault policy and trace sink); the stages are the same on
+/// any of them, so outputs are byte-identical.
+///
+/// Entities without a valid blocking key are *skipped* (counted under
+/// [`crate::bdm_job::NULL_KEY_ENTITIES`]); use
+/// [`crate::null_keys::deduplicate_with_null_keys`] to include them
+/// via the paper's Cartesian decomposition.
 ///
 /// The scenario compiles to a [`StageGraph`] instead of an eager
 /// loop: Basic is a single `match` node; BlockSplit/PairRange is
@@ -313,10 +188,9 @@ pub fn run_er_in(
                 let job = basic_job(
                     Arc::clone(&config.blocking),
                     config.comparer(),
-                    config.reduce_tasks(),
-                    config.parallelism(),
+                    config.runtime.reduce_tasks,
                 )
-                .with_spill_threshold(config.spill_threshold());
+                .with_spill_threshold(config.runtime.spill_threshold);
                 let out = wf.chained_stage(&job, input)?;
                 let mut result = MatchResult::new();
                 for (pair, score) in out.reduce_outputs.into_iter().flatten() {
@@ -337,10 +211,9 @@ pub fn run_er_in(
                     wf,
                     input,
                     Arc::clone(&config.blocking),
-                    config.reduce_tasks(),
-                    config.parallelism(),
+                    config.runtime.reduce_tasks,
                     config.use_combiner,
-                    config.spill_threshold(),
+                    config.runtime.spill_threshold,
                 )?;
                 *products.borrow_mut() = Some((Arc::new(bdm), annotated, bdm_metrics));
                 Ok(())
@@ -357,14 +230,13 @@ pub fn run_er_in(
                 // job's scheduling weight.
                 let out = match config.strategy {
                     StrategyKind::BlockSplit => {
-                        let job = block_split_job_with_policy(
+                        let job = block_split_job(
                             Arc::clone(&bdm),
                             config.comparer(),
                             config.split_policy,
-                            config.reduce_tasks(),
-                            config.parallelism(),
+                            config.runtime.reduce_tasks,
                         )
-                        .with_spill_threshold(config.spill_threshold())
+                        .with_spill_threshold(config.runtime.spill_threshold)
                         .with_weight_hint(bdm.total_pairs());
                         wf.chained_stage(&job, annotated)?
                     }
@@ -373,10 +245,9 @@ pub fn run_er_in(
                             Arc::clone(&bdm),
                             config.comparer(),
                             config.range_policy,
-                            config.reduce_tasks(),
-                            config.parallelism(),
+                            config.runtime.reduce_tasks,
                         )
-                        .with_spill_threshold(config.spill_threshold())
+                        .with_spill_threshold(config.runtime.spill_threshold)
                         .with_weight_hint(bdm.total_pairs());
                         wf.chained_stage(&job, annotated)?
                     }
@@ -401,33 +272,13 @@ pub fn run_er_in(
         .expect("match node populates the outcome"))
 }
 
-/// Runs entity resolution over pre-partitioned input (each inner `Vec`
-/// is one input partition == one map task).
-///
-/// Entities without a valid blocking key are *skipped* (counted under
-/// [`crate::bdm_job::NULL_KEY_ENTITIES`]); use
-/// [`crate::null_keys::deduplicate_with_null_keys`] to include them
-/// via the paper's Cartesian decomposition.
-///
-/// # Deprecation path
-///
-/// This is now a thin wrapper over [`run_er_in`] on a transient
-/// per-run [`Workflow`], kept for compatibility. New code should go
-/// through the facade crate's unified front door — `Runtime` +
-/// `Resolver` with `Scenario::Dedup` — which runs the identical stages
-/// on a persistent worker pool shared across runs.
-pub fn run_er(input: Partitions<(), Ent>, config: &ErConfig) -> Result<ErOutcome, MrError> {
-    let mut workflow = Workflow::new(format!("er-{}", config.strategy))
-        .with_fault_policy(config.fault_policy())
-        .with_fault_plan(config.fault_plan().clone());
-    let stages = run_er_in(&mut workflow, input, config)?;
-    Ok(ErOutcome {
-        result: stages.result,
-        bdm: stages.bdm,
-        bdm_metrics: stages.bdm_metrics,
-        match_metrics: stages.match_metrics,
-        workflow: workflow.finish(),
-    })
+/// Test helper of this crate: compiles `config` onto a single-slot
+/// pool, so every stage runs inline on the calling thread.
+#[cfg(test)]
+pub(crate) fn run_er_inline(input: Partitions<(), Ent>, config: &ErConfig) -> ErStages {
+    let pool = Arc::new(mr_engine::pool::WorkerPool::new(1));
+    let mut workflow = Workflow::on_pool(format!("er-{}", config.strategy), pool);
+    run_er_in(&mut workflow, input, config).expect("the scenario compiles and runs")
 }
 
 /// Reference implementation: per-block all-pairs matching with no
@@ -474,9 +325,15 @@ mod tests {
     fn example_config(strategy: StrategyKind) -> ErConfig {
         ErConfig::new(strategy)
             .with_blocking(running_example::blocking())
-            .with_reduce_tasks(3)
-            .with_parallelism(1)
-            .with_count_only(true)
+            .with_runtime(
+                RuntimeConfig::new()
+                    .with_reduce_tasks(3)
+                    .with_count_only(true),
+            )
+    }
+
+    fn run(config: &ErConfig) -> ErStages {
+        run_er_inline(running_example::entity_partitions(), config)
     }
 
     #[test]
@@ -486,13 +343,8 @@ mod tests {
             StrategyKind::BlockSplit,
             StrategyKind::PairRange,
         ] {
-            let outcome = run_er(
-                running_example::entity_partitions(),
-                &example_config(strategy),
-            )
-            .unwrap();
             assert_eq!(
-                outcome.total_comparisons(),
+                run(&example_config(strategy)).total_comparisons(),
                 20,
                 "{strategy} must evaluate each of the 20 pairs exactly once"
             );
@@ -501,24 +353,15 @@ mod tests {
 
     #[test]
     fn block_split_loads_match_figure5() {
-        let outcome = run_er(
-            running_example::entity_partitions(),
-            &example_config(StrategyKind::BlockSplit),
-        )
-        .unwrap();
-        let mut loads = outcome.reduce_loads();
+        let mut loads = run(&example_config(StrategyKind::BlockSplit)).reduce_loads();
         loads.sort_unstable();
         assert_eq!(loads, vec![6, 7, 7]);
     }
 
     #[test]
     fn pair_range_loads_match_figure6() {
-        let outcome = run_er(
-            running_example::entity_partitions(),
-            &example_config(StrategyKind::PairRange),
-        )
-        .unwrap();
-        assert_eq!(outcome.reduce_loads(), vec![7, 7, 6]);
+        let stages = run(&example_config(StrategyKind::PairRange));
+        assert_eq!(stages.reduce_loads(), vec![7, 7, 6]);
     }
 
     #[test]
@@ -530,16 +373,14 @@ mod tests {
             StrategyKind::BlockSplit,
             StrategyKind::PairRange,
         ] {
+            let shared = RuntimeConfig::new().with_reduce_tasks(3);
             let base = ErConfig::new(strategy)
                 .with_blocking(running_example::blocking())
-                .with_reduce_tasks(3)
-                .with_parallelism(1);
-            let unbounded = run_er(running_example::entity_partitions(), &base).unwrap();
-            let bounded = run_er(
-                running_example::entity_partitions(),
-                &base.clone().with_matcher_cache_capacity(Some(2)),
-            )
-            .unwrap();
+                .with_runtime(shared);
+            let unbounded = run(&base);
+            let bounded = run(&base
+                .clone()
+                .with_runtime(shared.with_matcher_cache_capacity(Some(2))));
             assert_eq!(
                 unbounded.result.pair_set(),
                 bounded.result.pair_set(),
@@ -550,24 +391,16 @@ mod tests {
 
     #[test]
     fn basic_has_no_bdm() {
-        let outcome = run_er(
-            running_example::entity_partitions(),
-            &example_config(StrategyKind::Basic),
-        )
-        .unwrap();
-        assert!(outcome.bdm.is_none());
-        assert!(outcome.bdm_metrics.is_none());
+        let stages = run(&example_config(StrategyKind::Basic));
+        assert!(stages.bdm.is_none());
+        assert!(stages.bdm_metrics.is_none());
     }
 
     #[test]
     fn load_balanced_strategies_expose_the_bdm() {
-        let outcome = run_er(
-            running_example::entity_partitions(),
-            &example_config(StrategyKind::BlockSplit),
-        )
-        .unwrap();
-        let bdm = outcome.bdm.expect("BDM computed");
+        let stages = run(&example_config(StrategyKind::BlockSplit));
+        let bdm = stages.bdm.expect("BDM computed");
         assert_eq!(bdm.total_pairs(), 20);
-        assert!(outcome.bdm_metrics.is_some());
+        assert!(stages.bdm_metrics.is_some());
     }
 }

@@ -50,10 +50,10 @@ use er_core::Entity;
 
 pub use analysis::{analyze, StrategyWorkload};
 pub use bdm::BlockDistributionMatrix;
-pub use driver::{run_er, run_er_in, ErConfig, ErOutcome, ErStages};
+pub use driver::{run_er_in, ErConfig, ErStages};
 pub use pair_range::ranges::RangePolicy;
 pub use stats::WorkloadStats;
-pub use two_source::{run_linkage, run_linkage_in};
+pub use two_source::run_linkage_in;
 
 /// Counter name used by every strategy's reducer for the number of
 /// pair comparisons it performed — the workload unit the paper's load

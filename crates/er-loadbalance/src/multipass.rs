@@ -41,11 +41,12 @@ pub fn multipass_config(
 mod tests {
     use super::*;
     use crate::compare::MULTIPASS_SKIPPED;
-    use crate::driver::{naive_reference, run_er};
+    use crate::driver::{naive_reference, run_er_inline};
     use crate::{Ent, COMPARISONS};
     use er_core::blocking::{AttributeBlocking, PrefixBlocking};
     use er_core::Entity;
     use mr_engine::input::partition_evenly;
+    use mr_engine::runtime::RuntimeConfig;
 
     /// Products where title prefix and brand overlap heavily, so many
     /// pairs share both blocks.
@@ -79,10 +80,9 @@ mod tests {
             StrategyKind::PairRange,
         ] {
             let cfg = multipass_config(strategy, passes())
-                .with_reduce_tasks(3)
-                .with_parallelism(1);
+                .with_runtime(RuntimeConfig::new().with_reduce_tasks(3));
             let input = partition_evenly(entities().into_iter().map(|e| ((), e)).collect(), 2);
-            let outcome = run_er(input, &cfg).unwrap();
+            let outcome = run_er_inline(input, &cfg);
             // Entities 0,1,2 share both the "acm" title block and the
             // "acme" brand block: their 3 pairs must be skipped in one
             // of the two (the non-smallest).
@@ -101,11 +101,10 @@ mod tests {
     #[test]
     fn multipass_result_matches_naive_reference() {
         let cfg = multipass_config(StrategyKind::PairRange, passes())
-            .with_reduce_tasks(4)
-            .with_parallelism(1);
+            .with_runtime(RuntimeConfig::new().with_reduce_tasks(4));
         let ents = entities();
         let input = partition_evenly(ents.iter().map(|e| ((), Arc::clone(e))).collect(), 3);
-        let outcome = run_er(input, &cfg).unwrap();
+        let outcome = run_er_inline(input, &cfg);
         let reference = naive_reference(&ents, &cfg);
         assert_eq!(outcome.result.pair_set(), reference.pair_set());
     }
@@ -135,16 +134,14 @@ mod tests {
         let single = ErConfig::new(StrategyKind::BlockSplit)
             .with_blocking(Arc::new(PrefixBlocking::title3()))
             .with_matcher(Arc::clone(&matcher))
-            .with_reduce_tasks(2)
-            .with_parallelism(1);
-        let outcome_single = run_er(input.clone(), &single).unwrap();
+            .with_runtime(RuntimeConfig::new().with_reduce_tasks(2));
+        let outcome_single = run_er_inline(input.clone(), &single);
         assert_eq!(outcome_single.result.len(), 0, "prefix blocking misses it");
 
         let multi = multipass_config(StrategyKind::BlockSplit, passes())
             .with_matcher(matcher)
-            .with_reduce_tasks(2)
-            .with_parallelism(1);
-        let outcome_multi = run_er(input, &multi).unwrap();
+            .with_runtime(RuntimeConfig::new().with_reduce_tasks(2));
+        let outcome_multi = run_er_inline(input, &multi);
         assert_eq!(outcome_multi.result.len(), 1, "brand pass recovers it");
     }
 }

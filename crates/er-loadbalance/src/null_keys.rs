@@ -12,6 +12,10 @@
 //! [`ConstantBlocking`]: every entity lands in one block, which the
 //! load-balancing strategies then split — so even the degenerate
 //! Cartesian product is processed skew-free.
+//!
+//! Every sub-problem runs on the caller's [`Runtime`], each as its own
+//! workflow (they differ in partition count, so they cannot share one
+//! workflow's chained shape) under the config's fault policy and plan.
 
 use std::sync::Arc;
 
@@ -19,9 +23,11 @@ use er_core::blocking::{BlockingFunction, ConstantBlocking};
 use er_core::{MatchResult, SourceId};
 use mr_engine::error::MrError;
 use mr_engine::input::Partitions;
+use mr_engine::runtime::Runtime;
+use mr_engine::workflow::Workflow;
 
-use crate::driver::{run_er, ErConfig};
-use crate::two_source::run_linkage;
+use crate::driver::{run_er_in, ErConfig};
+use crate::two_source::run_linkage_in;
 use crate::Ent;
 
 /// Input split by blocking-key validity, preserving partition shape.
@@ -76,8 +82,38 @@ pub struct NullKeyReport {
     pub null_null_matches: usize,
 }
 
-/// Deduplicates one source including keyless entities.
+/// A workflow on `runtime` for one sub-problem, under the config's
+/// fault policy and injection plan.
+fn sub_workflow(runtime: &Runtime, kind: &str, config: &ErConfig) -> Workflow {
+    runtime
+        .workflow(format!("{kind}-{}", config.strategy))
+        .with_fault_policy(config.runtime.fault_policy)
+        .with_fault_plan(config.fault_plan.clone())
+}
+
+fn dedup(
+    runtime: &Runtime,
+    input: Partitions<(), Ent>,
+    config: &ErConfig,
+) -> Result<MatchResult, MrError> {
+    let mut workflow = sub_workflow(runtime, "er", config);
+    Ok(run_er_in(&mut workflow, input, config)?.result)
+}
+
+fn link(
+    runtime: &Runtime,
+    input: Partitions<(), Ent>,
+    sources: Vec<SourceId>,
+    config: &ErConfig,
+) -> Result<MatchResult, MrError> {
+    let mut workflow = sub_workflow(runtime, "linkage", config);
+    Ok(run_linkage_in(&mut workflow, input, sources, config)?.result)
+}
+
+/// Deduplicates one source including keyless entities, running every
+/// sub-problem on `runtime`.
 pub fn deduplicate_with_null_keys(
+    runtime: &Runtime,
     input: &Partitions<(), Ent>,
     config: &ErConfig,
 ) -> Result<(MatchResult, NullKeyReport), MrError> {
@@ -87,9 +123,9 @@ pub fn deduplicate_with_null_keys(
 
     // matchB(R − R∅)
     if split.keyed_count() > 0 {
-        let outcome = run_er(split.keyed.clone(), config)?;
-        report.blocked_matches = outcome.result.len();
-        result.union(&outcome.result);
+        let matches = dedup(runtime, split.keyed.clone(), config)?;
+        report.blocked_matches = matches.len();
+        result.union(&matches);
     }
     if split.null_count() > 0 {
         let bottom: Arc<dyn BlockingFunction> = Arc::new(ConstantBlocking);
@@ -101,23 +137,25 @@ pub fn deduplicate_with_null_keys(
             let mut sources = vec![SourceId::R; split.keyed.len()];
             sources.extend(vec![SourceId::S; split.null.len()]);
             let cfg = config.clone().with_blocking(Arc::clone(&bottom));
-            let outcome = run_linkage(partitions, sources, &cfg)?;
-            report.cartesian_matches = outcome.result.len();
-            result.union(&outcome.result);
+            let matches = link(runtime, partitions, sources, &cfg)?;
+            report.cartesian_matches = matches.len();
+            result.union(&matches);
         }
         // allPairs(R∅): one-source matching under the constant key.
         if split.null_count() > 1 {
             let cfg = config.clone().with_blocking(bottom);
-            let outcome = run_er(split.null.clone(), &cfg)?;
-            report.null_null_matches = outcome.result.len();
-            result.union(&outcome.result);
+            let matches = dedup(runtime, split.null.clone(), &cfg)?;
+            report.null_null_matches = matches.len();
+            result.union(&matches);
         }
     }
     Ok((result, report))
 }
 
-/// Links two sources including keyless entities on either side.
+/// Links two sources including keyless entities on either side,
+/// running every sub-problem on `runtime`.
 pub fn link_with_null_keys(
+    runtime: &Runtime,
     input: &Partitions<(), Ent>,
     sources: &[SourceId],
     config: &ErConfig,
@@ -129,9 +167,9 @@ pub fn link_with_null_keys(
 
     // matchB(R − R∅, S − S∅)
     if split.keyed_count() > 0 {
-        let outcome = run_linkage(split.keyed.clone(), sources.to_vec(), config)?;
-        report.blocked_matches = outcome.result.len();
-        result.union(&outcome.result);
+        let matches = link(runtime, split.keyed.clone(), sources.to_vec(), config)?;
+        report.blocked_matches = matches.len();
+        result.union(&matches);
     }
     let bottom: Arc<dyn BlockingFunction> = Arc::new(ConstantBlocking);
     // match⊥(R, S∅): all of R (keyed + keyless) against keyless S.
@@ -154,9 +192,9 @@ pub fn link_with_null_keys(
         let mut tags = vec![SourceId::R; r_all.len()];
         tags.extend(vec![SourceId::S; s_null.len()]);
         let cfg = config.clone().with_blocking(Arc::clone(&bottom));
-        let outcome = run_linkage(partitions, tags, &cfg)?;
-        report.cartesian_matches += outcome.result.len();
-        result.union(&outcome.result);
+        let matches = link(runtime, partitions, tags, &cfg)?;
+        report.cartesian_matches += matches.len();
+        result.union(&matches);
     }
     // match⊥(R∅, S − S∅)
     let r_null: Partitions<(), Ent> = split
@@ -179,9 +217,9 @@ pub fn link_with_null_keys(
         let mut tags = vec![SourceId::R; r_null.len()];
         tags.extend(vec![SourceId::S; s_keyed.len()]);
         let cfg = config.clone().with_blocking(bottom);
-        let outcome = run_linkage(partitions, tags, &cfg)?;
-        report.cartesian_matches += outcome.result.len();
-        result.union(&outcome.result);
+        let matches = link(runtime, partitions, tags, &cfg)?;
+        report.cartesian_matches += matches.len();
+        result.union(&matches);
     }
     Ok((result, report))
 }
@@ -192,6 +230,7 @@ mod tests {
     use crate::StrategyKind;
     use er_core::blocking::PrefixBlocking;
     use er_core::Entity;
+    use mr_engine::runtime::RuntimeConfig;
 
     fn ent(id: u64, title: Option<&str>) -> ((), Ent) {
         match title {
@@ -200,11 +239,18 @@ mod tests {
         }
     }
 
-    fn config(strategy: StrategyKind) -> ErConfig {
+    fn runtime() -> Runtime {
+        Runtime::new(
+            RuntimeConfig::new()
+                .with_parallelism(1)
+                .with_reduce_tasks(3),
+        )
+    }
+
+    fn config(runtime: &Runtime, strategy: StrategyKind) -> ErConfig {
         ErConfig::new(strategy)
             .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
-            .with_reduce_tasks(3)
-            .with_parallelism(1)
+            .with_runtime(*runtime.config())
     }
 
     #[test]
@@ -256,13 +302,14 @@ mod tests {
             ],
             0.4,
         ));
+        let runtime = runtime();
         for strategy in [
             StrategyKind::Basic,
             StrategyKind::BlockSplit,
             StrategyKind::PairRange,
         ] {
-            let cfg = config(strategy).with_matcher(Arc::clone(&matcher));
-            let (result, report) = deduplicate_with_null_keys(&input, &cfg).unwrap();
+            let cfg = config(&runtime, strategy).with_matcher(Arc::clone(&matcher));
+            let (result, report) = deduplicate_with_null_keys(&runtime, &input, &cfg).unwrap();
             assert!(
                 report.cartesian_matches >= 1,
                 "{strategy}: keyed x keyless duplicate missed: {report:?}"
@@ -284,12 +331,45 @@ mod tests {
             ],
             vec![ent(2, Some("bb other"))],
         ];
-        let cfg = config(StrategyKind::BlockSplit);
-        let (result, report) = deduplicate_with_null_keys(&input, &cfg).unwrap();
-        let direct = run_er(input.clone(), &cfg).unwrap();
-        assert_eq!(result.pair_set(), direct.result.pair_set());
+        let runtime = runtime();
+        let cfg = config(&runtime, StrategyKind::BlockSplit);
+        let (result, report) = deduplicate_with_null_keys(&runtime, &input, &cfg).unwrap();
+        let direct = dedup(&runtime, input.clone(), &cfg).unwrap();
+        assert_eq!(result.pair_set(), direct.pair_set());
         assert_eq!(report.cartesian_matches, 0);
         assert_eq!(report.null_null_matches, 0);
+    }
+
+    #[test]
+    fn sub_problems_run_under_the_configs_fault_policy_and_plan() {
+        use mr_engine::fault::{FaultKind, FaultPlan, FaultPolicy};
+        let input = vec![
+            vec![
+                ent(0, Some("aa same text here")),
+                ent(1, Some("aa same text herX")),
+            ],
+            vec![ent(2, None), ent(3, None)],
+        ];
+        let runtime = runtime();
+        let clean = config(&runtime, StrategyKind::BlockSplit);
+        let (reference, _) = deduplicate_with_null_keys(&runtime, &input, &clean).unwrap();
+        // Every sub-problem's first reduce attempt dies once; a retry
+        // budget of two recovers each, byte-identically.
+        let once = FaultPlan::new().silence_injected_panics().panic_at(
+            FaultPlan::ANY_JOB,
+            FaultKind::Reduce,
+            0,
+            1,
+            "injected once",
+        );
+        let mut retrying = clean.clone().with_fault_plan(once.clone());
+        retrying.runtime.fault_policy = FaultPolicy::retry(2);
+        let (recovered, _) = deduplicate_with_null_keys(&runtime, &input, &retrying).unwrap();
+        assert_eq!(recovered.pair_set(), reference.pair_set());
+        // Under the fail-fast default the same plan is a typed error.
+        let err =
+            deduplicate_with_null_keys(&runtime, &input, &clean.with_fault_plan(once)).unwrap_err();
+        assert!(matches!(err, MrError::TaskFailed(_)), "got {err:?}");
     }
 
     #[test]
@@ -322,8 +402,9 @@ mod tests {
             ],
             0.4,
         ));
-        let cfg = config(StrategyKind::PairRange).with_matcher(matcher);
-        let (result, report) = link_with_null_keys(&input, &sources, &cfg).unwrap();
+        let runtime = runtime();
+        let cfg = config(&runtime, StrategyKind::PairRange).with_matcher(matcher);
+        let (result, report) = link_with_null_keys(&runtime, &input, &sources, &cfg).unwrap();
         // Blocked: R#0 ~ S#10 (same title). Cartesian: R#1 ~ S#11
         // (same brand) via match⊥(R, S∅).
         assert!(report.blocked_matches >= 1, "{report:?}");

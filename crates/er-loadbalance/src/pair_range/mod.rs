@@ -16,9 +16,7 @@ pub mod reducer;
 
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use mr_engine::engine::Job;
-use mr_engine::prelude::Partitions;
 
 use crate::bdm::BlockDistributionMatrix;
 use crate::compare::PairComparer;
@@ -33,7 +31,6 @@ pub fn pair_range_job(
     comparer: PairComparer,
     policy: RangePolicy,
     reduce_tasks: usize,
-    parallelism: usize,
 ) -> Job<mapper::PairRangeMapper, reducer::PairRangeReducer> {
     Job::builder(
         "er-pair-range",
@@ -41,24 +38,7 @@ pub fn pair_range_job(
         reducer::PairRangeReducer::new(bdm, comparer, policy),
     )
     .reduce_tasks(reduce_tasks)
-    .parallelism(parallelism)
     .partitioner(PairRangeKey::partitioner())
     .group_by(PairRangeKey::group_cmp())
     .build()
-}
-
-/// Convenience used by tests and benches: run PairRange end to end on
-/// already-annotated input.
-pub fn run_pair_range(
-    annotated: Partitions<BlockKey, crate::Keyed>,
-    bdm: Arc<BlockDistributionMatrix>,
-    comparer: PairComparer,
-    policy: RangePolicy,
-    reduce_tasks: usize,
-    parallelism: usize,
-) -> Result<
-    mr_engine::engine::JobOutput<er_core::result::MatchPair, f64, ()>,
-    mr_engine::error::MrError,
-> {
-    pair_range_job(bdm, comparer, policy, reduce_tasks, parallelism).run(annotated)
 }

@@ -67,17 +67,20 @@ impl WorkloadStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_er, ErConfig};
+    use crate::driver::{run_er_inline, ErConfig};
     use crate::running_example;
+    use mr_engine::runtime::RuntimeConfig;
 
     fn stats_for(strategy: StrategyKind) -> WorkloadStats {
         let config = ErConfig::new(strategy)
             .with_blocking(running_example::blocking())
-            .with_reduce_tasks(3)
-            .with_parallelism(1)
-            .with_count_only(true);
-        let outcome = run_er(running_example::entity_partitions(), &config).unwrap();
-        WorkloadStats::from_metrics(strategy, &outcome.match_metrics)
+            .with_runtime(
+                RuntimeConfig::new()
+                    .with_reduce_tasks(3)
+                    .with_count_only(true),
+            );
+        let stages = run_er_inline(running_example::entity_partitions(), &config);
+        WorkloadStats::from_metrics(strategy, &stages.match_metrics)
     }
 
     #[test]

@@ -129,7 +129,6 @@ pub fn basic_two_source_job(
     sources: Arc<Vec<SourceId>>,
     comparer: PairComparer,
     reduce_tasks: usize,
-    parallelism: usize,
 ) -> Job<TwoSourceBasicMapper, TwoSourceBasicReducer> {
     Job::builder(
         "er-basic-2src",
@@ -137,7 +136,6 @@ pub fn basic_two_source_job(
         TwoSourceBasicReducer::new(comparer),
     )
     .reduce_tasks(reduce_tasks)
-    .parallelism(parallelism)
     .partitioner(HashPartitioner)
     .build()
 }
@@ -148,6 +146,7 @@ mod tests {
     use crate::two_source::appendix_example;
     use crate::COMPARISONS;
     use er_core::Matcher;
+    use mr_engine::pool::WorkerPool;
 
     #[test]
     fn computes_the_12_cross_pairs() {
@@ -156,9 +155,10 @@ mod tests {
             Arc::new(appendix_example::partition_sources()),
             PairComparer::count_only(Arc::new(Matcher::paper_default())),
             3,
-            1,
         );
-        let out = job.run(appendix_example::entity_partitions()).unwrap();
+        let out = job
+            .run_on(&WorkerPool::new(1), appendix_example::entity_partitions())
+            .unwrap();
         assert_eq!(out.metrics.counters.get(COMPARISONS), 12);
     }
 
@@ -169,9 +169,10 @@ mod tests {
             Arc::new(appendix_example::partition_sources()),
             PairComparer::count_only(Arc::new(Matcher::paper_default())),
             5,
-            1,
         );
-        let out = job.run(appendix_example::entity_partitions()).unwrap();
+        let out = job
+            .run_on(&WorkerPool::new(1), appendix_example::entity_partitions())
+            .unwrap();
         // Per-task loads must be sums of whole-block pair counts
         // ({4, 2, 0, 6} here).
         for load in out.metrics.per_reduce_counter(COMPARISONS) {

@@ -194,7 +194,6 @@ pub fn block_split_two_source_job(
     ts: Arc<TwoSourceBdm>,
     comparer: PairComparer,
     reduce_tasks: usize,
-    parallelism: usize,
 ) -> Job<TwoSourceBlockSplitMapper, TwoSourceBlockSplitReducer> {
     Job::builder(
         "er-block-split-2src",
@@ -202,7 +201,6 @@ pub fn block_split_two_source_job(
         TwoSourceBlockSplitReducer::new(comparer),
     )
     .reduce_tasks(reduce_tasks)
-    .parallelism(parallelism)
     .partitioner(BlockSplitKey::partitioner())
     .build()
 }
@@ -213,6 +211,7 @@ mod tests {
     use crate::two_source::appendix_example;
     use crate::COMPARISONS;
     use er_core::Matcher;
+    use mr_engine::pool::WorkerPool;
 
     #[test]
     fn appendix_match_tasks() {
@@ -246,9 +245,13 @@ mod tests {
             Arc::clone(&ts),
             PairComparer::count_only(Arc::new(Matcher::paper_default())),
             3,
-            1,
         );
-        let out = job.run(appendix_example::annotated_partitions()).unwrap();
+        let out = job
+            .run_on(
+                &WorkerPool::new(1),
+                appendix_example::annotated_partitions(),
+            )
+            .unwrap();
         assert_eq!(out.metrics.counters.get(COMPARISONS), 12);
         let loads = out.metrics.per_reduce_counter(COMPARISONS);
         assert_eq!(loads, vec![4, 4, 4]);
@@ -263,9 +266,13 @@ mod tests {
             Arc::clone(&ts),
             PairComparer::new(Arc::new(Matcher::paper_default())),
             3,
-            1,
         );
-        let out = job.run(appendix_example::annotated_partitions()).unwrap();
+        let out = job
+            .run_on(
+                &WorkerPool::new(1),
+                appendix_example::annotated_partitions(),
+            )
+            .unwrap();
         for (pair, _) in out.records() {
             assert_ne!(
                 pair.lo().source,

@@ -30,7 +30,7 @@ use mr_engine::workflow::{StageGraph, Workflow};
 
 use crate::bdm::BlockDistributionMatrix;
 use crate::bdm_job::compute_bdm_in;
-use crate::driver::{ErConfig, ErOutcome};
+use crate::driver::ErConfig;
 use crate::{Ent, StrategyKind};
 
 /// A BDM interpreted for two sources: per-partition counts plus the
@@ -165,8 +165,8 @@ impl TwoSourceBdm {
 }
 
 /// Executes the two-source linkage scenario (paper Appendix I) as
-/// stages of `workflow` — the scenario compiler both [`run_linkage`]
-/// and the facade crate's `Resolver` (via `Scenario::Linkage`) drive.
+/// stages of `workflow` — the scenario compiler the facade crate's
+/// `Resolver` drives for `Scenario::Linkage`.
 ///
 /// `sources[p]` tags input partition `p` as belonging to `R` or `S`;
 /// only cross-source pairs within shared blocks are compared.
@@ -198,10 +198,9 @@ pub fn run_linkage_in(
                 Arc::clone(&config.blocking),
                 Arc::new(sources),
                 comparer,
-                config.reduce_tasks(),
-                config.parallelism(),
+                config.runtime.reduce_tasks,
             )
-            .with_spill_threshold(config.spill_threshold());
+            .with_spill_threshold(config.runtime.spill_threshold);
             let out = wf.chained_stage(&job, input)?;
             let mut result = MatchResult::new();
             for (pair, score) in out.reduce_outputs.into_iter().flatten() {
@@ -225,10 +224,9 @@ pub fn run_linkage_in(
             wf,
             input,
             Arc::clone(&config.blocking),
-            config.reduce_tasks(),
-            config.parallelism(),
+            config.runtime.reduce_tasks,
             config.use_combiner,
-            config.spill_threshold(),
+            config.runtime.spill_threshold,
         )?;
         *products.borrow_mut() = Some((Arc::new(bdm), annotated, bdm_metrics));
         Ok(())
@@ -247,10 +245,9 @@ pub fn run_linkage_in(
                 let job = block_split::block_split_two_source_job(
                     ts,
                     comparer,
-                    config.reduce_tasks(),
-                    config.parallelism(),
+                    config.runtime.reduce_tasks,
                 )
-                .with_spill_threshold(config.spill_threshold())
+                .with_spill_threshold(config.runtime.spill_threshold)
                 .with_weight_hint(weight);
                 wf.chained_stage(&job, annotated)?
             }
@@ -259,10 +256,9 @@ pub fn run_linkage_in(
                     ts,
                     comparer,
                     config.range_policy,
-                    config.reduce_tasks(),
-                    config.parallelism(),
+                    config.runtime.reduce_tasks,
                 )
-                .with_spill_threshold(config.spill_threshold())
+                .with_spill_threshold(config.runtime.spill_threshold)
                 .with_weight_hint(weight);
                 wf.chained_stage(&job, annotated)?
             }
@@ -284,34 +280,6 @@ pub fn run_linkage_in(
     Ok(stages
         .into_inner()
         .expect("match node populates the outcome"))
-}
-
-/// Runs two-source entity resolution (record linkage): `sources[p]`
-/// tags input partition `p` as belonging to `R` or `S`; only
-/// cross-source pairs within shared blocks are compared.
-///
-/// # Deprecation path
-///
-/// A thin wrapper over [`run_linkage_in`] on a transient per-run
-/// [`Workflow`], kept for compatibility; new code should use the
-/// facade crate's `Runtime` + `Resolver` with `Scenario::Linkage`,
-/// which runs the identical stages on a persistent worker pool.
-pub fn run_linkage(
-    input: Partitions<(), Ent>,
-    sources: Vec<SourceId>,
-    config: &ErConfig,
-) -> Result<ErOutcome, MrError> {
-    let mut workflow = Workflow::new(format!("linkage-{}", config.strategy))
-        .with_fault_policy(config.fault_policy())
-        .with_fault_plan(config.fault_plan().clone());
-    let stages = run_linkage_in(&mut workflow, input, sources, config)?;
-    Ok(ErOutcome {
-        result: stages.result,
-        bdm: stages.bdm,
-        bdm_metrics: stages.bdm_metrics,
-        match_metrics: stages.match_metrics,
-        workflow: workflow.finish(),
-    })
 }
 
 /// The appendix running example (Figure 15a): 13 entities A–N over

@@ -216,7 +216,6 @@ pub fn pair_range_two_source_job(
     comparer: PairComparer,
     policy: RangePolicy,
     reduce_tasks: usize,
-    parallelism: usize,
 ) -> Job<TwoSourcePairRangeMapper, TwoSourcePairRangeReducer> {
     Job::builder(
         "er-pair-range-2src",
@@ -224,7 +223,6 @@ pub fn pair_range_two_source_job(
         TwoSourcePairRangeReducer::new(ts, comparer, policy),
     )
     .reduce_tasks(reduce_tasks)
-    .parallelism(parallelism)
     .partitioner(PairRangeKey::partitioner())
     .group_by(PairRangeKey::group_cmp())
     .build()
@@ -237,6 +235,7 @@ mod tests {
     use crate::two_source::appendix_example;
     use crate::COMPARISONS;
     use er_core::Matcher;
+    use mr_engine::pool::WorkerPool;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -398,9 +397,13 @@ mod tests {
             PairComparer::count_only(Arc::new(Matcher::paper_default())),
             RangePolicy::CeilDiv,
             3,
-            1,
         );
-        let out = job.run(appendix_example::annotated_partitions()).unwrap();
+        let out = job
+            .run_on(
+                &WorkerPool::new(1),
+                appendix_example::annotated_partitions(),
+            )
+            .unwrap();
         assert_eq!(out.metrics.counters.get(COMPARISONS), 12);
         assert_eq!(
             out.metrics.per_reduce_counter(COMPARISONS),
@@ -417,9 +420,13 @@ mod tests {
             PairComparer::new(Arc::new(Matcher::paper_default())),
             RangePolicy::CeilDiv,
             3,
-            1,
         );
-        let out = job.run(appendix_example::annotated_partitions()).unwrap();
+        let out = job
+            .run_on(
+                &WorkerPool::new(1),
+                appendix_example::annotated_partitions(),
+            )
+            .unwrap();
         for (pair, _) in out.records() {
             assert_ne!(pair.lo().source, pair.hi().source);
         }

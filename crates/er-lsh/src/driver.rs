@@ -28,7 +28,7 @@ use er_core::result::MatchPair;
 use er_core::{MatchResult, Matcher, MatcherCache, SourceId};
 use er_loadbalance::basic::basic_job;
 use er_loadbalance::bdm_job::compute_bdm_named_in;
-use er_loadbalance::block_split::{block_split_job_with_policy, SplitPolicy};
+use er_loadbalance::block_split::{block_split_job, SplitPolicy};
 use er_loadbalance::compare::PairComparer;
 use er_loadbalance::pair_range::pair_range_job;
 use er_loadbalance::two_source::{
@@ -37,11 +37,11 @@ use er_loadbalance::two_source::{
 };
 use er_loadbalance::{BlockDistributionMatrix, Ent, RangePolicy, StrategyKind};
 use mr_engine::error::MrError;
-use mr_engine::fault::{FaultPlan, FaultPolicy};
+use mr_engine::fault::FaultPlan;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::RuntimeConfig;
-use mr_engine::workflow::{StageGraph, Workflow, WorkflowMetrics};
+use mr_engine::workflow::{StageGraph, Workflow};
 
 use crate::{LshBlocking, LshParams, DEFAULT_LSH_SEED};
 
@@ -50,7 +50,8 @@ use er_core::minhash::ShingleScheme;
 /// Configuration of one LSH run — the adaptive ladder, the shingle
 /// and seed choices, and the balancing strategy applied to the banded
 /// key space. Shared execution knobs live in the embedded
-/// [`RuntimeConfig`], mirroring `ErConfig`/`SnConfig`.
+/// [`RuntimeConfig`] (install the block with
+/// [`LshConfig::with_runtime`]), mirroring `ErConfig`/`SnConfig`.
 #[derive(Clone)]
 pub struct LshConfig {
     /// Attribute signatures are computed over.
@@ -85,10 +86,13 @@ pub struct LshConfig {
     pub use_combiner: bool,
     /// Match rule candidates are evaluated under.
     pub matcher: Arc<Matcher>,
-    /// Shared execution knobs: reduce tasks, worker threads,
-    /// count-only mode, cache bound, spill threshold, fault policy.
+    /// Shared execution knobs: reduce tasks, count-only mode, cache
+    /// bound, spill threshold, fault policy.
     pub runtime: RuntimeConfig,
-    /// Deterministic fault-injection schedule (empty = none).
+    /// Deterministic fault-injection schedule (empty = none). Like
+    /// `runtime.fault_policy` it takes effect on the [`Workflow`] the
+    /// scenario runs on; whoever builds that workflow (the facade's
+    /// `Resolver`) installs both.
     pub fault_plan: FaultPlan,
 }
 
@@ -125,12 +129,6 @@ impl LshConfig {
         }
     }
 
-    /// Fixes the banding to a one-rung ladder (no adaptation).
-    pub fn with_params(mut self, params: LshParams) -> Self {
-        self.ladder = vec![params];
-        self
-    }
-
     /// Replaces the adaptive ladder (widest rung first).
     ///
     /// # Panics
@@ -147,51 +145,9 @@ impl LshConfig {
         self
     }
 
-    /// Sets the estimated-recall floor rounds are scored against.
-    pub fn with_recall_floor(mut self, floor: f64) -> Self {
-        self.recall_floor = floor;
-        self
-    }
-
-    /// Sets the similarity level the recall estimate is evaluated at.
-    pub fn with_target_similarity(mut self, s: f64) -> Self {
-        self.target_similarity = s;
-        self
-    }
-
-    /// Overrides the shingle scheme.
-    pub fn with_scheme(mut self, scheme: ShingleScheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
-    /// Overrides the MinHash seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Overrides the signed attribute.
-    pub fn with_attribute(mut self, attribute: impl Into<String>) -> Self {
-        self.attribute = attribute.into();
-        self
-    }
-
     /// Overrides how the candidate job balances the banded key space.
     pub fn with_balance(mut self, balance: StrategyKind) -> Self {
         self.balance = balance;
-        self
-    }
-
-    /// Overrides the PairRange range formula.
-    pub fn with_range_policy(mut self, policy: RangePolicy) -> Self {
-        self.range_policy = policy;
-        self
-    }
-
-    /// Overrides the matcher.
-    pub fn with_matcher(mut self, matcher: Arc<Matcher>) -> Self {
-        self.matcher = matcher;
         self
     }
 
@@ -202,95 +158,13 @@ impl LshConfig {
         self
     }
 
-    /// Overrides the number of reduce tasks (both jobs).
-    pub fn with_reduce_tasks(mut self, r: usize) -> Self {
-        self.runtime.reduce_tasks = r;
-        self
-    }
-
-    /// Overrides the worker-thread count.
-    pub fn with_parallelism(mut self, p: usize) -> Self {
-        self.runtime.parallelism = p;
-        self
-    }
-
-    /// Switches comparison counting only (no similarity evaluation).
-    pub fn with_count_only(mut self, count_only: bool) -> Self {
-        self.runtime.count_only = count_only;
-        self
-    }
-
-    /// Bounds the prepared-entity caches.
-    pub fn with_matcher_cache_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.runtime = self.runtime.with_matcher_cache_capacity(capacity);
-        self
-    }
-
-    /// Sets the map-side spill threshold.
-    pub fn with_spill_threshold(mut self, threshold: Option<usize>) -> Self {
-        self.runtime = self.runtime.with_spill_threshold(threshold);
-        self
-    }
-
-    /// Replaces the per-task fault-tolerance policy.
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.runtime = self.runtime.with_fault_policy(policy);
-        self
-    }
-
-    /// Installs a deterministic fault-injection schedule.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// The per-task fault-tolerance policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.runtime.fault_policy
-    }
-
-    /// The deterministic fault-injection schedule (empty = none).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
-    }
-
-    /// Number of reduce tasks `r` (both jobs).
-    pub fn reduce_tasks(&self) -> usize {
-        self.runtime.reduce_tasks
-    }
-
-    /// Local worker threads.
-    pub fn parallelism(&self) -> usize {
-        self.runtime.parallelism
-    }
-
-    /// Whether similarity evaluation is skipped.
-    pub fn count_only(&self) -> bool {
-        self.runtime.count_only
-    }
-
-    /// The prepared-entity cache bound (`None` = unbounded).
-    pub fn matcher_cache_capacity(&self) -> Option<usize> {
-        self.runtime.matcher_cache_capacity
-    }
-
-    /// The map-side spill threshold (`None` = never spill).
-    pub fn spill_threshold(&self) -> Option<usize> {
-        self.runtime.spill_threshold
-    }
-
     /// The blocking function of one ladder rung.
     pub fn blocking_for(&self, params: LshParams) -> LshBlocking {
         LshBlocking::new(params, self.scheme, self.attribute.clone(), self.seed)
     }
 
     fn comparer(&self) -> PairComparer {
-        let comparer = if self.count_only() {
-            PairComparer::count_only(Arc::clone(&self.matcher))
-        } else {
-            PairComparer::new(Arc::clone(&self.matcher))
-        };
-        comparer.with_cache_capacity(self.matcher_cache_capacity())
+        PairComparer::from_runtime(Arc::clone(&self.matcher), &self.runtime)
     }
 }
 
@@ -332,8 +206,8 @@ pub struct LshRound {
 }
 
 /// Products of the LSH stages executed inside a caller-owned
-/// [`Workflow`] — what [`run_lsh_in`] produces and [`run_lsh`] (plus
-/// the facade `Resolver` under `Scenario::Lsh`) wraps into an outcome.
+/// [`Workflow`] — what [`run_lsh_in`] produces and the facade
+/// `Resolver` wraps into its outcome under `Scenario::Lsh`.
 #[derive(Debug)]
 pub struct LshStages {
     /// The deduplicated match result.
@@ -350,27 +224,7 @@ pub struct LshStages {
     pub match_metrics: JobMetrics,
 }
 
-/// Everything a completed [`run_lsh`] produces.
-#[derive(Debug)]
-pub struct LshOutcome {
-    /// The deduplicated match result.
-    pub result: MatchResult,
-    /// The accepted banding.
-    pub params: LshParams,
-    /// One report per executed adaptive round.
-    pub rounds: Vec<LshRound>,
-    /// The accepted rung's band-bucket distribution matrix.
-    pub bdm: Arc<BlockDistributionMatrix>,
-    /// Metrics of the accepted signature job.
-    pub bdm_metrics: JobMetrics,
-    /// Metrics of the candidate/matching job.
-    pub match_metrics: JobMetrics,
-    /// Rolled-up metrics of the whole run (every signature round plus
-    /// the matching job under one workflow).
-    pub workflow: WorkflowMetrics,
-}
-
-impl LshOutcome {
+impl LshStages {
     /// Comparison counts per reduce task of the candidate job.
     pub fn reduce_loads(&self) -> Vec<u64> {
         self.match_metrics
@@ -393,8 +247,7 @@ struct Accepted {
 }
 
 /// Executes the LSH scenario as stages of `workflow` — the scenario
-/// compiler both [`run_lsh`] and the facade crate's `Resolver` (via
-/// `Scenario::Lsh`) drive.
+/// compiler the facade crate's `Resolver` drives for `Scenario::Lsh`.
 ///
 /// `sources` selects the workload: `None` deduplicates one source;
 /// `Some(tags)` links two (`tags[p]` labels input partition `p` as
@@ -448,10 +301,9 @@ pub fn run_lsh_in(
                 &name,
                 input.clone(),
                 blocking,
-                config.reduce_tasks(),
-                config.parallelism(),
+                config.runtime.reduce_tasks,
                 config.use_combiner,
-                config.spill_threshold(),
+                config.runtime.spill_threshold,
             )?;
             let bdm = Arc::new(bdm);
             let candidate_pairs = match sources {
@@ -494,31 +346,24 @@ pub fn run_lsh_in(
             .take()
             .expect("a signature round accepted a rung");
         let comparer = config.comparer();
-        let r = config.reduce_tasks();
-        let p = config.parallelism();
-        let spill = config.spill_threshold();
+        let r = config.runtime.reduce_tasks;
+        let spill = config.runtime.spill_threshold;
         let out = match sources {
             None => match config.balance {
                 StrategyKind::Basic => {
-                    let job = basic_job(Arc::new(config.blocking_for(params)), comparer, r, p)
+                    let job = basic_job(Arc::new(config.blocking_for(params)), comparer, r)
                         .with_spill_threshold(spill)
                         .with_weight_hint(bdm.total_pairs());
                     wf.chained_stage(&job, input.clone())?
                 }
                 StrategyKind::BlockSplit => {
-                    let job = block_split_job_with_policy(
-                        Arc::clone(&bdm),
-                        comparer,
-                        config.split_policy,
-                        r,
-                        p,
-                    )
-                    .with_spill_threshold(spill)
-                    .with_weight_hint(bdm.total_pairs());
+                    let job = block_split_job(Arc::clone(&bdm), comparer, config.split_policy, r)
+                        .with_spill_threshold(spill)
+                        .with_weight_hint(bdm.total_pairs());
                     wf.chained_stage(&job, annotated)?
                 }
                 StrategyKind::PairRange => {
-                    let job = pair_range_job(Arc::clone(&bdm), comparer, config.range_policy, r, p)
+                    let job = pair_range_job(Arc::clone(&bdm), comparer, config.range_policy, r)
                         .with_spill_threshold(spill)
                         .with_weight_hint(bdm.total_pairs());
                     wf.chained_stage(&job, annotated)?
@@ -534,23 +379,21 @@ pub fn run_lsh_in(
                             Arc::new(tags.clone()),
                             comparer,
                             r,
-                            p,
                         )
                         .with_spill_threshold(spill)
                         .with_weight_hint(weight);
                         wf.chained_stage(&job, input.clone())?
                     }
                     StrategyKind::BlockSplit => {
-                        let job = block_split_two_source_job(ts, comparer, r, p)
+                        let job = block_split_two_source_job(ts, comparer, r)
                             .with_spill_threshold(spill)
                             .with_weight_hint(weight);
                         wf.chained_stage(&job, annotated)?
                     }
                     StrategyKind::PairRange => {
-                        let job =
-                            pair_range_two_source_job(ts, comparer, config.range_policy, r, p)
-                                .with_spill_threshold(spill)
-                                .with_weight_hint(weight);
+                        let job = pair_range_two_source_job(ts, comparer, config.range_policy, r)
+                            .with_spill_threshold(spill)
+                            .with_weight_hint(weight);
                         wf.chained_stage(&job, annotated)?
                     }
                 }
@@ -576,37 +419,6 @@ pub fn run_lsh_in(
         .expect("match node populates the outcome");
     out.rounds = rounds.into_inner();
     Ok(out)
-}
-
-/// Runs banded-MinHash entity resolution over pre-partitioned input.
-///
-/// A thin wrapper over [`run_lsh_in`] on a transient per-run
-/// [`Workflow`]; new code should use the facade crate's `Runtime` +
-/// `Resolver` with `Scenario::Lsh`, which runs the identical stages
-/// on a persistent worker pool.
-pub fn run_lsh(
-    input: Partitions<(), Ent>,
-    sources: Option<Vec<SourceId>>,
-    config: &LshConfig,
-) -> Result<LshOutcome, MrError> {
-    let name = if sources.is_some() {
-        "lsh-linkage"
-    } else {
-        "lsh"
-    };
-    let mut workflow = Workflow::new(name)
-        .with_fault_policy(config.fault_policy())
-        .with_fault_plan(config.fault_plan().clone());
-    let stages = run_lsh_in(&mut workflow, input, sources, config)?;
-    Ok(LshOutcome {
-        result: stages.result,
-        params: stages.params,
-        rounds: stages.rounds,
-        bdm: stages.bdm,
-        bdm_metrics: stages.bdm_metrics,
-        match_metrics: stages.match_metrics,
-        workflow: workflow.finish(),
-    })
 }
 
 /// Brute-force banded candidate enumeration — the oracle the MR
@@ -698,9 +510,18 @@ mod tests {
 
     fn config() -> LshConfig {
         LshConfig::new()
-            .with_params(LshParams::new(8, 2))
-            .with_reduce_tasks(3)
-            .with_parallelism(1)
+            .with_ladder(vec![LshParams::new(8, 2)])
+            .with_runtime(RuntimeConfig::new().with_reduce_tasks(3))
+    }
+
+    /// Compiles the scenario onto a single-slot (inline) pool.
+    fn lsh_inline(
+        input: Partitions<(), Ent>,
+        sources: Option<Vec<SourceId>>,
+        config: &LshConfig,
+    ) -> Result<LshStages, MrError> {
+        let pool = Arc::new(mr_engine::pool::WorkerPool::new(1));
+        run_lsh_in(&mut Workflow::on_pool("lsh", pool), input, sources, config)
     }
 
     #[test]
@@ -712,7 +533,7 @@ mod tests {
             StrategyKind::PairRange,
         ] {
             let config = config().with_balance(balance);
-            let outcome = run_lsh(input(2), None, &config).unwrap();
+            let outcome = lsh_inline(input(2), None, &config).unwrap();
             let oracle = lsh_oracle(&entities, &config, LshParams::new(8, 2), false);
             assert_eq!(
                 outcome.result.pair_set(),
@@ -735,9 +556,9 @@ mod tests {
         // gate must still evaluate the pair exactly once, so skipped +
         // compared = enumerated.
         let config = config();
-        let outcome = run_lsh(input(2), None, &config).unwrap();
+        let outcome = lsh_inline(input(2), None, &config).unwrap();
         let skipped = outcome
-            .workflow
+            .match_metrics
             .counters
             .get(er_loadbalance::compare::MULTIPASS_SKIPPED);
         assert_eq!(
@@ -760,7 +581,7 @@ mod tests {
         let config = config()
             .with_ladder(vec![wide, tight])
             .with_candidate_budget(Some(wide_candidates.saturating_sub(1).max(1)));
-        let outcome = run_lsh(input(2), None, &config).unwrap();
+        let outcome = lsh_inline(input(2), None, &config).unwrap();
         assert_eq!(outcome.rounds.len(), 2, "both rounds measured");
         assert!(!outcome.rounds[0].accepted);
         assert!(outcome.rounds[1].accepted);
@@ -774,7 +595,7 @@ mod tests {
     #[test]
     fn no_budget_accepts_the_widest_rung_immediately() {
         let config = config().with_ladder(vec![LshParams::new(16, 2), LshParams::new(4, 8)]);
-        let outcome = run_lsh(input(2), None, &config).unwrap();
+        let outcome = lsh_inline(input(2), None, &config).unwrap();
         assert_eq!(outcome.rounds.len(), 1, "later rungs never run");
         assert!(outcome.rounds[0].accepted);
         assert_eq!(outcome.params, LshParams::new(16, 2));
@@ -807,7 +628,7 @@ mod tests {
             StrategyKind::PairRange,
         ] {
             let config = config().with_balance(balance);
-            let outcome = run_lsh(partitions.clone(), Some(sources.clone()), &config).unwrap();
+            let outcome = lsh_inline(partitions.clone(), Some(sources.clone()), &config).unwrap();
             let oracle = lsh_oracle(&tagged, &config, LshParams::new(8, 2), true);
             assert_eq!(
                 outcome.result.pair_set(),
@@ -822,8 +643,9 @@ mod tests {
 
     #[test]
     fn count_only_counts_without_emitting() {
-        let config = config().with_count_only(true);
-        let outcome = run_lsh(input(2), None, &config).unwrap();
+        let mut config = config();
+        config.runtime.count_only = true;
+        let outcome = lsh_inline(input(2), None, &config).unwrap();
         assert!(outcome.result.is_empty());
         assert!(outcome.total_comparisons() > 0);
     }

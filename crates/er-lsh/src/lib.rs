@@ -37,10 +37,7 @@ use er_core::blocking::{BlockKey, BlockingFunction};
 use er_core::minhash::{band_hash, banding_probability, shingle_hashes, MinHasher, ShingleScheme};
 use er_core::Entity;
 
-pub use driver::{
-    lsh_candidate_pairs, lsh_oracle, run_lsh, run_lsh_in, LshConfig, LshOutcome, LshRound,
-    LshStages,
-};
+pub use driver::{lsh_candidate_pairs, lsh_oracle, run_lsh_in, LshConfig, LshRound, LshStages};
 
 /// Default seed of the MinHash family (stable across the workspace so
 /// signatures, tests and benches agree).

@@ -23,16 +23,16 @@ use er_core::{MatchResult, Matcher, MatcherCache};
 use er_loadbalance::compare::PairComparer;
 use er_loadbalance::Ent;
 use mr_engine::error::MrError;
-use mr_engine::fault::{FaultPlan, FaultPolicy};
+use mr_engine::fault::FaultPlan;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::RuntimeConfig;
-use mr_engine::workflow::{StageGraph, Workflow, WorkflowMetrics};
+use mr_engine::workflow::{StageGraph, Workflow};
 
 use crate::jobsn::{assemble_boundary_input, split_window_output, stitch_job, window_job};
 use crate::repsn::repsn_job;
 use crate::sample::{resolve_sort_key, sample_distribution_in};
-use crate::{PARTITION_ENTITIES, REPLICAS};
+use crate::PARTITION_ENTITIES;
 
 /// Which boundary-handling strategy runs the matching job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,11 +77,12 @@ pub enum NullKeyPolicy {
 /// Configuration of one Sorted Neighborhood run.
 ///
 /// The execution knobs every scenario shares live in the embedded
-/// [`RuntimeConfig`]: `parallelism`, `matcher_cache_capacity`,
-/// `count_only`, and — because SN's key ranges *are* the reduce tasks
-/// of its matching job — the partition count, stored as
-/// [`RuntimeConfig::reduce_tasks`]. The `with_*` builders forward to
-/// it, so call sites predating the extraction compile unchanged.
+/// [`RuntimeConfig`] (install the block with
+/// [`SnConfig::with_runtime`]): `matcher_cache_capacity`,
+/// `count_only`, `spill_threshold`, `fault_policy`, and — because SN's
+/// key ranges *are* the reduce tasks of its matching job — the
+/// partition count, stored as [`RuntimeConfig::reduce_tasks`] (see
+/// [`SnConfig::with_partitions`]).
 #[derive(Clone)]
 pub struct SnConfig {
     /// Sort-key derivation (default: full normalized `title`).
@@ -104,9 +105,11 @@ pub struct SnConfig {
     /// Shared execution knobs; `runtime.reduce_tasks` is the number of
     /// key ranges (== reduce tasks of the matching job).
     pub runtime: RuntimeConfig,
-    /// Deterministic fault-injection schedule applied to every job of
-    /// the run (empty by default — injection is a test/bench harness,
-    /// never implied by a policy). See [`FaultPlan`].
+    /// Deterministic fault-injection schedule of the run (empty by
+    /// default — injection is a test/bench harness, never implied by
+    /// a policy). Like `runtime.fault_policy` it takes effect on the
+    /// [`Workflow`] the scenario runs on; whoever builds that workflow
+    /// (the facade's `Resolver`) installs both.
     pub fault_plan: FaultPlan,
 }
 
@@ -135,13 +138,6 @@ impl SnConfig {
     /// Overrides the matcher.
     pub fn with_matcher(mut self, matcher: Arc<Matcher>) -> Self {
         self.matcher = matcher;
-        self
-    }
-
-    /// Overrides the boundary strategy (the `Resolver` compiles one
-    /// scenario template into each requested strategy through this).
-    pub fn with_strategy(mut self, strategy: SnStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -187,78 +183,13 @@ impl SnConfig {
         self
     }
 
-    /// Overrides the worker-thread count (forwards to
-    /// [`RuntimeConfig::parallelism`]).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.runtime.parallelism = parallelism;
-        self
-    }
-
-    /// Overrides the null-sort-key policy.
-    pub fn with_null_key_policy(mut self, policy: NullKeyPolicy) -> Self {
-        self.null_key_policy = policy;
-        self
-    }
-
-    /// Switches comparison counting only (forwards to
-    /// [`RuntimeConfig::count_only`]): window pairs are counted but
-    /// never scored, and the match result stays empty — the timing-run
-    /// mode `ErConfig` always had, now available to SN workloads.
-    pub fn with_count_only(mut self, count_only: bool) -> Self {
-        self.runtime.count_only = count_only;
-        self
-    }
-
-    /// Bounds the reducers' prepared-entity caches (forwards to
-    /// [`RuntimeConfig::matcher_cache_capacity`]); `None` restores the
-    /// unbounded default.
-    ///
-    /// # Panics
-    /// If `capacity` is `Some(n)` with `n < 2` — comparing a pair
-    /// needs both sides resident.
-    pub fn with_matcher_cache_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.runtime = self.runtime.with_matcher_cache_capacity(capacity);
-        self
-    }
-
-    /// Seals map-side shuffle buckets into sorted runs every
-    /// `threshold` open records, bounding map-phase resident memory
-    /// (forwards to [`RuntimeConfig::spill_threshold`]); `None`
-    /// restores the spill-free default. Outputs are byte-identical at
-    /// any threshold.
-    ///
-    /// # Panics
-    /// If `threshold` is `Some(0)`.
-    pub fn with_spill_threshold(mut self, threshold: Option<usize>) -> Self {
-        self.runtime = self.runtime.with_spill_threshold(threshold);
-        self
-    }
-
-    /// Replaces the per-task fault-tolerance policy — retry budget and
-    /// straggler deadline — every job of the run executes under
-    /// (forwards to [`RuntimeConfig::fault_policy`]).
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.runtime = self.runtime.with_fault_policy(policy);
-        self
-    }
-
-    /// Installs a deterministic fault-injection schedule (panics or
-    /// delays at exact task coordinates) for every job of the run —
-    /// the test/bench harness proving the retry path. An empty plan
-    /// (the default) injects nothing.
+    /// Sets the deterministic fault-injection schedule (panics or
+    /// delays at exact task coordinates) — the test/bench harness
+    /// proving the retry path. An empty plan (the default) injects
+    /// nothing.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
-    }
-
-    /// The per-task fault-tolerance policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.runtime.fault_policy
-    }
-
-    /// The deterministic fault-injection schedule (empty = none).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
     }
 
     /// Number of key ranges == reduce tasks of the matching job.
@@ -266,34 +197,8 @@ impl SnConfig {
         self.runtime.reduce_tasks
     }
 
-    /// Local worker threads.
-    pub fn parallelism(&self) -> usize {
-        self.runtime.parallelism
-    }
-
-    /// Whether similarity evaluation is skipped (comparisons are only
-    /// counted).
-    pub fn count_only(&self) -> bool {
-        self.runtime.count_only
-    }
-
-    /// The prepared-entity cache bound (`None` = unbounded).
-    pub fn matcher_cache_capacity(&self) -> Option<usize> {
-        self.runtime.matcher_cache_capacity
-    }
-
-    /// The map-side spill threshold (`None` = never spill).
-    pub fn spill_threshold(&self) -> Option<usize> {
-        self.runtime.spill_threshold
-    }
-
     pub(crate) fn comparer(&self) -> PairComparer {
-        let comparer = if self.count_only() {
-            PairComparer::count_only(Arc::clone(&self.matcher))
-        } else {
-            PairComparer::new(Arc::clone(&self.matcher))
-        };
-        comparer.with_cache_capacity(self.matcher_cache_capacity())
+        PairComparer::from_runtime(Arc::clone(&self.matcher), &self.runtime)
     }
 }
 
@@ -359,85 +264,10 @@ impl From<MrError> for SnError {
     }
 }
 
-/// Everything a completed SN run produces.
-#[derive(Debug)]
-pub struct SnOutcome {
-    /// The deduplicated match result.
-    pub result: MatchResult,
-    /// The sampled range partitioner the run routed by.
-    pub partitioner: RangePartitioner<SortKey>,
-    /// Metrics of the sort-key distribution job.
-    pub sample_metrics: JobMetrics,
-    /// Metrics of the window/matching job.
-    pub match_metrics: JobMetrics,
-    /// Metrics of JobSN's stitch job (absent for RepSN, and for JobSN
-    /// runs whose boundaries had no candidate pairs).
-    pub stitch_metrics: Option<JobMetrics>,
-    /// Rolled-up metrics of the whole run: per-stage walls, end-to-end
-    /// wall, merged counters, peak-memory gauges.
-    pub workflow: WorkflowMetrics,
-}
-
-impl SnOutcome {
-    /// Comparison counts per reduce task of the matching job.
-    pub fn reduce_loads(&self) -> Vec<u64> {
-        self.match_metrics
-            .per_reduce_counter(er_loadbalance::COMPARISONS)
-    }
-
-    /// Total comparisons across the matching and stitch jobs.
-    pub fn total_comparisons(&self) -> u64 {
-        let stitch: u64 = self
-            .stitch_metrics
-            .as_ref()
-            .map(|m| m.counters.get(er_loadbalance::COMPARISONS))
-            .unwrap_or(0);
-        self.match_metrics.counters.get(er_loadbalance::COMPARISONS) + stitch
-    }
-
-    /// Entities per key range (originals only).
-    pub fn partition_sizes(&self) -> Vec<u64> {
-        self.match_metrics.per_reduce_counter(PARTITION_ENTITIES)
-    }
-
-    /// Boundary replicas RepSN shipped (zero for JobSN).
-    pub fn replicas(&self) -> u64 {
-        self.match_metrics.counters.get(REPLICAS)
-    }
-}
-
-/// Runs Sorted Neighborhood blocking over pre-partitioned input (each
-/// inner `Vec` is one input partition == one map task).
-///
-/// # Deprecation path
-///
-/// A thin wrapper over [`run_sn_stages`] on a transient per-run
-/// [`Workflow`], kept for compatibility; new code should use the
-/// facade crate's `Runtime` + `Resolver` with
-/// `Scenario::SortedNeighborhood`, which runs the identical stages on
-/// a persistent worker pool.
-pub fn run_sorted_neighborhood(
-    input: Partitions<(), Ent>,
-    config: &SnConfig,
-) -> Result<SnOutcome, SnError> {
-    let mut workflow = Workflow::new(format!("sn-{}", config.strategy))
-        .with_fault_policy(config.fault_policy())
-        .with_fault_plan(config.fault_plan().clone());
-    let stages = run_sorted_neighborhood_in(&mut workflow, input, config)?;
-    Ok(SnOutcome {
-        result: stages.result,
-        partitioner: stages.partitioner,
-        sample_metrics: stages.sample_metrics,
-        match_metrics: stages.match_metrics,
-        stitch_metrics: stages.stitch_metrics,
-        workflow: workflow.finish(),
-    })
-}
-
 /// Products of one SN pass executed inside a caller-owned workflow —
-/// what [`run_sn_stages`] returns to [`run_sorted_neighborhood`], to
-/// the multi-pass / two-source drivers, and to the facade crate's
-/// `Resolver`.
+/// what [`run_sn_stages`] returns to [`run_sorted_neighborhood_in`],
+/// to the multi-pass / two-source drivers, and through them to the
+/// facade crate's `Resolver`.
 #[derive(Debug)]
 pub struct SnStages {
     /// The deduplicated match result of this pass.
@@ -453,10 +283,28 @@ pub struct SnStages {
     pub stitch_metrics: Option<JobMetrics>,
 }
 
+impl SnStages {
+    /// Comparison counts per reduce task of the matching job.
+    pub fn reduce_loads(&self) -> Vec<u64> {
+        self.match_metrics
+            .per_reduce_counter(er_loadbalance::COMPARISONS)
+    }
+
+    /// Total comparisons across the matching and stitch jobs.
+    pub fn total_comparisons(&self) -> u64 {
+        let stitch: u64 = self
+            .stitch_metrics
+            .as_ref()
+            .map(|m| m.counters.get(er_loadbalance::COMPARISONS))
+            .unwrap_or(0);
+        self.match_metrics.counters.get(er_loadbalance::COMPARISONS) + stitch
+    }
+}
+
 /// Executes one plain (single-source, single-pass) SN pass as stages
 /// of `workflow` with the config's own comparer — the scenario
-/// compiler both [`run_sorted_neighborhood`] and the facade crate's
-/// `Resolver` (via single-key `Scenario::SortedNeighborhood`) drive.
+/// compiler the facade crate's `Resolver` drives for single-key
+/// `Scenario::SortedNeighborhood`.
 pub fn run_sorted_neighborhood_in(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
@@ -504,9 +352,8 @@ pub fn run_sn_stages(
             config.null_key_policy,
             config.sample_rate,
             config.partitions(),
-            config.parallelism(),
             config.use_combiner,
-            config.spill_threshold(),
+            config.runtime.spill_threshold,
         )?;
         *sampled.borrow_mut() = Some(products);
         Ok(())
@@ -525,9 +372,8 @@ pub fn run_sn_stages(
                     comparer.clone(),
                     config.window,
                     config.partitions(),
-                    config.parallelism(),
                 )
-                .with_spill_threshold(config.spill_threshold())
+                .with_spill_threshold(config.runtime.spill_threshold)
                 .with_weight_hint(entities as u64 * (config.window as u64 - 1));
                 let out = wf.chained_stage(&job, annotated)?;
                 let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
@@ -557,13 +403,8 @@ pub fn run_sn_stages(
                     // (one partition per boundary), so it runs outside
                     // the chained-shape invariant.
                     let boundaries = boundary_input.len();
-                    let job = stitch_job(
-                        comparer_stitch,
-                        config.window,
-                        boundaries,
-                        config.parallelism(),
-                    )
-                    .with_spill_threshold(config.spill_threshold());
+                    let job = stitch_job(comparer_stitch, config.window, boundaries)
+                        .with_spill_threshold(config.runtime.spill_threshold);
                     let out = wf.repartitioned_stage(&job, boundary_input)?;
                     for (pair, score) in out.reduce_outputs.into_iter().flatten() {
                         result.insert(pair, score);
@@ -623,9 +464,8 @@ pub fn run_sn_stages(
                     comparer,
                     config.window,
                     config.partitions(),
-                    config.parallelism(),
                 )
-                .with_spill_threshold(config.spill_threshold())
+                .with_spill_threshold(config.runtime.spill_threshold)
                 .with_weight_hint(entities * (config.window as u64 - 1));
                 let out = wf.chained_stage(&job, annotated)?;
                 let mut result = MatchResult::new();
@@ -647,6 +487,13 @@ pub fn run_sn_stages(
     Ok(stages
         .into_inner()
         .expect("the match/stitch tail populates the outcome"))
+}
+
+/// Test helper of this crate: a workflow on a single-slot pool, so
+/// every stage runs inline on the calling thread.
+#[cfg(test)]
+pub(crate) fn inline_workflow(name: &str) -> Workflow {
+    Workflow::on_pool(name, Arc::new(mr_engine::pool::WorkerPool::new(1)))
 }
 
 /// Reference implementation: single-machine sliding window over the
@@ -698,6 +545,7 @@ pub fn oracle_comparisons(n: usize, window: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::REPLICAS;
     use er_core::Entity;
 
     fn ent(id: u64, title: &str) -> ((), Ent) {
@@ -713,10 +561,11 @@ mod tests {
     }
 
     fn config(strategy: SnStrategy) -> SnConfig {
-        SnConfig::new(strategy)
-            .with_window(3)
-            .with_partitions(2)
-            .with_parallelism(1)
+        SnConfig::new(strategy).with_window(3).with_partitions(2)
+    }
+
+    fn sn_inline(input: Partitions<(), Ent>, config: &SnConfig) -> Result<SnStages, SnError> {
+        run_sorted_neighborhood_in(&mut inline_workflow("sn"), input, config)
     }
 
     #[test]
@@ -731,7 +580,7 @@ mod tests {
         ];
         for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
             let cfg = config(strategy);
-            let outcome = run_sorted_neighborhood(input(&titles), &cfg).unwrap();
+            let outcome = sn_inline(input(&titles), &cfg).unwrap();
             let oracle = sn_oracle(&input(&titles), &cfg);
             assert_eq!(
                 outcome.result.pair_set(),
@@ -754,9 +603,8 @@ mod tests {
         // neighbours would span two boundaries.
         let cfg = SnConfig::new(SnStrategy::RepSn)
             .with_window(4)
-            .with_partitions(3)
-            .with_parallelism(1);
-        let err = run_sorted_neighborhood(input(&["aa", "bb", "cc"]), &cfg).unwrap_err();
+            .with_partitions(3);
+        let err = sn_inline(input(&["aa", "bb", "cc"]), &cfg).unwrap_err();
         match err {
             SnError::ThinPartition {
                 partition,
@@ -774,7 +622,7 @@ mod tests {
             strategy: SnStrategy::JobSn,
             ..cfg
         };
-        let outcome = run_sorted_neighborhood(input(&["aa", "bb", "cc"]), &cfg).unwrap();
+        let outcome = sn_inline(input(&["aa", "bb", "cc"]), &cfg).unwrap();
         let oracle = sn_oracle(&input(&["aa", "bb", "cc"]), &cfg);
         assert_eq!(outcome.result.pair_set(), oracle.pair_set());
         assert_eq!(outcome.total_comparisons(), oracle_comparisons(3, 4));
@@ -787,10 +635,9 @@ mod tests {
         // whole content replicates forward regardless of its size.
         let cfg = SnConfig::new(SnStrategy::RepSn)
             .with_window(4)
-            .with_partitions(2)
-            .with_parallelism(1);
+            .with_partitions(2);
         let titles = ["aa", "bb", "cc", "zz"];
-        let outcome = run_sorted_neighborhood(input(&titles), &cfg).unwrap();
+        let outcome = sn_inline(input(&titles), &cfg).unwrap();
         let oracle = sn_oracle(&input(&titles), &cfg);
         assert_eq!(outcome.result.pair_set(), oracle.pair_set());
         assert_eq!(outcome.total_comparisons(), oracle_comparisons(4, 4));
@@ -799,25 +646,26 @@ mod tests {
     #[test]
     fn single_partition_degenerates_to_a_plain_window() {
         for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let cfg = SnConfig::new(strategy)
-                .with_window(3)
-                .with_partitions(1)
-                .with_parallelism(1);
-            let outcome = run_sorted_neighborhood(input(&["b", "a", "c"]), &cfg).unwrap();
+            let cfg = SnConfig::new(strategy).with_window(3).with_partitions(1);
+            let outcome = sn_inline(input(&["b", "a", "c"]), &cfg).unwrap();
             assert_eq!(outcome.total_comparisons(), oracle_comparisons(3, 3));
             assert!(outcome.stitch_metrics.is_none());
-            assert_eq!(outcome.replicas(), 0);
+            assert_eq!(outcome.match_metrics.counters.get(REPLICAS), 0);
         }
     }
 
     #[test]
     fn outcome_exposes_loads_sizes_and_sampling() {
         let cfg = config(SnStrategy::RepSn);
-        let outcome =
-            run_sorted_neighborhood(input(&["aa", "ab", "ac", "ba", "bb", "bc"]), &cfg).unwrap();
-        assert_eq!(outcome.partition_sizes().iter().sum::<u64>(), 6);
+        let outcome = sn_inline(input(&["aa", "ab", "ac", "ba", "bb", "bc"]), &cfg).unwrap();
+        let sizes = outcome.match_metrics.per_reduce_counter(PARTITION_ENTITIES);
+        assert_eq!(sizes.iter().sum::<u64>(), 6);
         assert_eq!(outcome.reduce_loads().len(), 2);
-        assert_eq!(outcome.replicas(), 2, "w - 1 tails cross the boundary");
+        assert_eq!(
+            outcome.match_metrics.counters.get(REPLICAS),
+            2,
+            "w - 1 tails cross the boundary"
+        );
         assert_eq!(outcome.partitioner.num_partitions(), 2);
         assert_eq!(outcome.sample_metrics.map_input_records(), 6);
     }

@@ -223,7 +223,6 @@ pub fn window_job(
     comparer: PairComparer,
     window: usize,
     partitions: usize,
-    parallelism: usize,
 ) -> Job<SnMapper, WindowReducer> {
     let emit_boundaries = partitions > 1;
     Job::builder(
@@ -232,7 +231,6 @@ pub fn window_job(
         WindowReducer::new(comparer, window, emit_boundaries),
     )
     .reduce_tasks(partitions)
-    .parallelism(parallelism)
     .partitioner(SnKey::partitioner())
     .build()
 }
@@ -436,7 +434,6 @@ pub fn stitch_job(
     comparer: PairComparer,
     window: usize,
     boundaries: usize,
-    parallelism: usize,
 ) -> Job<BoundaryMapper, StitchReducer> {
     Job::builder(
         "sn-jobsn-stitch",
@@ -444,7 +441,6 @@ pub fn stitch_job(
         StitchReducer::new(comparer, window),
     )
     .reduce_tasks(boundaries.max(1))
-    .parallelism(parallelism)
     .partitioner(BoundaryKey::partitioner())
     .group_by(BoundaryKey::group_cmp())
     .build()

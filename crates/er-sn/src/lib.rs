@@ -59,18 +59,17 @@ pub mod two_source;
 pub mod window;
 
 pub use driver::{
-    oracle_comparisons, run_sn_stages, run_sorted_neighborhood, run_sorted_neighborhood_in,
-    sn_oracle, NullKeyPolicy, SnConfig, SnError, SnOutcome, SnStages, SnStrategy,
+    oracle_comparisons, run_sn_stages, run_sorted_neighborhood_in, sn_oracle, NullKeyPolicy,
+    SnConfig, SnError, SnStages, SnStrategy,
 };
 pub use keys::{BoundaryKey, BoundarySide, SnEntity, SnKey};
 pub use multipass::{
-    multipass_oracle_comparisons, multipass_sn_oracle, run_multipass_sn, run_multipass_sn_in,
-    window_pair_set, MultiPassSnOutcome, MultiPassSnStages, SnPassReport,
+    multipass_oracle_comparisons, multipass_sn_oracle, run_multipass_sn_in, window_pair_set,
+    MultiPassSnStages, SnPassReport,
 };
 pub use sample::{resolve_sort_key, ResolvedKey};
 pub use two_source::{
-    run_two_source_sn, run_two_source_sn_in, two_source_input, two_source_oracle_comparisons,
-    two_source_sn_oracle,
+    run_two_source_sn_in, two_source_input, two_source_oracle_comparisons, two_source_sn_oracle,
 };
 pub use window::WindowBuffer;
 

@@ -22,7 +22,7 @@
 //! [`er_loadbalance::compare::MULTIPASS_SKIPPED`], never re-scored.
 //! Every pass runs as chained stages of **one** [`Workflow`], so the
 //! whole multi-pass run reports a single rolled-up
-//! [`WorkflowMetrics`].
+//! [`mr_engine::workflow::WorkflowMetrics`].
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -34,38 +34,11 @@ use er_loadbalance::compare::MULTIPASS_SKIPPED;
 use er_loadbalance::{Ent, COMPARISONS};
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
-use mr_engine::workflow::{StageGraph, Workflow, WorkflowMetrics};
+use mr_engine::workflow::{StageGraph, Workflow};
 
 use crate::driver::{run_sn_stages, sn_oracle};
 use crate::sample::resolve_sort_key;
 use crate::{NullKeyPolicy, SnConfig, SnError};
-
-/// Everything a completed multi-pass SN run produces.
-#[derive(Debug)]
-pub struct MultiPassSnOutcome {
-    /// The union of all passes' match results (deduplicated).
-    pub result: MatchResult,
-    /// Per-pass reports, in pass order.
-    pub passes: Vec<SnPassReport>,
-    /// Rolled-up metrics of the whole run — every pass's stages under
-    /// one workflow.
-    pub workflow: WorkflowMetrics,
-}
-
-impl MultiPassSnOutcome {
-    /// Total pair evaluations across all passes — equals the size of
-    /// the union of per-pass window pair sets (each unioned pair is
-    /// compared exactly once globally).
-    pub fn total_comparisons(&self) -> u64 {
-        self.passes.iter().map(|p| p.comparisons).sum()
-    }
-
-    /// Total pairs the dedup gate suppressed (already compared by an
-    /// earlier pass).
-    pub fn total_skipped(&self) -> u64 {
-        self.passes.iter().map(|p| p.skipped).sum()
-    }
-}
 
 /// What one pass of a multi-pass run contributed.
 #[derive(Debug)]
@@ -87,15 +60,29 @@ pub struct SnPassReport {
 }
 
 /// Products of the multi-pass stages executed inside a caller-owned
-/// workflow — what [`run_multipass_sn_in`] produces and
-/// [`run_multipass_sn`] (plus the facade crate's `Resolver`) wraps
-/// into an outcome.
+/// workflow — what [`run_multipass_sn_in`] produces and the facade
+/// crate's `Resolver` wraps into its outcome.
 #[derive(Debug)]
 pub struct MultiPassSnStages {
     /// The union of all passes' match results (deduplicated).
     pub result: MatchResult,
     /// Per-pass reports, in pass order.
     pub passes: Vec<SnPassReport>,
+}
+
+impl MultiPassSnStages {
+    /// Total pair evaluations across all passes — equals the size of
+    /// the union of per-pass window pair sets (each unioned pair is
+    /// compared exactly once globally).
+    pub fn total_comparisons(&self) -> u64 {
+        self.passes.iter().map(|p| p.comparisons).sum()
+    }
+
+    /// Total pairs the dedup gate suppressed (already compared by an
+    /// earlier pass).
+    pub fn total_skipped(&self) -> u64 {
+        self.passes.iter().map(|p| p.skipped).sum()
+    }
 }
 
 /// Executes multi-pass Sorted Neighborhood as stages of `workflow`:
@@ -179,35 +166,6 @@ pub fn run_multipass_sn_in(
     })
 }
 
-/// Runs multi-pass Sorted Neighborhood: one window workflow per sort
-/// key in `passes`, unioned with the first-pass-wins dedup gate.
-///
-/// # Deprecation path
-///
-/// A thin wrapper over [`run_multipass_sn_in`] on a transient per-run
-/// [`Workflow`], kept for compatibility; new code should use the
-/// facade crate's `Runtime` + `Resolver` with
-/// `Scenario::SortedNeighborhood { passes, .. }`, which runs the
-/// identical stages on a persistent worker pool.
-///
-/// # Panics
-/// If `passes` is empty.
-pub fn run_multipass_sn(
-    input: Partitions<(), Ent>,
-    config: &SnConfig,
-    passes: &[Arc<dyn SortKeyFunction>],
-) -> Result<MultiPassSnOutcome, SnError> {
-    let mut workflow = Workflow::new(format!("sn-multipass-{}", config.strategy))
-        .with_fault_policy(config.fault_policy())
-        .with_fault_plan(config.fault_plan().clone());
-    let stages = run_multipass_sn_in(&mut workflow, input, config, passes)?;
-    Ok(MultiPassSnOutcome {
-        result: stages.result,
-        passes: stages.passes,
-        workflow: workflow.finish(),
-    })
-}
-
 /// The window pair set of one pass: every unordered pair within
 /// `window − 1` positions of the pass's global sort order (stable
 /// ties in `(input partition, record order)` — the same enumeration
@@ -243,7 +201,7 @@ pub fn window_pair_set(
 
 /// Reference implementation: the union of the single-machine sliding
 /// window oracle over every pass — the ground truth
-/// [`run_multipass_sn`] must reproduce exactly.
+/// [`run_multipass_sn_in`] must reproduce exactly.
 pub fn multipass_sn_oracle(
     input: &Partitions<(), Ent>,
     config: &SnConfig,
@@ -281,12 +239,25 @@ pub fn multipass_oracle_comparisons(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{inline_workflow, run_sorted_neighborhood_in, SnStages};
     use crate::SnStrategy;
     use er_core::sortkey::{AttributeSortKey, ReversedSortKey};
     use er_core::Entity;
 
     fn ent(id: u64, title: &str) -> ((), Ent) {
         ((), Arc::new(Entity::new(id, [("title", title)])))
+    }
+
+    fn multipass_inline(
+        input: Partitions<(), Ent>,
+        config: &SnConfig,
+        passes: &[Arc<dyn SortKeyFunction>],
+    ) -> Result<MultiPassSnStages, SnError> {
+        run_multipass_sn_in(&mut inline_workflow("sn-multipass"), input, config, passes)
+    }
+
+    fn sn_inline(input: Partitions<(), Ent>, config: &SnConfig) -> Result<SnStages, SnError> {
+        run_sorted_neighborhood_in(&mut inline_workflow("sn"), input, config)
     }
 
     fn passes() -> Vec<Arc<dyn SortKeyFunction>> {
@@ -309,9 +280,8 @@ mod tests {
         ]];
         let config = SnConfig::new(SnStrategy::JobSn)
             .with_window(2)
-            .with_partitions(2)
-            .with_parallelism(1);
-        let single = crate::run_sorted_neighborhood(
+            .with_partitions(2);
+        let single = sn_inline(
             input.clone(),
             &config
                 .clone()
@@ -326,7 +296,7 @@ mod tests {
             !single.result.contains(&pair),
             "the forward pass alone must miss the suffix duplicate"
         );
-        let multi = run_multipass_sn(input.clone(), &config, &passes()).unwrap();
+        let multi = multipass_inline(input.clone(), &config, &passes()).unwrap();
         assert!(
             multi.result.contains(&pair),
             "the reversed pass must recover it"
@@ -347,11 +317,8 @@ mod tests {
             ent(4, "ca third thing"),
         ]];
         for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let config = SnConfig::new(strategy)
-                .with_window(3)
-                .with_partitions(2)
-                .with_parallelism(1);
-            let outcome = run_multipass_sn(input.clone(), &config, &passes()).unwrap();
+            let config = SnConfig::new(strategy).with_window(3).with_partitions(2);
+            let outcome = multipass_inline(input.clone(), &config, &passes()).unwrap();
             assert_eq!(
                 outcome.total_comparisons(),
                 multipass_oracle_comparisons(&input, &config, &passes()),
@@ -374,11 +341,10 @@ mod tests {
         ]];
         let config = SnConfig::new(SnStrategy::RepSn)
             .with_window(2)
-            .with_partitions(1)
-            .with_parallelism(1);
+            .with_partitions(1);
         let single_key: Vec<Arc<dyn SortKeyFunction>> = vec![Arc::new(AttributeSortKey::title())];
-        let multi = run_multipass_sn(input.clone(), &config, &single_key).unwrap();
-        let plain = crate::run_sorted_neighborhood(input, &config).unwrap();
+        let multi = multipass_inline(input.clone(), &config, &single_key).unwrap();
+        let plain = sn_inline(input, &config).unwrap();
         assert_eq!(multi.result.pair_set(), plain.result.pair_set());
         assert_eq!(multi.total_comparisons(), plain.total_comparisons());
         assert_eq!(multi.total_skipped(), 0, "nothing to gate in one pass");
@@ -388,7 +354,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one pass")]
     fn zero_passes_rejected() {
-        let _ = run_multipass_sn(
+        let _ = multipass_inline(
             vec![vec![ent(0, "x")]],
             &SnConfig::new(SnStrategy::JobSn),
             &[],

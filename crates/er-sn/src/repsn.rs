@@ -184,7 +184,6 @@ pub fn repsn_job(
     comparer: PairComparer,
     window: usize,
     partitions: usize,
-    parallelism: usize,
 ) -> Job<RepSnMapper, RepSnReducer> {
     Job::builder(
         "sn-repsn",
@@ -192,7 +191,6 @@ pub fn repsn_job(
         RepSnReducer::new(comparer, window),
     )
     .reduce_tasks(partitions)
-    .parallelism(parallelism)
     .partitioner(SnKey::partitioner())
     .build()
 }
@@ -202,6 +200,7 @@ mod tests {
     use super::*;
     use er_core::{Entity, Matcher};
     use er_loadbalance::COMPARISONS;
+    use mr_engine::pool::WorkerPool;
 
     fn annotated(titles: &[&str]) -> Partitions<SortKey, Ent> {
         vec![titles
@@ -235,9 +234,10 @@ mod tests {
             PairComparer::new(Arc::new(Matcher::paper_default())),
             3,
             2,
-            1,
         );
-        let out = job.run(annotated(&["a", "b", "c", "d"])).unwrap();
+        let out = job
+            .run_on(&WorkerPool::new(1), annotated(&["a", "b", "c", "d"]))
+            .unwrap();
         // Ranges: {a, b} and {c, d}; w - 1 = 2 replicas cross.
         assert_eq!(out.metrics.counters.get(REPLICAS), 2);
         assert_eq!(out.metrics.map_output_records(), 6, "4 originals + 2");
@@ -259,9 +259,10 @@ mod tests {
             PairComparer::new(Arc::new(Matcher::paper_default())),
             4,
             2,
-            1,
         );
-        let out = job.run(annotated(&["a", "b", "c", "d", "e"])).unwrap();
+        let out = job
+            .run_on(&WorkerPool::new(1), annotated(&["a", "b", "c", "d", "e"]))
+            .unwrap();
         // Global window pairs for n = 5, w = 4: 3 + 3 + 2 + 1 = 9.
         assert_eq!(out.metrics.counters.get(COMPARISONS), 9);
     }
@@ -301,9 +302,8 @@ mod tests {
             PairComparer::new(Arc::new(Matcher::paper_default())),
             3,
             2,
-            1,
         );
-        let out = job.run(input).unwrap();
+        let out = job.run_on(&WorkerPool::new(1), input).unwrap();
         // Ranges: {a, b} | {c, d, e}. Global window pairs for w = 3:
         // (a,b),(a,c),(b,c),(b,d),(c,d),(c,e),(d,e) = 7.
         assert_eq!(out.metrics.counters.get(COMPARISONS), 7);
@@ -320,9 +320,8 @@ mod tests {
             PairComparer::new(Arc::new(Matcher::paper_default())),
             3,
             2,
-            1,
         )
-        .run(mk_input())
+        .run_on(&WorkerPool::new(1), mk_input())
         .unwrap()
         .reduce_outputs;
         for parallelism in [2, 4, 8] {
@@ -331,9 +330,8 @@ mod tests {
                 PairComparer::new(Arc::new(Matcher::paper_default())),
                 3,
                 2,
-                parallelism,
             )
-            .run(mk_input())
+            .run_on(&WorkerPool::new(parallelism), mk_input())
             .unwrap();
             assert_eq!(out.reduce_outputs, reference);
         }

@@ -132,7 +132,6 @@ pub fn sample_job(
     policy: NullKeyPolicy,
     sample_rate: f64,
     reduce_tasks: usize,
-    parallelism: usize,
     use_combiner: bool,
 ) -> Job<SampleMapper, SumReducer<SortKey>> {
     let mut builder = Job::builder(
@@ -140,8 +139,7 @@ pub fn sample_job(
         SampleMapper::new(sort_key, policy, sample_rate),
         SumReducer::default(),
     )
-    .reduce_tasks(reduce_tasks)
-    .parallelism(parallelism);
+    .reduce_tasks(reduce_tasks);
     if use_combiner {
         builder = builder.combiner(sum_u64_combiner());
     }
@@ -169,55 +167,45 @@ pub fn sample_distribution_in(
     policy: NullKeyPolicy,
     sample_rate: f64,
     partitions: usize,
-    parallelism: usize,
     use_combiner: bool,
     spill_threshold: Option<usize>,
 ) -> Result<SampleProducts, MrError> {
-    let job = sample_job(
-        sort_key,
-        policy,
-        sample_rate,
-        partitions,
-        parallelism,
-        use_combiner,
-    )
-    .with_spill_threshold(spill_threshold);
+    let job = sample_job(sort_key, policy, sample_rate, partitions, use_combiner)
+        .with_spill_threshold(spill_threshold);
     let out = workflow.chained_stage(&job, input)?;
     let histogram = key_histogram(out.reduce_outputs.into_iter().flatten());
     let partitioner = RangePartitioner::from_counts(histogram, partitions);
     Ok((partitioner, out.side_outputs, out.metrics))
 }
 
-/// Runs the distribution job standalone (outside a larger workflow)
-/// and assembles its [`SampleProducts`].
-#[allow(clippy::too_many_arguments)]
-pub fn sample_distribution(
-    input: Partitions<(), Ent>,
-    sort_key: Arc<dyn SortKeyFunction>,
-    policy: NullKeyPolicy,
-    sample_rate: f64,
-    partitions: usize,
-    parallelism: usize,
-    use_combiner: bool,
-) -> Result<SampleProducts, MrError> {
-    let mut workflow = mr_engine::workflow::Workflow::new("sn-sample");
-    sample_distribution_in(
-        &mut workflow,
-        input,
-        sort_key,
-        policy,
-        sample_rate,
-        partitions,
-        parallelism,
-        use_combiner,
-        None,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use er_core::sortkey::AttributeSortKey;
+    use mr_engine::pool::WorkerPool;
+    use mr_engine::workflow::Workflow;
+
+    /// Runs the distribution job alone, inline, without spilling.
+    fn sample_distribution(
+        input: Partitions<(), Ent>,
+        sort_key: Arc<dyn SortKeyFunction>,
+        policy: NullKeyPolicy,
+        sample_rate: f64,
+        partitions: usize,
+        use_combiner: bool,
+    ) -> Result<SampleProducts, MrError> {
+        let mut workflow = Workflow::on_pool("sn-sample", Arc::new(WorkerPool::new(1)));
+        sample_distribution_in(
+            &mut workflow,
+            input,
+            sort_key,
+            policy,
+            sample_rate,
+            partitions,
+            use_combiner,
+            None,
+        )
+    }
 
     fn ent(id: u64, title: Option<&str>) -> ((), Ent) {
         match title {
@@ -241,16 +229,9 @@ mod tests {
     #[test]
     fn full_sampling_builds_even_boundaries_and_annotates_everything() {
         let input = titles(&["dd", "aa", "cc", "bb"]);
-        let (partitioner, annotated, metrics) = sample_distribution(
-            input,
-            sort_key(),
-            NullKeyPolicy::SortFirst,
-            1.0,
-            2,
-            1,
-            false,
-        )
-        .unwrap();
+        let (partitioner, annotated, metrics) =
+            sample_distribution(input, sort_key(), NullKeyPolicy::SortFirst, 1.0, 2, false)
+                .unwrap();
         assert_eq!(partitioner.num_partitions(), 2);
         assert_eq!(annotated.len(), 1, "partition shape preserved");
         assert_eq!(annotated[0].len(), 4, "every entity annotated");
@@ -271,7 +252,6 @@ mod tests {
             NullKeyPolicy::SortFirst,
             0.1,
             4,
-            1,
             false,
         )
         .unwrap();
@@ -282,11 +262,11 @@ mod tests {
     #[test]
     fn combiner_preaggregates_duplicate_keys() {
         let input = titles(&["aa", "aa", "aa", "bb"]);
-        let plain = sample_job(sort_key(), NullKeyPolicy::SortFirst, 1.0, 2, 1, false)
-            .run(input.clone())
+        let plain = sample_job(sort_key(), NullKeyPolicy::SortFirst, 1.0, 2, false)
+            .run_on(&WorkerPool::new(1), input.clone())
             .unwrap();
-        let combined = sample_job(sort_key(), NullKeyPolicy::SortFirst, 1.0, 2, 1, true)
-            .run(input)
+        let combined = sample_job(sort_key(), NullKeyPolicy::SortFirst, 1.0, 2, true)
+            .run_on(&WorkerPool::new(1), input)
             .unwrap();
         assert_eq!(plain.metrics.map_output_records(), 4);
         assert_eq!(combined.metrics.map_output_records(), 2);
@@ -299,16 +279,9 @@ mod tests {
     #[test]
     fn sort_first_policy_routes_keyless_entities_to_the_front() {
         let input = vec![vec![ent(0, Some("mm title")), ent(1, None), ent(2, None)]];
-        let (partitioner, annotated, metrics) = sample_distribution(
-            input,
-            sort_key(),
-            NullKeyPolicy::SortFirst,
-            1.0,
-            2,
-            1,
-            false,
-        )
-        .unwrap();
+        let (partitioner, annotated, metrics) =
+            sample_distribution(input, sort_key(), NullKeyPolicy::SortFirst, 1.0, 2, false)
+                .unwrap();
         assert_eq!(metrics.counters.get(NULL_SORT_KEYS), 2);
         assert_eq!(annotated[0].len(), 3, "keyless entities stay routed");
         let keyless: Vec<&SortKey> = annotated[0]
@@ -324,7 +297,7 @@ mod tests {
     fn skip_policy_counts_and_excludes_keyless_entities() {
         let input = vec![vec![ent(0, Some("mm title")), ent(1, None)]];
         let (_, annotated, metrics) =
-            sample_distribution(input, sort_key(), NullKeyPolicy::Skip, 1.0, 2, 1, false).unwrap();
+            sample_distribution(input, sort_key(), NullKeyPolicy::Skip, 1.0, 2, false).unwrap();
         assert_eq!(metrics.counters.get(NULL_SORT_KEYS), 1);
         assert_eq!(annotated[0].len(), 1, "skipped entities leave the flow");
     }

@@ -29,11 +29,11 @@ use mr_engine::workflow::Workflow;
 
 use crate::driver::{run_sn_stages, SnStages};
 use crate::sample::resolve_sort_key;
-use crate::{SnConfig, SnError, SnOutcome};
+use crate::{SnConfig, SnError};
 
 /// Executes two-source Sorted Neighborhood linkage as stages of
-/// `workflow` — the scenario compiler both [`run_two_source_sn`] and
-/// the facade crate's `Resolver` (via `Scenario::TwoSourceSn`) drive.
+/// `workflow` — the scenario compiler the facade crate's `Resolver`
+/// drives for `Scenario::TwoSourceSn`.
 ///
 /// `sources[p]` tags input partition `p` as belonging to `R` or `S`
 /// (every entity in the partition must carry that source); only
@@ -73,41 +73,6 @@ pub fn run_two_source_sn_in(
     run_sn_stages(workflow, input, config, comparer)
 }
 
-/// Runs two-source Sorted Neighborhood linkage: `sources[p]` tags
-/// input partition `p` as belonging to `R` or `S` (every entity in
-/// the partition must carry that source); only cross-source pairs
-/// within the window over the interleaved order are compared.
-///
-/// # Deprecation path
-///
-/// A thin wrapper over [`run_two_source_sn_in`] on a transient per-run
-/// [`Workflow`], kept for compatibility; new code should use the
-/// facade crate's `Runtime` + `Resolver` with `Scenario::TwoSourceSn`,
-/// which runs the identical stages on a persistent worker pool.
-///
-/// # Panics
-/// If `sources` and `input` lengths differ, a tag other than `R`/`S`
-/// appears, or an entity's own source disagrees with its partition's
-/// tag.
-pub fn run_two_source_sn(
-    input: Partitions<(), Ent>,
-    sources: Vec<SourceId>,
-    config: &SnConfig,
-) -> Result<SnOutcome, SnError> {
-    let mut workflow = Workflow::new(format!("sn-two-source-{}", config.strategy))
-        .with_fault_policy(config.fault_policy())
-        .with_fault_plan(config.fault_plan().clone());
-    let stages = run_two_source_sn_in(&mut workflow, input, sources, config)?;
-    Ok(SnOutcome {
-        result: stages.result,
-        partitioner: stages.partitioner,
-        sample_metrics: stages.sample_metrics,
-        match_metrics: stages.match_metrics,
-        stitch_metrics: stages.stitch_metrics,
-        workflow: workflow.finish(),
-    })
-}
-
 /// Convenience: packages two already-tagged entity sets into input
 /// partitions plus the matching source-tag vector (each source split
 /// over `partitions_per_source` map tasks — the `MultipleInputs`
@@ -145,7 +110,7 @@ pub fn two_source_input(
 
 /// Reference implementation: the single-machine sliding window over
 /// the interleaved order, evaluating cross-source pairs only — the
-/// ground truth [`run_two_source_sn`] must reproduce exactly at every
+/// ground truth [`run_two_source_sn_in`] must reproduce exactly at every
 /// partition count and parallelism.
 pub fn two_source_sn_oracle(input: &Partitions<(), Ent>, config: &SnConfig) -> MatchResult {
     let mut result = MatchResult::new();
@@ -162,7 +127,7 @@ pub fn two_source_sn_oracle(input: &Partitions<(), Ent>, config: &SnConfig) -> M
 }
 
 /// The number of cross-source window pairs — the exact comparison
-/// count [`run_two_source_sn`] must report (same-source window slots
+/// count [`run_two_source_sn_in`] must report (same-source window slots
 /// are skipped, not evaluated).
 pub fn two_source_oracle_comparisons(input: &Partitions<(), Ent>, config: &SnConfig) -> u64 {
     cross_source_window_pairs(input, config).len() as u64
@@ -198,12 +163,26 @@ fn cross_source_window_pairs(input: &Partitions<(), Ent>, config: &SnConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::inline_workflow;
     use crate::SnStrategy;
     use er_core::Entity;
     use er_loadbalance::compare::SAME_SOURCE_SKIPPED;
 
     fn src_ent(source: SourceId, id: u64, title: &str) -> Ent {
         Arc::new(Entity::with_source(source, id, [("title", title)]))
+    }
+
+    fn two_source_inline(
+        input: Partitions<(), Ent>,
+        sources: Vec<SourceId>,
+        config: &SnConfig,
+    ) -> Result<SnStages, SnError> {
+        run_two_source_sn_in(
+            &mut inline_workflow("sn-two-source"),
+            input,
+            sources,
+            config,
+        )
     }
 
     fn catalogs() -> (Vec<Ent>, Vec<Ent>) {
@@ -225,11 +204,8 @@ mod tests {
         let (r, s) = catalogs();
         let (input, sources) = two_source_input(r, s, 1);
         for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let config = SnConfig::new(strategy)
-                .with_window(3)
-                .with_partitions(2)
-                .with_parallelism(1);
-            let outcome = run_two_source_sn(input.clone(), sources.clone(), &config).unwrap();
+            let config = SnConfig::new(strategy).with_window(3).with_partitions(2);
+            let outcome = two_source_inline(input.clone(), sources.clone(), &config).unwrap();
             assert!(
                 outcome
                     .result
@@ -272,17 +248,13 @@ mod tests {
     fn mistagged_partition_rejected() {
         let (r, _) = catalogs();
         let input = vec![r.into_iter().map(|e| ((), e)).collect()];
-        let _ = run_two_source_sn(
-            input,
-            vec![SourceId::S],
-            &SnConfig::new(SnStrategy::JobSn).with_parallelism(1),
-        );
+        let _ = two_source_inline(input, vec![SourceId::S], &SnConfig::new(SnStrategy::JobSn));
     }
 
     #[test]
     #[should_panic(expected = "one source tag per input partition")]
     fn source_count_must_match_partitions() {
-        let _ = run_two_source_sn(
+        let _ = two_source_inline(
             vec![vec![]],
             vec![SourceId::R, SourceId::S],
             &SnConfig::new(SnStrategy::JobSn),

@@ -233,7 +233,7 @@ mod tests {
         let out = Job::builder("t", mapper, reducer)
             .reduce_tasks(1)
             .build()
-            .run(input)
+            .run_on(&crate::pool::WorkerPool::new(1), input)
             .unwrap();
         let mut got = out.into_records();
         got.sort();
@@ -258,7 +258,7 @@ mod tests {
         let out = Job::builder("t", mapper, reducer)
             .reduce_tasks(3)
             .build()
-            .run(input)
+            .run_on(&crate::pool::WorkerPool::new(1), input)
             .unwrap();
         // Key k (=v%3) is hashed to some reduce task; all values of one
         // key must report the same task index.

@@ -90,103 +90,59 @@ use crate::mapper::{run_map_task_spilling, MapTaskInfo, Mapper};
 use crate::merge::GroupStream;
 use crate::metrics::{JobMetrics, TaskKind, TaskMetrics};
 use crate::partitioner::{HashPartitioner, Partitioner};
-use crate::pool::{run_tasks_ctx, BatchTag, WorkerPool};
+use crate::pool::{BatchTag, WorkerPool};
 use crate::reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer};
 use crate::spill::MapSpiller;
 use crate::trace::{SpillTrace, TaskCtx, TraceEventData, TraceSink, Tracer};
 
-/// How a job's map/reduce tasks are executed: a transient scoped pool
-/// spawned for this run, or a caller-owned persistent [`WorkerPool`]
-/// (optionally capped to fewer concurrent slots than the pool owns).
-/// All modes produce byte-identical output (index-addressed slots
-/// either way); the choice is purely operational.
-enum Exec<'p> {
-    Transient {
-        parallelism: usize,
-    },
-    Pooled {
-        pool: &'p WorkerPool,
-        /// Upper bound on concurrently used pool slots; `None` uses
-        /// the whole pool.
-        cap: Option<usize>,
-        /// Scheduler identity of this job's dispatches — `(tenant,
-        /// workflow, stage, weight)`; untagged for bare `run_on`.
-        tag: BatchTag,
-    },
+/// Where a job's map/reduce tasks execute: a caller-owned
+/// [`WorkerPool`], at most `cap` of its slots at a time, every
+/// dispatch tagged with the scheduler identity `tag`. Task results
+/// land in index-addressed slots, so output is byte-identical at any
+/// pool size and cap.
+struct Exec<'p> {
+    pool: &'p WorkerPool,
+    /// Upper bound on concurrently used pool slots (`usize::MAX` uses
+    /// the whole pool).
+    cap: usize,
+    /// `(tenant, workflow, stage, weight)`; untagged for bare
+    /// [`Job::run_on`].
+    tag: BatchTag,
 }
 
 impl Exec<'_> {
     fn parallelism(&self) -> usize {
-        match self {
-            Exec::Transient { parallelism } => *parallelism,
-            Exec::Pooled { pool, cap, .. } => cap.map_or(pool.threads(), |c| c.min(pool.threads())),
-        }
-    }
-
-    fn run<T, F>(&self, count: usize, tracer: &Tracer, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, TaskCtx) -> T + Sync,
-    {
-        match self {
-            Exec::Transient { parallelism } => run_tasks_ctx(count, *parallelism, tracer, f),
-            Exec::Pooled { pool, cap, tag } => {
-                pool.run_tasks_tagged_ctx(count, cap.unwrap_or(usize::MAX), tracer, tag.clone(), f)
-            }
-        }
+        self.cap.min(self.pool.threads())
     }
 
     /// Runs one phase's tasks under the fault boundary: every task
     /// body executes inside `PhaseFt::run_task` (panic catch + retry
     /// loop), and — when the policy sets a task deadline — on the
-    /// speculative dispatcher instead of the plain cursor pool.
+    /// speculative dispatcher instead of the plain batch dispatch.
     fn run_ft<T, F>(&self, count: usize, phase: &PhaseFt<'_>, body: F) -> Vec<Result<T, MrError>>
     where
         T: Send,
         F: Fn(usize, u32, TaskCtx) -> Result<T, MrError> + Sync,
     {
         let attempts = TaskAttempts::new(count);
-        match (phase.policy.task_deadline, self) {
-            (None, _) => self.run(count, &phase.tracer, |i, ctx| {
-                phase.run_task(i, attempts.task(i), ctx, |attempt| body(i, attempt, ctx))
-            }),
-            (Some(deadline), Exec::Pooled { pool, cap, tag }) => run_speculative(
-                pool,
-                cap.unwrap_or(usize::MAX),
+        match phase.policy.task_deadline {
+            None => self.pool.run_tasks_tagged_ctx(
+                count,
+                self.cap,
+                &phase.tracer,
+                self.tag.clone(),
+                |i, ctx| phase.run_task(i, attempts.task(i), ctx, |attempt| body(i, attempt, ctx)),
+            ),
+            Some(deadline) => run_speculative(
+                self.pool,
+                self.cap,
                 count,
                 deadline,
-                Some(&tag.tenant),
+                &self.tag.tenant,
                 phase,
                 &attempts,
                 &body,
             ),
-            (Some(deadline), Exec::Transient { parallelism }) => {
-                if *parallelism <= 1 {
-                    // No free slot can ever exist; sequential, like the
-                    // plain inline path.
-                    (0..count)
-                        .map(|i| {
-                            let ctx = TaskCtx::default();
-                            phase
-                                .run_task(i, attempts.task(i), ctx, |attempt| body(i, attempt, ctx))
-                        })
-                        .collect()
-                } else {
-                    // Speculation needs a real pool to find free slots
-                    // on; spawn the transient one for this phase.
-                    let pool = WorkerPool::new(*parallelism);
-                    run_speculative(
-                        &pool,
-                        usize::MAX,
-                        count,
-                        deadline,
-                        None,
-                        phase,
-                        &attempts,
-                        &body,
-                    )
-                }
-            }
         }
     }
 }
@@ -240,7 +196,6 @@ where
     group_cmp: KeyCmp<M::KOut>,
     combiner: Option<Combiner<M::KOut, M::VOut>>,
     reduce_tasks: usize,
-    parallelism: usize,
     spill_threshold: Option<usize>,
     fault_policy: FaultPolicy,
     fault_plan: FaultPlan,
@@ -249,7 +204,7 @@ where
 }
 
 // Deliberately free of key bounds (unlike the `builder` impl's
-// `M::KOut: Ord` and the `run` impl's `Sync` bounds): the workflow
+// `M::KOut: Ord` and the `run_on` impl's `Sync` bounds): the workflow
 // layer must be able to name a stage under its own minimal bounds.
 impl<M, R> Job<M, R>
 where
@@ -276,44 +231,28 @@ where
         self
     }
 
-    /// The configured map-side spill threshold, if any.
-    pub fn spill_threshold(&self) -> Option<usize> {
-        self.spill_threshold
-    }
-
-    /// Replaces the fault policy on an already-built job — the
-    /// post-hoc twin of [`JobBuilder::fault_policy`], letting drivers
-    /// apply a runtime-wide policy to jobs whose construction they do
-    /// not own. Purely operational: retried tasks are byte-identical
-    /// re-executions (see [`crate::fault`]).
+    /// Replaces the fault policy (attempts per task, straggler
+    /// deadline; the default is [`FaultPolicy::fail_fast`]), letting
+    /// drivers apply a runtime-wide policy to jobs whose construction
+    /// they do not own. Purely operational: retried tasks are
+    /// byte-identical re-executions (see [`crate::fault`]).
     #[must_use]
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.fault_policy = policy;
         self
     }
 
-    /// The fault policy in force for this job (workflow-level
-    /// overrides take precedence when the job runs as a stage).
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.fault_policy
-    }
-
-    /// Replaces the fault-injection plan on an already-built job — the
-    /// test/bench hook for deterministic failure schedules.
+    /// Installs a deterministic fault-injection plan — the test/bench
+    /// hook for failure schedules; the default empty plan injects
+    /// nothing.
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
     }
 
-    /// The fault-injection plan in force for this job.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
-    }
-
     /// Attaches a [`TraceSink`] receiving the structured execution
-    /// events of [`crate::trace`] — the post-hoc twin of
-    /// [`JobBuilder::trace_sink`]. The default (no sink) runs the
+    /// events of [`crate::trace`]. The default (no sink) runs the
     /// engine untraced: every instrumentation point is one untaken
     /// branch. When the job runs as a workflow stage, a workflow-level
     /// sink takes precedence so all stages share one timeline.
@@ -321,11 +260,6 @@ where
     pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace_sink = Some(sink);
         self
-    }
-
-    /// The trace sink attached to this job, if any.
-    pub fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>> {
-        self.trace_sink.as_ref()
     }
 
     /// Declares the job's estimated total work in comparison pairs —
@@ -368,16 +302,13 @@ where
             group_cmp: natural_order::<M::KOut>(),
             combiner: None,
             reduce_tasks: 1,
-            parallelism: default_parallelism(),
             spill_threshold: None,
-            fault_policy: FaultPolicy::default(),
-            fault_plan: FaultPlan::default(),
-            trace_sink: None,
         }
     }
 }
 
-/// Number of worker threads used when the caller does not override it.
+/// Pool size of a default [`crate::runtime::RuntimeConfig`]: one slot
+/// per available core.
 pub fn default_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -398,11 +329,7 @@ where
     group_cmp: KeyCmp<M::KOut>,
     combiner: Option<Combiner<M::KOut, M::VOut>>,
     reduce_tasks: usize,
-    parallelism: usize,
     spill_threshold: Option<usize>,
-    fault_policy: FaultPolicy,
-    fault_plan: FaultPlan,
-    trace_sink: Option<Arc<dyn TraceSink>>,
 }
 
 impl<M, R> JobBuilder<M, R>
@@ -413,12 +340,6 @@ where
     /// Sets the number of reduce tasks `r`.
     pub fn reduce_tasks(mut self, r: usize) -> Self {
         self.reduce_tasks = r;
-        self
-    }
-
-    /// Sets the number of local worker threads (task slots).
-    pub fn parallelism(mut self, p: usize) -> Self {
-        self.parallelism = p;
         self
     }
 
@@ -465,27 +386,6 @@ where
         self
     }
 
-    /// Sets the fault policy (attempts per task, straggler deadline);
-    /// the default is [`FaultPolicy::fail_fast`]. See [`crate::fault`].
-    pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.fault_policy = policy;
-        self
-    }
-
-    /// Installs a deterministic fault-injection plan (test/bench
-    /// hook); the default empty plan injects nothing.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Attaches a [`TraceSink`] receiving structured execution events
-    /// (see [`crate::trace`]). The default runs untraced at zero cost.
-    pub fn trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace_sink = Some(sink);
-        self
-    }
-
     /// Finalizes the job.
     pub fn build(self) -> Job<M, R> {
         Job {
@@ -497,11 +397,10 @@ where
             group_cmp: self.group_cmp,
             combiner: self.combiner,
             reduce_tasks: self.reduce_tasks,
-            parallelism: self.parallelism,
             spill_threshold: self.spill_threshold,
-            fault_policy: self.fault_policy,
-            fault_plan: self.fault_plan,
-            trace_sink: self.trace_sink,
+            fault_policy: FaultPolicy::default(),
+            fault_plan: FaultPlan::default(),
+            trace_sink: None,
             weight_hint: 0,
         }
     }
@@ -550,106 +449,62 @@ where
     M::VOut: Sync,
     R: Reducer<KIn = M::KOut, VIn = M::VOut>,
 {
-    /// Executes the job over the given input partitions.
+    /// Executes the job over the given input partitions on a
+    /// caller-owned [`WorkerPool`]; no thread is spawned in this call.
     ///
-    /// The number of map tasks `m` equals `input.len()`. Tasks run on
-    /// a transient pool of [`JobBuilder::parallelism`] scoped threads
-    /// spawned for this run; see [`Job::run_on`] to reuse a persistent
-    /// [`WorkerPool`] across jobs instead.
-    pub fn run(
-        &self,
-        input: Partitions<M::KIn, M::VIn>,
-    ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError> {
-        self.run_with(
-            Exec::Transient {
-                parallelism: self.parallelism,
-            },
-            input,
-        )
-    }
-
-    /// Executes the job on a caller-owned persistent [`WorkerPool`]
-    /// (no thread spawn in this call; the pool's thread count takes
-    /// the place of [`JobBuilder::parallelism`]).
-    ///
-    /// Output is byte-identical to [`Job::run`] at any parallelism:
-    /// the engine's determinism contract makes the result a pure
-    /// function of `(input, job definition)`.
+    /// The number of map tasks `m` equals `input.len()`. The engine's
+    /// determinism contract makes the result a pure function of
+    /// `(input, job definition)`: output is byte-identical on a pool
+    /// of any size.
     pub fn run_on(
         &self,
         pool: &WorkerPool,
         input: Partitions<M::KIn, M::VIn>,
     ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError> {
-        self.run_with(
-            Exec::Pooled {
-                pool,
-                cap: None,
-                tag: BatchTag::untagged(),
-            },
-            input,
-        )
+        self.run_on_capped(pool, usize::MAX, input)
     }
 
     /// Like [`Job::run_on`], but uses at most `max_parallelism` of the
     /// pool's slots concurrently — so one run can be throttled without
     /// respawning the pool (the pool's threads outlive the cap).
-    /// Output is byte-identical to any other execution mode.
+    /// Output is byte-identical at any cap; a cap of zero is
+    /// [`MrError::ZeroParallelism`].
     pub fn run_on_capped(
         &self,
         pool: &WorkerPool,
         max_parallelism: usize,
         input: Partitions<M::KIn, M::VIn>,
     ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError> {
-        self.run_with(
-            Exec::Pooled {
-                pool,
-                cap: Some(max_parallelism),
-                tag: BatchTag::untagged(),
-            },
+        self.run_with_overrides(
+            pool,
+            max_parallelism,
+            BatchTag::untagged(),
+            None,
+            None,
+            None,
             input,
         )
     }
 
-    fn run_with(
-        &self,
-        exec: Exec<'_>,
-        input: Partitions<M::KIn, M::VIn>,
-    ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError> {
-        self.run_with_faults(exec, None, None, None, input)
-    }
-
-    /// Workflow entry point: run on an optional `(pool, cap, tag)`
-    /// with workflow-level fault policy/plan overrides (each `None`
-    /// falls back to the job's own configuration) and an optional
+    /// Workflow entry point: run on `(pool, cap, tag)` with
+    /// workflow-level fault policy/plan overrides (each `None` falls
+    /// back to the job's own configuration) and an optional
     /// workflow-level tracer, which takes precedence over the job's
     /// own sink so all stages share one timeline and epoch. The
     /// [`BatchTag`] identifies the stage's dispatches to the pool's
     /// shared scheduler, so concurrent workflows interleave fairly.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_with_overrides(
         &self,
-        pool: Option<(&WorkerPool, Option<usize>, BatchTag)>,
-        policy: Option<FaultPolicy>,
-        plan: Option<&FaultPlan>,
-        tracer: Option<Tracer>,
-        input: Partitions<M::KIn, M::VIn>,
-    ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError> {
-        let exec = match pool {
-            Some((pool, cap, tag)) => Exec::Pooled { pool, cap, tag },
-            None => Exec::Transient {
-                parallelism: self.parallelism,
-            },
-        };
-        self.run_with_faults(exec, policy, plan, tracer, input)
-    }
-
-    fn run_with_faults(
-        &self,
-        exec: Exec<'_>,
+        pool: &WorkerPool,
+        cap: usize,
+        tag: BatchTag,
         policy_override: Option<FaultPolicy>,
         plan_override: Option<&FaultPlan>,
         tracer_override: Option<Tracer>,
         input: Partitions<M::KIn, M::VIn>,
     ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError> {
+        let exec = Exec { pool, cap, tag };
         let policy = policy_override.unwrap_or(self.fault_policy);
         let plan = plan_override.unwrap_or(&self.fault_plan);
         let tracer = tracer_override.unwrap_or_else(|| match &self.trace_sink {
@@ -922,7 +777,7 @@ mod tests {
     type WcMapper = ClosureMapper<(), String, String, u64, ()>;
     type WcReducer = ClosureReducer<String, u64, String, u64>;
 
-    fn wordcount_job(r: usize, parallelism: usize) -> Job<WcMapper, WcReducer> {
+    fn wordcount_job(r: usize) -> Job<WcMapper, WcReducer> {
         let mapper = ClosureMapper::new(
             |_: &(), line: &String, ctx: &mut MapContext<String, u64, ()>| {
                 for w in line.split_whitespace() {
@@ -936,10 +791,7 @@ mod tests {
                 ctx.emit(group.key().clone(), sum);
             },
         );
-        Job::builder("wc", mapper, reducer)
-            .reduce_tasks(r)
-            .parallelism(parallelism)
-            .build()
+        Job::builder("wc", mapper, reducer).reduce_tasks(r).build()
     }
 
     fn lines(ls: &[&str]) -> Vec<((), String)> {
@@ -949,7 +801,7 @@ mod tests {
     #[test]
     fn wordcount_end_to_end() {
         let input = partition_evenly(lines(&["a b a", "c b", "a"]), 2);
-        let out = wordcount_job(3, 2).run(input).unwrap();
+        let out = wordcount_job(3).run_on(&WorkerPool::new(2), input).unwrap();
         let mut counts: Vec<_> = out.records().cloned().collect();
         counts.sort();
         assert_eq!(
@@ -969,8 +821,8 @@ mod tests {
         let input = lines(&["x y z", "y z", "z z y x", "w", "x w y"]);
         let mut reference: Option<Vec<(String, u64)>> = None;
         for p in [1, 2, 4, 8] {
-            let out = wordcount_job(4, p)
-                .run(partition_evenly(input.clone(), 3))
+            let out = wordcount_job(4)
+                .run_on(&WorkerPool::new(p), partition_evenly(input.clone(), 3))
                 .unwrap();
             // Full per-reduce-task structure must match, not just the
             // multiset of records.
@@ -985,7 +837,9 @@ mod tests {
     #[test]
     fn combiner_shrinks_shuffle_but_not_result() {
         let input = partition_evenly(lines(&["a a a a", "a a a b"]), 2);
-        let no_combine = wordcount_job(2, 1).run(input.clone()).unwrap();
+        let no_combine = wordcount_job(2)
+            .run_on(&WorkerPool::new(1), input.clone())
+            .unwrap();
 
         let mapper = ClosureMapper::new(
             |_: &(), line: &String, ctx: &mut MapContext<String, u64, ()>| {
@@ -1002,10 +856,9 @@ mod tests {
         );
         let combined_job = Job::builder("wc+c", mapper, reducer)
             .reduce_tasks(2)
-            .parallelism(1)
             .combiner(crate::combiner::sum_u64_combiner())
             .build();
-        let combined = combined_job.run(input).unwrap();
+        let combined = combined_job.run_on(&WorkerPool::new(1), input).unwrap();
 
         let mut a: Vec<_> = no_combine.records().cloned().collect();
         let mut b: Vec<_> = combined.records().cloned().collect();
@@ -1052,10 +905,9 @@ mod tests {
         );
         let job = Job::builder("grouping", mapper, reducer)
             .reduce_tasks(1)
-            .parallelism(1)
             .group_by(by_projection(|k: &(u32, u32)| k.0))
             .build();
-        let out = job.run(input).unwrap();
+        let out = job.run_on(&WorkerPool::new(1), input).unwrap();
         assert_eq!(
             out.metrics.peak_group_len(),
             3,
@@ -1151,9 +1003,8 @@ mod tests {
             );
             let out = Job::builder("oracle", mapper, reducer)
                 .reduce_tasks(r)
-                .parallelism(parallelism)
                 .build()
-                .run(input.clone())
+                .run_on(&WorkerPool::new(parallelism), input.clone())
                 .unwrap();
             assert_eq!(
                 out.reduce_outputs, expected,
@@ -1170,7 +1021,7 @@ mod tests {
         // far below the 9-record task input a materialized merge
         // would pin.
         let input = partition_evenly(lines(&["a a a b b c", "a a b"]), 2);
-        let out = wordcount_job(1, 1).run(input).unwrap();
+        let out = wordcount_job(1).run_on(&WorkerPool::new(1), input).unwrap();
         let task = &out.metrics.reduce_tasks[0];
         assert_eq!(task.records_in, 9);
         assert_eq!(task.peak_group_len, 5);
@@ -1207,16 +1058,19 @@ mod tests {
             "c c c a a a b b b",
             "b a b a b a b a b",
         ]);
-        let reference = wordcount_job(3, 1)
-            .run(partition_evenly(input.clone(), 3))
+        let reference = wordcount_job(3)
+            .run_on(&WorkerPool::new(1), partition_evenly(input.clone(), 3))
             .unwrap();
         assert_eq!(reference.metrics.spilled_runs(), 0);
         for threshold in [1usize, 2, 4, 9, 100] {
             let mut gauges: Option<(u64, u64)> = None;
             for parallelism in [1usize, 2, 4, 8] {
-                let out = wordcount_job(3, parallelism)
+                let out = wordcount_job(3)
                     .with_spill_threshold(Some(threshold))
-                    .run(partition_evenly(input.clone(), 3))
+                    .run_on(
+                        &WorkerPool::new(parallelism),
+                        partition_evenly(input.clone(), 3),
+                    )
                     .unwrap();
                 assert_eq!(
                     out.reduce_outputs, reference.reduce_outputs,
@@ -1276,14 +1130,17 @@ mod tests {
             );
             Job::builder("wc+spill", mapper, reducer)
                 .reduce_tasks(2)
-                .parallelism(1)
                 .combiner(crate::combiner::sum_u64_combiner())
                 .spill_threshold(threshold)
                 .build()
         };
-        let plain = build(None).run(input.clone()).unwrap();
+        let plain = build(None)
+            .run_on(&WorkerPool::new(1), input.clone())
+            .unwrap();
         for threshold in [1usize, 2, 3, 5] {
-            let spilled = build(Some(threshold)).run(input.clone()).unwrap();
+            let spilled = build(Some(threshold))
+                .run_on(&WorkerPool::new(1), input.clone())
+                .unwrap();
             assert_eq!(
                 spilled.reduce_outputs, plain.reduce_outputs,
                 "threshold {threshold} changed the combined result"
@@ -1323,10 +1180,9 @@ mod tests {
         ];
         let job = Job::builder("stable-spill", mapper, reducer)
             .reduce_tasks(1)
-            .parallelism(4)
             .spill_threshold(Some(1))
             .build();
-        let out = job.run(input).unwrap();
+        let out = job.run_on(&WorkerPool::new(4), input).unwrap();
         assert_eq!(
             out.records().next().expect("one record").1,
             vec!["m0-a", "m0-b", "m1-a", "m2-a", "m2-b"]
@@ -1338,9 +1194,11 @@ mod tests {
     #[test]
     fn spill_threshold_survives_pooled_and_capped_execution() {
         let input = partition_evenly(lines(&["x y z", "y z", "z z y x", "w", "x w y"]), 3);
-        let reference = wordcount_job(4, 1).run(input.clone()).unwrap();
+        let reference = wordcount_job(4)
+            .run_on(&WorkerPool::new(1), input.clone())
+            .unwrap();
         let pool = WorkerPool::new(4);
-        let job = wordcount_job(4, 2).with_spill_threshold(Some(2));
+        let job = wordcount_job(4).with_spill_threshold(Some(2));
         let pooled = job.run_on(&pool, input.clone()).unwrap();
         assert_eq!(pooled.reduce_outputs, reference.reduce_outputs);
         for cap in [1usize, 2, 3, 8] {
@@ -1356,7 +1214,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one record")]
     fn zero_spill_threshold_is_rejected() {
-        let _ = wordcount_job(1, 1).with_spill_threshold(Some(0));
+        let _ = wordcount_job(1).with_spill_threshold(Some(0));
     }
 
     #[test]
@@ -1379,9 +1237,8 @@ mod tests {
         ];
         let job = Job::builder("stable", mapper, reducer)
             .reduce_tasks(1)
-            .parallelism(4)
             .build();
-        let out = job.run(input).unwrap();
+        let out = job.run_on(&WorkerPool::new(4), input).unwrap();
         assert_eq!(
             out.records().next().expect("one record").1,
             vec!["m0-a", "m0-b", "m1-a", "m2-a", "m2-b"]
@@ -1404,11 +1261,10 @@ mod tests {
         );
         let job = Job::builder("route", mapper, reducer)
             .reduce_tasks(2)
-            .parallelism(1)
             .partitioner(FnPartitioner::new(|k: &(usize, u32), r: usize| k.0 % r))
             .build();
         let input = partition_evenly((0..10u32).map(|v| ((), v)).collect(), 3);
-        let out = job.run(input).unwrap();
+        let out = job.run_on(&WorkerPool::new(1), input).unwrap();
         // Reduce task 0 got evens, task 1 got odds.
         assert!(out.reduce_outputs[0].iter().all(|(_, v)| v % 2 == 0));
         assert!(out.reduce_outputs[1].iter().all(|(_, v)| v % 2 == 1));
@@ -1428,10 +1284,11 @@ mod tests {
         );
         let job = Job::builder("bad", mapper, reducer)
             .reduce_tasks(2)
-            .parallelism(1)
             .partitioner(FnPartitioner::new(|_: &u32, _| 99))
             .build();
-        let err = job.run(vec![vec![((), 1u32)]]).unwrap_err();
+        let err = job
+            .run_on(&WorkerPool::new(1), vec![vec![((), 1u32)]])
+            .unwrap_err();
         assert_eq!(
             err,
             MrError::PartitionOutOfRange {
@@ -1451,7 +1308,7 @@ mod tests {
             .collect::<Vec<_>>();
         let mut input = input;
         input.push(vec![]); // empty partition
-        let out = wordcount_job(2, 1).run(input).unwrap();
+        let out = wordcount_job(2).run_on(&WorkerPool::new(1), input).unwrap();
         assert_eq!(
             out.records().cloned().collect::<Vec<_>>(),
             vec![("a".to_string(), 1)]
@@ -1461,14 +1318,16 @@ mod tests {
 
     #[test]
     fn no_input_is_an_error() {
-        let err = wordcount_job(1, 1).run(vec![]).unwrap_err();
+        let err = wordcount_job(1)
+            .run_on(&WorkerPool::new(1), vec![])
+            .unwrap_err();
         assert_eq!(err, MrError::NoMapTasks);
     }
 
     #[test]
     fn zero_reduce_tasks_is_an_error() {
-        let err = wordcount_job(0, 1)
-            .run(partition_evenly(lines(&["a"]), 1))
+        let err = wordcount_job(0)
+            .run_on(&WorkerPool::new(1), partition_evenly(lines(&["a"]), 1))
             .unwrap_err();
         assert_eq!(err, MrError::NoReduceTasks);
     }
@@ -1484,10 +1343,10 @@ mod tests {
                 .collect(),
             8,
         );
-        let out = wordcount_job(4, 2).run(input).unwrap();
+        let out = wordcount_job(4).run_on(&WorkerPool::new(2), input).unwrap();
         assert!(
-            out.metrics.shuffle_wall <= out.metrics.wall,
-            "coordinator shuffle {:?} cannot exceed job wall {:?}",
+            out.metrics.shuffle_wall.as_secs_f64() < 0.25 * out.metrics.wall.as_secs_f64(),
+            "coordinator shuffle {:?} must be a transpose, not a sort, of job wall {:?}",
             out.metrics.shuffle_wall,
             out.metrics.wall
         );
@@ -1500,31 +1359,11 @@ mod tests {
     }
 
     #[test]
-    fn run_on_pool_is_byte_identical_to_transient_run() {
-        let input = partition_evenly(lines(&["x y z", "y z", "z z y x", "w", "x w y"]), 3);
-        let reference = wordcount_job(4, 1).run(input.clone()).unwrap();
-        let pool = WorkerPool::new(4);
-        for round in 0..3 {
-            let pooled = wordcount_job(4, 2).run_on(&pool, input.clone()).unwrap();
-            assert_eq!(
-                pooled.reduce_outputs, reference.reduce_outputs,
-                "round {round} diverged on the pool"
-            );
-        }
-        assert_eq!(
-            pool.threads_spawned(),
-            4,
-            "three jobs must share the four construction-time threads"
-        );
-        assert!(pool.tasks_executed() > 0);
-    }
-
-    #[test]
     fn fail_once_retry_is_byte_identical_at_every_kind_and_parallelism() {
         use crate::fault::{FaultKind, FaultPlan, FaultPolicy};
         let input = lines(&["x y z", "y z", "z z y x", "w", "x w y"]);
-        let reference = wordcount_job(4, 1)
-            .run(partition_evenly(input.clone(), 3))
+        let reference = wordcount_job(4)
+            .run_on(&WorkerPool::new(1), partition_evenly(input.clone(), 3))
             .unwrap();
         for kind in [FaultKind::Map, FaultKind::Sort, FaultKind::Reduce] {
             for parallelism in [1usize, 2, 4, 8] {
@@ -1535,10 +1374,13 @@ mod tests {
                     1,
                     "injected once",
                 );
-                let out = wordcount_job(4, parallelism)
+                let out = wordcount_job(4)
                     .with_fault_policy(FaultPolicy::retry(2))
                     .with_fault_plan(plan)
-                    .run(partition_evenly(input.clone(), 3))
+                    .run_on(
+                        &WorkerPool::new(parallelism),
+                        partition_evenly(input.clone(), 3),
+                    )
                     .unwrap();
                 assert_eq!(
                     out.reduce_outputs, reference.reduce_outputs,
@@ -1560,10 +1402,10 @@ mod tests {
             1,
             "always dies",
         );
-        let err = wordcount_job(2, 2)
+        let err = wordcount_job(2)
             .with_fault_policy(FaultPolicy::retry(3))
             .with_fault_plan(plan)
-            .run(input)
+            .run_on(&WorkerPool::new(2), input)
             .unwrap_err();
         let MrError::TaskFailed(task_error) = err else {
             panic!("expected TaskFailed, got {err:?}");
@@ -1579,7 +1421,7 @@ mod tests {
     fn fail_fast_catches_the_panic_at_the_boundary() {
         use crate::fault::{FaultKind, FaultPlan};
         // Default policy: no retry, but still a typed error — the
-        // panic must not unwind out of `run`.
+        // panic must not unwind out of `run_on`.
         let plan = FaultPlan::new().silence_injected_panics().panic_at(
             "wc",
             FaultKind::Map,
@@ -1587,9 +1429,12 @@ mod tests {
             1,
             "first failure",
         );
-        let err = wordcount_job(2, 2)
+        let err = wordcount_job(2)
             .with_fault_plan(plan)
-            .run(partition_evenly(lines(&["a b", "c"]), 2))
+            .run_on(
+                &WorkerPool::new(2),
+                partition_evenly(lines(&["a b", "c"]), 2),
+            )
             .unwrap_err();
         let MrError::TaskFailed(task_error) = err else {
             panic!("expected TaskFailed, got {err:?}");
@@ -1603,8 +1448,10 @@ mod tests {
         use crate::fault::{FaultKind, FaultPlan, FaultPolicy};
         let input = partition_evenly(lines(&["x y z", "y z", "w w"]), 3);
         let pool = WorkerPool::new(4);
-        let reference = wordcount_job(4, 1).run(input.clone()).unwrap();
-        let failing = wordcount_job(4, 2)
+        let reference = wordcount_job(4)
+            .run_on(&WorkerPool::new(1), input.clone())
+            .unwrap();
+        let failing = wordcount_job(4)
             .with_fault_policy(FaultPolicy::retry(2))
             .with_fault_plan(FaultPlan::new().silence_injected_panics().panic_always(
                 FaultPlan::ANY_JOB,
@@ -1619,8 +1466,8 @@ mod tests {
             ));
         }
         // The same pool immediately completes a clean job with output
-        // identical to the transient reference and no new threads.
-        let out = wordcount_job(4, 2).run_on(&pool, input.clone()).unwrap();
+        // identical to the inline reference and no new threads.
+        let out = wordcount_job(4).run_on(&pool, input.clone()).unwrap();
         assert_eq!(out.reduce_outputs, reference.reduce_outputs);
         assert_eq!(pool.threads_spawned(), 4, "failures must not spawn threads");
     }
@@ -1630,13 +1477,13 @@ mod tests {
         use crate::fault::{FaultKind, FaultPlan, FaultPolicy};
         use std::time::Duration;
         let input = lines(&["x y z", "y z", "z z y x", "w", "x w y"]);
-        let reference = wordcount_job(2, 1)
-            .run(partition_evenly(input.clone(), 3))
+        let reference = wordcount_job(2)
+            .run_on(&WorkerPool::new(1), partition_evenly(input.clone(), 3))
             .unwrap();
         let pool = WorkerPool::new(4);
         // Map task 0's first attempt stalls 300ms; the 25ms deadline
         // launches a twin (attempt 2, no delay) that wins.
-        let job = wordcount_job(2, 4)
+        let job = wordcount_job(2)
             .with_fault_policy(
                 FaultPolicy::retry(2).with_task_deadline(Some(Duration::from_millis(25))),
             )
@@ -1662,7 +1509,7 @@ mod tests {
     #[test]
     fn metrics_record_per_task_data() {
         let input = partition_evenly(lines(&["a b", "c d e", "f"]), 3);
-        let out = wordcount_job(2, 1).run(input).unwrap();
+        let out = wordcount_job(2).run_on(&WorkerPool::new(1), input).unwrap();
         assert_eq!(out.metrics.map_tasks.len(), 3);
         assert_eq!(out.metrics.reduce_tasks.len(), 2);
         assert_eq!(out.metrics.map_tasks[0].records_in, 1);

@@ -4,7 +4,7 @@ use std::fmt;
 
 use crate::fault::TaskError;
 
-/// Errors surfaced by [`crate::engine::Job::run`] and helpers.
+/// Errors surfaced by [`crate::engine::Job::run_on`] and helpers.
 ///
 /// User map/reduce functions are infallible by construction (mirroring
 /// the paper's pseudo-code); most errors here are configuration or

@@ -649,7 +649,7 @@ pub(crate) fn run_speculative<T, F>(
     cap: usize,
     count: usize,
     deadline: Duration,
-    tenant: Option<&Arc<str>>,
+    tenant: &Arc<str>,
     phase: &PhaseFt<'_>,
     attempts: &TaskAttempts,
     body: &F,
@@ -704,7 +704,7 @@ where
         phase
             .tracer
             .emit_with(Some(worker_slot), || TraceEventData::SlotAcquired {
-                tenant: tenant.map(|t| t.to_string()),
+                tenant: Some(tenant.to_string()),
             });
         let _guard = PendingGuard {
             pending: &pending,
@@ -1053,7 +1053,7 @@ mod tests {
             usize::MAX,
             3,
             Duration::from_millis(25),
-            None,
+            &Arc::from("default"),
             &phase,
             &attempts,
             &|i, attempt, _ctx| {
@@ -1096,7 +1096,7 @@ mod tests {
                 usize::MAX,
                 8,
                 Duration::from_millis(5),
-                None,
+                &Arc::from("default"),
                 &phase,
                 &attempts,
                 &|i, _, _| Ok(i + round),
@@ -1126,7 +1126,7 @@ mod tests {
             usize::MAX,
             4,
             Duration::from_millis(1),
-            None,
+            &Arc::from("default"),
             &phase,
             &attempts,
             &|i, _, _| Ok(i),

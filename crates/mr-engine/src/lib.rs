@@ -34,9 +34,9 @@
 //! only `O(largest group + m)` records beyond the input runs (no
 //! second merged-run copy), measured per task by
 //! [`TaskMetrics::peak_group_len`] and
-//! [`TaskMetrics::peak_resident_records`]. Determinism holds at any
-//! level of [`JobBuilder::parallelism`]; see [`engine`] for the full
-//! shuffle architecture and [`merge`] for the merge kernels.
+//! [`TaskMetrics::peak_resident_records`]. Determinism holds on a
+//! [`WorkerPool`] of any size; see [`engine`] for the full shuffle
+//! architecture and [`merge`] for the merge kernels.
 //!
 //! ```
 //! use mr_engine::prelude::*;
@@ -56,7 +56,7 @@
 //! let out = Job::builder("wordcount", mapper, reducer)
 //!     .reduce_tasks(2)
 //!     .build()
-//!     .run(input)
+//!     .run_on(&WorkerPool::new(2), input)
 //!     .unwrap();
 //! let mut counts = out.into_records();
 //! counts.sort();

@@ -1,24 +1,14 @@
-//! Deterministic work pools for running homogeneous tasks.
+//! The deterministic worker pool every job runs on.
 //!
-//! Workers pull task indices from a per-batch cursor; results land in
-//! index-addressed slots, so the result vector is always in task order
-//! regardless of completion order — the keystone of the engine's
-//! determinism guarantee.
-//!
-//! Two execution modes share that algorithm:
-//!
-//! * [`run_tasks`] — a *transient* pool: std scoped threads spawned
-//!   for one call and joined before it returns (the historical
-//!   per-job path, still used by [`crate::engine::Job::run`]);
-//! * [`WorkerPool`] — a *persistent* pool: threads spawned once at
-//!   construction and reused by every [`WorkerPool::run_tasks`] call
-//!   until drop ([`crate::engine::Job::run_on`] and every workflow
-//!   bound to a [`crate::runtime::Runtime`]). Back-to-back jobs pay
-//!   zero thread-spawn cost.
-//!
-//! Both modes produce byte-identical results for the same `(count,
-//! f)`: outputs are index-addressed and the task function observes
-//! nothing about which worker ran it.
+//! A [`WorkerPool`] spawns its threads once at construction and reuses
+//! them for every dispatch until it is dropped, so back-to-back jobs
+//! pay no thread-spawn cost. Workers pull task indices from a
+//! per-batch cursor; results land in index-addressed slots, so the
+//! result vector is always in task order regardless of completion
+//! order, and the task function observes nothing about which worker
+//! ran it — the keystone of the engine's determinism guarantee. A
+//! single-slot pool spawns no thread at all and runs every dispatch
+//! inline on the caller.
 //!
 //! # The batch scheduler
 //!
@@ -47,91 +37,6 @@ use std::time::Instant;
 
 use crate::fault::lock_unpoisoned;
 use crate::trace::{TaskCtx, TraceEventData, Tracer};
-
-/// Runs `count` tasks produced by `f(task_index)` on up to
-/// `parallelism` worker threads and returns results in task order.
-///
-/// With `parallelism == 1` everything runs on the calling thread (no
-/// spawn overhead), which keeps unit tests fast and stack traces clean.
-pub fn run_tasks<T, F>(count: usize, parallelism: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_tasks_ctx(count, parallelism, &Tracer::off(), |i, _ctx| f(i))
-}
-
-/// [`run_tasks`] with per-task scheduling context: `f` additionally
-/// receives the [`TaskCtx`] (worker-slot index and enqueue→start
-/// wait), and slot lifecycle events are emitted on `tracer`. The
-/// engine's phase dispatch goes through here; the public [`run_tasks`]
-/// delegates with a disabled tracer.
-pub(crate) fn run_tasks_ctx<T, F>(count: usize, parallelism: usize, tracer: &Tracer, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, TaskCtx) -> T + Sync,
-{
-    assert!(parallelism > 0, "parallelism must be at least 1");
-    if count == 0 {
-        return Vec::new();
-    }
-    if parallelism == 1 || count == 1 {
-        // Inline execution: no queue, no slots — zero scheduling delay
-        // by construction, so no pool events are emitted.
-        return (0..count).map(|i| f(i, TaskCtx::default())).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let workers = parallelism.min(count);
-    let enqueued = Instant::now();
-    tracer.emit(
-        None,
-        TraceEventData::TasksEnqueued {
-            tasks: count,
-            queue_depth: count,
-        },
-    );
-    // std scoped threads: a worker panic propagates out of the scope
-    // after all threads joined, so the slot-unwrap below only ever runs
-    // on a fully successful pool.
-    std::thread::scope(|scope| {
-        let slots = &slots;
-        let cursor = &cursor;
-        let f = &f;
-        for w in 0..workers {
-            scope.spawn(move || {
-                tracer.emit(Some(w), TraceEventData::SlotAcquired { tenant: None });
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let ctx = TaskCtx {
-                        slot: w,
-                        queue_wait: enqueued.elapsed(),
-                    };
-                    let result = f(i, ctx);
-                    // Poison-tolerant: the guarded value is a write-once
-                    // slot, valid at every instruction boundary, so a
-                    // panic elsewhere must not escalate to a double-panic
-                    // abort here.
-                    let prev = lock_unpoisoned(&slots[i]).replace(result);
-                    assert!(prev.is_none(), "slot {i} written twice");
-                }
-                tracer.emit(Some(w), TraceEventData::SlotReleased);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| panic!("task {i} produced no result"))
-        })
-        .collect()
-}
 
 /// How the shared pool picks the next task when batches from several
 /// tenants are registered at once.
@@ -382,15 +287,15 @@ pub struct PoolStats {
 /// A persistent worker pool: `parallelism` threads spawned **once** at
 /// construction and reused by every [`WorkerPool::run_tasks`] call.
 ///
-/// Semantics are identical to the transient [`run_tasks`] — same
-/// claim/slot algorithm, same inline fast path for `parallelism == 1`
-/// or a single task, same panic propagation — so a job produces
-/// byte-identical output whichever mode executes it. The difference is
-/// purely operational: a long-lived [`crate::runtime::Runtime`] runs
-/// many workflows back to back without paying a thread spawn/join per
-/// job phase, and **concurrent** dispatches from different threads
-/// interleave task-by-task under the pool's [`SchedulingPolicy`]
-/// instead of serializing batch-by-batch.
+/// A dispatch with a single task, a cap of one, or on a single-slot
+/// pool runs inline on the caller; everything else is claimed task by
+/// task from the shared ready-queue, and a panicking task is
+/// propagated to its dispatcher while the workers survive. A
+/// long-lived [`crate::runtime::Runtime`] therefore runs many
+/// workflows back to back without a thread spawn/join per job phase,
+/// and **concurrent** dispatches from different threads interleave
+/// task-by-task under the pool's [`SchedulingPolicy`] instead of
+/// serializing batch-by-batch.
 ///
 /// Do not call [`WorkerPool::run_tasks`] from inside one of the pool's
 /// own tasks: the outer call holds workers that the inner call would
@@ -417,8 +322,8 @@ impl WorkerPool {
     /// [`SchedulingPolicy::Fifo`].
     ///
     /// With `parallelism == 1` no OS thread is spawned at all: every
-    /// dispatch runs inline on the caller, exactly like the transient
-    /// path (fast unit tests, clean stack traces).
+    /// dispatch runs inline on the caller (fast unit tests, clean
+    /// stack traces).
     ///
     /// # Panics
     /// If `parallelism` is zero.
@@ -505,8 +410,7 @@ impl WorkerPool {
     }
 
     /// Runs `count` tasks produced by `f(task_index)` on the pool's
-    /// workers and returns results in task order — the persistent-pool
-    /// twin of the module-level [`run_tasks`].
+    /// workers and returns results in task order.
     ///
     /// Blocks until every task completed; a panicking task is
     /// propagated to the caller after the remaining tasks finished
@@ -532,25 +436,13 @@ impl WorkerPool {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.run_tasks_capped_ctx(count, cap, &Tracer::off(), |i, _ctx| f(i))
-    }
-
-    /// [`WorkerPool::run_tasks_capped`] with per-task scheduling
-    /// context and slot lifecycle events — see [`run_tasks_ctx`]. The
-    /// public entry points delegate here with a disabled tracer and no
-    /// batch tag.
-    pub(crate) fn run_tasks_capped_ctx<T, F>(
-        &self,
-        count: usize,
-        cap: usize,
-        tracer: &Tracer,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, TaskCtx) -> T + Sync,
-    {
-        self.run_tasks_tagged_ctx(count, cap, tracer, BatchTag::untagged(), f)
+        self.run_tasks_tagged_ctx(
+            count,
+            cap,
+            &Tracer::off(),
+            BatchTag::untagged(),
+            |i, _ctx| f(i),
+        )
     }
 
     /// The full dispatch entry: registers the `count` tasks as one
@@ -932,7 +824,7 @@ mod tests {
     #[test]
     fn results_are_in_task_order() {
         // Make later tasks finish earlier by sleeping inversely.
-        let out = run_tasks(8, 4, |i| {
+        let out = WorkerPool::new(4).run_tasks(8, |i| {
             std::thread::sleep(std::time::Duration::from_millis((8 - i as u64) * 2));
             i * 10
         });
@@ -941,15 +833,15 @@ mod tests {
 
     #[test]
     fn sequential_path_matches_parallel_path() {
-        let seq = run_tasks(20, 1, |i| i * i);
-        let par = run_tasks(20, 6, |i| i * i);
+        let seq = WorkerPool::new(1).run_tasks(20, |i| i * i);
+        let par = WorkerPool::new(6).run_tasks(20, |i| i * i);
         assert_eq!(seq, par);
     }
 
     #[test]
     fn every_task_runs_exactly_once() {
         let calls = AtomicU64::new(0);
-        let out = run_tasks(100, 7, |i| {
+        let out = WorkerPool::new(7).run_tasks(100, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -959,24 +851,8 @@ mod tests {
 
     #[test]
     fn zero_tasks_is_fine() {
-        let out: Vec<u8> = run_tasks(0, 4, |_| unreachable!("no tasks to run"));
+        let out: Vec<u8> = WorkerPool::new(4).run_tasks(0, |_| unreachable!("no tasks to run"));
         assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "parallelism")]
-    fn zero_parallelism_panics() {
-        let _ = run_tasks(1, 0, |i| i);
-    }
-
-    #[test]
-    fn worker_pool_matches_transient_results() {
-        let pool = WorkerPool::new(4);
-        for count in [0usize, 1, 2, 7, 100] {
-            let pooled = pool.run_tasks(count, |i| i * 3 + 1);
-            let transient = run_tasks(count, 4, |i| i * 3 + 1);
-            assert_eq!(pooled, transient, "count {count}");
-        }
     }
 
     #[test]

@@ -1,21 +1,18 @@
 //! A reusable execution runtime: one persistent worker pool plus the
-//! shared configuration knobs every scenario duplicates otherwise.
+//! shared configuration knobs of every scenario.
 //!
-//! Historically each driver call (`run_er`, `run_sorted_neighborhood`,
-//! …) spawned its own scoped worker threads per job phase and carried
-//! its own copy of `reduce_tasks` / `parallelism` / `count_only` /
-//! `matcher_cache_capacity`. A [`Runtime`] inverts that: it is created
-//! **once**, owns a [`WorkerPool`] whose threads live as long as the
-//! runtime, and hands out pool-bound [`Workflow`]s — so back-to-back
-//! workflow executions share the same threads with zero per-run spawn
-//! cost, and the shared knobs live in one [`RuntimeConfig`] that the
-//! scenario configs embed instead of copying.
+//! A [`Runtime`] is created **once**, owns a [`WorkerPool`] whose
+//! threads live as long as the runtime, and hands out [`Workflow`]s
+//! bound to that pool — so back-to-back and concurrent workflow
+//! executions share the same threads with zero per-run spawn cost, and
+//! the shared knobs live in one [`RuntimeConfig`] that the scenario
+//! configs embed instead of copying.
 //!
-//! The engine itself interprets `parallelism` and the `reduce_tasks`
-//! default; `count_only` and `matcher_cache_capacity` are part of the
-//! shared execution profile carried for the entity-resolution layers
-//! (which alone interpret them) so that every scenario config draws
-//! them from the same place.
+//! The engine itself interprets `parallelism` (the pool size) and the
+//! `reduce_tasks` default; `count_only` and `matcher_cache_capacity`
+//! are part of the shared execution profile carried for the
+//! entity-resolution layers (which alone interpret them) so that every
+//! scenario config draws them from the same place.
 
 use std::sync::Arc;
 
@@ -25,9 +22,7 @@ use crate::pool::{PoolStats, SchedulingPolicy, WorkerPool};
 use crate::trace::TraceSink;
 use crate::workflow::Workflow;
 
-/// The execution knobs shared by every scenario in the workspace —
-/// extracted from the previously duplicated `ErConfig` / `SnConfig`
-/// fields.
+/// The execution knobs shared by every scenario in the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Local worker threads (task slots). A [`Runtime`] spawns its
@@ -200,7 +195,7 @@ impl RuntimeConfig {
 /// let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
 /// // Every workflow handed out here executes on the same two threads:
 /// let wf = runtime.workflow("first-run");
-/// assert!(wf.pool().is_some());
+/// assert!(std::sync::Arc::ptr_eq(wf.pool(), runtime.pool()));
 /// assert_eq!(runtime.pool().threads(), 2);
 /// ```
 pub struct Runtime {
@@ -296,10 +291,9 @@ impl Runtime {
     /// at `max_parallelism` concurrent map/reduce tasks — still on the
     /// runtime's existing threads, never respawning the pool. Lets a
     /// single resolve run narrower than the runtime (e.g. to bound its
-    /// peak memory) without paying thread churn.
-    ///
-    /// # Panics
-    /// If `max_parallelism` is zero.
+    /// peak memory) without paying thread churn. A cap of zero fails
+    /// the workflow's stages with
+    /// [`MrError::ZeroParallelism`](crate::error::MrError::ZeroParallelism).
     pub fn workflow_with_parallelism(
         &self,
         name: impl Into<String>,
@@ -341,7 +335,6 @@ mod tests {
         );
         Job::builder("count", mapper, reducer)
             .reduce_tasks(r)
-            .parallelism(1)
             .build()
     }
 

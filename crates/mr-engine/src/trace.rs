@@ -53,10 +53,12 @@
 //! });
 //! let out = Job::builder("demo", mapper, reducer)
 //!     .reduce_tasks(2)
-//!     .parallelism(2)
 //!     .build()
 //!     .with_trace_sink(recorder.clone())
-//!     .run(partition_evenly((0..12u32).map(|v| ((), v)).collect(), 3))
+//!     .run_on(
+//!         &WorkerPool::new(2),
+//!         partition_evenly((0..12u32).map(|v| ((), v)).collect(), 3),
+//!     )
 //!     .unwrap();
 //!
 //! // One finished attempt per map and reduce task, matching the metrics:
@@ -84,7 +86,7 @@ use crate::json::Json;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Monotonic offset from the run's epoch (workflow start, or job
-    /// start for bare [`Job::run`](crate::engine::Job::run)).
+    /// start for bare [`Job::run_on`](crate::engine::Job::run_on)).
     pub at: Duration,
     /// Pool worker-slot index, when the event happened on (or is
     /// attributable to) a specific slot. Coordinator-side events and
@@ -259,8 +261,7 @@ pub enum TraceEventData {
     },
     /// A pool worker slot picked up work for this dispatch.
     SlotAcquired {
-        /// Tenant of the batch the slot will work on; `None` on the
-        /// transient (scoped-thread) pool, which has no scheduler.
+        /// Tenant of the batch the slot will work on.
         tenant: Option<String>,
     },
     /// A pool worker slot finished its share of a dispatch.

@@ -95,11 +95,10 @@ pub struct Workflow {
     /// Partition count established by the first chained stage.
     partitions: Option<usize>,
     stages: Vec<JobMetrics>,
-    /// Persistent worker pool the stages execute on; `None` runs each
-    /// stage on its own transient scoped pool (the historical path).
-    pool: Option<Arc<WorkerPool>>,
+    /// The worker pool every stage executes on.
+    pool: Arc<WorkerPool>,
     /// Per-workflow cap on concurrently used pool slots; `None` uses
-    /// the whole pool. Only meaningful for pool-bound workflows.
+    /// the whole pool.
     parallelism_cap: Option<usize>,
     /// Workflow-level fault policy; overrides every stage job's own
     /// policy when set (the [`crate::runtime::Runtime`] seeds it from
@@ -133,34 +132,24 @@ impl std::fmt::Debug for Workflow {
 }
 
 impl Workflow {
-    /// Starts a workflow; the end-to-end wall clock starts here. Each
-    /// stage spawns its own transient worker threads — see
-    /// [`Workflow::on_pool`] (or [`crate::runtime::Runtime::workflow`])
-    /// to share one persistent pool across stages and workflows.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Starts a workflow whose stages all execute on `pool`; the
+    /// end-to-end wall clock starts here. No thread is spawned per
+    /// stage, and consecutive workflows given the same pool share its
+    /// threads ([`crate::runtime::Runtime::workflow`] hands out
+    /// workflows on the runtime's pool, seeded with its fault policy
+    /// and trace sink).
+    pub fn on_pool(name: impl Into<String>, pool: Arc<WorkerPool>) -> Self {
         Self {
             name: name.into(),
             tenant: Arc::from("default"),
             started: Instant::now(),
             partitions: None,
             stages: Vec::new(),
-            pool: None,
+            pool,
             parallelism_cap: None,
             fault_policy: None,
             fault_plan: None,
             trace_sink: None,
-        }
-    }
-
-    /// Starts a workflow whose stages all execute on `pool` — no
-    /// thread is spawned per stage, and consecutive workflows given
-    /// the same pool share its threads (the
-    /// [`crate::runtime::Runtime`] execution mode). Output is
-    /// byte-identical to the transient path.
-    pub fn on_pool(name: impl Into<String>, pool: Arc<WorkerPool>) -> Self {
-        Self {
-            pool: Some(pool),
-            ..Self::new(name)
         }
     }
 
@@ -169,9 +158,9 @@ impl Workflow {
         &self.name
     }
 
-    /// The persistent pool this workflow is bound to, if any.
-    pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
+    /// The worker pool this workflow's stages execute on.
+    pub fn pool(&self) -> &Arc<WorkerPool> {
+        &self.pool
     }
 
     /// Attributes this workflow's stage batches to `tenant` on the
@@ -198,15 +187,10 @@ impl Workflow {
     /// pool slots — a per-run parallelism override that reuses the
     /// pool's existing threads instead of respawning a smaller pool
     /// (see [`crate::pool::WorkerPool::run_tasks_capped`]). Output is
-    /// byte-identical at any cap. Effective only for pool-bound
-    /// workflows; a transient workflow's stages keep their jobs'
-    /// configured parallelism.
-    ///
-    /// # Panics
-    /// If `cap` is zero.
+    /// byte-identical at any cap. A cap of zero fails every stage with
+    /// the typed [`MrError::ZeroParallelism`].
     #[must_use]
     pub fn with_parallelism_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "parallelism cap must be at least 1");
         self.parallelism_cap = Some(cap);
         self
     }
@@ -230,11 +214,6 @@ impl Workflow {
         self
     }
 
-    /// The workflow-level fault policy, if one is set.
-    pub fn fault_policy(&self) -> Option<FaultPolicy> {
-        self.fault_policy
-    }
-
     /// Installs a deterministic fault-injection plan for every stage
     /// of this workflow (test/bench hook), overriding the stage jobs'
     /// own plans.
@@ -242,11 +221,6 @@ impl Workflow {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
-    }
-
-    /// The workflow-level fault-injection plan, if one is set.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
     }
 
     /// Attaches a [`TraceSink`] receiving structured execution events
@@ -262,11 +236,6 @@ impl Workflow {
     pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace_sink = Some(sink);
         self
-    }
-
-    /// The workflow-level trace sink, if one is set.
-    pub fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>> {
-        self.trace_sink.as_ref()
     }
 
     /// Number of stages executed so far.
@@ -345,10 +314,6 @@ impl Workflow {
             stage,
             job.weight_hint(),
         );
-        let pool = self
-            .pool
-            .as_ref()
-            .map(|pool| (pool.as_ref(), self.parallelism_cap, tag));
         // The workflow's start instant is the shared epoch, so stage
         // and task events of consecutive stages land on one timeline.
         let tracer = self
@@ -365,7 +330,9 @@ impl Workflow {
         }
         let out = job
             .run_with_overrides(
-                pool,
+                &self.pool,
+                self.parallelism_cap.unwrap_or(usize::MAX),
+                tag,
                 self.fault_policy,
                 self.fault_plan.as_ref(),
                 tracer.clone(),
@@ -422,7 +389,7 @@ pub struct WorkflowMetrics {
     pub workflow_name: String,
     /// Per-stage job metrics, in execution order.
     pub stages: Vec<JobMetrics>,
-    /// End-to-end wall clock from [`Workflow::new`] to
+    /// End-to-end wall clock from [`Workflow::on_pool`] to
     /// [`Workflow::finish`] — stage walls *plus* the driver glue
     /// between stages (side-output routing, candidate assembly), so
     /// it is always at least [`WorkflowMetrics::stages_wall`].
@@ -534,11 +501,10 @@ struct GraphNode<'a, E> {
 /// A workflow compiled to a DAG of stage nodes instead of an eager
 /// loop.
 ///
-/// The scenario drivers (`run_er_in`, the Sorted Neighborhood
-/// drivers, …) historically drove their stages to completion inline:
-/// build job 1, run it, build job 2 from its outputs, run it. A
-/// `StageGraph` separates *declaring* the stage structure from
-/// *executing* it: each stage registers as a [`StageGraph::node`]
+/// A `StageGraph` separates *declaring* the stage structure of a
+/// scenario compiler (`run_er_in`, the Sorted Neighborhood drivers,
+/// …) from *executing* it: each stage registers as a
+/// [`StageGraph::node`]
 /// with explicit dependency edges, and [`StageGraph::run`] admits
 /// nodes in dependency order — a node's body fires only once every
 /// upstream node completed, and each body hands its task batches to
@@ -554,8 +520,8 @@ struct GraphNode<'a, E> {
 /// order wins. Since a node's dependencies must be `NodeId`s the
 /// same graph returned earlier, the graph is acyclic by
 /// construction and insertion order is always a valid topological
-/// order — so a linear chain executes exactly as the eager loop
-/// did, and outputs stay byte-identical.
+/// order — so a linear chain executes its stages one after the
+/// other, and outputs stay byte-identical.
 ///
 /// Intermediate results flow between nodes through captured slots
 /// (e.g. `RefCell<Option<T>>`): an upstream node fills the slot, a
@@ -672,9 +638,14 @@ mod tests {
     type AnnotateMapper = ClosureMapper<(), u32, bool, u64, (bool, u32)>;
     type CountReducer = ClosureReducer<bool, u64, bool, u64>;
 
+    /// A workflow on a single-slot pool: every stage runs inline.
+    fn inline_workflow(name: &str) -> Workflow {
+        Workflow::on_pool(name, Arc::new(WorkerPool::new(1)))
+    }
+
     /// Job 1: annotate each number with its parity, side-output the
     /// annotated records, reduce-output parity counts.
-    fn annotate_job(parallelism: usize) -> Job<AnnotateMapper, CountReducer> {
+    fn annotate_job() -> Job<AnnotateMapper, CountReducer> {
         let mapper = ClosureMapper::new(
             |_: &(), v: &u32, ctx: &mut MapContext<bool, u64, (bool, u32)>| {
                 let even = v.is_multiple_of(2);
@@ -689,14 +660,13 @@ mod tests {
         );
         Job::builder("annotate", mapper, reducer)
             .reduce_tasks(2)
-            .parallelism(parallelism)
             .build()
     }
 
     type SumMapper = ClosureMapper<bool, u32, bool, u64, ()>;
 
     /// Job 2: sum values per parity from the annotated records.
-    fn sum_job(parallelism: usize) -> Job<SumMapper, CountReducer> {
+    fn sum_job() -> Job<SumMapper, CountReducer> {
         let mapper = ClosureMapper::new(
             |even: &bool, v: &u32, ctx: &mut MapContext<bool, u64, ()>| {
                 ctx.emit(*even, u64::from(*v));
@@ -707,10 +677,7 @@ mod tests {
                 ctx.emit(*group.key(), group.values().sum());
             },
         );
-        Job::builder("sum", mapper, reducer)
-            .reduce_tasks(2)
-            .parallelism(parallelism)
-            .build()
+        Job::builder("sum", mapper, reducer).reduce_tasks(2).build()
     }
 
     #[test]
@@ -718,12 +685,12 @@ mod tests {
         let input = partition_evenly((0..10u32).map(|v| ((), v)).collect(), 3);
         let shapes: Vec<usize> = input.iter().map(Vec::len).collect();
 
-        let mut wf = Workflow::new("parity");
-        let out1 = wf.chained_stage(&annotate_job(1), input).unwrap();
+        let mut wf = inline_workflow("parity");
+        let out1 = wf.chained_stage(&annotate_job(), input).unwrap();
         let shapes2: Vec<usize> = out1.side_outputs.iter().map(Vec::len).collect();
         assert_eq!(shapes, shapes2, "partition shape must be preserved");
 
-        let out2 = wf.chained_stage(&sum_job(1), out1.side_outputs).unwrap();
+        let out2 = wf.chained_stage(&sum_job(), out1.side_outputs).unwrap();
         let mut sums = out2.into_records();
         sums.sort();
         assert_eq!(sums, vec![(false, 25), (true, 20)]);
@@ -747,13 +714,13 @@ mod tests {
     #[test]
     fn chained_stage_rejects_a_drifted_partition_count() {
         let input = partition_evenly((0..10u32).map(|v| ((), v)).collect(), 3);
-        let mut wf = Workflow::new("parity");
-        let out1 = wf.chained_stage(&annotate_job(1), input).unwrap();
+        let mut wf = inline_workflow("parity");
+        let out1 = wf.chained_stage(&annotate_job(), input).unwrap();
         // Drop a partition before chaining — the exact drift the layer
         // must catch.
         let mut truncated = out1.side_outputs;
         truncated.pop();
-        let err = wf.chained_stage(&sum_job(1), truncated).unwrap_err();
+        let err = wf.chained_stage(&sum_job(), truncated).unwrap_err();
         assert_eq!(
             err,
             MrError::StageShapeMismatch {
@@ -768,14 +735,14 @@ mod tests {
     #[test]
     fn repartitioned_stage_neither_checks_nor_resets_the_shape() {
         let input = partition_evenly((0..10u32).map(|v| ((), v)).collect(), 3);
-        let mut wf = Workflow::new("parity");
-        let out1 = wf.chained_stage(&annotate_job(1), input.clone()).unwrap();
+        let mut wf = inline_workflow("parity");
+        let out1 = wf.chained_stage(&annotate_job(), input.clone()).unwrap();
         // A deliberately re-shaped intermediate stage (1 partition)...
         let flat: Partitions<bool, u32> = vec![out1.side_outputs.into_iter().flatten().collect()];
-        wf.repartitioned_stage(&sum_job(1), flat).unwrap();
+        wf.repartitioned_stage(&sum_job(), flat).unwrap();
         // ...does not change what "chained" means afterwards.
         let err = wf
-            .chained_stage(&annotate_job(1), partition_evenly(vec![((), 1u32)], 1))
+            .chained_stage(&annotate_job(), partition_evenly(vec![((), 1u32)], 1))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -792,10 +759,10 @@ mod tests {
     #[test]
     fn workflow_metrics_merge_counters_and_gauges_across_stages() {
         let input = partition_evenly((0..10u32).map(|v| ((), v)).collect(), 3);
-        let mut wf = Workflow::new("parity");
-        let out1 = wf.chained_stage(&annotate_job(1), input).unwrap();
+        let mut wf = inline_workflow("parity");
+        let out1 = wf.chained_stage(&annotate_job(), input).unwrap();
         let stage1 = out1.metrics.clone();
-        let out2 = wf.chained_stage(&sum_job(1), out1.side_outputs).unwrap();
+        let out2 = wf.chained_stage(&sum_job(), out1.side_outputs).unwrap();
         let stage2 = out2.metrics.clone();
         let metrics = wf.finish();
         // Merged counters == sum of the per-job counters.
@@ -829,13 +796,13 @@ mod tests {
         let input = partition_evenly((0..20u32).map(|v| ((), v)).collect(), 4);
         let mut reference = Workflow::on_pool("uncapped", Arc::clone(&pool));
         let expected = reference
-            .chained_stage(&annotate_job(1), input.clone())
+            .chained_stage(&annotate_job(), input.clone())
             .unwrap()
             .reduce_outputs;
         for cap in [1usize, 2, 3, 9] {
             let mut wf = Workflow::on_pool("capped", Arc::clone(&pool)).with_parallelism_cap(cap);
             assert_eq!(wf.parallelism_cap(), Some(cap));
-            let out = wf.chained_stage(&annotate_job(1), input.clone()).unwrap();
+            let out = wf.chained_stage(&annotate_job(), input.clone()).unwrap();
             assert_eq!(out.reduce_outputs, expected, "cap {cap} diverged");
             assert_eq!(
                 pool.threads_spawned(),
@@ -846,9 +813,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cap must be at least 1")]
-    fn zero_parallelism_cap_is_rejected() {
-        let _ = Workflow::new("bad").with_parallelism_cap(0);
+    fn zero_parallelism_cap_is_a_typed_error() {
+        let input = partition_evenly((0..10u32).map(|v| ((), v)).collect(), 3);
+        let mut wf = inline_workflow("bad").with_parallelism_cap(0);
+        assert_eq!(
+            wf.chained_stage(&annotate_job(), input).unwrap_err(),
+            MrError::ZeroParallelism
+        );
     }
 
     #[test]
@@ -878,7 +849,7 @@ mod tests {
             Ok(())
         });
         assert_eq!(graph.len(), 4);
-        let mut wf = Workflow::new("graph");
+        let mut wf = inline_workflow("graph");
         graph.run(&mut wf).unwrap();
         // Insertion order among ready nodes is the deterministic
         // admission order.
@@ -895,7 +866,7 @@ mod tests {
             downstream_ran.set(true);
             Ok(())
         });
-        let mut wf = Workflow::new("graph");
+        let mut wf = inline_workflow("graph");
         assert_eq!(graph.run(&mut wf), Err("boom"));
         assert!(
             !downstream_ran.get(),
@@ -915,9 +886,9 @@ mod tests {
 
     #[test]
     fn workflow_tenant_defaults_and_overrides() {
-        let wf = Workflow::new("wf");
+        let wf = inline_workflow("wf");
         assert_eq!(wf.tenant(), "default");
-        let wf = Workflow::new("wf").with_tenant("team-a");
+        let wf = inline_workflow("wf").with_tenant("team-a");
         assert_eq!(wf.tenant(), "team-a");
     }
 

@@ -56,13 +56,11 @@
 //! assert_eq!(sn.result.pair_set(), outcome.result.pair_set());
 //! ```
 //!
-//! The five legacy entry points (`run_er`, `run_linkage`,
-//! `run_sorted_neighborhood`, `run_multipass_sn`, `run_two_source_sn`)
-//! remain as thin wrappers over the same scenario compilers — each
-//! proven byte-identical to its [`Scenario`] in
-//! `tests/resolver_api.rs` — but new code should prefer the resolver:
-//! one configuration surface, one error type ([`ResolveError`]), one
-//! outcome shape ([`Outcome`]), and no per-run thread spawning.
+//! One configuration surface, one error type ([`ResolveError`]), one
+//! outcome shape ([`Outcome`]), and no per-run thread spawning: the
+//! scenario compilers (`run_er_in`, `run_sorted_neighborhood_in`, …)
+//! the resolver drives run only as stages of a [`Runtime`]-issued
+//! workflow.
 
 pub use cluster_sim;
 pub use er_core;
@@ -99,21 +97,18 @@ pub mod prelude {
         Entity, EntityId, EntityRef, GoldStandard, MatchPair, MatchResult, MatchRule, Matcher,
         QualityReport, SourceId,
     };
-    pub use er_loadbalance::driver::{naive_reference, run_er, ErConfig, ErOutcome, ErStages};
+    pub use er_loadbalance::driver::{naive_reference, ErConfig};
     pub use er_loadbalance::null_keys::{deduplicate_with_null_keys, link_with_null_keys};
-    pub use er_loadbalance::two_source::run_linkage;
     pub use er_loadbalance::{
         BlockDistributionMatrix, Ent, Keyed, RangePolicy, StrategyKind, WorkloadStats, COMPARISONS,
     };
     pub use er_lsh::{
-        lsh_candidate_pairs, lsh_oracle, run_lsh, LshBlocking, LshConfig, LshOutcome, LshParams,
-        LshRound,
+        lsh_candidate_pairs, lsh_oracle, LshBlocking, LshConfig, LshParams, LshRound,
     };
     pub use er_sn::{
-        multipass_oracle_comparisons, multipass_sn_oracle, run_multipass_sn,
-        run_sorted_neighborhood, run_two_source_sn, sn_oracle, two_source_input,
-        two_source_oracle_comparisons, two_source_sn_oracle, MultiPassSnOutcome, NullKeyPolicy,
-        SnConfig, SnError, SnOutcome, SnStrategy,
+        multipass_oracle_comparisons, multipass_sn_oracle, sn_oracle, two_source_input,
+        two_source_oracle_comparisons, two_source_sn_oracle, NullKeyPolicy, SnConfig, SnError,
+        SnStrategy,
     };
     pub use mr_engine::fault::{FaultKind, FaultPlan, FaultPolicy, TaskError};
     pub use mr_engine::input::{partition_evenly, partition_round_robin, Partitions};

@@ -1,22 +1,20 @@
 //! One front door: a [`Resolver`] session API over a shared
-//! [`Runtime`], unifying all five entity-resolution scenarios.
+//! [`Runtime`], unifying every entity-resolution scenario.
 //!
-//! Historically every workload class had its own entry point —
-//! `run_er`, `run_linkage`, `run_sorted_neighborhood`,
-//! `run_multipass_sn`, `run_two_source_sn` — with two config structs
-//! duplicating the shared execution knobs and two error types. The
-//! resolver collapses that into one declarative surface:
+//! One declarative surface covers all workload classes (blocking-based
+//! dedup and linkage, single- and multi-pass Sorted Neighborhood,
+//! two-source Sorted Neighborhood, banded-MinHash LSH):
 //!
 //! 1. create a [`Runtime`] once — its worker pool is spawned **once**
 //!    and shared by every subsequent run;
 //! 2. build a [`Resolver`] and set the workload knobs (blocking
-//!    function, matcher, sort key, window, …);
+//!    function, matcher, sort key, window, …) — each shared knob is
+//!    stored exactly once and reaches every scenario family;
 //! 3. describe *what* to resolve with a [`Scenario`] value and call
-//!    [`Resolver::resolve`], which compiles the scenario into the very
-//!    same [`Workflow`] stages the
-//!    legacy drivers build — so outputs are byte-identical to the old
-//!    entry points (proven in `tests/resolver_api.rs`) — and returns
-//!    one unified [`Outcome`] or [`ResolveError`].
+//!    [`Resolver::resolve`], which compiles the scenario into
+//!    [`Workflow`] stages on the runtime's pool (the `run_*_in`
+//!    compilers of the family crates) and returns one unified
+//!    [`Outcome`] or [`ResolveError`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -46,10 +44,11 @@
 use std::sync::Arc;
 
 use er_core::blocking::BlockingFunction;
+use er_core::minhash::ShingleScheme;
 use er_core::sortkey::{RangePartitioner, SortKey, SortKeyFunction};
 use er_core::{MatchResult, Matcher, SourceId};
 use er_loadbalance::block_split::SplitPolicy;
-use er_loadbalance::driver::run_er_in;
+use er_loadbalance::driver::{run_er_in, ErStages};
 use er_loadbalance::two_source::run_linkage_in;
 use er_loadbalance::{BlockDistributionMatrix, Ent, RangePolicy, StrategyKind};
 use er_lsh::driver::run_lsh_in;
@@ -57,12 +56,12 @@ use er_lsh::{LshConfig, LshParams, LshRound};
 use er_sn::driver::run_sorted_neighborhood_in;
 use er_sn::multipass::run_multipass_sn_in;
 use er_sn::two_source::run_two_source_sn_in;
-use er_sn::{NullKeyPolicy, SnConfig, SnError, SnPassReport, SnStrategy};
+use er_sn::{NullKeyPolicy, SnConfig, SnError, SnPassReport, SnStages, SnStrategy};
 use mr_engine::error::MrError;
 use mr_engine::fault::{FaultPlan, FaultPolicy};
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
-use mr_engine::runtime::Runtime;
+use mr_engine::runtime::{Runtime, RuntimeConfig};
 use mr_engine::trace::TraceSink;
 use mr_engine::workflow::{Workflow, WorkflowMetrics};
 
@@ -71,17 +70,14 @@ use er_loadbalance::ErConfig;
 /// A declarative description of *what* to resolve; the [`Resolver`]
 /// compiles it into the matching multi-stage workflow.
 ///
-/// Each variant corresponds to (and is proven byte-identical with) one
-/// legacy entry point:
-///
-/// | Scenario | Legacy entry point |
+/// | Scenario | Scenario compiler |
 /// |---|---|
-/// | `Dedup` | `er_loadbalance::run_er` |
-/// | `Linkage` | `er_loadbalance::two_source::run_linkage` |
-/// | `SortedNeighborhood` (no passes) | `er_sn::run_sorted_neighborhood` |
-/// | `SortedNeighborhood` (explicit passes) | `er_sn::run_multipass_sn` |
-/// | `TwoSourceSn` | `er_sn::run_two_source_sn` |
-/// | `Lsh` | `er_lsh::run_lsh` |
+/// | `Dedup` | [`er_loadbalance::driver::run_er_in`] |
+/// | `Linkage` | [`er_loadbalance::two_source::run_linkage_in`] |
+/// | `SortedNeighborhood` (no passes) | [`er_sn::driver::run_sorted_neighborhood_in`] |
+/// | `SortedNeighborhood` (explicit passes) | [`er_sn::multipass::run_multipass_sn_in`] |
+/// | `TwoSourceSn` | [`er_sn::two_source::run_two_source_sn_in`] |
+/// | `Lsh` | [`er_lsh::driver::run_lsh_in`] |
 #[derive(Clone)]
 pub enum Scenario {
     /// Single-source deduplication via blocking (paper Figure 2) under
@@ -190,9 +186,8 @@ impl Scenario {
         }
     }
 
-    /// The workflow name this scenario compiles to — identical to the
-    /// name the matching legacy entry point uses, so metrics stay
-    /// comparable across the old and new surface.
+    /// The workflow name this scenario compiles to (the name its
+    /// metrics roll-up and trace events carry).
     pub fn workflow_name(&self) -> String {
         match self {
             Scenario::Dedup { strategy } => format!("er-{strategy}"),
@@ -460,10 +455,13 @@ impl Outcome {
 /// A resolver is a configured *session*: workload knobs set once apply
 /// to every subsequent [`Resolver::resolve`] call, and any number of
 /// scenarios can be resolved back to back — all on the runtime's
-/// persistent worker pool. Internally it keeps one [`ErConfig`] and
-/// one [`SnConfig`] template synced with the runtime's
-/// [`RuntimeConfig`](mr_engine::runtime::RuntimeConfig), so a compiled
-/// scenario is *exactly* what the legacy entry point would have built.
+/// persistent worker pool. Every knob is stored exactly once: the
+/// facts all families share (the session's [`RuntimeConfig`], matcher,
+/// fault plan, combiner switch, and the BlockSplit/PairRange policies
+/// of the two BDM-balanced families) plus each family's own
+/// parameters; [`Resolver::er_config`], [`Resolver::sn_config`] and
+/// [`Resolver::lsh_config`] assemble a family's config from them on
+/// demand.
 ///
 /// # Concurrency contract
 ///
@@ -483,9 +481,35 @@ impl Outcome {
 #[derive(Clone)]
 pub struct Resolver<'rt> {
     runtime: &'rt Runtime,
-    er: ErConfig,
-    sn: SnConfig,
-    lsh: LshConfig,
+    /// The session's copy of the shared knobs, seeded from the
+    /// runtime's; `parallelism` and `scheduling_policy` belong to the
+    /// runtime's pool and are never overridden here.
+    shared: RuntimeConfig,
+    matcher: Arc<Matcher>,
+    fault_plan: FaultPlan,
+    use_combiner: bool,
+    /// PairRange range formula of the two BDM-balanced families
+    /// (blocking and LSH).
+    range_policy: RangePolicy,
+    /// BlockSplit splitting policy of the same two families.
+    split_policy: SplitPolicy,
+    /// Blocking family.
+    blocking: Arc<dyn BlockingFunction>,
+    /// Sorted Neighborhood family. `sn_partitions` overrides the key
+    /// range count, which otherwise is `shared.reduce_tasks`.
+    sort_key: Arc<dyn SortKeyFunction>,
+    window: usize,
+    sample_rate: f64,
+    null_key_policy: NullKeyPolicy,
+    sn_partitions: Option<usize>,
+    /// LSH family.
+    lsh_ladder: Vec<LshParams>,
+    lsh_budget: Option<u64>,
+    lsh_recall_floor: f64,
+    lsh_balance: StrategyKind,
+    lsh_scheme: ShingleScheme,
+    lsh_seed: u64,
+    lsh_attribute: String,
     /// Tenant label this session's workflows are attributed to on the
     /// shared pool; `None` uses the pool's `"default"` tenant.
     tenant: Option<Arc<str>>,
@@ -502,14 +526,16 @@ const _: () = {
     assert_send_sync::<Scenario>();
 };
 
-// Manual: `dyn TraceSink` carries no `Debug` bound.
+// Manual: the `dyn` function objects carry no `Debug` bound.
 impl std::fmt::Debug for Resolver<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Resolver")
             .field("runtime", &self.runtime)
-            .field("er", &self.er)
-            .field("sn", &self.sn)
-            .field("lsh", &self.lsh)
+            .field("shared", &self.shared)
+            .field("fault_plan", &self.fault_plan)
+            .field("window", &self.window)
+            .field("lsh_ladder", &self.lsh_ladder)
+            .field("tenant", &self.tenant)
             .field("traced", &self.trace_sink.is_some())
             .finish_non_exhaustive()
     }
@@ -518,15 +544,34 @@ impl std::fmt::Debug for Resolver<'_> {
 impl<'rt> Resolver<'rt> {
     /// Starts a session on `runtime`, inheriting its shared knobs
     /// (`reduce_tasks` default, `count_only`,
-    /// `matcher_cache_capacity`) and paper-default workload settings.
+    /// `matcher_cache_capacity`, `spill_threshold`, `fault_policy`)
+    /// and the family crates' paper-default workload settings.
     pub fn new(runtime: &'rt Runtime) -> Self {
-        let shared = *runtime.config();
+        // The family crates own the paper defaults.
+        let er = ErConfig::new(StrategyKind::Basic);
+        let sn = SnConfig::new(SnStrategy::JobSn);
+        let lsh = LshConfig::new();
         Self {
             runtime,
-            // The strategy placeholders are overwritten per scenario.
-            er: ErConfig::new(StrategyKind::Basic).with_runtime(shared),
-            sn: SnConfig::new(SnStrategy::JobSn).with_runtime(shared),
-            lsh: LshConfig::new().with_runtime(shared),
+            shared: *runtime.config(),
+            matcher: er.matcher,
+            fault_plan: er.fault_plan,
+            use_combiner: er.use_combiner,
+            range_policy: er.range_policy,
+            split_policy: er.split_policy,
+            blocking: er.blocking,
+            sort_key: sn.sort_key,
+            window: sn.window,
+            sample_rate: sn.sample_rate,
+            null_key_policy: sn.null_key_policy,
+            sn_partitions: None,
+            lsh_ladder: lsh.ladder,
+            lsh_budget: lsh.candidate_budget,
+            lsh_recall_floor: lsh.recall_floor,
+            lsh_balance: lsh.balance,
+            lsh_scheme: lsh.scheme,
+            lsh_seed: lsh.seed,
+            lsh_attribute: lsh.attribute,
             tenant: None,
             trace_sink: None,
         }
@@ -540,107 +585,97 @@ impl<'rt> Resolver<'rt> {
     /// Overrides the blocking function of the blocking-based scenarios
     /// (paper default: first 3 letters of `title`).
     pub fn with_blocking(mut self, blocking: Arc<dyn BlockingFunction>) -> Self {
-        self.er = self.er.with_blocking(blocking);
+        self.blocking = blocking;
         self
     }
 
     /// Overrides the matcher for every scenario (paper default: edit
     /// distance ≥ 0.8 on `title`).
     pub fn with_matcher(mut self, matcher: Arc<Matcher>) -> Self {
-        self.er = self.er.with_matcher(Arc::clone(&matcher));
-        self.lsh = self.lsh.with_matcher(Arc::clone(&matcher));
-        self.sn = self.sn.with_matcher(matcher);
+        self.matcher = matcher;
         self
     }
 
     /// Overrides the sort key of single-pass SN scenarios (default:
     /// full normalized `title`).
     pub fn with_sort_key(mut self, sort_key: Arc<dyn SortKeyFunction>) -> Self {
-        self.sn = self.sn.with_sort_key(sort_key);
+        self.sort_key = sort_key;
         self
     }
 
-    /// Overrides the SN window size (`w ≥ 2`).
+    /// Overrides the SN window size (`w ≥ 2`, checked when an SN
+    /// scenario runs).
     pub fn with_window(mut self, window: usize) -> Self {
-        self.sn = self.sn.with_window(window);
+        self.window = window;
         self
     }
 
     /// Overrides the number of reduce tasks for this session — both
-    /// jobs of the blocking scenarios *and* the SN key-range count
-    /// (the ranges are the reduce tasks of SN's matching job). Use
-    /// [`Resolver::with_partitions`] to set the SN range count
-    /// independently.
+    /// jobs of the blocking and LSH scenarios *and* the SN key-range
+    /// count (the ranges are the reduce tasks of SN's matching job).
+    /// Use [`Resolver::with_partitions`] afterwards to set the SN
+    /// range count independently.
     pub fn with_reduce_tasks(mut self, r: usize) -> Self {
-        self.er = self.er.with_reduce_tasks(r);
-        self.lsh = self.lsh.with_reduce_tasks(r);
-        self.sn = self.sn.with_partitions(r);
+        self.shared.reduce_tasks = r;
+        self.sn_partitions = None;
         self
     }
 
     /// Overrides the SN key-range count only.
     pub fn with_partitions(mut self, partitions: usize) -> Self {
-        self.sn = self.sn.with_partitions(partitions);
+        self.sn_partitions = Some(partitions);
         self
     }
 
-    /// Overrides the SN histogram sampling rate (in `(0, 1]`).
+    /// Overrides the SN histogram sampling rate (in `(0, 1]`, checked
+    /// when an SN scenario runs).
     pub fn with_sample_rate(mut self, rate: f64) -> Self {
-        self.sn = self.sn.with_sample_rate(rate);
+        self.sample_rate = rate;
         self
     }
 
     /// Overrides the SN null-sort-key policy.
     pub fn with_null_key_policy(mut self, policy: NullKeyPolicy) -> Self {
-        self.sn = self.sn.with_null_key_policy(policy);
+        self.null_key_policy = policy;
         self
     }
 
     /// Overrides the PairRange range formula.
     pub fn with_range_policy(mut self, policy: RangePolicy) -> Self {
-        self.er = self.er.with_range_policy(policy);
-        self.lsh = self.lsh.with_range_policy(policy);
+        self.range_policy = policy;
         self
     }
 
     /// Replaces the BlockSplit splitting policy.
     pub fn with_split_policy(mut self, policy: SplitPolicy) -> Self {
-        self.er.split_policy = policy;
-        self.lsh.split_policy = policy;
+        self.split_policy = policy;
         self
     }
 
     /// Forces BlockSplit to split any block larger than `cap`
     /// entities.
     pub fn with_memory_cap(mut self, cap: u64) -> Self {
-        self.er = self.er.with_memory_cap(cap);
-        self.lsh.split_policy = SplitPolicy::with_memory_cap(cap);
+        self.split_policy = SplitPolicy::with_memory_cap(cap);
         self
     }
 
     /// Toggles the per-map-task combiner of the preprocessing jobs.
     pub fn with_use_combiner(mut self, use_combiner: bool) -> Self {
-        self.er.use_combiner = use_combiner;
-        self.sn.use_combiner = use_combiner;
-        self.lsh.use_combiner = use_combiner;
+        self.use_combiner = use_combiner;
         self
     }
 
     /// Switches comparison counting only (no similarity evaluation)
     /// for this session, overriding the runtime default.
     pub fn with_count_only(mut self, count_only: bool) -> Self {
-        self.er = self.er.with_count_only(count_only);
-        self.sn = self.sn.with_count_only(count_only);
-        self.lsh = self.lsh.with_count_only(count_only);
+        self.shared.count_only = count_only;
         self
     }
 
     /// Bounds the prepared-entity caches for this session, overriding
     /// the runtime default.
     pub fn with_matcher_cache_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.er = self.er.with_matcher_cache_capacity(capacity);
-        self.sn = self.sn.with_matcher_cache_capacity(capacity);
-        self.lsh = self.lsh.with_matcher_cache_capacity(capacity);
+        self.shared = self.shared.with_matcher_cache_capacity(capacity);
         self
     }
 
@@ -650,21 +685,17 @@ impl<'rt> Resolver<'rt> {
     /// resident memory. `None` restores the spill-free default;
     /// outputs are byte-identical at any threshold.
     pub fn with_spill_threshold(mut self, threshold: Option<usize>) -> Self {
-        self.er = self.er.with_spill_threshold(threshold);
-        self.sn = self.sn.with_spill_threshold(threshold);
-        self.lsh = self.lsh.with_spill_threshold(threshold);
+        self.shared = self.shared.with_spill_threshold(threshold);
         self
     }
 
     /// Overrides the per-task fault-tolerance policy (retry budget,
     /// straggler deadline) for this session, replacing the runtime's
-    /// [`RuntimeConfig::fault_policy`](mr_engine::runtime::RuntimeConfig::fault_policy)
-    /// default. Retried or speculated tasks never change the match
-    /// result — outputs stay byte-identical to a fault-free run.
+    /// [`RuntimeConfig::fault_policy`] default. Retried or speculated
+    /// tasks never change the match result — outputs stay
+    /// byte-identical to a fault-free run.
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.er = self.er.with_fault_policy(policy);
-        self.sn = self.sn.with_fault_policy(policy);
-        self.lsh = self.lsh.with_fault_policy(policy);
+        self.shared.fault_policy = policy;
         self
     }
 
@@ -673,9 +704,7 @@ impl<'rt> Resolver<'rt> {
     /// exercises the retry and speculation paths at exact task
     /// coordinates. An empty plan (the default) injects nothing.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.er = self.er.with_fault_plan(plan.clone());
-        self.lsh = self.lsh.with_fault_plan(plan.clone());
-        self.sn = self.sn.with_fault_plan(plan);
+        self.fault_plan = plan;
         self
     }
 
@@ -683,7 +712,7 @@ impl<'rt> Resolver<'rt> {
     /// first — what [`Scenario::lsh_adaptive`] walks until the
     /// candidate workload fits the budget.
     pub fn with_lsh_ladder(mut self, ladder: Vec<LshParams>) -> Self {
-        self.lsh = self.lsh.with_ladder(ladder);
+        self.lsh_ladder = ladder;
         self
     }
 
@@ -691,7 +720,7 @@ impl<'rt> Resolver<'rt> {
     /// towards (`None`, the default, accepts the widest rung
     /// immediately).
     pub fn with_lsh_budget(mut self, budget: Option<u64>) -> Self {
-        self.lsh = self.lsh.with_candidate_budget(budget);
+        self.lsh_budget = budget;
         self
     }
 
@@ -699,7 +728,7 @@ impl<'rt> Resolver<'rt> {
     /// scored against (default 0.8, evaluated at the target
     /// similarity).
     pub fn with_lsh_recall_floor(mut self, floor: f64) -> Self {
-        self.lsh = self.lsh.with_recall_floor(floor);
+        self.lsh_recall_floor = floor;
         self
     }
 
@@ -707,26 +736,26 @@ impl<'rt> Resolver<'rt> {
     /// space (default: BlockSplit — oversized band buckets split into
     /// balanced sub-tasks).
     pub fn with_lsh_balance(mut self, balance: StrategyKind) -> Self {
-        self.lsh = self.lsh.with_balance(balance);
+        self.lsh_balance = balance;
         self
     }
 
     /// Overrides the LSH shingle scheme (default: character trigrams).
-    pub fn with_lsh_scheme(mut self, scheme: er_core::minhash::ShingleScheme) -> Self {
-        self.lsh = self.lsh.with_scheme(scheme);
+    pub fn with_lsh_scheme(mut self, scheme: ShingleScheme) -> Self {
+        self.lsh_scheme = scheme;
         self
     }
 
     /// Overrides the MinHash family seed.
     pub fn with_lsh_seed(mut self, seed: u64) -> Self {
-        self.lsh = self.lsh.with_seed(seed);
+        self.lsh_seed = seed;
         self
     }
 
     /// Overrides the attribute LSH signatures are computed over
     /// (default `title`).
     pub fn with_lsh_attribute(mut self, attribute: impl Into<String>) -> Self {
-        self.lsh = self.lsh.with_attribute(attribute);
+        self.lsh_attribute = attribute.into();
         self
     }
 
@@ -757,38 +786,77 @@ impl<'rt> Resolver<'rt> {
         self
     }
 
-    /// The blocking-scenario config this session would compile for
+    /// The blocking-scenario config this session compiles for
     /// `strategy` — what [`Resolver::resolve`] hands to the stage
     /// compilers, exposed for oracles
     /// ([`er_loadbalance::driver::naive_reference`]) and tests.
     pub fn er_config(&self, strategy: StrategyKind) -> ErConfig {
-        self.er.clone().with_strategy(strategy)
+        ErConfig {
+            blocking: Arc::clone(&self.blocking),
+            matcher: Arc::clone(&self.matcher),
+            strategy,
+            range_policy: self.range_policy,
+            use_combiner: self.use_combiner,
+            split_policy: self.split_policy,
+            runtime: self.shared,
+            fault_plan: self.fault_plan.clone(),
+        }
     }
 
-    /// The SN config this session would compile for `strategy`.
+    /// The SN config this session compiles for `strategy`.
+    ///
+    /// # Panics
+    /// If the session's key-range count was overridden to zero.
     pub fn sn_config(&self, strategy: SnStrategy) -> SnConfig {
-        self.sn.clone().with_strategy(strategy)
+        let config = SnConfig {
+            sort_key: Arc::clone(&self.sort_key),
+            matcher: Arc::clone(&self.matcher),
+            strategy,
+            window: self.window,
+            sample_rate: self.sample_rate,
+            use_combiner: self.use_combiner,
+            null_key_policy: self.null_key_policy,
+            runtime: self.shared,
+            fault_plan: self.fault_plan.clone(),
+        };
+        match self.sn_partitions {
+            Some(partitions) => config.with_partitions(partitions),
+            None => config,
+        }
     }
 
-    /// The LSH config this session would compile — a one-rung ladder
-    /// when `params` fixes the banding, the session's adaptive ladder
+    /// The LSH config this session compiles — a one-rung ladder when
+    /// `params` fixes the banding, the session's adaptive ladder
     /// otherwise. Exposed for oracles ([`er_lsh::lsh_oracle`]) and
     /// tests.
+    ///
+    /// # Panics
+    /// If `params` is `None` and the session's ladder is empty.
     pub fn lsh_config(&self, params: Option<LshParams>) -> LshConfig {
-        match params {
-            Some(p) => self.lsh.clone().with_params(p),
-            None => self.lsh.clone(),
+        LshConfig {
+            attribute: self.lsh_attribute.clone(),
+            scheme: self.lsh_scheme,
+            seed: self.lsh_seed,
+            candidate_budget: self.lsh_budget,
+            recall_floor: self.lsh_recall_floor,
+            balance: self.lsh_balance,
+            range_policy: self.range_policy,
+            split_policy: self.split_policy,
+            use_combiner: self.use_combiner,
+            matcher: Arc::clone(&self.matcher),
+            runtime: self.shared,
+            fault_plan: self.fault_plan.clone(),
+            ..LshConfig::new()
         }
+        .with_ladder(params.map_or_else(|| self.lsh_ladder.clone(), |p| vec![p]))
     }
 
     /// Resolves one scenario over pre-partitioned input (each inner
     /// `Vec` is one input partition == one map task), executing on the
     /// runtime's persistent pool.
     ///
-    /// The scenario is compiled into the same workflow stages its
-    /// legacy entry point builds, so the outcome's `result` and
-    /// counters are byte-identical to the old surface at any
-    /// parallelism.
+    /// The outcome's `result` and counters are byte-identical at any
+    /// pool size, cap, tenant mix and scheduling policy.
     pub fn resolve(
         &self,
         scenario: &Scenario,
@@ -808,10 +876,8 @@ impl<'rt> Resolver<'rt> {
     ///
     /// Lets one shared runtime serve latency-sensitive foreground runs
     /// next to throughput batch runs. Outputs are byte-identical to
-    /// [`Resolver::resolve`] at any cap.
-    ///
-    /// # Panics
-    /// If `max_parallelism` is zero.
+    /// [`Resolver::resolve`] at any cap; a cap of zero is the typed
+    /// [`MrError::ZeroParallelism`].
     pub fn resolve_with(
         &self,
         scenario: &Scenario,
@@ -833,100 +899,91 @@ impl<'rt> Resolver<'rt> {
         input: Partitions<(), Ent>,
     ) -> Result<Outcome, ResolveError> {
         // Session-level fault settings override the runtime default
-        // the workflow was seeded with (`er` and `sn` are kept in
-        // sync, so either carries the session's settings).
+        // the workflow was seeded with.
         workflow = workflow
-            .with_fault_policy(self.er.fault_policy())
-            .with_fault_plan(self.er.fault_plan().clone());
+            .with_fault_policy(self.shared.fault_policy)
+            .with_fault_plan(self.fault_plan.clone());
         if let Some(tenant) = &self.tenant {
             workflow = workflow.with_tenant(Arc::clone(tenant));
         }
         if let Some(sink) = &self.trace_sink {
             workflow = workflow.with_trace_sink(Arc::clone(sink));
         }
-        match scenario {
+        let (result, details) = match scenario {
             Scenario::Dedup { strategy } => {
                 let config = self.er_config(*strategy);
-                let stages = run_er_in(&mut workflow, input, &config)?;
-                Ok(Outcome {
-                    result: stages.result,
-                    details: ScenarioDetails::Blocked {
-                        bdm: stages.bdm,
-                        bdm_metrics: stages.bdm_metrics,
-                        match_metrics: stages.match_metrics,
-                    },
-                    workflow: workflow.finish(),
-                })
+                blocked(run_er_in(&mut workflow, input, &config)?)
             }
             Scenario::Linkage { strategy, sources } => {
                 let config = self.er_config(*strategy);
-                let stages = run_linkage_in(&mut workflow, input, sources.clone(), &config)?;
-                Ok(Outcome {
-                    result: stages.result,
-                    details: ScenarioDetails::Blocked {
-                        bdm: stages.bdm,
-                        bdm_metrics: stages.bdm_metrics,
-                        match_metrics: stages.match_metrics,
-                    },
-                    workflow: workflow.finish(),
-                })
+                blocked(run_linkage_in(
+                    &mut workflow,
+                    input,
+                    sources.clone(),
+                    &config,
+                )?)
             }
             Scenario::SortedNeighborhood { strategy, passes } if passes.is_empty() => {
                 let config = self.sn_config(*strategy);
-                let stages = run_sorted_neighborhood_in(&mut workflow, input, &config)?;
-                Ok(Outcome {
-                    result: stages.result,
-                    details: ScenarioDetails::Sorted {
-                        partitioner: stages.partitioner,
-                        sample_metrics: stages.sample_metrics,
-                        match_metrics: stages.match_metrics,
-                        stitch_metrics: stages.stitch_metrics,
-                    },
-                    workflow: workflow.finish(),
-                })
+                sorted(run_sorted_neighborhood_in(&mut workflow, input, &config)?)
             }
             Scenario::SortedNeighborhood { strategy, passes } => {
                 let config = self.sn_config(*strategy);
                 let stages = run_multipass_sn_in(&mut workflow, input, &config, passes)?;
-                Ok(Outcome {
-                    result: stages.result,
-                    details: ScenarioDetails::MultiPass {
-                        passes: stages.passes,
-                    },
-                    workflow: workflow.finish(),
-                })
+                let details = ScenarioDetails::MultiPass {
+                    passes: stages.passes,
+                };
+                (stages.result, details)
             }
             Scenario::TwoSourceSn { strategy, sources } => {
                 let config = self.sn_config(*strategy);
-                let stages = run_two_source_sn_in(&mut workflow, input, sources.clone(), &config)?;
-                Ok(Outcome {
-                    result: stages.result,
-                    details: ScenarioDetails::Sorted {
-                        partitioner: stages.partitioner,
-                        sample_metrics: stages.sample_metrics,
-                        match_metrics: stages.match_metrics,
-                        stitch_metrics: stages.stitch_metrics,
-                    },
-                    workflow: workflow.finish(),
-                })
+                sorted(run_two_source_sn_in(
+                    &mut workflow,
+                    input,
+                    sources.clone(),
+                    &config,
+                )?)
             }
             Scenario::Lsh { params, sources } => {
                 let config = self.lsh_config(*params);
                 let stages = run_lsh_in(&mut workflow, input, sources.clone(), &config)?;
-                Ok(Outcome {
-                    result: stages.result,
-                    details: ScenarioDetails::Lsh {
-                        params: stages.params,
-                        rounds: stages.rounds,
-                        bdm: stages.bdm,
-                        bdm_metrics: stages.bdm_metrics,
-                        match_metrics: stages.match_metrics,
-                    },
-                    workflow: workflow.finish(),
-                })
+                let details = ScenarioDetails::Lsh {
+                    params: stages.params,
+                    rounds: stages.rounds,
+                    bdm: stages.bdm,
+                    bdm_metrics: stages.bdm_metrics,
+                    match_metrics: stages.match_metrics,
+                };
+                (stages.result, details)
             }
-        }
+        };
+        Ok(Outcome {
+            result,
+            details,
+            workflow: workflow.finish(),
+        })
     }
+}
+
+/// The outcome parts of a blocking-based scenario's stages.
+fn blocked(stages: ErStages) -> (MatchResult, ScenarioDetails) {
+    let details = ScenarioDetails::Blocked {
+        bdm: stages.bdm,
+        bdm_metrics: stages.bdm_metrics,
+        match_metrics: stages.match_metrics,
+    };
+    (stages.result, details)
+}
+
+/// The outcome parts of a single-pass SN scenario's stages.
+fn sorted(stages: SnStages) -> (MatchResult, ScenarioDetails) {
+    let details = ScenarioDetails::Sorted {
+        partitioner: stages.partitioner,
+        sample_metrics: stages.sample_metrics,
+        match_metrics: stages.match_metrics,
+        stitch_metrics: stages.stitch_metrics,
+    };
+    (stages.result, details)
 }
 
 #[cfg(test)]
@@ -1072,18 +1129,110 @@ mod tests {
                 .with_reduce_tasks(9)
                 .with_count_only(true),
         );
-        let resolver = Resolver::new(&runtime).with_window(6);
-        let er = resolver.er_config(StrategyKind::PairRange);
-        assert_eq!(er.reduce_tasks(), 9);
-        assert!(er.count_only());
-        let sn = resolver.sn_config(SnStrategy::RepSn);
+        // Untouched, a session reads the runtime's block back from
+        // every family.
+        let inherited = Resolver::new(&runtime).with_window(6);
+        assert_eq!(
+            inherited.er_config(StrategyKind::PairRange).runtime,
+            *runtime.config()
+        );
+        let sn = inherited.sn_config(SnStrategy::RepSn);
         assert_eq!(sn.partitions(), 9, "reduce_tasks default reaches SN ranges");
         assert_eq!(sn.window, 6);
-        assert!(sn.count_only());
-        // A per-session override narrows only this session.
-        let narrowed = resolver.clone().with_reduce_tasks(3).with_partitions(5);
-        assert_eq!(narrowed.er_config(StrategyKind::Basic).reduce_tasks(), 3);
-        assert_eq!(narrowed.sn_config(SnStrategy::JobSn).partitions(), 5);
+        assert_eq!(inherited.lsh_config(None).runtime, *runtime.config());
+
+        // Every shared knob, set once on the session...
+        let matcher = Arc::new(Matcher::paper_default());
+        let plan = FaultPlan::new().delay_at(
+            FaultPlan::ANY_JOB,
+            mr_engine::fault::FaultKind::Map,
+            0,
+            1,
+            std::time::Duration::from_millis(1),
+        );
+        let session = Resolver::new(&runtime)
+            .with_reduce_tasks(3)
+            .with_count_only(false)
+            .with_matcher_cache_capacity(Some(16))
+            .with_spill_threshold(Some(64))
+            .with_fault_policy(FaultPolicy::retry(3))
+            .with_fault_plan(plan.clone())
+            .with_matcher(Arc::clone(&matcher))
+            .with_use_combiner(false)
+            .with_range_policy(RangePolicy::Proportional)
+            .with_memory_cap(50);
+        let shared = RuntimeConfig {
+            reduce_tasks: 3,
+            count_only: false,
+            matcher_cache_capacity: Some(16),
+            spill_threshold: Some(64),
+            fault_policy: FaultPolicy::retry(3),
+            ..*runtime.config()
+        };
+        // ...reads back identically from all three families.
+        let er = session.er_config(StrategyKind::BlockSplit);
+        let sn = session.sn_config(SnStrategy::JobSn);
+        let lsh = session.lsh_config(Some(LshParams::new(8, 4)));
+        for (family, runtime_block, fault_plan, family_matcher, use_combiner) in [
+            (
+                "er",
+                er.runtime,
+                &er.fault_plan,
+                &er.matcher,
+                er.use_combiner,
+            ),
+            (
+                "sn",
+                sn.runtime,
+                &sn.fault_plan,
+                &sn.matcher,
+                sn.use_combiner,
+            ),
+            (
+                "lsh",
+                lsh.runtime,
+                &lsh.fault_plan,
+                &lsh.matcher,
+                lsh.use_combiner,
+            ),
+        ] {
+            assert_eq!(runtime_block, shared, "{family}: shared knob block");
+            assert_eq!(fault_plan, &plan, "{family}: fault plan");
+            assert!(Arc::ptr_eq(family_matcher, &matcher), "{family}: matcher");
+            assert!(!use_combiner, "{family}: combiner switch");
+        }
+        // The BDM-balanced families also share the balancing policies.
+        for (family, range_policy, split_policy) in [
+            ("er", er.range_policy, er.split_policy),
+            ("lsh", lsh.range_policy, lsh.split_policy),
+        ] {
+            assert_eq!(range_policy, RangePolicy::Proportional, "{family}");
+            assert_eq!(split_policy, SplitPolicy::with_memory_cap(50), "{family}");
+        }
+        assert_eq!(
+            session
+                .clone()
+                .with_split_policy(SplitPolicy::paper())
+                .lsh_config(None)
+                .split_policy,
+            SplitPolicy::paper()
+        );
+        // `with_partitions` overrides only the SN range count, and a
+        // later `with_reduce_tasks` takes it back.
+        let ranged = session.clone().with_partitions(5);
+        assert_eq!(ranged.sn_config(SnStrategy::JobSn).partitions(), 5);
+        assert_eq!(
+            ranged.er_config(StrategyKind::Basic).runtime.reduce_tasks,
+            3
+        );
+        assert_eq!(ranged.lsh_config(None).runtime.reduce_tasks, 3);
+        assert_eq!(
+            ranged
+                .with_reduce_tasks(4)
+                .sn_config(SnStrategy::JobSn)
+                .partitions(),
+            4
+        );
         assert_eq!(runtime.config().reduce_tasks, 9, "runtime stays untouched");
     }
 }

@@ -315,39 +315,3 @@ fn injected_straggler_is_speculated_away() {
     );
     assert_eq!(outcome.workflow.task_failures(), 0);
 }
-
-/// The legacy entry points carry the same fault configuration as the
-/// resolver: `run_er` under a fail-once plan retries and reproduces
-/// the fault-free output byte-for-byte.
-#[test]
-fn legacy_run_er_threads_the_fault_config() {
-    let input = corpus(3);
-    let clean = ErConfig::new(StrategyKind::BlockSplit).with_parallelism(2);
-    let reference = run_er(input.clone(), &clean).unwrap();
-    let faulted = clean
-        .clone()
-        .with_fault_policy(FaultPolicy::retry(2))
-        .with_fault_plan(FaultPlan::new().silence_injected_panics().panic_at(
-            FaultPlan::ANY_JOB,
-            FaultKind::Reduce,
-            0,
-            1,
-            "injected once",
-        ));
-    let outcome = run_er(input.clone(), &faulted).unwrap();
-    assert_eq!(result_bits(&outcome.result), result_bits(&reference.result));
-    assert_eq!(outcome.workflow.task_failures(), 2, "one per stage");
-    // Exhaustion through the legacy surface is the same typed error.
-    let fatal = clean.with_fault_plan(FaultPlan::new().silence_injected_panics().panic_always(
-        "er-block-split",
-        FaultKind::Reduce,
-        0,
-        "doomed",
-    ));
-    let err = run_er(input, &fatal).unwrap_err();
-    let MrError::TaskFailed(task_error) = err else {
-        panic!("expected TaskFailed, got {err:?}");
-    };
-    assert_eq!(task_error.job, "er-block-split");
-    assert_eq!(task_error.attempts, 1, "fail-fast default: one attempt");
-}

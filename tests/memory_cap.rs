@@ -14,6 +14,10 @@ use dedupe_mr::prelude::*;
 use er_loadbalance::block_split::{create_match_tasks_with_policy, SplitPolicy};
 use mr_engine::metrics::JobMetrics;
 
+const BLOCK_SPLIT: Scenario = Scenario::Dedup {
+    strategy: StrategyKind::BlockSplit,
+};
+
 fn one_big_block(n: usize, m: usize) -> Partitions<(), Ent> {
     let entities: Vec<Ent> = (0..n)
         .map(|id| {
@@ -29,12 +33,15 @@ fn one_big_block(n: usize, m: usize) -> Partitions<(), Ent> {
 #[test]
 fn capped_run_produces_identical_matches() {
     let input = one_big_block(60, 4);
-    let plain = ErConfig::new(StrategyKind::BlockSplit)
-        .with_reduce_tasks(1)
-        .with_parallelism(2);
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(2)
+            .with_reduce_tasks(1),
+    );
+    let plain = Resolver::new(&runtime);
     let capped = plain.clone().with_memory_cap(20);
-    let a = run_er(input.clone(), &plain).unwrap();
-    let b = run_er(input, &capped).unwrap();
+    let a = plain.resolve(&BLOCK_SPLIT, input.clone()).unwrap();
+    let b = capped.resolve(&BLOCK_SPLIT, input).unwrap();
     assert_eq!(a.result.pair_set(), b.result.pair_set());
     assert_eq!(a.total_comparisons(), b.total_comparisons());
 }
@@ -49,16 +56,19 @@ fn cap_bounds_reduce_group_buffering() {
     let m = 4usize;
     let input = one_big_block(n as usize, m);
 
-    let plain = run_er(
-        one_big_block(n as usize, m),
-        &ErConfig::new(StrategyKind::BlockSplit)
-            .with_reduce_tasks(1)
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
             .with_parallelism(1)
+            .with_reduce_tasks(1)
             .with_count_only(true),
-    )
-    .unwrap();
+    );
+    let plain = Resolver::new(&runtime)
+        .resolve(&BLOCK_SPLIT, one_big_block(n as usize, m))
+        .unwrap();
     let max_group_plain = plain
-        .match_metrics
+        .details
+        .match_metrics()
+        .expect("one matching job")
         .reduce_tasks
         .iter()
         .map(|t| t.records_in)
@@ -66,19 +76,16 @@ fn cap_bounds_reduce_group_buffering() {
         .unwrap();
     assert_eq!(max_group_plain, n, "uncapped: the whole block in one task");
 
-    let capped = run_er(
-        input,
-        &ErConfig::new(StrategyKind::BlockSplit)
-            .with_reduce_tasks(1)
-            .with_parallelism(1)
-            .with_count_only(true)
-            .with_memory_cap(20),
-    )
-    .unwrap();
+    let capped = Resolver::new(&runtime)
+        .with_memory_cap(20)
+        .resolve(&BLOCK_SPLIT, input)
+        .unwrap();
     // All match tasks share reduce task 0 (r = 1), but each *group*
     // (match task) holds at most two sub-blocks of 15.
     let groups = capped
-        .match_metrics
+        .details
+        .match_metrics()
+        .expect("one matching job")
         .reduce_tasks
         .iter()
         .map(|t| t.counter("mr.reduce.input.groups"))

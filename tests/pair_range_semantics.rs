@@ -28,6 +28,26 @@ fn one_block_input(n: usize, m: usize) -> Partitions<(), Ent> {
     partition_round_robin(entities.into_iter().map(|e| ((), e)).collect(), m)
 }
 
+/// Count-only PairRange over 2-letter title-prefix blocks with `r`
+/// ranges on a pool of `parallelism` workers.
+fn count_pair_range(input: Partitions<(), Ent>, r: usize, parallelism: usize) -> Outcome {
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(parallelism)
+            .with_reduce_tasks(r)
+            .with_count_only(true),
+    );
+    Resolver::new(&runtime)
+        .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
+        .resolve(
+            &Scenario::Dedup {
+                strategy: StrategyKind::PairRange,
+            },
+            input,
+        )
+        .unwrap()
+}
+
 #[test]
 fn many_ranges_over_one_block_lose_no_pairs() {
     // n = 30 entities -> 435 pairs; r = 60 ranges cuts column 0
@@ -35,12 +55,7 @@ fn many_ranges_over_one_block_lose_no_pairs() {
     // listing's `return` would drop pairs.
     let n = 30;
     let input = one_block_input(n, 3);
-    let config = ErConfig::new(StrategyKind::PairRange)
-        .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
-        .with_reduce_tasks(60)
-        .with_parallelism(2)
-        .with_count_only(true);
-    let outcome = run_er(input, &config).unwrap();
+    let outcome = count_pair_range(input, 60, 2);
     let expected = (n * (n - 1) / 2) as u64;
     assert_eq!(
         outcome.total_comparisons(),
@@ -114,15 +129,10 @@ fn every_range_holds_its_exact_share() {
     let n = 24;
     let input = one_block_input(n, 2);
     let r = 10;
-    let config = ErConfig::new(StrategyKind::PairRange)
-        .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
-        .with_reduce_tasks(r)
-        .with_parallelism(1)
-        .with_count_only(true);
-    let outcome = run_er(input, &config).unwrap();
+    let outcome = count_pair_range(input, r, 1);
     let total = (n * (n - 1) / 2) as u64;
     let width = total.div_ceil(r as u64);
-    let loads = outcome.reduce_loads();
+    let loads = outcome.reduce_loads().expect("one matching job");
     for (t, &load) in loads.iter().enumerate() {
         let start = (t as u64) * width;
         let expected = width.min(total.saturating_sub(start));

@@ -8,6 +8,24 @@ use std::sync::Arc;
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
 
+/// One default-session dedup with `r` reduce tasks on a pool of
+/// `parallelism` workers.
+fn dedup(
+    strategy: StrategyKind,
+    r: usize,
+    parallelism: usize,
+    input: Partitions<(), Ent>,
+) -> Outcome {
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(parallelism)
+            .with_reduce_tasks(r),
+    );
+    Resolver::new(&runtime)
+        .resolve(&Scenario::Dedup { strategy }, input)
+        .unwrap()
+}
+
 fn input(m: usize) -> Partitions<(), Ent> {
     let ds = generate_products(&ds1_spec(55).scaled(0.005));
     partition_evenly(
@@ -25,16 +43,13 @@ fn results_are_identical_across_parallelism_levels() {
     ] {
         let mut reference: Option<(Vec<(MatchPair, String)>, Vec<u64>)> = None;
         for parallelism in [1usize, 2, 8] {
-            let config = ErConfig::new(strategy)
-                .with_reduce_tasks(12)
-                .with_parallelism(parallelism);
-            let outcome = run_er(input(5), &config).unwrap();
+            let outcome = dedup(strategy, 12, parallelism, input(5));
             let fingerprint: Vec<(MatchPair, String)> = outcome
                 .result
                 .iter()
                 .map(|(p, s)| (p, format!("{s:.12}")))
                 .collect();
-            let loads = outcome.reduce_loads();
+            let loads = outcome.reduce_loads().expect("one matching job");
             match &reference {
                 None => reference = Some((fingerprint, loads)),
                 Some((fp, ld)) => {
@@ -65,9 +80,8 @@ fn sort_merge_shuffle_reproduces_byte_identical_reduce_outputs() {
             Arc::new(PrefixBlocking::title3()),
             PairComparer::new(Arc::new(Matcher::paper_default())),
             6,
-            parallelism,
         );
-        let out = job.run(input(4)).unwrap();
+        let out = job.run_on(&WorkerPool::new(parallelism), input(4)).unwrap();
         let fingerprint: Vec<Vec<(MatchPair, u64)>> = out
             .reduce_outputs
             .into_iter()
@@ -92,11 +106,8 @@ fn bdm_is_independent_of_reduce_task_count() {
     // The BDM describes the data, not the job configuration.
     let mut reference: Option<String> = None;
     for r in [2usize, 7, 31] {
-        let config = ErConfig::new(StrategyKind::BlockSplit)
-            .with_reduce_tasks(r)
-            .with_parallelism(2);
-        let outcome = run_er(input(4), &config).unwrap();
-        let tsv = outcome.bdm.unwrap().to_tsv();
+        let outcome = dedup(StrategyKind::BlockSplit, r, 2, input(4));
+        let tsv = outcome.details.bdm().unwrap().to_tsv();
         match &reference {
             None => reference = Some(tsv),
             Some(t) => assert_eq!(t, &tsv, "BDM changed with r={r}"),
@@ -108,10 +119,7 @@ fn bdm_is_independent_of_reduce_task_count() {
 fn more_map_tasks_do_not_change_results() {
     let mut reference: Option<std::collections::BTreeSet<MatchPair>> = None;
     for m in [1usize, 3, 9] {
-        let config = ErConfig::new(StrategyKind::PairRange)
-            .with_reduce_tasks(8)
-            .with_parallelism(2);
-        let outcome = run_er(input(m), &config).unwrap();
+        let outcome = dedup(StrategyKind::PairRange, 8, 2, input(m));
         let pairs = outcome.result.pair_set();
         match &reference {
             None => reference = Some(pairs),
@@ -127,21 +135,28 @@ fn multipass_pipeline_is_deterministic_and_duplicate_free() {
         Arc::new(PrefixBlocking::title3()),
         Arc::new(AttributeBlocking::new("sku")),
     ]));
-    let config = ErConfig::new(StrategyKind::BlockSplit)
-        .with_blocking(blocking)
-        .with_reduce_tasks(9)
-        .with_parallelism(4);
-    let a = run_er(input(4), &config).unwrap();
-    let b = run_er(input(4), &config).unwrap();
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(4)
+            .with_reduce_tasks(9),
+    );
+    let resolver = Resolver::new(&runtime).with_blocking(blocking);
+    let scenario = Scenario::Dedup {
+        strategy: StrategyKind::BlockSplit,
+    };
+    let a = resolver.resolve(&scenario, input(4)).unwrap();
+    let b = resolver.resolve(&scenario, input(4)).unwrap();
     assert_eq!(a.result.pair_set(), b.result.pair_set());
     // Multi-pass may skip but never double-count: comparisons +
     // skipped == BDM pair total.
     let skipped = a
-        .match_metrics
+        .details
+        .match_metrics()
+        .expect("one matching job")
         .counters
         .get(er_loadbalance::compare::MULTIPASS_SKIPPED);
     assert_eq!(
         a.total_comparisons() + skipped,
-        a.bdm.unwrap().total_pairs()
+        a.details.bdm().unwrap().total_pairs()
     );
 }

@@ -1,20 +1,20 @@
-//! Acceptance suite for the unified `Runtime` + `Resolver` front door:
+//! Acceptance suite for the `Runtime` + `Resolver` front door:
 //!
-//! * **old-vs-new equivalence** — every [`Scenario`] must produce
-//!   byte-identical output (match pairs *and* score bits) and equal
-//!   `WorkflowMetrics` counters / stage names / per-reduce loads vs
-//!   its legacy entry point, across parallelism {1, 2, 4};
 //! * **pool reuse** — one `Runtime` runs several scenarios back to
 //!   back on the worker pool it spawned at construction: no further
-//!   thread spawn, no output drift.
+//!   thread spawn, no output drift from the brute-force oracles;
+//! * **parallelism caps** — `resolve_with` narrows one run without
+//!   touching the pool, and a zero cap is a typed error;
+//! * **count-only sessions** — one shared knob reaches every family.
+//!
+//! Each scenario is pinned against its oracle across parallelism by
+//! its own suite (`strategy_equivalence`, `two_source_equivalence`,
+//! `sorted_neighborhood`, `sn_scenarios`, `lsh_oracle`).
 
 use std::sync::Arc;
 
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
-use mr_engine::metrics::JobMetrics;
-
-const PARALLELISM_LEVELS: [usize; 3] = [1, 2, 4];
 
 /// A DS1-shaped corpus small enough for the full matrix: scenarios ×
 /// strategies × parallelism levels, all with real similarity
@@ -54,228 +54,11 @@ fn result_bits(result: &MatchResult) -> Vec<(MatchPair, u64)> {
     result.iter().map(|(p, s)| (p, s.to_bits())).collect()
 }
 
-fn stage_names(metrics: &WorkflowMetrics) -> Vec<String> {
-    metrics.stages.iter().map(|s| s.job_name.clone()).collect()
-}
-
-fn reduce_loads(metrics: &JobMetrics) -> Vec<u64> {
-    metrics.per_reduce_counter(COMPARISONS)
-}
-
-/// Asserts the new outcome is indistinguishable from a legacy result
-/// in everything deterministic: match output (bit-exact scores),
-/// workflow name, stage names, merged counters, and per-stage merged
-/// counters.
-fn assert_equivalent(
-    context: &str,
-    new: &dedupe_mr::Outcome,
-    legacy_result: &MatchResult,
-    legacy_workflow: &WorkflowMetrics,
-) {
-    assert_eq!(
-        result_bits(&new.result),
-        result_bits(legacy_result),
-        "{context}: match output must be byte-identical"
-    );
-    assert_eq!(
-        new.workflow.workflow_name, legacy_workflow.workflow_name,
-        "{context}: workflow name"
-    );
-    assert_eq!(
-        stage_names(&new.workflow),
-        stage_names(legacy_workflow),
-        "{context}: stage composition"
-    );
-    assert_eq!(
-        new.workflow.counters, legacy_workflow.counters,
-        "{context}: merged workflow counters"
-    );
-    for (stage_new, stage_old) in new.workflow.stages.iter().zip(&legacy_workflow.stages) {
-        assert_eq!(
-            stage_new.counters, stage_old.counters,
-            "{context}: stage `{}` counters",
-            stage_old.job_name
-        );
-        assert_eq!(
-            reduce_loads(stage_new),
-            reduce_loads(stage_old),
-            "{context}: stage `{}` per-reduce comparison loads",
-            stage_old.job_name
-        );
-    }
-}
-
-#[test]
-fn dedup_scenario_equals_run_er_across_parallelism() {
-    let input = corpus(3);
-    for parallelism in PARALLELISM_LEVELS {
-        let runtime = Runtime::new(
-            RuntimeConfig::new()
-                .with_parallelism(parallelism)
-                .with_reduce_tasks(5),
-        );
-        let resolver = Resolver::new(&runtime);
-        for strategy in [
-            StrategyKind::Basic,
-            StrategyKind::BlockSplit,
-            StrategyKind::PairRange,
-        ] {
-            let legacy = run_er(input.clone(), &resolver.er_config(strategy)).unwrap();
-            let new = resolver
-                .resolve(&Scenario::Dedup { strategy }, input.clone())
-                .unwrap();
-            assert_equivalent(
-                &format!("dedup/{strategy}/p{parallelism}"),
-                &new,
-                &legacy.result,
-                &legacy.workflow,
-            );
-            assert_eq!(new.total_comparisons(), legacy.total_comparisons());
-            assert_eq!(new.reduce_loads(), Some(legacy.reduce_loads()));
-            assert_eq!(
-                new.details.bdm().map(|b| b.total_pairs()),
-                legacy.bdm.as_ref().map(|b| b.total_pairs())
-            );
-        }
-    }
-}
-
-#[test]
-fn linkage_scenario_equals_run_linkage_across_parallelism() {
-    let (input, sources) = two_source_corpus();
-    for parallelism in PARALLELISM_LEVELS {
-        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(parallelism));
-        let resolver = Resolver::new(&runtime);
-        for strategy in [
-            StrategyKind::Basic,
-            StrategyKind::BlockSplit,
-            StrategyKind::PairRange,
-        ] {
-            let legacy = run_linkage(
-                input.clone(),
-                sources.clone(),
-                &resolver.er_config(strategy),
-            )
-            .unwrap();
-            let new = resolver
-                .resolve(
-                    &Scenario::Linkage {
-                        strategy,
-                        sources: sources.clone(),
-                    },
-                    input.clone(),
-                )
-                .unwrap();
-            assert_equivalent(
-                &format!("linkage/{strategy}/p{parallelism}"),
-                &new,
-                &legacy.result,
-                &legacy.workflow,
-            );
-            assert!(
-                new.result
-                    .iter()
-                    .all(|(pair, _)| pair.lo().source != pair.hi().source),
-                "linkage output must stay cross-source"
-            );
-        }
-    }
-}
-
-#[test]
-fn sorted_neighborhood_scenario_equals_run_sorted_neighborhood() {
-    let input = corpus(3);
-    for parallelism in PARALLELISM_LEVELS {
-        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(parallelism));
-        let resolver = Resolver::new(&runtime).with_window(5).with_partitions(4);
-        for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let legacy =
-                run_sorted_neighborhood(input.clone(), &resolver.sn_config(strategy)).unwrap();
-            let new = resolver
-                .resolve(&Scenario::sorted_neighborhood(strategy), input.clone())
-                .unwrap();
-            assert_equivalent(
-                &format!("sn/{strategy}/p{parallelism}"),
-                &new,
-                &legacy.result,
-                &legacy.workflow,
-            );
-            assert_eq!(new.total_comparisons(), legacy.total_comparisons());
-            assert_eq!(
-                new.details.partitioner().map(|p| p.num_partitions()),
-                Some(legacy.partitioner.num_partitions())
-            );
-        }
-    }
-}
-
-#[test]
-fn multipass_scenario_equals_run_multipass_sn() {
-    let input = corpus(2);
-    for parallelism in PARALLELISM_LEVELS {
-        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(parallelism));
-        let resolver = Resolver::new(&runtime).with_window(4).with_partitions(3);
-        for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let legacy =
-                run_multipass_sn(input.clone(), &resolver.sn_config(strategy), &passes()).unwrap();
-            let new = resolver
-                .resolve(&Scenario::multipass_sn(strategy, passes()), input.clone())
-                .unwrap();
-            assert_equivalent(
-                &format!("sn-multipass/{strategy}/p{parallelism}"),
-                &new,
-                &legacy.result,
-                &legacy.workflow,
-            );
-            let new_passes = new.details.passes().expect("multi-pass reports");
-            assert_eq!(new_passes.len(), legacy.passes.len());
-            for (a, b) in new_passes.iter().zip(&legacy.passes) {
-                assert_eq!(a.comparisons, b.comparisons);
-                assert_eq!(a.skipped, b.skipped);
-                assert_eq!(a.new_matches, b.new_matches);
-            }
-            assert_eq!(new.total_comparisons(), legacy.total_comparisons());
-        }
-    }
-}
-
-#[test]
-fn two_source_sn_scenario_equals_run_two_source_sn() {
-    let (input, sources) = two_source_corpus();
-    for parallelism in PARALLELISM_LEVELS {
-        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(parallelism));
-        let resolver = Resolver::new(&runtime).with_window(4).with_partitions(3);
-        for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let legacy = run_two_source_sn(
-                input.clone(),
-                sources.clone(),
-                &resolver.sn_config(strategy),
-            )
-            .unwrap();
-            let new = resolver
-                .resolve(
-                    &Scenario::TwoSourceSn {
-                        strategy,
-                        sources: sources.clone(),
-                    },
-                    input.clone(),
-                )
-                .unwrap();
-            assert_equivalent(
-                &format!("sn-two-source/{strategy}/p{parallelism}"),
-                &new,
-                &legacy.result,
-                &legacy.workflow,
-            );
-        }
-    }
-}
-
 #[test]
 fn count_only_sessions_count_without_scoring_across_scenarios() {
-    // ErConfig always had count-only mode; through the shared
-    // RuntimeConfig it now reaches SN scenarios too: identical
-    // comparison counters, empty match result.
+    // Count-only mode is a shared session knob, so it reaches the SN
+    // scenarios like the blocking ones: identical comparison counters,
+    // empty match result.
     let input = corpus(2);
     let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
     let full = Resolver::new(&runtime).with_window(4).with_partitions(3);
@@ -345,27 +128,47 @@ fn resolve_with_caps_parallelism_without_spawning_threads() {
 }
 
 #[test]
+fn resolve_with_zero_cap_is_a_typed_error_and_the_runtime_survives() {
+    let input = corpus(3);
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+    let resolver = Resolver::new(&runtime);
+    let scenario = Scenario::Dedup {
+        strategy: StrategyKind::BlockSplit,
+    };
+    assert_eq!(
+        resolver
+            .resolve_with(&scenario, input.clone(), 0)
+            .unwrap_err(),
+        ResolveError::Mr(mr_engine::error::MrError::ZeroParallelism)
+    );
+    let after = resolver.resolve(&scenario, input.clone()).unwrap();
+    let entities: Vec<Ent> = input.iter().flatten().map(|(_, e)| Arc::clone(e)).collect();
+    assert_eq!(
+        result_bits(&after.result),
+        result_bits(&naive_reference(
+            &entities,
+            &resolver.er_config(StrategyKind::BlockSplit)
+        )),
+        "the runtime must resolve normally after the rejected run"
+    );
+}
+
+#[test]
 fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
     let input = corpus(3);
     let (ts_input, ts_sources) = two_source_corpus();
 
-    // Reference outcomes from the legacy, transient-pool entry points.
     let runtime = Runtime::new(
         RuntimeConfig::new()
             .with_parallelism(2)
             .with_reduce_tasks(4),
     );
     let resolver = Resolver::new(&runtime).with_window(4).with_partitions(3);
-    let legacy_dedup =
-        run_er(input.clone(), &resolver.er_config(StrategyKind::BlockSplit)).unwrap();
-    let legacy_sn =
-        run_sorted_neighborhood(input.clone(), &resolver.sn_config(SnStrategy::JobSn)).unwrap();
-    let legacy_linkage = run_two_source_sn(
-        ts_input.clone(),
-        ts_sources.clone(),
-        &resolver.sn_config(SnStrategy::RepSn),
-    )
-    .unwrap();
+    // Reference results from the brute-force oracles.
+    let entities: Vec<Ent> = input.iter().flatten().map(|(_, e)| Arc::clone(e)).collect();
+    let oracle_dedup = naive_reference(&entities, &resolver.er_config(StrategyKind::BlockSplit));
+    let oracle_sn = sn_oracle(&input, &resolver.sn_config(SnStrategy::JobSn));
+    let oracle_linkage = two_source_sn_oracle(&ts_input, &resolver.sn_config(SnStrategy::RepSn));
 
     let spawned_at_construction = runtime.pool().threads_spawned();
     assert_eq!(spawned_at_construction, 2);
@@ -383,7 +186,7 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
             .unwrap();
         assert_eq!(
             result_bits(&dedup.result),
-            result_bits(&legacy_dedup.result),
+            result_bits(&oracle_dedup),
             "round {round}: dedup drifted"
         );
         let sn = resolver
@@ -394,7 +197,7 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
             .unwrap();
         assert_eq!(
             result_bits(&sn.result),
-            result_bits(&legacy_sn.result),
+            result_bits(&oracle_sn),
             "round {round}: sn drifted"
         );
         let linkage = resolver
@@ -408,7 +211,7 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
             .unwrap();
         assert_eq!(
             result_bits(&linkage.result),
-            result_bits(&legacy_linkage.result),
+            result_bits(&oracle_linkage),
             "round {round}: two-source sn drifted"
         );
         for outcome in [&dedup, &sn, &linkage] {

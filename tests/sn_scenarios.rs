@@ -35,17 +35,34 @@ fn result_bits(result: &MatchResult) -> Vec<(MatchPair, u64)> {
     result.iter().map(|(p, s)| (p, s.to_bits())).collect()
 }
 
+fn runtime(parallelism: usize) -> Runtime {
+    Runtime::new(RuntimeConfig::new().with_parallelism(parallelism))
+}
+
+fn multipass(strategy: SnStrategy) -> Scenario {
+    Scenario::multipass_sn(strategy, passes())
+}
+
+fn two_source(strategy: SnStrategy, sources: &[SourceId]) -> Scenario {
+    Scenario::TwoSourceSn {
+        strategy,
+        sources: sources.to_vec(),
+    }
+}
+
 // ---- multi-pass SN -----------------------------------------------------
 
 #[test]
 fn multipass_equals_the_union_of_oracles_and_compares_each_pair_once() {
     let input = corpus(3);
+    let runtime = runtime(1);
+    let resolver = Resolver::new(&runtime).with_window(5).with_partitions(4);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let config = SnConfig::new(strategy)
-            .with_window(5)
-            .with_partitions(4)
-            .with_parallelism(1);
-        let outcome = run_multipass_sn(input.clone(), &config, &passes()).unwrap();
+        let config = resolver.sn_config(strategy);
+        let outcome = resolver
+            .resolve(&multipass(strategy), input.clone())
+            .unwrap();
+        let pass_reports = outcome.details.passes().expect("multi-pass reports");
         let oracle = multipass_sn_oracle(&input, &config, &passes());
         assert_eq!(
             outcome.result.pair_set(),
@@ -58,12 +75,14 @@ fn multipass_equals_the_union_of_oracles_and_compares_each_pair_once() {
             "{strategy}: every unioned window pair exactly once"
         );
         assert!(
-            outcome.total_skipped() > 0,
+            pass_reports.iter().map(|p| p.skipped).sum::<u64>() > 0,
             "{strategy}: overlapping passes must engage the dedup gate"
         );
         // The reversed pass must contribute matches the forward pass
         // misses (the whole point of multi-pass SN).
-        let forward = run_sorted_neighborhood(input.clone(), &config).unwrap();
+        let forward = resolver
+            .resolve(&Scenario::sorted_neighborhood(strategy), input.clone())
+            .unwrap();
         assert!(
             outcome.result.len() > forward.result.len(),
             "{strategy}: the reversed-title pass must add recall \
@@ -74,8 +93,7 @@ fn multipass_equals_the_union_of_oracles_and_compares_each_pair_once() {
         // Both passes' stages ran under one workflow.
         assert_eq!(
             outcome.workflow.num_stages(),
-            outcome
-                .passes
+            pass_reports
                 .iter()
                 .map(|p| 2 + usize::from(p.stitch_metrics.is_some()))
                 .sum::<usize>()
@@ -89,11 +107,12 @@ fn multipass_output_is_byte_identical_across_parallelism() {
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let mut reference: Option<Vec<(MatchPair, u64)>> = None;
         for parallelism in PARALLELISM_LEVELS {
-            let config = SnConfig::new(strategy)
+            let runtime = runtime(parallelism);
+            let outcome = Resolver::new(&runtime)
                 .with_window(4)
                 .with_partitions(4)
-                .with_parallelism(parallelism);
-            let outcome = run_multipass_sn(input.clone(), &config, &passes()).unwrap();
+                .resolve(&multipass(strategy), input.clone())
+                .unwrap();
             let bits = result_bits(&outcome.result);
             match &reference {
                 None => reference = Some(bits),
@@ -109,12 +128,20 @@ fn multipass_output_is_byte_identical_across_parallelism() {
 #[test]
 fn multipass_pair_set_is_invariant_under_the_partition_count() {
     let input = corpus(3);
+    let runtime = runtime(1);
+    let base = Resolver::new(&runtime).with_window(4);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let base = SnConfig::new(strategy).with_window(4).with_parallelism(1);
-        let oracle = multipass_sn_oracle(&input, &base.clone().with_partitions(1), &passes());
+        let oracle = multipass_sn_oracle(
+            &input,
+            &base.clone().with_partitions(1).sn_config(strategy),
+            &passes(),
+        );
         for partitions in [1usize, 2, 4, 8] {
-            let config = base.clone().with_partitions(partitions);
-            let outcome = run_multipass_sn(input.clone(), &config, &passes()).unwrap();
+            let resolver = base.clone().with_partitions(partitions);
+            let config = resolver.sn_config(strategy);
+            let outcome = resolver
+                .resolve(&multipass(strategy), input.clone())
+                .unwrap();
             assert_eq!(
                 outcome.result.pair_set(),
                 oracle.pair_set(),
@@ -158,12 +185,13 @@ fn two_source_corpus(partitions_per_source: usize) -> (Partitions<(), Ent>, Vec<
 #[test]
 fn two_source_sn_equals_the_cross_source_oracle() {
     let (input, sources) = two_source_corpus(2);
+    let runtime = runtime(1);
+    let resolver = Resolver::new(&runtime).with_window(5).with_partitions(4);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let config = SnConfig::new(strategy)
-            .with_window(5)
-            .with_partitions(4)
-            .with_parallelism(1);
-        let outcome = run_two_source_sn(input.clone(), sources.clone(), &config).unwrap();
+        let config = resolver.sn_config(strategy);
+        let outcome = resolver
+            .resolve(&two_source(strategy, &sources), input.clone())
+            .unwrap();
         let oracle = two_source_sn_oracle(&input, &config);
         assert_eq!(
             outcome.result.pair_set(),
@@ -206,11 +234,12 @@ fn two_source_output_is_byte_identical_across_parallelism() {
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let mut reference: Option<Vec<(MatchPair, u64)>> = None;
         for parallelism in PARALLELISM_LEVELS {
-            let config = SnConfig::new(strategy)
+            let runtime = runtime(parallelism);
+            let outcome = Resolver::new(&runtime)
                 .with_window(4)
                 .with_partitions(4)
-                .with_parallelism(parallelism);
-            let outcome = run_two_source_sn(input.clone(), sources.clone(), &config).unwrap();
+                .resolve(&two_source(strategy, &sources), input.clone())
+                .unwrap();
             let bits = result_bits(&outcome.result);
             match &reference {
                 None => reference = Some(bits),
@@ -226,12 +255,17 @@ fn two_source_output_is_byte_identical_across_parallelism() {
 #[test]
 fn two_source_pair_set_is_invariant_under_the_partition_count() {
     let (input, sources) = two_source_corpus(1);
+    let runtime = runtime(1);
+    let base = Resolver::new(&runtime).with_window(4);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let base = SnConfig::new(strategy).with_window(4).with_parallelism(1);
-        let oracle = two_source_sn_oracle(&input, &base.clone().with_partitions(1));
+        let oracle =
+            two_source_sn_oracle(&input, &base.clone().with_partitions(1).sn_config(strategy));
         for partitions in [1usize, 2, 4, 8] {
-            let config = base.clone().with_partitions(partitions);
-            let outcome = run_two_source_sn(input.clone(), sources.clone(), &config).unwrap();
+            let outcome = base
+                .clone()
+                .with_partitions(partitions)
+                .resolve(&two_source(strategy, &sources), input.clone())
+                .unwrap();
             assert_eq!(
                 outcome.result.pair_set(),
                 oracle.pair_set(),
@@ -244,27 +278,18 @@ fn two_source_pair_set_is_invariant_under_the_partition_count() {
 #[test]
 fn two_source_strategies_agree_under_thinned_sampling() {
     let (input, sources) = two_source_corpus(2);
+    let runtime = runtime(1);
     for sample_rate in [1.0, 0.25] {
-        let jobsn = run_two_source_sn(
-            input.clone(),
-            sources.clone(),
-            &SnConfig::new(SnStrategy::JobSn)
-                .with_window(4)
-                .with_partitions(4)
-                .with_parallelism(1)
-                .with_sample_rate(sample_rate),
-        )
-        .unwrap();
-        let repsn = run_two_source_sn(
-            input.clone(),
-            sources.clone(),
-            &SnConfig::new(SnStrategy::RepSn)
-                .with_window(4)
-                .with_partitions(4)
-                .with_parallelism(1)
-                .with_sample_rate(sample_rate),
-        )
-        .unwrap();
+        let resolver = Resolver::new(&runtime)
+            .with_window(4)
+            .with_partitions(4)
+            .with_sample_rate(sample_rate);
+        let jobsn = resolver
+            .resolve(&two_source(SnStrategy::JobSn, &sources), input.clone())
+            .unwrap();
+        let repsn = resolver
+            .resolve(&two_source(SnStrategy::RepSn, &sources), input.clone())
+            .unwrap();
         assert_eq!(
             jobsn.result.pair_set(),
             repsn.result.pair_set(),

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
-use er_sn::{oracle_comparisons, NULL_SORT_KEYS};
+use er_sn::{oracle_comparisons, NULL_SORT_KEYS, PARTITION_ENTITIES};
 
 const PARALLELISM_LEVELS: [usize; 4] = [1, 2, 4, 8];
 
@@ -23,11 +23,21 @@ fn corpus(m: usize) -> Partitions<(), Ent> {
     )
 }
 
-fn base_config(strategy: SnStrategy) -> SnConfig {
-    SnConfig::new(strategy)
-        .with_window(5)
-        .with_partitions(4)
-        .with_parallelism(1)
+fn runtime(parallelism: usize) -> Runtime {
+    Runtime::new(RuntimeConfig::new().with_parallelism(parallelism))
+}
+
+/// The suite's base session: window 5 over 4 key ranges.
+fn base_session(runtime: &Runtime) -> Resolver<'_> {
+    Resolver::new(runtime).with_window(5).with_partitions(4)
+}
+
+fn run_sn(
+    resolver: &Resolver<'_>,
+    strategy: SnStrategy,
+    input: &Partitions<(), Ent>,
+) -> Result<Outcome, ResolveError> {
+    resolver.resolve(&Scenario::sorted_neighborhood(strategy), input.clone())
 }
 
 fn corpus_entities(input: &Partitions<(), Ent>) -> usize {
@@ -38,10 +48,12 @@ fn corpus_entities(input: &Partitions<(), Ent>) -> usize {
 fn both_strategies_equal_the_oracle_on_a_product_corpus() {
     let input = corpus(3);
     let n = corpus_entities(&input);
+    let runtime = runtime(1);
+    let resolver = base_session(&runtime);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let config = base_config(strategy);
+        let config = resolver.sn_config(strategy);
         let oracle = sn_oracle(&input, &config);
-        let outcome = run_sorted_neighborhood(input.clone(), &config).unwrap();
+        let outcome = run_sn(&resolver, strategy, &input).unwrap();
         assert_eq!(
             outcome.result.pair_set(),
             oracle.pair_set(),
@@ -68,8 +80,8 @@ fn output_is_byte_identical_across_parallelism() {
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let mut reference: Option<Vec<(er_core::MatchPair, u64)>> = None;
         for parallelism in PARALLELISM_LEVELS {
-            let config = base_config(strategy).with_parallelism(parallelism);
-            let outcome = run_sorted_neighborhood(input.clone(), &config).unwrap();
+            let runtime = runtime(parallelism);
+            let outcome = run_sn(&base_session(&runtime), strategy, &input).unwrap();
             // Compare scores bit-for-bit, not approximately.
             let bits: Vec<(er_core::MatchPair, u64)> = outcome
                 .result
@@ -91,11 +103,13 @@ fn output_is_byte_identical_across_parallelism() {
 fn pair_set_is_invariant_under_the_partition_count() {
     let input = corpus(3);
     let n = corpus_entities(&input);
+    let runtime = runtime(1);
+    let base = base_session(&runtime);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let oracle = sn_oracle(&input, &base_config(strategy));
+        let oracle = sn_oracle(&input, &base.sn_config(strategy));
         for partitions in [1usize, 2, 4, 8] {
-            let config = base_config(strategy).with_partitions(partitions);
-            let outcome = run_sorted_neighborhood(input.clone(), &config).unwrap();
+            let resolver = base.clone().with_partitions(partitions);
+            let outcome = run_sn(&resolver, strategy, &input).unwrap();
             assert_eq!(
                 outcome.result.pair_set(),
                 oracle.pair_set(),
@@ -111,17 +125,11 @@ fn strategies_agree_with_each_other_and_sampling_does_not_change_the_result() {
     let input = corpus(2);
     // A thinned sample moves the range boundaries; the pair set must
     // not move with them.
+    let runtime = runtime(1);
     for sample_rate in [1.0, 0.25] {
-        let jobsn = run_sorted_neighborhood(
-            input.clone(),
-            &base_config(SnStrategy::JobSn).with_sample_rate(sample_rate),
-        )
-        .unwrap();
-        let repsn = run_sorted_neighborhood(
-            input.clone(),
-            &base_config(SnStrategy::RepSn).with_sample_rate(sample_rate),
-        )
-        .unwrap();
+        let resolver = base_session(&runtime).with_sample_rate(sample_rate);
+        let jobsn = run_sn(&resolver, SnStrategy::JobSn, &input).unwrap();
+        let repsn = run_sn(&resolver, SnStrategy::RepSn, &input).unwrap();
         assert_eq!(
             jobsn.result.pair_set(),
             repsn.result.pair_set(),
@@ -150,16 +158,19 @@ fn cross_boundary_duplicates_are_found() {
         .enumerate()
         .map(|(i, t)| ((), Arc::new(Entity::new(i as u64, [("title", *t)]))))
         .collect()];
+    let runtime = runtime(1);
+    let resolver = Resolver::new(&runtime).with_window(2).with_partitions(2);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let config = SnConfig::new(strategy)
-            .with_window(2)
-            .with_partitions(2)
-            .with_parallelism(1);
-        let outcome = run_sorted_neighborhood(input.clone(), &config).unwrap();
+        let config = resolver.sn_config(strategy);
+        let outcome = run_sn(&resolver, strategy, &input).unwrap();
         // The boundary falls between the two "mmm" entities (4 keys on
         // each side), so this match only exists if boundary handling
         // works.
-        let sizes = outcome.partition_sizes();
+        let sizes = outcome
+            .details
+            .match_metrics()
+            .expect("one matching job")
+            .per_reduce_counter(PARTITION_ENTITIES);
         assert_eq!(sizes, vec![4, 4], "{strategy}: boundary placement");
         let pair = er_core::MatchPair::new(
             Entity::new(3, [("t", "")]).entity_ref(),
@@ -202,15 +213,19 @@ fn null_sort_keys_are_routed_not_dropped() {
         ],
         0.45,
     ));
+    let runtime = runtime(1);
+    let resolver = Resolver::new(&runtime)
+        .with_window(2)
+        .with_partitions(2)
+        .with_matcher(matcher);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let config = SnConfig::new(strategy)
-            .with_window(2)
-            .with_partitions(2)
-            .with_parallelism(1)
-            .with_matcher(Arc::clone(&matcher));
-        let outcome = run_sorted_neighborhood(input.clone(), &config).unwrap();
+        let config = resolver.sn_config(strategy);
+        let outcome = run_sn(&resolver, strategy, &input).unwrap();
+        let ScenarioDetails::Sorted { sample_metrics, .. } = &outcome.details else {
+            panic!("a single-pass SN outcome carries sorted details");
+        };
         assert_eq!(
-            outcome.sample_metrics.counters.get(NULL_SORT_KEYS),
+            sample_metrics.counters.get(NULL_SORT_KEYS),
             2,
             "{strategy}: keyless entities counted"
         );
@@ -229,12 +244,12 @@ fn null_sort_keys_are_routed_not_dropped() {
 
         // Skip policy: keyless entities leave the flow (deterministic,
         // counted) and the oracle agrees.
-        let skip = config.clone().with_null_key_policy(NullKeyPolicy::Skip);
-        let skipped = run_sorted_neighborhood(input.clone(), &skip).unwrap();
+        let skip = resolver.clone().with_null_key_policy(NullKeyPolicy::Skip);
+        let skipped = run_sn(&skip, strategy, &input).unwrap();
         assert!(!skipped.result.contains(&keyless_pair));
         assert_eq!(
             skipped.result.pair_set(),
-            sn_oracle(&input, &skip).pair_set()
+            sn_oracle(&input, &skip.sn_config(strategy)).pair_set()
         );
     }
 }
@@ -252,11 +267,10 @@ fn repsn_refuses_thin_ranges_and_jobsn_covers_them() {
             )
         })
         .collect()];
-    let jobsn = SnConfig::new(SnStrategy::JobSn)
-        .with_window(3)
-        .with_partitions(4)
-        .with_parallelism(1);
-    let outcome = run_sorted_neighborhood(input.clone(), &jobsn).unwrap();
+    let runtime = runtime(1);
+    let resolver = Resolver::new(&runtime).with_window(3).with_partitions(4);
+    let jobsn = resolver.sn_config(SnStrategy::JobSn);
+    let outcome = run_sn(&resolver, SnStrategy::JobSn, &input).unwrap();
     assert_eq!(
         outcome.result.pair_set(),
         sn_oracle(&input, &jobsn).pair_set()
@@ -271,20 +285,12 @@ fn repsn_refuses_thin_ranges_and_jobsn_covers_them() {
         .enumerate()
         .map(|(i, t)| ((), Arc::new(Entity::new(i as u64, [("title", *t)])) as Ent))
         .collect()];
-    let repsn = SnConfig::new(SnStrategy::RepSn)
-        .with_window(3)
-        .with_partitions(4)
-        .with_parallelism(1);
-    match run_sorted_neighborhood(spread.clone(), &repsn) {
-        Err(SnError::ThinPartition { entities, .. }) => assert!(entities < 2),
+    match run_sn(&resolver, SnStrategy::RepSn, &spread) {
+        Err(ResolveError::ThinPartition { entities, .. }) => assert!(entities < 2),
         other => panic!("expected ThinPartition, got {other:?}"),
     }
     // The same workload under JobSN matches the oracle.
-    let jobsn = SnConfig {
-        strategy: SnStrategy::JobSn,
-        ..repsn
-    };
-    let outcome = run_sorted_neighborhood(spread.clone(), &jobsn).unwrap();
+    let outcome = run_sn(&resolver, SnStrategy::JobSn, &spread).unwrap();
     assert_eq!(
         outcome.result.pair_set(),
         sn_oracle(&spread, &jobsn).pair_set()
@@ -295,13 +301,12 @@ fn repsn_refuses_thin_ranges_and_jobsn_covers_them() {
 #[test]
 fn bounded_matcher_cache_reproduces_unbounded_sn_results() {
     let input = corpus(2);
+    let runtime = runtime(1);
+    let resolver = base_session(&runtime);
+    let capped = resolver.clone().with_matcher_cache_capacity(Some(2));
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let unbounded = run_sorted_neighborhood(input.clone(), &base_config(strategy)).unwrap();
-        let bounded = run_sorted_neighborhood(
-            input.clone(),
-            &base_config(strategy).with_matcher_cache_capacity(Some(2)),
-        )
-        .unwrap();
+        let unbounded = run_sn(&resolver, strategy, &input).unwrap();
+        let bounded = run_sn(&capped, strategy, &input).unwrap();
         let a: Vec<(er_core::MatchPair, u64)> = unbounded
             .result
             .iter()
@@ -322,9 +327,11 @@ fn window_job_streams_ranges_instead_of_materializing_them() {
     // buffers one key run + the w-1 ring, never the whole range. The
     // engine's resident gauges must stay far below task input.
     let input = corpus(4);
+    let runtime = runtime(1);
+    let resolver = base_session(&runtime);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let outcome = run_sorted_neighborhood(input.clone(), &base_config(strategy)).unwrap();
-        let m = &outcome.match_metrics;
+        let outcome = run_sn(&resolver, strategy, &input).unwrap();
+        let m = outcome.details.match_metrics().expect("one matching job");
         assert!(
             m.peak_resident_fraction() < 0.5,
             "{strategy}: resident/input = {:.3} — the range is being materialized",
@@ -336,10 +343,11 @@ fn window_job_streams_ranges_instead_of_materializing_them() {
 #[test]
 fn window_growth_only_adds_pairs() {
     let input = corpus(2);
+    let runtime = runtime(1);
     let mut previous: Option<std::collections::BTreeSet<er_core::MatchPair>> = None;
     for window in [2usize, 4, 8] {
-        let config = base_config(SnStrategy::JobSn).with_window(window);
-        let outcome = run_sorted_neighborhood(input.clone(), &config).unwrap();
+        let resolver = base_session(&runtime).with_window(window);
+        let outcome = run_sn(&resolver, SnStrategy::JobSn, &input).unwrap();
         let pairs = outcome.result.pair_set();
         if let Some(prev) = &previous {
             assert!(

@@ -6,7 +6,6 @@
 use std::sync::Arc;
 
 use dedupe_mr::prelude::*;
-use er_loadbalance::driver::naive_reference;
 use proptest::prelude::*;
 
 /// Random entity: short titles over a tiny alphabet so blocks collide
@@ -40,6 +39,14 @@ fn matcher() -> Arc<Matcher> {
     ))
 }
 
+/// A session over 2-letter title-prefix blocks with `r` reduce tasks.
+fn session(runtime: &Runtime, r: usize) -> Resolver<'_> {
+    Resolver::new(runtime)
+        .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
+        .with_matcher(matcher())
+        .with_reduce_tasks(r)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 48,
@@ -53,23 +60,15 @@ proptest! {
         r in 1usize..9,
     ) {
         let entities = build_entities(specs);
-        let reference = {
-            let config = ErConfig::new(StrategyKind::Basic)
-                .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
-                .with_matcher(matcher());
-            naive_reference(&entities, &config)
-        };
+        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+        let resolver = session(&runtime, r);
+        let reference = naive_reference(&entities, &resolver.er_config(StrategyKind::Basic));
         for strategy in [StrategyKind::Basic, StrategyKind::BlockSplit, StrategyKind::PairRange] {
-            let config = ErConfig::new(strategy)
-                .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
-                .with_matcher(matcher())
-                .with_reduce_tasks(r)
-                .with_parallelism(2);
             let input = partition_evenly(
                 entities.iter().map(|e| ((), Arc::clone(e))).collect(),
                 m,
             );
-            let outcome = run_er(input, &config).unwrap();
+            let outcome = resolver.resolve(&Scenario::Dedup { strategy }, input).unwrap();
             prop_assert_eq!(
                 outcome.result.pair_set(),
                 reference.pair_set(),
@@ -86,18 +85,14 @@ proptest! {
         r in 1usize..9,
     ) {
         let entities = build_entities(specs);
+        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(1));
+        let resolver = session(&runtime, r).with_count_only(true);
         for strategy in [StrategyKind::Basic, StrategyKind::BlockSplit, StrategyKind::PairRange] {
-            let config = ErConfig::new(strategy)
-                .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
-                .with_matcher(matcher())
-                .with_reduce_tasks(r)
-                .with_parallelism(1)
-                .with_count_only(true);
             let input = partition_evenly(
                 entities.iter().map(|e| ((), Arc::clone(e))).collect(),
                 m,
             );
-            let outcome = run_er(input, &config).unwrap();
+            let outcome = resolver.resolve(&Scenario::Dedup { strategy }, input).unwrap();
             // Expected: sum of C(block size, 2) over blocks.
             let mut counts = std::collections::BTreeMap::new();
             let blocking = PrefixBlocking::new("title", 2);
@@ -121,19 +116,16 @@ proptest! {
         r in 1usize..9,
     ) {
         let entities = build_entities(specs);
+        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(1));
+        let scenario = Scenario::Dedup { strategy: StrategyKind::PairRange };
         let mut results = Vec::new();
         for policy in [RangePolicy::CeilDiv, RangePolicy::Proportional] {
-            let config = ErConfig::new(StrategyKind::PairRange)
-                .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
-                .with_matcher(matcher())
-                .with_reduce_tasks(r)
-                .with_parallelism(1)
-                .with_range_policy(policy);
+            let resolver = session(&runtime, r).with_range_policy(policy);
             let input = partition_evenly(
                 entities.iter().map(|e| ((), Arc::clone(e))).collect(),
                 2,
             );
-            results.push(run_er(input, &config).unwrap().result.pair_set());
+            results.push(resolver.resolve(&scenario, input).unwrap().result.pair_set());
         }
         prop_assert_eq!(&results[0], &results[1]);
     }

@@ -38,10 +38,14 @@ fn streaming_reduce_outputs_are_byte_identical_across_parallelism() {
     ] {
         let mut reference: Option<Vec<(MatchPair, u64)>> = None;
         for parallelism in [1usize, 2, 4, 8] {
-            let config = ErConfig::new(strategy)
-                .with_reduce_tasks(8)
-                .with_parallelism(parallelism);
-            let outcome = run_er(input.clone(), &config).unwrap();
+            let runtime = Runtime::new(
+                RuntimeConfig::new()
+                    .with_parallelism(parallelism)
+                    .with_reduce_tasks(8),
+            );
+            let outcome = Resolver::new(&runtime)
+                .resolve(&Scenario::Dedup { strategy }, input.clone())
+                .unwrap();
             let fingerprint: Vec<(MatchPair, u64)> = outcome
                 .result
                 .iter()
@@ -71,13 +75,19 @@ fn peak_gauges_are_deterministic_across_parallelism() {
     ] {
         let mut reference: Option<Vec<(u64, u64)>> = None;
         for parallelism in [1usize, 2, 8] {
-            let config = ErConfig::new(strategy)
-                .with_reduce_tasks(6)
-                .with_parallelism(parallelism)
-                .with_count_only(true);
-            let outcome = run_er(input.clone(), &config).unwrap();
+            let runtime = Runtime::new(
+                RuntimeConfig::new()
+                    .with_parallelism(parallelism)
+                    .with_reduce_tasks(6)
+                    .with_count_only(true),
+            );
+            let outcome = Resolver::new(&runtime)
+                .resolve(&Scenario::Dedup { strategy }, input.clone())
+                .unwrap();
             let gauges: Vec<(u64, u64)> = outcome
-                .match_metrics
+                .details
+                .match_metrics()
+                .expect("one matching job")
                 .reduce_tasks
                 .iter()
                 .map(|t| (t.peak_group_len, t.peak_resident_records))
@@ -99,9 +109,8 @@ fn peak_resident_stays_below_task_input_on_multi_group_workloads() {
         Arc::new(PrefixBlocking::title3()),
         PairComparer::new(Arc::new(Matcher::paper_default())),
         6,
-        2,
     );
-    let out = job.run(input(4)).unwrap();
+    let out = job.run_on(&WorkerPool::new(2), input(4)).unwrap();
     let mut multi_group_tasks = 0;
     for t in &out.metrics.reduce_tasks {
         if t.records_in == 0 {
@@ -155,13 +164,23 @@ fn pair_range_coarse_grouping_streams_whole_ranges() {
     let flat: Vec<Ent> = entities.clone();
     let input: Partitions<(), Ent> =
         partition_round_robin(entities.into_iter().map(|e| ((), e)).collect(), 3);
-    let config = ErConfig::new(StrategyKind::PairRange)
-        .with_reduce_tasks(4)
-        .with_parallelism(2);
-    let outcome = run_er(input, &config).unwrap();
-    let reference = naive_reference(&flat, &config);
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(2)
+            .with_reduce_tasks(4),
+    );
+    let resolver = Resolver::new(&runtime);
+    let outcome = resolver
+        .resolve(
+            &Scenario::Dedup {
+                strategy: StrategyKind::PairRange,
+            },
+            input,
+        )
+        .unwrap();
+    let reference = naive_reference(&flat, &resolver.er_config(StrategyKind::PairRange));
     assert_eq!(outcome.result.pair_set(), reference.pair_set());
-    let metrics = &outcome.match_metrics;
+    let metrics = outcome.details.match_metrics().expect("one matching job");
     assert!(
         metrics.peak_group_len() > 1,
         "a range group buffers several entities"

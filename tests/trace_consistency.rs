@@ -174,6 +174,20 @@ fn clean_runs_trace_the_full_lifecycle_and_are_parallelism_invariant() {
                 stages,
                 "{name} x{parallelism}"
             );
+            let untraced = resolver(&runtime)
+                .resolve(&scenario, input.clone())
+                .unwrap_or_else(|e| panic!("{name} x{parallelism}: untraced resolve failed: {e}"));
+            assert!(
+                outcome
+                    .result
+                    .iter()
+                    .map(|(pair, score)| (pair, score.to_bits()))
+                    .eq(untraced
+                        .result
+                        .iter()
+                        .map(|(pair, score)| (pair, score.to_bits()))),
+                "{name} x{parallelism}: tracing must not change the output"
+            );
             let logical = recorder.logical_events();
             assert!(!logical.is_empty(), "{name} x{parallelism}: empty trace");
             match &reference {

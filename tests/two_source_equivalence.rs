@@ -42,6 +42,14 @@ fn naive_cross_source(
     result
 }
 
+/// A session over 2-letter title-prefix blocks with `r` reduce tasks.
+fn session(runtime: &Runtime, r: usize) -> Resolver<'_> {
+    Resolver::new(runtime)
+        .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
+        .with_matcher(matcher())
+        .with_reduce_tasks(r)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
 
@@ -85,13 +93,11 @@ proptest! {
         let blocking = PrefixBlocking::new("title", 2);
         let reference = naive_cross_source(&r_entities, &s_entities, &blocking, &matcher());
 
+        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+        let resolver = session(&runtime, r);
         for strategy in [StrategyKind::Basic, StrategyKind::BlockSplit, StrategyKind::PairRange] {
-            let config = ErConfig::new(strategy)
-                .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
-                .with_matcher(matcher())
-                .with_reduce_tasks(r)
-                .with_parallelism(2);
-            let outcome = run_linkage(input.clone(), sources.clone(), &config).unwrap();
+            let scenario = Scenario::Linkage { strategy, sources: sources.clone() };
+            let outcome = resolver.resolve(&scenario, input.clone()).unwrap();
             prop_assert_eq!(
                 outcome.result.pair_set(),
                 reference.clone(),
@@ -137,14 +143,11 @@ proptest! {
             s_entities.iter().map(|e| ((), Arc::clone(e))).collect(),
         ];
         let sources = vec![SourceId::R, SourceId::S];
+        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(1));
+        let resolver = session(&runtime, r).with_count_only(true);
         for strategy in [StrategyKind::Basic, StrategyKind::BlockSplit, StrategyKind::PairRange] {
-            let config = ErConfig::new(strategy)
-                .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
-                .with_matcher(matcher())
-                .with_reduce_tasks(r)
-                .with_parallelism(1)
-                .with_count_only(true);
-            let outcome = run_linkage(input.clone(), sources.clone(), &config).unwrap();
+            let scenario = Scenario::Linkage { strategy, sources: sources.clone() };
+            let outcome = resolver.resolve(&scenario, input.clone()).unwrap();
             prop_assert_eq!(outcome.total_comparisons(), expected, "{}", strategy);
         }
     }

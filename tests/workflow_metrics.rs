@@ -1,4 +1,4 @@
-//! The workflow-layer acceptance suite: both drivers execute through
+//! The workflow-layer acceptance suite: every scenario executes through
 //! `mr_engine::workflow::Workflow`, and the rolled-up
 //! `WorkflowMetrics` must be internally consistent — per-stage walls
 //! sum-consistent with the end-to-end wall, merged counters equal to
@@ -36,15 +36,28 @@ fn assert_counters_merge(workflow: &WorkflowMetrics) {
 #[test]
 fn er_outcome_reports_stage_rollup() {
     let input = corpus(3);
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(1)
+            .with_reduce_tasks(4),
+    );
+    let resolver = Resolver::new(&runtime);
     for strategy in [
         StrategyKind::Basic,
         StrategyKind::BlockSplit,
         StrategyKind::PairRange,
     ] {
-        let config = ErConfig::new(strategy)
-            .with_reduce_tasks(4)
-            .with_parallelism(1);
-        let outcome = run_er(input.clone(), &config).unwrap();
+        let outcome = resolver
+            .resolve(&Scenario::Dedup { strategy }, input.clone())
+            .unwrap();
+        let ScenarioDetails::Blocked {
+            bdm_metrics,
+            match_metrics,
+            ..
+        } = &outcome.details
+        else {
+            panic!("a dedup outcome carries blocked details");
+        };
         let wf = &outcome.workflow;
         assert_eq!(wf.workflow_name, format!("er-{strategy}"));
         match strategy {
@@ -59,14 +72,14 @@ fn er_outcome_reports_stage_rollup() {
                 let bdm = wf.stage("bdm").expect("BDM stage recorded");
                 assert_eq!(
                     bdm.counters,
-                    outcome.bdm_metrics.as_ref().unwrap().counters,
+                    bdm_metrics.as_ref().unwrap().counters,
                     "{strategy}: stage metrics must mirror bdm_metrics"
                 );
             }
         }
         // The matching job is always the last stage.
         let last = wf.stages.last().unwrap();
-        assert_eq!(last.counters, outcome.match_metrics.counters);
+        assert_eq!(last.counters, match_metrics.counters);
         assert!(
             wf.stages_wall() <= wf.wall,
             "{strategy}: stage walls ({:?}) cannot exceed the end-to-end wall ({:?})",
@@ -83,22 +96,30 @@ fn er_outcome_reports_stage_rollup() {
 #[test]
 fn sn_outcome_reports_stage_rollup() {
     let input = corpus(4);
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(1));
+    let resolver = Resolver::new(&runtime).with_window(5).with_partitions(4);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let config = SnConfig::new(strategy)
-            .with_window(5)
-            .with_partitions(4)
-            .with_parallelism(1);
-        let outcome = run_sorted_neighborhood(input.clone(), &config).unwrap();
+        let outcome = resolver
+            .resolve(&Scenario::sorted_neighborhood(strategy), input.clone())
+            .unwrap();
+        let ScenarioDetails::Sorted {
+            sample_metrics,
+            stitch_metrics,
+            ..
+        } = &outcome.details
+        else {
+            panic!("a single-pass SN outcome carries sorted details");
+        };
         let wf = &outcome.workflow;
         assert_eq!(wf.workflow_name, format!("sn-{strategy}"));
         let expected_stages = match strategy {
-            SnStrategy::JobSn => 2 + usize::from(outcome.stitch_metrics.is_some()),
+            SnStrategy::JobSn => 2 + usize::from(stitch_metrics.is_some()),
             SnStrategy::RepSn => 2,
         };
         assert_eq!(wf.num_stages(), expected_stages, "{strategy}");
         assert_eq!(
             wf.stage("sn-sample").unwrap().counters,
-            outcome.sample_metrics.counters
+            sample_metrics.counters
         );
         assert!(wf.stages_wall() <= wf.wall, "{strategy}");
         assert_counters_merge(wf);
@@ -120,25 +141,31 @@ fn sn_outcome_reports_stage_rollup() {
 #[test]
 fn workflow_gauges_and_counters_are_parallelism_invariant() {
     let input = corpus(3);
-    let er_config = ErConfig::new(StrategyKind::BlockSplit).with_reduce_tasks(4);
-    let sn_config = SnConfig::new(SnStrategy::RepSn)
-        .with_window(4)
-        .with_partitions(4);
     let mut er_reference: Option<(u64, u64, mr_engine::CounterSet)> = None;
     let mut sn_reference: Option<(u64, u64, mr_engine::CounterSet)> = None;
     for parallelism in [1usize, 2, 4, 8] {
-        let er = run_er(
-            input.clone(),
-            &er_config.clone().with_parallelism(parallelism),
-        )
-        .unwrap()
-        .workflow;
-        let sn = run_sorted_neighborhood(
-            input.clone(),
-            &sn_config.clone().with_parallelism(parallelism),
-        )
-        .unwrap()
-        .workflow;
+        let runtime = Runtime::new(
+            RuntimeConfig::new()
+                .with_parallelism(parallelism)
+                .with_reduce_tasks(4),
+        );
+        let resolver = Resolver::new(&runtime).with_window(4);
+        let er = resolver
+            .resolve(
+                &Scenario::Dedup {
+                    strategy: StrategyKind::BlockSplit,
+                },
+                input.clone(),
+            )
+            .unwrap()
+            .workflow;
+        let sn = resolver
+            .resolve(
+                &Scenario::sorted_neighborhood(SnStrategy::RepSn),
+                input.clone(),
+            )
+            .unwrap()
+            .workflow;
         let er_probe = (
             er.peak_group_len(),
             er.peak_resident_records(),
@@ -185,9 +212,8 @@ fn shape_drift_between_stages_is_a_typed_error() {
     );
     let job = Job::builder("stage", mapper, reducer)
         .reduce_tasks(2)
-        .parallelism(1)
         .build();
-    let mut wf = Workflow::new("drift");
+    let mut wf = Workflow::on_pool("drift", Arc::new(WorkerPool::new(1)));
     let out = wf
         .chained_stage(
             &job,
