@@ -16,12 +16,17 @@ use crate::{Ent, Keyed};
 #[derive(Clone)]
 pub struct BasicMapper {
     blocking: Arc<dyn BlockingFunction>,
+    /// The current entity's replicas; empty between records.
+    replicas: Vec<Keyed>,
 }
 
 impl BasicMapper {
     /// Creates the mapper.
     pub fn new(blocking: Arc<dyn BlockingFunction>) -> Self {
-        Self { blocking }
+        Self {
+            blocking,
+            replicas: Vec::new(),
+        }
     }
 }
 
@@ -33,12 +38,10 @@ impl Mapper for BasicMapper {
     type Side = ();
 
     fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<BlockKey, Keyed, ()>) {
-        let replicas = Keyed::derive_all(self.blocking.as_ref(), entity);
-        if replicas.is_empty() {
+        if Keyed::derive_into(self.blocking.as_ref(), entity, &mut self.replicas) == 0 {
             ctx.add_counter(crate::bdm_job::NULL_KEY_ENTITIES, 1);
-            return;
         }
-        for keyed in replicas {
+        for keyed in self.replicas.drain(..) {
             ctx.emit(keyed.key.clone(), keyed);
         }
     }

@@ -19,10 +19,17 @@
 //! enumeration, reduce placement and every output digest depend on
 //! that order and on nothing else about how the matrix was assembled.
 //!
-//! **The hash index is for lookup only.** `block_index` resolves a key
-//! through a `HashMap<BlockKey, u32>`; nothing that produces output
-//! iterates the map. It hashes with a fixed seed, like
-//! `HashPartitioner`, so lookup cost is the same in every process too.
+//! **Ranks instead of lookups.** `blocks_in(p)` lists, ascending, the
+//! blocks with a non-zero cell in partition `p`. The BDM job's mapper
+//! numbers its partition's distinct keys `0, 1, …` in lexicographic
+//! order (see [`crate::bdm_job`]); block indexes are lexicographic
+//! too, and the blocks with entities in `p` are exactly the keys the
+//! mapper of `p` saw, so both number the same set in the same order:
+//! rank `j` of partition `p` is block `blocks_in(p)[j]`. The matching
+//! job resolves every record that way
+//! ([`BlockDistributionMatrix::block_of_rank`]);
+//! `block_index` is a binary search over the sorted keys, for tests
+//! and tools.
 //!
 //! **Assembly is a sort, not a tree.** The BDM job hands over `r`
 //! reduce outputs, each already sorted by `(key, partition)`; the
@@ -31,10 +38,7 @@
 //! keys' first eight bytes inline before their text — and then grouped
 //! in linear passes into a matrix allocated once.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::BuildHasherDefault;
 
 use er_core::blocking::BlockKey;
 use er_core::pairs::triangle_pairs;
@@ -44,7 +48,7 @@ use crate::keys::key_index;
 /// The first eight bytes of a key, zero-padded, as a big-endian
 /// integer: ordering by `(key_head, key)` is ordering by key, and
 /// equal keys have equal heads.
-fn key_head(key: &BlockKey) -> u64 {
+pub(crate) fn key_head(key: &BlockKey) -> u64 {
     let bytes = key.as_str().as_bytes();
     let mut head = [0u8; 8];
     let len = bytes.len().min(8);
@@ -53,7 +57,7 @@ fn key_head(key: &BlockKey) -> u64 {
 }
 
 /// The block distribution matrix.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockDistributionMatrix {
     /// Blocking keys, lexicographically sorted; position = block index.
     keys: Vec<BlockKey>,
@@ -62,19 +66,8 @@ pub struct BlockDistributionMatrix {
     prefix: Vec<u64>,
     /// `pair_offsets[k]` = o(k) = pairs in blocks 0..k; last entry = P.
     pair_offsets: Vec<u64>,
-    /// Key → block index; looked up, never iterated.
-    index: HashMap<BlockKey, u32, BuildHasherDefault<DefaultHasher>>,
-    num_partitions: usize,
-}
-
-impl std::fmt::Debug for BlockDistributionMatrix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BlockDistributionMatrix")
-            .field("keys", &self.keys)
-            .field("prefix", &self.prefix)
-            .field("num_partitions", &self.num_partitions)
-            .finish_non_exhaustive()
-    }
+    /// Per partition, the ascending indexes of its non-empty blocks.
+    blocks_in: Vec<Vec<u32>>,
 }
 
 impl BlockDistributionMatrix {
@@ -101,10 +94,12 @@ impl BlockDistributionMatrix {
         let blocks = cells.chunk_by(same_block).count();
         let mut prefix = vec![0u64; blocks * stride];
         let mut pair_offsets = Vec::with_capacity(blocks + 1);
+        let mut blocks_in = vec![Vec::new(); m];
         let mut pairs = 0u64;
-        for (row, group) in prefix
+        for ((row, group), k) in prefix
             .chunks_exact_mut(stride)
             .zip(cells.chunk_by(same_block))
+            .zip(0..key_index(blocks, "number of blocks"))
         {
             for &(_, _, partition, count) in group {
                 assert!(
@@ -114,6 +109,9 @@ impl BlockDistributionMatrix {
                 row[1 + partition] += count;
             }
             for p in 1..stride {
+                if row[p] > 0 {
+                    blocks_in[p - 1].push(k);
+                }
                 row[p] += row[p - 1];
             }
             pair_offsets.push(pairs);
@@ -122,17 +120,11 @@ impl BlockDistributionMatrix {
         pair_offsets.push(pairs);
         cells.dedup_by(|later, first| same_block(first, later));
         let keys: Vec<BlockKey> = cells.into_iter().map(|(_, key, _, _)| key).collect();
-        let index = keys
-            .iter()
-            .cloned()
-            .zip(0..key_index(blocks, "number of blocks"))
-            .collect();
         Self {
             keys,
             prefix,
             pair_offsets,
-            index,
-            num_partitions: m,
+            blocks_in,
         }
     }
 
@@ -154,13 +146,36 @@ impl BlockDistributionMatrix {
 
     /// Number of input partitions `m`.
     pub fn num_partitions(&self) -> usize {
-        self.num_partitions
+        self.blocks_in.len()
     }
 
-    /// Index of the block with `key`, if present — as the `u32` the
-    /// composite map-output keys carry.
+    /// Index of the block with `key`, if present — a binary search
+    /// over the sorted keys. The matching job never searches: it
+    /// resolves ranks through [`Self::block_of_rank`].
     pub fn block_index(&self, key: &BlockKey) -> Option<u32> {
-        self.index.get(key).copied()
+        self.keys.binary_search(key).ok().map(|k| k as u32)
+    }
+
+    /// The ascending indexes of the blocks with at least one entity in
+    /// `partition` — the rank → block remap of that partition (see the
+    /// module header).
+    pub fn blocks_in(&self, partition: usize) -> &[u32] {
+        &self.blocks_in[partition]
+    }
+
+    /// The block behind `rank`, the number the BDM job's mapper of
+    /// `partition` gave `key` — as the `u32` the composite map-output
+    /// keys carry.
+    ///
+    /// # Panics
+    /// If the partition has no such rank or the block there has
+    /// another key: the two jobs saw different data — a pipeline bug
+    /// worth failing loudly on.
+    pub fn block_of_rank(&self, partition: usize, rank: u32, key: &BlockKey) -> u32 {
+        match self.blocks_in[partition].get(rank as usize) {
+            Some(&block) if self.keys[block as usize] == *key => block,
+            _ => panic!("blocking key {key} not present in the BDM"),
+        }
     }
 
     /// The blocking key of block `k`.
@@ -170,13 +185,13 @@ impl BlockDistributionMatrix {
 
     /// Row `k` of the running-sum matrix (`m + 1` entries).
     fn row(&self, k: usize) -> &[u64] {
-        let stride = self.num_partitions + 1;
+        let stride = self.num_partitions() + 1;
         &self.prefix[k * stride..(k + 1) * stride]
     }
 
     /// |Φ_k|: entities in block `k`.
     pub fn size(&self, k: usize) -> u64 {
-        self.row(k)[self.num_partitions]
+        self.row(k)[self.num_partitions()]
     }
 
     /// |Φ_k^i|: entities of block `k` in partition `i`.
@@ -212,7 +227,7 @@ impl BlockDistributionMatrix {
     pub fn to_tsv(&self) -> String {
         let mut out = String::new();
         for (k, key) in self.keys.iter().enumerate() {
-            for p in 0..self.num_partitions {
+            for p in 0..self.num_partitions() {
                 let count = self.size_in(k, p);
                 if count > 0 {
                     let _ = writeln!(out, "{key}\t{p}\t{count}");
@@ -328,6 +343,14 @@ mod tests {
             }
         }
         assert_eq!(bdm.total_pairs(), pairs);
+        for p in 0..m {
+            let non_empty: Vec<u32> = (0u32..)
+                .zip(&model.rows)
+                .filter(|(_, (_, per_partition))| per_partition[p] > 0)
+                .map(|(k, _)| k)
+                .collect();
+            assert_eq!(bdm.blocks_in(p), non_empty, "blocks_in({p})");
+        }
         for key in probes.iter().chain(model.rows.iter().map(|(key, _)| key)) {
             assert_eq!(
                 bdm.block_index(key).map(|k| k as usize),
@@ -377,9 +400,13 @@ mod tests {
     #[test]
     fn edge_shapes_match_the_tree_model() {
         let keys = alphabet_keys();
-        // Empty BDM, also with no partitions at all.
+        // Empty BDM (every key null: `m` empty remaps), also with no
+        // partitions at all.
         assert_matches_model(3, &[], &keys);
         assert_matches_model(0, &[], &keys);
+        // Cells that count nothing make a block no partition holds.
+        let zeros: Vec<_> = keys.iter().map(|k| (k.clone(), 1, 0)).collect();
+        assert_matches_model(2, &zeros, &keys);
         // One giant block spread over every partition.
         let giant: Vec<_> = (0..8).map(|p| (keys[5].clone(), p, 1_000_000)).collect();
         assert_matches_model(8, &giant, &keys);

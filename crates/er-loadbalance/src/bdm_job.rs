@@ -1,22 +1,36 @@
 //! MR Job 1: computing the BDM (paper Algorithm 3).
 //!
-//! * `map` derives the blocking key(s) of each entity, emits
-//!   `((blocking key, partition index), 1)` and side-writes the
-//!   annotated entity to the simulated DFS (`additionalOutput`);
+//! * `map` derives the blocking key(s) of each entity and buffers the
+//!   annotated replicas of its partition;
+//! * `finish` numbers the partition's distinct keys `0, 1, …` in
+//!   lexicographic order — the key's *rank* — and side-writes every
+//!   replica as `(rank, annotated entity)`, in input order, to the
+//!   simulated DFS (`additionalOutput`). The matching job turns a rank
+//!   into a block index with one array load
+//!   ([`BlockDistributionMatrix::blocks_in`]) instead of looking the
+//!   key up;
+//! * counts are aggregated in the mapper — the combiner of the paper's
+//!   footnote 2, realised where the keys are already grouped: `finish`
+//!   emits one `((blocking key, partition index), count)` cell per
+//!   distinct key, in key order, so the map-side sort meets sorted
+//!   buckets and no engine combiner is installed. With `use_combiner`
+//!   off `map` emits Algorithm 3's `1` per entity instead;
 //! * pairs are partitioned by the *blocking key* component so one block
 //!   is counted by one reduce task;
 //! * `reduce` sums the counts per `(blocking key, partition index)` —
-//!   a row-wise enumeration of the non-zero BDM cells;
-//! * an optional combiner pre-aggregates counts per map task (the
-//!   optimization of the paper's footnote 2).
+//!   a row-wise enumeration of the non-zero BDM cells.
+//!
+//! The mapper buffers exactly what it side-writes — the side output
+//! was always one record per replica of the partition. The cells
+//! `finish` emits, at most one per replica, reach the map-side spiller
+//! together; there the spill threshold bounds them as before.
 
 use std::sync::Arc;
 
 use er_core::blocking::{BlockKey, BlockingFunction};
-use mr_engine::combiner::sum_u64_combiner;
 use mr_engine::prelude::*;
 
-use crate::bdm::BlockDistributionMatrix;
+use crate::bdm::{key_head, BlockDistributionMatrix};
 use crate::keys::key_index;
 use crate::{Ent, Keyed};
 
@@ -27,19 +41,55 @@ pub const NULL_KEY_ENTITIES: &str = "er.null_key.entities";
 /// The count key: `(blocking key, partition index)`.
 pub type BdmKey = (BlockKey, u32);
 
+/// Numbers the distinct keys of one partition's `replicas` `0, 1, …`
+/// in lexicographic order and returns every replica, in input order,
+/// with the rank of its key; `cell(key, count)` is called once per
+/// distinct key, in key order.
+pub(crate) fn rank_annotated(
+    replicas: Vec<Keyed>,
+    mut cell: impl FnMut(&BlockKey, u64),
+) -> Vec<(u32, Keyed)> {
+    // `(key_head, position)`: with the head inline, most comparisons
+    // never follow the key's pointer (as in the BDM's assembly).
+    let mut order: Vec<(u64, usize)> = replicas
+        .iter()
+        .map(|keyed| key_head(&keyed.key))
+        .zip(0..)
+        .collect();
+    let key_of = |&(head, at): &(u64, usize)| (head, &replicas[at].key);
+    order.sort_unstable_by(|a, b| key_of(a).cmp(&key_of(b)));
+    let mut ranks = vec![0u32; replicas.len()];
+    for (rank, group) in order.chunk_by(|a, b| key_of(a) == key_of(b)).enumerate() {
+        let rank = key_index(rank, "distinct blocking keys of a partition");
+        for &(_, at) in group {
+            ranks[at] = rank;
+        }
+        cell(&replicas[group[0].1].key, group.len() as u64);
+    }
+    ranks.into_iter().zip(replicas).collect()
+}
+
 /// Mapper of Algorithm 3.
 #[derive(Clone)]
 pub struct BdmMapper {
     blocking: Arc<dyn BlockingFunction>,
+    /// Emit one count per distinct key from `finish` (footnote 2)
+    /// instead of a `1` per entity from `map`.
+    aggregate: bool,
     partition: Option<u32>,
+    /// The partition's annotated replicas so far, in input order.
+    replicas: Vec<Keyed>,
 }
 
 impl BdmMapper {
-    /// Creates the mapper with the given blocking function.
-    pub fn new(blocking: Arc<dyn BlockingFunction>) -> Self {
+    /// Creates the mapper with the given blocking function;
+    /// `use_combiner` aggregates its counts (see the module header).
+    pub fn new(blocking: Arc<dyn BlockingFunction>, use_combiner: bool) -> Self {
         Self {
             blocking,
+            aggregate: use_combiner,
             partition: None,
+            replicas: Vec::new(),
         }
     }
 }
@@ -49,7 +99,7 @@ impl Mapper for BdmMapper {
     type VIn = Ent;
     type KOut = BdmKey;
     type VOut = u64;
-    type Side = (BlockKey, Keyed);
+    type Side = (u32, Keyed);
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.partition = Some(key_index(info.task_index, "input partition index"));
@@ -57,14 +107,25 @@ impl Mapper for BdmMapper {
 
     fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<BdmKey, u64, Self::Side>) {
         let partition = self.partition.expect("setup ran");
-        let replicas = Keyed::derive_all(self.blocking.as_ref(), entity);
-        if replicas.is_empty() {
+        let derived = Keyed::derive_into(self.blocking.as_ref(), entity, &mut self.replicas);
+        if derived == 0 {
             ctx.add_counter(NULL_KEY_ENTITIES, 1);
-            return;
+        } else if !self.aggregate {
+            for keyed in &self.replicas[self.replicas.len() - derived..] {
+                ctx.emit((keyed.key.clone(), partition), 1);
+            }
         }
-        for keyed in replicas {
-            ctx.emit((keyed.key.clone(), partition), 1);
-            ctx.side_output((keyed.key.clone(), keyed));
+    }
+
+    fn finish(&mut self, ctx: &mut MapContext<BdmKey, u64, Self::Side>) {
+        let partition = self.partition.expect("setup ran");
+        let annotated = rank_annotated(std::mem::take(&mut self.replicas), |key, count| {
+            if self.aggregate {
+                ctx.emit((key.clone(), partition), count);
+            }
+        });
+        for record in annotated {
+            ctx.side_output(record);
         }
     }
 }
@@ -94,24 +155,18 @@ pub fn bdm_job_named(
     reduce_tasks: usize,
     use_combiner: bool,
 ) -> Job<BdmMapper, BdmReducer> {
-    let mut builder = Job::builder(name, BdmMapper::new(blocking), BdmReducer::default())
+    let mapper = BdmMapper::new(blocking, use_combiner);
+    Job::builder(name, mapper, BdmReducer::default())
         .reduce_tasks(reduce_tasks)
         .partitioner(FnPartitioner::new(|key: &BdmKey, r: usize| {
             HashPartitioner::bucket(&key.0, r)
-        }));
-    if use_combiner {
-        builder = builder.combiner(sum_u64_combiner());
-    }
-    builder.build()
+        }))
+        .build()
 }
 
-/// Products of a completed BDM job: the matrix, the annotated input
-/// partitions `Π'_i` for Job 2, and the job metrics.
-pub type BdmProducts = (
-    BlockDistributionMatrix,
-    Partitions<BlockKey, Keyed>,
-    JobMetrics,
-);
+/// Products of a completed BDM job: the matrix, the rank-annotated
+/// input partitions `Π'_i` for Job 2, and the job metrics.
+pub type BdmProducts = (BlockDistributionMatrix, Partitions<u32, Keyed>, JobMetrics);
 
 /// Runs the BDM job as a stage of `workflow` and assembles its
 /// [`BdmProducts`]. The side outputs it returns are chained into the
@@ -234,7 +289,7 @@ mod tests {
         assert_eq!(side.len(), 2);
         assert_eq!(side[0].len(), 7);
         assert_eq!(side[1].len(), 7);
-        assert_eq!(side[1][4].0.as_str(), "z", "M's annotation");
+        assert_eq!(side[1][4].1.key.as_str(), "z", "M's annotation");
         assert_eq!(metrics.map_output_records(), 14);
     }
 
@@ -278,6 +333,124 @@ mod tests {
         assert_eq!(out.side_outputs[0].len(), 2);
         let keyed = &out.side_outputs[0][0].1;
         assert_eq!(keyed.all_keys.len(), 2);
+    }
+
+    /// Keys that collide, nest and share their first eight bytes
+    /// (`key_head` cannot tell the three skus apart); `None` is an
+    /// absent attribute, i.e. no key from that pass.
+    const KEYS: [Option<&str>; 9] = [
+        None,
+        Some("a"),
+        Some("ab"),
+        Some("b"),
+        Some("zz"),
+        Some("sku00123"),
+        Some("sku0012345"),
+        Some("sku0012399"),
+        Some("名前"),
+    ];
+
+    /// What a side partition says, comparably: rank, replica key, the
+    /// entity's key list, entity id.
+    type SideView = Vec<Vec<(u32, String, Vec<String>, u64)>>;
+
+    fn side_view(side: &Partitions<u32, Keyed>) -> SideView {
+        let text = |key: &BlockKey| key.as_str().to_string();
+        side.iter()
+            .map(|partition| {
+                partition
+                    .iter()
+                    .map(|(rank, keyed)| {
+                        let all = keyed.all_keys.iter().map(text).collect();
+                        (*rank, text(&keyed.key), all, keyed.entity.id().0)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn ranks_remap_to_blocks_whatever_the_emission_mode(
+            m in 1usize..=8,
+            raw in proptest::collection::vec((0usize..8, 0usize..9, 0usize..9), 0..60),
+        ) {
+            use er_core::blocking::{AttributeBlocking, MultiPassBlocking};
+            use proptest::prelude::*;
+            // Two passes: an entity has zero (null-key), one or two
+            // keys; small `m` and few entities leave partitions empty.
+            let two_pass: Arc<dyn BlockingFunction> = Arc::new(MultiPassBlocking::new(vec![
+                Arc::new(AttributeBlocking::new("first")),
+                Arc::new(AttributeBlocking::new("second")),
+            ]));
+            let mut input: Partitions<(), Ent> = vec![Vec::new(); m];
+            for (id, &(partition, first, second)) in raw.iter().enumerate() {
+                let attributes = [("first", KEYS[first]), ("second", KEYS[second])];
+                let attributes = attributes.into_iter().filter_map(|(name, key)| Some((name, key?)));
+                input[partition % m].push(((), Arc::new(Entity::new(id as u64, attributes))));
+            }
+            // The oracle: each entity's sorted keys, in input order.
+            let expected: Vec<Vec<(BlockKey, u64)>> = input
+                .iter()
+                .map(|partition| {
+                    partition
+                        .iter()
+                        .flat_map(|(_, e)| two_pass.keys(e).into_iter().map(|key| (key, e.id().0)))
+                        .collect()
+                })
+                .collect();
+            let null_keyed = input.iter().flatten().filter(|(_, e)| two_pass.keys(e).is_empty()).count();
+            let key_lists: Vec<Vec<BlockKey>> = expected
+                .iter()
+                .map(|partition| partition.iter().map(|(key, _)| key.clone()).collect())
+                .collect();
+            let model = BlockDistributionMatrix::from_key_partitions(&key_lists);
+            let replicas: usize = key_lists.iter().map(Vec::len).sum();
+            let cells: usize = (0..m).map(|p| model.blocks_in(p).len()).sum();
+
+            let pool = Arc::new(WorkerPool::new(2));
+            let mut first_side = None;
+            for use_combiner in [true, false] {
+                for spill_threshold in [None, Some(1)] {
+                    let mut workflow = Workflow::on_pool("bdm", Arc::clone(&pool));
+                    let (bdm, side, metrics) = compute_bdm_in(
+                        &mut workflow,
+                        input.clone(),
+                        Arc::clone(&two_pass),
+                        3,
+                        use_combiner,
+                        spill_threshold,
+                    )
+                    .expect("job runs");
+                    prop_assert_eq!(&bdm, &model);
+                    prop_assert_eq!(
+                        metrics.map_output_records() as usize,
+                        if use_combiner { cells } else { replicas }
+                    );
+                    prop_assert_eq!(metrics.counters.get(NULL_KEY_ENTITIES) as usize, null_keyed);
+                    for (p, partition) in side.iter().enumerate() {
+                        // Input order, every replica once.
+                        let order: Vec<(BlockKey, u64)> = partition
+                            .iter()
+                            .map(|(_, keyed)| (keyed.key.clone(), keyed.entity.id().0))
+                            .collect();
+                        prop_assert_eq!(&order, &expected[p]);
+                        // Dense ranks that remap to the key's block.
+                        let mut seen = vec![false; bdm.blocks_in(p).len()];
+                        for (rank, keyed) in partition {
+                            prop_assert_eq!(
+                                Some(bdm.blocks_in(p)[*rank as usize]),
+                                bdm.block_index(&keyed.key)
+                            );
+                            seen[*rank as usize] = true;
+                        }
+                        prop_assert!(seen.iter().all(|&s| s), "ranks of partition {} are not dense", p);
+                    }
+                    let view = side_view(&side);
+                    prop_assert_eq!(first_side.get_or_insert_with(|| view.clone()), &view);
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use er_core::blocking::BlockKey;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
 use super::assign::TaskAssignment;
@@ -50,7 +49,7 @@ impl BlockSplitMapper {
 }
 
 impl Mapper for BlockSplitMapper {
-    type KIn = BlockKey;
+    type KIn = u32;
     type VIn = Keyed;
     type KOut = BlockSplitKey;
     type VOut = BlockSplitValue;
@@ -75,17 +74,13 @@ impl Mapper for BlockSplitMapper {
 
     fn map(
         &mut self,
-        key: &BlockKey,
+        rank: &u32,
         keyed: &Keyed,
         ctx: &mut MapContext<BlockSplitKey, BlockSplitValue, ()>,
     ) {
         let state = self.state.expect("setup ran");
         let assignment = self.plan.get().expect("setup planned the job");
-        let Some(block) = self.bdm.block_index(key) else {
-            // A key absent from the BDM means the two jobs saw
-            // different data — a pipeline bug worth failing loudly on.
-            panic!("blocking key {key} not present in the BDM");
-        };
+        let block = self.bdm.block_of_rank(state.partition, *rank, &keyed.key);
         let k = block as usize;
         let comps = self.bdm.pairs_in_block(k);
         let split =
@@ -133,6 +128,7 @@ mod tests {
     use super::*;
     use crate::bdm::running_example_bdm;
     use crate::running_example;
+    use er_core::blocking::BlockKey;
     use mr_engine::mapper::MapTaskInfo;
 
     fn run_partition(p: usize) -> Vec<(BlockSplitKey, String)> {
@@ -146,9 +142,9 @@ mod tests {
         mapper.setup(&info);
         let mut out = Vec::new();
         let input = running_example::annotated_partitions();
-        for (key, keyed) in &input[p] {
+        for (rank, keyed) in &input[p] {
             let mut ctx = MapContext::for_testing(info);
-            mapper.map(key, keyed, &mut ctx);
+            mapper.map(rank, keyed, &mut ctx);
             for (k, v) in ctx.output() {
                 out.push((*k, v.entity().get("name").unwrap().to_string()));
             }
@@ -206,9 +202,9 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "not present in the BDM")]
-    fn unknown_key_panics() {
+    /// Maps one record `(rank, key)` as partition 0's mapper, whose
+    /// ranks 0..=3 are the blocks w, x, y, z.
+    fn map_one(rank: u32, key: &str) {
         let bdm = Arc::new(running_example_bdm());
         let mut mapper = BlockSplitMapper::new(bdm);
         let info = MapTaskInfo {
@@ -218,10 +214,23 @@ mod tests {
         };
         mapper.setup(&info);
         let keyed = Keyed::single(
-            BlockKey::new("nope"),
+            BlockKey::new(key),
             Arc::new(er_core::Entity::new(0, [("name", "X")])),
         );
         let mut ctx = MapContext::for_testing(info);
-        mapper.map(&BlockKey::new("nope"), &keyed, &mut ctx);
+        mapper.map(&rank, &keyed, &mut ctx);
+    }
+
+    #[test]
+    #[should_panic(expected = "not present in the BDM")]
+    fn unknown_key_panics() {
+        // An in-range rank whose block has another key.
+        map_one(1, "nope");
+    }
+
+    #[test]
+    #[should_panic(expected = "not present in the BDM")]
+    fn rank_past_the_partitions_blocks_panics() {
+        map_one(4, "z");
     }
 }

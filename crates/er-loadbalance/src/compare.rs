@@ -56,7 +56,7 @@ use er_core::{EntityRef, Matcher, MatcherCache, PreparedColumn};
 use mr_engine::reducer::ReduceContext;
 use mr_engine::runtime::RuntimeConfig;
 
-use crate::{smallest_common_key_is, Keyed, COMPARISONS};
+use crate::{smallest_common_key_is, KeyList, Keyed, COMPARISONS};
 
 /// Counter: pairs skipped by a multi-pass dedup gate — either the
 /// smallest-common-block rule of multi-pass *blocking*, or the
@@ -284,7 +284,7 @@ pub struct GroupComparer {
     /// Per member: `None` when its only key is `block` (it passes the
     /// smallest-common-block rule against every other such member),
     /// else its key list for the per-pair rule.
-    other_keys: Vec<Option<Arc<[BlockKey]>>>,
+    other_keys: Vec<Option<KeyList>>,
     /// How many `other_keys` are `Some`.
     per_pair_members: usize,
     /// The members' prepared forms; stays empty under count-only.
@@ -336,7 +336,7 @@ impl GroupComparer {
         let on_block = matches!(&*keyed.all_keys, [only] if *only == self.block);
         self.per_pair_members += usize::from(!on_block);
         self.other_keys
-            .push((!on_block).then(|| Arc::clone(&keyed.all_keys)));
+            .push((!on_block).then(|| keyed.all_keys.clone()));
         self.refs.push(keyed.entity.entity_ref());
         if !self.comparer.count_only {
             self.cache.push(&mut self.prepared, &keyed.entity);

@@ -286,10 +286,12 @@ pub(crate) fn run_er_inline(input: Partitions<(), Ent>, config: &ErConfig) -> Er
 pub fn naive_reference(entities: &[Ent], config: &ErConfig) -> MatchResult {
     use std::collections::BTreeMap;
     let mut blocks: BTreeMap<er_core::blocking::BlockKey, Vec<crate::Keyed>> = BTreeMap::new();
+    let mut replicas = Vec::new();
     for e in entities {
-        for keyed in crate::Keyed::derive_all(config.blocking.as_ref(), e) {
-            blocks.entry(keyed.key.clone()).or_default().push(keyed);
-        }
+        crate::Keyed::derive_into(config.blocking.as_ref(), e, &mut replicas);
+    }
+    for keyed in replicas {
+        blocks.entry(keyed.key.clone()).or_default().push(keyed);
     }
     let mut result = MatchResult::new();
     // Prepared once per entity across *all* of its blocks (multi-pass

@@ -10,7 +10,8 @@
 //!
 //! 1. **BDM job** ([`bdm_job`], Algorithm 3): counts entities per
 //!    (block, input partition) into the [`bdm::BlockDistributionMatrix`]
-//!    and side-writes blocking-key-annotated entities `Π'_i`.
+//!    and side-writes the blocking-key-annotated entities `Π'_i`, each
+//!    with the rank of its key among its partition's keys.
 //! 2. **Matching job** with one of three strategies:
 //!    * [`basic`] — hash blocking keys to reduce tasks (the skew-prone
 //!      baseline),
@@ -65,6 +66,28 @@ pub const COMPARISONS: &str = "er.comparisons";
 /// clones a pointer, not the record.
 pub type Ent = Arc<Entity>;
 
+/// Every blocking key of one entity, sorted; derefs to `[BlockKey]`.
+/// Single-pass blocking — nearly every entity — holds its one key
+/// inline instead of allocating a shared list for it.
+#[derive(Debug, Clone)]
+pub enum KeyList {
+    /// The entity's only key.
+    One(BlockKey),
+    /// The keys of a multi-pass-blocked entity, shared by its replicas.
+    Many(Arc<[BlockKey]>),
+}
+
+impl std::ops::Deref for KeyList {
+    type Target = [BlockKey];
+
+    fn deref(&self) -> &[BlockKey] {
+        match self {
+            KeyList::One(key) => std::slice::from_ref(key),
+            KeyList::Many(keys) => keys,
+        }
+    }
+}
+
 /// An entity annotated with its blocking key(s) — the record format of
 /// the BDM job's *additional output* `Π'_i`, i.e. the matching job's
 /// input.
@@ -79,7 +102,7 @@ pub struct Keyed {
     /// The blocking key of this replica (∈ `all_keys`).
     pub key: BlockKey,
     /// All blocking keys of the entity, sorted.
-    pub all_keys: Arc<[BlockKey]>,
+    pub all_keys: KeyList,
     /// The entity itself.
     pub entity: Ent,
 }
@@ -88,34 +111,40 @@ impl Keyed {
     /// Annotates an entity with a single blocking key.
     pub fn single(key: BlockKey, entity: Ent) -> Self {
         Keyed {
-            all_keys: Arc::from([key.clone()]),
+            all_keys: KeyList::One(key.clone()),
             key,
             entity,
         }
     }
 
     /// Derives every blocking key of `entity` (sorted, deduplicated)
-    /// and returns one annotated replica per key — the shared first
-    /// step of the Basic mapper, the BDM mapper and the naive
-    /// reference. Returns an empty vector for keyless entities, which
-    /// callers must count (never drop silently).
-    pub fn derive_all(
+    /// and pushes one annotated replica per key onto `out` — the
+    /// shared first step of the Basic mapper, the BDM mapper and the
+    /// naive reference. Returns the number pushed: zero for a keyless
+    /// entity, which callers must count (never drop silently).
+    pub fn derive_into(
         blocking: &dyn er_core::blocking::BlockingFunction,
         entity: &Ent,
-    ) -> Vec<Keyed> {
+        out: &mut Vec<Keyed>,
+    ) -> usize {
         let mut keys = blocking.keys(entity);
         if keys.len() <= 1 {
             // Single-pass blocking, i.e. nearly every entity: nothing
             // to sort, no shared key list to build.
             let only = keys.pop().map(|key| Keyed::single(key, Arc::clone(entity)));
-            return only.into_iter().collect();
+            let pushed = usize::from(only.is_some());
+            out.extend(only);
+            return pushed;
         }
         keys.sort();
         keys.dedup();
-        let all: Arc<[BlockKey]> = Arc::from(keys.into_boxed_slice());
-        all.iter()
-            .map(|key| Keyed::replica(key.clone(), Arc::clone(&all), Arc::clone(entity)))
-            .collect()
+        let all: Arc<[BlockKey]> = Arc::from(keys);
+        out.extend(all.iter().map(|key| Keyed {
+            key: key.clone(),
+            all_keys: KeyList::Many(Arc::clone(&all)),
+            entity: Arc::clone(entity),
+        }));
+        all.len()
     }
 
     /// Annotates one replica of a multi-pass-blocked entity.
@@ -129,7 +158,7 @@ impl Keyed {
         );
         Keyed {
             key,
-            all_keys,
+            all_keys: KeyList::Many(all_keys),
             entity,
         }
     }
@@ -228,6 +257,49 @@ mod tests {
     #[should_panic(expected = "missing from the entity's key set")]
     fn replica_key_must_be_member() {
         let _ = keyed(&["aaa"], "zzz");
+    }
+
+    #[test]
+    fn derive_into_appends_one_replica_per_distinct_key() {
+        use er_core::blocking::{AttributeBlocking, MultiPassBlocking, PrefixBlocking};
+        let two_pass = MultiPassBlocking::new(vec![
+            Arc::new(AttributeBlocking::new("brand")),
+            Arc::new(PrefixBlocking::new("title", 1)),
+        ]);
+        let entity = |attributes: &[(&str, &str)]| -> Ent {
+            Arc::new(Entity::new(1, attributes.iter().copied()))
+        };
+        let mut out = Vec::new();
+        assert_eq!(
+            Keyed::derive_into(
+                &two_pass,
+                &entity(&[("title", "w x"), ("brand", "z")]),
+                &mut out
+            ),
+            2
+        );
+        assert_eq!(
+            Keyed::derive_into(&two_pass, &entity(&[("name", "keyless")]), &mut out),
+            0
+        );
+        assert_eq!(
+            Keyed::derive_into(&two_pass, &entity(&[("brand", "a")]), &mut out),
+            1
+        );
+        let keys = |keyed: &Keyed| -> Vec<String> {
+            keyed.all_keys.iter().map(|k| k.to_string()).collect()
+        };
+        let seen: Vec<(String, Vec<String>)> =
+            out.iter().map(|k| (k.key.to_string(), keys(k))).collect();
+        let both = vec!["w".to_string(), "z".to_string()];
+        assert_eq!(
+            seen,
+            vec![
+                ("w".to_string(), both.clone()),
+                ("z".to_string(), both),
+                ("a".to_string(), vec!["a".to_string()]),
+            ]
+        );
     }
 
     #[test]

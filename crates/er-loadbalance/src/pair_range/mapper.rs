@@ -17,7 +17,6 @@
 
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use er_core::pairs::triangle_cell_index;
 use er_core::SourceId;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
@@ -38,6 +37,7 @@ pub struct PairRangeMapper {
 
 #[derive(Clone)]
 struct MapState {
+    partition: usize,
     indexer: EntityIndexer,
     ranges: RangeIndexer,
 }
@@ -128,7 +128,7 @@ pub fn relevant_ranges(
 }
 
 impl Mapper for PairRangeMapper {
-    type KIn = BlockKey;
+    type KIn = u32;
     type VIn = Keyed;
     type KOut = PairRangeKey;
     type VOut = PairRangeValue;
@@ -136,6 +136,7 @@ impl Mapper for PairRangeMapper {
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.state = Some(MapState {
+            partition: info.task_index,
             indexer: EntityIndexer::for_partition(&self.bdm, info.task_index),
             ranges: RangeIndexer::new(self.bdm.total_pairs(), info.num_reduce_tasks, self.policy),
         });
@@ -143,14 +144,12 @@ impl Mapper for PairRangeMapper {
 
     fn map(
         &mut self,
-        key: &BlockKey,
+        rank: &u32,
         keyed: &Keyed,
         ctx: &mut MapContext<PairRangeKey, PairRangeValue, ()>,
     ) {
         let state = self.state.as_mut().expect("setup ran");
-        let Some(block) = self.bdm.block_index(key) else {
-            panic!("blocking key {key} not present in the BDM");
-        };
+        let block = self.bdm.block_of_rank(state.partition, *rank, &keyed.key);
         let x = state.indexer.next(block as usize);
         let emit = |first: u64, last: u64| {
             for range in first..=last {
@@ -178,6 +177,7 @@ mod tests {
     use crate::bdm::running_example_bdm;
     use crate::pair_range::enumeration::pair_index;
     use crate::running_example;
+    use er_core::blocking::BlockKey;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -274,14 +274,46 @@ mod tests {
         mapper.setup(&info);
         let mut out = Vec::new();
         let input = running_example::annotated_partitions();
-        for (key, keyed) in &input[p] {
+        for (rank, keyed) in &input[p] {
             let mut ctx = MapContext::for_testing(info);
-            mapper.map(key, keyed, &mut ctx);
+            mapper.map(rank, keyed, &mut ctx);
             for (k, v) in ctx.output() {
                 out.push((*k, v.keyed.entity.get("name").unwrap().to_string()));
             }
         }
         out
+    }
+
+    /// Maps one record `(rank, key)` as partition 0's mapper, whose
+    /// ranks 0..=3 are the blocks w, x, y, z.
+    fn map_one(rank: u32, key: &str) {
+        let bdm = Arc::new(running_example_bdm());
+        let mut mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv);
+        let info = MapTaskInfo {
+            task_index: 0,
+            num_map_tasks: 2,
+            num_reduce_tasks: 3,
+        };
+        mapper.setup(&info);
+        let keyed = Keyed::single(
+            BlockKey::new(key),
+            Arc::new(er_core::Entity::new(0, [("name", "X")])),
+        );
+        let mut ctx = MapContext::for_testing(info);
+        mapper.map(&rank, &keyed, &mut ctx);
+    }
+
+    #[test]
+    #[should_panic(expected = "not present in the BDM")]
+    fn unknown_key_panics() {
+        // An in-range rank whose block has another key.
+        map_one(1, "nope");
+    }
+
+    #[test]
+    #[should_panic(expected = "not present in the BDM")]
+    fn rank_past_the_partitions_blocks_panics() {
+        map_one(4, "z");
     }
 
     #[test]

@@ -21,6 +21,7 @@ use er_core::blocking::BlockKey;
 use er_core::Entity;
 use mr_engine::input::Partitions;
 
+use crate::bdm_job::rank_annotated;
 use crate::{Ent, Keyed};
 
 /// `(name, blocking key, partition)` for all 14 entities, in the
@@ -56,18 +57,20 @@ pub fn entity_partitions() -> Partitions<(), Ent> {
     parts
 }
 
-/// Blocking-key-annotated partitions (input of the matching job — what
-/// the BDM job's side output produces for this data).
-pub fn annotated_partitions() -> Partitions<BlockKey, Keyed> {
+/// Rank-annotated partitions (input of the matching job — what the
+/// BDM job's side output produces for this data).
+pub fn annotated_partitions() -> Partitions<u32, Keyed> {
     entity_partitions()
         .into_iter()
         .map(|part| {
-            part.into_iter()
+            let replicas = part
+                .into_iter()
                 .map(|(_, entity)| {
                     let key = BlockKey::new(&entity.get("title").unwrap()[..1]);
-                    (key.clone(), Keyed::single(key, entity))
+                    Keyed::single(key, entity)
                 })
-                .collect()
+                .collect();
+            rank_annotated(replicas, |_, _| {})
         })
         .collect()
 }
@@ -96,7 +99,7 @@ mod tests {
         let annotated = annotated_partitions();
         let keys: Vec<Vec<BlockKey>> = annotated
             .iter()
-            .map(|p| p.iter().map(|(k, _)| k.clone()).collect())
+            .map(|p| p.iter().map(|(_, keyed)| keyed.key.clone()).collect())
             .collect();
         let bdm = BlockDistributionMatrix::from_key_partitions(&keys);
         assert_eq!(bdm, running_example_bdm());

@@ -6,7 +6,6 @@
 
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
 use er_core::SourceId;
 use mr_engine::engine::Job;
@@ -86,7 +85,7 @@ impl TwoSourceBlockSplitMapper {
 }
 
 impl Mapper for TwoSourceBlockSplitMapper {
-    type KIn = BlockKey;
+    type KIn = u32;
     type VIn = Keyed;
     type KOut = BlockSplitKey;
     type VOut = BlockSplitValue;
@@ -104,14 +103,15 @@ impl Mapper for TwoSourceBlockSplitMapper {
 
     fn map(
         &mut self,
-        key: &BlockKey,
+        rank: &u32,
         keyed: &Keyed,
         ctx: &mut MapContext<BlockSplitKey, BlockSplitValue, ()>,
     ) {
         let state = self.state.as_ref().expect("setup ran");
-        let Some(block) = self.ts.block_index(key) else {
-            panic!("blocking key {key} not present in the BDM");
-        };
+        let block = self
+            .ts
+            .bdm()
+            .block_of_rank(state.partition, *rank, &keyed.key);
         let k = block as usize;
         let comps = self.ts.pairs_in_block(k);
         if fits_average(comps, self.ts.total_pairs(), state.r) {
@@ -210,6 +210,7 @@ mod tests {
     use super::*;
     use crate::two_source::appendix_example;
     use crate::COMPARISONS;
+    use er_core::blocking::BlockKey;
     use er_core::Matcher;
     use mr_engine::pool::WorkerPool;
 
@@ -280,5 +281,36 @@ mod tests {
                 "two-source matching must only produce cross-source pairs"
             );
         }
+    }
+
+    /// Maps one record `(rank, key)` as partition 0's mapper, whose
+    /// ranks 0..=3 are the blocks w, x, y, z.
+    fn map_one(rank: u32, key: &str) {
+        let mut mapper = TwoSourceBlockSplitMapper::new(Arc::new(appendix_example::bdm()));
+        let info = MapTaskInfo {
+            task_index: 0,
+            num_map_tasks: 3,
+            num_reduce_tasks: 3,
+        };
+        mapper.setup(&info);
+        let keyed = Keyed::single(
+            BlockKey::new(key),
+            Arc::new(er_core::Entity::new(0, [("name", "X")])),
+        );
+        let mut ctx = MapContext::for_testing(info);
+        mapper.map(&rank, &keyed, &mut ctx);
+    }
+
+    #[test]
+    #[should_panic(expected = "not present in the BDM")]
+    fn unknown_key_panics() {
+        // An in-range rank whose block has another key.
+        map_one(1, "nope");
+    }
+
+    #[test]
+    #[should_panic(expected = "not present in the BDM")]
+    fn rank_past_the_partitions_blocks_panics() {
+        map_one(4, "z");
     }
 }

@@ -113,11 +113,6 @@ impl TwoSourceBdm {
         self.bdm.num_partitions()
     }
 
-    /// Block index lookup.
-    pub fn block_index(&self, key: &BlockKey) -> Option<u32> {
-        self.bdm.block_index(key)
-    }
-
     /// |Φ_k,R|.
     pub fn size_r(&self, k: usize) -> u64 {
         self.size_r[k]
@@ -294,6 +289,7 @@ pub mod appendix_example {
     use er_core::Entity;
     use mr_engine::input::Partitions;
 
+    use crate::bdm_job::rank_annotated;
     use crate::{Ent, Keyed};
 
     /// `(name, blocking key, partition)`; partition 0 is R, 1–2 are S.
@@ -334,17 +330,20 @@ pub mod appendix_example {
         parts
     }
 
-    /// Annotated partitions (what the BDM job's side output yields).
-    pub fn annotated_partitions() -> Partitions<BlockKey, Keyed> {
+    /// Rank-annotated partitions (what the BDM job's side output
+    /// yields).
+    pub fn annotated_partitions() -> Partitions<u32, Keyed> {
         entity_partitions()
             .into_iter()
             .map(|part| {
-                part.into_iter()
+                let replicas = part
+                    .into_iter()
                     .map(|(_, entity)| {
                         let key = BlockKey::new(&entity.get("title").unwrap()[..1]);
-                        (key.clone(), Keyed::single(key, entity))
+                        Keyed::single(key, entity)
                     })
-                    .collect()
+                    .collect();
+                rank_annotated(replicas, |_, _| {})
             })
             .collect()
     }
@@ -353,7 +352,7 @@ pub mod appendix_example {
     pub fn bdm() -> TwoSourceBdm {
         let keys: Vec<Vec<BlockKey>> = annotated_partitions()
             .iter()
-            .map(|p| p.iter().map(|(k, _)| k.clone()).collect())
+            .map(|p| p.iter().map(|(_, keyed)| keyed.key.clone()).collect())
             .collect();
         TwoSourceBdm::new(
             Arc::new(BlockDistributionMatrix::from_key_partitions(&keys)),

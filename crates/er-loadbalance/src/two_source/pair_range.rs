@@ -7,7 +7,6 @@
 
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
 use er_core::SourceId;
 use mr_engine::engine::Job;
@@ -67,6 +66,7 @@ pub struct TwoSourcePairRangeMapper {
 
 #[derive(Clone)]
 struct State {
+    partition: usize,
     next_index: Vec<u64>,
     ranges: RangeIndexer,
     source: SourceId,
@@ -84,7 +84,7 @@ impl TwoSourcePairRangeMapper {
 }
 
 impl Mapper for TwoSourcePairRangeMapper {
-    type KIn = BlockKey;
+    type KIn = u32;
     type VIn = Keyed;
     type KOut = PairRangeKey;
     type VOut = PairRangeValue;
@@ -95,6 +95,7 @@ impl Mapper for TwoSourcePairRangeMapper {
             .map(|k| self.ts.entity_index_offset(k, info.task_index))
             .collect();
         self.state = Some(State {
+            partition: info.task_index,
             next_index,
             ranges: RangeIndexer::new(self.ts.total_pairs(), info.num_reduce_tasks, self.policy),
             source: self.ts.source_of(info.task_index),
@@ -103,14 +104,15 @@ impl Mapper for TwoSourcePairRangeMapper {
 
     fn map(
         &mut self,
-        key: &BlockKey,
+        rank: &u32,
         keyed: &Keyed,
         ctx: &mut MapContext<PairRangeKey, PairRangeValue, ()>,
     ) {
         let state = self.state.as_mut().expect("setup ran");
-        let Some(block) = self.ts.block_index(key) else {
-            panic!("blocking key {key} not present in the BDM");
-        };
+        let block = self
+            .ts
+            .bdm()
+            .block_of_rank(state.partition, *rank, &keyed.key);
         let k = block as usize;
         let index = state.next_index[k];
         state.next_index[k] += 1;
@@ -234,6 +236,7 @@ mod tests {
     use crate::bdm::BlockDistributionMatrix;
     use crate::two_source::appendix_example;
     use crate::COMPARISONS;
+    use er_core::blocking::BlockKey;
     use er_core::Matcher;
     use mr_engine::pool::WorkerPool;
     use proptest::prelude::*;
@@ -430,5 +433,37 @@ mod tests {
         for (pair, _) in out.records() {
             assert_ne!(pair.lo().source, pair.hi().source);
         }
+    }
+
+    /// Maps one record `(rank, key)` as partition 0's mapper, whose
+    /// ranks 0..=3 are the blocks w, x, y, z.
+    fn map_one(rank: u32, key: &str) {
+        let ts = Arc::new(appendix_example::bdm());
+        let mut mapper = TwoSourcePairRangeMapper::new(ts, RangePolicy::CeilDiv);
+        let info = MapTaskInfo {
+            task_index: 0,
+            num_map_tasks: 3,
+            num_reduce_tasks: 3,
+        };
+        mapper.setup(&info);
+        let keyed = Keyed::single(
+            BlockKey::new(key),
+            Arc::new(er_core::Entity::new(0, [("name", "X")])),
+        );
+        let mut ctx = MapContext::for_testing(info);
+        mapper.map(&rank, &keyed, &mut ctx);
+    }
+
+    #[test]
+    #[should_panic(expected = "not present in the BDM")]
+    fn unknown_key_panics() {
+        // An in-range rank whose block has another key.
+        map_one(1, "nope");
+    }
+
+    #[test]
+    #[should_panic(expected = "not present in the BDM")]
+    fn rank_past_the_partitions_blocks_panics() {
+        map_one(4, "z");
     }
 }

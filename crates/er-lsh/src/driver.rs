@@ -242,7 +242,7 @@ impl LshStages {
 struct Accepted {
     params: LshParams,
     bdm: Arc<BlockDistributionMatrix>,
-    annotated: Partitions<er_core::blocking::BlockKey, er_loadbalance::Keyed>,
+    annotated: Partitions<u32, er_loadbalance::Keyed>,
     bdm_metrics: JobMetrics,
 }
 

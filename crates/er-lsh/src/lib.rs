@@ -86,7 +86,7 @@ impl std::fmt::Display for LshParams {
 
 /// Banded-MinHash blocking: an entity's blocking keys are the digests
 /// of its signature bands, rendered as `b<band>:<digest hex>`. Plugged
-/// into [`er_loadbalance::Keyed::derive_all`], this replicates each
+/// into [`er_loadbalance::Keyed::derive_into`], this replicates each
 /// entity into every band bucket it occupies — multi-pass blocking
 /// over the banded key space — and the smallest-common-block rule
 /// turns into *smallest-band-wins* exactly-once candidate dedup.

@@ -152,10 +152,15 @@ pub(crate) fn run_map_task_spilling<M: Mapper, E>(
     mapper.setup(&info);
     for (k, v) in partition {
         mapper.map(k, v, &mut ctx);
-        ctx.counters.inc(counters::MAP_INPUT_RECORDS);
         for (k, v) in ctx.out.drain(..) {
             sink(k, v)?;
         }
+    }
+    // Once per task, not per record: the counter is a map lookup by
+    // name. An empty partition leaves it absent.
+    if !partition.is_empty() {
+        ctx.counters
+            .add(counters::MAP_INPUT_RECORDS, partition.len() as u64);
     }
     mapper.finish(&mut ctx);
     for (k, v) in ctx.out.drain(..) {
@@ -264,5 +269,26 @@ mod tests {
         };
         let ctx = run_map_task(&mapper, info, &[((), 1u8), ((), 2)]);
         assert_eq!(ctx.counters.get("seen"), 4);
+    }
+
+    #[test]
+    fn input_records_counter_is_the_partition_length_or_absent() {
+        let mapper = ClosureMapper::new(|_: &(), _: &u8, _: &mut MapContext<u8, u8, ()>| {});
+        let info = MapTaskInfo {
+            task_index: 0,
+            num_map_tasks: 1,
+            num_reduce_tasks: 1,
+        };
+        let sink = |_, _| Ok::<(), std::convert::Infallible>(());
+        let part = vec![((), 0u8); 5];
+        let ctx = run_map_task_spilling(&mapper, info, &part, sink).unwrap();
+        assert_eq!(ctx.counters.get(counters::MAP_INPUT_RECORDS), 5);
+        let ctx = run_map_task_spilling(&mapper, info, &[], sink).unwrap();
+        assert!(
+            ctx.counters
+                .iter()
+                .all(|(name, _)| name != counters::MAP_INPUT_RECORDS),
+            "an empty partition leaves the counter absent"
+        );
     }
 }

@@ -143,6 +143,72 @@ fn fail_once_matrix_is_byte_identical_and_counted_exactly() {
     }
 }
 
+/// The BDM job's mapper buffers its whole partition and ranks it in
+/// `finish`, so a re-executed attempt must start from an empty buffer:
+/// each attempt runs a fresh clone of the job's prototype mapper. A
+/// map fault strikes before the attempt's body, a sort fault after the
+/// mapper has buffered, ranked and side-written the partition — after
+/// either, ranks, matrix and match result are byte-identical.
+#[test]
+fn bdm_map_fault_leaves_ranks_and_result_byte_identical() {
+    use er_loadbalance::bdm_job::compute_bdm_in;
+    let input = corpus(4);
+    let analyse = |plan: FaultPlan| {
+        let mut workflow = Workflow::on_pool("analysis", Arc::new(WorkerPool::new(2)))
+            .with_fault_policy(FaultPolicy::retry(2))
+            .with_fault_plan(plan);
+        let blocking = Arc::new(PrefixBlocking::title3());
+        let (bdm, side, _) = compute_bdm_in(&mut workflow, input.clone(), blocking, 3, true, None)
+            .expect("the retry absorbs the fault");
+        let ranks: Vec<Vec<(u32, String, u64)>> = side
+            .iter()
+            .map(|partition| {
+                partition
+                    .iter()
+                    .map(|(rank, keyed)| (*rank, keyed.key.to_string(), keyed.entity.id().0))
+                    .collect()
+            })
+            .collect();
+        (bdm, ranks, workflow.finish().task_failures())
+    };
+    let scenario = Scenario::Dedup {
+        strategy: StrategyKind::BlockSplit,
+    };
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+    let reference = resolver(&runtime)
+        .resolve(&scenario, input.clone())
+        .unwrap();
+    let (bdm, ranks, failures) = analyse(FaultPlan::new());
+    assert_eq!(failures, 0);
+    assert!(ranks.iter().all(|partition| !partition.is_empty()));
+    for kind in [FaultKind::Map, FaultKind::Sort] {
+        for task in 0..input.len() {
+            let plan = FaultPlan::new().silence_injected_panics().panic_at(
+                "bdm",
+                kind,
+                task,
+                1,
+                "injected once",
+            );
+            let (faulted_bdm, faulted_ranks, failures) = analyse(plan.clone());
+            assert_eq!(failures, 1, "{kind} fault at bdm task {task}");
+            assert_eq!(faulted_bdm, bdm, "{kind} fault at bdm task {task}");
+            assert_eq!(faulted_ranks, ranks, "{kind} fault at bdm task {task}");
+            let outcome = resolver(&runtime)
+                .with_fault_policy(FaultPolicy::retry(2))
+                .with_fault_plan(plan)
+                .resolve(&scenario, input.clone())
+                .unwrap();
+            assert_eq!(outcome.workflow.task_failures(), 1);
+            assert_eq!(
+                result_bits(&outcome.result),
+                result_bits(&reference.result),
+                "{kind} fault at bdm task {task}: output drifted"
+            );
+        }
+    }
+}
+
 /// Fail-twice: attempts 1 and 2 both panic; a 3-attempt budget
 /// recovers with exact double-counted gauges and identical output.
 #[test]
