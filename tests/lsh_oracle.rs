@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use dedupe_mr::er_loadbalance::compare::MULTIPASS_SKIPPED;
-use dedupe_mr::er_loadbalance::two_source::TwoSourceBdm;
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
 
@@ -42,6 +41,21 @@ fn linkage_corpus() -> (Vec<Ent>, Vec<Ent>) {
         }
     }
     (r, s)
+}
+
+/// `Σ_buckets |R|·|S|` of `bdm` under the partitions' source tags.
+fn cross_pairs(bdm: &BlockDistributionMatrix, sources: &[SourceId]) -> u64 {
+    (0..bdm.num_blocks())
+        .map(|k| {
+            let side = |wanted: SourceId| -> u64 {
+                (0..bdm.num_partitions())
+                    .filter(|&p| sources[p] == wanted)
+                    .map(|p| bdm.size_in(k, p))
+                    .sum()
+            };
+            side(SourceId::R) * side(SourceId::S)
+        })
+        .sum()
 }
 
 /// Bit-exact fingerprint of a match result.
@@ -142,11 +156,14 @@ fn linkage_equals_the_cross_source_banded_oracle_at_every_parallelism() {
             assert_eq!(outcome.total_comparisons(), candidates.len() as u64);
 
             // Enumeration is structurally R×S per bucket, so the
-            // exactly-once ledger balances against the two-source BDM.
+            // exactly-once ledger balances against the buckets'
+            // |R|·|S| products.
             let bdm = outcome.details.bdm().expect("LSH computes a BDM");
-            let ts = TwoSourceBdm::new(Arc::clone(bdm), sources.clone());
             let skipped = outcome.workflow.counters.get(MULTIPASS_SKIPPED);
-            assert_eq!(outcome.total_comparisons() + skipped, ts.total_pairs());
+            assert_eq!(
+                outcome.total_comparisons() + skipped,
+                cross_pairs(bdm, &sources)
+            );
 
             let fp = fingerprint(&outcome.result);
             match &reference {
@@ -179,6 +196,52 @@ fn every_balance_strategy_yields_the_same_lsh_result() {
             "{balance} must agree with BlockSplit"
         );
         assert_eq!(outcome.total_comparisons(), reference.total_comparisons());
+    }
+}
+
+#[test]
+fn every_balance_strategy_links_like_the_cross_source_oracle() {
+    let (r, s) = linkage_corpus();
+    let all: Vec<Ent> = r.iter().chain(s.iter()).map(Arc::clone).collect();
+    let (input, sources) = two_source_input(r, s, 2);
+    let params = LshParams { bands: 8, rows: 2 };
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(2)
+            .with_reduce_tasks(6),
+    );
+    for balance in [
+        StrategyKind::Basic,
+        StrategyKind::BlockSplit,
+        StrategyKind::PairRange,
+    ] {
+        let resolver = Resolver::new(&runtime).with_lsh_balance(balance);
+        let outcome = resolver
+            .resolve(
+                &Scenario::lsh_linkage(Some(params), sources.clone()),
+                input.clone(),
+            )
+            .unwrap();
+        let config = resolver.lsh_config(Some(params));
+        let oracle = lsh_oracle(&all, &config, params, true);
+        assert_eq!(
+            fingerprint(&outcome.result),
+            fingerprint(&oracle),
+            "{balance}: pairs and scores of the cross-source banded oracle"
+        );
+        let candidates = lsh_candidate_pairs(&all, &config.blocking_for(params), true);
+        assert_eq!(
+            outcome.total_comparisons(),
+            candidates.len() as u64,
+            "{balance}: every cross-source candidate exactly once"
+        );
+        let bdm = outcome.details.bdm().expect("LSH computes a BDM");
+        let skipped = outcome.workflow.counters.get(MULTIPASS_SKIPPED);
+        assert_eq!(
+            outcome.total_comparisons() + skipped,
+            cross_pairs(bdm, &sources),
+            "{balance}: enumerated = compared once + cross-band skipped"
+        );
     }
 }
 
