@@ -21,7 +21,7 @@ use dedupe_mr::{Resolver, Runtime, RuntimeConfig, Scenario};
 use er_bench::table::TextTable;
 use er_bench::{write_bench_json, Json, PAPER_SEED};
 use er_core::SourceId;
-use er_loadbalance::two_source::appendix_example;
+use er_loadbalance::appendix_example;
 use er_loadbalance::{StrategyKind, COMPARISONS};
 use er_sn::{two_source_oracle_comparisons, two_source_sn_oracle, SnStrategy};
 

@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use er_bench::{median_ms, write_bench_json, Json, PAPER_SEED};
 use er_core::blocking::{BlockKey, PrefixBlocking};
+use er_core::SourceId;
 use er_loadbalance::pair_range::mapper::for_each_relevant_interval;
 use er_loadbalance::pair_range::ranges::{RangeIndexer, RangePolicy};
 use er_loadbalance::{BlockDistributionMatrix, Ent, Keyed};
@@ -161,9 +162,8 @@ fn main() {
         |()| {
             memberships = 0;
             for x in 0..RANGE_BLOCK {
-                for_each_relevant_interval(&bdm, &ranges, 0, black_box(x), |first, last| {
-                    memberships += black_box(last) - black_box(first) + 1;
-                });
+                let tally = |first, last| memberships += black_box(last) - black_box(first) + 1;
+                for_each_relevant_interval(&bdm, &ranges, 0, SourceId::R, black_box(x), tally);
             }
             memberships
         },

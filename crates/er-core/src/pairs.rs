@@ -14,11 +14,6 @@ pub fn triangle_pairs(n: u64) -> u64 {
     n * n.saturating_sub(1) / 2
 }
 
-/// Number of comparisons between blocks of `n_r` and `n_s` entities.
-pub fn rect_pairs(n_r: u64, n_s: u64) -> u64 {
-    n_r * n_s
-}
-
 /// Cell index of pair `(x, y)` (`x < y`) in the column-wise enumeration
 /// of the strict upper triangle of an `n×n` matrix:
 ///

@@ -4,8 +4,9 @@
 //! comparison counts and map-output sizes for datasets whose *pair*
 //! counts reach 10¹¹ — far beyond what any in-process execution could
 //! evaluate. All three strategies are deterministic functions of the
-//! BDM, so those quantities can be computed exactly without running a
-//! single comparison:
+//! BDM — its pair geometry included, so a source-tagged BDM yields the
+//! linkage workloads — and those quantities can be computed exactly
+//! without running a single comparison:
 //!
 //! * **Basic** — each block's pairs land on `hash(key) mod r` (the
 //!   same hash the engine's partitioner uses, so analysis and real
@@ -19,10 +20,11 @@
 //! Equivalence with executed counters is asserted by
 //! `tests/analysis_matches_execution.rs`.
 
+use er_core::SourceId;
 use mr_engine::partitioner::HashPartitioner;
 
 use crate::bdm::BlockDistributionMatrix;
-use crate::block_split::{create_match_tasks, TaskAssignment};
+use crate::block_split::{create_match_tasks_with_policy, SplitPolicy, TaskAssignment};
 use crate::pair_range::mapper::for_each_relevant_interval;
 use crate::pair_range::ranges::{RangeIndexer, RangePolicy};
 use crate::StrategyKind;
@@ -103,62 +105,35 @@ fn analyze_basic(bdm: &BlockDistributionMatrix, r: usize) -> StrategyWorkload {
 }
 
 fn analyze_block_split(bdm: &BlockDistributionMatrix, r: usize) -> StrategyWorkload {
-    let m = bdm.num_partitions();
-    let tasks = create_match_tasks(bdm, r);
+    let policy = SplitPolicy::paper();
+    let tasks = create_match_tasks_with_policy(bdm, r, policy);
     let assignment = TaskAssignment::greedy(tasks.clone(), r);
-    let comparisons = assignment.loads().to_vec();
-
     let mut inputs = vec![0u64; r];
-    let mut map_output = 0u64;
-    // Which blocks were split? A block is split iff it has any
-    // non-unsplit task; unsplit blocks have exactly the (k, 0, 0) task.
-    let mut split = vec![false; bdm.num_blocks()];
-    let mut has_task = vec![false; bdm.num_blocks()];
     for t in &tasks {
-        has_task[t.block] = true;
-        if !t.is_unsplit() {
-            split[t.block] = true;
-        }
-    }
-    // A block of >= 2 partitions whose (0,0) task is a *sub-block*
-    // task is also split; disambiguate via the paper's own criterion.
-    for (k, is_split) in split.iter_mut().enumerate() {
-        *is_split = !crate::block_split::match_tasks::fits_average(
-            bdm.pairs_in_block(k),
-            bdm.total_pairs(),
-            r,
-        );
-    }
-    for k in 0..bdm.num_blocks() {
-        if !split[k] {
-            if has_task[k] && bdm.pairs_in_block(k) > 0 {
-                map_output += bdm.size(k);
-                let rt = assignment
-                    .reduce_task_for(k, 0, 0)
-                    .expect("unsplit task exists");
-                inputs[rt] += bdm.size(k);
-            }
+        let k = t.block;
+        // `(k, 0, 0)` is `k.*` or a split block's `k.0`: ask the
+        // policy which, as the mapper does.
+        let split = policy.should_split(bdm.size(k), bdm.pairs_in_block(k), bdm.total_pairs(), r);
+        let records = if !split {
+            bdm.size(k)
+        } else if t.i == t.j {
+            bdm.size_in(k, t.i)
         } else {
-            let nonempty = (0..m).filter(|&p| bdm.size_in(k, p) > 0).count() as u64;
-            map_output += bdm.size(k) * nonempty;
-            for t in tasks.iter().filter(|t| t.block == k) {
-                let rt = assignment
-                    .reduce_task_for(t.block, t.i, t.j)
-                    .expect("assigned");
-                if t.i == t.j {
-                    inputs[rt] += bdm.size_in(k, t.i);
-                } else {
-                    inputs[rt] += bdm.size_in(k, t.i) + bdm.size_in(k, t.j);
-                }
-            }
-        }
+            bdm.size_in(k, t.i) + bdm.size_in(k, t.j)
+        };
+        let rt = assignment
+            .reduce_task_for(k, t.i, t.j)
+            .expect("every task is assigned");
+        inputs[rt] += records;
     }
     StrategyWorkload {
         strategy: StrategyKind::BlockSplit,
-        m,
+        m: bdm.num_partitions(),
         r,
-        map_output_records: map_output,
-        reduce_comparisons: comparisons,
+        // An entity is emitted once per match task that takes it —
+        // its block's one task, or its sub-block's existing pairings.
+        map_output_records: inputs.iter().sum(),
+        reduce_comparisons: assignment.loads().to_vec(),
         reduce_input_records: inputs,
     }
 }
@@ -176,12 +151,16 @@ fn analyze_pair_range(
     let mut membership_diff = vec![0i64; r + 1];
     let mut map_output = 0u64;
     for k in 0..bdm.num_blocks() {
-        for x in 0..bdm.size(k) {
-            for_each_relevant_interval(bdm, &ranges, k, x, |first, last| {
-                membership_diff[first as usize] += 1;
-                membership_diff[last as usize + 1] -= 1;
-                map_output += last - first + 1;
-            });
+        // One source is all R.
+        let (nr, ns) = bdm.side_sizes(k).unwrap_or((bdm.size(k), 0));
+        for (source, n) in [(SourceId::R, nr), (SourceId::S, ns)] {
+            for x in 0..n {
+                for_each_relevant_interval(bdm, &ranges, k, source, x, |first, last| {
+                    membership_diff[first as usize] += 1;
+                    membership_diff[last as usize + 1] -= 1;
+                    map_output += last - first + 1;
+                });
+            }
         }
     }
     let mut inputs = Vec::with_capacity(r);
@@ -254,7 +233,7 @@ mod tests {
             let mut expect_inputs = vec![0u64; r];
             for k in 0..bdm.num_blocks() {
                 for x in 0..bdm.size(k) {
-                    let hits = relevant_ranges(&bdm, &ranges, k, x);
+                    let hits = relevant_ranges(&bdm, &ranges, k, SourceId::R, x);
                     expect_output += hits.len() as u64;
                     for t in hits {
                         expect_inputs[t as usize] += 1;

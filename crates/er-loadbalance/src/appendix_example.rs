@@ -1,0 +1,83 @@
+//! The appendix running example (paper Figure 15a) as shared test
+//! data: 13 entities A–N over blocks w, x, y, z; source R in partition
+//! Π0, source S in Π1 and Π2.
+//!
+//! Counts: w → R:2/S:2 (4 pairs), x → R:1/S:2 (2 pairs), y → R:1/S:0
+//! (0 pairs), z → R:2/S:3 (6 pairs); 12 pairs total. With lexicographic
+//! block order our indexes are w=0, x=1, y=2, z=3 (the paper's figure
+//! orders x and y differently; the structure is identical).
+
+use std::sync::Arc;
+
+use er_core::blocking::BlockKey;
+use er_core::{Entity, SourceId};
+use mr_engine::input::Partitions;
+
+use crate::bdm::BlockDistributionMatrix;
+use crate::bdm_job::rank_annotated;
+use crate::{Ent, Keyed};
+
+/// `(name, blocking key, partition)`; partition 0 is R, 1–2 are S.
+pub const LAYOUT: &[(&str, &str, usize)] = &[
+    ("A", "w", 0),
+    ("B", "w", 0),
+    ("C", "z", 0),
+    ("D", "z", 0),
+    ("E", "x", 0),
+    ("F", "y", 0),
+    ("G", "w", 1),
+    ("H", "w", 1),
+    ("J", "x", 1),
+    ("K", "z", 1),
+    ("L", "z", 1),
+    ("M", "x", 2),
+    ("N", "z", 2),
+];
+
+/// Source tags per partition.
+pub fn partition_sources() -> Vec<SourceId> {
+    vec![SourceId::R, SourceId::S, SourceId::S]
+}
+
+/// Raw entity partitions.
+pub fn entity_partitions() -> Partitions<(), Ent> {
+    let sources = partition_sources();
+    let mut parts: Partitions<(), Ent> = vec![Vec::new(), Vec::new(), Vec::new()];
+    for (id, (name, key, partition)) in LAYOUT.iter().enumerate() {
+        let title = format!("{key} {name}");
+        let entity = Entity::with_source(
+            sources[*partition],
+            id as u64,
+            [("title", title.as_str()), ("name", name)],
+        );
+        parts[*partition].push(((), Arc::new(entity)));
+    }
+    parts
+}
+
+/// Rank-annotated partitions (what the BDM job's side output
+/// yields).
+pub fn annotated_partitions() -> Partitions<u32, Keyed> {
+    entity_partitions()
+        .into_iter()
+        .map(|part| {
+            let replicas = part
+                .into_iter()
+                .map(|(_, entity)| {
+                    let key = BlockKey::new(&entity.get("title").unwrap()[..1]);
+                    Keyed::single(key, entity)
+                })
+                .collect();
+            rank_annotated(replicas, |_, _| {})
+        })
+        .collect()
+}
+
+/// The example's source-tagged BDM.
+pub fn bdm() -> BlockDistributionMatrix {
+    let keys: Vec<Vec<BlockKey>> = annotated_partitions()
+        .iter()
+        .map(|p| p.iter().map(|(_, keyed)| keyed.key.clone()).collect())
+        .collect();
+    BlockDistributionMatrix::from_key_partitions(&keys).with_sources(partition_sources())
+}

@@ -2,29 +2,45 @@
 //! reduce tasks. One MR job, no BDM — and no skew resistance: an
 //! entire block is matched inside a single reduce task, so the largest
 //! block lower-bounds the job's execution time.
+//!
+//! Between two sources (the baseline of linkage workloads and of the
+//! null-key decomposition; the paper evaluates one-source Basic only)
+//! the job is told its partitions' source tags and compares the R × S
+//! pairs of each block.
 
 use std::sync::Arc;
 
 use er_core::blocking::{BlockKey, BlockingFunction};
 use er_core::result::MatchPair;
+use er_core::SourceId;
 use mr_engine::prelude::*;
 
 use crate::compare::{GroupComparer, PairComparer};
+use crate::keys::BlockSplitValue;
 use crate::{Ent, Keyed};
 
-/// Basic mapper: derive the blocking key(s), emit `(key, entity)`.
+/// Basic mapper: derive the blocking key(s), emit `(key, entity)`
+/// annotated with the partition it was read from and that partition's
+/// source.
 #[derive(Clone)]
 pub struct BasicMapper {
     blocking: Arc<dyn BlockingFunction>,
+    /// The partitions' source tags; `None` for one source.
+    sources: Option<Arc<[SourceId]>>,
+    /// This task's partition and its source.
+    state: Option<(usize, SourceId)>,
     /// The current entity's replicas; empty between records.
     replicas: Vec<Keyed>,
 }
 
 impl BasicMapper {
-    /// Creates the mapper.
-    pub fn new(blocking: Arc<dyn BlockingFunction>) -> Self {
+    /// Creates the mapper; `sources[p]` is partition `p`'s side under
+    /// two-source matching.
+    pub fn new(blocking: Arc<dyn BlockingFunction>, sources: Option<Arc<[SourceId]>>) -> Self {
         Self {
             blocking,
+            sources,
+            state: None,
             replicas: Vec::new(),
         }
     }
@@ -34,15 +50,32 @@ impl Mapper for BasicMapper {
     type KIn = ();
     type VIn = Ent;
     type KOut = BlockKey;
-    type VOut = Keyed;
+    type VOut = BlockSplitValue;
     type Side = ();
 
-    fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<BlockKey, Keyed, ()>) {
+    fn setup(&mut self, info: &MapTaskInfo) {
+        let source = match &self.sources {
+            None => SourceId::R,
+            Some(sources) => sources[info.task_index],
+        };
+        self.state = Some((info.task_index, source));
+    }
+
+    fn map(
+        &mut self,
+        _key: &(),
+        entity: &Ent,
+        ctx: &mut MapContext<BlockKey, BlockSplitValue, ()>,
+    ) {
+        let (partition, source) = self.state.expect("setup ran");
         if Keyed::derive_into(self.blocking.as_ref(), entity, &mut self.replicas) == 0 {
             ctx.add_counter(crate::bdm_job::NULL_KEY_ENTITIES, 1);
         }
         for keyed in self.replicas.drain(..) {
-            ctx.emit(keyed.key.clone(), keyed);
+            ctx.emit(
+                keyed.key.clone(),
+                BlockSplitValue::new(keyed, partition, source),
+            );
         }
     }
 }
@@ -57,49 +90,76 @@ impl Mapper for BasicMapper {
 #[derive(Clone)]
 pub struct BasicReducer {
     driver: GroupComparer,
+    two_source: bool,
 }
 
 impl BasicReducer {
-    /// Creates the reducer.
-    pub fn new(comparer: PairComparer) -> Self {
+    /// Creates the reducer; `two_source` restricts it to R × S pairs.
+    pub fn new(comparer: PairComparer, two_source: bool) -> Self {
         Self {
             driver: GroupComparer::new(comparer),
+            two_source,
         }
     }
 }
 
 impl Reducer for BasicReducer {
     type KIn = BlockKey;
-    type VIn = Keyed;
+    type VIn = BlockSplitValue;
     type KOut = MatchPair;
     type VOut = f64;
 
     fn reduce(
         &mut self,
-        group: Group<'_, BlockKey, Keyed>,
+        group: Group<'_, BlockKey, BlockSplitValue>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
-        self.driver.load(group.key(), group.values());
-        self.driver.all_pairs(|pair, score| ctx.emit(pair, score));
+        let emit = |pair, score| ctx.emit(pair, score);
+        block_pairs(&mut self.driver, group.key(), &group, self.two_source, emit);
         self.driver.flush(ctx);
     }
 }
 
+/// Evaluates a group holding a whole block under `block`: every pair
+/// of its members, or — `two_source` — each of its R members against
+/// each of its S members ("the reduce tasks read all entities of R and
+/// compare each entity of S to all entities of R"). The reduce step
+/// Basic shares with BlockSplit's `k.*` task.
+pub(crate) fn block_pairs<K>(
+    driver: &mut GroupComparer,
+    block: &BlockKey,
+    group: &Group<'_, K, BlockSplitValue>,
+    two_source: bool,
+    emit: impl FnMut(MatchPair, f64),
+) {
+    if two_source {
+        let side = |source: SourceId| {
+            group
+                .values()
+                .filter(move |v| v.source == source)
+                .map(|v| &v.keyed)
+        };
+        driver.cross(block, side(SourceId::R), side(SourceId::S), emit);
+    } else {
+        driver.load(block, group.values().map(|v| &v.keyed));
+        driver.all_pairs(emit);
+    }
+}
+
 /// Builds the Basic job: hash-partition on the blocking key, sort and
-/// group on the full key.
+/// group on the full key. `sources` — one tag per input partition —
+/// makes it a two-source job.
 pub fn basic_job(
     blocking: Arc<dyn BlockingFunction>,
+    sources: Option<Arc<[SourceId]>>,
     comparer: PairComparer,
     reduce_tasks: usize,
 ) -> Job<BasicMapper, BasicReducer> {
-    Job::builder(
-        "er-basic",
-        BasicMapper::new(blocking),
-        BasicReducer::new(comparer),
-    )
-    .reduce_tasks(reduce_tasks)
-    .partitioner(HashPartitioner)
-    .build()
+    let reducer = BasicReducer::new(comparer, sources.is_some());
+    Job::builder("er-basic", BasicMapper::new(blocking, sources), reducer)
+        .reduce_tasks(reduce_tasks)
+        .partitioner(HashPartitioner)
+        .build()
 }
 
 #[cfg(test)]
@@ -125,6 +185,7 @@ mod tests {
     fn run(r: usize) -> (Vec<(MatchPair, f64)>, JobMetrics) {
         let job = basic_job(
             Arc::new(PrefixBlocking::new("title", 2)),
+            None,
             PairComparer::new(Arc::new(Matcher::paper_default())),
             r,
         );

@@ -12,6 +12,17 @@
 //! size and the entity-index offset of a map task (Section V) are each
 //! one or two loads; `pair_offsets[k]` is `o(k)`.
 //!
+//! **Pair geometry.** A block's pairs are the strict upper triangle of
+//! its `|Φ_k| × |Φ_k|` comparison matrix — unless the matrix carries
+//! its partitions' source tags
+//! ([`BlockDistributionMatrix::with_sources`], paper Appendix I): then
+//! they are the `|Φ_k,R| × |Φ_k,S|` rectangle, entities are enumerated
+//! per block *and source*, and `c(x, y, N_S) = x·N_S + y` replaces the
+//! triangle's cell index. (The appendix's extra "−1" in `o(i)` is a
+//! typo: it would give the first pair index −1 and contradicts its own
+//! worked example — pinned by `entity_c_ranges_match_the_paper`.) The
+//! strategies ask the matrix and so have one implementation.
+//!
 //! **Block indexes are lexicographic in the blocking key** — a
 //! deterministic stand-in for the paper's "(arbitrary) order of the
 //! blocks from the reduce output", which in the running example is
@@ -41,7 +52,8 @@
 use std::fmt::Write as _;
 
 use er_core::blocking::BlockKey;
-use er_core::pairs::triangle_pairs;
+use er_core::pairs::{rect_cell_index, triangle_cell_index, triangle_pairs};
+use er_core::SourceId;
 
 use crate::keys::key_index;
 
@@ -68,6 +80,18 @@ pub struct BlockDistributionMatrix {
     pair_offsets: Vec<u64>,
     /// Per partition, the ascending indexes of its non-empty blocks.
     blocks_in: Vec<Vec<u32>>,
+    /// Set for two-source matching: `pair_offsets` then count
+    /// rectangles.
+    linkage: Option<Linkage>,
+}
+
+/// What [`BlockDistributionMatrix::with_sources`] adds to the matrix.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Linkage {
+    /// The source of each input partition.
+    sources: Vec<SourceId>,
+    /// |Φ_k,R| per block; |Φ_k,S| is the rest of the block.
+    size_r: Vec<u64>,
 }
 
 impl BlockDistributionMatrix {
@@ -125,7 +149,65 @@ impl BlockDistributionMatrix {
             prefix,
             pair_offsets,
             blocks_in,
+            linkage: None,
         }
+    }
+
+    /// Tags input partition `p` as holding entities of `sources[p]`
+    /// only (the paper ensures this via Hadoop's `MultipleInputs`) and
+    /// switches the matrix to the two-source geometry: only `R × S`
+    /// pairs within a block count.
+    ///
+    /// # Panics
+    /// Unless there is one tag per partition, each `R` or `S`.
+    pub fn with_sources(mut self, sources: Vec<SourceId>) -> Self {
+        assert_eq!(
+            sources.len(),
+            self.num_partitions(),
+            "one source tag per input partition"
+        );
+        assert!(
+            sources
+                .iter()
+                .all(|&s| s == SourceId::R || s == SourceId::S),
+            "two-source matching knows only R and S"
+        );
+        let size_r: Vec<u64> = (0..self.num_blocks())
+            .map(|k| {
+                let in_r = |&p: &usize| sources[p] == SourceId::R;
+                (0..sources.len())
+                    .filter(in_r)
+                    .map(|p| self.size_in(k, p))
+                    .sum()
+            })
+            .collect();
+        let mut pairs = 0u64;
+        for (k, &nr) in size_r.iter().enumerate() {
+            self.pair_offsets[k] = pairs;
+            pairs += nr * (self.size(k) - nr);
+        }
+        *self.pair_offsets.last_mut().expect("offsets never empty") = pairs;
+        self.linkage = Some(Linkage { sources, size_r });
+        self
+    }
+
+    /// The partitions' source tags, if the matrix has the two-source
+    /// geometry.
+    pub fn sources(&self) -> Option<&[SourceId]> {
+        self.linkage.as_ref().map(|l| l.sources.as_slice())
+    }
+
+    /// The source of input partition `p`: its tag, or `R` — the one
+    /// source — when the matrix carries none.
+    pub fn source_of(&self, p: usize) -> SourceId {
+        self.sources().map_or(SourceId::R, |sources| sources[p])
+    }
+
+    /// `(|Φ_k,R|, |Φ_k,S|)` under the two-source geometry, `None`
+    /// under the triangle.
+    pub fn side_sizes(&self, k: usize) -> Option<(u64, u64)> {
+        let nr = self.linkage.as_ref()?.size_r[k];
+        Some((nr, self.size(k) - nr))
     }
 
     /// Convenience: builds the BDM directly from per-partition blocking
@@ -202,7 +284,23 @@ impl BlockDistributionMatrix {
 
     /// Number of comparisons within block `k`.
     pub fn pairs_in_block(&self, k: usize) -> u64 {
-        triangle_pairs(self.size(k))
+        self.pair_offsets[k + 1] - self.pair_offsets[k]
+    }
+
+    /// Comparisons of the pairing of block `k`'s sub-blocks in
+    /// partitions `i >= j` — BlockSplit's match task `k.i×j`, or `k.i`
+    /// when `i == j`. `None` when no such task exists: a sub-block is
+    /// empty or, under the two-source geometry, both are of one source.
+    pub fn sub_block_pairs(&self, k: usize, i: usize, j: usize) -> Option<u64> {
+        let (size_i, size_j) = (self.size_in(k, i), self.size_in(k, j));
+        if size_i * size_j == 0 {
+            return None;
+        }
+        match &self.linkage {
+            None if i == j => Some(triangle_pairs(size_i)),
+            Some(l) if l.sources[i] == l.sources[j] => None,
+            _ => Some(size_i * size_j),
+        }
     }
 
     /// o(k): comparisons in all blocks before `k` (paper formula).
@@ -215,11 +313,29 @@ impl BlockDistributionMatrix {
         *self.pair_offsets.last().expect("offsets never empty")
     }
 
-    /// Entity-index offset: number of entities of block `k` in
-    /// partitions before `partition` — what a map task adds to its
-    /// local enumeration to obtain global entity indexes (Section V).
+    /// Entity-index offset: number of entities of block `k` (and of
+    /// `partition`'s source) in partitions before `partition` — what a
+    /// map task adds to its local enumeration to obtain global entity
+    /// indexes (Section V).
     pub fn entity_index_offset(&self, k: usize, partition: usize) -> u64 {
-        self.row(k)[partition]
+        match &self.linkage {
+            None => self.row(k)[partition],
+            Some(l) => (0..partition)
+                .filter(|&q| l.sources[q] == l.sources[partition])
+                .map(|q| self.size_in(k, q))
+                .sum(),
+        }
+    }
+
+    /// The global pair index `p_k(x, y)`: of the entities with indexes
+    /// `x < y` of block `k`, or of `x ∈ R` and `y ∈ S` under the
+    /// two-source geometry.
+    pub fn pair_index(&self, k: usize, x: u64, y: u64) -> u64 {
+        let cell = match self.side_sizes(k) {
+            None => triangle_cell_index(x, y, self.size(k)),
+            Some((_, ns)) => rect_cell_index(x, y, ns),
+        };
+        cell + self.pair_offsets[k]
     }
 
     /// Serializes to a TSV string (`key<TAB>partition<TAB>count` per

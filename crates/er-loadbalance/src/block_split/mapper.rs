@@ -2,6 +2,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use er_core::SourceId;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
 use super::assign::TaskAssignment;
@@ -27,18 +28,15 @@ pub struct BlockSplitMapper {
 #[derive(Clone, Copy)]
 struct TaskState {
     partition: usize,
+    source: SourceId,
     m: usize,
     r: usize,
 }
 
 impl BlockSplitMapper {
-    /// Creates the mapper over a computed BDM (paper split policy).
-    pub fn new(bdm: Arc<BlockDistributionMatrix>) -> Self {
-        Self::with_policy(bdm, SplitPolicy::paper())
-    }
-
-    /// Creates the mapper with an explicit split policy.
-    pub fn with_policy(bdm: Arc<BlockDistributionMatrix>, policy: SplitPolicy) -> Self {
+    /// Creates the mapper over a computed BDM, splitting blocks under
+    /// `policy`.
+    pub fn new(bdm: Arc<BlockDistributionMatrix>, policy: SplitPolicy) -> Self {
         Self {
             bdm,
             policy,
@@ -67,6 +65,7 @@ impl Mapper for BlockSplitMapper {
         );
         self.state = Some(TaskState {
             partition: info.task_index,
+            source: self.bdm.source_of(info.task_index),
             m: info.num_map_tasks,
             r,
         });
@@ -98,12 +97,14 @@ impl Mapper for BlockSplitMapper {
                         i: 0,
                         j: 0,
                     },
-                    BlockSplitValue::new(keyed.clone(), state.partition),
+                    BlockSplitValue::new(keyed.clone(), state.partition, state.source),
                 );
             }
         } else {
             // Split block: emit for the own sub-block and every
-            // existing pairing with another partition's sub-block.
+            // existing pairing with another partition's sub-block
+            // (between two sources there is no own sub-block task and
+            // no pairing within a source).
             for i in 0..state.m {
                 let hi = state.partition.max(i);
                 let lo = state.partition.min(i);
@@ -115,7 +116,7 @@ impl Mapper for BlockSplitMapper {
                             i: key_index(hi, "input partition index"),
                             j: key_index(lo, "input partition index"),
                         },
-                        BlockSplitValue::new(keyed.clone(), state.partition),
+                        BlockSplitValue::new(keyed.clone(), state.partition, state.source),
                     );
                 }
             }
@@ -128,12 +129,11 @@ mod tests {
     use super::*;
     use crate::bdm::running_example_bdm;
     use crate::running_example;
-    use er_core::blocking::BlockKey;
     use mr_engine::mapper::MapTaskInfo;
 
     fn run_partition(p: usize) -> Vec<(BlockSplitKey, String)> {
         let bdm = Arc::new(running_example_bdm());
-        let mut mapper = BlockSplitMapper::new(bdm);
+        let mut mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper());
         let info = MapTaskInfo {
             task_index: p,
             num_map_tasks: 2,
@@ -202,23 +202,10 @@ mod tests {
         );
     }
 
-    /// Maps one record `(rank, key)` as partition 0's mapper, whose
-    /// ranks 0..=3 are the blocks w, x, y, z.
     fn map_one(rank: u32, key: &str) {
         let bdm = Arc::new(running_example_bdm());
-        let mut mapper = BlockSplitMapper::new(bdm);
-        let info = MapTaskInfo {
-            task_index: 0,
-            num_map_tasks: 2,
-            num_reduce_tasks: 3,
-        };
-        mapper.setup(&info);
-        let keyed = Keyed::single(
-            BlockKey::new(key),
-            Arc::new(er_core::Entity::new(0, [("name", "X")])),
-        );
-        let mut ctx = MapContext::for_testing(info);
-        mapper.map(&rank, &keyed, &mut ctx);
+        let mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper());
+        running_example::map_one(mapper, 2, rank, key);
     }
 
     #[test]

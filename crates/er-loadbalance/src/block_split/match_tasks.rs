@@ -1,13 +1,13 @@
 //! Match-task creation (Algorithm 1, lines 6–21).
 
-use er_core::pairs::triangle_pairs;
-
 use crate::bdm::BlockDistributionMatrix;
 
 /// One unit of reduce-side work: an unsplit block (`i == j == 0`,
 /// written `k.*`), a sub-block matched against itself (`i == j`,
 /// written `k.i`), or the Cartesian product of two sub-blocks
-/// (`i > j`, written `k.i×j`).
+/// (`i > j`, written `k.i×j`). Two-source matching (Appendix I-A) has
+/// only the first and the last kind, the last between an R and an S
+/// partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchTask {
     /// Block index in the BDM.
@@ -81,10 +81,11 @@ impl SplitPolicy {
     }
 }
 
-/// Creates all match tasks for a one-source BDM (Algorithm 1 lines
-/// 6–21): small blocks become one task, large blocks split into
-/// sub-block tasks `k.i` and Cartesian tasks `k.i×j` over their
-/// non-empty input partitions.
+/// Creates all match tasks of a BDM (Algorithm 1 lines 6–21): small
+/// blocks become one task, large blocks split into sub-block tasks
+/// `k.i` and Cartesian tasks `k.i×j` over their non-empty input
+/// partitions — whichever of them the BDM's pair geometry has
+/// ([`BlockDistributionMatrix::sub_block_pairs`]).
 pub fn create_match_tasks(bdm: &BlockDistributionMatrix, r: usize) -> Vec<MatchTask> {
     create_match_tasks_with_policy(bdm, r, SplitPolicy::paper())
 }
@@ -113,15 +114,8 @@ pub fn create_match_tasks_with_policy(
             }
         } else {
             for i in 0..m {
-                let size_i = bdm.size_in(k, i);
                 for j in 0..=i {
-                    let size_j = bdm.size_in(k, j);
-                    if size_i * size_j > 0 {
-                        let comparisons = if i == j {
-                            triangle_pairs(size_i)
-                        } else {
-                            size_i * size_j
-                        };
+                    if let Some(comparisons) = bdm.sub_block_pairs(k, i, j) {
                         tasks.push(MatchTask {
                             block: k,
                             i,

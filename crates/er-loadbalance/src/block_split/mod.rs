@@ -8,6 +8,10 @@
 //! block's Cartesian product is preserved exactly. Match tasks are
 //! then assigned to reduce tasks greedily in descending size — LPT
 //! scheduling, which keeps the makespan within 4/3 of optimal.
+//!
+//! Over a source-tagged BDM (Appendix I-A) the scheme is the same,
+//! with `|Φ_k,R|·|Φ_k,S|` as a block's comparison count and split
+//! tasks `k.i×j` only between an R and an S partition.
 
 pub mod assign;
 pub mod mapper;
@@ -35,10 +39,11 @@ pub fn block_split_job(
     policy: SplitPolicy,
     reduce_tasks: usize,
 ) -> Job<mapper::BlockSplitMapper, reducer::BlockSplitReducer> {
+    let two_source = bdm.sources().is_some();
     Job::builder(
         "er-block-split",
-        mapper::BlockSplitMapper::with_policy(bdm, policy),
-        reducer::BlockSplitReducer::new(comparer),
+        mapper::BlockSplitMapper::new(bdm, policy),
+        reducer::BlockSplitReducer::new(comparer, two_source),
     )
     .reduce_tasks(reduce_tasks)
     .partitioner(BlockSplitKey::partitioner())

@@ -10,10 +10,15 @@
 //! values by their partition annotation and computes the cross
 //! product, which is the same set of comparisons under *any*
 //! interleaving.
+//!
+//! Between two sources (Appendix I-A) every match task — the unsplit
+//! `k.*` as well as `k.i×j`, which then pairs an R with an S partition
+//! — is the cross product of the group's R and S members.
 
 use er_core::result::MatchPair;
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
+use crate::basic::block_pairs;
 use crate::compare::{GroupComparer, PairComparer};
 use crate::keys::{BlockSplitKey, BlockSplitValue};
 
@@ -21,13 +26,15 @@ use crate::keys::{BlockSplitKey, BlockSplitValue};
 #[derive(Clone)]
 pub struct BlockSplitReducer {
     driver: GroupComparer,
+    two_source: bool,
 }
 
 impl BlockSplitReducer {
-    /// Creates the reducer.
-    pub fn new(comparer: PairComparer) -> Self {
+    /// Creates the reducer; `two_source` restricts it to R × S pairs.
+    pub fn new(comparer: PairComparer, two_source: bool) -> Self {
         Self {
             driver: GroupComparer::new(comparer),
+            two_source,
         }
     }
 }
@@ -45,12 +52,12 @@ impl Reducer for BlockSplitReducer {
     ) {
         let key = *group.key();
         let first = group.values().next().expect("groups are non-empty");
+        let block = &first.keyed.key;
         let driver = &mut self.driver;
         let emit = |pair, score| ctx.emit(pair, score);
-        if key.i == key.j {
-            // Match task k.* or k.i: all pairs within the group.
-            driver.load(&first.keyed.key, group.values().map(|v| &v.keyed));
-            driver.all_pairs(emit);
+        if self.two_source || key.i == key.j {
+            // Match task k.* or k.i, or any task between two sources.
+            block_pairs(driver, block, &group, self.two_source, emit);
         } else {
             // Match task k.i×j: Cartesian product of two sub-blocks.
             // Bucket by the partition annotation of the first value
@@ -61,7 +68,7 @@ impl Reducer for BlockSplitReducer {
                     .filter(move |v| (v.partition == first.partition) == first_side)
                     .map(|v| &v.keyed)
             };
-            driver.cross(&first.keyed.key, side(true), side(false), emit);
+            driver.cross(block, side(true), side(false), emit);
         }
         driver.flush(ctx);
     }
@@ -91,6 +98,7 @@ mod tests {
                     Arc::new(Entity::new(id, [("title", title)])),
                 ),
                 partition,
+                er_core::SourceId::R,
             ),
         )
     }
@@ -113,8 +121,10 @@ mod tests {
                 (k, v)
             })
             .collect();
-        let mut reducer =
-            BlockSplitReducer::new(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+        let mut reducer = BlockSplitReducer::new(
+            PairComparer::count_only(Arc::new(Matcher::paper_default())),
+            false,
+        );
         let mut c = ctx();
         reducer.reduce(Group::for_testing(&entries), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6, "C(4,2) pairs");
@@ -137,8 +147,10 @@ mod tests {
             k.j = 0;
             entries.push((k, v));
         }
-        let mut reducer =
-            BlockSplitReducer::new(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+        let mut reducer = BlockSplitReducer::new(
+            PairComparer::count_only(Arc::new(Matcher::paper_default())),
+            false,
+        );
         let mut c = ctx();
         reducer.reduce(Group::for_testing(&entries), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6);
@@ -156,8 +168,10 @@ mod tests {
             k.j = 0;
             entries.push((k, v));
         }
-        let mut reducer =
-            BlockSplitReducer::new(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+        let mut reducer = BlockSplitReducer::new(
+            PairComparer::count_only(Arc::new(Matcher::paper_default())),
+            false,
+        );
         let mut c = ctx();
         reducer.reduce(Group::for_testing(&entries), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6, "2 x 3 cross pairs");
@@ -173,7 +187,7 @@ mod tests {
         k.i = 1;
         entries.push((k, v));
         let mut reducer =
-            BlockSplitReducer::new(PairComparer::new(Arc::new(Matcher::paper_default())));
+            BlockSplitReducer::new(PairComparer::new(Arc::new(Matcher::paper_default())), false);
         let mut c = ctx();
         reducer.reduce(Group::for_testing(&entries), &mut c);
         assert_eq!(c.output().len(), 1);

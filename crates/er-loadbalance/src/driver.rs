@@ -1,22 +1,27 @@
 //! The end-to-end ER workflow (paper Figure 2).
 //!
-//! Both the single-source [`run_er_in`] and the two-source
-//! [`crate::two_source::run_linkage_in`] compile their scenario onto a
-//! caller-owned [`mr_engine::workflow::Workflow`]: the BDM job's side
+//! [`run_er_in`] compiles its scenario — one source, or two when the
+//! input partitions come with source tags — onto a caller-owned
+//! [`mr_engine::workflow::Workflow`]: the BDM job's side
 //! outputs are chained into the matching job with the
 //! identical-partitioning invariant enforced by the layer (a violation
 //! is the typed [`MrError::StageShapeMismatch`], not a debug
 //! assertion), and the workflow rolls the per-job metrics up when the
-//! caller finishes it.
+//! caller finishes it. [`run_match_stage`] is the matching job of
+//! every BDM-balanced family (er-lsh runs it over its band buckets).
 
 use std::sync::Arc;
 
 use er_core::blocking::{BlockingFunction, PrefixBlocking};
-use er_core::{MatchResult, Matcher};
+use er_core::result::MatchPair;
+use er_core::{MatchResult, Matcher, SourceId};
+use mr_engine::engine::Job;
 use mr_engine::error::MrError;
 use mr_engine::fault::FaultPlan;
 use mr_engine::input::Partitions;
+use mr_engine::mapper::Mapper;
 use mr_engine::metrics::JobMetrics;
+use mr_engine::reducer::Reducer;
 use mr_engine::runtime::RuntimeConfig;
 use mr_engine::workflow::{StageGraph, Workflow};
 
@@ -26,7 +31,7 @@ use crate::bdm_job::compute_bdm_in;
 use crate::block_split::{block_split_job, SplitPolicy};
 use crate::compare::PairComparer;
 use crate::pair_range::{pair_range_job, RangePolicy};
-use crate::{Ent, StrategyKind};
+use crate::{Ent, Keyed, StrategyKind};
 
 /// Configuration of one ER run.
 ///
@@ -129,7 +134,8 @@ impl std::fmt::Debug for ErConfig {
 pub struct ErStages {
     /// The deduplicated match result.
     pub result: MatchResult,
-    /// The BDM (absent for Basic, which runs without preprocessing).
+    /// The BDM (absent for Basic, which runs without preprocessing),
+    /// source-tagged when the run linked two sources.
     pub bdm: Option<Arc<BlockDistributionMatrix>>,
     /// Metrics of the BDM job (absent for Basic).
     pub bdm_metrics: Option<JobMetrics>,
@@ -150,11 +156,109 @@ impl ErStages {
     }
 }
 
+/// What the matching job reads.
+pub enum MatchInput {
+    /// Basic derives the blocking keys of the raw entities itself.
+    Entities {
+        /// The input partitions.
+        input: Partitions<(), Ent>,
+        /// Their source tags, for two-source matching.
+        sources: Option<Vec<SourceId>>,
+        /// The exact pair count where a BDM of the input is at hand
+        /// (er-lsh's signature job), 0 = unknown.
+        weight: u64,
+    },
+    /// BlockSplit and PairRange read the BDM job's products.
+    Annotated {
+        /// The BDM; source-tagged for two-source matching.
+        bdm: Arc<BlockDistributionMatrix>,
+        /// The rank-annotated partitions the BDM was counted over.
+        annotated: Partitions<u32, Keyed>,
+    },
+}
+
+/// Builds the matching job of `config.strategy` and runs it as the
+/// next stage of `workflow` — the one match stage of [`run_er_in`] and
+/// of er-lsh's candidate job. The BDM's side outputs are chained into
+/// the job by the workflow layer, which enforces the
+/// identical-partitioning invariant Algorithms 1–3 require; its exact
+/// pair count doubles as the job's scheduling weight
+/// ([`Job::with_weight_hint`]) for the pool's shortest-remaining-work
+/// policy.
+///
+/// # Panics
+/// If `input` is not what the strategy reads.
+pub fn run_match_stage(
+    workflow: &mut Workflow,
+    config: &ErConfig,
+    input: MatchInput,
+) -> Result<(MatchResult, JobMetrics), MrError> {
+    let r = config.runtime.reduce_tasks;
+    match (config.strategy, input) {
+        (
+            StrategyKind::Basic,
+            MatchInput::Entities {
+                input,
+                sources,
+                weight,
+            },
+        ) => {
+            let blocking = Arc::clone(&config.blocking);
+            let job = basic_job(blocking, sources.map(Arc::from), config.comparer(), r);
+            run_job(workflow, config, job, input, weight)
+        }
+        (StrategyKind::BlockSplit, MatchInput::Annotated { bdm, annotated }) => {
+            let weight = bdm.total_pairs();
+            let job = block_split_job(bdm, config.comparer(), config.split_policy, r);
+            run_job(workflow, config, job, annotated, weight)
+        }
+        (StrategyKind::PairRange, MatchInput::Annotated { bdm, annotated }) => {
+            let weight = bdm.total_pairs();
+            let job = pair_range_job(bdm, config.comparer(), config.range_policy, r);
+            run_job(workflow, config, job, annotated, weight)
+        }
+        (strategy, _) => panic!("{strategy} was handed another strategy's input"),
+    }
+}
+
+/// Runs a matching job under the session's spill threshold and
+/// collects its output.
+fn run_job<M, R>(
+    workflow: &mut Workflow,
+    config: &ErConfig,
+    job: Job<M, R>,
+    input: Partitions<M::KIn, M::VIn>,
+    weight: u64,
+) -> Result<(MatchResult, JobMetrics), MrError>
+where
+    M: Mapper,
+    M::KOut: Sync,
+    M::VOut: Sync,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut, KOut = MatchPair, VOut = f64>,
+{
+    let job = job
+        .with_spill_threshold(config.runtime.spill_threshold)
+        .with_weight_hint(weight);
+    let out = workflow.chained_stage(&job, input)?;
+    let mut result = MatchResult::new();
+    for (pair, score) in out.reduce_outputs.into_iter().flatten() {
+        result.insert(pair, score);
+    }
+    Ok((result, out.metrics))
+}
+
 /// Executes the ER scenario (paper Figure 2) as stages of `workflow` —
 /// the scenario compiler the facade crate's `Resolver` drives. The
 /// workflow decides *where* stages run (which pool, under which cap,
 /// tenant, fault policy and trace sink); the stages are the same on
 /// any of them, so outputs are byte-identical.
+///
+/// `sources` selects the workload: `None` deduplicates one source;
+/// `Some(tags)` links two (paper Appendix I: `tags[p]` labels input
+/// partition `p` as `R` or `S`, and only cross-source pairs within
+/// shared blocks are compared). The tags, not the entities' own
+/// sources, say which side a partition is — [`crate::null_keys`] links
+/// the keyed and keyless entities of *one* source this way.
 ///
 /// Entities without a valid blocking key are *skipped* (counted under
 /// [`crate::bdm_job::NULL_KEY_ENTITIES`]); use
@@ -163,15 +267,14 @@ impl ErStages {
 ///
 /// The scenario compiles to a [`StageGraph`] instead of an eager
 /// loop: Basic is a single `match` node; BlockSplit/PairRange is
-/// `bdm → match`, where the matching node also seeds the job's
-/// [`mr_engine::engine::Job::with_weight_hint`] from the BDM's exact
-/// pair count so the pool's shortest-remaining-work policy can rank
-/// the batch. Node bodies submit their task sets to the pool's
+/// `bdm → match`, where the `bdm` node also tags the matrix with
+/// `sources`. Node bodies submit their task sets to the pool's
 /// central ready-queue, letting stages of concurrently resolving
 /// workflows interleave.
 pub fn run_er_in(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
+    sources: Option<Vec<SourceId>>,
     config: &ErConfig,
 ) -> Result<ErStages, MrError> {
     use std::cell::RefCell;
@@ -182,89 +285,57 @@ pub fn run_er_in(
     // so the node closures' borrows outlive it.
     let products = RefCell::new(None);
     let mut graph: StageGraph<'_, MrError> = StageGraph::new();
-    match config.strategy {
-        StrategyKind::Basic => {
-            graph.node("match", &[], |wf| {
-                let job = basic_job(
-                    Arc::clone(&config.blocking),
-                    config.comparer(),
-                    config.runtime.reduce_tasks,
-                )
-                .with_spill_threshold(config.runtime.spill_threshold);
-                let out = wf.chained_stage(&job, input)?;
-                let mut result = MatchResult::new();
-                for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-                    result.insert(pair, score);
-                }
-                *stages.borrow_mut() = Some(ErStages {
-                    result,
-                    bdm: None,
-                    bdm_metrics: None,
-                    match_metrics: out.metrics,
-                });
-                Ok(())
+    if config.strategy == StrategyKind::Basic {
+        graph.node("match", &[], |wf| {
+            let input = MatchInput::Entities {
+                input,
+                sources,
+                weight: 0,
+            };
+            let (result, match_metrics) = run_match_stage(wf, config, input)?;
+            *stages.borrow_mut() = Some(ErStages {
+                result,
+                bdm: None,
+                bdm_metrics: None,
+                match_metrics,
             });
-        }
-        StrategyKind::BlockSplit | StrategyKind::PairRange => {
-            let bdm_node = graph.node("bdm", &[], |wf| {
-                let (bdm, annotated, bdm_metrics) = compute_bdm_in(
-                    wf,
-                    input,
-                    Arc::clone(&config.blocking),
-                    config.runtime.reduce_tasks,
-                    config.use_combiner,
-                    config.runtime.spill_threshold,
-                )?;
-                *products.borrow_mut() = Some((Arc::new(bdm), annotated, bdm_metrics));
-                Ok(())
+            Ok(())
+        });
+    } else {
+        let bdm_node = graph.node("bdm", &[], |wf| {
+            let (bdm, annotated, bdm_metrics) = compute_bdm_in(
+                wf,
+                input,
+                Arc::clone(&config.blocking),
+                config.runtime.reduce_tasks,
+                config.use_combiner,
+                config.runtime.spill_threshold,
+            )?;
+            let bdm = match sources {
+                Some(tags) => bdm.with_sources(tags),
+                None => bdm,
+            };
+            *products.borrow_mut() = Some((Arc::new(bdm), annotated, bdm_metrics));
+            Ok(())
+        });
+        graph.node("match", &[bdm_node], |wf| {
+            let (bdm, annotated, bdm_metrics) = products
+                .borrow_mut()
+                .take()
+                .expect("bdm node ran before match");
+            let input = MatchInput::Annotated {
+                bdm: Arc::clone(&bdm),
+                annotated,
+            };
+            let (result, match_metrics) = run_match_stage(wf, config, input)?;
+            *stages.borrow_mut() = Some(ErStages {
+                result,
+                bdm: Some(bdm),
+                bdm_metrics: Some(bdm_metrics),
+                match_metrics,
             });
-            graph.node("match", &[bdm_node], |wf| {
-                let (bdm, annotated, bdm_metrics) = products
-                    .borrow_mut()
-                    .take()
-                    .expect("bdm node ran before match");
-                // The BDM's side outputs are chained into the matching
-                // job by the workflow layer, which enforces the
-                // identical-partitioning invariant Algorithms 1–3
-                // require. The BDM's exact pair count doubles as the
-                // job's scheduling weight.
-                let out = match config.strategy {
-                    StrategyKind::BlockSplit => {
-                        let job = block_split_job(
-                            Arc::clone(&bdm),
-                            config.comparer(),
-                            config.split_policy,
-                            config.runtime.reduce_tasks,
-                        )
-                        .with_spill_threshold(config.runtime.spill_threshold)
-                        .with_weight_hint(bdm.total_pairs());
-                        wf.chained_stage(&job, annotated)?
-                    }
-                    _ => {
-                        let job = pair_range_job(
-                            Arc::clone(&bdm),
-                            config.comparer(),
-                            config.range_policy,
-                            config.runtime.reduce_tasks,
-                        )
-                        .with_spill_threshold(config.runtime.spill_threshold)
-                        .with_weight_hint(bdm.total_pairs());
-                        wf.chained_stage(&job, annotated)?
-                    }
-                };
-                let mut result = MatchResult::new();
-                for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-                    result.insert(pair, score);
-                }
-                *stages.borrow_mut() = Some(ErStages {
-                    result,
-                    bdm: Some(bdm),
-                    bdm_metrics: Some(bdm_metrics),
-                    match_metrics: out.metrics,
-                });
-                Ok(())
-            });
-        }
+            Ok(())
+        });
     }
     graph.run(workflow)?;
     Ok(stages
@@ -278,7 +349,7 @@ pub fn run_er_in(
 pub(crate) fn run_er_inline(input: Partitions<(), Ent>, config: &ErConfig) -> ErStages {
     let pool = Arc::new(mr_engine::pool::WorkerPool::new(1));
     let mut workflow = Workflow::on_pool(format!("er-{}", config.strategy), pool);
-    run_er_in(&mut workflow, input, config).expect("the scenario compiles and runs")
+    run_er_in(&mut workflow, input, None, config).expect("the scenario compiles and runs")
 }
 
 /// Reference implementation: per-block all-pairs matching with no

@@ -78,22 +78,16 @@ pub struct BlockSplitValue {
     pub keyed: Keyed,
     /// Input partition the entity was read from.
     pub partition: u32,
-    /// Source side (R/S); only meaningful for two-source matching.
+    /// The source that partition holds (`R` for one-source matching)
+    /// — the partition's tag, which is what pairs entities up, not the
+    /// entity's own source.
     pub source: SourceId,
 }
 
 impl BlockSplitValue {
-    /// One-source value.
-    pub fn new(keyed: Keyed, partition: usize) -> Self {
-        Self {
-            keyed,
-            partition: key_index(partition, "input partition index"),
-            source: SourceId::R,
-        }
-    }
-
-    /// Two-source value with an explicit side.
-    pub fn with_source(keyed: Keyed, partition: usize, source: SourceId) -> Self {
+    /// `keyed`, read from input `partition` of `source` (see
+    /// [`crate::BlockDistributionMatrix::source_of`]).
+    pub fn new(keyed: Keyed, partition: usize, source: SourceId) -> Self {
         Self {
             keyed,
             partition: key_index(partition, "input partition index"),

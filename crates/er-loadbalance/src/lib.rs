@@ -21,14 +21,17 @@
 //!    * [`pair_range`] — Algorithm 2: enumerate all comparison pairs
 //!      globally and give each reduce task an equal range.
 //!
-//! [`two_source`] extends BlockSplit and PairRange to linkage between
-//! two sources (Appendix I); [`null_keys`] composes matching for
+//! Linkage between two sources (Appendix I) is the same three
+//! strategies over a source-tagged BDM, which counts a block's pairs
+//! as `|Φ_k,R|·|Φ_k,S|` ([`bdm::BlockDistributionMatrix::with_sources`]);
+//! [`null_keys`] composes matching for
 //! entities without a valid blocking key; [`multipass`] implements the
 //! paper's future-work multi-pass blocking; [`analysis`] computes exact
 //! per-task workloads straight from the BDM (no execution) for the
 //! paper-scale experiments; [`driver`] wires everything together.
 
 pub mod analysis;
+pub mod appendix_example;
 pub mod basic;
 pub mod bdm;
 pub mod bdm_job;
@@ -42,7 +45,8 @@ pub mod null_keys;
 pub mod pair_range;
 pub mod running_example;
 pub mod stats;
-pub mod two_source;
+#[cfg(test)]
+mod two_source;
 
 use std::sync::Arc;
 
@@ -51,10 +55,9 @@ use er_core::Entity;
 
 pub use analysis::{analyze, StrategyWorkload};
 pub use bdm::BlockDistributionMatrix;
-pub use driver::{run_er_in, ErConfig, ErStages};
+pub use driver::{run_er_in, run_match_stage, ErConfig, ErStages, MatchInput};
 pub use pair_range::ranges::RangePolicy;
 pub use stats::WorkloadStats;
-pub use two_source::run_linkage_in;
 
 /// Counter name used by every strategy's reducer for the number of
 /// pair comparisons it performed — the workload unit the paper's load

@@ -24,10 +24,8 @@ use er_core::{MatchResult, SourceId};
 use mr_engine::error::MrError;
 use mr_engine::input::Partitions;
 use mr_engine::runtime::Runtime;
-use mr_engine::workflow::Workflow;
 
 use crate::driver::{run_er_in, ErConfig};
-use crate::two_source::run_linkage_in;
 use crate::Ent;
 
 /// Input split by blocking-key validity, preserving partition shape.
@@ -82,32 +80,21 @@ pub struct NullKeyReport {
     pub null_null_matches: usize,
 }
 
-/// A workflow on `runtime` for one sub-problem, under the config's
-/// fault policy and injection plan.
-fn sub_workflow(runtime: &Runtime, kind: &str, config: &ErConfig) -> Workflow {
-    runtime
+/// Runs one sub-problem — a dedup, or with `sources` a linkage — as
+/// its own workflow on `runtime`, under the config's fault policy and
+/// injection plan.
+fn sub_problem(
+    runtime: &Runtime,
+    input: Partitions<(), Ent>,
+    sources: Option<Vec<SourceId>>,
+    config: &ErConfig,
+) -> Result<MatchResult, MrError> {
+    let kind = if sources.is_some() { "linkage" } else { "er" };
+    let mut workflow = runtime
         .workflow(format!("{kind}-{}", config.strategy))
         .with_fault_policy(config.runtime.fault_policy)
-        .with_fault_plan(config.fault_plan.clone())
-}
-
-fn dedup(
-    runtime: &Runtime,
-    input: Partitions<(), Ent>,
-    config: &ErConfig,
-) -> Result<MatchResult, MrError> {
-    let mut workflow = sub_workflow(runtime, "er", config);
-    Ok(run_er_in(&mut workflow, input, config)?.result)
-}
-
-fn link(
-    runtime: &Runtime,
-    input: Partitions<(), Ent>,
-    sources: Vec<SourceId>,
-    config: &ErConfig,
-) -> Result<MatchResult, MrError> {
-    let mut workflow = sub_workflow(runtime, "linkage", config);
-    Ok(run_linkage_in(&mut workflow, input, sources, config)?.result)
+        .with_fault_plan(config.fault_plan.clone());
+    Ok(run_er_in(&mut workflow, input, sources, config)?.result)
 }
 
 /// Deduplicates one source including keyless entities, running every
@@ -123,7 +110,7 @@ pub fn deduplicate_with_null_keys(
 
     // matchB(R − R∅)
     if split.keyed_count() > 0 {
-        let matches = dedup(runtime, split.keyed.clone(), config)?;
+        let matches = sub_problem(runtime, split.keyed.clone(), None, config)?;
         report.blocked_matches = matches.len();
         result.union(&matches);
     }
@@ -137,14 +124,14 @@ pub fn deduplicate_with_null_keys(
             let mut sources = vec![SourceId::R; split.keyed.len()];
             sources.extend(vec![SourceId::S; split.null.len()]);
             let cfg = config.clone().with_blocking(Arc::clone(&bottom));
-            let matches = link(runtime, partitions, sources, &cfg)?;
+            let matches = sub_problem(runtime, partitions, Some(sources), &cfg)?;
             report.cartesian_matches = matches.len();
             result.union(&matches);
         }
         // allPairs(R∅): one-source matching under the constant key.
         if split.null_count() > 1 {
             let cfg = config.clone().with_blocking(bottom);
-            let matches = dedup(runtime, split.null.clone(), &cfg)?;
+            let matches = sub_problem(runtime, split.null.clone(), None, &cfg)?;
             report.null_null_matches = matches.len();
             result.union(&matches);
         }
@@ -167,7 +154,7 @@ pub fn link_with_null_keys(
 
     // matchB(R − R∅, S − S∅)
     if split.keyed_count() > 0 {
-        let matches = link(runtime, split.keyed.clone(), sources.to_vec(), config)?;
+        let matches = sub_problem(runtime, split.keyed.clone(), Some(sources.to_vec()), config)?;
         report.blocked_matches = matches.len();
         result.union(&matches);
     }
@@ -192,7 +179,7 @@ pub fn link_with_null_keys(
         let mut tags = vec![SourceId::R; r_all.len()];
         tags.extend(vec![SourceId::S; s_null.len()]);
         let cfg = config.clone().with_blocking(Arc::clone(&bottom));
-        let matches = link(runtime, partitions, tags, &cfg)?;
+        let matches = sub_problem(runtime, partitions, Some(tags), &cfg)?;
         report.cartesian_matches += matches.len();
         result.union(&matches);
     }
@@ -217,7 +204,7 @@ pub fn link_with_null_keys(
         let mut tags = vec![SourceId::R; r_null.len()];
         tags.extend(vec![SourceId::S; s_keyed.len()]);
         let cfg = config.clone().with_blocking(bottom);
-        let matches = link(runtime, partitions, tags, &cfg)?;
+        let matches = sub_problem(runtime, partitions, Some(tags), &cfg)?;
         report.cartesian_matches += matches.len();
         result.union(&matches);
     }
@@ -334,7 +321,7 @@ mod tests {
         let runtime = runtime();
         let cfg = config(&runtime, StrategyKind::BlockSplit);
         let (result, report) = deduplicate_with_null_keys(&runtime, &input, &cfg).unwrap();
-        let direct = dedup(&runtime, input.clone(), &cfg).unwrap();
+        let direct = sub_problem(&runtime, input.clone(), None, &cfg).unwrap();
         assert_eq!(result.pair_set(), direct.pair_set());
         assert_eq!(report.cartesian_matches, 0);
         assert_eq!(report.null_null_matches, 0);

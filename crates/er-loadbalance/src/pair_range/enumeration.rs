@@ -8,9 +8,8 @@
 //!
 //! Pair indexes: `p_i(x, y) = c(x, y, |Φ_i|) + o(i)` with the
 //! column-wise triangle cell index `c` from [`er_core::pairs`] and the
-//! block offset `o` from the BDM.
-
-use er_core::pairs::triangle_cell_index;
+//! block offset `o` from the BDM
+//! ([`BlockDistributionMatrix::pair_index`]).
 
 use crate::bdm::BlockDistributionMatrix;
 
@@ -42,12 +41,6 @@ impl EntityIndexer {
     pub fn peek(&self, k: usize) -> u64 {
         self.next_index[k]
     }
-}
-
-/// The global pair index `p_i(x, y)` of entities with indexes `x < y`
-/// in block `i`.
-pub fn pair_index(bdm: &BlockDistributionMatrix, block: usize, x: u64, y: u64) -> u64 {
-    triangle_cell_index(x, y, bdm.size(block)) + bdm.pair_offset(block)
 }
 
 #[cfg(test)]
@@ -82,18 +75,18 @@ mod tests {
     fn figure6_pair_indexes() {
         let bdm = running_example_bdm();
         // Block Φ0 (w, size 4): "the index for pair (2,3) equals 5".
-        assert_eq!(pair_index(&bdm, 0, 2, 3), 5);
+        assert_eq!(bdm.pair_index(0, 2, 3), 5);
         // Block Φ1 (x, size 2): its single pair is #6.
-        assert_eq!(pair_index(&bdm, 1, 0, 1), 6);
+        assert_eq!(bdm.pair_index(1, 0, 1), 6);
         // Block Φ2 (y, size 3): pairs 7..=9.
-        assert_eq!(pair_index(&bdm, 2, 0, 1), 7);
-        assert_eq!(pair_index(&bdm, 2, 1, 2), 9);
+        assert_eq!(bdm.pair_index(2, 0, 1), 7);
+        assert_eq!(bdm.pair_index(2, 1, 2), 9);
         // Block Φ3 (z, size 5): M (index 2) takes part in pairs 11,
         // 14, 17, 18 (paper Section V).
-        assert_eq!(pair_index(&bdm, 3, 0, 2), 11);
-        assert_eq!(pair_index(&bdm, 3, 1, 2), 14);
-        assert_eq!(pair_index(&bdm, 3, 2, 3), 17);
-        assert_eq!(pair_index(&bdm, 3, 2, 4), 18);
+        assert_eq!(bdm.pair_index(3, 0, 2), 11);
+        assert_eq!(bdm.pair_index(3, 1, 2), 14);
+        assert_eq!(bdm.pair_index(3, 2, 3), 17);
+        assert_eq!(bdm.pair_index(3, 2, 4), 18);
         // pmin/pmax of M: 11 and 18 (paper).
     }
 
@@ -105,7 +98,7 @@ mod tests {
             let n = bdm.size(k);
             for x in 0..n {
                 for y in (x + 1)..n {
-                    let p = pair_index(&bdm, k, x, y) as usize;
+                    let p = bdm.pair_index(k, x, y) as usize;
                     assert!(!seen[p], "pair index {p} assigned twice");
                     seen[p] = true;
                 }

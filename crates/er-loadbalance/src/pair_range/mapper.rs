@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use er_core::pairs::triangle_cell_index;
+use er_core::pairs::{rect_cell_index, triangle_cell_index};
 use er_core::SourceId;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
@@ -38,6 +38,7 @@ pub struct PairRangeMapper {
 #[derive(Clone)]
 struct MapState {
     partition: usize,
+    source: SourceId,
     indexer: EntityIndexer,
     ranges: RangeIndexer,
 }
@@ -53,10 +54,28 @@ impl PairRangeMapper {
     }
 }
 
-/// Reports the ranges relevant for the entity with index `x` in
-/// `block` as disjoint inclusive intervals `emit(first, last)` in
-/// ascending order — the one membership routine the mapper and the
-/// analytic workload model share.
+/// Reports the ranges relevant for the entity with index `x` of
+/// `source` in `block` as disjoint inclusive intervals
+/// `emit(first, last)` in ascending order — the one membership routine
+/// the mapper and the analytic workload model share. `source` only
+/// matters to a source-tagged BDM; one source is all `R`.
+pub fn for_each_relevant_interval(
+    bdm: &BlockDistributionMatrix,
+    ranges: &RangeIndexer,
+    block: usize,
+    source: SourceId,
+    x: u64,
+    emit: impl FnMut(u64, u64),
+) {
+    let offset = bdm.pair_offset(block);
+    match bdm.side_sizes(block) {
+        None => triangle_intervals(ranges, bdm.size(block), offset, x, emit),
+        Some(sides) => rectangle_intervals(ranges, sides, offset, source, x, emit),
+    }
+}
+
+/// The intervals of entity `x` in a block of `n` entities whose pairs
+/// start at `offset`.
 ///
 /// Monotonicity argument. In pair-index order the entity's `N − 1`
 /// pairs are its row pairs `(0, x) … (x−1, x)` followed by its column
@@ -74,18 +93,16 @@ impl PairRangeMapper {
 /// [`RangePolicy::Proportional`] leaves empty ranges between
 /// neighbouring pair indexes: the reducers ignore the surplus records,
 /// and map output stays what Algorithm 2's `first..=last` loop emits.
-pub fn for_each_relevant_interval(
-    bdm: &BlockDistributionMatrix,
+fn triangle_intervals(
     ranges: &RangeIndexer,
-    block: usize,
+    n: u64,
+    offset: u64,
     x: u64,
     mut emit: impl FnMut(u64, u64),
 ) {
-    let n = bdm.size(block);
     if n < 2 {
         return;
     }
-    let offset = bdm.pair_offset(block);
     // The entity's k-th pair in pair-index order, k in 0..=n−2.
     let range_of_pair = |k: u64| {
         let cell = if k < x {
@@ -111,6 +128,40 @@ pub fn for_each_relevant_interval(
     emit(range_of_pair(dense_from), range_of_pair(n - 2));
 }
 
+/// The intervals of entity `x` of `source` in a block of `nr × ns`
+/// cross pairs starting at `offset`.
+///
+/// An R entity's pairs are one contiguous run. An S entity's pairs
+/// `(0, x), (1, x), …` are `|Φ_S|` apart: no wider than the narrowest
+/// range (see [`RangeIndexer::min_width`]) they skip none, otherwise
+/// no two of them share one — one `range_of` per reported interval
+/// either way.
+fn rectangle_intervals(
+    ranges: &RangeIndexer,
+    (nr, ns): (u64, u64),
+    offset: u64,
+    source: SourceId,
+    x: u64,
+    mut emit: impl FnMut(u64, u64),
+) {
+    if nr == 0 || ns == 0 {
+        return;
+    }
+    let range_of_pair = |r: u64, s: u64| ranges.range_of(rect_cell_index(r, s, ns) + offset);
+    if source == SourceId::R {
+        // Row: pairs (x, 0) .. (x, ns−1) — contiguous.
+        emit(range_of_pair(x, 0), range_of_pair(x, ns - 1));
+    } else if ns <= ranges.min_width() {
+        // Column: pairs (0, x) .. (nr−1, x) — stride ns.
+        emit(range_of_pair(0, x), range_of_pair(nr - 1, x));
+    } else {
+        for r in 0..nr {
+            let range = range_of_pair(r, x);
+            emit(range, range);
+        }
+    }
+}
+
 /// The ranges [`for_each_relevant_interval`] reports, one by one in
 /// ascending order (tests and benches; the mapper and the analysis
 /// consume the intervals directly).
@@ -118,10 +169,11 @@ pub fn relevant_ranges(
     bdm: &BlockDistributionMatrix,
     ranges: &RangeIndexer,
     block: usize,
+    source: SourceId,
     x: u64,
 ) -> Vec<u64> {
     let mut out = Vec::new();
-    for_each_relevant_interval(bdm, ranges, block, x, |first, last| {
+    for_each_relevant_interval(bdm, ranges, block, source, x, |first, last| {
         out.extend(first..=last)
     });
     out
@@ -137,6 +189,7 @@ impl Mapper for PairRangeMapper {
     fn setup(&mut self, info: &MapTaskInfo) {
         self.state = Some(MapState {
             partition: info.task_index,
+            source: self.bdm.source_of(info.task_index),
             indexer: EntityIndexer::for_partition(&self.bdm, info.task_index),
             ranges: RangeIndexer::new(self.bdm.total_pairs(), info.num_reduce_tasks, self.policy),
         });
@@ -151,13 +204,14 @@ impl Mapper for PairRangeMapper {
         let state = self.state.as_mut().expect("setup ran");
         let block = self.bdm.block_of_rank(state.partition, *rank, &keyed.key);
         let x = state.indexer.next(block as usize);
+        let source = state.source;
         let emit = |first: u64, last: u64| {
             for range in first..=last {
                 ctx.emit(
                     PairRangeKey {
                         range: key_index(range, "range index"),
                         block,
-                        source: SourceId::R,
+                        source,
                         index: x,
                     },
                     PairRangeValue {
@@ -167,7 +221,7 @@ impl Mapper for PairRangeMapper {
                 );
             }
         };
-        for_each_relevant_interval(&self.bdm, &state.ranges, block as usize, x, emit);
+        for_each_relevant_interval(&self.bdm, &state.ranges, block as usize, source, x, emit);
     }
 }
 
@@ -175,7 +229,6 @@ impl Mapper for PairRangeMapper {
 mod tests {
     use super::*;
     use crate::bdm::running_example_bdm;
-    use crate::pair_range::enumeration::pair_index;
     use crate::running_example;
     use er_core::blocking::BlockKey;
     use proptest::prelude::*;
@@ -195,11 +248,11 @@ mod tests {
             return Vec::new();
         }
         for k in 0..x {
-            out.insert(ranges.range_of(pair_index(bdm, block, k, x)));
+            out.insert(ranges.range_of(bdm.pair_index(block, k, x)));
         }
         if x + 1 < n {
-            let first = ranges.range_of(pair_index(bdm, block, x, x + 1));
-            let last = ranges.range_of(pair_index(bdm, block, x, n - 1));
+            let first = ranges.range_of(bdm.pair_index(block, x, x + 1));
+            let last = ranges.range_of(bdm.pair_index(block, x, n - 1));
             out.extend(first..=last);
         }
         out.into_iter().collect()
@@ -229,7 +282,7 @@ mod tests {
                 for x in [0, 1, n.saturating_sub(2), n - 1, pick % n] {
                     if x < n {
                         prop_assert_eq!(
-                            relevant_ranges(&bdm, &ranges, block, x),
+                            relevant_ranges(&bdm, &ranges, block, SourceId::R, x),
                             brute_force_ranges(&bdm, &ranges, block, x),
                             "block {} (N = {}), x = {}", block, n, x
                         );
@@ -253,7 +306,7 @@ mod tests {
                     let ranges = RangeIndexer::new(bdm.total_pairs(), r, policy);
                     for x in 0..n {
                         assert_eq!(
-                            relevant_ranges(&bdm, &ranges, 1, x),
+                            relevant_ranges(&bdm, &ranges, 1, SourceId::R, x),
                             brute_force_ranges(&bdm, &ranges, 1, x),
                             "N = {n}, r = {r}, {policy:?}, x = {x}"
                         );
@@ -284,23 +337,10 @@ mod tests {
         out
     }
 
-    /// Maps one record `(rank, key)` as partition 0's mapper, whose
-    /// ranks 0..=3 are the blocks w, x, y, z.
     fn map_one(rank: u32, key: &str) {
         let bdm = Arc::new(running_example_bdm());
-        let mut mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv);
-        let info = MapTaskInfo {
-            task_index: 0,
-            num_map_tasks: 2,
-            num_reduce_tasks: 3,
-        };
-        mapper.setup(&info);
-        let keyed = Keyed::single(
-            BlockKey::new(key),
-            Arc::new(er_core::Entity::new(0, [("name", "X")])),
-        );
-        let mut ctx = MapContext::for_testing(info);
-        mapper.map(&rank, &keyed, &mut ctx);
+        let mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv);
+        running_example::map_one(mapper, 2, rank, key);
     }
 
     #[test]
@@ -382,9 +422,9 @@ mod tests {
                 let n = bdm.size(block);
                 for x in 0..n {
                     for y in (x + 1)..n {
-                        let range = ranges.range_of(pair_index(&bdm, block, x, y));
-                        let rx = relevant_ranges(&bdm, &ranges, block, x);
-                        let ry = relevant_ranges(&bdm, &ranges, block, y);
+                        let range = ranges.range_of(bdm.pair_index(block, x, y));
+                        let rx = relevant_ranges(&bdm, &ranges, block, SourceId::R, x);
+                        let ry = relevant_ranges(&bdm, &ranges, block, SourceId::R, y);
                         assert!(rx.contains(&range), "x={x} y={y} r={r}");
                         assert!(ry.contains(&range), "x={x} y={y} r={r}");
                     }

@@ -22,14 +22,21 @@
 //! therefore computed per stream element;
 //! `tests/pair_range_semantics.rs` constructs the counterexample and
 //! the equivalence suite verifies no pair is lost or duplicated.
+//!
+//! Two sources (Appendix I-B): the key sorts `R` before `S`, so the
+//! group is its R entities, then its S entities, each by index. Only
+//! the R entities are buffered; every S entity streams against them.
+//! For a fixed S entity the pair index grows with the R index, so the
+//! same slice search applies.
 
 use std::ops::Range;
 use std::sync::Arc;
 
+use er_core::pairs::{rect_cell_index, triangle_cell_index};
 use er_core::result::MatchPair;
+use er_core::SourceId;
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
-use super::enumeration::pair_index;
 use super::ranges::{RangeIndexer, RangePolicy};
 use crate::bdm::BlockDistributionMatrix;
 use crate::compare::{GroupComparer, PairComparer};
@@ -105,18 +112,53 @@ impl Reducer for PairRangeReducer {
             .load(&first.keyed.key, group.values().map(|v| &v.keyed));
         self.indexes.clear();
         self.indexes.extend(group.values().map(|v| v.index));
-        debug_assert!(
-            self.indexes.windows(2).all(|w| w[0] < w[1]),
-            "sorted by entity index"
-        );
-        for (later, &x2) in self.indexes.iter().enumerate().skip(1) {
-            let partners = partners_in_span(&self.indexes[..later], &span, |x1| {
-                pair_index(&self.bdm, block, x1, x2)
-            });
+        let offset = self.bdm.pair_offset(block);
+        let ascending = |side: &[u64]| side.windows(2).all(|w| w[0] < w[1]);
+        // The geometry is the group's: one decision, then a loop whose
+        // cell index is fixed.
+        match self.bdm.side_sizes(block) {
+            None => {
+                debug_assert!(ascending(&self.indexes), "sorted by entity index");
+                let n = self.bdm.size(block);
+                let cell = |x1, x2| triangle_cell_index(x1, x2, n) + offset;
+                self.stream(1, |later| later, &span, cell, ctx);
+            }
+            Some((_, ns)) => {
+                let r_side = group
+                    .iter()
+                    .take_while(|(key, _)| key.source == SourceId::R)
+                    .count();
+                let (r_indexes, s_indexes) = self.indexes.split_at(r_side);
+                debug_assert!(
+                    ascending(r_indexes) && ascending(s_indexes),
+                    "sorted by source, then entity index"
+                );
+                let cell = |x, y| rect_cell_index(x, y, ns) + offset;
+                self.stream(r_side, |_| r_side, &span, cell, ctx);
+            }
+        }
+        self.driver.flush(ctx);
+    }
+}
+
+impl PairRangeReducer {
+    /// Evaluates each member from position `from` on against the
+    /// members before position `buffered(its position)` whose pair
+    /// with it — `cell(their index, its index)` — lies in `span`.
+    fn stream(
+        &mut self,
+        from: usize,
+        buffered: impl Fn(usize) -> usize,
+        span: &Range<u64>,
+        cell: impl Fn(u64, u64) -> u64,
+        ctx: &mut ReduceContext<MatchPair, f64>,
+    ) {
+        for (later, &y) in self.indexes.iter().enumerate().skip(from) {
+            let buffer = &self.indexes[..buffered(later)];
+            let partners = partners_in_span(buffer, span, |x| cell(x, y));
             self.driver
                 .strip(later, partners, false, |pair, score| ctx.emit(pair, score));
         }
-        self.driver.flush(ctx);
     }
 }
 
@@ -150,7 +192,7 @@ mod tests {
     use crate::keys::PairRangeValue;
     use crate::{Keyed, COMPARISONS};
     use er_core::blocking::BlockKey;
-    use er_core::{Entity, Matcher, SourceId};
+    use er_core::{Entity, Matcher};
     use mr_engine::reducer::ReduceTaskInfo;
 
     fn entry(range: u32, block: u32, index: u64) -> (PairRangeKey, PairRangeValue) {
@@ -209,12 +251,18 @@ mod tests {
                         // entities relevant to `range`, by index.
                         let members: Vec<u64> = (0..n)
                             .filter(|&x| {
-                                super::super::mapper::relevant_ranges(&bdm, &ranges, block, x)
-                                    .contains(&range)
+                                super::super::mapper::relevant_ranges(
+                                    &bdm,
+                                    &ranges,
+                                    block,
+                                    SourceId::R,
+                                    x,
+                                )
+                                .contains(&range)
                             })
                             .collect();
                         for (later, &x2) in members.iter().enumerate().skip(1) {
-                            let pair_index_with = |x1| pair_index(&bdm, block, x1, x2);
+                            let pair_index_with = |x1| bdm.pair_index(block, x1, x2);
                             let slice = partners_in_span(
                                 &members[..later],
                                 &ranges.span(range),
@@ -289,7 +337,7 @@ mod tests {
                     // Replicate the mapper's membership decision.
                     let bdm = crate::bdm::running_example_bdm();
                     let ranges = RangeIndexer::new(20, 3, RangePolicy::CeilDiv);
-                    super::super::mapper::relevant_ranges(&bdm, &ranges, 3, i)
+                    super::super::mapper::relevant_ranges(&bdm, &ranges, 3, SourceId::R, i)
                         .contains(&(range as u64))
                 })
                 .collect();

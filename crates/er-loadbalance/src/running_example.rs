@@ -80,6 +80,25 @@ pub fn blocking() -> Arc<dyn er_core::blocking::BlockingFunction> {
     Arc::new(er_core::blocking::PrefixBlocking::new("title", 1))
 }
 
+/// Maps one record `(rank, key)` through `mapper` as partition 0's
+/// map task of `m` — in this example and the appendix's, the task
+/// whose ranks 0..=3 are the blocks w, x, y, z.
+#[cfg(test)]
+pub(crate) fn map_one<M>(mut mapper: M, m: usize, rank: u32, key: &str)
+where
+    M: mr_engine::mapper::Mapper<KIn = u32, VIn = Keyed, Side = ()>,
+{
+    let info = mr_engine::mapper::MapTaskInfo {
+        task_index: 0,
+        num_map_tasks: m,
+        num_reduce_tasks: 3,
+    };
+    mapper.setup(&info);
+    let entity = Arc::new(Entity::new(0, [("name", "X")]));
+    let mut ctx = mr_engine::mapper::MapContext::for_testing(info);
+    mapper.map(&rank, &Keyed::single(BlockKey::new(key), entity), &mut ctx);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

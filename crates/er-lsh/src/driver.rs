@@ -26,18 +26,12 @@ use std::sync::Arc;
 
 use er_core::result::MatchPair;
 use er_core::{MatchResult, Matcher, MatcherCache, SourceId};
-use er_loadbalance::basic::basic_job;
 use er_loadbalance::bdm_job::compute_bdm_named_in;
-use er_loadbalance::block_split::{block_split_job, SplitPolicy};
-use er_loadbalance::compare::PairComparer;
-use er_loadbalance::pair_range::pair_range_job;
-use er_loadbalance::two_source::{
-    basic::basic_two_source_job, block_split::block_split_two_source_job,
-    pair_range::pair_range_two_source_job, TwoSourceBdm,
+use er_loadbalance::block_split::SplitPolicy;
+use er_loadbalance::{
+    run_match_stage, BlockDistributionMatrix, Ent, ErConfig, MatchInput, RangePolicy, StrategyKind,
 };
-use er_loadbalance::{BlockDistributionMatrix, Ent, RangePolicy, StrategyKind};
 use mr_engine::error::MrError;
-use mr_engine::fault::FaultPlan;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::RuntimeConfig;
@@ -89,11 +83,6 @@ pub struct LshConfig {
     /// Shared execution knobs: reduce tasks, count-only mode, cache
     /// bound, spill threshold, fault policy.
     pub runtime: RuntimeConfig,
-    /// Deterministic fault-injection schedule (empty = none). Like
-    /// `runtime.fault_policy` it takes effect on the [`Workflow`] the
-    /// scenario runs on; whoever builds that workflow (the facade's
-    /// `Resolver`) installs both.
-    pub fault_plan: FaultPlan,
 }
 
 impl Default for LshConfig {
@@ -125,7 +114,6 @@ impl LshConfig {
             use_combiner: true,
             matcher: Arc::new(Matcher::paper_default()),
             runtime: RuntimeConfig::default(),
-            fault_plan: FaultPlan::new(),
         }
     }
 
@@ -163,8 +151,16 @@ impl LshConfig {
         LshBlocking::new(params, self.scheme, self.attribute.clone(), self.seed)
     }
 
-    fn comparer(&self) -> PairComparer {
-        PairComparer::from_runtime(Arc::clone(&self.matcher), &self.runtime)
+    /// The matching-job configuration of the candidate job over the
+    /// rung `params`' banded key space.
+    fn candidate_job(&self, params: LshParams) -> ErConfig {
+        let mut config = ErConfig::new(self.balance)
+            .with_blocking(Arc::new(self.blocking_for(params)))
+            .with_matcher(Arc::clone(&self.matcher))
+            .with_runtime(self.runtime);
+        config.range_policy = self.range_policy;
+        config.split_policy = self.split_policy;
+        config
     }
 }
 
@@ -216,7 +212,8 @@ pub struct LshStages {
     pub params: LshParams,
     /// One report per executed adaptive round, in ladder order.
     pub rounds: Vec<LshRound>,
-    /// The accepted rung's band-bucket distribution matrix.
+    /// The accepted rung's band-bucket distribution matrix
+    /// (source-tagged for linkage).
     pub bdm: Arc<BlockDistributionMatrix>,
     /// Metrics of the accepted signature job.
     pub bdm_metrics: JobMetrics,
@@ -269,13 +266,6 @@ pub fn run_lsh_in(
         !config.ladder.is_empty(),
         "the ladder needs at least one rung"
     );
-    if let Some(tags) = &sources {
-        assert_eq!(
-            tags.len(),
-            input.len(),
-            "one source tag per input partition"
-        );
-    }
     let rounds: RefCell<Vec<LshRound>> = RefCell::new(Vec::new());
     let accepted: RefCell<Option<Accepted>> = RefCell::new(None);
     let stages = RefCell::new(None);
@@ -305,11 +295,11 @@ pub fn run_lsh_in(
                 config.use_combiner,
                 config.runtime.spill_threshold,
             )?;
-            let bdm = Arc::new(bdm);
-            let candidate_pairs = match sources {
-                None => bdm.total_pairs(),
-                Some(tags) => TwoSourceBdm::new(Arc::clone(&bdm), tags.clone()).total_pairs(),
-            };
+            let bdm = Arc::new(match sources {
+                Some(tags) => bdm.with_sources(tags.clone()),
+                None => bdm,
+            });
+            let candidate_pairs = bdm.total_pairs();
             let within_budget = config
                 .candidate_budget
                 .is_none_or(|budget| candidate_pairs <= budget);
@@ -345,71 +335,26 @@ pub fn run_lsh_in(
             .borrow_mut()
             .take()
             .expect("a signature round accepted a rung");
-        let comparer = config.comparer();
-        let r = config.runtime.reduce_tasks;
-        let spill = config.runtime.spill_threshold;
-        let out = match sources {
-            None => match config.balance {
-                StrategyKind::Basic => {
-                    let job = basic_job(Arc::new(config.blocking_for(params)), comparer, r)
-                        .with_spill_threshold(spill)
-                        .with_weight_hint(bdm.total_pairs());
-                    wf.chained_stage(&job, input.clone())?
-                }
-                StrategyKind::BlockSplit => {
-                    let job = block_split_job(Arc::clone(&bdm), comparer, config.split_policy, r)
-                        .with_spill_threshold(spill)
-                        .with_weight_hint(bdm.total_pairs());
-                    wf.chained_stage(&job, annotated)?
-                }
-                StrategyKind::PairRange => {
-                    let job = pair_range_job(Arc::clone(&bdm), comparer, config.range_policy, r)
-                        .with_spill_threshold(spill)
-                        .with_weight_hint(bdm.total_pairs());
-                    wf.chained_stage(&job, annotated)?
-                }
+        let match_input = match config.balance {
+            StrategyKind::Basic => MatchInput::Entities {
+                input: input.clone(),
+                sources: sources.clone(),
+                weight: bdm.total_pairs(),
             },
-            Some(tags) => {
-                let ts = Arc::new(TwoSourceBdm::new(Arc::clone(&bdm), tags.clone()));
-                let weight = ts.total_pairs();
-                match config.balance {
-                    StrategyKind::Basic => {
-                        let job = basic_two_source_job(
-                            Arc::new(config.blocking_for(params)),
-                            Arc::new(tags.clone()),
-                            comparer,
-                            r,
-                        )
-                        .with_spill_threshold(spill)
-                        .with_weight_hint(weight);
-                        wf.chained_stage(&job, input.clone())?
-                    }
-                    StrategyKind::BlockSplit => {
-                        let job = block_split_two_source_job(ts, comparer, r)
-                            .with_spill_threshold(spill)
-                            .with_weight_hint(weight);
-                        wf.chained_stage(&job, annotated)?
-                    }
-                    StrategyKind::PairRange => {
-                        let job = pair_range_two_source_job(ts, comparer, config.range_policy, r)
-                            .with_spill_threshold(spill)
-                            .with_weight_hint(weight);
-                        wf.chained_stage(&job, annotated)?
-                    }
-                }
-            }
+            _ => MatchInput::Annotated {
+                bdm: Arc::clone(&bdm),
+                annotated,
+            },
         };
-        let mut result = MatchResult::new();
-        for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-            result.insert(pair, score);
-        }
+        let (result, match_metrics) =
+            run_match_stage(wf, &config.candidate_job(params), match_input)?;
         *stages.borrow_mut() = Some(LshStages {
             result,
             params,
             rounds: Vec::new(),
             bdm,
             bdm_metrics,
-            match_metrics: out.metrics,
+            match_metrics,
         });
         Ok(())
     });

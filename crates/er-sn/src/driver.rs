@@ -23,7 +23,6 @@ use er_core::{MatchResult, Matcher, MatcherCache};
 use er_loadbalance::compare::PairComparer;
 use er_loadbalance::Ent;
 use mr_engine::error::MrError;
-use mr_engine::fault::FaultPlan;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::RuntimeConfig;
@@ -105,12 +104,6 @@ pub struct SnConfig {
     /// Shared execution knobs; `runtime.reduce_tasks` is the number of
     /// key ranges (== reduce tasks of the matching job).
     pub runtime: RuntimeConfig,
-    /// Deterministic fault-injection schedule of the run (empty by
-    /// default — injection is a test/bench harness, never implied by
-    /// a policy). Like `runtime.fault_policy` it takes effect on the
-    /// [`Workflow`] the scenario runs on; whoever builds that workflow
-    /// (the facade's `Resolver`) installs both.
-    pub fault_plan: FaultPlan,
 }
 
 impl SnConfig {
@@ -125,7 +118,6 @@ impl SnConfig {
             use_combiner: true,
             null_key_policy: NullKeyPolicy::default(),
             runtime: RuntimeConfig::default(),
-            fault_plan: FaultPlan::new(),
         }
     }
 
@@ -183,15 +175,6 @@ impl SnConfig {
         self
     }
 
-    /// Sets the deterministic fault-injection schedule (panics or
-    /// delays at exact task coordinates) — the test/bench harness
-    /// proving the retry path. An empty plan (the default) injects
-    /// nothing.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
     /// Number of key ranges == reduce tasks of the matching job.
     pub fn partitions(&self) -> usize {
         self.runtime.reduce_tasks
@@ -212,7 +195,6 @@ impl std::fmt::Debug for SnConfig {
             .field("use_combiner", &self.use_combiner)
             .field("null_key_policy", &self.null_key_policy)
             .field("runtime", &self.runtime)
-            .field("fault_plan", &self.fault_plan)
             .finish()
     }
 }

@@ -7,12 +7,11 @@
 //! ```
 
 use dedupe_mr::prelude::*;
+use er_loadbalance::appendix_example;
 use er_loadbalance::bdm::running_example_bdm;
 use er_loadbalance::block_split::{create_match_tasks, TaskAssignment};
-use er_loadbalance::pair_range::enumeration::pair_index;
 use er_loadbalance::pair_range::ranges::RangeIndexer;
 use er_loadbalance::running_example;
-use er_loadbalance::two_source::appendix_example;
 
 fn figure_3_and_4() {
     println!("== Figures 3 & 4: example data and its BDM ==\n");
@@ -123,7 +122,7 @@ fn figures_6_and_7_pair_range(resolver: &Resolver<'_>) {
     );
     let m_pairs: Vec<u64> = [(0u64, 2u64), (1, 2), (2, 3), (2, 4)]
         .iter()
-        .map(|&(x, y)| pair_index(&bdm, 3, x, y))
+        .map(|&(x, y)| bdm.pair_index(3, x, y))
         .collect();
     println!(
         "  entity M (index 2 of Φ3): pairs {m_pairs:?} -> ranges {:?} (paper: 11,14,17,18 -> R1,R2)",
@@ -151,18 +150,19 @@ fn figures_6_and_7_pair_range(resolver: &Resolver<'_>) {
 
 fn appendix_two_sources(resolver: &Resolver<'_>) {
     println!("== Appendix I (Figures 15-17): matching two sources ==\n");
-    let ts = appendix_example::bdm();
+    let bdm = appendix_example::bdm();
     println!("  blocks (R-count x S-count -> pairs):");
-    for k in 0..ts.num_blocks() {
+    for k in 0..bdm.num_blocks() {
+        let (nr, ns) = bdm
+            .side_sizes(k)
+            .expect("the example's BDM is source-tagged");
         println!(
-            "    Φ{k} (key {}): {} x {} -> {} pairs",
-            ts.bdm().key(k),
-            ts.size_r(k),
-            ts.size_s(k),
-            ts.pairs_in_block(k)
+            "    Φ{k} (key {}): {nr} x {ns} -> {} pairs",
+            bdm.key(k),
+            bdm.pairs_in_block(k)
         );
     }
-    println!("  total: {} pairs (paper: 12)\n", ts.total_pairs());
+    println!("  total: {} pairs (paper: 12)\n", bdm.total_pairs());
     for strategy in [StrategyKind::BlockSplit, StrategyKind::PairRange] {
         let outcome = resolver
             .resolve(

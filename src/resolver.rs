@@ -49,7 +49,6 @@ use er_core::sortkey::{RangePartitioner, SortKey, SortKeyFunction};
 use er_core::{MatchResult, Matcher, SourceId};
 use er_loadbalance::block_split::SplitPolicy;
 use er_loadbalance::driver::{run_er_in, ErStages};
-use er_loadbalance::two_source::run_linkage_in;
 use er_loadbalance::{BlockDistributionMatrix, Ent, RangePolicy, StrategyKind};
 use er_lsh::driver::run_lsh_in;
 use er_lsh::{LshConfig, LshParams, LshRound};
@@ -73,7 +72,7 @@ use er_loadbalance::ErConfig;
 /// | Scenario | Scenario compiler |
 /// |---|---|
 /// | `Dedup` | [`er_loadbalance::driver::run_er_in`] |
-/// | `Linkage` | [`er_loadbalance::two_source::run_linkage_in`] |
+/// | `Linkage` | [`er_loadbalance::driver::run_er_in`], source-tagged |
 /// | `SortedNeighborhood` (no passes) | [`er_sn::driver::run_sorted_neighborhood_in`] |
 /// | `SortedNeighborhood` (explicit passes) | [`er_sn::multipass::run_multipass_sn_in`] |
 /// | `TwoSourceSn` | [`er_sn::two_source::run_two_source_sn_in`] |
@@ -260,6 +259,88 @@ pub enum ResolveError {
         /// The configured window.
         window: usize,
     },
+    /// A linkage scenario's `sources` do not describe its input
+    /// partitions ([`Scenario::Linkage`], [`Scenario::TwoSourceSn`],
+    /// [`Scenario::Lsh`] with tags); no task ran.
+    SourceTags(SourceTagError),
+}
+
+/// What is wrong with the source tags of a linkage scenario.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SourceTagError {
+    /// There is not exactly one tag per input partition.
+    Count {
+        /// Tags given.
+        tags: usize,
+        /// Input partitions given.
+        partitions: usize,
+    },
+    /// A partition is tagged with a source other than `R` and `S`.
+    Unknown {
+        /// The offending partition.
+        partition: usize,
+        /// Its tag.
+        tag: SourceId,
+    },
+    /// A partition holds an entity of another source than its tag.
+    Mismatch {
+        /// The offending partition.
+        partition: usize,
+        /// Its tag.
+        tag: SourceId,
+        /// The source of the first entity that contradicts it.
+        entity: SourceId,
+    },
+}
+
+impl SourceTagError {
+    /// Checks that `sources` tags every partition of `input` `R` or
+    /// `S` and that each partition holds entities of its tag only.
+    fn check(input: &Partitions<(), Ent>, sources: &[SourceId]) -> Result<(), Self> {
+        if sources.len() != input.len() {
+            return Err(SourceTagError::Count {
+                tags: sources.len(),
+                partitions: input.len(),
+            });
+        }
+        for (partition, (records, &tag)) in input.iter().zip(sources).enumerate() {
+            if tag != SourceId::R && tag != SourceId::S {
+                return Err(SourceTagError::Unknown { partition, tag });
+            }
+            if let Some(((), stray)) = records.iter().find(|((), e)| e.source() != tag) {
+                let entity = stray.source();
+                return Err(SourceTagError::Mismatch {
+                    partition,
+                    tag,
+                    entity,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+impl std::fmt::Display for SourceTagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            SourceTagError::Count { tags, partitions } => write!(
+                f,
+                "{tags} source tags for {partitions} input partitions; need one per partition"
+            ),
+            SourceTagError::Unknown { partition, tag } => write!(
+                f,
+                "partition {partition} is tagged {tag}; two-source matching knows only R and S"
+            ),
+            SourceTagError::Mismatch {
+                partition,
+                tag,
+                entity,
+            } => write!(
+                f,
+                "partition {partition} is tagged {tag} but holds an entity of source {entity}"
+            ),
+        }
+    }
 }
 
 impl std::fmt::Display for ResolveError {
@@ -276,6 +357,7 @@ impl std::fmt::Display for ResolveError {
                  but range {partition} holds {entities}; use JobSN for this workload",
                 window - 1
             ),
+            ResolveError::SourceTags(e) => write!(f, "bad source tags: {e}"),
         }
     }
 }
@@ -284,7 +366,7 @@ impl std::error::Error for ResolveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ResolveError::Mr(e) => Some(e),
-            ResolveError::ThinPartition { .. } => None,
+            ResolveError::ThinPartition { .. } | ResolveError::SourceTags(_) => None,
         }
     }
 }
@@ -817,7 +899,6 @@ impl<'rt> Resolver<'rt> {
             use_combiner: self.use_combiner,
             null_key_policy: self.null_key_policy,
             runtime: self.shared,
-            fault_plan: self.fault_plan.clone(),
         };
         match self.sn_partitions {
             Some(partitions) => config.with_partitions(partitions),
@@ -845,7 +926,6 @@ impl<'rt> Resolver<'rt> {
             use_combiner: self.use_combiner,
             matcher: Arc::clone(&self.matcher),
             runtime: self.shared,
-            fault_plan: self.fault_plan.clone(),
             ..LshConfig::new()
         }
         .with_ladder(params.map_or_else(|| self.lsh_ladder.clone(), |p| vec![p]))
@@ -909,19 +989,26 @@ impl<'rt> Resolver<'rt> {
         if let Some(sink) = &self.trace_sink {
             workflow = workflow.with_trace_sink(Arc::clone(sink));
         }
+        // Tags come from outside: check them here, once, before any
+        // worker sees them.
+        if let Scenario::Linkage { sources, .. }
+        | Scenario::TwoSourceSn { sources, .. }
+        | Scenario::Lsh {
+            sources: Some(sources),
+            ..
+        } = scenario
+        {
+            SourceTagError::check(&input, sources).map_err(ResolveError::SourceTags)?;
+        }
         let (result, details) = match scenario {
             Scenario::Dedup { strategy } => {
                 let config = self.er_config(*strategy);
-                blocked(run_er_in(&mut workflow, input, &config)?)
+                blocked(run_er_in(&mut workflow, input, None, &config)?)
             }
             Scenario::Linkage { strategy, sources } => {
                 let config = self.er_config(*strategy);
-                blocked(run_linkage_in(
-                    &mut workflow,
-                    input,
-                    sources.clone(),
-                    &config,
-                )?)
+                let sources = Some(sources.clone());
+                blocked(run_er_in(&mut workflow, input, sources, &config)?)
             }
             Scenario::SortedNeighborhood { strategy, passes } if passes.is_empty() => {
                 let config = self.sn_config(*strategy);
@@ -1173,34 +1260,18 @@ mod tests {
         let er = session.er_config(StrategyKind::BlockSplit);
         let sn = session.sn_config(SnStrategy::JobSn);
         let lsh = session.lsh_config(Some(LshParams::new(8, 4)));
-        for (family, runtime_block, fault_plan, family_matcher, use_combiner) in [
-            (
-                "er",
-                er.runtime,
-                &er.fault_plan,
-                &er.matcher,
-                er.use_combiner,
-            ),
-            (
-                "sn",
-                sn.runtime,
-                &sn.fault_plan,
-                &sn.matcher,
-                sn.use_combiner,
-            ),
-            (
-                "lsh",
-                lsh.runtime,
-                &lsh.fault_plan,
-                &lsh.matcher,
-                lsh.use_combiner,
-            ),
+        for (family, runtime_block, family_matcher, use_combiner) in [
+            ("er", er.runtime, &er.matcher, er.use_combiner),
+            ("sn", sn.runtime, &sn.matcher, sn.use_combiner),
+            ("lsh", lsh.runtime, &lsh.matcher, lsh.use_combiner),
         ] {
             assert_eq!(runtime_block, shared, "{family}: shared knob block");
-            assert_eq!(fault_plan, &plan, "{family}: fault plan");
             assert!(Arc::ptr_eq(family_matcher, &matcher), "{family}: matcher");
             assert!(!use_combiner, "{family}: combiner switch");
         }
+        // The workflow carries the fault plan; of the family configs
+        // only `ErConfig` holds a copy, for `null_keys`' own workflows.
+        assert_eq!(er.fault_plan, plan);
         // The BDM-balanced families also share the balancing policies.
         for (family, range_policy, split_policy) in [
             ("er", er.range_policy, er.split_policy),

@@ -97,7 +97,7 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
     // BlockSplit: the block split in two sub-blocks is three match
     // tasks — each half's pairs, and their cross product.
     let (mut matches, mut comparisons) = (BTreeMap::new(), 0);
-    let mut reducer = BlockSplitReducer::new(PairComparer::new(Arc::clone(&matcher)));
+    let mut reducer = BlockSplitReducer::new(PairComparer::new(Arc::clone(&matcher)), false);
     let half = block.len() / 2;
     let task = |i: u32, j: u32, members: &[(usize, &Ent)]| -> Vec<_> {
         let key = BlockSplitKey {
@@ -108,7 +108,7 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
         };
         members
             .iter()
-            .map(|&(partition, e)| (key, BlockSplitValue::new(keyed(e), partition)))
+            .map(|&(partition, e)| (key, BlockSplitValue::new(keyed(e), partition, SourceId::R)))
             .collect()
     };
     let halves: Vec<(usize, &Ent)> = block
@@ -142,7 +142,9 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
     );
     for range in 0..tasks as u32 {
         let entries: Vec<_> = (0..n)
-            .filter(|&x| relevant_ranges(&bdm, &ranges, 0, x).contains(&u64::from(range)))
+            .filter(|&x| {
+                relevant_ranges(&bdm, &ranges, 0, SourceId::R, x).contains(&u64::from(range))
+            })
             .map(|index| {
                 let key = PairRangeKey {
                     range,

@@ -94,6 +94,70 @@ fn cap_bounds_reduce_group_buffering() {
     assert_eq!(capped.total_comparisons(), n * (n - 1) / 2);
 }
 
+#[test]
+fn cap_takes_effect_when_linking_two_sources() {
+    // The linkage twin of the two cases above, for blocking and for
+    // LSH: with r = 1 the block of 40 R and 20 S entities fits the
+    // average and stays whole; a 20-entity cap splits it into R × S
+    // partition pairings — same pairs, same 800 comparisons.
+    let side = |source: SourceId, n: u64| -> Vec<Ent> {
+        (0..n)
+            .map(|id| {
+                let title = format!("aaa item {:05}", id % 25);
+                Arc::new(Entity::with_source(source, id, [("title", title.as_str())]))
+            })
+            .collect()
+    };
+    let (input, sources) = two_source_input(side(SourceId::R, 40), side(SourceId::S, 20), 2);
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(2)
+            .with_reduce_tasks(1),
+    );
+    let groups = |outcome: &Outcome| -> u64 {
+        let match_metrics = outcome.details.match_metrics().expect("one matching job");
+        match_metrics.counters.get("mr.reduce.input.groups")
+    };
+    let params = LshParams { bands: 1, rows: 1 };
+    for scenario in [
+        Scenario::Linkage {
+            strategy: StrategyKind::BlockSplit,
+            sources: sources.clone(),
+        },
+        Scenario::lsh_linkage(Some(params), sources.clone()),
+    ] {
+        let plain = Resolver::new(&runtime);
+        let whole = plain.resolve(&scenario, input.clone()).unwrap();
+        let capped = plain
+            .with_memory_cap(20)
+            .resolve(&scenario, input.clone())
+            .unwrap();
+        assert!(
+            groups(&capped) > groups(&whole),
+            "{scenario}: the cap must split a block the paper policy keeps whole \
+             ({} vs {} match tasks)",
+            groups(&capped),
+            groups(&whole)
+        );
+        assert_eq!(result_bits(&capped.result), result_bits(&whole.result));
+        assert!(!whole.result.is_empty(), "{scenario}: equal titles link");
+        assert_eq!(capped.total_comparisons(), whole.total_comparisons());
+    }
+    let blocked = Resolver::new(&runtime)
+        .with_memory_cap(20)
+        .with_count_only(true)
+        .resolve(
+            &Scenario::Linkage {
+                strategy: StrategyKind::BlockSplit,
+                sources,
+            },
+            input,
+        )
+        .unwrap();
+    assert_eq!(blocked.total_comparisons(), 40 * 20);
+    assert_eq!(groups(&blocked), 4, "2 R partitions × 2 S partitions");
+}
+
 /// A DS1-shaped corpus of exactly `n` entities with real titles (so
 /// full scoring runs).
 fn spill_corpus(n: usize, m: usize) -> Partitions<(), Ent> {

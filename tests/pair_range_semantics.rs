@@ -70,7 +70,6 @@ fn a_return_style_reducer_would_drop_pairs() {
     // stream and show it computes fewer pairs — the regression the
     // break-fix prevents.
     use er_loadbalance::bdm::BlockDistributionMatrix;
-    use er_loadbalance::pair_range::enumeration::pair_index;
     use er_loadbalance::pair_range::mapper::relevant_ranges;
     use er_loadbalance::pair_range::ranges::{RangeIndexer, RangePolicy};
 
@@ -85,13 +84,13 @@ fn a_return_style_reducer_would_drop_pairs() {
         // Entities relevant to this range, in index order (as the
         // shuffle would deliver them).
         let members: Vec<u64> = (0..n)
-            .filter(|&x| relevant_ranges(&bdm, &ranges, 0, x).contains(&range))
+            .filter(|&x| relevant_ranges(&bdm, &ranges, 0, SourceId::R, x).contains(&range))
             .collect();
         // break semantics (ours).
         let mut buffer: Vec<u64> = Vec::new();
         for &x2 in &members {
             for &x1 in &buffer {
-                let k = ranges.range_of(pair_index(&bdm, 0, x1, x2));
+                let k = ranges.range_of(bdm.pair_index(0, x1, x2));
                 if k == range {
                     computed_break += 1;
                 } else if k > range {
@@ -104,7 +103,7 @@ fn a_return_style_reducer_would_drop_pairs() {
         let mut buffer: Vec<u64> = Vec::new();
         'group: for &x2 in &members {
             for &x1 in &buffer {
-                let k = ranges.range_of(pair_index(&bdm, 0, x1, x2));
+                let k = ranges.range_of(bdm.pair_index(0, x1, x2));
                 if k == range {
                     computed_return += 1;
                 } else if k > range {

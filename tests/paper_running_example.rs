@@ -3,8 +3,8 @@
 //! the public facade.
 
 use dedupe_mr::prelude::*;
+use er_loadbalance::appendix_example;
 use er_loadbalance::running_example;
-use er_loadbalance::two_source::appendix_example;
 
 /// The example's runtime: one worker, `r = 3`, counting only.
 fn example_runtime() -> Runtime {

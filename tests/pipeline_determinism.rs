@@ -78,6 +78,7 @@ fn sort_merge_shuffle_reproduces_byte_identical_reduce_outputs() {
     for parallelism in [1usize, 2, 4, 8] {
         let job = basic_job(
             Arc::new(PrefixBlocking::title3()),
+            None,
             PairComparer::new(Arc::new(Matcher::paper_default())),
             6,
         );

@@ -231,3 +231,66 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
         "the scenarios must actually have executed on the pool"
     );
 }
+
+#[test]
+fn bad_source_tags_are_a_typed_error_in_every_linkage_scenario() {
+    // Source tags are outside input: a wrong count, a tag that is
+    // neither R nor S, and a partition holding another source than its
+    // tag all come back as `ResolveError::SourceTags` naming the
+    // partition — for blocking, Sorted Neighborhood and LSH alike —
+    // and the runtime keeps serving.
+    let (input, sources) = two_source_corpus();
+    let scenarios = |tags: Vec<SourceId>| {
+        [
+            Scenario::Linkage {
+                strategy: StrategyKind::PairRange,
+                sources: tags.clone(),
+            },
+            Scenario::TwoSourceSn {
+                strategy: SnStrategy::JobSn,
+                sources: tags.clone(),
+            },
+            Scenario::lsh_linkage(Some(LshParams { bands: 4, rows: 4 }), tags),
+        ]
+    };
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+    let resolver = Resolver::new(&runtime);
+
+    let mut unknown = sources.clone();
+    unknown[1] = SourceId(7);
+    let mut swapped = sources.clone();
+    swapped[3] = SourceId::R;
+    for (tags, expected) in [
+        (
+            sources[..3].to_vec(),
+            SourceTagError::Count {
+                tags: 3,
+                partitions: 4,
+            },
+        ),
+        (
+            unknown,
+            SourceTagError::Unknown {
+                partition: 1,
+                tag: SourceId(7),
+            },
+        ),
+        (
+            swapped,
+            SourceTagError::Mismatch {
+                partition: 3,
+                tag: SourceId::R,
+                entity: SourceId::S,
+            },
+        ),
+    ] {
+        for scenario in scenarios(tags) {
+            let err = resolver.resolve(&scenario, input.clone()).unwrap_err();
+            assert_eq!(err, ResolveError::SourceTags(expected), "{scenario}");
+            assert!(err.to_string().contains("source"), "{err}");
+        }
+    }
+    for scenario in scenarios(sources) {
+        assert!(resolver.resolve(&scenario, input.clone()).is_ok());
+    }
+}

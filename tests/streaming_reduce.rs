@@ -107,6 +107,7 @@ fn peak_resident_stays_below_task_input_on_multi_group_workloads() {
     // input — the bound the materialized merge sat at.
     let job = basic_job(
         Arc::new(PrefixBlocking::title3()),
+        None,
         PairComparer::new(Arc::new(Matcher::paper_default())),
         6,
     );
