@@ -34,7 +34,7 @@
 pub mod driver;
 
 use er_core::blocking::{BlockKey, BlockingFunction};
-use er_core::minhash::{band_hash, banding_probability, shingle_hashes, MinHasher, ShingleScheme};
+use er_core::minhash::{band_hash, banding_probability, MinHasher, ShingleScheme};
 use er_core::Entity;
 
 pub use driver::{lsh_candidate_pairs, lsh_oracle, run_lsh_in, LshConfig, LshRound, LshStages};
@@ -147,28 +147,54 @@ impl LshBlocking {
     /// [`er_loadbalance::bdm_job::NULL_KEY_ENTITIES`]).
     pub fn signature(&self, entity: &Entity) -> Option<Vec<u64>> {
         let text = entity.get(&self.attribute)?;
-        let shingles = shingle_hashes(text, self.scheme);
-        if shingles.is_empty() {
-            return None;
-        }
-        Some(self.hasher.signature(&shingles))
+        self.hasher.text_signature(text, self.scheme)
     }
 
     /// The band keys of a signature: one per band, zero-padded so the
     /// lexicographic key order groups by band index first.
     pub fn band_keys_of(&self, signature: &[u64]) -> Vec<BlockKey> {
         (0..self.params.bands)
-            .map(|band| {
-                let digest = band_hash(signature, band, self.params.rows);
-                BlockKey::new(format!("b{band:03}:{digest:016x}"))
-            })
+            .map(|band| self.band_key_of(signature, band))
             .collect()
+    }
+
+    fn band_key_of(&self, signature: &[u64], band: usize) -> BlockKey {
+        band_key(band, band_hash(signature, band, self.params.rows))
     }
 }
 
+/// The key text `b<band>:<digest>` — `format!("b{band:03}:{digest:016x}")`
+/// written into a stack buffer (`format!` and its `String` were most
+/// of the key's cost). The band index widens past three digits from
+/// band 1000 on.
+fn band_key(band: usize, digest: u64) -> BlockKey {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    // 'b', up to 20 decimal digits of a 64-bit band, ':', 16 hex digits.
+    const LEN: usize = 1 + 20 + 1 + 16;
+    let mut text = [b'0'; LEN];
+    let mut at = LEN;
+    for nibble in 0..16 {
+        at -= 1;
+        text[at] = HEX[(digest >> (4 * nibble)) as usize & 0xf];
+    }
+    at -= 1;
+    text[at] = b':';
+    let colon = at;
+    let mut rest = band;
+    while rest > 0 || colon - at < 3 {
+        at -= 1;
+        text[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    at -= 1;
+    text[at] = b'b';
+    BlockKey::new(std::str::from_utf8(&text[at..]).expect("ASCII bytes are UTF-8"))
+}
+
 impl BlockingFunction for LshBlocking {
+    /// The band-0 key.
     fn key(&self, entity: &Entity) -> Option<BlockKey> {
-        self.keys(entity).into_iter().next()
+        Some(self.band_key_of(&self.signature(entity)?, 0))
     }
 
     fn keys(&self, entity: &Entity) -> Vec<BlockKey> {
@@ -182,6 +208,7 @@ impl BlockingFunction for LshBlocking {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_core::minhash::shingle_hashes;
 
     fn entity(id: u64, title: &str) -> Entity {
         Entity::new(id, [("title", title)])
@@ -200,6 +227,55 @@ mod tests {
     #[should_panic(expected = "at least one band")]
     fn zero_bands_rejected() {
         let _ = LshParams::new(0, 2);
+    }
+
+    #[test]
+    fn band_keys_equal_their_format_string() {
+        let digests = [
+            0,
+            1,
+            0xf,
+            0x0123_4567_89ab_cdef,
+            0xfedc_ba98_7654_3210,
+            u64::MAX,
+        ];
+        for band in [0, 7, 10, 99, 100, 999, 1000, 12_345, usize::MAX] {
+            for digest in digests {
+                assert_eq!(
+                    band_key(band, digest).as_str(),
+                    format!("b{band:03}:{digest:016x}")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn keys_equal_the_stepwise_derivation() {
+        // shingle set → signature → band digests → formatted keys, one
+        // public step at a time, against the fused `keys`.
+        let long = "Nikon  D800 ".repeat(20);
+        for params in [
+            LshParams::new(8, 4),
+            LshParams::new(1, 1),
+            LshParams::new(11, 3),
+        ] {
+            for scheme in [ShingleScheme::CharGrams(3), ShingleScheme::Tokens] {
+                let blocking = LshBlocking::new(params, scheme, "title", 99);
+                let hasher = MinHasher::new(params.signature_len(), 99);
+                for title in ["Canon EOS\x0b5D  Mark III ", "ab", "ΟΔΟΣ\u{a0}5", &long] {
+                    let signature = hasher.signature(&shingle_hashes(title, scheme));
+                    let stepwise: Vec<BlockKey> = (0..params.bands)
+                        .map(|band| {
+                            let digest = band_hash(&signature, band, params.rows);
+                            BlockKey::new(format!("b{band:03}:{digest:016x}"))
+                        })
+                        .collect();
+                    let e = entity(1, title);
+                    assert_eq!(blocking.keys(&e), stepwise, "{params} {scheme} {title:?}");
+                    assert_eq!(blocking.key(&e).as_ref(), stepwise.first());
+                }
+            }
+        }
     }
 
     #[test]

@@ -80,13 +80,15 @@ pub mod runtime {
     pub use mr_engine::runtime::{Runtime, RuntimeConfig};
 }
 
-pub use resolver::{Outcome, ResolveError, Resolver, Scenario, ScenarioDetails, SourceTagError};
+pub use resolver::{
+    ConfigError, Outcome, ResolveError, Resolver, Scenario, ScenarioDetails, SourceTagError,
+};
 pub use runtime::{Runtime, RuntimeConfig};
 
 /// The most common imports for building ER pipelines.
 pub mod prelude {
     pub use crate::resolver::{
-        Outcome, ResolveError, Resolver, Scenario, ScenarioDetails, SourceTagError,
+        ConfigError, Outcome, ResolveError, Resolver, Scenario, ScenarioDetails, SourceTagError,
     };
     pub use er_core::blocking::{
         AttributeBlocking, BlockKey, BlockingFunction, ConstantBlocking, MultiPassBlocking,

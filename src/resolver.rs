@@ -263,6 +263,35 @@ pub enum ResolveError {
     /// partitions ([`Scenario::Linkage`], [`Scenario::TwoSourceSn`],
     /// [`Scenario::Lsh`] with tags); no task ran.
     SourceTags(SourceTagError),
+    /// The session's settings cannot run the scenario; no task ran.
+    InvalidConfig(ConfigError),
+}
+
+/// Which session setting cannot run the scenario.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// [`Scenario::Lsh`] without fixed `params` on a session whose
+    /// adaptive ladder ([`Resolver::with_lsh_ladder`]) is empty.
+    EmptyLshLadder,
+    /// An LSH banding with zero bands or zero rows.
+    ZeroLshBanding(LshParams),
+    /// [`Scenario::Lsh`] under `ShingleScheme::CharGrams(0)`
+    /// ([`Resolver::with_lsh_scheme`]).
+    ZeroGramWidth,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::EmptyLshLadder => {
+                f.write_str("the adaptive LSH ladder needs at least one rung")
+            }
+            ConfigError::ZeroLshBanding(params) => {
+                write!(f, "LSH banding {params} needs at least one band and row")
+            }
+            ConfigError::ZeroGramWidth => f.write_str("LSH character grams need a positive width"),
+        }
+    }
 }
 
 /// What is wrong with the source tags of a linkage scenario.
@@ -358,6 +387,7 @@ impl std::fmt::Display for ResolveError {
                 window - 1
             ),
             ResolveError::SourceTags(e) => write!(f, "bad source tags: {e}"),
+            ResolveError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }
@@ -366,7 +396,9 @@ impl std::error::Error for ResolveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ResolveError::Mr(e) => Some(e),
-            ResolveError::ThinPartition { .. } | ResolveError::SourceTags(_) => None,
+            ResolveError::ThinPartition { .. }
+            | ResolveError::SourceTags(_)
+            | ResolveError::InvalidConfig(_) => None,
         }
     }
 }
@@ -931,6 +963,23 @@ impl<'rt> Resolver<'rt> {
         .with_ladder(params.map_or_else(|| self.lsh_ladder.clone(), |p| vec![p]))
     }
 
+    /// Checks the settings [`Resolver::lsh_config`] and the signature
+    /// job would assert on: the ladder `params` selects, every rung's
+    /// banding, and the gram width.
+    fn check_lsh(&self, params: Option<&LshParams>) -> Result<(), ConfigError> {
+        let ladder = params.map_or(&self.lsh_ladder[..], std::slice::from_ref);
+        if ladder.is_empty() {
+            return Err(ConfigError::EmptyLshLadder);
+        }
+        if let Some(&rung) = ladder.iter().find(|p| p.bands == 0 || p.rows == 0) {
+            return Err(ConfigError::ZeroLshBanding(rung));
+        }
+        if self.lsh_scheme == ShingleScheme::CharGrams(0) {
+            return Err(ConfigError::ZeroGramWidth);
+        }
+        Ok(())
+    }
+
     /// Resolves one scenario over pre-partitioned input (each inner
     /// `Vec` is one input partition == one map task), executing on the
     /// runtime's persistent pool.
@@ -999,6 +1048,12 @@ impl<'rt> Resolver<'rt> {
         } = scenario
         {
             SourceTagError::check(&input, sources).map_err(ResolveError::SourceTags)?;
+        }
+        // So are the session's LSH settings, which would otherwise
+        // panic while the config is assembled or inside a map task.
+        if let Scenario::Lsh { params, .. } = scenario {
+            self.check_lsh(params.as_ref())
+                .map_err(ResolveError::InvalidConfig)?;
         }
         let (result, details) = match scenario {
             Scenario::Dedup { strategy } => {

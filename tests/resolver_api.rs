@@ -294,3 +294,59 @@ fn bad_source_tags_are_a_typed_error_in_every_linkage_scenario() {
         assert!(resolver.resolve(&scenario, input.clone()).is_ok());
     }
 }
+
+/// Resolves an LSH `scenario` on a session `configure` has broken and
+/// expects `expected` back before any task ran: nothing spawned,
+/// nothing executed, and the runtime then serves a clean resolve.
+fn assert_invalid_lsh_config(
+    configure: impl Fn(Resolver<'_>) -> Resolver<'_>,
+    scenario: Scenario,
+    expected: ConfigError,
+) {
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+    let spawned = runtime.pool().threads_spawned();
+    let err = configure(Resolver::new(&runtime))
+        .resolve(&scenario, corpus(3))
+        .unwrap_err();
+    assert_eq!(err, ResolveError::InvalidConfig(expected));
+    assert!(err.to_string().contains("invalid configuration"), "{err}");
+    assert_eq!(runtime.pool().tasks_executed(), 0, "no task may run");
+    let clean = Resolver::new(&runtime).resolve(&Scenario::lsh(LshParams::new(4, 4)), corpus(3));
+    assert!(clean.is_ok(), "{clean:?}");
+    assert_eq!(runtime.pool().threads_spawned(), spawned);
+}
+
+#[test]
+fn an_empty_lsh_ladder_is_a_typed_error() {
+    assert_invalid_lsh_config(
+        |session| session.with_lsh_ladder(vec![]),
+        Scenario::lsh_adaptive(),
+        ConfigError::EmptyLshLadder,
+    );
+}
+
+#[test]
+fn a_zero_lsh_banding_is_a_typed_error() {
+    // Public fields bypass `LshParams::new`, fixed or on the ladder.
+    let no_bands = LshParams { bands: 0, rows: 4 };
+    assert_invalid_lsh_config(
+        |session| session,
+        Scenario::lsh(no_bands),
+        ConfigError::ZeroLshBanding(no_bands),
+    );
+    let no_rows = LshParams { bands: 4, rows: 0 };
+    assert_invalid_lsh_config(
+        |session| session.with_lsh_ladder(vec![LshParams::new(8, 4), no_rows]),
+        Scenario::lsh_adaptive(),
+        ConfigError::ZeroLshBanding(no_rows),
+    );
+}
+
+#[test]
+fn zero_width_lsh_grams_are_a_typed_error() {
+    assert_invalid_lsh_config(
+        |session| session.with_lsh_scheme(er_core::minhash::ShingleScheme::CharGrams(0)),
+        Scenario::lsh(LshParams::new(4, 4)),
+        ConfigError::ZeroGramWidth,
+    );
+}
