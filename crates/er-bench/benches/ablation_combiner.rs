@@ -2,8 +2,12 @@
 //!
 //! Real execution of Algorithm 3 on a scaled DS1 with and without the
 //! per-map-task combiner, reporting shuffled record counts and wall
-//! time. The result is identical either way; the combiner collapses
-//! each map task's counts to one record per (block, partition).
+//! time. Either way the mapper emits from `finish`, where a key's rank
+//! is known: one `(count, rank)` record per (block, partition) with
+//! the combiner, Algorithm 3's one `(1, rank)` record per entity
+//! without it — the reducer folds those back into one cell. The
+//! result is identical: the blocks that have a pair, the rest counted
+//! as pruned.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,7 +15,7 @@ use std::time::Instant;
 use er_bench::table::{fmt_count, fmt_ms, TextTable};
 use er_bench::PAPER_SEED;
 use er_core::blocking::PrefixBlocking;
-use er_loadbalance::bdm_job::compute_bdm_in;
+use er_loadbalance::bdm_job::{compute_bdm_in, PRUNED_BLOCKS};
 use mr_engine::input::partition_evenly;
 use mr_engine::runtime::{Runtime, RuntimeConfig};
 
@@ -23,7 +27,13 @@ fn main() {
         .iter()
         .map(|e| ((), Arc::new(e.clone())))
         .collect();
-    let mut table = TextTable::new(&["combiner", "shuffled records", "wall time", "bdm blocks"]);
+    let mut table = TextTable::new(&[
+        "combiner",
+        "shuffled records",
+        "wall time",
+        "bdm blocks",
+        "pruned blocks",
+    ]);
     let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(4));
     let mut shuffled = Vec::new();
     let mut bdms = Vec::new();
@@ -46,6 +56,7 @@ fn main() {
             fmt_count(metrics.map_output_records()),
             fmt_ms(wall),
             bdm.num_blocks().to_string(),
+            metrics.counters.get(PRUNED_BLOCKS).to_string(),
         ]);
         bdms.push(bdm);
     }

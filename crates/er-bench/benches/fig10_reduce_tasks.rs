@@ -90,7 +90,7 @@ fn main() {
     let bdm_cache: Vec<_> = vec![bdm_from_keys(&keys, M)];
     let bdm = &bdm_cache[0];
     println!(
-        "   DS1-like: {} entities, {} blocks, {} pairs\n",
+        "   DS1-like: {} entities, {} blocks with pairs, {} pairs\n",
         keys.len(),
         bdm.num_blocks(),
         bdm.total_pairs()

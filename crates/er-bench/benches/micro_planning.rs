@@ -2,13 +2,17 @@
 //! before it compares — one leg at a time, so a later change can tell
 //! which leg it moved:
 //!
-//! * **BDM assembly**: `BlockDistributionMatrix::from_counts` over the
-//!   shape the BDM job hands over (32 reduce outputs, each sorted by
-//!   key, one or two cells per block), at 1 000 and 50 000 blocks;
+//! * **BDM assembly**: `BlockDistributionMatrix::from_job_output`
+//!   over the shape the BDM job hands over (32 reduce outputs, each in
+//!   key order: the two ranked cells of every block that has a pair —
+//!   a third of the blocks — and of every other block, a singleton,
+//!   the sixteen-byte note its reducer wrote instead), at 1 000 and
+//!   50 000 input blocks;
 //! * **remap**: what the matching job's mappers do per record — 50 000
-//!   `(partition, rank)` records resolved to their block through
-//!   `blocks_in` (`block_of_rank`, key guard included) against each of
-//!   the two matrices, in an order unrelated to the key order;
+//!   `(partition, rank)` records, those of the dropped blocks among
+//!   them, resolved to their block or to "pruned" through `blocks_in`
+//!   (`block_of_rank`, key guard included) against each of the two
+//!   matrices, in an order unrelated to the key order;
 //! * **block_index**: the same 50 000 records looked up by key (binary
 //!   search over the sorted keys) — the path tests and tools take;
 //! * **PairRange membership**: `for_each_relevant_interval` over every
@@ -28,6 +32,7 @@ use std::time::Instant;
 use er_bench::{median_ms, write_bench_json, Json, PAPER_SEED};
 use er_core::blocking::{BlockKey, PrefixBlocking};
 use er_core::SourceId;
+use er_loadbalance::bdm::RankedKey;
 use er_loadbalance::pair_range::mapper::for_each_relevant_interval;
 use er_loadbalance::pair_range::ranges::{RangeIndexer, RangePolicy};
 use er_loadbalance::{BlockDistributionMatrix, Ent, Keyed};
@@ -57,12 +62,23 @@ fn median_wall_ms<I, O>(
     median_ms(&walls)
 }
 
-/// The BDM job's output for `blocks` ten-character keys: every block
-/// has a cell in one partition and every third block in a second one,
-/// keys are hashed to `REDUCE_TASKS` reduce outputs like the job's
-/// partitioner does, and each output is sorted by `(key, partition)`.
-fn bdm_job_output(blocks: usize) -> Vec<(BlockKey, usize, u64)> {
-    let mut runs: Vec<Vec<(BlockKey, usize, u64)>> = vec![Vec::new(); REDUCE_TASKS];
+/// One cell a BDM mapper emits: `(key, partition, count, rank)`.
+type Cell = (BlockKey, usize, u64, u32);
+
+/// One output record of the BDM job: `((partition, rank), ranked key)`.
+type Record = ((u32, u32), RankedKey);
+
+/// The BDM job over `blocks` ten-character keys: every block has one
+/// entity in one partition and every third block one more in a second
+/// partition. Returns what the mappers emit — every cell with its
+/// key's rank in its partition, in an order unrelated to the key order
+/// — and what the job hands over: per cell, in `REDUCE_TASKS` reduce
+/// outputs hashed like the job's partitioner does and each in key
+/// order, the cell itself when its block has a pair and the note of a
+/// lone entity when not.
+fn bdm_job_output(blocks: usize) -> (Vec<Cell>, Vec<Record>) {
+    let mut emitted: Vec<Cell> = Vec::new();
+    let mut has_pair = Vec::new();
     for k in 0..blocks {
         // Multiplying by an odd constant scatters consecutive `k`
         // over the key space, as real skus are.
@@ -70,16 +86,31 @@ fn bdm_job_output(blocks: usize) -> Vec<(BlockKey, usize, u64)> {
             "{:010}",
             (k as u64).wrapping_mul(2_654_435_761) % 10_000_000_000
         ));
-        let run = &mut runs[HashPartitioner::bucket(&key, REDUCE_TASKS)];
-        run.push((key.clone(), k % MAP_TASKS, 1));
+        emitted.push((key.clone(), k % MAP_TASKS, 1, 0));
+        has_pair.push(k % 3 == 0);
         if k % 3 == 0 {
-            run.push((key, (k + 3) % MAP_TASKS, 1));
+            emitted.push((key, (k + 3) % MAP_TASKS, 1, 0));
+            has_pair.push(true);
         }
     }
-    for run in &mut runs {
-        run.sort();
+    let mut by_key: Vec<usize> = (0..emitted.len()).collect();
+    by_key.sort_by(|&a, &b| (&emitted[a].0, emitted[a].1).cmp(&(&emitted[b].0, emitted[b].1)));
+    let mut keys_in = [0u32; MAP_TASKS];
+    let mut runs: Vec<Vec<Record>> = vec![Vec::new(); REDUCE_TASKS];
+    for at in by_key {
+        let ranked = &mut keys_in[emitted[at].1];
+        emitted[at].3 = *ranked;
+        *ranked += 1;
+        let (key, partition, count, rank) = emitted[at].clone();
+        let ranked_key = if has_pair[at] {
+            RankedKey::Cell(key.clone(), count)
+        } else {
+            RankedKey::Lone(HashPartitioner::hash(&key))
+        };
+        runs[HashPartitioner::bucket(&key, REDUCE_TASKS)]
+            .push(((partition as u32, rank), ranked_key));
     }
-    runs.into_iter().flatten().collect()
+    (emitted, runs.into_iter().flatten().collect())
 }
 
 fn main() {
@@ -94,52 +125,49 @@ fn main() {
     ];
 
     for (label, blocks) in [("1k", 1_000usize), ("50k", 50_000)] {
-        let cells = bdm_job_output(blocks);
+        let (emitted, records) = bdm_job_output(blocks);
         let assembly_ms = median_wall_ms(
             reps,
-            || cells.clone(),
-            |cells| BlockDistributionMatrix::from_counts(MAP_TASKS, cells),
+            || records.clone(),
+            |records| BlockDistributionMatrix::from_job_output(MAP_TASKS, records),
         );
-        let bdm = BlockDistributionMatrix::from_counts(MAP_TASKS, cells.clone());
-        // Cell order is run-major, i.e. unrelated to the key order.
+        let bdm = BlockDistributionMatrix::from_job_output(MAP_TASKS, records.clone());
         // Each probe is one side record of the BDM job: the cell's
         // partition, its key's rank there, and the key.
-        let probes: Vec<(usize, u32, &BlockKey)> = cells
+        let probes: Vec<(usize, u32, &BlockKey)> = emitted
             .iter()
-            .map(|(key, partition, _)| {
-                let block = bdm.block_index(key).expect("every cell's key is a block");
-                let rank = bdm
-                    .blocks_in(*partition)
-                    .binary_search(&block)
-                    .expect("a cell's block is non-empty in its partition");
-                (*partition, rank as u32, key)
-            })
+            .map(|(key, partition, _, rank)| (*partition, *rank, key))
             .cycle()
             .take(LOOKUPS)
             .collect();
-        let remap_ms = median_wall_ms(
-            reps,
-            || (),
-            |()| {
-                probes
-                    .iter()
-                    .map(|&(partition, rank, key)| bdm.block_of_rank(partition, rank, key) as u64)
-                    .sum::<u64>()
-            },
-        );
+        let remapped = || {
+            probes
+                .iter()
+                .filter_map(|&(partition, rank, key)| bdm.block_of_rank(partition, rank, key))
+                .count()
+        };
+        let remap_ms = median_wall_ms(reps, || (), |()| remapped());
         let block_index_ms = median_wall_ms(
             reps,
             || (),
             |()| {
                 probes
                     .iter()
-                    .map(|(_, _, key)| bdm.block_index(key).expect("every probe is a block") as u64)
-                    .sum::<u64>()
+                    .filter_map(|(_, _, key)| bdm.block_index(key))
+                    .count()
             },
         );
+        assert_eq!(
+            remapped(),
+            probes
+                .iter()
+                .filter(|(_, _, key)| bdm.block_index(key).is_some())
+                .count(),
+            "a rank remaps to a block iff its key has one"
+        );
         println!(
-            "{blocks:>6} blocks ({} cells): assembly {assembly_ms:.3} ms, {LOOKUPS} records: remap {remap_ms:.3} ms, block_index {block_index_ms:.3} ms",
-            cells.len()
+            "{blocks:>6} blocks ({} records): assembly {assembly_ms:.3} ms, {LOOKUPS} records: remap {remap_ms:.3} ms, block_index {block_index_ms:.3} ms",
+            records.len()
         );
         export.push((
             format!("blocks_{label}"),

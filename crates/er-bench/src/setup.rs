@@ -62,7 +62,8 @@ pub fn simulate_strategy(
     cost: &ExperimentCost,
 ) -> SimOutcome {
     let m = bdm.num_partitions();
-    let entities: u64 = (0..bdm.num_blocks()).map(|k| bdm.size(k)).sum();
+    // The blocks of the matrix and the entities alone in theirs.
+    let entities = (0..bdm.num_blocks()).map(|k| bdm.size(k)).sum::<u64>() + bdm.pruned_entities();
     let workload = analyze(bdm, strategy, r, RangePolicy::CeilDiv);
     let reduce_tasks: Vec<(u64, u64)> = workload
         .reduce_input_records

@@ -10,7 +10,9 @@
 //!
 //! * **Basic** — each block's pairs land on `hash(key) mod r` (the
 //!   same hash the engine's partitioner uses, so analysis and real
-//!   execution agree bucket for bucket);
+//!   execution agree bucket for bucket). Basic ships every entity,
+//!   those alone in their block too: the matrix keeps no row for them
+//!   but their keys' hashes, which is all the placement reads;
 //! * **BlockSplit** — the greedy assignment *is* the workload;
 //! * **PairRange** — range sizes are closed-form; per-entity range
 //!   memberships (map output / reduce input) come from the mapper's
@@ -93,6 +95,10 @@ fn analyze_basic(bdm: &BlockDistributionMatrix, r: usize) -> StrategyWorkload {
         comparisons[bucket] += bdm.pairs_in_block(k);
         inputs[bucket] += bdm.size(k);
         map_output += bdm.size(k);
+    }
+    for &hash in bdm.pruned_key_hashes() {
+        inputs[HashPartitioner::bucket_of_hash(hash, r)] += 1;
+        map_output += 1;
     }
     StrategyWorkload {
         strategy: StrategyKind::Basic,

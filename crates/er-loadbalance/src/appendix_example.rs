@@ -3,9 +3,10 @@
 //! Π0, source S in Π1 and Π2.
 //!
 //! Counts: w → R:2/S:2 (4 pairs), x → R:1/S:2 (2 pairs), y → R:1/S:0
-//! (0 pairs), z → R:2/S:3 (6 pairs); 12 pairs total. With lexicographic
-//! block order our indexes are w=0, x=1, y=2, z=3 (the paper's figure
-//! orders x and y differently; the structure is identical).
+//! (0 pairs), z → R:2/S:3 (6 pairs); 12 pairs total. Block y is F
+//! alone: it has no pair, so it is not in the matrix, and with
+//! lexicographic block order our indexes are w=0, x=1, z=2 (the paper's
+//! figure keeps y and orders x differently; the pairs are the same).
 
 use std::sync::Arc;
 
@@ -68,7 +69,7 @@ pub fn annotated_partitions() -> Partitions<u32, Keyed> {
                     Keyed::single(key, entity)
                 })
                 .collect();
-            rank_annotated(replicas, |_, _| {})
+            rank_annotated(replicas, |_, _, _| {})
         })
         .collect()
 }

@@ -1,9 +1,9 @@
 //! The Block Distribution Matrix (paper Section III-B).
 //!
-//! A `b × m` matrix giving the number of entities of each of `b`
-//! blocks in each of `m` input partitions. Both load-balancing
-//! strategies read it at map-task initialization to plan the entity
-//! redistribution.
+//! A `b × m` matrix giving the number of entities of each of the `b`
+//! blocks that have a pair in each of `m` input partitions. Both
+//! load-balancing strategies read it at map-task initialization to
+//! plan the entity redistribution.
 //!
 //! **Layout.** Flat, one allocation per column of the paper's figure:
 //! `keys[k]` is block `k`'s blocking key; `prefix` is a row-major
@@ -23,6 +23,21 @@
 //! worked example — pinned by `entity_c_ranges_match_the_paper`.) The
 //! strategies ask the matrix and so have one implementation.
 //!
+//! **Only blocks that have a pair.** The matrix exists to plan the
+//! redistribution of *pairs*, and a block with fewer than two entities
+//! has none: it yields no match task, no pair index and no map output
+//! of the matching job. Such blocks are not in the matrix — the BDM
+//! job's reducer, the first place that knows a block's global size,
+//! drops them ([`crate::bdm_job`]), and [`from_counts`] applies the
+//! same rule to cells from anywhere else. `num_blocks`, `size` and the
+//! block indexes all speak of the blocks with `|Φ_k| ≥ 2` only. (Under
+//! the two-source geometry the rule is still `|Φ_k| ≥ 2`, whatever the
+//! sources: the tags arrive after the job.) Of an entity alone in its
+//! block the matrix keeps eight bytes, the hash of its key
+//! ([`pruned_entities`] counts them): Basic ships such an entity like
+//! any other, to reduce task `hash mod r`, and [`crate::analysis`]
+//! predicts Basic's reduce inputs from the matrix, exactly.
+//!
 //! **Block indexes are lexicographic in the blocking key** — a
 //! deterministic stand-in for the paper's "(arbitrary) order of the
 //! blocks from the reduce output", which in the running example is
@@ -30,30 +45,43 @@
 //! enumeration, reduce placement and every output digest depend on
 //! that order and on nothing else about how the matrix was assembled.
 //!
-//! **Ranks instead of lookups.** `blocks_in(p)` lists, ascending, the
-//! blocks with a non-zero cell in partition `p`. The BDM job's mapper
-//! numbers its partition's distinct keys `0, 1, …` in lexicographic
-//! order (see [`crate::bdm_job`]); block indexes are lexicographic
-//! too, and the blocks with entities in `p` are exactly the keys the
-//! mapper of `p` saw, so both number the same set in the same order:
-//! rank `j` of partition `p` is block `blocks_in(p)[j]`. The matching
-//! job resolves every record that way
-//! ([`BlockDistributionMatrix::block_of_rank`]);
-//! `block_index` is a binary search over the sorted keys, for tests
-//! and tools.
+//! **Ranks instead of lookups.** The BDM job's mapper numbers its
+//! partition's distinct keys `0, 1, …` in lexicographic order — the
+//! key's *rank* — and sends that rank with every cell it emits; the
+//! reducer writes one record per `(partition, rank)`, a cell or the
+//! note of a lone entity ([`RankedKey`]). `blocks_in(p)` is partition
+//! `p`'s rank → block remap, one entry per such record: entry `j` is
+//! the block of the key ranked `j`, or
+//! [`PRUNED`](BlockDistributionMatrix::PRUNED) when that key's block
+//! has no pair. The matching job resolves every record with that one
+//! array load ([`BlockDistributionMatrix::block_of_rank`]) and skips
+//! the records of pruned blocks; `block_index` is a binary search over
+//! the sorted keys, for tests and tools.
 //!
 //! **Assembly is a sort, not a tree.** The BDM job hands over `r`
-//! reduce outputs, each already sorted by `(key, partition)`; the
-//! cells are collected and stable-sorted by key — a run-adaptive merge
-//! sort does about `log₂ r` merge passes over them, comparing the
-//! keys' first eight bytes inline before their text — and then grouped
-//! in linear passes into a matrix allocated once.
+//! reduce outputs, each in key order. The notes of lone entities go
+//! straight to their remap entry — one pass, no key behind them; the
+//! cells, all of blocks with a pair, are collected and stable-sorted
+//! by key — a run-adaptive merge sort does about `log₂ r` merge passes
+//! over them, comparing the keys' first eight bytes inline before
+//! their text — and then grouped in linear passes into a matrix
+//! allocated once. Sort, matrix and key vector are linear in the
+//! blocks that have pairs, not in the blocks the input has; only the
+//! remaps (four bytes per ranked key) and the lone entities' hashes
+//! are as long as the partitions' key lists. [`from_counts`] sorts its
+//! triples by `(key, partition)`, numbers each partition's keys in
+//! that order and goes through the same routine, whose own sort then
+//! finds a single run.
+//!
+//! [`from_counts`]: BlockDistributionMatrix::from_counts
+//! [`pruned_entities`]: BlockDistributionMatrix::pruned_entities
 
 use std::fmt::Write as _;
 
 use er_core::blocking::BlockKey;
 use er_core::pairs::{rect_cell_index, triangle_cell_index, triangle_pairs};
 use er_core::SourceId;
+use mr_engine::partitioner::HashPartitioner;
 
 use crate::keys::key_index;
 
@@ -68,18 +96,36 @@ pub(crate) fn key_head(key: &BlockKey) -> u64 {
     u64::from_be_bytes(head)
 }
 
+/// What the BDM job's reducer writes about one ranked key of one input
+/// partition: the value of its output record `((partition, rank), _)`.
+/// Every key a mapper ranked comes back as exactly one of these.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RankedKey {
+    /// The key's block has a pair: the key and the block's entities in
+    /// the partition — a non-zero cell of the matrix.
+    Cell(BlockKey, u64),
+    /// The key's block is this one entity and not in the matrix: the
+    /// key's [`HashPartitioner::hash`], all that is kept of it.
+    Lone(u64),
+}
+
 /// The block distribution matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockDistributionMatrix {
-    /// Blocking keys, lexicographically sorted; position = block index.
+    /// Blocking keys of the blocks with a pair, lexicographically
+    /// sorted; position = block index.
     keys: Vec<BlockKey>,
     /// Row-major `b × (m + 1)` running per-partition sums (see the
     /// module header).
     prefix: Vec<u64>,
     /// `pair_offsets[k]` = o(k) = pairs in blocks 0..k; last entry = P.
     pair_offsets: Vec<u64>,
-    /// Per partition, the ascending indexes of its non-empty blocks.
+    /// Per partition, its rank → block remap (`PRUNED` where the
+    /// rank's block is not in the matrix).
     blocks_in: Vec<Vec<u32>>,
+    /// The key hashes of the entities alone in their block — one per
+    /// `PRUNED` entry of `blocks_in`, in `(partition, rank)` order.
+    lone: Vec<u64>,
     /// Set for two-source matching: `pair_offsets` then count
     /// rectangles.
     linkage: Option<Linkage>,
@@ -94,61 +140,213 @@ struct Linkage {
     size_r: Vec<u64>,
 }
 
+/// A non-zero cell on its way into the matrix: `(key_head, key,
+/// partition, count, rank)`. With the head inline, most comparisons of
+/// the assembly's sort never follow the key's pointer.
+type Cell = (u64, BlockKey, u32, u64, u32);
+
+/// The partitions' rank → block remaps while a matrix is assembled:
+/// every ranked key claims the entry of its rank, for the block of its
+/// cell or for the key hash of a lone entity.
+struct Remaps {
+    blocks_in: Vec<Vec<u32>>,
+    /// Parallel to `blocks_in`: the hash where a lone entity claimed
+    /// the entry.
+    lone_at: Vec<Vec<Option<u64>>>,
+    lone: usize,
+}
+
+impl Remaps {
+    fn new(m: usize) -> Self {
+        Self {
+            blocks_in: vec![Vec::new(); m],
+            lone_at: vec![Vec::new(); m],
+            lone: 0,
+        }
+    }
+
+    /// Entry `rank` of `partition`, the remap grown to hold it.
+    ///
+    /// # Panics
+    /// If the entry is claimed: a partition has one record per rank.
+    fn unclaimed(&mut self, partition: u32, rank: u32) -> (&mut u32, &mut Option<u64>) {
+        let (blocks_in, lone_at) = (
+            &mut self.blocks_in[partition as usize],
+            &mut self.lone_at[partition as usize],
+        );
+        let at = rank as usize;
+        if at >= blocks_in.len() {
+            blocks_in.resize(at + 1, BlockDistributionMatrix::PRUNED);
+            lone_at.resize(at + 1, None);
+        }
+        assert!(
+            blocks_in[at] == BlockDistributionMatrix::PRUNED && lone_at[at].is_none(),
+            "partition {partition} has two keys ranked {rank}"
+        );
+        (&mut blocks_in[at], &mut lone_at[at])
+    }
+
+    /// The key ranked `rank` in `partition` has block `block`.
+    fn claim_block(&mut self, partition: u32, rank: u32, block: u32) {
+        *self.unclaimed(partition, rank).0 = block;
+    }
+
+    /// The key ranked `rank` in `partition` hashes to `hash` and has
+    /// one entity.
+    fn claim_lone(&mut self, partition: u32, rank: u32, hash: u64) {
+        *self.unclaimed(partition, rank).1 = Some(hash);
+        self.lone += 1;
+    }
+
+    /// The remaps and, in `(partition, rank)` order, the lone
+    /// entities' key hashes.
+    ///
+    /// # Panics
+    /// If an entry below a partition's highest rank was never claimed.
+    fn finish(self) -> (Vec<Vec<u32>>, Vec<u64>) {
+        let mut lone = Vec::with_capacity(self.lone);
+        for (partition, (blocks_in, lone_at)) in self.blocks_in.iter().zip(self.lone_at).enumerate()
+        {
+            for (rank, (&block, hash)) in blocks_in.iter().zip(lone_at).enumerate() {
+                match hash {
+                    Some(hash) => lone.push(hash),
+                    None => assert!(
+                        block != BlockDistributionMatrix::PRUNED,
+                        "partition {partition} has no key ranked {rank}"
+                    ),
+                }
+            }
+        }
+        (self.blocks_in, lone)
+    }
+}
+
 impl BlockDistributionMatrix {
+    /// What [`Self::blocks_in`] holds for a rank whose block has no
+    /// pair and is therefore not in the matrix.
+    pub const PRUNED: u32 = u32::MAX;
+
     /// Builds a BDM from `(blocking key, partition index, count)`
-    /// triples — the output records of the BDM job (Algorithm 3).
+    /// triples — Algorithm 3's reduce output format. Blocks with fewer
+    /// than two entities are left out (see the module header).
     ///
     /// Triples may arrive in any order; duplicate `(key, partition)`
     /// triples are summed. `m` is the total number of input partitions.
+    /// A key's rank in a partition is its position among the distinct
+    /// keys with entities there, as the BDM job's mapper numbers them.
     ///
     /// # Panics
     /// If a partition index is `>= m`, or there are more than
     /// `u32::MAX` distinct keys.
     pub fn from_counts(m: usize, counts: impl IntoIterator<Item = (BlockKey, usize, u64)>) -> Self {
-        // `(key_head, key, partition, count)`: with the head inline,
-        // most comparisons below never follow the key's pointer.
-        type Cell = (u64, BlockKey, usize, u64);
         let mut cells: Vec<Cell> = counts
             .into_iter()
-            .map(|(key, partition, count)| (key_head(&key), key, partition, count))
-            .collect();
-        cells.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-        let same_block = |a: &Cell, b: &Cell| a.0 == b.0 && a.1 == b.1;
-        let stride = m + 1;
-        let blocks = cells.chunk_by(same_block).count();
-        let mut prefix = vec![0u64; blocks * stride];
-        let mut pair_offsets = Vec::with_capacity(blocks + 1);
-        let mut blocks_in = vec![Vec::new(); m];
-        let mut pairs = 0u64;
-        for ((row, group), k) in prefix
-            .chunks_exact_mut(stride)
-            .zip(cells.chunk_by(same_block))
-            .zip(0..key_index(blocks, "number of blocks"))
-        {
-            for &(_, _, partition, count) in group {
+            .map(|(key, partition, count)| {
                 assert!(
                     partition < m,
                     "partition index {partition} out of range (m = {m})"
                 );
-                row[1 + partition] += count;
+                (key_head(&key), key, partition as u32, count, 0)
+            })
+            .collect();
+        cells.sort_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)));
+        cells.dedup_by(|later, first| {
+            let same_cell = (first.0, &first.1, first.2) == (later.0, &later.1, later.2);
+            if same_cell {
+                first.3 += later.3;
+            }
+            same_cell
+        });
+        cells.retain(|cell| cell.3 > 0);
+        // In key order, the cells of a partition are its keys in rank
+        // order.
+        let mut ranked = vec![0usize; m];
+        for (_, _, partition, _, rank) in &mut cells {
+            let keys = &mut ranked[*partition as usize];
+            *rank = key_index(*keys, "distinct blocking keys of a partition");
+            *keys += 1;
+        }
+        Self::assemble(m, cells, Remaps::new(m))
+    }
+
+    /// Builds a BDM from the output records of the BDM job over `m`
+    /// input partitions: `((partition, rank), ranked key)`, one per key
+    /// the mapper of `partition` ranked `0, 1, …` in lexicographic
+    /// order (see [`crate::bdm_job`]). Records may arrive in any order.
+    ///
+    /// # Panics
+    /// If a partition index is `>= m`, a cell counts nothing, the
+    /// ranks of a partition are not `0, 1, …` with one record each, or
+    /// there are more than `u32::MAX` distinct keys.
+    pub fn from_job_output(
+        m: usize,
+        records: impl IntoIterator<Item = ((u32, u32), RankedKey)>,
+    ) -> Self {
+        let mut cells = Vec::new();
+        let mut remaps = Remaps::new(m);
+        for ((partition, rank), ranked) in records {
+            assert!(
+                (partition as usize) < m,
+                "partition index {partition} out of range (m = {m})"
+            );
+            match ranked {
+                RankedKey::Cell(key, count) => {
+                    assert!(count > 0, "a ranked key has an entity ({key})");
+                    cells.push((key_head(&key), key, partition, count, rank));
+                }
+                RankedKey::Lone(hash) => remaps.claim_lone(partition, rank, hash),
+            }
+        }
+        Self::assemble(m, cells, remaps)
+    }
+
+    /// The one assembly routine: the non-zero `cells`, one per `(key,
+    /// partition)`, in any order, and the `remaps` with the lone
+    /// entities the caller has already told apart. Blocks without a
+    /// pair that are still among the cells join them.
+    fn assemble(m: usize, mut cells: Vec<Cell>, mut remaps: Remaps) -> Self {
+        cells.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        let same_block = |a: &Cell, b: &Cell| a.0 == b.0 && a.1 == b.1;
+        let has_pair = |block: &&[Cell]| block.iter().map(|cell| cell.3).sum::<u64>() >= 2;
+        let mut blocks = 0;
+        for block in cells.chunk_by(same_block) {
+            if has_pair(&block) {
+                blocks += 1;
+            } else {
+                for (_, key, partition, _, rank) in block {
+                    remaps.claim_lone(*partition, *rank, HashPartitioner::hash(key));
+                }
+            }
+        }
+        let stride = m + 1;
+        let mut keys = Vec::with_capacity(blocks);
+        let mut prefix = vec![0u64; blocks * stride];
+        let mut pair_offsets = Vec::with_capacity(blocks + 1);
+        let mut pairs = 0u64;
+        for ((row, block), k) in prefix
+            .chunks_exact_mut(stride)
+            .zip(cells.chunk_by(same_block).filter(has_pair))
+            .zip(0..key_index(blocks, "number of blocks"))
+        {
+            for &(_, _, partition, count, rank) in block {
+                row[1 + partition as usize] += count;
+                remaps.claim_block(partition, rank, k);
             }
             for p in 1..stride {
-                if row[p] > 0 {
-                    blocks_in[p - 1].push(k);
-                }
                 row[p] += row[p - 1];
             }
             pair_offsets.push(pairs);
             pairs += triangle_pairs(row[m]);
+            keys.push(block[0].1.clone());
         }
         pair_offsets.push(pairs);
-        cells.dedup_by(|later, first| same_block(first, later));
-        let keys: Vec<BlockKey> = cells.into_iter().map(|(_, key, _, _)| key).collect();
+        let (blocks_in, lone) = remaps.finish();
         Self {
             keys,
             prefix,
             pair_offsets,
             blocks_in,
+            lone,
             linkage: None,
         }
     }
@@ -238,24 +436,40 @@ impl BlockDistributionMatrix {
         self.keys.binary_search(key).ok().map(|k| k as u32)
     }
 
-    /// The ascending indexes of the blocks with at least one entity in
-    /// `partition` — the rank → block remap of that partition (see the
-    /// module header).
+    /// The rank → block remap of `partition`: entry `j` is the block
+    /// of the partition's `j`-th smallest key, or [`Self::PRUNED`]
+    /// when that block has no pair (see the module header).
     pub fn blocks_in(&self, partition: usize) -> &[u32] {
         &self.blocks_in[partition]
     }
 
+    /// The entities (replicas, under multi-pass blocking) that are
+    /// alone in their block: they are in the input and in no block of
+    /// the matrix. With the block sizes they sum to the replicas the
+    /// matrix was counted from.
+    pub fn pruned_entities(&self) -> u64 {
+        self.lone.len() as u64
+    }
+
+    /// [`HashPartitioner::hash`] of the blocking key of each of the
+    /// [`Self::pruned_entities`] — what places them under Basic.
+    pub(crate) fn pruned_key_hashes(&self) -> &[u64] {
+        &self.lone
+    }
+
     /// The block behind `rank`, the number the BDM job's mapper of
     /// `partition` gave `key` — as the `u32` the composite map-output
-    /// keys carry.
+    /// keys carry — or `None` when that block has no pair and was
+    /// pruned: the record has nothing to be compared with.
     ///
     /// # Panics
     /// If the partition has no such rank or the block there has
     /// another key: the two jobs saw different data — a pipeline bug
     /// worth failing loudly on.
-    pub fn block_of_rank(&self, partition: usize, rank: u32, key: &BlockKey) -> u32 {
+    pub fn block_of_rank(&self, partition: usize, rank: u32, key: &BlockKey) -> Option<u32> {
         match self.blocks_in[partition].get(rank as usize) {
-            Some(&block) if self.keys[block as usize] == *key => block,
+            Some(&Self::PRUNED) => None,
+            Some(&block) if self.keys[block as usize] == *key => Some(block),
             _ => panic!("blocking key {key} not present in the BDM"),
         }
     }
@@ -403,10 +617,14 @@ mod tests {
 
     /// The previous tree-based BDM, kept as the model the flat layout
     /// is checked against: one `BTreeMap` insert per cell, one `Vec`
-    /// per row, a second tree for lookup.
+    /// per row of a block with a pair, a second tree for lookup, and
+    /// per partition the remap of its keys' ranks and the keys of its
+    /// lone entities.
     struct TreeBdm {
         rows: Vec<(BlockKey, Vec<u64>)>,
         by_key: BTreeMap<BlockKey, usize>,
+        remaps: Vec<Vec<u32>>,
+        lone: Vec<Vec<BlockKey>>,
     }
 
     impl TreeBdm {
@@ -415,13 +633,37 @@ mod tests {
             for (key, partition, count) in counts {
                 per_key.entry(key.clone()).or_insert_with(|| vec![0; m])[*partition] += count;
             }
-            let rows: Vec<_> = per_key.into_iter().collect();
+            let mut rows = Vec::new();
+            let mut remaps = vec![Vec::new(); m];
+            let mut lone = vec![Vec::new(); m];
+            for (key, per_partition) in per_key {
+                let has_pair = per_partition.iter().sum::<u64>() >= 2;
+                let entry = if has_pair {
+                    rows.len() as u32
+                } else {
+                    BlockDistributionMatrix::PRUNED
+                };
+                for (p, _) in per_partition.iter().enumerate().filter(|(_, &c)| c > 0) {
+                    remaps[p].push(entry);
+                    if !has_pair {
+                        lone[p].push(key.clone());
+                    }
+                }
+                if has_pair {
+                    rows.push((key, per_partition));
+                }
+            }
             let by_key = rows
                 .iter()
                 .enumerate()
                 .map(|(k, (key, _))| (key.clone(), k))
                 .collect();
-            Self { rows, by_key }
+            Self {
+                rows,
+                by_key,
+                remaps,
+                lone,
+            }
         }
 
         fn to_tsv(&self) -> String {
@@ -460,13 +702,16 @@ mod tests {
         }
         assert_eq!(bdm.total_pairs(), pairs);
         for p in 0..m {
-            let non_empty: Vec<u32> = (0u32..)
-                .zip(&model.rows)
-                .filter(|(_, (_, per_partition))| per_partition[p] > 0)
-                .map(|(k, _)| k)
-                .collect();
-            assert_eq!(bdm.blocks_in(p), non_empty, "blocks_in({p})");
+            assert_eq!(bdm.blocks_in(p), model.remaps[p], "blocks_in({p})");
         }
+        let lone: Vec<u64> = model
+            .lone
+            .iter()
+            .flatten()
+            .map(HashPartitioner::hash)
+            .collect();
+        assert_eq!(bdm.pruned_key_hashes(), lone);
+        assert_eq!(bdm.pruned_entities(), lone.len() as u64);
         for key in probes.iter().chain(model.rows.iter().map(|(key, _)| key)) {
             assert_eq!(
                 bdm.block_index(key).map(|k| k as usize),
@@ -520,7 +765,7 @@ mod tests {
         // partitions at all.
         assert_matches_model(3, &[], &keys);
         assert_matches_model(0, &[], &keys);
-        // Cells that count nothing make a block no partition holds.
+        // Cells that count nothing make no block.
         let zeros: Vec<_> = keys.iter().map(|k| (k.clone(), 1, 0)).collect();
         assert_matches_model(2, &zeros, &keys);
         // One giant block spread over every partition.
@@ -529,6 +774,85 @@ mod tests {
         // Every cell in one partition, keys arriving in reverse order.
         let one_partition: Vec<_> = keys.iter().rev().map(|k| (k.clone(), 5, 2)).collect();
         assert_matches_model(8, &one_partition, &keys);
+    }
+
+    #[test]
+    fn blocks_without_a_pair_are_left_out() {
+        let k = |s: &str| BlockKey::new(s);
+        // Partition 0 sees a, b, c, e; partition 1 sees b, d, e. Only
+        // b (one entity in each) and c (two in one) have a pair.
+        let bdm = BlockDistributionMatrix::from_key_partitions(&[
+            vec![k("c"), k("a"), k("b"), k("c"), k("e")],
+            vec![k("d"), k("b"), k("e"), k("e")],
+        ]);
+        let keys: Vec<&str> = (0..bdm.num_blocks()).map(|i| bdm.key(i).as_str()).collect();
+        assert_eq!(keys, ["b", "c", "e"]);
+        assert_eq!([bdm.size(0), bdm.size(1), bdm.size(2)], [2, 2, 3]);
+        assert_eq!(bdm.total_pairs(), 1 + 1 + 3);
+        const PRUNED: u32 = BlockDistributionMatrix::PRUNED;
+        assert_eq!(bdm.blocks_in(0), [PRUNED, 0, 1, 2]);
+        assert_eq!(bdm.blocks_in(1), [0, PRUNED, 2]);
+        assert_eq!(bdm.block_of_rank(0, 0, &k("a")), None);
+        assert_eq!(bdm.block_of_rank(0, 2, &k("c")), Some(1));
+        assert_eq!(bdm.block_of_rank(1, 1, &k("d")), None);
+        assert_eq!(bdm.block_index(&k("a")), None);
+        // Of a and d their hashes are left, in (partition, rank) order.
+        assert_eq!(bdm.pruned_entities(), 2);
+        let hashes = [k("a"), k("d")].map(|key| HashPartitioner::hash(&key));
+        assert_eq!(bdm.pruned_key_hashes(), hashes);
+
+        // The same matrix from what the BDM job writes, in any order.
+        let cell = |key: &str, count| RankedKey::Cell(k(key), count);
+        let records = vec![
+            ((1, 2), cell("e", 2)),
+            ((0, 3), cell("e", 1)),
+            ((1, 1), RankedKey::Lone(hashes[1])),
+            ((0, 2), cell("c", 2)),
+            ((0, 1), cell("b", 1)),
+            ((1, 0), cell("b", 1)),
+            ((0, 0), RankedKey::Lone(hashes[0])),
+        ];
+        assert_eq!(
+            BlockDistributionMatrix::from_job_output(2, records.clone()),
+            bdm
+        );
+        // A block the job should have dropped is dropped here.
+        let mut undropped = records;
+        undropped[6] = ((0, 0), cell("a", 1));
+        assert_eq!(BlockDistributionMatrix::from_job_output(2, undropped), bdm);
+    }
+
+    /// The remaps come from the job's output alone, so it must name
+    /// every rank of a partition once.
+    #[test]
+    fn job_output_with_a_missing_or_doubled_rank_panics() {
+        let cell = |key: &str| RankedKey::Cell(BlockKey::new(key), 2);
+        let panics = |records: Vec<((u32, u32), RankedKey)>| {
+            std::panic::catch_unwind(|| BlockDistributionMatrix::from_job_output(1, records))
+                .is_err()
+        };
+        assert!(!panics(vec![
+            ((0, 0), cell("a")),
+            ((0, 1), RankedKey::Lone(7))
+        ]));
+        // Rank 0 is missing; taken twice by cells, by notes, by both.
+        assert!(panics(vec![((0, 1), cell("a"))]));
+        assert!(panics(vec![((0, 1), RankedKey::Lone(7))]));
+        assert!(panics(vec![((0, 0), cell("a")), ((0, 0), cell("b"))]));
+        assert!(panics(vec![
+            ((0, 0), RankedKey::Lone(7)),
+            ((0, 0), RankedKey::Lone(8))
+        ]));
+        assert!(panics(vec![
+            ((0, 0), cell("a")),
+            ((0, 0), RankedKey::Lone(7))
+        ]));
+        // A partition the job does not have; a cell that counts nothing.
+        assert!(panics(vec![((1, 0), cell("a"))]));
+        assert!(panics(vec![(
+            (0, 0),
+            RankedKey::Cell(BlockKey::new("a"), 0)
+        )]));
     }
 
     #[test]

@@ -7,18 +7,33 @@
 //!   replica as `(rank, annotated entity)`, in input order, to the
 //!   simulated DFS (`additionalOutput`). The matching job turns a rank
 //!   into a block index with one array load
-//!   ([`BlockDistributionMatrix::blocks_in`]) instead of looking the
-//!   key up;
+//!   ([`BlockDistributionMatrix::block_of_rank`]) instead of looking
+//!   the key up;
 //! * counts are aggregated in the mapper — the combiner of the paper's
 //!   footnote 2, realised where the keys are already grouped: `finish`
-//!   emits one `((blocking key, partition index), count)` cell per
-//!   distinct key, in key order, so the map-side sort meets sorted
+//!   emits one `((blocking key, partition index), (count, rank))` cell
+//!   per distinct key, in key order, so the map-side sort meets sorted
 //!   buckets and no engine combiner is installed. With `use_combiner`
-//!   off `map` emits Algorithm 3's `1` per entity instead;
-//! * pairs are partitioned by the *blocking key* component so one block
-//!   is counted by one reduce task;
-//! * `reduce` sums the counts per `(blocking key, partition index)` —
-//!   a row-wise enumeration of the non-zero BDM cells.
+//!   off `finish` emits Algorithm 3's record count instead — one
+//!   `(1, rank)` per replica — from the same place, because the rank
+//!   is known only there;
+//! * pairs are partitioned and *grouped* by the blocking-key component
+//!   and sorted by `(blocking key, partition index)`, so one reduce
+//!   call sees one whole block, its cells in partition order;
+//! * `reduce` sums the block's cells per partition and writes them,
+//!   each under the `(partition, rank)` its mapper gave the key — a
+//!   row-wise enumeration of the non-zero BDM cells — unless the block
+//!   has fewer than two entities. Such a block has no pair, and the
+//!   matrix plans pairs: it is dropped here, the first place that
+//!   knows a block's global size, and counted under
+//!   [`PRUNED_BLOCKS`] / [`PRUNED_ENTITIES`]. (A mapper cannot drop
+//!   its singletons: their partners may sit in another partition.) Of
+//!   its one entity the reducer writes a sixteen-byte note — the same
+//!   `(partition, rank)` and the hash of the key ([`RankedKey::Lone`])
+//!   — which is what Basic, hashing keys to reduce tasks, would need
+//!   to place it, so that [`crate::analysis`] stays exact. Every key a
+//!   mapper ranked thus comes back once, and the matrix builds each
+//!   partition's rank → block remap from the job's output alone.
 //!
 //! The mapper buffers exactly what it side-writes — the side output
 //! was always one record per replica of the partition. The cells
@@ -30,7 +45,7 @@ use std::sync::Arc;
 use er_core::blocking::{BlockKey, BlockingFunction};
 use mr_engine::prelude::*;
 
-use crate::bdm::{key_head, BlockDistributionMatrix};
+use crate::bdm::{key_head, BlockDistributionMatrix, RankedKey};
 use crate::keys::key_index;
 use crate::{Ent, Keyed};
 
@@ -38,16 +53,28 @@ use crate::{Ent, Keyed};
 /// (`R_∅` — handled separately by [`crate::null_keys`]).
 pub const NULL_KEY_ENTITIES: &str = "er.null_key.entities";
 
+/// Counter: blocks the reducer dropped because they have no pair
+/// (`|Φ_k| < 2`); they are not in the matrix.
+pub const PRUNED_BLOCKS: &str = "er.bdm.pruned_blocks";
+
+/// Counter: entities (replicas, under multi-pass blocking) of the
+/// dropped blocks. With the block sizes of the matrix it sums to the
+/// replicas the mappers side-wrote.
+pub const PRUNED_ENTITIES: &str = "er.bdm.pruned_entities";
+
 /// The count key: `(blocking key, partition index)`.
 pub type BdmKey = (BlockKey, u32);
 
+/// The count value: `(entities, rank of the key in its partition)`.
+pub type BdmCell = (u64, u32);
+
 /// Numbers the distinct keys of one partition's `replicas` `0, 1, …`
 /// in lexicographic order and returns every replica, in input order,
-/// with the rank of its key; `cell(key, count)` is called once per
-/// distinct key, in key order.
+/// with the rank of its key; `cell(rank, key, count)` is called once
+/// per distinct key, in key order.
 pub(crate) fn rank_annotated(
     replicas: Vec<Keyed>,
-    mut cell: impl FnMut(&BlockKey, u64),
+    mut cell: impl FnMut(u32, &BlockKey, u64),
 ) -> Vec<(u32, Keyed)> {
     // `(key_head, position)`: with the head inline, most comparisons
     // never follow the key's pointer (as in the BDM's assembly).
@@ -64,7 +91,7 @@ pub(crate) fn rank_annotated(
         for &(_, at) in group {
             ranks[at] = rank;
         }
-        cell(&replicas[group[0].1].key, group.len() as u64);
+        cell(rank, &replicas[group[0].1].key, group.len() as u64);
     }
     ranks.into_iter().zip(replicas).collect()
 }
@@ -73,8 +100,8 @@ pub(crate) fn rank_annotated(
 #[derive(Clone)]
 pub struct BdmMapper {
     blocking: Arc<dyn BlockingFunction>,
-    /// Emit one count per distinct key from `finish` (footnote 2)
-    /// instead of a `1` per entity from `map`.
+    /// Emit one count per distinct key (footnote 2) instead of a `1`
+    /// per replica.
     aggregate: bool,
     partition: Option<u32>,
     /// The partition's annotated replicas so far, in input order.
@@ -98,30 +125,29 @@ impl Mapper for BdmMapper {
     type KIn = ();
     type VIn = Ent;
     type KOut = BdmKey;
-    type VOut = u64;
+    type VOut = BdmCell;
     type Side = (u32, Keyed);
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.partition = Some(key_index(info.task_index, "input partition index"));
     }
 
-    fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<BdmKey, u64, Self::Side>) {
-        let partition = self.partition.expect("setup ran");
-        let derived = Keyed::derive_into(self.blocking.as_ref(), entity, &mut self.replicas);
-        if derived == 0 {
+    fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<BdmKey, BdmCell, Self::Side>) {
+        if Keyed::derive_into(self.blocking.as_ref(), entity, &mut self.replicas) == 0 {
             ctx.add_counter(NULL_KEY_ENTITIES, 1);
-        } else if !self.aggregate {
-            for keyed in &self.replicas[self.replicas.len() - derived..] {
-                ctx.emit((keyed.key.clone(), partition), 1);
-            }
         }
     }
 
-    fn finish(&mut self, ctx: &mut MapContext<BdmKey, u64, Self::Side>) {
+    fn finish(&mut self, ctx: &mut MapContext<BdmKey, BdmCell, Self::Side>) {
         let partition = self.partition.expect("setup ran");
-        let annotated = rank_annotated(std::mem::take(&mut self.replicas), |key, count| {
-            if self.aggregate {
-                ctx.emit((key.clone(), partition), count);
+        let annotated = rank_annotated(std::mem::take(&mut self.replicas), |rank, key, count| {
+            let (records, each) = if self.aggregate {
+                (1, count)
+            } else {
+                (count, 1)
+            };
+            for _ in 0..records {
+                ctx.emit((key.clone(), partition), (each, rank));
             }
         });
         for record in annotated {
@@ -130,13 +156,64 @@ impl Mapper for BdmMapper {
     }
 }
 
-/// Reducer of Algorithm 3: sums the 1s per `(blocking key, partition)`
-/// — the generic count-sum reducer shared with er-sn's sort-key
-/// distribution job.
-pub type BdmReducer = mr_engine::reducer::SumReducer<BdmKey>;
+/// Reducer of Algorithm 3, one call per block: sums the block's counts
+/// per partition and writes the cells — or, of a block without a pair,
+/// the note of its one entity (see the module header).
+#[derive(Debug, Clone, Default)]
+pub struct BdmReducer {
+    pruned_blocks: u64,
+    pruned_entities: u64,
+}
 
-/// Builds the BDM job. Partitioning is on the blocking-key component;
-/// sorting and grouping use the entire `(key, partition)` pair.
+impl Reducer for BdmReducer {
+    type KIn = BdmKey;
+    type VIn = BdmCell;
+    /// `(partition index, rank)`.
+    type KOut = (u32, u32);
+    type VOut = RankedKey;
+
+    fn reduce(
+        &mut self,
+        block: Group<'_, BdmKey, BdmCell>,
+        ctx: &mut ReduceContext<(u32, u32), RankedKey>,
+    ) {
+        let size: u64 = block.values().map(|&(count, _)| count).sum();
+        let mut records = block
+            .iter()
+            .map(|(&(_, partition), &cell)| (partition, cell));
+        let key = &block.key().0;
+        let (mut partition, (mut count, mut rank)) = records.next().expect("never empty");
+        if size < 2 {
+            self.pruned_blocks += 1;
+            self.pruned_entities += size;
+            ctx.emit(
+                (partition, rank),
+                RankedKey::Lone(HashPartitioner::hash(key)),
+            );
+            return;
+        }
+        // Sorted by partition: the records of one cell (several only
+        // with `use_combiner` off) are adjacent.
+        for (next, (more, next_rank)) in records {
+            if next == partition {
+                count += more;
+            } else {
+                ctx.emit((partition, rank), RankedKey::Cell(key.clone(), count));
+                (partition, count, rank) = (next, more, next_rank);
+            }
+        }
+        ctx.emit((partition, rank), RankedKey::Cell(key.clone(), count));
+    }
+
+    fn finish(&mut self, ctx: &mut ReduceContext<(u32, u32), RankedKey>) {
+        ctx.add_counter(PRUNED_BLOCKS, self.pruned_blocks);
+        ctx.add_counter(PRUNED_ENTITIES, self.pruned_entities);
+    }
+}
+
+/// Builds the BDM job. Partitioning and grouping are on the
+/// blocking-key component; sorting uses the entire `(key, partition)`
+/// pair.
 pub fn bdm_job(
     blocking: Arc<dyn BlockingFunction>,
     reduce_tasks: usize,
@@ -161,6 +238,7 @@ pub fn bdm_job_named(
         .partitioner(FnPartitioner::new(|key: &BdmKey, r: usize| {
             HashPartitioner::bucket(&key.0, r)
         }))
+        .group_by(Arc::new(|a: &BdmKey, b: &BdmKey| a.0.cmp(&b.0)))
         .build()
 }
 
@@ -202,16 +280,12 @@ pub fn compute_bdm_named_in(
     use_combiner: bool,
     spill_threshold: Option<usize>,
 ) -> Result<BdmProducts, MrError> {
-    let m = input.len();
     let job = bdm_job_named(name, blocking, reduce_tasks, use_combiner)
         .with_spill_threshold(spill_threshold);
     let out = workflow.chained_stage(&job, input)?;
-    let bdm = BlockDistributionMatrix::from_counts(
-        m,
-        out.reduce_outputs
-            .into_iter()
-            .flatten()
-            .map(|((key, p), count)| (key, p as usize, count)),
+    let bdm = BlockDistributionMatrix::from_job_output(
+        out.side_outputs.len(),
+        out.reduce_outputs.into_iter().flatten(),
     );
     Ok((bdm, out.side_outputs, out.metrics))
 }
@@ -311,7 +385,11 @@ mod tests {
         let job = bdm_job(blocking(), 2, false);
         let out = job.run_on(&WorkerPool::new(1), input).unwrap();
         assert_eq!(out.metrics.counters.get(NULL_KEY_ENTITIES), 1);
-        let total: u64 = out.records().map(|(_, c)| c).sum();
+        let count = |ranked: &RankedKey| match ranked {
+            RankedKey::Cell(_, count) => *count,
+            RankedKey::Lone(_) => 1,
+        };
+        let total: u64 = out.records().map(|(_, ranked)| count(ranked)).sum();
         assert_eq!(total, 14, "the keyless entity is not counted");
     }
 
@@ -328,11 +406,19 @@ mod tests {
         )]];
         let job = bdm_job(mp, 2, false);
         let out = job.run_on(&WorkerPool::new(1), input).unwrap();
-        // Two keys -> two count records and two side records.
-        assert_eq!(out.num_records(), 2);
+        // Two keys -> two count records and two side records; both
+        // blocks are singletons, so the reducer drops them and leaves
+        // a note of each.
+        assert_eq!(out.metrics.map_output_records(), 2);
         assert_eq!(out.side_outputs[0].len(), 2);
         let keyed = &out.side_outputs[0][0].1;
         assert_eq!(keyed.all_keys.len(), 2);
+        let mut notes: Vec<_> = out.records().cloned().collect();
+        notes.sort_by_key(|&(ranked, _)| ranked);
+        let lone = |key: &str| RankedKey::Lone(HashPartitioner::hash(&BlockKey::new(key)));
+        assert_eq!(notes, [((0, 0), lone("acme")), ((0, 1), lone("w"))]);
+        assert_eq!(out.metrics.counters.get(PRUNED_BLOCKS), 2);
+        assert_eq!(out.metrics.counters.get(PRUNED_ENTITIES), 2);
     }
 
     /// Keys that collide, nest and share their first eight bytes
@@ -406,7 +492,15 @@ mod tests {
                 .collect();
             let model = BlockDistributionMatrix::from_key_partitions(&key_lists);
             let replicas: usize = key_lists.iter().map(Vec::len).sum();
-            let cells: usize = (0..m).map(|p| model.blocks_in(p).len()).sum();
+            let cells: usize = key_lists
+                .iter()
+                .map(|keys| keys.iter().collect::<std::collections::BTreeSet<_>>().len())
+                .sum();
+            let mut global_count = std::collections::BTreeMap::new();
+            for key in key_lists.iter().flatten() {
+                *global_count.entry(key).or_insert(0u64) += 1;
+            }
+            let singletons = global_count.values().filter(|&&count| count == 1).count();
 
             let pool = Arc::new(WorkerPool::new(2));
             let mut first_side = None;
@@ -428,6 +522,19 @@ mod tests {
                         if use_combiner { cells } else { replicas }
                     );
                     prop_assert_eq!(metrics.counters.get(NULL_KEY_ENTITIES) as usize, null_keyed);
+                    // Every ranked key comes back once, as a cell or
+                    // as the note of a lone entity.
+                    let written: u64 = metrics.reduce_tasks.iter().map(|task| task.records_out).sum();
+                    prop_assert_eq!(written as usize, cells);
+                    // Singleton blocks are dropped and counted, the
+                    // rest is in the matrix: no replica is lost.
+                    prop_assert_eq!(bdm.num_blocks(), global_count.len() - singletons);
+                    prop_assert_eq!(metrics.counters.get(PRUNED_BLOCKS) as usize, singletons);
+                    let kept: u64 = (0..bdm.num_blocks()).map(|k| bdm.size(k)).sum();
+                    prop_assert_eq!(
+                        kept + metrics.counters.get(PRUNED_ENTITIES),
+                        replicas as u64
+                    );
                     for (p, partition) in side.iter().enumerate() {
                         // Input order, every replica once.
                         let order: Vec<(BlockKey, u64)> = partition
@@ -435,12 +542,16 @@ mod tests {
                             .map(|(_, keyed)| (keyed.key.clone(), keyed.entity.id().0))
                             .collect();
                         prop_assert_eq!(&order, &expected[p]);
-                        // Dense ranks that remap to the key's block.
+                        // Dense ranks that remap to the key's block, or
+                        // to none iff the key is alone in the input.
                         let mut seen = vec![false; bdm.blocks_in(p).len()];
                         for (rank, keyed) in partition {
+                            let block = bdm.block_of_rank(p, *rank, &keyed.key);
+                            prop_assert_eq!(block, bdm.block_index(&keyed.key));
+                            prop_assert_eq!(block.is_none(), global_count[&keyed.key] == 1);
                             prop_assert_eq!(
-                                Some(bdm.blocks_in(p)[*rank as usize]),
-                                bdm.block_index(&keyed.key)
+                                bdm.blocks_in(p)[*rank as usize],
+                                block.unwrap_or(BlockDistributionMatrix::PRUNED)
                             );
                             seen[*rank as usize] = true;
                         }

@@ -79,7 +79,10 @@ impl Mapper for BlockSplitMapper {
     ) {
         let state = self.state.expect("setup ran");
         let assignment = self.plan.get().expect("setup planned the job");
-        let block = self.bdm.block_of_rank(state.partition, *rank, &keyed.key);
+        // A pruned block has no pair, hence no match task.
+        let Some(block) = self.bdm.block_of_rank(state.partition, *rank, &keyed.key) else {
+            return;
+        };
         let k = block as usize;
         let comps = self.bdm.pairs_in_block(k);
         let split =

@@ -8,8 +8,10 @@
 //! [`er_core::sortkey::RangePartitioner`]). This module is their
 //! common home: the deterministic sampler the map side uses and the
 //! fold that turns count-job reduce outputs into a sorted histogram.
-//! The reduce side itself is [`mr_engine::reducer::SumReducer`], the
-//! engine-level count-sum reducer both jobs share.
+//! The sampling job's reduce side is [`mr_engine::reducer::SumReducer`],
+//! the engine-level count-sum reducer; the BDM job has its own
+//! ([`crate::bdm_job::BdmReducer`]), which sees a whole block per call
+//! and drops the blocks without a pair.
 
 use std::collections::BTreeMap;
 

@@ -135,7 +135,10 @@ pub struct ErStages {
     /// The deduplicated match result.
     pub result: MatchResult,
     /// The BDM (absent for Basic, which runs without preprocessing),
-    /// source-tagged when the run linked two sources.
+    /// source-tagged when the run linked two sources. It holds the
+    /// blocks that have a pair; `bdm_metrics` counts the others under
+    /// [`PRUNED_BLOCKS`](crate::bdm_job::PRUNED_BLOCKS) and
+    /// [`PRUNED_ENTITIES`](crate::bdm_job::PRUNED_ENTITIES).
     pub bdm: Option<Arc<BlockDistributionMatrix>>,
     /// Metrics of the BDM job (absent for Basic).
     pub bdm_metrics: Option<JobMetrics>,

@@ -10,8 +10,9 @@
 //!
 //! 1. **BDM job** ([`bdm_job`], Algorithm 3): counts entities per
 //!    (block, input partition) into the [`bdm::BlockDistributionMatrix`]
-//!    and side-writes the blocking-key-annotated entities `Π'_i`, each
-//!    with the rank of its key among its partition's keys.
+//!    — the blocks that have a pair; its reducer drops the rest — and
+//!    side-writes the blocking-key-annotated entities `Π'_i`, each with
+//!    the rank of its key among its partition's keys.
 //! 2. **Matching job** with one of three strategies:
 //!    * [`basic`] — hash blocking keys to reduce tasks (the skew-prone
 //!      baseline),

@@ -202,7 +202,10 @@ impl Mapper for PairRangeMapper {
         ctx: &mut MapContext<PairRangeKey, PairRangeValue, ()>,
     ) {
         let state = self.state.as_mut().expect("setup ran");
-        let block = self.bdm.block_of_rank(state.partition, *rank, &keyed.key);
+        // A pruned block has no pair, hence no range to go to.
+        let Some(block) = self.bdm.block_of_rank(state.partition, *rank, &keyed.key) else {
+            return;
+        };
         let x = state.indexer.next(block as usize);
         let source = state.source;
         let emit = |first: u64, last: u64| {

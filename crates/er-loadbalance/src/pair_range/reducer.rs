@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn slices_equal_the_per_pair_walk() {
         // Blocks of 5, 1, 9 and 3 entities: P = 10 + 0 + 36 + 3 = 49,
-        // so r sweeps past P.
+        // so r sweeps past P; the matrix leaves the pair-less one out.
         let sizes = [5u64, 1, 9, 3];
         let bdm = BlockDistributionMatrix::from_counts(
             1,
@@ -246,7 +246,8 @@ mod tests {
             for r in 1..=64usize {
                 let ranges = RangeIndexer::new(bdm.total_pairs(), r, policy);
                 for range in 0..r as u64 {
-                    for (block, &n) in sizes.iter().enumerate() {
+                    for block in 0..bdm.num_blocks() {
+                        let n = bdm.size(block);
                         // The group the mapper would send: the block's
                         // entities relevant to `range`, by index.
                         let members: Vec<u64> = (0..n)

@@ -70,7 +70,7 @@ pub fn annotated_partitions() -> Partitions<u32, Keyed> {
                     Keyed::single(key, entity)
                 })
                 .collect();
-            rank_annotated(replicas, |_, _| {})
+            rank_annotated(replicas, |_, _, _| {})
         })
         .collect()
 }
@@ -82,7 +82,7 @@ pub fn blocking() -> Arc<dyn er_core::blocking::BlockingFunction> {
 
 /// Maps one record `(rank, key)` through `mapper` as partition 0's
 /// map task of `m` — in this example and the appendix's, the task
-/// whose ranks 0..=3 are the blocks w, x, y, z.
+/// whose ranks 0..=3 are the keys w, x, y, z.
 #[cfg(test)]
 pub(crate) fn map_one<M>(mut mapper: M, m: usize, rank: u32, key: &str)
 where

@@ -13,27 +13,36 @@ mod tests {
     #[test]
     fn appendix_bdm_counts() {
         let bdm = appendix_example::bdm();
-        assert_eq!(bdm.num_blocks(), 4);
-        // w=0, x=1, y=2, z=3 lexicographically.
+        // w=0, x=1, z=2 lexicographically; y, F alone, has no pair
+        // and is not in the matrix.
+        assert_eq!(bdm.num_blocks(), 3);
+        assert_eq!(bdm.block_index(&BlockKey::new("y")), None);
         assert_eq!(bdm.side_sizes(0), Some((2, 2)));
         assert_eq!(bdm.side_sizes(1), Some((1, 2)));
-        assert_eq!(bdm.side_sizes(2), Some((1, 0)));
-        assert_eq!(bdm.side_sizes(3), Some((2, 3)));
+        assert_eq!(bdm.side_sizes(2), Some((2, 3)));
         assert_eq!(bdm.total_pairs(), 12, "paper: 12 overall pairs");
-        assert_eq!(bdm.pairs_in_block(2), 0, "block y has no S entities");
         // Untagged, the same cells count triangles.
         let untagged = BlockDistributionMatrix::from_tsv(3, &bdm.to_tsv()).unwrap();
-        assert_eq!(untagged.side_sizes(3), None);
-        assert_eq!(untagged.total_pairs(), 19, "w 6 + x 3 + y 0 + z 10");
+        assert_eq!(untagged.side_sizes(2), None);
+        assert_eq!(untagged.total_pairs(), 19, "w 6 + x 3 + z 10");
     }
 
     #[test]
     fn pair_offsets_skip_empty_blocks() {
-        let bdm = appendix_example::bdm();
+        // Two R entities and no S entity: a block of the matrix (it
+        // has two entities) that contributes no cross pair.
+        let cells = appendix_example::LAYOUT
+            .iter()
+            .map(|&(_, key, partition)| (BlockKey::new(key), partition, 1))
+            .chain([(BlockKey::new("y"), 0, 1)]);
+        let bdm = BlockDistributionMatrix::from_counts(3, cells)
+            .with_sources(appendix_example::partition_sources());
+        assert_eq!(bdm.side_sizes(2), Some((2, 0)));
         assert_eq!(bdm.pair_offset(0), 0);
         assert_eq!(bdm.pair_offset(1), 4);
         assert_eq!(bdm.pair_offset(2), 6);
         assert_eq!(bdm.pair_offset(3), 6, "y contributes nothing");
+        assert_eq!(bdm.total_pairs(), 12);
     }
 
     #[test]
@@ -44,7 +53,7 @@ mod tests {
         // paper's "−1" offset the pairs would be 5,6,7 -> ranges {1}
         // only, contradicting the example.)
         let bdm = appendix_example::bdm();
-        let pairs: Vec<u64> = (0..3).map(|y| bdm.pair_index(3, 0, y)).collect();
+        let pairs: Vec<u64> = (0..3).map(|y| bdm.pair_index(2, 0, y)).collect();
         assert_eq!(pairs, vec![6, 7, 8]);
         let ranges = RangeIndexer::new(12, 3, RangePolicy::CeilDiv);
         let hit: std::collections::BTreeSet<u64> =
@@ -57,9 +66,9 @@ mod tests {
         let bdm = appendix_example::bdm();
         // K is the first z-entity of S (partition 1): offset 0 even
         // though R's partition 0 holds two z entities.
-        assert_eq!(bdm.entity_index_offset(3, 1), 0);
+        assert_eq!(bdm.entity_index_offset(2, 1), 0);
         // N (partition 2) is preceded by 2 z-entities of S in Π1.
-        assert_eq!(bdm.entity_index_offset(3, 2), 2);
+        assert_eq!(bdm.entity_index_offset(2, 2), 2);
     }
 
     #[test]
@@ -156,11 +165,12 @@ mod block_split {
         #[test]
         fn appendix_match_tasks() {
             // P = 12, r = 3 -> average 4. Block z (6 pairs) splits into
-            // 3.1x0 (2*2 = 4) and 3.2x0 (1*2 = 2); w (4) and x (2) stay
-            // whole; y has 0 pairs -> no task. (Paper: "0.* (4 pairs,
-            // reduce0), 3.0×1 (4 pairs, reduce1), 2.* (2 pairs, reduce2),
-            // 3.0×2 (2 pairs, reduce2)" — our x has block index 1, and
-            // a task names its larger partition first.)
+            // 2.1x0 (2*2 = 4) and 2.2x0 (1*2 = 2); w (4) and x (2) stay
+            // whole; y has 0 pairs -> not in the matrix, no task.
+            // (Paper: "0.* (4 pairs, reduce0), 3.0×1 (4 pairs,
+            // reduce1), 2.* (2 pairs, reduce2), 3.0×2 (2 pairs,
+            // reduce2)" — our x has block index 1 and z 2, and a task
+            // names its larger partition first.)
             let tasks = create_match_tasks(&appendix_example::bdm(), 3);
             let as_tuples: Vec<(usize, usize, usize, u64)> = tasks
                 .iter()
@@ -168,13 +178,13 @@ mod block_split {
                 .collect();
             assert_eq!(
                 as_tuples,
-                vec![(0, 0, 0, 4), (1, 0, 0, 2), (3, 1, 0, 4), (3, 2, 0, 2)]
+                vec![(0, 0, 0, 4), (1, 0, 0, 2), (2, 1, 0, 4), (2, 2, 0, 2)]
             );
             let assignment = TaskAssignment::greedy(tasks, 3);
             assert_eq!(assignment.reduce_task_for(0, 0, 0), Some(0));
-            assert_eq!(assignment.reduce_task_for(3, 1, 0), Some(1));
+            assert_eq!(assignment.reduce_task_for(2, 1, 0), Some(1));
             assert_eq!(assignment.reduce_task_for(1, 0, 0), Some(2));
-            assert_eq!(assignment.reduce_task_for(3, 2, 0), Some(2));
+            assert_eq!(assignment.reduce_task_for(2, 2, 0), Some(2));
             assert_eq!(assignment.loads(), &[4, 4, 4]);
         }
 
@@ -253,7 +263,8 @@ mod pair_range {
         use crate::COMPARISONS;
 
         /// A BDM of blocks with `(|R|, |S|)` entities each; partition 0
-        /// is R, partition 1 is S.
+        /// is R, partition 1 is S. Every block needs two entities, or
+        /// the matrix leaves it out.
         fn two_partition_bdm(sizes: &[(u64, u64)]) -> BlockDistributionMatrix {
             let cells = sizes.iter().enumerate().flat_map(|(k, &(nr, ns))| {
                 let key = BlockKey::new(format!("b{k}"));
@@ -297,7 +308,9 @@ mod pair_range {
                 policy in prop_oneof![Just(RangePolicy::CeilDiv), Just(RangePolicy::Proportional)],
                 pick in 0u64..1_000,
             ) {
+                let sizes: Vec<_> = sizes.into_iter().filter(|&(nr, ns)| nr + ns >= 2).collect();
                 let bdm = two_partition_bdm(&sizes);
+                prop_assert_eq!(bdm.num_blocks(), sizes.len());
                 let ranges = RangeIndexer::new(bdm.total_pairs(), r, policy);
                 for (block, &(nr, ns)) in sizes.iter().enumerate() {
                     for (source, n) in [(SourceId::R, nr), (SourceId::S, ns)] {
@@ -366,20 +379,23 @@ mod pair_range {
 
         #[test]
         fn entity_c_is_sent_to_ranges_1_and_2() {
-            // Paper: "map emits two keys (1.3.R.0) and (2.3.R.0)" for C.
+            // Paper: "map emits two keys (1.3.R.0) and (2.3.R.0)" for C
+            // (our z has block index 2).
             let bdm = appendix_example::bdm();
             let ranges = RangeIndexer::new(12, 3, RangePolicy::CeilDiv);
-            let hits = relevant_ranges(&bdm, &ranges, 3, SourceId::R, 0);
+            let hits = relevant_ranges(&bdm, &ranges, 2, SourceId::R, 0);
             assert_eq!(hits, vec![1, 2]);
         }
 
         #[test]
         fn empty_side_blocks_emit_nothing() {
-            // Block y (index 2) has no S entities: F must go nowhere.
-            let bdm = appendix_example::bdm();
-            let ranges = RangeIndexer::new(12, 3, RangePolicy::CeilDiv);
-            let hits = relevant_ranges(&bdm, &ranges, 2, SourceId::R, 0);
-            assert!(hits.is_empty());
+            // A block of two R entities and no S entity (index 1): its
+            // members must go nowhere.
+            let bdm = two_partition_bdm(&[(2, 2), (2, 0), (2, 3)]);
+            let ranges = RangeIndexer::new(bdm.total_pairs(), 3, RangePolicy::CeilDiv);
+            for x in 0..2 {
+                assert!(relevant_ranges(&bdm, &ranges, 1, SourceId::R, x).is_empty());
+            }
         }
 
         fn run(

@@ -213,7 +213,11 @@ pub struct LshStages {
     /// One report per executed adaptive round, in ladder order.
     pub rounds: Vec<LshRound>,
     /// The accepted rung's band-bucket distribution matrix
-    /// (source-tagged for linkage).
+    /// (source-tagged for linkage). It holds the buckets that have a
+    /// pair; `bdm_metrics` counts the single-entity ones — most of a
+    /// banded key space — under
+    /// [`PRUNED_BLOCKS`](er_loadbalance::bdm_job::PRUNED_BLOCKS) and
+    /// [`PRUNED_ENTITIES`](er_loadbalance::bdm_job::PRUNED_ENTITIES).
     pub bdm: Arc<BlockDistributionMatrix>,
     /// Metrics of the accepted signature job.
     pub bdm_metrics: JobMetrics,

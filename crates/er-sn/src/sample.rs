@@ -5,7 +5,7 @@
 //! *sort key*, side-writes the annotated entity to the simulated DFS
 //! (so the matching job reads the same partitioning, annotation
 //! included), and emits a **sampled** `(sort key, 1)` stream; the
-//! reduce side is the shared [`SumReducer`]. The resulting histogram
+//! reduce side is the engine's [`SumReducer`]. The resulting histogram
 //! feeds [`RangePartitioner::from_counts`], yielding the
 //! order-preserving partition boundaries both JobSN and RepSN route
 //! by.

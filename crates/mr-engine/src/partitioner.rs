@@ -25,11 +25,22 @@ pub trait Partitioner<K>: Send + Sync {
 pub struct HashPartitioner;
 
 impl HashPartitioner {
-    /// Stable hash for a key (used by tests to predict placements).
-    pub fn bucket<K: Hash>(key: &K, num_reduce_tasks: usize) -> usize {
+    /// The stable hash of `key` that [`Self::bucket`] places it by.
+    pub fn hash<K: Hash>(key: &K) -> u64 {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() % num_reduce_tasks as u64) as usize
+        h.finish()
+    }
+
+    /// The reduce task of a key whose [`Self::hash`] is `hash` — for
+    /// callers that kept the hash and not the key.
+    pub fn bucket_of_hash(hash: u64, num_reduce_tasks: usize) -> usize {
+        (hash % num_reduce_tasks as u64) as usize
+    }
+
+    /// Stable placement of a key (used by tests to predict placements).
+    pub fn bucket<K: Hash>(key: &K, num_reduce_tasks: usize) -> usize {
+        Self::bucket_of_hash(Self::hash(key), num_reduce_tasks)
     }
 }
 

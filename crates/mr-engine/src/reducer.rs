@@ -147,9 +147,8 @@ pub trait Reducer: Clone + Send + Sync {
 }
 
 /// A reducer that sums `u64` counts per group — the reduce-side twin
-/// of [`crate::combiner::sum_u64_combiner`]. Count-style jobs (the
-/// paper's BDM job, er-sn's sort-key distribution job) share this one
-/// implementation instead of re-deriving it.
+/// of [`crate::combiner::sum_u64_combiner`], for count-style jobs such
+/// as er-sn's sort-key distribution job.
 #[derive(Debug)]
 pub struct SumReducer<K>(std::marker::PhantomData<fn() -> K>);
 

@@ -150,8 +150,10 @@ fn figures_6_and_7_pair_range(resolver: &Resolver<'_>) {
 
 fn appendix_two_sources(resolver: &Resolver<'_>) {
     println!("== Appendix I (Figures 15-17): matching two sources ==\n");
+    // Block y of the paper's figure is F alone (1 x 0): it has no
+    // pair, so the matrix leaves it out and z is block 2.
     let bdm = appendix_example::bdm();
-    println!("  blocks (R-count x S-count -> pairs):");
+    println!("  blocks with pairs (R-count x S-count -> pairs):");
     for k in 0..bdm.num_blocks() {
         let (nr, ns) = bdm
             .side_sizes(k)

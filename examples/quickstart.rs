@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use dedupe_mr::prelude::*;
+use er_loadbalance::bdm_job::{PRUNED_BLOCKS, PRUNED_ENTITIES};
 
 fn main() {
     // A toy catalog. Titles blocked on their first three letters;
@@ -63,8 +64,17 @@ fn main() {
         );
     }
 
+    // The matrix plans pairs, so it holds the blocks that have one;
+    // the BDM job counts the rest (here `del` and `son`, one offer
+    // each) instead of handing them over.
     let bdm = outcome.details.bdm().expect("BlockSplit computes a BDM");
-    println!("\nblock distribution matrix ({} blocks):", bdm.num_blocks());
+    let counters = &outcome.workflow.counters;
+    println!(
+        "\nblock distribution matrix ({} blocks with pairs; {} pair-less blocks of {} entities pruned):",
+        bdm.num_blocks(),
+        counters.get(PRUNED_BLOCKS),
+        counters.get(PRUNED_ENTITIES)
+    );
     for k in 0..bdm.num_blocks() {
         println!(
             "  block {:>2} key={:<4} entities={} pairs={}",

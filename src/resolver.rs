@@ -278,6 +278,18 @@ pub enum ConfigError {
     /// [`Scenario::Lsh`] under `ShingleScheme::CharGrams(0)`
     /// ([`Resolver::with_lsh_scheme`]).
     ZeroGramWidth,
+    /// A Sorted Neighborhood scenario with a window below 2
+    /// ([`Resolver::with_window`]): a window of one compares nothing.
+    SnWindowTooSmall(usize),
+    /// A Sorted Neighborhood scenario with no key range
+    /// ([`Resolver::with_partitions`], or
+    /// [`Resolver::with_reduce_tasks`] when that is not set).
+    ZeroSnPartitions,
+    /// A Sorted Neighborhood scenario whose histogram sampling rate
+    /// ([`Resolver::with_sample_rate`]) is outside `(0, 1]`. Holds the
+    /// rate's [`f64::to_bits`], so that the error stays `Eq` and a NaN
+    /// rate compares equal to itself.
+    SnSampleRate(u64),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -290,6 +302,19 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "LSH banding {params} needs at least one band and row")
             }
             ConfigError::ZeroGramWidth => f.write_str("LSH character grams need a positive width"),
+            ConfigError::SnWindowTooSmall(window) => {
+                write!(
+                    f,
+                    "a sliding window must span at least 2 slots, got {window}"
+                )
+            }
+            ConfigError::ZeroSnPartitions => {
+                f.write_str("Sorted Neighborhood needs at least one key range")
+            }
+            ConfigError::SnSampleRate(bits) => {
+                let rate = f64::from_bits(*bits);
+                write!(f, "the SN sample rate must be in (0, 1], got {rate}")
+            }
         }
     }
 }
@@ -434,7 +459,8 @@ pub enum ScenarioDetails {
     /// [`Scenario::Linkage`]).
     Blocked {
         /// The BDM (absent for Basic, which runs without
-        /// preprocessing).
+        /// preprocessing) — see [`ScenarioDetails::bdm`] for what it
+        /// holds.
         bdm: Option<Arc<BlockDistributionMatrix>>,
         /// Metrics of the BDM job (absent for Basic).
         bdm_metrics: Option<JobMetrics>,
@@ -466,7 +492,8 @@ pub enum ScenarioDetails {
         params: LshParams,
         /// One report per executed adaptive round, in ladder order.
         rounds: Vec<LshRound>,
-        /// The accepted rung's band-bucket distribution matrix.
+        /// The accepted rung's band-bucket distribution matrix — see
+        /// [`ScenarioDetails::bdm`] for what it holds.
         bdm: Arc<BlockDistributionMatrix>,
         /// Metrics of the accepted signature job.
         bdm_metrics: JobMetrics,
@@ -490,6 +517,15 @@ impl ScenarioDetails {
 
     /// The Block Distribution Matrix, when the scenario computed one
     /// (for LSH scenarios: the accepted rung's band-bucket matrix).
+    ///
+    /// It holds the blocks that have a pair (`|Φ_k| ≥ 2`), in
+    /// lexicographic key order: `num_blocks`, `size` and the block
+    /// indexes do not cover the rest, which the BDM job's reducer
+    /// drops and the outcome's workflow counters report instead —
+    /// [`PRUNED_BLOCKS`](er_loadbalance::bdm_job::PRUNED_BLOCKS) and
+    /// [`PRUNED_ENTITIES`](er_loadbalance::bdm_job::PRUNED_ENTITIES);
+    /// the latter (also the matrix's `pruned_entities()`) plus
+    /// `Σ size(k)` is every keyed replica of the input.
     pub fn bdm(&self) -> Option<&Arc<BlockDistributionMatrix>> {
         match self {
             ScenarioDetails::Blocked { bdm, .. } => bdm.as_ref(),
@@ -980,6 +1016,22 @@ impl<'rt> Resolver<'rt> {
         Ok(())
     }
 
+    /// Checks the settings [`Resolver::sn_config`] and the SN stages
+    /// would assert on: window, key-range count, sampling rate.
+    fn check_sn(&self) -> Result<(), ConfigError> {
+        if self.window < 2 {
+            return Err(ConfigError::SnWindowTooSmall(self.window));
+        }
+        if self.sn_partitions.unwrap_or(self.shared.reduce_tasks) == 0 {
+            return Err(ConfigError::ZeroSnPartitions);
+        }
+        // Written so that NaN fails it.
+        if !(self.sample_rate > 0.0 && self.sample_rate <= 1.0) {
+            return Err(ConfigError::SnSampleRate(self.sample_rate.to_bits()));
+        }
+        Ok(())
+    }
+
     /// Resolves one scenario over pre-partitioned input (each inner
     /// `Vec` is one input partition == one map task), executing on the
     /// runtime's persistent pool.
@@ -1049,12 +1101,15 @@ impl<'rt> Resolver<'rt> {
         {
             SourceTagError::check(&input, sources).map_err(ResolveError::SourceTags)?;
         }
-        // So are the session's LSH settings, which would otherwise
-        // panic while the config is assembled or inside a map task.
-        if let Scenario::Lsh { params, .. } = scenario {
-            self.check_lsh(params.as_ref())
-                .map_err(ResolveError::InvalidConfig)?;
+        // So are the session's LSH and SN settings, which would
+        // otherwise panic while the config is assembled or inside a
+        // map task.
+        match scenario {
+            Scenario::Lsh { params, .. } => self.check_lsh(params.as_ref()),
+            Scenario::SortedNeighborhood { .. } | Scenario::TwoSourceSn { .. } => self.check_sn(),
+            Scenario::Dedup { .. } | Scenario::Linkage { .. } => Ok(()),
         }
+        .map_err(ResolveError::InvalidConfig)?;
         let (result, details) = match scenario {
             Scenario::Dedup { strategy } => {
                 let config = self.er_config(*strategy);

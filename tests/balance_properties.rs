@@ -96,6 +96,8 @@ proptest! {
         r in 1usize..20,
     ) {
         let w = analyze(&bdm, StrategyKind::BlockSplit, r, RangePolicy::CeilDiv);
+        // Only the entities of blocks with a pair are in the matrix,
+        // and only those are emitted at all.
         let entities: u64 = (0..bdm.num_blocks()).map(|k| bdm.size(k)).sum();
         prop_assert!(w.map_output_records <= entities * bdm.num_partitions() as u64);
     }

@@ -295,10 +295,10 @@ fn bad_source_tags_are_a_typed_error_in_every_linkage_scenario() {
     }
 }
 
-/// Resolves an LSH `scenario` on a session `configure` has broken and
+/// Resolves `scenario` on a session `configure` has broken and
 /// expects `expected` back before any task ran: nothing spawned,
 /// nothing executed, and the runtime then serves a clean resolve.
-fn assert_invalid_lsh_config(
+fn assert_invalid_config(
     configure: impl Fn(Resolver<'_>) -> Resolver<'_>,
     scenario: Scenario,
     expected: ConfigError,
@@ -318,7 +318,7 @@ fn assert_invalid_lsh_config(
 
 #[test]
 fn an_empty_lsh_ladder_is_a_typed_error() {
-    assert_invalid_lsh_config(
+    assert_invalid_config(
         |session| session.with_lsh_ladder(vec![]),
         Scenario::lsh_adaptive(),
         ConfigError::EmptyLshLadder,
@@ -329,22 +329,102 @@ fn an_empty_lsh_ladder_is_a_typed_error() {
 fn a_zero_lsh_banding_is_a_typed_error() {
     // Public fields bypass `LshParams::new`, fixed or on the ladder.
     let no_bands = LshParams { bands: 0, rows: 4 };
-    assert_invalid_lsh_config(
+    assert_invalid_config(
         |session| session,
         Scenario::lsh(no_bands),
         ConfigError::ZeroLshBanding(no_bands),
     );
     let no_rows = LshParams { bands: 4, rows: 0 };
-    assert_invalid_lsh_config(
+    assert_invalid_config(
         |session| session.with_lsh_ladder(vec![LshParams::new(8, 4), no_rows]),
         Scenario::lsh_adaptive(),
         ConfigError::ZeroLshBanding(no_rows),
     );
 }
 
+/// Every Sorted Neighborhood scenario shape: single-pass, multi-pass
+/// and two-source, under both boundary strategies.
+fn sn_scenarios() -> Vec<Scenario> {
+    // `corpus` is all of source R.
+    let sources = vec![SourceId::R; 3];
+    [SnStrategy::JobSn, SnStrategy::RepSn]
+        .into_iter()
+        .flat_map(|strategy| {
+            [
+                Scenario::sorted_neighborhood(strategy),
+                Scenario::multipass_sn(
+                    strategy,
+                    [Arc::new(ReversedSortKey::title()) as Arc<dyn SortKeyFunction>],
+                ),
+                Scenario::TwoSourceSn {
+                    strategy,
+                    sources: sources.clone(),
+                },
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn an_sn_window_below_two_is_a_typed_error() {
+    for window in [0usize, 1] {
+        for scenario in sn_scenarios() {
+            assert_invalid_config(
+                |session| session.with_window(window),
+                scenario,
+                ConfigError::SnWindowTooSmall(window),
+            );
+        }
+    }
+}
+
+#[test]
+fn zero_sn_partitions_are_a_typed_error() {
+    for scenario in sn_scenarios() {
+        assert_invalid_config(
+            |session| session.with_partitions(0),
+            scenario.clone(),
+            ConfigError::ZeroSnPartitions,
+        );
+        // Without an SN override the ranges are the reduce tasks; an
+        // override wins over them.
+        assert_invalid_config(
+            |session| session.with_reduce_tasks(0),
+            scenario.clone(),
+            ConfigError::ZeroSnPartitions,
+        );
+        assert_invalid_config(
+            |session| session.with_partitions(2).with_reduce_tasks(0),
+            scenario,
+            ConfigError::ZeroSnPartitions,
+        );
+    }
+}
+
+#[test]
+fn an_sn_sample_rate_outside_the_unit_interval_is_a_typed_error() {
+    for rate in [0.0, 1.5, -0.25, f64::NAN, f64::INFINITY] {
+        for scenario in sn_scenarios() {
+            assert_invalid_config(
+                |session| session.with_sample_rate(rate),
+                scenario,
+                ConfigError::SnSampleRate(rate.to_bits()),
+            );
+        }
+    }
+    // The bounds of the interval: 1.0 is in, and so is anything above 0.
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+    for rate in [1.0, f64::MIN_POSITIVE] {
+        let outcome = Resolver::new(&runtime)
+            .with_sample_rate(rate)
+            .resolve(&Scenario::sorted_neighborhood(SnStrategy::JobSn), corpus(3));
+        assert!(outcome.is_ok(), "rate {rate}: {outcome:?}");
+    }
+}
+
 #[test]
 fn zero_width_lsh_grams_are_a_typed_error() {
-    assert_invalid_lsh_config(
+    assert_invalid_config(
         |session| session.with_lsh_scheme(er_core::minhash::ShingleScheme::CharGrams(0)),
         Scenario::lsh(LshParams::new(4, 4)),
         ConfigError::ZeroGramWidth,

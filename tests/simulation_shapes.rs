@@ -28,7 +28,8 @@ fn simulate(
     r: usize,
     cost: &CostModel,
 ) -> f64 {
-    let entities: u64 = (0..bdm.num_blocks()).map(|k| bdm.size(k)).sum();
+    // The blocks of the matrix and the entities alone in theirs.
+    let entities = (0..bdm.num_blocks()).map(|k| bdm.size(k)).sum::<u64>() + bdm.pruned_entities();
     let w = analyze(bdm, strategy, r, RangePolicy::CeilDiv);
     let reduce_tasks: Vec<(u64, u64)> = w
         .reduce_input_records
