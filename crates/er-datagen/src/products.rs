@@ -3,7 +3,7 @@
 //! The paper's DS1 holds ~114 000 product descriptions blocked on the
 //! first three title letters, with the largest block contributing more
 //! than 70 % of all comparison pairs (§VI-B). The default spec below
-//! reproduces those facts (verified by tests and `fig08_datasets`).
+//! reproduces those facts (verified by the tests below).
 
 use rand::rngs::SmallRng;
 use rand::Rng;

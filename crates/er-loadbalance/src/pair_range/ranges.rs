@@ -5,8 +5,8 @@
 //! `⌊p / ⌈P/r⌉⌋`, which matches the prose ("the first r−1 reduce
 //! tasks process ⌈P/r⌉ pairs each") and the worked example. Both are
 //! implemented; [`RangePolicy::CeilDiv`] (the listing's formula) is
-//! the default, and an ablation bench quantifies the difference (the
-//! proportional formula balances the tail better when `r ∤ P`).
+//! the default; the proportional formula balances the tail better when
+//! `r ∤ P`.
 
 /// Which of the paper's two range formulas to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn ceil_div_can_starve_trailing_ranges() {
         // P=10, r=4: widths 3,3,3,1 — the listing's formula leaves the
-        // tail under-filled (the ablation the benches quantify).
+        // tail under-filled.
         let idx = RangeIndexer::new(10, 4, RangePolicy::CeilDiv);
         let sizes: Vec<u64> = (0..4).map(|k| idx.range_size(k)).collect();
         assert_eq!(sizes, vec![3, 3, 3, 1]);

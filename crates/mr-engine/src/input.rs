@@ -34,9 +34,8 @@ pub fn partition_evenly<K, V>(records: Vec<(K, V)>, m: usize) -> Partitions<K, V
 
 /// Splits `records` round-robin: record `j` goes to partition `j % m`.
 ///
-/// Round-robin is the best case for BlockSplit (every block is spread
-/// over all partitions) and is used by ablation benches to bound the
-/// effect of input order.
+/// Round-robin is the best case for BlockSplit: every block is spread
+/// over all partitions.
 pub fn partition_round_robin<K, V>(records: Vec<(K, V)>, m: usize) -> Partitions<K, V> {
     assert!(m > 0, "cannot split input into zero partitions");
     let mut partitions: Vec<Vec<(K, V)>> = (0..m).map(|_| Vec::new()).collect();

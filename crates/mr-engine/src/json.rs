@@ -1,11 +1,8 @@
 //! Dependency-free JSON value type with a writer and a strict parser.
 //!
-//! This module originally lived in `er-bench` (which still re-exports
-//! it for source compatibility); it moved into the engine so the
-//! [`trace`](crate::trace) JSONL sink can serialize events without
-//! inverting the crate dependency direction. The build container has
-//! no crates.io access, so both the writer and the parser are
-//! hand-rolled.
+//! It lives in the engine so the [`trace`](crate::trace) JSONL sink can
+//! serialize events. The workspace builds without crates.io access, so
+//! both the writer and the parser are hand-rolled.
 //!
 //! The subset implemented is full JSON minus one deliberate
 //! restriction: numbers are `f64` (ints round-trip exactly up to

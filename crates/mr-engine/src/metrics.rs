@@ -1,12 +1,8 @@
 //! Per-task and per-job execution metrics.
 //!
-//! Metrics serve two purposes in this reproduction:
-//!
-//! 1. **Observability** of the real in-process execution (wall time,
-//!    records, custom counters), and
-//! 2. **Input for the cluster simulator** (`cluster-sim`), which
-//!    replays the exact per-task workloads recorded here on a virtual
-//!    n-node Hadoop cluster to estimate paper-scale execution times.
+//! They make the real in-process execution observable: wall time,
+//! records and custom counters per task, which the per-task workloads
+//! of `analyze()` can be checked against.
 
 use std::time::Duration;
 

@@ -1360,8 +1360,7 @@ impl TraceReport {
         out
     }
 
-    /// Exports the report as one JSON object (the payload of
-    /// `BENCH_trace_report.json`): per-category counts, per-slot
+    /// Exports the report as one JSON object: per-category counts, per-slot
     /// busy/utilization, per-job walls and reduce-load series,
     /// speculation attribution, and queue-wait percentiles.
     pub fn to_json(&self) -> Json {

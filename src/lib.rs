@@ -10,9 +10,8 @@
 //! runtime, an entity-resolution core (blocking, similarity,
 //! matching), the companion paper's Sorted Neighborhood subsystem, an
 //! adaptive banded-MinHash (LSH) blocking family whose banded key
-//! space rides the same BDM load balancing, synthetic workload
-//! generators, and a virtual Hadoop cluster for paper-scale timing
-//! studies.
+//! space rides the same BDM load balancing, and synthetic workload
+//! generators.
 //!
 //! ## One front door: `Runtime` + `Resolver`
 //!
@@ -62,7 +61,6 @@
 //! the resolver drives run only as stages of a [`Runtime`]-issued
 //! workflow.
 
-pub use cluster_sim;
 pub use er_core;
 pub use er_datagen;
 pub use er_loadbalance;

@@ -3,13 +3,18 @@
 //! set (each distinct pair exactly once across all shared bands), same
 //! matches, bit-identical scores — at every parallelism level, for
 //! dedup and two-source linkage, and the adaptive ladder must tighten
-//! deterministically to its candidate budget.
+//! deterministically to its candidate budget. On a skewed corpus LSH
+//! must also keep its headline against blocking: fewer comparisons than
+//! BlockSplit at high recall and a balanced reduce phase.
 
 use std::sync::Arc;
 
 use dedupe_mr::er_loadbalance::compare::MULTIPASS_SKIPPED;
 use dedupe_mr::prelude::*;
-use er_datagen::{ds1_spec, generate_products};
+use er_datagen::duplicates::{perturb_title, rs_code, EditOps};
+use er_datagen::rng::stream_rng;
+use er_datagen::vocab::{block_prefix, PRODUCT_NOUNS, PRODUCT_QUALIFIERS};
+use er_datagen::{ds1_spec, exponential_block_sizes, generate_products};
 
 const CONFIGS: [LshParams; 2] = [
     LshParams { bands: 8, rows: 2 },
@@ -56,6 +61,41 @@ fn cross_pairs(bdm: &BlockDistributionMatrix, sources: &[SourceId]) -> u64 {
             side(SourceId::R) * side(SourceId::S)
         })
         .sum()
+}
+
+/// `n` originals over `blocks` title-prefix blocks of size `∝ e^(−s·k)`,
+/// every `dup_every`-th followed by a copy with ≤ 2 substitutions past
+/// its 4-character prefix: the copy keeps the block key and stays
+/// within both the matcher's and a 16 × 2 banding's reach. The
+/// original–copy pairs are the gold standard.
+fn skewed_dup_corpus(
+    n: usize,
+    blocks: usize,
+    s: f64,
+    dup_every: usize,
+) -> (Vec<Ent>, GoldStandard) {
+    let mut entities: Vec<Ent> = Vec::new();
+    let mut gold = Vec::new();
+    let mut index = 0usize;
+    for (k, &size) in exponential_block_sizes(n, blocks, s).iter().enumerate() {
+        let prefix = block_prefix(k);
+        for j in 0..size {
+            let qualifier = PRODUCT_QUALIFIERS[(index * 7 + j) % PRODUCT_QUALIFIERS.len()];
+            let noun = PRODUCT_NOUNS[(index * 3 + k) % PRODUCT_NOUNS.len()];
+            let title = format!("{prefix} {qualifier} {noun} {}", rs_code(index));
+            let original = Entity::new(entities.len() as u64, [("title", title.as_str())]);
+            if index.is_multiple_of(dup_every) {
+                let mut rng = stream_rng(2012, index as u64);
+                let (copy, _) = perturb_title(&mut rng, &title, 2, 4, EditOps::SubstituteOnly);
+                let copy = Entity::new(entities.len() as u64 + 1, [("title", copy.as_str())]);
+                gold.push(MatchPair::new(original.entity_ref(), copy.entity_ref()));
+                entities.push(Arc::new(copy));
+            }
+            entities.push(Arc::new(original));
+            index += 1;
+        }
+    }
+    (entities, GoldStandard::from_pairs(gold))
 }
 
 /// Bit-exact fingerprint of a match result.
@@ -339,4 +379,67 @@ fn exact_dedup_counts_for_multi_band_collisions() {
     let skipped = outcome.workflow.counters.get(MULTIPASS_SKIPPED);
     assert_eq!(outcome.total_comparisons() + skipped, bdm.total_pairs());
     assert!(skipped >= 3 * 7, "every extra shared band is gated");
+}
+
+#[test]
+fn lsh_beats_block_split_on_comparisons_under_skew() {
+    // At s = 1 the largest prefix block holds most of the corpus, and
+    // BlockSplit must compare all of its pairs. LSH candidates follow
+    // similarity, not blocks: far fewer comparisons, the near-duplicates
+    // still found, and its banded key space balanced by the same BDM.
+    let (entities, gold) = skewed_dup_corpus(1_500, 24, 1.0, 6);
+    let input = partition_evenly(entities.into_iter().map(|e| ((), e)).collect(), 4);
+    let runtime = Runtime::new(
+        RuntimeConfig::new()
+            .with_parallelism(4)
+            .with_reduce_tasks(8),
+    );
+    let lsh = Resolver::new(&runtime)
+        .resolve(
+            &Scenario::lsh(LshParams { bands: 16, rows: 2 }),
+            input.clone(),
+        )
+        .unwrap();
+    let block_split = Resolver::new(&runtime)
+        .with_count_only(true)
+        .resolve(
+            &Scenario::Dedup {
+                strategy: StrategyKind::BlockSplit,
+            },
+            input.clone(),
+        )
+        .unwrap();
+    let recall = QualityReport::evaluate(&lsh.result, &gold).recall();
+    let imbalance = lsh
+        .details
+        .match_metrics()
+        .expect("one matching job")
+        .reduce_imbalance(COMPARISONS);
+    let (lsh_comparisons, block_split_comparisons) =
+        (lsh.total_comparisons(), block_split.total_comparisons());
+    println!(
+        "LSH 16x2: {lsh_comparisons} comparisons, recall {recall:.3}, imbalance {imbalance:.2}; \
+         BlockSplit: {block_split_comparisons} comparisons"
+    );
+    assert!(
+        lsh_comparisons < block_split_comparisons,
+        "LSH {lsh_comparisons} vs BlockSplit {block_split_comparisons} comparisons"
+    );
+    assert!(recall >= 0.8, "LSH recall {recall:.3}");
+    assert!(imbalance <= 1.5, "LSH reduce imbalance {imbalance:.2}");
+
+    // Spending the same 32-slot signature on fewer, longer bands never
+    // grows the candidate set.
+    let counting = Resolver::new(&runtime).with_count_only(true);
+    let sweep = [(32, 1), (16, 2), (8, 4), (4, 8)].map(|(bands, rows)| {
+        counting
+            .resolve(&Scenario::lsh(LshParams { bands, rows }), input.clone())
+            .unwrap()
+            .total_comparisons()
+    });
+    assert_eq!(sweep[1], lsh_comparisons);
+    assert!(
+        sweep.windows(2).all(|w| w[1] <= w[0]),
+        "32x1, 16x2, 8x4, 4x8 comparisons: {sweep:?}"
+    );
 }
