@@ -24,6 +24,8 @@
 //!   derivation and an order-preserving [`RangePartitioner`] built
 //!   from a sampled key distribution (consumed by the er-sn crate).
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod blocking;
 pub mod entity;

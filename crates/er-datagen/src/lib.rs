@@ -19,6 +19,8 @@
 //! match quality can be evaluated against a [`er_core::GoldStandard`].
 //! Everything is seeded and reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod duplicates;
 pub mod io;

@@ -167,9 +167,6 @@ pub enum MatchInput {
         input: Partitions<(), Ent>,
         /// Their source tags, for two-source matching.
         sources: Option<Vec<SourceId>>,
-        /// The exact pair count where a BDM of the input is at hand
-        /// (er-lsh's signature job), 0 = unknown.
-        weight: u64,
     },
     /// BlockSplit and PairRange read the BDM job's products.
     Annotated {
@@ -184,10 +181,7 @@ pub enum MatchInput {
 /// next stage of `workflow` — the one match stage of [`run_er_in`] and
 /// of er-lsh's candidate job. The BDM's side outputs are chained into
 /// the job by the workflow layer, which enforces the
-/// identical-partitioning invariant Algorithms 1–3 require; its exact
-/// pair count doubles as the job's scheduling weight
-/// ([`Job::with_weight_hint`]) for the pool's shortest-remaining-work
-/// policy.
+/// identical-partitioning invariant Algorithms 1–3 require.
 ///
 /// # Panics
 /// If `input` is not what the strategy reads.
@@ -198,27 +192,18 @@ pub fn run_match_stage(
 ) -> Result<(MatchResult, JobMetrics), MrError> {
     let r = config.runtime.reduce_tasks;
     match (config.strategy, input) {
-        (
-            StrategyKind::Basic,
-            MatchInput::Entities {
-                input,
-                sources,
-                weight,
-            },
-        ) => {
+        (StrategyKind::Basic, MatchInput::Entities { input, sources }) => {
             let blocking = Arc::clone(&config.blocking);
             let job = basic_job(blocking, sources.map(Arc::from), config.comparer(), r);
-            run_job(workflow, config, job, input, weight)
+            run_job(workflow, config, job, input)
         }
         (StrategyKind::BlockSplit, MatchInput::Annotated { bdm, annotated }) => {
-            let weight = bdm.total_pairs();
             let job = block_split_job(bdm, config.comparer(), config.split_policy, r);
-            run_job(workflow, config, job, annotated, weight)
+            run_job(workflow, config, job, annotated)
         }
         (StrategyKind::PairRange, MatchInput::Annotated { bdm, annotated }) => {
-            let weight = bdm.total_pairs();
             let job = pair_range_job(bdm, config.comparer(), config.range_policy, r);
-            run_job(workflow, config, job, annotated, weight)
+            run_job(workflow, config, job, annotated)
         }
         (strategy, _) => panic!("{strategy} was handed another strategy's input"),
     }
@@ -231,7 +216,6 @@ fn run_job<M, R>(
     config: &ErConfig,
     job: Job<M, R>,
     input: Partitions<M::KIn, M::VIn>,
-    weight: u64,
 ) -> Result<(MatchResult, JobMetrics), MrError>
 where
     M: Mapper,
@@ -239,9 +223,7 @@ where
     M::VOut: Sync,
     R: Reducer<KIn = M::KOut, VIn = M::VOut, KOut = MatchPair, VOut = f64>,
 {
-    let job = job
-        .with_spill_threshold(config.runtime.spill_threshold)
-        .with_weight_hint(weight);
+    let job = job.with_spill_threshold(config.runtime.spill_threshold);
     let out = workflow.chained_stage(&job, input)?;
     let mut result = MatchResult::new();
     for (pair, score) in out.reduce_outputs.into_iter().flatten() {
@@ -290,11 +272,7 @@ pub fn run_er_in(
     let mut graph: StageGraph<'_, MrError> = StageGraph::new();
     if config.strategy == StrategyKind::Basic {
         graph.node("match", &[], |wf| {
-            let input = MatchInput::Entities {
-                input,
-                sources,
-                weight: 0,
-            };
+            let input = MatchInput::Entities { input, sources };
             let (result, match_metrics) = run_match_stage(wf, config, input)?;
             *stages.borrow_mut() = Some(ErStages {
                 result,

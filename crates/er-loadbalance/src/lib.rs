@@ -31,6 +31,8 @@
 //! per-task workloads straight from the BDM (no execution) for the
 //! paper-scale experiments; [`driver`] wires everything together.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod appendix_example;
 pub mod basic;

@@ -258,8 +258,7 @@ struct Accepted {
 /// The scenario compiles to a sequential [`StageGraph`]: one
 /// `lsh-sig-…` node per ladder rung (later rungs no-op once a rung is
 /// accepted — acceptance is a data dependency, expressed as graph
-/// edges), then one `match` node running the balanced candidate job
-/// with the accepted BDM's exact pair count as its scheduling weight.
+/// edges), then one `match` node running the balanced candidate job.
 pub fn run_lsh_in(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
@@ -343,7 +342,6 @@ pub fn run_lsh_in(
             StrategyKind::Basic => MatchInput::Entities {
                 input: input.clone(),
                 sources: sources.clone(),
-                weight: bdm.total_pairs(),
             },
             _ => MatchInput::Annotated {
                 bdm: Arc::clone(&bdm),

@@ -31,6 +31,8 @@
 //! Both single-source dedup and two-source R×S linkage are supported;
 //! the facade crate serves them as `Scenario::Lsh`.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 
 use er_core::blocking::{BlockKey, BlockingFunction};

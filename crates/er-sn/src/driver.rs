@@ -305,8 +305,7 @@ pub fn run_sorted_neighborhood_in(
 /// when no window crosses a range boundary) — whose node bodies
 /// submit their task batches to the pool's shared ready-queue, so
 /// passes of concurrently resolving workflows interleave at stage
-/// granularity. The window job's scheduling weight is the sliding
-/// window's pair-count estimate `n · (w − 1)`.
+/// granularity.
 pub fn run_sn_stages(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
@@ -348,15 +347,13 @@ pub fn run_sn_stages(
                     .borrow_mut()
                     .take()
                     .expect("sample node ran before match");
-                let entities: usize = annotated.iter().map(Vec::len).sum();
                 let job = window_job(
                     Arc::new(partitioner.clone()),
                     comparer.clone(),
                     config.window,
                     config.partitions(),
                 )
-                .with_spill_threshold(config.runtime.spill_threshold)
-                .with_weight_hint(entities as u64 * (config.window as u64 - 1));
+                .with_spill_threshold(config.runtime.spill_threshold);
                 let out = wf.chained_stage(&job, annotated)?;
                 let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
                 let match_metrics = out.metrics;
@@ -440,15 +437,13 @@ pub fn run_sn_stages(
                         }
                     }
                 }
-                let entities: u64 = lens.iter().sum();
                 let job = repsn_job(
                     Arc::new(partitioner.clone()),
                     comparer,
                     config.window,
                     config.partitions(),
                 )
-                .with_spill_threshold(config.runtime.spill_threshold)
-                .with_weight_hint(entities * (config.window as u64 - 1));
+                .with_spill_threshold(config.runtime.spill_threshold);
                 let out = wf.chained_stage(&job, annotated)?;
                 let mut result = MatchResult::new();
                 for (pair, score) in out.reduce_outputs.into_iter().flatten() {

@@ -49,6 +49,8 @@
 //! single-machine oracle [`driver::sn_oracle`], at every partition
 //! count and under both strategies.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod jobsn;
 pub mod keys;

@@ -73,18 +73,14 @@
 //! asserts this property across spill thresholds × parallelism
 //! levels.
 
-use std::sync::Arc;
-use std::sync::RwLock;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::combiner::Combiner;
 use crate::comparator::{natural_order, KeyCmp};
 use crate::counters::{self, CounterSet};
 use crate::error::MrError;
-use crate::fault::{
-    read_unpoisoned, run_speculative, write_unpoisoned, FaultKind, FaultPlan, FaultPolicy, FtStats,
-    PhaseFt, TaskAttempts,
-};
+use crate::fault::{lock_unpoisoned, FaultKind, FaultPlan, FaultPolicy, PhaseFt};
 use crate::input::Partitions;
 use crate::mapper::{run_map_task_spilling, MapTaskInfo, Mapper};
 use crate::merge::GroupStream;
@@ -105,8 +101,7 @@ struct Exec<'p> {
     /// Upper bound on concurrently used pool slots (`usize::MAX` uses
     /// the whole pool).
     cap: usize,
-    /// `(tenant, workflow, stage, weight)`; untagged for bare
-    /// [`Job::run_on`].
+    /// `(tenant, workflow, stage)`; untagged for bare [`Job::run_on`].
     tag: BatchTag,
 }
 
@@ -117,33 +112,19 @@ impl Exec<'_> {
 
     /// Runs one phase's tasks under the fault boundary: every task
     /// body executes inside `PhaseFt::run_task` (panic catch + retry
-    /// loop), and — when the policy sets a task deadline — on the
-    /// speculative dispatcher instead of the plain batch dispatch.
+    /// loop) on one batch dispatch.
     fn run_ft<T, F>(&self, count: usize, phase: &PhaseFt<'_>, body: F) -> Vec<Result<T, MrError>>
     where
         T: Send,
         F: Fn(usize, u32, TaskCtx) -> Result<T, MrError> + Sync,
     {
-        let attempts = TaskAttempts::new(count);
-        match phase.policy.task_deadline {
-            None => self.pool.run_tasks_tagged_ctx(
-                count,
-                self.cap,
-                &phase.tracer,
-                self.tag.clone(),
-                |i, ctx| phase.run_task(i, attempts.task(i), ctx, |attempt| body(i, attempt, ctx)),
-            ),
-            Some(deadline) => run_speculative(
-                self.pool,
-                self.cap,
-                count,
-                deadline,
-                &self.tag.tenant,
-                phase,
-                &attempts,
-                &body,
-            ),
-        }
+        self.pool.run_tasks_tagged_ctx(
+            count,
+            self.cap,
+            &phase.tracer,
+            self.tag.clone(),
+            |i, ctx| phase.run_task(i, ctx, |attempt| body(i, attempt, ctx)),
+        )
     }
 }
 
@@ -200,7 +181,6 @@ where
     fault_policy: FaultPolicy,
     fault_plan: FaultPlan,
     trace_sink: Option<Arc<dyn TraceSink>>,
-    weight_hint: u64,
 }
 
 // Deliberately free of key bounds (unlike the `builder` impl's
@@ -231,8 +211,8 @@ where
         self
     }
 
-    /// Replaces the fault policy (attempts per task, straggler
-    /// deadline; the default is [`FaultPolicy::fail_fast`]), letting
+    /// Replaces the fault policy (attempts per task; the default is
+    /// [`FaultPolicy::fail_fast`]), letting
     /// drivers apply a runtime-wide policy to jobs whose construction
     /// they do not own. Purely operational: retried tasks are
     /// byte-identical re-executions (see [`crate::fault`]).
@@ -260,24 +240,6 @@ where
     pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace_sink = Some(sink);
         self
-    }
-
-    /// Declares the job's estimated total work in comparison pairs —
-    /// the seed for [`crate::pool::SchedulingPolicy::
-    /// ShortestRemainingWork`], set by drivers whose BDM already
-    /// computed the exact pair count. Zero (the default) means
-    /// unknown. Purely operational: scheduling order never changes
-    /// output.
-    #[must_use]
-    pub fn with_weight_hint(mut self, pairs: u64) -> Self {
-        self.weight_hint = pairs;
-        self
-    }
-
-    /// The job's estimated total work in comparison pairs (0 =
-    /// unknown).
-    pub fn weight_hint(&self) -> u64 {
-        self.weight_hint
     }
 }
 
@@ -401,7 +363,6 @@ where
             fault_policy: FaultPolicy::default(),
             fault_plan: FaultPlan::default(),
             trace_sink: None,
-            weight_hint: 0,
         }
     }
 }
@@ -414,8 +375,8 @@ struct MapTaskResult<K, V, S> {
 }
 
 /// Drives one reduce attempt's streaming group loop over either run
-/// source — owned (a final execution moving records out) or borrowed
-/// (a retryable/speculative attempt cloning them lazily). Groups come
+/// source — owned (a final attempt moving records out) or borrowed
+/// (a retryable attempt cloning them lazily). Groups come
 /// out of the heap merge one at a time into a reusable buffer; the
 /// merged run is never materialized. Returns `(groups,
 /// peak_group_len)`; the stream itself tracks the resident high-water
@@ -492,7 +453,8 @@ where
     /// workflow-level tracer, which takes precedence over the job's
     /// own sink so all stages share one timeline and epoch. The
     /// [`BatchTag`] identifies the stage's dispatches to the pool's
-    /// shared scheduler, so concurrent workflows interleave fairly.
+    /// shared scheduler, where concurrent workflows interleave task by
+    /// task.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_with_overrides(
         &self,
@@ -511,7 +473,6 @@ where
             Some(sink) => Tracer::new(Arc::clone(sink)),
             None => Tracer::off(),
         });
-        let stats = FtStats::default();
         let job_start = Instant::now();
         let m = input.len();
         let r = self.reduce_tasks;
@@ -532,14 +493,13 @@ where
 
         // ---- Map phase -------------------------------------------------
         // Each *attempt* builds a fresh spiller and context over the
-        // borrowed, immutable input partition, so a retried or
-        // speculative re-execution observes exactly the state of the
-        // first — the determinism argument of `crate::fault`.
+        // borrowed, immutable input partition, so a retried attempt
+        // observes exactly the state of the first — the determinism
+        // argument of `crate::fault`.
         let map_phase = PhaseFt {
             policy,
             job: &self.name,
             kind: FaultKind::Map,
-            stats: &stats,
             tracer: tracer.clone(),
         };
         let map_results: Vec<Result<MapTaskResult<M::KOut, M::VOut, M::Side>, MrError>> = exec
@@ -631,12 +591,13 @@ where
         }
         let total_runs: usize = runs_per_reduce.iter().map(Vec::len).sum();
         // Slots let each reduce closure reach its runs through the
-        // shared `Fn` the pool requires: non-final attempts share a
-        // read guard over the one resident copy, a final execution
-        // takes ownership through the write guard.
-        let run_slots: Vec<RwLock<Option<Vec<Vec<(M::KOut, M::VOut)>>>>> = runs_per_reduce
+        // shared `Fn` the pool requires. A task's attempts run one
+        // after another, so each slot has one user at a time: a
+        // non-final attempt borrows the one resident copy under the
+        // lock, the final attempt takes ownership.
+        let run_slots: Vec<Mutex<Option<Vec<Vec<(M::KOut, M::VOut)>>>>> = runs_per_reduce
             .into_iter()
-            .map(|runs| RwLock::new(Some(runs)))
+            .map(|runs| Mutex::new(Some(runs)))
             .collect();
         let shuffle_wall = shuffle_start.elapsed();
         tracer.emit_with(None, || TraceEventData::ShuffleCompleted {
@@ -650,7 +611,6 @@ where
             policy,
             job: &self.name,
             kind: FaultKind::Reduce,
-            stats: &stats,
             tracer: tracer.clone(),
         };
         let reduce_results: Vec<Result<(Vec<(R::KOut, R::VOut)>, TaskMetrics), MrError>> = exec
@@ -665,21 +625,18 @@ where
                 let mut reducer = self.reducer.clone();
                 let mut ctx = ReduceContext::new(info);
                 reducer.setup(&info);
-                // An attempt that can be followed by another execution
-                // — a retry (attempt below the budget) or a
-                // speculative twin (deadline set) — must leave the
-                // runs in place: it streams them *borrowed* under a
-                // shared read guard, cloning each record only as the
-                // merge delivers it, so a retry finds the runs
-                // untouched and concurrent twins share the one
-                // resident copy (never a second full copy). Only a
-                // provably final, sole execution takes ownership and
-                // moves records out. On the fail-fast default (1
-                // attempt, no deadline) every attempt takes, so the
-                // fault boundary adds no copy to the fault-free path.
+                // An attempt that can be followed by a retry (attempt
+                // below the budget) must leave the runs in place: it
+                // streams them *borrowed*, cloning each record only as
+                // the merge delivers it, so a retry finds the runs
+                // untouched (never a second full copy). Only the final
+                // attempt takes ownership and moves records out. On
+                // the fail-fast default (1 attempt) every attempt
+                // takes, so the fault boundary adds no copy to the
+                // fault-free path.
                 let (records_in, groups, peak_group_len, peak_resident_records) =
-                    if attempt >= policy.max_attempts && policy.task_deadline.is_none() {
-                        let runs = write_unpoisoned(&run_slots[j])
+                    if attempt >= policy.max_attempts {
+                        let runs = lock_unpoisoned(&run_slots[j])
                             .take()
                             .expect("each reduce task's runs outlive its final attempt");
                         let records_in: u64 = runs.iter().map(|run| run.len() as u64).sum();
@@ -689,7 +646,7 @@ where
                         let peak = stream.peak_resident_records() as u64;
                         (records_in, groups, peak_group_len, peak)
                     } else {
-                        let guard = read_unpoisoned(&run_slots[j]);
+                        let guard = lock_unpoisoned(&run_slots[j]);
                         let runs = guard
                             .as_deref()
                             .expect("each reduce task's runs outlive its final attempt");
@@ -740,18 +697,6 @@ where
             counters: counters_total,
             shuffle_wall,
             wall: job_start.elapsed(),
-            task_failures: stats
-                .task_failures
-                .load(std::sync::atomic::Ordering::Relaxed),
-            tasks_retried: stats
-                .tasks_retried
-                .load(std::sync::atomic::Ordering::Relaxed),
-            speculative_launched: stats
-                .speculative_launched
-                .load(std::sync::atomic::Ordering::Relaxed),
-            speculative_won: stats
-                .speculative_won
-                .load(std::sync::atomic::Ordering::Relaxed),
         };
         tracer.emit_with(None, || TraceEventData::JobFinished {
             job: self.name.clone(),
@@ -1386,8 +1331,7 @@ mod tests {
                     out.reduce_outputs, reference.reduce_outputs,
                     "{kind} fault at parallelism {parallelism} changed the output"
                 );
-                assert_eq!(out.metrics.task_failures, 1, "{kind} x{parallelism}");
-                assert_eq!(out.metrics.tasks_retried, 1, "{kind} x{parallelism}");
+                assert_eq!(out.metrics.tasks_retried(), 1, "{kind} x{parallelism}");
             }
         }
     }
@@ -1470,40 +1414,6 @@ mod tests {
         let out = wordcount_job(4).run_on(&pool, input.clone()).unwrap();
         assert_eq!(out.reduce_outputs, reference.reduce_outputs);
         assert_eq!(pool.threads_spawned(), 4, "failures must not spawn threads");
-    }
-
-    #[test]
-    fn straggler_deadline_speculates_and_keeps_output_identical() {
-        use crate::fault::{FaultKind, FaultPlan, FaultPolicy};
-        use std::time::Duration;
-        let input = lines(&["x y z", "y z", "z z y x", "w", "x w y"]);
-        let reference = wordcount_job(2)
-            .run_on(&WorkerPool::new(1), partition_evenly(input.clone(), 3))
-            .unwrap();
-        let pool = WorkerPool::new(4);
-        // Map task 0's first attempt stalls 300ms; the 25ms deadline
-        // launches a twin (attempt 2, no delay) that wins.
-        let job = wordcount_job(2)
-            .with_fault_policy(
-                FaultPolicy::retry(2).with_task_deadline(Some(Duration::from_millis(25))),
-            )
-            .with_fault_plan(FaultPlan::new().delay_at(
-                FaultPlan::ANY_JOB,
-                FaultKind::Map,
-                0,
-                1,
-                Duration::from_millis(300),
-            ));
-        let out = job
-            .run_on(&pool, partition_evenly(input.clone(), 3))
-            .unwrap();
-        assert_eq!(out.reduce_outputs, reference.reduce_outputs);
-        assert_eq!(out.metrics.speculative_launched, 1);
-        assert_eq!(
-            out.metrics.speculative_won, 1,
-            "the clean twin must beat a 300ms straggler under a 25ms deadline"
-        );
-        assert_eq!(out.metrics.task_failures, 0);
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! Fault-tolerant task execution: retry policies, deterministic fault
-//! injection, and straggler speculation.
+//! Fault-tolerant task execution: retry policies and deterministic
+//! fault injection.
 //!
 //! MapReduce's defining operational property is that individual task
 //! failures do not kill the job. This module supplies the three pieces
 //! the engine threads through every phase:
 //!
-//! * [`FaultPolicy`] — how many attempts a task gets and whether a
-//!   wall-clock deadline triggers speculative re-execution. The policy
-//!   rides on [`crate::runtime::RuntimeConfig`] and on every
+//! * [`FaultPolicy`] — how many attempts a task gets. The policy rides
+//!   on [`crate::runtime::RuntimeConfig`] and on every
 //!   [`crate::engine::Job`] / [`crate::workflow::Workflow`].
 //! * [`FaultPlan`] — a *deterministic* fault-injection schedule: panic
-//!   or delay exactly at a `(job, task kind, task index, attempt)`
-//!   tuple, so failure scenarios are reproducible in tests and benches
-//!   instead of depending on sleeps and races.
+//!   exactly at a `(job, task kind, task index, attempt)` tuple, so
+//!   failure scenarios are reproducible in tests and benches instead
+//!   of depending on sleeps and races.
 //! * [`TaskError`] — the typed identity of an attempt that exhausted
 //!   its retry budget, surfaced as
 //!   [`MrError::TaskFailed`] —
@@ -24,52 +23,36 @@
 //! partition)`: the engine hands it a borrowed partition, a fresh
 //! mapper clone, and a fresh spiller per *attempt*. Every reduce task
 //! is a pure function of `(job definition, its shuffled runs)`: an
-//! attempt that may be followed by another (retry or speculative twin)
-//! leaves the runs in place and streams them *borrowed*, cloning each
-//! record only as the merge delivers it; a provably final, sole
-//! execution takes ownership and moves records out instead. A
-//! re-executed task therefore observes exactly the state its first
-//! execution observed, and the engine's determinism contract (output
-//! is a pure function of input and job definition at any parallelism)
-//! extends to any failure schedule. The fault-matrix suite asserts
-//! byte-equality of faulty and fault-free runs across every scenario
-//! family.
+//! attempt that may be followed by a retry leaves the runs in place
+//! and streams them *borrowed*, cloning each record only as the merge
+//! delivers it; the final attempt takes ownership and moves records
+//! out instead. A re-executed task therefore observes exactly the
+//! state its first execution observed, and the engine's determinism
+//! contract (output is a pure function of input and job definition at
+//! any parallelism) extends to any failure schedule. The fault-matrix
+//! suite asserts byte-equality of faulty and fault-free runs across
+//! every scenario family.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{
-    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use crate::error::MrError;
 use crate::metrics::TaskKind;
-use crate::pool::WorkerPool;
 use crate::trace::{TaskCtx, TraceEventData, Tracer};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
 /// The fault layer's whole purpose is to contain task panics; every
-/// lock on its bookkeeping (and on the pool's dispatch state) must
-/// therefore tolerate poison instead of converting a contained panic
-/// into an abort-by-double-panic. All values guarded this way are
-/// either plain counters or write-once slots whose invariants hold at
-/// every instruction boundary, so the "poisoned" state is benign.
+/// lock taken around task execution (the pool's dispatch state, the
+/// reduce-run slots, the trace sinks) must therefore tolerate poison
+/// instead of converting a contained panic into an
+/// abort-by-double-panic. All values guarded this way are plain
+/// counters, write-once slots whose invariants hold at every
+/// instruction boundary, or reduce runs a panicking attempt only read,
+/// so the "poisoned" state is benign.
 pub(crate) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`lock_unpoisoned`] for shared `RwLock` reads (reduce attempts
-/// borrowing their runs concurrently).
-pub(crate) fn read_unpoisoned<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`lock_unpoisoned`] for exclusive `RwLock` writes (a final reduce
-/// execution taking its runs).
-pub(crate) fn write_unpoisoned<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Which phase of a task a fault belongs to.
@@ -108,11 +91,10 @@ impl From<TaskKind> for FaultKind {
 }
 
 /// Per-task fault-tolerance policy: how often a panicking task is
-/// re-executed and when a slow task is speculatively re-dispatched.
+/// re-executed.
 ///
-/// The default is **fail-fast** (`max_attempts == 1`, no deadline):
-/// the first task panic is converted into a typed
-/// [`MrError::TaskFailed`] and ends
+/// The default is **fail-fast** (`max_attempts == 1`): the first task
+/// panic is converted into a typed [`MrError::TaskFailed`] and ends
 /// the job — right for debugging (the original failure site is not
 /// obscured by retries) and for callers that treat any failure as
 /// fatal anyway. Panics are caught at the task boundary in *every*
@@ -122,22 +104,12 @@ impl From<TaskKind> for FaultKind {
 /// re-executed (tasks are pure over their inputs, so a retried task's
 /// output is byte-identical — see the module docs) until it succeeds
 /// or `max_attempts` executions have failed.
-///
-/// With a [`FaultPolicy::with_task_deadline`] deadline, a task running
-/// longer than the deadline is additionally re-dispatched
-/// *speculatively* on a free pool slot while the original keeps
-/// running; the first completion wins (pure tasks make the race
-/// benign) and the loser's output is discarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// Maximum executions per task, counting the first (`>= 1`). A
     /// task whose every execution panicked `max_attempts` times fails
     /// the job with [`MrError::TaskFailed`](crate::error::MrError).
     pub max_attempts: u32,
-    /// Wall-clock deadline per task attempt; exceeding it launches one
-    /// speculative twin of the task on a free pool slot (`None`, the
-    /// default, never speculates).
-    pub task_deadline: Option<Duration>,
 }
 
 impl Default for FaultPolicy {
@@ -147,13 +119,10 @@ impl Default for FaultPolicy {
 }
 
 impl FaultPolicy {
-    /// The default policy: one attempt, no deadline — the first task
-    /// panic fails the job (as a typed error, not a panic).
+    /// The default policy: one attempt — the first task panic fails
+    /// the job (as a typed error, not a panic).
     pub fn fail_fast() -> Self {
-        Self {
-            max_attempts: 1,
-            task_deadline: None,
-        }
+        Self { max_attempts: 1 }
     }
 
     /// Allows up to `max_attempts` executions per task.
@@ -162,18 +131,7 @@ impl FaultPolicy {
     /// If `max_attempts` is zero — the first execution is an attempt.
     pub fn retry(max_attempts: u32) -> Self {
         assert!(max_attempts >= 1, "a task needs at least one attempt");
-        Self {
-            max_attempts,
-            task_deadline: None,
-        }
-    }
-
-    /// Sets the per-attempt wall-clock deadline that triggers
-    /// speculative re-execution; `None` disables speculation.
-    #[must_use]
-    pub fn with_task_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.task_deadline = deadline;
-        self
+        Self { max_attempts }
     }
 }
 
@@ -214,19 +172,8 @@ impl std::fmt::Display for TaskError {
     }
 }
 
-/// What an [`InjectedFault`] does when it fires.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Panic with the given message (caught at the task boundary like
-    /// any real task panic).
-    Panic(String),
-    /// Sleep for the given duration before the task body runs — the
-    /// deterministic straggler.
-    Delay(Duration),
-}
-
-/// One entry of a [`FaultPlan`]: fire `action` when the task matching
-/// `(job, kind, task, attempt)` executes.
+/// One entry of a [`FaultPlan`]: panic with `message` when the task
+/// matching `(job, kind, task, attempt)` executes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectedFault {
     /// Job name to match, or [`FaultPlan::ANY_JOB`] for every job.
@@ -238,8 +185,9 @@ pub struct InjectedFault {
     /// Attempt number to match (1-based); `None` fires on *every*
     /// attempt — the "fail always" schedule.
     pub attempt: Option<u32>,
-    /// What happens on a match.
-    pub action: FaultAction,
+    /// The panic message (caught at the task boundary like any real
+    /// task panic).
+    pub message: String,
 }
 
 /// A deterministic fault-injection schedule, threaded through
@@ -327,7 +275,7 @@ impl FaultPlan {
             kind,
             task,
             attempt: Some(attempt),
-            action: FaultAction::Panic(message.into()),
+            message: message.into(),
         })
     }
 
@@ -346,62 +294,33 @@ impl FaultPlan {
             kind,
             task,
             attempt: None,
-            action: FaultAction::Panic(message.into()),
+            message: message.into(),
         })
     }
 
-    /// Delays `(job, kind, task)` by `delay` on the given 1-based
-    /// `attempt` — the deterministic straggler that drives a task past
-    /// its [`FaultPolicy::task_deadline`].
-    #[must_use]
-    pub fn delay_at(
-        self,
-        job: impl Into<String>,
-        kind: FaultKind,
-        task: usize,
-        attempt: u32,
-        delay: Duration,
-    ) -> Self {
-        self.with(InjectedFault {
-            job: job.into(),
-            kind,
-            task,
-            attempt: Some(attempt),
-            action: FaultAction::Delay(delay),
-        })
-    }
-
-    /// Executes every matching injection for this probe site. Called
-    /// by the engine at the start of each map/reduce attempt and just
-    /// before the map-side seal/sort.
+    /// Panics if an injection matches this probe site. Called by the
+    /// engine at the start of each map/reduce attempt and just before
+    /// the map-side seal/sort.
     pub(crate) fn fire(&self, job: &str, kind: FaultKind, task: usize, attempt: u32) {
-        for fault in &self.faults {
-            if fault.kind != kind || fault.task != task {
-                continue;
+        let hit = self.faults.iter().find(|fault| {
+            fault.kind == kind
+                && fault.task == task
+                && fault.attempt.is_none_or(|a| a == attempt)
+                && (fault.job == Self::ANY_JOB || fault.job == job)
+        });
+        if let Some(fault) = hit {
+            if self.silence_panic_output {
+                silence_injected_panic_output();
             }
-            if fault.attempt.is_some_and(|a| a != attempt) {
-                continue;
-            }
-            if fault.job != Self::ANY_JOB && fault.job != job {
-                continue;
-            }
-            match &fault.action {
-                FaultAction::Delay(delay) => std::thread::sleep(*delay),
-                FaultAction::Panic(message) => {
-                    if self.silence_panic_output {
-                        silence_injected_panic_output();
-                    }
-                    std::panic::panic_any(InjectedPanic {
-                        kind,
-                        message: message.clone(),
-                    });
-                }
-            }
+            std::panic::panic_any(InjectedPanic {
+                kind,
+                message: fault.message.clone(),
+            });
         }
     }
 }
 
-/// Panic payload of an injected [`FaultAction::Panic`]: carries the
+/// Panic payload of an [`InjectedFault`]: carries the
 /// fault kind so the catch site attributes a map-side `Sort` fault
 /// correctly, and is recognized by the filtering panic hook (opt-in
 /// via [`FaultPlan::silence_injected_panics`]) so injected panics do
@@ -447,72 +366,35 @@ fn describe_panic(
     }
 }
 
-/// Per-job fault gauges, accumulated across both phases and rolled
-/// into [`JobMetrics`](crate::metrics::JobMetrics) at job end.
-#[derive(Debug, Default)]
-pub(crate) struct FtStats {
-    pub task_failures: AtomicU64,
-    pub tasks_retried: AtomicU64,
-    pub speculative_launched: AtomicU64,
-    pub speculative_won: AtomicU64,
-}
-
-/// Shared attempt bookkeeping for one task: every execution — retry or
-/// speculative twin — draws the next global attempt number
-/// (Hadoop-style attempt ids), and the retry budget counts *failures*,
-/// shared between the original and its speculative twin.
-pub(crate) struct TaskAttemptState {
-    attempts: AtomicU32,
-    failures: AtomicU32,
-}
-
-/// Attempt state for every task of one phase.
-pub(crate) struct TaskAttempts(Vec<TaskAttemptState>);
-
-impl TaskAttempts {
-    pub fn new(count: usize) -> Self {
-        Self(
-            (0..count)
-                .map(|_| TaskAttemptState {
-                    attempts: AtomicU32::new(0),
-                    failures: AtomicU32::new(0),
-                })
-                .collect(),
-        )
-    }
-
-    pub fn task(&self, index: usize) -> &TaskAttemptState {
-        &self.0[index]
-    }
-}
-
 /// One phase's view of the fault machinery: the policy in force, the
-/// job identity for error reporting, the shared gauge sink, and the
-/// trace handle attempt events are emitted on.
+/// job identity for error reporting, and the trace handle attempt
+/// events are emitted on.
 pub(crate) struct PhaseFt<'a> {
     pub policy: FaultPolicy,
     pub job: &'a str,
     pub kind: FaultKind,
-    pub stats: &'a FtStats,
     pub tracer: Tracer,
 }
 
 impl PhaseFt<'_> {
     /// Runs one task under the policy: executes `body(attempt)` inside
-    /// a panic boundary, retrying until success or the shared failure
-    /// budget is exhausted. Never panics on a task panic; returns the
-    /// typed [`MrError::TaskFailed`] instead. Non-panic errors
+    /// a panic boundary, one attempt after another, until success or
+    /// `max_attempts` failures. Never panics on a task panic; returns
+    /// the typed [`MrError::TaskFailed`] instead. Non-panic errors
     /// (configuration problems) are not retried — they are
     /// deterministic and would fail identically again.
     ///
-    /// Attempt lifecycle events are emitted at exactly the same sites
-    /// as the `FtStats` gauges, so per-category event counts and the
-    /// gauges can never disagree. With tracing off every extra site is
-    /// one branch — no clock reads, no allocation.
+    /// A task that succeeds at attempt `n` failed, and was retried,
+    /// exactly `n − 1` times: the attempt number the body records in
+    /// [`TaskMetrics::attempts`](crate::metrics::TaskMetrics::attempts)
+    /// is the one fault accounting
+    /// [`JobMetrics::tasks_retried`](crate::metrics::JobMetrics::tasks_retried)
+    /// derives from, and the `AttemptFailed` / `AttemptRetried` events
+    /// emitted here agree with it by construction. With tracing off
+    /// every event site is one branch — no clock reads, no allocation.
     pub fn run_task<T>(
         &self,
         task: usize,
-        state: &TaskAttemptState,
         ctx: TaskCtx,
         body: impl Fn(u32) -> Result<T, MrError>,
     ) -> Result<T, MrError> {
@@ -528,8 +410,9 @@ impl PhaseFt<'_> {
                 },
             );
         }
+        let mut attempt = 0;
         loop {
-            let attempt = state.attempts.fetch_add(1, Ordering::Relaxed) + 1;
+            attempt += 1;
             if tracing {
                 self.tracer.emit(
                     Some(ctx.slot),
@@ -559,8 +442,6 @@ impl PhaseFt<'_> {
                     return result;
                 }
                 Err(payload) => {
-                    self.stats.task_failures.fetch_add(1, Ordering::Relaxed);
-                    let failures = state.failures.fetch_add(1, Ordering::Relaxed) + 1;
                     let (kind, message) = describe_panic(payload, self.kind);
                     if tracing {
                         self.tracer.emit(
@@ -574,17 +455,16 @@ impl PhaseFt<'_> {
                             },
                         );
                     }
-                    if failures >= self.policy.max_attempts {
+                    if attempt >= self.policy.max_attempts {
                         return Err(MrError::TaskFailed(TaskError {
                             job: self.job.to_string(),
                             stage: None,
                             kind,
                             task,
-                            attempts: failures,
+                            attempts: attempt,
                             payload: message,
                         }));
                     }
-                    self.stats.tasks_retried.fetch_add(1, Ordering::Relaxed);
                     if tracing {
                         self.tracer.emit(
                             Some(ctx.slot),
@@ -602,264 +482,26 @@ impl PhaseFt<'_> {
     }
 }
 
-/// Per-task completion state for the speculative dispatcher.
-struct SpecSlot<T> {
-    /// First writer wins; the losing twin's result is dropped.
-    result: Mutex<Option<Result<T, MrError>>>,
-    done: AtomicBool,
-    /// When the task's current attempt started (re-armed at every
-    /// attempt boundary) — the watchdog's reference point for the
-    /// per-attempt deadline.
-    started: Mutex<Option<Instant>>,
-    /// Set once when the watchdog decides to speculate, so each task
-    /// gets at most one twin.
-    speculated: AtomicBool,
-}
-
-/// Decrements the dispatcher's pending count exactly once, even if a
-/// loop body dies on a panic the task boundary could not contain — the
-/// borrow fence below must never hang.
-struct PendingGuard<'a> {
-    pending: &'a Mutex<usize>,
-    done: &'a Condvar,
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        let mut pending = lock_unpoisoned(self.pending);
-        *pending -= 1;
-        if *pending == 0 {
-            self.done.notify_all();
-        }
-    }
-}
-
-/// Runs `count` tasks on `pool` under a straggler deadline: tasks
-/// running past `deadline` are re-dispatched speculatively on free
-/// pool slots, first completion wins. Results are in task order and
-/// byte-identical to plain execution — tasks are pure, so the twin
-/// computes the same value and only bookkeeping decides which copy is
-/// kept.
-///
-/// The calling thread doubles as the straggler watchdog while it
-/// blocks on the borrow fence (all loop bodies returned).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_speculative<T, F>(
-    pool: &WorkerPool,
-    cap: usize,
-    count: usize,
-    deadline: Duration,
-    tenant: &Arc<str>,
-    phase: &PhaseFt<'_>,
-    attempts: &TaskAttempts,
-    body: &F,
-) -> Vec<Result<T, MrError>>
-where
-    T: Send,
-    F: Fn(usize, u32, TaskCtx) -> Result<T, MrError> + Sync,
-{
-    // Inline execution (single-slot pool, cap 1, or a single task) has
-    // no free slots to speculate on: run sequentially like the plain
-    // path so output and thread behavior stay identical.
-    if pool.worker_count() == 0 || cap <= 1 || count == 1 {
-        return (0..count)
-            .map(|i| {
-                let ctx = TaskCtx::default();
-                phase.run_task(i, attempts.task(i), ctx, |a| body(i, a, ctx))
-            })
-            .collect();
-    }
-    let loops = cap.min(pool.worker_count()).min(count);
-    let slots: Vec<SpecSlot<T>> = (0..count)
-        .map(|_| SpecSlot {
-            result: Mutex::new(None),
-            done: AtomicBool::new(false),
-            started: Mutex::new(None),
-            speculated: AtomicBool::new(false),
-        })
-        .collect();
-    // Work items: (task index, is speculative twin, enqueue instant —
-    // the reference point for the item's queue wait). Primaries are
-    // enqueued up front in task order; the watchdog appends twins.
-    let enqueued = Instant::now();
-    let queue: Mutex<VecDeque<(usize, bool, Instant)>> =
-        Mutex::new((0..count).map(|i| (i, false, enqueued)).collect());
-    let queue_ready = Condvar::new();
-    let completed = AtomicUsize::new(0);
-    let pending = Mutex::new(loops);
-    let all_returned = Condvar::new();
-    // The enqueued loop bodies are `copies` of one identical closure;
-    // each copy draws its own slot id here so trace events can tell
-    // the lanes apart.
-    let next_slot = AtomicUsize::new(0);
-    phase
-        .tracer
-        .emit_with(None, || TraceEventData::TasksEnqueued {
-            tasks: count,
-            queue_depth: count,
-        });
-
-    let loop_body = || {
-        let worker_slot = next_slot.fetch_add(1, Ordering::Relaxed);
-        phase
-            .tracer
-            .emit_with(Some(worker_slot), || TraceEventData::SlotAcquired {
-                tenant: Some(tenant.to_string()),
-            });
-        let _guard = PendingGuard {
-            pending: &pending,
-            done: &all_returned,
-        };
-        loop {
-            let item = {
-                let mut q = lock_unpoisoned(&queue);
-                loop {
-                    if completed.load(Ordering::Acquire) >= count {
-                        break None;
-                    }
-                    if let Some(item) = q.pop_front() {
-                        break Some(item);
-                    }
-                    q = queue_ready.wait(q).unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            let Some((i, speculative, item_enqueued)) = item else {
-                phase
-                    .tracer
-                    .emit(Some(worker_slot), TraceEventData::SlotReleased);
-                return;
-            };
-            let slot = &slots[i];
-            if slot.done.load(Ordering::Acquire) {
-                continue; // a twin whose primary already finished (never ran)
-            }
-            let ctx = TaskCtx {
-                slot: worker_slot,
-                queue_wait: item_enqueued.elapsed(),
-            };
-            // Each attempt re-arms the deadline clock: the policy's
-            // deadline is per *attempt*, so a retry is measured from
-            // its own start, not the first attempt's. A twin re-arming
-            // the clock is harmless — `speculated` is one-shot.
-            let result = phase.run_task(i, attempts.task(i), ctx, |a| {
-                *lock_unpoisoned(&slot.started) = Some(Instant::now());
-                body(i, a, ctx)
-            });
-            let mut cell = lock_unpoisoned(&slot.result);
-            if cell.is_none() {
-                *cell = Some(result);
-                drop(cell);
-                slot.done.store(true, Ordering::Release);
-                if speculative {
-                    phase.stats.speculative_won.fetch_add(1, Ordering::Relaxed);
-                    phase
-                        .tracer
-                        .emit_with(Some(worker_slot), || TraceEventData::SpeculativeWon {
-                            job: phase.job.to_string(),
-                            kind: phase.kind,
-                            task: i,
-                            twin: true,
-                        });
-                }
-                if completed.fetch_add(1, Ordering::AcqRel) + 1 >= count {
-                    // Wake loop bodies parked on an empty queue. The
-                    // notify is bracketed by the queue mutex: a waiter
-                    // holds it between its `completed` check and its
-                    // park, so acquiring (and releasing) it here
-                    // orders this completion after any stale check —
-                    // the wakeup cannot be lost.
-                    drop(lock_unpoisoned(&queue));
-                    queue_ready.notify_all();
-                }
-            } else {
-                // The sibling copy already installed a result — this
-                // copy ran to completion and lost the race.
-                drop(cell);
-                phase
-                    .tracer
-                    .emit_with(Some(worker_slot), || TraceEventData::SpeculativeLost {
-                        job: phase.job.to_string(),
-                        kind: phase.kind,
-                        task: i,
-                        twin: speculative,
-                    });
-            }
-        }
-    };
-
-    // SAFETY: the enqueued loop bodies borrow `slots`, `queue`,
-    // `completed`, `pending`, `phase`, `attempts` and `body` from this
-    // stack frame. The frame is not torn down until the fence below
-    // observed `pending == 0`, i.e. every copy has fully returned —
-    // guaranteed even on an uncontained panic by `PendingGuard`.
-    unsafe {
-        pool.enqueue_fenced(loops, &loop_body);
-    }
-
-    // Borrow fence + straggler watchdog: while waiting for the loop
-    // bodies to drain, periodically scan for tasks past their deadline
-    // and enqueue one speculative twin each.
-    let tick = (deadline / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    let mut left = lock_unpoisoned(&pending);
-    while *left > 0 {
-        let (guard, _) = all_returned
-            .wait_timeout(left, tick)
-            .unwrap_or_else(PoisonError::into_inner);
-        left = guard;
-        if *left == 0 {
-            break;
-        }
-        let now = Instant::now();
-        for (index, slot) in slots.iter().enumerate() {
-            if slot.done.load(Ordering::Acquire) {
-                continue;
-            }
-            let Some(started) = *lock_unpoisoned(&slot.started) else {
-                continue; // not yet picked up — cannot be a straggler
-            };
-            if now.duration_since(started) >= deadline
-                && !slot.speculated.swap(true, Ordering::AcqRel)
-            {
-                phase
-                    .stats
-                    .speculative_launched
-                    .fetch_add(1, Ordering::Relaxed);
-                phase
-                    .tracer
-                    .emit_with(None, || TraceEventData::SpeculativeLaunched {
-                        job: phase.job.to_string(),
-                        kind: phase.kind,
-                        task: index,
-                    });
-                lock_unpoisoned(&queue).push_back((index, true, Instant::now()));
-                queue_ready.notify_all();
-            }
-        }
-    }
-    drop(left);
-
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.result
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| panic!("task {i} produced no result"))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
+
+    fn phase(policy: FaultPolicy, kind: FaultKind) -> PhaseFt<'static> {
+        PhaseFt {
+            policy,
+            job: "j",
+            kind,
+            tracer: Tracer::off(),
+        }
+    }
 
     #[test]
     fn fail_fast_is_the_default_policy() {
         let policy = FaultPolicy::default();
         assert_eq!(policy, FaultPolicy::fail_fast());
         assert_eq!(policy.max_attempts, 1);
-        assert_eq!(policy.task_deadline, None);
     }
 
     #[test]
@@ -912,58 +554,30 @@ mod tests {
     }
 
     #[test]
-    fn delay_entries_sleep_instead_of_panicking() {
-        let plan = FaultPlan::new().delay_at(
-            FaultPlan::ANY_JOB,
-            FaultKind::Map,
-            0,
-            1,
-            Duration::from_millis(15),
-        );
-        let start = Instant::now();
-        plan.fire("j", FaultKind::Map, 0, 1);
-        assert!(start.elapsed() >= Duration::from_millis(15));
-        // Other attempts are unaffected.
-        let start = Instant::now();
-        plan.fire("j", FaultKind::Map, 0, 2);
-        assert!(start.elapsed() < Duration::from_millis(10));
-    }
-
-    #[test]
     fn run_task_retries_until_success_and_counts_every_failure() {
-        let stats = FtStats::default();
-        let phase = PhaseFt {
-            policy: FaultPolicy::retry(3),
-            job: "j",
-            kind: FaultKind::Map,
-            stats: &stats,
-            tracer: Tracer::off(),
-        };
-        let attempts = TaskAttempts::new(1);
-        let out = phase.run_task(0, attempts.task(0), TaskCtx::default(), |attempt| {
-            if attempt < 3 {
-                panic!("attempt {attempt} dies");
-            }
-            Ok(attempt)
-        });
+        let calls = Cell::new(0u32);
+        let out = phase(FaultPolicy::retry(3), FaultKind::Map).run_task(
+            0,
+            TaskCtx::default(),
+            |attempt| {
+                calls.set(calls.get() + 1);
+                if attempt < 3 {
+                    panic!("attempt {attempt} dies");
+                }
+                Ok(attempt)
+            },
+        );
+        // The winning attempt is the third: two failures, two retries.
         assert_eq!(out.unwrap(), 3);
-        assert_eq!(stats.task_failures.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.tasks_retried.load(Ordering::Relaxed), 2);
+        assert_eq!(calls.get(), 3, "attempts run one after another");
     }
 
     #[test]
     fn run_task_exhausts_into_typed_error() {
-        let stats = FtStats::default();
-        let phase = PhaseFt {
-            policy: FaultPolicy::retry(2),
-            job: "j",
-            kind: FaultKind::Reduce,
-            stats: &stats,
-            tracer: Tracer::off(),
-        };
-        let attempts = TaskAttempts::new(1);
-        let err = phase
-            .run_task::<()>(0, attempts.task(0), TaskCtx::default(), |_| {
+        let calls = Cell::new(0u32);
+        let err = phase(FaultPolicy::retry(2), FaultKind::Reduce)
+            .run_task::<()>(0, TaskCtx::default(), |_| {
+                calls.set(calls.get() + 1);
                 panic!("always dies")
             })
             .unwrap_err();
@@ -973,58 +587,34 @@ mod tests {
         assert_eq!(task_error.job, "j");
         assert_eq!(task_error.kind, FaultKind::Reduce);
         assert_eq!(task_error.task, 0);
-        assert_eq!(task_error.attempts, 2);
+        assert_eq!(task_error.attempts, 2, "the whole budget failed");
+        assert_eq!(calls.get(), 2);
         assert_eq!(task_error.payload, "always dies");
-        assert_eq!(stats.task_failures.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.tasks_retried.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn run_task_does_not_retry_deterministic_errors() {
-        let stats = FtStats::default();
-        let phase = PhaseFt {
-            policy: FaultPolicy::retry(5),
-            job: "j",
-            kind: FaultKind::Map,
-            stats: &stats,
-            tracer: Tracer::off(),
-        };
-        let attempts = TaskAttempts::new(1);
-        let calls = AtomicU32::new(0);
-        let err = phase
-            .run_task::<()>(0, attempts.task(0), TaskCtx::default(), |_| {
-                calls.fetch_add(1, Ordering::Relaxed);
+        let calls = Cell::new(0u32);
+        let err = phase(FaultPolicy::retry(5), FaultKind::Map)
+            .run_task::<()>(0, TaskCtx::default(), |_| {
+                calls.set(calls.get() + 1);
                 Err(MrError::NoReduceTasks)
             })
             .unwrap_err();
         assert_eq!(err, MrError::NoReduceTasks);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            1,
-            "config errors never retry"
-        );
-        assert_eq!(stats.task_failures.load(Ordering::Relaxed), 0);
+        assert_eq!(calls.get(), 1, "config errors never retry");
     }
 
     #[test]
     fn injected_sort_panic_keeps_its_kind_through_a_map_boundary() {
-        let stats = FtStats::default();
-        let phase = PhaseFt {
-            policy: FaultPolicy::fail_fast(),
-            job: "j",
-            kind: FaultKind::Map,
-            stats: &stats,
-            tracer: Tracer::off(),
-        };
         let plan = FaultPlan::new().silence_injected_panics().panic_always(
             "j",
             FaultKind::Sort,
             0,
             "seal died",
         );
-        let attempts = TaskAttempts::new(1);
-        let err = phase
-            .run_task::<()>(0, attempts.task(0), TaskCtx::default(), |attempt| {
+        let err = phase(FaultPolicy::fail_fast(), FaultKind::Map)
+            .run_task::<()>(0, TaskCtx::default(), |attempt| {
                 plan.fire("j", FaultKind::Sort, 0, attempt);
                 unreachable!("the injection fires first");
             })
@@ -1033,110 +623,8 @@ mod tests {
             panic!("expected TaskFailed");
         };
         assert_eq!(task_error.kind, FaultKind::Sort);
+        assert_eq!(task_error.attempts, 1);
         assert_eq!(task_error.payload, "seal died");
-    }
-
-    #[test]
-    fn speculative_twin_wins_over_a_delayed_straggler() {
-        let pool = WorkerPool::new(4);
-        let stats = FtStats::default();
-        let phase = PhaseFt {
-            policy: FaultPolicy::retry(2).with_task_deadline(Some(Duration::from_millis(25))),
-            job: "j",
-            kind: FaultKind::Map,
-            stats: &stats,
-            tracer: Tracer::off(),
-        };
-        let attempts = TaskAttempts::new(3);
-        let out = run_speculative(
-            &pool,
-            usize::MAX,
-            3,
-            Duration::from_millis(25),
-            &Arc::from("default"),
-            &phase,
-            &attempts,
-            &|i, attempt, _ctx| {
-                if i == 1 && attempt == 1 {
-                    std::thread::sleep(Duration::from_millis(400));
-                }
-                Ok(i * 10)
-            },
-        );
-        let values: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(values, vec![0, 10, 20]);
-        assert_eq!(stats.speculative_launched.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            stats.speculative_won.load(Ordering::Relaxed),
-            1,
-            "the twin (attempt 2, no delay) must beat the 400ms straggler"
-        );
-        assert_eq!(stats.task_failures.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn speculative_dispatcher_drains_under_racy_completions() {
-        // Tasks that finish almost instantly maximize the window where
-        // the final completion lands between a worker's `completed`
-        // check and its park on the queue condvar — the lost-wakeup
-        // shape. Many rounds on one pool must all drain.
-        let pool = WorkerPool::new(4);
-        let stats = FtStats::default();
-        let phase = PhaseFt {
-            policy: FaultPolicy::fail_fast().with_task_deadline(Some(Duration::from_millis(5))),
-            job: "j",
-            kind: FaultKind::Map,
-            stats: &stats,
-            tracer: Tracer::off(),
-        };
-        for round in 0..50 {
-            let attempts = TaskAttempts::new(8);
-            let out = run_speculative(
-                &pool,
-                usize::MAX,
-                8,
-                Duration::from_millis(5),
-                &Arc::from("default"),
-                &phase,
-                &attempts,
-                &|i, _, _| Ok(i + round),
-            );
-            assert_eq!(
-                out.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(),
-                (round..8 + round).collect::<Vec<_>>(),
-                "round {round} lost a task"
-            );
-        }
-    }
-
-    #[test]
-    fn speculation_degrades_to_sequential_without_free_slots() {
-        let pool = WorkerPool::new(1);
-        let stats = FtStats::default();
-        let phase = PhaseFt {
-            policy: FaultPolicy::fail_fast().with_task_deadline(Some(Duration::from_millis(1))),
-            job: "j",
-            kind: FaultKind::Reduce,
-            stats: &stats,
-            tracer: Tracer::off(),
-        };
-        let attempts = TaskAttempts::new(4);
-        let out = run_speculative(
-            &pool,
-            usize::MAX,
-            4,
-            Duration::from_millis(1),
-            &Arc::from("default"),
-            &phase,
-            &attempts,
-            &|i, _, _| Ok(i),
-        );
-        assert_eq!(
-            out.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        assert_eq!(pool.threads_spawned(), 0);
-        assert_eq!(stats.speculative_launched.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -67,6 +67,9 @@
 // five type parameters and closures reference them all. Aliasing each
 // shape would obscure, not clarify.
 #![allow(clippy::type_complexity)]
+// `pool` alone erases task-body lifetimes for its persistent threads;
+// every other module is safe Rust, and the compiler holds it so.
+#![deny(unsafe_code)]
 
 pub mod adapters;
 pub mod combiner;
@@ -81,6 +84,7 @@ pub mod mapper;
 pub mod merge;
 pub mod metrics;
 pub mod partitioner;
+#[allow(unsafe_code)]
 pub mod pool;
 pub mod reducer;
 pub mod runtime;
@@ -94,13 +98,13 @@ pub use comparator::{natural_order, KeyCmp};
 pub use counters::CounterSet;
 pub use engine::{Job, JobBuilder, JobOutput};
 pub use error::MrError;
-pub use fault::{FaultAction, FaultKind, FaultPlan, FaultPolicy, InjectedFault, TaskError};
+pub use fault::{FaultKind, FaultPlan, FaultPolicy, InjectedFault, TaskError};
 pub use input::{partition_evenly, partition_round_robin, Partitions};
 pub use mapper::{MapContext, MapTaskInfo, Mapper};
 pub use merge::{merge_sorted_runs, ClonedRunIter, GroupStream};
 pub use metrics::{JobMetrics, TaskKind, TaskMetrics};
 pub use partitioner::{FnPartitioner, HashPartitioner, Partitioner};
-pub use pool::{BatchTag, PoolStats, SchedulingPolicy, WorkerPool};
+pub use pool::{BatchTag, PoolStats, WorkerPool};
 pub use reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer, SumReducer};
 pub use runtime::{Runtime, RuntimeConfig};
 pub use trace::{
@@ -120,7 +124,7 @@ pub mod prelude {
     pub use crate::mapper::{MapContext, MapTaskInfo, Mapper};
     pub use crate::metrics::{JobMetrics, TaskKind, TaskMetrics};
     pub use crate::partitioner::{FnPartitioner, HashPartitioner, Partitioner};
-    pub use crate::pool::{PoolStats, SchedulingPolicy, WorkerPool};
+    pub use crate::pool::{PoolStats, WorkerPool};
     pub use crate::reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer, SumReducer};
     pub use crate::runtime::{Runtime, RuntimeConfig};
     pub use crate::trace::{TraceEvent, TraceEventData, TraceRecorder, TraceReport, TraceSink};

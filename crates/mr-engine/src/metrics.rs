@@ -66,10 +66,11 @@ pub struct TaskMetrics {
     /// the deterministic-gauge set, like [`TaskMetrics::wall`].
     pub queue_wait: Duration,
     /// Attempt number that produced this task's output (1 = the first
-    /// attempt succeeded; higher values count retries, and a winning
-    /// speculative twin reports its own attempt number). Deterministic
-    /// under a deterministic [`FaultPlan`](crate::fault::FaultPlan)
-    /// with no task deadline.
+    /// attempt succeeded). Attempts run one after another and only a
+    /// caught panic starts the next, so `attempts − 1` is the task's
+    /// failed-and-retried attempt count — the one fault accounting
+    /// [`JobMetrics::tasks_retried`] sums. Deterministic under a
+    /// deterministic [`FaultPlan`](crate::fault::FaultPlan).
     pub attempts: u32,
 }
 
@@ -99,20 +100,6 @@ pub struct JobMetrics {
     pub shuffle_wall: Duration,
     /// Wall-clock duration of the whole job on the local worker pool.
     pub wall: Duration,
-    /// Task attempts that ended in a panic caught at the task boundary
-    /// (each failed attempt counts once, whether retried or fatal).
-    pub task_failures: u64,
-    /// Failed attempts that were re-executed under the job's
-    /// [`FaultPolicy`](crate::fault::FaultPolicy) retry budget; always
-    /// `<= task_failures`.
-    pub tasks_retried: u64,
-    /// Speculative twins launched for tasks that exceeded the policy's
-    /// task deadline.
-    pub speculative_launched: u64,
-    /// Speculative twins that finished before their straggling
-    /// original (first completion wins); always
-    /// `<= speculative_launched`.
-    pub speculative_won: u64,
 }
 
 impl JobMetrics {
@@ -203,6 +190,19 @@ impl JobMetrics {
         total_peak as f64 / total_in as f64
     }
 
+    /// Task attempts that panicked and were re-executed under the
+    /// job's [`FaultPolicy`](crate::fault::FaultPolicy) retry budget:
+    /// `Σ (attempts − 1)` over map and reduce tasks. A job that
+    /// returned metrics retried every failure, so this is also its
+    /// count of failed attempts.
+    pub fn tasks_retried(&self) -> u64 {
+        self.map_tasks
+            .iter()
+            .chain(&self.reduce_tasks)
+            .map(|t| u64::from(t.attempts.saturating_sub(1)))
+            .sum()
+    }
+
     /// Max/mean ratio of a per-reduce-task counter: 1.0 is a perfect
     /// balance, large values indicate skew.
     pub fn reduce_imbalance(&self, name: &str) -> f64 {
@@ -251,10 +251,6 @@ mod tests {
             counters: CounterSet::new(),
             shuffle_wall: Duration::ZERO,
             wall: Duration::ZERO,
-            task_failures: 0,
-            tasks_retried: 0,
-            speculative_launched: 0,
-            speculative_won: 0,
         }
     }
 
@@ -326,6 +322,17 @@ mod tests {
         assert_eq!(j.spilled_runs(), 8, "sum over map tasks");
         // Reduce-side gauges must not pick up map-task values.
         assert_eq!(j.peak_resident_records(), 0);
+    }
+
+    #[test]
+    fn retries_derive_from_task_attempts() {
+        let mut j = job(&[0]);
+        j.map_tasks = (0..2).map(|i| task(TaskKind::Map, i, 0)).collect();
+        j.map_tasks[1].attempts = 3;
+        j.reduce_tasks[0].attempts = 2;
+        // Map attempts [1, 3] and reduce attempts [2]: 0 + 2 + 1.
+        assert_eq!(j.tasks_retried(), 3);
+        assert_eq!(job(&[0, 0]).tasks_retried(), 0, "first attempts only");
     }
 
     #[test]

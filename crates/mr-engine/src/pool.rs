@@ -14,21 +14,30 @@
 //!
 //! A [`WorkerPool`] dispatch does not drive its tasks to completion by
 //! itself. It *registers* the task set as a **batch** — tagged with
-//! [`BatchTag`] `(tenant, workflow, stage, weight)` — on a shared
+//! [`BatchTag`] `(tenant, workflow, stage)` — on a shared FIFO
 //! ready-queue, and the persistent workers claim **individual tasks**
-//! from whichever registered batch the pool's [`SchedulingPolicy`]
-//! prefers. Concurrent dispatches from different threads therefore
-//! interleave at *operation* granularity: a long batch no longer
-//! blocks a short one queued behind it, and fairness between tenants
-//! is a policy decision instead of an accident of arrival order.
+//! from the oldest registered batch that has a claimable task.
+//! Concurrent dispatches from different threads therefore interleave
+//! at *operation* granularity: a batch held back by its parallelism
+//! cap leaves its free slots to the batches behind it.
 //!
 //! The dispatching thread is not idle while it waits: it claims tasks
 //! from its *own* batch (counted against the batch's parallelism cap
 //! like any worker) until none are claimable, then blocks on the
 //! batch's completion fence. Results are index-addressed per batch, so
-//! outputs are byte-identical under every policy, cap, and tenant mix.
+//! outputs are byte-identical under every cap and tenant mix.
+//!
+//! # The one `unsafe` boundary
+//!
+//! Persistent threads cannot hold a borrow of a dispatcher's stack
+//! frame in safe Rust, so `RawRunner` erases the task body's
+//! lifetime. Every `unsafe` site below relies on the same **batch
+//! completion fence**: `run_tasks_tagged_ctx` does not return, unwind
+//! or drop the erased body before `BatchDone::finished == count`, and
+//! a task increments that count only after its call into the body has
+//! returned (panics included, via the per-task `catch_unwind`).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -38,48 +47,9 @@ use std::time::Instant;
 use crate::fault::lock_unpoisoned;
 use crate::trace::{TaskCtx, TraceEventData, Tracer};
 
-/// How the shared pool picks the next task when batches from several
-/// tenants are registered at once.
-///
-/// Whatever the policy, every task of every batch runs exactly once
-/// and results are byte-identical — the policy only decides *order*,
-/// i.e. latency and fairness, never output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulingPolicy {
-    /// Batches are served strictly in registration order: all
-    /// claimable tasks of the oldest batch first. Lowest overhead,
-    /// no fairness — a long tenant delays everyone behind it.
-    #[default]
-    Fifo,
-    /// The next task comes from a claimable batch whose *tenant*
-    /// currently has the fewest tasks in flight (ties broken by
-    /// registration order) — concurrent tenants converge to equal
-    /// shares of the pool regardless of batch sizes.
-    FairShare,
-    /// The next task comes from the claimable batch with the least
-    /// estimated remaining work: the batch's weight hint (comparison
-    /// pairs, when the BDM computed one) scaled by its unclaimed
-    /// fraction, falling back to the unclaimed task count for
-    /// unweighted batches. Approximates shortest-remaining-processing-
-    /// time, minimizing mean resolve latency.
-    ShortestRemainingWork,
-}
-
-impl SchedulingPolicy {
-    /// Stable lower-case name (bench/report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulingPolicy::Fifo => "fifo",
-            SchedulingPolicy::FairShare => "fair_share",
-            SchedulingPolicy::ShortestRemainingWork => "shortest_remaining_work",
-        }
-    }
-}
-
 /// Identity of a dispatched task batch on the shared scheduler:
-/// which tenant submitted it, which workflow and stage it implements,
-/// and an optional total-work hint used by
-/// [`SchedulingPolicy::ShortestRemainingWork`].
+/// which tenant submitted it and which workflow and stage it
+/// implements.
 #[derive(Debug, Clone)]
 pub struct BatchTag {
     /// Logical submitter (one per concurrently-resolving caller).
@@ -89,45 +59,25 @@ pub struct BatchTag {
     pub workflow: Arc<str>,
     /// Zero-based stage index within the workflow.
     pub stage: usize,
-    /// Estimated total work of the *stage* in comparison pairs (0 =
-    /// unknown). Seeded from the BDM's exact pair counts when a stage
-    /// has one.
-    pub weight: u64,
 }
 
 impl BatchTag {
     /// Tag for a batch attributed to `tenant` running `workflow`'s
-    /// stage `stage`, with `weight` estimated comparison pairs
-    /// (0 when unknown).
-    pub fn new(
-        tenant: impl Into<Arc<str>>,
-        workflow: impl Into<Arc<str>>,
-        stage: usize,
-        weight: u64,
-    ) -> Self {
+    /// stage `stage`.
+    pub fn new(tenant: impl Into<Arc<str>>, workflow: impl Into<Arc<str>>, stage: usize) -> Self {
         Self {
             tenant: tenant.into(),
             workflow: workflow.into(),
             stage,
-            weight,
         }
     }
 
     /// The tag used by dispatches that did not come through a
-    /// workflow: tenant `"default"`, no workflow, no weight hint.
+    /// workflow: tenant `"default"`, no workflow.
     pub fn untagged() -> Self {
-        Self {
-            tenant: Arc::from("default"),
-            workflow: Arc::from(""),
-            stage: 0,
-            weight: 0,
-        }
+        Self::new("default", "", 0)
     }
 }
-
-/// A lifetime-erased unit of work queued on a [`WorkerPool`]'s raw
-/// lane (see [`WorkerPool::enqueue_fenced`]).
-type PoolTask = Box<dyn FnOnce() + Send + 'static>;
 
 /// A type- and lifetime-erased pointer to a dispatch's task body.
 ///
@@ -138,15 +88,20 @@ type PoolTask = Box<dyn FnOnce() + Send + 'static>;
 /// drop is trivially sound.
 struct RawRunner {
     data: *const (),
+    // SAFETY: only `RawRunner::invoke` calls this, under the batch
+    // completion fence; `erase` pairs it with the `data` it casts.
     call: unsafe fn(*const (), usize, TaskCtx),
 }
 
-// SAFETY: `data` points at a `F: Fn(usize, TaskCtx) + Sync` plus
-// `Sync` result slots on the dispatching thread's stack; invoking it
-// from any thread is safe while the dispatch fence holds, which
-// `run_tasks_tagged_ctx` guarantees (it does not return before every
-// claimed task finished).
+// SAFETY: `call` is a plain fn pointer. `data` points at an
+// `F: Fn(usize, TaskCtx) + Sync` on the dispatching thread's stack
+// whose results go to `Mutex` slots of `T: Send`; a worker only reads
+// it through `&F`, never drops or moves it, and does so only while the
+// batch completion fence holds.
 unsafe impl Send for RawRunner {}
+// SAFETY: as for `Send` (both fields) — `F: Sync` makes calls through
+// `&F` from many workers at once sound while the batch completion
+// fence holds.
 unsafe impl Sync for RawRunner {}
 
 impl RawRunner {
@@ -156,10 +111,14 @@ impl RawRunner {
     /// The caller must keep `*f` alive and un-moved until it has
     /// observed that no further [`RawRunner::invoke`] call can be in
     /// flight (the batch completion fence).
+    // SAFETY: the caller's obligation above is the batch completion
+    // fence; nothing in this body dereferences `f`'s erased pointer.
     unsafe fn erase<F: Fn(usize, TaskCtx) + Sync>(f: &F) -> Self {
+        // SAFETY: callable only through `invoke`, whose caller holds
+        // the batch completion fence; `data` came from `&F` below.
         unsafe fn call<F: Fn(usize, TaskCtx)>(data: *const (), i: usize, ctx: TaskCtx) {
-            // SAFETY: `data` was produced from `&F` in `erase`; the
-            // fence contract keeps it valid for the duration.
+            // SAFETY: `data` was produced from `&F` in `erase`, and the
+            // batch completion fence keeps that `F` alive and un-moved.
             let f = unsafe { &*(data.cast::<F>()) };
             f(i, ctx);
         }
@@ -172,10 +131,13 @@ impl RawRunner {
     /// Runs task `i`.
     ///
     /// # Safety
-    /// Only callable while the dispatch fence of the owning batch
-    /// holds (see [`RawRunner::erase`]).
+    /// Only callable while the batch completion fence of the owning
+    /// batch holds (see [`RawRunner::erase`]).
+    // SAFETY: the caller's obligation above is the batch completion
+    // fence, which is all `call` needs.
     unsafe fn invoke(&self, i: usize, ctx: TaskCtx) {
-        // SAFETY: delegated to the caller.
+        // SAFETY: the batch completion fence holds (this function's
+        // contract), and `call` was paired with `data` by `erase`.
         unsafe { (self.call)(self.data, i, ctx) }
     }
 }
@@ -187,8 +149,6 @@ impl RawRunner {
 /// shared via `Arc` without interior `&mut`; all loads/stores happen
 /// under the lock and use relaxed ordering.
 struct BatchShared {
-    /// Registration sequence number (FIFO order, tie-breaker).
-    seq: u64,
     tag: BatchTag,
     /// Total tasks in the batch.
     count: usize,
@@ -214,6 +174,16 @@ struct BatchShared {
     done_cv: Condvar,
 }
 
+impl BatchShared {
+    /// Whether a task of this batch can be claimed now: one is still
+    /// unclaimed and fewer than `cap` run. Read under the scheduler
+    /// lock.
+    fn claimable(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.count
+            && self.running.load(Ordering::Relaxed) < self.cap
+    }
+}
+
 #[derive(Default)]
 struct BatchDone {
     /// Tasks fully finished, as seen by the dispatcher fence.
@@ -225,32 +195,24 @@ struct BatchDone {
 /// Scheduler state shared between a [`WorkerPool`] handle and its
 /// workers, guarded by one mutex.
 struct Scheduler {
-    /// Raw-lane tasks ([`WorkerPool::enqueue_fenced`]) — always
-    /// served before batch tasks, because the speculative dispatcher
-    /// that uses this lane is itself racing a deadline.
-    direct: VecDeque<PoolTask>,
-    /// Registered batches in registration order. A batch is removed
-    /// when its last task finishes.
+    /// Registered batches in registration order — the FIFO
+    /// ready-queue. A batch is removed when its last task finishes.
     batches: Vec<Arc<BatchShared>>,
-    /// Next registration sequence number.
-    next_seq: u64,
     /// Tasks currently executing (workers and caller-help combined).
     busy: usize,
-    /// Tasks in flight per tenant — the FairShare signal and the
-    /// [`PoolStats`] per-tenant snapshot.
+    /// Tasks in flight per tenant — the [`PoolStats`] per-tenant
+    /// snapshot.
     inflight: BTreeMap<Arc<str>, usize>,
     shutdown: bool,
 }
 
 impl Scheduler {
-    /// Unclaimed tasks across both lanes.
+    /// Unclaimed tasks across all registered batches.
     fn queue_depth(&self) -> usize {
-        self.direct.len()
-            + self
-                .batches
-                .iter()
-                .map(|b| b.count.saturating_sub(b.next.load(Ordering::Relaxed)))
-                .sum::<usize>()
+        self.batches
+            .iter()
+            .map(|b| b.count.saturating_sub(b.next.load(Ordering::Relaxed)))
+            .sum()
     }
 }
 
@@ -265,15 +227,13 @@ struct PoolShared {
     /// witness that consecutive runs reuse the same pool. Inline
     /// dispatches bypass the scheduler and do not count.
     tasks_executed: AtomicU64,
-    policy: SchedulingPolicy,
 }
 
 /// A point-in-time snapshot of the shared scheduler, for backpressure
 /// decisions ([`crate::runtime::Runtime::pool_stats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Unclaimed tasks across all registered batches plus the raw
-    /// speculative lane.
+    /// Unclaimed tasks across all registered batches.
     pub queue_depth: usize,
     /// Tasks currently executing (pool workers and dispatcher
     /// caller-help combined).
@@ -289,13 +249,12 @@ pub struct PoolStats {
 ///
 /// A dispatch with a single task, a cap of one, or on a single-slot
 /// pool runs inline on the caller; everything else is claimed task by
-/// task from the shared ready-queue, and a panicking task is
+/// task from the shared FIFO ready-queue, and a panicking task is
 /// propagated to its dispatcher while the workers survive. A
 /// long-lived [`crate::runtime::Runtime`] therefore runs many
 /// workflows back to back without a thread spawn/join per job phase,
 /// and **concurrent** dispatches from different threads interleave
-/// task-by-task under the pool's [`SchedulingPolicy`] instead of
-/// serializing batch-by-batch.
+/// task-by-task instead of serializing batch-by-batch.
 ///
 /// Do not call [`WorkerPool::run_tasks`] from inside one of the pool's
 /// own tasks: the outer call holds workers that the inner call would
@@ -312,14 +271,12 @@ impl std::fmt::Debug for WorkerPool {
             .field("threads", &self.threads)
             .field("threads_spawned", &self.handles.len())
             .field("tasks_executed", &self.tasks_executed())
-            .field("policy", &self.shared.policy)
             .finish()
     }
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `parallelism` task slots under the default
-    /// [`SchedulingPolicy::Fifo`].
+    /// Spawns a pool of `parallelism` task slots.
     ///
     /// With `parallelism == 1` no OS thread is spawned at all: every
     /// dispatch runs inline on the caller (fast unit tests, clean
@@ -328,27 +285,16 @@ impl WorkerPool {
     /// # Panics
     /// If `parallelism` is zero.
     pub fn new(parallelism: usize) -> Self {
-        Self::with_policy(parallelism, SchedulingPolicy::default())
-    }
-
-    /// [`WorkerPool::new`] with an explicit admission policy.
-    ///
-    /// # Panics
-    /// If `parallelism` is zero.
-    pub fn with_policy(parallelism: usize, policy: SchedulingPolicy) -> Self {
         assert!(parallelism > 0, "parallelism must be at least 1");
         let shared = Arc::new(PoolShared {
             sched: Mutex::new(Scheduler {
-                direct: VecDeque::new(),
                 batches: Vec::new(),
-                next_seq: 0,
                 busy: 0,
                 inflight: BTreeMap::new(),
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
             tasks_executed: AtomicU64::new(0),
-            policy,
         });
         let handles = if parallelism == 1 {
             Vec::new()
@@ -370,11 +316,6 @@ impl WorkerPool {
     /// The configured parallelism (task slots).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The pool's admission policy.
-    pub fn scheduling_policy(&self) -> SchedulingPolicy {
-        self.shared.policy
     }
 
     /// OS threads this pool spawned over its lifetime. Constant after
@@ -450,9 +391,8 @@ impl WorkerPool {
     /// calling thread, and blocks until every task finished.
     ///
     /// Concurrent callers (different tenants/workflows) interleave at
-    /// task granularity per the pool's [`SchedulingPolicy`]; outputs
-    /// are byte-identical to sequential execution because results are
-    /// index-addressed per batch.
+    /// task granularity; outputs are byte-identical to sequential
+    /// execution because results are index-addressed per batch.
     pub(crate) fn run_tasks_tagged_ctx<T, F>(
         &self,
         count: usize,
@@ -487,21 +427,13 @@ impl WorkerPool {
             assert!(prev.is_none(), "slot {i} written twice");
         };
         // SAFETY: the erased runner borrows `body` (and through it
-        // `slots` and `f`) from this stack frame. The erasure never
-        // outlives them because this function blocks on the batch's
-        // completion fence below — `done.finished == count`, reached
-        // only after every claimed task fully returned (panic paths
-        // included, via per-task catch_unwind) — before the frame is
-        // torn down.
+        // `slots` and `f`) from this stack frame. This function blocks
+        // on the batch completion fence below — `done.finished ==
+        // count`, reached only after every claimed task fully returned
+        // (panic paths included, via per-task catch_unwind) — before
+        // the frame is torn down.
         let runner = unsafe { RawRunner::erase(&body) };
-        let seq = {
-            let mut sched = lock_unpoisoned(&self.shared.sched);
-            let seq = sched.next_seq;
-            sched.next_seq += 1;
-            seq
-        };
         let batch = Arc::new(BatchShared {
-            seq,
             tag,
             count,
             cap,
@@ -538,23 +470,13 @@ impl WorkerPool {
         loop {
             let claim = {
                 let mut sched = lock_unpoisoned(&self.shared.sched);
-                let next = batch.next.load(Ordering::Relaxed);
-                if next < count && batch.running.load(Ordering::Relaxed) < cap {
-                    claim_task(&mut sched, &batch);
-                    Some((next, !batch.admitted.swap(true, Ordering::Relaxed)))
-                } else {
-                    None
-                }
+                batch.claimable().then(|| claim_task(&mut sched, &batch))
             };
-            match claim {
-                Some((i, first)) => {
-                    self.shared.tasks_executed.fetch_add(1, Ordering::Relaxed);
-                    execute_batch_task(&self.shared, &batch, i, first, self.threads);
-                }
-                None => break,
-            }
+            let Some((i, first)) = claim else { break };
+            self.shared.tasks_executed.fetch_add(1, Ordering::Relaxed);
+            execute_batch_task(&self.shared, &batch, i, first, self.threads);
         }
-        // The borrow fence: wait for every task of the batch.
+        // The batch completion fence: wait for every task of the batch.
         let panic = {
             let mut done = lock_unpoisoned(&batch.done);
             while done.finished < count {
@@ -578,41 +500,6 @@ impl WorkerPool {
             })
             .collect()
     }
-
-    /// Number of OS worker threads currently servicing the queue (0
-    /// for the inline single-slot pool).
-    pub(crate) fn worker_count(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Enqueues `copies` erased clones of `body` on the pool's raw
-    /// lane without any completion bookkeeping of its own — the
-    /// building block the speculative dispatcher
-    /// ([`crate::fault::run_speculative`]) uses to run its own
-    /// work-queue loops on pool threads. Raw-lane tasks are served
-    /// before batch tasks.
-    ///
-    /// # Safety
-    /// `body` may borrow the caller's stack frame. The caller MUST NOT
-    /// return (or otherwise invalidate those borrows) until it has
-    /// observed that every enqueued copy fully returned — panic paths
-    /// included — via its own fence (e.g. a pending count decremented
-    /// by a drop guard inside `body`).
-    pub(crate) unsafe fn enqueue_fenced<'env>(&self, copies: usize, body: &'env (dyn Fn() + Sync)) {
-        {
-            let mut sched = lock_unpoisoned(&self.shared.sched);
-            for _ in 0..copies {
-                let task: Box<dyn FnOnce() + Send + 'env> = Box::new(body);
-                // SAFETY: delegated to the caller per this function's
-                // contract — the fence outlives every enqueued copy.
-                let task: PoolTask = unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, PoolTask>(task)
-                };
-                sched.direct.push_back(task);
-            }
-        }
-        self.shared.work_ready.notify_all();
-    }
 }
 
 impl Drop for WorkerPool {
@@ -632,68 +519,27 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Records a claim on `batch` in the scheduler-wide accounting. Must
-/// run under the scheduler lock, right before executing the task.
-fn claim_task(sched: &mut Scheduler, batch: &BatchShared) {
-    batch.next.fetch_add(1, Ordering::Relaxed);
+/// Claims the next task of `batch` (which must be
+/// [`claimable`](BatchShared::claimable)) in the scheduler-wide
+/// accounting. Must run under the scheduler lock, right before
+/// executing the task. Returns `(task index, first claim of the
+/// batch)`.
+fn claim_task(sched: &mut Scheduler, batch: &BatchShared) -> (usize, bool) {
+    let i = batch.next.fetch_add(1, Ordering::Relaxed);
     batch.running.fetch_add(1, Ordering::Relaxed);
     sched.busy += 1;
     *sched
         .inflight
         .entry(Arc::clone(&batch.tag.tenant))
         .or_insert(0) += 1;
+    (i, !batch.admitted.swap(true, Ordering::Relaxed))
 }
 
-/// Estimated remaining work of a batch: the weight hint scaled by the
-/// unclaimed fraction, or the unclaimed task count when unweighted.
-/// Mixed-unit by design — weighted batches compare in comparison
-/// pairs, unweighted ones in tasks — which biases SRW toward small
-/// untagged dispatches; acceptable, since those are short by
-/// construction.
-fn remaining_work(batch: &BatchShared) -> u64 {
-    let remaining = batch
-        .count
-        .saturating_sub(batch.next.load(Ordering::Relaxed)) as u64;
-    if batch.tag.weight > 0 {
-        (batch.tag.weight / batch.count as u64)
-            .max(1)
-            .saturating_mul(remaining)
-    } else {
-        remaining
-    }
-}
-
-/// Picks the next claimable batch per `policy` (lower key wins; `seq`
-/// breaks ties, so every policy degenerates to FIFO among equals).
-/// Returns the claimed `(batch, task_index, first_claim)` or `None`
-/// when nothing is claimable.
-fn claim_batch_task(
-    sched: &mut Scheduler,
-    policy: SchedulingPolicy,
-) -> Option<(Arc<BatchShared>, usize, bool)> {
-    let mut best: Option<((u64, u64), usize)> = None;
-    for (idx, b) in sched.batches.iter().enumerate() {
-        let next = b.next.load(Ordering::Relaxed);
-        if next >= b.count || b.running.load(Ordering::Relaxed) >= b.cap {
-            continue;
-        }
-        let key = match policy {
-            SchedulingPolicy::Fifo => (0, b.seq),
-            SchedulingPolicy::FairShare => (
-                sched.inflight.get(&b.tag.tenant).copied().unwrap_or(0) as u64,
-                b.seq,
-            ),
-            SchedulingPolicy::ShortestRemainingWork => (remaining_work(b), b.seq),
-        };
-        if best.is_none_or(|(bk, _)| key < bk) {
-            best = Some((key, idx));
-        }
-    }
-    let (_, idx) = best?;
-    let batch = Arc::clone(&sched.batches[idx]);
-    let i = batch.next.load(Ordering::Relaxed);
-    claim_task(sched, &batch);
-    let first = !batch.admitted.swap(true, Ordering::Relaxed);
+/// Claims a task of the first claimable batch in registration order
+/// (FIFO), or `None` when nothing is claimable.
+fn claim_batch_task(sched: &mut Scheduler) -> Option<(Arc<BatchShared>, usize, bool)> {
+    let batch = sched.batches.iter().find(|b| b.claimable()).cloned()?;
+    let (i, first) = claim_task(sched, &batch);
     Some((batch, i, first))
 }
 
@@ -702,8 +548,8 @@ fn claim_batch_task(
 /// (which passes `slot == pool parallelism`, the "caller lane").
 ///
 /// Trace emissions are panic-isolated so a misbehaving sink can never
-/// unwind past the dispatch fence (which would invalidate borrows
-/// while tasks still run).
+/// unwind past the batch completion fence (which would invalidate
+/// borrows while tasks still run).
 fn execute_batch_task(
     shared: &PoolShared,
     batch: &Arc<BatchShared>,
@@ -734,8 +580,8 @@ fn execute_batch_task(
         queue_wait: batch.enqueued.elapsed(),
     };
     // SAFETY: this task was claimed from a live batch; the dispatcher
-    // cannot pass its fence (and tear down the borrowed frame) before
-    // the `done.finished` increment below.
+    // cannot pass its batch completion fence (and tear down the
+    // borrowed frame) before the `done.finished` increment below.
     let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { batch.runner.invoke(i, ctx) }));
     let _ = catch_unwind(AssertUnwindSafe(|| {
         batch.tracer.emit(Some(slot), TraceEventData::SlotReleased);
@@ -752,15 +598,15 @@ fn execute_batch_task(
             }
         }
         if finished == batch.count {
-            sched.batches.retain(|b| b.seq != batch.seq);
+            sched.batches.retain(|b| !Arc::ptr_eq(b, batch));
         }
     }
     // A completion can free cap room (making this batch claimable
     // again) — wake sleeping workers.
     shared.work_ready.notify_all();
-    // The dispatcher fence handshake: record the panic BEFORE the
-    // increment that can release the fence, then touch nothing of the
-    // batch besides dropping our Arc.
+    // The fence handshake: record the panic BEFORE the increment that
+    // can release the fence, then touch nothing of the batch besides
+    // dropping our Arc.
     let mut done = lock_unpoisoned(&batch.done);
     if let Err(payload) = outcome {
         // First panic wins.
@@ -773,20 +619,12 @@ fn execute_batch_task(
 }
 
 fn worker_main(shared: &PoolShared, slot: usize) {
-    enum Work {
-        Direct(PoolTask),
-        Batch(Arc<BatchShared>, usize, bool),
-    }
     loop {
-        let work = {
+        let (batch, i, first) = {
             let mut sched = lock_unpoisoned(&shared.sched);
             loop {
-                if let Some(task) = sched.direct.pop_front() {
-                    sched.busy += 1;
-                    break Work::Direct(task);
-                }
-                if let Some((batch, i, first)) = claim_batch_task(&mut sched, shared.policy) {
-                    break Work::Batch(batch, i, first);
+                if let Some(claim) = claim_batch_task(&mut sched) {
+                    break claim;
                 }
                 if sched.shutdown {
                     return;
@@ -797,23 +635,12 @@ fn worker_main(shared: &PoolShared, slot: usize) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        // Count BEFORE running: the task body performs the dispatch's
+        // Count BEFORE running: the task performs the dispatch's
         // completion handshake, so incrementing afterwards would let
         // `run_tasks` return while the counter still misses the tasks
         // it just ran.
         shared.tasks_executed.fetch_add(1, Ordering::Relaxed);
-        match work {
-            Work::Direct(task) => {
-                // Raw-lane tasks contain their own catch_unwind; this
-                // outer guard only keeps the worker alive if that
-                // bookkeeping itself ever panicked.
-                let _ = catch_unwind(AssertUnwindSafe(task));
-                lock_unpoisoned(&shared.sched).busy -= 1;
-            }
-            Work::Batch(batch, i, first) => {
-                execute_batch_task(shared, &batch, i, first, slot);
-            }
-        }
+        execute_batch_task(shared, &batch, i, first, slot);
     }
 }
 
@@ -949,19 +776,6 @@ mod tests {
     }
 
     #[test]
-    fn results_identical_under_every_policy() {
-        let expected: Vec<usize> = (0..50).map(|i| i * 2).collect();
-        for policy in [
-            SchedulingPolicy::Fifo,
-            SchedulingPolicy::FairShare,
-            SchedulingPolicy::ShortestRemainingWork,
-        ] {
-            let pool = WorkerPool::with_policy(4, policy);
-            assert_eq!(pool.run_tasks(50, |i| i * 2), expected, "policy {policy:?}");
-        }
-    }
-
-    #[test]
     fn concurrent_dispatches_from_many_threads_are_isolated() {
         let pool = WorkerPool::new(4);
         std::thread::scope(|scope| {
@@ -973,7 +787,7 @@ mod tests {
                             12,
                             usize::MAX,
                             &Tracer::off(),
-                            BatchTag::new(format!("tenant-{t}"), "wf", round, 0),
+                            BatchTag::new(format!("tenant-{t}"), "wf", round),
                             |i, _| i * t + round,
                         );
                         let expected: Vec<usize> = (0..12).map(|i| i * t + round).collect();
@@ -998,7 +812,7 @@ mod tests {
                     4,
                     usize::MAX,
                     &Tracer::off(),
-                    BatchTag::new("tenant-a", "wf", 0, 0),
+                    BatchTag::new("tenant-a", "wf", 0),
                     |_, _| {
                         while !release_ref.load(Ordering::Relaxed) {
                             std::thread::sleep(std::time::Duration::from_millis(1));
@@ -1032,12 +846,49 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_are_stable() {
-        assert_eq!(SchedulingPolicy::Fifo.name(), "fifo");
-        assert_eq!(SchedulingPolicy::FairShare.name(), "fair_share");
-        assert_eq!(
-            SchedulingPolicy::ShortestRemainingWork.name(),
-            "shortest_remaining_work"
-        );
+    fn tagged_dispatches_stay_ordered_and_route_panics_under_contention() {
+        // The stress case for the raw runner's batch completion fence:
+        // four dispatcher threads share a 4-slot pool under every cap
+        // shape (inline, capped, uncapped). Each round dispatches one
+        // clean batch and one batch with a single panicking task; the
+        // clean results must come back in task order and the panic
+        // must surface at the dispatcher that owns it, never another.
+        const CAPS: [usize; 4] = [1, 2, 3, usize::MAX];
+        const TASKS: usize = 12;
+        let pool = WorkerPool::new(4);
+        let spawned = pool.threads_spawned();
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for round in 0..50usize {
+                        let cap = CAPS[(t + round) % CAPS.len()];
+                        let tag = || BatchTag::new(format!("tenant-{t}"), "stress", round);
+                        let out =
+                            pool.run_tasks_tagged_ctx(TASKS, cap, &Tracer::off(), tag(), |i, _| {
+                                (t, round, i)
+                            });
+                        let expected: Vec<_> = (0..TASKS).map(|i| (t, round, i)).collect();
+                        assert_eq!(out, expected, "tenant {t} round {round} cap {cap}");
+                        let doomed = (7 * t + round) % TASKS;
+                        let payload = catch_unwind(AssertUnwindSafe(|| {
+                            pool.run_tasks_tagged_ctx(TASKS, cap, &Tracer::off(), tag(), |i, _| {
+                                if i == doomed {
+                                    panic!("tenant {t} round {round} task {i}");
+                                }
+                                i
+                            })
+                        }))
+                        .expect_err("the doomed task's panic must reach its dispatcher");
+                        let message = payload
+                            .downcast_ref::<String>()
+                            .expect("a formatted panic message");
+                        assert_eq!(*message, format!("tenant {t} round {round} task {doomed}"));
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.stats(), PoolStats::default(), "idle after the rounds");
+        assert_eq!(pool.threads_spawned(), spawned, "no thread was respawned");
     }
 }

@@ -8,17 +8,20 @@
 //! the shared knobs live in one [`RuntimeConfig`] that the scenario
 //! configs embed instead of copying.
 //!
-//! The engine itself interprets `parallelism` (the pool size) and the
-//! `reduce_tasks` default; `count_only` and `matcher_cache_capacity`
+//! The engine itself interprets `parallelism` (the pool size), the
+//! `reduce_tasks` default, `spill_threshold` and `fault_policy` (the
+//! per-task retry budget); `count_only` and `matcher_cache_capacity`
 //! are part of the shared execution profile carried for the
 //! entity-resolution layers (which alone interpret them) so that every
-//! scenario config draws them from the same place.
+//! scenario config draws them from the same place. The pool has one
+//! dispatch order — FIFO over registered task batches — so no
+//! scheduling knob exists.
 
 use std::sync::Arc;
 
 use crate::engine::default_parallelism;
 use crate::fault::FaultPolicy;
-use crate::pool::{PoolStats, SchedulingPolicy, WorkerPool};
+use crate::pool::{PoolStats, WorkerPool};
 use crate::trace::TraceSink;
 use crate::workflow::Workflow;
 
@@ -51,21 +54,13 @@ pub struct RuntimeConfig {
     /// [`Job::with_spill_threshold`](crate::engine::Job::with_spill_threshold)
     /// and the [`crate::spill`] module for the mechanism.
     pub spill_threshold: Option<usize>,
-    /// Per-task fault-tolerance policy (attempts per task, straggler
-    /// deadline) applied to every workflow this runtime hands out. The
+    /// Per-task fault-tolerance policy (attempts per task) applied to
+    /// every workflow this runtime hands out. The
     /// default is [`FaultPolicy::fail_fast`]: the first task panic
     /// ends the resolve with a typed error — task panics never unwind
     /// out of a resolve in any mode, and a failed resolve leaves the
     /// runtime fully usable. See [`crate::fault`].
     pub fault_policy: FaultPolicy,
-    /// Admission policy of the pool's operation-level dispatcher: the
-    /// order in which ready task batches of concurrent workflows are
-    /// claimed by free slots. [`SchedulingPolicy::Fifo`] (the default)
-    /// is strict arrival order; `FairShare` favors the tenant with the
-    /// least inflight work; `ShortestRemainingWork` favors the batch
-    /// with the least estimated remaining comparison pairs. Purely
-    /// operational — output is byte-identical under every policy.
-    pub scheduling_policy: SchedulingPolicy,
 }
 
 impl Default for RuntimeConfig {
@@ -77,7 +72,6 @@ impl Default for RuntimeConfig {
             count_only: false,
             spill_threshold: None,
             fault_policy: FaultPolicy::fail_fast(),
-            scheduling_policy: SchedulingPolicy::Fifo,
         }
     }
 }
@@ -142,17 +136,10 @@ impl RuntimeConfig {
         self
     }
 
-    /// Replaces the fault-tolerance policy (retry budget and straggler
-    /// deadline) every workflow of this runtime runs under.
+    /// Replaces the fault-tolerance policy (retry budget) every
+    /// workflow of this runtime runs under.
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.fault_policy = policy;
-        self
-    }
-
-    /// Replaces the pool's batch admission policy (see
-    /// [`RuntimeConfig::scheduling_policy`]).
-    pub fn with_scheduling_policy(mut self, policy: SchedulingPolicy) -> Self {
-        self.scheduling_policy = policy;
         self
     }
 }
@@ -170,9 +157,8 @@ impl RuntimeConfig {
 /// of concurrent workflows interleave at *operation* granularity on
 /// the shared pool: each stage's task batch is tagged with its
 /// workflow's tenant and queued on the dispatcher's ready-queue,
-/// where free slots claim tasks under the configured
-/// [`RuntimeConfig::scheduling_policy`]. Guarantees that hold under
-/// any interleaving:
+/// where free slots claim tasks from the oldest claimable batch.
+/// Guarantees that hold under any interleaving:
 ///
 /// * **Determinism** — every workflow's output is byte-identical to
 ///   running it alone, sequentially: task results land in
@@ -225,10 +211,7 @@ impl Runtime {
     /// # Panics
     /// If `config.parallelism` is zero.
     pub fn new(config: RuntimeConfig) -> Self {
-        let pool = Arc::new(WorkerPool::with_policy(
-            config.parallelism,
-            config.scheduling_policy,
-        ));
+        let pool = Arc::new(WorkerPool::new(config.parallelism));
         Self {
             config,
             pool,
@@ -418,23 +401,6 @@ mod tests {
     #[should_panic(expected = "parallelism")]
     fn zero_parallelism_runtime_rejected() {
         let _ = Runtime::new(RuntimeConfig::new().with_parallelism(0));
-    }
-
-    #[test]
-    fn scheduling_policy_reaches_the_pool() {
-        assert_eq!(
-            RuntimeConfig::new().scheduling_policy,
-            SchedulingPolicy::Fifo
-        );
-        let runtime = Runtime::new(
-            RuntimeConfig::new()
-                .with_parallelism(2)
-                .with_scheduling_policy(SchedulingPolicy::FairShare),
-        );
-        assert_eq!(
-            runtime.pool().scheduling_policy(),
-            SchedulingPolicy::FairShare
-        );
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! [`JobMetrics`](crate::metrics::JobMetrics) answers *how much* — how
 //! many retries, how many spilled runs, how large the biggest reduce
 //! group was. It cannot answer *when* or *where*: which pool slot ran
-//! the straggling reduce task, how long an attempt sat queued behind
-//! the skewed one, whether the speculative twin actually saved wall
-//! time. This module adds that dimension as a stream of
-//! [`TraceEvent`]s emitted while a job runs, delivered to a
+//! the straggling reduce task, or how long an attempt sat queued
+//! behind the skewed one. This module adds that dimension as a stream
+//! of [`TraceEvent`]s emitted while a job runs, delivered to a
 //! [`TraceSink`] the caller attaches via
 //! [`Job::with_trace_sink`](crate::engine::Job::with_trace_sink),
 //! [`Workflow::with_trace_sink`](crate::workflow::Workflow::with_trace_sink),
@@ -30,13 +29,13 @@
 //!   spill-run sealed, shuffle transpose. Stripped of timestamps and
 //!   slot ids (see [`TraceEventData::logical_line`]), the multiset of
 //!   these events is **byte-identical across parallelism** for any
-//!   deterministic (deadline-free) fault plan, and each category's
-//!   count agrees exactly with the corresponding `JobMetrics` gauge.
-//!   That makes the trace a correctness probe, not just a log.
-//! * **Operational events** — worker slot acquired/released, queue
-//!   depth at enqueue, per-attempt queue wait, speculative
-//!   launch/win/loss. These are genuinely timing- and
-//!   parallelism-dependent and are excluded from the logical view.
+//!   deterministic fault plan, and each category's count agrees
+//!   exactly with the corresponding `JobMetrics` gauge. That makes
+//!   the trace a correctness probe, not just a log.
+//! * **Operational events** — worker slot acquired/released, stage
+//!   batch ready/admitted, queue depth at enqueue, per-attempt queue
+//!   wait. These are genuinely timing- and parallelism-dependent and
+//!   are excluded from the logical view.
 //!
 //! # Attaching a sink and reading a report
 //!
@@ -65,10 +64,11 @@
 //! let tasks = out.metrics.map_tasks.len() + out.metrics.reduce_tasks.len();
 //! assert_eq!(recorder.count("attempt_finished"), tasks as u64);
 //!
-//! // The analyzer turns the raw stream into timelines and percentiles:
+//! // The analyzer turns the raw stream into per-slot utilization and
+//! // queue-wait percentiles, exportable as JSON:
 //! let report = TraceReport::from_events(&recorder.events());
 //! assert_eq!(report.count("job_finished"), 1);
-//! println!("{}", report.to_text());
+//! println!("{}", report.to_json());
 //! ```
 
 use std::collections::BTreeMap;
@@ -206,38 +206,6 @@ pub enum TraceEventData {
         /// The attempt number the retry will run as.
         next_attempt: u32,
     },
-    /// The straggler watchdog launched a speculative twin.
-    SpeculativeLaunched {
-        /// Job name.
-        job: String,
-        /// Phase.
-        kind: FaultKind,
-        /// Task index.
-        task: usize,
-    },
-    /// A task copy finished first and its result was installed.
-    SpeculativeWon {
-        /// Job name.
-        job: String,
-        /// Phase.
-        kind: FaultKind,
-        /// Task index.
-        task: usize,
-        /// `true` when the speculative twin (not the original copy)
-        /// won the race.
-        twin: bool,
-    },
-    /// A task copy finished after its sibling already won.
-    SpeculativeLost {
-        /// Job name.
-        job: String,
-        /// Phase.
-        kind: FaultKind,
-        /// Task index.
-        task: usize,
-        /// `true` when the losing copy was the speculative twin.
-        twin: bool,
-    },
     /// A map task sealed one open bucket into an immutable sorted run.
     SpillRunSealed {
         /// Job name.
@@ -323,9 +291,6 @@ impl TraceEventData {
             TraceEventData::AttemptFinished { .. } => "attempt_finished",
             TraceEventData::AttemptFailed { .. } => "attempt_failed",
             TraceEventData::AttemptRetried { .. } => "attempt_retried",
-            TraceEventData::SpeculativeLaunched { .. } => "speculative_launched",
-            TraceEventData::SpeculativeWon { .. } => "speculative_won",
-            TraceEventData::SpeculativeLost { .. } => "speculative_lost",
             TraceEventData::SpillRunSealed { .. } => "spill_run_sealed",
             TraceEventData::ShuffleCompleted { .. } => "shuffle_completed",
             TraceEventData::SlotAcquired { .. } => "slot_acquired",
@@ -339,10 +304,10 @@ impl TraceEventData {
 
     /// The event's parallelism-invariant rendering: deterministic
     /// coordinates only, timestamps/durations/slots stripped. Returns
-    /// `None` for operational events (queue, slot, speculation), whose
-    /// very occurrence depends on timing. For a deterministic
-    /// (deadline-free) fault plan, the sorted multiset of these lines
-    /// is byte-identical at any parallelism.
+    /// `None` for operational events (queue, slot, scheduler), whose
+    /// very occurrence depends on timing. For a deterministic fault
+    /// plan, the sorted multiset of these lines is byte-identical at
+    /// any parallelism.
     pub fn logical_line(&self) -> Option<String> {
         match self {
             TraceEventData::JobStarted {
@@ -418,10 +383,7 @@ impl TraceEventData {
             // depends on the inline fast path, and admission order on
             // tenant timing — so none of them may enter the logical
             // stream the parallelism-invariance tests pin.
-            TraceEventData::SpeculativeLaunched { .. }
-            | TraceEventData::SpeculativeWon { .. }
-            | TraceEventData::SpeculativeLost { .. }
-            | TraceEventData::SlotAcquired { .. }
+            TraceEventData::SlotAcquired { .. }
             | TraceEventData::SlotReleased
             | TraceEventData::StageReady { .. }
             | TraceEventData::StageAdmitted { .. }
@@ -513,28 +475,6 @@ impl TraceEventData {
                 push("kind", Json::str(kind.to_string()));
                 push("task", Json::Num(*task as f64));
                 push("next_attempt", Json::Num(*next_attempt as f64));
-            }
-            TraceEventData::SpeculativeLaunched { job, kind, task } => {
-                push("job", Json::str(job));
-                push("kind", Json::str(kind.to_string()));
-                push("task", Json::Num(*task as f64));
-            }
-            TraceEventData::SpeculativeWon {
-                job,
-                kind,
-                task,
-                twin,
-            }
-            | TraceEventData::SpeculativeLost {
-                job,
-                kind,
-                task,
-                twin,
-            } => {
-                push("job", Json::str(job));
-                push("kind", Json::str(kind.to_string()));
-                push("task", Json::Num(*task as f64));
-                push("twin", Json::Bool(*twin));
             }
             TraceEventData::SpillRunSealed {
                 job,
@@ -889,13 +829,6 @@ pub struct QueueWaitStats {
 }
 
 #[derive(Debug, Clone)]
-struct Segment {
-    start: Duration,
-    end: Duration,
-    label: String,
-}
-
-#[derive(Debug, Clone)]
 struct JobSummary {
     job: String,
     map_tasks: usize,
@@ -903,24 +836,6 @@ struct JobSummary {
     wall: Option<Duration>,
     sum_of_walls: Duration,
     reduce_wall_ms: Vec<f64>,
-}
-
-/// One resolved speculation race: which copy won and how much wall it
-/// saved (losing copy's finish minus the winner's).
-#[derive(Debug, Clone)]
-pub struct Speculation {
-    /// Job name.
-    pub job: String,
-    /// Phase.
-    pub kind: FaultKind,
-    /// Task index.
-    pub task: usize,
-    /// `true` when the speculative twin won (the speculation paid
-    /// off); `false` when the original finished first after all.
-    pub twin_won: bool,
-    /// Wall time saved versus waiting for the losing copy, when the
-    /// loser's finish was observed.
-    pub saved: Option<Duration>,
 }
 
 /// Per-tenant scheduler activity aggregated from the dispatcher's
@@ -947,20 +862,21 @@ pub struct TenantSummary {
     pub admission_wait: Duration,
 }
 
-/// Post-run analyzer over a recorded event stream: per-worker
-/// timelines, per-stage critical path vs. sum-of-walls, reduce-load
-/// skew, speculation attribution, queue-wait percentiles, and
-/// per-tenant scheduler activity.
+/// Post-run analyzer over a recorded event stream: per-slot busy time
+/// and utilization, per-stage critical path vs. sum-of-walls,
+/// reduce-load series, queue-wait percentiles, and per-tenant
+/// scheduler activity.
 ///
-/// Build it from [`TraceRecorder::events`], then render with
-/// [`TraceReport::to_text`] or export with [`TraceReport::to_json`].
+/// Build it from [`TraceRecorder::events`], then query it or export
+/// it with [`TraceReport::to_json`].
 #[derive(Debug, Clone)]
 pub struct TraceReport {
     total: Duration,
     counts: BTreeMap<&'static str, u64>,
-    lanes: BTreeMap<usize, Vec<Segment>>,
+    /// Busy wall time per worker slot: the sum of its finished
+    /// attempts' walls, each clipped to the run's epoch.
+    slot_busy: BTreeMap<usize, Duration>,
     jobs: Vec<JobSummary>,
-    speculation: Vec<Speculation>,
     queue_waits_ms: Vec<f64>,
     tenants: Vec<TenantSummary>,
 }
@@ -971,11 +887,8 @@ impl TraceReport {
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let total = events.iter().map(|e| e.at).max().unwrap_or(Duration::ZERO);
         let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut lanes: BTreeMap<usize, Vec<Segment>> = BTreeMap::new();
+        let mut slot_busy: BTreeMap<usize, Duration> = BTreeMap::new();
         let mut jobs: Vec<JobSummary> = Vec::new();
-        let mut won: BTreeMap<(String, &'static str, usize), (bool, Duration)> = BTreeMap::new();
-        let mut lost: BTreeMap<(String, &'static str, usize), Duration> = BTreeMap::new();
-        let mut launched: Vec<(String, FaultKind, usize)> = Vec::new();
         let mut queue_waits_ms: Vec<f64> = Vec::new();
         let mut tenant_map: BTreeMap<String, TenantSummary> = BTreeMap::new();
         let mut stage_ready_at: BTreeMap<(String, String, usize), Duration> = BTreeMap::new();
@@ -995,13 +908,6 @@ impl TraceReport {
                 })
         }
 
-        fn kind_str(kind: FaultKind) -> &'static str {
-            match kind {
-                FaultKind::Map => "map",
-                FaultKind::Sort => "sort",
-                FaultKind::Reduce => "reduce",
-            }
-        }
         fn summary<'a>(jobs: &'a mut Vec<JobSummary>, job: &str) -> &'a mut JobSummary {
             if let Some(i) = jobs.iter().position(|s| s.job == job) {
                 &mut jobs[i]
@@ -1034,11 +940,7 @@ impl TraceReport {
                     summary(&mut jobs, job).wall = Some(*wall);
                 }
                 TraceEventData::AttemptFinished {
-                    job,
-                    kind,
-                    task,
-                    attempt,
-                    wall,
+                    job, kind, wall, ..
                 } => {
                     let s = summary(&mut jobs, job);
                     s.sum_of_walls += *wall;
@@ -1046,28 +948,8 @@ impl TraceReport {
                         s.reduce_wall_ms.push(wall.as_secs_f64() * 1e3);
                     }
                     if let Some(slot) = event.slot {
-                        lanes.entry(slot).or_default().push(Segment {
-                            start: event.at.checked_sub(*wall).unwrap_or_default(),
-                            end: event.at,
-                            label: format!("{job}/{}/{task}#{attempt}", kind_str(*kind)),
-                        });
+                        *slot_busy.entry(slot).or_default() += (*wall).min(event.at);
                     }
-                }
-                TraceEventData::SpeculativeLaunched { job, kind, task } => {
-                    launched.push((job.clone(), *kind, *task));
-                }
-                TraceEventData::SpeculativeWon {
-                    job,
-                    kind,
-                    task,
-                    twin,
-                } => {
-                    won.insert((job.clone(), kind_str(*kind), *task), (*twin, event.at));
-                }
-                TraceEventData::SpeculativeLost {
-                    job, kind, task, ..
-                } => {
-                    lost.insert((job.clone(), kind_str(*kind), *task), event.at);
                 }
                 TraceEventData::QueueWaited { wait, .. } => {
                     queue_waits_ms.push(wait.as_secs_f64() * 1e3);
@@ -1107,37 +989,12 @@ impl TraceReport {
             }
         }
 
-        let mut speculation: Vec<Speculation> = Vec::new();
-        for (job, kind, task) in launched {
-            let key = (job.clone(), kind_str(kind), task);
-            // `SpeculativeWon` is emitted only when the twin beats the
-            // original (matching the `speculative_won` gauge), so a
-            // launch with no Won event means the original won — still
-            // one resolved race. Wall saved is attributable only when
-            // the losing copy also ran to completion and reported in.
-            let won_entry = won.get(&key);
-            let saved = won_entry.and_then(|(_, won_at)| {
-                lost.get(&key)
-                    .map(|lost_at| lost_at.checked_sub(*won_at).unwrap_or_default())
-            });
-            speculation.push(Speculation {
-                job,
-                kind,
-                task,
-                twin_won: won_entry.is_some_and(|(twin, _)| *twin),
-                saved,
-            });
-        }
         queue_waits_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite wait"));
-        for lane in lanes.values_mut() {
-            lane.sort_by_key(|s| s.start);
-        }
         Self {
             total,
             counts,
-            lanes,
+            slot_busy,
             jobs,
-            speculation,
             queue_waits_ms,
             tenants: tenant_map.into_values().collect(),
         }
@@ -1158,19 +1015,11 @@ impl TraceReport {
         self.counts.get(category).copied().unwrap_or(0)
     }
 
-    /// Busy wall time per worker slot (sum of finished-attempt
-    /// segments attributed to that slot).
-    pub fn slot_busy(&self) -> BTreeMap<usize, Duration> {
-        self.lanes
-            .iter()
-            .map(|(slot, segs)| {
-                let busy = segs
-                    .iter()
-                    .map(|s| s.end.checked_sub(s.start).unwrap_or_default())
-                    .sum();
-                (*slot, busy)
-            })
-            .collect()
+    /// Busy wall time per worker slot (sum of the walls of the
+    /// finished attempts attributed to that slot, each clipped to
+    /// start no earlier than the run's epoch).
+    pub fn slot_busy(&self) -> &BTreeMap<usize, Duration> {
+        &self.slot_busy
     }
 
     /// Utilization per worker slot: busy time divided by the observed
@@ -1178,9 +1027,9 @@ impl TraceReport {
     /// inside the task can round above the outer span).
     pub fn utilization(&self) -> BTreeMap<usize, f64> {
         let total = self.total.as_secs_f64();
-        self.slot_busy()
-            .into_iter()
-            .map(|(slot, busy)| {
+        self.slot_busy
+            .iter()
+            .map(|(&slot, busy)| {
                 let frac = if total > 0.0 {
                     (busy.as_secs_f64() / total).min(1.0)
                 } else {
@@ -1189,11 +1038,6 @@ impl TraceReport {
                 (slot, frac)
             })
             .collect()
-    }
-
-    /// Resolved speculation races, in launch order.
-    pub fn speculation(&self) -> &[Speculation] {
-        &self.speculation
     }
 
     /// Per-tenant scheduler activity, sorted by tenant name. Empty
@@ -1223,146 +1067,9 @@ impl TraceReport {
         })
     }
 
-    /// Renders the full report as human-readable text: per-worker
-    /// Gantt timeline, per-job critical path vs. sum-of-walls, the
-    /// reduce-load skew histogram, speculation attribution, and
-    /// queue-wait percentiles.
-    pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        let total_ms = self.total.as_secs_f64() * 1e3;
-        let events: u64 = self.counts.values().sum();
-        out.push_str(&format!(
-            "trace report: {events} events over {total_ms:.2} ms\n"
-        ));
-
-        out.push_str("\nper-worker timeline\n");
-        if self.lanes.is_empty() {
-            out.push_str("  (no slot-attributed attempts recorded)\n");
-        }
-        const WIDTH: usize = 48;
-        let utilization = self.utilization();
-        for (slot, segs) in &self.lanes {
-            let mut bar = vec!['.'; WIDTH];
-            for seg in segs {
-                if self.total.is_zero() {
-                    continue;
-                }
-                let begin = (seg.start.as_secs_f64() / self.total.as_secs_f64() * WIDTH as f64)
-                    .floor() as usize;
-                let finish = (seg.end.as_secs_f64() / self.total.as_secs_f64() * WIDTH as f64)
-                    .ceil() as usize;
-                for cell in bar
-                    .iter_mut()
-                    .take(finish.min(WIDTH))
-                    .skip(begin.min(WIDTH))
-                {
-                    *cell = '#';
-                }
-            }
-            let bar: String = bar.into_iter().collect();
-            let busy = utilization.get(slot).copied().unwrap_or(0.0) * 100.0;
-            out.push_str(&format!(
-                "  slot {slot} |{bar}| {busy:5.1}% busy, {} attempts\n",
-                segs.len()
-            ));
-            if segs.len() <= 4 {
-                for seg in segs {
-                    out.push_str(&format!(
-                        "      {:.2}..{:.2} ms {}\n",
-                        seg.start.as_secs_f64() * 1e3,
-                        seg.end.as_secs_f64() * 1e3,
-                        seg.label
-                    ));
-                }
-            }
-        }
-
-        out.push_str("\nstages (critical path vs. sum of task walls)\n");
-        if self.jobs.is_empty() {
-            out.push_str("  (no jobs recorded)\n");
-        }
-        for job in &self.jobs {
-            let sum_ms = job.sum_of_walls.as_secs_f64() * 1e3;
-            match job.wall {
-                Some(wall) => {
-                    let wall_ms = wall.as_secs_f64() * 1e3;
-                    let ratio = if wall_ms > 0.0 { sum_ms / wall_ms } else { 0.0 };
-                    out.push_str(&format!(
-                        "  {}: wall {wall_ms:.2} ms, task walls {sum_ms:.2} ms ({ratio:.2}x), {} map + {} reduce tasks\n",
-                        job.job, job.map_tasks, job.reduce_tasks
-                    ));
-                }
-                None => out.push_str(&format!(
-                    "  {}: unfinished, task walls {sum_ms:.2} ms\n",
-                    job.job
-                )),
-            }
-            if job.reduce_wall_ms.len() > 1 {
-                out.push_str(&format!(
-                    "    reduce-load skew: {}\n",
-                    histogram(&job.reduce_wall_ms, 8)
-                ));
-            }
-        }
-
-        out.push_str("\nspeculation\n");
-        if self.speculation.is_empty() {
-            out.push_str("  (no speculative launches)\n");
-        }
-        for spec in &self.speculation {
-            let winner = if spec.twin_won {
-                "speculative twin won"
-            } else {
-                "original won the race"
-            };
-            match spec.saved {
-                Some(saved) => out.push_str(&format!(
-                    "  {}/{}/{}: {winner}, saved {:.2} ms\n",
-                    spec.job,
-                    spec.kind,
-                    spec.task,
-                    saved.as_secs_f64() * 1e3
-                )),
-                None => out.push_str(&format!(
-                    "  {}/{}/{}: {winner}, loser not observed\n",
-                    spec.job, spec.kind, spec.task
-                )),
-            }
-        }
-
-        out.push_str("\nqueue wait\n");
-        match self.queue_wait_stats() {
-            Some(stats) => out.push_str(&format!(
-                "  {} waits: p50 {:.3} ms, p90 {:.3} ms, p99 {:.3} ms, max {:.3} ms\n",
-                stats.count, stats.p50_ms, stats.p90_ms, stats.p99_ms, stats.max_ms
-            )),
-            None => out.push_str("  (no pool-queued tasks)\n"),
-        }
-
-        out.push_str("\ntenants\n");
-        if self.tenants.is_empty() {
-            out.push_str("  (no tenant-tagged scheduler activity)\n");
-        }
-        for tenant in &self.tenants {
-            let mean_wait_ms = if tenant.stages_admitted > 0 {
-                tenant.admission_wait.as_secs_f64() * 1e3 / tenant.stages_admitted as f64
-            } else {
-                0.0
-            };
-            out.push_str(&format!(
-                "  {}: {} stages submitted ({} admitted), {} tasks dispatched, mean admission wait {mean_wait_ms:.3} ms\n",
-                tenant.tenant,
-                tenant.stages_submitted,
-                tenant.stages_admitted,
-                tenant.tasks_dispatched
-            ));
-        }
-        out
-    }
-
-    /// Exports the report as one JSON object: per-category counts, per-slot
-    /// busy/utilization, per-job walls and reduce-load series,
-    /// speculation attribution, and queue-wait percentiles.
+    /// Exports the report as one JSON object: per-category counts,
+    /// per-slot busy/utilization, per-job walls and reduce-load series,
+    /// queue-wait percentiles, and per-tenant scheduler activity.
     pub fn to_json(&self) -> Json {
         let events = Json::Obj(
             self.counts
@@ -1370,10 +1077,10 @@ impl TraceReport {
                 .map(|(k, v)| (k.to_string(), Json::Num(*v as f64)))
                 .collect(),
         );
-        let busy = self.slot_busy();
         let utilization = self.utilization();
         let workers = Json::Arr(
-            busy.iter()
+            self.slot_busy
+                .iter()
                 .map(|(slot, busy)| {
                     Json::obj([
                         ("slot", Json::Num(*slot as f64)),
@@ -1400,20 +1107,6 @@ impl TraceReport {
                             "reduce_wall_ms",
                             Json::Arr(job.reduce_wall_ms.iter().map(|w| Json::Num(*w)).collect()),
                         ),
-                    ])
-                })
-                .collect::<Vec<_>>(),
-        );
-        let speculation = Json::Arr(
-            self.speculation
-                .iter()
-                .map(|spec| {
-                    Json::obj([
-                        ("job", Json::str(&spec.job)),
-                        ("kind", Json::str(spec.kind.to_string())),
-                        ("task", Json::Num(spec.task as f64)),
-                        ("twin_won", Json::Bool(spec.twin_won)),
-                        ("saved_ms", spec.saved.map(dur_ms).unwrap_or(Json::Null)),
                     ])
                 })
                 .collect::<Vec<_>>(),
@@ -1448,37 +1141,10 @@ impl TraceReport {
             ("events", events),
             ("workers", workers),
             ("jobs", jobs),
-            ("speculation", speculation),
             ("queue_wait", queue_wait),
             ("tenants", tenants),
         ])
     }
-}
-
-/// A compact fixed-bucket histogram rendering (`min..max` split into
-/// `buckets`, counts as a bar of digits capped at 9).
-fn histogram(samples: &[f64], buckets: usize) -> String {
-    if samples.is_empty() {
-        return "(empty)".to_string();
-    }
-    let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if max <= min {
-        return format!("{} tasks all at {min:.2} ms", samples.len());
-    }
-    let mut counts = vec![0usize; buckets];
-    for &s in samples {
-        let i = (((s - min) / (max - min)) * buckets as f64) as usize;
-        counts[i.min(buckets - 1)] += 1;
-    }
-    let bar: String = counts
-        .iter()
-        .map(|&c| std::char::from_digit(c.min(9) as u32, 10).expect("single digit"))
-        .collect();
-    format!(
-        "[{bar}] over {min:.2}..{max:.2} ms ({} tasks)",
-        samples.len()
-    )
 }
 
 #[cfg(test)]
@@ -1549,23 +1215,6 @@ mod tests {
                 kind: FaultKind::Map,
                 task: 0,
                 wait: ms(1),
-            },
-            TraceEventData::SpeculativeLaunched {
-                job: "j".into(),
-                kind: FaultKind::Reduce,
-                task: 3,
-            },
-            TraceEventData::SpeculativeWon {
-                job: "j".into(),
-                kind: FaultKind::Reduce,
-                task: 3,
-                twin: true,
-            },
-            TraceEventData::SpeculativeLost {
-                job: "j".into(),
-                kind: FaultKind::Reduce,
-                task: 3,
-                twin: false,
             },
         ];
         for data in operational {
@@ -1779,61 +1428,6 @@ mod tests {
         assert_eq!(stats.p50_ms, 2.0);
         assert_eq!(stats.p90_ms, 9.0);
         assert_eq!(stats.max_ms, 9.0);
-        let text = report.to_text();
-        assert!(text.contains("slot 0"), "timeline lane missing:\n{text}");
-        assert!(
-            text.contains("wall 40.00 ms"),
-            "critical path missing:\n{text}"
-        );
-        assert!(
-            text.contains("p50 2.000 ms"),
-            "percentiles missing:\n{text}"
-        );
-    }
-
-    #[test]
-    fn report_attributes_speculation_savings() {
-        let events = vec![
-            TraceEvent {
-                at: ms(100),
-                slot: None,
-                data: TraceEventData::SpeculativeLaunched {
-                    job: "j".into(),
-                    kind: FaultKind::Reduce,
-                    task: 3,
-                },
-            },
-            TraceEvent {
-                at: ms(150),
-                slot: Some(1),
-                data: TraceEventData::SpeculativeWon {
-                    job: "j".into(),
-                    kind: FaultKind::Reduce,
-                    task: 3,
-                    twin: true,
-                },
-            },
-            TraceEvent {
-                at: ms(420),
-                slot: Some(0),
-                data: TraceEventData::SpeculativeLost {
-                    job: "j".into(),
-                    kind: FaultKind::Reduce,
-                    task: 3,
-                    twin: false,
-                },
-            },
-        ];
-        let report = TraceReport::from_events(&events);
-        let specs = report.speculation();
-        assert_eq!(specs.len(), 1);
-        assert!(specs[0].twin_won);
-        assert_eq!(specs[0].saved, Some(ms(270)));
-        let text = report.to_text();
-        assert!(
-            text.contains("speculative twin won, saved 270.00 ms"),
-            "{text}"
-        );
     }
 
     #[test]
@@ -1889,14 +1483,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_renders_fixed_width_buckets() {
-        assert_eq!(histogram(&[], 4), "(empty)");
-        assert!(histogram(&[2.0, 2.0], 4).contains("all at 2.00 ms"));
-        let h = histogram(&[0.0, 0.0, 1.0, 3.9, 4.0], 4);
-        assert!(h.starts_with("[2102]"), "{h}");
-    }
-
-    #[test]
     fn event_json_encodes_every_category() {
         let all = [
             TraceEventData::JobStarted {
@@ -1944,23 +1530,6 @@ mod tests {
                 kind: FaultKind::Map,
                 task: 0,
                 next_attempt: 2,
-            },
-            TraceEventData::SpeculativeLaunched {
-                job: "j".into(),
-                kind: FaultKind::Reduce,
-                task: 0,
-            },
-            TraceEventData::SpeculativeWon {
-                job: "j".into(),
-                kind: FaultKind::Reduce,
-                task: 0,
-                twin: false,
-            },
-            TraceEventData::SpeculativeLost {
-                job: "j".into(),
-                kind: FaultKind::Reduce,
-                task: 0,
-                twin: true,
             },
             TraceEventData::SpillRunSealed {
                 job: "j".into(),

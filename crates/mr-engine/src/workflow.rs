@@ -85,9 +85,8 @@ pub fn ensure_same_shape<K1, V1, K2, V2>(
 pub struct Workflow {
     name: String,
     /// Tenant this workflow's stage batches are attributed to on the
-    /// shared pool's ready-queue — the identity the dispatcher's
-    /// [`crate::pool::SchedulingPolicy::FairShare`] balances across
-    /// and [`crate::pool::PoolStats::per_tenant_inflight`] reports.
+    /// shared pool's ready-queue — the identity
+    /// [`crate::pool::PoolStats::per_tenant_inflight`] reports.
     /// Defaults to `"default"`; purely operational (never changes
     /// output).
     tenant: Arc<str>,
@@ -165,12 +164,10 @@ impl Workflow {
 
     /// Attributes this workflow's stage batches to `tenant` on the
     /// shared pool's ready-queue. The tenant id is what
-    /// [`crate::pool::SchedulingPolicy::FairShare`] balances across,
-    /// what [`crate::pool::PoolStats`] breaks inflight work down by,
-    /// and what the per-tenant section of
-    /// [`crate::trace::TraceReport`] aggregates on. Scheduling is
-    /// purely operational: output is byte-identical under any tenant
-    /// labeling.
+    /// [`crate::pool::PoolStats`] breaks inflight work down by, and
+    /// what the per-tenant section of [`crate::trace::TraceReport`]
+    /// aggregates on. Scheduling is purely operational: output is
+    /// byte-identical under any tenant labeling.
     #[must_use]
     pub fn with_tenant(mut self, tenant: impl Into<Arc<str>>) -> Self {
         self.tenant = tenant.into();
@@ -202,7 +199,7 @@ impl Workflow {
 
     /// Sets the fault policy every stage of this workflow runs under,
     /// overriding the stage jobs' own policies — how a runtime-wide
-    /// retry/deadline configuration reaches jobs whose construction
+    /// retry configuration reaches jobs whose construction
     /// the workflow does not own. Retried tasks re-execute
     /// byte-identically (see [`crate::fault`]), so the policy never
     /// changes workflow output — only whether a task panic becomes a
@@ -305,15 +302,9 @@ impl Workflow {
     {
         let stage = self.stages.len();
         // Every task batch this stage dispatches carries the
-        // (tenant, workflow, stage) identity the operation-level
-        // dispatcher schedules on, plus the job's pair-count weight
-        // hint for shortest-remaining-work ordering.
-        let tag = BatchTag::new(
-            Arc::clone(&self.tenant),
-            self.name.as_str(),
-            stage,
-            job.weight_hint(),
-        );
+        // (tenant, workflow, stage) identity the pool's stats and
+        // trace events attribute it to.
+        let tag = BatchTag::new(Arc::clone(&self.tenant), self.name.as_str(), stage);
         // The workflow's start instant is the shared epoch, so stage
         // and task events of consecutive stages land on one timeline.
         let tracer = self
@@ -460,27 +451,18 @@ impl WorkflowMetrics {
     }
 
     /// Total task attempts that panicked (and were caught at the task
-    /// boundary) across all stages.
+    /// boundary) across all stages. Every stage that completed retried
+    /// each of its failures, so this equals
+    /// [`WorkflowMetrics::tasks_retried`].
     pub fn task_failures(&self) -> u64 {
-        self.stages.iter().map(|s| s.task_failures).sum()
+        self.tasks_retried()
     }
 
     /// Total failed attempts that were re-executed under the fault
-    /// policy's retry budget, across all stages.
+    /// policy's retry budget, across all stages (see
+    /// [`JobMetrics::tasks_retried`]).
     pub fn tasks_retried(&self) -> u64 {
-        self.stages.iter().map(|s| s.tasks_retried).sum()
-    }
-
-    /// Total speculative twins launched for deadline-exceeding tasks,
-    /// across all stages.
-    pub fn speculative_launched(&self) -> u64 {
-        self.stages.iter().map(|s| s.speculative_launched).sum()
-    }
-
-    /// Total speculative twins that beat their straggling original,
-    /// across all stages.
-    pub fn speculative_won(&self) -> u64 {
-        self.stages.iter().map(|s| s.speculative_won).sum()
+        self.stages.iter().map(JobMetrics::tasks_retried).sum()
     }
 }
 

@@ -61,6 +61,8 @@
 //! the resolver drives run only as stages of a [`Runtime`]-issued
 //! workflow.
 
+#![forbid(unsafe_code)]
+
 pub use er_core;
 pub use er_datagen;
 pub use er_loadbalance;

@@ -619,21 +619,20 @@ impl Outcome {
 /// [`Resolver::resolve`] may be called from any number of threads at
 /// once — on one shared resolver, or on per-tenant clones of it
 /// (cloning is cheap; the configs are `Arc`-backed). Concurrent
-/// resolves interleave stage-by-stage on the runtime's pool under its
-/// [`SchedulingPolicy`](mr_engine::pool::SchedulingPolicy), and each
+/// resolves interleave task by task on the runtime's pool, and each
 /// produces the same [`Outcome`] — byte-identical result, exact
 /// per-workflow metrics — it would produce running alone. Give each
 /// tenant's clone its own [`Resolver::with_tenant`] label to make
-/// fair-share scheduling, [`mr_engine::pool::PoolStats`], and the
-/// per-tenant trace report section attribute work correctly. One
+/// [`mr_engine::pool::PoolStats`] and the per-tenant trace report
+/// section attribute work correctly. One
 /// tenant's failure (even an injected panic) never stalls another's
 /// dispatch — see [`Runtime`]'s concurrency contract.
 #[derive(Clone)]
 pub struct Resolver<'rt> {
     runtime: &'rt Runtime,
     /// The session's copy of the shared knobs, seeded from the
-    /// runtime's; `parallelism` and `scheduling_policy` belong to the
-    /// runtime's pool and are never overridden here.
+    /// runtime's; `parallelism` belongs to the runtime's pool and is
+    /// never overridden here.
     shared: RuntimeConfig,
     matcher: Arc<Matcher>,
     fault_plan: FaultPlan,
@@ -839,11 +838,11 @@ impl<'rt> Resolver<'rt> {
         self
     }
 
-    /// Overrides the per-task fault-tolerance policy (retry budget,
-    /// straggler deadline) for this session, replacing the runtime's
-    /// [`RuntimeConfig::fault_policy`] default. Retried or speculated
-    /// tasks never change the match result — outputs stay
-    /// byte-identical to a fault-free run.
+    /// Overrides the per-task fault-tolerance policy (retry budget) for
+    /// this session, replacing the runtime's
+    /// [`RuntimeConfig::fault_policy`] default. Retried tasks never
+    /// change the match result — outputs stay byte-identical to a
+    /// fault-free run.
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.shared.fault_policy = policy;
         self
@@ -851,8 +850,8 @@ impl<'rt> Resolver<'rt> {
 
     /// Installs a deterministic fault-injection schedule for every
     /// scenario this session resolves — the test/bench harness that
-    /// exercises the retry and speculation paths at exact task
-    /// coordinates. An empty plan (the default) injects nothing.
+    /// exercises the retry path at exact task coordinates. An empty
+    /// plan (the default) injects nothing.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self
@@ -910,10 +909,9 @@ impl<'rt> Resolver<'rt> {
     }
 
     /// Labels every workflow this session resolves with `tenant` on
-    /// the runtime's shared pool — the identity fair-share scheduling
-    /// balances across, [`mr_engine::pool::PoolStats`] reports
-    /// inflight work by, and the trace report's per-tenant section
-    /// aggregates on. Typical use: clone one configured resolver per
+    /// the runtime's shared pool — the identity
+    /// [`mr_engine::pool::PoolStats`] reports inflight work by, and
+    /// the trace report's per-tenant section aggregates on. Typical use: clone one configured resolver per
     /// tenant and give each clone its own label. Purely operational —
     /// outputs are byte-identical under any labeling.
     pub fn with_tenant(mut self, tenant: impl Into<Arc<str>>) -> Self {
@@ -927,7 +925,7 @@ impl<'rt> Resolver<'rt> {
     }
 
     /// Attaches a [`TraceSink`] receiving structured execution events
-    /// (task attempts, retries, speculation, spills, pool scheduling;
+    /// (task attempts, retries, spills, pool scheduling;
     /// see [`mr_engine::trace`]) from every scenario this session
     /// resolves — overriding any sink on the runtime. The default (no
     /// sink) resolves untraced at zero cost.
@@ -1037,7 +1035,7 @@ impl<'rt> Resolver<'rt> {
     /// runtime's persistent pool.
     ///
     /// The outcome's `result` and counters are byte-identical at any
-    /// pool size, cap, tenant mix and scheduling policy.
+    /// pool size, cap and tenant mix.
     pub fn resolve(
         &self,
         scenario: &Scenario,
@@ -1340,12 +1338,12 @@ mod tests {
 
         // Every shared knob, set once on the session...
         let matcher = Arc::new(Matcher::paper_default());
-        let plan = FaultPlan::new().delay_at(
+        let plan = FaultPlan::new().panic_at(
             FaultPlan::ANY_JOB,
             mr_engine::fault::FaultKind::Map,
             0,
             1,
-            std::time::Duration::from_millis(1),
+            "injected",
         );
         let session = Resolver::new(&runtime)
             .with_reduce_tasks(3)

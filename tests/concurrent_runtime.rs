@@ -3,8 +3,7 @@
 //! * **determinism under interleaving** — N tenant threads resolving
 //!   mixed scenarios on one shared [`Runtime`] produce outputs
 //!   byte-identical (match pairs *and* score bits) to a sequential
-//!   parallelism-1 reference, at parallelism {1, 2, 4, 8} under every
-//!   [`SchedulingPolicy`];
+//!   parallelism-1 reference, at parallelism {1, 2, 4, 8};
 //! * **exact metrics** — each tenant's `WorkflowMetrics` (stage names,
 //!   merged counters) roll up exactly as in the sequential run, with
 //!   no cross-tenant bleed;
@@ -19,20 +18,13 @@ use std::thread;
 
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
-use mr_engine::pool::SchedulingPolicy;
 use mr_engine::trace::{TraceRecorder, TraceReport, TraceSink};
 use mr_engine::MrError;
 
 const PARALLELISM_LEVELS: [usize; 4] = [1, 2, 4, 8];
 
-const POLICIES: [SchedulingPolicy; 3] = [
-    SchedulingPolicy::Fifo,
-    SchedulingPolicy::FairShare,
-    SchedulingPolicy::ShortestRemainingWork,
-];
-
 /// A DS1-shaped corpus small enough for the full matrix (tenants ×
-/// policies × parallelism levels) with real similarity evaluation.
+/// parallelism levels) with real similarity evaluation.
 fn corpus(m: usize) -> Partitions<(), Ent> {
     let ds = generate_products(&ds1_spec(77).scaled(0.003));
     partition_evenly(
@@ -138,52 +130,44 @@ fn assert_matches_reference(context: &str, outcome: &dedupe_mr::Outcome, referen
     );
 }
 
-/// Five tenant threads × parallelism {1, 2, 4, 8} × all three
-/// scheduling policies: every tenant's output and metrics are exactly
-/// the sequential reference. Interleaving changes only wall time.
+/// Five tenant threads × parallelism {1, 2, 4, 8}: every tenant's
+/// output and metrics are exactly the sequential reference.
+/// Interleaving changes only wall time.
 #[test]
-fn concurrent_tenants_are_byte_identical_to_sequential_under_every_policy() {
+fn concurrent_tenants_are_byte_identical_to_sequential_at_every_parallelism() {
     let refs = references();
     let workload = tenants();
     for parallelism in PARALLELISM_LEVELS {
-        for policy in POLICIES {
-            let runtime = Runtime::new(
-                RuntimeConfig::new()
-                    .with_parallelism(parallelism)
-                    .with_scheduling_policy(policy),
-            );
-            let base = resolver(&runtime);
-            thread::scope(|scope| {
-                let handles: Vec<_> = workload
-                    .iter()
-                    .map(|(tenant, scenario, input)| {
-                        let session = base.clone().with_tenant(*tenant);
-                        let input = input.clone();
-                        scope.spawn(move || session.resolve(scenario, input))
-                    })
-                    .collect();
-                for ((handle, (tenant, _, _)), reference) in
-                    handles.into_iter().zip(&workload).zip(&refs)
-                {
-                    let outcome = handle
-                        .join()
-                        .expect("tenant thread must not panic")
-                        .unwrap_or_else(|e| {
-                            panic!("{tenant} @ p={parallelism} {}: {e}", policy.name())
-                        });
-                    let context = format!("{tenant} @ p={parallelism} {}", policy.name());
-                    assert_matches_reference(&context, &outcome, reference);
-                }
-            });
-            // The shared pool drains completely between waves.
-            let stats = runtime.pool_stats();
-            assert_eq!(stats.queue_depth, 0, "p={parallelism}: queue drained");
-            assert_eq!(stats.active_batches, 0, "p={parallelism}: no batch leaked");
-            assert!(
-                stats.per_tenant_inflight.is_empty(),
-                "p={parallelism}: no tenant left inflight"
-            );
-        }
+        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(parallelism));
+        let base = resolver(&runtime);
+        thread::scope(|scope| {
+            let handles: Vec<_> = workload
+                .iter()
+                .map(|(tenant, scenario, input)| {
+                    let session = base.clone().with_tenant(*tenant);
+                    let input = input.clone();
+                    scope.spawn(move || session.resolve(scenario, input))
+                })
+                .collect();
+            for ((handle, (tenant, _, _)), reference) in
+                handles.into_iter().zip(&workload).zip(&refs)
+            {
+                let context = format!("{tenant} @ p={parallelism}");
+                let outcome = handle
+                    .join()
+                    .expect("tenant thread must not panic")
+                    .unwrap_or_else(|e| panic!("{context}: {e}"));
+                assert_matches_reference(&context, &outcome, reference);
+            }
+        });
+        // The shared pool drains completely between waves.
+        let stats = runtime.pool_stats();
+        assert_eq!(stats.queue_depth, 0, "p={parallelism}: queue drained");
+        assert_eq!(stats.active_batches, 0, "p={parallelism}: no batch leaked");
+        assert!(
+            stats.per_tenant_inflight.is_empty(),
+            "p={parallelism}: no tenant left inflight"
+        );
     }
 }
 

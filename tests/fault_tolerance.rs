@@ -12,13 +12,9 @@
 //!   never a panic;
 //! * **graceful degradation** — the same `Runtime` that just failed a
 //!   resolve immediately completes a fault-free resolve with identical
-//!   output and `threads_spawned()` unchanged;
-//! * **speculation** — a deterministic injected straggler is
-//!   re-dispatched under a task deadline and the first completion
-//!   wins, without changing the output.
+//!   output and `threads_spawned()` unchanged.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
@@ -137,7 +133,6 @@ fn fail_once_matrix_is_byte_identical_and_counted_exactly() {
                     stages,
                     "{name}, {kind} fault, x{parallelism}: every failure retried"
                 );
-                assert_eq!(outcome.workflow.speculative_launched(), 0);
             }
         }
     }
@@ -334,50 +329,4 @@ fn runtime_survives_failure_and_completes_the_next_resolve() {
         4,
         "failed resolves must never spawn replacement threads"
     );
-}
-
-/// Straggler speculation: a 1.2s injected delay on one map attempt
-/// under a 150ms deadline launches a clean twin whose completion wins,
-/// with the output unchanged. The deadline is far above any honest
-/// task's debug-mode wall time, so exactly one twin launches.
-#[test]
-fn injected_straggler_is_speculated_away() {
-    let input = corpus(4);
-    let scenario = Scenario::Dedup {
-        strategy: StrategyKind::BlockSplit,
-    };
-    let reference_rt = Runtime::new(RuntimeConfig::new().with_parallelism(1));
-    let reference = resolver(&reference_rt)
-        .resolve(&scenario, input.clone())
-        .unwrap();
-    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(4));
-    let outcome = resolver(&runtime)
-        .with_fault_policy(
-            FaultPolicy::retry(2).with_task_deadline(Some(Duration::from_millis(150))),
-        )
-        .with_fault_plan(FaultPlan::new().delay_at(
-            "bdm",
-            FaultKind::Map,
-            0,
-            1,
-            Duration::from_millis(1200),
-        ))
-        .resolve(&scenario, input)
-        .unwrap();
-    assert_eq!(
-        result_bits(&outcome.result),
-        result_bits(&reference.result),
-        "speculation changed the output"
-    );
-    assert_eq!(
-        outcome.workflow.speculative_launched(),
-        1,
-        "the delayed attempt must be re-dispatched exactly once"
-    );
-    assert_eq!(
-        outcome.workflow.speculative_won(),
-        1,
-        "the clean twin must beat a 1.2s straggler under a 150ms deadline"
-    );
-    assert_eq!(outcome.workflow.task_failures(), 0);
 }

@@ -6,24 +6,19 @@
 //!   per-category event counts recorded by an attached
 //!   [`TraceRecorder`] equal the workflow gauges *exactly*:
 //!   `attempt_failed == task_failures()`, `attempt_retried ==
-//!   tasks_retried()`, `speculative_launched/won` and
-//!   `spill_run_sealed` likewise;
+//!   tasks_retried()` and `spill_run_sealed == spilled_runs()`;
 //! * **parallelism invariance** — the sorted logical event stream
 //!   (timestamps, walls and worker slots stripped) is byte-identical
-//!   across parallelism {1, 2, 4, 8} for any deterministic
-//!   (deadline-free) plan, faulted or clean;
+//!   across parallelism {1, 2, 4, 8} for any deterministic plan,
+//!   faulted or clean;
 //! * **spill attribution** — under a small spill threshold every
-//!   sealed run is traced, and the count matches `spilled_runs()`;
-//! * **speculation attribution** — an injected straggler produces
-//!   exactly the launch/win events the gauges report, and
-//!   [`TraceReport`] attributes the race to the twin.
+//!   sealed run is traced, and the count matches `spilled_runs()`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
-use mr_engine::trace::{TraceRecorder, TraceReport, TraceSink};
+use mr_engine::trace::{TraceRecorder, TraceSink};
 
 const PARALLELISM_LEVELS: [usize; 4] = [1, 2, 4, 8];
 
@@ -97,8 +92,9 @@ fn sink_of(recorder: &Arc<TraceRecorder>) -> Arc<dyn TraceSink> {
 }
 
 /// Every count the recorder derived must equal the corresponding
-/// workflow gauge — the events are emitted at the gauge-increment
-/// sites, so any disagreement is a threading bug, not noise.
+/// workflow gauge — the gauges derive from the attempt numbers and
+/// spill counts the same task attempts report, so any disagreement is
+/// a threading bug, not noise.
 fn assert_counts_match_gauges(recorder: &TraceRecorder, workflow: &WorkflowMetrics, tag: &str) {
     assert_eq!(
         recorder.count("attempt_failed"),
@@ -111,22 +107,12 @@ fn assert_counts_match_gauges(recorder: &TraceRecorder, workflow: &WorkflowMetri
         "{tag}: attempt_retried events vs tasks_retried gauge"
     );
     assert_eq!(
-        recorder.count("speculative_launched"),
-        workflow.speculative_launched(),
-        "{tag}: speculative_launched events vs gauge"
-    );
-    assert_eq!(
-        recorder.count("speculative_won"),
-        workflow.speculative_won(),
-        "{tag}: speculative_won events vs gauge"
-    );
-    assert_eq!(
         recorder.count("spill_run_sealed"),
         workflow.spilled_runs(),
         "{tag}: spill_run_sealed events vs spilled_runs gauge"
     );
-    // Deadline-free runs: every started attempt either finishes or
-    // fails — nothing is abandoned mid-flight.
+    // Every started attempt either finishes or fails — nothing is
+    // abandoned mid-flight.
     assert_eq!(
         recorder.count("attempt_started"),
         recorder.count("attempt_finished") + recorder.count("attempt_failed"),
@@ -232,7 +218,6 @@ fn fail_once_matrix_counts_match_gauges_at_every_parallelism() {
                 assert_counts_match_gauges(&recorder, &outcome.workflow, &tag);
                 assert_eq!(recorder.count("attempt_failed"), stages, "{tag}");
                 assert_eq!(recorder.count("attempt_retried"), stages, "{tag}");
-                assert_eq!(recorder.count("speculative_launched"), 0, "{tag}");
                 let logical = recorder.logical_events();
                 match &reference {
                     None => reference = Some(logical),
@@ -314,55 +299,4 @@ fn spill_events_match_the_spilled_runs_gauge() {
             ),
         }
     }
-}
-
-/// An injected straggler under a task deadline: the recorder sees
-/// exactly the speculative launch and win the gauges report, the
-/// logical stream is untouched by the race (speculation events are
-/// operational, not logical), and [`TraceReport`] attributes the win
-/// to the twin.
-#[test]
-fn speculation_events_match_gauges_and_report_attribution() {
-    let input = corpus(4);
-    let scenario = Scenario::Dedup {
-        strategy: StrategyKind::BlockSplit,
-    };
-    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(4));
-    let recorder = Arc::new(TraceRecorder::new());
-    let outcome = resolver(&runtime)
-        .with_trace_sink(sink_of(&recorder))
-        .with_fault_policy(
-            FaultPolicy::retry(2).with_task_deadline(Some(Duration::from_millis(150))),
-        )
-        .with_fault_plan(FaultPlan::new().delay_at(
-            "bdm",
-            FaultKind::Map,
-            0,
-            1,
-            Duration::from_millis(1200),
-        ))
-        .resolve(&scenario, input)
-        .unwrap();
-    assert_eq!(outcome.workflow.speculative_launched(), 1);
-    assert_eq!(recorder.count("speculative_launched"), 1);
-    assert_eq!(outcome.workflow.speculative_won(), 1);
-    assert_eq!(recorder.count("speculative_won"), 1);
-    assert!(
-        recorder.count("speculative_lost") <= 1,
-        "at most the one straggler can lose the race"
-    );
-    assert!(
-        recorder
-            .logical_events()
-            .iter()
-            .all(|l| !l.starts_with("speculative")),
-        "speculation is operational — it must never enter the logical stream"
-    );
-    let report = TraceReport::from_events(&recorder.events());
-    assert_eq!(report.speculation().len(), 1, "one race, one attribution");
-    let race = &report.speculation()[0];
-    assert_eq!(race.job, "bdm");
-    assert_eq!(race.kind, FaultKind::Map);
-    assert_eq!(race.task, 0);
-    assert!(race.twin_won, "the clean twin must beat a 1.2s straggler");
 }
