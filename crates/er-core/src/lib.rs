@@ -40,9 +40,7 @@ pub mod sortkey;
 pub use arena::{PreparedArena, PreparedId};
 pub use blocking::{BlockKey, BlockingFunction, ConstantBlocking, PrefixBlocking};
 pub use entity::{Entity, EntityId, EntityRef, SourceId};
-pub use matcher::{
-    MatchRule, Matcher, MatcherCache, PreparedColumn, PreparedEntity, PreparedHandle,
-};
+pub use matcher::{MatchRule, Matcher, MatcherCache, PreparedColumn, PreparedEntity};
 pub use minhash::{
     band_hash, banding_probability, estimate_jaccard, shingle_hashes, MinHasher, ShingleScheme,
 };

@@ -6,17 +6,16 @@
 //! once; [`Matcher::matches_prepared`] then scores pairs without
 //! re-tokenizing. [`MatcherCache`] memoizes prepared entities by
 //! [`EntityRef`] for reducers whose groups revisit the same entity
-//! (PairRange replicas, multi-pass blocking). In its default arena
-//! mode the cache prepares every entity straight into a
-//! [`PreparedArena`], so the pair loop over [`PreparedHandle`]s
-//! performs no heap allocation at all once each entity has been seen
-//! once. Reducers do not score pair by pair: they fill a
+//! (PairRange replicas, multi-pass blocking). The cache prepares every
+//! entity straight into a [`PreparedArena`], so the pair loop over
+//! [`PreparedId`]s performs no heap allocation at all once each entity
+//! has been seen once. Reducers do not score pair by pair: they fill a
 //! [`PreparedColumn`] with a group's members and sweep it in strips
 //! ([`MatcherCache::matches_strip`]), which settles what is common to
 //! a strip once and lets the measure's batch prefilter discard most
 //! pairs on a dense sketch column before the scalar kernel sees them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::arena::{PreparedArena, PreparedId};
@@ -348,42 +347,18 @@ impl PreparedEntity {
     }
 }
 
-/// One resident cache entry: the prepared form plus the logical clock
-/// tick of its most recent use (recency bookkeeping is skipped
-/// entirely in unbounded mode, where `last_used` stays 0).
-#[derive(Debug, Clone)]
-struct CacheSlot {
-    value: Arc<PreparedEntity>,
-    last_used: u64,
-}
-
-/// A cheap, clonable handle to one cached prepared entity, as handed
-/// out by [`MatcherCache::handle`] and consumed by
-/// [`MatcherCache::matches_handles`].
-///
-/// Arena-mode caches hand out `Copy`-sized [`PreparedId`]s (valid
-/// until the cache is cleared); bounded LRU caches hand out
-/// `Arc`-shared heap entities that stay alive even after eviction.
-#[derive(Debug, Clone)]
-pub enum PreparedHandle {
-    /// Interned in the cache's [`PreparedArena`].
-    Arena(PreparedId),
-    /// Heap-prepared, shared via `Arc` (bounded LRU mode).
-    Heap(Arc<PreparedEntity>),
-}
-
 /// The cached prepared entities of one compare batch — the members of a
-/// reduce group, or the ring of a sliding window — as columns: the
-/// handles [`MatcherCache::push`] issued and, under a single-rule
-/// matcher whose values carry one, each member's [`Sketch`] in a dense
-/// array for the measure's batch prefilter
+/// reduce group, or the ring of a sliding window — as columns: the ids
+/// [`MatcherCache::push`] interned and, under a single-rule matcher
+/// whose values carry one, each member's [`Sketch`] in a dense array
+/// for the measure's batch prefilter
 /// ([`Similarity::survivors_at_least`]). Owns no borrow, so it can be
 /// kept and refilled across batches; positions are stable until
 /// [`evict_front`](PreparedColumn::evict_front).
 #[derive(Debug, Clone)]
 pub struct PreparedColumn {
-    handles: Vec<PreparedHandle>,
-    /// One per handle while `sketched`, empty otherwise.
+    ids: Vec<PreparedId>,
+    /// One per id while `sketched`, empty otherwise.
     sketches: Vec<Sketch>,
     /// False from the first member without a sketch until the column
     /// is emptied: the prefilter needs every member's.
@@ -394,7 +369,7 @@ impl PreparedColumn {
     /// An empty column.
     pub fn new() -> Self {
         Self {
-            handles: Vec::new(),
+            ids: Vec::new(),
             sketches: Vec::new(),
             sketched: true,
         }
@@ -402,24 +377,24 @@ impl PreparedColumn {
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.handles.len()
+        self.ids.len()
     }
 
     /// True when the column holds no member.
     pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
+        self.ids.is_empty()
     }
 
     /// Drops the members from position `len` on, keeping the capacity.
     pub fn truncate(&mut self, len: usize) {
-        self.handles.truncate(len);
+        self.ids.truncate(len);
         self.sketches.truncate(len);
         self.sketched |= len == 0;
     }
 
     /// Drops the first `n` members; the rest move down by `n`.
     pub fn evict_front(&mut self, n: usize) {
-        self.handles.drain(..n);
+        self.ids.drain(..n);
         if self.sketched {
             self.sketches.drain(..n);
         }
@@ -441,89 +416,30 @@ impl Default for PreparedColumn {
 /// copies start empty state-wise only if cloned before first use, so
 /// reducers should create it in `setup` or hold it per instance.
 ///
-/// # Arena mode (default)
-///
-/// [`MatcherCache::new`] backs the cache with a [`PreparedArena`]:
-/// every first sighting of an entity is prepared once, straight into
-/// contiguous slabs. Pair scoring via
-/// [`MatcherCache::matches_handles`] then reads slab slices directly —
-/// **zero allocations per comparison** once every entity of a block
-/// has been seen, which is what keeps the O(b²) inner loop
+/// Every first sighting of an entity is prepared once, straight into
+/// the contiguous slabs of the cache's [`PreparedArena`]. Pair scoring
+/// via [`MatcherCache::matches_handles`] then reads slab slices
+/// directly — **zero allocations per comparison** once every entity of
+/// a block has been seen, which is what keeps the O(b²) inner loop
 /// allocation-free.
-///
-/// # Bounded LRU mode
-///
-/// [`MatcherCache::with_capacity`] instead caps the number of resident
-/// prepared entities with least-recently-used eviction (a recency
-/// index over a logical clock; `O(log n)` per touch). An evicted
-/// entity is simply re-prepared on its next sighting — preparation is
-/// deterministic, so eviction can never change match decisions, only
-/// trade memory for recompute. Bound the cache for
-/// long-running/streaming tasks whose key space grows without limit;
-/// arena mode is right for the paper's batch reduce tasks (a task sees
-/// each entity a bounded number of times).
 #[derive(Debug, Clone)]
 pub struct MatcherCache {
     matcher: Arc<Matcher>,
-    store: Store,
+    ids: HashMap<EntityRef, PreparedId>,
+    arena: PreparedArena,
     /// Per rule, where the last prepared entity kept the rule's
     /// attribute ([`Entity::get_hinted`]).
     attribute_hints: Vec<usize>,
 }
 
-/// The two backing stores of a [`MatcherCache`].
-#[derive(Debug, Clone)]
-enum Store {
-    /// Unbounded arena interning (default).
-    Arena {
-        ids: HashMap<EntityRef, PreparedId>,
-        arena: PreparedArena,
-    },
-    /// Bounded heap entries with LRU eviction.
-    Lru {
-        prepared: HashMap<EntityRef, CacheSlot>,
-        capacity: usize,
-        /// Logical clock driving LRU order; monotonically increasing.
-        tick: u64,
-        /// Recency index: `last_used tick -> entity` (ticks are
-        /// unique).
-        recency: BTreeMap<u64, EntityRef>,
-        evictions: u64,
-    },
-}
-
 impl MatcherCache {
-    /// An empty, unbounded arena-mode cache bound to `matcher`.
+    /// An empty cache bound to `matcher`.
     pub fn new(matcher: Arc<Matcher>) -> Self {
         Self {
             attribute_hints: vec![0; matcher.rules.len()],
             matcher,
-            store: Store::Arena {
-                ids: HashMap::new(),
-                arena: PreparedArena::new(),
-            },
-        }
-    }
-
-    /// An empty LRU cache holding at most `capacity` prepared
-    /// entities, evicting the least recently used beyond that.
-    ///
-    /// # Panics
-    /// If `capacity < 2`: [`MatcherCache::matches`] prepares both
-    /// sides of a pair before scoring, so the cache must be able to
-    /// hold at least two entries.
-    pub fn with_capacity(matcher: Arc<Matcher>, capacity: usize) -> Self {
-        assert!(capacity >= 2, "a bounded cache needs room for a pair");
-        Self {
-            attribute_hints: vec![0; matcher.rules.len()],
-            matcher,
-            store: Store::Lru {
-                prepared: HashMap::new(),
-                capacity,
-                tick: 0,
-                recency: BTreeMap::new(),
-                evictions: 0,
-            },
+            ids: HashMap::new(),
+            arena: PreparedArena::new(),
         }
     }
 
@@ -532,124 +448,54 @@ impl MatcherCache {
         &self.matcher
     }
 
-    /// The capacity bound, if any (`None` in arena mode).
-    pub fn capacity(&self) -> Option<usize> {
-        match &self.store {
-            Store::Arena { .. } => None,
-            Store::Lru { capacity, .. } => Some(*capacity),
-        }
+    /// The arena the prepared entities live in.
+    pub fn arena(&self) -> &PreparedArena {
+        &self.arena
     }
 
-    /// Entries evicted so far (always zero in arena mode).
-    pub fn evictions(&self) -> u64 {
-        match &self.store {
-            Store::Arena { .. } => 0,
-            Store::Lru { evictions, .. } => *evictions,
-        }
-    }
-
-    /// The backing arena, if this cache runs in arena mode.
-    pub fn arena(&self) -> Option<&PreparedArena> {
-        match &self.store {
-            Store::Arena { arena, .. } => Some(arena),
-            Store::Lru { .. } => None,
-        }
-    }
-
-    /// A handle to the prepared form of `e`, computing it on first
-    /// sight (or on re-sighting after an eviction).
-    pub fn handle(&mut self, e: &Entity) -> PreparedHandle {
+    /// The arena id of the prepared form of `e`, computing it on first
+    /// sight.
+    pub fn handle(&mut self, e: &Entity) -> PreparedId {
         let key = e.entity_ref();
-        match &mut self.store {
-            Store::Arena { ids, arena } => {
-                if let Some(&id) = ids.get(&key) {
-                    return PreparedHandle::Arena(id);
-                }
-                // Each rule's measure writes its form straight into the
-                // slabs; no heap `PreparedEntity` is built.
-                let (rules, hints) = (&self.matcher.rules, &mut self.attribute_hints);
-                let id = arena.intern_with(key, rules.len(), |arena, rule| {
-                    let MatchRule {
-                        attribute,
-                        similarity,
-                        ..
-                    } = &rules[rule];
-                    e.get_hinted(attribute, &mut hints[rule])
-                        .map(|value| similarity.prepare_into(value, arena))
-                });
-                ids.insert(key, id);
-                PreparedHandle::Arena(id)
-            }
-            Store::Lru {
-                prepared,
-                capacity,
-                tick,
-                recency,
-                evictions,
-            } => {
-                *tick += 1;
-                let tick = *tick;
-                if let Some(slot) = prepared.get_mut(&key) {
-                    recency.remove(&slot.last_used);
-                    slot.last_used = tick;
-                    recency.insert(tick, key);
-                    return PreparedHandle::Heap(Arc::clone(&slot.value));
-                }
-                if prepared.len() >= *capacity {
-                    let (_, victim) = recency
-                        .pop_first()
-                        .expect("a full bounded cache has recency entries");
-                    prepared.remove(&victim);
-                    *evictions += 1;
-                }
-                let value = Arc::new(self.matcher.prepare(e));
-                prepared.insert(
-                    key,
-                    CacheSlot {
-                        value: Arc::clone(&value),
-                        last_used: tick,
-                    },
-                );
-                recency.insert(tick, key);
-                PreparedHandle::Heap(value)
-            }
+        if let Some(&id) = self.ids.get(&key) {
+            return id;
         }
+        // Each rule's measure writes its form straight into the slabs;
+        // no heap `PreparedEntity` is built.
+        let (rules, hints) = (&self.matcher.rules, &mut self.attribute_hints);
+        let id = self.arena.intern_with(key, rules.len(), |arena, rule| {
+            let MatchRule {
+                attribute,
+                similarity,
+                ..
+            } = &rules[rule];
+            e.get_hinted(attribute, &mut hints[rule])
+                .map(|value| similarity.prepare_into(value, arena))
+        });
+        self.ids.insert(key, id);
+        id
     }
 
-    /// Threshold decision over two handles previously issued by this
-    /// cache. Takes `&self` — the hot pair loop holds handles and
-    /// never mutates the cache, so this call allocates nothing in
-    /// arena mode.
+    /// Threshold decision over two ids previously issued by this cache.
+    /// Takes `&self` — the hot pair loop holds ids and never mutates
+    /// the cache, so this call allocates nothing.
     ///
     /// # Panics
-    /// If an [`PreparedHandle::Arena`] handle is passed to a bounded
-    /// LRU cache (LRU caches never issue arena handles), or a handle
-    /// outlived [`MatcherCache::clear`].
-    pub fn matches_handles(&self, a: &PreparedHandle, b: &PreparedHandle) -> Option<f64> {
-        let arena = self.arena();
-        let va = Self::values_ref(arena, a);
-        let vb = Self::values_ref(arena, b);
-        self.matcher.matches_values(va, vb)
+    /// If an id outlived [`MatcherCache::clear`].
+    pub fn matches_handles(&self, a: PreparedId, b: PreparedId) -> Option<f64> {
+        self.matcher
+            .matches_values(self.values_ref(a), self.values_ref(b))
     }
 
-    fn values_ref<'a>(
-        arena: Option<&'a PreparedArena>,
-        handle: &'a PreparedHandle,
-    ) -> ValuesRef<'a> {
-        match handle {
-            PreparedHandle::Heap(p) => ValuesRef::Heap(p),
-            PreparedHandle::Arena(id) => ValuesRef::Arena(
-                arena.expect("arena handle requires an arena-mode cache"),
-                *id,
-            ),
-        }
+    fn values_ref(&self, id: PreparedId) -> ValuesRef<'_> {
+        ValuesRef::Arena(&self.arena, id)
     }
 
     /// Appends the prepared form of `e` to `column` (preparing it on
     /// first sight, like [`MatcherCache::handle`]).
     pub fn push(&mut self, column: &mut PreparedColumn, e: &Entity) {
-        let handle = self.handle(e);
-        let values = Self::values_ref(self.arena(), &handle);
+        let id = self.handle(e);
+        let values = self.values_ref(id);
         self.matcher.check_rule_slots(values);
         if column.sketched {
             let sketch = self
@@ -672,7 +518,7 @@ impl MatcherCache {
                 }
             }
         }
-        column.handles.push(handle);
+        column.ids.push(id);
     }
 
     /// Threshold decisions of `column`'s member `probe` against each
@@ -722,15 +568,14 @@ impl MatcherCache {
         probe_first: bool,
         mut hit: impl FnMut(usize, f64),
     ) {
-        let arena = self.arena();
         let kernel = ProbeKernel::new(
             &self.matcher,
-            Self::values_ref(arena, &column.handles[probe]),
+            self.values_ref(column.ids[probe]),
             probe_first,
         );
         for &offset in picked {
             let member = base + offset as usize;
-            if let Some(score) = kernel.matches(Self::values_ref(arena, &column.handles[member])) {
+            if let Some(score) = kernel.matches(self.values_ref(column.ids[member])) {
                 hit(member, score);
             }
         }
@@ -740,15 +585,12 @@ impl MatcherCache {
     pub fn matches(&mut self, a: &Entity, b: &Entity) -> Option<f64> {
         let pa = self.handle(a);
         let pb = self.handle(b);
-        self.matches_handles(&pa, &pb)
+        self.matches_handles(pa, pb)
     }
 
     /// Number of entities currently resident.
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Arena { ids, .. } => ids.len(),
-            Store::Lru { prepared, .. } => prepared.len(),
-        }
+        self.ids.len()
     }
 
     /// True when nothing has been prepared yet.
@@ -757,27 +599,11 @@ impl MatcherCache {
     }
 
     /// Drops all cached entries (e.g. between unrelated inputs whose
-    /// entity ids overlap). Keeps the mode and capacity bound; resets
-    /// the eviction counter along with the entries. **Invalidates all
-    /// outstanding [`PreparedHandle::Arena`] handles** — drop them
-    /// along with the clear; `Heap` handles stay usable.
+    /// entity ids overlap). **Invalidates all outstanding
+    /// [`PreparedId`]s** — drop them along with the clear.
     pub fn clear(&mut self) {
-        match &mut self.store {
-            Store::Arena { ids, arena } => {
-                ids.clear();
-                arena.clear();
-            }
-            Store::Lru {
-                prepared,
-                recency,
-                evictions,
-                ..
-            } => {
-                prepared.clear();
-                recency.clear();
-                *evictions = 0;
-            }
-        }
+        self.ids.clear();
+        self.arena.clear();
     }
 }
 
@@ -928,39 +754,22 @@ mod tests {
         let _ = two_rules.score_prepared(&p2, &p1);
     }
 
-    /// Unwraps the `Heap` form an LRU cache must hand out.
-    fn heap(h: PreparedHandle) -> Arc<PreparedEntity> {
-        match h {
-            PreparedHandle::Heap(p) => p,
-            PreparedHandle::Arena(_) => panic!("expected a heap handle"),
-        }
-    }
-
-    /// Unwraps the `Arena` form an arena-mode cache must hand out.
-    fn interned(h: PreparedHandle) -> PreparedId {
-        match h {
-            PreparedHandle::Arena(id) => id,
-            PreparedHandle::Heap(_) => panic!("expected an arena handle"),
-        }
-    }
-
     #[test]
     fn cache_prepares_each_entity_once() {
         let mut cache = MatcherCache::new(Arc::new(Matcher::paper_default()));
         assert!(cache.is_empty());
-        assert_eq!(cache.capacity(), None, "arena mode is unbounded");
         let a = e(1, "abcdefghij");
         let b = e(2, "abcdefghiX");
-        let first = interned(cache.handle(&a));
-        let again = interned(cache.handle(&a));
+        let first = cache.handle(&a);
+        let again = cache.handle(&a);
         assert_eq!(first, again, "second lookup must hit");
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.arena().expect("arena mode").len(), 1);
+        assert_eq!(cache.arena().len(), 1);
         assert!(cache.matches(&a, &b).is_some());
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
-        assert!(cache.arena().expect("arena mode").is_empty());
+        assert!(cache.arena().is_empty());
     }
 
     #[test]
@@ -975,7 +784,7 @@ mod tests {
         ] {
             let (a, b) = (e(20, ta), e(21, tb));
             let (ha, hb) = (cache.handle(&a), cache.handle(&b));
-            let via_handles = cache.matches_handles(&ha, &hb);
+            let via_handles = cache.matches_handles(ha, hb);
             let direct = matcher.matches_prepared(&matcher.prepare(&a), &matcher.prepare(&b));
             assert_eq!(
                 via_handles.map(f64::to_bits),
@@ -984,89 +793,6 @@ mod tests {
             );
             cache.clear();
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "arena handle requires an arena-mode cache")]
-    fn arena_handle_rejected_by_lru_cache() {
-        let matcher = Arc::new(Matcher::paper_default());
-        let mut arena_cache = MatcherCache::new(Arc::clone(&matcher));
-        let mut lru = MatcherCache::with_capacity(matcher, 2);
-        let a = e(1, "aaaaaaaaaa");
-        let ha = arena_cache.handle(&a);
-        let hb = lru.handle(&a);
-        let _ = lru.matches_handles(&ha, &hb);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_least_recently_used() {
-        let mut cache = MatcherCache::with_capacity(Arc::new(Matcher::paper_default()), 2);
-        assert_eq!(cache.capacity(), Some(2));
-        assert!(cache.arena().is_none(), "LRU mode has no arena");
-        let (a, b, c) = (e(1, "aaaaaaaaaa"), e(2, "bbbbbbbbbb"), e(3, "cccccccccc"));
-        let pa = heap(cache.handle(&a));
-        let _ = cache.handle(&b);
-        // Touch `a` so `b` becomes the LRU victim when `c` arrives.
-        let pa_again = heap(cache.handle(&a));
-        assert!(Arc::ptr_eq(&pa, &pa_again), "touching must be a hit");
-        let _ = cache.handle(&c);
-        assert_eq!(cache.len(), 2, "capacity bound holds");
-        assert_eq!(cache.evictions(), 1);
-        // `a` survived (recently used); preparing it again is a hit.
-        let pa_third = heap(cache.handle(&a));
-        assert!(Arc::ptr_eq(&pa, &pa_third), "recently used entry kept");
-        // `b` was evicted: re-preparation yields a fresh allocation...
-        let pb_new = heap(cache.handle(&b));
-        assert_eq!(cache.evictions(), 2, "re-admitting b evicted c");
-        // ...that scores bit-identically to an uncached preparation.
-        let direct = Matcher::paper_default().prepare(&b);
-        assert_eq!(
-            cache.matcher().score_prepared(&pb_new, &pb_new).to_bits(),
-            cache.matcher().score_prepared(&direct, &direct).to_bits()
-        );
-    }
-
-    #[test]
-    fn bounded_cache_decisions_match_unbounded() {
-        // Thrash a capacity-2 cache across overlapping pairs; every
-        // decision must equal the unbounded cache's, bit for bit —
-        // eviction may only cost recompute, never correctness.
-        let matcher = Arc::new(Matcher::paper_default());
-        let mut bounded = MatcherCache::with_capacity(Arc::clone(&matcher), 2);
-        let mut unbounded = MatcherCache::new(Arc::clone(&matcher));
-        let entities: Vec<Entity> = [
-            "abcdefghij",
-            "abcdefghiX",
-            "abcdefgXYZ",
-            "zzzzzzzzzz",
-            "abcdefghij",
-        ]
-        .iter()
-        .enumerate()
-        .map(|(i, t)| e(i as u64, t))
-        .collect();
-        for i in 0..entities.len() {
-            for j in (i + 1)..entities.len() {
-                let (a, b) = (&entities[i], &entities[j]);
-                assert_eq!(
-                    bounded.matches(a, b).map(f64::to_bits),
-                    unbounded.matches(a, b).map(f64::to_bits),
-                    "pair ({i}, {j})"
-                );
-            }
-        }
-        assert!(bounded.evictions() > 0, "the thrash must actually evict");
-        assert_eq!(unbounded.evictions(), 0);
-        assert!(bounded.len() <= 2);
-        bounded.clear();
-        assert_eq!(bounded.evictions(), 0, "clear resets the counter");
-        assert_eq!(bounded.capacity(), Some(2), "clear keeps the bound");
-    }
-
-    #[test]
-    #[should_panic(expected = "room for a pair")]
-    fn bounded_cache_rejects_capacity_below_two() {
-        let _ = MatcherCache::with_capacity(Arc::new(Matcher::paper_default()), 1);
     }
 
     #[test]

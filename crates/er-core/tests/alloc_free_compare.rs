@@ -83,7 +83,7 @@ fn assert_hot_sweep_allocates_nothing(matcher: Matcher, entities: &[Entity]) -> 
     let mut warm_decisions = Vec::with_capacity(handles.len() * handles.len());
     for i in 0..handles.len() {
         for j in (i + 1)..handles.len() {
-            warm_decisions.push(cache.matches_handles(&handles[i], &handles[j]));
+            warm_decisions.push(cache.matches_handles(handles[i], handles[j]));
         }
     }
 
@@ -93,7 +93,7 @@ fn assert_hot_sweep_allocates_nothing(matcher: Matcher, entities: &[Entity]) -> 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for i in 0..handles.len() {
         for j in (i + 1)..handles.len() {
-            hot_decisions.push(cache.matches_handles(&handles[i], &handles[j]));
+            hot_decisions.push(cache.matches_handles(handles[i], handles[j]));
         }
     }
     let during = ALLOCATIONS.load(Ordering::SeqCst) - before;

@@ -101,9 +101,6 @@ impl PairTally {
 pub struct PairComparer {
     matcher: Arc<Matcher>,
     count_only: bool,
-    /// Capacity bound for caches created by [`PairComparer::new_cache`]
-    /// (`None` = unbounded, the paper-scale batch default).
-    cache_capacity: Option<usize>,
     /// Pairs an earlier pass of a multi-pass workload already
     /// evaluated; skipped here (first pass wins — the total-order
     /// analogue of the smallest-common-block rule).
@@ -119,7 +116,6 @@ impl PairComparer {
         Self {
             matcher,
             count_only: false,
-            cache_capacity: None,
             skip_pairs: None,
             cross_source_only: false,
         }
@@ -136,14 +132,12 @@ impl PairComparer {
     }
 
     /// The comparer a scenario's reducers run under: `matcher` with
-    /// the session's count-only switch and prepared-entity cache
-    /// bound.
+    /// the session's count-only switch.
     pub fn from_runtime(matcher: Arc<Matcher>, runtime: &RuntimeConfig) -> Self {
         Self {
             count_only: runtime.count_only,
             ..Self::new(matcher)
         }
-        .with_cache_capacity(runtime.matcher_cache_capacity)
     }
 
     /// Skips (without counting as comparisons) every pair in `pairs` —
@@ -199,28 +193,6 @@ impl PairComparer {
         true
     }
 
-    /// Bounds every cache this comparer hands out (LRU eviction, see
-    /// [`MatcherCache::with_capacity`]); `None` restores the unbounded
-    /// default. Eviction only ever costs recompute, never correctness.
-    ///
-    /// # Panics
-    /// If `capacity` is `Some(n)` with `n < 2` — comparing a pair
-    /// needs both sides resident (checked here eagerly rather than
-    /// when a reduce task first builds its cache).
-    pub fn with_cache_capacity(mut self, capacity: Option<usize>) -> Self {
-        assert!(
-            capacity.is_none_or(|n| n >= 2),
-            "a bounded cache needs room for a pair"
-        );
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// The cache bound applied by [`PairComparer::new_cache`], if any.
-    pub fn cache_capacity(&self) -> Option<usize> {
-        self.cache_capacity
-    }
-
     /// Whether this comparer skips similarity evaluation.
     pub fn is_count_only(&self) -> bool {
         self.count_only
@@ -257,15 +229,6 @@ impl PairComparer {
             );
         }
     }
-
-    /// A fresh per-reduce-task cache honouring the configured capacity
-    /// bound.
-    pub fn new_cache(&self) -> MatcherCache {
-        match self.cache_capacity {
-            Some(capacity) => MatcherCache::with_capacity(Arc::clone(&self.matcher), capacity),
-            None => MatcherCache::new(Arc::clone(&self.matcher)),
-        }
-    }
 }
 
 /// The group-level compare driver (see the [module documentation](self)):
@@ -298,7 +261,7 @@ impl GroupComparer {
     /// A driver with a fresh cache.
     pub fn new(comparer: PairComparer) -> Self {
         Self {
-            cache: comparer.new_cache(),
+            cache: MatcherCache::new(Arc::clone(&comparer.matcher)),
             comparer,
             block: BlockKey::bottom(),
             refs: Vec::new(),
@@ -593,20 +556,6 @@ mod tests {
                 prepared.counters().get(COMPARISONS)
             );
         }
-    }
-
-    #[test]
-    fn cache_capacity_threads_into_new_cache() {
-        let comparer = paper_comparer().with_cache_capacity(Some(4));
-        assert_eq!(comparer.cache_capacity(), Some(4));
-        assert_eq!(comparer.new_cache().capacity(), Some(4));
-        assert_eq!(
-            GroupComparer::new(comparer.clone()).cache().capacity(),
-            Some(4)
-        );
-        let unbounded = comparer.with_cache_capacity(None);
-        assert_eq!(unbounded.cache_capacity(), None);
-        assert_eq!(unbounded.new_cache().capacity(), None);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use mr_engine::mapper::Mapper;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::reducer::Reducer;
 use mr_engine::runtime::RuntimeConfig;
-use mr_engine::workflow::{StageGraph, Workflow};
+use mr_engine::workflow::Workflow;
 
 use crate::basic::basic_job;
 use crate::bdm::BlockDistributionMatrix;
@@ -36,9 +36,9 @@ use crate::{Ent, Keyed, StrategyKind};
 /// Configuration of one ER run.
 ///
 /// The execution knobs every scenario shares (`reduce_tasks`,
-/// `count_only`, `matcher_cache_capacity`, `spill_threshold`,
-/// `fault_policy`) live in the embedded [`RuntimeConfig`]; set them
-/// there and install the block with [`ErConfig::with_runtime`].
+/// `count_only`, `spill_threshold`, `fault_policy`) live in the
+/// embedded [`RuntimeConfig`]; set them there and install the block
+/// with [`ErConfig::with_runtime`].
 #[derive(Clone)]
 pub struct ErConfig {
     /// Blocking function (paper default: first 3 letters of `title`).
@@ -55,8 +55,7 @@ pub struct ErConfig {
     /// memory cap).
     pub split_policy: SplitPolicy,
     /// Shared execution knobs: reduce tasks `r` (both jobs),
-    /// count-only mode, prepared-entity cache bound, spill threshold,
-    /// fault policy.
+    /// count-only mode, spill threshold, fault policy.
     pub runtime: RuntimeConfig,
     /// Deterministic fault-injection schedule of the run (empty by
     /// default — injection is a test/bench harness, never implied by
@@ -100,8 +99,8 @@ impl ErConfig {
         self
     }
 
-    /// Sets the deterministic fault-injection schedule (panics or
-    /// delays at exact task coordinates) — the test/bench harness
+    /// Sets the deterministic fault-injection schedule (panics at
+    /// exact task coordinates) — the test/bench harness
     /// proving the retry path. An empty plan (the default) injects
     /// nothing.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
@@ -250,78 +249,48 @@ where
 /// [`crate::null_keys::deduplicate_with_null_keys`] to include them
 /// via the paper's Cartesian decomposition.
 ///
-/// The scenario compiles to a [`StageGraph`] instead of an eager
-/// loop: Basic is a single `match` node; BlockSplit/PairRange is
-/// `bdm → match`, where the `bdm` node also tags the matrix with
-/// `sources`. Node bodies submit their task sets to the pool's
-/// central ready-queue, letting stages of concurrently resolving
-/// workflows interleave.
+/// Basic runs one stage, the matching job; BlockSplit and PairRange
+/// run the BDM job (whose matrix is then tagged with `sources`) and
+/// feed its products to the matching job.
 pub fn run_er_in(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
     sources: Option<Vec<SourceId>>,
     config: &ErConfig,
 ) -> Result<ErStages, MrError> {
-    use std::cell::RefCell;
-    let stages = RefCell::new(None);
-    // Intermediate slot the `bdm` node fills and the `match` node
-    // drains (used by the BDM-based strategies only); the dependency
-    // edge orders the fill before the take. Declared before the graph
-    // so the node closures' borrows outlive it.
-    let products = RefCell::new(None);
-    let mut graph: StageGraph<'_, MrError> = StageGraph::new();
     if config.strategy == StrategyKind::Basic {
-        graph.node("match", &[], |wf| {
-            let input = MatchInput::Entities { input, sources };
-            let (result, match_metrics) = run_match_stage(wf, config, input)?;
-            *stages.borrow_mut() = Some(ErStages {
-                result,
-                bdm: None,
-                bdm_metrics: None,
-                match_metrics,
-            });
-            Ok(())
-        });
-    } else {
-        let bdm_node = graph.node("bdm", &[], |wf| {
-            let (bdm, annotated, bdm_metrics) = compute_bdm_in(
-                wf,
-                input,
-                Arc::clone(&config.blocking),
-                config.runtime.reduce_tasks,
-                config.use_combiner,
-                config.runtime.spill_threshold,
-            )?;
-            let bdm = match sources {
-                Some(tags) => bdm.with_sources(tags),
-                None => bdm,
-            };
-            *products.borrow_mut() = Some((Arc::new(bdm), annotated, bdm_metrics));
-            Ok(())
-        });
-        graph.node("match", &[bdm_node], |wf| {
-            let (bdm, annotated, bdm_metrics) = products
-                .borrow_mut()
-                .take()
-                .expect("bdm node ran before match");
-            let input = MatchInput::Annotated {
-                bdm: Arc::clone(&bdm),
-                annotated,
-            };
-            let (result, match_metrics) = run_match_stage(wf, config, input)?;
-            *stages.borrow_mut() = Some(ErStages {
-                result,
-                bdm: Some(bdm),
-                bdm_metrics: Some(bdm_metrics),
-                match_metrics,
-            });
-            Ok(())
+        let input = MatchInput::Entities { input, sources };
+        let (result, match_metrics) = run_match_stage(workflow, config, input)?;
+        return Ok(ErStages {
+            result,
+            bdm: None,
+            bdm_metrics: None,
+            match_metrics,
         });
     }
-    graph.run(workflow)?;
-    Ok(stages
-        .into_inner()
-        .expect("match node populates the outcome"))
+    let (bdm, annotated, bdm_metrics) = compute_bdm_in(
+        workflow,
+        input,
+        Arc::clone(&config.blocking),
+        config.runtime.reduce_tasks,
+        config.use_combiner,
+        config.runtime.spill_threshold,
+    )?;
+    let bdm = Arc::new(match sources {
+        Some(tags) => bdm.with_sources(tags),
+        None => bdm,
+    });
+    let input = MatchInput::Annotated {
+        bdm: Arc::clone(&bdm),
+        annotated,
+    };
+    let (result, match_metrics) = run_match_stage(workflow, config, input)?;
+    Ok(ErStages {
+        result,
+        bdm: Some(bdm),
+        bdm_metrics: Some(bdm_metrics),
+        match_metrics,
+    })
 }
 
 /// Test helper of this crate: compiles `config` onto a single-slot
@@ -416,31 +385,6 @@ mod tests {
     fn pair_range_loads_match_figure6() {
         let stages = run(&example_config(StrategyKind::PairRange));
         assert_eq!(stages.reduce_loads(), vec![7, 7, 6]);
-    }
-
-    #[test]
-    fn bounded_matcher_cache_reproduces_unbounded_results() {
-        // Full matching (not count-only): a tiny capacity thrashes the
-        // per-task caches, which must cost recompute only.
-        for strategy in [
-            StrategyKind::Basic,
-            StrategyKind::BlockSplit,
-            StrategyKind::PairRange,
-        ] {
-            let shared = RuntimeConfig::new().with_reduce_tasks(3);
-            let base = ErConfig::new(strategy)
-                .with_blocking(running_example::blocking())
-                .with_runtime(shared);
-            let unbounded = run(&base);
-            let bounded = run(&base
-                .clone()
-                .with_runtime(shared.with_matcher_cache_capacity(Some(2))));
-            assert_eq!(
-                unbounded.result.pair_set(),
-                bounded.result.pair_set(),
-                "{strategy}: capacity bound changed the match output"
-            );
-        }
     }
 
     #[test]

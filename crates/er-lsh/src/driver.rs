@@ -20,7 +20,6 @@
 //! sharing several buckets is evaluated in its smallest shared band
 //! key only.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -35,7 +34,7 @@ use mr_engine::error::MrError;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::RuntimeConfig;
-use mr_engine::workflow::{StageGraph, Workflow};
+use mr_engine::workflow::Workflow;
 
 use crate::{LshBlocking, LshParams, DEFAULT_LSH_SEED};
 
@@ -80,8 +79,8 @@ pub struct LshConfig {
     pub use_combiner: bool,
     /// Match rule candidates are evaluated under.
     pub matcher: Arc<Matcher>,
-    /// Shared execution knobs: reduce tasks, count-only mode, cache
-    /// bound, spill threshold, fault policy.
+    /// Shared execution knobs: reduce tasks, count-only mode, spill
+    /// threshold, fault policy.
     pub runtime: RuntimeConfig,
 }
 
@@ -239,14 +238,6 @@ impl LshStages {
     }
 }
 
-/// The products the accepted signature round hands to the match node.
-struct Accepted {
-    params: LshParams,
-    bdm: Arc<BlockDistributionMatrix>,
-    annotated: Partitions<u32, er_loadbalance::Keyed>,
-    bdm_metrics: JobMetrics,
-}
-
 /// Executes the LSH scenario as stages of `workflow` — the scenario
 /// compiler the facade crate's `Resolver` drives for `Scenario::Lsh`.
 ///
@@ -255,10 +246,9 @@ struct Accepted {
 /// `R` or `S`; only cross-source pairs within shared buckets are
 /// compared).
 ///
-/// The scenario compiles to a sequential [`StageGraph`]: one
-/// `lsh-sig-…` node per ladder rung (later rungs no-op once a rung is
-/// accepted — acceptance is a data dependency, expressed as graph
-/// edges), then one `match` node running the balanced candidate job.
+/// One `lsh-sig-…` signature job runs per ladder rung until a rung is
+/// accepted (later rungs never run), then the `match` stage runs the
+/// balanced candidate job over the accepted rung.
 pub fn run_lsh_in(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
@@ -269,103 +259,61 @@ pub fn run_lsh_in(
         !config.ladder.is_empty(),
         "the ladder needs at least one rung"
     );
-    let rounds: RefCell<Vec<LshRound>> = RefCell::new(Vec::new());
-    let accepted: RefCell<Option<Accepted>> = RefCell::new(None);
-    let stages = RefCell::new(None);
-    let input = &input;
-    let sources = &sources;
-    let rounds_ref = &rounds;
-    let accepted_ref = &accepted;
-    let mut graph: StageGraph<'_, MrError> = StageGraph::new();
     let last_rung = config.ladder.len() - 1;
-    let mut prev = None;
+    let mut rounds = Vec::new();
+    let mut accepted = None;
     for (i, &params) in config.ladder.iter().enumerate() {
-        let deps: Vec<_> = prev.into_iter().collect();
-        let name = format!("lsh-sig-{params}");
-        prev = Some(graph.node(name.clone(), &deps, move |wf| {
-            if accepted_ref.borrow().is_some() {
-                // An earlier rung fit the budget: this rung never
-                // runs (its node is a no-op, not a skipped stage).
-                return Ok(());
-            }
-            let blocking = Arc::new(config.blocking_for(params));
-            let (bdm, annotated, bdm_metrics) = compute_bdm_named_in(
-                wf,
-                &name,
-                input.clone(),
-                blocking,
-                config.runtime.reduce_tasks,
-                config.use_combiner,
-                config.runtime.spill_threshold,
-            )?;
-            let bdm = Arc::new(match sources {
-                Some(tags) => bdm.with_sources(tags.clone()),
-                None => bdm,
-            });
-            let candidate_pairs = bdm.total_pairs();
-            let within_budget = config
-                .candidate_budget
-                .is_none_or(|budget| candidate_pairs <= budget);
-            let est_recall = params.collision_probability(config.target_similarity);
-            let accept = within_budget || i == last_rung;
-            rounds_ref.borrow_mut().push(LshRound {
-                params,
-                candidate_pairs,
-                est_recall,
-                within_budget,
-                meets_floor: est_recall >= config.recall_floor,
-                accepted: accept,
-            });
-            if accept {
-                *accepted_ref.borrow_mut() = Some(Accepted {
-                    params,
-                    bdm,
-                    annotated,
-                    bdm_metrics,
-                });
-            }
-            Ok(())
-        }));
-    }
-    let sig_node = prev.expect("at least one rung");
-    graph.node("match", &[sig_node], |wf| {
-        let Accepted {
-            params,
-            bdm,
-            annotated,
-            bdm_metrics,
-        } = accepted_ref
-            .borrow_mut()
-            .take()
-            .expect("a signature round accepted a rung");
-        let match_input = match config.balance {
-            StrategyKind::Basic => MatchInput::Entities {
-                input: input.clone(),
-                sources: sources.clone(),
-            },
-            _ => MatchInput::Annotated {
-                bdm: Arc::clone(&bdm),
-                annotated,
-            },
-        };
-        let (result, match_metrics) =
-            run_match_stage(wf, &config.candidate_job(params), match_input)?;
-        *stages.borrow_mut() = Some(LshStages {
-            result,
-            params,
-            rounds: Vec::new(),
-            bdm,
-            bdm_metrics,
-            match_metrics,
+        let (bdm, annotated, bdm_metrics) = compute_bdm_named_in(
+            workflow,
+            &format!("lsh-sig-{params}"),
+            input.clone(),
+            Arc::new(config.blocking_for(params)),
+            config.runtime.reduce_tasks,
+            config.use_combiner,
+            config.runtime.spill_threshold,
+        )?;
+        let bdm = Arc::new(match &sources {
+            Some(tags) => bdm.with_sources(tags.clone()),
+            None => bdm,
         });
-        Ok(())
-    });
-    graph.run(workflow)?;
-    let mut out = stages
-        .into_inner()
-        .expect("match node populates the outcome");
-    out.rounds = rounds.into_inner();
-    Ok(out)
+        let candidate_pairs = bdm.total_pairs();
+        let within_budget = config
+            .candidate_budget
+            .is_none_or(|budget| candidate_pairs <= budget);
+        let est_recall = params.collision_probability(config.target_similarity);
+        let accept = within_budget || i == last_rung;
+        rounds.push(LshRound {
+            params,
+            candidate_pairs,
+            est_recall,
+            within_budget,
+            meets_floor: est_recall >= config.recall_floor,
+            accepted: accept,
+        });
+        if accept {
+            accepted = Some((params, bdm, annotated, bdm_metrics));
+            break;
+        }
+    }
+    let (params, bdm, annotated, bdm_metrics) =
+        accepted.expect("the last rung is accepted when no earlier one is");
+    let match_input = match config.balance {
+        StrategyKind::Basic => MatchInput::Entities { input, sources },
+        _ => MatchInput::Annotated {
+            bdm: Arc::clone(&bdm),
+            annotated,
+        },
+    };
+    let (result, match_metrics) =
+        run_match_stage(workflow, &config.candidate_job(params), match_input)?;
+    Ok(LshStages {
+        result,
+        params,
+        rounds,
+        bdm,
+        bdm_metrics,
+        match_metrics,
+    })
 }
 
 /// Brute-force banded candidate enumeration — the oracle the MR

@@ -26,7 +26,7 @@ use mr_engine::error::MrError;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::RuntimeConfig;
-use mr_engine::workflow::{StageGraph, Workflow};
+use mr_engine::workflow::Workflow;
 
 use crate::jobsn::{assemble_boundary_input, split_window_output, stitch_job, window_job};
 use crate::repsn::repsn_job;
@@ -77,11 +77,10 @@ pub enum NullKeyPolicy {
 ///
 /// The execution knobs every scenario shares live in the embedded
 /// [`RuntimeConfig`] (install the block with
-/// [`SnConfig::with_runtime`]): `matcher_cache_capacity`,
-/// `count_only`, `spill_threshold`, `fault_policy`, and — because SN's
-/// key ranges *are* the reduce tasks of its matching job — the
-/// partition count, stored as [`RuntimeConfig::reduce_tasks`] (see
-/// [`SnConfig::with_partitions`]).
+/// [`SnConfig::with_runtime`]): `count_only`, `spill_threshold`,
+/// `fault_policy`, and — because SN's key ranges *are* the reduce
+/// tasks of its matching job — the partition count, stored as
+/// [`RuntimeConfig::reduce_tasks`] (see [`SnConfig::with_partitions`]).
 #[derive(Clone)]
 pub struct SnConfig {
     /// Sort-key derivation (default: full normalized `title`).
@@ -300,19 +299,15 @@ pub fn run_sorted_neighborhood_in(
 /// given `comparer` — the hook by which multi-pass SN installs its
 /// pair-level dedup gate and two-source SN its cross-source-only gate.
 ///
-/// The pass compiles to a [`StageGraph`] — `sample → match` (RepSN)
-/// or `sample → match → stitch` (JobSN, where the stitch node no-ops
-/// when no window crosses a range boundary) — whose node bodies
-/// submit their task batches to the pool's shared ready-queue, so
-/// passes of concurrently resolving workflows interleave at stage
-/// granularity.
+/// RepSN runs `sample → match`; JobSN runs `sample → match → stitch`,
+/// where the stitch job is left out when no window crosses a range
+/// boundary.
 pub fn run_sn_stages(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
     config: &SnConfig,
     comparer: PairComparer,
 ) -> Result<SnStages, SnError> {
-    use std::cell::RefCell;
     assert!(
         config.window >= 2,
         "a sliding window must span at least 2 slots"
@@ -321,149 +316,105 @@ pub fn run_sn_stages(
         config.partitions() > 0,
         "at least one partition is required"
     );
-    let stages = RefCell::new(None);
-    let sampled = RefCell::new(None);
-    let windowed = RefCell::new(None);
-    let mut graph: StageGraph<'_, SnError> = StageGraph::new();
-    let sample_node = graph.node("sample", &[], |wf| {
-        let products = sample_distribution_in(
-            wf,
-            input,
-            Arc::clone(&config.sort_key),
-            config.null_key_policy,
-            config.sample_rate,
-            config.partitions(),
-            config.use_combiner,
-            config.runtime.spill_threshold,
-        )?;
-        *sampled.borrow_mut() = Some(products);
-        Ok(())
-    });
+    let (partitioner, annotated, sample_metrics) = sample_distribution_in(
+        workflow,
+        input,
+        Arc::clone(&config.sort_key),
+        config.null_key_policy,
+        config.sample_rate,
+        config.partitions(),
+        config.use_combiner,
+        config.runtime.spill_threshold,
+    )?;
     match config.strategy {
         SnStrategy::JobSn => {
-            let comparer_stitch = comparer.clone();
-            let match_node = graph.node("match", &[sample_node], |wf| {
-                let (partitioner, annotated, sample_metrics) = sampled
-                    .borrow_mut()
-                    .take()
-                    .expect("sample node ran before match");
-                let job = window_job(
-                    Arc::new(partitioner.clone()),
-                    comparer.clone(),
-                    config.window,
-                    config.partitions(),
-                )
-                .with_spill_threshold(config.runtime.spill_threshold);
-                let out = wf.chained_stage(&job, annotated)?;
-                let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
-                let match_metrics = out.metrics;
-                let (result, candidates) =
-                    split_window_output(out.reduce_outputs, config.partitions(), lens);
-                let boundary_input = assemble_boundary_input(&candidates, config.window);
-                *windowed.borrow_mut() = Some((
-                    result,
-                    boundary_input,
-                    partitioner,
-                    sample_metrics,
-                    match_metrics,
-                ));
-                Ok(())
-            });
-            graph.node("stitch", &[match_node], |wf| {
-                let (mut result, boundary_input, partitioner, sample_metrics, match_metrics) =
-                    windowed
-                        .borrow_mut()
-                        .take()
-                        .expect("match node ran before stitch");
-                let stitch_metrics = if boundary_input.is_empty() {
-                    None
-                } else {
-                    // The stitch input is deliberately re-partitioned
-                    // (one partition per boundary), so it runs outside
-                    // the chained-shape invariant.
-                    let boundaries = boundary_input.len();
-                    let job = stitch_job(comparer_stitch, config.window, boundaries)
-                        .with_spill_threshold(config.runtime.spill_threshold);
-                    let out = wf.repartitioned_stage(&job, boundary_input)?;
-                    for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-                        result.insert(pair, score);
-                    }
-                    Some(out.metrics)
-                };
-                *stages.borrow_mut() = Some(SnStages {
-                    result,
-                    partitioner,
-                    sample_metrics,
-                    match_metrics,
-                    stitch_metrics,
-                });
-                Ok(())
-            });
-        }
-        SnStrategy::RepSn => {
-            graph.node("match", &[sample_node], |wf| {
-                let (partitioner, annotated, sample_metrics) = sampled
-                    .borrow_mut()
-                    .take()
-                    .expect("sample node ran before match");
-                // Precondition, checked BEFORE spending the matching
-                // work: replication reaches one range ahead, so no window
-                // pair may span two boundaries. Only *interior* ranges —
-                // strictly between the first and last non-empty ones —
-                // can cause that: a thinner-than-`w − 1` (or empty)
-                // interior range lets its neighbours' entities sit within
-                // one window of each other. The first non-empty range is
-                // exempt (all pairs leaving it cross exactly its own
-                // boundary, and its tail replicates regardless of size),
-                // as is the last. Fill levels are a pure function of the
-                // annotated input and the (deterministic) partitioner, so
-                // this O(n) pass sees exactly what the reducers would
-                // count.
-                let mut lens = vec![0u64; config.partitions()];
-                for (key, _) in annotated.iter().flatten() {
-                    lens[partitioner.partition_of(key)] += 1;
-                }
-                let first_nonempty = lens.iter().position(|&n| n > 0);
-                let last_nonempty = lens.iter().rposition(|&n| n > 0);
-                if let (Some(first), Some(last)) = (first_nonempty, last_nonempty) {
-                    for (partition, &entities) in lens.iter().enumerate().take(last).skip(first + 1)
-                    {
-                        if entities < (config.window - 1) as u64 {
-                            return Err(SnError::ThinPartition {
-                                partition,
-                                entities,
-                                window: config.window,
-                            });
-                        }
-                    }
-                }
-                let job = repsn_job(
-                    Arc::new(partitioner.clone()),
-                    comparer,
-                    config.window,
-                    config.partitions(),
-                )
-                .with_spill_threshold(config.runtime.spill_threshold);
-                let out = wf.chained_stage(&job, annotated)?;
-                let mut result = MatchResult::new();
+            let job = window_job(
+                Arc::new(partitioner.clone()),
+                comparer.clone(),
+                config.window,
+                config.partitions(),
+            )
+            .with_spill_threshold(config.runtime.spill_threshold);
+            let out = workflow.chained_stage(&job, annotated)?;
+            let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
+            let match_metrics = out.metrics;
+            let (mut result, candidates) =
+                split_window_output(out.reduce_outputs, config.partitions(), lens);
+            let boundary_input = assemble_boundary_input(&candidates, config.window);
+            let stitch_metrics = if boundary_input.is_empty() {
+                None
+            } else {
+                // The stitch input is deliberately re-partitioned (one
+                // partition per boundary), so it runs outside the
+                // chained-shape invariant.
+                let boundaries = boundary_input.len();
+                let job = stitch_job(comparer, config.window, boundaries)
+                    .with_spill_threshold(config.runtime.spill_threshold);
+                let out = workflow.repartitioned_stage(&job, boundary_input)?;
                 for (pair, score) in out.reduce_outputs.into_iter().flatten() {
                     result.insert(pair, score);
                 }
-                *stages.borrow_mut() = Some(SnStages {
-                    result,
-                    partitioner,
-                    sample_metrics,
-                    match_metrics: out.metrics,
-                    stitch_metrics: None,
-                });
-                Ok(())
-            });
+                Some(out.metrics)
+            };
+            Ok(SnStages {
+                result,
+                partitioner,
+                sample_metrics,
+                match_metrics,
+                stitch_metrics,
+            })
+        }
+        SnStrategy::RepSn => {
+            // Precondition, checked BEFORE spending the matching work:
+            // replication reaches one range ahead, so no window pair
+            // may span two boundaries. Only *interior* ranges — strictly
+            // between the first and last non-empty ones — can cause
+            // that: a thinner-than-`w − 1` (or empty) interior range
+            // lets its neighbours' entities sit within one window of
+            // each other. The first non-empty range is exempt (all
+            // pairs leaving it cross exactly its own boundary, and its
+            // tail replicates regardless of size), as is the last. Fill
+            // levels are a pure function of the annotated input and the
+            // (deterministic) partitioner, so this O(n) pass sees
+            // exactly what the reducers would count.
+            let mut lens = vec![0u64; config.partitions()];
+            for (key, _) in annotated.iter().flatten() {
+                lens[partitioner.partition_of(key)] += 1;
+            }
+            let first_nonempty = lens.iter().position(|&n| n > 0);
+            let last_nonempty = lens.iter().rposition(|&n| n > 0);
+            if let (Some(first), Some(last)) = (first_nonempty, last_nonempty) {
+                for (partition, &entities) in lens.iter().enumerate().take(last).skip(first + 1) {
+                    if entities < (config.window - 1) as u64 {
+                        return Err(SnError::ThinPartition {
+                            partition,
+                            entities,
+                            window: config.window,
+                        });
+                    }
+                }
+            }
+            let job = repsn_job(
+                Arc::new(partitioner.clone()),
+                comparer,
+                config.window,
+                config.partitions(),
+            )
+            .with_spill_threshold(config.runtime.spill_threshold);
+            let out = workflow.chained_stage(&job, annotated)?;
+            let mut result = MatchResult::new();
+            for (pair, score) in out.reduce_outputs.into_iter().flatten() {
+                result.insert(pair, score);
+            }
+            Ok(SnStages {
+                result,
+                partitioner,
+                sample_metrics,
+                match_metrics: out.metrics,
+                stitch_metrics: None,
+            })
         }
     }
-    graph.run(workflow)?;
-    Ok(stages
-        .into_inner()
-        .expect("the match/stitch tail populates the outcome"))
 }
 
 /// Test helper of this crate: a workflow on a single-slot pool, so

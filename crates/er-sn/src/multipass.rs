@@ -34,7 +34,7 @@ use er_loadbalance::compare::MULTIPASS_SKIPPED;
 use er_loadbalance::{Ent, COMPARISONS};
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
-use mr_engine::workflow::{StageGraph, Workflow};
+use mr_engine::workflow::Workflow;
 
 use crate::driver::{run_sn_stages, sn_oracle};
 use crate::sample::resolve_sort_key;
@@ -100,66 +100,46 @@ pub fn run_multipass_sn_in(
     config: &SnConfig,
     passes: &[Arc<dyn SortKeyFunction>],
 ) -> Result<MultiPassSnStages, SnError> {
-    use std::cell::RefCell;
     assert!(!passes.is_empty(), "multi-pass SN needs at least one pass");
-    // Pass state threaded through the graph: the first-pass-wins
-    // dedup gate's seen set, the unioned result, and the per-pass
-    // reports. Each pass node reads and extends it; the sequential
-    // dependency edges order the accesses.
-    let state = RefCell::new((
-        BTreeSet::<MatchPair>::new(),
-        MatchResult::new(),
-        Vec::with_capacity(passes.len()),
-    ));
-    // Every pass is its own `sample → match (→ stitch)` subgraph (see
-    // `run_sn_stages`); the passes chain into one graph node each
-    // because pass `i + 1`'s dedup gate needs pass `i`'s window pair
-    // set — a true data dependency, expressed as a graph edge.
-    let mut graph: StageGraph<'_, SnError> = StageGraph::new();
-    let mut prev = None;
-    for (i, sort_key) in passes.iter().enumerate() {
-        let deps: Vec<_> = prev.into_iter().collect();
-        let input = &input;
-        let state = &state;
-        prev = Some(graph.node(format!("pass-{i}"), &deps, move |wf| {
-            let (seen, result, reports) = &mut *state.borrow_mut();
-            let pass_config = config.clone().with_sort_key(Arc::clone(sort_key));
-            let comparer = pass_config
-                .comparer()
-                .with_skip_pairs((!seen.is_empty()).then(|| Arc::new(seen.clone())));
-            let stages = run_sn_stages(wf, input.clone(), &pass_config, comparer)?;
-            let stitch_counter = |name: &str| {
-                stages
-                    .stitch_metrics
-                    .as_ref()
-                    .map(|m| m.counters.get(name))
-                    .unwrap_or(0)
-            };
-            let comparisons =
-                stages.match_metrics.counters.get(COMPARISONS) + stitch_counter(COMPARISONS);
-            let skipped = stages.match_metrics.counters.get(MULTIPASS_SKIPPED)
-                + stitch_counter(MULTIPASS_SKIPPED);
-            let before = result.len();
-            result.union(&stages.result);
-            reports.push(SnPassReport {
-                comparisons,
-                skipped,
-                new_matches: (result.len() - before) as u64,
-                sample_metrics: stages.sample_metrics,
-                match_metrics: stages.match_metrics,
-                stitch_metrics: stages.stitch_metrics,
-            });
-            seen.extend(window_pair_set(
-                input,
-                sort_key.as_ref(),
-                config.null_key_policy,
-                config.window,
-            ));
-            Ok(())
-        }));
+    // Pass `i + 1`'s dedup gate holds the window pairs of passes
+    // `0..=i`.
+    let mut seen = BTreeSet::<MatchPair>::new();
+    let mut result = MatchResult::new();
+    let mut reports = Vec::with_capacity(passes.len());
+    for sort_key in passes {
+        let pass_config = config.clone().with_sort_key(Arc::clone(sort_key));
+        let comparer = pass_config
+            .comparer()
+            .with_skip_pairs((!seen.is_empty()).then(|| Arc::new(seen.clone())));
+        let stages = run_sn_stages(workflow, input.clone(), &pass_config, comparer)?;
+        let stitch_counter = |name: &str| {
+            stages
+                .stitch_metrics
+                .as_ref()
+                .map(|m| m.counters.get(name))
+                .unwrap_or(0)
+        };
+        let comparisons =
+            stages.match_metrics.counters.get(COMPARISONS) + stitch_counter(COMPARISONS);
+        let skipped = stages.match_metrics.counters.get(MULTIPASS_SKIPPED)
+            + stitch_counter(MULTIPASS_SKIPPED);
+        let before = result.len();
+        result.union(&stages.result);
+        reports.push(SnPassReport {
+            comparisons,
+            skipped,
+            new_matches: (result.len() - before) as u64,
+            sample_metrics: stages.sample_metrics,
+            match_metrics: stages.match_metrics,
+            stitch_metrics: stages.stitch_metrics,
+        });
+        seen.extend(window_pair_set(
+            &input,
+            sort_key.as_ref(),
+            config.null_key_policy,
+            config.window,
+        ));
     }
-    graph.run(workflow)?;
-    let (_, result, reports) = state.into_inner();
     Ok(MultiPassSnStages {
         result,
         passes: reports,

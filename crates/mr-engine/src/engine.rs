@@ -89,7 +89,7 @@ use crate::partitioner::{HashPartitioner, Partitioner};
 use crate::pool::{BatchTag, WorkerPool};
 use crate::reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer};
 use crate::spill::MapSpiller;
-use crate::trace::{SpillTrace, TaskCtx, TraceEventData, TraceSink, Tracer};
+use crate::trace::{SpillTrace, TaskCtx, TraceEventData, Tracer};
 
 /// Where a job's map/reduce tasks execute: a caller-owned
 /// [`WorkerPool`], at most `cap` of its slots at a time, every
@@ -178,9 +178,6 @@ where
     combiner: Option<Combiner<M::KOut, M::VOut>>,
     reduce_tasks: usize,
     spill_threshold: Option<usize>,
-    fault_policy: FaultPolicy,
-    fault_plan: FaultPlan,
-    trace_sink: Option<Arc<dyn TraceSink>>,
 }
 
 // Deliberately free of key bounds (unlike the `builder` impl's
@@ -208,37 +205,6 @@ where
             "spill threshold must be at least one record"
         );
         self.spill_threshold = threshold;
-        self
-    }
-
-    /// Replaces the fault policy (attempts per task; the default is
-    /// [`FaultPolicy::fail_fast`]), letting
-    /// drivers apply a runtime-wide policy to jobs whose construction
-    /// they do not own. Purely operational: retried tasks are
-    /// byte-identical re-executions (see [`crate::fault`]).
-    #[must_use]
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.fault_policy = policy;
-        self
-    }
-
-    /// Installs a deterministic fault-injection plan — the test/bench
-    /// hook for failure schedules; the default empty plan injects
-    /// nothing.
-    #[must_use]
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Attaches a [`TraceSink`] receiving the structured execution
-    /// events of [`crate::trace`]. The default (no sink) runs the
-    /// engine untraced: every instrumentation point is one untaken
-    /// branch. When the job runs as a workflow stage, a workflow-level
-    /// sink takes precedence so all stages share one timeline.
-    #[must_use]
-    pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace_sink = Some(sink);
         self
     }
 }
@@ -360,9 +326,6 @@ where
             combiner: self.combiner,
             reduce_tasks: self.reduce_tasks,
             spill_threshold: self.spill_threshold,
-            fault_policy: FaultPolicy::default(),
-            fault_plan: FaultPlan::default(),
-            trace_sink: None,
         }
     }
 }
@@ -412,6 +375,9 @@ where
 {
     /// Executes the job over the given input partitions on a
     /// caller-owned [`WorkerPool`]; no thread is spawned in this call.
+    /// A bare run is fail-fast and untraced: retries, fault injection
+    /// and tracing are settings of the
+    /// [`Workflow`](crate::workflow::Workflow) a job runs in as a stage.
     ///
     /// The number of map tasks `m` equals `input.len()`. The engine's
     /// determinism contract makes the result a pure function of
@@ -422,57 +388,33 @@ where
         pool: &WorkerPool,
         input: Partitions<M::KIn, M::VIn>,
     ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError> {
-        self.run_on_capped(pool, usize::MAX, input)
-    }
-
-    /// Like [`Job::run_on`], but uses at most `max_parallelism` of the
-    /// pool's slots concurrently — so one run can be throttled without
-    /// respawning the pool (the pool's threads outlive the cap).
-    /// Output is byte-identical at any cap; a cap of zero is
-    /// [`MrError::ZeroParallelism`].
-    pub fn run_on_capped(
-        &self,
-        pool: &WorkerPool,
-        max_parallelism: usize,
-        input: Partitions<M::KIn, M::VIn>,
-    ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError> {
-        self.run_with_overrides(
+        self.run_in(
             pool,
-            max_parallelism,
+            usize::MAX,
             BatchTag::untagged(),
-            None,
-            None,
-            None,
+            FaultPolicy::fail_fast(),
+            &FaultPlan::new(),
+            Tracer::off(),
             input,
         )
     }
 
-    /// Workflow entry point: run on `(pool, cap, tag)` with
-    /// workflow-level fault policy/plan overrides (each `None` falls
-    /// back to the job's own configuration) and an optional
-    /// workflow-level tracer, which takes precedence over the job's
-    /// own sink so all stages share one timeline and epoch. The
-    /// [`BatchTag`] identifies the stage's dispatches to the pool's
-    /// shared scheduler, where concurrent workflows interleave task by
-    /// task.
+    /// Runs on at most `cap` slots of `pool`, every dispatch tagged
+    /// `tag` for the pool's shared scheduler (where concurrent
+    /// workflows interleave task by task), under `policy`, with `plan`
+    /// injecting faults and `tracer` receiving events.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_with_overrides(
+    pub(crate) fn run_in(
         &self,
         pool: &WorkerPool,
         cap: usize,
         tag: BatchTag,
-        policy_override: Option<FaultPolicy>,
-        plan_override: Option<&FaultPlan>,
-        tracer_override: Option<Tracer>,
+        policy: FaultPolicy,
+        plan: &FaultPlan,
+        tracer: Tracer,
         input: Partitions<M::KIn, M::VIn>,
     ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError> {
         let exec = Exec { pool, cap, tag };
-        let policy = policy_override.unwrap_or(self.fault_policy);
-        let plan = plan_override.unwrap_or(&self.fault_plan);
-        let tracer = tracer_override.unwrap_or_else(|| match &self.trace_sink {
-            Some(sink) => Tracer::new(Arc::clone(sink)),
-            None => Tracer::off(),
-        });
         let job_start = Instant::now();
         let m = input.len();
         let r = self.reduce_tasks;
@@ -718,6 +660,7 @@ mod tests {
     use crate::input::partition_evenly;
     use crate::mapper::MapContext;
     use crate::partitioner::FnPartitioner;
+    use crate::workflow::Workflow;
 
     type WcMapper = ClosureMapper<(), String, String, u64, ()>;
     type WcReducer = ClosureReducer<String, u64, String, u64>;
@@ -1142,12 +1085,15 @@ mod tests {
         let reference = wordcount_job(4)
             .run_on(&WorkerPool::new(1), input.clone())
             .unwrap();
-        let pool = WorkerPool::new(4);
+        let pool = Arc::new(WorkerPool::new(4));
         let job = wordcount_job(4).with_spill_threshold(Some(2));
         let pooled = job.run_on(&pool, input.clone()).unwrap();
         assert_eq!(pooled.reduce_outputs, reference.reduce_outputs);
         for cap in [1usize, 2, 3, 8] {
-            let capped = job.run_on_capped(&pool, cap, input.clone()).unwrap();
+            let capped = Workflow::on_pool("capped", Arc::clone(&pool))
+                .with_parallelism_cap(cap)
+                .chained_stage(&job, input.clone())
+                .unwrap();
             assert_eq!(
                 capped.reduce_outputs, reference.reduce_outputs,
                 "cap {cap} diverged"
@@ -1319,13 +1265,10 @@ mod tests {
                     1,
                     "injected once",
                 );
-                let out = wordcount_job(4)
+                let out = Workflow::on_pool("retry", Arc::new(WorkerPool::new(parallelism)))
                     .with_fault_policy(FaultPolicy::retry(2))
                     .with_fault_plan(plan)
-                    .run_on(
-                        &WorkerPool::new(parallelism),
-                        partition_evenly(input.clone(), 3),
-                    )
+                    .chained_stage(&wordcount_job(4), partition_evenly(input.clone(), 3))
                     .unwrap();
                 assert_eq!(
                     out.reduce_outputs, reference.reduce_outputs,
@@ -1346,10 +1289,10 @@ mod tests {
             1,
             "always dies",
         );
-        let err = wordcount_job(2)
+        let err = Workflow::on_pool("exhaust", Arc::new(WorkerPool::new(2)))
             .with_fault_policy(FaultPolicy::retry(3))
             .with_fault_plan(plan)
-            .run_on(&WorkerPool::new(2), input)
+            .chained_stage(&wordcount_job(2), input)
             .unwrap_err();
         let MrError::TaskFailed(task_error) = err else {
             panic!("expected TaskFailed, got {err:?}");
@@ -1365,7 +1308,7 @@ mod tests {
     fn fail_fast_catches_the_panic_at_the_boundary() {
         use crate::fault::{FaultKind, FaultPlan};
         // Default policy: no retry, but still a typed error — the
-        // panic must not unwind out of `run_on`.
+        // panic must not unwind out of the stage.
         let plan = FaultPlan::new().silence_injected_panics().panic_at(
             "wc",
             FaultKind::Map,
@@ -1373,12 +1316,9 @@ mod tests {
             1,
             "first failure",
         );
-        let err = wordcount_job(2)
+        let err = Workflow::on_pool("fail-fast", Arc::new(WorkerPool::new(2)))
             .with_fault_plan(plan)
-            .run_on(
-                &WorkerPool::new(2),
-                partition_evenly(lines(&["a b", "c"]), 2),
-            )
+            .chained_stage(&wordcount_job(2), partition_evenly(lines(&["a b", "c"]), 2))
             .unwrap_err();
         let MrError::TaskFailed(task_error) = err else {
             panic!("expected TaskFailed, got {err:?}");
@@ -1391,23 +1331,23 @@ mod tests {
     fn pool_survives_a_failed_job_and_reruns_byte_identically() {
         use crate::fault::{FaultKind, FaultPlan, FaultPolicy};
         let input = partition_evenly(lines(&["x y z", "y z", "w w"]), 3);
-        let pool = WorkerPool::new(4);
+        let pool = Arc::new(WorkerPool::new(4));
         let reference = wordcount_job(4)
             .run_on(&WorkerPool::new(1), input.clone())
             .unwrap();
-        let failing = wordcount_job(4)
-            .with_fault_policy(FaultPolicy::retry(2))
-            .with_fault_plan(FaultPlan::new().silence_injected_panics().panic_always(
-                FaultPlan::ANY_JOB,
-                FaultKind::Map,
-                1,
-                "doomed",
-            ));
+        let plan = FaultPlan::new().silence_injected_panics().panic_always(
+            FaultPlan::ANY_JOB,
+            FaultKind::Map,
+            1,
+            "doomed",
+        );
         for _ in 0..2 {
-            assert!(matches!(
-                failing.run_on(&pool, input.clone()).unwrap_err(),
-                MrError::TaskFailed(_)
-            ));
+            let err = Workflow::on_pool("doomed", Arc::clone(&pool))
+                .with_fault_policy(FaultPolicy::retry(2))
+                .with_fault_plan(plan.clone())
+                .chained_stage(&wordcount_job(4), input.clone())
+                .unwrap_err();
+            assert!(matches!(err, MrError::TaskFailed(_)));
         }
         // The same pool immediately completes a clean job with output
         // identical to the inline reference and no new threads.

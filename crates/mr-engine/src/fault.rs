@@ -6,8 +6,9 @@
 //! the engine threads through every phase:
 //!
 //! * [`FaultPolicy`] — how many attempts a task gets. The policy rides
-//!   on [`crate::runtime::RuntimeConfig`] and on every
-//!   [`crate::engine::Job`] / [`crate::workflow::Workflow`].
+//!   on [`crate::runtime::RuntimeConfig`] and reaches the engine
+//!   through the [`crate::workflow::Workflow`] a job runs in; a bare
+//!   [`crate::engine::Job::run_on`] is fail-fast.
 //! * [`FaultPlan`] — a *deterministic* fault-injection schedule: panic
 //!   exactly at a `(job, task kind, task index, attempt)` tuple, so
 //!   failure scenarios are reproducible in tests and benches instead
@@ -190,9 +191,9 @@ pub struct InjectedFault {
     pub message: String,
 }
 
-/// A deterministic fault-injection schedule, threaded through
-/// [`Job`](crate::engine::Job) / [`Workflow`](crate::workflow::Workflow)
-/// and the driver configs behind a test/bench-facing hook.
+/// A deterministic fault-injection schedule, installed on a
+/// [`Workflow`](crate::workflow::Workflow) (or a session) behind a
+/// test/bench-facing hook.
 ///
 /// Injection sites are addressed by `(job, task kind, task index,
 /// attempt)`, so a schedule reproduces the same failures on every run

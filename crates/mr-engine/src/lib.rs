@@ -110,7 +110,7 @@ pub use runtime::{Runtime, RuntimeConfig};
 pub use trace::{
     CountingSink, JsonlSink, TraceEvent, TraceEventData, TraceRecorder, TraceReport, TraceSink,
 };
-pub use workflow::{ensure_same_shape, NodeId, StageGraph, Workflow, WorkflowMetrics};
+pub use workflow::{ensure_same_shape, Workflow, WorkflowMetrics};
 
 /// Convenience glob-import for downstream crates and examples.
 pub mod prelude {
@@ -128,5 +128,5 @@ pub mod prelude {
     pub use crate::reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer, SumReducer};
     pub use crate::runtime::{Runtime, RuntimeConfig};
     pub use crate::trace::{TraceEvent, TraceEventData, TraceRecorder, TraceReport, TraceSink};
-    pub use crate::workflow::{StageGraph, Workflow, WorkflowMetrics};
+    pub use crate::workflow::{Workflow, WorkflowMetrics};
 }

@@ -9,11 +9,12 @@
 //! configs embed instead of copying.
 //!
 //! The engine itself interprets `parallelism` (the pool size), the
-//! `reduce_tasks` default, `spill_threshold` and `fault_policy` (the
-//! per-task retry budget); `count_only` and `matcher_cache_capacity`
-//! are part of the shared execution profile carried for the
-//! entity-resolution layers (which alone interpret them) so that every
-//! scenario config draws them from the same place. The pool has one
+//! `reduce_tasks` default and `spill_threshold`; `fault_policy` (the
+//! per-task retry budget) reaches the engine only through the
+//! [`Workflow`] a runtime hands out, which is the one holder of a run's
+//! fault and trace settings. `count_only` is carried for the
+//! entity-resolution layers, which alone interpret it, so that every
+//! scenario config draws it from the same place. The pool has one
 //! dispatch order — FIFO over registered task batches — so no
 //! scheduling knob exists.
 
@@ -36,12 +37,6 @@ pub struct RuntimeConfig {
     /// Sorted Neighborhood uses it as the number of contiguous key
     /// ranges (== reduce tasks of its matching job).
     pub reduce_tasks: usize,
-    /// Capacity bound for the per-reduce-task prepared-entity caches
-    /// (`None` = unbounded, right for paper-scale batch tasks; set a
-    /// bound for long-running ingest whose key space grows without
-    /// limit). Eviction costs recompute only — match output is
-    /// bit-identical either way.
-    pub matcher_cache_capacity: Option<usize>,
     /// Count comparisons without evaluating similarity (timing runs).
     pub count_only: bool,
     /// Map-side spill threshold in *records held open* per map task
@@ -68,7 +63,6 @@ impl Default for RuntimeConfig {
         Self {
             parallelism: default_parallelism(),
             reduce_tasks: 4,
-            matcher_cache_capacity: None,
             count_only: false,
             spill_threshold: None,
             fault_policy: FaultPolicy::fail_fast(),
@@ -77,8 +71,8 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The defaults: all available cores, 4 reduce tasks, unbounded
-    /// caches, full matching.
+    /// The defaults: all available cores, 4 reduce tasks, full
+    /// matching, no spilling, fail-fast.
     pub fn new() -> Self {
         Self::default()
     }
@@ -92,22 +86,6 @@ impl RuntimeConfig {
     /// Overrides the default reduce-task count.
     pub fn with_reduce_tasks(mut self, reduce_tasks: usize) -> Self {
         self.reduce_tasks = reduce_tasks;
-        self
-    }
-
-    /// Bounds the prepared-entity caches to at most `capacity`
-    /// resident entities (LRU eviction); `None` restores the unbounded
-    /// default.
-    ///
-    /// # Panics
-    /// If `capacity` is `Some(n)` with `n < 2` — comparing a pair
-    /// needs both sides resident.
-    pub fn with_matcher_cache_capacity(mut self, capacity: Option<usize>) -> Self {
-        assert!(
-            capacity.is_none_or(|n| n >= 2),
-            "a bounded cache needs room for a pair"
-        );
-        self.matcher_cache_capacity = capacity;
         self
     }
 
@@ -326,12 +304,10 @@ mod tests {
         let config = RuntimeConfig::new()
             .with_parallelism(3)
             .with_reduce_tasks(7)
-            .with_matcher_cache_capacity(Some(16))
             .with_count_only(true)
             .with_spill_threshold(Some(64));
         assert_eq!(config.parallelism, 3);
         assert_eq!(config.reduce_tasks, 7);
-        assert_eq!(config.matcher_cache_capacity, Some(16));
         assert!(config.count_only);
         assert_eq!(config.spill_threshold, Some(64));
         assert_eq!(
@@ -345,12 +321,6 @@ mod tests {
     #[should_panic(expected = "at least one record")]
     fn zero_spill_threshold_config_rejected() {
         let _ = RuntimeConfig::new().with_spill_threshold(Some(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "room for a pair")]
-    fn tiny_cache_capacity_rejected() {
-        let _ = RuntimeConfig::new().with_matcher_cache_capacity(Some(1));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! the straggling reduce task, or how long an attempt sat queued
 //! behind the skewed one. This module adds that dimension as a stream
 //! of [`TraceEvent`]s emitted while a job runs, delivered to a
-//! [`TraceSink`] the caller attaches via
-//! [`Job::with_trace_sink`](crate::engine::Job::with_trace_sink),
-//! [`Workflow::with_trace_sink`](crate::workflow::Workflow::with_trace_sink),
-//! or [`Runtime::with_trace_sink`](crate::runtime::Runtime::with_trace_sink).
+//! [`TraceSink`] the caller attaches to the workflow the job runs in,
+//! via [`Workflow::with_trace_sink`](crate::workflow::Workflow::with_trace_sink)
+//! or [`Runtime::with_trace_sink`](crate::runtime::Runtime::with_trace_sink)
+//! (a bare [`Job::run_on`](crate::engine::Job::run_on) runs untraced).
 //!
 //! With no sink attached the engine constructs **no events at all**:
 //! every instrumentation point is guarded by a single
@@ -50,14 +50,11 @@
 //! let reducer = ClosureReducer::new(|g: Group<'_, u32, u64>, ctx: &mut ReduceContext<u32, u64>| {
 //!     ctx.emit(*g.key(), g.values().sum());
 //! });
-//! let out = Job::builder("demo", mapper, reducer)
-//!     .reduce_tasks(2)
-//!     .build()
-//!     .with_trace_sink(recorder.clone())
-//!     .run_on(
-//!         &WorkerPool::new(2),
-//!         partition_evenly((0..12u32).map(|v| ((), v)).collect(), 3),
-//!     )
+//! let job = Job::builder("demo", mapper, reducer).reduce_tasks(2).build();
+//! let mut workflow = Workflow::on_pool("demo", Arc::new(WorkerPool::new(2)))
+//!     .with_trace_sink(recorder.clone());
+//! let out = workflow
+//!     .chained_stage(&job, partition_evenly((0..12u32).map(|v| ((), v)).collect(), 3))
 //!     .unwrap();
 //!
 //! // One finished attempt per map and reduce task, matching the metrics:
@@ -85,8 +82,8 @@ use crate::json::Json;
 /// payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Monotonic offset from the run's epoch (workflow start, or job
-    /// start for bare [`Job::run_on`](crate::engine::Job::run_on)).
+    /// Monotonic offset from the run's epoch: the start of the
+    /// [`Workflow`](crate::workflow::Workflow) the event's stage ran in.
     pub at: Duration,
     /// Pool worker-slot index, when the event happened on (or is
     /// attributable to) a specific slot. Coordinator-side events and
@@ -572,11 +569,6 @@ impl Tracer {
     /// The disabled tracer: every `emit` is a single branch.
     pub(crate) fn off() -> Self {
         Self { inner: None }
-    }
-
-    /// A tracer whose timestamps are offsets from "now".
-    pub(crate) fn new(sink: Arc<dyn TraceSink>) -> Self {
-        Self::with_epoch(sink, Instant::now())
     }
 
     /// A tracer with an explicit epoch — workflows pass their start
@@ -1248,7 +1240,7 @@ mod tests {
         off.emit(None, TraceEventData::SlotAcquired { tenant: None });
         assert!(recorder.is_empty());
 
-        let on = Tracer::new(recorder.clone() as Arc<dyn TraceSink>);
+        let on = Tracer::with_epoch(recorder.clone() as Arc<dyn TraceSink>, Instant::now());
         assert!(on.is_on());
         on.emit(Some(2), TraceEventData::SlotAcquired { tenant: None });
         on.emit_with(None, || TraceEventData::TasksEnqueued {
@@ -1265,9 +1257,8 @@ mod tests {
 
     #[test]
     fn recorder_logical_events_sort_canonically() {
+        // Fed directly, order scrambled.
         let recorder = TraceRecorder::new();
-        let tracer = Tracer::new(Arc::new(TraceRecorder::new()));
-        drop(tracer); // recorder below is fed directly, order scrambled
         for task in [2usize, 0, 1] {
             recorder.record(&TraceEvent {
                 at: ms(task as u64),

@@ -3,11 +3,21 @@
 //! Every major scenario of this reproduction follows the same shape
 //! (the paper's Figure 2): a preprocessing MR job whose *side output*
 //! (annotated entities, written per map task) becomes the —
-//! identically partitioned — input of one or more follow-up jobs. The
-//! ER driver (BDM job → matching job), the Sorted Neighborhood driver
-//! (distribution job → window job → optional stitch job), and every
-//! future multi-job scenario compose [`Workflow`] stages instead of
-//! hand-rolling the glue:
+//! identically partitioned — input of one or more follow-up jobs. A
+//! scenario compiler (the ER driver's BDM job → matching job, the
+//! Sorted Neighborhood driver's distribution job → window job →
+//! optional stitch job, the LSH ladder's signature rounds → candidate
+//! job) is plain sequential code over one `&mut` [`Workflow`]: each
+//! stage call blocks its caller until the job finished, and the next
+//! line feeds its products to the next stage. A failing stage returns
+//! its error through `?`, so no later stage runs. Tenants still
+//! interleave: every stage hands its task batches to the pool's shared
+//! ready-queue, so while one caller waits on its stage, free slots run
+//! the batches of other workflows.
+//!
+//! The workflow is the one holder of a run's execution settings — the
+//! pool and slot cap, the tenant, the [`FaultPolicy`], the
+//! [`FaultPlan`] and the trace sink — and applies them to every stage:
 //!
 //! * **Chaining** — [`Workflow::chained_stage`] runs a job whose input
 //!   must share the partitioning the workflow established with its
@@ -99,16 +109,15 @@ pub struct Workflow {
     /// Per-workflow cap on concurrently used pool slots; `None` uses
     /// the whole pool.
     parallelism_cap: Option<usize>,
-    /// Workflow-level fault policy; overrides every stage job's own
-    /// policy when set (the [`crate::runtime::Runtime`] seeds it from
+    /// The fault policy every stage runs under (fail-fast unless set;
+    /// the [`crate::runtime::Runtime`] seeds it from
     /// [`crate::runtime::RuntimeConfig::fault_policy`]).
-    fault_policy: Option<FaultPolicy>,
-    /// Workflow-level fault-injection plan; overrides every stage
-    /// job's own plan when set.
-    fault_plan: Option<FaultPlan>,
-    /// Workflow-level trace sink; when set, every stage runs traced
-    /// with the workflow's start instant as the shared epoch
-    /// (overriding any per-job sink), and stage boundary events wrap
+    fault_policy: FaultPolicy,
+    /// The fault-injection plan every stage runs under (empty unless
+    /// set).
+    fault_plan: FaultPlan,
+    /// When set, every stage runs traced with the workflow's start
+    /// instant as the shared epoch, and stage boundary events wrap
     /// each job's own event stream.
     trace_sink: Option<Arc<dyn TraceSink>>,
 }
@@ -146,8 +155,8 @@ impl Workflow {
             stages: Vec::new(),
             pool,
             parallelism_cap: None,
-            fault_policy: None,
-            fault_plan: None,
+            fault_policy: FaultPolicy::fail_fast(),
+            fault_plan: FaultPlan::new(),
             trace_sink: None,
         }
     }
@@ -197,26 +206,23 @@ impl Workflow {
         self.parallelism_cap
     }
 
-    /// Sets the fault policy every stage of this workflow runs under,
-    /// overriding the stage jobs' own policies — how a runtime-wide
-    /// retry configuration reaches jobs whose construction
-    /// the workflow does not own. Retried tasks re-execute
-    /// byte-identically (see [`crate::fault`]), so the policy never
-    /// changes workflow output — only whether a task panic becomes a
-    /// retry or a typed
-    /// [`MrError::TaskFailed`].
+    /// Sets the fault policy every stage of this workflow runs under
+    /// (the default is [`FaultPolicy::fail_fast`]). Retried tasks
+    /// re-execute byte-identically (see [`crate::fault`]), so the
+    /// policy never changes workflow output — only whether a task
+    /// panic becomes a retry or a typed [`MrError::TaskFailed`].
     #[must_use]
     pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.fault_policy = Some(policy);
+        self.fault_policy = policy;
         self
     }
 
     /// Installs a deterministic fault-injection plan for every stage
-    /// of this workflow (test/bench hook), overriding the stage jobs'
-    /// own plans.
+    /// of this workflow (test/bench hook; the default plan injects
+    /// nothing).
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 
@@ -226,9 +232,7 @@ impl Workflow {
     /// the workflow's start instant, and each stage's job events are
     /// bracketed by
     /// [`StageStarted`](TraceEventData::StageStarted)/
-    /// [`StageFinished`](TraceEventData::StageFinished). A
-    /// workflow-level sink overrides any sink attached to a stage job
-    /// (mirroring the fault policy/plan precedence).
+    /// [`StageFinished`](TraceEventData::StageFinished).
     #[must_use]
     pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.trace_sink = Some(sink);
@@ -307,37 +311,33 @@ impl Workflow {
         let tag = BatchTag::new(Arc::clone(&self.tenant), self.name.as_str(), stage);
         // The workflow's start instant is the shared epoch, so stage
         // and task events of consecutive stages land on one timeline.
-        let tracer = self
-            .trace_sink
-            .as_ref()
-            .map(|sink| Tracer::with_epoch(Arc::clone(sink), self.started));
+        let tracer = match &self.trace_sink {
+            Some(sink) => Tracer::with_epoch(Arc::clone(sink), self.started),
+            None => Tracer::off(),
+        };
         let stage_start = Instant::now();
-        if let Some(t) = &tracer {
-            t.emit_with(None, || TraceEventData::StageStarted {
-                workflow: self.name.clone(),
-                job: job.name().to_string(),
-                stage,
-            });
-        }
+        tracer.emit_with(None, || TraceEventData::StageStarted {
+            workflow: self.name.clone(),
+            job: job.name().to_string(),
+            stage,
+        });
         let out = job
-            .run_with_overrides(
+            .run_in(
                 &self.pool,
                 self.parallelism_cap.unwrap_or(usize::MAX),
                 tag,
                 self.fault_policy,
-                self.fault_plan.as_ref(),
+                &self.fault_plan,
                 tracer.clone(),
                 input,
             )
             .map_err(|e| self.identify_stage(job.name(), e))?;
-        if let Some(t) = &tracer {
-            t.emit_with(None, || TraceEventData::StageFinished {
-                workflow: self.name.clone(),
-                job: job.name().to_string(),
-                stage,
-                wall: stage_start.elapsed(),
-            });
-        }
+        tracer.emit_with(None, || TraceEventData::StageFinished {
+            workflow: self.name.clone(),
+            job: job.name().to_string(),
+            stage,
+            wall: stage_start.elapsed(),
+        });
         self.stages.push(out.metrics.clone());
         Ok(out)
     }
@@ -463,148 +463,6 @@ impl WorkflowMetrics {
     /// [`JobMetrics::tasks_retried`]).
     pub fn tasks_retried(&self) -> u64 {
         self.stages.iter().map(JobMetrics::tasks_retried).sum()
-    }
-}
-
-/// Handle to a stage node registered on a [`StageGraph`], used to
-/// declare dependency edges of later nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodeId(usize);
-
-/// One registered stage node: its display name, the nodes whose
-/// completion it waits on, and the deferred body that dispatches its
-/// task sets when the node is admitted.
-struct GraphNode<'a, E> {
-    name: String,
-    deps: Vec<NodeId>,
-    run: Option<Box<dyn FnOnce(&mut Workflow) -> Result<(), E> + 'a>>,
-}
-
-/// A workflow compiled to a DAG of stage nodes instead of an eager
-/// loop.
-///
-/// A `StageGraph` separates *declaring* the stage structure of a
-/// scenario compiler (`run_er_in`, the Sorted Neighborhood drivers,
-/// …) from *executing* it: each stage registers as a
-/// [`StageGraph::node`]
-/// with explicit dependency edges, and [`StageGraph::run`] admits
-/// nodes in dependency order — a node's body fires only once every
-/// upstream node completed, and each body hands its task batches to
-/// the pool's central ready-queue (tagged with the workflow's
-/// tenant) rather than owning the pool until the stage finishes.
-/// That is what lets stages of *different* workflows interleave on
-/// the shared pool: while this graph waits on one stage's fence,
-/// the pool's workers are free to pull batches of any other tenant.
-///
-/// # Determinism
-///
-/// Admission order is deterministic: among ready nodes, insertion
-/// order wins. Since a node's dependencies must be `NodeId`s the
-/// same graph returned earlier, the graph is acyclic by
-/// construction and insertion order is always a valid topological
-/// order — so a linear chain executes its stages one after the
-/// other, and outputs stay byte-identical.
-///
-/// Intermediate results flow between nodes through captured slots
-/// (e.g. `RefCell<Option<T>>`): an upstream node fills the slot, a
-/// downstream node takes it. The dependency edge guarantees the
-/// fill happens before the take.
-///
-/// # Errors
-///
-/// The first node body returning `Err` aborts the run; downstream
-/// nodes never fire. Node bodies of *other* workflows (other
-/// `StageGraph`s on other threads) are unaffected — failure
-/// isolation across tenants is the pool's concern and holds
-/// regardless (see [`crate::pool::WorkerPool`]).
-pub struct StageGraph<'a, E> {
-    nodes: Vec<GraphNode<'a, E>>,
-}
-
-impl<E> std::fmt::Debug for StageGraph<'_, E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<(&str, &[NodeId])> = self
-            .nodes
-            .iter()
-            .map(|n| (n.name.as_str(), n.deps.as_slice()))
-            .collect();
-        f.debug_struct("StageGraph").field("nodes", &names).finish()
-    }
-}
-
-impl<'a, E> Default for StageGraph<'a, E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<'a, E> StageGraph<'a, E> {
-    /// An empty graph.
-    pub fn new() -> Self {
-        Self { nodes: Vec::new() }
-    }
-
-    /// Registers a stage node named `name` that runs `body` once
-    /// every node in `deps` has completed. Returns the node's handle
-    /// for downstream dependency edges.
-    ///
-    /// # Panics
-    /// If `deps` contains a handle this graph did not return (the
-    /// only way to name a not-yet-registered node, which would make
-    /// the graph cyclic).
-    pub fn node(
-        &mut self,
-        name: impl Into<String>,
-        deps: &[NodeId],
-        body: impl FnOnce(&mut Workflow) -> Result<(), E> + 'a,
-    ) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        for dep in deps {
-            assert!(
-                dep.0 < id.0,
-                "dependency {dep:?} is not a node of this graph"
-            );
-        }
-        self.nodes.push(GraphNode {
-            name: name.into(),
-            deps: deps.to_vec(),
-            run: Some(Box::new(body)),
-        });
-        id
-    }
-
-    /// Number of registered nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Executes the graph on `workflow`: repeatedly admits the first
-    /// registered node whose dependencies have all completed, until
-    /// every node ran or a body failed.
-    pub fn run(mut self, workflow: &mut Workflow) -> Result<(), E> {
-        let total = self.nodes.len();
-        let mut completed = vec![false; total];
-        for _ in 0..total {
-            let ready = (0..total).find(|&i| {
-                !completed[i]
-                    && self.nodes[i].run.is_some()
-                    && self.nodes[i].deps.iter().all(|d| completed[d.0])
-            });
-            let Some(i) = ready else {
-                // Unreachable: acyclic by construction, so some
-                // uncompleted node always has its deps met.
-                unreachable!("stage graph admitted no node with {total} pending");
-            };
-            let body = self.nodes[i].run.take().expect("node admitted twice");
-            body(workflow)?;
-            completed[i] = true;
-        }
-        Ok(())
     }
 }
 
@@ -802,68 +660,6 @@ mod tests {
             wf.chained_stage(&annotate_job(), input).unwrap_err(),
             MrError::ZeroParallelism
         );
-    }
-
-    #[test]
-    fn stage_graph_admits_in_dependency_order_and_threads_results() {
-        use std::cell::RefCell;
-        let order = RefCell::new(Vec::new());
-        let slot: RefCell<Option<u32>> = RefCell::new(None);
-        let mut graph: StageGraph<'_, MrError> = StageGraph::new();
-        let a = graph.node("a", &[], |_| {
-            order.borrow_mut().push("a");
-            *slot.borrow_mut() = Some(7);
-            Ok(())
-        });
-        let b = graph.node("b", &[a], |_| {
-            order.borrow_mut().push("b");
-            Ok(())
-        });
-        // A diamond: c depends on a only, d joins b and c.
-        let c = graph.node("c", &[a], |_| {
-            order.borrow_mut().push("c");
-            Ok(())
-        });
-        graph.node("d", &[b, c], |_| {
-            let upstream = slot.borrow_mut().take().expect("a must have run");
-            assert_eq!(upstream, 7);
-            order.borrow_mut().push("d");
-            Ok(())
-        });
-        assert_eq!(graph.len(), 4);
-        let mut wf = inline_workflow("graph");
-        graph.run(&mut wf).unwrap();
-        // Insertion order among ready nodes is the deterministic
-        // admission order.
-        assert_eq!(*order.borrow(), vec!["a", "b", "c", "d"]);
-    }
-
-    #[test]
-    fn stage_graph_failure_stops_downstream_nodes() {
-        use std::cell::Cell;
-        let downstream_ran = Cell::new(false);
-        let mut graph: StageGraph<'_, &'static str> = StageGraph::new();
-        let a = graph.node("fails", &[], |_| Err("boom"));
-        graph.node("after", &[a], |_| {
-            downstream_ran.set(true);
-            Ok(())
-        });
-        let mut wf = inline_workflow("graph");
-        assert_eq!(graph.run(&mut wf), Err("boom"));
-        assert!(
-            !downstream_ran.get(),
-            "downstream of a failure must not fire"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "not a node of this graph")]
-    fn stage_graph_rejects_foreign_dependency_handles() {
-        let mut foreign: StageGraph<'_, ()> = StageGraph::new();
-        foreign.node("x", &[], |_| Ok(()));
-        let other = foreign.node("y", &[], |_| Ok(()));
-        let mut graph: StageGraph<'_, ()> = StageGraph::new();
-        graph.node("first", &[other], |_| Ok(()));
     }
 
     #[test]

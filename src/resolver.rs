@@ -290,6 +290,10 @@ pub enum ConfigError {
     /// rate's [`f64::to_bits`], so that the error stays `Eq` and a NaN
     /// rate compares equal to itself.
     SnSampleRate(u64),
+    /// A spill threshold of zero records
+    /// ([`Resolver::with_spill_threshold`], or the session's
+    /// [`RuntimeConfig::spill_threshold`]): a seal needs at least one.
+    ZeroSpillThreshold,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -314,6 +318,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::SnSampleRate(bits) => {
                 let rate = f64::from_bits(*bits);
                 write!(f, "the SN sample rate must be in (0, 1], got {rate}")
+            }
+            ConfigError::ZeroSpillThreshold => {
+                f.write_str("a spill threshold must be at least one record")
             }
         }
     }
@@ -692,8 +699,8 @@ impl std::fmt::Debug for Resolver<'_> {
 
 impl<'rt> Resolver<'rt> {
     /// Starts a session on `runtime`, inheriting its shared knobs
-    /// (`reduce_tasks` default, `count_only`,
-    /// `matcher_cache_capacity`, `spill_threshold`, `fault_policy`)
+    /// (`reduce_tasks` default, `count_only`, `spill_threshold`,
+    /// `fault_policy`)
     /// and the family crates' paper-default workload settings.
     pub fn new(runtime: &'rt Runtime) -> Self {
         // The family crates own the paper defaults.
@@ -821,20 +828,14 @@ impl<'rt> Resolver<'rt> {
         self
     }
 
-    /// Bounds the prepared-entity caches for this session, overriding
-    /// the runtime default.
-    pub fn with_matcher_cache_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.shared = self.shared.with_matcher_cache_capacity(capacity);
-        self
-    }
-
     /// Sets the map-side spill threshold for this session, overriding
     /// the runtime default: shuffle buckets are sealed into sorted
     /// runs every `threshold` open records, bounding map-phase
     /// resident memory. `None` restores the spill-free default;
-    /// outputs are byte-identical at any threshold.
+    /// outputs are byte-identical at any threshold. `Some(0)` is
+    /// checked when a scenario runs.
     pub fn with_spill_threshold(mut self, threshold: Option<usize>) -> Self {
-        self.shared = self.shared.with_spill_threshold(threshold);
+        self.shared.spill_threshold = threshold;
         self
     }
 
@@ -1099,9 +1100,12 @@ impl<'rt> Resolver<'rt> {
         {
             SourceTagError::check(&input, sources).map_err(ResolveError::SourceTags)?;
         }
-        // So are the session's LSH and SN settings, which would
-        // otherwise panic while the config is assembled or inside a
-        // map task.
+        // So are the session's spill threshold and its LSH and SN
+        // settings, which would otherwise panic while a job or the
+        // config is assembled, or inside a map task.
+        if self.shared.spill_threshold == Some(0) {
+            return Err(ResolveError::InvalidConfig(ConfigError::ZeroSpillThreshold));
+        }
         match scenario {
             Scenario::Lsh { params, .. } => self.check_lsh(params.as_ref()),
             Scenario::SortedNeighborhood { .. } | Scenario::TwoSourceSn { .. } => self.check_sn(),
@@ -1348,7 +1352,6 @@ mod tests {
         let session = Resolver::new(&runtime)
             .with_reduce_tasks(3)
             .with_count_only(false)
-            .with_matcher_cache_capacity(Some(16))
             .with_spill_threshold(Some(64))
             .with_fault_policy(FaultPolicy::retry(3))
             .with_fault_plan(plan.clone())
@@ -1359,7 +1362,6 @@ mod tests {
         let shared = RuntimeConfig {
             reduce_tasks: 3,
             count_only: false,
-            matcher_cache_capacity: Some(16),
             spill_threshold: Some(64),
             fault_policy: FaultPolicy::retry(3),
             ..*runtime.config()

@@ -195,7 +195,7 @@ fn cascade_equals_full_dp_on_the_largest_ds1_block() {
             );
             assert_eq!(
                 cache
-                    .matches_handles(&handles[i], &handles[j])
+                    .matches_handles(handles[i], handles[j])
                     .map(f64::to_bits),
                 expected,
                 "arena forms diverged on {:?}",

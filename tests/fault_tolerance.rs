@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
+use mr_engine::trace::{TraceRecorder, TraceSink};
 use mr_engine::MrError;
 
 const PARALLELISM_LEVELS: [usize; 4] = [1, 2, 4, 8];
@@ -82,7 +83,7 @@ fn families() -> Vec<(&'static str, Scenario, Partitions<(), Ent>, u64)> {
                 sources,
             },
             linkage_input,
-            2, // bdm + er-block-split-2src
+            2, // bdm + er-block-split
         ),
     ]
 }
@@ -246,12 +247,15 @@ fn fail_twice_recovers_under_a_three_attempt_budget() {
 
 /// Fail-always: the retry budget exhausts and the run returns the
 /// typed error — with the full task identity in its display — instead
-/// of panicking.
+/// of panicking. The failing first stage also stops the scenario: no
+/// later job starts, and no stage finishes.
 #[test]
 fn exhausted_retries_surface_job_stage_and_task_identity() {
     for (name, scenario, input, _) in families() {
         let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+        let recorder = Arc::new(TraceRecorder::new());
         let err = resolver(&runtime)
+            .with_trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>)
             .with_fault_policy(FaultPolicy::retry(3))
             .with_fault_plan(FaultPlan::new().silence_injected_panics().panic_always(
                 FaultPlan::ANY_JOB,
@@ -267,6 +271,8 @@ fn exhausted_retries_surface_job_stage_and_task_identity() {
         assert_eq!(task_error.kind, FaultKind::Map, "{name}");
         assert_eq!(task_error.task, 0, "{name}");
         assert_eq!(task_error.attempts, 3, "{name}: full budget spent");
+        assert_eq!(recorder.count("job_started"), 1, "{name}: later stages ran");
+        assert_eq!(recorder.count("stage_finished"), 0, "{name}");
         let stage = task_error.stage.as_deref().unwrap_or_default();
         assert!(
             stage.starts_with(&scenario.workflow_name()),

@@ -5,7 +5,9 @@
 //!   thread spawn, no output drift from the brute-force oracles;
 //! * **parallelism caps** — `resolve_with` narrows one run without
 //!   touching the pool, and a zero cap is a typed error;
-//! * **count-only sessions** — one shared knob reaches every family.
+//! * **count-only sessions** — one shared knob reaches every family;
+//! * **stage sequences** — each scenario compiles to one fixed chain of
+//!   jobs, pinned by name together with its `ScenarioDetails` shape.
 //!
 //! Each scenario is pinned against its oracle across parallelism by
 //! its own suite (`strategy_equivalence`, `two_source_equivalence`,
@@ -52,6 +54,168 @@ fn passes() -> Vec<Arc<dyn SortKeyFunction>> {
 /// Byte-exact view of a match result: pairs plus raw score bits.
 fn result_bits(result: &MatchResult) -> Vec<(MatchPair, u64)> {
     result.iter().map(|(p, s)| (p, s.to_bits())).collect()
+}
+
+/// The outcome's details as one line: the variant, the job names of the
+/// metrics it carries and, for LSH, every executed round.
+fn details_shape(details: &ScenarioDetails) -> String {
+    let name = |metrics: Option<&mr_engine::metrics::JobMetrics>| {
+        metrics.map_or("-".to_string(), |m| m.job_name.clone())
+    };
+    match details {
+        ScenarioDetails::Blocked {
+            bdm,
+            bdm_metrics,
+            match_metrics,
+        } => {
+            assert_eq!(bdm.is_some(), bdm_metrics.is_some());
+            format!(
+                "Blocked bdm={} match={}",
+                name(bdm_metrics.as_ref()),
+                match_metrics.job_name
+            )
+        }
+        ScenarioDetails::Sorted {
+            sample_metrics,
+            match_metrics,
+            stitch_metrics,
+            ..
+        } => format!(
+            "Sorted sample={} match={} stitch={}",
+            sample_metrics.job_name,
+            match_metrics.job_name,
+            name(stitch_metrics.as_ref())
+        ),
+        ScenarioDetails::MultiPass { passes } => format!("MultiPass passes={}", passes.len()),
+        ScenarioDetails::Lsh {
+            params,
+            rounds,
+            bdm_metrics,
+            match_metrics,
+            ..
+        } => {
+            let rounds: Vec<String> = rounds
+                .iter()
+                .map(|r| format!("{}:{}", r.params, r.accepted))
+                .collect();
+            format!(
+                "Lsh params={params} rounds=[{}] bdm={} match={}",
+                rounds.join(" "),
+                bdm_metrics.job_name,
+                match_metrics.job_name
+            )
+        }
+    }
+}
+
+#[test]
+fn every_scenario_compiles_to_its_fixed_stage_sequence() {
+    let input = corpus(3);
+    let (linkage_input, sources) = two_source_corpus();
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+    let session = Resolver::new(&runtime).with_window(4).with_partitions(3);
+
+    // A budget between the 8x4 and 16x2 rungs' candidate workloads
+    // rejects the widest rung and accepts the next; 4x8 never runs.
+    let workload = |params| {
+        let outcome = session.resolve(&Scenario::lsh(params), input.clone());
+        outcome.unwrap().details.lsh_rounds().unwrap()[0].candidate_pairs
+    };
+    let budget = workload(LshParams::new(8, 4));
+    assert!(workload(LshParams::new(16, 2)) > budget);
+    // Only the adaptive scenario walks the ladder.
+    let session = session
+        .with_lsh_ladder(vec![
+            LshParams::new(16, 2),
+            LshParams::new(8, 4),
+            LshParams::new(4, 8),
+        ])
+        .with_lsh_budget(Some(budget));
+
+    let dedup = |strategy| Scenario::Dedup { strategy };
+    let cases = [
+        (
+            dedup(StrategyKind::Basic),
+            &input,
+            vec!["er-basic"],
+            "Blocked bdm=- match=er-basic",
+        ),
+        (
+            dedup(StrategyKind::BlockSplit),
+            &input,
+            vec!["bdm", "er-block-split"],
+            "Blocked bdm=bdm match=er-block-split",
+        ),
+        (
+            dedup(StrategyKind::PairRange),
+            &input,
+            vec!["bdm", "er-pair-range"],
+            "Blocked bdm=bdm match=er-pair-range",
+        ),
+        (
+            Scenario::Linkage {
+                strategy: StrategyKind::BlockSplit,
+                sources: sources.clone(),
+            },
+            &linkage_input,
+            vec!["bdm", "er-block-split"],
+            "Blocked bdm=bdm match=er-block-split",
+        ),
+        (
+            Scenario::sorted_neighborhood(SnStrategy::JobSn),
+            &input,
+            vec!["sn-sample", "sn-jobsn-window", "sn-jobsn-stitch"],
+            "Sorted sample=sn-sample match=sn-jobsn-window stitch=sn-jobsn-stitch",
+        ),
+        (
+            Scenario::sorted_neighborhood(SnStrategy::RepSn),
+            &input,
+            vec!["sn-sample", "sn-repsn"],
+            "Sorted sample=sn-sample match=sn-repsn stitch=-",
+        ),
+        (
+            Scenario::multipass_sn(SnStrategy::RepSn, passes()),
+            &input,
+            vec!["sn-sample", "sn-repsn", "sn-sample", "sn-repsn"],
+            "MultiPass passes=2",
+        ),
+        (
+            Scenario::TwoSourceSn {
+                strategy: SnStrategy::JobSn,
+                sources,
+            },
+            &linkage_input,
+            vec!["sn-sample", "sn-jobsn-window", "sn-jobsn-stitch"],
+            "Sorted sample=sn-sample match=sn-jobsn-window stitch=sn-jobsn-stitch",
+        ),
+        (
+            Scenario::lsh(LshParams::new(8, 4)),
+            &input,
+            vec!["lsh-sig-8x4", "er-block-split"],
+            "Lsh params=8x4 rounds=[8x4:true] bdm=lsh-sig-8x4 match=er-block-split",
+        ),
+        (
+            Scenario::lsh_adaptive(),
+            &input,
+            vec!["lsh-sig-16x2", "lsh-sig-8x4", "er-block-split"],
+            "Lsh params=8x4 rounds=[16x2:false 8x4:true] bdm=lsh-sig-8x4 match=er-block-split",
+        ),
+    ];
+    for (scenario, input, stages, shape) in cases {
+        let outcome = session.resolve(&scenario, input.clone()).unwrap();
+        let names: Vec<&str> = outcome
+            .workflow
+            .stages
+            .iter()
+            .map(|s| s.job_name.as_str())
+            .collect();
+        assert_eq!(names, stages, "{scenario}: stage sequence");
+        assert_eq!(
+            details_shape(&outcome.details),
+            shape,
+            "{scenario}: details"
+        );
+    }
 }
 
 #[test]
@@ -419,6 +583,47 @@ fn an_sn_sample_rate_outside_the_unit_interval_is_a_typed_error() {
             .with_sample_rate(rate)
             .resolve(&Scenario::sorted_neighborhood(SnStrategy::JobSn), corpus(3));
         assert!(outcome.is_ok(), "rate {rate}: {outcome:?}");
+    }
+}
+
+#[test]
+fn a_zero_spill_threshold_is_a_typed_error_in_every_family() {
+    for scenario in [
+        Scenario::Dedup {
+            strategy: StrategyKind::BlockSplit,
+        },
+        Scenario::sorted_neighborhood(SnStrategy::JobSn),
+        Scenario::lsh(LshParams::new(4, 4)),
+    ] {
+        // The session builder stores the value as given...
+        assert_invalid_config(
+            |session| session.with_spill_threshold(Some(0)),
+            scenario.clone(),
+            ConfigError::ZeroSpillThreshold,
+        );
+        // ...and the config's public fields carry it in from a struct
+        // literal.
+        let runtime = Runtime::new(RuntimeConfig {
+            spill_threshold: Some(0),
+            ..RuntimeConfig::new().with_parallelism(2)
+        });
+        let err = Resolver::new(&runtime)
+            .resolve(&scenario, corpus(3))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ResolveError::InvalidConfig(ConfigError::ZeroSpillThreshold),
+            "{scenario}"
+        );
+        assert_eq!(
+            runtime.pool().tasks_executed(),
+            0,
+            "{scenario}: no task may run"
+        );
+        let repaired = Resolver::new(&runtime)
+            .with_spill_threshold(Some(1))
+            .resolve(&scenario, corpus(3));
+        assert!(repaired.is_ok(), "{scenario}: {repaired:?}");
     }
 }
 

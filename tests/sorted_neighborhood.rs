@@ -299,29 +299,6 @@ fn repsn_refuses_thin_ranges_and_jobsn_covers_them() {
 }
 
 #[test]
-fn bounded_matcher_cache_reproduces_unbounded_sn_results() {
-    let input = corpus(2);
-    let runtime = runtime(1);
-    let resolver = base_session(&runtime);
-    let capped = resolver.clone().with_matcher_cache_capacity(Some(2));
-    for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let unbounded = run_sn(&resolver, strategy, &input).unwrap();
-        let bounded = run_sn(&capped, strategy, &input).unwrap();
-        let a: Vec<(er_core::MatchPair, u64)> = unbounded
-            .result
-            .iter()
-            .map(|(p, s)| (p, s.to_bits()))
-            .collect();
-        let b: Vec<(er_core::MatchPair, u64)> = bounded
-            .result
-            .iter()
-            .map(|(p, s)| (p, s.to_bits()))
-            .collect();
-        assert_eq!(a, b, "{strategy}: capacity bound changed the output");
-    }
-}
-
-#[test]
 fn window_job_streams_ranges_instead_of_materializing_them() {
     // Grouping == sorting for the window jobs: the reduce side
     // buffers one key run + the w-1 ring, never the whole range. The
