@@ -3,11 +3,10 @@
 //!
 //! [`crate::matcher::Matcher::prepare`] produces a heap
 //! [`crate::matcher::PreparedEntity`]: one boxed [`Prepared`] per match
-//! rule, each owning its own `Vec` (char buffer, hash set, token
-//! list). That is fine for a handful of entities, but a reduce task
-//! preparing a whole block allocates O(entities × rules) separate heap
-//! objects, and the O(b²) pair loop then chases them through pointer
-//! indirections.
+//! rule, each owning its own `Vec` (char buffer or hash set). That is
+//! fine for a handful of entities, but a reduce task preparing a whole
+//! block allocates O(entities × rules) separate heap objects, and the
+//! O(b²) pair loop then chases them through pointer indirections.
 //!
 //! A [`PreparedArena`] instead packs every prepared value of one reduce
 //! task into a few contiguous, type-segregated slabs:
@@ -17,15 +16,13 @@
 //! | `chars` | `char` | edit-distance family (`Chars`) |
 //! | `histograms` | `[u8; 32]` | `Chars` values prepared by `NormalizedLevenshtein` (its reject filter) |
 //! | `hashes` | `u64` | set-overlap family (`HashedSet`) |
-//! | `counts` | `(u64, f64)` | cosine family (`HashedCounts`) |
-//! | `nodes` | [`ArenaValue`] | token lists (`Tokens`), recursively |
-//! | `slots` | `Option<ArenaValue>` | one per match rule per entity |
+//! | `slots` | `Option<ArenaValue>` | one per match rule per entity, 16 bytes each |
 //!
 //! [`PreparedArena::intern_with`] lays one entity's rule slots down,
 //! each value written in place by its measure
 //! ([`crate::similarity::Similarity::prepare_into`]: the edit-distance
-//! family decodes straight into the `chars` slab, the other families
-//! copy a heap-prepared temporary), and returns a [`PreparedId`] — a
+//! family decodes straight into the `chars` slab, [`crate::Jaccard`]
+//! copies a heap-prepared temporary), and returns a [`PreparedId`] — a
 //! [`Span`] into `slots` plus the entity's reference;
 //! [`PreparedArena::intern`] copies an already heap-prepared entity
 //! instead. After interning, scoring a pair
@@ -40,7 +37,7 @@
 //! borrow problems an owning-arena-with-references design would hit.
 
 use crate::entity::EntityRef;
-use crate::similarity::{char_histogram, Prepared, PreparedView, TokenListView, HISTOGRAM_BUCKETS};
+use crate::similarity::{char_histogram, Prepared, PreparedView, HISTOGRAM_BUCKETS};
 
 /// A contiguous `u32` range into one arena slab.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +63,7 @@ impl Span {
     }
 }
 
-/// One prepared value stored in arena form: the same four families as
+/// One prepared value stored in arena form: the same two families as
 /// [`Prepared`], but holding slab [`Span`]s instead of owned `Vec`s.
 #[derive(Debug, Clone, Copy)]
 pub enum ArenaValue {
@@ -80,15 +77,6 @@ pub enum ArenaValue {
     },
     /// Span into the `hashes` slab (sorted, deduplicated).
     HashedSet(Span),
-    /// Span into the `counts` slab plus the precomputed L2 norm.
-    HashedCounts {
-        /// Sorted `(hash, count)` pairs.
-        counts: Span,
-        /// `sqrt(Σ count²)`.
-        norm: f64,
-    },
-    /// Span into the `nodes` slab — one [`ArenaValue`] per token.
-    Tokens(Span),
 }
 
 /// Handle to one interned entity: a span over the rule slots plus the
@@ -115,8 +103,6 @@ pub struct PreparedArena {
     chars: Vec<char>,
     histograms: Vec<[u8; HISTOGRAM_BUCKETS]>,
     hashes: Vec<u64>,
-    counts: Vec<(u64, f64)>,
-    nodes: Vec<ArenaValue>,
     slots: Vec<Option<ArenaValue>>,
     interned: usize,
 }
@@ -206,24 +192,6 @@ impl PreparedArena {
                 self.hashes.extend_from_slice(h);
                 ArenaValue::HashedSet(Span::new(start, h.len()))
             }
-            Prepared::HashedCounts { counts, norm } => {
-                let start = self.counts.len();
-                self.counts.extend_from_slice(counts);
-                ArenaValue::HashedCounts {
-                    counts: Span::new(start, counts.len()),
-                    norm: *norm,
-                }
-            }
-            Prepared::Tokens(tokens) => {
-                // Children intern their leaf data first; the parent's
-                // node span is contiguous because the child values are
-                // buffered before being appended.
-                let children: Vec<ArenaValue> =
-                    tokens.iter().map(|t| self.intern_value(t)).collect();
-                let start = self.nodes.len();
-                self.nodes.extend(children);
-                ArenaValue::Tokens(Span::new(start, tokens.len()))
-            }
         }
     }
 
@@ -250,19 +218,7 @@ impl PreparedArena {
                 histogram: histogram.map(|h| &self.histograms[h as usize]),
             },
             ArenaValue::HashedSet(s) => PreparedView::HashedSet(&self.hashes[s.range()]),
-            ArenaValue::HashedCounts { counts, norm } => PreparedView::HashedCounts {
-                counts: &self.counts[counts.range()],
-                norm,
-            },
-            ArenaValue::Tokens(s) => PreparedView::Tokens(TokenListView::Arena {
-                arena: self,
-                nodes: s,
-            }),
         }
-    }
-
-    pub(crate) fn token_view(&self, nodes: Span, index: usize) -> PreparedView<'_> {
-        self.view(self.nodes[nodes.range()][index])
     }
 
     /// Entities interned so far.
@@ -276,15 +232,9 @@ impl PreparedArena {
     }
 
     /// Total slab elements resident (chars + histograms + hashes +
-    /// counts + nodes + slots) — a cheap proxy for the arena's memory
-    /// footprint.
+    /// slots) — a cheap proxy for the arena's memory footprint.
     pub fn slab_len(&self) -> usize {
-        self.chars.len()
-            + self.histograms.len()
-            + self.hashes.len()
-            + self.counts.len()
-            + self.nodes.len()
-            + self.slots.len()
+        self.chars.len() + self.histograms.len() + self.hashes.len() + self.slots.len()
     }
 
     /// Drops every interned entity. **Invalidates all outstanding
@@ -296,8 +246,6 @@ impl PreparedArena {
         self.chars.clear();
         self.histograms.clear();
         self.hashes.clear();
-        self.counts.clear();
-        self.nodes.clear();
         self.slots.clear();
         self.interned = 0;
     }
@@ -306,9 +254,7 @@ impl PreparedArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::similarity::{
-        CosineTokens, Jaccard, JaroWinkler, MongeElkan, NormalizedLevenshtein, Similarity,
-    };
+    use crate::similarity::{Jaccard, JaroWinkler, NormalizedLevenshtein, Similarity};
     use crate::Entity;
 
     /// Interns `s` the way the matcher cache does: written in place by
@@ -324,8 +270,6 @@ mod tests {
             Box::new(NormalizedLevenshtein),
             Box::new(JaroWinkler::default()),
             Box::new(Jaccard),
-            Box::new(CosineTokens),
-            Box::new(MongeElkan::default()),
         ];
         for m in &measures {
             let mut arena = PreparedArena::new();
@@ -376,23 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_token_lists_intern_recursively() {
-        // MongeElkan over MongeElkan: tokens of tokens.
-        let outer = MongeElkan::new(std::sync::Arc::new(MongeElkan::default()));
-        let mut arena = PreparedArena::new();
-        let (a, b) = ("alpha beta", "alpha gamma");
-        let (ia, ib) = (
-            intern_one(&mut arena, &outer, a),
-            intern_one(&mut arena, &outer, b),
-        );
-        let (va, vb) = (arena.value(ia, 0).unwrap(), arena.value(ib, 0).unwrap());
-        assert_eq!(
-            outer.sim_view(&va, &vb).to_bits(),
-            outer.sim(a, b).to_bits()
-        );
-    }
-
-    #[test]
     fn clear_resets_but_keeps_capacity() {
         let mut arena = PreparedArena::new();
         let _ = intern_one(&mut arena, &NormalizedLevenshtein, "abcdef");
@@ -402,5 +329,15 @@ mod tests {
         arena.clear();
         assert!(arena.is_empty());
         assert_eq!(arena.slab_len(), 0);
+    }
+
+    /// Every entity pays one rule slot per match rule, so the slot's
+    /// width is a per-entity cost of every reduce task: a variant that
+    /// widens it must be a deliberate choice.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_rule_slot_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Option<ArenaValue>>(), 16);
+        assert_eq!(std::mem::size_of::<PreparedView<'_>>(), 24);
     }
 }

@@ -6,14 +6,10 @@
 //! degree of key skew is exactly what the load-balancing strategies
 //! must survive.
 
-pub mod soundex;
-
 use std::fmt;
 use std::sync::Arc;
 
 use crate::entity::Entity;
-
-pub use soundex::{soundex, SoundexBlocking};
 
 /// A blocking key. Cheap to clone (shared storage) because keys travel
 /// inside every shuffled composite key.

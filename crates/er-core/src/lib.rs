@@ -8,9 +8,8 @@
 //!   values (prefix blocking — "first three letters of the title" — is
 //!   the paper's default; multi-pass blocking is its future-work
 //!   extension),
-//! * a [`similarity`] suite (the paper matches on edit distance with a
-//!   0.8 threshold; Jaro-Winkler, Jaccard and n-gram measures round out
-//!   the library),
+//! * a [`similarity`] suite: the paper's normalized edit distance (a
+//!   0.8 threshold on the title), Jaro-Winkler, and token Jaccard,
 //! * a threshold [`matcher`] and a deduplicating [`result`] set with
 //!   quality metrics against a gold standard,
 //! * an [`arena`] of contiguous slabs for prepared entities, backing
@@ -29,7 +28,6 @@
 pub mod arena;
 pub mod blocking;
 pub mod entity;
-pub mod io;
 pub mod matcher;
 pub mod minhash;
 pub mod pairs;
@@ -46,7 +44,6 @@ pub use minhash::{
 };
 pub use result::{GoldStandard, MatchPair, MatchResult, QualityReport};
 pub use similarity::{
-    CosineTokens, Jaccard, JaroWinkler, MongeElkan, NGram, NormalizedLevenshtein, Prepared,
-    PreparedView, Similarity, Sketch, TokenListView,
+    Jaccard, JaroWinkler, NormalizedLevenshtein, Prepared, PreparedView, Similarity, Sketch,
 };
 pub use sortkey::{AttributeSortKey, RangePartitioner, SortKey, SortKeyFunction};

@@ -172,31 +172,6 @@ impl Matcher {
         self.matches_values(ValuesRef::Heap(a), ValuesRef::Heap(b))
     }
 
-    /// [`Matcher::score_prepared`] over arena-interned entities —
-    /// reads the slabs directly, allocating nothing.
-    ///
-    /// # Panics
-    /// If either id came from a different arena or a matcher with a
-    /// different rule list.
-    pub fn score_arena(&self, arena: &PreparedArena, a: PreparedId, b: PreparedId) -> f64 {
-        self.score_values(ValuesRef::Arena(arena, a), ValuesRef::Arena(arena, b))
-    }
-
-    /// [`Matcher::matches_prepared`] over arena-interned entities —
-    /// the allocation-free form of the O(b²) inner loop.
-    ///
-    /// # Panics
-    /// If either id came from a different arena or a matcher with a
-    /// different rule list.
-    pub fn matches_arena(
-        &self,
-        arena: &PreparedArena,
-        a: PreparedId,
-        b: PreparedId,
-    ) -> Option<f64> {
-        self.matches_values(ValuesRef::Arena(arena, a), ValuesRef::Arena(arena, b))
-    }
-
     fn score_values(&self, a: ValuesRef<'_>, b: ValuesRef<'_>) -> f64 {
         self.check_rule_slots(a);
         self.check_rule_slots(b);

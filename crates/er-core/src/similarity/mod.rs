@@ -3,18 +3,18 @@
 //! Every measure maps a pair of strings to `[0, 1]`, is symmetric, and
 //! returns `1.0` for identical inputs — invariants enforced by property
 //! tests. The paper's evaluation uses normalized edit distance with a
-//! minimum similarity of `0.8`; the other measures make the library
-//! usable beyond the reproduction.
+//! minimum similarity of `0.8`; Jaro-Winkler and token Jaccard are the
+//! two alternatives the tests and examples exercise.
 //!
 //! # The prepared-representation API
 //!
 //! Blocked entity resolution evaluates each entity against every other
 //! member of its block: an entity in a block of size *b* takes part in
 //! *b − 1* comparisons. The naive [`Similarity::sim`] entry point
-//! re-derives the measure's internal representation (lowercased char
-//! buffer, gram set, token vector …) from the raw string on **every
-//! call**, so that work is repeated *b − 1* times per entity — the
-//! dominant allocation cost of the match phase.
+//! re-derives the measure's internal representation (char buffer or
+//! token hash set) from the raw string on **every call**, so that work
+//! is repeated *b − 1* times per entity — the dominant allocation cost
+//! of the match phase.
 //!
 //! [`Similarity::prepare`] factors that work out: it converts a string
 //! into the measure's cached [`Prepared`] form **once**, and
@@ -31,13 +31,10 @@
 //! | [`NormalizedLevenshtein`] | `Chars` | Unicode scalar values + a 32-byte bucketed character histogram |
 //! | [`JaroWinkler`] | `Chars` | Unicode scalar values (no histogram) |
 //! | [`Jaccard`] | `HashedSet` | sorted FNV-1a hashes of lowercased tokens |
-//! | [`NGram`] | `HashedSet` | sorted FNV-1a hashes of padded lowercased grams |
-//! | [`CosineTokens`] | `HashedCounts` | sorted (token hash, count) + L2 norm |
-//! | [`MongeElkan`] | `Tokens` | inner-prepared whitespace tokens |
 //!
-//! Set-based measures compare 64-bit hashes with a linear merge walk
+//! [`Jaccard`] compares 64-bit hashes with a linear merge walk
 //! instead of allocating `BTreeSet<String>`s per pair; a collision
-//! between two *distinct* grams of the same corpus (probability
+//! between two *distinct* tokens of the same corpus (probability
 //! ≈ 2⁻⁶⁴ per pair) is the only way the hashed result could diverge
 //! from exact string sets, and both `sim` and `sim_prepared` share it.
 //!
@@ -70,22 +67,16 @@
 
 use crate::arena::{ArenaValue, PreparedArena};
 
-mod cosine;
 mod jaccard;
 mod jaro;
 mod levenshtein;
-mod monge_elkan;
-mod ngram;
 
-pub use cosine::CosineTokens;
 pub use jaccard::Jaccard;
 pub use jaro::JaroWinkler;
 pub(crate) use levenshtein::char_histogram;
 pub use levenshtein::{
     levenshtein_distance, levenshtein_distance_chars, levenshtein_within, NormalizedLevenshtein,
 };
-pub use monge_elkan::MongeElkan;
-pub use ngram::NGram;
 
 /// Buckets of the character histogram a [`Prepared::Chars`] may carry:
 /// 32 saturating `u8` counts are two SSE registers (one AVX2 register),
@@ -125,23 +116,12 @@ pub enum Prepared {
         /// Bucketed character counts of `chars`, stored only by
         /// [`NormalizedLevenshtein`], whose thresholded kernel rejects
         /// most non-matching pairs on it before any edit distance runs.
-        /// Boxed so the enum — and with it every token of a
-        /// [`MongeElkan`] list — is no larger than without it.
+        /// Boxed so that a value without one — [`JaroWinkler`]'s — does
+        /// not carry 32 unused bytes.
         histogram: Option<Box<[u8; HISTOGRAM_BUCKETS]>>,
     },
     /// Sorted, deduplicated 64-bit element hashes (set-overlap family).
     HashedSet(Vec<u64>),
-    /// Sorted `(element hash, count)` pairs with the precomputed L2
-    /// norm of the count vector (cosine family).
-    HashedCounts {
-        /// Sorted by hash, one entry per distinct element.
-        counts: Vec<(u64, f64)>,
-        /// `sqrt(Σ count²)`, cached so pairs skip the reduction.
-        norm: f64,
-    },
-    /// Whitespace tokens, each prepared by an inner measure
-    /// (hybrid/alignment family).
-    Tokens(Vec<Prepared>),
 }
 
 impl Prepared {
@@ -158,11 +138,6 @@ impl Prepared {
                 histogram: histogram.as_deref(),
             },
             Prepared::HashedSet(h) => PreparedView::HashedSet(h),
-            Prepared::HashedCounts { counts, norm } => PreparedView::HashedCounts {
-                counts,
-                norm: *norm,
-            },
-            Prepared::Tokens(t) => PreparedView::Tokens(TokenListView::Heap(t)),
         }
     }
 }
@@ -181,16 +156,6 @@ pub enum PreparedView<'a> {
     },
     /// Sorted, deduplicated element hashes (set-overlap family).
     HashedSet(&'a [u64]),
-    /// Sorted `(hash, count)` pairs plus the precomputed L2 norm
-    /// (cosine family).
-    HashedCounts {
-        /// Sorted by hash, one entry per distinct element.
-        counts: &'a [(u64, f64)],
-        /// `sqrt(Σ count²)`.
-        norm: f64,
-    },
-    /// A token list, each token itself viewable (hybrid family).
-    Tokens(TokenListView<'a>),
 }
 
 impl<'a> PreparedView<'a> {
@@ -232,53 +197,6 @@ impl<'a> PreparedView<'a> {
     }
 }
 
-/// A borrowed token list: either the heap token `Vec` of a
-/// [`Prepared::Tokens`] or a node span inside a
-/// [`crate::arena::PreparedArena`]. Indexed access only — an iterator
-/// would need a boxed or enum-dispatched state, and the Monge-Elkan
-/// alignment is an index loop anyway.
-#[derive(Clone, Copy)]
-pub enum TokenListView<'a> {
-    /// Tokens owned by a heap [`Prepared::Tokens`].
-    Heap(&'a [Prepared]),
-    /// Tokens interned in an arena's node slab.
-    Arena {
-        /// The owning arena.
-        arena: &'a crate::arena::PreparedArena,
-        /// Span into the arena's node slab.
-        nodes: crate::arena::Span,
-    },
-}
-
-impl<'a> TokenListView<'a> {
-    /// Number of tokens.
-    pub fn len(self) -> usize {
-        match self {
-            TokenListView::Heap(t) => t.len(),
-            TokenListView::Arena { nodes, .. } => nodes.len(),
-        }
-    }
-
-    /// True for an empty token list.
-    pub fn is_empty(self) -> bool {
-        self.len() == 0
-    }
-
-    /// A view of token `index`; panics out of range.
-    pub fn get(self, index: usize) -> PreparedView<'a> {
-        match self {
-            TokenListView::Heap(t) => t[index].view(),
-            TokenListView::Arena { arena, nodes } => arena.token_view(nodes, index),
-        }
-    }
-}
-
-impl std::fmt::Debug for TokenListView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TokenListView(len={})", self.len())
-    }
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
@@ -295,8 +213,9 @@ pub(crate) fn fnv1a_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// FNV-1a over the UTF-8 encoding of a char slice, allocation-free.
-#[inline]
+/// FNV-1a over the UTF-8 encoding of a char slice, allocation-free:
+/// the textbook form the shingle hashing is tested against.
+#[cfg(test)]
 pub(crate) fn fnv1a_chars(chars: &[char]) -> u64 {
     let mut h = FNV_OFFSET;
     let mut buf = [0u8; 4];
@@ -317,7 +236,7 @@ pub(crate) fn into_hash_set(mut hashes: Vec<u64>) -> Vec<u64> {
 }
 
 /// `|A ∩ B| / |A ∪ B|` over two sorted deduplicated hash slices via a
-/// linear merge walk; the shared kernel of [`Jaccard`] and [`NGram`].
+/// linear merge walk; the kernel of [`Jaccard`].
 /// Both sets empty compares as identical (`1.0`).
 pub(crate) fn jaccard_of_sorted_sets(a: &[u64], b: &[u64]) -> f64 {
     if a.is_empty() && b.is_empty() {
@@ -458,9 +377,6 @@ mod tests {
             Box::new(NormalizedLevenshtein),
             Box::new(JaroWinkler::default()),
             Box::new(Jaccard),
-            Box::new(NGram::trigram()),
-            Box::new(CosineTokens),
-            Box::new(MongeElkan::default()),
         ]
     }
 
@@ -468,7 +384,7 @@ mod tests {
     fn names_are_distinct() {
         let names: std::collections::HashSet<&str> =
             all_measures().iter().map(|m| m.name()).collect();
-        assert_eq!(names.len(), 6);
+        assert_eq!(names.len(), 3);
     }
 
     #[test]

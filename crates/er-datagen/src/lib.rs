@@ -23,7 +23,6 @@
 
 pub mod dataset;
 pub mod duplicates;
-pub mod io;
 pub mod products;
 pub mod publications;
 pub mod rng;

@@ -18,7 +18,8 @@ use crate::{Ent, Keyed};
 /// # Panics
 /// If `value` does not fit, naming `what` overflowed — a silent
 /// truncation here would route records to the wrong block or reduce
-/// task.
+/// task. The resolver refuses a reduce-task count past `u32` before
+/// any job is built, so this fires only for a direct caller.
 pub(crate) fn key_index<T>(value: T, what: &str) -> u32
 where
     T: TryInto<u32> + Copy + std::fmt::Display,

@@ -20,7 +20,8 @@
 //! are tracked explicitly under
 //! [`crate::compare::MULTIPASS_SKIPPED`]. Folding the dedup rule into
 //! the *planning* stage is an open problem the paper leaves to future
-//! work; see `EXPERIMENTS.md` for the ablation quantifying the skew.
+//! work. `tests/pipeline_determinism.rs` checks on a two-pass run that
+//! compared plus skipped pairs equal the BDM's pair total.
 
 use std::sync::Arc;
 

@@ -35,29 +35,6 @@ pub fn sum_u64_combiner<K>() -> Combiner<K, u64> {
     Arc::new(|_k: &K, values: Vec<u64>| vec![values.into_iter().sum()])
 }
 
-/// A combiner that keeps only the first value per key (dedup).
-pub fn first_value_combiner<K, V: Clone + Send + Sync + 'static>() -> Combiner<K, V> {
-    Arc::new(|_k: &K, mut values: Vec<V>| {
-        values.truncate(1);
-        values
-    })
-}
-
-/// Applies `combiner` to *unsorted* map output: sorts a copy under
-/// `sort_cmp`, then combines adjacent equal-key groups. A convenience
-/// for testing combiners in isolation — the engine itself partitions
-/// first and calls [`combine_sorted_run`] on each already-sorted
-/// bucket, so map records are sorted exactly once.
-pub fn apply_combiner<K: Clone, V: Clone>(
-    output: Vec<(K, V)>,
-    sort_cmp: &crate::comparator::KeyCmp<K>,
-    combiner: &Combiner<K, V>,
-) -> Vec<(K, V)> {
-    let mut sorted = output;
-    sorted.sort_by(|a, b| sort_cmp(&a.0, &b.0));
-    combine_sorted_run(sorted, sort_cmp, combiner)
-}
-
 /// Reduces a run already sorted under `sort_cmp` in one pass: adjacent
 /// equal-key groups are replaced by the combiner's output, keyed by the
 /// group's first key. The result is still sorted under `sort_cmp`
@@ -98,24 +75,17 @@ mod tests {
 
     #[test]
     fn sum_combiner_aggregates_per_key() {
-        let out = vec![("b", 1u64), ("a", 2), ("b", 3), ("a", 4), ("c", 5)];
-        let combined = apply_combiner(out, &natural_order(), &sum_u64_combiner());
-        assert_eq!(combined, vec![("a", 6), ("b", 4), ("c", 5)]);
+        let sorted = vec![("a", 1u64), ("b", 2), ("b", 3), ("b", 4), ("c", 5)];
+        let combined = combine_sorted_run(sorted, &natural_order(), &sum_u64_combiner());
+        assert_eq!(combined, vec![("a", 1), ("b", 9), ("c", 5)]);
     }
 
     #[test]
     fn combining_twice_is_idempotent() {
-        let out = vec![("x", 1u64), ("x", 1), ("y", 7)];
-        let once = apply_combiner(out, &natural_order(), &sum_u64_combiner());
-        let twice = apply_combiner(once.clone(), &natural_order(), &sum_u64_combiner());
+        let sorted = vec![("x", 1u64), ("x", 1), ("y", 7)];
+        let once = combine_sorted_run(sorted, &natural_order(), &sum_u64_combiner());
+        let twice = combine_sorted_run(once.clone(), &natural_order(), &sum_u64_combiner());
         assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn first_value_combiner_dedups() {
-        let out = vec![(1u32, "a"), (1, "b"), (2, "c")];
-        let combined = apply_combiner(out, &natural_order(), &first_value_combiner());
-        assert_eq!(combined, vec![(1, "a"), (2, "c")]);
     }
 
     #[test]
@@ -131,8 +101,8 @@ mod tests {
 
     #[test]
     fn empty_output_passes_through() {
-        let out: Vec<(u8, u64)> = vec![];
-        let combined = apply_combiner(out, &natural_order(), &sum_u64_combiner());
+        let sorted: Vec<(u8, u64)> = vec![];
+        let combined = combine_sorted_run(sorted, &natural_order(), &sum_u64_combiner());
         assert!(combined.is_empty());
     }
 }

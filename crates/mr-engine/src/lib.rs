@@ -107,10 +107,8 @@ pub use partitioner::{FnPartitioner, HashPartitioner, Partitioner};
 pub use pool::{BatchTag, PoolStats, WorkerPool};
 pub use reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer, SumReducer};
 pub use runtime::{Runtime, RuntimeConfig};
-pub use trace::{
-    CountingSink, JsonlSink, TraceEvent, TraceEventData, TraceRecorder, TraceReport, TraceSink,
-};
-pub use workflow::{ensure_same_shape, Workflow, WorkflowMetrics};
+pub use trace::{JsonlSink, TraceEvent, TraceEventData, TraceRecorder, TraceReport, TraceSink};
+pub use workflow::{Workflow, WorkflowMetrics};
 
 /// Convenience glob-import for downstream crates and examples.
 pub mod prelude {

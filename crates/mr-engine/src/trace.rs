@@ -277,7 +277,7 @@ pub enum TraceEventData {
 
 impl TraceEventData {
     /// Stable category name: the `event` member of the JSONL encoding
-    /// and the key of [`CountingSink`] / [`TraceReport::count`].
+    /// and the key of [`TraceRecorder::count`] / [`TraceReport::count`].
     pub fn category(&self) -> &'static str {
         match self {
             TraceEventData::JobStarted { .. } => "job_started",
@@ -709,49 +709,6 @@ impl std::fmt::Debug for TraceRecorder {
 impl TraceSink for TraceRecorder {
     fn record(&self, event: &TraceEvent) {
         lock_unpoisoned(&self.events).push(event.clone());
-    }
-}
-
-/// A sink that counts events per category without storing them —
-/// constant memory no matter how long the run.
-#[derive(Default)]
-pub struct CountingSink {
-    counts: Mutex<BTreeMap<&'static str, u64>>,
-}
-
-impl CountingSink {
-    /// An empty counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshot of all per-category counts.
-    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
-        lock_unpoisoned(&self.counts).clone()
-    }
-
-    /// Count for one category (0 if never seen).
-    pub fn count(&self, category: &str) -> u64 {
-        lock_unpoisoned(&self.counts)
-            .get(category)
-            .copied()
-            .unwrap_or(0)
-    }
-}
-
-impl std::fmt::Debug for CountingSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CountingSink")
-            .field("counts", &self.counts())
-            .finish()
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn record(&self, event: &TraceEvent) {
-        *lock_unpoisoned(&self.counts)
-            .entry(event.data.category())
-            .or_insert(0) += 1;
     }
 }
 
@@ -1291,27 +1248,6 @@ mod tests {
         );
         assert_eq!(recorder.count("attempt_started"), 3);
         assert_eq!(recorder.count("queue_waited"), 1);
-    }
-
-    #[test]
-    fn counting_sink_counts_per_category() {
-        let sink = CountingSink::new();
-        for _ in 0..3 {
-            sink.record(&TraceEvent {
-                at: ms(0),
-                slot: None,
-                data: TraceEventData::SlotAcquired { tenant: None },
-            });
-        }
-        sink.record(&TraceEvent {
-            at: ms(1),
-            slot: None,
-            data: TraceEventData::SlotReleased,
-        });
-        assert_eq!(sink.count("slot_acquired"), 3);
-        assert_eq!(sink.count("slot_released"), 1);
-        assert_eq!(sink.count("job_started"), 0);
-        assert_eq!(sink.counts().len(), 2);
     }
 
     #[test]

@@ -52,42 +52,6 @@ use crate::pool::{BatchTag, WorkerPool};
 use crate::reducer::Reducer;
 use crate::trace::{TraceEventData, TraceSink, Tracer};
 
-/// Checks that two partitionings have identical shape (same number of
-/// partitions, same number of records per partition); a mismatch is
-/// reported as the typed [`MrError::StageShapeMismatch`] naming
-/// `context` and the first divergence.
-///
-/// The workflow layer itself enforces only partition-*count* equality
-/// when chaining (annotation stages may drop keyless entities or
-/// replicate multi-pass entities, so per-partition record counts are
-/// not invariant in general); this full check is for callers whose
-/// stages are record-preserving.
-pub fn ensure_same_shape<K1, V1, K2, V2>(
-    context: &str,
-    expected: &Partitions<K1, V1>,
-    got: &Partitions<K2, V2>,
-) -> Result<(), MrError> {
-    if expected.len() != got.len() {
-        return Err(MrError::StageShapeMismatch {
-            stage: context.to_string(),
-            partition: None,
-            expected: expected.len(),
-            got: got.len(),
-        });
-    }
-    for (i, (e, g)) in expected.iter().zip(got.iter()).enumerate() {
-        if e.len() != g.len() {
-            return Err(MrError::StageShapeMismatch {
-                stage: context.to_string(),
-                partition: Some(i),
-                expected: e.len(),
-                got: g.len(),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// A running multi-stage dataflow: executes jobs as stages, enforces
 /// the same-partitioning invariant between chained stages, and
 /// collects per-stage metrics. Call [`Workflow::finish`] when the last
@@ -668,32 +632,5 @@ mod tests {
         assert_eq!(wf.tenant(), "default");
         let wf = inline_workflow("wf").with_tenant("team-a");
         assert_eq!(wf.tenant(), "team-a");
-    }
-
-    #[test]
-    fn ensure_same_shape_reports_the_first_divergence() {
-        let a: Partitions<(), u8> = vec![vec![((), 1)], vec![]];
-        let b: Partitions<(), u8> = vec![vec![((), 2)], vec![]];
-        assert!(ensure_same_shape("t", &a, &b).is_ok());
-        let c: Partitions<(), u8> = vec![vec![], vec![((), 2)]];
-        assert_eq!(
-            ensure_same_shape("t", &a, &c).unwrap_err(),
-            MrError::StageShapeMismatch {
-                stage: "t".into(),
-                partition: Some(0),
-                expected: 1,
-                got: 0,
-            }
-        );
-        let d: Partitions<(), u8> = vec![vec![((), 1)]];
-        assert_eq!(
-            ensure_same_shape("t", &a, &d).unwrap_err(),
-            MrError::StageShapeMismatch {
-                stage: "t".into(),
-                partition: None,
-                expected: 2,
-                got: 1,
-            }
-        );
     }
 }

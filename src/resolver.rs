@@ -294,6 +294,10 @@ pub enum ConfigError {
     /// ([`Resolver::with_spill_threshold`], or the session's
     /// [`RuntimeConfig::spill_threshold`]): a seal needs at least one.
     ZeroSpillThreshold,
+    /// More reduce tasks ([`Resolver::with_reduce_tasks`]) or Sorted
+    /// Neighborhood key ranges ([`Resolver::with_partitions`]) than the
+    /// `u32` component of a composite map-output key can address.
+    TooManyReduceTasks(usize),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -321,6 +325,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroSpillThreshold => {
                 f.write_str("a spill threshold must be at least one record")
+            }
+            ConfigError::TooManyReduceTasks(n) => {
+                write!(f, "{n} reduce tasks do not fit a u32 map-output key")
             }
         }
     }
@@ -1021,9 +1028,11 @@ impl<'rt> Resolver<'rt> {
         if self.window < 2 {
             return Err(ConfigError::SnWindowTooSmall(self.window));
         }
-        if self.sn_partitions.unwrap_or(self.shared.reduce_tasks) == 0 {
+        let ranges = self.sn_partitions.unwrap_or(self.shared.reduce_tasks);
+        if ranges == 0 {
             return Err(ConfigError::ZeroSnPartitions);
         }
+        check_key_index(ranges)?;
         // Written so that NaN fails it.
         if !(self.sample_rate > 0.0 && self.sample_rate <= 1.0) {
             return Err(ConfigError::SnSampleRate(self.sample_rate.to_bits()));
@@ -1100,16 +1109,20 @@ impl<'rt> Resolver<'rt> {
         {
             SourceTagError::check(&input, sources).map_err(ResolveError::SourceTags)?;
         }
-        // So are the session's spill threshold and its LSH and SN
-        // settings, which would otherwise panic while a job or the
-        // config is assembled, or inside a map task.
+        // So are the session's spill threshold, its reduce-task count
+        // and its LSH and SN settings, which would otherwise panic while
+        // a job or the config is assembled, or inside a map task.
         if self.shared.spill_threshold == Some(0) {
             return Err(ResolveError::InvalidConfig(ConfigError::ZeroSpillThreshold));
         }
         match scenario {
-            Scenario::Lsh { params, .. } => self.check_lsh(params.as_ref()),
+            Scenario::Lsh { params, .. } => self
+                .check_lsh(params.as_ref())
+                .and_then(|()| check_key_index(self.shared.reduce_tasks)),
             Scenario::SortedNeighborhood { .. } | Scenario::TwoSourceSn { .. } => self.check_sn(),
-            Scenario::Dedup { .. } | Scenario::Linkage { .. } => Ok(()),
+            Scenario::Dedup { .. } | Scenario::Linkage { .. } => {
+                check_key_index(self.shared.reduce_tasks)
+            }
         }
         .map_err(ResolveError::InvalidConfig)?;
         let (result, details) = match scenario {
@@ -1161,6 +1174,16 @@ impl<'rt> Resolver<'rt> {
             details,
             workflow: workflow.finish(),
         })
+    }
+}
+
+/// Composite map-output keys carry the reduce task (or SN key range)
+/// as a `u32`; a count past it would be truncated or, in a map task,
+/// panic.
+fn check_key_index(reduce_tasks: usize) -> Result<(), ConfigError> {
+    match u32::try_from(reduce_tasks) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ConfigError::TooManyReduceTasks(reduce_tasks)),
     }
 }
 

@@ -635,3 +635,30 @@ fn zero_width_lsh_grams_are_a_typed_error() {
         ConfigError::ZeroGramWidth,
     );
 }
+
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn a_reduce_task_count_past_u32_is_a_typed_error() {
+    // Composite map-output keys hold the reduce task (or SN key range)
+    // as a `u32`: one more must be refused before any job is built,
+    // let alone a map task's per-reduce-task buckets.
+    let too_many = u32::MAX as usize + 1;
+    for scenario in [
+        Scenario::Dedup {
+            strategy: StrategyKind::BlockSplit,
+        },
+        Scenario::sorted_neighborhood(SnStrategy::RepSn),
+        Scenario::lsh(LshParams::new(4, 4)),
+    ] {
+        assert_invalid_config(
+            |session| session.with_reduce_tasks(too_many),
+            scenario,
+            ConfigError::TooManyReduceTasks(too_many),
+        );
+    }
+    assert_invalid_config(
+        |session| session.with_partitions(too_many),
+        Scenario::sorted_neighborhood(SnStrategy::JobSn),
+        ConfigError::TooManyReduceTasks(too_many),
+    );
+}
