@@ -38,7 +38,7 @@ impl SortKey {
 
     /// The empty key — sorts before every non-empty key. Used as the
     /// deterministic destination for entities without a valid sort key
-    /// under the `SortFirst` null-key policy (see er-sn).
+    /// (see er-sn).
     pub fn empty() -> Self {
         SortKey::new("")
     }
@@ -69,8 +69,8 @@ impl From<&str> for SortKey {
 /// Derives sort keys from entities.
 ///
 /// `sort_key` returns `None` when the entity has no usable key (missing
-/// or empty attribute); callers must route such entities by an explicit
-/// policy — never drop them silently.
+/// or empty attribute); er-sn routes such entities under
+/// [`SortKey::empty`] — never drops them silently.
 pub trait SortKeyFunction: Send + Sync {
     /// The sort key of `entity`, if one can be derived.
     fn sort_key(&self, entity: &Entity) -> Option<SortKey>;
@@ -336,8 +336,8 @@ mod tests {
         let f = ReversedSortKey::title();
         let e = Entity::new(1, [("title", "  Canon EOS  ")]);
         assert_eq!(f.sort_key(&e).unwrap().as_str(), "soe nonac");
-        // Keyless entities stay keyless — the null-key policy applies
-        // identically in every pass.
+        // Keyless entities stay keyless — they route under the empty
+        // key identically in every pass.
         assert_eq!(f.sort_key(&Entity::new(2, [("brand", "x")])), None);
         // Suffix-equal titles collate adjacently under the reversed
         // key even though their prefixes differ.

@@ -36,23 +36,16 @@ use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::RuntimeConfig;
 use mr_engine::workflow::Workflow;
 
-use crate::{LshBlocking, LshParams, DEFAULT_LSH_SEED};
+use crate::{LshBlocking, LshParams};
 
-use er_core::minhash::ShingleScheme;
-
-/// Configuration of one LSH run — the adaptive ladder, the shingle
-/// and seed choices, and the balancing strategy applied to the banded
-/// key space. Shared execution knobs live in the embedded
+/// Configuration of one LSH run — the adaptive ladder and the
+/// balancing strategy applied to the banded key space; every rung
+/// bands title trigrams ([`LshConfig::blocking_for`]). Shared
+/// execution knobs live in the embedded
 /// [`RuntimeConfig`] (install the block with
 /// [`LshConfig::with_runtime`]), mirroring `ErConfig`/`SnConfig`.
 #[derive(Clone)]
 pub struct LshConfig {
-    /// Attribute signatures are computed over.
-    pub attribute: String,
-    /// Shingle scheme (default: character trigrams).
-    pub scheme: ShingleScheme,
-    /// MinHash family seed.
-    pub seed: u64,
     /// The adaptive ladder, widest (most bands / highest recall /
     /// most candidates) first. A fixed-parameter run is a one-rung
     /// ladder.
@@ -61,14 +54,6 @@ pub struct LshConfig {
     /// at most this (`None`: the widest rung is accepted
     /// immediately).
     pub candidate_budget: Option<u64>,
-    /// Estimated-recall floor each round is scored against (at
-    /// [`LshConfig::target_similarity`]); rounds below it are
-    /// flagged in their [`LshRound`].
-    pub recall_floor: f64,
-    /// The Jaccard similarity the recall estimate is evaluated at —
-    /// the collision probability of a pair right at the match
-    /// boundary.
-    pub target_similarity: f64,
     /// How the candidate job balances the banded key space.
     pub balance: StrategyKind,
     /// Range formula for `balance = PairRange`.
@@ -96,17 +81,12 @@ impl LshConfig {
     /// balancing, the paper matcher.
     pub fn new() -> Self {
         Self {
-            attribute: "title".to_string(),
-            scheme: ShingleScheme::CharGrams(3),
-            seed: DEFAULT_LSH_SEED,
             ladder: vec![
                 LshParams::new(16, 2),
                 LshParams::new(8, 4),
                 LshParams::new(4, 8),
             ],
             candidate_budget: None,
-            recall_floor: 0.8,
-            target_similarity: 0.8,
             balance: StrategyKind::BlockSplit,
             range_policy: RangePolicy::CeilDiv,
             split_policy: SplitPolicy::paper(),
@@ -145,9 +125,15 @@ impl LshConfig {
         self
     }
 
-    /// The blocking function of one ladder rung.
+    /// The Jaccard similarity each round's recall is estimated at —
+    /// the collision probability of a pair right at the match
+    /// boundary.
+    const TARGET_SIMILARITY: f64 = 0.8;
+
+    /// The blocking function of one ladder rung: title trigrams
+    /// ([`LshBlocking::title_trigrams`]).
     pub fn blocking_for(&self, params: LshParams) -> LshBlocking {
-        LshBlocking::new(params, self.scheme, self.attribute.clone(), self.seed)
+        LshBlocking::title_trigrams(params)
     }
 
     /// The matching-job configuration of the candidate job over the
@@ -166,12 +152,8 @@ impl LshConfig {
 impl std::fmt::Debug for LshConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LshConfig")
-            .field("attribute", &self.attribute)
-            .field("scheme", &self.scheme)
-            .field("seed", &self.seed)
             .field("ladder", &self.ladder)
             .field("candidate_budget", &self.candidate_budget)
-            .field("recall_floor", &self.recall_floor)
             .field("balance", &self.balance)
             .field("runtime", &self.runtime)
             .finish_non_exhaustive()
@@ -188,13 +170,11 @@ pub struct LshRound {
     /// — what the reducers iterate (the smallest-band gate then
     /// evaluates each distinct pair once).
     pub candidate_pairs: u64,
-    /// The banding S-curve estimate of recall at the target
-    /// similarity.
+    /// The banding S-curve estimate of recall at Jaccard similarity
+    /// 0.8, the match boundary.
     pub est_recall: f64,
     /// Whether the workload fit the candidate budget.
     pub within_budget: bool,
-    /// Whether the recall estimate reached the floor.
-    pub meets_floor: bool,
     /// Whether this rung was accepted (rounds after an accepted rung
     /// never run).
     pub accepted: bool,
@@ -280,14 +260,13 @@ pub fn run_lsh_in(
         let within_budget = config
             .candidate_budget
             .is_none_or(|budget| candidate_pairs <= budget);
-        let est_recall = params.collision_probability(config.target_similarity);
+        let est_recall = params.collision_probability(LshConfig::TARGET_SIMILARITY);
         let accept = within_budget || i == last_rung;
         rounds.push(LshRound {
             params,
             candidate_pairs,
             est_recall,
             within_budget,
-            meets_floor: est_recall >= config.recall_floor,
             accepted: accept,
         });
         if accept {

@@ -128,21 +128,6 @@ impl LshBlocking {
         )
     }
 
-    /// The banding configuration.
-    pub fn params(&self) -> LshParams {
-        self.params
-    }
-
-    /// The shingle scheme.
-    pub fn scheme(&self) -> ShingleScheme {
-        self.scheme
-    }
-
-    /// The attribute signatures are computed over.
-    pub fn attribute(&self) -> &str {
-        &self.attribute
-    }
-
     /// The entity's MinHash signature, or `None` when the attribute is
     /// missing or shingles to the empty set (such entities carry no
     /// band keys and are counted under

@@ -30,7 +30,7 @@ use mr_engine::workflow::Workflow;
 
 use crate::jobsn::{assemble_boundary_input, split_window_output, stitch_job, window_job};
 use crate::repsn::repsn_job;
-use crate::sample::{resolve_sort_key, sample_distribution_in};
+use crate::sample::{sample_distribution_in, sorted_order};
 use crate::PARTITION_ENTITIES;
 
 /// Which boundary-handling strategy runs the matching job.
@@ -54,25 +54,6 @@ impl std::fmt::Display for SnStrategy {
     }
 }
 
-/// Routing policy for entities without a derivable sort key.
-///
-/// Either way the decision is deterministic and counted under
-/// [`crate::NULL_SORT_KEYS`]; keyless entities are never dropped
-/// silently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NullKeyPolicy {
-    /// Route under [`SortKey::empty`]: keyless entities collate at the
-    /// very front of the global order, where the window compares them
-    /// against each other and the lowest-keyed entities (the default —
-    /// no entity is excluded from matching).
-    #[default]
-    SortFirst,
-    /// Exclude keyless entities from SN matching (counted; compose a
-    /// separate pass — e.g. the Cartesian decomposition of
-    /// `er_loadbalance::null_keys` — to cover them).
-    Skip,
-}
-
 /// Configuration of one Sorted Neighborhood run.
 ///
 /// The execution knobs every scenario shares live in the embedded
@@ -93,29 +74,23 @@ pub struct SnConfig {
     /// Window size `w ≥ 2`: every pair within `w − 1` sort positions
     /// is compared.
     pub window: usize,
-    /// Fraction of keyed entities sampled into the key histogram the
-    /// range boundaries are computed from, in `(0, 1]`.
-    pub sample_rate: f64,
-    /// Pre-aggregate sampled key counts per map task.
+    /// Pre-aggregate sort-key counts per map task.
     pub use_combiner: bool,
-    /// Routing of entities without a sort key.
-    pub null_key_policy: NullKeyPolicy,
     /// Shared execution knobs; `runtime.reduce_tasks` is the number of
     /// key ranges (== reduce tasks of the matching job).
     pub runtime: RuntimeConfig,
 }
 
 impl SnConfig {
-    /// Defaults: window 4, 4 partitions, exact (rate-1.0) sampling.
+    /// Defaults: window 4, 4 partitions, the full normalized `title`
+    /// as sort key.
     pub fn new(strategy: SnStrategy) -> Self {
         Self {
             sort_key: Arc::new(AttributeSortKey::title()),
             matcher: Arc::new(Matcher::paper_default()),
             strategy,
             window: 4,
-            sample_rate: 1.0,
             use_combiner: true,
-            null_key_policy: NullKeyPolicy::default(),
             runtime: RuntimeConfig::default(),
         }
     }
@@ -161,19 +136,6 @@ impl SnConfig {
         self
     }
 
-    /// Overrides the sampling rate.
-    ///
-    /// # Panics
-    /// If `rate` is outside `(0, 1]`.
-    pub fn with_sample_rate(mut self, rate: f64) -> Self {
-        assert!(
-            rate > 0.0 && rate <= 1.0,
-            "sample rate must be in (0, 1], got {rate}"
-        );
-        self.sample_rate = rate;
-        self
-    }
-
     /// Number of key ranges == reduce tasks of the matching job.
     pub fn partitions(&self) -> usize {
         self.runtime.reduce_tasks
@@ -190,9 +152,7 @@ impl std::fmt::Debug for SnConfig {
             .field("strategy", &self.strategy)
             .field("window", &self.window)
             .field("partitions", &self.partitions())
-            .field("sample_rate", &self.sample_rate)
             .field("use_combiner", &self.use_combiner)
-            .field("null_key_policy", &self.null_key_policy)
             .field("runtime", &self.runtime)
             .finish()
     }
@@ -253,7 +213,7 @@ impl From<MrError> for SnError {
 pub struct SnStages {
     /// The deduplicated match result of this pass.
     pub result: MatchResult,
-    /// The sampled range partitioner the pass routed by.
+    /// The range partitioner the pass routed by.
     pub partitioner: RangePartitioner<SortKey>,
     /// Metrics of the sort-key distribution job.
     pub sample_metrics: JobMetrics,
@@ -320,8 +280,6 @@ pub fn run_sn_stages(
         workflow,
         input,
         Arc::clone(&config.sort_key),
-        config.null_key_policy,
-        config.sample_rate,
         config.partitions(),
         config.use_combiner,
         config.runtime.spill_threshold,
@@ -429,32 +387,18 @@ pub(crate) fn inline_workflow(name: &str) -> Workflow {
 /// reproduce exactly, at every partition count and parallelism.
 ///
 /// Entities are enumerated in `(input partition, record order)` and
-/// stable-sorted by sort key, mirroring the engine's shuffle tie
-/// order; the null-key policy is applied through the same
-/// [`resolve_sort_key`] the mapper uses.
+/// stable-sorted by the same
+/// [`routing_key`](crate::sample::routing_key) the mapper uses,
+/// mirroring the engine's shuffle tie order.
 pub fn sn_oracle(input: &Partitions<(), Ent>, config: &SnConfig) -> MatchResult {
-    let mut keyed: Vec<(SortKey, Ent)> = Vec::new();
-    for partition in input {
-        for ((), entity) in partition {
-            if let Some(key) =
-                resolve_sort_key(config.sort_key.as_ref(), config.null_key_policy, entity)
-                    .routing_key()
-            {
-                keyed.push((key, Arc::clone(entity)));
-            }
-        }
-    }
-    keyed.sort_by(|a, b| a.0.cmp(&b.0)); // stable: ties keep input order
+    let sorted = sorted_order(input, config.sort_key.as_ref());
     let mut result = MatchResult::new();
     let mut cache = MatcherCache::new(Arc::clone(&config.matcher));
-    for j in 0..keyed.len() {
+    for j in 0..sorted.len() {
         for i in j.saturating_sub(config.window - 1)..j {
-            if let Some(score) = cache.matches(&keyed[i].1, &keyed[j].1) {
+            if let Some(score) = cache.matches(&sorted[i], &sorted[j]) {
                 result.insert(
-                    er_core::result::MatchPair::new(
-                        keyed[i].1.entity_ref(),
-                        keyed[j].1.entity_ref(),
-                    ),
+                    er_core::result::MatchPair::new(sorted[i].entity_ref(), sorted[j].entity_ref()),
                     score,
                 );
             }

@@ -42,7 +42,7 @@ pub struct SnMapper {
 }
 
 impl SnMapper {
-    /// Creates the mapper over sampled range boundaries.
+    /// Creates the mapper over the distribution job's range boundaries.
     pub fn new(partitioner: Arc<RangePartitioner<SortKey>>) -> Self {
         Self { partitioner }
     }
@@ -384,7 +384,8 @@ impl Reducer for StitchReducer {
         group: Group<'_, BoundaryKey, SnEntity>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
-        let w = self.window as u32;
+        // Distances are `u32`, so a wider window reaches all of them.
+        let w = u32::try_from(self.window).unwrap_or(u32::MAX);
         self.driver.truncate(0);
         self.left_dists.clear();
         for (key, value) in group.iter() {

@@ -9,9 +9,10 @@
 //!
 //! 1. **Distribution job** ([`sample`]) — derives and side-writes each
 //!    entity's sort key (the annotated input of the matching job,
-//!    mirroring the BDM job's `Π'ᵢ` pattern) and emits a *sampled*
-//!    key histogram, from which the driver builds an order-preserving
-//!    [`er_core::sortkey::RangePartitioner`].
+//!    mirroring the BDM job's `Π'ᵢ` pattern) and emits an exact key
+//!    histogram, from which the driver builds an order-preserving
+//!    [`er_core::sortkey::RangePartitioner`]. Entities without a sort
+//!    key collate first, under the empty key.
 //! 2. **Window job** — a composite-key mapper emits
 //!    `(partition, sort key)` so each reduce task owns one contiguous
 //!    key range, streamed by the engine's heap merge as one small
@@ -61,22 +62,22 @@ pub mod two_source;
 pub mod window;
 
 pub use driver::{
-    oracle_comparisons, run_sn_stages, run_sorted_neighborhood_in, sn_oracle, NullKeyPolicy,
-    SnConfig, SnError, SnStages, SnStrategy,
+    oracle_comparisons, run_sn_stages, run_sorted_neighborhood_in, sn_oracle, SnConfig, SnError,
+    SnStages, SnStrategy,
 };
 pub use keys::{BoundaryKey, BoundarySide, SnEntity, SnKey};
 pub use multipass::{
     multipass_oracle_comparisons, multipass_sn_oracle, run_multipass_sn_in, window_pair_set,
     MultiPassSnStages, SnPassReport,
 };
-pub use sample::{resolve_sort_key, ResolvedKey};
 pub use two_source::{
     run_two_source_sn_in, two_source_input, two_source_oracle_comparisons, two_source_sn_oracle,
 };
 pub use window::WindowBuffer;
 
-/// Counter: entities without a derivable sort key (routed by the
-/// [`NullKeyPolicy`], never dropped silently).
+/// Counter: entities without a derivable sort key (routed under the
+/// empty key, at the front of the global order — never dropped
+/// silently).
 pub const NULL_SORT_KEYS: &str = "er.sn.null_sort_keys";
 
 /// Counter: boundary replicas shipped by RepSN's map phase.

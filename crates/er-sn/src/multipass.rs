@@ -37,8 +37,8 @@ use mr_engine::metrics::JobMetrics;
 use mr_engine::workflow::Workflow;
 
 use crate::driver::{run_sn_stages, sn_oracle};
-use crate::sample::resolve_sort_key;
-use crate::{NullKeyPolicy, SnConfig, SnError};
+use crate::sample::sorted_order;
+use crate::{SnConfig, SnError};
 
 /// What one pass of a multi-pass run contributed.
 #[derive(Debug)]
@@ -89,8 +89,7 @@ impl MultiPassSnStages {
 /// one window workflow per sort key in `passes`, unioned with the
 /// first-pass-wins dedup gate. `config.sort_key` is ignored — each
 /// pass routes by its own key function; everything else (strategy,
-/// window, partitions, matcher, null-key policy) applies to every
-/// pass.
+/// window, partitions, matcher) applies to every pass.
 ///
 /// # Panics
 /// If `passes` is empty.
@@ -133,12 +132,7 @@ pub fn run_multipass_sn_in(
             match_metrics: stages.match_metrics,
             stitch_metrics: stages.stitch_metrics,
         });
-        seen.extend(window_pair_set(
-            &input,
-            sort_key.as_ref(),
-            config.null_key_policy,
-            config.window,
-        ));
+        seen.extend(window_pair_set(&input, sort_key.as_ref(), config.window));
     }
     Ok(MultiPassSnStages {
         result,
@@ -155,24 +149,15 @@ pub fn run_multipass_sn_in(
 pub fn window_pair_set(
     input: &Partitions<(), Ent>,
     sort_key: &dyn SortKeyFunction,
-    policy: NullKeyPolicy,
     window: usize,
 ) -> BTreeSet<MatchPair> {
-    let mut keyed: Vec<(er_core::sortkey::SortKey, &Ent)> = Vec::new();
-    for partition in input {
-        for ((), entity) in partition {
-            if let Some(key) = resolve_sort_key(sort_key, policy, entity).routing_key() {
-                keyed.push((key, entity));
-            }
-        }
-    }
-    keyed.sort_by(|a, b| a.0.cmp(&b.0)); // stable: ties keep input order
+    let sorted = sorted_order(input, sort_key);
     let mut pairs = BTreeSet::new();
-    for j in 0..keyed.len() {
+    for j in 0..sorted.len() {
         for i in j.saturating_sub(window - 1)..j {
             pairs.insert(MatchPair::new(
-                keyed[i].1.entity_ref(),
-                keyed[j].1.entity_ref(),
+                sorted[i].entity_ref(),
+                sorted[j].entity_ref(),
             ));
         }
     }
@@ -206,12 +191,7 @@ pub fn multipass_oracle_comparisons(
 ) -> u64 {
     let mut union = BTreeSet::new();
     for sort_key in passes {
-        union.extend(window_pair_set(
-            input,
-            sort_key.as_ref(),
-            config.null_key_policy,
-            config.window,
-        ));
+        union.extend(window_pair_set(input, sort_key.as_ref(), config.window));
     }
     union.len() as u64
 }

@@ -22,7 +22,7 @@
 //! levels are a pure function of the annotated input and the
 //! deterministic partitioner — and reports
 //! [`crate::driver::SnError::ThinPartition`] instead of a silently
-//! incomplete result (use JobSN for workloads whose sampled ranges
+//! incomplete result (use JobSN for workloads whose key ranges
 //! can run that thin — degenerate key distributions, tiny inputs).
 
 use std::sync::Arc;

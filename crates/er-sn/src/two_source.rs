@@ -29,7 +29,7 @@ use mr_engine::input::Partitions;
 use mr_engine::workflow::Workflow;
 
 use crate::driver::{run_sn_stages, SnStages};
-use crate::sample::resolve_sort_key;
+use crate::sample::sorted_order;
 use crate::{SnConfig, SnError};
 
 /// Executes two-source Sorted Neighborhood linkage as stages of
@@ -123,23 +123,12 @@ pub fn two_source_oracle_comparisons(input: &Partitions<(), Ent>, config: &SnCon
 /// interleaved global order (stable ties in input order, mirroring
 /// the engine's shuffle).
 fn cross_source_window_pairs(input: &Partitions<(), Ent>, config: &SnConfig) -> Vec<(Ent, Ent)> {
-    let mut keyed: Vec<(er_core::sortkey::SortKey, Ent)> = Vec::new();
-    for partition in input {
-        for ((), entity) in partition {
-            if let Some(key) =
-                resolve_sort_key(config.sort_key.as_ref(), config.null_key_policy, entity)
-                    .routing_key()
-            {
-                keyed.push((key, Arc::clone(entity)));
-            }
-        }
-    }
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    let sorted = sorted_order(input, config.sort_key.as_ref());
     let mut pairs = Vec::new();
-    for j in 0..keyed.len() {
+    for j in 0..sorted.len() {
         for i in j.saturating_sub(config.window - 1)..j {
-            if keyed[i].1.source() != keyed[j].1.source() {
-                pairs.push((Arc::clone(&keyed[i].1), Arc::clone(&keyed[j].1)));
+            if sorted[i].source() != sorted[j].source() {
+                pairs.push((Arc::clone(&sorted[i]), Arc::clone(&sorted[j])));
             }
         }
     }

@@ -37,6 +37,9 @@ pub struct WindowBuffer {
     /// The entity behind each driver row.
     entities: Vec<Ent>,
     capacity: usize,
+    /// Column length at which the stale front is dropped: twice the
+    /// ring, saturating for windows past `usize::MAX / 2`.
+    evict_at: usize,
 }
 
 impl WindowBuffer {
@@ -48,10 +51,12 @@ impl WindowBuffer {
         assert!(window >= 2, "a sliding window must span at least 2 slots");
         let mut driver = GroupComparer::new(comparer);
         driver.begin(&BlockKey::bottom());
+        let capacity = window - 1;
         Self {
             driver,
             entities: Vec::new(),
-            capacity: window - 1,
+            capacity,
+            evict_at: capacity.saturating_mul(2),
         }
     }
 
@@ -79,7 +84,7 @@ impl WindowBuffer {
     /// Appends `keyed`'s row; returns the ring as it was before, and
     /// the new row's position.
     fn admit(&mut self, keyed: &Keyed) -> (Range<usize>, usize) {
-        if self.driver.len() == 2 * self.capacity {
+        if self.driver.len() == self.evict_at {
             self.driver.evict_front(self.capacity);
             self.entities.drain(..self.capacity);
         }

@@ -8,7 +8,7 @@
 //! 1. create a [`Runtime`] once — its worker pool is spawned **once**
 //!    and shared by every subsequent run;
 //! 2. build a [`Resolver`] and set the workload knobs (blocking
-//!    function, matcher, sort key, window, …) — each shared knob is
+//!    function, matcher, window, …) — each shared knob is
 //!    stored exactly once and reaches every scenario family;
 //! 3. describe *what* to resolve with a [`Scenario`] value and call
 //!    [`Resolver::resolve`], which compiles the scenario into
@@ -44,7 +44,6 @@
 use std::sync::Arc;
 
 use er_core::blocking::BlockingFunction;
-use er_core::minhash::ShingleScheme;
 use er_core::sortkey::{RangePartitioner, SortKey, SortKeyFunction};
 use er_core::{MatchResult, Matcher, SourceId};
 use er_loadbalance::block_split::SplitPolicy;
@@ -55,7 +54,7 @@ use er_lsh::{LshConfig, LshParams, LshRound};
 use er_sn::driver::run_sorted_neighborhood_in;
 use er_sn::multipass::run_multipass_sn_in;
 use er_sn::two_source::run_two_source_sn_in;
-use er_sn::{NullKeyPolicy, SnConfig, SnError, SnPassReport, SnStages, SnStrategy};
+use er_sn::{SnConfig, SnError, SnPassReport, SnStages, SnStrategy};
 use mr_engine::error::MrError;
 use mr_engine::fault::{FaultPlan, FaultPolicy};
 use mr_engine::input::Partitions;
@@ -97,16 +96,16 @@ pub enum Scenario {
     /// Sorted Neighborhood blocking: sliding window over a total sort
     /// order, with one of the two boundary strategies.
     ///
-    /// With `passes` empty, a single pass runs under the resolver's
-    /// configured sort key ([`Resolver::with_sort_key`]). With
-    /// explicit `passes`, one window workflow runs per key function
+    /// With `passes` empty, a single pass sorts by the full normalized
+    /// `title` (the sort key of [`SnConfig::new`]). With explicit
+    /// `passes`, one window workflow runs per key function
     /// and the pair sets union under the first-pass-wins dedup gate —
     /// multi-pass SN.
     SortedNeighborhood {
         /// Boundary-handling strategy (JobSN / RepSN).
         strategy: SnStrategy,
-        /// Sort keys for multi-pass SN; empty = single pass under the
-        /// resolver's sort key.
+        /// Sort keys for multi-pass SN; empty = single pass by
+        /// `title`.
         passes: Vec<Arc<dyn SortKeyFunction>>,
     },
     /// Two-source Sorted Neighborhood linkage: both sources interleave
@@ -140,7 +139,7 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Single-pass Sorted Neighborhood under the resolver's sort key.
+    /// Single-pass Sorted Neighborhood, sorted by `title`.
     pub fn sorted_neighborhood(strategy: SnStrategy) -> Self {
         Scenario::SortedNeighborhood {
             strategy,
@@ -275,28 +274,19 @@ pub enum ConfigError {
     EmptyLshLadder,
     /// An LSH banding with zero bands or zero rows.
     ZeroLshBanding(LshParams),
-    /// [`Scenario::Lsh`] under `ShingleScheme::CharGrams(0)`
-    /// ([`Resolver::with_lsh_scheme`]).
-    ZeroGramWidth,
     /// A Sorted Neighborhood scenario with a window below 2
     /// ([`Resolver::with_window`]): a window of one compares nothing.
     SnWindowTooSmall(usize),
-    /// A Sorted Neighborhood scenario with no key range
-    /// ([`Resolver::with_partitions`], or
-    /// [`Resolver::with_reduce_tasks`] when that is not set).
+    /// A Sorted Neighborhood scenario with no key range: zero
+    /// [`Resolver::with_reduce_tasks`].
     ZeroSnPartitions,
-    /// A Sorted Neighborhood scenario whose histogram sampling rate
-    /// ([`Resolver::with_sample_rate`]) is outside `(0, 1]`. Holds the
-    /// rate's [`f64::to_bits`], so that the error stays `Eq` and a NaN
-    /// rate compares equal to itself.
-    SnSampleRate(u64),
     /// A spill threshold of zero records
     /// ([`Resolver::with_spill_threshold`], or the session's
     /// [`RuntimeConfig::spill_threshold`]): a seal needs at least one.
     ZeroSpillThreshold,
-    /// More reduce tasks ([`Resolver::with_reduce_tasks`]) or Sorted
-    /// Neighborhood key ranges ([`Resolver::with_partitions`]) than the
-    /// `u32` component of a composite map-output key can address.
+    /// More reduce tasks ([`Resolver::with_reduce_tasks`]) — for
+    /// Sorted Neighborhood, key ranges — than the `u32` component of a
+    /// composite map-output key can address.
     TooManyReduceTasks(usize),
 }
 
@@ -309,7 +299,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroLshBanding(params) => {
                 write!(f, "LSH banding {params} needs at least one band and row")
             }
-            ConfigError::ZeroGramWidth => f.write_str("LSH character grams need a positive width"),
             ConfigError::SnWindowTooSmall(window) => {
                 write!(
                     f,
@@ -318,10 +307,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroSnPartitions => {
                 f.write_str("Sorted Neighborhood needs at least one key range")
-            }
-            ConfigError::SnSampleRate(bits) => {
-                let rate = f64::from_bits(*bits);
-                write!(f, "the SN sample rate must be in (0, 1], got {rate}")
             }
             ConfigError::ZeroSpillThreshold => {
                 f.write_str("a spill threshold must be at least one record")
@@ -485,7 +470,7 @@ pub enum ScenarioDetails {
     /// (single-key [`Scenario::SortedNeighborhood`],
     /// [`Scenario::TwoSourceSn`]).
     Sorted {
-        /// The sampled range partitioner the run routed by.
+        /// The range partitioner the run routed by.
         partitioner: RangePartitioner<SortKey>,
         /// Metrics of the sort-key distribution job.
         sample_metrics: JobMetrics,
@@ -564,7 +549,7 @@ impl ScenarioDetails {
         }
     }
 
-    /// The sampled range partitioner, for single-pass SN scenarios.
+    /// The range partitioner, for single-pass SN scenarios.
     pub fn partitioner(&self) -> Option<&RangePartitioner<SortKey>> {
         match self {
             ScenarioDetails::Sorted { partitioner, .. } => Some(partitioner),
@@ -658,21 +643,13 @@ pub struct Resolver<'rt> {
     split_policy: SplitPolicy,
     /// Blocking family.
     blocking: Arc<dyn BlockingFunction>,
-    /// Sorted Neighborhood family. `sn_partitions` overrides the key
-    /// range count, which otherwise is `shared.reduce_tasks`.
-    sort_key: Arc<dyn SortKeyFunction>,
+    /// Sorted Neighborhood family; its key-range count is
+    /// `shared.reduce_tasks`.
     window: usize,
-    sample_rate: f64,
-    null_key_policy: NullKeyPolicy,
-    sn_partitions: Option<usize>,
     /// LSH family.
     lsh_ladder: Vec<LshParams>,
     lsh_budget: Option<u64>,
-    lsh_recall_floor: f64,
     lsh_balance: StrategyKind,
-    lsh_scheme: ShingleScheme,
-    lsh_seed: u64,
-    lsh_attribute: String,
     /// Tenant label this session's workflows are attributed to on the
     /// shared pool; `None` uses the pool's `"default"` tenant.
     tenant: Option<Arc<str>>,
@@ -723,18 +700,10 @@ impl<'rt> Resolver<'rt> {
             range_policy: er.range_policy,
             split_policy: er.split_policy,
             blocking: er.blocking,
-            sort_key: sn.sort_key,
             window: sn.window,
-            sample_rate: sn.sample_rate,
-            null_key_policy: sn.null_key_policy,
-            sn_partitions: None,
             lsh_ladder: lsh.ladder,
             lsh_budget: lsh.candidate_budget,
-            lsh_recall_floor: lsh.recall_floor,
             lsh_balance: lsh.balance,
-            lsh_scheme: lsh.scheme,
-            lsh_seed: lsh.seed,
-            lsh_attribute: lsh.attribute,
             tenant: None,
             trace_sink: None,
         }
@@ -759,13 +728,6 @@ impl<'rt> Resolver<'rt> {
         self
     }
 
-    /// Overrides the sort key of single-pass SN scenarios (default:
-    /// full normalized `title`).
-    pub fn with_sort_key(mut self, sort_key: Arc<dyn SortKeyFunction>) -> Self {
-        self.sort_key = sort_key;
-        self
-    }
-
     /// Overrides the SN window size (`w ≥ 2`, checked when an SN
     /// scenario runs).
     pub fn with_window(mut self, window: usize) -> Self {
@@ -776,42 +738,14 @@ impl<'rt> Resolver<'rt> {
     /// Overrides the number of reduce tasks for this session — both
     /// jobs of the blocking and LSH scenarios *and* the SN key-range
     /// count (the ranges are the reduce tasks of SN's matching job).
-    /// Use [`Resolver::with_partitions`] afterwards to set the SN
-    /// range count independently.
     pub fn with_reduce_tasks(mut self, r: usize) -> Self {
         self.shared.reduce_tasks = r;
-        self.sn_partitions = None;
-        self
-    }
-
-    /// Overrides the SN key-range count only.
-    pub fn with_partitions(mut self, partitions: usize) -> Self {
-        self.sn_partitions = Some(partitions);
-        self
-    }
-
-    /// Overrides the SN histogram sampling rate (in `(0, 1]`, checked
-    /// when an SN scenario runs).
-    pub fn with_sample_rate(mut self, rate: f64) -> Self {
-        self.sample_rate = rate;
-        self
-    }
-
-    /// Overrides the SN null-sort-key policy.
-    pub fn with_null_key_policy(mut self, policy: NullKeyPolicy) -> Self {
-        self.null_key_policy = policy;
         self
     }
 
     /// Overrides the PairRange range formula.
     pub fn with_range_policy(mut self, policy: RangePolicy) -> Self {
         self.range_policy = policy;
-        self
-    }
-
-    /// Replaces the BlockSplit splitting policy.
-    pub fn with_split_policy(mut self, policy: SplitPolicy) -> Self {
-        self.split_policy = policy;
         self
     }
 
@@ -881,38 +815,11 @@ impl<'rt> Resolver<'rt> {
         self
     }
 
-    /// Sets the estimated-recall floor each adaptive LSH round is
-    /// scored against (default 0.8, evaluated at the target
-    /// similarity).
-    pub fn with_lsh_recall_floor(mut self, floor: f64) -> Self {
-        self.lsh_recall_floor = floor;
-        self
-    }
-
     /// Overrides how the LSH candidate job balances the banded key
     /// space (default: BlockSplit — oversized band buckets split into
     /// balanced sub-tasks).
     pub fn with_lsh_balance(mut self, balance: StrategyKind) -> Self {
         self.lsh_balance = balance;
-        self
-    }
-
-    /// Overrides the LSH shingle scheme (default: character trigrams).
-    pub fn with_lsh_scheme(mut self, scheme: ShingleScheme) -> Self {
-        self.lsh_scheme = scheme;
-        self
-    }
-
-    /// Overrides the MinHash family seed.
-    pub fn with_lsh_seed(mut self, seed: u64) -> Self {
-        self.lsh_seed = seed;
-        self
-    }
-
-    /// Overrides the attribute LSH signatures are computed over
-    /// (default `title`).
-    pub fn with_lsh_attribute(mut self, attribute: impl Into<String>) -> Self {
-        self.lsh_attribute = attribute.into();
         self
     }
 
@@ -959,24 +866,15 @@ impl<'rt> Resolver<'rt> {
         }
     }
 
-    /// The SN config this session compiles for `strategy`.
-    ///
-    /// # Panics
-    /// If the session's key-range count was overridden to zero.
+    /// The SN config this session compiles for `strategy`: sorted by
+    /// `title`, over `reduce_tasks` key ranges.
     pub fn sn_config(&self, strategy: SnStrategy) -> SnConfig {
-        let config = SnConfig {
-            sort_key: Arc::clone(&self.sort_key),
+        SnConfig {
             matcher: Arc::clone(&self.matcher),
-            strategy,
             window: self.window,
-            sample_rate: self.sample_rate,
             use_combiner: self.use_combiner,
-            null_key_policy: self.null_key_policy,
             runtime: self.shared,
-        };
-        match self.sn_partitions {
-            Some(partitions) => config.with_partitions(partitions),
-            None => config,
+            ..SnConfig::new(strategy)
         }
     }
 
@@ -989,11 +887,7 @@ impl<'rt> Resolver<'rt> {
     /// If `params` is `None` and the session's ladder is empty.
     pub fn lsh_config(&self, params: Option<LshParams>) -> LshConfig {
         LshConfig {
-            attribute: self.lsh_attribute.clone(),
-            scheme: self.lsh_scheme,
-            seed: self.lsh_seed,
             candidate_budget: self.lsh_budget,
-            recall_floor: self.lsh_recall_floor,
             balance: self.lsh_balance,
             range_policy: self.range_policy,
             split_policy: self.split_policy,
@@ -1006,38 +900,29 @@ impl<'rt> Resolver<'rt> {
     }
 
     /// Checks the settings [`Resolver::lsh_config`] and the signature
-    /// job would assert on: the ladder `params` selects, every rung's
-    /// banding, and the gram width.
+    /// job would assert on: the ladder `params` selects and every
+    /// rung's banding.
     fn check_lsh(&self, params: Option<&LshParams>) -> Result<(), ConfigError> {
         let ladder = params.map_or(&self.lsh_ladder[..], std::slice::from_ref);
         if ladder.is_empty() {
             return Err(ConfigError::EmptyLshLadder);
         }
-        if let Some(&rung) = ladder.iter().find(|p| p.bands == 0 || p.rows == 0) {
-            return Err(ConfigError::ZeroLshBanding(rung));
+        match ladder.iter().find(|p| p.bands == 0 || p.rows == 0) {
+            Some(&rung) => Err(ConfigError::ZeroLshBanding(rung)),
+            None => Ok(()),
         }
-        if self.lsh_scheme == ShingleScheme::CharGrams(0) {
-            return Err(ConfigError::ZeroGramWidth);
-        }
-        Ok(())
     }
 
     /// Checks the settings [`Resolver::sn_config`] and the SN stages
-    /// would assert on: window, key-range count, sampling rate.
+    /// would assert on: window and key-range count.
     fn check_sn(&self) -> Result<(), ConfigError> {
         if self.window < 2 {
             return Err(ConfigError::SnWindowTooSmall(self.window));
         }
-        let ranges = self.sn_partitions.unwrap_or(self.shared.reduce_tasks);
-        if ranges == 0 {
+        if self.shared.reduce_tasks == 0 {
             return Err(ConfigError::ZeroSnPartitions);
         }
-        check_key_index(ranges)?;
-        // Written so that NaN fails it.
-        if !(self.sample_rate > 0.0 && self.sample_rate <= 1.0) {
-            return Err(ConfigError::SnSampleRate(self.sample_rate.to_bits()));
-        }
-        Ok(())
+        check_key_index(self.shared.reduce_tasks)
     }
 
     /// Resolves one scenario over pre-partitioned input (each inner
@@ -1305,7 +1190,7 @@ mod tests {
     #[test]
     fn thin_partition_surfaces_through_resolve() {
         let runtime = runtime();
-        let resolver = Resolver::new(&runtime).with_window(4).with_partitions(3);
+        let resolver = Resolver::new(&runtime).with_window(4).with_reduce_tasks(3);
         let entities: Vec<Ent> = ["aa", "bb", "cc"]
             .iter()
             .enumerate()
@@ -1413,30 +1298,6 @@ mod tests {
             assert_eq!(range_policy, RangePolicy::Proportional, "{family}");
             assert_eq!(split_policy, SplitPolicy::with_memory_cap(50), "{family}");
         }
-        assert_eq!(
-            session
-                .clone()
-                .with_split_policy(SplitPolicy::paper())
-                .lsh_config(None)
-                .split_policy,
-            SplitPolicy::paper()
-        );
-        // `with_partitions` overrides only the SN range count, and a
-        // later `with_reduce_tasks` takes it back.
-        let ranged = session.clone().with_partitions(5);
-        assert_eq!(ranged.sn_config(SnStrategy::JobSn).partitions(), 5);
-        assert_eq!(
-            ranged.er_config(StrategyKind::Basic).runtime.reduce_tasks,
-            3
-        );
-        assert_eq!(ranged.lsh_config(None).runtime.reduce_tasks, 3);
-        assert_eq!(
-            ranged
-                .with_reduce_tasks(4)
-                .sn_config(SnStrategy::JobSn)
-                .partitions(),
-            4
-        );
         assert_eq!(runtime.config().reduce_tasks, 9, "runtime stays untouched");
     }
 }

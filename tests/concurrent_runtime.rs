@@ -80,7 +80,7 @@ fn tenants() -> Vec<(&'static str, Scenario, Partitions<(), Ent>)> {
 }
 
 fn resolver(runtime: &Runtime) -> Resolver<'_> {
-    Resolver::new(runtime).with_window(4).with_partitions(3)
+    Resolver::new(runtime).with_window(4).with_reduce_tasks(3)
 }
 
 /// What a tenant's run must reproduce exactly, regardless of how many

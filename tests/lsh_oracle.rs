@@ -106,6 +106,29 @@ fn fingerprint(result: &MatchResult) -> Fingerprint {
 }
 
 #[test]
+fn the_session_blocking_function_is_title_trigrams() {
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(1));
+    let resolver = Resolver::new(&runtime);
+    let entities = corpus();
+    for params in [
+        LshParams { bands: 16, rows: 2 },
+        LshParams { bands: 8, rows: 4 },
+        LshParams { bands: 4, rows: 8 },
+    ] {
+        let session = resolver.lsh_config(Some(params)).blocking_for(params);
+        let trigrams = LshBlocking::title_trigrams(params);
+        for entity in &entities {
+            assert_eq!(
+                session.keys(entity),
+                trigrams.keys(entity),
+                "{params}: entity {}",
+                entity.id().0
+            );
+        }
+    }
+}
+
+#[test]
 fn dedup_equals_the_banded_oracle_byte_identically_at_every_parallelism() {
     for params in CONFIGS {
         let mut reference: Option<(Fingerprint, Vec<u64>)> = None;

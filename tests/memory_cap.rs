@@ -307,7 +307,7 @@ fn map_memory_gauges_are_parallelism_invariant() {
         let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(parallelism));
         let resolver = Resolver::new(&runtime)
             .with_window(4)
-            .with_partitions(3)
+            .with_reduce_tasks(3)
             .with_spill_threshold(Some(10));
         let outcome = resolver.resolve(&scenario, input.clone()).unwrap();
         let gauges = (

@@ -113,7 +113,7 @@ fn every_scenario_compiles_to_its_fixed_stage_sequence() {
     let input = corpus(3);
     let (linkage_input, sources) = two_source_corpus();
     let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
-    let session = Resolver::new(&runtime).with_window(4).with_partitions(3);
+    let session = Resolver::new(&runtime).with_window(4).with_reduce_tasks(3);
 
     // A budget between the 8x4 and 16x2 rungs' candidate workloads
     // rejects the widest rung and accepts the next; 4x8 never runs.
@@ -225,7 +225,7 @@ fn count_only_sessions_count_without_scoring_across_scenarios() {
     // empty match result.
     let input = corpus(2);
     let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
-    let full = Resolver::new(&runtime).with_window(4).with_partitions(3);
+    let full = Resolver::new(&runtime).with_window(4).with_reduce_tasks(3);
     let counting = full.clone().with_count_only(true);
     for scenario in [
         Scenario::Dedup {
@@ -258,7 +258,7 @@ fn resolve_with_caps_parallelism_without_spawning_threads() {
             .with_parallelism(4)
             .with_reduce_tasks(5),
     );
-    let resolver = Resolver::new(&runtime).with_window(4).with_partitions(3);
+    let resolver = Resolver::new(&runtime).with_window(4).with_reduce_tasks(3);
     let spawned_at_construction = runtime.pool().threads_spawned();
     assert_eq!(spawned_at_construction, 4);
 
@@ -327,7 +327,7 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
             .with_parallelism(2)
             .with_reduce_tasks(4),
     );
-    let resolver = Resolver::new(&runtime).with_window(4).with_partitions(3);
+    let resolver = Resolver::new(&runtime).with_window(4).with_reduce_tasks(3);
     // Reference results from the brute-force oracles.
     let entities: Vec<Ent> = input.iter().flatten().map(|(_, e)| Arc::clone(e)).collect();
     let oracle_dedup = naive_reference(&entities, &resolver.er_config(StrategyKind::BlockSplit));
@@ -545,44 +545,12 @@ fn an_sn_window_below_two_is_a_typed_error() {
 #[test]
 fn zero_sn_partitions_are_a_typed_error() {
     for scenario in sn_scenarios() {
-        assert_invalid_config(
-            |session| session.with_partitions(0),
-            scenario.clone(),
-            ConfigError::ZeroSnPartitions,
-        );
-        // Without an SN override the ranges are the reduce tasks; an
-        // override wins over them.
+        // The key ranges are the reduce tasks.
         assert_invalid_config(
             |session| session.with_reduce_tasks(0),
-            scenario.clone(),
-            ConfigError::ZeroSnPartitions,
-        );
-        assert_invalid_config(
-            |session| session.with_partitions(2).with_reduce_tasks(0),
             scenario,
             ConfigError::ZeroSnPartitions,
         );
-    }
-}
-
-#[test]
-fn an_sn_sample_rate_outside_the_unit_interval_is_a_typed_error() {
-    for rate in [0.0, 1.5, -0.25, f64::NAN, f64::INFINITY] {
-        for scenario in sn_scenarios() {
-            assert_invalid_config(
-                |session| session.with_sample_rate(rate),
-                scenario,
-                ConfigError::SnSampleRate(rate.to_bits()),
-            );
-        }
-    }
-    // The bounds of the interval: 1.0 is in, and so is anything above 0.
-    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
-    for rate in [1.0, f64::MIN_POSITIVE] {
-        let outcome = Resolver::new(&runtime)
-            .with_sample_rate(rate)
-            .resolve(&Scenario::sorted_neighborhood(SnStrategy::JobSn), corpus(3));
-        assert!(outcome.is_ok(), "rate {rate}: {outcome:?}");
     }
 }
 
@@ -627,15 +595,6 @@ fn a_zero_spill_threshold_is_a_typed_error_in_every_family() {
     }
 }
 
-#[test]
-fn zero_width_lsh_grams_are_a_typed_error() {
-    assert_invalid_config(
-        |session| session.with_lsh_scheme(er_core::minhash::ShingleScheme::CharGrams(0)),
-        Scenario::lsh(LshParams::new(4, 4)),
-        ConfigError::ZeroGramWidth,
-    );
-}
-
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn a_reduce_task_count_past_u32_is_a_typed_error() {
@@ -647,6 +606,7 @@ fn a_reduce_task_count_past_u32_is_a_typed_error() {
         Scenario::Dedup {
             strategy: StrategyKind::BlockSplit,
         },
+        Scenario::sorted_neighborhood(SnStrategy::JobSn),
         Scenario::sorted_neighborhood(SnStrategy::RepSn),
         Scenario::lsh(LshParams::new(4, 4)),
     ] {
@@ -656,9 +616,4 @@ fn a_reduce_task_count_past_u32_is_a_typed_error() {
             ConfigError::TooManyReduceTasks(too_many),
         );
     }
-    assert_invalid_config(
-        |session| session.with_partitions(too_many),
-        Scenario::sorted_neighborhood(SnStrategy::JobSn),
-        ConfigError::TooManyReduceTasks(too_many),
-    );
 }

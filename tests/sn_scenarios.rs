@@ -56,7 +56,7 @@ fn two_source(strategy: SnStrategy, sources: &[SourceId]) -> Scenario {
 fn multipass_equals_the_union_of_oracles_and_compares_each_pair_once() {
     let input = corpus(3);
     let runtime = runtime(1);
-    let resolver = Resolver::new(&runtime).with_window(5).with_partitions(4);
+    let resolver = Resolver::new(&runtime).with_window(5).with_reduce_tasks(4);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let config = resolver.sn_config(strategy);
         let outcome = resolver
@@ -110,7 +110,7 @@ fn multipass_output_is_byte_identical_across_parallelism() {
             let runtime = runtime(parallelism);
             let outcome = Resolver::new(&runtime)
                 .with_window(4)
-                .with_partitions(4)
+                .with_reduce_tasks(4)
                 .resolve(&multipass(strategy), input.clone())
                 .unwrap();
             let bits = result_bits(&outcome.result);
@@ -133,11 +133,11 @@ fn multipass_pair_set_is_invariant_under_the_partition_count() {
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let oracle = multipass_sn_oracle(
             &input,
-            &base.clone().with_partitions(1).sn_config(strategy),
+            &base.clone().with_reduce_tasks(1).sn_config(strategy),
             &passes(),
         );
         for partitions in [1usize, 2, 4, 8] {
-            let resolver = base.clone().with_partitions(partitions);
+            let resolver = base.clone().with_reduce_tasks(partitions);
             let config = resolver.sn_config(strategy);
             let outcome = resolver
                 .resolve(&multipass(strategy), input.clone())
@@ -186,7 +186,7 @@ fn two_source_corpus(partitions_per_source: usize) -> (Partitions<(), Ent>, Vec<
 fn two_source_sn_equals_the_cross_source_oracle() {
     let (input, sources) = two_source_corpus(2);
     let runtime = runtime(1);
-    let resolver = Resolver::new(&runtime).with_window(5).with_partitions(4);
+    let resolver = Resolver::new(&runtime).with_window(5).with_reduce_tasks(4);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let config = resolver.sn_config(strategy);
         let outcome = resolver
@@ -237,7 +237,7 @@ fn two_source_output_is_byte_identical_across_parallelism() {
             let runtime = runtime(parallelism);
             let outcome = Resolver::new(&runtime)
                 .with_window(4)
-                .with_partitions(4)
+                .with_reduce_tasks(4)
                 .resolve(&two_source(strategy, &sources), input.clone())
                 .unwrap();
             let bits = result_bits(&outcome.result);
@@ -258,12 +258,14 @@ fn two_source_pair_set_is_invariant_under_the_partition_count() {
     let runtime = runtime(1);
     let base = Resolver::new(&runtime).with_window(4);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let oracle =
-            two_source_sn_oracle(&input, &base.clone().with_partitions(1).sn_config(strategy));
+        let oracle = two_source_sn_oracle(
+            &input,
+            &base.clone().with_reduce_tasks(1).sn_config(strategy),
+        );
         for partitions in [1usize, 2, 4, 8] {
             let outcome = base
                 .clone()
-                .with_partitions(partitions)
+                .with_reduce_tasks(partitions)
                 .resolve(&two_source(strategy, &sources), input.clone())
                 .unwrap();
             assert_eq!(
@@ -272,28 +274,5 @@ fn two_source_pair_set_is_invariant_under_the_partition_count() {
                 "{strategy} with {partitions} partitions"
             );
         }
-    }
-}
-
-#[test]
-fn two_source_strategies_agree_under_thinned_sampling() {
-    let (input, sources) = two_source_corpus(2);
-    let runtime = runtime(1);
-    for sample_rate in [1.0, 0.25] {
-        let resolver = Resolver::new(&runtime)
-            .with_window(4)
-            .with_partitions(4)
-            .with_sample_rate(sample_rate);
-        let jobsn = resolver
-            .resolve(&two_source(SnStrategy::JobSn, &sources), input.clone())
-            .unwrap();
-        let repsn = resolver
-            .resolve(&two_source(SnStrategy::RepSn, &sources), input.clone())
-            .unwrap();
-        assert_eq!(
-            jobsn.result.pair_set(),
-            repsn.result.pair_set(),
-            "strategies diverged at sample rate {sample_rate}"
-        );
     }
 }

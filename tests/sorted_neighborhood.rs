@@ -29,7 +29,7 @@ fn runtime(parallelism: usize) -> Runtime {
 
 /// The suite's base session: window 5 over 4 key ranges.
 fn base_session(runtime: &Runtime) -> Resolver<'_> {
-    Resolver::new(runtime).with_window(5).with_partitions(4)
+    Resolver::new(runtime).with_window(5).with_reduce_tasks(4)
 }
 
 fn run_sn(
@@ -108,7 +108,7 @@ fn pair_set_is_invariant_under_the_partition_count() {
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let oracle = sn_oracle(&input, &base.sn_config(strategy));
         for partitions in [1usize, 2, 4, 8] {
-            let resolver = base.clone().with_partitions(partitions);
+            let resolver = base.clone().with_reduce_tasks(partitions);
             let outcome = run_sn(&resolver, strategy, &input).unwrap();
             assert_eq!(
                 outcome.result.pair_set(),
@@ -117,24 +117,6 @@ fn pair_set_is_invariant_under_the_partition_count() {
             );
             assert_eq!(outcome.total_comparisons(), oracle_comparisons(n, 5));
         }
-    }
-}
-
-#[test]
-fn strategies_agree_with_each_other_and_sampling_does_not_change_the_result() {
-    let input = corpus(2);
-    // A thinned sample moves the range boundaries; the pair set must
-    // not move with them.
-    let runtime = runtime(1);
-    for sample_rate in [1.0, 0.25] {
-        let resolver = base_session(&runtime).with_sample_rate(sample_rate);
-        let jobsn = run_sn(&resolver, SnStrategy::JobSn, &input).unwrap();
-        let repsn = run_sn(&resolver, SnStrategy::RepSn, &input).unwrap();
-        assert_eq!(
-            jobsn.result.pair_set(),
-            repsn.result.pair_set(),
-            "strategies diverged at sample rate {sample_rate}"
-        );
     }
 }
 
@@ -159,7 +141,7 @@ fn cross_boundary_duplicates_are_found() {
         .map(|(i, t)| ((), Arc::new(Entity::new(i as u64, [("title", *t)]))))
         .collect()];
     let runtime = runtime(1);
-    let resolver = Resolver::new(&runtime).with_window(2).with_partitions(2);
+    let resolver = Resolver::new(&runtime).with_window(2).with_reduce_tasks(2);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let config = resolver.sn_config(strategy);
         let outcome = run_sn(&resolver, strategy, &input).unwrap();
@@ -189,8 +171,8 @@ fn cross_boundary_duplicates_are_found() {
 
 #[test]
 fn null_sort_keys_are_routed_not_dropped() {
-    // Entities 10 and 11 have no title: under SortFirst they collate
-    // at the front and match each other through the window.
+    // Entities 10 and 11 have no title: they collate at the front
+    // under the empty key and match each other through the window.
     let mut records: Vec<((), Ent)> = ["aab thing", "aac thing", "prq other"]
         .iter()
         .enumerate()
@@ -216,7 +198,7 @@ fn null_sort_keys_are_routed_not_dropped() {
     let runtime = runtime(1);
     let resolver = Resolver::new(&runtime)
         .with_window(2)
-        .with_partitions(2)
+        .with_reduce_tasks(2)
         .with_matcher(matcher);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let config = resolver.sn_config(strategy);
@@ -235,21 +217,11 @@ fn null_sort_keys_are_routed_not_dropped() {
         );
         assert!(
             outcome.result.contains(&keyless_pair),
-            "{strategy}: SortFirst must let keyless duplicates meet in the window"
+            "{strategy}: keyless duplicates must meet in the window"
         );
         assert_eq!(
             outcome.result.pair_set(),
             sn_oracle(&input, &config).pair_set()
-        );
-
-        // Skip policy: keyless entities leave the flow (deterministic,
-        // counted) and the oracle agrees.
-        let skip = resolver.clone().with_null_key_policy(NullKeyPolicy::Skip);
-        let skipped = run_sn(&skip, strategy, &input).unwrap();
-        assert!(!skipped.result.contains(&keyless_pair));
-        assert_eq!(
-            skipped.result.pair_set(),
-            sn_oracle(&input, &skip.sn_config(strategy)).pair_set()
         );
     }
 }
@@ -268,7 +240,7 @@ fn repsn_refuses_thin_ranges_and_jobsn_covers_them() {
         })
         .collect()];
     let runtime = runtime(1);
-    let resolver = Resolver::new(&runtime).with_window(3).with_partitions(4);
+    let resolver = Resolver::new(&runtime).with_window(3).with_reduce_tasks(4);
     let jobsn = resolver.sn_config(SnStrategy::JobSn);
     let outcome = run_sn(&resolver, SnStrategy::JobSn, &input).unwrap();
     assert_eq!(
@@ -296,6 +268,41 @@ fn repsn_refuses_thin_ranges_and_jobsn_covers_them() {
         sn_oracle(&spread, &jobsn).pair_set()
     );
     assert_eq!(outcome.total_comparisons(), oracle_comparisons(4, 3));
+}
+
+#[test]
+fn a_window_past_usize_max_half_covers_every_pair() {
+    // `2 · (w − 1)` overflows here; the window must still simply span
+    // the whole input.
+    let input: Partitions<(), Ent> = vec![(0..10u64)
+        .map(|i| {
+            let title = format!("canon eos 5d mark {i}");
+            (
+                (),
+                Arc::new(Entity::new(i, [("title", title.as_str())])) as Ent,
+            )
+        })
+        .collect()];
+    let runtime = runtime(1);
+    let wide = Resolver::new(&runtime).with_window(usize::MAX);
+    for (ranges, strategy) in [
+        (1, SnStrategy::JobSn),
+        (1, SnStrategy::RepSn),
+        (3, SnStrategy::JobSn),
+    ] {
+        let resolver = wide.clone().with_reduce_tasks(ranges);
+        let outcome = run_sn(&resolver, strategy, &input).unwrap();
+        assert_eq!(
+            outcome.result.pair_set(),
+            sn_oracle(&input, &resolver.sn_config(strategy)).pair_set(),
+            "{strategy} over {ranges} ranges"
+        );
+        assert_eq!(
+            outcome.total_comparisons(),
+            oracle_comparisons(10, usize::MAX),
+            "{strategy} over {ranges} ranges"
+        );
+    }
 }
 
 #[test]

@@ -97,7 +97,7 @@ fn er_outcome_reports_stage_rollup() {
 fn sn_outcome_reports_stage_rollup() {
     let input = corpus(4);
     let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(1));
-    let resolver = Resolver::new(&runtime).with_window(5).with_partitions(4);
+    let resolver = Resolver::new(&runtime).with_window(5).with_reduce_tasks(4);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let outcome = resolver
             .resolve(&Scenario::sorted_neighborhood(strategy), input.clone())
