@@ -37,22 +37,6 @@ impl Dataset {
     pub fn is_empty(&self) -> bool {
         self.entities.is_empty()
     }
-
-    /// A copy whose entities are sorted by an attribute — the paper's
-    /// Figure 11 "sorted by title" adversarial input for BlockSplit.
-    pub fn sorted_by_attribute(&self, attribute: &str) -> Dataset {
-        let mut entities = self.entities.clone();
-        entities.sort_by(|a, b| {
-            a.get(attribute)
-                .unwrap_or("")
-                .cmp(b.get(attribute).unwrap_or(""))
-        });
-        Dataset {
-            name: format!("{} [sorted by {attribute}]", self.name),
-            entities,
-            gold: self.gold.clone(),
-        }
-    }
 }
 
 /// How titles (and extra attributes) are rendered; the distribution
@@ -315,22 +299,6 @@ mod tests {
         assert_eq!(stats.largest_block, 120, "dominant share 0.3 of 400");
         assert!(stats.largest_pair_share() > 0.5);
         assert!(stats.n_blocks <= spec.n_blocks);
-    }
-
-    #[test]
-    fn sorted_copy_orders_by_title() {
-        let ds = build_skewed(&tiny_spec(), "tiny", &PlainStyle);
-        let sorted = ds.sorted_by_attribute("title");
-        assert_eq!(sorted.len(), ds.len());
-        let titles: Vec<&str> = sorted
-            .entities
-            .iter()
-            .map(|e| e.get("title").unwrap())
-            .collect();
-        let mut expected = titles.clone();
-        expected.sort();
-        assert_eq!(titles, expected);
-        assert!(sorted.name.contains("sorted"));
     }
 
     #[test]
