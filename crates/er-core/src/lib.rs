@@ -11,7 +11,8 @@
 //! * a [`similarity`] suite: the paper's normalized edit distance (a
 //!   0.8 threshold on the title), Jaro-Winkler, and token Jaccard,
 //! * a threshold [`matcher`] and a deduplicating [`result`] set with
-//!   quality metrics against a gold standard,
+//!   quality metrics against a gold standard, built from reduce tasks'
+//!   output by the k-way merge of sorted [`runs`],
 //! * an [`arena`] of contiguous slabs for prepared entities, backing
 //!   the allocation-free O(b²) compare loop,
 //! * the [`pairs`] enumeration arithmetic shared by PairRange and the
@@ -32,6 +33,7 @@ pub mod matcher;
 pub mod minhash;
 pub mod pairs;
 pub mod result;
+pub mod runs;
 pub mod similarity;
 pub mod sortkey;
 

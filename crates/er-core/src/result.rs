@@ -3,6 +3,7 @@
 use std::collections::BTreeSet;
 
 use crate::entity::EntityRef;
+use crate::runs::merge_runs;
 
 /// An unordered pair of distinct entities considered a match; stored
 /// normalized (`lo < hi`) so `(a,b)` and `(b,a)` coincide.
@@ -50,6 +51,12 @@ impl std::fmt::Display for MatchPair {
 /// duplication source is multi-pass blocking, where a pair can share
 /// several blocks. Either way, inserting twice is safe: the set keeps
 /// the maximum score seen.
+///
+/// A match stage's whole output is collected in bulk
+/// ([`MatchResult::from_runs`]): a merge of the reduce tasks' sorted
+/// runs and a bulk load, in place of a tree insert per pair.
+/// [`MatchResult::insert`] serves callers that grow a result
+/// incrementally.
 #[derive(Debug, Clone, Default)]
 pub struct MatchResult {
     pairs: std::collections::BTreeMap<MatchPair, f64>,
@@ -74,6 +81,28 @@ impl MatchResult {
                 self.pairs.insert(pair, score);
                 true
             }
+        }
+    }
+
+    /// The result of a match stage, built in bulk from its reduce
+    /// tasks' output runs: each run stably sorted by pair (a no-op
+    /// pass for a run emitted in pair order), the runs k-way merged
+    /// with a pair's best score kept, and the merged run bulk-loaded.
+    ///
+    /// Equal to inserting every record of the runs' concatenation in
+    /// order: a pair's scores meet in that order, and a score replaces
+    /// the kept one only when strictly greater.
+    pub fn from_runs(mut runs: Vec<Vec<(MatchPair, f64)>>) -> Self {
+        for run in &mut runs {
+            run.sort_by_key(|&(pair, _)| pair);
+        }
+        let merged = merge_runs(runs, |kept, score| {
+            if score > *kept {
+                *kept = score;
+            }
+        });
+        Self {
+            pairs: merged.into_iter().collect(),
         }
     }
 
@@ -257,6 +286,20 @@ mod tests {
     }
 
     #[test]
+    fn bulk_build_keeps_the_best_score_and_pair_order() {
+        let p = MatchPair::new(eref(0, 1), eref(0, 2));
+        let q = MatchPair::new(eref(0, 0), eref(0, 3));
+        let r = MatchResult::from_runs(vec![
+            vec![(p, 0.8), (q, 0.7)],
+            vec![],
+            vec![(p, 0.9), (p, 0.5)],
+        ]);
+        let got: Vec<(MatchPair, f64)> = r.iter().collect();
+        assert_eq!(got, vec![(q, 0.7), (p, 0.9)]);
+        assert!(MatchResult::from_runs(Vec::new()).is_empty());
+    }
+
+    #[test]
     fn union_merges() {
         let mut a = MatchResult::new();
         a.insert(MatchPair::new(eref(0, 1), eref(0, 2)), 0.9);
@@ -295,5 +338,55 @@ mod tests {
         assert_eq!(q.precision(), 1.0);
         assert_eq!(q.recall(), 1.0);
         assert_eq!(q.f1(), 1.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::entity::{EntityId, SourceId};
+    use proptest::prelude::*;
+
+    const SCORES: [f64; 7] = [0.8, 0.82, 0.84, 0.88, 0.0, -0.0, f64::NAN];
+
+    fn pair(a: u64, b: u64) -> MatchPair {
+        let eref = |id| EntityRef {
+            source: SourceId(0),
+            id: EntityId(id),
+        };
+        MatchPair::new(eref(a), eref(b + a + 1))
+    }
+
+    proptest! {
+        /// The bulk build equals a fold of `insert` over the per-task
+        /// runs a match stage collects, whatever the split: duplicates
+        /// (within and across runs) keep the maximum score, runs may
+        /// be empty. Compared bit for bit, with the scores on which
+        /// the first-seen one wins (signed zeros, NaN) among them.
+        #[test]
+        fn bulk_build_equals_an_insert_fold_over_any_split(
+            records in proptest::collection::vec((0u64..6, 0u64..4, 0usize..SCORES.len()), 0..60),
+            cuts in proptest::collection::vec(0usize..60, 0..6),
+        ) {
+            let records: Vec<(MatchPair, f64)> = records
+                .into_iter()
+                .map(|(a, b, s)| (pair(a, b), SCORES[s]))
+                .collect();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(records.len())).collect();
+            cuts.push(0);
+            cuts.push(records.len());
+            cuts.sort_unstable();
+            let runs: Vec<&[(MatchPair, f64)]> =
+                cuts.windows(2).map(|w| &records[w[0]..w[1]]).collect();
+            let mut folded = MatchResult::new();
+            for &(p, score) in runs.iter().copied().flatten() {
+                folded.insert(p, score);
+            }
+            let bulk = MatchResult::from_runs(runs.iter().map(|run| run.to_vec()).collect());
+            let bits = |r: &MatchResult| -> Vec<(MatchPair, u64)> {
+                r.iter().map(|(p, s)| (p, s.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&bulk), bits(&folded));
+        }
     }
 }

@@ -9,11 +9,16 @@
 //!
 //! * a [`SortKeyFunction`] deriving the sort key of an entity (the
 //!   analogue of [`crate::blocking::BlockingFunction`], but producing a
-//!   key whose *order* matters rather than a partition label), and
+//!   key whose *order* matters rather than a partition label) — its
+//!   attribute form, [`AttributeSortKey`], derives ASCII values
+//!   byte-wise with one allocation per key and keeps a char-wise path
+//!   as the definition for all other text, and
 //! * a [`RangePartitioner`] that routes keys to `p` contiguous,
 //!   order-preserving ranges, built from a sampled key distribution —
 //!   so that concatenating reduce partitions `0..p` in index order
-//!   yields the globally sorted sequence.
+//!   yields the globally sorted sequence. The walk that places its
+//!   boundaries also reports each range's fill level, so callers that
+//!   must reject thin ranges never route the input twice.
 //!
 //! The partitioner is deliberately generic over the key type: the
 //! er-sn crate instantiates it with [`SortKey`], and tests exercise it
@@ -79,6 +84,14 @@ pub trait SortKeyFunction: Send + Sync {
 /// Sort key from one attribute value: lower-cased, whitespace-trimmed,
 /// optionally truncated to a character prefix (the classic SN sort key
 /// is a short prefix so that near-duplicates collate adjacently).
+///
+/// Trimming is [`str::trim`] (Unicode `White_Space`, which includes
+/// `\x0b`). When the key's head — the whole trimmed value, or its
+/// first `len` bytes under a prefix — is ASCII and at most 64 bytes,
+/// every character is one byte that lowercases to one byte, so the key
+/// is cut and lowercased byte-wise into a stack buffer and costs one
+/// allocation (the key). Any other value takes the char-wise path,
+/// which defines the key.
 #[derive(Debug, Clone)]
 pub struct AttributeSortKey {
     attribute: String,
@@ -110,11 +123,12 @@ impl AttributeSortKey {
     pub fn title() -> Self {
         Self::new("title")
     }
-}
 
-impl SortKeyFunction for AttributeSortKey {
-    fn sort_key(&self, entity: &Entity) -> Option<SortKey> {
-        let value = entity.get(&self.attribute)?;
+    /// Longest ASCII key the fast path lowercases on the stack.
+    const STACK_KEY: usize = 64;
+
+    /// The defining normalization, for any text.
+    fn general_key(&self, value: &str) -> Option<SortKey> {
         // Normalize first, then truncate: lowercasing can expand a
         // character (e.g. 'İ' → "i\u{307}"), and a prefix must be a
         // prefix of the *normalized* value or equal inputs would stop
@@ -129,6 +143,34 @@ impl SortKeyFunction for AttributeSortKey {
         } else {
             Some(SortKey::new(normalized))
         }
+    }
+}
+
+impl SortKeyFunction for AttributeSortKey {
+    fn sort_key(&self, entity: &Entity) -> Option<SortKey> {
+        let value = entity.get(&self.attribute)?;
+        let trimmed = value.trim().as_bytes();
+        let head = match self.prefix_len {
+            Some(len) => trimmed.get(..len).unwrap_or(trimmed),
+            None => trimmed,
+        };
+        // An ASCII head is exactly the first `len` characters, each
+        // lowercasing to one byte; a non-ASCII byte anywhere in it
+        // (the cut may even split a character), or a head longer than
+        // the stack buffer, hands the value to the general path.
+        if head.len() > Self::STACK_KEY || !head.is_ascii() {
+            return self.general_key(value);
+        }
+        if head.is_empty() {
+            return None;
+        }
+        let mut buffer = [0u8; Self::STACK_KEY];
+        let lowered = &mut buffer[..head.len()];
+        for (out, &byte) in lowered.iter_mut().zip(head) {
+            *out = byte.to_ascii_lowercase();
+        }
+        let key = std::str::from_utf8(lowered).expect("ASCII bytes are UTF-8");
+        Some(SortKey::new(key))
     }
 }
 
@@ -196,11 +238,16 @@ impl fmt::Debug for ReversedSortKey {
 /// boundaries coincide and the ranges between them are simply *empty*:
 /// the requested partition count is preserved and both invariants
 /// continue to hold. Callers that cannot tolerate empty ranges (RepSN's
-/// single-boundary replication) must check fill levels after routing.
+/// single-boundary replication) read [`RangePartitioner::fill_levels`]:
+/// the sample weight each range received, taken from the same
+/// cumulative walk that placed the boundaries. For an exact histogram
+/// (er-sn counts every entity) that is each range's entity count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangePartitioner<K> {
     /// Upper (inclusive) bounds of partitions `0..p-1`, non-decreasing.
     boundaries: Vec<K>,
+    /// Sample weight routed to each of the `boundaries + 1` ranges.
+    fill_levels: Vec<u64>,
 }
 
 impl<K: Ord + Clone> RangePartitioner<K> {
@@ -208,7 +255,10 @@ impl<K: Ord + Clone> RangePartitioner<K> {
     /// sorted ascending by key with strictly positive weights (the
     /// natural shape of a key histogram).
     ///
-    /// An empty sample yields a single catch-all partition.
+    /// An empty sample yields a single catch-all partition. The weight
+    /// total and the quantile targets are computed in `u128`, so counts
+    /// whose `total × partitions` passes `u64::MAX` still place exact
+    /// boundaries.
     ///
     /// # Panics
     /// If `partitions` is zero or `counts` is not sorted ascending.
@@ -219,14 +269,23 @@ impl<K: Ord + Clone> RangePartitioner<K> {
             counts.windows(2).all(|w| w[0].0 < w[1].0),
             "key counts must be sorted ascending by distinct key"
         );
-        let total: u64 = counts.iter().map(|(_, c)| c).sum();
+        let total: u128 = counts
+            .iter()
+            .try_fold(0u128, |sum, &(_, c)| sum.checked_add(u128::from(c)))
+            .expect("a histogram's total weight fits in u128");
+        // A range's weight saturates at u64::MAX; only weighted
+        // samples beyond any real corpus can reach it.
+        let level = |weight: u128| u64::try_from(weight).unwrap_or(u64::MAX);
         if total == 0 || partitions == 1 {
             return Self {
                 boundaries: Vec::new(),
+                fill_levels: vec![level(total)],
             };
         }
         let mut boundaries = Vec::with_capacity(partitions - 1);
-        let mut cumulative = 0u64;
+        let mut fill_levels = Vec::with_capacity(partitions);
+        let mut cumulative = 0u128;
+        let mut range_start = 0u128;
         let mut idx = 0usize;
         let mut last_key: Option<K> = None;
         for i in 1..partitions {
@@ -234,16 +293,25 @@ impl<K: Ord + Clone> RangePartitioner<K> {
             // reaches the i-th quantile target. When a heavy key
             // already passed several targets, boundaries repeat and
             // the ranges between them are empty.
-            let target = (total * i as u64).div_ceil(partitions as u64);
+            let target = total
+                .checked_mul(i as u128)
+                .expect("a quantile target fits in u128")
+                .div_ceil(partitions as u128);
             while cumulative < target {
                 let (key, count) = &counts[idx];
-                cumulative += count;
+                cumulative += u128::from(*count);
                 last_key = Some(key.clone());
                 idx += 1;
             }
             boundaries.push(last_key.clone().expect("a positive target consumes a key"));
+            fill_levels.push(level(cumulative - range_start));
+            range_start = cumulative;
         }
-        Self { boundaries }
+        fill_levels.push(level(total - range_start));
+        Self {
+            boundaries,
+            fill_levels,
+        }
     }
 
     /// Builds the partitioner from an unweighted sample (unsorted,
@@ -274,6 +342,14 @@ impl<K: Ord + Clone> RangePartitioner<K> {
     /// keys `≤ boundaries[i]` (and above the previous boundary).
     pub fn boundaries(&self) -> &[K] {
         &self.boundaries
+    }
+
+    /// The sample weight each range received, one entry per partition
+    /// (all in one entry for a catch-all partitioner) — equal to
+    /// routing every sampled key through
+    /// [`RangePartitioner::partition_of`], without doing so.
+    pub fn fill_levels(&self) -> &[u64] {
+        &self.fill_levels
     }
 }
 
@@ -428,6 +504,38 @@ mod tests {
     }
 
     #[test]
+    fn counts_whose_total_passes_u64_place_exact_boundaries() {
+        // Σ counts itself passes u64::MAX here, and so does total × i:
+        // the walk must still split three heavy keys one per range.
+        let heavy = u64::MAX / 2;
+        let p = RangePartitioner::from_counts(vec![(0u32, heavy), (1, heavy), (2, heavy)], 3);
+        assert_eq!(p.boundaries(), &[0, 1]);
+        assert_eq!(p.fill_levels(), &[heavy, heavy, heavy]);
+        assert_eq!(
+            (0..3u32).map(|k| p.partition_of(&k)).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        // The total fits, `total × 2` does not.
+        let quarter = u64::MAX / 8;
+        let p = RangePartitioner::from_counts((0..4u32).map(|k| (k, quarter)), 3);
+        assert_eq!(p.boundaries(), &[1, 2]);
+        assert_eq!(p.fill_levels(), &[2 * quarter, quarter, quarter]);
+    }
+
+    #[test]
+    fn fill_levels_count_each_range_including_empty_ones() {
+        // A heavy key passes all three targets: the ranges between the
+        // repeated boundaries are empty.
+        let p = RangePartitioner::from_counts(vec![(0u32, 10), (1, 1), (2, 1)], 4);
+        assert_eq!(p.boundaries(), &[0, 0, 0]);
+        assert_eq!(p.fill_levels(), &[10, 0, 0, 2]);
+        let catch_all = RangePartitioner::from_counts(vec![(5u32, 3), (6, 4)], 1);
+        assert_eq!(catch_all.fill_levels(), &[7]);
+        let empty = RangePartitioner::<u32>::from_counts(vec![], 4);
+        assert_eq!(empty.fill_levels(), &[0]);
+    }
+
+    #[test]
     #[should_panic(expected = "sorted ascending")]
     fn unsorted_counts_rejected() {
         let _ = RangePartitioner::from_counts(vec![(2u32, 1), (1, 1)], 2);
@@ -458,6 +566,18 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// How many leading letters of [`ALPHABET`] are ASCII.
+    const ASCII: usize = 12;
+
+    /// Sort-key text: ASCII of both cases, the whitespace `str::trim`
+    /// strips (`\x0b` among it, which `trim_ascii` keeps), and
+    /// characters whose lowercase differs in length ('İ' → "i\u{307}")
+    /// or that have no one-byte form ('ẞ', NBSP).
+    const ALPHABET: [char; 16] = [
+        'a', 'Z', 'q', 'M', '5', '-', ' ', '\t', '\x0b', '\x0c', '\r', '\n', 'İ', 'ẞ', '\u{a0}',
+        'é',
+    ];
+
     proptest! {
         /// The satellite contract: boundaries derived from *any*
         /// sample preserve sort order — routing is monotone, equal
@@ -483,6 +603,47 @@ mod proptests {
             // Equal keys always share a partition.
             for key in &probes {
                 prop_assert_eq!(p.partition_of(key), p.partition_of(&key.clone()));
+            }
+        }
+
+        /// The fill levels the boundary walk reports equal routing
+        /// every sampled key through `partition_of` — repeated
+        /// boundaries and empty ranges included.
+        #[test]
+        fn fill_levels_equal_routed_counts(
+            sample in proptest::collection::vec(0u32..12, 0..80),
+            partitions in 1usize..10,
+        ) {
+            let p = RangePartitioner::from_sample(sample.clone(), partitions);
+            let mut routed = vec![0u64; p.num_partitions()];
+            for key in &sample {
+                routed[p.partition_of(key)] += 1;
+            }
+            prop_assert_eq!(p.fill_levels(), routed.as_slice());
+        }
+
+        /// The ASCII fast path of `AttributeSortKey` derives exactly
+        /// the key of the char-wise path, whole-value and under every
+        /// prefix length, and so does a `ReversedSortKey` on top.
+        #[test]
+        fn ascii_fast_path_equals_the_char_wise_path(
+            picks in proptest::collection::vec(0usize..ALPHABET.len(), 0..80),
+            ascii_only in 0usize..2,
+        ) {
+            // Half the values stay ASCII, so the fast path is taken
+            // (and, past its 64-byte buffer, left), not just left.
+            let alphabet = if ascii_only == 1 { ASCII } else { ALPHABET.len() };
+            let value: String = picks.iter().map(|&i| ALPHABET[i % alphabet]).collect();
+            let entity = Entity::new(1, [("title", value.as_str())]);
+            let mut functions = vec![AttributeSortKey::title()];
+            functions.extend((1..=value.len() + 2).map(|n| AttributeSortKey::prefix("title", n)));
+            for f in functions {
+                let oracle = f.general_key(&value);
+                prop_assert_eq!(f.sort_key(&entity), oracle.clone());
+                let reversed = ReversedSortKey::new(Arc::new(f));
+                let reversed_oracle = oracle
+                    .map(|k| SortKey::new(k.as_str().chars().rev().collect::<String>()));
+                prop_assert_eq!(reversed.sort_key(&entity), reversed_oracle);
             }
         }
 

@@ -224,10 +224,7 @@ where
 {
     let job = job.with_spill_threshold(config.runtime.spill_threshold);
     let out = workflow.chained_stage(&job, input)?;
-    let mut result = MatchResult::new();
-    for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-        result.insert(pair, score);
-    }
+    let result = MatchResult::from_runs(out.reduce_outputs);
     Ok((result, out.metrics))
 }
 

@@ -331,14 +331,11 @@ pub fn run_sn_stages(
             // lets its neighbours' entities sit within one window of
             // each other. The first non-empty range is exempt (all
             // pairs leaving it cross exactly its own boundary, and its
-            // tail replicates regardless of size), as is the last. Fill
-            // levels are a pure function of the annotated input and the
-            // (deterministic) partitioner, so this O(n) pass sees
-            // exactly what the reducers would count.
-            let mut lens = vec![0u64; config.partitions()];
-            for (key, _) in annotated.iter().flatten() {
-                lens[partitioner.partition_of(key)] += 1;
-            }
+            // tail replicates regardless of size), as is the last. The
+            // histogram counts every routed entity, so the fill levels
+            // its boundary walk reported are exactly what the reducers
+            // would count.
+            let lens = partitioner.fill_levels();
             let first_nonempty = lens.iter().position(|&n| n > 0);
             let last_nonempty = lens.iter().rposition(|&n| n > 0);
             if let (Some(first), Some(last)) = (first_nonempty, last_nonempty) {
@@ -360,10 +357,7 @@ pub fn run_sn_stages(
             )
             .with_spill_threshold(config.runtime.spill_threshold);
             let out = workflow.chained_stage(&job, annotated)?;
-            let mut result = MatchResult::new();
-            for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-                result.insert(pair, score);
-            }
+            let result = MatchResult::from_runs(out.reduce_outputs);
             Ok(SnStages {
                 result,
                 partitioner,

@@ -254,28 +254,30 @@ pub fn split_window_output(
     partitions: usize,
     lens: Vec<u64>,
 ) -> (er_core::MatchResult, BoundaryCandidates) {
-    let mut result = er_core::MatchResult::new();
     let mut candidates = BoundaryCandidates {
         heads: vec![Vec::new(); partitions],
         tails: vec![Vec::new(); partitions],
         lens,
     };
-    for record in reduce_outputs.into_iter().flatten() {
-        match record.1 {
-            WindowOut::Match(pair, score) => {
-                result.insert(pair, score);
+    let mut matches = Vec::with_capacity(reduce_outputs.len());
+    for task_output in reduce_outputs {
+        let mut task_matches = Vec::new();
+        for (_, record) in task_output {
+            match record {
+                WindowOut::Match(pair, score) => task_matches.push((pair, score)),
+                WindowOut::Head {
+                    partition,
+                    dist,
+                    entity,
+                } => candidates.heads[partition as usize].push((dist, entity)),
+                WindowOut::Tail {
+                    partition,
+                    dist,
+                    entity,
+                } => candidates.tails[partition as usize].push((dist, entity)),
             }
-            WindowOut::Head {
-                partition,
-                dist,
-                entity,
-            } => candidates.heads[partition as usize].push((dist, entity)),
-            WindowOut::Tail {
-                partition,
-                dist,
-                entity,
-            } => candidates.tails[partition as usize].push((dist, entity)),
         }
+        matches.push(task_matches);
     }
     for side in candidates
         .heads
@@ -284,7 +286,7 @@ pub fn split_window_output(
     {
         side.sort_by_key(|(dist, _)| *dist);
     }
-    (result, candidates)
+    (er_core::MatchResult::from_runs(matches), candidates)
 }
 
 /// Assembles the stitch job's input: one input partition per boundary

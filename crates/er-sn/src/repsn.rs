@@ -18,9 +18,9 @@
 //! span two range boundaries: every *interior* range (strictly
 //! between the first and last non-empty ones) must hold at least
 //! `w − 1` entities — the outer ranges may be arbitrarily thin. The
-//! driver verifies this *before* launching the matching job — fill
-//! levels are a pure function of the annotated input and the
-//! deterministic partitioner — and reports
+//! driver verifies this *before* launching the matching job, from the
+//! fill levels the partitioner took from the distribution job's exact
+//! histogram, and reports
 //! [`crate::driver::SnError::ThinPartition`] instead of a silently
 //! incomplete result (use JobSN for workloads whose key ranges
 //! can run that thin — degenerate key distributions, tiny inputs).
@@ -118,9 +118,16 @@ impl Mapper for RepSnMapper {
 /// state; priming keeps only the last `w − 1`, which is exactly the
 /// predecessor range's global tail), then the originals sliding over
 /// it.
+///
+/// A task emits its matches at its end, stably sorted by pair: the
+/// sort runs in parallel on the pool, and
+/// [`er_core::MatchResult::from_runs`] on the coordinator only merges
+/// the tasks' sorted runs.
 #[derive(Clone)]
 pub struct RepSnReducer {
     buffer: WindowBuffer,
+    /// This task's matches, in window order until `finish`.
+    matches: Vec<(MatchPair, f64)>,
     /// Original entities streamed so far.
     originals: u64,
     /// Guards the replicas-before-originals ordering invariant.
@@ -133,6 +140,7 @@ impl RepSnReducer {
         let buffer = WindowBuffer::new(comparer, window);
         Self {
             buffer,
+            matches: Vec::new(),
             originals: 0,
             saw_original: false,
         }
@@ -147,6 +155,7 @@ impl Reducer for RepSnReducer {
 
     fn setup(&mut self, _info: &ReduceTaskInfo) {
         self.buffer.clear();
+        self.matches.clear();
         self.originals = 0;
         self.saw_original = false;
     }
@@ -166,8 +175,9 @@ impl Reducer for RepSnReducer {
             } else {
                 self.saw_original = true;
                 self.originals += 1;
-                self.buffer.advance(&value.keyed, ctx, |ctx, pair, score| {
-                    ctx.emit(pair, score);
+                let matches = &mut self.matches;
+                self.buffer.advance(&value.keyed, ctx, |_, pair, score| {
+                    matches.push((pair, score));
                 });
             }
         }
@@ -175,6 +185,10 @@ impl Reducer for RepSnReducer {
 
     fn finish(&mut self, ctx: &mut ReduceContext<MatchPair, f64>) {
         ctx.add_counter(PARTITION_ENTITIES, self.originals);
+        self.matches.sort_by_key(|&(pair, _)| pair);
+        for (pair, score) in self.matches.drain(..) {
+            ctx.emit(pair, score);
+        }
     }
 }
 
@@ -310,6 +324,36 @@ mod tests {
         // Each task replicates its own per-range tail (task 0: a;
         // task 1: b); the reducer primes the window with their union.
         assert_eq!(out.metrics.counters.get(REPLICAS), 2);
+    }
+
+    #[test]
+    fn every_reduce_task_emits_its_matches_sorted_by_pair() {
+        // Window order (by sort key) is not pair order: entity ids
+        // descend while the keys ascend.
+        let titles = ["aa x", "aa y", "ab x", "ab y", "c x", "c y", "d x", "d y"];
+        let input: Partitions<SortKey, Ent> = vec![titles
+            .iter()
+            .enumerate()
+            .map(|(i, title)| {
+                let id = (titles.len() - i) as u64;
+                (
+                    SortKey::new(title),
+                    Arc::new(Entity::new(id, [("title", "same title")])),
+                )
+            })
+            .collect()];
+        let out = repsn_job(
+            two_range_partitioner(),
+            PairComparer::new(Arc::new(Matcher::paper_default())),
+            3,
+            2,
+        )
+        .run_on(&WorkerPool::new(1), input)
+        .unwrap();
+        assert!(out.reduce_outputs.iter().all(|run| run.len() > 1));
+        for run in &out.reduce_outputs {
+            assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "{run:?}");
+        }
     }
 
     #[test]
