@@ -16,9 +16,7 @@
 //! * a [`RangePartitioner`] that routes keys to `p` contiguous,
 //!   order-preserving ranges, built from a sampled key distribution —
 //!   so that concatenating reduce partitions `0..p` in index order
-//!   yields the globally sorted sequence. The walk that places its
-//!   boundaries also reports each range's fill level, so callers that
-//!   must reject thin ranges never route the input twice.
+//!   yields the globally sorted sequence.
 //!
 //! The partitioner is deliberately generic over the key type: the
 //! er-sn crate instantiates it with [`SortKey`], and tests exercise it
@@ -237,17 +235,11 @@ impl fmt::Debug for ReversedSortKey {
 /// (including the degenerate all-duplicate-keys sample) consecutive
 /// boundaries coincide and the ranges between them are simply *empty*:
 /// the requested partition count is preserved and both invariants
-/// continue to hold. Callers that cannot tolerate empty ranges (RepSN's
-/// single-boundary replication) read [`RangePartitioner::fill_levels`]:
-/// the sample weight each range received, taken from the same
-/// cumulative walk that placed the boundaries. For an exact histogram
-/// (er-sn counts every entity) that is each range's entity count.
+/// continue to hold.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangePartitioner<K> {
     /// Upper (inclusive) bounds of partitions `0..p-1`, non-decreasing.
     boundaries: Vec<K>,
-    /// Sample weight routed to each of the `boundaries + 1` ranges.
-    fill_levels: Vec<u64>,
 }
 
 impl<K: Ord + Clone> RangePartitioner<K> {
@@ -273,19 +265,13 @@ impl<K: Ord + Clone> RangePartitioner<K> {
             .iter()
             .try_fold(0u128, |sum, &(_, c)| sum.checked_add(u128::from(c)))
             .expect("a histogram's total weight fits in u128");
-        // A range's weight saturates at u64::MAX; only weighted
-        // samples beyond any real corpus can reach it.
-        let level = |weight: u128| u64::try_from(weight).unwrap_or(u64::MAX);
         if total == 0 || partitions == 1 {
             return Self {
                 boundaries: Vec::new(),
-                fill_levels: vec![level(total)],
             };
         }
         let mut boundaries = Vec::with_capacity(partitions - 1);
-        let mut fill_levels = Vec::with_capacity(partitions);
         let mut cumulative = 0u128;
-        let mut range_start = 0u128;
         let mut idx = 0usize;
         let mut last_key: Option<K> = None;
         for i in 1..partitions {
@@ -304,14 +290,8 @@ impl<K: Ord + Clone> RangePartitioner<K> {
                 idx += 1;
             }
             boundaries.push(last_key.clone().expect("a positive target consumes a key"));
-            fill_levels.push(level(cumulative - range_start));
-            range_start = cumulative;
         }
-        fill_levels.push(level(total - range_start));
-        Self {
-            boundaries,
-            fill_levels,
-        }
+        Self { boundaries }
     }
 
     /// Builds the partitioner from an unweighted sample (unsorted,
@@ -342,14 +322,6 @@ impl<K: Ord + Clone> RangePartitioner<K> {
     /// keys `≤ boundaries[i]` (and above the previous boundary).
     pub fn boundaries(&self) -> &[K] {
         &self.boundaries
-    }
-
-    /// The sample weight each range received, one entry per partition
-    /// (all in one entry for a catch-all partitioner) — equal to
-    /// routing every sampled key through
-    /// [`RangePartitioner::partition_of`], without doing so.
-    pub fn fill_levels(&self) -> &[u64] {
-        &self.fill_levels
     }
 }
 
@@ -510,7 +482,6 @@ mod tests {
         let heavy = u64::MAX / 2;
         let p = RangePartitioner::from_counts(vec![(0u32, heavy), (1, heavy), (2, heavy)], 3);
         assert_eq!(p.boundaries(), &[0, 1]);
-        assert_eq!(p.fill_levels(), &[heavy, heavy, heavy]);
         assert_eq!(
             (0..3u32).map(|k| p.partition_of(&k)).collect::<Vec<_>>(),
             vec![0, 1, 2]
@@ -519,20 +490,22 @@ mod tests {
         let quarter = u64::MAX / 8;
         let p = RangePartitioner::from_counts((0..4u32).map(|k| (k, quarter)), 3);
         assert_eq!(p.boundaries(), &[1, 2]);
-        assert_eq!(p.fill_levels(), &[2 * quarter, quarter, quarter]);
     }
 
     #[test]
-    fn fill_levels_count_each_range_including_empty_ones() {
+    fn a_heavy_key_repeats_boundaries_and_leaves_empty_ranges() {
         // A heavy key passes all three targets: the ranges between the
         // repeated boundaries are empty.
         let p = RangePartitioner::from_counts(vec![(0u32, 10), (1, 1), (2, 1)], 4);
         assert_eq!(p.boundaries(), &[0, 0, 0]);
-        assert_eq!(p.fill_levels(), &[10, 0, 0, 2]);
+        assert_eq!(
+            (0..3u32).map(|k| p.partition_of(&k)).collect::<Vec<_>>(),
+            vec![0, 3, 3]
+        );
         let catch_all = RangePartitioner::from_counts(vec![(5u32, 3), (6, 4)], 1);
-        assert_eq!(catch_all.fill_levels(), &[7]);
+        assert!(catch_all.boundaries().is_empty());
         let empty = RangePartitioner::<u32>::from_counts(vec![], 4);
-        assert_eq!(empty.fill_levels(), &[0]);
+        assert!(empty.boundaries().is_empty());
     }
 
     #[test]
@@ -604,22 +577,6 @@ mod proptests {
             for key in &probes {
                 prop_assert_eq!(p.partition_of(key), p.partition_of(&key.clone()));
             }
-        }
-
-        /// The fill levels the boundary walk reports equal routing
-        /// every sampled key through `partition_of` — repeated
-        /// boundaries and empty ranges included.
-        #[test]
-        fn fill_levels_equal_routed_counts(
-            sample in proptest::collection::vec(0u32..12, 0..80),
-            partitions in 1usize..10,
-        ) {
-            let p = RangePartitioner::from_sample(sample.clone(), partitions);
-            let mut routed = vec![0u64; p.num_partitions()];
-            for key in &sample {
-                routed[p.partition_of(key)] += 1;
-            }
-            prop_assert_eq!(p.fill_levels(), routed.as_slice());
         }
 
         /// The ASCII fast path of `AttributeSortKey` derives exactly

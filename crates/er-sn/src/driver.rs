@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 
+use er_core::result::MatchPair;
 use er_core::sortkey::{AttributeSortKey, RangePartitioner, SortKey, SortKeyFunction};
 use er_core::{MatchResult, Matcher, MatcherCache};
 use er_loadbalance::compare::PairComparer;
@@ -30,18 +31,17 @@ use mr_engine::workflow::Workflow;
 
 use crate::jobsn::{assemble_boundary_input, split_window_output, stitch_job, window_job};
 use crate::repsn::repsn_job;
-use crate::sample::{sample_distribution_in, sorted_order};
+use crate::sample::{sample_distribution_in, sorted_order, window_pairs};
 use crate::PARTITION_ENTITIES;
 
 /// Which boundary-handling strategy runs the matching job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SnStrategy {
-    /// Second MR job stitches boundary candidates (robust to thin and
-    /// empty ranges; costs an extra job).
+    /// Second MR job stitches boundary candidates (costs an extra
+    /// job).
     JobSn,
-    /// In-map replication of per-range tails to the successor range
-    /// (single job; requires every *interior* range to hold at least
-    /// `w − 1` entities).
+    /// In-map replication: each map task sends every range its last
+    /// `w − 1` entities before that range (single job).
     RepSn,
 }
 
@@ -158,53 +158,6 @@ impl std::fmt::Debug for SnConfig {
     }
 }
 
-/// Errors of an SN run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnError {
-    /// The MapReduce engine failed.
-    Mr(MrError),
-    /// RepSN precondition violated: an *interior* key range (strictly
-    /// between the first and last non-empty ranges) holds fewer than
-    /// `window − 1` entities, so window pairs between its neighbours
-    /// would span more than one boundary and replication cannot cover
-    /// them. Re-run with JobSN, a smaller window, or fewer
-    /// partitions.
-    ThinPartition {
-        /// The offending range.
-        partition: usize,
-        /// Entities it holds.
-        entities: u64,
-        /// The configured window.
-        window: usize,
-    },
-}
-
-impl std::fmt::Display for SnError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnError::Mr(e) => write!(f, "MapReduce error: {e}"),
-            SnError::ThinPartition {
-                partition,
-                entities,
-                window,
-            } => write!(
-                f,
-                "RepSN requires every interior range to hold at least w-1 = {} entities, \
-                 but range {partition} holds {entities}; use JobSN for this workload",
-                window - 1
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SnError {}
-
-impl From<MrError> for SnError {
-    fn from(e: MrError) -> Self {
-        SnError::Mr(e)
-    }
-}
-
 /// Products of one SN pass executed inside a caller-owned workflow —
 /// what [`run_sn_stages`] returns to [`run_sorted_neighborhood_in`],
 /// to the multi-pass / two-source drivers, and through them to the
@@ -250,7 +203,7 @@ pub fn run_sorted_neighborhood_in(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
     config: &SnConfig,
-) -> Result<SnStages, SnError> {
+) -> Result<SnStages, MrError> {
     run_sn_stages(workflow, input, config, config.comparer())
 }
 
@@ -267,7 +220,7 @@ pub fn run_sn_stages(
     input: Partitions<(), Ent>,
     config: &SnConfig,
     comparer: PairComparer,
-) -> Result<SnStages, SnError> {
+) -> Result<SnStages, MrError> {
     assert!(
         config.window >= 2,
         "a sliding window must span at least 2 slots"
@@ -323,32 +276,6 @@ pub fn run_sn_stages(
             })
         }
         SnStrategy::RepSn => {
-            // Precondition, checked BEFORE spending the matching work:
-            // replication reaches one range ahead, so no window pair
-            // may span two boundaries. Only *interior* ranges — strictly
-            // between the first and last non-empty ones — can cause
-            // that: a thinner-than-`w − 1` (or empty) interior range
-            // lets its neighbours' entities sit within one window of
-            // each other. The first non-empty range is exempt (all
-            // pairs leaving it cross exactly its own boundary, and its
-            // tail replicates regardless of size), as is the last. The
-            // histogram counts every routed entity, so the fill levels
-            // its boundary walk reported are exactly what the reducers
-            // would count.
-            let lens = partitioner.fill_levels();
-            let first_nonempty = lens.iter().position(|&n| n > 0);
-            let last_nonempty = lens.iter().rposition(|&n| n > 0);
-            if let (Some(first), Some(last)) = (first_nonempty, last_nonempty) {
-                for (partition, &entities) in lens.iter().enumerate().take(last).skip(first + 1) {
-                    if entities < (config.window - 1) as u64 {
-                        return Err(SnError::ThinPartition {
-                            partition,
-                            entities,
-                            window: config.window,
-                        });
-                    }
-                }
-            }
             let job = repsn_job(
                 Arc::new(partitioner.clone()),
                 comparer,
@@ -388,14 +315,9 @@ pub fn sn_oracle(input: &Partitions<(), Ent>, config: &SnConfig) -> MatchResult 
     let sorted = sorted_order(input, config.sort_key.as_ref());
     let mut result = MatchResult::new();
     let mut cache = MatcherCache::new(Arc::clone(&config.matcher));
-    for j in 0..sorted.len() {
-        for i in j.saturating_sub(config.window - 1)..j {
-            if let Some(score) = cache.matches(&sorted[i], &sorted[j]) {
-                result.insert(
-                    er_core::result::MatchPair::new(sorted[i].entity_ref(), sorted[j].entity_ref()),
-                    score,
-                );
-            }
+    for (a, b) in window_pairs(&sorted, config.window) {
+        if let Some(score) = cache.matches(a, b) {
+            result.insert(MatchPair::new(a.entity_ref(), b.entity_ref()), score);
         }
     }
     result
@@ -430,7 +352,7 @@ mod tests {
         SnConfig::new(strategy).with_window(3).with_partitions(2)
     }
 
-    fn sn_inline(input: Partitions<(), Ent>, config: &SnConfig) -> Result<SnStages, SnError> {
+    fn sn_inline(input: Partitions<(), Ent>, config: &SnConfig) -> Result<SnStages, MrError> {
         run_sorted_neighborhood_in(&mut inline_workflow("sn"), input, config)
     }
 
@@ -463,42 +385,28 @@ mod tests {
     }
 
     #[test]
-    fn repsn_reports_thin_interior_partitions_instead_of_missing_pairs() {
+    fn repsn_covers_pairs_across_a_thin_interior_range() {
         // Three 1-entity ranges with w = 4: the interior range holds
-        // fewer than w - 1 = 3 entities, so pairs between its
-        // neighbours would span two boundaries.
-        let cfg = SnConfig::new(SnStrategy::RepSn)
-            .with_window(4)
-            .with_partitions(3);
-        let err = sn_inline(input(&["aa", "bb", "cc"]), &cfg).unwrap_err();
-        match err {
-            SnError::ThinPartition {
-                partition,
-                entities,
-                window,
-            } => {
-                assert_eq!(window, 4);
-                assert_eq!(partition, 1, "only the interior range is checked");
-                assert!(entities < 3);
-            }
-            other => panic!("expected ThinPartition, got {other:?}"),
+        // fewer than w - 1 = 3 entities, so the pair between its
+        // neighbours spans two boundaries; replication must still
+        // reach it. JobSN handles the identical configuration too.
+        for strategy in [SnStrategy::RepSn, SnStrategy::JobSn] {
+            let cfg = SnConfig::new(strategy).with_window(4).with_partitions(3);
+            let outcome = sn_inline(input(&["aa", "bb", "cc"]), &cfg).unwrap();
+            let oracle = sn_oracle(&input(&["aa", "bb", "cc"]), &cfg);
+            assert_eq!(outcome.result.pair_set(), oracle.pair_set(), "{strategy}");
+            assert_eq!(
+                outcome.total_comparisons(),
+                oracle_comparisons(3, 4),
+                "{strategy}"
+            );
         }
-        // JobSN handles the identical configuration exactly.
-        let cfg = SnConfig {
-            strategy: SnStrategy::JobSn,
-            ..cfg
-        };
-        let outcome = sn_inline(input(&["aa", "bb", "cc"]), &cfg).unwrap();
-        let oracle = sn_oracle(&input(&["aa", "bb", "cc"]), &cfg);
-        assert_eq!(outcome.result.pair_set(), oracle.pair_set());
-        assert_eq!(outcome.total_comparisons(), oracle_comparisons(3, 4));
     }
 
     #[test]
     fn repsn_accepts_thin_outer_ranges() {
-        // Thin FIRST and LAST ranges are safe: every pair leaving
-        // either crosses exactly one boundary, and the first range's
-        // whole content replicates forward regardless of its size.
+        // Thin first and last ranges: a range's whole content
+        // replicates forward when it holds fewer than w - 1 entities.
         let cfg = SnConfig::new(SnStrategy::RepSn)
             .with_window(4)
             .with_partitions(2);
@@ -564,16 +472,62 @@ mod tests {
     fn zero_partitions_rejected() {
         let _ = SnConfig::new(SnStrategy::JobSn).with_partitions(0);
     }
+}
 
-    #[test]
-    fn error_display_names_the_remedy() {
-        let e = SnError::ThinPartition {
-            partition: 1,
-            entities: 0,
-            window: 4,
-        };
-        assert!(e.to_string().contains("JobSN"));
-        let wrapped: SnError = MrError::NoMapTasks.into();
-        assert!(wrapped.to_string().contains("MapReduce error"));
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use er_core::Entity;
+    use proptest::prelude::*;
+
+    /// `picks` as entities dealt round-robin over `m` map tasks: a
+    /// pick divisible by 7 is keyless (a brand, no title), any other
+    /// is a one-letter title from the first `letters` letters.
+    fn hostile_input(picks: &[usize], letters: usize, m: usize) -> Partitions<(), Ent> {
+        let mut input: Partitions<(), Ent> = vec![Vec::new(); m];
+        for (i, &pick) in picks.iter().enumerate() {
+            let entity = if pick % 7 == 0 {
+                Entity::new(i as u64, [("brand", "keyless")])
+            } else {
+                let letter = char::from(b'a' + (pick / 7 % letters) as u8);
+                Entity::new(i as u64, [("title", letter.to_string())])
+            };
+            input[i % m].push(((), Arc::new(entity)));
+        }
+        input
+    }
+
+    proptest! {
+        /// Heavy ties, keyless entities and more ranges than distinct
+        /// keys leave ranges thin or empty anywhere in the order;
+        /// every strategy still equals the oracle, comparing each
+        /// window pair exactly once.
+        #[test]
+        fn both_strategies_equal_the_oracle_on_hostile_range_layouts(
+            picks in proptest::collection::vec(0usize..84, 0..40),
+            letters in 1usize..=12,
+            m in 1usize..=5,
+            r in 1usize..=9,
+            w in 2usize..=16,
+        ) {
+            let input = hostile_input(&picks, letters, m);
+            for strategy in [SnStrategy::RepSn, SnStrategy::JobSn] {
+                let config = SnConfig::new(strategy).with_window(w).with_partitions(r);
+                let outcome =
+                    run_sorted_neighborhood_in(&mut inline_workflow("sn"), input.clone(), &config);
+                prop_assert_eq!(outcome.as_ref().err(), None, "{}", strategy);
+                let outcome = outcome.unwrap();
+                prop_assert_eq!(
+                    outcome.result.pair_set(),
+                    sn_oracle(&input, &config).pair_set(),
+                    "{}", strategy
+                );
+                prop_assert_eq!(
+                    outcome.total_comparisons(),
+                    oracle_comparisons(picks.len(), w),
+                    "{}", strategy
+                );
+            }
+        }
     }
 }

@@ -59,8 +59,8 @@ pub struct SnEntity {
     /// The `⊥`-annotated entity.
     pub keyed: Keyed,
     /// True for a RepSN boundary replica (window-primer only; replica
-    /// × replica pairs are never compared — they belong to the
-    /// predecessor partition).
+    /// × replica pairs are never compared — they belong to an earlier
+    /// partition).
     pub replica: bool,
 }
 

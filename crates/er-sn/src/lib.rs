@@ -28,11 +28,12 @@
 //!      first/last `w − 1` entities; a second, tiny MR job compares
 //!      the pairs straddling range boundaries. Exact even for thin and
 //!      empty ranges.
-//!    * [`repsn`] — **RepSN**: the mapper replicates per-range tails
-//!      to the successor range; the reducer primes its window with
-//!      them and never compares replica × replica, keeping the output
-//!      duplicate-free. One job, `(w − 1)·m` replicas per boundary,
-//!      and a fill-level precondition the driver enforces.
+//!    * [`repsn`] — **RepSN**: each map task replicates its last
+//!      `w − 1` entities before every range to that range; the reducer
+//!      primes its window with them and never compares replica ×
+//!      replica, keeping the output duplicate-free. One job, at most
+//!      `(w − 1)·m` replicas per boundary, exact on every range
+//!      layout.
 //!
 //! All drivers execute their stages through the shared
 //! [`mr_engine::workflow::Workflow`] layer (identical-partitioning
@@ -62,8 +63,8 @@ pub mod two_source;
 pub mod window;
 
 pub use driver::{
-    oracle_comparisons, run_sn_stages, run_sorted_neighborhood_in, sn_oracle, SnConfig, SnError,
-    SnStages, SnStrategy,
+    oracle_comparisons, run_sn_stages, run_sorted_neighborhood_in, sn_oracle, SnConfig, SnStages,
+    SnStrategy,
 };
 pub use keys::{BoundaryKey, BoundarySide, SnEntity, SnKey};
 pub use multipass::{
@@ -84,6 +85,6 @@ pub const NULL_SORT_KEYS: &str = "er.sn.null_sort_keys";
 pub const REPLICAS: &str = "er.sn.replicas";
 
 /// Counter: original (non-replica) entities per key range, recorded by
-/// the matching reducers — the fill levels RepSN's precondition and
-/// the balance stats read.
+/// the matching reducers — the fill levels JobSN's boundary assembly
+/// and the balance stats read.
 pub const PARTITION_ENTITIES: &str = "er.sn.partition_entities";

@@ -32,13 +32,14 @@ use er_core::sortkey::SortKeyFunction;
 use er_core::MatchResult;
 use er_loadbalance::compare::MULTIPASS_SKIPPED;
 use er_loadbalance::{Ent, COMPARISONS};
+use mr_engine::error::MrError;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::workflow::Workflow;
 
 use crate::driver::{run_sn_stages, sn_oracle};
-use crate::sample::sorted_order;
-use crate::{SnConfig, SnError};
+use crate::sample::{sorted_order, window_pairs};
+use crate::SnConfig;
 
 /// What one pass of a multi-pass run contributed.
 #[derive(Debug)]
@@ -98,7 +99,7 @@ pub fn run_multipass_sn_in(
     input: Partitions<(), Ent>,
     config: &SnConfig,
     passes: &[Arc<dyn SortKeyFunction>],
-) -> Result<MultiPassSnStages, SnError> {
+) -> Result<MultiPassSnStages, MrError> {
     assert!(!passes.is_empty(), "multi-pass SN needs at least one pass");
     // Pass `i + 1`'s dedup gate holds the window pairs of passes
     // `0..=i`.
@@ -152,16 +153,9 @@ pub fn window_pair_set(
     window: usize,
 ) -> BTreeSet<MatchPair> {
     let sorted = sorted_order(input, sort_key);
-    let mut pairs = BTreeSet::new();
-    for j in 0..sorted.len() {
-        for i in j.saturating_sub(window - 1)..j {
-            pairs.insert(MatchPair::new(
-                sorted[i].entity_ref(),
-                sorted[j].entity_ref(),
-            ));
-        }
-    }
-    pairs
+    window_pairs(&sorted, window)
+        .map(|(a, b)| MatchPair::new(a.entity_ref(), b.entity_ref()))
+        .collect()
 }
 
 /// Reference implementation: the union of the single-machine sliding
@@ -212,11 +206,11 @@ mod tests {
         input: Partitions<(), Ent>,
         config: &SnConfig,
         passes: &[Arc<dyn SortKeyFunction>],
-    ) -> Result<MultiPassSnStages, SnError> {
+    ) -> Result<MultiPassSnStages, MrError> {
         run_multipass_sn_in(&mut inline_workflow("sn-multipass"), input, config, passes)
     }
 
-    fn sn_inline(input: Partitions<(), Ent>, config: &SnConfig) -> Result<SnStages, SnError> {
+    fn sn_inline(input: Partitions<(), Ent>, config: &SnConfig) -> Result<SnStages, MrError> {
         run_sorted_neighborhood_in(&mut inline_workflow("sn"), input, config)
     }
 
@@ -290,6 +284,31 @@ mod tests {
             assert!(outcome.total_skipped() > 0, "{strategy}: gate engaged");
             assert_eq!(outcome.passes.len(), 2);
         }
+    }
+
+    #[test]
+    fn repsn_covers_thin_interior_ranges_in_every_pass() {
+        // Five distinct keys over five ranges under w = 3: every range
+        // holds one entity, below w - 1 = 2, in both passes.
+        let input = vec![vec![
+            ent(0, "aa same thing"),
+            ent(1, "ab same thing"),
+            ent(2, "ba other thing"),
+            ent(3, "bb other thing"),
+            ent(4, "ca third thing"),
+        ]];
+        let config = SnConfig::new(SnStrategy::RepSn)
+            .with_window(3)
+            .with_partitions(5);
+        let outcome = multipass_inline(input.clone(), &config, &passes()).unwrap();
+        assert_eq!(
+            outcome.result.pair_set(),
+            multipass_sn_oracle(&input, &config, &passes()).pair_set()
+        );
+        assert_eq!(
+            outcome.total_comparisons(),
+            multipass_oracle_comparisons(&input, &config, &passes())
+        );
     }
 
     #[test]

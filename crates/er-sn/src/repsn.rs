@@ -2,28 +2,18 @@
 //!
 //! Strategy 2 of *Parallel Sorted Neighborhood Blocking with
 //! MapReduce*: each map task — which knows the range partitioning —
-//! additionally sends its last `w − 1` entities *per key range* to the
-//! successor range, tagged as replicas. The reduce task of range `p`
-//! then sees (sorted strictly before its own entities) a superset of
-//! the global last `w − 1` entities of range `p − 1`; it primes the
-//! sliding window with the greatest `w − 1` replicas and slides into
-//! its own entities. Replica × replica pairs are never compared — they
-//! were already compared inside the predecessor range — so matches
-//! stay duplicate-free by construction. One job, no stitching; the
-//! cost is `(w − 1) · m` replicated entities per boundary.
-//!
-//! # Precondition
-//!
-//! Replication reaches exactly one range ahead, so no window pair may
-//! span two range boundaries: every *interior* range (strictly
-//! between the first and last non-empty ones) must hold at least
-//! `w − 1` entities — the outer ranges may be arbitrarily thin. The
-//! driver verifies this *before* launching the matching job, from the
-//! fill levels the partitioner took from the distribution job's exact
-//! histogram, and reports
-//! [`crate::driver::SnError::ThinPartition`] instead of a silently
-//! incomplete result (use JobSN for workloads whose key ranges
-//! can run that thin — degenerate key distributions, tiny inputs).
+//! additionally sends, to every range `q > 0`, its last `w − 1`
+//! entities *before* `q` (from whichever earlier ranges they come),
+//! tagged as replicas. Every entity among the global last `w − 1`
+//! before `q` is also among its own task's last `w − 1` before `q`, so
+//! the reduce task of range `q` sees (sorted strictly before its own
+//! entities) a superset of that global tail; it primes the sliding
+//! window with the greatest `w − 1` replicas and slides into its own
+//! entities. Replica × replica pairs are never compared — they were
+//! already compared in an earlier range — so matches stay
+//! duplicate-free by construction. One job, no stitching, exact on
+//! every range layout (thin and empty ranges included); the cost is
+//! at most `(w − 1) · m` replicated entities per boundary.
 
 use std::sync::Arc;
 
@@ -37,13 +27,13 @@ use crate::keys::{SnEntity, SnKey};
 use crate::window::WindowBuffer;
 use crate::{PARTITION_ENTITIES, REPLICAS};
 
-/// Map phase: route each entity to its range and replicate per-range
-/// tails to the successor range.
+/// Map phase: route each entity to its range and replicate, to each
+/// range, this task's last `w − 1` entities before it.
 #[derive(Clone)]
 pub struct RepSnMapper {
     partitioner: Arc<RangePartitioner<SortKey>>,
     window: usize,
-    /// Per destination range: this task's last `w − 1` entities, kept
+    /// Per range: this task's last `w − 1` entities of it, kept
     /// sorted ascending by `(key, arrival)` — the same tie order the
     /// shuffle produces, so the replica stream is a faithful slice of
     /// the global order.
@@ -95,15 +85,22 @@ impl Mapper for RepSnMapper {
     }
 
     fn finish(&mut self, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
-        for (partition, tail) in self.tails.iter_mut().enumerate() {
-            for (key, entity) in tail.drain(..) {
+        // Range `p + 1` receives the last `w − 1` entities of ranges
+        // `0..=p`: a running carry over the per-range tails, which
+        // reaches past thin and empty ranges.
+        let mut carry: Vec<(SortKey, Ent)> = Vec::new();
+        let successors = self.tails.len().saturating_sub(1);
+        for (partition, tail) in self.tails.iter_mut().take(successors).enumerate() {
+            carry.append(tail);
+            carry.drain(..carry.len().saturating_sub(self.window - 1));
+            for (key, entity) in &carry {
                 ctx.add_counter(REPLICAS, 1);
                 ctx.emit(
                     SnKey {
                         partition: (partition + 1) as u32,
-                        key,
+                        key: key.clone(),
                     },
-                    SnEntity::replica(entity),
+                    SnEntity::replica(Arc::clone(entity)),
                 );
             }
         }
@@ -116,7 +113,7 @@ impl Mapper for RepSnMapper {
 /// strictly smaller than every original key of this range, so they
 /// arrive first — priming the window ([`WindowBuffer`] in reducer
 /// state; priming keeps only the last `w − 1`, which is exactly the
-/// predecessor range's global tail), then the originals sliding over
+/// global tail before this range), then the originals sliding over
 /// it.
 ///
 /// A task emits its matches at its end, stably sorted by pair: the

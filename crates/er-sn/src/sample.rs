@@ -56,6 +56,17 @@ pub(crate) fn sorted_order(
         .collect()
 }
 
+/// Every window pair of `sorted` as `(earlier, later)`: for each
+/// position `j`, its predecessors at `j − (w − 1)..j` in ascending
+/// order — the one enumeration every brute-force oracle walks.
+pub(crate) fn window_pairs(sorted: &[Ent], window: usize) -> impl Iterator<Item = (&Ent, &Ent)> {
+    sorted.iter().enumerate().flat_map(move |(j, later)| {
+        sorted[j.saturating_sub(window - 1)..j]
+            .iter()
+            .map(move |earlier| (earlier, later))
+    })
+}
+
 /// Mapper of the distribution job: annotate + count.
 #[derive(Clone)]
 pub struct SampleMapper {
@@ -220,64 +231,5 @@ mod tests {
         assert_eq!(routing_key(&title, &keyless), SortKey::empty());
         let keyed = Entity::new(1, [("title", " Abc ")]);
         assert_eq!(routing_key(&title, &keyed), SortKey::new("abc"));
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use er_core::sortkey::AttributeSortKey;
-    use mr_engine::pool::WorkerPool;
-    use mr_engine::workflow::Workflow;
-    use proptest::prelude::*;
-
-    /// Few distinct titles, so heavy keys repeat boundaries and leave
-    /// ranges empty; `None` is a keyless entity (routed under the
-    /// empty key).
-    const TITLES: [Option<&str>; 6] = [
-        None,
-        Some("aa"),
-        Some("Bb"),
-        Some(" cc"),
-        Some("dd"),
-        Some("ee"),
-    ];
-
-    proptest! {
-        /// The fill levels the partitioner's boundary walk reports over
-        /// the job's histogram equal routing every annotated entity
-        /// through `partition_of` — what RepSN's thin-range check used
-        /// to count.
-        #[test]
-        fn fill_levels_equal_per_entity_routing(
-            picks in proptest::collection::vec(0usize..TITLES.len(), 0..40),
-            input_partitions in 1usize..4,
-            partitions in 1usize..8,
-            use_combiner in 0usize..2,
-        ) {
-            let mut input: Partitions<(), Ent> = vec![Vec::new(); input_partitions];
-            for (i, &pick) in picks.iter().enumerate() {
-                let entity = match TITLES[pick] {
-                    Some(title) => Entity::new(i as u64, [("title", title)]),
-                    None => Entity::new(i as u64, [("brand", "keyless")]),
-                };
-                input[i % input_partitions].push(((), Arc::new(entity)));
-            }
-            let mut workflow = Workflow::on_pool("sn-sample", Arc::new(WorkerPool::new(1)));
-            let (partitioner, annotated, _) = sample_distribution_in(
-                &mut workflow,
-                input,
-                Arc::new(AttributeSortKey::title()),
-                partitions,
-                use_combiner == 1,
-                None,
-            )
-            .unwrap();
-            let mut routed = vec![0u64; partitioner.num_partitions()];
-            for (key, _) in annotated.iter().flatten() {
-                routed[partitioner.partition_of(key)] += 1;
-            }
-            prop_assert_eq!(partitioner.fill_levels(), routed.as_slice());
-        }
     }
 }

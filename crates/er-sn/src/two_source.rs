@@ -23,14 +23,16 @@
 
 use std::sync::Arc;
 
+use er_core::result::MatchPair;
 use er_core::{MatchResult, MatcherCache, SourceId};
 use er_loadbalance::Ent;
+use mr_engine::error::MrError;
 use mr_engine::input::Partitions;
 use mr_engine::workflow::Workflow;
 
 use crate::driver::{run_sn_stages, SnStages};
-use crate::sample::sorted_order;
-use crate::{SnConfig, SnError};
+use crate::sample::{sorted_order, window_pairs};
+use crate::SnConfig;
 
 /// Executes two-source Sorted Neighborhood linkage as stages of
 /// `workflow` — the scenario compiler the facade crate's `Resolver`
@@ -46,7 +48,7 @@ pub fn run_two_source_sn_in(
     input: Partitions<(), Ent>,
     sources: Vec<SourceId>,
     config: &SnConfig,
-) -> Result<SnStages, SnError> {
+) -> Result<SnStages, MrError> {
     debug_assert!(
         sources.len() == input.len()
             && input.iter().zip(&sources).all(|(records, &tag)| {
@@ -99,14 +101,12 @@ pub fn two_source_input(
 /// ground truth [`run_two_source_sn_in`] must reproduce exactly at every
 /// partition count and parallelism.
 pub fn two_source_sn_oracle(input: &Partitions<(), Ent>, config: &SnConfig) -> MatchResult {
+    let sorted = sorted_order(input, config.sort_key.as_ref());
     let mut result = MatchResult::new();
     let mut cache = MatcherCache::new(Arc::clone(&config.matcher));
-    for (a, b) in cross_source_window_pairs(input, config) {
-        if let Some(score) = cache.matches(&a, &b) {
-            result.insert(
-                er_core::result::MatchPair::new(a.entity_ref(), b.entity_ref()),
-                score,
-            );
+    for (a, b) in window_pairs(&sorted, config.window).filter(is_cross_source) {
+        if let Some(score) = cache.matches(a, b) {
+            result.insert(MatchPair::new(a.entity_ref(), b.entity_ref()), score);
         }
     }
     result
@@ -116,23 +116,14 @@ pub fn two_source_sn_oracle(input: &Partitions<(), Ent>, config: &SnConfig) -> M
 /// count [`run_two_source_sn_in`] must report (same-source window slots
 /// are skipped, not evaluated).
 pub fn two_source_oracle_comparisons(input: &Partitions<(), Ent>, config: &SnConfig) -> u64 {
-    cross_source_window_pairs(input, config).len() as u64
+    let sorted = sorted_order(input, config.sort_key.as_ref());
+    window_pairs(&sorted, config.window)
+        .filter(is_cross_source)
+        .count() as u64
 }
 
-/// Enumerates the cross-source pairs within the window over the
-/// interleaved global order (stable ties in input order, mirroring
-/// the engine's shuffle).
-fn cross_source_window_pairs(input: &Partitions<(), Ent>, config: &SnConfig) -> Vec<(Ent, Ent)> {
-    let sorted = sorted_order(input, config.sort_key.as_ref());
-    let mut pairs = Vec::new();
-    for j in 0..sorted.len() {
-        for i in j.saturating_sub(config.window - 1)..j {
-            if sorted[i].source() != sorted[j].source() {
-                pairs.push((Arc::clone(&sorted[i]), Arc::clone(&sorted[j])));
-            }
-        }
-    }
-    pairs
+fn is_cross_source((a, b): &(&Ent, &Ent)) -> bool {
+    a.source() != b.source()
 }
 
 #[cfg(test)]
@@ -151,7 +142,7 @@ mod tests {
         input: Partitions<(), Ent>,
         sources: Vec<SourceId>,
         config: &SnConfig,
-    ) -> Result<SnStages, SnError> {
+    ) -> Result<SnStages, MrError> {
         run_two_source_sn_in(
             &mut inline_workflow("sn-two-source"),
             input,
@@ -204,6 +195,32 @@ mod tests {
             );
             assert!(!outcome.result.is_empty(), "near-duplicates must link");
         }
+    }
+
+    #[test]
+    fn repsn_links_across_thin_interior_ranges() {
+        // One entity per range under w = 4: the R × S pair at the two
+        // ends spans three boundaries and is still one window.
+        let r = vec![
+            src_ent(SourceId::R, 0, "canon eos 5d mark iia"),
+            src_ent(SourceId::R, 1, "canon eos 5d mark iic"),
+        ];
+        let s = vec![
+            src_ent(SourceId::S, 0, "canon eos 5d mark iib"),
+            src_ent(SourceId::S, 1, "canon eos 5d mark iid"),
+        ];
+        let (input, sources) = two_source_input(r, s, 1);
+        let config = SnConfig::new(SnStrategy::RepSn)
+            .with_window(4)
+            .with_partitions(4);
+        let outcome = two_source_inline(input.clone(), sources, &config).unwrap();
+        let oracle = two_source_sn_oracle(&input, &config);
+        assert_eq!(oracle.len(), 4, "every cross-source pair links");
+        assert_eq!(outcome.result.pair_set(), oracle.pair_set());
+        assert_eq!(
+            outcome.total_comparisons(),
+            two_source_oracle_comparisons(&input, &config)
+        );
     }
 
     #[test]

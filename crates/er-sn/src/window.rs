@@ -16,7 +16,7 @@
 //! forgetting the oldest. RepSN's reducers additionally
 //! [`WindowBuffer::prime`] the buffer with boundary replicas so
 //! cross-partition pairs are covered *without* comparing replica ×
-//! replica (those pairs belong to the predecessor partition).
+//! replica (those pairs belong to an earlier partition).
 
 use std::ops::Range;
 use std::sync::Arc;

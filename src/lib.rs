@@ -111,7 +111,7 @@ pub mod prelude {
     };
     pub use er_sn::{
         multipass_oracle_comparisons, multipass_sn_oracle, sn_oracle, two_source_input,
-        two_source_oracle_comparisons, two_source_sn_oracle, SnConfig, SnError, SnStrategy,
+        two_source_oracle_comparisons, two_source_sn_oracle, SnConfig, SnStrategy,
     };
     pub use mr_engine::fault::{FaultKind, FaultPlan, FaultPolicy, TaskError};
     pub use mr_engine::input::{partition_evenly, partition_round_robin, Partitions};

@@ -54,7 +54,7 @@ use er_lsh::{LshConfig, LshParams, LshRound};
 use er_sn::driver::run_sorted_neighborhood_in;
 use er_sn::multipass::run_multipass_sn_in;
 use er_sn::two_source::run_two_source_sn_in;
-use er_sn::{SnConfig, SnError, SnPassReport, SnStages, SnStrategy};
+use er_sn::{SnConfig, SnPassReport, SnStages, SnStrategy};
 use mr_engine::error::MrError;
 use mr_engine::fault::{FaultPlan, FaultPolicy};
 use mr_engine::input::Partitions;
@@ -246,18 +246,6 @@ pub enum ResolveError {
     /// The MapReduce engine rejected the run (configuration or
     /// input-shape problem; no task ran).
     Mr(MrError),
-    /// RepSN precondition violated: an interior key range holds fewer
-    /// than `window − 1` entities (see
-    /// [`er_sn::SnError::ThinPartition`]). Re-run with JobSN, a
-    /// smaller window, or fewer partitions.
-    ThinPartition {
-        /// The offending range.
-        partition: usize,
-        /// Entities it holds.
-        entities: u64,
-        /// The configured window.
-        window: usize,
-    },
     /// A linkage scenario's `sources` do not describe its input
     /// partitions ([`Scenario::Linkage`], [`Scenario::TwoSourceSn`],
     /// [`Scenario::Lsh`] with tags); no task ran.
@@ -400,16 +388,6 @@ impl std::fmt::Display for ResolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ResolveError::Mr(e) => write!(f, "MapReduce error: {e}"),
-            ResolveError::ThinPartition {
-                partition,
-                entities,
-                window,
-            } => write!(
-                f,
-                "RepSN requires every interior range to hold at least w-1 = {} entities, \
-                 but range {partition} holds {entities}; use JobSN for this workload",
-                window - 1
-            ),
             ResolveError::SourceTags(e) => write!(f, "bad source tags: {e}"),
             ResolveError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
         }
@@ -420,9 +398,7 @@ impl std::error::Error for ResolveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ResolveError::Mr(e) => Some(e),
-            ResolveError::ThinPartition { .. }
-            | ResolveError::SourceTags(_)
-            | ResolveError::InvalidConfig(_) => None,
+            ResolveError::SourceTags(_) | ResolveError::InvalidConfig(_) => None,
         }
     }
 }
@@ -430,23 +406,6 @@ impl std::error::Error for ResolveError {
 impl From<MrError> for ResolveError {
     fn from(e: MrError) -> Self {
         ResolveError::Mr(e)
-    }
-}
-
-impl From<SnError> for ResolveError {
-    fn from(e: SnError) -> Self {
-        match e {
-            SnError::Mr(e) => ResolveError::Mr(e),
-            SnError::ThinPartition {
-                partition,
-                entities,
-                window,
-            } => ResolveError::ThinPartition {
-                partition,
-                entities,
-                window,
-            },
-        }
     }
 }
 
@@ -1162,45 +1121,39 @@ mod tests {
         fn run() -> Result<(), ResolveError> {
             Err(MrError::NoMapTasks)?
         }
-        fn run_sn() -> Result<(), ResolveError> {
-            Err(SnError::ThinPartition {
-                partition: 1,
-                entities: 0,
-                window: 4,
-            })?
-        }
         assert_eq!(run().unwrap_err(), ResolveError::Mr(MrError::NoMapTasks));
-        let thin = run_sn().unwrap_err();
-        assert!(matches!(
-            thin,
-            ResolveError::ThinPartition { window: 4, .. }
-        ));
-        assert!(thin.to_string().contains("JobSN"));
         // Error::source threads the engine error through.
         use std::error::Error;
         let mr: ResolveError = MrError::NoMapTasks.into();
         assert!(mr.source().is_some());
-        assert!(thin.source().is_none());
-        // SnError::Mr flattens to ResolveError::Mr — one engine-error
-        // representation, not two nesting depths.
-        let flat: ResolveError = SnError::Mr(MrError::NoReduceTasks).into();
-        assert_eq!(flat, ResolveError::Mr(MrError::NoReduceTasks));
     }
 
     #[test]
-    fn thin_partition_surfaces_through_resolve() {
+    fn a_thin_interior_range_resolves_to_the_oracle() {
+        // One entity per range with w = 4: the first and last entity
+        // are two boundaries apart and still one window apart.
         let runtime = runtime();
         let resolver = Resolver::new(&runtime).with_window(4).with_reduce_tasks(3);
-        let entities: Vec<Ent> = ["aa", "bb", "cc"]
-            .iter()
-            .enumerate()
-            .map(|(id, t)| Arc::new(Entity::new(id as u64, [("title", *t)])) as Ent)
-            .collect();
-        let input = vec![entities.into_iter().map(|e| ((), e)).collect()];
-        let err = resolver
-            .resolve(&Scenario::sorted_neighborhood(SnStrategy::RepSn), input)
-            .unwrap_err();
-        assert!(matches!(err, ResolveError::ThinPartition { .. }));
+        let entities: Vec<Ent> = [
+            "canon eos 5d mark iii",
+            "canon eos 5d mark iik",
+            "canon eos 5d mark iri",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(id, t)| Arc::new(Entity::new(id as u64, [("title", *t)])) as Ent)
+        .collect();
+        let input: Partitions<(), Ent> = vec![entities.into_iter().map(|e| ((), e)).collect()];
+        let outcome = resolver
+            .resolve(
+                &Scenario::sorted_neighborhood(SnStrategy::RepSn),
+                input.clone(),
+            )
+            .unwrap();
+        let oracle = er_sn::sn_oracle(&input, &resolver.sn_config(SnStrategy::RepSn));
+        assert_eq!(oracle.len(), 3, "every pair of the three matches");
+        assert_eq!(outcome.result.pair_set(), oracle.pair_set());
+        assert_eq!(outcome.total_comparisons(), er_sn::oracle_comparisons(3, 4));
     }
 
     #[test]

@@ -227,11 +227,12 @@ fn null_sort_keys_are_routed_not_dropped() {
 }
 
 #[test]
-fn repsn_refuses_thin_ranges_and_jobsn_covers_them() {
+fn both_strategies_cover_thin_and_empty_ranges() {
     // All-duplicate sort keys: every entity shares one key, so with 4
-    // requested ranges three are empty (trailing) — JobSN stays exact
-    // with no stitch work at all.
-    let input: Partitions<(), Ent> = vec![(0..6u64)
+    // requested ranges three are empty (trailing). 4 distinct keys
+    // over 4 ranges give 1-entity ranges, below w - 1 = 2, so window
+    // pairs span two boundaries. Both strategies stay exact on both.
+    let same: Partitions<(), Ent> = vec![(0..6u64)
         .map(|i| {
             (
                 (),
@@ -239,35 +240,29 @@ fn repsn_refuses_thin_ranges_and_jobsn_covers_them() {
             )
         })
         .collect()];
-    let runtime = runtime(1);
-    let resolver = Resolver::new(&runtime).with_window(3).with_reduce_tasks(4);
-    let jobsn = resolver.sn_config(SnStrategy::JobSn);
-    let outcome = run_sn(&resolver, SnStrategy::JobSn, &input).unwrap();
-    assert_eq!(
-        outcome.result.pair_set(),
-        sn_oracle(&input, &jobsn).pair_set()
-    );
-    assert_eq!(outcome.total_comparisons(), oracle_comparisons(6, 3));
-
-    // A thin interior range under RepSN errors instead of silently
-    // dropping cross-boundary pairs: 4 distinct keys over 4 ranges
-    // gives 1-entity ranges, below w - 1 = 2.
     let spread: Partitions<(), Ent> = vec![["aa", "bb", "cc", "dd"]
         .iter()
         .enumerate()
         .map(|(i, t)| ((), Arc::new(Entity::new(i as u64, [("title", *t)])) as Ent))
         .collect()];
-    match run_sn(&resolver, SnStrategy::RepSn, &spread) {
-        Err(ResolveError::ThinPartition { entities, .. }) => assert!(entities < 2),
-        other => panic!("expected ThinPartition, got {other:?}"),
+    let runtime = runtime(1);
+    let resolver = Resolver::new(&runtime).with_window(3).with_reduce_tasks(4);
+    for input in [&same, &spread] {
+        let n = corpus_entities(input);
+        for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
+            let outcome = run_sn(&resolver, strategy, input).unwrap();
+            assert_eq!(
+                outcome.result.pair_set(),
+                sn_oracle(input, &resolver.sn_config(strategy)).pair_set(),
+                "{strategy} over {n} entities"
+            );
+            assert_eq!(
+                outcome.total_comparisons(),
+                oracle_comparisons(n, 3),
+                "{strategy} over {n} entities"
+            );
+        }
     }
-    // The same workload under JobSN matches the oracle.
-    let outcome = run_sn(&resolver, SnStrategy::JobSn, &spread).unwrap();
-    assert_eq!(
-        outcome.result.pair_set(),
-        sn_oracle(&spread, &jobsn).pair_set()
-    );
-    assert_eq!(outcome.total_comparisons(), oracle_comparisons(4, 3));
 }
 
 #[test]
@@ -289,6 +284,7 @@ fn a_window_past_usize_max_half_covers_every_pair() {
         (1, SnStrategy::JobSn),
         (1, SnStrategy::RepSn),
         (3, SnStrategy::JobSn),
+        (3, SnStrategy::RepSn),
     ] {
         let resolver = wide.clone().with_reduce_tasks(ranges);
         let outcome = run_sn(&resolver, strategy, &input).unwrap();
@@ -340,5 +336,89 @@ fn window_growth_only_adds_pairs() {
             );
         }
         previous = Some(pairs);
+    }
+}
+
+/// The skew probe of ROADMAP direction 9, pinned as a baseline: the
+/// DS1 corpus at 2 % over 8 map tasks, with a share of the entities
+/// given one identical title that sorts first or last, under `w = 10`
+/// and 8 key ranges. Key ranges are cut at distinct sort keys, so the
+/// tie lands on one task and the ranges it spans stay empty. Splitting
+/// ranges in rank space (direction 9) is expected to 2520ten these
+/// vectors; until then they are what both strategies do, exactly.
+#[test]
+fn skew_probe_per_task_comparisons_are_pinned() {
+    let ds = generate_products(&ds1_spec(2012).scaled(0.02));
+    let n = ds.entities.len();
+    assert_eq!(n, 2280);
+    let runtime = runtime(2);
+    let resolver = Resolver::new(&runtime).with_window(10).with_reduce_tasks(8);
+    // (tie share in tenths, tied title, JobSN loads, RepSN loads);
+    // JobSN's stitch comparisons are not in its loads.
+    let cases: [(usize, &str, [u64; 8], [u64; 8]); 5] = [
+        (
+            0,
+            "",
+            [2520; 8],
+            [2520, 2565, 2565, 2565, 2565, 2565, 2565, 2565],
+        ),
+        (
+            2,
+            "0 tied listing",
+            [4059, 981, 2520, 2520, 2520, 2520, 2520, 2520],
+            [4059, 1026, 2565, 2565, 2565, 2565, 2565, 2565],
+        ),
+        (
+            2,
+            "~ tied listing",
+            [2520, 2520, 2520, 2520, 2520, 2520, 5085, 0],
+            [2520, 2565, 2565, 2565, 2565, 2565, 5130, 0],
+        ),
+        (
+            5,
+            "0 tied listing",
+            [10215, 0, 0, 0, 2520, 2520, 2520, 2520],
+            [10215, 0, 0, 0, 2565, 2565, 2565, 2565],
+        ),
+        (
+            5,
+            "~ tied listing",
+            [2520, 2520, 2520, 2520, 10215, 0, 0, 0],
+            [2520, 2565, 2565, 2565, 10260, 0, 0, 0],
+        ),
+    ];
+    for (tenths, tie, jobsn_loads, repsn_loads) in cases {
+        let entities: Vec<((), Ent)> = ds
+            .entities
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let entity = if i % 10 < tenths {
+                    let attributes = e
+                        .attributes()
+                        .map(|(name, value)| (name, if name == "title" { tie } else { value }));
+                    Entity::new(e.id().0, attributes)
+                } else {
+                    e.clone()
+                };
+                ((), Arc::new(entity) as Ent)
+            })
+            .collect();
+        let input = partition_evenly(entities, 8);
+        let oracle = sn_oracle(&input, &resolver.sn_config(SnStrategy::RepSn));
+        for (strategy, loads) in [
+            (SnStrategy::JobSn, jobsn_loads),
+            (SnStrategy::RepSn, repsn_loads),
+        ] {
+            let outcome = run_sn(&resolver, strategy, &input).unwrap();
+            let label = format!("{strategy}, {} % tied as {tie:?}", tenths * 10);
+            assert_eq!(outcome.result.pair_set(), oracle.pair_set(), "{label}");
+            assert_eq!(
+                outcome.total_comparisons(),
+                oracle_comparisons(n, 10),
+                "{label}"
+            );
+            assert_eq!(outcome.reduce_loads().unwrap(), loads, "{label}");
+        }
     }
 }
