@@ -4,39 +4,43 @@
 //! [`crate::matcher::Matcher::prepare`] produces a heap
 //! [`crate::matcher::PreparedEntity`]: one boxed [`Prepared`] per match
 //! rule, each owning its own `Vec` (char buffer or hash set). That is
-//! fine for a handful of entities, but a reduce task preparing a whole
-//! block allocates O(entities × rules) separate heap objects, and the
-//! O(b²) pair loop then chases them through pointer indirections.
+//! fine for a handful of entities, but preparing a whole partition
+//! that way allocates O(entities × rules) separate heap objects, and
+//! the O(b²) pair loop then chases them through pointer indirections.
 //!
-//! A [`PreparedArena`] instead packs every prepared value of one reduce
-//! task into a few contiguous, type-segregated slabs:
+//! A [`PreparedArena`] instead packs every prepared value of one
+//! *map task* of a match stage into a few contiguous, type-segregated
+//! slabs:
 //!
 //! | slab | element | feeds |
 //! |---|---|---|
-//! | `chars` | `char` | edit-distance family (`Chars`) |
-//! | `histograms` | `[u8; 32]` | `Chars` values prepared by `NormalizedLevenshtein` (its reject filter) |
+//! | `bytes` | `u8` | edit-distance values prepared with a histogram whose scalars are all ASCII (`Ascii`) |
+//! | `chars` | `char` | every other edit-distance value (`Chars`) |
+//! | `histograms` | `[u8; 32]` | values prepared by `NormalizedLevenshtein` (its reject filter) |
 //! | `hashes` | `u64` | set-overlap family (`HashedSet`) |
 //! | `slots` | `Option<ArenaValue>` | one per match rule per entity, 16 bytes each |
 //!
 //! [`PreparedArena::intern_with`] lays one entity's rule slots down,
 //! each value written in place by its measure
 //! ([`crate::similarity::Similarity::prepare_into`]: the edit-distance
-//! family decodes straight into the `chars` slab, [`crate::Jaccard`]
-//! copies a heap-prepared temporary), and returns a [`PreparedId`] — a
-//! [`Span`] into `slots` plus the entity's reference;
-//! [`PreparedArena::intern`] copies an already heap-prepared entity
-//! instead. After interning, scoring a pair
-//! reads slices straight out of the slabs through
-//! [`crate::similarity::PreparedView`] borrows: **zero allocations per
-//! comparison**, all warm-up cost confined to the first sighting of
-//! each entity. The slabs only ever grow (amortized `Vec` doubling), so
-//! a `PreparedId` stays valid until [`PreparedArena::clear`].
+//! family writes straight into the `bytes` or `chars` slab,
+//! [`crate::Jaccard`] copies a heap-prepared temporary), and returns a
+//! [`PreparedId`] — a
+//! [`Span`] into `slots`; [`PreparedArena::intern`] copies an already
+//! heap-prepared entity instead. The map task interns each entity it
+//! routes exactly once, however many reduce tasks receive it; after the
+//! map barrier every reduce task of the stage reads all the stage's
+//! arenas, each entity addressed by a [`PreparedHandle`] — its arena
+//! (the map task) and its id there. Scoring a pair reads slices
+//! straight out of the slabs through [`crate::similarity::PreparedView`]
+//! borrows: **zero allocations per comparison**. The slabs only ever
+//! grow (amortized `Vec` doubling), so a `PreparedId` stays valid until
+//! [`PreparedArena::clear`].
 //!
 //! Offsets are `u32` [`Span`]s rather than references: half the size of
 //! a fat pointer, trivially `Copy`, and immune to the self-referential
 //! borrow problems an owning-arena-with-references design would hit.
 
-use crate::entity::EntityRef;
 use crate::similarity::{char_histogram, Prepared, PreparedView, HISTOGRAM_BUCKETS};
 
 /// A contiguous `u32` range into one arena slab.
@@ -75,31 +79,54 @@ pub enum ArenaValue {
         /// Index into the `histograms` slab.
         histogram: Option<u32>,
     },
+    /// A `Chars` value with a histogram whose scalars are all ASCII:
+    /// a span into the `bytes` slab, one byte per scalar.
+    Ascii {
+        /// The scalar values.
+        bytes: Span,
+        /// Index into the `histograms` slab.
+        histogram: u32,
+    },
     /// Span into the `hashes` slab (sorted, deduplicated).
     HashedSet(Span),
 }
 
-/// Handle to one interned entity: a span over the rule slots plus the
-/// `(source, id)` it was prepared from. `Copy`, valid until the owning
-/// arena is cleared.
+/// Handle to one interned entity within its arena: a span over the
+/// rule slots. `Copy`, valid until the owning arena is cleared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreparedId {
-    entity_ref: EntityRef,
     slots: Span,
 }
 
 impl PreparedId {
-    /// The `(source, id)` of the entity this was interned from.
-    pub fn entity_ref(self) -> EntityRef {
-        self.entity_ref
+    /// The id the `index`-th entity interned into an empty arena gets
+    /// when every entity has `rules` rule slots.
+    pub(crate) fn nth(index: usize, rules: usize) -> Self {
+        Self {
+            slots: Span::new(index * rules, rules),
+        }
     }
 }
 
-/// The bump-allocated slab store. One per reduce task (reducers clone
-/// their prototype, and each clone owns its own arena); not shared
-/// across threads.
+/// One prepared entity among the arenas of a match stage: the arena
+/// that holds it — the map task that interned it — and its id there.
+/// What the stage's shuffle records carry and a
+/// [`crate::PreparedColumn`] addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PreparedHandle {
+    /// Index of the arena among the stage's arenas (the map task).
+    pub arena: u32,
+    /// The entity's id in that arena.
+    pub id: PreparedId,
+}
+
+/// The bump-allocated slab store: one per map task of a match stage,
+/// written by that task alone and read — after the map barrier — by
+/// every reduce task of the stage (the oracles' `MatcherCache` owns
+/// one too).
 #[derive(Debug, Clone, Default)]
 pub struct PreparedArena {
+    bytes: Vec<u8>,
     chars: Vec<char>,
     histograms: Vec<[u8; HISTOGRAM_BUCKETS]>,
     hashes: Vec<u64>,
@@ -116,20 +143,19 @@ impl PreparedArena {
     /// Copies one prepared entity (one `Option<Prepared>` per match
     /// rule) into the slabs, returning its handle. The temporary heap
     /// form can be dropped afterwards — the arena owns a full copy.
-    pub fn intern(&mut self, entity_ref: EntityRef, values: &[Option<Prepared>]) -> PreparedId {
-        self.intern_with(entity_ref, values.len(), |arena, rule| {
+    pub fn intern(&mut self, values: &[Option<Prepared>]) -> PreparedId {
+        self.intern_with(values.len(), |arena, rule| {
             values[rule].as_ref().map(|p| arena.intern_value(p))
         })
     }
 
     /// Interns one entity of `rules` rule slots whose values are
     /// written by `value(arena, rule)` — through
-    /// [`PreparedArena::intern_value`], [`PreparedArena::intern_chars`]
+    /// [`PreparedArena::intern_value`], [`PreparedArena::intern_text`]
     /// or a measure's `prepare_into` — as the slots are laid down, so
     /// no per-entity temporary exists.
     pub fn intern_with(
         &mut self,
-        entity_ref: EntityRef,
         rules: usize,
         mut value: impl FnMut(&mut Self, usize) -> Option<ArenaValue>,
     ) -> PreparedId {
@@ -145,21 +171,36 @@ impl PreparedArena {
         );
         self.interned += 1;
         PreparedId {
-            entity_ref,
             slots: Span::new(start, rules),
         }
     }
 
-    /// Appends `chars` to the char slab and, when `with_histogram`,
-    /// their bucketed counts to the histogram slab: the arena form of
-    /// a `Prepared::Chars`, built without the heap one.
-    pub fn intern_chars(
-        &mut self,
-        chars: impl Iterator<Item = char>,
-        with_histogram: bool,
-    ) -> ArenaValue {
+    /// Reserves room for `entities` more entities of `rules` rule
+    /// slots each whose values hold `text` bytes of ASCII text in all,
+    /// so an arena whose contents are known up front is laid down
+    /// without regrowing a slab.
+    pub(crate) fn reserve(&mut self, entities: usize, rules: usize, text: usize) {
+        self.slots.reserve_exact(entities.saturating_mul(rules));
+        self.histograms.reserve_exact(entities);
+        self.bytes.reserve_exact(text);
+    }
+
+    /// Appends the scalars of `s` and, when `with_histogram`, their
+    /// bucketed counts: the arena form of a `Prepared::Chars`, built
+    /// without the heap one — one byte per scalar when `s` is ASCII and
+    /// has a histogram, one `char` otherwise.
+    pub fn intern_text(&mut self, s: &str, with_histogram: bool) -> ArenaValue {
+        if with_histogram && s.is_ascii() {
+            let start = self.bytes.len();
+            self.bytes.extend_from_slice(s.as_bytes());
+            let histogram = self.push_histogram(char_histogram(s.as_bytes()));
+            return ArenaValue::Ascii {
+                bytes: Span::new(start, s.len()),
+                histogram,
+            };
+        }
         let start = self.chars.len();
-        self.chars.extend(chars);
+        self.chars.extend(s.chars());
         let chars = Span::new(start, self.chars.len() - start);
         let histogram = with_histogram.then(|| {
             let histogram = char_histogram(&self.chars[chars.range()]);
@@ -175,9 +216,22 @@ impl PreparedArena {
         index
     }
 
-    /// Copies one heap-prepared value into the slabs.
+    /// Copies one heap-prepared value into the slabs (in the form
+    /// [`PreparedArena::intern_text`] gives it).
     pub fn intern_value(&mut self, p: &Prepared) -> ArenaValue {
         match p {
+            Prepared::Chars {
+                chars,
+                histogram: Some(histogram),
+            } if chars.iter().all(char::is_ascii) => {
+                let start = self.bytes.len();
+                // ASCII scalars are their own bytes.
+                self.bytes.extend(chars.iter().map(|&c| c as u8));
+                ArenaValue::Ascii {
+                    bytes: Span::new(start, chars.len()),
+                    histogram: self.push_histogram(**histogram),
+                }
+            }
             Prepared::Chars { chars, histogram } => {
                 let start = self.chars.len();
                 self.chars.extend_from_slice(chars);
@@ -217,6 +271,10 @@ impl PreparedArena {
                 chars: &self.chars[chars.range()],
                 histogram: histogram.map(|h| &self.histograms[h as usize]),
             },
+            ArenaValue::Ascii { bytes, histogram } => PreparedView::Ascii {
+                bytes: &self.bytes[bytes.range()],
+                histogram: &self.histograms[histogram as usize],
+            },
             ArenaValue::HashedSet(s) => PreparedView::HashedSet(&self.hashes[s.range()]),
         }
     }
@@ -231,10 +289,15 @@ impl PreparedArena {
         self.interned == 0
     }
 
-    /// Total slab elements resident (chars + histograms + hashes +
-    /// slots) — a cheap proxy for the arena's memory footprint.
+    /// Total slab elements resident (bytes + chars + histograms +
+    /// hashes + slots) — a cheap proxy for the arena's memory
+    /// footprint.
     pub fn slab_len(&self) -> usize {
-        self.chars.len() + self.histograms.len() + self.hashes.len() + self.slots.len()
+        self.bytes.len()
+            + self.chars.len()
+            + self.histograms.len()
+            + self.hashes.len()
+            + self.slots.len()
     }
 
     /// Drops every interned entity. **Invalidates all outstanding
@@ -243,6 +306,7 @@ impl PreparedArena {
     /// handles along with the clear. Slab capacity is retained, so an
     /// arena reused across inputs stays allocation-free.
     pub fn clear(&mut self) {
+        self.bytes.clear();
         self.chars.clear();
         self.histograms.clear();
         self.hashes.clear();
@@ -255,13 +319,11 @@ impl PreparedArena {
 mod tests {
     use super::*;
     use crate::similarity::{Jaccard, JaroWinkler, NormalizedLevenshtein, Similarity};
-    use crate::Entity;
 
-    /// Interns `s` the way the matcher cache does: written in place by
+    /// Interns `s` the way an `ArenaBuilder` does: written in place by
     /// the measure's `prepare_into`.
     fn intern_one(arena: &mut PreparedArena, m: &dyn Similarity, s: &str) -> PreparedId {
-        let e = Entity::new(7, [("t", s)]);
-        arena.intern_with(e.entity_ref(), 1, |arena, _| Some(m.prepare_into(s, arena)))
+        arena.intern_with(1, |arena, _| Some(m.prepare_into(s, arena)))
     }
 
     #[test]
@@ -271,9 +333,19 @@ mod tests {
             Box::new(JaroWinkler::default()),
             Box::new(Jaccard),
         ];
-        for m in &measures {
+        // ASCII and non-ASCII values, which the edit distance keeps in
+        // different forms, paired every way.
+        let pairs = [
+            ("canon eos 5d kit", "canon eos 7d kit"),
+            ("canon eos 5d kit", "cañon eos 5d kit"),
+            ("cañon eos 5d kit", "canon eos 5d kit"),
+            ("", "ñ"),
+        ];
+        for (m, (a, b)) in measures
+            .iter()
+            .flat_map(|m| pairs.iter().map(move |&pair| (m, pair)))
+        {
             let mut arena = PreparedArena::new();
-            let (a, b) = ("canon eos 5d kit", "canon eos 7d kit");
             let (ia, ib) = (
                 intern_one(&mut arena, m.as_ref(), a),
                 intern_one(&mut arena, m.as_ref(), b),
@@ -287,13 +359,22 @@ mod tests {
             assert_eq!(
                 via_arena.to_bits(),
                 via_heap.to_bits(),
-                "{} diverged between arena and heap",
+                "{} diverged between arena and heap on {a:?} / {b:?}",
                 m.name()
             );
+            for floor in [0.0, 0.8, 0.9375, 1.0] {
+                assert_eq!(
+                    m.sim_view_at_least(&va, &vb, floor).map(f64::to_bits),
+                    m.sim_prepared_at_least(&m.prepare(a), &m.prepare(b), floor)
+                        .map(f64::to_bits),
+                    "{} at {floor} on {a:?} / {b:?}",
+                    m.name()
+                );
+            }
             // Written in place or copied from the heap form: the same
             // value either way, histogram included.
             let in_place = format!("{va:?}");
-            let copied = arena.intern(ia.entity_ref(), &[Some(m.prepare(a))]);
+            let copied = arena.intern(&[Some(m.prepare(a))]);
             let copied = arena.value(copied, 0).expect("attribute present");
             assert_eq!(in_place, format!("{copied:?}"), "{}", m.name());
         }
@@ -302,21 +383,17 @@ mod tests {
     #[test]
     fn missing_rule_values_stay_missing() {
         let mut arena = PreparedArena::new();
-        let e = Entity::new(1, [("brand", "canon")]);
-        let id = arena.intern(
-            e.entity_ref(),
-            &[
-                None,
-                Some(Prepared::Chars {
-                    chars: vec!['x'],
-                    histogram: None,
-                }),
-            ],
-        );
+        arena.reserve(1, 2, 1);
+        let id = arena.intern(&[
+            None,
+            Some(Prepared::Chars {
+                chars: vec!['x'],
+                histogram: None,
+            }),
+        ]);
         assert_eq!(arena.rule_slots(id), 2);
         assert!(arena.value(id, 0).is_none());
         assert!(arena.value(id, 1).is_some());
-        assert_eq!(id.entity_ref(), e.entity_ref());
     }
 
     #[test]
@@ -331,13 +408,16 @@ mod tests {
         assert_eq!(arena.slab_len(), 0);
     }
 
-    /// Every entity pays one rule slot per match rule, so the slot's
-    /// width is a per-entity cost of every reduce task: a variant that
-    /// widens it must be a deliberate choice.
+    /// Every entity pays one rule slot per match rule, and every
+    /// shuffle record of a match stage carries a handle: a variant that
+    /// widens either must be a deliberate choice. (The view grew from
+    /// 24 to 32 bytes with its byte form, which quarters the arenas'
+    /// text; it lives on the stack of one pair's kernel call.)
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn a_rule_slot_is_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Option<ArenaValue>>(), 16);
-        assert_eq!(std::mem::size_of::<PreparedView<'_>>(), 24);
+        assert_eq!(std::mem::size_of::<PreparedView<'_>>(), 32);
+        assert_eq!(std::mem::size_of::<Option<PreparedHandle>>(), 16);
     }
 }

@@ -37,10 +37,10 @@ pub mod runs;
 pub mod similarity;
 pub mod sortkey;
 
-pub use arena::{PreparedArena, PreparedId};
+pub use arena::{PreparedArena, PreparedHandle, PreparedId};
 pub use blocking::{BlockKey, BlockingFunction, ConstantBlocking, PrefixBlocking};
 pub use entity::{Entity, EntityId, EntityRef, SourceId};
-pub use matcher::{MatchRule, Matcher, MatcherCache, PreparedColumn, PreparedEntity};
+pub use matcher::{ArenaBuilder, MatchRule, Matcher, MatcherCache, PreparedColumn, PreparedEntity};
 pub use minhash::{
     band_hash, banding_probability, estimate_jaccard, shingle_hashes, MinHasher, ShingleScheme,
 };

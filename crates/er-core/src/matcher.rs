@@ -4,21 +4,23 @@
 //! O(b²) pairs of a block. [`Matcher::prepare`] converts an entity
 //! into a [`PreparedEntity`] (one [`Prepared`] form per rule) exactly
 //! once; [`Matcher::matches_prepared`] then scores pairs without
-//! re-tokenizing. [`MatcherCache`] memoizes prepared entities by
-//! [`EntityRef`] for reducers whose groups revisit the same entity
-//! (PairRange replicas, multi-pass blocking). The cache prepares every
-//! entity straight into a [`PreparedArena`], so the pair loop over
-//! [`PreparedId`]s performs no heap allocation at all once each entity
-//! has been seen once. Reducers do not score pair by pair: they fill a
-//! [`PreparedColumn`] with a group's members and sweep it in strips
-//! ([`MatcherCache::matches_strip`]), which settles what is common to
-//! a strip once and lets the measure's batch prefilter discard most
+//! re-tokenizing. An [`ArenaBuilder`] writes the same forms straight
+//! into a [`PreparedArena`]: a match stage's map tasks prepare each
+//! entity they route once, into one arena per map task, and every
+//! reduce task reads those arenas, so the pair loop performs no heap
+//! allocation at all. Reducers do not score pair by pair: they fill a
+//! [`PreparedColumn`] with a group's members — [`PreparedHandle`]s into
+//! the stage's arenas — and sweep it in strips
+//! ([`Matcher::matches_strip`]), which settles what is common to a
+//! strip once and lets the measure's batch prefilter discard most
 //! pairs on a dense sketch column before the scalar kernel sees them.
+//! [`MatcherCache`], which memoizes prepared entities by [`EntityRef`]
+//! in one arena, is the single-machine oracles' cache.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::arena::{PreparedArena, PreparedId};
+use crate::arena::{PreparedArena, PreparedHandle, PreparedId};
 use crate::entity::{Entity, EntityRef};
 use crate::similarity::{NormalizedLevenshtein, Prepared, PreparedView, Similarity, Sketch};
 
@@ -208,9 +210,79 @@ impl Matcher {
         assert_eq!(
             self.rules.len(),
             values.len(),
-            "prepared entity {} does not match this matcher's rules",
-            values.entity_ref()
+            "a prepared entity of {} rule slots does not match this matcher's rules",
+            values.len()
         );
+    }
+
+    /// Threshold decisions of `column`'s member `probe` against each
+    /// member in `members`, all prepared under this matcher into
+    /// `arenas`: calls `hit(position, score)` for the matching ones, in
+    /// ascending position. `probe_first` puts the probe on the
+    /// measures' left. Decisions and scores equal
+    /// [`Matcher::matches_prepared`] pair by pair; the strip just gets
+    /// there cheaper — the measure's batch prefilter discards what it
+    /// can on the sketch column, and only the survivors (positions
+    /// relative to `members.start`, left in `scratch`) reach the scalar
+    /// kernel. Allocates nothing once `scratch` has grown.
+    ///
+    /// # Panics
+    /// If `column` was not filled against `arenas` by
+    /// [`PreparedColumn::push`] under this matcher, or a position is
+    /// out of range.
+    #[allow(clippy::too_many_arguments)]
+    pub fn matches_strip(
+        &self,
+        arenas: &[PreparedArena],
+        column: &PreparedColumn,
+        probe: usize,
+        members: std::ops::Range<usize>,
+        probe_first: bool,
+        scratch: &mut Vec<u32>,
+        hit: impl FnMut(usize, f64),
+    ) {
+        scratch.clear();
+        match self.sole_rule() {
+            Some(rule) if column.sketched => rule.similarity.survivors_at_least(
+                &column.sketches[probe],
+                &column.sketches[members.clone()],
+                self.threshold,
+                scratch,
+            ),
+            _ => scratch
+                .extend(0..u32::try_from(members.len()).expect("a column fits u32 positions")),
+        }
+        self.matches_picked(
+            arenas,
+            column,
+            probe,
+            members.start,
+            scratch,
+            probe_first,
+            hit,
+        );
+    }
+
+    /// [`Matcher::matches_strip`] over an explicit selection: the
+    /// members at `base + offset` for each of `picked`, no prefilter.
+    #[allow(clippy::too_many_arguments)]
+    pub fn matches_picked(
+        &self,
+        arenas: &[PreparedArena],
+        column: &PreparedColumn,
+        probe: usize,
+        base: usize,
+        picked: &[u32],
+        probe_first: bool,
+        mut hit: impl FnMut(usize, f64),
+    ) {
+        let kernel = ProbeKernel::new(self, column.values(arenas, probe), probe_first);
+        for &offset in picked {
+            let member = base + offset as usize;
+            if let Some(score) = kernel.matches(column.values(arenas, member)) {
+                hit(member, score);
+            }
+        }
     }
 }
 
@@ -297,13 +369,6 @@ impl<'a> ValuesRef<'a> {
             ValuesRef::Arena(arena, id) => arena.value(id, rule),
         }
     }
-
-    fn entity_ref(self) -> EntityRef {
-        match self {
-            ValuesRef::Heap(p) => p.entity_ref,
-            ValuesRef::Arena(_, id) => id.entity_ref(),
-        }
-    }
 }
 
 /// An entity preprocessed against one [`Matcher`]: the `i`-th slot is
@@ -322,18 +387,18 @@ impl PreparedEntity {
     }
 }
 
-/// The cached prepared entities of one compare batch — the members of a
-/// reduce group, or the ring of a sliding window — as columns: the ids
-/// [`MatcherCache::push`] interned and, under a single-rule matcher
-/// whose values carry one, each member's [`Sketch`] in a dense array
-/// for the measure's batch prefilter
+/// The prepared members of one compare batch — the members of a
+/// reduce group, or the ring of a sliding window — as columns: each
+/// member's [`PreparedHandle`] into the stage's arenas and, under a
+/// single-rule matcher whose values carry one, each member's
+/// [`Sketch`] in a dense array for the measure's batch prefilter
 /// ([`Similarity::survivors_at_least`]). Owns no borrow, so it can be
 /// kept and refilled across batches; positions are stable until
 /// [`evict_front`](PreparedColumn::evict_front).
 #[derive(Debug, Clone)]
 pub struct PreparedColumn {
-    ids: Vec<PreparedId>,
-    /// One per id while `sketched`, empty otherwise.
+    handles: Vec<PreparedHandle>,
+    /// One per handle while `sketched`, empty otherwise.
     sketches: Vec<Sketch>,
     /// False from the first member without a sketch until the column
     /// is emptied: the prefilter needs every member's.
@@ -344,32 +409,67 @@ impl PreparedColumn {
     /// An empty column.
     pub fn new() -> Self {
         Self {
-            ids: Vec::new(),
+            handles: Vec::new(),
             sketches: Vec::new(),
             sketched: true,
         }
     }
 
+    /// Appends `handle`, a member prepared under `matcher` into
+    /// `arenas[handle.arena]`.
+    ///
+    /// # Panics
+    /// If the member was prepared under a matcher with another rule
+    /// count, or `handle` addresses no arena of `arenas`.
+    pub fn push(&mut self, matcher: &Matcher, arenas: &[PreparedArena], handle: PreparedHandle) {
+        let values = ValuesRef::Arena(&arenas[handle.arena as usize], handle.id);
+        matcher.check_rule_slots(values);
+        if self.sketched {
+            let sketch = matcher.sole_rule().and_then(|_| match values.value(0) {
+                Some(view) => view.sketch(),
+                // A missing attribute sketches as the empty string. The
+                // prefilter drops a pair only when the measure provably
+                // scores it below the threshold; no measure scores
+                // below 0.0, so the threshold is then positive and the
+                // 0.0 a missing attribute scores falls short of it too.
+                None => Some(Sketch::EMPTY),
+            });
+            match sketch {
+                Some(sketch) => self.sketches.push(sketch),
+                None => {
+                    self.sketched = false;
+                    self.sketches.clear();
+                }
+            }
+        }
+        self.handles.push(handle);
+    }
+
+    fn values<'a>(&self, arenas: &'a [PreparedArena], position: usize) -> ValuesRef<'a> {
+        let handle = self.handles[position];
+        ValuesRef::Arena(&arenas[handle.arena as usize], handle.id)
+    }
+
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.handles.len()
     }
 
     /// True when the column holds no member.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.handles.is_empty()
     }
 
     /// Drops the members from position `len` on, keeping the capacity.
     pub fn truncate(&mut self, len: usize) {
-        self.ids.truncate(len);
+        self.handles.truncate(len);
         self.sketches.truncate(len);
         self.sketched |= len == 0;
     }
 
     /// Drops the first `n` members; the rest move down by `n`.
     pub fn evict_front(&mut self, n: usize) {
-        self.ids.drain(..n);
+        self.handles.drain(..n);
         if self.sketched {
             self.sketches.drain(..n);
         }
@@ -382,37 +482,125 @@ impl Default for PreparedColumn {
     }
 }
 
-/// Memoizing cache of prepared entities keyed by entity reference —
-/// one prepare per distinct entity per cache lifetime, no matter how
-/// many reduce groups (PairRange ranges, multi-pass replicas) revisit
-/// it.
-///
-/// The cache is intended to live for one reduce task; clone-derived
-/// copies start empty state-wise only if cloned before first use, so
-/// reducers should create it in `setup` or hold it per instance.
-///
-/// Every first sighting of an entity is prepared once, straight into
-/// the contiguous slabs of the cache's [`PreparedArena`]. Pair scoring
-/// via [`MatcherCache::matches_handles`] then reads slab slices
-/// directly — **zero allocations per comparison** once every entity of
-/// a block has been seen, which is what keeps the O(b²) inner loop
-/// allocation-free.
+/// Prepares entities under one matcher, each straight into an arena's
+/// slabs: every rule's measure writes its form in place, so no heap
+/// [`PreparedEntity`] is built. What [`ArenaBuilder`] and
+/// [`MatcherCache`] prepare with.
 #[derive(Debug, Clone)]
-pub struct MatcherCache {
+struct Preparer {
     matcher: Arc<Matcher>,
-    ids: HashMap<EntityRef, PreparedId>,
-    arena: PreparedArena,
     /// Per rule, where the last prepared entity kept the rule's
     /// attribute ([`Entity::get_hinted`]).
     attribute_hints: Vec<usize>,
+}
+
+impl Preparer {
+    /// A preparer for `matcher`'s rules.
+    fn new(matcher: Arc<Matcher>) -> Self {
+        Self {
+            attribute_hints: vec![0; matcher.rules.len()],
+            matcher,
+        }
+    }
+
+    /// Interns the prepared form of `e` into `arena`.
+    fn prepare_into(&mut self, e: &Entity, arena: &mut PreparedArena) -> PreparedId {
+        let (rules, hints) = (&self.matcher.rules, &mut self.attribute_hints);
+        arena.intern_with(rules.len(), |arena, rule| {
+            let MatchRule {
+                attribute,
+                similarity,
+                ..
+            } = &rules[rule];
+            e.get_hinted(attribute, &mut hints[rule])
+                .map(|value| similarity.prepare_into(value, arena))
+        })
+    }
+}
+
+/// The arena of one match-stage map task, built from the entities the
+/// task routes: each is queued as it is routed and gets its
+/// [`PreparedId`] at once — an arena issues its ids in order — and
+/// [`ArenaBuilder::build`] then prepares them all, reserving the slot,
+/// histogram and byte slabs from their count and the length of their
+/// compared attributes, so those slabs neither regrow nor carry slack.
+#[derive(Debug, Clone)]
+pub struct ArenaBuilder {
+    preparer: Preparer,
+    queued: Vec<Arc<Entity>>,
+}
+
+impl ArenaBuilder {
+    /// An empty builder preparing for `matcher`.
+    pub fn new(matcher: Arc<Matcher>) -> Self {
+        Self {
+            preparer: Preparer::new(matcher),
+            queued: Vec::new(),
+        }
+    }
+
+    /// Queues `entity`; returns the id its prepared form will have in
+    /// the built arena.
+    pub fn queue(&mut self, entity: &Arc<Entity>) -> PreparedId {
+        let id = PreparedId::nth(self.queued.len(), self.preparer.matcher.rules.len());
+        self.queued.push(Arc::clone(entity));
+        id
+    }
+
+    /// Entities queued so far.
+    pub fn len(&self) -> usize {
+        self.queued.len()
+    }
+
+    /// True before anything was queued.
+    pub fn is_empty(&self) -> bool {
+        self.queued.is_empty()
+    }
+
+    /// Prepares every queued entity, in queue order, into one arena.
+    pub fn build(mut self) -> PreparedArena {
+        let matcher = Arc::clone(&self.preparer.matcher);
+        let mut text = 0;
+        for entity in &self.queued {
+            for (rule, hint) in matcher.rules.iter().zip(&mut self.preparer.attribute_hints) {
+                // A value's UTF-8 length bounds its scalars (exactly,
+                // for ASCII).
+                text += entity.get_hinted(&rule.attribute, hint).map_or(0, str::len);
+            }
+        }
+        let mut arena = PreparedArena::new();
+        arena.reserve(self.queued.len(), matcher.rules.len(), text);
+        for (index, entity) in self.queued.iter().enumerate() {
+            let id = self.preparer.prepare_into(entity, &mut arena);
+            debug_assert_eq!(id, PreparedId::nth(index, matcher.rules.len()));
+        }
+        arena
+    }
+}
+
+/// Memoizing cache of prepared entities keyed by entity reference —
+/// one prepare per distinct entity per cache lifetime, in one
+/// [`PreparedArena`]. The single-machine oracles' cache (the reference
+/// a match stage's reducers are held to), and the benchmark's probe of
+/// the prepare and compare costs; the stages themselves prepare in
+/// their map tasks ([`ArenaBuilder`]) and never hash an entity
+/// reference.
+///
+/// Pair scoring via [`MatcherCache::matches_handles`] reads slab slices
+/// directly — **zero allocations per comparison** once both entities
+/// have been seen.
+#[derive(Debug, Clone)]
+pub struct MatcherCache {
+    preparer: Preparer,
+    ids: HashMap<EntityRef, PreparedId>,
+    arena: PreparedArena,
 }
 
 impl MatcherCache {
     /// An empty cache bound to `matcher`.
     pub fn new(matcher: Arc<Matcher>) -> Self {
         Self {
-            attribute_hints: vec![0; matcher.rules.len()],
-            matcher,
+            preparer: Preparer::new(matcher),
             ids: HashMap::new(),
             arena: PreparedArena::new(),
         }
@@ -420,7 +608,7 @@ impl MatcherCache {
 
     /// The matcher this cache prepares against.
     pub fn matcher(&self) -> &Arc<Matcher> {
-        &self.matcher
+        &self.preparer.matcher
     }
 
     /// The arena the prepared entities live in.
@@ -435,18 +623,7 @@ impl MatcherCache {
         if let Some(&id) = self.ids.get(&key) {
             return id;
         }
-        // Each rule's measure writes its form straight into the slabs;
-        // no heap `PreparedEntity` is built.
-        let (rules, hints) = (&self.matcher.rules, &mut self.attribute_hints);
-        let id = self.arena.intern_with(key, rules.len(), |arena, rule| {
-            let MatchRule {
-                attribute,
-                similarity,
-                ..
-            } = &rules[rule];
-            e.get_hinted(attribute, &mut hints[rule])
-                .map(|value| similarity.prepare_into(value, arena))
-        });
+        let id = self.preparer.prepare_into(e, &mut self.arena);
         self.ids.insert(key, id);
         id
     }
@@ -458,102 +635,10 @@ impl MatcherCache {
     /// # Panics
     /// If an id outlived [`MatcherCache::clear`].
     pub fn matches_handles(&self, a: PreparedId, b: PreparedId) -> Option<f64> {
-        self.matcher
-            .matches_values(self.values_ref(a), self.values_ref(b))
-    }
-
-    fn values_ref(&self, id: PreparedId) -> ValuesRef<'_> {
-        ValuesRef::Arena(&self.arena, id)
-    }
-
-    /// Appends the prepared form of `e` to `column` (preparing it on
-    /// first sight, like [`MatcherCache::handle`]).
-    pub fn push(&mut self, column: &mut PreparedColumn, e: &Entity) {
-        let id = self.handle(e);
-        let values = self.values_ref(id);
-        self.matcher.check_rule_slots(values);
-        if column.sketched {
-            let sketch = self
-                .matcher
-                .sole_rule()
-                .and_then(|_| match values.value(0) {
-                    Some(view) => view.sketch(),
-                    // A missing attribute sketches as the empty string. The
-                    // prefilter drops a pair only when the measure provably
-                    // scores it below the threshold; no measure scores
-                    // below 0.0, so the threshold is then positive and the
-                    // 0.0 a missing attribute scores falls short of it too.
-                    None => Some(Sketch::EMPTY),
-                });
-            match sketch {
-                Some(sketch) => column.sketches.push(sketch),
-                None => {
-                    column.sketched = false;
-                    column.sketches.clear();
-                }
-            }
-        }
-        column.ids.push(id);
-    }
-
-    /// Threshold decisions of `column`'s member `probe` against each
-    /// member in `members`: calls `hit(position, score)` for the
-    /// matching ones, in ascending position. `probe_first` puts the
-    /// probe on the measures' left. Decisions and scores equal
-    /// [`MatcherCache::matches_handles`] pair by pair; the strip just
-    /// gets there cheaper — the measure's batch prefilter discards
-    /// what it can on the sketch column, and only the survivors
-    /// (positions relative to `members.start`, left in `scratch`) reach
-    /// the scalar kernel. Allocates nothing once `scratch` has grown.
-    ///
-    /// # Panics
-    /// If `column` was not filled by this cache's
-    /// [`push`](MatcherCache::push), or a position is out of range.
-    pub fn matches_strip(
-        &self,
-        column: &PreparedColumn,
-        probe: usize,
-        members: std::ops::Range<usize>,
-        probe_first: bool,
-        scratch: &mut Vec<u32>,
-        hit: impl FnMut(usize, f64),
-    ) {
-        scratch.clear();
-        match self.matcher.sole_rule() {
-            Some(rule) if column.sketched => rule.similarity.survivors_at_least(
-                &column.sketches[probe],
-                &column.sketches[members.clone()],
-                self.matcher.threshold,
-                scratch,
-            ),
-            _ => scratch
-                .extend(0..u32::try_from(members.len()).expect("a column fits u32 positions")),
-        }
-        self.matches_picked(column, probe, members.start, scratch, probe_first, hit);
-    }
-
-    /// [`MatcherCache::matches_strip`] over an explicit selection: the
-    /// members at `base + offset` for each of `picked`, no prefilter.
-    pub fn matches_picked(
-        &self,
-        column: &PreparedColumn,
-        probe: usize,
-        base: usize,
-        picked: &[u32],
-        probe_first: bool,
-        mut hit: impl FnMut(usize, f64),
-    ) {
-        let kernel = ProbeKernel::new(
-            &self.matcher,
-            self.values_ref(column.ids[probe]),
-            probe_first,
-        );
-        for &offset in picked {
-            let member = base + offset as usize;
-            if let Some(score) = kernel.matches(self.values_ref(column.ids[member])) {
-                hit(member, score);
-            }
-        }
+        self.matcher().matches_values(
+            ValuesRef::Arena(&self.arena, a),
+            ValuesRef::Arena(&self.arena, b),
+        )
     }
 
     /// Threshold decision using cached prepared forms for both sides.

@@ -86,7 +86,7 @@ impl Similarity for JaroWinkler {
     }
 
     fn prepare_into(&self, s: &str, arena: &mut PreparedArena) -> ArenaValue {
-        arena.intern_chars(s.chars(), false)
+        arena.intern_text(s, false)
     }
 
     fn sim_view(&self, a: &PreparedView<'_>, b: &PreparedView<'_>) -> f64 {

@@ -61,9 +61,8 @@
 //! comparison allocation-free once the scratch has grown to the
 //! corpus's longest string.
 //!
-//! Higher-level call sites cache prepared forms per entity — see
-//! [`crate::matcher::PreparedEntity`] and
-//! [`crate::matcher::MatcherCache`].
+//! Higher-level call sites prepare each entity once — see
+//! [`crate::matcher::PreparedEntity`] and [`crate::matcher::ArenaBuilder`].
 
 use crate::arena::{ArenaValue, PreparedArena};
 
@@ -154,21 +153,53 @@ pub enum PreparedView<'a> {
         /// Bucketed character counts, when the measure stored them.
         histogram: Option<&'a [u8; HISTOGRAM_BUCKETS]>,
     },
+    /// An all-ASCII `Chars` value with a histogram, as an arena keeps
+    /// it: one byte per scalar, a quarter of the `char` form.
+    Ascii {
+        /// The scalar values, in order.
+        bytes: &'a [u8],
+        /// Bucketed character counts.
+        histogram: &'a [u8; HISTOGRAM_BUCKETS],
+    },
     /// Sorted, deduplicated element hashes (set-overlap family).
     HashedSet(&'a [u64]),
 }
 
+/// The scalars of an edit-distance value, in either stored form.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Text<'a> {
+    /// All ASCII, one byte per scalar.
+    Ascii(&'a [u8]),
+    /// Any scalars.
+    Wide(&'a [char]),
+}
+
+impl Text<'_> {
+    /// Number of scalars.
+    pub(crate) fn len(self) -> usize {
+        match self {
+            Text::Ascii(bytes) => bytes.len(),
+            Text::Wide(chars) => chars.len(),
+        }
+    }
+}
+
 impl<'a> PreparedView<'a> {
-    /// The char buffer, panicking on a foreign variant.
+    /// The char buffer, panicking on a foreign variant (or the byte
+    /// form, which only measures storing a histogram produce).
     pub(crate) fn chars(self) -> &'a [char] {
-        self.chars_and_histogram().0
+        match self {
+            PreparedView::Chars { chars, .. } => chars,
+            other => panic!("expected Prepared::Chars, got {other:?}"),
+        }
     }
 
-    /// The char buffer with its histogram (if the preparing measure
+    /// The scalars with their histogram (if the preparing measure
     /// stored one), panicking on a foreign variant.
-    pub(crate) fn chars_and_histogram(self) -> (&'a [char], Option<&'a [u8; HISTOGRAM_BUCKETS]>) {
+    pub(crate) fn text_and_histogram(self) -> (Text<'a>, Option<&'a [u8; HISTOGRAM_BUCKETS]>) {
         match self {
-            PreparedView::Chars { chars, histogram } => (chars, histogram),
+            PreparedView::Chars { chars, histogram } => (Text::Wide(chars), histogram),
+            PreparedView::Ascii { bytes, histogram } => (Text::Ascii(bytes), Some(histogram)),
             other => panic!("expected Prepared::Chars, got {other:?}"),
         }
     }
@@ -176,16 +207,18 @@ impl<'a> PreparedView<'a> {
     /// The value's [`Sketch`]: `Some` exactly for char buffers prepared
     /// with a histogram (and short enough for a `u32` count).
     pub fn sketch(self) -> Option<Sketch> {
-        match self {
+        let (len, histogram) = match self {
             PreparedView::Chars {
                 chars,
                 histogram: Some(histogram),
-            } => Some(Sketch {
-                histogram: *histogram,
-                len: u32::try_from(chars.len()).ok()?,
-            }),
-            _ => None,
-        }
+            } => (chars.len(), histogram),
+            PreparedView::Ascii { bytes, histogram } => (bytes.len(), histogram),
+            _ => return None,
+        };
+        Some(Sketch {
+            histogram: *histogram,
+            len: u32::try_from(len).ok()?,
+        })
     }
 
     /// The hashed element set, panicking on a foreign variant.

@@ -4,9 +4,9 @@
 //! allocations — through the weighted multi-rule path and through the
 //! thresholded edit-distance kernel (histogram filter, bit-parallel
 //! verifier, banded fallback) alike. The block-at-a-time form the
-//! reducers run — a `PreparedColumn` swept in `matches_strip`s — is
-//! held to the same: nothing per pair, and nothing per group either
-//! once the column and the cache have seen the group's entities.
+//! reducers run — a `PreparedColumn` over the arenas of two map tasks,
+//! swept in `matches_strip`s — is held to the same: nothing per pair,
+//! and nothing per group either once the column has held the group.
 //!
 //! A single `#[test]` drives the whole file — integration tests in one
 //! binary may run on multiple threads, which would make a global
@@ -16,7 +16,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use er_core::{Entity, MatchRule, Matcher, MatcherCache, PreparedColumn};
+use er_core::{
+    ArenaBuilder, Entity, MatchRule, Matcher, MatcherCache, PreparedArena, PreparedColumn,
+    PreparedHandle,
+};
 
 /// Counts every allocation routed through the global allocator.
 struct CountingAlloc;
@@ -117,12 +120,23 @@ fn assert_hot_sweep_allocates_nothing(matcher: Matcher, entities: &[Entity]) -> 
 }
 
 /// The same sweep as strips over a column, the way a reducer runs a
-/// group: the first group pays for the column, the cache entries and
+/// group: the entities are interned by two map tasks, alternately, so
+/// half the pairs cross arenas. The first group pays for the column and
 /// the scratch; loading and sweeping the group again must not touch the
 /// allocator at all. Returns the second sweep's decisions, in the order
 /// of [`assert_hot_sweep_allocates_nothing`].
 fn assert_hot_group_allocates_nothing(matcher: Matcher, entities: &[Entity]) -> Vec<Option<f64>> {
-    let mut cache = MatcherCache::new(Arc::new(matcher));
+    let matcher = Arc::new(matcher);
+    let mut builders = [0, 1].map(|_| ArenaBuilder::new(Arc::clone(&matcher)));
+    let handles: Vec<PreparedHandle> = (0u32..)
+        .zip(entities)
+        .map(|(i, entity)| {
+            let arena = i % 2;
+            let id = builders[arena as usize].queue(&Arc::new(entity.clone()));
+            PreparedHandle { arena, id }
+        })
+        .collect();
+    let arenas: [PreparedArena; 2] = builders.map(ArenaBuilder::build);
     let mut column = PreparedColumn::new();
     let mut scratch = Vec::new();
     let n = entities.len();
@@ -133,11 +147,12 @@ fn assert_hot_group_allocates_nothing(matcher: Matcher, entities: &[Entity]) -> 
         decisions.iter_mut().flatten().for_each(|d| *d = None);
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         column.truncate(0);
-        for entity in entities {
-            cache.push(&mut column, entity);
+        for &handle in &handles {
+            column.push(&matcher, &arenas, handle);
         }
         for later in 1..n {
-            cache.matches_strip(
+            matcher.matches_strip(
+                &arenas,
                 &column,
                 later,
                 0..later,

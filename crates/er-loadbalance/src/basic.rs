@@ -12,16 +12,16 @@ use std::sync::Arc;
 
 use er_core::blocking::{BlockKey, BlockingFunction};
 use er_core::result::MatchPair;
-use er_core::SourceId;
+use er_core::{PreparedArena, SourceId};
 use mr_engine::prelude::*;
 
-use crate::compare::{GroupComparer, PairComparer};
+use crate::compare::{EntityInterner, GroupComparer, PairComparer};
 use crate::keys::BlockSplitValue;
 use crate::{Ent, Keyed};
 
 /// Basic mapper: derive the blocking key(s), emit `(key, entity)`
 /// annotated with the partition it was read from and that partition's
-/// source.
+/// source — and prepared once, however many keys it has.
 #[derive(Clone)]
 pub struct BasicMapper {
     blocking: Arc<dyn BlockingFunction>,
@@ -31,17 +31,23 @@ pub struct BasicMapper {
     state: Option<(usize, SourceId)>,
     /// The current entity's replicas; empty between records.
     replicas: Vec<Keyed>,
+    interner: EntityInterner,
 }
 
 impl BasicMapper {
     /// Creates the mapper; `sources[p]` is partition `p`'s side under
-    /// two-source matching.
-    pub fn new(blocking: Arc<dyn BlockingFunction>, sources: Option<Arc<[SourceId]>>) -> Self {
+    /// two-source matching; entities are prepared for `comparer`.
+    pub fn new(
+        blocking: Arc<dyn BlockingFunction>,
+        sources: Option<Arc<[SourceId]>>,
+        comparer: &PairComparer,
+    ) -> Self {
         Self {
             blocking,
             sources,
             state: None,
             replicas: Vec::new(),
+            interner: EntityInterner::new(comparer),
         }
     }
 }
@@ -52,6 +58,7 @@ impl Mapper for BasicMapper {
     type KOut = BlockKey;
     type VOut = BlockSplitValue;
     type Side = ();
+    type Product = PreparedArena;
 
     fn setup(&mut self, info: &MapTaskInfo) {
         let source = match &self.sources {
@@ -59,6 +66,7 @@ impl Mapper for BasicMapper {
             Some(sources) => sources[info.task_index],
         };
         self.state = Some((info.task_index, source));
+        self.interner.setup(info);
     }
 
     fn map(
@@ -70,13 +78,23 @@ impl Mapper for BasicMapper {
         let (partition, source) = self.state.expect("setup ran");
         if Keyed::derive_into(self.blocking.as_ref(), entity, &mut self.replicas) == 0 {
             ctx.add_counter(crate::bdm_job::NULL_KEY_ENTITIES, 1);
+            return;
         }
+        let prepared = self.interner.intern(entity);
         for keyed in self.replicas.drain(..) {
             ctx.emit(
                 keyed.key.clone(),
-                BlockSplitValue::new(keyed, partition, source),
+                BlockSplitValue::new(keyed, prepared, partition, source),
             );
         }
+    }
+
+    fn finish(&mut self, ctx: &mut MapContext<BlockKey, BlockSplitValue, ()>) {
+        self.interner.finish(ctx);
+    }
+
+    fn into_product(self) -> PreparedArena {
+        self.interner.into_arena()
     }
 }
 
@@ -84,9 +102,9 @@ impl Mapper for BasicMapper {
 ///
 /// Every entity of the block must be buffered — the memory problem the
 /// paper points out ("a reduce task must therefore store all entities
-/// passed to a reduce call in main memory"). Each entity is prepared
-/// once as it enters the driver's columns; the O(b²) pairs run block
-/// at a time on those.
+/// passed to a reduce call in main memory"). Each entity enters the
+/// driver's columns with the prepared form its map task made; the
+/// O(b²) pairs run block at a time on those.
 #[derive(Clone)]
 pub struct BasicReducer {
     driver: GroupComparer,
@@ -108,10 +126,11 @@ impl Reducer for BasicReducer {
     type VIn = BlockSplitValue;
     type KOut = MatchPair;
     type VOut = f64;
+    type Product = PreparedArena;
 
     fn reduce(
         &mut self,
-        group: Group<'_, BlockKey, BlockSplitValue>,
+        group: Group<'_, BlockKey, BlockSplitValue, PreparedArena>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let emit = |pair, score| ctx.emit(pair, score);
@@ -128,21 +147,22 @@ impl Reducer for BasicReducer {
 pub(crate) fn block_pairs<K>(
     driver: &mut GroupComparer,
     block: &BlockKey,
-    group: &Group<'_, K, BlockSplitValue>,
+    group: &Group<'_, K, BlockSplitValue, PreparedArena>,
     two_source: bool,
     emit: impl FnMut(MatchPair, f64),
 ) {
+    let arenas = group.products();
     if two_source {
         let side = |source: SourceId| {
             group
                 .values()
                 .filter(move |v| v.source == source)
-                .map(|v| &v.keyed)
+                .map(BlockSplitValue::member)
         };
-        driver.cross(block, side(SourceId::R), side(SourceId::S), emit);
+        driver.cross(arenas, block, side(SourceId::R), side(SourceId::S), emit);
     } else {
-        driver.load(block, group.values().map(|v| &v.keyed));
-        driver.all_pairs(emit);
+        driver.load(arenas, block, group.values().map(BlockSplitValue::member));
+        driver.all_pairs(arenas, emit);
     }
 }
 
@@ -155,8 +175,9 @@ pub fn basic_job(
     comparer: PairComparer,
     reduce_tasks: usize,
 ) -> Job<BasicMapper, BasicReducer> {
-    let reducer = BasicReducer::new(comparer, sources.is_some());
-    Job::builder("er-basic", BasicMapper::new(blocking, sources), reducer)
+    let mapper = BasicMapper::new(blocking, sources, &comparer);
+    let reducer = BasicReducer::new(comparer, mapper.sources.is_some());
+    Job::builder("er-basic", mapper, reducer)
         .reduce_tasks(reduce_tasks)
         .partitioner(HashPartitioner)
         .build()

@@ -127,6 +127,7 @@ impl Mapper for BdmMapper {
     type KOut = BdmKey;
     type VOut = BdmCell;
     type Side = (u32, Keyed);
+    type Product = ();
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.partition = Some(key_index(info.task_index, "input partition index"));
@@ -171,6 +172,7 @@ impl Reducer for BdmReducer {
     /// `(partition index, rank)`.
     type KOut = (u32, u32);
     type VOut = RankedKey;
+    type Product = ();
 
     fn reduce(
         &mut self,

@@ -2,12 +2,13 @@
 
 use std::sync::{Arc, OnceLock};
 
-use er_core::SourceId;
+use er_core::{PreparedArena, SourceId};
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
 use super::assign::TaskAssignment;
 use super::match_tasks::{create_match_tasks_with_policy, SplitPolicy};
 use crate::bdm::BlockDistributionMatrix;
+use crate::compare::{EntityInterner, PairComparer};
 use crate::keys::{key_index, BlockSplitKey, BlockSplitValue};
 use crate::Keyed;
 
@@ -15,7 +16,8 @@ use crate::Keyed;
 /// task reads the BDM and computes the same deterministic match-task
 /// assignment; here the job's map tasks are clones of one mapper, so
 /// the assignment is planned once — by whichever task's `setup` runs
-/// first — and shared.
+/// first — and shared. Each routed entity is prepared once, however
+/// many match tasks receive it.
 #[derive(Clone)]
 pub struct BlockSplitMapper {
     bdm: Arc<BlockDistributionMatrix>,
@@ -23,6 +25,7 @@ pub struct BlockSplitMapper {
     /// The job's plan, shared by all clones of this mapper.
     plan: Arc<OnceLock<TaskAssignment>>,
     state: Option<TaskState>,
+    interner: EntityInterner,
 }
 
 #[derive(Clone, Copy)]
@@ -35,13 +38,18 @@ struct TaskState {
 
 impl BlockSplitMapper {
     /// Creates the mapper over a computed BDM, splitting blocks under
-    /// `policy`.
-    pub fn new(bdm: Arc<BlockDistributionMatrix>, policy: SplitPolicy) -> Self {
+    /// `policy` and preparing entities for `comparer`.
+    pub fn new(
+        bdm: Arc<BlockDistributionMatrix>,
+        policy: SplitPolicy,
+        comparer: &PairComparer,
+    ) -> Self {
         Self {
             bdm,
             policy,
             plan: Arc::default(),
             state: None,
+            interner: EntityInterner::new(comparer),
         }
     }
 }
@@ -52,6 +60,7 @@ impl Mapper for BlockSplitMapper {
     type KOut = BlockSplitKey;
     type VOut = BlockSplitValue;
     type Side = ();
+    type Product = PreparedArena;
 
     fn setup(&mut self, info: &MapTaskInfo) {
         let r = info.num_reduce_tasks;
@@ -69,6 +78,7 @@ impl Mapper for BlockSplitMapper {
             m: info.num_map_tasks,
             r,
         });
+        self.interner.setup(info);
     }
 
     fn map(
@@ -88,6 +98,13 @@ impl Mapper for BlockSplitMapper {
         let split =
             self.policy
                 .should_split(self.bdm.size(k), comps, self.bdm.total_pairs(), state.r);
+        // Interned at its first emission; the interner hands the later
+        // ones the same handle.
+        let interner = &mut self.interner;
+        let mut value = || {
+            let prepared = interner.intern(&keyed.entity);
+            BlockSplitValue::new(keyed.clone(), prepared, state.partition, state.source)
+        };
         if !split {
             if comps > 0 {
                 let rt = assignment
@@ -100,7 +117,7 @@ impl Mapper for BlockSplitMapper {
                         i: 0,
                         j: 0,
                     },
-                    BlockSplitValue::new(keyed.clone(), state.partition, state.source),
+                    value(),
                 );
             }
         } else {
@@ -119,11 +136,19 @@ impl Mapper for BlockSplitMapper {
                             i: key_index(hi, "input partition index"),
                             j: key_index(lo, "input partition index"),
                         },
-                        BlockSplitValue::new(keyed.clone(), state.partition, state.source),
+                        value(),
                     );
                 }
             }
         }
+    }
+
+    fn finish(&mut self, ctx: &mut MapContext<BlockSplitKey, BlockSplitValue, ()>) {
+        self.interner.finish(ctx);
+    }
+
+    fn into_product(self) -> PreparedArena {
+        self.interner.into_arena()
     }
 }
 
@@ -136,7 +161,8 @@ mod tests {
 
     fn run_partition(p: usize) -> Vec<(BlockSplitKey, String)> {
         let bdm = Arc::new(running_example_bdm());
-        let mut mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper());
+        let comparer = PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
+        let mut mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper(), &comparer);
         let info = MapTaskInfo {
             task_index: p,
             num_map_tasks: 2,
@@ -207,7 +233,8 @@ mod tests {
 
     fn map_one(rank: u32, key: &str) {
         let bdm = Arc::new(running_example_bdm());
-        let mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper());
+        let comparer = PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
+        let mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper(), &comparer);
         running_example::map_one(mapper, 2, rank, key);
     }
 

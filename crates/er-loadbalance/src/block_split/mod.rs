@@ -42,7 +42,7 @@ pub fn block_split_job(
     let two_source = bdm.sources().is_some();
     Job::builder(
         "er-block-split",
-        mapper::BlockSplitMapper::new(bdm, policy),
+        mapper::BlockSplitMapper::new(bdm, policy, &comparer),
         reducer::BlockSplitReducer::new(comparer, two_source),
     )
     .reduce_tasks(reduce_tasks)

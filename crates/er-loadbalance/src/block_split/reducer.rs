@@ -16,6 +16,7 @@
 //! — is the cross product of the group's R and S members.
 
 use er_core::result::MatchPair;
+use er_core::PreparedArena;
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
 use crate::basic::block_pairs;
@@ -44,10 +45,11 @@ impl Reducer for BlockSplitReducer {
     type VIn = BlockSplitValue;
     type KOut = MatchPair;
     type VOut = f64;
+    type Product = PreparedArena;
 
     fn reduce(
         &mut self,
-        group: Group<'_, BlockSplitKey, BlockSplitValue>,
+        group: Group<'_, BlockSplitKey, BlockSplitValue, PreparedArena>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let key = *group.key();
@@ -66,9 +68,9 @@ impl Reducer for BlockSplitReducer {
                 group
                     .values()
                     .filter(move |v| (v.partition == first.partition) == first_side)
-                    .map(|v| &v.keyed)
+                    .map(BlockSplitValue::member)
             };
-            driver.cross(block, side(true), side(false), emit);
+            driver.cross(group.products(), block, side(true), side(false), emit);
         }
         driver.flush(ctx);
     }
@@ -77,6 +79,7 @@ impl Reducer for BlockSplitReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::EntityInterner;
     use crate::{Keyed, COMPARISONS};
     use er_core::blocking::BlockKey;
     use er_core::{Entity, Matcher};
@@ -97,6 +100,7 @@ mod tests {
                     BlockKey::new("b"),
                     Arc::new(Entity::new(id, [("title", title)])),
                 ),
+                None,
                 partition,
                 er_core::SourceId::R,
             ),
@@ -179,17 +183,28 @@ mod tests {
 
     #[test]
     fn matches_are_emitted_for_similar_cross_pairs() {
+        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+        let mut interners = [
+            EntityInterner::new(&comparer),
+            EntityInterner::new(&comparer),
+        ];
         let mut entries = Vec::new();
-        let (mut k, v) = value(0, "abcdefghij", 0);
-        k.i = 1;
-        entries.push((k, v));
-        let (mut k, v) = value(1, "abcdefghiX", 1);
-        k.i = 1;
-        entries.push((k, v));
-        let mut reducer =
-            BlockSplitReducer::new(PairComparer::new(Arc::new(Matcher::paper_default())), false);
+        for (id, title, partition) in [(0, "abcdefghij", 0), (1, "abcdefghiX", 1)] {
+            let (mut k, mut v) = value(id, title, partition);
+            k.i = 1;
+            let info = mr_engine::mapper::MapTaskInfo {
+                task_index: partition,
+                num_map_tasks: 2,
+                num_reduce_tasks: 1,
+            };
+            interners[partition].setup(&info);
+            v.prepared = interners[partition].intern(v.entity());
+            entries.push((k, v));
+        }
+        let arenas = interners.map(EntityInterner::into_arena);
+        let mut reducer = BlockSplitReducer::new(comparer, false);
         let mut c = ctx();
-        reducer.reduce(Group::for_testing(&entries), &mut c);
+        reducer.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
         assert_eq!(c.output().len(), 1);
     }
 }

@@ -1,17 +1,26 @@
-//! The compare path every reducer shares, block at a time.
+//! The compare path every match stage shares, block at a time.
 //!
 //! The paper balances *comparisons*, so what one comparison costs
 //! inside a reduce group is the constant every figure multiplies. A
 //! reducer therefore never walks pairs itself: it hands its group to
-//! the task's [`GroupComparer`], which works in four steps.
+//! the task's [`GroupComparer`], which works in four steps (1–4) on
+//! what the stage's map tasks prepared (0).
 //!
+//! 0. **Prepare once, map side.** Every map task of a match stage
+//!    interns the entities it routes ([`EntityInterner`]) into one
+//!    [`PreparedArena`] — its product, which the engine lends to every
+//!    reduce task of the stage after the map barrier
+//!    ([`mr_engine::reducer::Group::products`]). An entity is prepared
+//!    once per map task however many reduce tasks receive it (counted
+//!    under [`PREPARED_ENTITIES`]); its shuffle records carry the
+//!    [`PreparedHandle`] `(arena, id)`, and no reduce task prepares.
 //! 1. **Group → columns.** [`GroupComparer::push`] resolves each member
 //!    once: its [`EntityRef`], its key list (see 2.) and — unless the
-//!    comparer is count-only — its cached prepared form in an
-//!    [`er_core::PreparedColumn`] (the task's [`MatcherCache`] prepares
-//!    an entity on first sight only, however many groups revisit it).
-//!    The columns borrow nothing: they are refilled group after group,
-//!    and a sliding window keeps them across groups, evicting from the
+//!    comparer is count-only — its handle into an
+//!    [`er_core::PreparedColumn`] over the stage's arenas (a pair may
+//!    span two arenas; it is scored by the same kernel). The columns
+//!    borrow nothing: they are refilled group after group, and a
+//!    sliding window keeps them across groups, evicting from the
 //!    front.
 //! 2. **Gates, where they are cheapest.** The smallest-common-block
 //!    rule is decided *per member*: for single-key lists it reads
@@ -52,11 +61,19 @@ use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
-use er_core::{EntityRef, Matcher, MatcherCache, PreparedColumn};
+use er_core::{
+    ArenaBuilder, EntityRef, Matcher, PreparedArena, PreparedColumn, PreparedHandle, PreparedId,
+};
+use mr_engine::mapper::{MapContext, MapTaskInfo};
 use mr_engine::reducer::ReduceContext;
 use mr_engine::runtime::RuntimeConfig;
 
-use crate::{smallest_common_key_is, KeyList, Keyed, COMPARISONS};
+use crate::{smallest_common_key_is, Ent, KeyList, Keyed, COMPARISONS};
+
+/// Counter: entities a match stage's map tasks prepared — each entity
+/// once per map task that routes it, however many reduce tasks receive
+/// it. Reduce tasks never prepare, so no reduce task counts any.
+pub const PREPARED_ENTITIES: &str = "er.prepared_entities";
 
 /// Counter: pairs skipped by a multi-pass dedup gate — either the
 /// smallest-common-block rule of multi-pass *blocking*, or the
@@ -231,16 +248,88 @@ impl PairComparer {
     }
 }
 
+/// The map side of the compare path (step 0 of the
+/// [module documentation](self)): queues each entity a match-stage map
+/// task routes for the task's [`PreparedArena`] once, hands out the
+/// [`PreparedHandle`] its shuffle records carry, and builds the arena
+/// when the task ends ([`ArenaBuilder`]: slabs sized exactly). Under a
+/// count-only comparer it prepares nothing and every handle is `None`.
+#[derive(Debug, Clone)]
+pub struct EntityInterner {
+    /// `None` under count-only.
+    builder: Option<ArenaBuilder>,
+    /// The map task: the arena's index among the stage's products.
+    task: u32,
+    /// The entity queued last, and its id: the replicas of a multi-key
+    /// entity (one input record per blocking key) arrive one after
+    /// another.
+    last: Option<(EntityRef, PreparedId)>,
+}
+
+impl EntityInterner {
+    /// An interner preparing under `comparer`'s matcher, or not at all
+    /// when `comparer` is count-only.
+    pub fn new(comparer: &PairComparer) -> Self {
+        Self {
+            builder: (!comparer.count_only)
+                .then(|| ArenaBuilder::new(Arc::clone(&comparer.matcher))),
+            task: 0,
+            last: None,
+        }
+    }
+
+    /// Readies the interner for map task `info`.
+    pub fn setup(&mut self, info: &MapTaskInfo) {
+        self.task = u32::try_from(info.task_index).expect("map task index fits a u32 arena index");
+    }
+
+    /// The handle of `entity`'s prepared form, queueing it unless it is
+    /// the entity queued last; `None` under count-only.
+    pub fn intern(&mut self, entity: &Ent) -> Option<PreparedHandle> {
+        let builder = self.builder.as_mut()?;
+        let entity_ref = entity.entity_ref();
+        let id = match self.last {
+            Some((last, id)) if last == entity_ref => id,
+            _ => {
+                let id = builder.queue(entity);
+                self.last = Some((entity_ref, id));
+                id
+            }
+        };
+        Some(PreparedHandle {
+            arena: self.task,
+            id,
+        })
+    }
+
+    /// Counts the task's prepared entities under [`PREPARED_ENTITIES`];
+    /// the mapper's `finish` calls it.
+    pub fn finish<KO, VO, S>(&self, ctx: &mut MapContext<KO, VO, S>) {
+        if let Some(builder) = self.builder.as_ref().filter(|b| !b.is_empty()) {
+            ctx.add_counter(PREPARED_ENTITIES, builder.len() as u64);
+        }
+    }
+
+    /// Prepares the queued entities into the task's arena — the
+    /// mapper's product.
+    pub fn into_arena(self) -> PreparedArena {
+        self.builder
+            .map_or_else(PreparedArena::new, ArenaBuilder::build)
+    }
+}
+
 /// The group-level compare driver (see the [module documentation](self)):
-/// one per reduce task, holding the task's [`MatcherCache`] and the
-/// member columns. A reducer [`load`](Self::load)s a group, runs
-/// [`all_pairs`](Self::all_pairs), [`cross`](Self::cross) or its own
-/// [`strip`](Self::strip)s, and [`flush`](Self::flush)es the counts
-/// before its `reduce` returns.
+/// one per reduce task, holding the member columns. A reducer
+/// [`load`](Self::load)s a group, runs [`all_pairs`](Self::all_pairs),
+/// [`cross`](Self::cross) or its own [`strip`](Self::strip)s, and
+/// [`flush`](Self::flush)es the counts before its `reduce` returns.
+/// Every call that reads prepared values takes the stage's arenas —
+/// the group's [`products`](mr_engine::reducer::Group::products) —
+/// and a member is an annotated entity with the handle its map task
+/// gave it.
 #[derive(Debug, Clone)]
 pub struct GroupComparer {
     comparer: PairComparer,
-    cache: MatcherCache,
     /// The block the members are compared under.
     block: BlockKey,
     refs: Vec<EntityRef>,
@@ -258,10 +347,9 @@ pub struct GroupComparer {
 }
 
 impl GroupComparer {
-    /// A driver with a fresh cache.
+    /// A driver with empty columns.
     pub fn new(comparer: PairComparer) -> Self {
         Self {
-            cache: MatcherCache::new(Arc::clone(&comparer.matcher)),
             comparer,
             block: BlockKey::bottom(),
             refs: Vec::new(),
@@ -273,11 +361,6 @@ impl GroupComparer {
         }
     }
 
-    /// The task's prepared-entity cache.
-    pub fn cache(&self) -> &MatcherCache {
-        &self.cache
-    }
-
     /// Starts a group compared under `block`: empties the columns.
     pub fn begin(&mut self, block: &BlockKey) {
         self.block = block.clone();
@@ -286,23 +369,37 @@ impl GroupComparer {
 
     /// [`begin`](Self::begin)s a group under `block` and
     /// [`push`](Self::push)es `members` in order.
-    pub fn load<'a>(&mut self, block: &BlockKey, members: impl IntoIterator<Item = &'a Keyed>) {
+    pub fn load<'a>(
+        &mut self,
+        arenas: &[PreparedArena],
+        block: &BlockKey,
+        members: impl IntoIterator<Item = (&'a Keyed, Option<PreparedHandle>)>,
+    ) {
         self.begin(block);
-        for keyed in members {
-            self.push(keyed);
+        for member in members {
+            self.push(arenas, member);
         }
     }
 
-    /// Appends `keyed` to the columns, preparing its entity on first
-    /// sight (never, under count-only); returns its position.
-    pub fn push(&mut self, keyed: &Keyed) -> usize {
+    /// Appends the member `(keyed, prepared)` to the columns, its
+    /// prepared form read from `arenas` (never, under count-only);
+    /// returns its position.
+    ///
+    /// # Panics
+    /// If the comparer is not count-only and `prepared` is `None`.
+    pub fn push(
+        &mut self,
+        arenas: &[PreparedArena],
+        (keyed, prepared): (&Keyed, Option<PreparedHandle>),
+    ) -> usize {
         let on_block = matches!(&*keyed.all_keys, [only] if *only == self.block);
         self.per_pair_members += usize::from(!on_block);
         self.other_keys
             .push((!on_block).then(|| keyed.all_keys.clone()));
         self.refs.push(keyed.entity.entity_ref());
         if !self.comparer.count_only {
-            self.cache.push(&mut self.prepared, &keyed.entity);
+            let handle = prepared.expect("a match stage's map tasks prepare every member");
+            self.prepared.push(&self.comparer.matcher, arenas, handle);
         }
         self.refs.len() - 1
     }
@@ -339,6 +436,7 @@ impl GroupComparer {
     /// probe the pair's first entity (the measures' left argument).
     pub fn strip(
         &mut self,
+        arenas: &[PreparedArena],
         probe: usize,
         members: Range<usize>,
         probe_first: bool,
@@ -371,18 +469,27 @@ impl GroupComparer {
             let (a, b) = ordered(probe_first, self.refs[probe], self.refs[member]);
             sink(MatchPair::new(a, b), score);
         };
-        let (cache, prepared, picked) = (&self.cache, &self.prepared, &mut self.picked);
+        let (matcher, prepared, picked) =
+            (&self.comparer.matcher, &self.prepared, &mut self.picked);
         if per_pair {
-            cache.matches_picked(prepared, probe, members.start, picked, probe_first, hit);
+            matcher.matches_picked(
+                arenas,
+                prepared,
+                probe,
+                members.start,
+                picked,
+                probe_first,
+                hit,
+            );
         } else {
-            cache.matches_strip(prepared, probe, members, probe_first, picked, hit);
+            matcher.matches_strip(arenas, prepared, probe, members, probe_first, picked, hit);
         }
     }
 
     /// Every pair of the columns' members: each against all before it.
-    pub fn all_pairs(&mut self, mut sink: impl FnMut(MatchPair, f64)) {
+    pub fn all_pairs(&mut self, arenas: &[PreparedArena], mut sink: impl FnMut(MatchPair, f64)) {
         for later in 1..self.len() {
-            self.strip(later, 0..later, false, &mut sink);
+            self.strip(arenas, later, 0..later, false, &mut sink);
         }
     }
 
@@ -390,18 +497,19 @@ impl GroupComparer {
     /// cross product: each of `first` against all of `second`.
     pub fn cross<'a>(
         &mut self,
+        arenas: &[PreparedArena],
         block: &BlockKey,
-        first: impl IntoIterator<Item = &'a Keyed>,
-        second: impl IntoIterator<Item = &'a Keyed>,
+        first: impl IntoIterator<Item = (&'a Keyed, Option<PreparedHandle>)>,
+        second: impl IntoIterator<Item = (&'a Keyed, Option<PreparedHandle>)>,
         mut sink: impl FnMut(MatchPair, f64),
     ) {
-        self.load(block, first);
+        self.load(arenas, block, first);
         let split = self.len();
-        for keyed in second {
-            self.push(keyed);
+        for member in second {
+            self.push(arenas, member);
         }
         for probe in 0..split {
-            self.strip(probe, split..self.len(), true, &mut sink);
+            self.strip(arenas, probe, split..self.len(), true, &mut sink);
         }
     }
 
@@ -448,16 +556,61 @@ mod tests {
         })
     }
 
-    /// `members` through `driver` as a reducer runs a block: load, all
-    /// pairs, flush.
+    /// `members` as a match stage of `tasks` map tasks delivers them:
+    /// member `i` interned for `comparer` by map task `i % tasks`. Returns
+    /// the stage's arenas and each member's handle.
+    fn staged(
+        comparer: &PairComparer,
+        members: &[&Keyed],
+        tasks: usize,
+    ) -> (Vec<PreparedArena>, Vec<Option<PreparedHandle>>) {
+        let mut interners: Vec<EntityInterner> = (0..tasks)
+            .map(|task_index| {
+                let mut interner = EntityInterner::new(comparer);
+                let info = MapTaskInfo {
+                    task_index,
+                    num_map_tasks: tasks,
+                    num_reduce_tasks: 1,
+                };
+                interner.setup(&info);
+                interner
+            })
+            .collect();
+        let handles = members
+            .iter()
+            .enumerate()
+            .map(|(i, keyed)| interners[i % tasks].intern(&keyed.entity))
+            .collect();
+        let arenas = interners
+            .into_iter()
+            .map(EntityInterner::into_arena)
+            .collect();
+        (arenas, handles)
+    }
+
+    /// `members` with their handles, as a driver takes them.
+    fn with_handles<'a>(
+        members: &[&'a Keyed],
+        handles: &[Option<PreparedHandle>],
+    ) -> Vec<(&'a Keyed, Option<PreparedHandle>)> {
+        members
+            .iter()
+            .copied()
+            .zip(handles.iter().copied())
+            .collect()
+    }
+
+    /// `members` through `driver` as a reducer runs a block: staged by
+    /// two map tasks, loaded, all pairs, flush.
     fn all_pairs(
         driver: &mut GroupComparer,
         block: &BlockKey,
         members: &[&Keyed],
     ) -> ReduceContext<MatchPair, f64> {
+        let (arenas, handles) = staged(&driver.comparer, members, 2);
         let mut c = ctx();
-        driver.load(block, members.iter().copied());
-        driver.all_pairs(|pair, score| c.emit(pair, score));
+        driver.load(&arenas, block, with_handles(members, &handles));
+        driver.all_pairs(&arenas, |pair, score| c.emit(pair, score));
         driver.flush(&mut c);
         c
     }
@@ -545,7 +698,6 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            // Distinct ids per case: the cache memoizes by entity ref.
             let (a, b) = (keyed(2 * id as u64, ta), keyed(2 * id as u64 + 1, tb));
             let mut direct = ctx();
             comparer.compare(&a, &b, &block, &mut direct);
@@ -562,9 +714,16 @@ mod tests {
     fn strip_hands_matches_to_the_sink_and_flush_writes_each_count_once() {
         let mut driver = GroupComparer::new(paper_comparer());
         let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghiX"));
-        driver.load(&BlockKey::new("blk"), [&a, &b]);
+        let (arenas, handles) = staged(&driver.comparer, &[&a, &b], 1);
+        driver.load(
+            &arenas,
+            &BlockKey::new("blk"),
+            with_handles(&[&a, &b], &handles),
+        );
         let mut matches = Vec::new();
-        driver.strip(1, 0..1, false, |pair, score| matches.push((pair, score)));
+        driver.strip(&arenas, 1, 0..1, false, |pair, score| {
+            matches.push((pair, score))
+        });
         let [(pair, score)] = matches[..] else {
             panic!("one edit in ten matches at 0.8: {matches:?}");
         };
@@ -589,27 +748,37 @@ mod tests {
 
     #[test]
     fn count_only_skips_preparation() {
-        let mut driver =
-            GroupComparer::new(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+        let comparer = PairComparer::count_only(Arc::new(Matcher::paper_default()));
         let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghij"));
-        let c = all_pairs(&mut driver, &BlockKey::new("blk"), &[&a, &b]);
+        let (arenas, handles) = staged(&comparer, &[&a, &b], 2);
         assert!(
-            driver.cache().is_empty(),
+            arenas.iter().all(PreparedArena::is_empty) && handles.iter().all(Option::is_none),
             "count-only must not prepare entities"
         );
+        let mut driver = GroupComparer::new(comparer);
+        let c = all_pairs(&mut driver, &BlockKey::new("blk"), &[&a, &b]);
         assert_eq!(c.counters().get(COMPARISONS), 1);
         assert!(c.output().is_empty());
     }
 
     #[test]
     fn prepared_cache_hits_across_groups() {
-        let mut driver = GroupComparer::new(paper_comparer());
+        // A map task prepares an entity once however often it routes
+        // it (one record per blocking key or match task), and every
+        // group reads that one prepared form.
+        let comparer = paper_comparer();
         let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghiX"));
+        let (arenas, handles) = staged(&comparer, &[&a, &a, &b, &b], 1);
+        assert_eq!(arenas[0].len(), 2, "same entity must be prepared once");
+        assert_eq!((handles[0], handles[2]), (handles[1], handles[3]));
+        let mut c = ctx();
+        let mut driver = GroupComparer::new(comparer);
         for _ in 0..2 {
-            let c = all_pairs(&mut driver, &BlockKey::new("blk"), &[&a, &b]);
-            assert_eq!(c.output().len(), 1);
+            let members = [(&a, handles[0]), (&b, handles[2])];
+            driver.load(&arenas, &BlockKey::new("blk"), members);
+            driver.all_pairs(&arenas, |pair, score| c.emit(pair, score));
         }
-        assert_eq!(driver.cache().len(), 2, "same entity must be prepared once");
+        assert_eq!(c.output().len(), 2);
     }
 
     #[test]
@@ -699,15 +868,18 @@ mod tests {
                 )
             })
             .collect();
-        driver.load(&BlockKey::new("aaa"), [&a, &plain[0], &plain[1], &b]);
+        let members = [&a, &plain[0], &plain[1], &b, &plain[2]];
+        let (arenas, handles) = staged(&driver.comparer, &members, 3);
+        let members = with_handles(&members, &handles);
+        driver.load(&arenas, &BlockKey::new("aaa"), members[..4].iter().copied());
         // The multi-key member at the front leaves: what remains of the
         // first three is single-key, and the strip takes the bulk path.
         driver.truncate(3);
         driver.evict_front(1);
         assert_eq!(driver.len(), 2);
-        let next = driver.push(&plain[2]);
+        let next = driver.push(&arenas, members[4]);
         let mut pairs = Vec::new();
-        driver.strip(next, 0..next, false, |pair, _| pairs.push(pair));
+        driver.strip(&arenas, next, 0..next, false, |pair, _| pairs.push(pair));
         let refs = |i: usize| plain[i].entity.entity_ref();
         assert_eq!(
             pairs,
@@ -817,13 +989,15 @@ mod tests {
         /// whatever the group, the gates, the matcher and the shape.
         /// Every second group is pure single-pass and every gate is off
         /// three times in four, so the bulk path is drawn as often as
-        /// the per-pair one.
+        /// the per-pair one; the members come from one to three map
+        /// tasks' arenas.
         #[test]
         fn driver_equals_one_shot_compare(
             specs in vec((0u8..2, 0u8..5, 0u8..15), 0..9),
             matcher_choice in 0u8..6,
             gates in ((0u8..2, 0u8..4, 0u8..4), 0u8..4, vec(0usize..81, 1..6)),
             shape in (0u8..3, 0usize..9, 1usize..4),
+            tasks in 1usize..4,
         ) {
             let ((single_pass, count_only, cross_source_only), skips, skipped) = gates;
             let members: Vec<Keyed> = (0u64..)
@@ -865,16 +1039,25 @@ mod tests {
                 }
             }
 
+            let member_refs: Vec<&Keyed> = members.iter().collect();
+            let (arenas, handles) = staged(&comparer, &member_refs, tasks);
+            let staged_members = with_handles(&member_refs, &handles);
             let mut driver = GroupComparer::new(comparer);
             let mut got = ctx();
-            driver.load(&block, &members);
+            driver.load(&arenas, &block, staged_members.iter().copied());
             match kind {
-                0 => driver.all_pairs(|pair, score| got.emit(pair, score)),
-                1 => driver.cross(&block, &members[..split], &members[split..], |pair, score| {
-                    got.emit(pair, score)
-                }),
+                0 => driver.all_pairs(&arenas, |pair, score| got.emit(pair, score)),
+                1 => driver.cross(
+                    &arenas,
+                    &block,
+                    staged_members[..split].iter().copied(),
+                    staged_members[split..].iter().copied(),
+                    |pair, score| got.emit(pair, score),
+                ),
                 _ => for (probe, partners, probe_first) in strips {
-                    driver.strip(probe, partners, probe_first, |pair, score| got.emit(pair, score));
+                    driver.strip(&arenas, probe, partners, probe_first, |pair, score| {
+                        got.emit(pair, score)
+                    });
                 },
             }
             driver.flush(&mut got);

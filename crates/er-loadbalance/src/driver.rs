@@ -220,7 +220,7 @@ where
     M: Mapper,
     M::KOut: Sync,
     M::VOut: Sync,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut, KOut = MatchPair, VOut = f64>,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut, KOut = MatchPair, VOut = f64, Product = M::Product>,
 {
     let job = job.with_spill_threshold(config.runtime.spill_threshold);
     let out = workflow.chained_stage(&job, input)?;

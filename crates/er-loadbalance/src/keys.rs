@@ -8,7 +8,7 @@
 
 use mr_engine::partitioner::FnPartitioner;
 
-use er_core::SourceId;
+use er_core::{PreparedHandle, SourceId};
 
 use crate::{Ent, Keyed};
 
@@ -77,6 +77,9 @@ impl std::fmt::Display for BlockSplitKey {
 pub struct BlockSplitValue {
     /// The blocking-key-annotated entity.
     pub keyed: Keyed,
+    /// Its prepared form in its map task's arena (`None` under
+    /// count-only; see [`crate::compare::EntityInterner`]).
+    pub prepared: Option<PreparedHandle>,
     /// Input partition the entity was read from.
     pub partition: u32,
     /// The source that partition holds (`R` for one-source matching)
@@ -86,11 +89,17 @@ pub struct BlockSplitValue {
 }
 
 impl BlockSplitValue {
-    /// `keyed`, read from input `partition` of `source` (see
-    /// [`crate::BlockDistributionMatrix::source_of`]).
-    pub fn new(keyed: Keyed, partition: usize, source: SourceId) -> Self {
+    /// `keyed`, prepared as `prepared`, read from input `partition` of
+    /// `source` (see [`crate::BlockDistributionMatrix::source_of`]).
+    pub fn new(
+        keyed: Keyed,
+        prepared: Option<PreparedHandle>,
+        partition: usize,
+        source: SourceId,
+    ) -> Self {
         Self {
             keyed,
+            prepared,
             partition: key_index(partition, "input partition index"),
             source,
         }
@@ -99,6 +108,11 @@ impl BlockSplitValue {
     /// The underlying entity.
     pub fn entity(&self) -> &Ent {
         &self.keyed.entity
+    }
+
+    /// The member a compare driver takes.
+    pub fn member(&self) -> (&Keyed, Option<PreparedHandle>) {
+        (&self.keyed, self.prepared)
     }
 }
 
@@ -151,8 +165,18 @@ impl std::fmt::Display for PairRangeKey {
 pub struct PairRangeValue {
     /// The blocking-key-annotated entity.
     pub keyed: Keyed,
+    /// Its prepared form in its map task's arena (`None` under
+    /// count-only; see [`crate::compare::EntityInterner`]).
+    pub prepared: Option<PreparedHandle>,
     /// Global entity index within its block (and source).
     pub index: u64,
+}
+
+impl PairRangeValue {
+    /// The member a compare driver takes.
+    pub fn member(&self) -> (&Keyed, Option<PreparedHandle>) {
+        (&self.keyed, self.prepared)
+    }
 }
 
 #[cfg(test)]

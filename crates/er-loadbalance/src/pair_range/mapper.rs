@@ -18,21 +18,24 @@
 use std::sync::Arc;
 
 use er_core::pairs::{rect_cell_index, triangle_cell_index};
-use er_core::SourceId;
+use er_core::{PreparedArena, SourceId};
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
 use super::enumeration::EntityIndexer;
 use super::ranges::{RangeIndexer, RangePolicy};
 use crate::bdm::BlockDistributionMatrix;
+use crate::compare::{EntityInterner, PairComparer};
 use crate::keys::{key_index, PairRangeKey, PairRangeValue};
 use crate::Keyed;
 
-/// The PairRange mapper.
+/// The PairRange mapper. Each routed entity is prepared once, however
+/// many ranges receive it.
 #[derive(Clone)]
 pub struct PairRangeMapper {
     bdm: Arc<BlockDistributionMatrix>,
     policy: RangePolicy,
     state: Option<MapState>,
+    interner: EntityInterner,
 }
 
 #[derive(Clone)]
@@ -44,12 +47,18 @@ struct MapState {
 }
 
 impl PairRangeMapper {
-    /// Creates the mapper over a computed BDM.
-    pub fn new(bdm: Arc<BlockDistributionMatrix>, policy: RangePolicy) -> Self {
+    /// Creates the mapper over a computed BDM, preparing entities for
+    /// `comparer`.
+    pub fn new(
+        bdm: Arc<BlockDistributionMatrix>,
+        policy: RangePolicy,
+        comparer: &PairComparer,
+    ) -> Self {
         Self {
             bdm,
             policy,
             state: None,
+            interner: EntityInterner::new(comparer),
         }
     }
 }
@@ -185,6 +194,7 @@ impl Mapper for PairRangeMapper {
     type KOut = PairRangeKey;
     type VOut = PairRangeValue;
     type Side = ();
+    type Product = PreparedArena;
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.state = Some(MapState {
@@ -193,6 +203,7 @@ impl Mapper for PairRangeMapper {
             indexer: EntityIndexer::for_partition(&self.bdm, info.task_index),
             ranges: RangeIndexer::new(self.bdm.total_pairs(), info.num_reduce_tasks, self.policy),
         });
+        self.interner.setup(info);
     }
 
     fn map(
@@ -208,6 +219,9 @@ impl Mapper for PairRangeMapper {
         };
         let x = state.indexer.next(block as usize);
         let source = state.source;
+        // Interned at its first emission; the interner hands the later
+        // ones the same handle.
+        let interner = &mut self.interner;
         let emit = |first: u64, last: u64| {
             for range in first..=last {
                 ctx.emit(
@@ -219,12 +233,21 @@ impl Mapper for PairRangeMapper {
                     },
                     PairRangeValue {
                         keyed: keyed.clone(),
+                        prepared: interner.intern(&keyed.entity),
                         index: x,
                     },
                 );
             }
         };
         for_each_relevant_interval(&self.bdm, &state.ranges, block as usize, source, x, emit);
+    }
+
+    fn finish(&mut self, ctx: &mut MapContext<PairRangeKey, PairRangeValue, ()>) {
+        self.interner.finish(ctx);
+    }
+
+    fn into_product(self) -> PreparedArena {
+        self.interner.into_arena()
     }
 }
 
@@ -321,7 +344,8 @@ mod tests {
 
     fn run_partition(p: usize) -> Vec<(PairRangeKey, String)> {
         let bdm = Arc::new(running_example_bdm());
-        let mut mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv);
+        let comparer = PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
+        let mut mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv, &comparer);
         let info = MapTaskInfo {
             task_index: p,
             num_map_tasks: 2,
@@ -342,7 +366,8 @@ mod tests {
 
     fn map_one(rank: u32, key: &str) {
         let bdm = Arc::new(running_example_bdm());
-        let mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv);
+        let comparer = PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
+        let mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv, &comparer);
         running_example::map_one(mapper, 2, rank, key);
     }
 

@@ -34,7 +34,7 @@ pub fn pair_range_job(
 ) -> Job<mapper::PairRangeMapper, reducer::PairRangeReducer> {
     Job::builder(
         "er-pair-range",
-        mapper::PairRangeMapper::new(Arc::clone(&bdm), policy),
+        mapper::PairRangeMapper::new(Arc::clone(&bdm), policy, &comparer),
         reducer::PairRangeReducer::new(bdm, comparer, policy),
     )
     .reduce_tasks(reduce_tasks)

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use er_core::pairs::{rect_cell_index, triangle_cell_index};
 use er_core::result::MatchPair;
-use er_core::SourceId;
+use er_core::{PreparedArena, SourceId};
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
 use super::ranges::{RangeIndexer, RangePolicy};
@@ -89,6 +89,7 @@ impl Reducer for PairRangeReducer {
     type VIn = PairRangeValue;
     type KOut = MatchPair;
     type VOut = f64;
+    type Product = PreparedArena;
 
     fn setup(&mut self, info: &mr_engine::reducer::ReduceTaskInfo) {
         self.ranges = Some(RangeIndexer::new(
@@ -100,7 +101,7 @@ impl Reducer for PairRangeReducer {
 
     fn reduce(
         &mut self,
-        group: Group<'_, PairRangeKey, PairRangeValue>,
+        group: Group<'_, PairRangeKey, PairRangeValue, PreparedArena>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let ranges = self.ranges.expect("setup ran");
@@ -108,8 +109,12 @@ impl Reducer for PairRangeReducer {
         let block = key.block as usize;
         let span = ranges.span(u64::from(key.range));
         let first = group.values().next().expect("groups are non-empty");
-        self.driver
-            .load(&first.keyed.key, group.values().map(|v| &v.keyed));
+        let arenas = group.products();
+        self.driver.load(
+            arenas,
+            &first.keyed.key,
+            group.values().map(PairRangeValue::member),
+        );
         self.indexes.clear();
         self.indexes.extend(group.values().map(|v| v.index));
         let offset = self.bdm.pair_offset(block);
@@ -121,7 +126,7 @@ impl Reducer for PairRangeReducer {
                 debug_assert!(ascending(&self.indexes), "sorted by entity index");
                 let n = self.bdm.size(block);
                 let cell = |x1, x2| triangle_cell_index(x1, x2, n) + offset;
-                self.stream(1, |later| later, &span, cell, ctx);
+                self.stream(arenas, 1, |later| later, &span, cell, ctx);
             }
             Some((_, ns)) => {
                 let r_side = group
@@ -134,7 +139,7 @@ impl Reducer for PairRangeReducer {
                     "sorted by source, then entity index"
                 );
                 let cell = |x, y| rect_cell_index(x, y, ns) + offset;
-                self.stream(r_side, |_| r_side, &span, cell, ctx);
+                self.stream(arenas, r_side, |_| r_side, &span, cell, ctx);
             }
         }
         self.driver.flush(ctx);
@@ -147,6 +152,7 @@ impl PairRangeReducer {
     /// with it — `cell(their index, its index)` — lies in `span`.
     fn stream(
         &mut self,
+        arenas: &[PreparedArena],
         from: usize,
         buffered: impl Fn(usize) -> usize,
         span: &Range<u64>,
@@ -157,7 +163,9 @@ impl PairRangeReducer {
             let buffer = &self.indexes[..buffered(later)];
             let partners = partners_in_span(buffer, span, |x| cell(x, y));
             self.driver
-                .strip(later, partners, false, |pair, score| ctx.emit(pair, score));
+                .strip(arenas, later, partners, false, |pair, score| {
+                    ctx.emit(pair, score)
+                });
         }
     }
 }
@@ -208,6 +216,7 @@ mod tests {
                     BlockKey::new("z"),
                     Arc::new(Entity::new(index, [("title", "t")])),
                 ),
+                prepared: None,
                 index,
             },
         )

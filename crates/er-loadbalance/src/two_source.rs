@@ -224,7 +224,8 @@ mod block_split {
 
         fn map_one(rank: u32, key: &str) {
             let bdm = Arc::new(appendix_example::bdm());
-            let mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper());
+            let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+            let mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper(), &comparer);
             crate::running_example::map_one(mapper, 3, rank, key);
         }
 
@@ -432,7 +433,8 @@ mod pair_range {
 
         fn map_one(rank: u32, key: &str) {
             let bdm = Arc::new(appendix_example::bdm());
-            let mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv);
+            let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+            let mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv, &comparer);
             crate::running_example::map_one(mapper, 3, rank, key);
         }
 

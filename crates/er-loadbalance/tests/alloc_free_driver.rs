@@ -1,8 +1,9 @@
 //! The compare driver allocates per *task*, not per pair and not per
-//! group: once a [`GroupComparer`] has run a group — its columns, its
-//! cache entries and its scratch have grown — loading that group again
-//! and evaluating all its pairs, the cross product of its halves and a
-//! window over it performs **zero** heap allocations.
+//! group: once a [`GroupComparer`] has run a group — its columns and its
+//! scratch have grown — loading that group again and evaluating all its
+//! pairs, the cross product of its halves and a window over it performs
+//! **zero** heap allocations. The members were prepared by two map
+//! tasks, so the group reads two arenas.
 //!
 //! A single `#[test]` drives the whole file — integration tests in one
 //! binary may run on multiple threads, which would make a global
@@ -13,9 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
-use er_core::{Entity, Matcher};
-use er_loadbalance::compare::{GroupComparer, PairComparer};
+use er_core::{Entity, Matcher, PreparedArena, PreparedHandle};
+use er_loadbalance::compare::{EntityInterner, GroupComparer, PairComparer};
 use er_loadbalance::Keyed;
+use mr_engine::mapper::MapTaskInfo;
 
 /// Counts every allocation routed through the global allocator.
 struct CountingAlloc;
@@ -52,20 +54,48 @@ fn a_warm_driver_allocates_nothing_per_group() {
         })
         .collect();
     let n = members.len();
-    let mut driver = GroupComparer::new(PairComparer::new(Arc::new(Matcher::paper_default())));
+    let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+    // The first half is routed by map task 0, the second by map task 1.
+    let mut handles: Vec<Option<PreparedHandle>> = Vec::new();
+    let arenas: Vec<PreparedArena> = members
+        .chunks(n / 2)
+        .enumerate()
+        .map(|(task_index, half)| {
+            let mut interner = EntityInterner::new(&comparer);
+            let info = MapTaskInfo {
+                task_index,
+                num_map_tasks: 2,
+                num_reduce_tasks: 1,
+            };
+            interner.setup(&info);
+            handles.extend(half.iter().map(|keyed| interner.intern(&keyed.entity)));
+            interner.into_arena()
+        })
+        .collect();
+    let staged: Vec<(&Keyed, Option<PreparedHandle>)> = members.iter().zip(handles).collect();
+    let mut driver = GroupComparer::new(comparer);
 
     let mut rounds = [(0u64, 0u64); 2];
     for (allocations, matches) in &mut rounds {
         let before = ALLOCATIONS.load(Ordering::SeqCst);
-        driver.cross(&block, &members[..n / 2], &members[n / 2..], |_, _| {
-            *matches += 1
-        });
-        driver.load(&block, &members);
-        driver.all_pairs(|_, _| *matches += 1);
+        let (first, second) = staged.split_at(n / 2);
+        driver.cross(
+            &arenas,
+            &block,
+            first.iter().copied(),
+            second.iter().copied(),
+            |_, _| *matches += 1,
+        );
+        driver.load(&arenas, &block, staged.iter().copied());
+        driver.all_pairs(&arenas, |_, _| *matches += 1);
         for next in 1..n {
-            driver.strip(next, next.saturating_sub(5)..next, false, |_, _| {
-                *matches += 1
-            });
+            driver.strip(
+                &arenas,
+                next,
+                next.saturating_sub(5)..next,
+                false,
+                |_, _| *matches += 1,
+            );
         }
         *allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
     }

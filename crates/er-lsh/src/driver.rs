@@ -31,6 +31,7 @@ use er_loadbalance::{
     run_match_stage, BlockDistributionMatrix, Ent, ErConfig, MatchInput, RangePolicy, StrategyKind,
 };
 use mr_engine::error::MrError;
+use mr_engine::fault::FaultPlan;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::RuntimeConfig;
@@ -137,15 +138,20 @@ impl LshConfig {
     }
 
     /// The matching-job configuration of the candidate job over the
-    /// rung `params`' banded key space.
+    /// rung `params`' banded key space (its BDM job pre-aggregates, the
+    /// paper default). Every field is built here, so no default is
+    /// computed per rung.
     fn candidate_job(&self, params: LshParams) -> ErConfig {
-        let mut config = ErConfig::new(self.balance)
-            .with_blocking(Arc::new(self.blocking_for(params)))
-            .with_matcher(Arc::clone(&self.matcher))
-            .with_runtime(self.runtime);
-        config.range_policy = self.range_policy;
-        config.split_policy = self.split_policy;
-        config
+        ErConfig {
+            blocking: Arc::new(self.blocking_for(params)),
+            matcher: Arc::clone(&self.matcher),
+            strategy: self.balance,
+            range_policy: self.range_policy,
+            use_combiner: true,
+            split_policy: self.split_policy,
+            runtime: self.runtime,
+            fault_plan: FaultPlan::new(),
+        }
     }
 }
 

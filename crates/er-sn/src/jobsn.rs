@@ -25,7 +25,8 @@ use std::sync::Arc;
 
 use er_core::result::MatchPair;
 use er_core::sortkey::{RangePartitioner, SortKey};
-use er_loadbalance::compare::{GroupComparer, PairComparer};
+use er_core::PreparedArena;
+use er_loadbalance::compare::{EntityInterner, GroupComparer, PairComparer};
 use er_loadbalance::Ent;
 use mr_engine::prelude::*;
 
@@ -34,17 +35,22 @@ use crate::window::WindowBuffer;
 use crate::PARTITION_ENTITIES;
 
 /// Map phase of the window job (shared verbatim with nothing — RepSN
-/// has its own replicating mapper): route each annotated entity to its
-/// key range.
+/// has its own replicating mapper): route each annotated entity,
+/// prepared, to its key range.
 #[derive(Clone)]
 pub struct SnMapper {
     partitioner: Arc<RangePartitioner<SortKey>>,
+    interner: EntityInterner,
 }
 
 impl SnMapper {
-    /// Creates the mapper over the distribution job's range boundaries.
-    pub fn new(partitioner: Arc<RangePartitioner<SortKey>>) -> Self {
-        Self { partitioner }
+    /// Creates the mapper over the distribution job's range
+    /// boundaries, preparing entities for `comparer`.
+    pub fn new(partitioner: Arc<RangePartitioner<SortKey>>, comparer: &PairComparer) -> Self {
+        Self {
+            partitioner,
+            interner: EntityInterner::new(comparer),
+        }
     }
 }
 
@@ -54,6 +60,11 @@ impl Mapper for SnMapper {
     type KOut = SnKey;
     type VOut = SnEntity;
     type Side = ();
+    type Product = PreparedArena;
+
+    fn setup(&mut self, info: &MapTaskInfo) {
+        self.interner.setup(info);
+    }
 
     fn map(&mut self, key: &SortKey, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
         let partition = self.partitioner.partition_of(key) as u32;
@@ -62,8 +73,16 @@ impl Mapper for SnMapper {
                 partition,
                 key: key.clone(),
             },
-            SnEntity::original(Arc::clone(entity)),
+            SnEntity::original(Arc::clone(entity), self.interner.intern(entity)),
         );
+    }
+
+    fn finish(&mut self, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
+        self.interner.finish(ctx);
+    }
+
+    fn into_product(self) -> PreparedArena {
+        self.interner.into_arena()
     }
 }
 
@@ -142,6 +161,7 @@ impl Reducer for WindowReducer {
     type VIn = SnEntity;
     type KOut = ();
     type VOut = WindowOut;
+    type Product = PreparedArena;
 
     fn setup(&mut self, info: &ReduceTaskInfo) {
         // Tasks clone a fresh reducer from the prototype; the explicit
@@ -157,7 +177,7 @@ impl Reducer for WindowReducer {
 
     fn reduce(
         &mut self,
-        group: Group<'_, SnKey, SnEntity>,
+        group: Group<'_, SnKey, SnEntity, PreparedArena>,
         ctx: &mut ReduceContext<(), WindowOut>,
     ) {
         let partition = group.key().partition;
@@ -182,9 +202,10 @@ impl Reducer for WindowReducer {
                 );
             }
             self.seen += 1;
-            self.buffer.advance(&value.keyed, ctx, |ctx, pair, score| {
-                ctx.emit((), WindowOut::Match(pair, score));
-            });
+            self.buffer
+                .advance(group.products(), value.member(), ctx, |ctx, pair, score| {
+                    ctx.emit((), WindowOut::Match(pair, score));
+                });
         }
     }
 
@@ -227,7 +248,7 @@ pub fn window_job(
     let emit_boundaries = partitions > 1;
     Job::builder(
         "sn-jobsn-window",
-        SnMapper::new(partitioner),
+        SnMapper::new(partitioner, &comparer),
         WindowReducer::new(comparer, window, emit_boundaries),
     )
     .reduce_tasks(partitions)
@@ -300,12 +321,12 @@ pub fn split_window_output(
 pub fn assemble_boundary_input(
     candidates: &BoundaryCandidates,
     window: usize,
-) -> Partitions<BoundaryKey, SnEntity> {
+) -> Partitions<BoundaryKey, Ent> {
     let partitions = candidates.lens.len();
     let reach = (window - 1) as u64;
     let mut input = Vec::new();
     for b in 0..partitions.saturating_sub(1) {
-        let mut records: Vec<(BoundaryKey, SnEntity)> = Vec::new();
+        let mut records: Vec<(BoundaryKey, Ent)> = Vec::new();
         for &(dist, ref entity) in &candidates.tails[b] {
             debug_assert!(u64::from(dist) <= reach);
             records.push((
@@ -314,7 +335,7 @@ pub fn assemble_boundary_input(
                     side: BoundarySide::Left,
                     dist,
                 },
-                SnEntity::original(Arc::clone(entity)),
+                Arc::clone(entity),
             ));
         }
         if records.is_empty() {
@@ -334,7 +355,7 @@ pub fn assemble_boundary_input(
                         side: BoundarySide::Right,
                         dist: global as u32,
                     },
-                    SnEntity::original(Arc::clone(entity)),
+                    Arc::clone(entity),
                 ));
                 rights += 1;
             }
@@ -380,27 +401,30 @@ impl Reducer for StitchReducer {
     type VIn = SnEntity;
     type KOut = MatchPair;
     type VOut = f64;
+    type Product = PreparedArena;
 
     fn reduce(
         &mut self,
-        group: Group<'_, BoundaryKey, SnEntity>,
+        group: Group<'_, BoundaryKey, SnEntity, PreparedArena>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         // Distances are `u32`, so a wider window reaches all of them.
         let w = u32::try_from(self.window).unwrap_or(u32::MAX);
+        let arenas = group.products();
         self.driver.truncate(0);
         self.left_dists.clear();
         for (key, value) in group.iter() {
-            let position = self.driver.push(&value.keyed);
+            let position = self.driver.push(arenas, value.member());
             match key.side {
                 BoundarySide::Left => self.left_dists.push(key.dist),
                 BoundarySide::Right => {
                     // Lefts arrive ascending by dist, so the window
                     // condition holds for a prefix of them.
                     let reach = self.left_dists.partition_point(|dl| dl + key.dist <= w);
-                    self.driver.strip(position, 0..reach, false, |pair, score| {
-                        ctx.emit(pair, score)
-                    });
+                    self.driver
+                        .strip(arenas, position, 0..reach, false, |pair, score| {
+                            ctx.emit(pair, score)
+                        });
                     // Only lefts stay: a right is never a partner.
                     self.driver.truncate(position);
                 }
@@ -411,24 +435,50 @@ impl Reducer for StitchReducer {
 }
 
 /// Pass-through mapper of the stitch job (the driver pre-assembles the
-/// candidate records; the job exists to shuffle them per boundary).
-#[derive(Clone, Default)]
-pub struct BoundaryMapper;
+/// candidate records; the job exists to shuffle them per boundary),
+/// preparing each candidate.
+#[derive(Clone)]
+pub struct BoundaryMapper {
+    interner: EntityInterner,
+}
+
+impl BoundaryMapper {
+    /// Creates the mapper, preparing candidates for `comparer`.
+    pub fn new(comparer: &PairComparer) -> Self {
+        Self {
+            interner: EntityInterner::new(comparer),
+        }
+    }
+}
 
 impl Mapper for BoundaryMapper {
     type KIn = BoundaryKey;
-    type VIn = SnEntity;
+    type VIn = Ent;
     type KOut = BoundaryKey;
     type VOut = SnEntity;
     type Side = ();
+    type Product = PreparedArena;
+
+    fn setup(&mut self, info: &MapTaskInfo) {
+        self.interner.setup(info);
+    }
 
     fn map(
         &mut self,
         key: &BoundaryKey,
-        value: &SnEntity,
+        entity: &Ent,
         ctx: &mut MapContext<BoundaryKey, SnEntity, ()>,
     ) {
-        ctx.emit(*key, value.clone());
+        let prepared = self.interner.intern(entity);
+        ctx.emit(*key, SnEntity::original(Arc::clone(entity), prepared));
+    }
+
+    fn finish(&mut self, ctx: &mut MapContext<BoundaryKey, SnEntity, ()>) {
+        self.interner.finish(ctx);
+    }
+
+    fn into_product(self) -> PreparedArena {
+        self.interner.into_arena()
     }
 }
 
@@ -440,7 +490,7 @@ pub fn stitch_job(
 ) -> Job<BoundaryMapper, StitchReducer> {
     Job::builder(
         "sn-jobsn-stitch",
-        BoundaryMapper,
+        BoundaryMapper::new(&comparer),
         StitchReducer::new(comparer, window),
     )
     .reduce_tasks(boundaries.max(1))
@@ -530,15 +580,15 @@ mod tests {
     #[test]
     fn stitch_reducer_compares_only_within_the_window() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut reducer = StitchReducer::new(comparer, 3);
-        let entries = vec![
+        let mut reducer = StitchReducer::new(comparer.clone(), 3);
+        let mut entries = vec![
             (
                 BoundaryKey {
                     boundary: 0,
                     side: BoundarySide::Left,
                     dist: 1,
                 },
-                SnEntity::original(ent(1, "abcdefghij")),
+                SnEntity::original(ent(1, "abcdefghij"), None),
             ),
             (
                 BoundaryKey {
@@ -546,7 +596,7 @@ mod tests {
                     side: BoundarySide::Left,
                     dist: 2,
                 },
-                SnEntity::original(ent(2, "abcdefghij")),
+                SnEntity::original(ent(2, "abcdefghij"), None),
             ),
             (
                 BoundaryKey {
@@ -554,7 +604,7 @@ mod tests {
                     side: BoundarySide::Right,
                     dist: 1,
                 },
-                SnEntity::original(ent(3, "abcdefghij")),
+                SnEntity::original(ent(3, "abcdefghij"), None),
             ),
             (
                 BoundaryKey {
@@ -562,7 +612,7 @@ mod tests {
                     side: BoundarySide::Right,
                     dist: 2,
                 },
-                SnEntity::original(ent(4, "abcdefghij")),
+                SnEntity::original(ent(4, "abcdefghij"), None),
             ),
         ];
         let mut ctx = ReduceContext::for_testing(ReduceTaskInfo {
@@ -570,7 +620,11 @@ mod tests {
             num_reduce_tasks: 1,
             num_map_tasks: 1,
         });
-        reducer.reduce(Group::for_testing(&entries), &mut ctx);
+        let arenas = crate::keys::staged(&comparer, &mut entries);
+        reducer.reduce(
+            Group::for_testing(&entries).with_products(&arenas),
+            &mut ctx,
+        );
         // w = 3: pairs (L1,R1), (L1,R2), (L2,R1) qualify; (L2,R2) has
         // dl + dr = 4 > 3.
         assert_eq!(ctx.counters().get(er_loadbalance::COMPARISONS), 3);
@@ -584,7 +638,7 @@ mod tests {
         // be consumed by assemble_boundary_input.
         for (task_index, expect_heads, expect_tails) in [(0usize, 0usize, 2usize), (1, 2, 0)] {
             let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-            let mut reducer = WindowReducer::new(comparer, 4, true);
+            let mut reducer = WindowReducer::new(comparer.clone(), 4, true);
             let info = ReduceTaskInfo {
                 task_index,
                 num_reduce_tasks: 2,
@@ -592,22 +646,18 @@ mod tests {
             };
             let mut ctx = ReduceContext::for_testing(info);
             reducer.setup(&info);
-            let entries = vec![(
-                SnKey {
-                    partition: task_index as u32,
-                    key: SortKey::new("a"),
-                },
-                SnEntity::original(ent(1, "aa")),
-            )];
-            let more = vec![(
-                SnKey {
-                    partition: task_index as u32,
-                    key: SortKey::new("b"),
-                },
-                SnEntity::original(ent(2, "bb")),
-            )];
-            reducer.reduce(Group::for_testing(&entries), &mut ctx);
-            reducer.reduce(Group::for_testing(&more), &mut ctx);
+            let key = |key: &str| SnKey {
+                partition: task_index as u32,
+                key: SortKey::new(key),
+            };
+            let mut entries = vec![
+                (key("a"), SnEntity::original(ent(1, "aa"), None)),
+                (key("b"), SnEntity::original(ent(2, "bb"), None)),
+            ];
+            let arenas = crate::keys::staged(&comparer, &mut entries);
+            for group in entries.chunks(1) {
+                reducer.reduce(Group::for_testing(group).with_products(&arenas), &mut ctx);
+            }
             reducer.finish(&mut ctx);
             let heads = ctx
                 .output()
@@ -627,7 +677,7 @@ mod tests {
     #[test]
     fn window_reducer_streams_per_key_groups_and_publishes_thin_partitions() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut reducer = WindowReducer::new(comparer, 4, true);
+        let mut reducer = WindowReducer::new(comparer.clone(), 4, true);
         let key = |k: &str| SnKey {
             partition: 2,
             key: SortKey::new(k),
@@ -641,10 +691,14 @@ mod tests {
         reducer.setup(&info);
         // The engine delivers one group per distinct sort key; the
         // window must carry across them.
-        let first = vec![(key("a"), SnEntity::original(ent(1, "same title")))];
-        let second = vec![(key("b"), SnEntity::original(ent(2, "same title")))];
-        reducer.reduce(Group::for_testing(&first), &mut ctx);
-        reducer.reduce(Group::for_testing(&second), &mut ctx);
+        let mut entries = vec![
+            (key("a"), SnEntity::original(ent(1, "same title"), None)),
+            (key("b"), SnEntity::original(ent(2, "same title"), None)),
+        ];
+        let arenas = crate::keys::staged(&comparer, &mut entries);
+        for group in entries.chunks(1) {
+            reducer.reduce(Group::for_testing(group).with_products(&arenas), &mut ctx);
+        }
         reducer.finish(&mut ctx);
         let matches = ctx
             .output()

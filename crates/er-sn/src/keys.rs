@@ -11,6 +11,7 @@
 
 use er_core::blocking::BlockKey;
 use er_core::sortkey::SortKey;
+use er_core::PreparedHandle;
 use er_loadbalance::{Ent, Keyed};
 use mr_engine::comparator::{by_projection, KeyCmp};
 use mr_engine::partitioner::FnPartitioner;
@@ -58,6 +59,9 @@ impl std::fmt::Display for SnKey {
 pub struct SnEntity {
     /// The `⊥`-annotated entity.
     pub keyed: Keyed,
+    /// Its prepared form in its map task's arena (`None` under
+    /// count-only; see [`er_loadbalance::compare::EntityInterner`]).
+    pub prepared: Option<PreparedHandle>,
     /// True for a RepSN boundary replica (window-primer only; replica
     /// × replica pairs are never compared — they belong to an earlier
     /// partition).
@@ -65,25 +69,32 @@ pub struct SnEntity {
 }
 
 impl SnEntity {
-    /// Wraps an original (non-replicated) entity.
-    pub fn original(entity: Ent) -> Self {
+    /// Wraps an original (non-replicated) entity, prepared as
+    /// `prepared`.
+    pub fn original(entity: Ent, prepared: Option<PreparedHandle>) -> Self {
         Self {
-            keyed: Keyed::single(BlockKey::bottom(), entity),
+            keyed: bottom_keyed(entity),
+            prepared,
             replica: false,
         }
     }
 
-    /// Wraps a RepSN boundary replica.
-    pub fn replica(entity: Ent) -> Self {
+    /// Wraps a RepSN boundary replica, prepared as `prepared`.
+    pub fn replica(entity: Ent, prepared: Option<PreparedHandle>) -> Self {
         Self {
-            keyed: Keyed::single(BlockKey::bottom(), entity),
             replica: true,
+            ..Self::original(entity, prepared)
         }
     }
 
     /// The underlying entity.
     pub fn entity(&self) -> &Ent {
         &self.keyed.entity
+    }
+
+    /// The member a compare driver takes.
+    pub fn member(&self) -> (&Keyed, Option<PreparedHandle>) {
+        (&self.keyed, self.prepared)
     }
 }
 
@@ -143,6 +154,20 @@ impl std::fmt::Display for BoundaryKey {
 /// and the oracle).
 pub fn bottom_keyed(entity: Ent) -> Keyed {
     Keyed::single(BlockKey::bottom(), entity)
+}
+
+/// Test support: prepares the values of `entries` for `comparer` the
+/// way one map task does, returning the stage's arenas.
+#[cfg(test)]
+pub(crate) fn staged<K>(
+    comparer: &er_loadbalance::compare::PairComparer,
+    entries: &mut [(K, SnEntity)],
+) -> Vec<er_core::PreparedArena> {
+    let mut interner = er_loadbalance::compare::EntityInterner::new(comparer);
+    for (_, value) in entries.iter_mut() {
+        value.prepared = interner.intern(value.entity());
+    }
+    vec![interner.into_arena()]
 }
 
 #[cfg(test)]
@@ -244,8 +269,8 @@ mod tests {
 
     #[test]
     fn sn_entity_wraps_under_the_bottom_key() {
-        let original = SnEntity::original(ent(1));
-        let replica = SnEntity::replica(ent(2));
+        let original = SnEntity::original(ent(1), None);
+        let replica = SnEntity::replica(ent(2), None);
         assert!(!original.replica);
         assert!(replica.replica);
         assert_eq!(original.keyed.key, BlockKey::bottom());

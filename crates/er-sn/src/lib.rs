@@ -20,8 +20,8 @@
 //!    never materialized); the reducer carries a `w`-sized ring
 //!    buffer ([`window::WindowBuffer`]) *across* groups, so only
 //!    `w − 1` entities plus the current key run are resident, scoring
-//!    pairs through the prepared-entity path
-//!    (`PairComparer` / `MatcherCache`).
+//!    pairs on the entities its map tasks prepared
+//!    (`er_loadbalance::compare`).
 //! 3. **Boundary handling**, one of two strategies
 //!    ([`SnStrategy`]):
 //!    * [`jobsn`] — **JobSN**: the window job publishes each range's

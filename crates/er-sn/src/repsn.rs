@@ -19,7 +19,8 @@ use std::sync::Arc;
 
 use er_core::result::MatchPair;
 use er_core::sortkey::{RangePartitioner, SortKey};
-use er_loadbalance::compare::PairComparer;
+use er_core::{PreparedArena, PreparedHandle};
+use er_loadbalance::compare::{EntityInterner, PairComparer};
 use er_loadbalance::Ent;
 use mr_engine::prelude::*;
 
@@ -27,8 +28,14 @@ use crate::keys::{SnEntity, SnKey};
 use crate::window::WindowBuffer;
 use crate::{PARTITION_ENTITIES, REPLICAS};
 
+/// A tail entry: an entity, its sort key, and the handle its original
+/// was emitted with (a replica reuses its original's prepared form).
+type TailEntry = (SortKey, Ent, Option<PreparedHandle>);
+
 /// Map phase: route each entity to its range and replicate, to each
-/// range, this task's last `w − 1` entities before it.
+/// range, this task's last `w − 1` entities before it. An entity is
+/// prepared once, for its original record; its replicas carry the same
+/// handle.
 #[derive(Clone)]
 pub struct RepSnMapper {
     partitioner: Arc<RangePartitioner<SortKey>>,
@@ -37,16 +44,22 @@ pub struct RepSnMapper {
     /// sorted ascending by `(key, arrival)` — the same tie order the
     /// shuffle produces, so the replica stream is a faithful slice of
     /// the global order.
-    tails: Vec<Vec<(SortKey, Ent)>>,
+    tails: Vec<Vec<TailEntry>>,
+    interner: EntityInterner,
 }
 
 impl RepSnMapper {
-    /// Creates the mapper.
-    pub fn new(partitioner: Arc<RangePartitioner<SortKey>>, window: usize) -> Self {
+    /// Creates the mapper, preparing entities for `comparer`.
+    pub fn new(
+        partitioner: Arc<RangePartitioner<SortKey>>,
+        window: usize,
+        comparer: &PairComparer,
+    ) -> Self {
         Self {
             partitioner,
             window,
             tails: Vec::new(),
+            interner: EntityInterner::new(comparer),
         }
     }
 }
@@ -57,19 +70,22 @@ impl Mapper for RepSnMapper {
     type KOut = SnKey;
     type VOut = SnEntity;
     type Side = ();
+    type Product = PreparedArena;
 
-    fn setup(&mut self, _info: &MapTaskInfo) {
+    fn setup(&mut self, info: &MapTaskInfo) {
         self.tails = vec![Vec::new(); self.partitioner.num_partitions()];
+        self.interner.setup(info);
     }
 
     fn map(&mut self, key: &SortKey, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
         let partition = self.partitioner.partition_of(key);
+        let prepared = self.interner.intern(entity);
         ctx.emit(
             SnKey {
                 partition: partition as u32,
                 key: key.clone(),
             },
-            SnEntity::original(Arc::clone(entity)),
+            SnEntity::original(Arc::clone(entity), prepared),
         );
         if partition + 1 >= self.tails.len() {
             return; // the last range has no successor
@@ -77,8 +93,8 @@ impl Mapper for RepSnMapper {
         let tail = &mut self.tails[partition];
         // Insert after the run of equal keys (stable by arrival), cap
         // at the last w − 1.
-        let pos = tail.partition_point(|(k, _)| k <= key);
-        tail.insert(pos, (key.clone(), Arc::clone(entity)));
+        let pos = tail.partition_point(|(k, _, _)| k <= key);
+        tail.insert(pos, (key.clone(), Arc::clone(entity), prepared));
         if tail.len() > self.window - 1 {
             tail.remove(0);
         }
@@ -88,22 +104,27 @@ impl Mapper for RepSnMapper {
         // Range `p + 1` receives the last `w − 1` entities of ranges
         // `0..=p`: a running carry over the per-range tails, which
         // reaches past thin and empty ranges.
-        let mut carry: Vec<(SortKey, Ent)> = Vec::new();
+        let mut carry: Vec<TailEntry> = Vec::new();
         let successors = self.tails.len().saturating_sub(1);
         for (partition, tail) in self.tails.iter_mut().take(successors).enumerate() {
             carry.append(tail);
             carry.drain(..carry.len().saturating_sub(self.window - 1));
-            for (key, entity) in &carry {
+            for (key, entity, prepared) in &carry {
                 ctx.add_counter(REPLICAS, 1);
                 ctx.emit(
                     SnKey {
                         partition: (partition + 1) as u32,
                         key: key.clone(),
                     },
-                    SnEntity::replica(Arc::clone(entity)),
+                    SnEntity::replica(Arc::clone(entity), *prepared),
                 );
             }
         }
+        self.interner.finish(ctx);
+    }
+
+    fn into_product(self) -> PreparedArena {
+        self.interner.into_arena()
     }
 }
 
@@ -149,6 +170,7 @@ impl Reducer for RepSnReducer {
     type VIn = SnEntity;
     type KOut = MatchPair;
     type VOut = f64;
+    type Product = PreparedArena;
 
     fn setup(&mut self, _info: &ReduceTaskInfo) {
         self.buffer.clear();
@@ -159,23 +181,25 @@ impl Reducer for RepSnReducer {
 
     fn reduce(
         &mut self,
-        group: Group<'_, SnKey, SnEntity>,
+        group: Group<'_, SnKey, SnEntity, PreparedArena>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
+        let arenas = group.products();
         for value in group.values() {
             if value.replica {
                 debug_assert!(
                     !self.saw_original,
                     "replicas must sort strictly before originals"
                 );
-                self.buffer.prime(&value.keyed);
+                self.buffer.prime(arenas, value.member());
             } else {
                 self.saw_original = true;
                 self.originals += 1;
                 let matches = &mut self.matches;
-                self.buffer.advance(&value.keyed, ctx, |_, pair, score| {
-                    matches.push((pair, score));
-                });
+                self.buffer
+                    .advance(arenas, value.member(), ctx, |_, pair, score| {
+                        matches.push((pair, score));
+                    });
             }
         }
     }
@@ -198,7 +222,7 @@ pub fn repsn_job(
 ) -> Job<RepSnMapper, RepSnReducer> {
     Job::builder(
         "sn-repsn",
-        RepSnMapper::new(partitioner, window),
+        RepSnMapper::new(partitioner, window, &comparer),
         RepSnReducer::new(comparer, window),
     )
     .reduce_tasks(partitions)

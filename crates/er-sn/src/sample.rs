@@ -86,6 +86,7 @@ impl Mapper for SampleMapper {
     type KOut = SortKey;
     type VOut = u64;
     type Side = (SortKey, Ent);
+    type Product = ();
 
     fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<SortKey, u64, Self::Side>) {
         let key = routing_key(self.sort_key.as_ref(), entity);

@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
+use er_core::{PreparedArena, PreparedHandle};
 use er_loadbalance::compare::{GroupComparer, PairComparer};
 use er_loadbalance::{Ent, Keyed};
 use mr_engine::reducer::ReduceContext;
@@ -60,37 +61,44 @@ impl WindowBuffer {
         }
     }
 
-    /// Admits `keyed` without comparing it against the buffer — used
+    /// Admits `member` without comparing it against the buffer — used
     /// to pre-load RepSN boundary replicas (keeping only the last
-    /// `w − 1` primed entries, like any admission).
-    pub fn prime(&mut self, keyed: &Keyed) {
-        self.admit(keyed);
+    /// `w − 1` primed entries, like any admission). `arenas` are the
+    /// stage's, which every member's handle addresses.
+    pub fn prime(&mut self, arenas: &[PreparedArena], member: (&Keyed, Option<PreparedHandle>)) {
+        self.admit(arenas, member);
     }
 
-    /// Compares `keyed` against every buffered predecessor (counting
+    /// Compares `member` against every buffered predecessor (counting
     /// comparisons and delivering matches to `sink`), then admits it.
     pub fn advance<KO, VO>(
         &mut self,
-        keyed: &Keyed,
+        arenas: &[PreparedArena],
+        member: (&Keyed, Option<PreparedHandle>),
         ctx: &mut ReduceContext<KO, VO>,
         mut sink: impl FnMut(&mut ReduceContext<KO, VO>, MatchPair, f64),
     ) {
-        let (ring, next) = self.admit(keyed);
-        self.driver
-            .strip(next, ring, false, |pair, score| sink(ctx, pair, score));
+        let (ring, next) = self.admit(arenas, member);
+        self.driver.strip(arenas, next, ring, false, |pair, score| {
+            sink(ctx, pair, score)
+        });
         self.driver.flush(ctx);
     }
 
-    /// Appends `keyed`'s row; returns the ring as it was before, and
+    /// Appends `member`'s row; returns the ring as it was before, and
     /// the new row's position.
-    fn admit(&mut self, keyed: &Keyed) -> (Range<usize>, usize) {
+    fn admit(
+        &mut self,
+        arenas: &[PreparedArena],
+        member: (&Keyed, Option<PreparedHandle>),
+    ) -> (Range<usize>, usize) {
         if self.driver.len() == self.evict_at {
             self.driver.evict_front(self.capacity);
             self.entities.drain(..self.capacity);
         }
         let ring = self.ring();
-        self.entities.push(Arc::clone(&keyed.entity));
-        (ring, self.driver.push(keyed))
+        self.entities.push(Arc::clone(&member.0.entity));
+        (ring, self.driver.push(arenas, member))
     }
 
     /// The driver rows the ring currently spans.
@@ -126,7 +134,7 @@ impl WindowBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::bottom_keyed;
+    use crate::keys::SnEntity;
     use er_core::{Entity, Matcher};
     use er_loadbalance::COMPARISONS;
     use mr_engine::reducer::ReduceTaskInfo;
@@ -140,18 +148,31 @@ mod tests {
         })
     }
 
-    fn keyed(id: u64, title: &str) -> Keyed {
-        bottom_keyed(Arc::new(Entity::new(id, [("title", title)])))
+    fn keyed(id: u64, title: &str) -> SnEntity {
+        SnEntity::original(Arc::new(Entity::new(id, [("title", title)])), None)
+    }
+
+    /// `entities` prepared for `comparer` by one map task.
+    fn staged(comparer: &PairComparer, entities: &mut [SnEntity]) -> Vec<PreparedArena> {
+        let mut entries: Vec<((), SnEntity)> = entities.iter().cloned().map(|e| ((), e)).collect();
+        let arenas = crate::keys::staged(comparer, &mut entries);
+        for (entity, (_, staged)) in entities.iter_mut().zip(entries) {
+            *entity = staged;
+        }
+        arenas
     }
 
     #[test]
     fn advance_compares_each_entity_to_its_w_minus_1_predecessors() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let entities: Vec<Keyed> = (0..5).map(|i| keyed(i, "distinct title x")).collect();
+        let mut entities: Vec<SnEntity> = (0..5).map(|i| keyed(i, "distinct title x")).collect();
+        let arenas = staged(&comparer, &mut entities);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 3);
         for e in &entities {
-            window.advance(e, &mut c, |c, pair, score| c.emit(pair, score));
+            window.advance(&arenas, e.member(), &mut c, |c, pair, score| {
+                c.emit(pair, score)
+            });
         }
         // n = 5, w = 3: pairs = 1 + 2 + 2 + 2 = 7.
         assert_eq!(c.counters().get(COMPARISONS), 7);
@@ -166,21 +187,24 @@ mod tests {
     #[test]
     fn primed_entries_compare_against_newcomers_but_not_each_other() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let replicas: Vec<Keyed> = (0..2).map(|i| keyed(i, "aaa")).collect();
-        let originals: Vec<Keyed> = (10..12).map(|i| keyed(i, "aaa")).collect();
+        let mut entities: Vec<SnEntity> = [0, 1, 10, 11].map(|i| keyed(i, "aaa")).to_vec();
+        let arenas = staged(&comparer, &mut entities);
+        let (replicas, originals) = entities.split_at(2);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 3);
         assert!(window.is_empty());
-        for r in &replicas {
-            window.prime(r);
+        for r in replicas {
+            window.prime(&arenas, r.member());
         }
         assert_eq!(
             c.counters().get(COMPARISONS),
             0,
             "priming must not compare replica x replica"
         );
-        for o in &originals {
-            window.advance(o, &mut c, |c, pair, score| c.emit(pair, score));
+        for o in originals {
+            window.advance(&arenas, o.member(), &mut c, |c, pair, score| {
+                c.emit(pair, score)
+            });
         }
         // Original 10: vs both replicas (2). Original 11: vs replica 1
         // and original 10 (2) — replica 0 was evicted.
@@ -191,9 +215,11 @@ mod tests {
     #[test]
     fn priming_beyond_capacity_keeps_only_the_last_w_minus_1() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+        let mut entities: Vec<SnEntity> = (0..5).map(|i| keyed(i, "aaa")).collect();
+        let arenas = staged(&comparer, &mut entities);
         let mut window = WindowBuffer::new(comparer.clone(), 3);
-        for i in 0..5 {
-            window.prime(&keyed(i, "aaa"));
+        for e in &entities {
+            window.prime(&arenas, e.member());
         }
         let ids: Vec<u64> = window.entries().map(|e| e.id().0).collect();
         assert_eq!(ids, vec![3, 4], "only the freshest replicas stay");
@@ -202,13 +228,18 @@ mod tests {
     #[test]
     fn matches_flow_through_the_sink() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let a = keyed(1, "abcdefghij");
-        let b = keyed(2, "abcdefghiX"); // sim 0.9 -> match
-        let z = keyed(3, "zzzzzzzzzz"); // no match
+        let mut entities = vec![
+            keyed(1, "abcdefghij"),
+            keyed(2, "abcdefghiX"), // sim 0.9 -> match
+            keyed(3, "zzzzzzzzzz"), // no match
+        ];
+        let arenas = staged(&comparer, &mut entities);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 4);
-        for e in [&a, &b, &z] {
-            window.advance(e, &mut c, |c, pair, score| c.emit(pair, score));
+        for e in &entities {
+            window.advance(&arenas, e.member(), &mut c, |c, pair, score| {
+                c.emit(pair, score)
+            });
         }
         assert_eq!(c.counters().get(COMPARISONS), 3);
         assert_eq!(c.output().len(), 1);

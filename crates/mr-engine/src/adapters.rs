@@ -48,6 +48,7 @@ where
     type KOut = KO;
     type VOut = VO;
     type Side = S;
+    type Product = ();
 
     fn map(&mut self, key: &KI, value: &VI, ctx: &mut MapContext<KO, VO, S>) {
         (self.f)(key, value, ctx);
@@ -92,6 +93,7 @@ where
     type VIn = VI;
     type KOut = KO;
     type VOut = VO;
+    type Product = ();
 
     fn reduce(&mut self, group: Group<'_, KI, VI>, ctx: &mut ReduceContext<KO, VO>) {
         (self.f)(group, ctx);

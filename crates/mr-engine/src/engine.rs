@@ -167,7 +167,7 @@ impl<KO, VO, S> JobOutput<KO, VO, S> {
 pub struct Job<M, R>
 where
     M: Mapper,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
 {
     name: String,
     mapper: M,
@@ -186,7 +186,7 @@ where
 impl<M, R> Job<M, R>
 where
     M: Mapper,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
 {
     /// The job name (used in metrics and workflow stage reports).
     pub fn name(&self) -> &str {
@@ -213,7 +213,7 @@ impl<M, R> Job<M, R>
 where
     M: Mapper,
     M::KOut: Ord,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
 {
     /// Starts building a job with natural-order sorting/grouping and a
     /// hash partitioner (Hadoop defaults).
@@ -247,7 +247,7 @@ pub fn default_parallelism() -> usize {
 pub struct JobBuilder<M, R>
 where
     M: Mapper,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
 {
     name: String,
     mapper: M,
@@ -263,7 +263,7 @@ where
 impl<M, R> JobBuilder<M, R>
 where
     M: Mapper,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
 {
     /// Sets the number of reduce tasks `r`.
     pub fn reduce_tasks(mut self, r: usize) -> Self {
@@ -330,16 +330,18 @@ where
     }
 }
 
-struct MapTaskResult<K, V, S> {
+struct MapTaskResult<K, V, S, P> {
     /// Sealed sorted runs per reduce task, in seal order.
     runs: Vec<Vec<Vec<(K, V)>>>,
     side: Vec<S>,
+    product: P,
     metrics: TaskMetrics,
 }
 
 /// Drives one reduce attempt's streaming group loop over either run
 /// source — owned (a final attempt moving records out) or borrowed
-/// (a retryable attempt cloning them lazily). Groups come
+/// (a retryable attempt cloning them lazily) — lending every group the
+/// job's map-task `products`. Groups come
 /// out of the heap merge one at a time into a reusable buffer; the
 /// merged run is never materialized. Returns `(groups,
 /// peak_group_len)`; the stream itself tracks the resident high-water
@@ -348,6 +350,7 @@ struct MapTaskResult<K, V, S> {
 fn drive_reduce<K, V, I, Rd>(
     stream: &mut GroupStream<'_, K, V, I>,
     group_cmp: &KeyCmp<K>,
+    products: &[Rd::Product],
     reducer: &mut Rd,
     ctx: &mut ReduceContext<Rd::KOut, Rd::VOut>,
 ) -> (u64, u64)
@@ -361,7 +364,7 @@ where
     while stream.next_group(group_cmp, &mut group_buf) {
         groups += 1;
         peak_group_len = peak_group_len.max(group_buf.len() as u64);
-        reducer.reduce(Group::new(&group_buf), ctx);
+        reducer.reduce(Group::new(&group_buf, products), ctx);
     }
     (groups, peak_group_len)
 }
@@ -371,7 +374,7 @@ where
     M: Mapper,
     M::KOut: Sync,
     M::VOut: Sync,
-    R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+    R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
 {
     /// Executes the job over the given input partitions on a
     /// caller-owned [`WorkerPool`]; no thread is spawned in this call.
@@ -435,82 +438,103 @@ where
 
         // ---- Map phase -------------------------------------------------
         // Each *attempt* builds a fresh spiller and context over the
-        // borrowed, immutable input partition, so a retried attempt
-        // observes exactly the state of the first — the determinism
-        // argument of `crate::fault`.
+        // immutable input partition, so a retried attempt observes
+        // exactly the state of the first — the determinism argument of
+        // `crate::fault`. As in the reduce phase, an attempt that a
+        // retry may follow borrows its partition under the slot's lock,
+        // and the final attempt takes it, so a task's input is freed
+        // when the task ends rather than with the job.
         let map_phase = PhaseFt {
             policy,
             job: &self.name,
             kind: FaultKind::Map,
             tracer: tracer.clone(),
         };
-        let map_results: Vec<Result<MapTaskResult<M::KOut, M::VOut, M::Side>, MrError>> = exec
-            .run_ft(m, &map_phase, |i, attempt, tctx| {
-                let start = Instant::now();
-                plan.fire(&self.name, FaultKind::Map, i, attempt);
-                let info = MapTaskInfo {
-                    task_index: i,
-                    num_map_tasks: m,
-                    num_reduce_tasks: r,
-                };
-                // Emitted records stream straight into the spiller,
-                // which partitions them into open buckets and seals
-                // the set into sorted (and combined) runs whenever the
-                // spill threshold is crossed — the map task never
-                // holds more than `threshold` unsorted records plus
-                // its sealed runs. Sorting and combining thus run
-                // inside map tasks, in parallel; the coordinator never
-                // sorts.
-                let mut spiller = MapSpiller::new(
-                    self.partitioner.as_ref(),
-                    &self.sort_cmp,
-                    self.combiner.as_ref(),
-                    r,
-                    self.spill_threshold,
-                )
-                .with_trace(tracer.is_on().then(|| SpillTrace {
-                    tracer: tracer.clone(),
-                    job: self.name.clone(),
-                    task: i,
-                    slot: Some(tctx.slot),
-                }));
-                let mut ctx = run_map_task_spilling(&self.mapper, info, &input[i], |k, v| {
-                    spiller.push(k, v)
-                })?;
-                ctx.counters.add(
-                    counters::MAP_OUTPUT_RECORDS_PRECOMBINE,
-                    ctx.emitted() as u64,
-                );
-                plan.fire(&self.name, FaultKind::Sort, i, attempt);
-                let spilled = spiller.finish();
-                ctx.counters
-                    .add(counters::MAP_OUTPUT_RECORDS, spilled.records_out);
-                let metrics = TaskMetrics {
-                    kind: TaskKind::Map,
-                    index: i,
-                    records_in: input[i].len() as u64,
-                    records_out: spilled.records_out,
-                    counters: ctx.counters,
-                    wall: start.elapsed(),
-                    peak_group_len: 0,
-                    peak_resident_records: spilled.peak_open_records,
-                    spilled_runs: spilled.spilled_runs,
-                    queue_wait: tctx.queue_wait,
-                    attempts: attempt,
-                };
-                Ok(MapTaskResult {
-                    runs: spilled.runs,
-                    side: ctx.side,
-                    metrics,
-                })
-            });
+        let input_slots: Vec<Mutex<Option<Vec<(M::KIn, M::VIn)>>>> = input
+            .into_iter()
+            .map(|partition| Mutex::new(Some(partition)))
+            .collect();
+        let map_results: Vec<
+            Result<MapTaskResult<M::KOut, M::VOut, M::Side, M::Product>, MrError>,
+        > = exec.run_ft(m, &map_phase, |i, attempt, tctx| {
+            let start = Instant::now();
+            plan.fire(&self.name, FaultKind::Map, i, attempt);
+            let mut slot = lock_unpoisoned(&input_slots[i]);
+            let taken;
+            let partition = if attempt >= policy.max_attempts {
+                taken = slot.take();
+                taken.as_deref()
+            } else {
+                slot.as_deref()
+            }
+            .expect("each map task's input outlives its final attempt");
+            let info = MapTaskInfo {
+                task_index: i,
+                num_map_tasks: m,
+                num_reduce_tasks: r,
+            };
+            // Emitted records stream straight into the spiller,
+            // which partitions them into open buckets and seals
+            // the set into sorted (and combined) runs whenever the
+            // spill threshold is crossed — the map task never
+            // holds more than `threshold` unsorted records plus
+            // its sealed runs. Sorting and combining thus run
+            // inside map tasks, in parallel; the coordinator never
+            // sorts.
+            let mut spiller = MapSpiller::new(
+                self.partitioner.as_ref(),
+                &self.sort_cmp,
+                self.combiner.as_ref(),
+                r,
+                self.spill_threshold,
+            )
+            .with_trace(tracer.is_on().then(|| SpillTrace {
+                tracer: tracer.clone(),
+                job: self.name.clone(),
+                task: i,
+                slot: Some(tctx.slot),
+            }));
+            let (mut ctx, product) =
+                run_map_task_spilling(&self.mapper, info, partition, |k, v| spiller.push(k, v))?;
+            ctx.counters.add(
+                counters::MAP_OUTPUT_RECORDS_PRECOMBINE,
+                ctx.emitted() as u64,
+            );
+            plan.fire(&self.name, FaultKind::Sort, i, attempt);
+            let spilled = spiller.finish();
+            ctx.counters
+                .add(counters::MAP_OUTPUT_RECORDS, spilled.records_out);
+            let metrics = TaskMetrics {
+                kind: TaskKind::Map,
+                index: i,
+                records_in: partition.len() as u64,
+                records_out: spilled.records_out,
+                counters: ctx.counters,
+                wall: start.elapsed(),
+                peak_group_len: 0,
+                peak_resident_records: spilled.peak_open_records,
+                spilled_runs: spilled.spilled_runs,
+                queue_wait: tctx.queue_wait,
+                attempts: attempt,
+            };
+            Ok(MapTaskResult {
+                runs: spilled.runs,
+                side: ctx.side,
+                product,
+                metrics,
+            })
+        });
         let mut map_tasks_metrics = Vec::with_capacity(m);
         let mut side_outputs = Vec::with_capacity(m);
+        // Lent to every reduce task in map-task order; dropped with the
+        // job.
+        let mut products = Vec::with_capacity(m);
         let mut all_runs: Vec<Vec<Vec<Vec<(M::KOut, M::VOut)>>>> = Vec::with_capacity(m);
         for res in map_results {
             let task = res?;
             map_tasks_metrics.push(task.metrics);
             side_outputs.push(task.side);
+            products.push(task.product);
             all_runs.push(task.runs);
         }
 
@@ -583,8 +607,13 @@ where
                             .expect("each reduce task's runs outlive its final attempt");
                         let records_in: u64 = runs.iter().map(|run| run.len() as u64).sum();
                         let mut stream = GroupStream::new(runs, &self.sort_cmp);
-                        let (groups, peak_group_len) =
-                            drive_reduce(&mut stream, &self.group_cmp, &mut reducer, &mut ctx);
+                        let (groups, peak_group_len) = drive_reduce(
+                            &mut stream,
+                            &self.group_cmp,
+                            &products,
+                            &mut reducer,
+                            &mut ctx,
+                        );
                         let peak = stream.peak_resident_records() as u64;
                         (records_in, groups, peak_group_len, peak)
                     } else {
@@ -594,8 +623,13 @@ where
                             .expect("each reduce task's runs outlive its final attempt");
                         let records_in: u64 = runs.iter().map(|run| run.len() as u64).sum();
                         let mut stream = GroupStream::over(runs, &self.sort_cmp);
-                        let (groups, peak_group_len) =
-                            drive_reduce(&mut stream, &self.group_cmp, &mut reducer, &mut ctx);
+                        let (groups, peak_group_len) = drive_reduce(
+                            &mut stream,
+                            &self.group_cmp,
+                            &products,
+                            &mut reducer,
+                            &mut ctx,
+                        );
                         let peak = stream.peak_resident_records() as u64;
                         (records_in, groups, peak_group_len, peak)
                     };
@@ -1275,6 +1309,107 @@ mod tests {
                     "{kind} fault at parallelism {parallelism} changed the output"
                 );
                 assert_eq!(out.metrics.tasks_retried(), 1, "{kind} x{parallelism}");
+            }
+        }
+    }
+
+    /// Keeps the lines its map task read as the task's product: `(map
+    /// task, lines)`.
+    #[derive(Clone, Default)]
+    struct LineKeeper {
+        task: usize,
+        lines: Vec<String>,
+    }
+
+    impl Mapper for LineKeeper {
+        type KIn = ();
+        type VIn = String;
+        type KOut = String;
+        type VOut = u64;
+        type Side = ();
+        type Product = (usize, Vec<String>);
+
+        fn setup(&mut self, info: &MapTaskInfo) {
+            self.task = info.task_index;
+        }
+
+        fn map(&mut self, _: &(), line: &String, ctx: &mut MapContext<String, u64, ()>) {
+            self.lines.push(line.clone());
+            for w in line.split_whitespace() {
+                ctx.emit(w.to_string(), 1);
+            }
+        }
+
+        fn into_product(self) -> (usize, Vec<String>) {
+            (self.task, self.lines)
+        }
+    }
+
+    /// Emits, per group, the products the group lends.
+    #[derive(Clone)]
+    struct ProductReader;
+
+    impl Reducer for ProductReader {
+        type KIn = String;
+        type VIn = u64;
+        type KOut = String;
+        type VOut = Vec<(usize, Vec<String>)>;
+        type Product = (usize, Vec<String>);
+
+        fn reduce(
+            &mut self,
+            group: Group<'_, String, u64, (usize, Vec<String>)>,
+            ctx: &mut ReduceContext<String, Vec<(usize, Vec<String>)>>,
+        ) {
+            ctx.emit(group.key().clone(), group.products().to_vec());
+        }
+    }
+
+    #[test]
+    fn products_reach_every_reduce_task_in_map_task_order() {
+        use crate::fault::{FaultKind, FaultPlan, FaultPolicy};
+        let input = partition_evenly(
+            lines(&["a b c d e", "f g h", "i j k l", "m n o", "p q r s t u"]),
+            3,
+        );
+        let expected: Vec<(usize, Vec<String>)> = input
+            .iter()
+            .enumerate()
+            .map(|(task, records)| (task, records.iter().map(|(_, l)| l.clone()).collect()))
+            .collect();
+        let job = Job::builder("products", LineKeeper::default(), ProductReader)
+            .reduce_tasks(4)
+            .build();
+        let faults = [
+            None,
+            Some(FaultKind::Map),
+            // Fires after the mapper ran: the failed attempt had built
+            // its product, and the retry's must replace it.
+            Some(FaultKind::Sort),
+        ];
+        for fault in faults {
+            for parallelism in [1usize, 2, 4, 8] {
+                let mut plan = FaultPlan::new().silence_injected_panics();
+                if let Some(kind) = fault {
+                    plan = plan.panic_at(FaultPlan::ANY_JOB, kind, 1, 1, "injected once");
+                }
+                let out = Workflow::on_pool("products", Arc::new(WorkerPool::new(parallelism)))
+                    .with_fault_policy(FaultPolicy::retry(2))
+                    .with_fault_plan(plan)
+                    .chained_stage(&job, input.clone())
+                    .unwrap();
+                let context = format!("{fault:?} fault at parallelism {parallelism}");
+                assert_eq!(
+                    out.metrics.tasks_retried(),
+                    u64::from(fault.is_some()),
+                    "{context}"
+                );
+                for (task, records) in out.reduce_outputs.iter().enumerate() {
+                    assert!(!records.is_empty(), "reduce task {task} ran no group");
+                    for (word, products) in records {
+                        assert_eq!(products, &expected, "{word} on task {task}, {context}");
+                    }
+                }
             }
         }
     }

@@ -119,6 +119,9 @@ pub trait Mapper: Clone + Send + Sync {
     type VOut: Clone + Send + Sync;
     /// Side-output record type (use `()` when unused).
     type Side: Clone + Send + Sync;
+    /// What one map task leaves for every reduce task of its job (use
+    /// `()` when unused); see [`Mapper::into_product`].
+    type Product: Default + Send + Sync;
 
     /// Called once per task before the first record.
     fn setup(&mut self, _info: &MapTaskInfo) {}
@@ -133,6 +136,18 @@ pub trait Mapper: Clone + Send + Sync {
 
     /// Called once per task after the last record.
     fn finish(&mut self, _ctx: &mut MapContext<Self::KOut, Self::VOut, Self::Side>) {}
+
+    /// Hands over the task's product once `finish` ran. After the map
+    /// barrier the engine lends the `m` products, in map-task order,
+    /// to every reduce task of the job ([`Group::products`]) and drops
+    /// them when the job ends. A retried map task starts from a fresh
+    /// clone of the prototype, so its product is rebuilt from its own
+    /// input and replaces the failed attempt's.
+    ///
+    /// [`Group::products`]: crate::reducer::Group::products
+    fn into_product(self) -> Self::Product {
+        Self::Product::default()
+    }
 }
 
 /// Drives a single map task over its input partition, draining every
@@ -140,13 +155,13 @@ pub trait Mapper: Clone + Send + Sync {
 /// after `finish` — so the engine's spiller sees records in emission
 /// order without the context ever accumulating the full output.
 /// Returns the drained context (side outputs, counters, emission
-/// total); `sink` errors abort the task.
+/// total) and the task's product; `sink` errors abort the task.
 pub(crate) fn run_map_task_spilling<M: Mapper, E>(
     prototype: &M,
     info: MapTaskInfo,
     partition: &[(M::KIn, M::VIn)],
     mut sink: impl FnMut(M::KOut, M::VOut) -> Result<(), E>,
-) -> Result<MapContext<M::KOut, M::VOut, M::Side>, E> {
+) -> Result<(MapContext<M::KOut, M::VOut, M::Side>, M::Product), E> {
     let mut mapper = prototype.clone();
     let mut ctx = MapContext::new(info);
     mapper.setup(&info);
@@ -168,7 +183,7 @@ pub(crate) fn run_map_task_spilling<M: Mapper, E>(
     }
     ctx.counters
         .add(counters::MAP_SIDE_OUTPUT_RECORDS, ctx.side.len() as u64);
-    Ok(ctx)
+    Ok((ctx, mapper.into_product()))
 }
 
 /// Drives a single map task over its input partition and returns the
@@ -246,7 +261,7 @@ mod tests {
         };
         let part = vec![(1u32, 1u32), (2, 2)];
         let mut seen = Vec::new();
-        let ctx = run_map_task_spilling(&mapper, info, &part, |k, v| {
+        let (ctx, ()) = run_map_task_spilling(&mapper, info, &part, |k, v| {
             seen.push((k, v));
             Ok::<(), std::convert::Infallible>(())
         })
@@ -281,9 +296,9 @@ mod tests {
         };
         let sink = |_, _| Ok::<(), std::convert::Infallible>(());
         let part = vec![((), 0u8); 5];
-        let ctx = run_map_task_spilling(&mapper, info, &part, sink).unwrap();
+        let (ctx, ()) = run_map_task_spilling(&mapper, info, &part, sink).unwrap();
         assert_eq!(ctx.counters.get(counters::MAP_INPUT_RECORDS), 5);
-        let ctx = run_map_task_spilling(&mapper, info, &[], sink).unwrap();
+        let (ctx, ()) = run_map_task_spilling(&mapper, info, &[], sink).unwrap();
         assert!(
             ctx.counters
                 .iter()

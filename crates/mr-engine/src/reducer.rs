@@ -22,24 +22,42 @@ pub struct ReduceTaskInfo {
 /// key alongside each value. PairRange (Algorithm 2) depends on this —
 /// it groups by (range, block) but needs each value's entity index,
 /// which travels in the key. [`Group::iter`] yields `(&K, &V)` pairs.
+///
+/// A group also lends the job's map-task products
+/// ([`Mapper::into_product`](crate::mapper::Mapper::into_product)), in
+/// map-task order: [`Group::products`].
 #[derive(Debug)]
-pub struct Group<'a, K, V> {
+pub struct Group<'a, K, V, P = ()> {
     entries: &'a [(K, V)],
+    products: &'a [P],
 }
 
-impl<'a, K, V> Group<'a, K, V> {
-    pub(crate) fn new(entries: &'a [(K, V)]) -> Self {
+impl<'a, K, V, P> Group<'a, K, V, P> {
+    pub(crate) fn new(entries: &'a [(K, V)], products: &'a [P]) -> Self {
         debug_assert!(!entries.is_empty(), "reduce groups are never empty");
-        Self { entries }
+        Self { entries, products }
     }
 
-    /// A standalone group for unit-testing reducers outside a job.
+    /// A standalone group for unit-testing reducers outside a job; it
+    /// lends no products until [`Group::with_products`].
     ///
     /// # Panics
     /// If `entries` is empty (real groups never are).
     pub fn for_testing(entries: &'a [(K, V)]) -> Self {
         assert!(!entries.is_empty(), "reduce groups are never empty");
-        Self::new(entries)
+        Self::new(entries, &[])
+    }
+
+    /// The test group lending `products` as its job's map-task
+    /// products.
+    pub fn with_products(self, products: &'a [P]) -> Self {
+        Self { products, ..self }
+    }
+
+    /// The products of the job's map tasks, indexed by map task — the
+    /// same slice in every group of every reduce task of the job.
+    pub fn products(&self) -> &'a [P] {
+        self.products
     }
 
     /// The group key — by convention the first key of the run (all keys
@@ -131,6 +149,9 @@ pub trait Reducer: Clone + Send + Sync {
     type KOut: Clone + Send + Sync;
     /// Final output value type.
     type VOut: Clone + Send + Sync;
+    /// The map tasks' product type (must match the mapper's
+    /// `Product`), lent to every group ([`Group::products`]).
+    type Product: Send + Sync;
 
     /// Called once per task before the first group.
     fn setup(&mut self, _info: &ReduceTaskInfo) {}
@@ -138,7 +159,7 @@ pub trait Reducer: Clone + Send + Sync {
     /// Called once per reduce group.
     fn reduce(
         &mut self,
-        group: Group<'_, Self::KIn, Self::VIn>,
+        group: Group<'_, Self::KIn, Self::VIn, Self::Product>,
         ctx: &mut ReduceContext<Self::KOut, Self::VOut>,
     );
 
@@ -171,6 +192,7 @@ impl<K: Clone + Send + Sync> Reducer for SumReducer<K> {
     type VIn = u64;
     type KOut = K;
     type VOut = u64;
+    type Product = ();
 
     fn reduce(&mut self, group: Group<'_, K, u64>, ctx: &mut ReduceContext<K, u64>) {
         ctx.emit(group.key().clone(), group.values().sum());
@@ -197,7 +219,7 @@ mod tests {
     #[test]
     fn group_exposes_first_key_and_all_values() {
         let entries = vec![(("a", 1), 10), (("a", 2), 20), (("a", 3), 30)];
-        let g = Group::new(&entries);
+        let g: Group<'_, _, _> = Group::for_testing(&entries);
         assert_eq!(g.key(), &("a", 1));
         assert_eq!(g.len(), 3);
         assert!(!g.is_empty());

@@ -222,7 +222,7 @@ impl Workflow {
         M: Mapper,
         M::KOut: Sync,
         M::VOut: Sync,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+        R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
     {
         match self.partitions {
             None => self.partitions = Some(input.len()),
@@ -252,7 +252,7 @@ impl Workflow {
         M: Mapper,
         M::KOut: Sync,
         M::VOut: Sync,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+        R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
     {
         self.execute(job, input)
     }
@@ -266,7 +266,7 @@ impl Workflow {
         M: Mapper,
         M::KOut: Sync,
         M::VOut: Sync,
-        R: Reducer<KIn = M::KOut, VIn = M::VOut>,
+        R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
     {
         let stage = self.stages.len();
         // Every task batch this stage dispatches carries the

@@ -44,7 +44,7 @@
 use std::sync::Arc;
 
 use er_core::blocking::BlockingFunction;
-use er_core::sortkey::{RangePartitioner, SortKey, SortKeyFunction};
+use er_core::sortkey::{AttributeSortKey, RangePartitioner, SortKey, SortKeyFunction};
 use er_core::{MatchResult, Matcher, SourceId};
 use er_loadbalance::block_split::SplitPolicy;
 use er_loadbalance::driver::{run_er_in, ErStages};
@@ -826,14 +826,16 @@ impl<'rt> Resolver<'rt> {
     }
 
     /// The SN config this session compiles for `strategy`: sorted by
-    /// `title`, over `reduce_tasks` key ranges.
+    /// `title`, over `reduce_tasks` key ranges. Every field is built
+    /// here, so no default (and no core count) is computed per resolve.
     pub fn sn_config(&self, strategy: SnStrategy) -> SnConfig {
         SnConfig {
+            sort_key: Arc::new(AttributeSortKey::title()),
             matcher: Arc::clone(&self.matcher),
+            strategy,
             window: self.window,
             use_combiner: self.use_combiner,
             runtime: self.shared,
-            ..SnConfig::new(strategy)
         }
     }
 
@@ -846,6 +848,7 @@ impl<'rt> Resolver<'rt> {
     /// If `params` is `None` and the session's ladder is empty.
     pub fn lsh_config(&self, params: Option<LshParams>) -> LshConfig {
         LshConfig {
+            ladder: Vec::new(),
             candidate_budget: self.lsh_budget,
             balance: self.lsh_balance,
             range_policy: self.range_policy,
@@ -853,7 +856,6 @@ impl<'rt> Resolver<'rt> {
             use_combiner: self.use_combiner,
             matcher: Arc::clone(&self.matcher),
             runtime: self.shared,
-            ..LshConfig::new()
         }
         .with_ladder(params.map_or_else(|| self.lsh_ladder.clone(), |p| vec![p]))
     }

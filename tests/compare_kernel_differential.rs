@@ -10,15 +10,16 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use er_core::blocking::{BlockKey, BlockingFunction, PrefixBlocking};
-use er_core::{MatchPair, Matcher, MatcherCache, SourceId};
+use er_core::{MatchPair, Matcher, MatcherCache, PreparedArena, PreparedHandle, SourceId};
 use er_datagen::{ds1_spec, generate_products};
 use er_loadbalance::block_split::reducer::BlockSplitReducer;
-use er_loadbalance::compare::PairComparer;
+use er_loadbalance::compare::{EntityInterner, PairComparer};
 use er_loadbalance::keys::{BlockSplitKey, BlockSplitValue, PairRangeKey, PairRangeValue};
 use er_loadbalance::pair_range::mapper::relevant_ranges;
 use er_loadbalance::pair_range::ranges::RangeIndexer;
 use er_loadbalance::pair_range::reducer::PairRangeReducer;
 use er_loadbalance::{BlockDistributionMatrix, Ent, Keyed, RangePolicy, COMPARISONS};
+use mr_engine::mapper::MapTaskInfo;
 use mr_engine::reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer};
 
 /// The largest title-prefix block of a 1 %-scale DS1 corpus.
@@ -58,17 +59,51 @@ fn full_dp_matches(matcher: &Matcher, block: &[Ent]) -> BTreeMap<MatchPair, u64>
     matches
 }
 
-/// Runs one reduce group through `reducer` as task 0 of `tasks`,
-/// collecting matches (each pair at most once over all calls) and the
-/// comparison count.
+/// `block` as a match stage's map tasks prepare it for `comparer`:
+/// entity `x` by map task `partition_of(x)` of `m`. Returns the stage's
+/// arenas and each entity's handle.
+fn staged(
+    comparer: &PairComparer,
+    block: &[Ent],
+    m: usize,
+    partition_of: impl Fn(usize) -> usize,
+) -> (Vec<PreparedArena>, Vec<Option<PreparedHandle>>) {
+    let mut interners: Vec<EntityInterner> = (0..m)
+        .map(|task_index| {
+            let mut interner = EntityInterner::new(comparer);
+            let info = MapTaskInfo {
+                task_index,
+                num_map_tasks: m,
+                num_reduce_tasks: 1,
+            };
+            interner.setup(&info);
+            interner
+        })
+        .collect();
+    let handles = block
+        .iter()
+        .enumerate()
+        .map(|(x, e)| interners[partition_of(x)].intern(e))
+        .collect();
+    let arenas = interners
+        .into_iter()
+        .map(EntityInterner::into_arena)
+        .collect();
+    (arenas, handles)
+}
+
+/// Runs one reduce group through `reducer` as task 0 of `tasks`, over
+/// the stage's `arenas`, collecting matches (each pair at most once
+/// over all calls) and the comparison count.
 fn reduce_group<R, K, V>(
     reducer: &mut R,
     tasks: usize,
+    arenas: &[PreparedArena],
     entries: &[(K, V)],
     matches: &mut BTreeMap<MatchPair, u64>,
     comparisons: &mut u64,
 ) where
-    R: Reducer<KIn = K, VIn = V, KOut = MatchPair, VOut = f64>,
+    R: Reducer<KIn = K, VIn = V, KOut = MatchPair, VOut = f64, Product = PreparedArena>,
 {
     let info = ReduceTaskInfo {
         task_index: 0,
@@ -77,7 +112,7 @@ fn reduce_group<R, K, V>(
     };
     reducer.setup(&info);
     let mut ctx = ReduceContext::for_testing(info);
-    reducer.reduce(Group::for_testing(entries), &mut ctx);
+    reducer.reduce(Group::for_testing(entries).with_products(arenas), &mut ctx);
     *comparisons += ctx.counters().get(COMPARISONS);
     for (pair, score) in ctx.output() {
         let again = matches.insert(*pair, score.to_bits());
@@ -97,9 +132,12 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
     // BlockSplit: the block split in two sub-blocks is three match
     // tasks — each half's pairs, and their cross product.
     let (mut matches, mut comparisons) = (BTreeMap::new(), 0);
-    let mut reducer = BlockSplitReducer::new(PairComparer::new(Arc::clone(&matcher)), false);
+    let comparer = PairComparer::new(Arc::clone(&matcher));
     let half = block.len() / 2;
-    let task = |i: u32, j: u32, members: &[(usize, &Ent)]| -> Vec<_> {
+    let partition_of = |x: usize| usize::from(x >= half);
+    let (arenas, handles) = staged(&comparer, &block, 2, partition_of);
+    let mut reducer = BlockSplitReducer::new(comparer, false);
+    let task = |i: u32, j: u32, members: std::ops::Range<usize>| -> Vec<_> {
         let key = BlockSplitKey {
             reduce_task: 0,
             block: 0,
@@ -107,21 +145,30 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
             j,
         };
         members
-            .iter()
-            .map(|&(partition, e)| (key, BlockSplitValue::new(keyed(e), partition, SourceId::R)))
+            .map(|x| {
+                let value = BlockSplitValue::new(
+                    keyed(&block[x]),
+                    handles[x],
+                    partition_of(x),
+                    SourceId::R,
+                );
+                (key, value)
+            })
             .collect()
     };
-    let halves: Vec<(usize, &Ent)> = block
-        .iter()
-        .enumerate()
-        .map(|(x, e)| (usize::from(x >= half), e))
-        .collect();
     for entries in [
-        task(0, 0, &halves[..half]),
-        task(1, 1, &halves[half..]),
-        task(1, 0, &halves),
+        task(0, 0, 0..half),
+        task(1, 1, half..block.len()),
+        task(1, 0, 0..block.len()),
     ] {
-        reduce_group(&mut reducer, 1, &entries, &mut matches, &mut comparisons);
+        reduce_group(
+            &mut reducer,
+            1,
+            &arenas,
+            &entries,
+            &mut matches,
+            &mut comparisons,
+        );
     }
     assert_eq!(comparisons, n * (n - 1) / 2);
     assert_eq!(matches, expected, "BlockSplit diverged from the full DP");
@@ -135,11 +182,9 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
     ));
     let tasks = 7;
     let ranges = RangeIndexer::new(bdm.total_pairs(), tasks, RangePolicy::CeilDiv);
-    let mut reducer = PairRangeReducer::new(
-        Arc::clone(&bdm),
-        PairComparer::new(Arc::clone(&matcher)),
-        RangePolicy::CeilDiv,
-    );
+    let comparer = PairComparer::new(Arc::clone(&matcher));
+    let (arenas, handles) = staged(&comparer, &block, 1, |_| 0);
+    let mut reducer = PairRangeReducer::new(Arc::clone(&bdm), comparer, RangePolicy::CeilDiv);
     for range in 0..tasks as u32 {
         let entries: Vec<_> = (0..n)
             .filter(|&x| {
@@ -152,13 +197,18 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
                     source: SourceId::R,
                     index,
                 };
-                let keyed = keyed(&block[index as usize]);
-                (key, PairRangeValue { keyed, index })
+                let value = PairRangeValue {
+                    keyed: keyed(&block[index as usize]),
+                    prepared: handles[index as usize],
+                    index,
+                };
+                (key, value)
             })
             .collect();
         reduce_group(
             &mut reducer,
             tasks,
+            &arenas,
             &entries,
             &mut matches,
             &mut comparisons,

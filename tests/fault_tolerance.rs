@@ -205,6 +205,65 @@ fn bdm_map_fault_leaves_ranks_and_result_byte_identical() {
     }
 }
 
+/// A match-stage map task fails once after it has mapped its partition
+/// and built its prepared-entity arena, under a spill threshold that
+/// seals many runs: the retried attempt's arena replaces the failed
+/// one's, so the output is byte-identical to the unfaulted run and
+/// each routed entity is still prepared once.
+#[test]
+fn match_stage_map_fault_while_spilling_is_byte_identical() {
+    use er_loadbalance::compare::PREPARED_ENTITIES;
+    let input = corpus(4);
+    let scenarios = [
+        (
+            "er-block-split",
+            Scenario::Dedup {
+                strategy: StrategyKind::BlockSplit,
+            },
+        ),
+        (
+            "er-pair-range",
+            Scenario::Dedup {
+                strategy: StrategyKind::PairRange,
+            },
+        ),
+        ("sn-repsn", Scenario::sorted_neighborhood(SnStrategy::RepSn)),
+    ];
+    for (job, scenario) in scenarios {
+        let reference_rt = Runtime::new(RuntimeConfig::new().with_parallelism(1));
+        let reference = resolver(&reference_rt)
+            .resolve(&scenario, input.clone())
+            .unwrap();
+        for parallelism in PARALLELISM_LEVELS {
+            let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(parallelism));
+            let outcome = resolver(&runtime)
+                .with_spill_threshold(Some(4))
+                .with_fault_policy(FaultPolicy::retry(2))
+                .with_fault_plan(FaultPlan::new().silence_injected_panics().panic_at(
+                    job,
+                    FaultKind::Sort,
+                    1,
+                    1,
+                    "injected once",
+                ))
+                .resolve(&scenario, input.clone())
+                .unwrap_or_else(|e| panic!("{job} x{parallelism}: resolve failed: {e}"));
+            assert_eq!(
+                result_bits(&outcome.result),
+                result_bits(&reference.result),
+                "{job} x{parallelism}: output drifted"
+            );
+            assert_eq!(outcome.workflow.task_failures(), 1, "{job} x{parallelism}");
+            assert!(outcome.workflow.spilled_runs() > 0, "{job} x{parallelism}");
+            assert_eq!(
+                outcome.workflow.counters.get(PREPARED_ENTITIES),
+                reference.workflow.counters.get(PREPARED_ENTITIES),
+                "{job} x{parallelism}: the failed attempt's arena was kept"
+            );
+        }
+    }
+}
+
 /// Fail-twice: attempts 1 and 2 both panic; a 3-attempt budget
 /// recovers with exact double-counted gauges and identical output.
 #[test]
