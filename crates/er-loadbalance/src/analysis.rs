@@ -26,7 +26,8 @@ use er_core::SourceId;
 use mr_engine::partitioner::HashPartitioner;
 
 use crate::bdm::BlockDistributionMatrix;
-use crate::block_split::{create_match_tasks_with_policy, SplitPolicy, TaskAssignment};
+use crate::block_split::match_tasks::fits_average;
+use crate::block_split::{create_match_tasks, TaskAssignment};
 use crate::pair_range::mapper::for_each_relevant_interval;
 use crate::pair_range::ranges::{RangeIndexer, RangePolicy};
 use crate::StrategyKind;
@@ -111,16 +112,14 @@ fn analyze_basic(bdm: &BlockDistributionMatrix, r: usize) -> StrategyWorkload {
 }
 
 fn analyze_block_split(bdm: &BlockDistributionMatrix, r: usize) -> StrategyWorkload {
-    let policy = SplitPolicy::paper();
-    let tasks = create_match_tasks_with_policy(bdm, r, policy);
+    let tasks = create_match_tasks(bdm, r);
     let assignment = TaskAssignment::greedy(tasks.clone(), r);
     let mut inputs = vec![0u64; r];
     for t in &tasks {
         let k = t.block;
         // `(k, 0, 0)` is `k.*` or a split block's `k.0`: ask the
-        // policy which, as the mapper does.
-        let split = policy.should_split(bdm.size(k), bdm.pairs_in_block(k), bdm.total_pairs(), r);
-        let records = if !split {
+        // workload criterion which, as the mapper does.
+        let records = if fits_average(bdm.pairs_in_block(k), bdm.total_pairs(), r) {
             bdm.size(k)
         } else if t.i == t.j {
             bdm.size_in(k, t.i)

@@ -258,17 +258,8 @@ pub fn compute_bdm_in(
     blocking: Arc<dyn BlockingFunction>,
     reduce_tasks: usize,
     use_combiner: bool,
-    spill_threshold: Option<usize>,
 ) -> Result<BdmProducts, MrError> {
-    compute_bdm_named_in(
-        workflow,
-        "bdm",
-        input,
-        blocking,
-        reduce_tasks,
-        use_combiner,
-        spill_threshold,
-    )
+    compute_bdm_named_in(workflow, "bdm", input, blocking, reduce_tasks, use_combiner)
 }
 
 /// [`compute_bdm_in`] under a caller-chosen stage name (see
@@ -280,10 +271,8 @@ pub fn compute_bdm_named_in(
     blocking: Arc<dyn BlockingFunction>,
     reduce_tasks: usize,
     use_combiner: bool,
-    spill_threshold: Option<usize>,
 ) -> Result<BdmProducts, MrError> {
-    let job = bdm_job_named(name, blocking, reduce_tasks, use_combiner)
-        .with_spill_threshold(spill_threshold);
+    let job = bdm_job_named(name, blocking, reduce_tasks, use_combiner);
     let out = workflow.chained_stage(&job, input)?;
     let bdm = BlockDistributionMatrix::from_job_output(
         out.side_outputs.len(),
@@ -306,14 +295,7 @@ pub fn compute_bdm(
         return Err(MrError::ZeroParallelism);
     }
     let mut workflow = Workflow::on_pool("bdm", Arc::new(WorkerPool::new(parallelism)));
-    compute_bdm_in(
-        &mut workflow,
-        input,
-        blocking,
-        reduce_tasks,
-        use_combiner,
-        None,
-    )
+    compute_bdm_in(&mut workflow, input, blocking, reduce_tasks, use_combiner)
 }
 
 #[cfg(test)]
@@ -508,14 +490,14 @@ mod tests {
             let mut first_side = None;
             for use_combiner in [true, false] {
                 for spill_threshold in [None, Some(1)] {
-                    let mut workflow = Workflow::on_pool("bdm", Arc::clone(&pool));
+                    let mut workflow = Workflow::on_pool("bdm", Arc::clone(&pool))
+                        .with_spill_threshold(spill_threshold);
                     let (bdm, side, metrics) = compute_bdm_in(
                         &mut workflow,
                         input.clone(),
                         Arc::clone(&two_pass),
                         3,
                         use_combiner,
-                        spill_threshold,
                     )
                     .expect("job runs");
                     prop_assert_eq!(&bdm, &model);

@@ -6,7 +6,7 @@ use er_core::{PreparedArena, SourceId};
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
 use super::assign::TaskAssignment;
-use super::match_tasks::{create_match_tasks_with_policy, SplitPolicy};
+use super::match_tasks::{create_match_tasks, fits_average};
 use crate::bdm::BlockDistributionMatrix;
 use crate::compare::{EntityInterner, PairComparer};
 use crate::keys::{key_index, BlockSplitKey, BlockSplitValue};
@@ -21,7 +21,6 @@ use crate::Keyed;
 #[derive(Clone)]
 pub struct BlockSplitMapper {
     bdm: Arc<BlockDistributionMatrix>,
-    policy: SplitPolicy,
     /// The job's plan, shared by all clones of this mapper.
     plan: Arc<OnceLock<TaskAssignment>>,
     state: Option<TaskState>,
@@ -37,16 +36,11 @@ struct TaskState {
 }
 
 impl BlockSplitMapper {
-    /// Creates the mapper over a computed BDM, splitting blocks under
-    /// `policy` and preparing entities for `comparer`.
-    pub fn new(
-        bdm: Arc<BlockDistributionMatrix>,
-        policy: SplitPolicy,
-        comparer: &PairComparer,
-    ) -> Self {
+    /// Creates the mapper over a computed BDM, preparing entities for
+    /// `comparer`.
+    pub fn new(bdm: Arc<BlockDistributionMatrix>, comparer: &PairComparer) -> Self {
         Self {
             bdm,
-            policy,
             plan: Arc::default(),
             state: None,
             interner: EntityInterner::new(comparer),
@@ -64,9 +58,9 @@ impl Mapper for BlockSplitMapper {
 
     fn setup(&mut self, info: &MapTaskInfo) {
         let r = info.num_reduce_tasks;
-        let plan = self.plan.get_or_init(|| {
-            TaskAssignment::greedy(create_match_tasks_with_policy(&self.bdm, r, self.policy), r)
-        });
+        let plan = self
+            .plan
+            .get_or_init(|| TaskAssignment::greedy(create_match_tasks(&self.bdm, r), r));
         assert_eq!(
             plan.loads().len(),
             r,
@@ -95,9 +89,7 @@ impl Mapper for BlockSplitMapper {
         };
         let k = block as usize;
         let comps = self.bdm.pairs_in_block(k);
-        let split =
-            self.policy
-                .should_split(self.bdm.size(k), comps, self.bdm.total_pairs(), state.r);
+        let whole = fits_average(comps, self.bdm.total_pairs(), state.r);
         // Interned at its first emission; the interner hands the later
         // ones the same handle.
         let interner = &mut self.interner;
@@ -105,7 +97,7 @@ impl Mapper for BlockSplitMapper {
             let prepared = interner.intern(&keyed.entity);
             BlockSplitValue::new(keyed.clone(), prepared, state.partition, state.source)
         };
-        if !split {
+        if whole {
             if comps > 0 {
                 let rt = assignment
                     .reduce_task_for(k, 0, 0)
@@ -162,7 +154,7 @@ mod tests {
     fn run_partition(p: usize) -> Vec<(BlockSplitKey, String)> {
         let bdm = Arc::new(running_example_bdm());
         let comparer = PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
-        let mut mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper(), &comparer);
+        let mut mapper = BlockSplitMapper::new(bdm, &comparer);
         let info = MapTaskInfo {
             task_index: p,
             num_map_tasks: 2,
@@ -234,7 +226,7 @@ mod tests {
     fn map_one(rank: u32, key: &str) {
         let bdm = Arc::new(running_example_bdm());
         let comparer = PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
-        let mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper(), &comparer);
+        let mapper = BlockSplitMapper::new(bdm, &comparer);
         running_example::map_one(mapper, 2, rank, key);
     }
 

@@ -38,70 +38,18 @@ pub fn fits_average(comparisons: u64, total_pairs: u64, r: usize) -> bool {
     (comparisons as u128) * (r as u128) <= total_pairs as u128
 }
 
-/// Splitting policy: the paper's workload criterion, optionally
-/// sharpened by a memory cap.
-///
-/// The paper motivates splitting with *two* problems — runtime skew
-/// and memory ("a reduce task must store all entities passed to a
-/// reduce call in main memory") — but Algorithm 1 only tests the
-/// workload average. `max_block_entities` adds the missing memory
-/// guard: blocks larger than the cap are split even when their pair
-/// count fits the average reduce workload, bounding the number of
-/// entities any single match task must buffer (given input partitions
-/// of comparable block coverage).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SplitPolicy {
-    /// Split any block with more entities than this, regardless of
-    /// its workload share. `None` reproduces Algorithm 1 exactly.
-    pub max_block_entities: Option<u64>,
-}
-
-impl SplitPolicy {
-    /// The paper's policy: split only on the workload criterion.
-    pub fn paper() -> Self {
-        Self::default()
-    }
-
-    /// Adds the memory guard.
-    pub fn with_memory_cap(cap: u64) -> Self {
-        Self {
-            max_block_entities: Some(cap),
-        }
-    }
-
-    /// Should a block of `size` entities / `comparisons` pairs split?
-    pub fn should_split(&self, size: u64, comparisons: u64, total_pairs: u64, r: usize) -> bool {
-        if !fits_average(comparisons, total_pairs, r) {
-            return true;
-        }
-        match self.max_block_entities {
-            Some(cap) => size > cap,
-            None => false,
-        }
-    }
-}
-
 /// Creates all match tasks of a BDM (Algorithm 1 lines 6–21): small
 /// blocks become one task, large blocks split into sub-block tasks
 /// `k.i` and Cartesian tasks `k.i×j` over their non-empty input
 /// partitions — whichever of them the BDM's pair geometry has
 /// ([`BlockDistributionMatrix::sub_block_pairs`]).
 pub fn create_match_tasks(bdm: &BlockDistributionMatrix, r: usize) -> Vec<MatchTask> {
-    create_match_tasks_with_policy(bdm, r, SplitPolicy::paper())
-}
-
-/// [`create_match_tasks`] under an explicit [`SplitPolicy`].
-pub fn create_match_tasks_with_policy(
-    bdm: &BlockDistributionMatrix,
-    r: usize,
-    policy: SplitPolicy,
-) -> Vec<MatchTask> {
     let m = bdm.num_partitions();
     let total = bdm.total_pairs();
     let mut tasks = Vec::new();
     for k in 0..bdm.num_blocks() {
         let comps = bdm.pairs_in_block(k);
-        if !policy.should_split(bdm.size(k), comps, total, r) {
+        if fits_average(comps, total, r) {
             // Zero-pair blocks produce no work; the map phase drops
             // their entities (Algorithm 1 line 33 "if comps > 0").
             if comps > 0 {
@@ -205,39 +153,6 @@ mod tests {
         let tasks = create_match_tasks(&bdm, 10);
         assert_eq!(tasks.len(), 1);
         assert_eq!((tasks[0].i, tasks[0].j, tasks[0].comparisons), (1, 1, 10));
-    }
-
-    #[test]
-    fn memory_cap_splits_blocks_the_workload_criterion_keeps_whole() {
-        // With r = 1 everything fits the average; a cap of 3 entities
-        // still forces blocks w (4) and z (5) apart.
-        let bdm = running_example_bdm();
-        let tasks = create_match_tasks_with_policy(&bdm, 1, SplitPolicy::with_memory_cap(3));
-        let blocks_with_multiple: Vec<usize> = (0..4)
-            .filter(|&k| tasks.iter().filter(|t| t.block == k).count() > 1)
-            .collect();
-        assert_eq!(blocks_with_multiple, vec![0, 3], "w and z exceed the cap");
-        let total: u64 = tasks.iter().map(|t| t.comparisons).sum();
-        assert_eq!(total, 20, "splitting preserves pairs");
-    }
-
-    #[test]
-    fn no_cap_reproduces_algorithm_1() {
-        let bdm = running_example_bdm();
-        assert_eq!(
-            create_match_tasks(&bdm, 3),
-            create_match_tasks_with_policy(&bdm, 3, SplitPolicy::paper())
-        );
-    }
-
-    #[test]
-    fn split_policy_logic() {
-        let p = SplitPolicy::paper();
-        assert!(p.should_split(5, 10, 20, 3), "workload criterion");
-        assert!(!p.should_split(5, 6, 20, 3));
-        let c = SplitPolicy::with_memory_cap(4);
-        assert!(c.should_split(5, 6, 20, 3), "cap overrides");
-        assert!(!c.should_split(4, 6, 20, 3));
     }
 
     #[test]

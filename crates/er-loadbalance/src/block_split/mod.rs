@@ -27,22 +27,20 @@ use crate::compare::PairComparer;
 use crate::keys::BlockSplitKey;
 
 pub use assign::TaskAssignment;
-pub use match_tasks::{create_match_tasks, create_match_tasks_with_policy, MatchTask, SplitPolicy};
+pub use match_tasks::{create_match_tasks, MatchTask};
 
 /// Builds the BlockSplit matching job over the BDM job's annotated
-/// side output, splitting blocks under `policy` (the paper's workload
-/// criterion, optionally with a memory cap forcing oversized blocks
-/// apart).
+/// side output, splitting the blocks whose pairs exceed the average
+/// reduce workload `P/r` (Algorithm 1).
 pub fn block_split_job(
     bdm: Arc<BlockDistributionMatrix>,
     comparer: PairComparer,
-    policy: SplitPolicy,
     reduce_tasks: usize,
 ) -> Job<mapper::BlockSplitMapper, reducer::BlockSplitReducer> {
     let two_source = bdm.sources().is_some();
     Job::builder(
         "er-block-split",
-        mapper::BlockSplitMapper::new(bdm, policy, &comparer),
+        mapper::BlockSplitMapper::new(bdm, &comparer),
         reducer::BlockSplitReducer::new(comparer, two_source),
     )
     .reduce_tasks(reduce_tasks)

@@ -28,7 +28,7 @@ use mr_engine::workflow::Workflow;
 use crate::basic::basic_job;
 use crate::bdm::BlockDistributionMatrix;
 use crate::bdm_job::compute_bdm_in;
-use crate::block_split::{block_split_job, SplitPolicy};
+use crate::block_split::block_split_job;
 use crate::compare::PairComparer;
 use crate::pair_range::{pair_range_job, RangePolicy};
 use crate::{Ent, Keyed, StrategyKind};
@@ -38,7 +38,11 @@ use crate::{Ent, Keyed, StrategyKind};
 /// The execution knobs every scenario shares (`reduce_tasks`,
 /// `count_only`, `spill_threshold`, `fault_policy`) live in the
 /// embedded [`RuntimeConfig`]; set them there and install the block
-/// with [`ErConfig::with_runtime`].
+/// with [`ErConfig::with_runtime`]. The balancing itself has no knob:
+/// BlockSplit splits a block only on its share of the pairs
+/// (Algorithm 1), PairRange cuts ranges of `⌈P/r⌉` pairs
+/// ([`RangePolicy::CeilDiv`]) and the BDM job pre-aggregates its
+/// counts, as in the paper.
 #[derive(Clone)]
 pub struct ErConfig {
     /// Blocking function (paper default: first 3 letters of `title`).
@@ -47,13 +51,6 @@ pub struct ErConfig {
     pub matcher: Arc<Matcher>,
     /// Which strategy runs the matching job.
     pub strategy: StrategyKind,
-    /// Range formula for PairRange.
-    pub range_policy: RangePolicy,
-    /// Pre-aggregate BDM counts per map task (paper footnote 2).
-    pub use_combiner: bool,
-    /// BlockSplit splitting policy (workload criterion + optional
-    /// memory cap).
-    pub split_policy: SplitPolicy,
     /// Shared execution knobs: reduce tasks `r` (both jobs),
     /// count-only mode, spill threshold, fault policy.
     pub runtime: RuntimeConfig,
@@ -72,9 +69,6 @@ impl ErConfig {
             blocking: Arc::new(PrefixBlocking::title3()),
             matcher: Arc::new(Matcher::paper_default()),
             strategy,
-            range_policy: RangePolicy::CeilDiv,
-            use_combiner: true,
-            split_policy: SplitPolicy::paper(),
             runtime: RuntimeConfig::default(),
             fault_plan: FaultPlan::new(),
         }
@@ -117,9 +111,6 @@ impl std::fmt::Debug for ErConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ErConfig")
             .field("strategy", &self.strategy)
-            .field("range_policy", &self.range_policy)
-            .field("use_combiner", &self.use_combiner)
-            .field("split_policy", &self.split_policy)
             .field("runtime", &self.runtime)
             .field("fault_plan", &self.fault_plan)
             .finish()
@@ -194,25 +185,23 @@ pub fn run_match_stage(
         (StrategyKind::Basic, MatchInput::Entities { input, sources }) => {
             let blocking = Arc::clone(&config.blocking);
             let job = basic_job(blocking, sources.map(Arc::from), config.comparer(), r);
-            run_job(workflow, config, job, input)
+            run_job(workflow, job, input)
         }
         (StrategyKind::BlockSplit, MatchInput::Annotated { bdm, annotated }) => {
-            let job = block_split_job(bdm, config.comparer(), config.split_policy, r);
-            run_job(workflow, config, job, annotated)
+            let job = block_split_job(bdm, config.comparer(), r);
+            run_job(workflow, job, annotated)
         }
         (StrategyKind::PairRange, MatchInput::Annotated { bdm, annotated }) => {
-            let job = pair_range_job(bdm, config.comparer(), config.range_policy, r);
-            run_job(workflow, config, job, annotated)
+            let job = pair_range_job(bdm, config.comparer(), RangePolicy::CeilDiv, r);
+            run_job(workflow, job, annotated)
         }
         (strategy, _) => panic!("{strategy} was handed another strategy's input"),
     }
 }
 
-/// Runs a matching job under the session's spill threshold and
-/// collects its output.
+/// Runs a matching job and collects its output.
 fn run_job<M, R>(
     workflow: &mut Workflow,
-    config: &ErConfig,
     job: Job<M, R>,
     input: Partitions<M::KIn, M::VIn>,
 ) -> Result<(MatchResult, JobMetrics), MrError>
@@ -222,7 +211,6 @@ where
     M::VOut: Sync,
     R: Reducer<KIn = M::KOut, VIn = M::VOut, KOut = MatchPair, VOut = f64, Product = M::Product>,
 {
-    let job = job.with_spill_threshold(config.runtime.spill_threshold);
     let out = workflow.chained_stage(&job, input)?;
     let result = MatchResult::from_runs(out.reduce_outputs);
     Ok((result, out.metrics))
@@ -270,8 +258,7 @@ pub fn run_er_in(
         input,
         Arc::clone(&config.blocking),
         config.runtime.reduce_tasks,
-        config.use_combiner,
-        config.runtime.spill_threshold,
+        true,
     )?;
     let bdm = Arc::new(match sources {
         Some(tags) => bdm.with_sources(tags),

@@ -26,8 +26,10 @@
 //! strategies over a source-tagged BDM, which counts a block's pairs
 //! as `|Φ_k,R|·|Φ_k,S|` ([`bdm::BlockDistributionMatrix::with_sources`]);
 //! [`null_keys`] composes matching for
-//! entities without a valid blocking key; [`multipass`] implements the
-//! paper's future-work multi-pass blocking; [`analysis`] computes exact
+//! entities without a valid blocking key; [`multipass`] explains how
+//! the paper's future-work multi-pass blocking (any
+//! [`er_core::blocking::MultiPassBlocking`]) stays duplicate free;
+//! [`analysis`] computes exact
 //! per-task workloads straight from the BDM (no execution) for the
 //! paper-scale experiments; [`driver`] wires everything together.
 

@@ -23,28 +23,16 @@
 //! work. `tests/pipeline_determinism.rs` checks on a two-pass run that
 //! compared plus skipped pairs equal the BDM's pair total.
 
-use std::sync::Arc;
-
-use er_core::blocking::{BlockingFunction, MultiPassBlocking};
-
-use crate::driver::ErConfig;
-use crate::StrategyKind;
-
-/// Builds a config whose blocking is the union of several passes.
-pub fn multipass_config(
-    strategy: StrategyKind,
-    passes: Vec<Arc<dyn BlockingFunction>>,
-) -> ErConfig {
-    ErConfig::new(strategy).with_blocking(Arc::new(MultiPassBlocking::new(passes)))
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+
     use crate::compare::MULTIPASS_SKIPPED;
-    use crate::driver::{naive_reference, run_er_inline};
-    use crate::{Ent, COMPARISONS};
-    use er_core::blocking::{AttributeBlocking, PrefixBlocking};
+    use crate::driver::{naive_reference, run_er_inline, ErConfig};
+    use crate::{Ent, StrategyKind, COMPARISONS};
+    use er_core::blocking::{
+        AttributeBlocking, BlockingFunction, MultiPassBlocking, PrefixBlocking,
+    };
     use er_core::Entity;
     use mr_engine::input::partition_evenly;
     use mr_engine::runtime::RuntimeConfig;
@@ -66,11 +54,12 @@ mod tests {
         ]
     }
 
-    fn passes() -> Vec<Arc<dyn BlockingFunction>> {
-        vec![
+    /// Title-prefix blocking unioned with brand blocking.
+    fn two_pass() -> Arc<dyn BlockingFunction> {
+        Arc::new(MultiPassBlocking::new(vec![
             Arc::new(PrefixBlocking::title3()),
             Arc::new(AttributeBlocking::new("brand")),
-        ]
+        ]))
     }
 
     #[test]
@@ -80,7 +69,8 @@ mod tests {
             StrategyKind::BlockSplit,
             StrategyKind::PairRange,
         ] {
-            let cfg = multipass_config(strategy, passes())
+            let cfg = ErConfig::new(strategy)
+                .with_blocking(two_pass())
                 .with_runtime(RuntimeConfig::new().with_reduce_tasks(3));
             let input = partition_evenly(entities().into_iter().map(|e| ((), e)).collect(), 2);
             let outcome = run_er_inline(input, &cfg);
@@ -101,7 +91,8 @@ mod tests {
 
     #[test]
     fn multipass_result_matches_naive_reference() {
-        let cfg = multipass_config(StrategyKind::PairRange, passes())
+        let cfg = ErConfig::new(StrategyKind::PairRange)
+            .with_blocking(two_pass())
             .with_runtime(RuntimeConfig::new().with_reduce_tasks(4));
         let ents = entities();
         let input = partition_evenly(ents.iter().map(|e| ((), Arc::clone(e))).collect(), 3);
@@ -139,7 +130,8 @@ mod tests {
         let outcome_single = run_er_inline(input.clone(), &single);
         assert_eq!(outcome_single.result.len(), 0, "prefix blocking misses it");
 
-        let multi = multipass_config(StrategyKind::BlockSplit, passes())
+        let multi = ErConfig::new(StrategyKind::BlockSplit)
+            .with_blocking(two_pass())
             .with_matcher(matcher)
             .with_runtime(RuntimeConfig::new().with_reduce_tasks(2));
         let outcome_multi = run_er_inline(input, &multi);

@@ -15,7 +15,8 @@
 //!
 //! Every sub-problem runs on the caller's [`Runtime`], each as its own
 //! workflow (they differ in partition count, so they cannot share one
-//! workflow's chained shape) under the config's fault policy and plan.
+//! workflow's chained shape) under the config's fault policy, plan and
+//! spill threshold.
 
 use std::sync::Arc;
 
@@ -81,8 +82,8 @@ pub struct NullKeyReport {
 }
 
 /// Runs one sub-problem — a dedup, or with `sources` a linkage — as
-/// its own workflow on `runtime`, under the config's fault policy and
-/// injection plan.
+/// its own workflow on `runtime`, under the config's fault policy,
+/// injection plan and spill threshold.
 fn sub_problem(
     runtime: &Runtime,
     input: Partitions<(), Ent>,
@@ -93,7 +94,8 @@ fn sub_problem(
     let mut workflow = runtime
         .workflow(format!("{kind}-{}", config.strategy))
         .with_fault_policy(config.runtime.fault_policy)
-        .with_fault_plan(config.fault_plan.clone());
+        .with_fault_plan(config.fault_plan.clone())
+        .with_spill_threshold(config.runtime.spill_threshold);
     Ok(run_er_in(&mut workflow, input, sources, config)?.result)
 }
 

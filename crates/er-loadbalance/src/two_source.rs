@@ -156,9 +156,7 @@ mod block_split {
 
         use crate::appendix_example;
         use crate::block_split::mapper::BlockSplitMapper;
-        use crate::block_split::{
-            block_split_job, create_match_tasks, SplitPolicy, TaskAssignment,
-        };
+        use crate::block_split::{block_split_job, create_match_tasks, TaskAssignment};
         use crate::compare::PairComparer;
         use crate::COMPARISONS;
 
@@ -192,7 +190,7 @@ mod block_split {
             comparer: PairComparer,
         ) -> mr_engine::engine::JobOutput<er_core::result::MatchPair, f64, ()> {
             let bdm = Arc::new(appendix_example::bdm());
-            block_split_job(bdm, comparer, SplitPolicy::paper(), 3)
+            block_split_job(bdm, comparer, 3)
                 .run_on(
                     &WorkerPool::new(1),
                     appendix_example::annotated_partitions(),
@@ -225,7 +223,7 @@ mod block_split {
         fn map_one(rank: u32, key: &str) {
             let bdm = Arc::new(appendix_example::bdm());
             let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-            let mapper = BlockSplitMapper::new(bdm, SplitPolicy::paper(), &comparer);
+            let mapper = BlockSplitMapper::new(bdm, &comparer);
             crate::running_example::map_one(mapper, 3, rank, key);
         }
 

@@ -12,13 +12,11 @@
 //! fits, the tightest runs as best effort. Only the accepted rung
 //! pays for the matching job.
 //!
-//! The candidate job is the paper's load-balanced matching job over
-//! the accepted BDM: BlockSplit splits oversized band buckets into
-//! balanced sub-tasks, PairRange ranges over the global pair
-//! enumeration, Basic hashes bucket keys. In every case the comparers'
-//! smallest-common-block gate makes cross-band dedup exact — a pair
-//! sharing several buckets is evaluated in its smallest shared band
-//! key only.
+//! The candidate job is the paper's BlockSplit matching job over the
+//! accepted BDM: oversized band buckets split into balanced sub-tasks.
+//! The comparers' smallest-common-block gate makes cross-band dedup
+//! exact — a pair sharing several buckets is evaluated in its smallest
+//! shared band key only.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -26,9 +24,8 @@ use std::sync::Arc;
 use er_core::result::MatchPair;
 use er_core::{MatchResult, Matcher, MatcherCache, SourceId};
 use er_loadbalance::bdm_job::compute_bdm_named_in;
-use er_loadbalance::block_split::SplitPolicy;
 use er_loadbalance::{
-    run_match_stage, BlockDistributionMatrix, Ent, ErConfig, MatchInput, RangePolicy, StrategyKind,
+    run_match_stage, BlockDistributionMatrix, Ent, ErConfig, MatchInput, StrategyKind,
 };
 use mr_engine::error::MrError;
 use mr_engine::fault::FaultPlan;
@@ -39,10 +36,11 @@ use mr_engine::workflow::Workflow;
 
 use crate::{LshBlocking, LshParams};
 
-/// Configuration of one LSH run — the adaptive ladder and the
-/// balancing strategy applied to the banded key space; every rung
-/// bands title trigrams ([`LshConfig::blocking_for`]). Shared
-/// execution knobs live in the embedded
+/// Configuration of one LSH run — the adaptive ladder, its candidate
+/// budget and the matcher; every rung bands title trigrams
+/// ([`LshConfig::blocking_for`]), its signature job pre-aggregates its
+/// counts, and BlockSplit balances the accepted rung's banded key
+/// space. Shared execution knobs live in the embedded
 /// [`RuntimeConfig`] (install the block with
 /// [`LshConfig::with_runtime`]), mirroring `ErConfig`/`SnConfig`.
 #[derive(Clone)]
@@ -55,14 +53,6 @@ pub struct LshConfig {
     /// at most this (`None`: the widest rung is accepted
     /// immediately).
     pub candidate_budget: Option<u64>,
-    /// How the candidate job balances the banded key space.
-    pub balance: StrategyKind,
-    /// Range formula for `balance = PairRange`.
-    pub range_policy: RangePolicy,
-    /// BlockSplit splitting policy for oversized band buckets.
-    pub split_policy: SplitPolicy,
-    /// Pre-aggregate signature-job counts per map task.
-    pub use_combiner: bool,
     /// Match rule candidates are evaluated under.
     pub matcher: Arc<Matcher>,
     /// Shared execution knobs: reduce tasks, count-only mode, spill
@@ -78,8 +68,8 @@ impl Default for LshConfig {
 
 impl LshConfig {
     /// The workspace default: trigrams of `title`, a 16×2 → 8×4 → 4×8
-    /// ladder (constant 32-slot signature), no budget, BlockSplit
-    /// balancing, the paper matcher.
+    /// ladder (constant 32-slot signature), no budget, the paper
+    /// matcher.
     pub fn new() -> Self {
         Self {
             ladder: vec![
@@ -88,10 +78,6 @@ impl LshConfig {
                 LshParams::new(4, 8),
             ],
             candidate_budget: None,
-            balance: StrategyKind::BlockSplit,
-            range_policy: RangePolicy::CeilDiv,
-            split_policy: SplitPolicy::paper(),
-            use_combiner: true,
             matcher: Arc::new(Matcher::paper_default()),
             runtime: RuntimeConfig::default(),
         }
@@ -113,12 +99,6 @@ impl LshConfig {
         self
     }
 
-    /// Overrides how the candidate job balances the banded key space.
-    pub fn with_balance(mut self, balance: StrategyKind) -> Self {
-        self.balance = balance;
-        self
-    }
-
     /// Replaces the whole shared-knob block (e.g. with a `Runtime`'s
     /// configuration).
     pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
@@ -137,18 +117,14 @@ impl LshConfig {
         LshBlocking::title_trigrams(params)
     }
 
-    /// The matching-job configuration of the candidate job over the
-    /// rung `params`' banded key space (its BDM job pre-aggregates, the
-    /// paper default). Every field is built here, so no default is
-    /// computed per rung.
+    /// The BlockSplit matching-job configuration of the candidate job
+    /// over the rung `params`' banded key space. Every field is built
+    /// here, so no default is computed per rung.
     fn candidate_job(&self, params: LshParams) -> ErConfig {
         ErConfig {
             blocking: Arc::new(self.blocking_for(params)),
             matcher: Arc::clone(&self.matcher),
-            strategy: self.balance,
-            range_policy: self.range_policy,
-            use_combiner: true,
-            split_policy: self.split_policy,
+            strategy: StrategyKind::BlockSplit,
             runtime: self.runtime,
             fault_plan: FaultPlan::new(),
         }
@@ -160,7 +136,6 @@ impl std::fmt::Debug for LshConfig {
         f.debug_struct("LshConfig")
             .field("ladder", &self.ladder)
             .field("candidate_budget", &self.candidate_budget)
-            .field("balance", &self.balance)
             .field("runtime", &self.runtime)
             .finish_non_exhaustive()
     }
@@ -233,8 +208,8 @@ impl LshStages {
 /// compared).
 ///
 /// One `lsh-sig-…` signature job runs per ladder rung until a rung is
-/// accepted (later rungs never run), then the `match` stage runs the
-/// balanced candidate job over the accepted rung.
+/// accepted (later rungs never run), then the BlockSplit candidate job
+/// runs over the accepted rung.
 pub fn run_lsh_in(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
@@ -255,8 +230,7 @@ pub fn run_lsh_in(
             input.clone(),
             Arc::new(config.blocking_for(params)),
             config.runtime.reduce_tasks,
-            config.use_combiner,
-            config.runtime.spill_threshold,
+            true,
         )?;
         let bdm = Arc::new(match &sources {
             Some(tags) => bdm.with_sources(tags.clone()),
@@ -282,12 +256,9 @@ pub fn run_lsh_in(
     }
     let (params, bdm, annotated, bdm_metrics) =
         accepted.expect("the last rung is accepted when no earlier one is");
-    let match_input = match config.balance {
-        StrategyKind::Basic => MatchInput::Entities { input, sources },
-        _ => MatchInput::Annotated {
-            bdm: Arc::clone(&bdm),
-            annotated,
-        },
+    let match_input = MatchInput::Annotated {
+        bdm: Arc::clone(&bdm),
+        annotated,
     };
     let (result, match_metrics) =
         run_match_stage(workflow, &config.candidate_job(params), match_input)?;
@@ -405,29 +376,23 @@ mod tests {
     }
 
     #[test]
-    fn matches_the_brute_force_oracle_under_every_balance_strategy() {
+    fn matches_the_brute_force_oracle() {
         let entities = corpus();
-        for balance in [
-            StrategyKind::Basic,
-            StrategyKind::BlockSplit,
-            StrategyKind::PairRange,
-        ] {
-            let config = config().with_balance(balance);
-            let outcome = lsh_inline(input(2), None, &config).unwrap();
-            let oracle = lsh_oracle(&entities, &config, LshParams::new(8, 2), false);
-            assert_eq!(
-                outcome.result.pair_set(),
-                oracle.pair_set(),
-                "{balance}: match set must equal the banded oracle"
-            );
-            let blocking = config.blocking_for(LshParams::new(8, 2));
-            let candidates = lsh_candidate_pairs(&entities, &blocking, false);
-            assert_eq!(
-                outcome.total_comparisons(),
-                candidates.len() as u64,
-                "{balance}: every distinct candidate pair exactly once"
-            );
-        }
+        let config = config();
+        let outcome = lsh_inline(input(2), None, &config).unwrap();
+        let oracle = lsh_oracle(&entities, &config, LshParams::new(8, 2), false);
+        assert_eq!(
+            outcome.result.pair_set(),
+            oracle.pair_set(),
+            "match set must equal the banded oracle"
+        );
+        let blocking = config.blocking_for(LshParams::new(8, 2));
+        let candidates = lsh_candidate_pairs(&entities, &blocking, false);
+        assert_eq!(
+            outcome.total_comparisons(),
+            candidates.len() as u64,
+            "every distinct candidate pair exactly once"
+        );
     }
 
     #[test]
@@ -502,23 +467,17 @@ mod tests {
             tagged[half..].iter().map(|e| ((), Arc::clone(e))).collect(),
         ];
         let sources = vec![SourceId::R, SourceId::S];
-        for balance in [
-            StrategyKind::Basic,
-            StrategyKind::BlockSplit,
-            StrategyKind::PairRange,
-        ] {
-            let config = config().with_balance(balance);
-            let outcome = lsh_inline(partitions.clone(), Some(sources.clone()), &config).unwrap();
-            let oracle = lsh_oracle(&tagged, &config, LshParams::new(8, 2), true);
-            assert_eq!(
-                outcome.result.pair_set(),
-                oracle.pair_set(),
-                "{balance}: linkage must equal the cross-source banded oracle"
-            );
-            let blocking = config.blocking_for(LshParams::new(8, 2));
-            let candidates = lsh_candidate_pairs(&tagged, &blocking, true);
-            assert_eq!(outcome.total_comparisons(), candidates.len() as u64);
-        }
+        let config = config();
+        let outcome = lsh_inline(partitions, Some(sources), &config).unwrap();
+        let oracle = lsh_oracle(&tagged, &config, LshParams::new(8, 2), true);
+        assert_eq!(
+            outcome.result.pair_set(),
+            oracle.pair_set(),
+            "linkage must equal the cross-source banded oracle"
+        );
+        let blocking = config.blocking_for(LshParams::new(8, 2));
+        let candidates = lsh_candidate_pairs(&tagged, &blocking, true);
+        assert_eq!(outcome.total_comparisons(), candidates.len() as u64);
     }
 
     #[test]

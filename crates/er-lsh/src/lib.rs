@@ -12,7 +12,7 @@
 //!   per band replica and side-writes the band-annotated entities,
 //!   yielding the exact per-bucket pair counts of the banded key
 //!   space;
-//! * the **candidate job** is BlockSplit/PairRange over that BDM:
+//! * the **candidate job** is BlockSplit over that BDM:
 //!   oversized buckets (near-duplicate clusters that collide in many
 //!   bands) are split into balanced sub-tasks exactly as the paper
 //!   splits skewed blocks;

@@ -74,8 +74,6 @@ pub struct SnConfig {
     /// Window size `w ≥ 2`: every pair within `w − 1` sort positions
     /// is compared.
     pub window: usize,
-    /// Pre-aggregate sort-key counts per map task.
-    pub use_combiner: bool,
     /// Shared execution knobs; `runtime.reduce_tasks` is the number of
     /// key ranges (== reduce tasks of the matching job).
     pub runtime: RuntimeConfig,
@@ -90,7 +88,6 @@ impl SnConfig {
             matcher: Arc::new(Matcher::paper_default()),
             strategy,
             window: 4,
-            use_combiner: true,
             runtime: RuntimeConfig::default(),
         }
     }
@@ -152,7 +149,6 @@ impl std::fmt::Debug for SnConfig {
             .field("strategy", &self.strategy)
             .field("window", &self.window)
             .field("partitions", &self.partitions())
-            .field("use_combiner", &self.use_combiner)
             .field("runtime", &self.runtime)
             .finish()
     }
@@ -234,8 +230,6 @@ pub fn run_sn_stages(
         input,
         Arc::clone(&config.sort_key),
         config.partitions(),
-        config.use_combiner,
-        config.runtime.spill_threshold,
     )?;
     match config.strategy {
         SnStrategy::JobSn => {
@@ -244,8 +238,7 @@ pub fn run_sn_stages(
                 comparer.clone(),
                 config.window,
                 config.partitions(),
-            )
-            .with_spill_threshold(config.runtime.spill_threshold);
+            );
             let out = workflow.chained_stage(&job, annotated)?;
             let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
             let match_metrics = out.metrics;
@@ -259,8 +252,7 @@ pub fn run_sn_stages(
                 // partition per boundary), so it runs outside the
                 // chained-shape invariant.
                 let boundaries = boundary_input.len();
-                let job = stitch_job(comparer, config.window, boundaries)
-                    .with_spill_threshold(config.runtime.spill_threshold);
+                let job = stitch_job(comparer, config.window, boundaries);
                 let out = workflow.repartitioned_stage(&job, boundary_input)?;
                 for (pair, score) in out.reduce_outputs.into_iter().flatten() {
                     result.insert(pair, score);
@@ -281,8 +273,7 @@ pub fn run_sn_stages(
                 comparer,
                 config.window,
                 config.partitions(),
-            )
-            .with_spill_threshold(config.runtime.spill_threshold);
+            );
             let out = workflow.chained_stage(&job, annotated)?;
             let result = MatchResult::from_runs(out.reduce_outputs);
             Ok(SnStages {

@@ -98,22 +98,20 @@ impl Mapper for SampleMapper {
     }
 }
 
-/// Builds the distribution job.
+/// Builds the distribution job; a combiner pre-aggregates each map
+/// task's sort-key counts.
 pub fn sample_job(
     sort_key: Arc<dyn SortKeyFunction>,
     reduce_tasks: usize,
-    use_combiner: bool,
 ) -> Job<SampleMapper, SumReducer<SortKey>> {
-    let mut builder = Job::builder(
+    Job::builder(
         "sn-sample",
         SampleMapper::new(sort_key),
         SumReducer::default(),
     )
-    .reduce_tasks(reduce_tasks);
-    if use_combiner {
-        builder = builder.combiner(sum_u64_combiner());
-    }
-    builder.build()
+    .reduce_tasks(reduce_tasks)
+    .combiner(sum_u64_combiner())
+    .build()
 }
 
 /// Products of a completed distribution job: the range partitioner
@@ -134,10 +132,8 @@ pub fn sample_distribution_in(
     input: Partitions<(), Ent>,
     sort_key: Arc<dyn SortKeyFunction>,
     partitions: usize,
-    use_combiner: bool,
-    spill_threshold: Option<usize>,
 ) -> Result<SampleProducts, MrError> {
-    let job = sample_job(sort_key, partitions, use_combiner).with_spill_threshold(spill_threshold);
+    let job = sample_job(sort_key, partitions);
     let out = workflow.chained_stage(&job, input)?;
     let histogram = key_histogram(out.reduce_outputs);
     let partitioner = RangePartitioner::from_counts(histogram, partitions);
@@ -157,7 +153,7 @@ mod tests {
         partitions: usize,
     ) -> Result<SampleProducts, MrError> {
         let mut workflow = Workflow::on_pool("sn-sample", Arc::new(WorkerPool::new(1)));
-        sample_distribution_in(&mut workflow, input, sort_key(), partitions, false, None)
+        sample_distribution_in(&mut workflow, input, sort_key(), partitions)
     }
 
     fn ent(id: u64, title: Option<&str>) -> ((), Ent) {
@@ -196,17 +192,20 @@ mod tests {
     #[test]
     fn combiner_preaggregates_duplicate_keys() {
         let input = titles(&["aa", "aa", "aa", "bb"]);
-        let plain = sample_job(sort_key(), 2, false)
-            .run_on(&WorkerPool::new(1), input.clone())
-            .unwrap();
-        let combined = sample_job(sort_key(), 2, true)
+        let combined = sample_job(sort_key(), 2)
             .run_on(&WorkerPool::new(1), input)
             .unwrap();
-        assert_eq!(plain.metrics.map_output_records(), 4);
+        assert_eq!(
+            combined
+                .metrics
+                .counters
+                .get(mr_engine::counters::MAP_OUTPUT_RECORDS_PRECOMBINE),
+            4
+        );
         assert_eq!(combined.metrics.map_output_records(), 2);
         assert_eq!(
-            key_histogram(plain.reduce_outputs),
-            key_histogram(combined.reduce_outputs)
+            key_histogram(combined.reduce_outputs),
+            vec![(SortKey::new("aa"), 3), (SortKey::new("bb"), 1)]
         );
     }
 

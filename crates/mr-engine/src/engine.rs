@@ -15,8 +15,11 @@
 //! 1. **Map side** — each map task routes its output into `r` open
 //!    partition buckets *as it is emitted* (the context buffer is
 //!    drained after every `map` call, never accumulating the task's
-//!    full output). Whenever the open records cross the configured
-//!    [`JobBuilder::spill_threshold`] the whole bucket set is sealed
+//!    full output). Whenever the open records cross the spill
+//!    threshold — a stage's comes from its
+//!    [`Workflow::with_spill_threshold`](crate::workflow::Workflow::with_spill_threshold),
+//!    a bare [`Job::run_on`]'s from [`JobBuilder::spill_threshold`] —
+//!    the whole bucket set is sealed
 //!    into immutable sorted runs — each non-empty bucket is
 //!    stable-sorted by the sort comparator and (when a combiner is
 //!    installed) combined in a single pass, exactly like Hadoop's
@@ -192,21 +195,6 @@ where
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// Replaces the map-side spill threshold on an already-built job —
-    /// the post-hoc twin of [`JobBuilder::spill_threshold`], letting
-    /// drivers apply a runtime-wide knob to jobs whose construction
-    /// they do not own. Purely operational: output is byte-identical
-    /// at any threshold.
-    #[must_use]
-    pub fn with_spill_threshold(mut self, threshold: Option<usize>) -> Self {
-        assert!(
-            threshold.is_none_or(|t| t >= 1),
-            "spill threshold must be at least one record"
-        );
-        self.spill_threshold = threshold;
-        self
-    }
 }
 
 impl<M, R> Job<M, R>
@@ -271,12 +259,15 @@ where
         self
     }
 
-    /// Sets the map-side spill threshold, in records: a map task seals
-    /// its open partition buckets into immutable sorted runs whenever
-    /// they hold this many records, bounding the map phase's unsorted
-    /// resident set (`None`, the default, buffers the whole task
-    /// output and seals once — the legacy layout). Output is
-    /// byte-identical at any threshold; see [`crate::spill`].
+    /// Sets the map-side spill threshold of a bare [`Job::run_on`], in
+    /// records: a map task seals its open partition buckets into
+    /// immutable sorted runs whenever they hold this many records,
+    /// bounding the map phase's unsorted resident set (`None`, the
+    /// default, buffers the whole task output and seals once — the
+    /// legacy layout). Inside a [`Workflow`](crate::workflow::Workflow)
+    /// a stage spills at the workflow's threshold instead
+    /// ([`Workflow::with_spill_threshold`](crate::workflow::Workflow::with_spill_threshold)).
+    /// Output is byte-identical at any threshold; see [`crate::spill`].
     ///
     /// # Panics
     /// If `threshold` is `Some(0)` — a seal needs at least one record.
@@ -378,9 +369,11 @@ where
 {
     /// Executes the job over the given input partitions on a
     /// caller-owned [`WorkerPool`]; no thread is spawned in this call.
-    /// A bare run is fail-fast and untraced: retries, fault injection
-    /// and tracing are settings of the
-    /// [`Workflow`](crate::workflow::Workflow) a job runs in as a stage.
+    /// A bare run is fail-fast and untraced and spills at the
+    /// builder's [`JobBuilder::spill_threshold`]: retries, fault
+    /// injection, tracing and the spill threshold of a stage are
+    /// settings of the [`Workflow`](crate::workflow::Workflow) a job
+    /// runs in.
     ///
     /// The number of map tasks `m` equals `input.len()`. The engine's
     /// determinism contract makes the result a pure function of
@@ -398,6 +391,7 @@ where
             FaultPolicy::fail_fast(),
             &FaultPlan::new(),
             Tracer::off(),
+            self.spill_threshold,
             input,
         )
     }
@@ -405,7 +399,8 @@ where
     /// Runs on at most `cap` slots of `pool`, every dispatch tagged
     /// `tag` for the pool's shared scheduler (where concurrent
     /// workflows interleave task by task), under `policy`, with `plan`
-    /// injecting faults and `tracer` receiving events.
+    /// injecting faults, `tracer` receiving events and map tasks
+    /// sealing a run every `spill_threshold` open records.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_in(
         &self,
@@ -415,6 +410,7 @@ where
         policy: FaultPolicy,
         plan: &FaultPlan,
         tracer: Tracer,
+        spill_threshold: Option<usize>,
         input: Partitions<M::KIn, M::VIn>,
     ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError> {
         let exec = Exec { pool, cap, tag };
@@ -486,7 +482,7 @@ where
                 &self.sort_cmp,
                 self.combiner.as_ref(),
                 r,
-                self.spill_threshold,
+                spill_threshold,
             )
             .with_trace(tracer.is_on().then(|| SpillTrace {
                 tracer: tracer.clone(),
@@ -699,7 +695,7 @@ mod tests {
     type WcMapper = ClosureMapper<(), String, String, u64, ()>;
     type WcReducer = ClosureReducer<String, u64, String, u64>;
 
-    fn wordcount_job(r: usize) -> Job<WcMapper, WcReducer> {
+    fn wordcount_builder(r: usize) -> JobBuilder<WcMapper, WcReducer> {
         let mapper = ClosureMapper::new(
             |_: &(), line: &String, ctx: &mut MapContext<String, u64, ()>| {
                 for w in line.split_whitespace() {
@@ -713,7 +709,11 @@ mod tests {
                 ctx.emit(group.key().clone(), sum);
             },
         );
-        Job::builder("wc", mapper, reducer).reduce_tasks(r).build()
+        Job::builder("wc", mapper, reducer).reduce_tasks(r)
+    }
+
+    fn wordcount_job(r: usize) -> Job<WcMapper, WcReducer> {
+        wordcount_builder(r).build()
     }
 
     fn lines(ls: &[&str]) -> Vec<((), String)> {
@@ -987,8 +987,9 @@ mod tests {
         for threshold in [1usize, 2, 4, 9, 100] {
             let mut gauges: Option<(u64, u64)> = None;
             for parallelism in [1usize, 2, 4, 8] {
-                let out = wordcount_job(3)
-                    .with_spill_threshold(Some(threshold))
+                let out = wordcount_builder(3)
+                    .spill_threshold(Some(threshold))
+                    .build()
                     .run_on(
                         &WorkerPool::new(parallelism),
                         partition_evenly(input.clone(), 3),
@@ -1120,26 +1121,43 @@ mod tests {
             .run_on(&WorkerPool::new(1), input.clone())
             .unwrap();
         let pool = Arc::new(WorkerPool::new(4));
-        let job = wordcount_job(4).with_spill_threshold(Some(2));
+        let job = wordcount_builder(4).spill_threshold(Some(2)).build();
         let pooled = job.run_on(&pool, input.clone()).unwrap();
         assert_eq!(pooled.reduce_outputs, reference.reduce_outputs);
+        assert!(
+            pooled.metrics.spilled_runs() > 0,
+            "the builder's threshold spills"
+        );
         for cap in [1usize, 2, 3, 8] {
             let capped = Workflow::on_pool("capped", Arc::clone(&pool))
                 .with_parallelism_cap(cap)
-                .chained_stage(&job, input.clone())
+                .with_spill_threshold(Some(2))
+                .chained_stage(&wordcount_job(4), input.clone())
                 .unwrap();
             assert_eq!(
                 capped.reduce_outputs, reference.reduce_outputs,
                 "cap {cap} diverged"
             );
+            assert_eq!(
+                capped.metrics.spilled_runs(),
+                pooled.metrics.spilled_runs(),
+                "cap {cap}: the workflow's threshold seals the same runs"
+            );
         }
+        // Inside a workflow the workflow's threshold governs, not the
+        // builder's.
+        let unspilled = Workflow::on_pool("unspilled", Arc::clone(&pool))
+            .chained_stage(&job, input)
+            .unwrap();
+        assert_eq!(unspilled.metrics.spilled_runs(), 0);
+        assert_eq!(unspilled.reduce_outputs, reference.reduce_outputs);
         assert_eq!(pool.threads_spawned(), 4, "caps must not spawn threads");
     }
 
     #[test]
     #[should_panic(expected = "at least one record")]
     fn zero_spill_threshold_is_rejected() {
-        let _ = wordcount_job(1).with_spill_threshold(Some(0));
+        let _ = wordcount_builder(1).spill_threshold(Some(0));
     }
 
     #[test]

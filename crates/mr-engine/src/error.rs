@@ -42,13 +42,9 @@ pub enum MrError {
     StageShapeMismatch {
         /// `workflow/stage` path of the offending stage.
         stage: String,
-        /// Index of the first diverging partition; `None` when the
-        /// partition *counts* themselves differ.
-        partition: Option<usize>,
-        /// Expected partitions (`partition == None`) or records in
-        /// the diverging partition.
+        /// Partitions the workflow's first chained stage established.
         expected: usize,
-        /// Observed value.
+        /// Partitions the offending stage received.
         got: usize,
     },
     /// A task panicked on every allowed attempt; the payload names the
@@ -71,21 +67,13 @@ impl fmt::Display for MrError {
             MrError::ZeroParallelism => write!(f, "parallelism must be at least 1"),
             MrError::StageShapeMismatch {
                 stage,
-                partition,
                 expected,
                 got,
-            } => match partition {
-                None => write!(
-                    f,
-                    "stage `{stage}` received {got} input partitions but the workflow \
-                     established {expected} — chained jobs must see the same partitioning"
-                ),
-                Some(p) => write!(
-                    f,
-                    "stage `{stage}` partition {p} holds {got} records where {expected} \
-                     were expected — the partitioning drifted between stages"
-                ),
-            },
+            } => write!(
+                f,
+                "stage `{stage}` received {got} input partitions but the workflow \
+                 established {expected} — chained jobs must see the same partitioning"
+            ),
             MrError::TaskFailed(task_error) => write!(f, "{task_error}"),
         }
     }
@@ -110,19 +98,13 @@ mod tests {
         assert!(MrError::ZeroParallelism.to_string().contains("at least 1"));
         let e = MrError::StageShapeMismatch {
             stage: "er/match".into(),
-            partition: None,
             expected: 3,
             got: 2,
         };
         assert!(e.to_string().contains("er/match"));
+        assert!(e.to_string().contains("received 2 input partitions"));
+        assert!(e.to_string().contains("established 3"));
         assert!(e.to_string().contains("same partitioning"));
-        let e = MrError::StageShapeMismatch {
-            stage: "er/match".into(),
-            partition: Some(1),
-            expected: 5,
-            got: 4,
-        };
-        assert!(e.to_string().contains("partition 1"));
         let e = MrError::TaskFailed(crate::fault::TaskError {
             job: "bdm".into(),
             stage: Some("er-BlockSplit/bdm".into()),

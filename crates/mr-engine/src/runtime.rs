@@ -8,11 +8,11 @@
 //! the shared knobs live in one [`RuntimeConfig`] that the scenario
 //! configs embed instead of copying.
 //!
-//! The engine itself interprets `parallelism` (the pool size), the
-//! `reduce_tasks` default and `spill_threshold`; `fault_policy` (the
-//! per-task retry budget) reaches the engine only through the
+//! The engine itself interprets `parallelism` (the pool size) and the
+//! `reduce_tasks` default; `spill_threshold` and `fault_policy` (the
+//! per-task retry budget) reach the engine only through the
 //! [`Workflow`] a runtime hands out, which is the one holder of a run's
-//! fault and trace settings. `count_only` is carried for the
+//! spill, fault and trace settings. `count_only` is carried for the
 //! entity-resolution layers, which alone interpret it, so that every
 //! scenario config draws it from the same place. The pool has one
 //! dispatch order — FIFO over registered task batches — so no
@@ -45,8 +45,9 @@ pub struct RuntimeConfig {
     /// every time the open set reaches `t` records, so its unsorted
     /// resident working set never exceeds `t` records; the reduce-side
     /// k-way merge consumes the extra runs with byte-identical job
-    /// output at any threshold. See
-    /// [`Job::with_spill_threshold`](crate::engine::Job::with_spill_threshold)
+    /// output at any threshold. Every workflow this runtime hands out
+    /// starts with it; see
+    /// [`Workflow::with_spill_threshold`](crate::workflow::Workflow::with_spill_threshold)
     /// and the [`crate::spill`] module for the mechanism.
     pub spill_threshold: Option<usize>,
     /// Per-task fault-tolerance policy (attempts per task) applied to
@@ -237,11 +238,16 @@ impl Runtime {
 
     /// Starts a [`Workflow`] bound to this runtime's pool: its stages
     /// run on the runtime's threads, never spawning their own, under
-    /// the runtime's [`RuntimeConfig::fault_policy`] (and trace sink,
-    /// when one is attached).
+    /// the runtime's [`RuntimeConfig::fault_policy`] and
+    /// [`RuntimeConfig::spill_threshold`] (and trace sink, when one is
+    /// attached).
     pub fn workflow(&self, name: impl Into<String>) -> Workflow {
-        let wf = Workflow::on_pool(name, Arc::clone(&self.pool))
+        let mut wf = Workflow::on_pool(name, Arc::clone(&self.pool))
             .with_fault_policy(self.config.fault_policy);
+        // Seeded as configured, past `with_spill_threshold`'s check: a
+        // zero from a struct literal is the typed error of the session
+        // that resolves on this workflow (or that overrides it).
+        wf.spill_threshold = self.config.spill_threshold;
         match &self.trace_sink {
             Some(sink) => wf.with_trace_sink(Arc::clone(sink)),
             None => wf,
@@ -343,6 +349,22 @@ mod tests {
             );
         }
         assert!(runtime.pool().tasks_executed() > 0);
+    }
+
+    #[test]
+    fn workflows_spill_at_the_runtime_threshold() {
+        let input = partition_evenly((0..40u32).map(|v| ((), v)).collect(), 4);
+        let run = |config: RuntimeConfig| {
+            let mut wf = Runtime::new(config).workflow("spill");
+            wf.chained_stage(&count_job(3), input.clone()).unwrap()
+        };
+        let plain = run(RuntimeConfig::new().with_parallelism(2));
+        let spilled = run(RuntimeConfig::new()
+            .with_parallelism(2)
+            .with_spill_threshold(Some(2)));
+        assert_eq!(plain.metrics.spilled_runs(), 0);
+        assert!(spilled.metrics.spilled_runs() > 0);
+        assert_eq!(spilled.reduce_outputs, plain.reduce_outputs);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!
 //! The workflow is the one holder of a run's execution settings — the
 //! pool and slot cap, the tenant, the [`FaultPolicy`], the
-//! [`FaultPlan`] and the trace sink — and applies them to every stage:
+//! [`FaultPlan`], the trace sink and the map-side spill threshold —
+//! and applies them to every stage:
 //!
 //! * **Chaining** — [`Workflow::chained_stage`] runs a job whose input
 //!   must share the partitioning the workflow established with its
@@ -84,6 +85,10 @@ pub struct Workflow {
     /// instant as the shared epoch, and stage boundary events wrap
     /// each job's own event stream.
     trace_sink: Option<Arc<dyn TraceSink>>,
+    /// The map-side spill threshold every stage runs under (`None`,
+    /// never spill, unless set; the [`crate::runtime::Runtime`] seeds
+    /// it from [`crate::runtime::RuntimeConfig::spill_threshold`]).
+    pub(crate) spill_threshold: Option<usize>,
 }
 
 // Manual: `dyn TraceSink` carries no `Debug` bound.
@@ -99,6 +104,7 @@ impl std::fmt::Debug for Workflow {
             .field("fault_policy", &self.fault_policy)
             .field("fault_plan", &self.fault_plan)
             .field("traced", &self.trace_sink.is_some())
+            .field("spill_threshold", &self.spill_threshold)
             .finish_non_exhaustive()
     }
 }
@@ -108,8 +114,8 @@ impl Workflow {
     /// end-to-end wall clock starts here. No thread is spawned per
     /// stage, and consecutive workflows given the same pool share its
     /// threads ([`crate::runtime::Runtime::workflow`] hands out
-    /// workflows on the runtime's pool, seeded with its fault policy
-    /// and trace sink).
+    /// workflows on the runtime's pool, seeded with its fault policy,
+    /// spill threshold and trace sink).
     pub fn on_pool(name: impl Into<String>, pool: Arc<WorkerPool>) -> Self {
         Self {
             name: name.into(),
@@ -122,6 +128,7 @@ impl Workflow {
             fault_policy: FaultPolicy::fail_fast(),
             fault_plan: FaultPlan::new(),
             trace_sink: None,
+            spill_threshold: None,
         }
     }
 
@@ -190,6 +197,27 @@ impl Workflow {
         self
     }
 
+    /// Sets the map-side spill threshold every stage of this workflow
+    /// runs under, in records (the default, `None`, never spills): a
+    /// map task seals its open partition buckets into immutable sorted
+    /// runs whenever they hold `threshold` records. Inside a workflow
+    /// this threshold governs every stage — a job's own
+    /// [`JobBuilder::spill_threshold`](crate::engine::JobBuilder::spill_threshold)
+    /// applies only to a bare [`Job::run_on`]. Output is
+    /// byte-identical at any threshold; see [`crate::spill`].
+    ///
+    /// # Panics
+    /// If `threshold` is `Some(0)` — a seal needs at least one record.
+    #[must_use]
+    pub fn with_spill_threshold(mut self, threshold: Option<usize>) -> Self {
+        assert!(
+            threshold.is_none_or(|t| t >= 1),
+            "spill threshold must be at least one record"
+        );
+        self.spill_threshold = threshold;
+        self
+    }
+
     /// Attaches a [`TraceSink`] receiving structured execution events
     /// from every stage of this workflow (see [`crate::trace`]). All
     /// stages share one timeline: event timestamps are offsets from
@@ -229,7 +257,6 @@ impl Workflow {
             Some(expected) if expected != input.len() => {
                 return Err(MrError::StageShapeMismatch {
                     stage: format!("{}/{}", self.name, job.name()),
-                    partition: None,
                     expected,
                     got: input.len(),
                 });
@@ -293,6 +320,7 @@ impl Workflow {
                 self.fault_policy,
                 &self.fault_plan,
                 tracer.clone(),
+                self.spill_threshold,
                 input,
             )
             .map_err(|e| self.identify_stage(job.name(), e))?;
@@ -516,6 +544,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one record")]
+    fn zero_spill_threshold_is_rejected() {
+        let _ =
+            Workflow::on_pool("zero", Arc::new(WorkerPool::new(1))).with_spill_threshold(Some(0));
+    }
+
+    #[test]
     fn chained_stage_rejects_a_drifted_partition_count() {
         let input = partition_evenly((0..10u32).map(|v| ((), v)).collect(), 3);
         let mut wf = inline_workflow("parity");
@@ -529,7 +564,6 @@ mod tests {
             err,
             MrError::StageShapeMismatch {
                 stage: "parity/sum".into(),
-                partition: None,
                 expected: 3,
                 got: 2,
             }
@@ -551,7 +585,6 @@ mod tests {
         assert!(matches!(
             err,
             MrError::StageShapeMismatch {
-                partition: None,
                 expected: 3,
                 got: 1,
                 ..

@@ -12,9 +12,9 @@
 //!    stored exactly once and reaches every scenario family;
 //! 3. describe *what* to resolve with a [`Scenario`] value and call
 //!    [`Resolver::resolve`], which compiles the scenario into
-//!    [`Workflow`] stages on the runtime's pool (the `run_*_in`
-//!    compilers of the family crates) and returns one unified
-//!    [`Outcome`] or [`ResolveError`].
+//!    [`Workflow`](mr_engine::workflow::Workflow) stages on the
+//!    runtime's pool (the `run_*_in` compilers of the family crates)
+//!    and returns one unified [`Outcome`] or [`ResolveError`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -46,9 +46,8 @@ use std::sync::Arc;
 use er_core::blocking::BlockingFunction;
 use er_core::sortkey::{AttributeSortKey, RangePartitioner, SortKey, SortKeyFunction};
 use er_core::{MatchResult, Matcher, SourceId};
-use er_loadbalance::block_split::SplitPolicy;
 use er_loadbalance::driver::{run_er_in, ErStages};
-use er_loadbalance::{BlockDistributionMatrix, Ent, RangePolicy, StrategyKind};
+use er_loadbalance::{BlockDistributionMatrix, Ent, StrategyKind};
 use er_lsh::driver::run_lsh_in;
 use er_lsh::{LshConfig, LshParams, LshRound};
 use er_sn::driver::run_sorted_neighborhood_in;
@@ -61,7 +60,7 @@ use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::{Runtime, RuntimeConfig};
 use mr_engine::trace::TraceSink;
-use mr_engine::workflow::{Workflow, WorkflowMetrics};
+use mr_engine::workflow::WorkflowMetrics;
 
 use er_loadbalance::ErConfig;
 
@@ -118,8 +117,8 @@ pub enum Scenario {
         sources: Vec<SourceId>,
     },
     /// Banded-MinHash (LSH) blocking, load-balanced over the banded
-    /// key space via the session's BlockSplit/PairRange configuration
-    /// (see [`Resolver::with_lsh_balance`]).
+    /// key space by BlockSplit: oversized band buckets split into
+    /// balanced sub-tasks.
     ///
     /// With `params` fixed, one signature round runs under that
     /// banding; with `params: None` the adaptive driver walks the
@@ -564,12 +563,14 @@ impl Outcome {
 /// to every subsequent [`Resolver::resolve`] call, and any number of
 /// scenarios can be resolved back to back — all on the runtime's
 /// persistent worker pool. Every knob is stored exactly once: the
-/// facts all families share (the session's [`RuntimeConfig`], matcher,
-/// fault plan, combiner switch, and the BlockSplit/PairRange policies
-/// of the two BDM-balanced families) plus each family's own
-/// parameters; [`Resolver::er_config`], [`Resolver::sn_config`] and
+/// facts all families share (the session's [`RuntimeConfig`], matcher
+/// and fault plan) plus each family's own parameters;
+/// [`Resolver::er_config`], [`Resolver::sn_config`] and
 /// [`Resolver::lsh_config`] assemble a family's config from them on
-/// demand.
+/// demand. The balancing runs the paper's constants: BlockSplit splits
+/// a block only on its share of the pairs, PairRange cuts ranges of
+/// `⌈P/r⌉` pairs, the BDM and SN distribution jobs pre-aggregate their
+/// counts, and LSH's candidate job is BlockSplit.
 ///
 /// # Concurrency contract
 ///
@@ -594,12 +595,6 @@ pub struct Resolver<'rt> {
     shared: RuntimeConfig,
     matcher: Arc<Matcher>,
     fault_plan: FaultPlan,
-    use_combiner: bool,
-    /// PairRange range formula of the two BDM-balanced families
-    /// (blocking and LSH).
-    range_policy: RangePolicy,
-    /// BlockSplit splitting policy of the same two families.
-    split_policy: SplitPolicy,
     /// Blocking family.
     blocking: Arc<dyn BlockingFunction>,
     /// Sorted Neighborhood family; its key-range count is
@@ -608,7 +603,6 @@ pub struct Resolver<'rt> {
     /// LSH family.
     lsh_ladder: Vec<LshParams>,
     lsh_budget: Option<u64>,
-    lsh_balance: StrategyKind,
     /// Tenant label this session's workflows are attributed to on the
     /// shared pool; `None` uses the pool's `"default"` tenant.
     tenant: Option<Arc<str>>,
@@ -655,14 +649,10 @@ impl<'rt> Resolver<'rt> {
             shared: *runtime.config(),
             matcher: er.matcher,
             fault_plan: er.fault_plan,
-            use_combiner: er.use_combiner,
-            range_policy: er.range_policy,
-            split_policy: er.split_policy,
             blocking: er.blocking,
             window: sn.window,
             lsh_ladder: lsh.ladder,
             lsh_budget: lsh.candidate_budget,
-            lsh_balance: lsh.balance,
             tenant: None,
             trace_sink: None,
         }
@@ -702,25 +692,6 @@ impl<'rt> Resolver<'rt> {
         self
     }
 
-    /// Overrides the PairRange range formula.
-    pub fn with_range_policy(mut self, policy: RangePolicy) -> Self {
-        self.range_policy = policy;
-        self
-    }
-
-    /// Forces BlockSplit to split any block larger than `cap`
-    /// entities.
-    pub fn with_memory_cap(mut self, cap: u64) -> Self {
-        self.split_policy = SplitPolicy::with_memory_cap(cap);
-        self
-    }
-
-    /// Toggles the per-map-task combiner of the preprocessing jobs.
-    pub fn with_use_combiner(mut self, use_combiner: bool) -> Self {
-        self.use_combiner = use_combiner;
-        self
-    }
-
     /// Switches comparison counting only (no similarity evaluation)
     /// for this session, overriding the runtime default.
     pub fn with_count_only(mut self, count_only: bool) -> Self {
@@ -729,11 +700,11 @@ impl<'rt> Resolver<'rt> {
     }
 
     /// Sets the map-side spill threshold for this session, overriding
-    /// the runtime default: shuffle buckets are sealed into sorted
-    /// runs every `threshold` open records, bounding map-phase
-    /// resident memory. `None` restores the spill-free default;
-    /// outputs are byte-identical at any threshold. `Some(0)` is
-    /// checked when a scenario runs.
+    /// the runtime default: every stage of every scenario seals its
+    /// shuffle buckets into sorted runs every `threshold` open
+    /// records, bounding map-phase resident memory. `None` restores
+    /// the spill-free default; outputs are byte-identical at any
+    /// threshold. `Some(0)` is checked when a scenario runs.
     pub fn with_spill_threshold(mut self, threshold: Option<usize>) -> Self {
         self.shared.spill_threshold = threshold;
         self
@@ -774,14 +745,6 @@ impl<'rt> Resolver<'rt> {
         self
     }
 
-    /// Overrides how the LSH candidate job balances the banded key
-    /// space (default: BlockSplit — oversized band buckets split into
-    /// balanced sub-tasks).
-    pub fn with_lsh_balance(mut self, balance: StrategyKind) -> Self {
-        self.lsh_balance = balance;
-        self
-    }
-
     /// Labels every workflow this session resolves with `tenant` on
     /// the runtime's shared pool — the identity
     /// [`mr_engine::pool::PoolStats`] reports inflight work by, and
@@ -817,9 +780,6 @@ impl<'rt> Resolver<'rt> {
             blocking: Arc::clone(&self.blocking),
             matcher: Arc::clone(&self.matcher),
             strategy,
-            range_policy: self.range_policy,
-            use_combiner: self.use_combiner,
-            split_policy: self.split_policy,
             runtime: self.shared,
             fault_plan: self.fault_plan.clone(),
         }
@@ -834,7 +794,6 @@ impl<'rt> Resolver<'rt> {
             matcher: Arc::clone(&self.matcher),
             strategy,
             window: self.window,
-            use_combiner: self.use_combiner,
             runtime: self.shared,
         }
     }
@@ -850,10 +809,6 @@ impl<'rt> Resolver<'rt> {
         LshConfig {
             ladder: Vec::new(),
             candidate_budget: self.lsh_budget,
-            balance: self.lsh_balance,
-            range_policy: self.range_policy,
-            split_policy: self.split_policy,
-            use_combiner: self.use_combiner,
             matcher: Arc::clone(&self.matcher),
             runtime: self.shared,
         }
@@ -897,11 +852,7 @@ impl<'rt> Resolver<'rt> {
         scenario: &Scenario,
         input: Partitions<(), Ent>,
     ) -> Result<Outcome, ResolveError> {
-        self.resolve_in(
-            self.runtime.workflow(scenario.workflow_name()),
-            scenario,
-            input,
-        )
+        self.resolve_in(None, scenario, input)
     }
 
     /// Like [`Resolver::resolve`], but caps how many of the runtime's
@@ -919,31 +870,18 @@ impl<'rt> Resolver<'rt> {
         input: Partitions<(), Ent>,
         max_parallelism: usize,
     ) -> Result<Outcome, ResolveError> {
-        self.resolve_in(
-            self.runtime
-                .workflow_with_parallelism(scenario.workflow_name(), max_parallelism),
-            scenario,
-            input,
-        )
+        self.resolve_in(Some(max_parallelism), scenario, input)
     }
 
+    /// Checks the scenario against the session, then compiles it onto
+    /// a workflow of the runtime, capped at `max_parallelism` slots
+    /// when one is given.
     fn resolve_in(
         &self,
-        mut workflow: Workflow,
+        max_parallelism: Option<usize>,
         scenario: &Scenario,
         input: Partitions<(), Ent>,
     ) -> Result<Outcome, ResolveError> {
-        // Session-level fault settings override the runtime default
-        // the workflow was seeded with.
-        workflow = workflow
-            .with_fault_policy(self.shared.fault_policy)
-            .with_fault_plan(self.fault_plan.clone());
-        if let Some(tenant) = &self.tenant {
-            workflow = workflow.with_tenant(Arc::clone(tenant));
-        }
-        if let Some(sink) = &self.trace_sink {
-            workflow = workflow.with_trace_sink(Arc::clone(sink));
-        }
         // Tags come from outside: check them here, once, before any
         // worker sees them.
         if let Scenario::Linkage { sources, .. }
@@ -957,7 +895,8 @@ impl<'rt> Resolver<'rt> {
         }
         // So are the session's spill threshold, its reduce-task count
         // and its LSH and SN settings, which would otherwise panic while
-        // a job or the config is assembled, or inside a map task.
+        // the workflow, a job or the config is assembled, or inside a
+        // map task.
         if self.shared.spill_threshold == Some(0) {
             return Err(ResolveError::InvalidConfig(ConfigError::ZeroSpillThreshold));
         }
@@ -971,6 +910,24 @@ impl<'rt> Resolver<'rt> {
             }
         }
         .map_err(ResolveError::InvalidConfig)?;
+        let mut workflow = match max_parallelism {
+            Some(cap) => self
+                .runtime
+                .workflow_with_parallelism(scenario.workflow_name(), cap),
+            None => self.runtime.workflow(scenario.workflow_name()),
+        };
+        // Session-level settings override the runtime defaults the
+        // workflow was seeded with.
+        workflow = workflow
+            .with_fault_policy(self.shared.fault_policy)
+            .with_fault_plan(self.fault_plan.clone())
+            .with_spill_threshold(self.shared.spill_threshold);
+        if let Some(tenant) = &self.tenant {
+            workflow = workflow.with_tenant(Arc::clone(tenant));
+        }
+        if let Some(sink) = &self.trace_sink {
+            workflow = workflow.with_trace_sink(Arc::clone(sink));
+        }
         let (result, details) = match scenario {
             Scenario::Dedup { strategy } => {
                 let config = self.er_config(*strategy);
@@ -1218,10 +1175,7 @@ mod tests {
             .with_spill_threshold(Some(64))
             .with_fault_policy(FaultPolicy::retry(3))
             .with_fault_plan(plan.clone())
-            .with_matcher(Arc::clone(&matcher))
-            .with_use_combiner(false)
-            .with_range_policy(RangePolicy::Proportional)
-            .with_memory_cap(50);
+            .with_matcher(Arc::clone(&matcher));
         let shared = RuntimeConfig {
             reduce_tasks: 3,
             count_only: false,
@@ -1233,26 +1187,17 @@ mod tests {
         let er = session.er_config(StrategyKind::BlockSplit);
         let sn = session.sn_config(SnStrategy::JobSn);
         let lsh = session.lsh_config(Some(LshParams::new(8, 4)));
-        for (family, runtime_block, family_matcher, use_combiner) in [
-            ("er", er.runtime, &er.matcher, er.use_combiner),
-            ("sn", sn.runtime, &sn.matcher, sn.use_combiner),
-            ("lsh", lsh.runtime, &lsh.matcher, lsh.use_combiner),
+        for (family, runtime_block, family_matcher) in [
+            ("er", er.runtime, &er.matcher),
+            ("sn", sn.runtime, &sn.matcher),
+            ("lsh", lsh.runtime, &lsh.matcher),
         ] {
             assert_eq!(runtime_block, shared, "{family}: shared knob block");
             assert!(Arc::ptr_eq(family_matcher, &matcher), "{family}: matcher");
-            assert!(!use_combiner, "{family}: combiner switch");
         }
         // The workflow carries the fault plan; of the family configs
         // only `ErConfig` holds a copy, for `null_keys`' own workflows.
         assert_eq!(er.fault_plan, plan);
-        // The BDM-balanced families also share the balancing policies.
-        for (family, range_policy, split_policy) in [
-            ("er", er.range_policy, er.split_policy),
-            ("lsh", lsh.range_policy, lsh.split_policy),
-        ] {
-            assert_eq!(range_policy, RangePolicy::Proportional, "{family}");
-            assert_eq!(split_policy, SplitPolicy::with_memory_cap(50), "{family}");
-        }
         assert_eq!(runtime.config().reduce_tasks, 9, "runtime stays untouched");
     }
 }

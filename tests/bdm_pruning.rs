@@ -3,9 +3,9 @@
 //! rest, and a record whose rank maps to a dropped block leaves no map
 //! output in the matching job.
 //!
-//! Every case runs BlockSplit and PairRange × `use_combiner` {on, off}
-//! × spill threshold {none, 1} × parallelism {1, 2, 8} × {no fault,
-//! one failed BDM reduce attempt} and is held against
+//! Every case runs BlockSplit and PairRange × spill threshold
+//! {none, 1} × parallelism {1, 2, 8} × {no fault, one failed BDM
+//! reduce attempt} and is held against
 //! [`naive_reference`]: same pairs, bit-identical scores, each pair
 //! that shares a block compared exactly once. The matrix of each run
 //! must hold exactly the blocks with a pair, and the reducer's counters
@@ -208,27 +208,21 @@ fn assert_pruned_runs_match_naive(
                     sources: tags.to_vec(),
                 },
             };
-            for use_combiner in [true, false] {
-                for spill in [None, Some(1)] {
-                    for faulted in [false, true] {
-                        let case = format!(
-                            "{what}: {strategy}, combiner {use_combiner}, spill {spill:?}, \
-                             x{parallelism}, fault {faulted}"
-                        );
-                        let mut resolver = session
-                            .clone()
-                            .with_use_combiner(use_combiner)
-                            .with_spill_threshold(spill);
-                        if faulted {
-                            resolver = resolver
-                                .with_fault_policy(FaultPolicy::retry(2))
-                                .with_fault_plan(fail_a_bdm_reduce_attempt.clone());
-                        }
-                        let outcome = resolver
-                            .resolve(&scenario, input.clone())
-                            .unwrap_or_else(|e| panic!("{case}: {e}"));
-                        expected.check(&case, &outcome, faulted);
+            for spill in [None, Some(1)] {
+                for faulted in [false, true] {
+                    let case = format!(
+                        "{what}: {strategy}, spill {spill:?}, x{parallelism}, fault {faulted}"
+                    );
+                    let mut resolver = session.clone().with_spill_threshold(spill);
+                    if faulted {
+                        resolver = resolver
+                            .with_fault_policy(FaultPolicy::retry(2))
+                            .with_fault_plan(fail_a_bdm_reduce_attempt.clone());
                     }
+                    let outcome = resolver
+                        .resolve(&scenario, input.clone())
+                        .unwrap_or_else(|e| panic!("{case}: {e}"));
+                    expected.check(&case, &outcome, faulted);
                 }
             }
         }

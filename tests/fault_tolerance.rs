@@ -154,7 +154,7 @@ fn bdm_map_fault_leaves_ranks_and_result_byte_identical() {
             .with_fault_policy(FaultPolicy::retry(2))
             .with_fault_plan(plan);
         let blocking = Arc::new(PrefixBlocking::title3());
-        let (bdm, side, _) = compute_bdm_in(&mut workflow, input.clone(), blocking, 3, true, None)
+        let (bdm, side, _) = compute_bdm_in(&mut workflow, input.clone(), blocking, 3, true)
             .expect("the retry absorbs the fault");
         let ranks: Vec<Vec<(u32, String, u64)>> = side
             .iter()

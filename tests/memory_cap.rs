@@ -1,162 +1,16 @@
-//! The two memory guards, end to end:
-//!
-//! * **reduce side** — BlockSplit's split-policy cap: blocks larger
-//!   than the cap split even when their workload fits the average,
-//!   bounding the entities any reduce group must buffer;
-//! * **map side** — the shuffle spill threshold: map tasks seal their
-//!   in-memory buckets into immutable sorted runs every `t` open
-//!   records, so peak map residency is `O(t)` regardless of input
-//!   size, with byte-identical output at any threshold.
+//! The map-side memory guard, end to end: the shuffle spill
+//! threshold. Map tasks seal their in-memory buckets into immutable
+//! sorted runs every `t` open records, so peak map residency is `O(t)`
+//! regardless of input size, with byte-identical output at any
+//! threshold. The threshold is a setting of the workflow a scenario
+//! compiles to, so one value — set on the session or on the runtime —
+//! reaches every stage of every family.
 
 use std::sync::Arc;
 
 use dedupe_mr::prelude::*;
-use er_loadbalance::block_split::{create_match_tasks_with_policy, SplitPolicy};
+use mr_engine::counters::MAP_OUTPUT_RECORDS_PRECOMBINE;
 use mr_engine::metrics::JobMetrics;
-
-const BLOCK_SPLIT: Scenario = Scenario::Dedup {
-    strategy: StrategyKind::BlockSplit,
-};
-
-fn one_big_block(n: usize, m: usize) -> Partitions<(), Ent> {
-    let entities: Vec<Ent> = (0..n)
-        .map(|id| {
-            Arc::new(Entity::new(
-                id as u64,
-                [("title", format!("aaa item {id:05}").as_str())],
-            ))
-        })
-        .collect();
-    partition_round_robin(entities.into_iter().map(|e| ((), e)).collect(), m)
-}
-
-#[test]
-fn capped_run_produces_identical_matches() {
-    let input = one_big_block(60, 4);
-    let runtime = Runtime::new(
-        RuntimeConfig::new()
-            .with_parallelism(2)
-            .with_reduce_tasks(1),
-    );
-    let plain = Resolver::new(&runtime);
-    let capped = plain.clone().with_memory_cap(20);
-    let a = plain.resolve(&BLOCK_SPLIT, input.clone()).unwrap();
-    let b = capped.resolve(&BLOCK_SPLIT, input).unwrap();
-    assert_eq!(a.result.pair_set(), b.result.pair_set());
-    assert_eq!(a.total_comparisons(), b.total_comparisons());
-}
-
-#[test]
-fn cap_bounds_reduce_group_buffering() {
-    // r = 1: the paper's policy keeps the 60-entity block whole (one
-    // reduce group buffers all 60); a 20-entity cap splits it into
-    // sub-blocks of ~15 (round-robin over 4 partitions), so no group
-    // buffers more than two sub-blocks.
-    let n = 60u64;
-    let m = 4usize;
-    let input = one_big_block(n as usize, m);
-
-    let runtime = Runtime::new(
-        RuntimeConfig::new()
-            .with_parallelism(1)
-            .with_reduce_tasks(1)
-            .with_count_only(true),
-    );
-    let plain = Resolver::new(&runtime)
-        .resolve(&BLOCK_SPLIT, one_big_block(n as usize, m))
-        .unwrap();
-    let max_group_plain = plain
-        .details
-        .match_metrics()
-        .expect("one matching job")
-        .reduce_tasks
-        .iter()
-        .map(|t| t.records_in)
-        .max()
-        .unwrap();
-    assert_eq!(max_group_plain, n, "uncapped: the whole block in one task");
-
-    let capped = Resolver::new(&runtime)
-        .with_memory_cap(20)
-        .resolve(&BLOCK_SPLIT, input)
-        .unwrap();
-    // All match tasks share reduce task 0 (r = 1), but each *group*
-    // (match task) holds at most two sub-blocks of 15.
-    let groups = capped
-        .details
-        .match_metrics()
-        .expect("one matching job")
-        .reduce_tasks
-        .iter()
-        .map(|t| t.counter("mr.reduce.input.groups"))
-        .sum::<u64>();
-    assert!(groups > 1, "the cap must create multiple match tasks");
-    assert_eq!(capped.total_comparisons(), n * (n - 1) / 2);
-}
-
-#[test]
-fn cap_takes_effect_when_linking_two_sources() {
-    // The linkage twin of the two cases above, for blocking and for
-    // LSH: with r = 1 the block of 40 R and 20 S entities fits the
-    // average and stays whole; a 20-entity cap splits it into R × S
-    // partition pairings — same pairs, same 800 comparisons.
-    let side = |source: SourceId, n: u64| -> Vec<Ent> {
-        (0..n)
-            .map(|id| {
-                let title = format!("aaa item {:05}", id % 25);
-                Arc::new(Entity::with_source(source, id, [("title", title.as_str())]))
-            })
-            .collect()
-    };
-    let (input, sources) = two_source_input(side(SourceId::R, 40), side(SourceId::S, 20), 2);
-    let runtime = Runtime::new(
-        RuntimeConfig::new()
-            .with_parallelism(2)
-            .with_reduce_tasks(1),
-    );
-    let groups = |outcome: &Outcome| -> u64 {
-        let match_metrics = outcome.details.match_metrics().expect("one matching job");
-        match_metrics.counters.get("mr.reduce.input.groups")
-    };
-    let params = LshParams { bands: 1, rows: 1 };
-    for scenario in [
-        Scenario::Linkage {
-            strategy: StrategyKind::BlockSplit,
-            sources: sources.clone(),
-        },
-        Scenario::lsh_linkage(Some(params), sources.clone()),
-    ] {
-        let plain = Resolver::new(&runtime);
-        let whole = plain.resolve(&scenario, input.clone()).unwrap();
-        let capped = plain
-            .with_memory_cap(20)
-            .resolve(&scenario, input.clone())
-            .unwrap();
-        assert!(
-            groups(&capped) > groups(&whole),
-            "{scenario}: the cap must split a block the paper policy keeps whole \
-             ({} vs {} match tasks)",
-            groups(&capped),
-            groups(&whole)
-        );
-        assert_eq!(result_bits(&capped.result), result_bits(&whole.result));
-        assert!(!whole.result.is_empty(), "{scenario}: equal titles link");
-        assert_eq!(capped.total_comparisons(), whole.total_comparisons());
-    }
-    let blocked = Resolver::new(&runtime)
-        .with_memory_cap(20)
-        .with_count_only(true)
-        .resolve(
-            &Scenario::Linkage {
-                strategy: StrategyKind::BlockSplit,
-                sources,
-            },
-            input,
-        )
-        .unwrap();
-    assert_eq!(blocked.total_comparisons(), 40 * 20);
-    assert_eq!(groups(&blocked), 4, "2 R partitions × 2 S partitions");
-}
 
 /// A DS1-shaped corpus of exactly `n` entities with real titles (so
 /// full scoring runs).
@@ -324,24 +178,109 @@ fn map_memory_gauges_are_parallelism_invariant() {
     }
 }
 
+/// One scenario per family and stage shape: Basic, BlockSplit and
+/// PairRange dedup, BlockSplit linkage, RepSN, JobSN (with a stitch
+/// stage), two-pass SN and LSH, with the input each one reads.
+fn every_family() -> Vec<(Scenario, Partitions<(), Ent>)> {
+    let dedup = spill_corpus(120, 3);
+    let (r, s): (Vec<Ent>, Vec<Ent>) = dedup
+        .iter()
+        .flatten()
+        .map(|((), e)| Arc::clone(e))
+        .partition(|e| e.id().0.is_multiple_of(2));
+    let s = s
+        .into_iter()
+        .map(|e| Arc::new(Entity::with_source(SourceId::S, e.id().0, e.attributes())) as Ent)
+        .collect();
+    let (linkage, sources) = two_source_input(r, s, 2);
+    let passes: Vec<Arc<dyn SortKeyFunction>> = vec![
+        Arc::new(AttributeSortKey::title()),
+        Arc::new(ReversedSortKey::title()),
+    ];
+    let mut family: Vec<(Scenario, Partitions<(), Ent>)> = [
+        StrategyKind::Basic,
+        StrategyKind::BlockSplit,
+        StrategyKind::PairRange,
+    ]
+    .into_iter()
+    .map(|strategy| (Scenario::Dedup { strategy }, dedup.clone()))
+    .collect();
+    family.extend([
+        (
+            Scenario::Linkage {
+                strategy: StrategyKind::BlockSplit,
+                sources,
+            },
+            linkage,
+        ),
+        (
+            Scenario::sorted_neighborhood(SnStrategy::RepSn),
+            dedup.clone(),
+        ),
+        (
+            Scenario::sorted_neighborhood(SnStrategy::JobSn),
+            dedup.clone(),
+        ),
+        (
+            Scenario::multipass_sn(SnStrategy::RepSn, passes),
+            dedup.clone(),
+        ),
+        (Scenario::lsh(LshParams::new(4, 4)), dedup),
+    ]);
+    family
+}
+
 #[test]
-fn cap_splits_below_average_blocks() {
-    use er_loadbalance::bdm::BlockDistributionMatrix;
-    // Two equal blocks, r = 2: each fits the average exactly, so the
-    // paper's policy keeps both whole; a cap of 5 splits both.
-    let bdm = BlockDistributionMatrix::from_counts(
-        2,
-        vec![
-            (BlockKey::new("a"), 0, 4),
-            (BlockKey::new("a"), 1, 4),
-            (BlockKey::new("b"), 0, 4),
-            (BlockKey::new("b"), 1, 4),
-        ],
-    );
-    let plain = create_match_tasks_with_policy(&bdm, 2, SplitPolicy::paper());
-    assert_eq!(plain.len(), 2, "both blocks whole under the paper policy");
-    let capped = create_match_tasks_with_policy(&bdm, 2, SplitPolicy::with_memory_cap(5));
-    assert_eq!(capped.len(), 6, "3 tasks per block once capped");
-    let total: u64 = capped.iter().map(|t| t.comparisons).sum();
-    assert_eq!(total, 2 * 28, "pairs conserved");
+fn a_spill_threshold_set_once_reaches_every_stage_of_every_family() {
+    let config = RuntimeConfig::new()
+        .with_parallelism(2)
+        .with_reduce_tasks(3);
+    let plain_runtime = Runtime::new(config);
+    let spilling_runtime = Runtime::new(config.with_spill_threshold(Some(1)));
+    let plain = Resolver::new(&plain_runtime).with_window(4);
+    let on_the_session = plain.clone().with_spill_threshold(Some(1));
+    let on_the_runtime = Resolver::new(&spilling_runtime).with_window(4);
+    for (scenario, input) in every_family() {
+        let reference = plain.resolve(&scenario, input.clone()).unwrap();
+        assert_eq!(reference.workflow.spilled_runs(), 0, "{scenario}");
+        if scenario.workflow_name() == "sn-JobSN" {
+            let stages: Vec<&str> = reference
+                .workflow
+                .stages
+                .iter()
+                .map(|stage| stage.job_name.as_str())
+                .collect();
+            assert!(
+                stages.contains(&"sn-jobsn-stitch"),
+                "the corpus must give JobSN boundary candidates: {stages:?}"
+            );
+        }
+        for (set_on, resolver) in [("session", &on_the_session), ("runtime", &on_the_runtime)] {
+            let outcome = resolver.resolve(&scenario, input.clone()).unwrap();
+            assert_eq!(
+                outcome.workflow.num_stages(),
+                reference.workflow.num_stages(),
+                "{scenario} ({set_on})"
+            );
+            for stage in &outcome.workflow.stages {
+                if stage.counters.get(MAP_OUTPUT_RECORDS_PRECOMBINE) > 0 {
+                    assert!(
+                        stage.spilled_runs() > 0,
+                        "{scenario} ({set_on}): stage {} emitted but never spilled",
+                        stage.job_name
+                    );
+                }
+            }
+            assert_eq!(
+                result_bits(&outcome.result),
+                result_bits(&reference.result),
+                "{scenario} ({set_on}): spilling changed the match output"
+            );
+            assert_eq!(
+                outcome.total_comparisons(),
+                reference.total_comparisons(),
+                "{scenario} ({set_on})"
+            );
+        }
+    }
 }

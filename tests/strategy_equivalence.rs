@@ -115,18 +115,32 @@ proptest! {
         specs in proptest::collection::vec(entity_strategy(), 2..30),
         r in 1usize..9,
     ) {
+        use er_loadbalance::bdm_job::compute_bdm;
+        use er_loadbalance::compare::PairComparer;
+        use er_loadbalance::pair_range::pair_range_job;
+
         let entities = build_entities(specs);
+        let input = || partition_evenly(
+            entities.iter().map(|e| ((), Arc::clone(e))).collect(),
+            2,
+        );
         let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(1));
         let scenario = Scenario::Dedup { strategy: StrategyKind::PairRange };
-        let mut results = Vec::new();
+        // The session runs `CeilDiv`; each policy's job, run directly
+        // over the same BDM, must find the same pairs.
+        let session_pairs = session(&runtime, r)
+            .resolve(&scenario, input())
+            .unwrap()
+            .result
+            .pair_set();
+        let blocking = Arc::new(PrefixBlocking::new("title", 2));
         for policy in [RangePolicy::CeilDiv, RangePolicy::Proportional] {
-            let resolver = session(&runtime, r).with_range_policy(policy);
-            let input = partition_evenly(
-                entities.iter().map(|e| ((), Arc::clone(e))).collect(),
-                2,
-            );
-            results.push(resolver.resolve(&scenario, input).unwrap().result.pair_set());
+            let (bdm, annotated, _) = compute_bdm(input(), blocking.clone(), r, 1, true).unwrap();
+            let job = pair_range_job(Arc::new(bdm), PairComparer::new(matcher()), policy, r);
+            let out = job.run_on(&WorkerPool::new(1), annotated).unwrap();
+            let pairs: std::collections::BTreeSet<MatchPair> =
+                out.reduce_outputs.into_iter().flatten().map(|(pair, _)| pair).collect();
+            prop_assert_eq!(&pairs, &session_pairs, "{:?}", policy);
         }
-        prop_assert_eq!(&results[0], &results[1]);
     }
 }

@@ -375,15 +375,6 @@ fn more_reduce_tasks_than_cross_pairs() {
     for r in [9usize, 40] {
         let resolver = session(&runtime, r);
         assert_linkage_matches_naive(&resolver, prefix2(), &input, &[R, S], &format!("r={r}"));
-        for policy in [RangePolicy::CeilDiv, RangePolicy::Proportional] {
-            assert_linkage_matches_naive(
-                &resolver.clone().with_range_policy(policy),
-                prefix2(),
-                &input,
-                &[R, S],
-                &format!("r={r} {policy:?}"),
-            );
-        }
     }
 }
 

@@ -230,7 +230,6 @@ fn shape_drift_between_stages_is_a_typed_error() {
         err,
         MrError::StageShapeMismatch {
             stage: "drift/stage".into(),
-            partition: None,
             expected: 4,
             got: 3,
         }
