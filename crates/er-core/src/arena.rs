@@ -409,15 +409,17 @@ mod tests {
     }
 
     /// Every entity pays one rule slot per match rule, and every
-    /// shuffle record of a match stage carries a handle: a variant that
-    /// widens either must be a deliberate choice. (The view grew from
-    /// 24 to 32 bytes with its byte form, which quarters the arenas'
-    /// text; it lives on the stack of one pair's kernel call.)
+    /// shuffle record of a match stage carries a handle — a bare one:
+    /// every match stage prepares, so no record carries an `Option`
+    /// tag. A variant that widens either must be a deliberate choice.
+    /// (The view grew from 24 to 32 bytes with its byte form, which
+    /// quarters the arenas' text; it lives on the stack of one pair's
+    /// kernel call.)
     #[cfg(target_pointer_width = "64")]
     #[test]
     fn a_rule_slot_is_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<Option<ArenaValue>>(), 16);
         assert_eq!(std::mem::size_of::<PreparedView<'_>>(), 32);
-        assert_eq!(std::mem::size_of::<Option<PreparedHandle>>(), 16);
+        assert_eq!(std::mem::size_of::<PreparedHandle>(), 12);
     }
 }

@@ -508,7 +508,7 @@ mod tests {
                     prop_assert_eq!(metrics.counters.get(NULL_KEY_ENTITIES) as usize, null_keyed);
                     // Every ranked key comes back once, as a cell or
                     // as the note of a lone entity.
-                    let written: u64 = metrics.reduce_tasks.iter().map(|task| task.records_out).sum();
+                    let written = metrics.counters.get(mr_engine::counters::REDUCE_OUTPUT_RECORDS);
                     prop_assert_eq!(written as usize, cells);
                     // Singleton blocks are dropped and counted, the
                     // rest is in the matrix: no replica is lost.

@@ -86,25 +86,44 @@ mod tests {
     use mr_engine::reducer::ReduceTaskInfo;
     use std::sync::Arc;
 
-    fn value(id: u64, title: &str, partition: usize) -> (BlockSplitKey, BlockSplitValue) {
+    fn comparer() -> PairComparer {
+        PairComparer::new(Arc::new(Matcher::paper_default()))
+    }
+
+    /// Entity `id` of input `partition`, with its handle in `interners`
+    /// (one per map task, i.e. per partition).
+    fn value(
+        interners: &mut [EntityInterner; 2],
+        id: u64,
+        title: &str,
+        partition: usize,
+    ) -> (BlockSplitKey, BlockSplitValue) {
         let key = BlockSplitKey {
             reduce_task: 0,
             block: 0,
             i: if partition == 0 { 0 } else { 1 },
             j: 0,
         };
+        let entity: crate::Ent = Arc::new(Entity::new(id, [("title", title)]));
+        let prepared = interners[partition].intern(&entity);
+        let keyed = Keyed::single(BlockKey::new("b"), entity);
         (
             key,
-            BlockSplitValue::new(
-                Keyed::single(
-                    BlockKey::new("b"),
-                    Arc::new(Entity::new(id, [("title", title)])),
-                ),
-                None,
-                partition,
-                er_core::SourceId::R,
-            ),
+            BlockSplitValue::new(keyed, prepared, partition, er_core::SourceId::R),
         )
+    }
+
+    /// The two map tasks' interners.
+    fn interners(comparer: &PairComparer) -> [EntityInterner; 2] {
+        [0, 1].map(|task_index| {
+            let mut interner = EntityInterner::new(comparer);
+            interner.setup(&mr_engine::mapper::MapTaskInfo {
+                task_index,
+                num_map_tasks: 2,
+                num_reduce_tasks: 1,
+            });
+            interner
+        })
     }
 
     fn ctx() -> ReduceContext<MatchPair, f64> {
@@ -117,20 +136,19 @@ mod tests {
 
     #[test]
     fn sub_block_task_compares_all_pairs() {
+        let mut interners = interners(&comparer());
         let entries: Vec<(BlockSplitKey, BlockSplitValue)> = (0..4)
             .map(|i| {
-                let (mut k, v) = value(i, "same title here", 0);
+                let (mut k, v) = value(&mut interners, i, "same title here", 0);
                 k.i = 0;
                 k.j = 0;
                 (k, v)
             })
             .collect();
-        let mut reducer = BlockSplitReducer::new(
-            PairComparer::count_only(Arc::new(Matcher::paper_default())),
-            false,
-        );
+        let arenas = interners.map(EntityInterner::into_arena);
+        let mut reducer = BlockSplitReducer::new(comparer(), false);
         let mut c = ctx();
-        reducer.reduce(Group::for_testing(&entries), &mut c);
+        reducer.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6, "C(4,2) pairs");
     }
 
@@ -138,25 +156,18 @@ mod tests {
     fn cartesian_task_compares_only_cross_pairs() {
         // 2 entities of partition 0, 3 of partition 1 -> 6 comparisons
         // (the paper's 3.0×1 match task).
+        let mut interners = interners(&comparer());
         let mut entries = Vec::new();
-        for i in 0..2 {
-            let (mut k, v) = value(i, "t", 0);
+        for (i, partition) in [(0, 0), (1, 0), (2, 1), (3, 1), (4, 1)] {
+            let (mut k, v) = value(&mut interners, i, "t", partition);
             k.i = 1;
             k.j = 0;
             entries.push((k, v));
         }
-        for i in 2..5 {
-            let (mut k, v) = value(i, "t", 1);
-            k.i = 1;
-            k.j = 0;
-            entries.push((k, v));
-        }
-        let mut reducer = BlockSplitReducer::new(
-            PairComparer::count_only(Arc::new(Matcher::paper_default())),
-            false,
-        );
+        let arenas = interners.map(EntityInterner::into_arena);
+        let mut reducer = BlockSplitReducer::new(comparer(), false);
         let mut c = ctx();
-        reducer.reduce(Group::for_testing(&entries), &mut c);
+        reducer.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6);
     }
 
@@ -165,44 +176,32 @@ mod tests {
         // Interleave the two partitions adversarially; the comparison
         // count must not change (the paper's streaming listing would
         // miss pairs under this interleaving — see DESIGN.md).
+        let mut interners = interners(&comparer());
         let mut entries = Vec::new();
         for (id, partition) in [(0, 0), (1, 1), (2, 0), (3, 1), (4, 1)] {
-            let (mut k, v) = value(id, "t", partition);
+            let (mut k, v) = value(&mut interners, id, "t", partition);
             k.i = 1;
             k.j = 0;
             entries.push((k, v));
         }
-        let mut reducer = BlockSplitReducer::new(
-            PairComparer::count_only(Arc::new(Matcher::paper_default())),
-            false,
-        );
+        let arenas = interners.map(EntityInterner::into_arena);
+        let mut reducer = BlockSplitReducer::new(comparer(), false);
         let mut c = ctx();
-        reducer.reduce(Group::for_testing(&entries), &mut c);
+        reducer.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6, "2 x 3 cross pairs");
     }
 
     #[test]
     fn matches_are_emitted_for_similar_cross_pairs() {
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut interners = [
-            EntityInterner::new(&comparer),
-            EntityInterner::new(&comparer),
-        ];
+        let mut interners = interners(&comparer());
         let mut entries = Vec::new();
         for (id, title, partition) in [(0, "abcdefghij", 0), (1, "abcdefghiX", 1)] {
-            let (mut k, mut v) = value(id, title, partition);
+            let (mut k, v) = value(&mut interners, id, title, partition);
             k.i = 1;
-            let info = mr_engine::mapper::MapTaskInfo {
-                task_index: partition,
-                num_map_tasks: 2,
-                num_reduce_tasks: 1,
-            };
-            interners[partition].setup(&info);
-            v.prepared = interners[partition].intern(v.entity());
             entries.push((k, v));
         }
         let arenas = interners.map(EntityInterner::into_arena);
-        let mut reducer = BlockSplitReducer::new(comparer, false);
+        let mut reducer = BlockSplitReducer::new(comparer(), false);
         let mut c = ctx();
         reducer.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
         assert_eq!(c.output().len(), 1);

@@ -15,12 +15,11 @@
 //!    under [`PREPARED_ENTITIES`]); its shuffle records carry the
 //!    [`PreparedHandle`] `(arena, id)`, and no reduce task prepares.
 //! 1. **Group → columns.** [`GroupComparer::push`] resolves each member
-//!    once: its [`EntityRef`], its key list (see 2.) and — unless the
-//!    comparer is count-only — its handle into an
-//!    [`er_core::PreparedColumn`] over the stage's arenas (a pair may
-//!    span two arenas; it is scored by the same kernel). The columns
-//!    borrow nothing: they are refilled group after group, and a
-//!    sliding window keeps them across groups, evicting from the
+//!    once: its [`EntityRef`], its key list (see 2.) and its handle
+//!    into an [`er_core::PreparedColumn`] over the stage's arenas (a
+//!    pair may span two arenas; it is scored by the same kernel). The
+//!    columns borrow nothing: they are refilled group after group, and
+//!    a sliding window keeps them across groups, evicting from the
 //!    front.
 //! 2. **Gates, where they are cheapest.** The smallest-common-block
 //!    rule is decided *per member*: for single-key lists it reads
@@ -28,14 +27,14 @@
 //!    group's block as their only key (all of single-pass blocking)
 //!    needs no per-pair key test — O(n) key compares instead of O(n²).
 //!    One member that is multi-key, or keyed elsewhere, drops the group
-//!    to the per-pair rule. `cross_source_only`, `skip_pairs` and
-//!    `count_only` are properties of the comparer, read once per strip.
+//!    to the per-pair rule. `cross_source_only` and `skip_pairs` are
+//!    properties of the comparer, read once per strip.
 //! 3. **Strips.** Every shape a reducer needs — all pairs of a group,
 //!    the cross product of two member ranges, a window's new arrival
 //!    against its ring, a PairRange slice — is a sequence of *strips*:
 //!    one probe member against a contiguous member range
 //!    ([`GroupComparer::strip`]). An ungated strip counts its
-//!    [`COMPARISONS`] in one addition; a count-only one is done then.
+//!    [`COMPARISONS`] in one addition.
 //! 4. **Prefilter → kernel.** Under a single-rule matcher the
 //!    measure's batch prefilter
 //!    ([`er_core::Similarity::survivors_at_least`]) runs over the
@@ -66,7 +65,6 @@ use er_core::{
 };
 use mr_engine::mapper::{MapContext, MapTaskInfo};
 use mr_engine::reducer::ReduceContext;
-use mr_engine::runtime::RuntimeConfig;
 
 use crate::{smallest_common_key_is, Ent, KeyList, Keyed, COMPARISONS};
 
@@ -112,12 +110,11 @@ impl PairTally {
 }
 
 /// Evaluates entity pairs inside reduce functions: applies the
-/// multi-pass dedup gate, counts comparisons, and (unless in
-/// count-only mode) runs the matcher and emits matches.
+/// multi-pass dedup gate, counts comparisons, runs the matcher and
+/// emits matches.
 #[derive(Clone)]
 pub struct PairComparer {
     matcher: Arc<Matcher>,
-    count_only: bool,
     /// Pairs an earlier pass of a multi-pass workload already
     /// evaluated; skipped here (first pass wins — the total-order
     /// analogue of the smallest-common-block rule).
@@ -132,28 +129,8 @@ impl PairComparer {
     pub fn new(matcher: Arc<Matcher>) -> Self {
         Self {
             matcher,
-            count_only: false,
             skip_pairs: None,
             cross_source_only: false,
-        }
-    }
-
-    /// A comparer that only counts comparisons — used by the timing
-    /// experiments, where the workload distribution matters but the
-    /// match output does not.
-    pub fn count_only(matcher: Arc<Matcher>) -> Self {
-        Self {
-            count_only: true,
-            ..Self::new(matcher)
-        }
-    }
-
-    /// The comparer a scenario's reducers run under: `matcher` with
-    /// the session's count-only switch.
-    pub fn from_runtime(matcher: Arc<Matcher>, runtime: &RuntimeConfig) -> Self {
-        Self {
-            count_only: runtime.count_only,
-            ..Self::new(matcher)
         }
     }
 
@@ -210,11 +187,6 @@ impl PairComparer {
         true
     }
 
-    /// Whether this comparer skips similarity evaluation.
-    pub fn is_count_only(&self) -> bool {
-        self.count_only
-    }
-
     /// Compares `a` and `b` within `current` block, emitting a match
     /// record if the pair reaches the matcher's threshold.
     ///
@@ -236,7 +208,7 @@ impl PairComparer {
             &mut tally,
         );
         tally.flush(ctx);
-        if !admitted || self.count_only {
+        if !admitted {
             return;
         }
         if let Some(score) = self.matcher.matches(&a.entity, &b.entity) {
@@ -252,12 +224,10 @@ impl PairComparer {
 /// [module documentation](self)): queues each entity a match-stage map
 /// task routes for the task's [`PreparedArena`] once, hands out the
 /// [`PreparedHandle`] its shuffle records carry, and builds the arena
-/// when the task ends ([`ArenaBuilder`]: slabs sized exactly). Under a
-/// count-only comparer it prepares nothing and every handle is `None`.
+/// when the task ends ([`ArenaBuilder`]: slabs sized exactly).
 #[derive(Debug, Clone)]
 pub struct EntityInterner {
-    /// `None` under count-only.
-    builder: Option<ArenaBuilder>,
+    builder: ArenaBuilder,
     /// The map task: the arena's index among the stage's products.
     task: u32,
     /// The entity queued last, and its id: the replicas of a multi-key
@@ -267,12 +237,10 @@ pub struct EntityInterner {
 }
 
 impl EntityInterner {
-    /// An interner preparing under `comparer`'s matcher, or not at all
-    /// when `comparer` is count-only.
+    /// An interner preparing under `comparer`'s matcher.
     pub fn new(comparer: &PairComparer) -> Self {
         Self {
-            builder: (!comparer.count_only)
-                .then(|| ArenaBuilder::new(Arc::clone(&comparer.matcher))),
+            builder: ArenaBuilder::new(Arc::clone(&comparer.matcher)),
             task: 0,
             last: None,
         }
@@ -284,37 +252,35 @@ impl EntityInterner {
     }
 
     /// The handle of `entity`'s prepared form, queueing it unless it is
-    /// the entity queued last; `None` under count-only.
-    pub fn intern(&mut self, entity: &Ent) -> Option<PreparedHandle> {
-        let builder = self.builder.as_mut()?;
+    /// the entity queued last.
+    pub fn intern(&mut self, entity: &Ent) -> PreparedHandle {
         let entity_ref = entity.entity_ref();
         let id = match self.last {
             Some((last, id)) if last == entity_ref => id,
             _ => {
-                let id = builder.queue(entity);
+                let id = self.builder.queue(entity);
                 self.last = Some((entity_ref, id));
                 id
             }
         };
-        Some(PreparedHandle {
+        PreparedHandle {
             arena: self.task,
             id,
-        })
+        }
     }
 
     /// Counts the task's prepared entities under [`PREPARED_ENTITIES`];
     /// the mapper's `finish` calls it.
     pub fn finish<KO, VO, S>(&self, ctx: &mut MapContext<KO, VO, S>) {
-        if let Some(builder) = self.builder.as_ref().filter(|b| !b.is_empty()) {
-            ctx.add_counter(PREPARED_ENTITIES, builder.len() as u64);
+        if !self.builder.is_empty() {
+            ctx.add_counter(PREPARED_ENTITIES, self.builder.len() as u64);
         }
     }
 
     /// Prepares the queued entities into the task's arena — the
     /// mapper's product.
     pub fn into_arena(self) -> PreparedArena {
-        self.builder
-            .map_or_else(PreparedArena::new, ArenaBuilder::build)
+        self.builder.build()
     }
 }
 
@@ -339,7 +305,7 @@ pub struct GroupComparer {
     other_keys: Vec<Option<KeyList>>,
     /// How many `other_keys` are `Some`.
     per_pair_members: usize,
-    /// The members' prepared forms; stays empty under count-only.
+    /// The members' prepared forms.
     prepared: PreparedColumn,
     /// Member offsets a strip is about to score.
     picked: Vec<u32>,
@@ -373,7 +339,7 @@ impl GroupComparer {
         &mut self,
         arenas: &[PreparedArena],
         block: &BlockKey,
-        members: impl IntoIterator<Item = (&'a Keyed, Option<PreparedHandle>)>,
+        members: impl IntoIterator<Item = (&'a Keyed, PreparedHandle)>,
     ) {
         self.begin(block);
         for member in members {
@@ -382,25 +348,18 @@ impl GroupComparer {
     }
 
     /// Appends the member `(keyed, prepared)` to the columns, its
-    /// prepared form read from `arenas` (never, under count-only);
-    /// returns its position.
-    ///
-    /// # Panics
-    /// If the comparer is not count-only and `prepared` is `None`.
+    /// prepared form read from `arenas`; returns its position.
     pub fn push(
         &mut self,
         arenas: &[PreparedArena],
-        (keyed, prepared): (&Keyed, Option<PreparedHandle>),
+        (keyed, prepared): (&Keyed, PreparedHandle),
     ) -> usize {
         let on_block = matches!(&*keyed.all_keys, [only] if *only == self.block);
         self.per_pair_members += usize::from(!on_block);
         self.other_keys
             .push((!on_block).then(|| keyed.all_keys.clone()));
         self.refs.push(keyed.entity.entity_ref());
-        if !self.comparer.count_only {
-            let handle = prepared.expect("a match stage's map tasks prepare every member");
-            self.prepared.push(&self.comparer.matcher, arenas, handle);
-        }
+        self.prepared.push(&self.comparer.matcher, arenas, prepared);
         self.refs.len() - 1
     }
 
@@ -426,9 +385,7 @@ impl GroupComparer {
     pub fn evict_front(&mut self, n: usize) {
         self.per_pair_members -= self.other_keys.drain(..n).flatten().count();
         self.refs.drain(..n);
-        if !self.comparer.count_only {
-            self.prepared.evict_front(n);
-        }
+        self.prepared.evict_front(n);
     }
 
     /// Evaluates member `probe` against each of `members`, in ascending
@@ -461,9 +418,6 @@ impl GroupComparer {
             }
         } else {
             self.tally.comparisons += members.len() as u64;
-        }
-        if self.comparer.count_only {
-            return;
         }
         let hit = |member: usize, score: f64| {
             let (a, b) = ordered(probe_first, self.refs[probe], self.refs[member]);
@@ -499,8 +453,8 @@ impl GroupComparer {
         &mut self,
         arenas: &[PreparedArena],
         block: &BlockKey,
-        first: impl IntoIterator<Item = (&'a Keyed, Option<PreparedHandle>)>,
-        second: impl IntoIterator<Item = (&'a Keyed, Option<PreparedHandle>)>,
+        first: impl IntoIterator<Item = (&'a Keyed, PreparedHandle)>,
+        second: impl IntoIterator<Item = (&'a Keyed, PreparedHandle)>,
         mut sink: impl FnMut(MatchPair, f64),
     ) {
         self.load(arenas, block, first);
@@ -532,7 +486,6 @@ fn ordered<T>(probe_first: bool, probe: T, member: T) -> (T, T) {
 impl std::fmt::Debug for PairComparer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PairComparer")
-            .field("count_only", &self.count_only)
             .field("cross_source_only", &self.cross_source_only)
             .field("skip_pairs", &self.skip_pairs.as_ref().map(|s| s.len()))
             .finish()
@@ -563,7 +516,7 @@ mod tests {
         comparer: &PairComparer,
         members: &[&Keyed],
         tasks: usize,
-    ) -> (Vec<PreparedArena>, Vec<Option<PreparedHandle>>) {
+    ) -> (Vec<PreparedArena>, Vec<PreparedHandle>) {
         let mut interners: Vec<EntityInterner> = (0..tasks)
             .map(|task_index| {
                 let mut interner = EntityInterner::new(comparer);
@@ -591,8 +544,8 @@ mod tests {
     /// `members` with their handles, as a driver takes them.
     fn with_handles<'a>(
         members: &[&'a Keyed],
-        handles: &[Option<PreparedHandle>],
-    ) -> Vec<(&'a Keyed, Option<PreparedHandle>)> {
+        handles: &[PreparedHandle],
+    ) -> Vec<(&'a Keyed, PreparedHandle)> {
         members
             .iter()
             .copied()
@@ -672,21 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn count_only_skips_matching() {
-        let comparer = PairComparer::count_only(Arc::new(Matcher::paper_default()));
-        assert!(comparer.is_count_only());
-        let mut c = ctx();
-        comparer.compare(
-            &keyed(1, "abcdefghij"),
-            &keyed(2, "abcdefghij"),
-            &BlockKey::new("blk"),
-            &mut c,
-        );
-        assert_eq!(c.counters().get(COMPARISONS), 1);
-        assert!(c.output().is_empty(), "count-only never emits");
-    }
-
-    #[test]
     fn prepared_path_matches_unprepared_path() {
         let comparer = paper_comparer();
         let mut driver = GroupComparer::new(comparer.clone());
@@ -744,21 +682,6 @@ mod tests {
         assert_eq!(ctx.counters().len(), 1, "a zero count writes no counter");
         driver.flush(&mut ctx);
         assert_eq!(ctx.counters().get(COMPARISONS), 1, "flush resets the tally");
-    }
-
-    #[test]
-    fn count_only_skips_preparation() {
-        let comparer = PairComparer::count_only(Arc::new(Matcher::paper_default()));
-        let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghij"));
-        let (arenas, handles) = staged(&comparer, &[&a, &b], 2);
-        assert!(
-            arenas.iter().all(PreparedArena::is_empty) && handles.iter().all(Option::is_none),
-            "count-only must not prepare entities"
-        );
-        let mut driver = GroupComparer::new(comparer);
-        let c = all_pairs(&mut driver, &BlockKey::new("blk"), &[&a, &b]);
-        assert_eq!(c.counters().get(COMPARISONS), 1);
-        assert!(c.output().is_empty());
     }
 
     #[test]
@@ -995,11 +918,11 @@ mod tests {
         fn driver_equals_one_shot_compare(
             specs in vec((0u8..2, 0u8..5, 0u8..15), 0..9),
             matcher_choice in 0u8..6,
-            gates in ((0u8..2, 0u8..4, 0u8..4), 0u8..4, vec(0usize..81, 1..6)),
+            gates in ((0u8..2, 0u8..4), 0u8..4, vec(0usize..81, 1..6)),
             shape in (0u8..3, 0usize..9, 1usize..4),
             tasks in 1usize..4,
         ) {
-            let ((single_pass, count_only, cross_source_only), skips, skipped) = gates;
+            let ((single_pass, cross_source_only), skips, skipped) = gates;
             let members: Vec<Keyed> = (0u64..)
                 .zip(specs)
                 .map(|(id, (source, keys, title))| {
@@ -1014,12 +937,8 @@ mod tests {
                 .map(|(i, j)| MatchPair::new(members[i].entity.entity_ref(), members[j].entity.entity_ref()))
                 .collect();
             let matcher = Arc::new(matcher(matcher_choice));
-            let comparer = if count_only == 0 {
-                PairComparer::count_only(matcher)
-            } else {
-                PairComparer::new(matcher)
-            }
-            .with_cross_source_only(cross_source_only == 0)
+            let comparer = PairComparer::new(matcher)
+                .with_cross_source_only(cross_source_only == 0)
             .with_skip_pairs((skips == 0).then(|| Arc::new(skip)));
             // The strips of the drawn shape, as (probe, members, probe_first).
             let (kind, split, window) = shape;

@@ -17,12 +17,11 @@ use er_core::result::MatchPair;
 use er_core::{MatchResult, Matcher, SourceId};
 use mr_engine::engine::Job;
 use mr_engine::error::MrError;
-use mr_engine::fault::FaultPlan;
 use mr_engine::input::Partitions;
 use mr_engine::mapper::Mapper;
 use mr_engine::metrics::JobMetrics;
 use mr_engine::reducer::Reducer;
-use mr_engine::runtime::RuntimeConfig;
+use mr_engine::runtime::DEFAULT_REDUCE_TASKS;
 use mr_engine::workflow::Workflow;
 
 use crate::basic::basic_job;
@@ -33,12 +32,10 @@ use crate::compare::PairComparer;
 use crate::pair_range::{pair_range_job, RangePolicy};
 use crate::{Ent, Keyed, StrategyKind};
 
-/// Configuration of one ER run.
-///
-/// The execution knobs every scenario shares (`reduce_tasks`,
-/// `count_only`, `spill_threshold`, `fault_policy`) live in the
-/// embedded [`RuntimeConfig`]; set them there and install the block
-/// with [`ErConfig::with_runtime`]. The balancing itself has no knob:
+/// Configuration of one ER run: what [`run_er_in`] reads, and nothing
+/// else. How the stages run — spill threshold, fault policy and plan,
+/// trace sink, tenant — is the caller's [`Workflow`]'s. The balancing
+/// itself has no knob:
 /// BlockSplit splits a block only on its share of the pairs
 /// (Algorithm 1), PairRange cuts ranges of `⌈P/r⌉` pairs
 /// ([`RangePolicy::CeilDiv`]) and the BDM job pre-aggregates its
@@ -51,15 +48,8 @@ pub struct ErConfig {
     pub matcher: Arc<Matcher>,
     /// Which strategy runs the matching job.
     pub strategy: StrategyKind,
-    /// Shared execution knobs: reduce tasks `r` (both jobs),
-    /// count-only mode, spill threshold, fault policy.
-    pub runtime: RuntimeConfig,
-    /// Deterministic fault-injection schedule of the run (empty by
-    /// default — injection is a test/bench harness, never implied by
-    /// a policy). Like `runtime.fault_policy` it takes effect on the
-    /// [`Workflow`] the scenario runs on: whoever builds that workflow
-    /// (the facade's `Resolver`, [`crate::null_keys`]) installs both.
-    pub fault_plan: FaultPlan,
+    /// Reduce tasks `r` of both jobs.
+    pub reduce_tasks: usize,
 }
 
 impl ErConfig {
@@ -69,8 +59,7 @@ impl ErConfig {
             blocking: Arc::new(PrefixBlocking::title3()),
             matcher: Arc::new(Matcher::paper_default()),
             strategy,
-            runtime: RuntimeConfig::default(),
-            fault_plan: FaultPlan::new(),
+            reduce_tasks: DEFAULT_REDUCE_TASKS,
         }
     }
 
@@ -86,24 +75,14 @@ impl ErConfig {
         self
     }
 
-    /// Replaces the whole shared-knob block (e.g. with a `Runtime`'s
-    /// configuration).
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
-    /// Sets the deterministic fault-injection schedule (panics at
-    /// exact task coordinates) — the test/bench harness
-    /// proving the retry path. An empty plan (the default) injects
-    /// nothing.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
+    /// Overrides the reduce-task count `r`.
+    pub fn with_reduce_tasks(mut self, reduce_tasks: usize) -> Self {
+        self.reduce_tasks = reduce_tasks;
         self
     }
 
     pub(crate) fn comparer(&self) -> PairComparer {
-        PairComparer::from_runtime(Arc::clone(&self.matcher), &self.runtime)
+        PairComparer::new(Arc::clone(&self.matcher))
     }
 }
 
@@ -111,9 +90,8 @@ impl std::fmt::Debug for ErConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ErConfig")
             .field("strategy", &self.strategy)
-            .field("runtime", &self.runtime)
-            .field("fault_plan", &self.fault_plan)
-            .finish()
+            .field("reduce_tasks", &self.reduce_tasks)
+            .finish_non_exhaustive()
     }
 }
 
@@ -180,7 +158,7 @@ pub fn run_match_stage(
     config: &ErConfig,
     input: MatchInput,
 ) -> Result<(MatchResult, JobMetrics), MrError> {
-    let r = config.runtime.reduce_tasks;
+    let r = config.reduce_tasks;
     match (config.strategy, input) {
         (StrategyKind::Basic, MatchInput::Entities { input, sources }) => {
             let blocking = Arc::clone(&config.blocking);
@@ -257,7 +235,7 @@ pub fn run_er_in(
         workflow,
         input,
         Arc::clone(&config.blocking),
-        config.runtime.reduce_tasks,
+        config.reduce_tasks,
         true,
     )?;
     let bdm = Arc::new(match sources {
@@ -332,11 +310,7 @@ mod tests {
     fn example_config(strategy: StrategyKind) -> ErConfig {
         ErConfig::new(strategy)
             .with_blocking(running_example::blocking())
-            .with_runtime(
-                RuntimeConfig::new()
-                    .with_reduce_tasks(3)
-                    .with_count_only(true),
-            )
+            .with_reduce_tasks(3)
     }
 
     fn run(config: &ErConfig) -> ErStages {

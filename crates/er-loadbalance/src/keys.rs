@@ -77,9 +77,9 @@ impl std::fmt::Display for BlockSplitKey {
 pub struct BlockSplitValue {
     /// The blocking-key-annotated entity.
     pub keyed: Keyed,
-    /// Its prepared form in its map task's arena (`None` under
-    /// count-only; see [`crate::compare::EntityInterner`]).
-    pub prepared: Option<PreparedHandle>,
+    /// Its prepared form in its map task's arena (see
+    /// [`crate::compare::EntityInterner`]).
+    pub prepared: PreparedHandle,
     /// Input partition the entity was read from.
     pub partition: u32,
     /// The source that partition holds (`R` for one-source matching)
@@ -91,12 +91,7 @@ pub struct BlockSplitValue {
 impl BlockSplitValue {
     /// `keyed`, prepared as `prepared`, read from input `partition` of
     /// `source` (see [`crate::BlockDistributionMatrix::source_of`]).
-    pub fn new(
-        keyed: Keyed,
-        prepared: Option<PreparedHandle>,
-        partition: usize,
-        source: SourceId,
-    ) -> Self {
+    pub fn new(keyed: Keyed, prepared: PreparedHandle, partition: usize, source: SourceId) -> Self {
         Self {
             keyed,
             prepared,
@@ -111,7 +106,7 @@ impl BlockSplitValue {
     }
 
     /// The member a compare driver takes.
-    pub fn member(&self) -> (&Keyed, Option<PreparedHandle>) {
+    pub fn member(&self) -> (&Keyed, PreparedHandle) {
         (&self.keyed, self.prepared)
     }
 }
@@ -165,16 +160,16 @@ impl std::fmt::Display for PairRangeKey {
 pub struct PairRangeValue {
     /// The blocking-key-annotated entity.
     pub keyed: Keyed,
-    /// Its prepared form in its map task's arena (`None` under
-    /// count-only; see [`crate::compare::EntityInterner`]).
-    pub prepared: Option<PreparedHandle>,
+    /// Its prepared form in its map task's arena (see
+    /// [`crate::compare::EntityInterner`]).
+    pub prepared: PreparedHandle,
     /// Global entity index within its block (and source).
     pub index: u64,
 }
 
 impl PairRangeValue {
     /// The member a compare driver takes.
-    pub fn member(&self) -> (&Keyed, Option<PreparedHandle>) {
+    pub fn member(&self) -> (&Keyed, PreparedHandle) {
         (&self.keyed, self.prepared)
     }
 }

@@ -42,7 +42,6 @@ pub mod bdm;
 pub mod bdm_job;
 pub mod block_split;
 pub mod compare;
-pub mod distribution;
 pub mod driver;
 pub mod keys;
 pub mod multipass;

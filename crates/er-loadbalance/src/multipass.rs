@@ -35,7 +35,6 @@ mod tests {
     };
     use er_core::Entity;
     use mr_engine::input::partition_evenly;
-    use mr_engine::runtime::RuntimeConfig;
 
     /// Products where title prefix and brand overlap heavily, so many
     /// pairs share both blocks.
@@ -71,7 +70,7 @@ mod tests {
         ] {
             let cfg = ErConfig::new(strategy)
                 .with_blocking(two_pass())
-                .with_runtime(RuntimeConfig::new().with_reduce_tasks(3));
+                .with_reduce_tasks(3);
             let input = partition_evenly(entities().into_iter().map(|e| ((), e)).collect(), 2);
             let outcome = run_er_inline(input, &cfg);
             // Entities 0,1,2 share both the "acm" title block and the
@@ -93,7 +92,7 @@ mod tests {
     fn multipass_result_matches_naive_reference() {
         let cfg = ErConfig::new(StrategyKind::PairRange)
             .with_blocking(two_pass())
-            .with_runtime(RuntimeConfig::new().with_reduce_tasks(4));
+            .with_reduce_tasks(4);
         let ents = entities();
         let input = partition_evenly(ents.iter().map(|e| ((), Arc::clone(e))).collect(), 3);
         let outcome = run_er_inline(input, &cfg);
@@ -126,14 +125,14 @@ mod tests {
         let single = ErConfig::new(StrategyKind::BlockSplit)
             .with_blocking(Arc::new(PrefixBlocking::title3()))
             .with_matcher(Arc::clone(&matcher))
-            .with_runtime(RuntimeConfig::new().with_reduce_tasks(2));
+            .with_reduce_tasks(2);
         let outcome_single = run_er_inline(input.clone(), &single);
         assert_eq!(outcome_single.result.len(), 0, "prefix blocking misses it");
 
         let multi = ErConfig::new(StrategyKind::BlockSplit)
             .with_blocking(two_pass())
             .with_matcher(matcher)
-            .with_runtime(RuntimeConfig::new().with_reduce_tasks(2));
+            .with_reduce_tasks(2);
         let outcome_multi = run_er_inline(input, &multi);
         assert_eq!(outcome_multi.result.len(), 1, "brand pass recovers it");
     }

@@ -13,10 +13,11 @@
 //! load-balancing strategies then split — so even the degenerate
 //! Cartesian product is processed skew-free.
 //!
-//! Every sub-problem runs on the caller's [`Runtime`], each as its own
-//! workflow (they differ in partition count, so they cannot share one
-//! workflow's chained shape) under the config's fault policy, plan and
-//! spill threshold.
+//! Every sub-problem runs as its own workflow (they differ in partition
+//! count, so they cannot share one workflow's chained shape), which the
+//! caller's `new_workflow` builds from the sub-problem's name: its
+//! pool, fault policy and plan, spill threshold, trace sink and tenant
+//! are the caller's, e.g. `|name| runtime.workflow(name)`.
 
 use std::sync::Arc;
 
@@ -24,7 +25,7 @@ use er_core::blocking::{BlockingFunction, ConstantBlocking};
 use er_core::{MatchResult, SourceId};
 use mr_engine::error::MrError;
 use mr_engine::input::Partitions;
-use mr_engine::runtime::Runtime;
+use mr_engine::workflow::Workflow;
 
 use crate::driver::{run_er_in, ErConfig};
 use crate::Ent;
@@ -81,28 +82,23 @@ pub struct NullKeyReport {
     pub null_null_matches: usize,
 }
 
-/// Runs one sub-problem — a dedup, or with `sources` a linkage — as
-/// its own workflow on `runtime`, under the config's fault policy,
-/// injection plan and spill threshold.
+/// Runs one sub-problem — a dedup, or with `sources` a linkage — on
+/// the workflow `new_workflow` builds for it.
 fn sub_problem(
-    runtime: &Runtime,
+    new_workflow: &mut impl FnMut(&str) -> Workflow,
     input: Partitions<(), Ent>,
     sources: Option<Vec<SourceId>>,
     config: &ErConfig,
 ) -> Result<MatchResult, MrError> {
     let kind = if sources.is_some() { "linkage" } else { "er" };
-    let mut workflow = runtime
-        .workflow(format!("{kind}-{}", config.strategy))
-        .with_fault_policy(config.runtime.fault_policy)
-        .with_fault_plan(config.fault_plan.clone())
-        .with_spill_threshold(config.runtime.spill_threshold);
+    let mut workflow = new_workflow(&format!("{kind}-{}", config.strategy));
     Ok(run_er_in(&mut workflow, input, sources, config)?.result)
 }
 
 /// Deduplicates one source including keyless entities, running every
-/// sub-problem on `runtime`.
+/// sub-problem on a workflow of `new_workflow`.
 pub fn deduplicate_with_null_keys(
-    runtime: &Runtime,
+    mut new_workflow: impl FnMut(&str) -> Workflow,
     input: &Partitions<(), Ent>,
     config: &ErConfig,
 ) -> Result<(MatchResult, NullKeyReport), MrError> {
@@ -112,7 +108,7 @@ pub fn deduplicate_with_null_keys(
 
     // matchB(R − R∅)
     if split.keyed_count() > 0 {
-        let matches = sub_problem(runtime, split.keyed.clone(), None, config)?;
+        let matches = sub_problem(&mut new_workflow, split.keyed.clone(), None, config)?;
         report.blocked_matches = matches.len();
         result.union(&matches);
     }
@@ -126,14 +122,14 @@ pub fn deduplicate_with_null_keys(
             let mut sources = vec![SourceId::R; split.keyed.len()];
             sources.extend(vec![SourceId::S; split.null.len()]);
             let cfg = config.clone().with_blocking(Arc::clone(&bottom));
-            let matches = sub_problem(runtime, partitions, Some(sources), &cfg)?;
+            let matches = sub_problem(&mut new_workflow, partitions, Some(sources), &cfg)?;
             report.cartesian_matches = matches.len();
             result.union(&matches);
         }
         // allPairs(R∅): one-source matching under the constant key.
         if split.null_count() > 1 {
             let cfg = config.clone().with_blocking(bottom);
-            let matches = sub_problem(runtime, split.null.clone(), None, &cfg)?;
+            let matches = sub_problem(&mut new_workflow, split.null.clone(), None, &cfg)?;
             report.null_null_matches = matches.len();
             result.union(&matches);
         }
@@ -142,9 +138,9 @@ pub fn deduplicate_with_null_keys(
 }
 
 /// Links two sources including keyless entities on either side,
-/// running every sub-problem on `runtime`.
+/// running every sub-problem on a workflow of `new_workflow`.
 pub fn link_with_null_keys(
-    runtime: &Runtime,
+    mut new_workflow: impl FnMut(&str) -> Workflow,
     input: &Partitions<(), Ent>,
     sources: &[SourceId],
     config: &ErConfig,
@@ -156,7 +152,12 @@ pub fn link_with_null_keys(
 
     // matchB(R − R∅, S − S∅)
     if split.keyed_count() > 0 {
-        let matches = sub_problem(runtime, split.keyed.clone(), Some(sources.to_vec()), config)?;
+        let matches = sub_problem(
+            &mut new_workflow,
+            split.keyed.clone(),
+            Some(sources.to_vec()),
+            config,
+        )?;
         report.blocked_matches = matches.len();
         result.union(&matches);
     }
@@ -181,7 +182,7 @@ pub fn link_with_null_keys(
         let mut tags = vec![SourceId::R; r_all.len()];
         tags.extend(vec![SourceId::S; s_null.len()]);
         let cfg = config.clone().with_blocking(Arc::clone(&bottom));
-        let matches = sub_problem(runtime, partitions, Some(tags), &cfg)?;
+        let matches = sub_problem(&mut new_workflow, partitions, Some(tags), &cfg)?;
         report.cartesian_matches += matches.len();
         result.union(&matches);
     }
@@ -206,7 +207,7 @@ pub fn link_with_null_keys(
         let mut tags = vec![SourceId::R; r_null.len()];
         tags.extend(vec![SourceId::S; s_keyed.len()]);
         let cfg = config.clone().with_blocking(bottom);
-        let matches = sub_problem(runtime, partitions, Some(tags), &cfg)?;
+        let matches = sub_problem(&mut new_workflow, partitions, Some(tags), &cfg)?;
         report.cartesian_matches += matches.len();
         result.union(&matches);
     }
@@ -219,7 +220,7 @@ mod tests {
     use crate::StrategyKind;
     use er_core::blocking::PrefixBlocking;
     use er_core::Entity;
-    use mr_engine::runtime::RuntimeConfig;
+    use mr_engine::runtime::{Runtime, RuntimeConfig};
 
     fn ent(id: u64, title: Option<&str>) -> ((), Ent) {
         match title {
@@ -229,17 +230,13 @@ mod tests {
     }
 
     fn runtime() -> Runtime {
-        Runtime::new(
-            RuntimeConfig::new()
-                .with_parallelism(1)
-                .with_reduce_tasks(3),
-        )
+        Runtime::new(RuntimeConfig::new().with_parallelism(1))
     }
 
-    fn config(runtime: &Runtime, strategy: StrategyKind) -> ErConfig {
+    fn config(strategy: StrategyKind) -> ErConfig {
         ErConfig::new(strategy)
             .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))
-            .with_runtime(*runtime.config())
+            .with_reduce_tasks(3)
     }
 
     #[test]
@@ -297,8 +294,9 @@ mod tests {
             StrategyKind::BlockSplit,
             StrategyKind::PairRange,
         ] {
-            let cfg = config(&runtime, strategy).with_matcher(Arc::clone(&matcher));
-            let (result, report) = deduplicate_with_null_keys(&runtime, &input, &cfg).unwrap();
+            let cfg = config(strategy).with_matcher(Arc::clone(&matcher));
+            let (result, report) =
+                deduplicate_with_null_keys(|name| runtime.workflow(name), &input, &cfg).unwrap();
             assert!(
                 report.cartesian_matches >= 1,
                 "{strategy}: keyed x keyless duplicate missed: {report:?}"
@@ -321,27 +319,35 @@ mod tests {
             vec![ent(2, Some("bb other"))],
         ];
         let runtime = runtime();
-        let cfg = config(&runtime, StrategyKind::BlockSplit);
-        let (result, report) = deduplicate_with_null_keys(&runtime, &input, &cfg).unwrap();
-        let direct = sub_problem(&runtime, input.clone(), None, &cfg).unwrap();
+        let mut new_workflow = |name: &str| runtime.workflow(name);
+        let cfg = config(StrategyKind::BlockSplit);
+        let (result, report) = deduplicate_with_null_keys(new_workflow, &input, &cfg).unwrap();
+        let direct = sub_problem(&mut new_workflow, input.clone(), None, &cfg).unwrap();
         assert_eq!(result.pair_set(), direct.pair_set());
         assert_eq!(report.cartesian_matches, 0);
         assert_eq!(report.null_null_matches, 0);
     }
 
-    #[test]
-    fn sub_problems_run_under_the_configs_fault_policy_and_plan() {
-        use mr_engine::fault::{FaultKind, FaultPlan, FaultPolicy};
-        let input = vec![
+    /// Keyed duplicates in one partition, keyless ones in the other:
+    /// all three sub-problems of a dedup run.
+    fn mixed_input() -> Partitions<(), Ent> {
+        vec![
             vec![
                 ent(0, Some("aa same text here")),
                 ent(1, Some("aa same text herX")),
             ],
             vec![ent(2, None), ent(3, None)],
-        ];
+        ]
+    }
+
+    #[test]
+    fn sub_problems_run_under_the_callers_fault_policy_and_plan() {
+        use mr_engine::fault::{FaultKind, FaultPlan, FaultPolicy};
+        let input = mixed_input();
         let runtime = runtime();
-        let clean = config(&runtime, StrategyKind::BlockSplit);
-        let (reference, _) = deduplicate_with_null_keys(&runtime, &input, &clean).unwrap();
+        let cfg = config(StrategyKind::BlockSplit);
+        let (reference, _) =
+            deduplicate_with_null_keys(|name| runtime.workflow(name), &input, &cfg).unwrap();
         // Every sub-problem's first reduce attempt dies once; a retry
         // budget of two recovers each, byte-identically.
         let once = FaultPlan::new().silence_injected_panics().panic_at(
@@ -351,14 +357,66 @@ mod tests {
             1,
             "injected once",
         );
-        let mut retrying = clean.clone().with_fault_plan(once.clone());
-        retrying.runtime.fault_policy = FaultPolicy::retry(2);
-        let (recovered, _) = deduplicate_with_null_keys(&runtime, &input, &retrying).unwrap();
+        let retrying = |name: &str| {
+            runtime
+                .workflow(name)
+                .with_fault_policy(FaultPolicy::retry(2))
+                .with_fault_plan(once.clone())
+        };
+        let (recovered, _) = deduplicate_with_null_keys(retrying, &input, &cfg).unwrap();
         assert_eq!(recovered.pair_set(), reference.pair_set());
         // Under the fail-fast default the same plan is a typed error.
-        let err =
-            deduplicate_with_null_keys(&runtime, &input, &clean.with_fault_plan(once)).unwrap_err();
+        let failing = |name: &str| runtime.workflow(name).with_fault_plan(once.clone());
+        let err = deduplicate_with_null_keys(failing, &input, &cfg).unwrap_err();
         assert!(matches!(err, MrError::TaskFailed(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn sub_problems_run_on_the_callers_workflows() {
+        use mr_engine::trace::{TraceEventData, TraceRecorder, TraceReport, TraceSink};
+        let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+        let recorder = Arc::new(TraceRecorder::new());
+        let mut built = Vec::new();
+        let new_workflow = |name: &str| {
+            built.push(name.to_string());
+            runtime
+                .workflow(name)
+                .with_tenant("null-keys")
+                .with_trace_sink(Arc::clone(&recorder) as Arc<dyn TraceSink>)
+        };
+        let cfg = config(StrategyKind::BlockSplit);
+        deduplicate_with_null_keys(new_workflow, &mixed_input(), &cfg).unwrap();
+        assert_eq!(
+            built,
+            ["er-BlockSplit", "linkage-BlockSplit", "er-BlockSplit"]
+        );
+        // Both stages — the BDM job and the matching job — of every
+        // sub-problem start on the workflow the caller built.
+        let events = recorder.events();
+        let mut started: Vec<(String, usize)> = events
+            .iter()
+            .filter_map(|event| match &event.data {
+                TraceEventData::StageStarted {
+                    workflow, stage, ..
+                } => Some((workflow.clone(), *stage)),
+                _ => None,
+            })
+            .collect();
+        let mut expected: Vec<(String, usize)> = built
+            .iter()
+            .flat_map(|name| [(name.clone(), 0), (name.clone(), 1)])
+            .collect();
+        started.sort();
+        expected.sort();
+        assert_eq!(started, expected);
+        let report = TraceReport::from_events(&events);
+        let tenants: Vec<&str> = report.tenants().iter().map(|t| t.tenant.as_str()).collect();
+        assert_eq!(
+            tenants,
+            ["null-keys"],
+            "every batch is the caller's tenant's"
+        );
+        assert!(report.tenants()[0].stages_submitted >= 1);
     }
 
     #[test]
@@ -392,8 +450,9 @@ mod tests {
             0.4,
         ));
         let runtime = runtime();
-        let cfg = config(&runtime, StrategyKind::PairRange).with_matcher(matcher);
-        let (result, report) = link_with_null_keys(&runtime, &input, &sources, &cfg).unwrap();
+        let cfg = config(StrategyKind::PairRange).with_matcher(matcher);
+        let (result, report) =
+            link_with_null_keys(|name| runtime.workflow(name), &input, &sources, &cfg).unwrap();
         // Blocked: R#0 ~ S#10 (same title). Cartesian: R#1 ~ S#11
         // (same brand) via match⊥(R, S∅).
         assert!(report.blocked_matches >= 1, "{report:?}");

@@ -197,35 +197,50 @@ pub(crate) fn partners_by_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::EntityInterner;
     use crate::keys::PairRangeValue;
     use crate::{Keyed, COMPARISONS};
     use er_core::blocking::BlockKey;
-    use er_core::{Entity, Matcher};
+    use er_core::{Entity, Matcher, PreparedArena};
     use mr_engine::reducer::ReduceTaskInfo;
 
-    fn entry(range: u32, block: u32, index: u64) -> (PairRangeKey, PairRangeValue) {
-        (
-            PairRangeKey {
-                range,
-                block,
-                source: SourceId::R,
-                index,
-            },
-            PairRangeValue {
-                keyed: Keyed::single(
-                    BlockKey::new("z"),
-                    Arc::new(Entity::new(index, [("title", "t")])),
-                ),
-                prepared: None,
-                index,
-            },
-        )
+    fn comparer() -> PairComparer {
+        PairComparer::new(Arc::new(Matcher::paper_default()))
+    }
+
+    /// The group of `range` holding the entities `indices` of `block`,
+    /// all prepared by one map task, and that task's arena.
+    fn group(
+        range: u32,
+        block: u32,
+        indices: impl IntoIterator<Item = u64>,
+    ) -> (Vec<(PairRangeKey, PairRangeValue)>, [PreparedArena; 1]) {
+        let mut interner = EntityInterner::new(&comparer());
+        let entries = indices
+            .into_iter()
+            .map(|index| {
+                let entity: crate::Ent = Arc::new(Entity::new(index, [("title", "t")]));
+                let key = PairRangeKey {
+                    range,
+                    block,
+                    source: SourceId::R,
+                    index,
+                };
+                let value = PairRangeValue {
+                    prepared: interner.intern(&entity),
+                    keyed: Keyed::single(BlockKey::new("z"), entity),
+                    index,
+                };
+                (key, value)
+            })
+            .collect();
+        (entries, [interner.into_arena()])
     }
 
     fn reducer() -> PairRangeReducer {
         PairRangeReducer::new(
             Arc::new(crate::bdm::running_example_bdm()),
-            PairComparer::count_only(Arc::new(Matcher::paper_default())),
+            comparer(),
             RangePolicy::CeilDiv,
         )
     }
@@ -307,7 +322,7 @@ mod tests {
         // Range 1 = [7,13]; block z (index 3) holds pairs 10..19. The
         // group receives all five z entities; only pairs 10..13 are in
         // range: (0,1) (0,2) (0,3) (0,4).
-        let entries: Vec<_> = (0..5).map(|i| entry(1, 3, i)).collect();
+        let (entries, arenas) = group(1, 3, 0..5);
         let mut red = reducer();
         red.setup(&ReduceTaskInfo {
             task_index: 1,
@@ -315,7 +330,7 @@ mod tests {
             num_map_tasks: 2,
         });
         let mut c = ctx(1);
-        red.reduce(Group::for_testing(&entries), &mut c);
+        red.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 4);
     }
 
@@ -323,7 +338,7 @@ mod tests {
     fn range2_of_block_z_computes_pairs_14_to_19() {
         // Range 2 = [14,19]: pairs (1,2) (1,3) (1,4) (2,3) (2,4) (3,4)
         // — F (index 0) is absent from this group (paper Figure 7).
-        let entries: Vec<_> = (1..5).map(|i| entry(2, 3, i)).collect();
+        let (entries, arenas) = group(2, 3, 1..5);
         let mut red = reducer();
         red.setup(&ReduceTaskInfo {
             task_index: 2,
@@ -331,7 +346,7 @@ mod tests {
             num_map_tasks: 2,
         });
         let mut c = ctx(2);
-        red.reduce(Group::for_testing(&entries), &mut c);
+        red.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6);
     }
 
@@ -354,7 +369,7 @@ mod tests {
             if members.len() < 2 {
                 continue;
             }
-            let entries: Vec<_> = members.iter().map(|&i| entry(range, 3, i)).collect();
+            let (entries, arenas) = group(range, 3, members);
             let mut red = reducer();
             red.setup(&ReduceTaskInfo {
                 task_index: range as usize,
@@ -362,7 +377,7 @@ mod tests {
                 num_map_tasks: 2,
             });
             let mut c = ctx(range as usize);
-            red.reduce(Group::for_testing(&entries), &mut c);
+            red.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
             total += c.counters().get(COMPARISONS);
         }
         assert_eq!(total, 10, "block z's pairs, each computed exactly once");

@@ -11,9 +11,8 @@
 //! This induces the Figure 4 BDM (`w:[2,2] x:[1,1] y:[2,1] z:[2,3]`),
 //! P = 20 pairs, the Figure 5 BlockSplit distribution and the
 //! Figure 6/7 PairRange enumeration. Entity "titles" here are the
-//! single-letter names; matching in the example tests usually runs in
-//! count-only mode since the paper's example is about routing, not
-//! similarity.
+//! single-letter names, so no two of them match: the paper's example
+//! is about routing, not similarity.
 
 use std::sync::Arc;
 

@@ -69,16 +69,11 @@ mod tests {
     use super::*;
     use crate::driver::{run_er_inline, ErConfig};
     use crate::running_example;
-    use mr_engine::runtime::RuntimeConfig;
 
     fn stats_for(strategy: StrategyKind) -> WorkloadStats {
         let config = ErConfig::new(strategy)
             .with_blocking(running_example::blocking())
-            .with_runtime(
-                RuntimeConfig::new()
-                    .with_reduce_tasks(3)
-                    .with_count_only(true),
-            );
+            .with_reduce_tasks(3);
         let stages = run_er_inline(running_example::entity_partitions(), &config);
         WorkloadStats::from_metrics(strategy, &stages.match_metrics)
     }

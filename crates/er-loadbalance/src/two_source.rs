@@ -118,7 +118,7 @@ mod basic {
             let job = basic_job(
                 crate::running_example::blocking(),
                 Some(Arc::from(appendix_example::partition_sources())),
-                PairComparer::count_only(Arc::new(Matcher::paper_default())),
+                PairComparer::new(Arc::new(Matcher::paper_default())),
                 reduce_tasks,
             );
             let out = job
@@ -200,7 +200,7 @@ mod block_split {
 
         #[test]
         fn job_computes_exactly_the_12_cross_pairs() {
-            let out = run(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+            let out = run(PairComparer::new(Arc::new(Matcher::paper_default())));
             assert_eq!(out.metrics.counters.get(COMPARISONS), 12);
             assert_eq!(out.metrics.per_reduce_counter(COMPARISONS), vec![4, 4, 4]);
             assert_eq!(out.metrics.map_output_records(), 14);
@@ -411,7 +411,7 @@ mod pair_range {
 
         #[test]
         fn job_computes_exactly_the_12_cross_pairs_evenly() {
-            let out = run(PairComparer::count_only(Arc::new(Matcher::paper_default())));
+            let out = run(PairComparer::new(Arc::new(Matcher::paper_default())));
             assert_eq!(out.metrics.counters.get(COMPARISONS), 12);
             assert_eq!(
                 out.metrics.per_reduce_counter(COMPARISONS),

@@ -56,7 +56,7 @@ fn a_warm_driver_allocates_nothing_per_group() {
     let n = members.len();
     let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
     // The first half is routed by map task 0, the second by map task 1.
-    let mut handles: Vec<Option<PreparedHandle>> = Vec::new();
+    let mut handles: Vec<PreparedHandle> = Vec::new();
     let arenas: Vec<PreparedArena> = members
         .chunks(n / 2)
         .enumerate()
@@ -72,7 +72,7 @@ fn a_warm_driver_allocates_nothing_per_group() {
             interner.into_arena()
         })
         .collect();
-    let staged: Vec<(&Keyed, Option<PreparedHandle>)> = members.iter().zip(handles).collect();
+    let staged: Vec<(&Keyed, PreparedHandle)> = members.iter().zip(handles).collect();
     let mut driver = GroupComparer::new(comparer);
 
     let mut rounds = [(0u64, 0u64); 2];

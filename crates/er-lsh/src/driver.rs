@@ -28,10 +28,9 @@ use er_loadbalance::{
     run_match_stage, BlockDistributionMatrix, Ent, ErConfig, MatchInput, StrategyKind,
 };
 use mr_engine::error::MrError;
-use mr_engine::fault::FaultPlan;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
-use mr_engine::runtime::RuntimeConfig;
+use mr_engine::runtime::DEFAULT_REDUCE_TASKS;
 use mr_engine::workflow::Workflow;
 
 use crate::{LshBlocking, LshParams};
@@ -40,9 +39,9 @@ use crate::{LshBlocking, LshParams};
 /// budget and the matcher; every rung bands title trigrams
 /// ([`LshConfig::blocking_for`]), its signature job pre-aggregates its
 /// counts, and BlockSplit balances the accepted rung's banded key
-/// space. Shared execution knobs live in the embedded
-/// [`RuntimeConfig`] (install the block with
-/// [`LshConfig::with_runtime`]), mirroring `ErConfig`/`SnConfig`.
+/// space. How the stages run — spill threshold, fault policy and plan,
+/// trace sink, tenant — is the caller's [`Workflow`]'s, as for
+/// `ErConfig` and `SnConfig`.
 #[derive(Clone)]
 pub struct LshConfig {
     /// The adaptive ladder, widest (most bands / highest recall /
@@ -55,9 +54,8 @@ pub struct LshConfig {
     pub candidate_budget: Option<u64>,
     /// Match rule candidates are evaluated under.
     pub matcher: Arc<Matcher>,
-    /// Shared execution knobs: reduce tasks, count-only mode, spill
-    /// threshold, fault policy.
-    pub runtime: RuntimeConfig,
+    /// Reduce tasks of every signature job and of the candidate job.
+    pub reduce_tasks: usize,
 }
 
 impl Default for LshConfig {
@@ -79,7 +77,7 @@ impl LshConfig {
             ],
             candidate_budget: None,
             matcher: Arc::new(Matcher::paper_default()),
-            runtime: RuntimeConfig::default(),
+            reduce_tasks: DEFAULT_REDUCE_TASKS,
         }
     }
 
@@ -99,10 +97,9 @@ impl LshConfig {
         self
     }
 
-    /// Replaces the whole shared-knob block (e.g. with a `Runtime`'s
-    /// configuration).
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
-        self.runtime = runtime;
+    /// Overrides the reduce-task count of every job.
+    pub fn with_reduce_tasks(mut self, reduce_tasks: usize) -> Self {
+        self.reduce_tasks = reduce_tasks;
         self
     }
 
@@ -125,8 +122,7 @@ impl LshConfig {
             blocking: Arc::new(self.blocking_for(params)),
             matcher: Arc::clone(&self.matcher),
             strategy: StrategyKind::BlockSplit,
-            runtime: self.runtime,
-            fault_plan: FaultPlan::new(),
+            reduce_tasks: self.reduce_tasks,
         }
     }
 }
@@ -136,7 +132,7 @@ impl std::fmt::Debug for LshConfig {
         f.debug_struct("LshConfig")
             .field("ladder", &self.ladder)
             .field("candidate_budget", &self.candidate_budget)
-            .field("runtime", &self.runtime)
+            .field("reduce_tasks", &self.reduce_tasks)
             .finish_non_exhaustive()
     }
 }
@@ -229,7 +225,7 @@ pub fn run_lsh_in(
             &format!("lsh-sig-{params}"),
             input.clone(),
             Arc::new(config.blocking_for(params)),
-            config.runtime.reduce_tasks,
+            config.reduce_tasks,
             true,
         )?;
         let bdm = Arc::new(match &sources {
@@ -362,7 +358,7 @@ mod tests {
     fn config() -> LshConfig {
         LshConfig::new()
             .with_ladder(vec![LshParams::new(8, 2)])
-            .with_runtime(RuntimeConfig::new().with_reduce_tasks(3))
+            .with_reduce_tasks(3)
     }
 
     /// Compiles the scenario onto a single-slot (inline) pool.
@@ -478,14 +474,5 @@ mod tests {
         let blocking = config.blocking_for(LshParams::new(8, 2));
         let candidates = lsh_candidate_pairs(&tagged, &blocking, true);
         assert_eq!(outcome.total_comparisons(), candidates.len() as u64);
-    }
-
-    #[test]
-    fn count_only_counts_without_emitting() {
-        let mut config = config();
-        config.runtime.count_only = true;
-        let outcome = lsh_inline(input(2), None, &config).unwrap();
-        assert!(outcome.result.is_empty());
-        assert!(outcome.total_comparisons() > 0);
     }
 }

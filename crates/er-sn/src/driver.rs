@@ -10,7 +10,7 @@
 //!
 //! The match output is a pure function of `(input, SnConfig)`:
 //! byte-identical at every `parallelism`, identical as a pair set at
-//! every `partitions` count and across the two strategies, and equal
+//! every `reduce_tasks` count and across the two strategies, and equal
 //! to the single-machine sliding-window oracle [`sn_oracle`]. Ties
 //! between equal sort keys resolve by `(input partition, record
 //! order)` — the engine's stable shuffle order — which the oracle
@@ -26,7 +26,7 @@ use er_loadbalance::Ent;
 use mr_engine::error::MrError;
 use mr_engine::input::Partitions;
 use mr_engine::metrics::JobMetrics;
-use mr_engine::runtime::RuntimeConfig;
+use mr_engine::runtime::DEFAULT_REDUCE_TASKS;
 use mr_engine::workflow::Workflow;
 
 use crate::jobsn::{assemble_boundary_input, split_window_output, stitch_job, window_job};
@@ -54,14 +54,10 @@ impl std::fmt::Display for SnStrategy {
     }
 }
 
-/// Configuration of one Sorted Neighborhood run.
-///
-/// The execution knobs every scenario shares live in the embedded
-/// [`RuntimeConfig`] (install the block with
-/// [`SnConfig::with_runtime`]): `count_only`, `spill_threshold`,
-/// `fault_policy`, and — because SN's key ranges *are* the reduce
-/// tasks of its matching job — the partition count, stored as
-/// [`RuntimeConfig::reduce_tasks`] (see [`SnConfig::with_partitions`]).
+/// Configuration of one Sorted Neighborhood run: what
+/// [`run_sn_stages`] reads, and nothing else. How the stages run —
+/// spill threshold, fault policy and plan, trace sink, tenant — is the
+/// caller's [`Workflow`]'s.
 #[derive(Clone)]
 pub struct SnConfig {
     /// Sort-key derivation (default: full normalized `title`).
@@ -74,21 +70,21 @@ pub struct SnConfig {
     /// Window size `w ≥ 2`: every pair within `w − 1` sort positions
     /// is compared.
     pub window: usize,
-    /// Shared execution knobs; `runtime.reduce_tasks` is the number of
-    /// key ranges (== reduce tasks of the matching job).
-    pub runtime: RuntimeConfig,
+    /// Reduce tasks of the matching job — SN's key ranges, one
+    /// contiguous range of the global sort order each.
+    pub reduce_tasks: usize,
 }
 
 impl SnConfig {
-    /// Defaults: window 4, 4 partitions, the full normalized `title`
-    /// as sort key.
+    /// Defaults: window 4, [`DEFAULT_REDUCE_TASKS`] key ranges, the
+    /// full normalized `title` as sort key.
     pub fn new(strategy: SnStrategy) -> Self {
         Self {
             sort_key: Arc::new(AttributeSortKey::title()),
             matcher: Arc::new(Matcher::paper_default()),
             strategy,
             window: 4,
-            runtime: RuntimeConfig::default(),
+            reduce_tasks: DEFAULT_REDUCE_TASKS,
         }
     }
 
@@ -104,13 +100,6 @@ impl SnConfig {
         self
     }
 
-    /// Replaces the whole shared-knob block (e.g. with a `Runtime`'s
-    /// configuration).
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
     /// Overrides the window size.
     ///
     /// # Panics
@@ -121,25 +110,19 @@ impl SnConfig {
         self
     }
 
-    /// Overrides the number of key ranges (forwards to
-    /// [`RuntimeConfig::reduce_tasks`] — the ranges are the reduce
-    /// tasks of the matching job).
+    /// Overrides the number of key ranges — the reduce tasks of the
+    /// matching job.
     ///
     /// # Panics
-    /// If `partitions` is zero.
-    pub fn with_partitions(mut self, partitions: usize) -> Self {
-        assert!(partitions > 0, "at least one partition is required");
-        self.runtime.reduce_tasks = partitions;
+    /// If `reduce_tasks` is zero.
+    pub fn with_reduce_tasks(mut self, reduce_tasks: usize) -> Self {
+        assert!(reduce_tasks > 0, "at least one partition is required");
+        self.reduce_tasks = reduce_tasks;
         self
     }
 
-    /// Number of key ranges == reduce tasks of the matching job.
-    pub fn partitions(&self) -> usize {
-        self.runtime.reduce_tasks
-    }
-
     pub(crate) fn comparer(&self) -> PairComparer {
-        PairComparer::from_runtime(Arc::clone(&self.matcher), &self.runtime)
+        PairComparer::new(Arc::clone(&self.matcher))
     }
 }
 
@@ -148,9 +131,8 @@ impl std::fmt::Debug for SnConfig {
         f.debug_struct("SnConfig")
             .field("strategy", &self.strategy)
             .field("window", &self.window)
-            .field("partitions", &self.partitions())
-            .field("runtime", &self.runtime)
-            .finish()
+            .field("reduce_tasks", &self.reduce_tasks)
+            .finish_non_exhaustive()
     }
 }
 
@@ -222,14 +204,14 @@ pub fn run_sn_stages(
         "a sliding window must span at least 2 slots"
     );
     assert!(
-        config.partitions() > 0,
+        config.reduce_tasks > 0,
         "at least one partition is required"
     );
     let (partitioner, annotated, sample_metrics) = sample_distribution_in(
         workflow,
         input,
         Arc::clone(&config.sort_key),
-        config.partitions(),
+        config.reduce_tasks,
     )?;
     match config.strategy {
         SnStrategy::JobSn => {
@@ -237,13 +219,13 @@ pub fn run_sn_stages(
                 Arc::new(partitioner.clone()),
                 comparer.clone(),
                 config.window,
-                config.partitions(),
+                config.reduce_tasks,
             );
             let out = workflow.chained_stage(&job, annotated)?;
             let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
             let match_metrics = out.metrics;
             let (mut result, candidates) =
-                split_window_output(out.reduce_outputs, config.partitions(), lens);
+                split_window_output(out.reduce_outputs, config.reduce_tasks, lens);
             let boundary_input = assemble_boundary_input(&candidates, config.window);
             let stitch_metrics = if boundary_input.is_empty() {
                 None
@@ -272,7 +254,7 @@ pub fn run_sn_stages(
                 Arc::new(partitioner.clone()),
                 comparer,
                 config.window,
-                config.partitions(),
+                config.reduce_tasks,
             );
             let out = workflow.chained_stage(&job, annotated)?;
             let result = MatchResult::from_runs(out.reduce_outputs);
@@ -340,7 +322,7 @@ mod tests {
     }
 
     fn config(strategy: SnStrategy) -> SnConfig {
-        SnConfig::new(strategy).with_window(3).with_partitions(2)
+        SnConfig::new(strategy).with_window(3).with_reduce_tasks(2)
     }
 
     fn sn_inline(input: Partitions<(), Ent>, config: &SnConfig) -> Result<SnStages, MrError> {
@@ -382,7 +364,7 @@ mod tests {
         // neighbours spans two boundaries; replication must still
         // reach it. JobSN handles the identical configuration too.
         for strategy in [SnStrategy::RepSn, SnStrategy::JobSn] {
-            let cfg = SnConfig::new(strategy).with_window(4).with_partitions(3);
+            let cfg = SnConfig::new(strategy).with_window(4).with_reduce_tasks(3);
             let outcome = sn_inline(input(&["aa", "bb", "cc"]), &cfg).unwrap();
             let oracle = sn_oracle(&input(&["aa", "bb", "cc"]), &cfg);
             assert_eq!(outcome.result.pair_set(), oracle.pair_set(), "{strategy}");
@@ -400,7 +382,7 @@ mod tests {
         // replicates forward when it holds fewer than w - 1 entities.
         let cfg = SnConfig::new(SnStrategy::RepSn)
             .with_window(4)
-            .with_partitions(2);
+            .with_reduce_tasks(2);
         let titles = ["aa", "bb", "cc", "zz"];
         let outcome = sn_inline(input(&titles), &cfg).unwrap();
         let oracle = sn_oracle(&input(&titles), &cfg);
@@ -411,7 +393,7 @@ mod tests {
     #[test]
     fn single_partition_degenerates_to_a_plain_window() {
         for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let cfg = SnConfig::new(strategy).with_window(3).with_partitions(1);
+            let cfg = SnConfig::new(strategy).with_window(3).with_reduce_tasks(1);
             let outcome = sn_inline(input(&["b", "a", "c"]), &cfg).unwrap();
             assert_eq!(outcome.total_comparisons(), oracle_comparisons(3, 3));
             assert!(outcome.stitch_metrics.is_none());
@@ -461,7 +443,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one partition")]
     fn zero_partitions_rejected() {
-        let _ = SnConfig::new(SnStrategy::JobSn).with_partitions(0);
+        let _ = SnConfig::new(SnStrategy::JobSn).with_reduce_tasks(0);
     }
 }
 
@@ -503,7 +485,7 @@ mod proptests {
         ) {
             let input = hostile_input(&picks, letters, m);
             for strategy in [SnStrategy::RepSn, SnStrategy::JobSn] {
-                let config = SnConfig::new(strategy).with_window(w).with_partitions(r);
+                let config = SnConfig::new(strategy).with_window(w).with_reduce_tasks(r);
                 let outcome =
                     run_sorted_neighborhood_in(&mut inline_workflow("sn"), input.clone(), &config);
                 prop_assert_eq!(outcome.as_ref().err(), None, "{}", strategy);

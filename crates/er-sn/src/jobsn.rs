@@ -581,14 +581,14 @@ mod tests {
     fn stitch_reducer_compares_only_within_the_window() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
         let mut reducer = StitchReducer::new(comparer.clone(), 3);
-        let mut entries = vec![
+        let entries = vec![
             (
                 BoundaryKey {
                     boundary: 0,
                     side: BoundarySide::Left,
                     dist: 1,
                 },
-                SnEntity::original(ent(1, "abcdefghij"), None),
+                ent(1, "abcdefghij"),
             ),
             (
                 BoundaryKey {
@@ -596,7 +596,7 @@ mod tests {
                     side: BoundarySide::Left,
                     dist: 2,
                 },
-                SnEntity::original(ent(2, "abcdefghij"), None),
+                ent(2, "abcdefghij"),
             ),
             (
                 BoundaryKey {
@@ -604,7 +604,7 @@ mod tests {
                     side: BoundarySide::Right,
                     dist: 1,
                 },
-                SnEntity::original(ent(3, "abcdefghij"), None),
+                ent(3, "abcdefghij"),
             ),
             (
                 BoundaryKey {
@@ -612,7 +612,7 @@ mod tests {
                     side: BoundarySide::Right,
                     dist: 2,
                 },
-                SnEntity::original(ent(4, "abcdefghij"), None),
+                ent(4, "abcdefghij"),
             ),
         ];
         let mut ctx = ReduceContext::for_testing(ReduceTaskInfo {
@@ -620,7 +620,7 @@ mod tests {
             num_reduce_tasks: 1,
             num_map_tasks: 1,
         });
-        let arenas = crate::keys::staged(&comparer, &mut entries);
+        let (entries, arenas) = crate::keys::staged(&comparer, entries);
         reducer.reduce(
             Group::for_testing(&entries).with_products(&arenas),
             &mut ctx,
@@ -650,11 +650,8 @@ mod tests {
                 partition: task_index as u32,
                 key: SortKey::new(key),
             };
-            let mut entries = vec![
-                (key("a"), SnEntity::original(ent(1, "aa"), None)),
-                (key("b"), SnEntity::original(ent(2, "bb"), None)),
-            ];
-            let arenas = crate::keys::staged(&comparer, &mut entries);
+            let entries = vec![(key("a"), ent(1, "aa")), (key("b"), ent(2, "bb"))];
+            let (entries, arenas) = crate::keys::staged(&comparer, entries);
             for group in entries.chunks(1) {
                 reducer.reduce(Group::for_testing(group).with_products(&arenas), &mut ctx);
             }
@@ -691,11 +688,11 @@ mod tests {
         reducer.setup(&info);
         // The engine delivers one group per distinct sort key; the
         // window must carry across them.
-        let mut entries = vec![
-            (key("a"), SnEntity::original(ent(1, "same title"), None)),
-            (key("b"), SnEntity::original(ent(2, "same title"), None)),
+        let entries = vec![
+            (key("a"), ent(1, "same title")),
+            (key("b"), ent(2, "same title")),
         ];
-        let arenas = crate::keys::staged(&comparer, &mut entries);
+        let (entries, arenas) = crate::keys::staged(&comparer, entries);
         for group in entries.chunks(1) {
             reducer.reduce(Group::for_testing(group).with_products(&arenas), &mut ctx);
         }

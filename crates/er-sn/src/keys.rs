@@ -59,9 +59,9 @@ impl std::fmt::Display for SnKey {
 pub struct SnEntity {
     /// The `⊥`-annotated entity.
     pub keyed: Keyed,
-    /// Its prepared form in its map task's arena (`None` under
-    /// count-only; see [`er_loadbalance::compare::EntityInterner`]).
-    pub prepared: Option<PreparedHandle>,
+    /// Its prepared form in its map task's arena (see
+    /// [`er_loadbalance::compare::EntityInterner`]).
+    pub prepared: PreparedHandle,
     /// True for a RepSN boundary replica (window-primer only; replica
     /// × replica pairs are never compared — they belong to an earlier
     /// partition).
@@ -71,7 +71,7 @@ pub struct SnEntity {
 impl SnEntity {
     /// Wraps an original (non-replicated) entity, prepared as
     /// `prepared`.
-    pub fn original(entity: Ent, prepared: Option<PreparedHandle>) -> Self {
+    pub fn original(entity: Ent, prepared: PreparedHandle) -> Self {
         Self {
             keyed: bottom_keyed(entity),
             prepared,
@@ -80,7 +80,7 @@ impl SnEntity {
     }
 
     /// Wraps a RepSN boundary replica, prepared as `prepared`.
-    pub fn replica(entity: Ent, prepared: Option<PreparedHandle>) -> Self {
+    pub fn replica(entity: Ent, prepared: PreparedHandle) -> Self {
         Self {
             replica: true,
             ..Self::original(entity, prepared)
@@ -93,7 +93,7 @@ impl SnEntity {
     }
 
     /// The member a compare driver takes.
-    pub fn member(&self) -> (&Keyed, Option<PreparedHandle>) {
+    pub fn member(&self) -> (&Keyed, PreparedHandle) {
         (&self.keyed, self.prepared)
     }
 }
@@ -156,18 +156,23 @@ pub fn bottom_keyed(entity: Ent) -> Keyed {
     Keyed::single(BlockKey::bottom(), entity)
 }
 
-/// Test support: prepares the values of `entries` for `comparer` the
-/// way one map task does, returning the stage's arenas.
+/// Test support: the entities of `entries` as one map task emits them
+/// for `comparer` — originals with their handles — and the stage's
+/// arenas.
 #[cfg(test)]
 pub(crate) fn staged<K>(
     comparer: &er_loadbalance::compare::PairComparer,
-    entries: &mut [(K, SnEntity)],
-) -> Vec<er_core::PreparedArena> {
+    entries: Vec<(K, Ent)>,
+) -> (Vec<(K, SnEntity)>, Vec<er_core::PreparedArena>) {
     let mut interner = er_loadbalance::compare::EntityInterner::new(comparer);
-    for (_, value) in entries.iter_mut() {
-        value.prepared = interner.intern(value.entity());
-    }
-    vec![interner.into_arena()]
+    let entries = entries
+        .into_iter()
+        .map(|(key, entity)| {
+            let prepared = interner.intern(&entity);
+            (key, SnEntity::original(entity, prepared))
+        })
+        .collect();
+    (entries, vec![interner.into_arena()])
 }
 
 #[cfg(test)]
@@ -269,8 +274,11 @@ mod tests {
 
     #[test]
     fn sn_entity_wraps_under_the_bottom_key() {
-        let original = SnEntity::original(ent(1), None);
-        let replica = SnEntity::replica(ent(2), None);
+        let comparer =
+            er_loadbalance::compare::PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
+        let (entries, _) = staged(&comparer, vec![((), ent(1)), ((), ent(2))]);
+        let original = entries[0].1.clone();
+        let replica = SnEntity::replica(ent(2), entries[1].1.prepared);
         assert!(!original.replica);
         assert!(replica.replica);
         assert_eq!(original.keyed.key, BlockKey::bottom());

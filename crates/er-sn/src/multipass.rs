@@ -234,7 +234,7 @@ mod tests {
         ]];
         let config = SnConfig::new(SnStrategy::JobSn)
             .with_window(2)
-            .with_partitions(2);
+            .with_reduce_tasks(2);
         let single = sn_inline(
             input.clone(),
             &config
@@ -271,7 +271,7 @@ mod tests {
             ent(4, "ca third thing"),
         ]];
         for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let config = SnConfig::new(strategy).with_window(3).with_partitions(2);
+            let config = SnConfig::new(strategy).with_window(3).with_reduce_tasks(2);
             let outcome = multipass_inline(input.clone(), &config, &passes()).unwrap();
             assert_eq!(
                 outcome.total_comparisons(),
@@ -299,7 +299,7 @@ mod tests {
         ]];
         let config = SnConfig::new(SnStrategy::RepSn)
             .with_window(3)
-            .with_partitions(5);
+            .with_reduce_tasks(5);
         let outcome = multipass_inline(input.clone(), &config, &passes()).unwrap();
         assert_eq!(
             outcome.result.pair_set(),
@@ -320,7 +320,7 @@ mod tests {
         ]];
         let config = SnConfig::new(SnStrategy::RepSn)
             .with_window(2)
-            .with_partitions(1);
+            .with_reduce_tasks(1);
         let single_key: Vec<Arc<dyn SortKeyFunction>> = vec![Arc::new(AttributeSortKey::title())];
         let multi = multipass_inline(input.clone(), &config, &single_key).unwrap();
         let plain = sn_inline(input, &config).unwrap();

@@ -30,7 +30,7 @@ use crate::{PARTITION_ENTITIES, REPLICAS};
 
 /// A tail entry: an entity, its sort key, and the handle its original
 /// was emitted with (a replica reuses its original's prepared form).
-type TailEntry = (SortKey, Ent, Option<PreparedHandle>);
+type TailEntry = (SortKey, Ent, PreparedHandle);
 
 /// Map phase: route each entity to its range and replicate, to each
 /// range, this task's last `w − 1` entities before it. An entity is

@@ -19,9 +19,9 @@
 
 use std::sync::Arc;
 
+use er_core::runs::merge_runs;
 use er_core::sortkey::{RangePartitioner, SortKey, SortKeyFunction};
 use er_core::Entity;
-use er_loadbalance::distribution::key_histogram;
 use er_loadbalance::Ent;
 use mr_engine::combiner::sum_u64_combiner;
 use mr_engine::prelude::*;
@@ -135,7 +135,8 @@ pub fn sample_distribution_in(
 ) -> Result<SampleProducts, MrError> {
     let job = sample_job(sort_key, partitions);
     let out = workflow.chained_stage(&job, input)?;
-    let histogram = key_histogram(out.reduce_outputs);
+    // One ascending run per reduce task: merged, never re-sorted.
+    let histogram = merge_runs(out.reduce_outputs, |sum, count| *sum += count);
     let partitioner = RangePartitioner::from_counts(histogram, partitions);
     Ok((partitioner, out.side_outputs, out.metrics))
 }
@@ -204,7 +205,7 @@ mod tests {
         );
         assert_eq!(combined.metrics.map_output_records(), 2);
         assert_eq!(
-            key_histogram(combined.reduce_outputs),
+            merge_runs(combined.reduce_outputs, |sum, count| *sum += count),
             vec![(SortKey::new("aa"), 3), (SortKey::new("bb"), 1)]
         );
     }

@@ -170,7 +170,7 @@ mod tests {
         let (r, s) = catalogs();
         let (input, sources) = two_source_input(r, s, 1);
         for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let config = SnConfig::new(strategy).with_window(3).with_partitions(2);
+            let config = SnConfig::new(strategy).with_window(3).with_reduce_tasks(2);
             let outcome = two_source_inline(input.clone(), sources.clone(), &config).unwrap();
             assert!(
                 outcome
@@ -212,7 +212,7 @@ mod tests {
         let (input, sources) = two_source_input(r, s, 1);
         let config = SnConfig::new(SnStrategy::RepSn)
             .with_window(4)
-            .with_partitions(4);
+            .with_reduce_tasks(4);
         let outcome = two_source_inline(input.clone(), sources, &config).unwrap();
         let oracle = two_source_sn_oracle(&input, &config);
         assert_eq!(oracle.len(), 4, "every cross-source pair links");

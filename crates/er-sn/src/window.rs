@@ -65,7 +65,7 @@ impl WindowBuffer {
     /// to pre-load RepSN boundary replicas (keeping only the last
     /// `w − 1` primed entries, like any admission). `arenas` are the
     /// stage's, which every member's handle addresses.
-    pub fn prime(&mut self, arenas: &[PreparedArena], member: (&Keyed, Option<PreparedHandle>)) {
+    pub fn prime(&mut self, arenas: &[PreparedArena], member: (&Keyed, PreparedHandle)) {
         self.admit(arenas, member);
     }
 
@@ -74,7 +74,7 @@ impl WindowBuffer {
     pub fn advance<KO, VO>(
         &mut self,
         arenas: &[PreparedArena],
-        member: (&Keyed, Option<PreparedHandle>),
+        member: (&Keyed, PreparedHandle),
         ctx: &mut ReduceContext<KO, VO>,
         mut sink: impl FnMut(&mut ReduceContext<KO, VO>, MatchPair, f64),
     ) {
@@ -90,7 +90,7 @@ impl WindowBuffer {
     fn admit(
         &mut self,
         arenas: &[PreparedArena],
-        member: (&Keyed, Option<PreparedHandle>),
+        member: (&Keyed, PreparedHandle),
     ) -> (Range<usize>, usize) {
         if self.driver.len() == self.evict_at {
             self.driver.evict_front(self.capacity);
@@ -148,25 +148,22 @@ mod tests {
         })
     }
 
-    fn keyed(id: u64, title: &str) -> SnEntity {
-        SnEntity::original(Arc::new(Entity::new(id, [("title", title)])), None)
+    fn keyed(id: u64, title: &str) -> Ent {
+        Arc::new(Entity::new(id, [("title", title)]))
     }
 
     /// `entities` prepared for `comparer` by one map task.
-    fn staged(comparer: &PairComparer, entities: &mut [SnEntity]) -> Vec<PreparedArena> {
-        let mut entries: Vec<((), SnEntity)> = entities.iter().cloned().map(|e| ((), e)).collect();
-        let arenas = crate::keys::staged(comparer, &mut entries);
-        for (entity, (_, staged)) in entities.iter_mut().zip(entries) {
-            *entity = staged;
-        }
-        arenas
+    fn staged(comparer: &PairComparer, entities: Vec<Ent>) -> (Vec<SnEntity>, Vec<PreparedArena>) {
+        let entries = entities.into_iter().map(|e| ((), e)).collect();
+        let (entries, arenas) = crate::keys::staged(comparer, entries);
+        (entries.into_iter().map(|(_, e)| e).collect(), arenas)
     }
 
     #[test]
     fn advance_compares_each_entity_to_its_w_minus_1_predecessors() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut entities: Vec<SnEntity> = (0..5).map(|i| keyed(i, "distinct title x")).collect();
-        let arenas = staged(&comparer, &mut entities);
+        let entities = (0..5).map(|i| keyed(i, "distinct title x")).collect();
+        let (entities, arenas) = staged(&comparer, entities);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 3);
         for e in &entities {
@@ -187,8 +184,8 @@ mod tests {
     #[test]
     fn primed_entries_compare_against_newcomers_but_not_each_other() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut entities: Vec<SnEntity> = [0, 1, 10, 11].map(|i| keyed(i, "aaa")).to_vec();
-        let arenas = staged(&comparer, &mut entities);
+        let entities = [0, 1, 10, 11].map(|i| keyed(i, "aaa")).to_vec();
+        let (entities, arenas) = staged(&comparer, entities);
         let (replicas, originals) = entities.split_at(2);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 3);
@@ -215,8 +212,8 @@ mod tests {
     #[test]
     fn priming_beyond_capacity_keeps_only_the_last_w_minus_1() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut entities: Vec<SnEntity> = (0..5).map(|i| keyed(i, "aaa")).collect();
-        let arenas = staged(&comparer, &mut entities);
+        let entities = (0..5).map(|i| keyed(i, "aaa")).collect();
+        let (entities, arenas) = staged(&comparer, entities);
         let mut window = WindowBuffer::new(comparer.clone(), 3);
         for e in &entities {
             window.prime(&arenas, e.member());
@@ -228,12 +225,12 @@ mod tests {
     #[test]
     fn matches_flow_through_the_sink() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut entities = vec![
+        let entities = vec![
             keyed(1, "abcdefghij"),
             keyed(2, "abcdefghiX"), // sim 0.9 -> match
             keyed(3, "zzzzzzzzzz"), // no match
         ];
-        let arenas = staged(&comparer, &mut entities);
+        let (entities, arenas) = staged(&comparer, entities);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 4);
         for e in &entities {

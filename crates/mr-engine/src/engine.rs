@@ -503,8 +503,6 @@ where
             let metrics = TaskMetrics {
                 kind: TaskKind::Map,
                 index: i,
-                records_in: partition.len() as u64,
-                records_out: spilled.records_out,
                 counters: ctx.counters,
                 wall: start.elapsed(),
                 peak_group_len: 0,
@@ -637,8 +635,6 @@ where
                 let metrics = TaskMetrics {
                     kind: TaskKind::Reduce,
                     index: j,
-                    records_in,
-                    records_out: ctx.out.len() as u64,
                     counters: ctx.counters,
                     wall: start.elapsed(),
                     peak_group_len,
@@ -945,7 +941,8 @@ mod tests {
         let input = partition_evenly(lines(&["a a a b b c", "a a b"]), 2);
         let out = wordcount_job(1).run_on(&WorkerPool::new(1), input).unwrap();
         let task = &out.metrics.reduce_tasks[0];
-        assert_eq!(task.records_in, 9);
+        let records_in = task.counter(counters::REDUCE_INPUT_RECORDS);
+        assert_eq!(records_in, 9);
         assert_eq!(task.peak_group_len, 5);
         assert!(
             task.peak_resident_records <= task.peak_group_len + 2,
@@ -953,7 +950,7 @@ mod tests {
             task.peak_resident_records
         );
         assert!(
-            task.peak_resident_records < task.records_in,
+            task.peak_resident_records < records_in,
             "streaming must stay below the materialized bound"
         );
         assert_eq!(out.metrics.peak_group_len(), 5);
@@ -1515,8 +1512,9 @@ mod tests {
         let out = wordcount_job(2).run_on(&WorkerPool::new(1), input).unwrap();
         assert_eq!(out.metrics.map_tasks.len(), 3);
         assert_eq!(out.metrics.reduce_tasks.len(), 2);
-        assert_eq!(out.metrics.map_tasks[0].records_in, 1);
-        assert_eq!(out.metrics.map_tasks[1].records_out, 3);
+        let map_task = |i: usize, counter| out.metrics.map_tasks[i].counter(counter);
+        assert_eq!(map_task(0, counters::MAP_INPUT_RECORDS), 1);
+        assert_eq!(map_task(1, counters::MAP_OUTPUT_RECORDS), 3);
         let group_total: u64 = out
             .metrics
             .reduce_tasks

@@ -33,11 +33,11 @@ pub struct TaskMetrics {
     pub kind: TaskKind,
     /// Task index within its phase (`0..m` or `0..r`).
     pub index: usize,
-    /// Key-value pairs consumed.
-    pub records_in: u64,
-    /// Key-value pairs produced (post-combine for map tasks).
-    pub records_out: u64,
-    /// All counters touched by this task, including engine counters.
+    /// All counters touched by this task, including the engine's
+    /// record counts: [`counters::MAP_INPUT_RECORDS`] and
+    /// [`counters::MAP_OUTPUT_RECORDS`] (post-combine) for a map task,
+    /// [`counters::REDUCE_INPUT_RECORDS`] and
+    /// [`counters::REDUCE_OUTPUT_RECORDS`] for a reduce task.
     pub counters: CounterSet,
     /// Wall-clock time of the task body (excludes scheduling waits).
     pub wall: Duration,
@@ -49,7 +49,8 @@ pub struct TaskMetrics {
     /// one buffered head per unexhausted run — the *extra* buffering
     /// beyond the input runs themselves (whose inline storage lives
     /// until the task ends); the pre-streaming materialized merge
-    /// held a full second copy, sitting at `records_in` here. For
+    /// held a full second copy, sitting at the task's
+    /// [`counters::REDUCE_INPUT_RECORDS`] here. For
     /// **map** tasks: the high-water mark of unsorted records in the
     /// spiller's open bucket set — bounded by the job's spill
     /// threshold when one is configured, equal to the task's full
@@ -167,18 +168,23 @@ impl JobMetrics {
     }
 
     /// Job-level memory ratio of the reduce phase's merge buffering:
-    /// `Σ peak_resident_records / Σ records_in` over reduce tasks —
+    /// `Σ peak_resident_records / Σ REDUCE_INPUT_RECORDS` over reduce
+    /// tasks —
     /// the size of the merge machinery's working set relative to the
     /// second full copy the materialized design allocated.
     ///
     /// The materialized-merge design this engine replaced pins every
-    /// task at `peak ≈ records_in`, i.e. a ratio of ~1.0; the
+    /// task at `peak ≈ input`, i.e. a ratio of ~1.0; the
     /// streaming path buffers only the current group plus `m` run
     /// heads, so the ratio tracks (largest group / task input) and
     /// drops well below 1 on multi-group workloads. Returns 1.0 for
     /// jobs with no reduce input (vacuously "at the bound").
     pub fn peak_resident_fraction(&self) -> f64 {
-        let total_in: u64 = self.reduce_tasks.iter().map(|t| t.records_in).sum();
+        let total_in: u64 = self
+            .reduce_tasks
+            .iter()
+            .map(|t| t.counter(counters::REDUCE_INPUT_RECORDS))
+            .sum();
         if total_in == 0 {
             return 1.0;
         }
@@ -227,8 +233,6 @@ mod tests {
         TaskMetrics {
             kind,
             index,
-            records_in: 1,
-            records_out: 1,
             counters,
             wall: Duration::from_millis(1),
             peak_group_len: 0,
@@ -289,7 +293,7 @@ mod tests {
                 .iter_mut()
                 .zip([(100u64, 10u64, 14u64), (50, 40, 44), (50, 5, 9)])
         {
-            t.records_in = input;
+            t.counters.add(counters::REDUCE_INPUT_RECORDS, input);
             t.peak_group_len = group;
             t.peak_resident_records = resident;
         }

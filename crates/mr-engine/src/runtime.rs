@@ -1,20 +1,17 @@
 //! A reusable execution runtime: one persistent worker pool plus the
-//! shared configuration knobs of every scenario.
+//! defaults every session on it starts from.
 //!
 //! A [`Runtime`] is created **once**, owns a [`WorkerPool`] whose
 //! threads live as long as the runtime, and hands out [`Workflow`]s
 //! bound to that pool — so back-to-back and concurrent workflow
-//! executions share the same threads with zero per-run spawn cost, and
-//! the shared knobs live in one [`RuntimeConfig`] that the scenario
-//! configs embed instead of copying.
+//! executions share the same threads with zero per-run spawn cost.
 //!
-//! The engine itself interprets `parallelism` (the pool size) and the
-//! `reduce_tasks` default; `spill_threshold` and `fault_policy` (the
-//! per-task retry budget) reach the engine only through the
-//! [`Workflow`] a runtime hands out, which is the one holder of a run's
-//! spill, fault and trace settings. `count_only` is carried for the
-//! entity-resolution layers, which alone interpret it, so that every
-//! scenario config draws it from the same place. The pool has one
+//! Of its [`RuntimeConfig`], `parallelism` is the pool size and
+//! `reduce_tasks` the default a session (the facade's `Resolver`)
+//! copies into the scenario config it compiles; `spill_threshold` and
+//! `fault_policy` (the per-task retry budget) reach the engine only
+//! through the [`Workflow`] a runtime hands out, which is the one
+//! holder of a run's spill, fault and trace settings. The pool has one
 //! dispatch order — FIFO over registered task batches — so no
 //! scheduling knob exists.
 
@@ -26,7 +23,11 @@ use crate::pool::{PoolStats, WorkerPool};
 use crate::trace::TraceSink;
 use crate::workflow::Workflow;
 
-/// The execution knobs shared by every scenario in the workspace.
+/// Reduce tasks `r` of a [`RuntimeConfig`] and of every scenario
+/// config that is not given a count.
+pub const DEFAULT_REDUCE_TASKS: usize = 4;
+
+/// The pool size and the run defaults of a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Local worker threads (task slots). A [`Runtime`] spawns its
@@ -37,8 +38,6 @@ pub struct RuntimeConfig {
     /// Sorted Neighborhood uses it as the number of contiguous key
     /// ranges (== reduce tasks of its matching job).
     pub reduce_tasks: usize,
-    /// Count comparisons without evaluating similarity (timing runs).
-    pub count_only: bool,
     /// Map-side spill threshold in *records held open* per map task
     /// (`None` = never spill, the in-core default). When `Some(t)`, a
     /// map task seals its open bucket set into immutable sorted runs
@@ -63,8 +62,7 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         Self {
             parallelism: default_parallelism(),
-            reduce_tasks: 4,
-            count_only: false,
+            reduce_tasks: DEFAULT_REDUCE_TASKS,
             spill_threshold: None,
             fault_policy: FaultPolicy::fail_fast(),
         }
@@ -72,8 +70,8 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The defaults: all available cores, 4 reduce tasks, full
-    /// matching, no spilling, fail-fast.
+    /// The defaults: all available cores, [`DEFAULT_REDUCE_TASKS`]
+    /// reduce tasks, no spilling, fail-fast.
     pub fn new() -> Self {
         Self::default()
     }
@@ -87,12 +85,6 @@ impl RuntimeConfig {
     /// Overrides the default reduce-task count.
     pub fn with_reduce_tasks(mut self, reduce_tasks: usize) -> Self {
         self.reduce_tasks = reduce_tasks;
-        self
-    }
-
-    /// Switches comparison counting only (no similarity evaluation).
-    pub fn with_count_only(mut self, count_only: bool) -> Self {
-        self.count_only = count_only;
         self
     }
 
@@ -310,11 +302,9 @@ mod tests {
         let config = RuntimeConfig::new()
             .with_parallelism(3)
             .with_reduce_tasks(7)
-            .with_count_only(true)
             .with_spill_threshold(Some(64));
         assert_eq!(config.parallelism, 3);
         assert_eq!(config.reduce_tasks, 7);
-        assert!(config.count_only);
         assert_eq!(config.spill_threshold, Some(64));
         assert_eq!(
             config.with_spill_threshold(None).spill_threshold,

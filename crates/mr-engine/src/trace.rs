@@ -299,94 +299,41 @@ impl TraceEventData {
         }
     }
 
-    /// The event's parallelism-invariant rendering: deterministic
-    /// coordinates only, timestamps/durations/slots stripped. Returns
-    /// `None` for operational events (queue, slot, scheduler), whose
-    /// very occurrence depends on timing. For a deterministic fault
-    /// plan, the sorted multiset of these lines is byte-identical at
-    /// any parallelism.
+    /// The event's parallelism-invariant rendering: its category and
+    /// its JSON members as `name=value`, less the wall-time members
+    /// (`wall_ms`, `wait_ms`; the timestamp and slot of
+    /// [`TraceEvent::to_json`] are the event's, not the payload's).
+    /// Returns `None` for operational events (queue, slot, scheduler),
+    /// whose very occurrence depends on timing. For a deterministic
+    /// fault plan, the sorted multiset of these lines is byte-identical
+    /// at any parallelism.
     pub fn logical_line(&self) -> Option<String> {
-        match self {
-            TraceEventData::JobStarted {
-                job,
-                map_tasks,
-                reduce_tasks,
-            } => Some(format!(
-                "job_started job={job} map_tasks={map_tasks} reduce_tasks={reduce_tasks}"
-            )),
-            TraceEventData::JobFinished { job, .. } => Some(format!("job_finished job={job}")),
-            TraceEventData::StageStarted {
-                workflow,
-                job,
-                stage,
-            } => Some(format!(
-                "stage_started workflow={workflow} job={job} stage={stage}"
-            )),
-            TraceEventData::StageFinished {
-                workflow,
-                job,
-                stage,
-                ..
-            } => Some(format!(
-                "stage_finished workflow={workflow} job={job} stage={stage}"
-            )),
-            TraceEventData::AttemptStarted {
-                job,
-                kind,
-                task,
-                attempt,
-            } => Some(format!(
-                "attempt_started job={job} kind={kind} task={task} attempt={attempt}"
-            )),
-            TraceEventData::AttemptFinished {
-                job,
-                kind,
-                task,
-                attempt,
-                ..
-            } => Some(format!(
-                "attempt_finished job={job} kind={kind} task={task} attempt={attempt}"
-            )),
-            TraceEventData::AttemptFailed {
-                job,
-                kind,
-                task,
-                attempt,
-                message,
-            } => Some(format!(
-                "attempt_failed job={job} kind={kind} task={task} attempt={attempt} message={message}"
-            )),
-            TraceEventData::AttemptRetried {
-                job,
-                kind,
-                task,
-                next_attempt,
-            } => Some(format!(
-                "attempt_retried job={job} kind={kind} task={task} next_attempt={next_attempt}"
-            )),
-            TraceEventData::SpillRunSealed {
-                job,
-                task,
-                reduce_task,
-                records,
-            } => Some(format!(
-                "spill_run_sealed job={job} task={task} reduce_task={reduce_task} records={records}"
-            )),
-            TraceEventData::ShuffleCompleted { job, runs, .. } => {
-                Some(format!("shuffle_completed job={job} runs={runs}"))
-            }
-            // Scheduler events (StageReady/StageAdmitted/Slot*) are
-            // operational: whether a stage batch is even registered
-            // depends on the inline fast path, and admission order on
-            // tenant timing — so none of them may enter the logical
-            // stream the parallelism-invariance tests pin.
+        // Scheduler events are operational: whether a stage batch is
+        // even registered depends on the inline fast path, and
+        // admission order on tenant timing — so none of them may enter
+        // the logical stream the parallelism-invariance tests pin.
+        if matches!(
+            self,
             TraceEventData::SlotAcquired { .. }
-            | TraceEventData::SlotReleased
-            | TraceEventData::StageReady { .. }
-            | TraceEventData::StageAdmitted { .. }
-            | TraceEventData::TasksEnqueued { .. }
-            | TraceEventData::QueueWaited { .. } => None,
+                | TraceEventData::SlotReleased
+                | TraceEventData::StageReady { .. }
+                | TraceEventData::StageAdmitted { .. }
+                | TraceEventData::TasksEnqueued { .. }
+                | TraceEventData::QueueWaited { .. }
+        ) {
+            return None;
         }
+        let mut members = Vec::new();
+        self.push_json_members(&mut members);
+        let mut line = self.category().to_string();
+        for (name, value) in &members {
+            match value {
+                _ if name == "wall_ms" || name == "wait_ms" => {}
+                Json::Str(text) => line.push_str(&format!(" {name}={text}")),
+                other => line.push_str(&format!(" {name}={other}")),
+            }
+        }
+        Some(line)
     }
 
     fn push_json_members(&self, members: &mut Vec<(String, Json)>) {
@@ -1177,16 +1124,38 @@ mod tests {
 
     #[test]
     fn logical_lines_strip_walls_but_keep_coordinates() {
-        let line = TraceEventData::AttemptFinished {
-            job: "bdm".into(),
-            kind: FaultKind::Sort,
-            task: 4,
-            attempt: 2,
-            wall: ms(123),
+        // The JSON members in their order, less the wall-time ones.
+        for (data, line) in [
+            (
+                TraceEventData::AttemptFinished {
+                    job: "bdm".into(),
+                    kind: FaultKind::Sort,
+                    task: 4,
+                    attempt: 2,
+                    wall: ms(123),
+                },
+                "attempt_finished job=bdm kind=sort task=4 attempt=2",
+            ),
+            (
+                TraceEventData::StageFinished {
+                    workflow: "er".into(),
+                    job: "bdm".into(),
+                    stage: 1,
+                    wall: ms(7),
+                },
+                "stage_finished workflow=er job=bdm stage=1",
+            ),
+            (
+                TraceEventData::ShuffleCompleted {
+                    job: "bdm".into(),
+                    runs: 6,
+                    wall: ms(2),
+                },
+                "shuffle_completed job=bdm runs=6",
+            ),
+        ] {
+            assert_eq!(data.logical_line().unwrap(), line);
         }
-        .logical_line()
-        .unwrap();
-        assert_eq!(line, "attempt_finished job=bdm kind=sort task=4 attempt=2");
     }
 
     #[test]

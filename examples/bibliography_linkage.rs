@@ -162,14 +162,20 @@ fn main() {
         ],
         0.5,
     ));
-    // The null-key composition runs its sub-problems on the same
-    // runtime, under exactly the config the resolver would compile.
+    // The null-key composition runs its sub-problems on workflows of
+    // the same runtime, under exactly the config the resolver would
+    // compile.
     let config = resolver
         .clone()
         .with_matcher(matcher)
         .er_config(StrategyKind::PairRange);
-    let (result, report) =
-        link_with_null_keys(&runtime, &mini_input, &mini_sources, &config).unwrap();
+    let (result, report) = link_with_null_keys(
+        |name| runtime.workflow(name),
+        &mini_input,
+        &mini_sources,
+        &config,
+    )
+    .unwrap();
     println!(
         "matches={} (blocked={} + cartesian={}); the title-less S#11 was linked via match⊥",
         result.len(),

@@ -184,13 +184,12 @@ fn appendix_two_sources(resolver: &Resolver<'_>) {
 }
 
 fn main() {
-    // One count-only session reproduces every executed figure: the
-    // paper's blocking, r = 3, sequential execution for readability.
+    // One session reproduces every executed figure: the paper's
+    // blocking, r = 3, sequential execution for readability.
     let runtime = Runtime::new(
         RuntimeConfig::new()
             .with_parallelism(1)
-            .with_reduce_tasks(3)
-            .with_count_only(true),
+            .with_reduce_tasks(3),
     );
     let resolver = Resolver::new(&runtime).with_blocking(running_example::blocking());
     figure_3_and_4();

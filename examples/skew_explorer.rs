@@ -22,13 +22,12 @@ fn main() {
         "{:>4} {:>10}  {:<28} {:<28} {:<28}",
         "s", "pairs", "Basic (imbal, max)", "BlockSplit (imbal, max)", "PairRange (imbal, max)"
     );
-    // One count-only session serves the whole sweep: 18 scenario runs
-    // (6 skews × 3 strategies) on one worker pool.
+    // One session serves the whole sweep: 18 scenario runs (6 skews ×
+    // 3 strategies) on one worker pool.
     let runtime = Runtime::new(
         RuntimeConfig::new()
             .with_parallelism(4)
-            .with_reduce_tasks(R)
-            .with_count_only(true),
+            .with_reduce_tasks(R),
     );
     let resolver = Resolver::new(&runtime);
     for step in 0..=5 {

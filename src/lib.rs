@@ -73,8 +73,8 @@ pub use mr_engine;
 pub mod resolver;
 
 /// The shared execution runtime: [`runtime::Runtime`] (persistent
-/// worker pool + engine handle) and [`runtime::RuntimeConfig`] (the
-/// knobs every scenario shares). Re-exported from
+/// worker pool + engine handle) and [`runtime::RuntimeConfig`] (its
+/// pool size and the defaults every session starts from). Re-exported from
 /// [`mr_engine::runtime`], where the pool lives.
 pub mod runtime {
     pub use mr_engine::runtime::{Runtime, RuntimeConfig};

@@ -529,7 +529,7 @@ impl ScenarioDetails {
 #[derive(Debug)]
 pub struct Outcome {
     /// The deduplicated match result (cross-source only for the
-    /// linkage scenarios; empty under count-only mode).
+    /// linkage scenarios).
     pub result: MatchResult,
     /// Rolled-up metrics of the whole run: per-stage walls, end-to-end
     /// wall, merged counters, peak-memory gauges.
@@ -635,10 +635,9 @@ impl std::fmt::Debug for Resolver<'_> {
 }
 
 impl<'rt> Resolver<'rt> {
-    /// Starts a session on `runtime`, inheriting its shared knobs
-    /// (`reduce_tasks` default, `count_only`, `spill_threshold`,
-    /// `fault_policy`)
-    /// and the family crates' paper-default workload settings.
+    /// Starts a session on `runtime`, inheriting its defaults
+    /// (`reduce_tasks`, `spill_threshold`, `fault_policy`), no fault
+    /// plan, and the family crates' paper-default workload settings.
     pub fn new(runtime: &'rt Runtime) -> Self {
         // The family crates own the paper defaults.
         let er = ErConfig::new(StrategyKind::Basic);
@@ -648,7 +647,7 @@ impl<'rt> Resolver<'rt> {
             runtime,
             shared: *runtime.config(),
             matcher: er.matcher,
-            fault_plan: er.fault_plan,
+            fault_plan: FaultPlan::new(),
             blocking: er.blocking,
             window: sn.window,
             lsh_ladder: lsh.ladder,
@@ -689,13 +688,6 @@ impl<'rt> Resolver<'rt> {
     /// count (the ranges are the reduce tasks of SN's matching job).
     pub fn with_reduce_tasks(mut self, r: usize) -> Self {
         self.shared.reduce_tasks = r;
-        self
-    }
-
-    /// Switches comparison counting only (no similarity evaluation)
-    /// for this session, overriding the runtime default.
-    pub fn with_count_only(mut self, count_only: bool) -> Self {
-        self.shared.count_only = count_only;
         self
     }
 
@@ -780,8 +772,7 @@ impl<'rt> Resolver<'rt> {
             blocking: Arc::clone(&self.blocking),
             matcher: Arc::clone(&self.matcher),
             strategy,
-            runtime: self.shared,
-            fault_plan: self.fault_plan.clone(),
+            reduce_tasks: self.shared.reduce_tasks,
         }
     }
 
@@ -794,7 +785,7 @@ impl<'rt> Resolver<'rt> {
             matcher: Arc::clone(&self.matcher),
             strategy,
             window: self.window,
-            runtime: self.shared,
+            reduce_tasks: self.shared.reduce_tasks,
         }
     }
 
@@ -810,7 +801,7 @@ impl<'rt> Resolver<'rt> {
             ladder: Vec::new(),
             candidate_budget: self.lsh_budget,
             matcher: Arc::clone(&self.matcher),
-            runtime: self.shared,
+            reduce_tasks: self.shared.reduce_tasks,
         }
         .with_ladder(params.map_or_else(|| self.lsh_ladder.clone(), |p| vec![p]))
     }
@@ -1145,59 +1136,41 @@ mod tests {
         let runtime = Runtime::new(
             RuntimeConfig::new()
                 .with_parallelism(1)
-                .with_reduce_tasks(9)
-                .with_count_only(true),
+                .with_reduce_tasks(9),
         );
-        // Untouched, a session reads the runtime's block back from
-        // every family.
+        // Untouched, a session reads the runtime's reduce-task default
+        // back from every family — SN's key ranges included.
         let inherited = Resolver::new(&runtime).with_window(6);
-        assert_eq!(
-            inherited.er_config(StrategyKind::PairRange).runtime,
-            *runtime.config()
-        );
         let sn = inherited.sn_config(SnStrategy::RepSn);
-        assert_eq!(sn.partitions(), 9, "reduce_tasks default reaches SN ranges");
         assert_eq!(sn.window, 6);
-        assert_eq!(inherited.lsh_config(None).runtime, *runtime.config());
+        for (family, reduce_tasks) in [
+            (
+                "er",
+                inherited.er_config(StrategyKind::PairRange).reduce_tasks,
+            ),
+            ("sn", sn.reduce_tasks),
+            ("lsh", inherited.lsh_config(None).reduce_tasks),
+        ] {
+            assert_eq!(reduce_tasks, 9, "{family}: runtime default");
+        }
 
-        // Every shared knob, set once on the session...
+        // The knobs a family config reads, set once on the session...
         let matcher = Arc::new(Matcher::paper_default());
-        let plan = FaultPlan::new().panic_at(
-            FaultPlan::ANY_JOB,
-            mr_engine::fault::FaultKind::Map,
-            0,
-            1,
-            "injected",
-        );
         let session = Resolver::new(&runtime)
             .with_reduce_tasks(3)
-            .with_count_only(false)
-            .with_spill_threshold(Some(64))
-            .with_fault_policy(FaultPolicy::retry(3))
-            .with_fault_plan(plan.clone())
             .with_matcher(Arc::clone(&matcher));
-        let shared = RuntimeConfig {
-            reduce_tasks: 3,
-            count_only: false,
-            spill_threshold: Some(64),
-            fault_policy: FaultPolicy::retry(3),
-            ..*runtime.config()
-        };
-        // ...reads back identically from all three families.
+        // ...read back identically from all three families.
         let er = session.er_config(StrategyKind::BlockSplit);
         let sn = session.sn_config(SnStrategy::JobSn);
         let lsh = session.lsh_config(Some(LshParams::new(8, 4)));
-        for (family, runtime_block, family_matcher) in [
-            ("er", er.runtime, &er.matcher),
-            ("sn", sn.runtime, &sn.matcher),
-            ("lsh", lsh.runtime, &lsh.matcher),
+        for (family, reduce_tasks, family_matcher) in [
+            ("er", er.reduce_tasks, &er.matcher),
+            ("sn", sn.reduce_tasks, &sn.matcher),
+            ("lsh", lsh.reduce_tasks, &lsh.matcher),
         ] {
-            assert_eq!(runtime_block, shared, "{family}: shared knob block");
+            assert_eq!(reduce_tasks, 3, "{family}: reduce tasks");
             assert!(Arc::ptr_eq(family_matcher, &matcher), "{family}: matcher");
         }
-        // The workflow carries the fault plan; of the family configs
-        // only `ErConfig` holds a copy, for `null_keys`' own workflows.
-        assert_eq!(er.fault_plan, plan);
         assert_eq!(runtime.config().reduce_tasks, 9, "runtime stays untouched");
     }
 }

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
 use er_loadbalance::analysis::analyze;
+use mr_engine::counters::REDUCE_INPUT_RECORDS;
 
 fn dataset_input(m: usize) -> (Partitions<(), Ent>, usize) {
     let ds = generate_products(&ds1_spec(31).scaled(0.01));
@@ -21,11 +22,7 @@ fn dataset_input(m: usize) -> (Partitions<(), Ent>, usize) {
 
 #[test]
 fn analysis_equals_execution_for_every_strategy() {
-    let runtime = Runtime::new(
-        RuntimeConfig::new()
-            .with_parallelism(2)
-            .with_count_only(true),
-    );
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
     for (m, r) in [(3usize, 5usize), (5, 16), (8, 40)] {
         let (input, _) = dataset_input(m);
         let resolver = Resolver::new(&runtime).with_reduce_tasks(r);
@@ -69,7 +66,7 @@ fn analysis_equals_execution_for_every_strategy() {
             let executed_inputs: Vec<u64> = match_metrics
                 .reduce_tasks
                 .iter()
-                .map(|t| t.records_in)
+                .map(|t| t.counter(REDUCE_INPUT_RECORDS))
                 .collect();
             assert_eq!(
                 workload.reduce_input_records, executed_inputs,
@@ -130,7 +127,7 @@ fn assert_linkage_prediction_is_exact(
         let executed_inputs: Vec<u64> = match_metrics
             .reduce_tasks
             .iter()
-            .map(|t| t.records_in)
+            .map(|t| t.counter(REDUCE_INPUT_RECORDS))
             .collect();
         assert_eq!(
             workload.reduce_input_records, executed_inputs,
@@ -142,11 +139,7 @@ fn assert_linkage_prediction_is_exact(
 #[test]
 fn analysis_equals_execution_for_linkage() {
     use er_loadbalance::{appendix_example, running_example};
-    let runtime = Runtime::new(
-        RuntimeConfig::new()
-            .with_parallelism(2)
-            .with_count_only(true),
-    );
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
     // The appendix example: 12 pairs, r = 3.
     let blocking = running_example::blocking();
     let resolver = Resolver::new(&runtime)
@@ -192,8 +185,7 @@ fn analysis_conserves_total_pairs() {
     let runtime = Runtime::new(
         RuntimeConfig::new()
             .with_parallelism(1)
-            .with_reduce_tasks(8)
-            .with_count_only(true),
+            .with_reduce_tasks(8),
     );
     let outcome = Resolver::new(&runtime)
         .resolve(

@@ -67,7 +67,7 @@ fn staged(
     block: &[Ent],
     m: usize,
     partition_of: impl Fn(usize) -> usize,
-) -> (Vec<PreparedArena>, Vec<Option<PreparedHandle>>) {
+) -> (Vec<PreparedArena>, Vec<PreparedHandle>) {
     let mut interners: Vec<EntityInterner> = (0..m)
         .map(|task_index| {
             let mut interner = EntityInterner::new(comparer);

@@ -386,14 +386,14 @@ fn lsh_beats_block_split_on_comparisons_under_skew() {
             .with_parallelism(4)
             .with_reduce_tasks(8),
     );
-    let lsh = Resolver::new(&runtime)
+    let resolver = Resolver::new(&runtime);
+    let lsh = resolver
         .resolve(
             &Scenario::lsh(LshParams { bands: 16, rows: 2 }),
             input.clone(),
         )
         .unwrap();
-    let block_split = Resolver::new(&runtime)
-        .with_count_only(true)
+    let block_split = resolver
         .resolve(
             &Scenario::Dedup {
                 strategy: StrategyKind::BlockSplit,
@@ -422,9 +422,8 @@ fn lsh_beats_block_split_on_comparisons_under_skew() {
 
     // Spending the same 32-slot signature on fewer, longer bands never
     // grows the candidate set.
-    let counting = Resolver::new(&runtime).with_count_only(true);
     let sweep = [(32, 1), (16, 2), (8, 4), (4, 8)].map(|(bands, rows)| {
-        counting
+        resolver
             .resolve(&Scenario::lsh(LshParams { bands, rows }), input.clone())
             .unwrap()
             .total_comparisons()

@@ -28,14 +28,13 @@ fn one_block_input(n: usize, m: usize) -> Partitions<(), Ent> {
     partition_round_robin(entities.into_iter().map(|e| ((), e)).collect(), m)
 }
 
-/// Count-only PairRange over 2-letter title-prefix blocks with `r`
+/// PairRange over 2-letter title-prefix blocks with `r`
 /// ranges on a pool of `parallelism` workers.
 fn count_pair_range(input: Partitions<(), Ent>, r: usize, parallelism: usize) -> Outcome {
     let runtime = Runtime::new(
         RuntimeConfig::new()
             .with_parallelism(parallelism)
-            .with_reduce_tasks(r)
-            .with_count_only(true),
+            .with_reduce_tasks(r),
     );
     Resolver::new(&runtime)
         .with_blocking(Arc::new(PrefixBlocking::new("title", 2)))

@@ -5,14 +5,14 @@
 use dedupe_mr::prelude::*;
 use er_loadbalance::appendix_example;
 use er_loadbalance::running_example;
+use mr_engine::counters::REDUCE_INPUT_RECORDS;
 
-/// The example's runtime: one worker, `r = 3`, counting only.
+/// The example's runtime: one worker, `r = 3`.
 fn example_runtime() -> Runtime {
     Runtime::new(
         RuntimeConfig::new()
             .with_parallelism(1)
-            .with_reduce_tasks(3)
-            .with_count_only(true),
+            .with_reduce_tasks(3),
     )
 }
 
@@ -73,7 +73,7 @@ fn pair_range_matches_figures_6_and_7() {
     let inputs: Vec<u64> = match_metrics(&outcome)
         .reduce_tasks
         .iter()
-        .map(|t| t.records_in)
+        .map(|t| t.counter(REDUCE_INPUT_RECORDS))
         .collect();
     assert_eq!(inputs, vec![6, 8, 4]);
 }
@@ -123,9 +123,7 @@ fn all_strategies_find_the_same_matches_with_real_similarity() {
         0.5,
     ));
     let runtime = example_runtime();
-    let resolver = example_session(&runtime)
-        .with_count_only(false)
-        .with_matcher(matcher);
+    let resolver = example_session(&runtime).with_matcher(matcher);
     let mut reference: Option<std::collections::BTreeSet<MatchPair>> = None;
     for strategy in [
         StrategyKind::Basic,

@@ -161,17 +161,3 @@ fn lsh_candidate_stage_prepares_each_routed_entity_once() {
     assert_eq!(prepared, routed_entities);
     assert_eq!((prepared, replicas, routed), (3_090, 6_843, 7_753));
 }
-
-#[test]
-fn count_only_stages_prepare_nothing() {
-    let scenario = Scenario::Dedup {
-        strategy: StrategyKind::PairRange,
-    };
-    let (prepared, routed) = match_stage(
-        |session| session.with_count_only(true),
-        &scenario,
-        products(2012, 0.02),
-    );
-    assert!(routed > 0);
-    assert_eq!(prepared, 0);
-}

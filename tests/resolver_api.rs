@@ -5,7 +5,6 @@
 //!   thread spawn, no output drift from the brute-force oracles;
 //! * **parallelism caps** — `resolve_with` narrows one run without
 //!   touching the pool, and a zero cap is a typed error;
-//! * **count-only sessions** — one shared knob reaches every family;
 //! * **stage sequences** — each scenario compiles to one fixed chain of
 //!   jobs, pinned by name together with its `ScenarioDetails` shape.
 //!
@@ -215,38 +214,6 @@ fn every_scenario_compiles_to_its_fixed_stage_sequence() {
             shape,
             "{scenario}: details"
         );
-    }
-}
-
-#[test]
-fn count_only_sessions_count_without_scoring_across_scenarios() {
-    // Count-only mode is a shared session knob, so it reaches the SN
-    // scenarios like the blocking ones: identical comparison counters,
-    // empty match result.
-    let input = corpus(2);
-    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
-    let full = Resolver::new(&runtime).with_window(4).with_reduce_tasks(3);
-    let counting = full.clone().with_count_only(true);
-    for scenario in [
-        Scenario::Dedup {
-            strategy: StrategyKind::BlockSplit,
-        },
-        Scenario::sorted_neighborhood(SnStrategy::JobSn),
-        Scenario::sorted_neighborhood(SnStrategy::RepSn),
-        Scenario::multipass_sn(SnStrategy::JobSn, passes()),
-    ] {
-        let scored = full.resolve(&scenario, input.clone()).unwrap();
-        let counted = counting.resolve(&scenario, input.clone()).unwrap();
-        assert_eq!(
-            counted.total_comparisons(),
-            scored.total_comparisons(),
-            "{scenario}: count-only must count the same workload"
-        );
-        assert!(
-            counted.result.is_empty(),
-            "{scenario}: count-only must not score"
-        );
-        assert!(!scored.result.is_empty(), "{scenario}: corpus has matches");
     }
 }
 

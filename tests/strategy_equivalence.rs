@@ -86,7 +86,7 @@ proptest! {
     ) {
         let entities = build_entities(specs);
         let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(1));
-        let resolver = session(&runtime, r).with_count_only(true);
+        let resolver = session(&runtime, r);
         for strategy in [StrategyKind::Basic, StrategyKind::BlockSplit, StrategyKind::PairRange] {
             let input = partition_evenly(
                 entities.iter().map(|e| ((), Arc::clone(e))).collect(),

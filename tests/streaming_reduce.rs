@@ -13,6 +13,7 @@ use er_core::Matcher;
 use er_datagen::{ds1_spec, generate_products};
 use er_loadbalance::basic::basic_job;
 use er_loadbalance::compare::PairComparer;
+use mr_engine::counters::REDUCE_INPUT_RECORDS;
 use mr_engine::merge::merge_sorted_runs;
 use mr_engine::natural_order;
 
@@ -78,8 +79,7 @@ fn peak_gauges_are_deterministic_across_parallelism() {
             let runtime = Runtime::new(
                 RuntimeConfig::new()
                     .with_parallelism(parallelism)
-                    .with_reduce_tasks(6)
-                    .with_count_only(true),
+                    .with_reduce_tasks(6),
             );
             let outcome = Resolver::new(&runtime)
                 .resolve(&Scenario::Dedup { strategy }, input.clone())
@@ -114,24 +114,25 @@ fn peak_resident_stays_below_task_input_on_multi_group_workloads() {
     let out = job.run_on(&WorkerPool::new(2), input(4)).unwrap();
     let mut multi_group_tasks = 0;
     for t in &out.metrics.reduce_tasks {
-        if t.records_in == 0 {
+        let records_in = t.counter(REDUCE_INPUT_RECORDS);
+        if records_in == 0 {
             continue;
         }
         let groups = t.counter("mr.reduce.input.groups");
         assert!(
-            t.peak_group_len <= t.records_in,
+            t.peak_group_len <= records_in,
             "task {}: group cannot exceed input",
             t.index
         );
         if groups > 1 {
             multi_group_tasks += 1;
             assert!(
-                t.peak_resident_records < t.records_in,
+                t.peak_resident_records < records_in,
                 "task {} has {} groups but buffered {}/{} records",
                 t.index,
                 groups,
                 t.peak_resident_records,
-                t.records_in
+                records_in
             );
         }
     }
@@ -189,7 +190,7 @@ fn pair_range_coarse_grouping_streams_whole_ranges() {
     let max_task_input = metrics
         .reduce_tasks
         .iter()
-        .map(|t| t.records_in)
+        .map(|t| t.counter(REDUCE_INPUT_RECORDS))
         .max()
         .unwrap();
     assert!(

@@ -144,7 +144,7 @@ proptest! {
         ];
         let sources = vec![SourceId::R, SourceId::S];
         let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(1));
-        let resolver = session(&runtime, r).with_count_only(true);
+        let resolver = session(&runtime, r);
         for strategy in [StrategyKind::Basic, StrategyKind::BlockSplit, StrategyKind::PairRange] {
             let scenario = Scenario::Linkage { strategy, sources: sources.clone() };
             let outcome = resolver.resolve(&scenario, input.clone()).unwrap();
