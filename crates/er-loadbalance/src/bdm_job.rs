@@ -13,7 +13,7 @@
 //!   footnote 2, realised where the keys are already grouped: `finish`
 //!   emits one `((blocking key, partition index), (count, rank))` cell
 //!   per distinct key, in key order, so the map-side sort meets sorted
-//!   buckets and no engine combiner is installed. With `use_combiner`
+//!   buckets (the engine itself has no combiner). With `use_combiner`
 //!   off `finish` emits Algorithm 3's record count instead — one
 //!   `(1, rank)` per replica — from the same place, because the rank
 //!   is known only there;

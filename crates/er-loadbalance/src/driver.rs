@@ -185,7 +185,7 @@ fn run_job<M, R>(
 ) -> Result<(MatchResult, JobMetrics), MrError>
 where
     M: Mapper,
-    M::KOut: Sync,
+    M::KOut: Ord + Sync,
     M::VOut: Sync,
     R: Reducer<KIn = M::KOut, VIn = M::VOut, KOut = MatchPair, VOut = f64, Product = M::Product>,
 {

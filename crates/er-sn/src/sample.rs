@@ -5,7 +5,10 @@
 //! *sort key*, side-writes the annotated entity to the simulated DFS
 //! (so the matching job reads the same partitioning, annotation
 //! included), and emits one `(sort key, 1)` record per entity; the
-//! reduce side is the engine's [`SumReducer`]. The resulting exact
+//! reduce side is the engine's [`SumReducer`], which sums those `1`s
+//! per key (the shuffle carries no map-side aggregate: on the
+//! benchmark corpora every title is its own key, so there is
+//! nothing to fold before the reduce). The resulting exact
 //! histogram feeds [`RangePartitioner::from_counts`], yielding the
 //! order-preserving partition boundaries both JobSN and RepSN route
 //! by — a pure function of the input, at any parallelism.
@@ -23,7 +26,6 @@ use er_core::runs::merge_runs;
 use er_core::sortkey::{RangePartitioner, SortKey, SortKeyFunction};
 use er_core::Entity;
 use er_loadbalance::Ent;
-use mr_engine::combiner::sum_u64_combiner;
 use mr_engine::prelude::*;
 use mr_engine::reducer::SumReducer;
 
@@ -98,8 +100,8 @@ impl Mapper for SampleMapper {
     }
 }
 
-/// Builds the distribution job; a combiner pre-aggregates each map
-/// task's sort-key counts.
+/// Builds the distribution job: one `(sort key, 1)` record per entity,
+/// summed per key by the reducer.
 pub fn sample_job(
     sort_key: Arc<dyn SortKeyFunction>,
     reduce_tasks: usize,
@@ -110,7 +112,6 @@ pub fn sample_job(
         SumReducer::default(),
     )
     .reduce_tasks(reduce_tasks)
-    .combiner(sum_u64_combiner())
     .build()
 }
 
@@ -191,23 +192,63 @@ mod tests {
     }
 
     #[test]
-    fn combiner_preaggregates_duplicate_keys() {
+    fn reducer_sums_duplicate_keys() {
         let input = titles(&["aa", "aa", "aa", "bb"]);
-        let combined = sample_job(sort_key(), 2)
+        let out = sample_job(sort_key(), 2)
             .run_on(&WorkerPool::new(1), input)
             .unwrap();
+        assert_eq!(out.metrics.map_output_records(), 4, "one record per entity");
         assert_eq!(
-            combined
-                .metrics
-                .counters
-                .get(mr_engine::counters::MAP_OUTPUT_RECORDS_PRECOMBINE),
-            4
-        );
-        assert_eq!(combined.metrics.map_output_records(), 2);
-        assert_eq!(
-            merge_runs(combined.reduce_outputs, |sum, count| *sum += count),
+            merge_runs(out.reduce_outputs, |sum, count| *sum += count),
             vec![(SortKey::new("aa"), 3), (SortKey::new("bb"), 1)]
         );
+    }
+
+    #[test]
+    fn reduce_input_is_identical_across_spill_thresholds() {
+        // Heavy ties spread over three map tasks: a map-side aggregate
+        // applied once per seal would shrink the reduce input by a
+        // threshold-dependent amount. Without one, every reduce task
+        // sees the same records whatever the threshold.
+        let titles = ["aa", "bb", "aa", "aa", "cc", "bb", "aa", "cc", "aa"];
+        let input: Partitions<(), Ent> = titles
+            .chunks(3)
+            .enumerate()
+            .map(|(p, chunk)| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| ent((3 * p + i) as u64, Some(t)))
+                    .collect()
+            })
+            .collect();
+        let run = |threshold: Option<usize>| {
+            let mut workflow = Workflow::on_pool("sn-sample", Arc::new(WorkerPool::new(2)))
+                .with_spill_threshold(threshold);
+            let out = workflow
+                .chained_stage(&sample_job(sort_key(), 2), input.clone())
+                .unwrap();
+            let inputs: Vec<u64> = out
+                .metrics
+                .reduce_tasks
+                .iter()
+                .map(|t| t.counter(mr_engine::counters::REDUCE_INPUT_RECORDS))
+                .collect();
+            (inputs, out.reduce_outputs)
+        };
+        let (inputs, outputs) = run(None);
+        for threshold in [Some(1), Some(3)] {
+            let (spilled_inputs, spilled_outputs) = run(threshold);
+            assert_eq!(
+                spilled_inputs, inputs,
+                "threshold {threshold:?}: reduce input"
+            );
+            assert_eq!(
+                spilled_outputs, outputs,
+                "threshold {threshold:?}: reduce output"
+            );
+        }
+        assert_eq!(inputs.iter().sum::<u64>(), titles.len() as u64);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Sort (`comp`) and grouping (`group`) comparators.
+//! Grouping (`group`) comparators.
 //!
-//! Keys of a reduce task are sorted by the *sort comparator*; reduce
+//! Keys of a reduce task are sorted by the key type's `Ord`; reduce
 //! groups are maximal runs of keys that compare `Equal` under the
 //! *grouping comparator*. A grouping comparator coarser than the sort
 //! order implements Hadoop's "secondary sort" pattern, which PairRange
@@ -12,7 +12,8 @@ use std::sync::Arc;
 /// A shared, thread-safe key comparison function.
 pub type KeyCmp<K> = Arc<dyn Fn(&K, &K) -> Ordering + Send + Sync>;
 
-/// The natural `Ord`-based comparator.
+/// The natural `Ord`-based comparator: the default grouping, under
+/// which every distinct key is its own reduce group.
 pub fn natural_order<K: Ord>() -> KeyCmp<K> {
     Arc::new(|a: &K, b: &K| a.cmp(b))
 }
@@ -26,21 +27,6 @@ where
     F: Fn(&K) -> T + Send + Sync + 'static,
 {
     Arc::new(move |a: &K, b: &K| f(a).cmp(&f(b)))
-}
-
-/// Verifies that `group` is coarser than (or equal to) `sort` on a
-/// sample of keys: any two keys equal under `sort` must be equal under
-/// `group`. Used by debug assertions and tests; MapReduce semantics
-/// are undefined otherwise (groups must be contiguous under the sort).
-pub fn group_consistent_with_sort<K>(sort: &KeyCmp<K>, group: &KeyCmp<K>, sample: &[K]) -> bool {
-    for a in sample {
-        for b in sample {
-            if sort(a, b) == Ordering::Equal && group(a, b) != Ordering::Equal {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -60,23 +46,5 @@ mod tests {
         let cmp = by_projection(|k: &(u32, &str)| k.0);
         assert_eq!(cmp(&(1, "a"), &(1, "b")), Ordering::Equal);
         assert_eq!(cmp(&(1, "a"), &(2, "a")), Ordering::Less);
-    }
-
-    #[test]
-    fn consistency_check_accepts_coarser_group() {
-        let sort = natural_order::<(u32, u32)>();
-        let group = by_projection(|k: &(u32, u32)| k.0);
-        let sample = vec![(1, 1), (1, 2), (2, 1)];
-        assert!(group_consistent_with_sort(&sort, &group, &sample));
-    }
-
-    #[test]
-    fn consistency_check_rejects_finer_group() {
-        // Sorting on first component but grouping on the full key means
-        // equal-sort keys could be split across groups => inconsistent.
-        let sort = by_projection(|k: &(u32, u32)| k.0);
-        let group = natural_order::<(u32, u32)>();
-        let sample = vec![(1, 1), (1, 2)];
-        assert!(!group_consistent_with_sort(&sort, &group, &sample));
     }
 }

@@ -9,11 +9,12 @@ use std::collections::BTreeMap;
 
 /// Engine-maintained counter: records consumed by map tasks.
 pub const MAP_INPUT_RECORDS: &str = "mr.map.input.records";
-/// Engine-maintained counter: key-value pairs emitted by map tasks
-/// (after combining, i.e. what is actually shuffled).
+/// Engine-maintained counter: key-value pairs emitted by map tasks,
+/// i.e. what is shuffled.
 pub const MAP_OUTPUT_RECORDS: &str = "mr.map.output.records";
-/// Engine-maintained counter: key-value pairs emitted by map tasks
-/// before the combiner ran.
+/// Engine-maintained counter, always equal to [`MAP_OUTPUT_RECORDS`]:
+/// the engine has no combiner. Kept only because the performance
+/// ledger (`benchmark/src/api.rs`) still reads it.
 pub const MAP_OUTPUT_RECORDS_PRECOMBINE: &str = "mr.map.output.records.precombine";
 /// Engine-maintained counter: side-output records written by map tasks.
 pub const MAP_SIDE_OUTPUT_RECORDS: &str = "mr.map.side.records";

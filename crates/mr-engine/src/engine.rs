@@ -21,12 +21,10 @@
 //!    a bare [`Job::run_on`]'s from [`JobBuilder::spill_threshold`] —
 //!    the whole bucket set is sealed
 //!    into immutable sorted runs — each non-empty bucket is
-//!    stable-sorted by the sort comparator and (when a combiner is
-//!    installed) combined in a single pass, exactly like Hadoop's
-//!    spill files — and once more at end of task. The bucket sort the
-//!    shuffle needs anyway doubles as the combiner's grouping sort, so
-//!    each record is sorted exactly once. A map task therefore holds
-//!    at most `threshold` unsorted records (measured by the map-side
+//!    stable-sorted by the key type's `Ord`, exactly like Hadoop's
+//!    spill files — and once more at end of task, so each record is
+//!    sorted exactly once. A map task therefore holds at most
+//!    `threshold` unsorted records (measured by the map-side
 //!    [`TaskMetrics::peak_resident_records`](crate::metrics::TaskMetrics)
 //!    and [`TaskMetrics::spilled_runs`](crate::metrics::TaskMetrics)
 //!    gauges); with no threshold it seals exactly one run per bucket
@@ -57,7 +55,7 @@
 //!
 //! # Determinism guarantee
 //!
-//! Equal sort keys arrive in (map task index, seal order, emission
+//! Equal keys arrive in (map task index, seal order, emission
 //! order): within a sealed run the map-side sort is stable, a seal
 //! contains only records emitted before every record of the next
 //! seal, and the heap merge breaks ties toward the lower run index —
@@ -70,16 +68,14 @@
 //! [`merge_sorted_runs`](crate::merge::merge_sorted_runs) for
 //! equivalence tests — at **any** spill threshold and any
 //! `parallelism`; `reduce_outputs` is a pure function of (input, job
-//! definition). (With a combiner installed the reduce *input* may
-//! differ across thresholds — the combiner runs once per seal — but a
-//! legal combiner leaves the job result unchanged.) The test suite
-//! asserts this property across spill thresholds × parallelism
-//! levels.
+//! definition). The reduce *input* is identical too: a seal only sorts,
+//! so every reduce task receives the same records in the same order
+//! whatever the threshold. The test suite asserts this property across
+//! spill thresholds × parallelism levels.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::combiner::Combiner;
 use crate::comparator::{natural_order, KeyCmp};
 use crate::counters::{self, CounterSet};
 use crate::error::MrError;
@@ -176,9 +172,7 @@ where
     mapper: M,
     reducer: R,
     partitioner: Arc<dyn Partitioner<M::KOut>>,
-    sort_cmp: KeyCmp<M::KOut>,
     group_cmp: KeyCmp<M::KOut>,
-    combiner: Option<Combiner<M::KOut, M::VOut>>,
     reduce_tasks: usize,
     spill_threshold: Option<usize>,
 }
@@ -203,8 +197,9 @@ where
     M::KOut: Ord,
     R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
 {
-    /// Starts building a job with natural-order sorting/grouping and a
-    /// hash partitioner (Hadoop defaults).
+    /// Starts building a job with natural-order grouping and a hash
+    /// partitioner (Hadoop defaults). The shuffle always sorts by the
+    /// key type's `Ord`.
     pub fn builder(name: impl Into<String>, mapper: M, reducer: R) -> JobBuilder<M, R>
     where
         M::KOut: std::hash::Hash + Sync,
@@ -214,9 +209,7 @@ where
             mapper,
             reducer,
             partitioner: Arc::new(HashPartitioner),
-            sort_cmp: natural_order::<M::KOut>(),
             group_cmp: natural_order::<M::KOut>(),
-            combiner: None,
             reduce_tasks: 1,
             spill_threshold: None,
         }
@@ -241,9 +234,7 @@ where
     mapper: M,
     reducer: R,
     partitioner: Arc<dyn Partitioner<M::KOut>>,
-    sort_cmp: KeyCmp<M::KOut>,
     group_cmp: KeyCmp<M::KOut>,
-    combiner: Option<Combiner<M::KOut, M::VOut>>,
     reduce_tasks: usize,
     spill_threshold: Option<usize>,
 }
@@ -286,22 +277,10 @@ where
         self
     }
 
-    /// Replaces the sort comparator (`comp`).
-    pub fn sort_by(mut self, cmp: KeyCmp<M::KOut>) -> Self {
-        self.sort_cmp = cmp;
-        self
-    }
-
     /// Replaces the grouping comparator (`group`). Must be coarser than
-    /// or equal to the sort comparator.
+    /// or equal to the key type's `Ord`, by which the shuffle sorts.
     pub fn group_by(mut self, cmp: KeyCmp<M::KOut>) -> Self {
         self.group_cmp = cmp;
-        self
-    }
-
-    /// Installs a per-map-task combiner.
-    pub fn combiner(mut self, c: Combiner<M::KOut, M::VOut>) -> Self {
-        self.combiner = Some(c);
         self
     }
 
@@ -312,9 +291,7 @@ where
             mapper: self.mapper,
             reducer: self.reducer,
             partitioner: self.partitioner,
-            sort_cmp: self.sort_cmp,
             group_cmp: self.group_cmp,
-            combiner: self.combiner,
             reduce_tasks: self.reduce_tasks,
             spill_threshold: self.spill_threshold,
         }
@@ -339,13 +316,14 @@ struct MapTaskResult<K, V, S, P> {
 /// mark (group buffer + buffered run heads, sampled per record so
 /// mid-group states count too).
 fn drive_reduce<K, V, I, Rd>(
-    stream: &mut GroupStream<'_, K, V, I>,
+    stream: &mut GroupStream<K, V, I>,
     group_cmp: &KeyCmp<K>,
     products: &[Rd::Product],
     reducer: &mut Rd,
     ctx: &mut ReduceContext<Rd::KOut, Rd::VOut>,
 ) -> (u64, u64)
 where
+    K: Ord,
     I: Iterator<Item = (K, V)>,
     Rd: Reducer<KIn = K, VIn = V>,
 {
@@ -363,7 +341,7 @@ where
 impl<M, R> Job<M, R>
 where
     M: Mapper,
-    M::KOut: Sync,
+    M::KOut: Ord + Sync,
     M::VOut: Sync,
     R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
 {
@@ -471,35 +449,26 @@ where
             };
             // Emitted records stream straight into the spiller,
             // which partitions them into open buckets and seals
-            // the set into sorted (and combined) runs whenever the
-            // spill threshold is crossed — the map task never
-            // holds more than `threshold` unsorted records plus
-            // its sealed runs. Sorting and combining thus run
-            // inside map tasks, in parallel; the coordinator never
-            // sorts.
-            let mut spiller = MapSpiller::new(
-                self.partitioner.as_ref(),
-                &self.sort_cmp,
-                self.combiner.as_ref(),
-                r,
-                spill_threshold,
-            )
-            .with_trace(tracer.is_on().then(|| SpillTrace {
-                tracer: tracer.clone(),
-                job: self.name.clone(),
-                task: i,
-                slot: Some(tctx.slot),
-            }));
+            // the set into sorted runs whenever the spill threshold
+            // is crossed — the map task never holds more than
+            // `threshold` unsorted records plus its sealed runs.
+            // Sorting thus runs inside map tasks, in parallel; the
+            // coordinator never sorts.
+            let mut spiller = MapSpiller::new(self.partitioner.as_ref(), r, spill_threshold)
+                .with_trace(tracer.is_on().then(|| SpillTrace {
+                    tracer: tracer.clone(),
+                    job: self.name.clone(),
+                    task: i,
+                    slot: Some(tctx.slot),
+                }));
             let (mut ctx, product) =
                 run_map_task_spilling(&self.mapper, info, partition, |k, v| spiller.push(k, v))?;
-            ctx.counters.add(
-                counters::MAP_OUTPUT_RECORDS_PRECOMBINE,
-                ctx.emitted() as u64,
-            );
+            let emitted = ctx.emitted() as u64;
+            ctx.counters.add(counters::MAP_OUTPUT_RECORDS, emitted);
+            ctx.counters
+                .add(counters::MAP_OUTPUT_RECORDS_PRECOMBINE, emitted);
             plan.fire(&self.name, FaultKind::Sort, i, attempt);
             let spilled = spiller.finish();
-            ctx.counters
-                .add(counters::MAP_OUTPUT_RECORDS, spilled.records_out);
             let metrics = TaskMetrics {
                 kind: TaskKind::Map,
                 index: i,
@@ -508,7 +477,6 @@ where
                 peak_group_len: 0,
                 peak_resident_records: spilled.peak_open_records,
                 spilled_runs: spilled.spilled_runs,
-                queue_wait: tctx.queue_wait,
                 attempts: attempt,
             };
             Ok(MapTaskResult {
@@ -538,7 +506,7 @@ where
         // moves run pointers (no comparisons); the k-way merge happens
         // inside each reduce task on the worker pool. Merge ties break
         // toward the lower run index — lower map task first, earlier
-        // seal next — so values with equal sort keys keep (map task,
+        // seal next — so values with equal keys keep (map task,
         // emission) order, the Hadoop-like guarantee that keeps
         // sub-block entities of one input partition contiguous.
         let shuffle_start = Instant::now();
@@ -574,7 +542,7 @@ where
             tracer: tracer.clone(),
         };
         let reduce_results: Vec<Result<(Vec<(R::KOut, R::VOut)>, TaskMetrics), MrError>> = exec
-            .run_ft(r, &reduce_phase, |j, attempt, tctx| {
+            .run_ft(r, &reduce_phase, |j, attempt, _| {
                 let start = Instant::now();
                 plan.fire(&self.name, FaultKind::Reduce, j, attempt);
                 let info = ReduceTaskInfo {
@@ -600,7 +568,7 @@ where
                             .take()
                             .expect("each reduce task's runs outlive its final attempt");
                         let records_in: u64 = runs.iter().map(|run| run.len() as u64).sum();
-                        let mut stream = GroupStream::new(runs, &self.sort_cmp);
+                        let mut stream = GroupStream::new(runs);
                         let (groups, peak_group_len) = drive_reduce(
                             &mut stream,
                             &self.group_cmp,
@@ -616,7 +584,7 @@ where
                             .as_deref()
                             .expect("each reduce task's runs outlive its final attempt");
                         let records_in: u64 = runs.iter().map(|run| run.len() as u64).sum();
-                        let mut stream = GroupStream::over(runs, &self.sort_cmp);
+                        let mut stream = GroupStream::over(runs);
                         let (groups, peak_group_len) = drive_reduce(
                             &mut stream,
                             &self.group_cmp,
@@ -640,7 +608,6 @@ where
                     peak_group_len,
                     peak_resident_records,
                     spilled_runs: 0,
-                    queue_wait: tctx.queue_wait,
                     attempts: attempt,
                 };
                 Ok((ctx.out, metrics))
@@ -753,49 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn combiner_shrinks_shuffle_but_not_result() {
-        let input = partition_evenly(lines(&["a a a a", "a a a b"]), 2);
-        let no_combine = wordcount_job(2)
-            .run_on(&WorkerPool::new(1), input.clone())
-            .unwrap();
-
-        let mapper = ClosureMapper::new(
-            |_: &(), line: &String, ctx: &mut MapContext<String, u64, ()>| {
-                for w in line.split_whitespace() {
-                    ctx.emit(w.to_string(), 1);
-                }
-            },
-        );
-        let reducer = ClosureReducer::new(
-            |group: Group<'_, String, u64>, ctx: &mut ReduceContext<String, u64>| {
-                let sum: u64 = group.values().sum();
-                ctx.emit(group.key().clone(), sum);
-            },
-        );
-        let combined_job = Job::builder("wc+c", mapper, reducer)
-            .reduce_tasks(2)
-            .combiner(crate::combiner::sum_u64_combiner())
-            .build();
-        let combined = combined_job.run_on(&WorkerPool::new(1), input).unwrap();
-
-        let mut a: Vec<_> = no_combine.records().cloned().collect();
-        let mut b: Vec<_> = combined.records().cloned().collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "combiner must not change the job result");
-        assert_eq!(no_combine.metrics.map_output_records(), 8);
-        // Task 0 emits only "a" x4 -> 1 pair; task 1 emits a x3, b -> 2.
-        assert_eq!(combined.metrics.map_output_records(), 3);
-        assert_eq!(
-            combined
-                .metrics
-                .counters
-                .get(counters::MAP_OUTPUT_RECORDS_PRECOMBINE),
-            8
-        );
-    }
-
-    #[test]
     fn coarse_grouping_exposes_individual_keys() {
         // Sort by (block, seq), group by block only; the reducer sees
         // the sequence numbers through the per-value key — the exact
@@ -861,7 +785,6 @@ mod tests {
             partition_evenly(lines.iter().map(|l| ((), l.to_string())).collect(), m);
 
         // Reference: simulate map + shuffle by hand.
-        let sort_cmp = natural_order::<String>();
         let partitioner = HashPartitioner;
         let mut runs_per_reduce: Vec<Vec<Vec<(String, String)>>> =
             (0..r).map(|_| Vec::with_capacity(m)).collect();
@@ -877,7 +800,7 @@ mod tests {
                 }
             }
             for bucket in &mut buckets {
-                bucket.sort_by(|a, b| sort_cmp(&a.0, &b.0));
+                bucket.sort_by(|a, b| a.0.cmp(&b.0));
             }
             for (j, bucket) in buckets.into_iter().enumerate() {
                 runs_per_reduce[j].push(bucket);
@@ -886,7 +809,7 @@ mod tests {
         let expected: Vec<Vec<(String, Vec<String>)>> = runs_per_reduce
             .into_iter()
             .map(|runs| {
-                let run = merge_sorted_runs(runs, &sort_cmp);
+                let run = merge_sorted_runs(runs);
                 let mut out = Vec::new();
                 let mut lo = 0usize;
                 while lo < run.len() {
@@ -1026,56 +949,6 @@ mod tests {
                     assert_eq!(out.metrics.spilled_runs(), 0);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn spilled_job_with_combiner_matches_unspilled_result() {
-        // The combiner runs once per seal, so the reduce *input* may
-        // differ across thresholds — the job *result* must not, and
-        // the precombine counter still counts raw emissions.
-        let input = partition_evenly(lines(&["a a a a b", "a a b b b"]), 2);
-        let build = |threshold: Option<usize>| {
-            let mapper = ClosureMapper::new(
-                |_: &(), line: &String, ctx: &mut MapContext<String, u64, ()>| {
-                    for w in line.split_whitespace() {
-                        ctx.emit(w.to_string(), 1);
-                    }
-                },
-            );
-            let reducer = ClosureReducer::new(
-                |group: Group<'_, String, u64>, ctx: &mut ReduceContext<String, u64>| {
-                    ctx.emit(group.key().clone(), group.values().sum());
-                },
-            );
-            Job::builder("wc+spill", mapper, reducer)
-                .reduce_tasks(2)
-                .combiner(crate::combiner::sum_u64_combiner())
-                .spill_threshold(threshold)
-                .build()
-        };
-        let plain = build(None)
-            .run_on(&WorkerPool::new(1), input.clone())
-            .unwrap();
-        for threshold in [1usize, 2, 3, 5] {
-            let spilled = build(Some(threshold))
-                .run_on(&WorkerPool::new(1), input.clone())
-                .unwrap();
-            assert_eq!(
-                spilled.reduce_outputs, plain.reduce_outputs,
-                "threshold {threshold} changed the combined result"
-            );
-            assert_eq!(
-                spilled
-                    .metrics
-                    .counters
-                    .get(counters::MAP_OUTPUT_RECORDS_PRECOMBINE),
-                10,
-                "precombine counter counts raw emissions at any threshold"
-            );
-            // Per-seal combining can only keep *more* pairs than the
-            // one-shot full-bucket combine.
-            assert!(spilled.metrics.map_output_records() >= plain.metrics.map_output_records());
         }
     }
 

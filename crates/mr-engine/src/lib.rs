@@ -10,11 +10,11 @@
 //!   tasks;
 //! * a [`Partitioner`] (`part`) that may inspect only *part* of a
 //!   composite key to route map output to reduce tasks;
-//! * a sort comparator (`comp`) ordering all keys of a reduce task;
+//! * a sort order (`comp`) over all keys of a reduce task — the key
+//!   type's `Ord`, so composite keys sort by their fields in order;
 //! * a grouping comparator (`group`) that may be *coarser* than the
 //!   sort order, so a single `reduce` call can observe multiple
 //!   distinct keys (the key is exposed per value, Hadoop-style);
-//! * an optional per-map-task [`Combiner`];
 //! * map-side *additional output* to a simulated distributed file
 //!   system ([`Mapper::Side`]), partition-aligned so a follow-up job
 //!   sees the same input partitioning (Algorithm 3 of the paper);
@@ -22,13 +22,13 @@
 //!   custom counters such as `comparisons`, wall time).
 //!
 //! The shuffle is **deterministic, fully parallel, and streaming**:
-//! every map task partitions, stable-sorts, and (optionally) combines
-//! its output buckets on the worker pool; the coordinator only
+//! every map task partitions and stable-sorts its output buckets on
+//! the worker pool; the coordinator only
 //! transposes buckets to reduce tasks; and each reduce task streams
 //! reduce groups out of a stable k-way heap merge of its runs in
 //! map-task order (ties break toward the lower map task), buffering
 //! only the current group — never the merged run. Values with equal
-//! sort keys therefore arrive in (map task index, emission order) —
+//! keys therefore arrive in (map task index, emission order) —
 //! the property Hadoop exhibits in practice and that the BlockSplit
 //! reducer of the paper exploits — while the reduce-side merge buffers
 //! only `O(largest group + m)` records beyond the input runs (no
@@ -72,7 +72,6 @@
 #![deny(unsafe_code)]
 
 pub mod adapters;
-pub mod combiner;
 pub mod comparator;
 pub mod counters;
 pub mod engine;
@@ -93,7 +92,6 @@ pub mod trace;
 pub mod workflow;
 
 pub use adapters::{ClosureMapper, ClosureReducer};
-pub use combiner::Combiner;
 pub use comparator::{natural_order, KeyCmp};
 pub use counters::CounterSet;
 pub use engine::{Job, JobBuilder, JobOutput};

@@ -29,9 +29,10 @@
 //! shuffle layout — that left bias composes to (map task, seal,
 //! emission-within-seal), which equals plain (map task, emission)
 //! order because a seal contains only records emitted before the next
-//! seal's. The heap orders run heads by `(sort key, run index)`, so
-//! after a pop the same run wins again while its head stays equal —
-//! exactly the drain order of a stable sort.
+//! seal's. The heap orders run heads by `(key, run index)`, keys
+//! compared by their `Ord`, so after a pop the same run wins again
+//! while its head stays equal — exactly the drain order of a stable
+//! sort.
 
 use std::cmp::Ordering;
 
@@ -50,11 +51,10 @@ pub type ClonedRunIter<'r, K, V> = std::iter::Cloned<std::slice::Iter<'r, (K, V)
 /// the runs and clones each record lazily on delivery — for callers
 /// (like a retryable reduce attempt) that must leave the runs intact
 /// without paying for a second full copy up front.
-pub struct GroupStream<'c, K, V, I = std::vec::IntoIter<(K, V)>>
+pub struct GroupStream<K, V, I = std::vec::IntoIter<(K, V)>>
 where
     I: Iterator<Item = (K, V)>,
 {
-    sort_cmp: &'c KeyCmp<K>,
     iters: Vec<I>,
     /// Head element of each not-yet-exhausted run (`None` once drained).
     heads: Vec<Option<(K, V)>>,
@@ -67,37 +67,33 @@ where
     peak_resident: usize,
 }
 
-impl<'c, K, V> GroupStream<'c, K, V> {
-    /// Builds the stream over owned `runs`, each already sorted under
-    /// `sort_cmp`; records are moved out as they are consumed.
-    pub fn new(runs: Vec<Vec<(K, V)>>, sort_cmp: &'c KeyCmp<K>) -> Self {
-        Self::from_iters(runs.into_iter().map(Vec::into_iter).collect(), sort_cmp)
+impl<K: Ord, V> GroupStream<K, V> {
+    /// Builds the stream over owned `runs`, each already sorted by key;
+    /// records are moved out as they are consumed.
+    pub fn new(runs: Vec<Vec<(K, V)>>) -> Self {
+        Self::from_iters(runs.into_iter().map(Vec::into_iter).collect())
     }
 }
 
-impl<'c, 'r, K: Clone, V: Clone> GroupStream<'c, K, V, ClonedRunIter<'r, K, V>> {
+impl<'r, K: Ord + Clone, V: Clone> GroupStream<K, V, ClonedRunIter<'r, K, V>> {
     /// Builds the stream over *borrowed* `runs`, cloning each record
     /// lazily as the merge delivers it. The runs stay intact for a
     /// later re-execution; the stream's own residency stays
     /// `O(largest group + runs)` cloned records, never a second full
     /// copy.
-    pub fn over(runs: &'r [Vec<(K, V)>], sort_cmp: &'c KeyCmp<K>) -> Self {
-        Self::from_iters(
-            runs.iter().map(|run| run.iter().cloned()).collect(),
-            sort_cmp,
-        )
+    pub fn over(runs: &'r [Vec<(K, V)>]) -> Self {
+        Self::from_iters(runs.iter().map(|run| run.iter().cloned()).collect())
     }
 }
 
-impl<'c, K, V, I> GroupStream<'c, K, V, I>
+impl<K: Ord, V, I> GroupStream<K, V, I>
 where
     I: Iterator<Item = (K, V)>,
 {
-    fn from_iters(mut iters: Vec<I>, sort_cmp: &'c KeyCmp<K>) -> Self {
+    fn from_iters(mut iters: Vec<I>) -> Self {
         let heads: Vec<Option<(K, V)>> = iters.iter_mut().map(Iterator::next).collect();
         let heap: Vec<usize> = (0..heads.len()).filter(|&i| heads[i].is_some()).collect();
         let mut stream = Self {
-            sort_cmp,
             iters,
             heads,
             heap,
@@ -117,7 +113,7 @@ where
     fn wins(&self, a: usize, b: usize) -> bool {
         let ka = &self.heads[a].as_ref().expect("heap entry has a head").0;
         let kb = &self.heads[b].as_ref().expect("heap entry has a head").0;
-        match (self.sort_cmp)(ka, kb) {
+        match ka.cmp(kb) {
             Ordering::Less => true,
             Ordering::Equal => a < b,
             Ordering::Greater => false,
@@ -212,15 +208,14 @@ where
 /// `O(N log k)` comparisons, producing the whole merged run at once.
 ///
 /// Retained as the byte-equivalence oracle for the streaming path (the
-/// engine itself streams via [`GroupStream`]); also useful for tests of
-/// custom comparators.
-pub fn merge_sorted_runs<K, V>(mut runs: Vec<Vec<(K, V)>>, cmp: &KeyCmp<K>) -> Vec<(K, V)> {
+/// engine itself streams via [`GroupStream`]).
+pub fn merge_sorted_runs<K: Ord, V>(mut runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
     while runs.len() > 1 {
         let mut next = Vec::with_capacity(runs.len().div_ceil(2));
         let mut it = runs.into_iter();
         while let Some(left) = it.next() {
             match it.next() {
-                Some(right) => next.push(merge_two(left, right, cmp)),
+                Some(right) => next.push(merge_two(left, right)),
                 None => next.push(left),
             }
         }
@@ -230,7 +225,7 @@ pub fn merge_sorted_runs<K, V>(mut runs: Vec<Vec<(K, V)>>, cmp: &KeyCmp<K>) -> V
 }
 
 /// Stable two-way merge; ties take from `left` (the earlier map task).
-fn merge_two<K, V>(left: Vec<(K, V)>, right: Vec<(K, V)>, cmp: &KeyCmp<K>) -> Vec<(K, V)> {
+fn merge_two<K: Ord, V>(left: Vec<(K, V)>, right: Vec<(K, V)>) -> Vec<(K, V)> {
     if left.is_empty() {
         return right;
     }
@@ -245,7 +240,7 @@ fn merge_two<K, V>(left: Vec<(K, V)>, right: Vec<(K, V)>, cmp: &KeyCmp<K>) -> Ve
             (Some(l), Some(r)) => {
                 // Strictly-less on the right is the only way right
                 // wins — equality stays left-biased for stability.
-                if cmp(&r.0, &l.0) == Ordering::Less {
+                if r.0 < l.0 {
                     out.push(ri.next().expect("peeked"));
                 } else {
                     out.push(li.next().expect("peeked"));
@@ -269,12 +264,11 @@ mod tests {
     use crate::comparator::{by_projection, natural_order};
 
     /// Drains a stream into (groups, peak buffered heads).
-    fn collect_groups<K: Clone, V: Clone>(
+    fn collect_groups<K: Ord + Clone, V: Clone>(
         runs: Vec<Vec<(K, V)>>,
-        sort_cmp: &KeyCmp<K>,
         group_cmp: &KeyCmp<K>,
     ) -> Vec<Vec<(K, V)>> {
-        let mut stream = GroupStream::new(runs, sort_cmp);
+        let mut stream = GroupStream::new(runs);
         let mut buf = Vec::new();
         let mut groups = Vec::new();
         while stream.next_group(group_cmp, &mut buf) {
@@ -286,16 +280,12 @@ mod tests {
 
     /// Reference grouping: materialized merge + boundary scan, the
     /// engine's pre-streaming implementation.
-    fn reference_groups<K, V>(
-        runs: Vec<Vec<(K, V)>>,
-        sort_cmp: &KeyCmp<K>,
-        group_cmp: &KeyCmp<K>,
-    ) -> Vec<Vec<(K, V)>>
+    fn reference_groups<K, V>(runs: Vec<Vec<(K, V)>>, group_cmp: &KeyCmp<K>) -> Vec<Vec<(K, V)>>
     where
-        K: Clone,
+        K: Ord + Clone,
         V: Clone,
     {
-        let run = merge_sorted_runs(runs, sort_cmp);
+        let run = merge_sorted_runs(runs);
         let mut groups = Vec::new();
         let mut lo = 0usize;
         while lo < run.len() {
@@ -323,28 +313,25 @@ mod tests {
 
     #[test]
     fn merge_sorted_runs_equals_concat_then_stable_sort() {
-        let cmp = natural_order::<u32>();
         let runs = tagged_runs();
         let mut expected: Vec<(u32, (usize, usize))> = runs.concat();
-        expected.sort_by(|a, b| cmp(&a.0, &b.0));
-        assert_eq!(merge_sorted_runs(runs, &cmp), expected);
+        expected.sort_by_key(|r| r.0);
+        assert_eq!(merge_sorted_runs(runs), expected);
     }
 
     #[test]
     fn merge_sorted_runs_degenerate_shapes() {
-        let cmp = natural_order::<u8>();
-        assert!(merge_sorted_runs::<u8, ()>(vec![], &cmp).is_empty());
-        assert!(merge_sorted_runs::<u8, ()>(vec![vec![], vec![]], &cmp).is_empty());
+        assert!(merge_sorted_runs::<u8, ()>(vec![]).is_empty());
+        assert!(merge_sorted_runs::<u8, ()>(vec![vec![], vec![]]).is_empty());
         let single = vec![vec![(1u8, ()), (2, ())]];
-        assert_eq!(merge_sorted_runs(single, &cmp), vec![(1, ()), (2, ())]);
+        assert_eq!(merge_sorted_runs(single), vec![(1, ()), (2, ())]);
     }
 
     #[test]
     fn streaming_groups_equal_materialized_reference() {
-        let sort_cmp = natural_order::<u32>();
         let group_cmp = natural_order::<u32>();
-        let streamed = collect_groups(tagged_runs(), &sort_cmp, &group_cmp);
-        let reference = reference_groups(tagged_runs(), &sort_cmp, &group_cmp);
+        let streamed = collect_groups(tagged_runs(), &group_cmp);
+        let reference = reference_groups(tagged_runs(), &group_cmp);
         assert_eq!(streamed, reference);
         // Spot-check the left bias directly: the three equal keys `3`
         // must drain run 0 first, then runs 2 and 3.
@@ -358,15 +345,14 @@ mod tests {
         // Sort by (block, seq), group by block only — the PairRange
         // secondary-sort shape. Group boundaries must fall exactly
         // where the reference scan puts them.
-        let sort_cmp = natural_order::<(u32, u32)>();
         let group_cmp = by_projection(|k: &(u32, u32)| k.0);
         let runs = vec![
             vec![((1, 0), "a"), ((1, 2), "b"), ((2, 0), "c")],
             vec![((1, 1), "d"), ((2, 1), "e"), ((3, 0), "f")],
             vec![((1, 2), "g")],
         ];
-        let streamed = collect_groups(runs.clone(), &sort_cmp, &group_cmp);
-        let reference = reference_groups(runs, &sort_cmp, &group_cmp);
+        let streamed = collect_groups(runs.clone(), &group_cmp);
+        let reference = reference_groups(runs, &group_cmp);
         assert_eq!(streamed, reference);
         assert_eq!(streamed.len(), 3, "three blocks -> three groups");
         assert_eq!(streamed[0].len(), 4, "block 1 spans all three runs");
@@ -374,7 +360,6 @@ mod tests {
 
     #[test]
     fn streaming_matches_reference_on_adversarial_shapes() {
-        let sort_cmp = natural_order::<u32>();
         let group_cmp = natural_order::<u32>();
         let cases: Vec<Vec<Vec<(u32, usize)>>> = vec![
             vec![],
@@ -390,8 +375,8 @@ mod tests {
             ],
         ];
         for (i, runs) in cases.into_iter().enumerate() {
-            let streamed = collect_groups(runs.clone(), &sort_cmp, &group_cmp);
-            let reference = reference_groups(runs, &sort_cmp, &group_cmp);
+            let streamed = collect_groups(runs.clone(), &group_cmp);
+            let reference = reference_groups(runs, &group_cmp);
             assert_eq!(streamed, reference, "case {i}");
         }
     }
@@ -404,10 +389,9 @@ mod tests {
         // high-water mark is `group + surviving heads` — here exactly
         // the group size, since all runs drain into it — and a later
         // exhausted call must not disturb it.
-        let sort_cmp = natural_order::<u32>();
         let group_cmp = natural_order::<u32>();
         let runs: Vec<Vec<(u32, usize)>> = vec![vec![(1, 0), (1, 1)], vec![(1, 2)], vec![(1, 3)]];
-        let mut stream = GroupStream::new(runs, &sort_cmp);
+        let mut stream = GroupStream::new(runs);
         let mut buf = Vec::new();
         assert!(stream.next_group(&group_cmp, &mut buf));
         assert_eq!(buf.len(), 4);
@@ -419,7 +403,7 @@ mod tests {
         // stays buffered, so the peak is 2 + 1 = 3 even though the
         // second group leaves only one record resident.
         let runs: Vec<Vec<(u32, usize)>> = vec![vec![(1, 0), (1, 1)], vec![(2, 2)]];
-        let mut stream = GroupStream::new(runs, &sort_cmp);
+        let mut stream = GroupStream::new(runs);
         let mut buf = Vec::new();
         while stream.next_group(&group_cmp, &mut buf) {}
         assert_eq!(stream.peak_resident_records(), 3);
@@ -430,11 +414,10 @@ mod tests {
         // `over` must deliver exactly the groups `new` does while the
         // source runs survive a full drain untouched — the property a
         // retryable reduce attempt depends on.
-        let sort_cmp = natural_order::<u32>();
         let group_cmp = natural_order::<u32>();
         let runs = tagged_runs();
-        let owned = collect_groups(runs.clone(), &sort_cmp, &group_cmp);
-        let mut stream = GroupStream::over(&runs, &sort_cmp);
+        let owned = collect_groups(runs.clone(), &group_cmp);
+        let mut stream = GroupStream::over(&runs);
         let mut buf = Vec::new();
         let mut borrowed = Vec::new();
         while stream.next_group(&group_cmp, &mut buf) {
@@ -446,11 +429,10 @@ mod tests {
 
     #[test]
     fn buffered_heads_never_exceed_run_count() {
-        let sort_cmp = natural_order::<u32>();
         let group_cmp = natural_order::<u32>();
         let runs = tagged_runs();
         let m = runs.len();
-        let mut stream = GroupStream::new(runs, &sort_cmp);
+        let mut stream = GroupStream::new(runs);
         assert!(stream.buffered_heads() <= m);
         let mut buf = Vec::new();
         while stream.next_group(&group_cmp, &mut buf) {

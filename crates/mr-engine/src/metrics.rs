@@ -61,11 +61,6 @@ pub struct TaskMetrics {
     /// an unspilled map task reports zero). Always zero for reduce
     /// tasks.
     pub spilled_runs: u64,
-    /// Scheduling delay between this task's dispatch being enqueued on
-    /// the worker pool and its winning attempt starting; zero on
-    /// inline (single-slot) execution. A wall quantity — excluded from
-    /// the deterministic-gauge set, like [`TaskMetrics::wall`].
-    pub queue_wait: Duration,
     /// Attempt number that produced this task's output (1 = the first
     /// attempt succeeded). Attempts run one after another and only a
     /// caught panic starts the next, so `attempts − 1` is the task's
@@ -238,7 +233,6 @@ mod tests {
             peak_group_len: 0,
             peak_resident_records: 0,
             spilled_runs: 0,
-            queue_wait: Duration::ZERO,
             attempts: 1,
         }
     }

@@ -17,9 +17,9 @@ pub struct ReduceTaskInfo {
 /// whose keys compare equal under the *grouping* comparator.
 ///
 /// Hadoop semantics preserved deliberately: when the grouping
-/// comparator is coarser than the sort comparator, the *individual*
-/// keys within a group differ, and the framework exposes the current
-/// key alongside each value. PairRange (Algorithm 2) depends on this —
+/// comparator is coarser than the sort order (the key's `Ord`), the
+/// *individual* keys within a group differ, and the framework exposes
+/// the current key alongside each value. PairRange (Algorithm 2) depends on this —
 /// it groups by (range, block) but needs each value's entity index,
 /// which travels in the key. [`Group::iter`] yields `(&K, &V)` pairs.
 ///
@@ -167,9 +167,8 @@ pub trait Reducer: Clone + Send + Sync {
     fn finish(&mut self, _ctx: &mut ReduceContext<Self::KOut, Self::VOut>) {}
 }
 
-/// A reducer that sums `u64` counts per group — the reduce-side twin
-/// of [`crate::combiner::sum_u64_combiner`], for count-style jobs such
-/// as er-sn's sort-key distribution job.
+/// A reducer that sums `u64` counts per group, for count-style jobs
+/// such as er-sn's sort-key distribution job.
 #[derive(Debug)]
 pub struct SumReducer<K>(std::marker::PhantomData<fn() -> K>);
 

@@ -245,21 +245,6 @@ impl Runtime {
             None => wf,
         }
     }
-
-    /// Like [`Runtime::workflow`], but caps this one workflow's stages
-    /// at `max_parallelism` concurrent map/reduce tasks — still on the
-    /// runtime's existing threads, never respawning the pool. Lets a
-    /// single resolve run narrower than the runtime (e.g. to bound its
-    /// peak memory) without paying thread churn. A cap of zero fails
-    /// the workflow's stages with
-    /// [`MrError::ZeroParallelism`](crate::error::MrError::ZeroParallelism).
-    pub fn workflow_with_parallelism(
-        &self,
-        name: impl Into<String>,
-        max_parallelism: usize,
-    ) -> Workflow {
-        self.workflow(name).with_parallelism_cap(max_parallelism)
-    }
 }
 
 /// Compile-time pin of the concurrency contract: a `Runtime` must
@@ -367,7 +352,9 @@ mod tests {
             .unwrap()
             .reduce_outputs;
         for cap in [1usize, 2, 8] {
-            let mut narrow = runtime.workflow_with_parallelism(format!("cap-{cap}"), cap);
+            let mut narrow = runtime
+                .workflow(format!("cap-{cap}"))
+                .with_parallelism_cap(cap);
             assert_eq!(narrow.parallelism_cap(), Some(cap));
             let out = narrow.chained_stage(&count_job(3), input.clone()).unwrap();
             assert_eq!(out.reduce_outputs, expected, "cap {cap} drifted");

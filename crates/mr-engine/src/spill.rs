@@ -8,32 +8,29 @@
 //! emitted, and whenever the open records cross the configured
 //! [`spill threshold`](crate::engine::JobBuilder::spill_threshold)
 //! the whole bucket set is **sealed** — each non-empty bucket is
-//! stable-sorted, run through the combiner (if any), and appended as
-//! one immutable sorted run for its reduce task. A map task therefore
-//! holds at most `threshold` unsorted records plus the sealed runs'
-//! storage; the engine's shuffle hands each reduce task the flattened
+//! stable-sorted by the key's `Ord` and appended as one immutable
+//! sorted run for its reduce task. A map task therefore holds at most
+//! `threshold` unsorted records plus the sealed runs' storage; the
+//! engine's shuffle hands each reduce task the flattened
 //! `m × (runs per task)` run list, which the k-way
 //! [`GroupStream`](crate::merge::GroupStream) merge consumes exactly
 //! like the single-run-per-task layout.
 //!
 //! # Determinism across thresholds
 //!
-//! Output is byte-identical at *any* threshold (including `None`, the
-//! unspilled legacy path):
+//! The reduce input — and so the output — is byte-identical at *any*
+//! threshold (including `None`, the unspilled legacy path):
 //!
 //! * runs are flattened in (map task, seal order) — seal `s` contains
 //!   only records emitted before every record of seal `s+1`, and the
 //!   merge breaks ties toward the lower run index;
 //! * within a seal the sort is stable, preserving emission order;
 //!
-//! so equal sort keys still arrive in (map task, emission order) — the
-//! engine-wide contract. With a combiner installed the *reduce input*
-//! may differ across thresholds (the combiner runs once per seal,
-//! Hadoop's "zero or more applications per spill" contract), but a
-//! legal combiner leaves the job result unchanged.
+//! so equal keys still arrive in (map task, emission order) — the
+//! engine-wide contract. A seal only sorts and never merges records,
+//! so every reduce task sees the same records in the same order
+//! whatever the threshold.
 
-use crate::combiner::{combine_sorted_run, Combiner};
-use crate::comparator::KeyCmp;
 use crate::error::MrError;
 use crate::partitioner::Partitioner;
 use crate::trace::{SpillTrace, TraceEventData};
@@ -51,8 +48,6 @@ pub(crate) struct SpillResult<K, V> {
     /// `peak_resident_records` gauge. Bounded by the threshold when
     /// one is set.
     pub peak_open_records: u64,
-    /// Post-combine records across all sealed runs.
-    pub records_out: u64,
 }
 
 /// Per-map-task spill machinery: partitions records into an open
@@ -61,8 +56,6 @@ pub(crate) struct SpillResult<K, V> {
 /// [`MapSpiller::finish`]).
 pub(crate) struct MapSpiller<'j, K, V> {
     partitioner: &'j dyn Partitioner<K>,
-    sort_cmp: &'j KeyCmp<K>,
-    combiner: Option<&'j Combiner<K, V>>,
     num_reduce_tasks: usize,
     /// Seal the open set once it holds this many records; `None`
     /// reproduces the unspilled single-run-per-bucket layout exactly.
@@ -72,24 +65,19 @@ pub(crate) struct MapSpiller<'j, K, V> {
     sealed: Vec<Vec<Vec<(K, V)>>>,
     spilled_runs: u64,
     peak_open_records: usize,
-    records_out: u64,
     /// Trace context for threshold-triggered seals; `None` (the
     /// default, and always when no sink is attached) emits nothing.
     trace: Option<SpillTrace>,
 }
 
-impl<'j, K: Clone, V> MapSpiller<'j, K, V> {
+impl<'j, K: Ord, V> MapSpiller<'j, K, V> {
     pub(crate) fn new(
         partitioner: &'j dyn Partitioner<K>,
-        sort_cmp: &'j KeyCmp<K>,
-        combiner: Option<&'j Combiner<K, V>>,
         num_reduce_tasks: usize,
         threshold: Option<usize>,
     ) -> Self {
         Self {
             partitioner,
-            sort_cmp,
-            combiner,
             num_reduce_tasks,
             threshold,
             open: (0..num_reduce_tasks).map(|_| Vec::new()).collect(),
@@ -97,7 +85,6 @@ impl<'j, K: Clone, V> MapSpiller<'j, K, V> {
             sealed: (0..num_reduce_tasks).map(|_| Vec::new()).collect(),
             spilled_runs: 0,
             peak_open_records: 0,
-            records_out: 0,
             trace: None,
         }
     }
@@ -130,8 +117,8 @@ impl<'j, K: Clone, V> MapSpiller<'j, K, V> {
     }
 
     /// Seals the whole open bucket set: every non-empty bucket is
-    /// stable-sorted, combined, and appended as one immutable run for
-    /// its reduce task.
+    /// stable-sorted and appended as one immutable run for its reduce
+    /// task.
     fn seal(&mut self, threshold_triggered: bool) {
         if self.open_records == 0 {
             return;
@@ -144,10 +131,7 @@ impl<'j, K: Clone, V> MapSpiller<'j, K, V> {
             // Stable, so equal keys keep emission order within the
             // seal — one third of the (map task, seal, emission)
             // determinism contract.
-            run.sort_by(|a, b| (self.sort_cmp)(&a.0, &b.0));
-            if let Some(c) = self.combiner {
-                run = combine_sorted_run(run, self.sort_cmp, c);
-            }
+            run.sort_by(|a, b| a.0.cmp(&b.0));
             if threshold_triggered {
                 self.spilled_runs += 1;
                 // Emitted exactly where the `spilled_runs` gauge
@@ -162,7 +146,6 @@ impl<'j, K: Clone, V> MapSpiller<'j, K, V> {
                         });
                 }
             }
-            self.records_out += run.len() as u64;
             self.sealed[j].push(run);
         }
         self.open_records = 0;
@@ -177,7 +160,6 @@ impl<'j, K: Clone, V> MapSpiller<'j, K, V> {
             runs: self.sealed,
             spilled_runs: self.spilled_runs,
             peak_open_records: self.peak_open_records as u64,
-            records_out: self.records_out,
         }
     }
 }
@@ -185,19 +167,15 @@ impl<'j, K: Clone, V> MapSpiller<'j, K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::combiner::sum_u64_combiner;
-    use crate::comparator::natural_order;
     use crate::partitioner::{FnPartitioner, HashPartitioner};
 
     fn spill_all(
         records: &[(u32, u64)],
         r: usize,
         threshold: Option<usize>,
-        combiner: Option<&Combiner<u32, u64>>,
     ) -> SpillResult<u32, u64> {
-        let sort_cmp = natural_order::<u32>();
         let part = FnPartitioner::new(|k: &u32, r: usize| (*k as usize) % r);
-        let mut spiller = MapSpiller::new(&part, &sort_cmp, combiner, r, threshold);
+        let mut spiller = MapSpiller::new(&part, r, threshold);
         for &(k, v) in records {
             spiller.push(k, v).unwrap();
         }
@@ -207,16 +185,15 @@ mod tests {
     /// Flattens a reduce task's runs through the reference merge — the
     /// byte-equivalence oracle against the unspilled layout.
     fn merged(result: SpillResult<u32, u64>, j: usize) -> Vec<(u32, u64)> {
-        crate::merge::merge_sorted_runs(result.runs[j].clone(), &natural_order::<u32>())
+        crate::merge::merge_sorted_runs(result.runs[j].clone())
     }
 
     #[test]
     fn no_threshold_reproduces_single_run_per_bucket() {
         let records: Vec<(u32, u64)> = (0..10).map(|i| (i % 4, i as u64)).collect();
-        let out = spill_all(&records, 2, None, None);
+        let out = spill_all(&records, 2, None);
         assert_eq!(out.spilled_runs, 0);
         assert_eq!(out.peak_open_records, 10);
-        assert_eq!(out.records_out, 10);
         for runs in &out.runs {
             assert_eq!(runs.len(), 1, "one flush run per non-empty bucket");
         }
@@ -225,16 +202,15 @@ mod tests {
     #[test]
     fn threshold_of_one_seals_every_record() {
         let records: Vec<(u32, u64)> = (0..6).map(|i| (i % 2, i as u64)).collect();
-        let out = spill_all(&records, 2, Some(1), None);
+        let out = spill_all(&records, 2, Some(1));
         assert_eq!(out.spilled_runs, 6, "each record seals its own run");
         assert_eq!(out.peak_open_records, 1);
-        assert_eq!(out.records_out, 6);
     }
 
     #[test]
     fn threshold_above_input_never_spills() {
         let records: Vec<(u32, u64)> = (0..5).map(|i| (i, i as u64)).collect();
-        let out = spill_all(&records, 3, Some(100), None);
+        let out = spill_all(&records, 3, Some(100));
         assert_eq!(out.spilled_runs, 0);
         assert_eq!(out.peak_open_records, 5);
     }
@@ -245,12 +221,12 @@ mod tests {
         // between seals changes the merged byte sequence.
         let records: Vec<(u32, u64)> = (0..40).map(|i| (i % 5, i as u64)).collect();
         let reference: Vec<Vec<(u32, u64)>> = (0..3)
-            .map(|j| merged(spill_all(&records, 3, None, None), j))
+            .map(|j| merged(spill_all(&records, 3, None), j))
             .collect();
         for threshold in [1usize, 2, 3, 7, 39, 40, 1000] {
             for (j, expected) in reference.iter().enumerate() {
                 assert_eq!(
-                    &merged(spill_all(&records, 3, Some(threshold), None), j),
+                    &merged(spill_all(&records, 3, Some(threshold)), j),
                     expected,
                     "threshold {threshold}, reduce task {j}"
                 );
@@ -262,7 +238,7 @@ mod tests {
     fn open_set_stays_bounded_by_the_threshold() {
         let records: Vec<(u32, u64)> = (0..100).map(|i| (i % 7, i as u64)).collect();
         for threshold in [1usize, 4, 10] {
-            let out = spill_all(&records, 4, Some(threshold), None);
+            let out = spill_all(&records, 4, Some(threshold));
             assert!(
                 out.peak_open_records <= threshold as u64,
                 "threshold {threshold}: open peak {}",
@@ -272,49 +248,17 @@ mod tests {
     }
 
     #[test]
-    fn combiner_runs_per_seal_and_result_is_preserved() {
-        // 12 records of 3 keys. Unspilled: the combiner collapses each
-        // bucket to one pair per key. Spilled every 4: each seal
-        // combines only its own records, so more pairs survive — but
-        // the per-key sums (what the reducer computes) are identical.
-        let records: Vec<(u32, u64)> = (0..12).map(|i| (i % 3, 1u64)).collect();
-        let combiner = sum_u64_combiner::<u32>();
-        let plain = spill_all(&records, 1, None, Some(&combiner));
-        assert_eq!(plain.records_out, 3, "fully combined: one pair per key");
-        let spilled = spill_all(&records, 1, Some(4), Some(&combiner));
-        assert!(
-            spilled.records_out > 3,
-            "per-seal combining keeps more pairs"
-        );
-        let sum_per_key = |merged: Vec<(u32, u64)>| {
-            let mut sums = std::collections::BTreeMap::new();
-            for (k, v) in merged {
-                *sums.entry(k).or_insert(0u64) += v;
-            }
-            sums
-        };
-        assert_eq!(
-            sum_per_key(merged(plain, 0)),
-            sum_per_key(merged(spilled, 0)),
-            "combiner application count must not change the aggregate"
-        );
-    }
-
-    #[test]
     fn empty_input_yields_no_runs() {
-        let out = spill_all(&[], 3, Some(2), None);
+        let out = spill_all(&[], 3, Some(2));
         assert!(out.runs.iter().all(Vec::is_empty));
         assert_eq!(out.spilled_runs, 0);
         assert_eq!(out.peak_open_records, 0);
-        assert_eq!(out.records_out, 0);
     }
 
     #[test]
     fn out_of_range_partition_is_reported() {
-        let sort_cmp = natural_order::<u32>();
         let part = FnPartitioner::new(|_: &u32, _| 9);
-        let mut spiller: MapSpiller<'_, u32, u64> =
-            MapSpiller::new(&part, &sort_cmp, None, 2, None);
+        let mut spiller: MapSpiller<'_, u32, u64> = MapSpiller::new(&part, 2, None);
         assert_eq!(
             spiller.push(1, 1).unwrap_err(),
             MrError::PartitionOutOfRange {
@@ -328,10 +272,9 @@ mod tests {
     fn hash_partitioned_seals_route_like_the_unspilled_path() {
         // Same partitioner the engine defaults to: every record must
         // land in the same reduce task regardless of threshold.
-        let sort_cmp = natural_order::<u32>();
         let part = HashPartitioner;
-        let mut a: MapSpiller<'_, u32, u64> = MapSpiller::new(&part, &sort_cmp, None, 4, None);
-        let mut b: MapSpiller<'_, u32, u64> = MapSpiller::new(&part, &sort_cmp, None, 4, Some(2));
+        let mut a: MapSpiller<'_, u32, u64> = MapSpiller::new(&part, 4, None);
+        let mut b: MapSpiller<'_, u32, u64> = MapSpiller::new(&part, 4, Some(2));
         for i in 0..20u32 {
             a.push(i % 6, u64::from(i)).unwrap();
             b.push(i % 6, u64::from(i)).unwrap();

@@ -231,11 +231,6 @@ impl Workflow {
         self
     }
 
-    /// Number of stages executed so far.
-    pub fn stages_run(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Runs `job` as the next stage over input that must share the
     /// workflow's partitioning: the first chained stage establishes
     /// the partition count, every later one (typically fed from a
@@ -248,7 +243,7 @@ impl Workflow {
     ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError>
     where
         M: Mapper,
-        M::KOut: Sync,
+        M::KOut: Ord + Sync,
         M::VOut: Sync,
         R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
     {
@@ -277,7 +272,7 @@ impl Workflow {
     ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError>
     where
         M: Mapper,
-        M::KOut: Sync,
+        M::KOut: Ord + Sync,
         M::VOut: Sync,
         R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
     {
@@ -291,7 +286,7 @@ impl Workflow {
     ) -> Result<JobOutput<R::KOut, R::VOut, M::Side>, MrError>
     where
         M: Mapper,
-        M::KOut: Sync,
+        M::KOut: Ord + Sync,
         M::VOut: Sync,
         R: Reducer<KIn = M::KOut, VIn = M::VOut, Product = M::Product>,
     {
@@ -391,14 +386,6 @@ impl WorkflowMetrics {
     /// The first stage with the given job name, if any ran.
     pub fn stage(&self, job_name: &str) -> Option<&JobMetrics> {
         self.stages.iter().find(|s| s.job_name == job_name)
-    }
-
-    /// `(job name, wall)` per stage, in execution order.
-    pub fn stage_walls(&self) -> Vec<(&str, Duration)> {
-        self.stages
-            .iter()
-            .map(|s| (s.job_name.as_str(), s.wall))
-            .collect()
     }
 
     /// Sum of the per-stage walls — the time spent inside MR jobs,
@@ -532,11 +519,15 @@ mod tests {
         assert_eq!(metrics.workflow_name, "parity");
         assert_eq!(
             metrics
-                .stage_walls()
+                .stages
                 .iter()
-                .map(|(n, _)| *n)
+                .map(|s| s.job_name.as_str())
                 .collect::<Vec<_>>(),
             vec!["annotate", "sum"]
+        );
+        assert_eq!(
+            metrics.stages_wall(),
+            metrics.stages[0].wall + metrics.stages[1].wall
         );
         assert!(metrics.stage("annotate").is_some());
         assert!(metrics.stage("missing").is_none());
@@ -590,7 +581,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(wf.stages_run(), 2);
+        assert_eq!(wf.finish().num_stages(), 2);
     }
 
     #[test]

@@ -901,12 +901,10 @@ impl<'rt> Resolver<'rt> {
             }
         }
         .map_err(ResolveError::InvalidConfig)?;
-        let mut workflow = match max_parallelism {
-            Some(cap) => self
-                .runtime
-                .workflow_with_parallelism(scenario.workflow_name(), cap),
-            None => self.runtime.workflow(scenario.workflow_name()),
-        };
+        let mut workflow = self.runtime.workflow(scenario.workflow_name());
+        if let Some(cap) = max_parallelism {
+            workflow = workflow.with_parallelism_cap(cap);
+        }
         // Session-level settings override the runtime defaults the
         // workflow was seeded with.
         workflow = workflow

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use dedupe_mr::prelude::*;
-use mr_engine::counters::MAP_OUTPUT_RECORDS_PRECOMBINE;
+use mr_engine::counters::MAP_OUTPUT_RECORDS;
 use mr_engine::metrics::JobMetrics;
 
 /// A DS1-shaped corpus of exactly `n` entities with real titles (so
@@ -86,14 +86,14 @@ fn spill_threshold_bounds_map_and_reduce_resident_records() {
         result_bits(&reference.result),
         "spilling changed the match output"
     );
-    // The combiner now runs per sealed run, so *post-combine* record
-    // counts may legitimately differ; everything upstream of the
-    // combiner and everything semantic must not.
+    // A seal only sorts, so every record count — the reduce input
+    // included — must match the unspilled run.
     for counter in [
         "er.comparisons",
         "mr.map.input.records",
-        "mr.map.output.records.precombine",
+        "mr.map.output.records",
         "mr.map.side.records",
+        "mr.reduce.input.records",
         "mr.reduce.output.records",
     ] {
         assert_eq!(
@@ -263,7 +263,7 @@ fn a_spill_threshold_set_once_reaches_every_stage_of_every_family() {
                 "{scenario} ({set_on})"
             );
             for stage in &outcome.workflow.stages {
-                if stage.counters.get(MAP_OUTPUT_RECORDS_PRECOMBINE) > 0 {
+                if stage.counters.get(MAP_OUTPUT_RECORDS) > 0 {
                     assert!(
                         stage.spilled_runs() > 0,
                         "{scenario} ({set_on}): stage {} emitted but never spilled",

@@ -15,7 +15,6 @@ use er_loadbalance::basic::basic_job;
 use er_loadbalance::compare::PairComparer;
 use mr_engine::counters::REDUCE_INPUT_RECORDS;
 use mr_engine::merge::merge_sorted_runs;
-use mr_engine::natural_order;
 
 fn input(m: usize) -> Partitions<(), Ent> {
     let ds = generate_products(&ds1_spec(77).scaled(0.005));
@@ -208,10 +207,9 @@ fn reference_merge_is_available_to_consumers() {
     // The materialized merge stays exported as the equivalence oracle:
     // downstream crates (and this test) can re-derive the merged order
     // the streaming path must reproduce.
-    let cmp = natural_order::<u32>();
     let runs = vec![vec![(1u32, "a"), (3, "b")], vec![(2, "c"), (3, "d")]];
     assert_eq!(
-        merge_sorted_runs(runs, &cmp),
+        merge_sorted_runs(runs),
         vec![(1, "a"), (2, "c"), (3, "b"), (3, "d")]
     );
 }
