@@ -25,13 +25,18 @@
 //! ([`crate::similarity::Similarity::prepare_into`]: the edit-distance
 //! family writes straight into the `bytes` or `chars` slab,
 //! [`crate::Jaccard`] copies a heap-prepared temporary), and returns a
-//! [`PreparedId`] — a
-//! [`Span`] into `slots`; [`PreparedArena::intern`] copies an already
-//! heap-prepared entity instead. The map task interns each entity it
-//! routes exactly once, however many reduce tasks receive it; after the
-//! map barrier every reduce task of the stage reads all the stage's
-//! arenas, each entity addressed by a [`PreparedHandle`] — its arena
-//! (the map task) and its id there. Scoring a pair reads slices
+//! [`PreparedId`] — the entity's position among the arena's entities,
+//! all of which have the same number of rule slots;
+//! [`PreparedArena::intern`] copies an already heap-prepared entity
+//! instead. The map task interns each entity it routes exactly once,
+//! however many reduce tasks receive it; after the map barrier every
+//! reduce task of the stage reads all the stage's arenas, each entity
+//! addressed by a [`PreparedHandle`] — its arena (the map task) and its
+//! id there. The handle is all a match stage's shuffle record carries
+//! of an entity: what else a reducer reads of it (its reference, its
+//! blocking keys) sits beside the arena in rows indexed by
+//! [`PreparedId::index`] — er-loadbalance's `EntityTable`, which lends
+//! its arena to the kernels through `AsRef`. Scoring a pair reads slices
 //! straight out of the slabs through [`crate::similarity::PreparedView`]
 //! borrows: **zero allocations per comparison**. The slabs only ever
 //! grow (amortized `Vec` doubling), so a `PreparedId` stays valid until
@@ -61,10 +66,6 @@ impl Span {
     pub(crate) fn range(self) -> std::ops::Range<usize> {
         self.start as usize..(self.start + self.len) as usize
     }
-
-    pub(crate) fn len(self) -> usize {
-        self.len as usize
-    }
 }
 
 /// One prepared value stored in arena form: the same two families as
@@ -91,20 +92,36 @@ pub enum ArenaValue {
     HashedSet(Span),
 }
 
-/// Handle to one interned entity within its arena: a span over the
-/// rule slots. `Copy`, valid until the owning arena is cleared.
+/// Handle to one interned entity within its arena: its position among
+/// the arena's entities and its rule-slot count, which is the same for
+/// every entity of an arena. `Copy`, valid until the owning arena is
+/// cleared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreparedId {
-    slots: Span,
+    index: u32,
+    rules: u32,
 }
 
 impl PreparedId {
     /// The id the `index`-th entity interned into an empty arena gets
     /// when every entity has `rules` rule slots.
     pub(crate) fn nth(index: usize, rules: usize) -> Self {
-        Self {
-            slots: Span::new(index * rules, rules),
-        }
+        let (Ok(index), Ok(rules)) = (u32::try_from(index), u32::try_from(rules)) else {
+            panic!("arena slab exceeds the u32 address space");
+        };
+        Self { index, rules }
+    }
+
+    /// The entity's position among its arena's entities, in intern
+    /// order — the row a table kept beside the arena is indexed by.
+    pub fn index(self) -> usize {
+        self.index as usize
+    }
+
+    /// The entity's rule slots.
+    fn slots(self) -> std::ops::Range<usize> {
+        let start = self.index as usize * self.rules as usize;
+        start..start + self.rules as usize
     }
 }
 
@@ -159,20 +176,23 @@ impl PreparedArena {
         rules: usize,
         mut value: impl FnMut(&mut Self, usize) -> Option<ArenaValue>,
     ) -> PreparedId {
-        let start = self.slots.len();
+        let id = PreparedId::nth(self.interned, rules);
+        assert_eq!(
+            self.slots.len(),
+            id.slots().start,
+            "every entity of an arena has the same number of rule slots"
+        );
         for rule in 0..rules {
             let value = value(self, rule);
             self.slots.push(value);
         }
         assert_eq!(
             self.slots.len(),
-            start + rules,
+            id.slots().end,
             "interning a value must not lay down rule slots"
         );
         self.interned += 1;
-        PreparedId {
-            slots: Span::new(start, rules),
-        }
+        id
     }
 
     /// Reserves room for `entities` more entities of `rules` rule
@@ -252,7 +272,7 @@ impl PreparedArena {
     /// The number of rule slots `id` was interned with — must equal the
     /// scoring matcher's rule count.
     pub fn rule_slots(&self, id: PreparedId) -> usize {
-        id.slots.len()
+        id.rules as usize
     }
 
     /// A borrow of rule `rule`'s prepared value for `id`, or `None`
@@ -262,7 +282,7 @@ impl PreparedArena {
     /// If `id` came from a different (or since-cleared) arena, or
     /// `rule` is out of range.
     pub fn value(&self, id: PreparedId, rule: usize) -> Option<PreparedView<'_>> {
-        self.slots[id.slots.range()][rule].map(|v| self.view(v))
+        self.slots[id.slots()][rule].map(|v| self.view(v))
     }
 
     pub(crate) fn view(&self, value: ArenaValue) -> PreparedView<'_> {
@@ -312,6 +332,12 @@ impl PreparedArena {
         self.hashes.clear();
         self.slots.clear();
         self.interned = 0;
+    }
+}
+
+impl AsRef<PreparedArena> for PreparedArena {
+    fn as_ref(&self) -> &PreparedArena {
+        self
     }
 }
 
@@ -409,9 +435,11 @@ mod tests {
     }
 
     /// Every entity pays one rule slot per match rule, and every
-    /// shuffle record of a match stage carries a handle — a bare one:
-    /// every match stage prepares, so no record carries an `Option`
-    /// tag. A variant that widens either must be a deliberate choice.
+    /// shuffle record of a match stage carries a handle — a bare one,
+    /// and nothing else of the entity (er-loadbalance pins its values
+    /// at the handle's size, er-sn its window value at the handle plus
+    /// an entity and a flag). A variant that widens either must be a
+    /// deliberate choice.
     /// (The view grew from 24 to 32 bytes with its byte form, which
     /// quarters the arenas' text; it lives on the stack of one pair's
     /// kernel call.)

@@ -15,7 +15,8 @@
 //! strip once and lets the measure's batch prefilter discard most
 //! pairs on a dense sketch column before the scalar kernel sees them.
 //! [`MatcherCache`], which memoizes prepared entities by [`EntityRef`]
-//! in one arena, is the single-machine oracles' cache.
+//! in one arena, is the single-machine oracles' deliberately
+//! independent path.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -231,9 +232,9 @@ impl Matcher {
     /// [`PreparedColumn::push`] under this matcher, or a position is
     /// out of range.
     #[allow(clippy::too_many_arguments)]
-    pub fn matches_strip(
+    pub fn matches_strip<A: AsRef<PreparedArena>>(
         &self,
-        arenas: &[PreparedArena],
+        arenas: &[A],
         column: &PreparedColumn,
         probe: usize,
         members: std::ops::Range<usize>,
@@ -266,9 +267,9 @@ impl Matcher {
     /// [`Matcher::matches_strip`] over an explicit selection: the
     /// members at `base + offset` for each of `picked`, no prefilter.
     #[allow(clippy::too_many_arguments)]
-    pub fn matches_picked(
+    pub fn matches_picked<A: AsRef<PreparedArena>>(
         &self,
-        arenas: &[PreparedArena],
+        arenas: &[A],
         column: &PreparedColumn,
         probe: usize,
         base: usize,
@@ -416,13 +417,18 @@ impl PreparedColumn {
     }
 
     /// Appends `handle`, a member prepared under `matcher` into
-    /// `arenas[handle.arena]`.
+    /// `arenas[handle.arena]` — the stage's arenas, or what holds them.
     ///
     /// # Panics
     /// If the member was prepared under a matcher with another rule
     /// count, or `handle` addresses no arena of `arenas`.
-    pub fn push(&mut self, matcher: &Matcher, arenas: &[PreparedArena], handle: PreparedHandle) {
-        let values = ValuesRef::Arena(&arenas[handle.arena as usize], handle.id);
+    pub fn push<A: AsRef<PreparedArena>>(
+        &mut self,
+        matcher: &Matcher,
+        arenas: &[A],
+        handle: PreparedHandle,
+    ) {
+        let values = ValuesRef::Arena(arenas[handle.arena as usize].as_ref(), handle.id);
         matcher.check_rule_slots(values);
         if self.sketched {
             let sketch = matcher.sole_rule().and_then(|_| match values.value(0) {
@@ -445,9 +451,18 @@ impl PreparedColumn {
         self.handles.push(handle);
     }
 
-    fn values<'a>(&self, arenas: &'a [PreparedArena], position: usize) -> ValuesRef<'a> {
+    fn values<'a, A: AsRef<PreparedArena>>(
+        &self,
+        arenas: &'a [A],
+        position: usize,
+    ) -> ValuesRef<'a> {
         let handle = self.handles[position];
-        ValuesRef::Arena(&arenas[handle.arena as usize], handle.id)
+        ValuesRef::Arena(arenas[handle.arena as usize].as_ref(), handle.id)
+    }
+
+    /// The handle of the member at `position`.
+    pub fn handle(&self, position: usize) -> PreparedHandle {
+        self.handles[position]
     }
 
     /// Number of members.
@@ -580,11 +595,15 @@ impl ArenaBuilder {
 
 /// Memoizing cache of prepared entities keyed by entity reference —
 /// one prepare per distinct entity per cache lifetime, in one
-/// [`PreparedArena`]. The single-machine oracles' cache (the reference
-/// a match stage's reducers are held to), and the benchmark's probe of
-/// the prepare and compare costs; the stages themselves prepare in
-/// their map tasks ([`ArenaBuilder`]) and never hash an entity
-/// reference.
+/// [`PreparedArena`].
+///
+/// It is the single-machine oracles' and the benchmark's prepare and
+/// compare probes' path, and it stays apart from the match stages' on
+/// purpose: the stages prepare in their map tasks ([`ArenaBuilder`]),
+/// address entities by [`PreparedHandle`] and score in strips
+/// ([`Matcher::matches_strip`]); the cache hashes entity references and
+/// scores one pair at a time. An oracle that shared the stages' path
+/// could not catch a fault in it.
 ///
 /// Pair scoring via [`MatcherCache::matches_handles`] reads slab slices
 /// directly — **zero allocations per comparison** once both entities

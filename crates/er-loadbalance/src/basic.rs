@@ -12,40 +12,29 @@ use std::sync::Arc;
 
 use er_core::blocking::{BlockKey, BlockingFunction};
 use er_core::result::MatchPair;
-use er_core::{PreparedArena, SourceId};
+use er_core::SourceId;
 use mr_engine::prelude::*;
 
-use crate::compare::{EntityInterner, GroupComparer, PairComparer};
+use crate::compare::{EntityInterner, EntityTable, GroupComparer, PairComparer};
 use crate::keys::BlockSplitValue;
 use crate::{Ent, Keyed};
 
-/// Basic mapper: derive the blocking key(s), emit `(key, entity)`
-/// annotated with the partition it was read from and that partition's
-/// source — and prepared once, however many keys it has.
+/// Basic mapper: derive the blocking key(s) and emit `(key, handle)`
+/// per key, the entity prepared once however many keys it has. Its
+/// input partition is the handle's `arena`.
 #[derive(Clone)]
 pub struct BasicMapper {
     blocking: Arc<dyn BlockingFunction>,
-    /// The partitions' source tags; `None` for one source.
-    sources: Option<Arc<[SourceId]>>,
-    /// This task's partition and its source.
-    state: Option<(usize, SourceId)>,
     /// The current entity's replicas; empty between records.
     replicas: Vec<Keyed>,
     interner: EntityInterner,
 }
 
 impl BasicMapper {
-    /// Creates the mapper; `sources[p]` is partition `p`'s side under
-    /// two-source matching; entities are prepared for `comparer`.
-    pub fn new(
-        blocking: Arc<dyn BlockingFunction>,
-        sources: Option<Arc<[SourceId]>>,
-        comparer: &PairComparer,
-    ) -> Self {
+    /// Creates the mapper, preparing entities for `comparer`.
+    pub fn new(blocking: Arc<dyn BlockingFunction>, comparer: &PairComparer) -> Self {
         Self {
             blocking,
-            sources,
-            state: None,
             replicas: Vec::new(),
             interner: EntityInterner::new(comparer),
         }
@@ -58,14 +47,9 @@ impl Mapper for BasicMapper {
     type KOut = BlockKey;
     type VOut = BlockSplitValue;
     type Side = ();
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn setup(&mut self, info: &MapTaskInfo) {
-        let source = match &self.sources {
-            None => SourceId::R,
-            Some(sources) => sources[info.task_index],
-        };
-        self.state = Some((info.task_index, source));
         self.interner.setup(info);
     }
 
@@ -75,17 +59,13 @@ impl Mapper for BasicMapper {
         entity: &Ent,
         ctx: &mut MapContext<BlockKey, BlockSplitValue, ()>,
     ) {
-        let (partition, source) = self.state.expect("setup ran");
         if Keyed::derive_into(self.blocking.as_ref(), entity, &mut self.replicas) == 0 {
             ctx.add_counter(crate::bdm_job::NULL_KEY_ENTITIES, 1);
             return;
         }
-        let prepared = self.interner.intern(entity);
+        let prepared = self.interner.intern(entity, &self.replicas[0].all_keys);
         for keyed in self.replicas.drain(..) {
-            ctx.emit(
-                keyed.key.clone(),
-                BlockSplitValue::new(keyed, prepared, partition, source),
-            );
+            ctx.emit(keyed.key, prepared);
         }
     }
 
@@ -93,8 +73,8 @@ impl Mapper for BasicMapper {
         self.interner.finish(ctx);
     }
 
-    fn into_product(self) -> PreparedArena {
-        self.interner.into_arena()
+    fn into_product(self) -> EntityTable {
+        self.interner.into_table()
     }
 }
 
@@ -108,15 +88,17 @@ impl Mapper for BasicMapper {
 #[derive(Clone)]
 pub struct BasicReducer {
     driver: GroupComparer,
-    two_source: bool,
+    /// The partitions' source tags; `None` for one source.
+    sources: Option<Arc<[SourceId]>>,
 }
 
 impl BasicReducer {
-    /// Creates the reducer; `two_source` restricts it to R × S pairs.
-    pub fn new(comparer: PairComparer, two_source: bool) -> Self {
+    /// Creates the reducer; `sources[p]` — partition `p`'s side —
+    /// restricts it to R × S pairs.
+    pub fn new(comparer: PairComparer, sources: Option<Arc<[SourceId]>>) -> Self {
         Self {
             driver: GroupComparer::new(comparer),
-            two_source,
+            sources,
         }
     }
 }
@@ -126,43 +108,45 @@ impl Reducer for BasicReducer {
     type VIn = BlockSplitValue;
     type KOut = MatchPair;
     type VOut = f64;
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn reduce(
         &mut self,
-        group: Group<'_, BlockKey, BlockSplitValue, PreparedArena>,
+        group: Group<'_, BlockKey, BlockSplitValue, EntityTable>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let emit = |pair, score| ctx.emit(pair, score);
-        block_pairs(&mut self.driver, group.key(), &group, self.two_source, emit);
+        let sources = self.sources.as_deref();
+        block_pairs(&mut self.driver, group.key(), &group, sources, emit);
         self.driver.flush(ctx);
     }
 }
 
 /// Evaluates a group holding a whole block under `block`: every pair
-/// of its members, or — `two_source` — each of its R members against
-/// each of its S members ("the reduce tasks read all entities of R and
-/// compare each entity of S to all entities of R"). The reduce step
-/// Basic shares with BlockSplit's `k.*` task.
+/// of its members, or — given the partitions' `sources` — each of its
+/// R members against each of its S members ("the reduce tasks read all
+/// entities of R and compare each entity of S to all entities of R"),
+/// a member's source being its partition's, i.e. its arena's. The
+/// reduce step Basic shares with BlockSplit's `k.*` task.
 pub(crate) fn block_pairs<K>(
     driver: &mut GroupComparer,
     block: &BlockKey,
-    group: &Group<'_, K, BlockSplitValue, PreparedArena>,
-    two_source: bool,
+    group: &Group<'_, K, BlockSplitValue, EntityTable>,
+    sources: Option<&[SourceId]>,
     emit: impl FnMut(MatchPair, f64),
 ) {
-    let arenas = group.products();
-    if two_source {
+    let tables = group.products();
+    if let Some(sources) = sources {
         let side = |source: SourceId| {
             group
                 .values()
-                .filter(move |v| v.source == source)
-                .map(BlockSplitValue::member)
+                .filter(move |member| sources[member.arena as usize] == source)
+                .copied()
         };
-        driver.cross(arenas, block, side(SourceId::R), side(SourceId::S), emit);
+        driver.cross(tables, block, side(SourceId::R), side(SourceId::S), emit);
     } else {
-        driver.load(arenas, block, group.values().map(BlockSplitValue::member));
-        driver.all_pairs(arenas, emit);
+        driver.load(tables, block, group.values().copied());
+        driver.all_pairs(tables, emit);
     }
 }
 
@@ -175,8 +159,8 @@ pub fn basic_job(
     comparer: PairComparer,
     reduce_tasks: usize,
 ) -> Job<BasicMapper, BasicReducer> {
-    let mapper = BasicMapper::new(blocking, sources, &comparer);
-    let reducer = BasicReducer::new(comparer, mapper.sources.is_some());
+    let mapper = BasicMapper::new(blocking, &comparer);
+    let reducer = BasicReducer::new(comparer, sources);
     Job::builder("er-basic", mapper, reducer)
         .reduce_tasks(reduce_tasks)
         .partitioner(HashPartitioner)

@@ -2,13 +2,12 @@
 
 use std::sync::{Arc, OnceLock};
 
-use er_core::{PreparedArena, SourceId};
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
 use super::assign::TaskAssignment;
 use super::match_tasks::{create_match_tasks, fits_average};
 use crate::bdm::BlockDistributionMatrix;
-use crate::compare::{EntityInterner, PairComparer};
+use crate::compare::{EntityInterner, EntityTable, PairComparer};
 use crate::keys::{key_index, BlockSplitKey, BlockSplitValue};
 use crate::Keyed;
 
@@ -30,7 +29,6 @@ pub struct BlockSplitMapper {
 #[derive(Clone, Copy)]
 struct TaskState {
     partition: usize,
-    source: SourceId,
     m: usize,
     r: usize,
 }
@@ -54,7 +52,7 @@ impl Mapper for BlockSplitMapper {
     type KOut = BlockSplitKey;
     type VOut = BlockSplitValue;
     type Side = ();
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn setup(&mut self, info: &MapTaskInfo) {
         let r = info.num_reduce_tasks;
@@ -68,7 +66,6 @@ impl Mapper for BlockSplitMapper {
         );
         self.state = Some(TaskState {
             partition: info.task_index,
-            source: self.bdm.source_of(info.task_index),
             m: info.num_map_tasks,
             r,
         });
@@ -93,10 +90,7 @@ impl Mapper for BlockSplitMapper {
         // Interned at its first emission; the interner hands the later
         // ones the same handle.
         let interner = &mut self.interner;
-        let mut value = || {
-            let prepared = interner.intern(&keyed.entity);
-            BlockSplitValue::new(keyed.clone(), prepared, state.partition, state.source)
-        };
+        let mut value = || interner.intern(&keyed.entity, &keyed.all_keys);
         if whole {
             if comps > 0 {
                 let rt = assignment
@@ -139,8 +133,8 @@ impl Mapper for BlockSplitMapper {
         self.interner.finish(ctx);
     }
 
-    fn into_product(self) -> PreparedArena {
-        self.interner.into_arena()
+    fn into_product(self) -> EntityTable {
+        self.interner.into_table()
     }
 }
 
@@ -166,8 +160,10 @@ mod tests {
         for (rank, keyed) in &input[p] {
             let mut ctx = MapContext::for_testing(info);
             mapper.map(rank, keyed, &mut ctx);
+            let name = keyed.entity.get("name").unwrap();
             for (k, v) in ctx.output() {
-                out.push((*k, v.entity().get("name").unwrap().to_string()));
+                assert_eq!(v.arena as usize, p, "the map task's table");
+                out.push((*k, name.to_string()));
             }
         }
         out

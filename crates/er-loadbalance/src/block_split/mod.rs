@@ -37,11 +37,10 @@ pub fn block_split_job(
     comparer: PairComparer,
     reduce_tasks: usize,
 ) -> Job<mapper::BlockSplitMapper, reducer::BlockSplitReducer> {
-    let two_source = bdm.sources().is_some();
     Job::builder(
         "er-block-split",
-        mapper::BlockSplitMapper::new(bdm, &comparer),
-        reducer::BlockSplitReducer::new(comparer, two_source),
+        mapper::BlockSplitMapper::new(Arc::clone(&bdm), &comparer),
+        reducer::BlockSplitReducer::new(bdm, comparer),
     )
     .reduce_tasks(reduce_tasks)
     .partitioner(BlockSplitKey::partitioner())

@@ -7,35 +7,41 @@
 //! Hadoop's merge delivering one partition's values contiguously. Our
 //! engine gives that guarantee (stable merge in map-task order), but
 //! the reducer is nonetheless written to be order-robust: it buckets
-//! values by their partition annotation and computes the cross
-//! product, which is the same set of comparisons under *any*
-//! interleaving.
+//! values by their partition — the `arena` of their handle, since a
+//! match stage's map task reads the partition of its own index — and
+//! computes the cross product, which is the same set of comparisons
+//! under *any* interleaving.
 //!
 //! Between two sources (Appendix I-A) every match task — the unsplit
 //! `k.*` as well as `k.i×j`, which then pairs an R with an S partition
-//! — is the cross product of the group's R and S members.
+//! — is the cross product of the group's R and S members, a member's
+//! source being its partition's tag in the BDM.
+
+use std::sync::Arc;
 
 use er_core::result::MatchPair;
-use er_core::PreparedArena;
 use mr_engine::reducer::{Group, ReduceContext, Reducer};
 
 use crate::basic::block_pairs;
-use crate::compare::{GroupComparer, PairComparer};
+use crate::bdm::BlockDistributionMatrix;
+use crate::compare::{EntityTable, GroupComparer, PairComparer};
 use crate::keys::{BlockSplitKey, BlockSplitValue};
 
-/// The BlockSplit reducer.
+/// The BlockSplit reducer. It reads a match task's block key and its
+/// partitions' sources off the BDM the job was planned from.
 #[derive(Clone)]
 pub struct BlockSplitReducer {
+    bdm: Arc<BlockDistributionMatrix>,
     driver: GroupComparer,
-    two_source: bool,
 }
 
 impl BlockSplitReducer {
-    /// Creates the reducer; `two_source` restricts it to R × S pairs.
-    pub fn new(comparer: PairComparer, two_source: bool) -> Self {
+    /// Creates the reducer over the job's BDM; a source-tagged BDM
+    /// restricts it to R × S pairs.
+    pub fn new(bdm: Arc<BlockDistributionMatrix>, comparer: PairComparer) -> Self {
         Self {
+            bdm,
             driver: GroupComparer::new(comparer),
-            two_source,
         }
     }
 }
@@ -45,30 +51,31 @@ impl Reducer for BlockSplitReducer {
     type VIn = BlockSplitValue;
     type KOut = MatchPair;
     type VOut = f64;
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn reduce(
         &mut self,
-        group: Group<'_, BlockSplitKey, BlockSplitValue, PreparedArena>,
+        group: Group<'_, BlockSplitKey, BlockSplitValue, EntityTable>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let key = *group.key();
-        let first = group.values().next().expect("groups are non-empty");
-        let block = &first.keyed.key;
+        let block = self.bdm.key(key.block as usize);
+        let sources = self.bdm.sources();
         let driver = &mut self.driver;
         let emit = |pair, score| ctx.emit(pair, score);
-        if self.two_source || key.i == key.j {
+        if sources.is_some() || key.i == key.j {
             // Match task k.* or k.i, or any task between two sources.
-            block_pairs(driver, block, &group, self.two_source, emit);
+            block_pairs(driver, block, &group, sources, emit);
         } else {
             // Match task k.i×j: Cartesian product of two sub-blocks.
-            // Bucket by the partition annotation of the first value
+            // Bucket by the partition — the arena — of the first value
             // seen (paper: `firstPartitionIndex`).
+            let first = group.values().next().expect("groups are non-empty").arena;
             let side = |first_side: bool| {
                 group
                     .values()
-                    .filter(move |v| (v.partition == first.partition) == first_side)
-                    .map(BlockSplitValue::member)
+                    .filter(move |member| (member.arena == first) == first_side)
+                    .copied()
             };
             driver.cross(group.products(), block, side(true), side(false), emit);
         }
@@ -80,18 +87,17 @@ impl Reducer for BlockSplitReducer {
 mod tests {
     use super::*;
     use crate::compare::EntityInterner;
-    use crate::{Keyed, COMPARISONS};
+    use crate::{KeyList, COMPARISONS};
     use er_core::blocking::BlockKey;
     use er_core::{Entity, Matcher};
     use mr_engine::reducer::ReduceTaskInfo;
-    use std::sync::Arc;
 
     fn comparer() -> PairComparer {
         PairComparer::new(Arc::new(Matcher::paper_default()))
     }
 
-    /// Entity `id` of input `partition`, with its handle in `interners`
-    /// (one per map task, i.e. per partition).
+    /// Entity `id` of input `partition` in block 0 (`b`), interned by
+    /// that partition's map task in `interners`.
     fn value(
         interners: &mut [EntityInterner; 2],
         id: u64,
@@ -105,12 +111,8 @@ mod tests {
             j: 0,
         };
         let entity: crate::Ent = Arc::new(Entity::new(id, [("title", title)]));
-        let prepared = interners[partition].intern(&entity);
-        let keyed = Keyed::single(BlockKey::new("b"), entity);
-        (
-            key,
-            BlockSplitValue::new(keyed, prepared, partition, er_core::SourceId::R),
-        )
+        let keys = KeyList::One(BlockKey::new("b"));
+        (key, interners[partition].intern(&entity, &keys))
     }
 
     /// The two map tasks' interners.
@@ -124,6 +126,15 @@ mod tests {
             });
             interner
         })
+    }
+
+    /// A reducer over a BDM whose block 0 is `b`.
+    fn reducer() -> BlockSplitReducer {
+        let bdm = BlockDistributionMatrix::from_counts(
+            2,
+            [(BlockKey::new("b"), 0, 2), (BlockKey::new("b"), 1, 3)],
+        );
+        BlockSplitReducer::new(Arc::new(bdm), comparer())
     }
 
     fn ctx() -> ReduceContext<MatchPair, f64> {
@@ -145,10 +156,9 @@ mod tests {
                 (k, v)
             })
             .collect();
-        let arenas = interners.map(EntityInterner::into_arena);
-        let mut reducer = BlockSplitReducer::new(comparer(), false);
+        let tables = interners.map(EntityInterner::into_table);
         let mut c = ctx();
-        reducer.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
+        reducer().reduce(Group::for_testing(&entries).with_products(&tables), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6, "C(4,2) pairs");
     }
 
@@ -164,10 +174,9 @@ mod tests {
             k.j = 0;
             entries.push((k, v));
         }
-        let arenas = interners.map(EntityInterner::into_arena);
-        let mut reducer = BlockSplitReducer::new(comparer(), false);
+        let tables = interners.map(EntityInterner::into_table);
         let mut c = ctx();
-        reducer.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
+        reducer().reduce(Group::for_testing(&entries).with_products(&tables), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6);
     }
 
@@ -184,10 +193,9 @@ mod tests {
             k.j = 0;
             entries.push((k, v));
         }
-        let arenas = interners.map(EntityInterner::into_arena);
-        let mut reducer = BlockSplitReducer::new(comparer(), false);
+        let tables = interners.map(EntityInterner::into_table);
         let mut c = ctx();
-        reducer.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
+        reducer().reduce(Group::for_testing(&entries).with_products(&tables), &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 6, "2 x 3 cross pairs");
     }
 
@@ -200,10 +208,9 @@ mod tests {
             k.i = 1;
             entries.push((k, v));
         }
-        let arenas = interners.map(EntityInterner::into_arena);
-        let mut reducer = BlockSplitReducer::new(comparer(), false);
+        let tables = interners.map(EntityInterner::into_table);
         let mut c = ctx();
-        reducer.reduce(Group::for_testing(&entries).with_products(&arenas), &mut c);
+        reducer().reduce(Group::for_testing(&entries).with_products(&tables), &mut c);
         assert_eq!(c.output().len(), 1);
     }
 }

@@ -6,29 +6,34 @@
 //! the task's [`GroupComparer`], which works in four steps (1–4) on
 //! what the stage's map tasks prepared (0).
 //!
-//! 0. **Prepare once, map side.** Every map task of a match stage
-//!    interns the entities it routes ([`EntityInterner`]) into one
-//!    [`PreparedArena`] — its product, which the engine lends to every
-//!    reduce task of the stage after the map barrier
-//!    ([`mr_engine::reducer::Group::products`]). An entity is prepared
-//!    once per map task however many reduce tasks receive it (counted
-//!    under [`PREPARED_ENTITIES`]); its shuffle records carry the
-//!    [`PreparedHandle`] `(arena, id)`, and no reduce task prepares.
-//! 1. **Group → columns.** [`GroupComparer::push`] resolves each member
-//!    once: its [`EntityRef`], its key list (see 2.) and its handle
-//!    into an [`er_core::PreparedColumn`] over the stage's arenas (a
-//!    pair may span two arenas; it is scored by the same kernel). The
-//!    columns borrow nothing: they are refilled group after group, and
-//!    a sliding window keeps them across groups, evicting from the
-//!    front.
+//! 0. **One entity table per map task.** Every map task of a match
+//!    stage interns the entities it routes ([`EntityInterner`]) into
+//!    one [`EntityTable`] — its product, which the engine lends to
+//!    every reduce task of the stage after the map barrier
+//!    ([`mr_engine::reducer::Group::products`]). The table holds each
+//!    entity once per map task however many reduce tasks receive it:
+//!    its prepared form in a [`PreparedArena`] (counted under
+//!    [`PREPARED_ENTITIES`]), its [`EntityRef`] and its key list. A
+//!    shuffle record carries only the [`PreparedHandle`] `(arena, id)`
+//!    of the entity's row — no [`Keyed`], no `Arc` — and no reduce task
+//!    prepares.
+//! 1. **Handles → columns.** [`GroupComparer::push`] resolves each
+//!    member's handle once: its [`EntityRef`] and whether its key list
+//!    is the group's block alone (see 2.) come from its table, its
+//!    prepared form goes into an [`er_core::PreparedColumn`] over the
+//!    stage's arenas (a pair may span two tables; it is scored by the
+//!    same kernel). The columns borrow nothing: they are refilled group
+//!    after group, and a sliding window keeps them across groups,
+//!    evicting from the front.
 //! 2. **Gates, where they are cheapest.** The smallest-common-block
 //!    rule is decided *per member*: for single-key lists it reads
 //!    `a == b && a == block`, so a group whose members all have the
 //!    group's block as their only key (all of single-pass blocking)
 //!    needs no per-pair key test — O(n) key compares instead of O(n²).
 //!    One member that is multi-key, or keyed elsewhere, drops the group
-//!    to the per-pair rule. `cross_source_only` and `skip_pairs` are
-//!    properties of the comparer, read once per strip.
+//!    to the per-pair rule, which reads the key lists from the tables.
+//!    `cross_source_only` and `skip_pairs` are properties of the
+//!    comparer, read once per strip.
 //! 3. **Strips.** Every shape a reducer needs — all pairs of a group,
 //!    the cross product of two member ranges, a window's new arrival
 //!    against its ring, a PairRange slice — is a sequence of *strips*:
@@ -220,15 +225,48 @@ impl PairComparer {
     }
 }
 
+/// A match-stage map task's product (step 0 of the
+/// [module documentation](self)): every entity the task routed, once,
+/// in the order it was first routed — its prepared form in a
+/// [`PreparedArena`], its [`EntityRef`] and its sorted key list. A
+/// [`PreparedHandle`] addresses a row: `arena` is the table's map
+/// task, `id` the entity's row there.
+#[derive(Debug, Clone, Default)]
+pub struct EntityTable {
+    arena: PreparedArena,
+    refs: Vec<EntityRef>,
+    keys: Vec<KeyList>,
+}
+
+impl EntityTable {
+    /// The reference of the entity at `id`.
+    pub fn entity_ref(&self, id: PreparedId) -> EntityRef {
+        self.refs[id.index()]
+    }
+
+    /// The sorted blocking keys of the entity at `id`.
+    pub fn keys(&self, id: PreparedId) -> &[BlockKey] {
+        &self.keys[id.index()]
+    }
+}
+
+impl AsRef<PreparedArena> for EntityTable {
+    fn as_ref(&self) -> &PreparedArena {
+        &self.arena
+    }
+}
+
 /// The map side of the compare path (step 0 of the
 /// [module documentation](self)): queues each entity a match-stage map
-/// task routes for the task's [`PreparedArena`] once, hands out the
-/// [`PreparedHandle`] its shuffle records carry, and builds the arena
+/// task routes for the task's [`EntityTable`] once, hands out the
+/// [`PreparedHandle`] its shuffle records carry, and builds the table
 /// when the task ends ([`ArenaBuilder`]: slabs sized exactly).
 #[derive(Debug, Clone)]
 pub struct EntityInterner {
     builder: ArenaBuilder,
-    /// The map task: the arena's index among the stage's products.
+    refs: Vec<EntityRef>,
+    keys: Vec<KeyList>,
+    /// The map task: the table's index among the stage's products.
     task: u32,
     /// The entity queued last, and its id: the replicas of a multi-key
     /// entity (one input record per blocking key) arrive one after
@@ -241,6 +279,8 @@ impl EntityInterner {
     pub fn new(comparer: &PairComparer) -> Self {
         Self {
             builder: ArenaBuilder::new(Arc::clone(&comparer.matcher)),
+            refs: Vec::new(),
+            keys: Vec::new(),
             task: 0,
             last: None,
         }
@@ -248,17 +288,19 @@ impl EntityInterner {
 
     /// Readies the interner for map task `info`.
     pub fn setup(&mut self, info: &MapTaskInfo) {
-        self.task = u32::try_from(info.task_index).expect("map task index fits a u32 arena index");
+        self.task = crate::keys::key_index(info.task_index, "map task index");
     }
 
-    /// The handle of `entity`'s prepared form, queueing it unless it is
-    /// the entity queued last.
-    pub fn intern(&mut self, entity: &Ent) -> PreparedHandle {
+    /// The handle of `entity`'s row, whose blocking keys are `keys`,
+    /// queueing it unless it is the entity queued last.
+    pub fn intern(&mut self, entity: &Ent, keys: &KeyList) -> PreparedHandle {
         let entity_ref = entity.entity_ref();
         let id = match self.last {
             Some((last, id)) if last == entity_ref => id,
             _ => {
                 let id = self.builder.queue(entity);
+                self.refs.push(entity_ref);
+                self.keys.push(keys.clone());
                 self.last = Some((entity_ref, id));
                 id
             }
@@ -277,10 +319,14 @@ impl EntityInterner {
         }
     }
 
-    /// Prepares the queued entities into the task's arena — the
+    /// Prepares the queued entities into the task's table — the
     /// mapper's product.
-    pub fn into_arena(self) -> PreparedArena {
-        self.builder.build()
+    pub fn into_table(self) -> EntityTable {
+        EntityTable {
+            arena: self.builder.build(),
+            refs: self.refs,
+            keys: self.keys,
+        }
     }
 }
 
@@ -289,23 +335,22 @@ impl EntityInterner {
 /// [`load`](Self::load)s a group, runs [`all_pairs`](Self::all_pairs),
 /// [`cross`](Self::cross) or its own [`strip`](Self::strip)s, and
 /// [`flush`](Self::flush)es the counts before its `reduce` returns.
-/// Every call that reads prepared values takes the stage's arenas —
-/// the group's [`products`](mr_engine::reducer::Group::products) —
-/// and a member is an annotated entity with the handle its map task
-/// gave it.
+/// Every call that reads members takes the stage's tables — the
+/// group's [`products`](mr_engine::reducer::Group::products) — and a
+/// member is the handle its map task gave it.
 #[derive(Debug, Clone)]
 pub struct GroupComparer {
     comparer: PairComparer,
     /// The block the members are compared under.
     block: BlockKey,
     refs: Vec<EntityRef>,
-    /// Per member: `None` when its only key is `block` (it passes the
+    /// Per member: false when its only key is `block` (it passes the
     /// smallest-common-block rule against every other such member),
-    /// else its key list for the per-pair rule.
-    other_keys: Vec<Option<KeyList>>,
-    /// How many `other_keys` are `Some`.
+    /// true when the per-pair rule reads its key list from its table.
+    off_block: Vec<bool>,
+    /// How many `off_block` are true.
     per_pair_members: usize,
-    /// The members' prepared forms.
+    /// The members' handles and prepared forms.
     prepared: PreparedColumn,
     /// Member offsets a strip is about to score.
     picked: Vec<u32>,
@@ -319,7 +364,7 @@ impl GroupComparer {
             comparer,
             block: BlockKey::bottom(),
             refs: Vec::new(),
-            other_keys: Vec::new(),
+            off_block: Vec::new(),
             per_pair_members: 0,
             prepared: PreparedColumn::new(),
             picked: Vec::new(),
@@ -335,31 +380,27 @@ impl GroupComparer {
 
     /// [`begin`](Self::begin)s a group under `block` and
     /// [`push`](Self::push)es `members` in order.
-    pub fn load<'a>(
+    pub fn load(
         &mut self,
-        arenas: &[PreparedArena],
+        tables: &[EntityTable],
         block: &BlockKey,
-        members: impl IntoIterator<Item = (&'a Keyed, PreparedHandle)>,
+        members: impl IntoIterator<Item = PreparedHandle>,
     ) {
         self.begin(block);
         for member in members {
-            self.push(arenas, member);
+            self.push(tables, member);
         }
     }
 
-    /// Appends the member `(keyed, prepared)` to the columns, its
-    /// prepared form read from `arenas`; returns its position.
-    pub fn push(
-        &mut self,
-        arenas: &[PreparedArena],
-        (keyed, prepared): (&Keyed, PreparedHandle),
-    ) -> usize {
-        let on_block = matches!(&*keyed.all_keys, [only] if *only == self.block);
-        self.per_pair_members += usize::from(!on_block);
-        self.other_keys
-            .push((!on_block).then(|| keyed.all_keys.clone()));
-        self.refs.push(keyed.entity.entity_ref());
-        self.prepared.push(&self.comparer.matcher, arenas, prepared);
+    /// Appends the member at `handle` in `tables` to the columns;
+    /// returns its position.
+    pub fn push(&mut self, tables: &[EntityTable], handle: PreparedHandle) -> usize {
+        let table = &tables[handle.arena as usize];
+        let off_block = !matches!(table.keys(handle.id), [only] if *only == self.block);
+        self.per_pair_members += usize::from(off_block);
+        self.off_block.push(off_block);
+        self.refs.push(table.entity_ref(handle.id));
+        self.prepared.push(&self.comparer.matcher, tables, handle);
         self.refs.len() - 1
     }
 
@@ -375,7 +416,7 @@ impl GroupComparer {
 
     /// Drops the members from position `len <= self.len()` on.
     pub fn truncate(&mut self, len: usize) {
-        self.per_pair_members -= self.other_keys.drain(len..).flatten().count();
+        self.per_pair_members -= self.off_block.drain(len..).filter(|&off| off).count();
         self.refs.truncate(len);
         self.prepared.truncate(len);
     }
@@ -383,7 +424,7 @@ impl GroupComparer {
     /// Drops the first `n` members; the rest move down by `n` — how a
     /// sliding window forgets.
     pub fn evict_front(&mut self, n: usize) {
-        self.per_pair_members -= self.other_keys.drain(..n).flatten().count();
+        self.per_pair_members -= self.off_block.drain(..n).filter(|&off| off).count();
         self.refs.drain(..n);
         self.prepared.evict_front(n);
     }
@@ -393,7 +434,7 @@ impl GroupComparer {
     /// probe the pair's first entity (the measures' left argument).
     pub fn strip(
         &mut self,
-        arenas: &[PreparedArena],
+        tables: &[EntityTable],
         probe: usize,
         members: Range<usize>,
         probe_first: bool,
@@ -404,8 +445,12 @@ impl GroupComparer {
             || self.comparer.skip_pairs.is_some();
         if per_pair {
             let gate_entry = |position: usize| {
-                let keys = self.other_keys[position].as_deref();
-                let keys = keys.unwrap_or(std::slice::from_ref(&self.block));
+                let keys = if self.off_block[position] {
+                    let handle = self.prepared.handle(position);
+                    tables[handle.arena as usize].keys(handle.id)
+                } else {
+                    std::slice::from_ref(&self.block)
+                };
                 (self.refs[position], keys)
             };
             let probe = gate_entry(probe);
@@ -427,7 +472,7 @@ impl GroupComparer {
             (&self.comparer.matcher, &self.prepared, &mut self.picked);
         if per_pair {
             matcher.matches_picked(
-                arenas,
+                tables,
                 prepared,
                 probe,
                 members.start,
@@ -436,34 +481,34 @@ impl GroupComparer {
                 hit,
             );
         } else {
-            matcher.matches_strip(arenas, prepared, probe, members, probe_first, picked, hit);
+            matcher.matches_strip(tables, prepared, probe, members, probe_first, picked, hit);
         }
     }
 
     /// Every pair of the columns' members: each against all before it.
-    pub fn all_pairs(&mut self, arenas: &[PreparedArena], mut sink: impl FnMut(MatchPair, f64)) {
+    pub fn all_pairs(&mut self, tables: &[EntityTable], mut sink: impl FnMut(MatchPair, f64)) {
         for later in 1..self.len() {
-            self.strip(arenas, later, 0..later, false, &mut sink);
+            self.strip(tables, later, 0..later, false, &mut sink);
         }
     }
 
     /// Loads a group of two sides under `block` and evaluates their
     /// cross product: each of `first` against all of `second`.
-    pub fn cross<'a>(
+    pub fn cross(
         &mut self,
-        arenas: &[PreparedArena],
+        tables: &[EntityTable],
         block: &BlockKey,
-        first: impl IntoIterator<Item = (&'a Keyed, PreparedHandle)>,
-        second: impl IntoIterator<Item = (&'a Keyed, PreparedHandle)>,
+        first: impl IntoIterator<Item = PreparedHandle>,
+        second: impl IntoIterator<Item = PreparedHandle>,
         mut sink: impl FnMut(MatchPair, f64),
     ) {
-        self.load(arenas, block, first);
+        self.load(tables, block, first);
         let split = self.len();
         for member in second {
-            self.push(arenas, member);
+            self.push(tables, member);
         }
         for probe in 0..split {
-            self.strip(arenas, probe, split..self.len(), true, &mut sink);
+            self.strip(tables, probe, split..self.len(), true, &mut sink);
         }
     }
 
@@ -511,12 +556,12 @@ mod tests {
 
     /// `members` as a match stage of `tasks` map tasks delivers them:
     /// member `i` interned for `comparer` by map task `i % tasks`. Returns
-    /// the stage's arenas and each member's handle.
+    /// the stage's tables and each member's handle.
     fn staged(
         comparer: &PairComparer,
         members: &[&Keyed],
         tasks: usize,
-    ) -> (Vec<PreparedArena>, Vec<PreparedHandle>) {
+    ) -> (Vec<EntityTable>, Vec<PreparedHandle>) {
         let mut interners: Vec<EntityInterner> = (0..tasks)
             .map(|task_index| {
                 let mut interner = EntityInterner::new(comparer);
@@ -532,25 +577,13 @@ mod tests {
         let handles = members
             .iter()
             .enumerate()
-            .map(|(i, keyed)| interners[i % tasks].intern(&keyed.entity))
+            .map(|(i, keyed)| interners[i % tasks].intern(&keyed.entity, &keyed.all_keys))
             .collect();
-        let arenas = interners
+        let tables = interners
             .into_iter()
-            .map(EntityInterner::into_arena)
+            .map(EntityInterner::into_table)
             .collect();
-        (arenas, handles)
-    }
-
-    /// `members` with their handles, as a driver takes them.
-    fn with_handles<'a>(
-        members: &[&'a Keyed],
-        handles: &[PreparedHandle],
-    ) -> Vec<(&'a Keyed, PreparedHandle)> {
-        members
-            .iter()
-            .copied()
-            .zip(handles.iter().copied())
-            .collect()
+        (tables, handles)
     }
 
     /// `members` through `driver` as a reducer runs a block: staged by
@@ -560,10 +593,10 @@ mod tests {
         block: &BlockKey,
         members: &[&Keyed],
     ) -> ReduceContext<MatchPair, f64> {
-        let (arenas, handles) = staged(&driver.comparer, members, 2);
+        let (tables, handles) = staged(&driver.comparer, members, 2);
         let mut c = ctx();
-        driver.load(&arenas, block, with_handles(members, &handles));
-        driver.all_pairs(&arenas, |pair, score| c.emit(pair, score));
+        driver.load(&tables, block, handles);
+        driver.all_pairs(&tables, |pair, score| c.emit(pair, score));
         driver.flush(&mut c);
         c
     }
@@ -652,14 +685,10 @@ mod tests {
     fn strip_hands_matches_to_the_sink_and_flush_writes_each_count_once() {
         let mut driver = GroupComparer::new(paper_comparer());
         let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghiX"));
-        let (arenas, handles) = staged(&driver.comparer, &[&a, &b], 1);
-        driver.load(
-            &arenas,
-            &BlockKey::new("blk"),
-            with_handles(&[&a, &b], &handles),
-        );
+        let (tables, handles) = staged(&driver.comparer, &[&a, &b], 1);
+        driver.load(&tables, &BlockKey::new("blk"), handles);
         let mut matches = Vec::new();
-        driver.strip(&arenas, 1, 0..1, false, |pair, score| {
+        driver.strip(&tables, 1, 0..1, false, |pair, score| {
             matches.push((pair, score))
         });
         let [(pair, score)] = matches[..] else {
@@ -691,15 +720,20 @@ mod tests {
         // group reads that one prepared form.
         let comparer = paper_comparer();
         let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghiX"));
-        let (arenas, handles) = staged(&comparer, &[&a, &a, &b, &b], 1);
-        assert_eq!(arenas[0].len(), 2, "same entity must be prepared once");
+        let (tables, handles) = staged(&comparer, &[&a, &a, &b, &b], 1);
+        assert_eq!(
+            tables[0].as_ref().len(),
+            2,
+            "same entity must be prepared once"
+        );
         assert_eq!((handles[0], handles[2]), (handles[1], handles[3]));
+        assert_eq!(tables[0].entity_ref(handles[2].id), b.entity.entity_ref());
         let mut c = ctx();
         let mut driver = GroupComparer::new(comparer);
         for _ in 0..2 {
-            let members = [(&a, handles[0]), (&b, handles[2])];
-            driver.load(&arenas, &BlockKey::new("blk"), members);
-            driver.all_pairs(&arenas, |pair, score| c.emit(pair, score));
+            let members = [handles[0], handles[2]];
+            driver.load(&tables, &BlockKey::new("blk"), members);
+            driver.all_pairs(&tables, |pair, score| c.emit(pair, score));
         }
         assert_eq!(c.output().len(), 2);
     }
@@ -792,17 +826,16 @@ mod tests {
             })
             .collect();
         let members = [&a, &plain[0], &plain[1], &b, &plain[2]];
-        let (arenas, handles) = staged(&driver.comparer, &members, 3);
-        let members = with_handles(&members, &handles);
-        driver.load(&arenas, &BlockKey::new("aaa"), members[..4].iter().copied());
+        let (tables, handles) = staged(&driver.comparer, &members, 3);
+        driver.load(&tables, &BlockKey::new("aaa"), handles[..4].iter().copied());
         // The multi-key member at the front leaves: what remains of the
         // first three is single-key, and the strip takes the bulk path.
         driver.truncate(3);
         driver.evict_front(1);
         assert_eq!(driver.len(), 2);
-        let next = driver.push(&arenas, members[4]);
+        let next = driver.push(&tables, handles[4]);
         let mut pairs = Vec::new();
-        driver.strip(&arenas, next, 0..next, false, |pair, _| pairs.push(pair));
+        driver.strip(&tables, next, 0..next, false, |pair, _| pairs.push(pair));
         let refs = |i: usize| plain[i].entity.entity_ref();
         assert_eq!(
             pairs,
@@ -913,7 +946,7 @@ mod tests {
         /// Every second group is pure single-pass and every gate is off
         /// three times in four, so the bulk path is drawn as often as
         /// the per-pair one; the members come from one to three map
-        /// tasks' arenas.
+        /// tasks' tables.
         #[test]
         fn driver_equals_one_shot_compare(
             specs in vec((0u8..2, 0u8..5, 0u8..15), 0..9),
@@ -959,22 +992,21 @@ mod tests {
             }
 
             let member_refs: Vec<&Keyed> = members.iter().collect();
-            let (arenas, handles) = staged(&comparer, &member_refs, tasks);
-            let staged_members = with_handles(&member_refs, &handles);
+            let (tables, handles) = staged(&comparer, &member_refs, tasks);
             let mut driver = GroupComparer::new(comparer);
             let mut got = ctx();
-            driver.load(&arenas, &block, staged_members.iter().copied());
+            driver.load(&tables, &block, handles.iter().copied());
             match kind {
-                0 => driver.all_pairs(&arenas, |pair, score| got.emit(pair, score)),
+                0 => driver.all_pairs(&tables, |pair, score| got.emit(pair, score)),
                 1 => driver.cross(
-                    &arenas,
+                    &tables,
                     &block,
-                    staged_members[..split].iter().copied(),
-                    staged_members[split..].iter().copied(),
+                    handles[..split].iter().copied(),
+                    handles[split..].iter().copied(),
                     |pair, score| got.emit(pair, score),
                 ),
                 _ => for (probe, partners, probe_first) in strips {
-                    driver.strip(&arenas, probe, partners, probe_first, |pair, score| {
+                    driver.strip(&tables, probe, partners, probe_first, |pair, score| {
                         got.emit(pair, score)
                     });
                 },

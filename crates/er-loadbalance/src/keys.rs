@@ -5,22 +5,31 @@
 //! index) while sorting and grouping see more of the key (Section
 //! III-A). The key types here derive `Ord` so that the natural order
 //! is exactly the paper's sort order.
+//!
+//! The values are what the keys leave out of an entity: nothing but
+//! the [`PreparedHandle`] of its row in its map task's
+//! [`crate::compare::EntityTable`], which holds the entity's reference,
+//! key list and prepared form once per map task. What the paper
+//! annotates an entity with travels elsewhere: the input partition is
+//! the handle's `arena` (a match stage's map task reads the partition
+//! of its own index), the partition's source is
+//! [`crate::BlockDistributionMatrix::source_of`] of it, and
+//! PairRange's entity index sits in the key.
 
 use mr_engine::partitioner::FnPartitioner;
 
 use er_core::{PreparedHandle, SourceId};
 
-use crate::{Ent, Keyed};
-
 /// Narrows an index or count into the `u32` that composite map-output
-/// keys and the BDM's block index store.
+/// keys, the BDM's block index and Sorted Neighborhood's range and
+/// boundary keys store.
 ///
 /// # Panics
 /// If `value` does not fit, naming `what` overflowed — a silent
-/// truncation here would route records to the wrong block or reduce
-/// task. The resolver refuses a reduce-task count past `u32` before
-/// any job is built, so this fires only for a direct caller.
-pub(crate) fn key_index<T>(value: T, what: &str) -> u32
+/// truncation here would route records to the wrong block, range or
+/// reduce task. The resolver refuses a reduce-task count past `u32`
+/// before any job is built, so this fires only for a direct caller.
+pub fn key_index<T>(value: T, what: &str) -> u32
 where
     T: TryInto<u32> + Copy + std::fmt::Display,
 {
@@ -70,46 +79,11 @@ impl std::fmt::Display for BlockSplitKey {
     }
 }
 
-/// Map output value of BlockSplit: the annotated entity plus the input
-/// partition it came from ("for split blocks we annotate entities with
-/// the partition index for use in the reduce phase").
-#[derive(Debug, Clone)]
-pub struct BlockSplitValue {
-    /// The blocking-key-annotated entity.
-    pub keyed: Keyed,
-    /// Its prepared form in its map task's arena (see
-    /// [`crate::compare::EntityInterner`]).
-    pub prepared: PreparedHandle,
-    /// Input partition the entity was read from.
-    pub partition: u32,
-    /// The source that partition holds (`R` for one-source matching)
-    /// — the partition's tag, which is what pairs entities up, not the
-    /// entity's own source.
-    pub source: SourceId,
-}
-
-impl BlockSplitValue {
-    /// `keyed`, prepared as `prepared`, read from input `partition` of
-    /// `source` (see [`crate::BlockDistributionMatrix::source_of`]).
-    pub fn new(keyed: Keyed, prepared: PreparedHandle, partition: usize, source: SourceId) -> Self {
-        Self {
-            keyed,
-            prepared,
-            partition: key_index(partition, "input partition index"),
-            source,
-        }
-    }
-
-    /// The underlying entity.
-    pub fn entity(&self) -> &Ent {
-        &self.keyed.entity
-    }
-
-    /// The member a compare driver takes.
-    pub fn member(&self) -> (&Keyed, PreparedHandle) {
-        (&self.keyed, self.prepared)
-    }
-}
+/// Map output value of BlockSplit and of Basic: the entity's row in
+/// its map task's table. The paper annotates a split block's entities
+/// "with the partition index for use in the reduce phase"; that index
+/// is the handle's `arena`.
+pub type BlockSplitValue = PreparedHandle;
 
 /// Map output key of PairRange: `range.block.source.entity_index`.
 ///
@@ -153,26 +127,10 @@ impl std::fmt::Display for PairRangeKey {
     }
 }
 
-/// Map output value of PairRange: the annotated entity plus its global
-/// entity index ("map additionally annotates each entity with its
-/// entity index so that the pair index can be easily computed").
-#[derive(Debug, Clone)]
-pub struct PairRangeValue {
-    /// The blocking-key-annotated entity.
-    pub keyed: Keyed,
-    /// Its prepared form in its map task's arena (see
-    /// [`crate::compare::EntityInterner`]).
-    pub prepared: PreparedHandle,
-    /// Global entity index within its block (and source).
-    pub index: u64,
-}
-
-impl PairRangeValue {
-    /// The member a compare driver takes.
-    pub fn member(&self) -> (&Keyed, PreparedHandle) {
-        (&self.keyed, self.prepared)
-    }
-}
+/// Map output value of PairRange: the entity's row in its map task's
+/// table. The entity index the paper annotates it with ("so that the
+/// pair index can be easily computed") is the key's `index`.
+pub type PairRangeValue = PreparedHandle;
 
 #[cfg(test)]
 mod tests {
@@ -189,6 +147,15 @@ mod tests {
             message.contains("number of blocks 4294967296 does not fit"),
             "{message}"
         );
+    }
+
+    /// A match stage's values are the entity's row and nothing else —
+    /// next to `er_core::arena`'s pin of the handle itself.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn match_stage_values_are_the_twelve_byte_handle() {
+        assert_eq!(std::mem::size_of::<BlockSplitValue>(), 12);
+        assert_eq!(std::mem::size_of::<PairRangeValue>(), 12);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! is the *smallest common block* rule: a pair is evaluated only in
 //! the lexicographically smallest block both entities belong to. The
 //! rule needs each entity's full key set at comparison time, which is
-//! why [`crate::Keyed`] carries `all_keys` end to end; the check lives
-//! in [`crate::compare::PairComparer`] and therefore applies uniformly
-//! to Basic, BlockSplit and PairRange (one- and two-source).
+//! why [`crate::Keyed`] carries `all_keys` through the map side and a
+//! match stage's [`crate::compare::EntityTable`] keeps it, once per
+//! entity and map task, for the reducers; the check lives in
+//! [`crate::compare::PairComparer`] and therefore applies uniformly to
+//! Basic, BlockSplit and PairRange (one- and two-source).
 //!
 //! Note the interplay with load balancing: the BDM counts an entity
 //! once per key, so block sizes — and hence the planned workload —

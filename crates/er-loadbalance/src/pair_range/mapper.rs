@@ -18,13 +18,13 @@
 use std::sync::Arc;
 
 use er_core::pairs::{rect_cell_index, triangle_cell_index};
-use er_core::{PreparedArena, SourceId};
+use er_core::SourceId;
 use mr_engine::mapper::{MapContext, MapTaskInfo, Mapper};
 
 use super::enumeration::EntityIndexer;
 use super::ranges::{RangeIndexer, RangePolicy};
 use crate::bdm::BlockDistributionMatrix;
-use crate::compare::{EntityInterner, PairComparer};
+use crate::compare::{EntityInterner, EntityTable, PairComparer};
 use crate::keys::{key_index, PairRangeKey, PairRangeValue};
 use crate::Keyed;
 
@@ -194,7 +194,7 @@ impl Mapper for PairRangeMapper {
     type KOut = PairRangeKey;
     type VOut = PairRangeValue;
     type Side = ();
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.state = Some(MapState {
@@ -231,11 +231,7 @@ impl Mapper for PairRangeMapper {
                         source,
                         index: x,
                     },
-                    PairRangeValue {
-                        keyed: keyed.clone(),
-                        prepared: interner.intern(&keyed.entity),
-                        index: x,
-                    },
+                    interner.intern(&keyed.entity, &keyed.all_keys),
                 );
             }
         };
@@ -246,8 +242,8 @@ impl Mapper for PairRangeMapper {
         self.interner.finish(ctx);
     }
 
-    fn into_product(self) -> PreparedArena {
-        self.interner.into_arena()
+    fn into_product(self) -> EntityTable {
+        self.interner.into_table()
     }
 }
 
@@ -357,8 +353,10 @@ mod tests {
         for (rank, keyed) in &input[p] {
             let mut ctx = MapContext::for_testing(info);
             mapper.map(rank, keyed, &mut ctx);
+            let name = keyed.entity.get("name").unwrap();
             for (k, v) in ctx.output() {
-                out.push((*k, v.keyed.entity.get("name").unwrap().to_string()));
+                assert_eq!(v.arena as usize, p, "the map task's table");
+                out.push((*k, name.to_string()));
             }
         }
         out

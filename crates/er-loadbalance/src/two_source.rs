@@ -351,17 +351,19 @@ mod pair_range {
                                     })
                                     .collect()
                             };
-                            let r_side = relevant(SourceId::R, nr);
-                            for y in relevant(SourceId::S, ns) {
-                                let pair_index_with = |x| bdm.pair_index(block, x, y);
+                            // Each R entity probes the S side: its row
+                            // of pairs, as the reducer walks it.
+                            let s_side = relevant(SourceId::S, ns);
+                            for x in relevant(SourceId::R, nr) {
+                                let pair_index_with = |y| bdm.pair_index(block, x, y);
                                 let slice =
-                                    partners_in_span(&r_side, &ranges.span(range), pair_index_with);
+                                    partners_in_span(&s_side, &ranges.span(range), pair_index_with);
                                 let walk =
-                                    partners_by_walk(&r_side, range, &ranges, pair_index_with);
+                                    partners_by_walk(&s_side, range, &ranges, pair_index_with);
                                 assert_eq!(
                                     slice.clone().collect::<Vec<_>>(),
                                     walk,
-                                    "{policy:?} r={r} range={range} block={block} y={y}"
+                                    "{policy:?} r={r} range={range} block={block} x={x}"
                                 );
                                 evaluated += slice.len() as u64;
                             }

@@ -2,8 +2,8 @@
 //! group: once a [`GroupComparer`] has run a group — its columns and its
 //! scratch have grown — loading that group again and evaluating all its
 //! pairs, the cross product of its halves and a window over it performs
-//! **zero** heap allocations. The members were prepared by two map
-//! tasks, so the group reads two arenas.
+//! **zero** heap allocations. The members are handles into the tables
+//! of two map tasks, so the group reads two tables.
 //!
 //! A single `#[test]` drives the whole file — integration tests in one
 //! binary may run on multiple threads, which would make a global
@@ -14,9 +14,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
-use er_core::{Entity, Matcher, PreparedArena, PreparedHandle};
-use er_loadbalance::compare::{EntityInterner, GroupComparer, PairComparer};
-use er_loadbalance::Keyed;
+use er_core::{Entity, Matcher, PreparedHandle};
+use er_loadbalance::compare::{EntityInterner, EntityTable, GroupComparer, PairComparer};
+use er_loadbalance::{Ent, KeyList};
 use mr_engine::mapper::MapTaskInfo;
 
 /// Counts every allocation routed through the global allocator.
@@ -46,18 +46,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn a_warm_driver_allocates_nothing_per_group() {
     let block = BlockKey::new("can");
-    let members: Vec<Keyed> = (0..40u64)
+    let keys = KeyList::One(block.clone());
+    let members: Vec<Ent> = (0..40u64)
         .map(|id| {
             let title = format!("canon eos {}d mark {} body kit", id % 7, id % 3);
-            let entity = Arc::new(Entity::new(id, [("title", title.as_str())]));
-            Keyed::single(block.clone(), entity)
+            Arc::new(Entity::new(id, [("title", title.as_str())]))
         })
         .collect();
     let n = members.len();
     let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
     // The first half is routed by map task 0, the second by map task 1.
     let mut handles: Vec<PreparedHandle> = Vec::new();
-    let arenas: Vec<PreparedArena> = members
+    let tables: Vec<EntityTable> = members
         .chunks(n / 2)
         .enumerate()
         .map(|(task_index, half)| {
@@ -68,29 +68,28 @@ fn a_warm_driver_allocates_nothing_per_group() {
                 num_reduce_tasks: 1,
             };
             interner.setup(&info);
-            handles.extend(half.iter().map(|keyed| interner.intern(&keyed.entity)));
-            interner.into_arena()
+            handles.extend(half.iter().map(|entity| interner.intern(entity, &keys)));
+            interner.into_table()
         })
         .collect();
-    let staged: Vec<(&Keyed, PreparedHandle)> = members.iter().zip(handles).collect();
     let mut driver = GroupComparer::new(comparer);
 
     let mut rounds = [(0u64, 0u64); 2];
     for (allocations, matches) in &mut rounds {
         let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let (first, second) = staged.split_at(n / 2);
+        let (first, second) = handles.split_at(n / 2);
         driver.cross(
-            &arenas,
+            &tables,
             &block,
             first.iter().copied(),
             second.iter().copied(),
             |_, _| *matches += 1,
         );
-        driver.load(&arenas, &block, staged.iter().copied());
-        driver.all_pairs(&arenas, |_, _| *matches += 1);
+        driver.load(&tables, &block, handles.iter().copied());
+        driver.all_pairs(&tables, |_, _| *matches += 1);
         for next in 1..n {
             driver.strip(
-                &arenas,
+                &tables,
                 next,
                 next.saturating_sub(5)..next,
                 false,

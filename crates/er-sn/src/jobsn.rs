@@ -25,12 +25,12 @@ use std::sync::Arc;
 
 use er_core::result::MatchPair;
 use er_core::sortkey::{RangePartitioner, SortKey};
-use er_core::PreparedArena;
-use er_loadbalance::compare::{EntityInterner, GroupComparer, PairComparer};
-use er_loadbalance::Ent;
+use er_loadbalance::compare::{EntityInterner, EntityTable, GroupComparer, PairComparer};
+use er_loadbalance::keys::key_index;
+use er_loadbalance::{Ent, KeyList};
 use mr_engine::prelude::*;
 
-use crate::keys::{BoundaryKey, BoundarySide, SnEntity, SnKey};
+use crate::keys::{bottom_keys, BoundaryKey, BoundarySide, SnEntity, SnKey};
 use crate::window::WindowBuffer;
 use crate::PARTITION_ENTITIES;
 
@@ -41,6 +41,8 @@ use crate::PARTITION_ENTITIES;
 pub struct SnMapper {
     partitioner: Arc<RangePartitioner<SortKey>>,
     interner: EntityInterner,
+    /// The key list every entity is interned with.
+    keys: KeyList,
 }
 
 impl SnMapper {
@@ -50,6 +52,7 @@ impl SnMapper {
         Self {
             partitioner,
             interner: EntityInterner::new(comparer),
+            keys: bottom_keys(),
         }
     }
 }
@@ -60,20 +63,22 @@ impl Mapper for SnMapper {
     type KOut = SnKey;
     type VOut = SnEntity;
     type Side = ();
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.interner.setup(info);
+        self.keys = bottom_keys();
     }
 
     fn map(&mut self, key: &SortKey, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
-        let partition = self.partitioner.partition_of(key) as u32;
+        let partition = key_index(self.partitioner.partition_of(key), "range partition index");
+        let prepared = self.interner.intern(entity, &self.keys);
         ctx.emit(
             SnKey {
                 partition,
                 key: key.clone(),
             },
-            SnEntity::original(Arc::clone(entity), self.interner.intern(entity)),
+            SnEntity::original(Arc::clone(entity), prepared),
         );
     }
 
@@ -81,8 +86,8 @@ impl Mapper for SnMapper {
         self.interner.finish(ctx);
     }
 
-    fn into_product(self) -> PreparedArena {
-        self.interner.into_arena()
+    fn into_product(self) -> EntityTable {
+        self.interner.into_table()
     }
 }
 
@@ -161,7 +166,7 @@ impl Reducer for WindowReducer {
     type VIn = SnEntity;
     type KOut = ();
     type VOut = WindowOut;
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn setup(&mut self, info: &ReduceTaskInfo) {
         // Tasks clone a fresh reducer from the prototype; the explicit
@@ -177,7 +182,7 @@ impl Reducer for WindowReducer {
 
     fn reduce(
         &mut self,
-        group: Group<'_, SnKey, SnEntity, PreparedArena>,
+        group: Group<'_, SnKey, SnEntity, EntityTable>,
         ctx: &mut ReduceContext<(), WindowOut>,
     ) {
         let partition = group.key().partition;
@@ -196,14 +201,14 @@ impl Reducer for WindowReducer {
                     (),
                     WindowOut::Head {
                         partition,
-                        dist: (self.seen + 1) as u32,
-                        entity: Arc::clone(value.entity()),
+                        dist: key_index(self.seen + 1, "boundary distance"),
+                        entity: Arc::clone(&value.entity),
                     },
                 );
             }
             self.seen += 1;
             self.buffer
-                .advance(group.products(), value.member(), ctx, |ctx, pair, score| {
+                .advance(group.products(), value, ctx, |ctx, pair, score| {
                     ctx.emit((), WindowOut::Match(pair, score));
                 });
         }
@@ -221,13 +226,13 @@ impl Reducer for WindowReducer {
         }
         // The ring holds exactly the last min(w − 1, n) entities,
         // oldest first.
-        let tail_len = self.buffer.len() as u32;
+        let tail_len = self.buffer.len();
         for (i, entity) in self.buffer.entries().enumerate() {
             ctx.emit(
                 (),
                 WindowOut::Tail {
                     partition,
-                    dist: tail_len - i as u32,
+                    dist: key_index(tail_len - i, "boundary distance"),
                     entity: Arc::clone(entity),
                 },
             );
@@ -331,7 +336,7 @@ pub fn assemble_boundary_input(
             debug_assert!(u64::from(dist) <= reach);
             records.push((
                 BoundaryKey {
-                    boundary: b as u32,
+                    boundary: key_index(b, "boundary index"),
                     side: BoundarySide::Left,
                     dist,
                 },
@@ -351,9 +356,9 @@ pub fn assemble_boundary_input(
                 }
                 records.push((
                     BoundaryKey {
-                        boundary: b as u32,
+                        boundary: key_index(b, "boundary index"),
                         side: BoundarySide::Right,
-                        dist: global as u32,
+                        dist: key_index(global, "boundary distance"),
                     },
                     Arc::clone(entity),
                 ));
@@ -401,20 +406,20 @@ impl Reducer for StitchReducer {
     type VIn = SnEntity;
     type KOut = MatchPair;
     type VOut = f64;
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn reduce(
         &mut self,
-        group: Group<'_, BoundaryKey, SnEntity, PreparedArena>,
+        group: Group<'_, BoundaryKey, SnEntity, EntityTable>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         // Distances are `u32`, so a wider window reaches all of them.
         let w = u32::try_from(self.window).unwrap_or(u32::MAX);
-        let arenas = group.products();
+        let tables = group.products();
         self.driver.truncate(0);
         self.left_dists.clear();
         for (key, value) in group.iter() {
-            let position = self.driver.push(arenas, value.member());
+            let position = self.driver.push(tables, value.prepared);
             match key.side {
                 BoundarySide::Left => self.left_dists.push(key.dist),
                 BoundarySide::Right => {
@@ -422,7 +427,7 @@ impl Reducer for StitchReducer {
                     // condition holds for a prefix of them.
                     let reach = self.left_dists.partition_point(|dl| dl + key.dist <= w);
                     self.driver
-                        .strip(arenas, position, 0..reach, false, |pair, score| {
+                        .strip(tables, position, 0..reach, false, |pair, score| {
                             ctx.emit(pair, score)
                         });
                     // Only lefts stay: a right is never a partner.
@@ -440,6 +445,8 @@ impl Reducer for StitchReducer {
 #[derive(Clone)]
 pub struct BoundaryMapper {
     interner: EntityInterner,
+    /// The key list every candidate is interned with.
+    keys: KeyList,
 }
 
 impl BoundaryMapper {
@@ -447,6 +454,7 @@ impl BoundaryMapper {
     pub fn new(comparer: &PairComparer) -> Self {
         Self {
             interner: EntityInterner::new(comparer),
+            keys: bottom_keys(),
         }
     }
 }
@@ -457,10 +465,11 @@ impl Mapper for BoundaryMapper {
     type KOut = BoundaryKey;
     type VOut = SnEntity;
     type Side = ();
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.interner.setup(info);
+        self.keys = bottom_keys();
     }
 
     fn map(
@@ -469,7 +478,7 @@ impl Mapper for BoundaryMapper {
         entity: &Ent,
         ctx: &mut MapContext<BoundaryKey, SnEntity, ()>,
     ) {
-        let prepared = self.interner.intern(entity);
+        let prepared = self.interner.intern(entity, &self.keys);
         ctx.emit(*key, SnEntity::original(Arc::clone(entity), prepared));
     }
 
@@ -477,8 +486,8 @@ impl Mapper for BoundaryMapper {
         self.interner.finish(ctx);
     }
 
-    fn into_product(self) -> PreparedArena {
-        self.interner.into_arena()
+    fn into_product(self) -> EntityTable {
+        self.interner.into_table()
     }
 }
 
@@ -620,9 +629,9 @@ mod tests {
             num_reduce_tasks: 1,
             num_map_tasks: 1,
         });
-        let (entries, arenas) = crate::keys::staged(&comparer, entries);
+        let (entries, tables) = crate::keys::staged(&comparer, entries);
         reducer.reduce(
-            Group::for_testing(&entries).with_products(&arenas),
+            Group::for_testing(&entries).with_products(&tables),
             &mut ctx,
         );
         // w = 3: pairs (L1,R1), (L1,R2), (L2,R1) qualify; (L2,R2) has
@@ -651,9 +660,9 @@ mod tests {
                 key: SortKey::new(key),
             };
             let entries = vec![(key("a"), ent(1, "aa")), (key("b"), ent(2, "bb"))];
-            let (entries, arenas) = crate::keys::staged(&comparer, entries);
+            let (entries, tables) = crate::keys::staged(&comparer, entries);
             for group in entries.chunks(1) {
-                reducer.reduce(Group::for_testing(group).with_products(&arenas), &mut ctx);
+                reducer.reduce(Group::for_testing(group).with_products(&tables), &mut ctx);
             }
             reducer.finish(&mut ctx);
             let heads = ctx
@@ -692,9 +701,9 @@ mod tests {
             (key("a"), ent(1, "same title")),
             (key("b"), ent(2, "same title")),
         ];
-        let (entries, arenas) = crate::keys::staged(&comparer, entries);
+        let (entries, tables) = crate::keys::staged(&comparer, entries);
         for group in entries.chunks(1) {
-            reducer.reduce(Group::for_testing(group).with_products(&arenas), &mut ctx);
+            reducer.reduce(Group::for_testing(group).with_products(&tables), &mut ctx);
         }
         reducer.finish(&mut ctx);
         let matches = ctx

@@ -12,7 +12,7 @@
 use er_core::blocking::BlockKey;
 use er_core::sortkey::SortKey;
 use er_core::PreparedHandle;
-use er_loadbalance::{Ent, Keyed};
+use er_loadbalance::{Ent, KeyList};
 use mr_engine::comparator::{by_projection, KeyCmp};
 use mr_engine::partitioner::FnPartitioner;
 
@@ -47,19 +47,21 @@ impl std::fmt::Display for SnKey {
     }
 }
 
-/// Map output value of the window jobs: the entity plus its replica
-/// flag (RepSN's in-map boundary replication; always `false` under
-/// JobSN).
+/// Map output value of the window jobs and of JobSN's stitch job: the
+/// entity's row in its map task's table, its replica flag (RepSN's
+/// in-map boundary replication; always `false` under JobSN) and the
+/// entity itself, which JobSN publishes as a boundary candidate.
 ///
-/// The entity is wrapped as a [`Keyed`] under the constant `⊥` block
-/// key so the sliding window can reuse the prepared-entity comparison
-/// path ([`er_loadbalance::compare::PairComparer`]) unchanged — under
-/// a single constant key the multi-pass gate is trivially open.
+/// The row's key list is the constant `⊥` block key ([`bottom_keys`])
+/// that every window compares under, so the sliding window reuses the
+/// prepared-entity comparison path
+/// ([`er_loadbalance::compare::GroupComparer`]) unchanged — under a
+/// single constant key the multi-pass gate is trivially open.
 #[derive(Debug, Clone)]
 pub struct SnEntity {
-    /// The `⊥`-annotated entity.
-    pub keyed: Keyed,
-    /// Its prepared form in its map task's arena (see
+    /// The entity.
+    pub entity: Ent,
+    /// Its row in its map task's table (see
     /// [`er_loadbalance::compare::EntityInterner`]).
     pub prepared: PreparedHandle,
     /// True for a RepSN boundary replica (window-primer only; replica
@@ -69,32 +71,21 @@ pub struct SnEntity {
 }
 
 impl SnEntity {
-    /// Wraps an original (non-replicated) entity, prepared as
-    /// `prepared`.
+    /// An original (non-replicated) entity, prepared as `prepared`.
     pub fn original(entity: Ent, prepared: PreparedHandle) -> Self {
         Self {
-            keyed: bottom_keyed(entity),
+            entity,
             prepared,
             replica: false,
         }
     }
 
-    /// Wraps a RepSN boundary replica, prepared as `prepared`.
+    /// A RepSN boundary replica, prepared as `prepared`.
     pub fn replica(entity: Ent, prepared: PreparedHandle) -> Self {
         Self {
             replica: true,
             ..Self::original(entity, prepared)
         }
-    }
-
-    /// The underlying entity.
-    pub fn entity(&self) -> &Ent {
-        &self.keyed.entity
-    }
-
-    /// The member a compare driver takes.
-    pub fn member(&self) -> (&Keyed, PreparedHandle) {
-        (&self.keyed, self.prepared)
     }
 }
 
@@ -150,29 +141,34 @@ impl std::fmt::Display for BoundaryKey {
     }
 }
 
-/// Wraps a bare entity under the constant block key (shared by tests
-/// and the oracle).
-pub fn bottom_keyed(entity: Ent) -> Keyed {
-    Keyed::single(BlockKey::bottom(), entity)
+/// The key list an SN map task interns every entity with: the constant
+/// `⊥` block key its windows compare under. Made once per map task,
+/// so the tasks share no reference count.
+pub fn bottom_keys() -> KeyList {
+    KeyList::One(BlockKey::bottom())
 }
 
 /// Test support: the entities of `entries` as one map task emits them
 /// for `comparer` — originals with their handles — and the stage's
-/// arenas.
+/// tables.
 #[cfg(test)]
 pub(crate) fn staged<K>(
     comparer: &er_loadbalance::compare::PairComparer,
     entries: Vec<(K, Ent)>,
-) -> (Vec<(K, SnEntity)>, Vec<er_core::PreparedArena>) {
+) -> (
+    Vec<(K, SnEntity)>,
+    Vec<er_loadbalance::compare::EntityTable>,
+) {
     let mut interner = er_loadbalance::compare::EntityInterner::new(comparer);
+    let keys = bottom_keys();
     let entries = entries
         .into_iter()
         .map(|(key, entity)| {
-            let prepared = interner.intern(&entity);
+            let prepared = interner.intern(&entity, &keys);
             (key, SnEntity::original(entity, prepared))
         })
         .collect();
-    (entries, vec![interner.into_arena()])
+    (entries, vec![interner.into_table()])
 }
 
 #[cfg(test)]
@@ -276,16 +272,27 @@ mod tests {
     fn sn_entity_wraps_under_the_bottom_key() {
         let comparer =
             er_loadbalance::compare::PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
-        let (entries, _) = staged(&comparer, vec![((), ent(1)), ((), ent(2))]);
+        let (entries, tables) = staged(&comparer, vec![((), ent(1)), ((), ent(2))]);
         let original = entries[0].1.clone();
         let replica = SnEntity::replica(ent(2), entries[1].1.prepared);
         assert!(!original.replica);
         assert!(replica.replica);
-        assert_eq!(original.keyed.key, BlockKey::bottom());
-        assert_eq!(original.entity().id().0, 1);
-        // The bottom-keyed wrap keeps the multi-pass gate open.
-        assert!(original
-            .keyed
-            .should_compare_in(&replica.keyed, &BlockKey::bottom()));
+        assert_eq!(original.entity.id().0, 1);
+        // Rows keyed by `⊥` alone keep the multi-pass gate open.
+        for value in [&original, &replica] {
+            let row = value.prepared;
+            assert_eq!(
+                tables[row.arena as usize].keys(row.id),
+                [BlockKey::bottom()]
+            );
+        }
+    }
+
+    /// A window job moves one value per entity and per replica: the
+    /// entity (JobSN publishes it), its row and its replica flag.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn an_sn_value_is_twenty_four_bytes() {
+        assert_eq!(std::mem::size_of::<SnEntity>(), 24);
     }
 }

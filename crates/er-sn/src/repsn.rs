@@ -19,12 +19,13 @@ use std::sync::Arc;
 
 use er_core::result::MatchPair;
 use er_core::sortkey::{RangePartitioner, SortKey};
-use er_core::{PreparedArena, PreparedHandle};
-use er_loadbalance::compare::{EntityInterner, PairComparer};
-use er_loadbalance::Ent;
+use er_core::PreparedHandle;
+use er_loadbalance::compare::{EntityInterner, EntityTable, PairComparer};
+use er_loadbalance::keys::key_index;
+use er_loadbalance::{Ent, KeyList};
 use mr_engine::prelude::*;
 
-use crate::keys::{SnEntity, SnKey};
+use crate::keys::{bottom_keys, SnEntity, SnKey};
 use crate::window::WindowBuffer;
 use crate::{PARTITION_ENTITIES, REPLICAS};
 
@@ -46,6 +47,8 @@ pub struct RepSnMapper {
     /// the global order.
     tails: Vec<Vec<TailEntry>>,
     interner: EntityInterner,
+    /// The key list every entity is interned with.
+    keys: KeyList,
 }
 
 impl RepSnMapper {
@@ -60,6 +63,7 @@ impl RepSnMapper {
             window,
             tails: Vec::new(),
             interner: EntityInterner::new(comparer),
+            keys: bottom_keys(),
         }
     }
 }
@@ -70,19 +74,20 @@ impl Mapper for RepSnMapper {
     type KOut = SnKey;
     type VOut = SnEntity;
     type Side = ();
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.tails = vec![Vec::new(); self.partitioner.num_partitions()];
         self.interner.setup(info);
+        self.keys = bottom_keys();
     }
 
     fn map(&mut self, key: &SortKey, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
         let partition = self.partitioner.partition_of(key);
-        let prepared = self.interner.intern(entity);
+        let prepared = self.interner.intern(entity, &self.keys);
         ctx.emit(
             SnKey {
-                partition: partition as u32,
+                partition: key_index(partition, "range partition index"),
                 key: key.clone(),
             },
             SnEntity::original(Arc::clone(entity), prepared),
@@ -113,7 +118,7 @@ impl Mapper for RepSnMapper {
                 ctx.add_counter(REPLICAS, 1);
                 ctx.emit(
                     SnKey {
-                        partition: (partition + 1) as u32,
+                        partition: key_index(partition + 1, "range partition index"),
                         key: key.clone(),
                     },
                     SnEntity::replica(Arc::clone(entity), *prepared),
@@ -123,8 +128,8 @@ impl Mapper for RepSnMapper {
         self.interner.finish(ctx);
     }
 
-    fn into_product(self) -> PreparedArena {
-        self.interner.into_arena()
+    fn into_product(self) -> EntityTable {
+        self.interner.into_table()
     }
 }
 
@@ -170,7 +175,7 @@ impl Reducer for RepSnReducer {
     type VIn = SnEntity;
     type KOut = MatchPair;
     type VOut = f64;
-    type Product = PreparedArena;
+    type Product = EntityTable;
 
     fn setup(&mut self, _info: &ReduceTaskInfo) {
         self.buffer.clear();
@@ -181,25 +186,24 @@ impl Reducer for RepSnReducer {
 
     fn reduce(
         &mut self,
-        group: Group<'_, SnKey, SnEntity, PreparedArena>,
+        group: Group<'_, SnKey, SnEntity, EntityTable>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
-        let arenas = group.products();
+        let tables = group.products();
         for value in group.values() {
             if value.replica {
                 debug_assert!(
                     !self.saw_original,
                     "replicas must sort strictly before originals"
                 );
-                self.buffer.prime(arenas, value.member());
+                self.buffer.prime(tables, value);
             } else {
                 self.saw_original = true;
                 self.originals += 1;
                 let matches = &mut self.matches;
-                self.buffer
-                    .advance(arenas, value.member(), ctx, |_, pair, score| {
-                        matches.push((pair, score));
-                    });
+                self.buffer.advance(tables, value, ctx, |_, pair, score| {
+                    matches.push((pair, score));
+                });
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! A [`WindowBuffer`] holds the `w − 1` immediate predecessors (in
 //! global sort order) of the next entity as `Copy` rows in the columns
-//! of a compare driver ([`GroupComparer`]: entity reference, slab
+//! of a compare driver ([`GroupComparer`]: entity reference, table
 //! handle, sketch) — nothing borrowed, so the buffer can live in
 //! reducer state and slide **across** reduce groups: the window jobs
 //! group by the full `(partition, key)`, so a reduce task streams one
@@ -23,10 +23,11 @@ use std::sync::Arc;
 
 use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
-use er_core::{PreparedArena, PreparedHandle};
-use er_loadbalance::compare::{GroupComparer, PairComparer};
-use er_loadbalance::{Ent, Keyed};
+use er_loadbalance::compare::{EntityTable, GroupComparer, PairComparer};
+use er_loadbalance::Ent;
 use mr_engine::reducer::ReduceContext;
+
+use crate::keys::SnEntity;
 
 /// The `w − 1` most recent entities, as the tail of a compare driver's
 /// columns. Forgetting is amortized: the columns grow to twice the
@@ -63,23 +64,23 @@ impl WindowBuffer {
 
     /// Admits `member` without comparing it against the buffer — used
     /// to pre-load RepSN boundary replicas (keeping only the last
-    /// `w − 1` primed entries, like any admission). `arenas` are the
+    /// `w − 1` primed entries, like any admission). `tables` are the
     /// stage's, which every member's handle addresses.
-    pub fn prime(&mut self, arenas: &[PreparedArena], member: (&Keyed, PreparedHandle)) {
-        self.admit(arenas, member);
+    pub fn prime(&mut self, tables: &[EntityTable], member: &SnEntity) {
+        self.admit(tables, member);
     }
 
     /// Compares `member` against every buffered predecessor (counting
     /// comparisons and delivering matches to `sink`), then admits it.
     pub fn advance<KO, VO>(
         &mut self,
-        arenas: &[PreparedArena],
-        member: (&Keyed, PreparedHandle),
+        tables: &[EntityTable],
+        member: &SnEntity,
         ctx: &mut ReduceContext<KO, VO>,
         mut sink: impl FnMut(&mut ReduceContext<KO, VO>, MatchPair, f64),
     ) {
-        let (ring, next) = self.admit(arenas, member);
-        self.driver.strip(arenas, next, ring, false, |pair, score| {
+        let (ring, next) = self.admit(tables, member);
+        self.driver.strip(tables, next, ring, false, |pair, score| {
             sink(ctx, pair, score)
         });
         self.driver.flush(ctx);
@@ -87,18 +88,14 @@ impl WindowBuffer {
 
     /// Appends `member`'s row; returns the ring as it was before, and
     /// the new row's position.
-    fn admit(
-        &mut self,
-        arenas: &[PreparedArena],
-        member: (&Keyed, PreparedHandle),
-    ) -> (Range<usize>, usize) {
+    fn admit(&mut self, tables: &[EntityTable], member: &SnEntity) -> (Range<usize>, usize) {
         if self.driver.len() == self.evict_at {
             self.driver.evict_front(self.capacity);
             self.entities.drain(..self.capacity);
         }
         let ring = self.ring();
-        self.entities.push(Arc::clone(&member.0.entity));
-        (ring, self.driver.push(arenas, member))
+        self.entities.push(Arc::clone(&member.entity));
+        (ring, self.driver.push(tables, member.prepared))
     }
 
     /// The driver rows the ring currently spans.
@@ -134,7 +131,6 @@ impl WindowBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::keys::SnEntity;
     use er_core::{Entity, Matcher};
     use er_loadbalance::COMPARISONS;
     use mr_engine::reducer::ReduceTaskInfo;
@@ -153,23 +149,21 @@ mod tests {
     }
 
     /// `entities` prepared for `comparer` by one map task.
-    fn staged(comparer: &PairComparer, entities: Vec<Ent>) -> (Vec<SnEntity>, Vec<PreparedArena>) {
+    fn staged(comparer: &PairComparer, entities: Vec<Ent>) -> (Vec<SnEntity>, Vec<EntityTable>) {
         let entries = entities.into_iter().map(|e| ((), e)).collect();
-        let (entries, arenas) = crate::keys::staged(comparer, entries);
-        (entries.into_iter().map(|(_, e)| e).collect(), arenas)
+        let (entries, tables) = crate::keys::staged(comparer, entries);
+        (entries.into_iter().map(|(_, e)| e).collect(), tables)
     }
 
     #[test]
     fn advance_compares_each_entity_to_its_w_minus_1_predecessors() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
         let entities = (0..5).map(|i| keyed(i, "distinct title x")).collect();
-        let (entities, arenas) = staged(&comparer, entities);
+        let (entities, tables) = staged(&comparer, entities);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 3);
         for e in &entities {
-            window.advance(&arenas, e.member(), &mut c, |c, pair, score| {
-                c.emit(pair, score)
-            });
+            window.advance(&tables, e, &mut c, |c, pair, score| c.emit(pair, score));
         }
         // n = 5, w = 3: pairs = 1 + 2 + 2 + 2 = 7.
         assert_eq!(c.counters().get(COMPARISONS), 7);
@@ -185,13 +179,13 @@ mod tests {
     fn primed_entries_compare_against_newcomers_but_not_each_other() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
         let entities = [0, 1, 10, 11].map(|i| keyed(i, "aaa")).to_vec();
-        let (entities, arenas) = staged(&comparer, entities);
+        let (entities, tables) = staged(&comparer, entities);
         let (replicas, originals) = entities.split_at(2);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 3);
         assert!(window.is_empty());
         for r in replicas {
-            window.prime(&arenas, r.member());
+            window.prime(&tables, r);
         }
         assert_eq!(
             c.counters().get(COMPARISONS),
@@ -199,9 +193,7 @@ mod tests {
             "priming must not compare replica x replica"
         );
         for o in originals {
-            window.advance(&arenas, o.member(), &mut c, |c, pair, score| {
-                c.emit(pair, score)
-            });
+            window.advance(&tables, o, &mut c, |c, pair, score| c.emit(pair, score));
         }
         // Original 10: vs both replicas (2). Original 11: vs replica 1
         // and original 10 (2) — replica 0 was evicted.
@@ -213,10 +205,10 @@ mod tests {
     fn priming_beyond_capacity_keeps_only_the_last_w_minus_1() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
         let entities = (0..5).map(|i| keyed(i, "aaa")).collect();
-        let (entities, arenas) = staged(&comparer, entities);
+        let (entities, tables) = staged(&comparer, entities);
         let mut window = WindowBuffer::new(comparer.clone(), 3);
         for e in &entities {
-            window.prime(&arenas, e.member());
+            window.prime(&tables, e);
         }
         let ids: Vec<u64> = window.entries().map(|e| e.id().0).collect();
         assert_eq!(ids, vec![3, 4], "only the freshest replicas stay");
@@ -230,13 +222,11 @@ mod tests {
             keyed(2, "abcdefghiX"), // sim 0.9 -> match
             keyed(3, "zzzzzzzzzz"), // no match
         ];
-        let (entities, arenas) = staged(&comparer, entities);
+        let (entities, tables) = staged(&comparer, entities);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 4);
         for e in &entities {
-            window.advance(&arenas, e.member(), &mut c, |c, pair, score| {
-                c.emit(pair, score)
-            });
+            window.advance(&tables, e, &mut c, |c, pair, score| c.emit(pair, score));
         }
         assert_eq!(c.counters().get(COMPARISONS), 3);
         assert_eq!(c.output().len(), 1);

@@ -10,15 +10,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use er_core::blocking::{BlockKey, BlockingFunction, PrefixBlocking};
-use er_core::{MatchPair, Matcher, MatcherCache, PreparedArena, PreparedHandle, SourceId};
+use er_core::{MatchPair, Matcher, MatcherCache, PreparedHandle, SourceId};
 use er_datagen::{ds1_spec, generate_products};
 use er_loadbalance::block_split::reducer::BlockSplitReducer;
-use er_loadbalance::compare::{EntityInterner, PairComparer};
-use er_loadbalance::keys::{BlockSplitKey, BlockSplitValue, PairRangeKey, PairRangeValue};
+use er_loadbalance::compare::{EntityInterner, EntityTable, PairComparer};
+use er_loadbalance::keys::{BlockSplitKey, PairRangeKey};
 use er_loadbalance::pair_range::mapper::relevant_ranges;
 use er_loadbalance::pair_range::ranges::RangeIndexer;
 use er_loadbalance::pair_range::reducer::PairRangeReducer;
-use er_loadbalance::{BlockDistributionMatrix, Ent, Keyed, RangePolicy, COMPARISONS};
+use er_loadbalance::{BlockDistributionMatrix, Ent, KeyList, RangePolicy, COMPARISONS};
 use mr_engine::mapper::MapTaskInfo;
 use mr_engine::reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer};
 
@@ -59,15 +59,17 @@ fn full_dp_matches(matcher: &Matcher, block: &[Ent]) -> BTreeMap<MatchPair, u64>
     matches
 }
 
-/// `block` as a match stage's map tasks prepare it for `comparer`:
-/// entity `x` by map task `partition_of(x)` of `m`. Returns the stage's
-/// arenas and each entity's handle.
+/// `block`, keyed by `key`, as a match stage's map tasks prepare it for
+/// `comparer`: entity `x` by map task `partition_of(x)` of `m`. Returns
+/// the stage's tables and each entity's handle.
 fn staged(
     comparer: &PairComparer,
+    key: &BlockKey,
     block: &[Ent],
     m: usize,
     partition_of: impl Fn(usize) -> usize,
-) -> (Vec<PreparedArena>, Vec<PreparedHandle>) {
+) -> (Vec<EntityTable>, Vec<PreparedHandle>) {
+    let keys = KeyList::One(key.clone());
     let mut interners: Vec<EntityInterner> = (0..m)
         .map(|task_index| {
             let mut interner = EntityInterner::new(comparer);
@@ -83,27 +85,27 @@ fn staged(
     let handles = block
         .iter()
         .enumerate()
-        .map(|(x, e)| interners[partition_of(x)].intern(e))
+        .map(|(x, e)| interners[partition_of(x)].intern(e, &keys))
         .collect();
-    let arenas = interners
+    let tables = interners
         .into_iter()
-        .map(EntityInterner::into_arena)
+        .map(EntityInterner::into_table)
         .collect();
-    (arenas, handles)
+    (tables, handles)
 }
 
 /// Runs one reduce group through `reducer` as task 0 of `tasks`, over
-/// the stage's `arenas`, collecting matches (each pair at most once
+/// the stage's `tables`, collecting matches (each pair at most once
 /// over all calls) and the comparison count.
 fn reduce_group<R, K, V>(
     reducer: &mut R,
     tasks: usize,
-    arenas: &[PreparedArena],
+    tables: &[EntityTable],
     entries: &[(K, V)],
     matches: &mut BTreeMap<MatchPair, u64>,
     comparisons: &mut u64,
 ) where
-    R: Reducer<KIn = K, VIn = V, KOut = MatchPair, VOut = f64, Product = PreparedArena>,
+    R: Reducer<KIn = K, VIn = V, KOut = MatchPair, VOut = f64, Product = EntityTable>,
 {
     let info = ReduceTaskInfo {
         task_index: 0,
@@ -112,7 +114,7 @@ fn reduce_group<R, K, V>(
     };
     reducer.setup(&info);
     let mut ctx = ReduceContext::for_testing(info);
-    reducer.reduce(Group::for_testing(entries).with_products(arenas), &mut ctx);
+    reducer.reduce(Group::for_testing(entries).with_products(tables), &mut ctx);
     *comparisons += ctx.counters().get(COMPARISONS);
     for (pair, score) in ctx.output() {
         let again = matches.insert(*pair, score.to_bits());
@@ -127,7 +129,10 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
     let matcher = Arc::new(Matcher::paper_default());
     let expected = full_dp_matches(&matcher, &block);
     assert!(!expected.is_empty() && (expected.len() as u64) < n * (n - 1) / 2);
-    let keyed = |e: &Ent| Keyed::single(key.clone(), Arc::clone(e));
+    let bdm = Arc::new(BlockDistributionMatrix::from_counts(
+        1,
+        [(key.clone(), 0, n)],
+    ));
 
     // BlockSplit: the block split in two sub-blocks is three match
     // tasks — each half's pairs, and their cross product.
@@ -135,8 +140,8 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
     let comparer = PairComparer::new(Arc::clone(&matcher));
     let half = block.len() / 2;
     let partition_of = |x: usize| usize::from(x >= half);
-    let (arenas, handles) = staged(&comparer, &block, 2, partition_of);
-    let mut reducer = BlockSplitReducer::new(comparer, false);
+    let (tables, handles) = staged(&comparer, &key, &block, 2, partition_of);
+    let mut reducer = BlockSplitReducer::new(Arc::clone(&bdm), comparer);
     let task = |i: u32, j: u32, members: std::ops::Range<usize>| -> Vec<_> {
         let key = BlockSplitKey {
             reduce_task: 0,
@@ -144,17 +149,7 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
             i,
             j,
         };
-        members
-            .map(|x| {
-                let value = BlockSplitValue::new(
-                    keyed(&block[x]),
-                    handles[x],
-                    partition_of(x),
-                    SourceId::R,
-                );
-                (key, value)
-            })
-            .collect()
+        members.map(|x| (key, handles[x])).collect()
     };
     for entries in [
         task(0, 0, 0..half),
@@ -164,7 +159,7 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
         reduce_group(
             &mut reducer,
             1,
-            &arenas,
+            &tables,
             &entries,
             &mut matches,
             &mut comparisons,
@@ -176,14 +171,10 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
     // PairRange: the block's pairs cut into seven ranges, each reduced
     // from the members the mapper would send it.
     let (mut matches, mut comparisons) = (BTreeMap::new(), 0);
-    let bdm = Arc::new(BlockDistributionMatrix::from_counts(
-        1,
-        [(key.clone(), 0, n)],
-    ));
     let tasks = 7;
     let ranges = RangeIndexer::new(bdm.total_pairs(), tasks, RangePolicy::CeilDiv);
     let comparer = PairComparer::new(Arc::clone(&matcher));
-    let (arenas, handles) = staged(&comparer, &block, 1, |_| 0);
+    let (tables, handles) = staged(&comparer, &key, &block, 1, |_| 0);
     let mut reducer = PairRangeReducer::new(Arc::clone(&bdm), comparer, RangePolicy::CeilDiv);
     for range in 0..tasks as u32 {
         let entries: Vec<_> = (0..n)
@@ -197,18 +188,13 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
                     source: SourceId::R,
                     index,
                 };
-                let value = PairRangeValue {
-                    keyed: keyed(&block[index as usize]),
-                    prepared: handles[index as usize],
-                    index,
-                };
-                (key, value)
+                (key, handles[index as usize])
             })
             .collect();
         reduce_group(
             &mut reducer,
             tasks,
-            &arenas,
+            &tables,
             &entries,
             &mut matches,
             &mut comparisons,

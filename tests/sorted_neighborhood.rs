@@ -341,11 +341,13 @@ fn window_growth_only_adds_pairs() {
 
 /// The skew probe of ROADMAP direction 9, pinned as a baseline: the
 /// DS1 corpus at 2 % over 8 map tasks, with a share of the entities
-/// given one identical title that sorts first or last, under `w = 10`
-/// and 8 key ranges. Key ranges are cut at distinct sort keys, so the
-/// tie lands on one task and the ranges it spans stay empty. Splitting
-/// ranges in rank space (direction 9) is expected to 2520ten these
-/// vectors; until then they are what both strategies do, exactly.
+/// given one identical title that sorts first, in the middle (among
+/// the titles that start with `c`, so its heavy task is neither the
+/// first nor the last) or last, under `w = 10` and 8 key ranges. Key
+/// ranges are cut at distinct sort keys, so the tie lands on one task
+/// and the ranges it spans stay empty. Splitting ranges in rank space
+/// (direction 9) is expected to flatten these vectors; until then they
+/// are what both strategies do, exactly.
 #[test]
 fn skew_probe_per_task_comparisons_are_pinned() {
     let ds = generate_products(&ds1_spec(2012).scaled(0.02));
@@ -355,7 +357,7 @@ fn skew_probe_per_task_comparisons_are_pinned() {
     let resolver = Resolver::new(&runtime).with_window(10).with_reduce_tasks(8);
     // (tie share in tenths, tied title, JobSN loads, RepSN loads);
     // JobSN's stitch comparisons are not in its loads.
-    let cases: [(usize, &str, [u64; 8], [u64; 8]); 5] = [
+    let cases: [(usize, &str, [u64; 8], [u64; 8]); 7] = [
         (
             0,
             "",
@@ -370,6 +372,12 @@ fn skew_probe_per_task_comparisons_are_pinned() {
         ),
         (
             2,
+            "c tied listing",
+            [2520, 2520, 2520, 5427, 0, 2178, 2520, 2520],
+            [2520, 2565, 2565, 5472, 0, 2223, 2565, 2565],
+        ),
+        (
+            2,
             "~ tied listing",
             [2520, 2520, 2520, 2520, 2520, 2520, 5085, 0],
             [2520, 2565, 2565, 2565, 2565, 2565, 5130, 0],
@@ -379,6 +387,12 @@ fn skew_probe_per_task_comparisons_are_pinned() {
             "0 tied listing",
             [10215, 0, 0, 0, 2520, 2520, 2520, 2520],
             [10215, 0, 0, 0, 2565, 2565, 2565, 2565],
+        ),
+        (
+            5,
+            "c tied listing",
+            [2520, 2520, 10845, 0, 0, 0, 1890, 2520],
+            [2520, 2565, 10890, 0, 0, 0, 1935, 2565],
         ),
         (
             5,
