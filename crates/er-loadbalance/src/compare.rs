@@ -32,8 +32,10 @@
 //!    needs no per-pair key test — O(n) key compares instead of O(n²).
 //!    One member that is multi-key, or keyed elsewhere, drops the group
 //!    to the per-pair rule, which reads the key lists from the tables.
-//!    `cross_source_only` and `skip_pairs` are properties of the
-//!    comparer, read once per strip.
+//!    `skip_pairs` is a property of the comparer, read once per strip.
+//!    Linkage needs no gate here: its strategies take a member's side
+//!    from its partition's source tag (`bdm.source_of(arena)`) and walk
+//!    only the `R × S` cross product.
 //! 3. **Strips.** Every shape a reducer needs — all pairs of a group,
 //!    the cross product of two member ranges, a window's new arrival
 //!    against its ring, a PairRange slice — is a sequence of *strips*:
@@ -55,7 +57,7 @@
 //! call the one-shot [`PairComparer::compare`] makes — the reference
 //! the module's proptest holds the driver against, counters included.
 //!
-//! Counts go to three integers flushed once per reduce group
+//! Counts go to two integers flushed once per reduce group
 //! ([`GroupComparer::flush`]): at a few nanoseconds a pair, a by-name
 //! counter update per pair would cost more than the compare.
 
@@ -81,23 +83,15 @@ pub const PREPARED_ENTITIES: &str = "er.prepared_entities";
 /// Counter: pairs skipped by a multi-pass dedup gate — either the
 /// smallest-common-block rule of multi-pass *blocking*, or the
 /// already-compared-pair gate of multi-pass *Sorted Neighborhood*
-/// ([`PairComparer::with_skip_pairs`]). Never incremented under
-/// single-pass configurations.
+/// ([`PairComparer::with_skip_pairs`]) — the only pairs a comparer
+/// ever skips. Never incremented under single-pass configurations.
 pub const MULTIPASS_SKIPPED: &str = "er.multipass.skipped";
-
-/// Counter: pairs skipped because both entities belong to the same
-/// source under a cross-source-only comparer
-/// ([`PairComparer::with_cross_source_only`]); two-source Sorted
-/// Neighborhood interleaves R and S in one total order and must only
-/// evaluate R × S window pairs.
-pub const SAME_SOURCE_SKIPPED: &str = "er.two_source.same_source_skipped";
 
 /// Pairs counted since the last flush, by counter.
 #[derive(Debug, Clone, Default)]
 struct PairTally {
     comparisons: u64,
     multipass_skipped: u64,
-    same_source_skipped: u64,
 }
 
 impl PairTally {
@@ -105,7 +99,6 @@ impl PairTally {
         for (name, count) in [
             (COMPARISONS, &mut self.comparisons),
             (MULTIPASS_SKIPPED, &mut self.multipass_skipped),
-            (SAME_SOURCE_SKIPPED, &mut self.same_source_skipped),
         ] {
             if *count > 0 {
                 ctx.add_counter(name, std::mem::take(count));
@@ -124,9 +117,6 @@ pub struct PairComparer {
     /// evaluated; skipped here (first pass wins — the total-order
     /// analogue of the smallest-common-block rule).
     skip_pairs: Option<Arc<BTreeSet<MatchPair>>>,
-    /// Evaluate only pairs whose entities come from different sources
-    /// (two-source R × S workloads over one interleaved order).
-    cross_source_only: bool,
 }
 
 impl PairComparer {
@@ -135,7 +125,6 @@ impl PairComparer {
         Self {
             matcher,
             skip_pairs: None,
-            cross_source_only: false,
         }
     }
 
@@ -149,24 +138,10 @@ impl PairComparer {
         self
     }
 
-    /// Restricts evaluation to cross-source pairs: same-source pairs
-    /// are counted under [`SAME_SOURCE_SKIPPED`] and skipped. Used by
-    /// two-source Sorted Neighborhood, whose total order interleaves
-    /// both sources but whose output must contain only R × S pairs.
-    pub fn with_cross_source_only(mut self, cross_source_only: bool) -> Self {
-        self.cross_source_only = cross_source_only;
-        self
-    }
-
-    /// Whether this comparer evaluates only cross-source pairs.
-    pub fn is_cross_source_only(&self) -> bool {
-        self.cross_source_only
-    }
-
-    /// Applies every gate in order — smallest-common-block (multi-pass
-    /// blocking), cross-source-only, already-compared (multi-pass SN) —
-    /// and counts the pair under the counter it falls to. True iff the
-    /// pair is to be evaluated.
+    /// Applies both gates in order — smallest-common-block (multi-pass
+    /// blocking), then already-compared (multi-pass SN) — and counts
+    /// the pair under the counter it falls to. True iff the pair is to
+    /// be evaluated.
     fn admit(
         &self,
         (a, a_keys): (EntityRef, &[BlockKey]),
@@ -176,10 +151,6 @@ impl PairComparer {
     ) -> bool {
         if !smallest_common_key_is(a_keys, b_keys, current) {
             tally.multipass_skipped += 1;
-            return false;
-        }
-        if self.cross_source_only && a.source == b.source {
-            tally.same_source_skipped += 1;
             return false;
         }
         if let Some(skip) = &self.skip_pairs {
@@ -440,9 +411,7 @@ impl GroupComparer {
         probe_first: bool,
         mut sink: impl FnMut(MatchPair, f64),
     ) {
-        let per_pair = self.per_pair_members > 0
-            || self.comparer.cross_source_only
-            || self.comparer.skip_pairs.is_some();
+        let per_pair = self.per_pair_members > 0 || self.comparer.skip_pairs.is_some();
         if per_pair {
             let gate_entry = |position: usize| {
                 let keys = if self.off_block[position] {
@@ -531,7 +500,6 @@ fn ordered<T>(probe_first: bool, probe: T, member: T) -> (T, T) {
 impl std::fmt::Debug for PairComparer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PairComparer")
-            .field("cross_source_only", &self.cross_source_only)
             .field("skip_pairs", &self.skip_pairs.as_ref().map(|s| s.len()))
             .finish()
     }
@@ -775,35 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_source_gate_skips_same_source_pairs() {
-        let comparer = paper_comparer().with_cross_source_only(true);
-        assert!(comparer.is_cross_source_only());
-        let r1 = keyed(1, "abcdefghij");
-        let r2 = keyed(2, "abcdefghij");
-        let s1 = Keyed::single(
-            BlockKey::new("blk"),
-            Arc::new(Entity::with_source(
-                SourceId::S,
-                1,
-                [("title", "abcdefghij")],
-            )),
-        );
-        let mut c = ctx();
-        comparer.compare(&r1, &r2, &BlockKey::new("blk"), &mut c);
-        assert_eq!(c.counters().get(SAME_SOURCE_SKIPPED), 1);
-        assert_eq!(c.counters().get(COMPARISONS), 0);
-        assert!(c.output().is_empty());
-        // Cross-source pairs pass both paths.
-        comparer.compare(&r1, &s1, &BlockKey::new("blk"), &mut c);
-        assert_eq!(c.counters().get(COMPARISONS), 1);
-        assert_eq!(c.output().len(), 1);
-        let mut driver = GroupComparer::new(comparer);
-        let c = all_pairs(&mut driver, &BlockKey::new("blk"), &[&r1, &r2, &s1]);
-        assert_eq!(c.counters().get(SAME_SOURCE_SKIPPED), 1);
-        assert_eq!(c.counters().get(COMPARISONS), 2);
-    }
-
-    #[test]
     fn multipass_gate_skips_non_smallest_common_block() {
         let (a, b) = multipass_pair();
         let mut c = ctx();
@@ -941,21 +880,21 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
 
         /// The driver against the one-shot `compare`: same matches with
-        /// the same score bits in the same order, same three counters —
+        /// the same score bits in the same order, same two counters —
         /// whatever the group, the gates, the matcher and the shape.
-        /// Every second group is pure single-pass and every gate is off
-        /// three times in four, so the bulk path is drawn as often as
+        /// Every second group is pure single-pass and the skip gate is
+        /// off three times in four, so the bulk path is drawn as often as
         /// the per-pair one; the members come from one to three map
         /// tasks' tables.
         #[test]
         fn driver_equals_one_shot_compare(
             specs in vec((0u8..2, 0u8..5, 0u8..15), 0..9),
             matcher_choice in 0u8..6,
-            gates in ((0u8..2, 0u8..4), 0u8..4, vec(0usize..81, 1..6)),
+            gates in (0u8..2, 0u8..4, vec(0usize..81, 1..6)),
             shape in (0u8..3, 0usize..9, 1usize..4),
             tasks in 1usize..4,
         ) {
-            let ((single_pass, cross_source_only), skips, skipped) = gates;
+            let (single_pass, skips, skipped) = gates;
             let members: Vec<Keyed> = (0u64..)
                 .zip(specs)
                 .map(|(id, (source, keys, title))| {
@@ -971,8 +910,7 @@ mod tests {
                 .collect();
             let matcher = Arc::new(matcher(matcher_choice));
             let comparer = PairComparer::new(matcher)
-                .with_cross_source_only(cross_source_only == 0)
-            .with_skip_pairs((skips == 0).then(|| Arc::new(skip)));
+                .with_skip_pairs((skips == 0).then(|| Arc::new(skip)));
             // The strips of the drawn shape, as (probe, members, probe_first).
             let (kind, split, window) = shape;
             let split = split.min(n);
@@ -1017,7 +955,7 @@ mod tests {
                 c.output().iter().map(|(pair, score)| (*pair, score.to_bits())).collect()
             };
             prop_assert_eq!(bits(&got), bits(&expected));
-            for counter in [COMPARISONS, MULTIPASS_SKIPPED, SAME_SOURCE_SKIPPED] {
+            for counter in [COMPARISONS, MULTIPASS_SKIPPED] {
                 prop_assert_eq!(
                     got.counters().get(counter),
                     expected.counters().get(counter),

@@ -25,6 +25,7 @@
 //! Linkage between two sources (Appendix I) is the same three
 //! strategies over a source-tagged BDM, which counts a block's pairs
 //! as `|Φ_k,R|·|Φ_k,S|` ([`bdm::BlockDistributionMatrix::with_sources`]);
+//! [`two_source`] lays out its input, one source per partition;
 //! [`null_keys`] composes matching for
 //! entities without a valid blocking key; [`multipass`] explains how
 //! the paper's future-work multi-pass blocking (any
@@ -49,8 +50,7 @@ pub mod null_keys;
 pub mod pair_range;
 pub mod running_example;
 pub mod stats;
-#[cfg(test)]
-mod two_source;
+pub mod two_source;
 
 use std::sync::Arc;
 

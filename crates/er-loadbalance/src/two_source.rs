@@ -1,11 +1,56 @@
-//! Pins of the paper's Appendix I (Figures 15–17) on the shared
-//! strategy implementation: the worked two-source example through the
-//! source-tagged BDM, BlockSplit, PairRange and Basic.
+//! Two-source input (the paper's Appendix I), and pins of Appendix I
+//! (Figures 15–17) on the shared strategy implementation: the worked
+//! two-source example through the source-tagged BDM, BlockSplit,
+//! PairRange and Basic.
 
+use er_core::SourceId;
+use mr_engine::input::Partitions;
+
+use crate::Ent;
+
+/// Packages two already-tagged entity sets into input partitions plus
+/// the matching source-tag vector (each source split over
+/// `partitions_per_source` map tasks — the `MultipleInputs` layout
+/// where every input partition holds one source).
+///
+/// # Panics
+/// If `partitions_per_source` is zero or an entity's source disagrees
+/// with the set it was passed in.
+pub fn two_source_input(
+    r: Vec<Ent>,
+    s: Vec<Ent>,
+    partitions_per_source: usize,
+) -> (Partitions<(), Ent>, Vec<SourceId>) {
+    assert!(
+        partitions_per_source > 0,
+        "at least one partition per source"
+    );
+    let mut partitions: Partitions<(), Ent> = Vec::new();
+    let mut sources = Vec::new();
+    for (entities, source) in [(r, SourceId::R), (s, SourceId::S)] {
+        assert!(
+            entities.iter().all(|e| e.source() == source),
+            "every entity must carry the source of its set"
+        );
+        let chunk = entities.len().div_ceil(partitions_per_source).max(1);
+        let mut iter = entities.into_iter().peekable();
+        for _ in 0..partitions_per_source {
+            let part: Vec<((), Ent)> = iter.by_ref().take(chunk).map(|e| ((), e)).collect();
+            partitions.push(part);
+            sources.push(source);
+        }
+    }
+    (partitions, sources)
+}
+
+#[cfg(test)]
 mod tests {
-    use er_core::blocking::BlockKey;
-    use er_core::SourceId;
+    use std::sync::Arc;
 
+    use er_core::blocking::BlockKey;
+    use er_core::{Entity, SourceId};
+
+    use super::two_source_input;
     use crate::appendix_example;
     use crate::bdm::BlockDistributionMatrix;
     use crate::pair_range::ranges::{RangeIndexer, RangePolicy};
@@ -100,8 +145,25 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
     }
+
+    #[test]
+    fn two_source_input_shapes_partitions_per_source() {
+        let side = |source: SourceId| -> Vec<crate::Ent> {
+            (0..3)
+                .map(|id| Arc::new(Entity::with_source(source, id, [("title", "t")])))
+                .collect()
+        };
+        let (input, sources) = two_source_input(side(SourceId::R), side(SourceId::S), 2);
+        assert_eq!(input.len(), 4);
+        assert_eq!(
+            sources,
+            vec![SourceId::R, SourceId::R, SourceId::S, SourceId::S]
+        );
+        assert_eq!(input.iter().map(Vec::len).sum::<usize>(), 6);
+    }
 }
 
+#[cfg(test)]
 mod basic {
     mod tests {
         use std::sync::Arc;
@@ -147,6 +209,7 @@ mod basic {
     }
 }
 
+#[cfg(test)]
 mod block_split {
     mod tests {
         use std::sync::Arc;
@@ -242,6 +305,7 @@ mod block_split {
     }
 }
 
+#[cfg(test)]
 mod pair_range {
     mod tests {
         use std::collections::BTreeSet;

@@ -138,8 +138,8 @@ impl std::fmt::Debug for SnConfig {
 
 /// Products of one SN pass executed inside a caller-owned workflow —
 /// what [`run_sn_stages`] returns to [`run_sorted_neighborhood_in`],
-/// to the multi-pass / two-source drivers, and through them to the
-/// facade crate's `Resolver`.
+/// to the multi-pass driver, and through them to the facade crate's
+/// `Resolver`.
 #[derive(Debug)]
 pub struct SnStages {
     /// The deduplicated match result of this pass.
@@ -188,7 +188,7 @@ pub fn run_sorted_neighborhood_in(
 /// Executes one full SN pass (distribution job → window job → optional
 /// stitch job) as stages of `workflow`, evaluating pairs through the
 /// given `comparer` — the hook by which multi-pass SN installs its
-/// pair-level dedup gate and two-source SN its cross-source-only gate.
+/// pair-level dedup gate.
 ///
 /// RepSN runs `sample → match`; JobSN runs `sample → match → stitch`,
 /// where the stitch job is left out when no window crosses a range

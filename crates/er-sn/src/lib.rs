@@ -38,12 +38,11 @@
 //! All drivers execute their stages through the shared
 //! [`mr_engine::workflow::Workflow`] layer (identical-partitioning
 //! invariant enforced, per-stage metrics rolled into a
-//! `WorkflowMetrics`), and two scenario variants compose the same
-//! stages: [`multipass`] — several sort keys (e.g. title and reversed
-//! title), union of window pair sets, each pair compared exactly once
-//! globally via a first-pass-wins dedup gate — and [`two_source`] —
-//! R × S linkage over one interleaved order, evaluating cross-source
-//! window pairs only.
+//! `WorkflowMetrics`), and [`multipass`] composes the same stages:
+//! several sort keys (e.g. title and reversed title), union of window
+//! pair sets, each pair compared exactly once globally via a
+//! first-pass-wins dedup gate. Two-source linkage is a blocking
+//! scenario (er-loadbalance's source-tagged BDM), not an SN one.
 //!
 //! The determinism contract matches the rest of the workspace: the
 //! match output is byte-identical at every parallelism and equal — as
@@ -59,7 +58,6 @@ pub mod keys;
 pub mod multipass;
 pub mod repsn;
 pub mod sample;
-pub mod two_source;
 pub mod window;
 
 pub use driver::{
@@ -70,9 +68,6 @@ pub use keys::{BoundaryKey, BoundarySide, SnEntity, SnKey};
 pub use multipass::{
     multipass_oracle_comparisons, multipass_sn_oracle, run_multipass_sn_in, window_pair_set,
     MultiPassSnStages, SnPassReport,
-};
-pub use two_source::{
-    run_two_source_sn_in, two_source_input, two_source_oracle_comparisons, two_source_sn_oracle,
 };
 pub use window::WindowBuffer;
 

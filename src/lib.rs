@@ -103,6 +103,7 @@ pub mod prelude {
     };
     pub use er_loadbalance::driver::{naive_reference, ErConfig};
     pub use er_loadbalance::null_keys::{deduplicate_with_null_keys, link_with_null_keys};
+    pub use er_loadbalance::two_source::two_source_input;
     pub use er_loadbalance::{
         BlockDistributionMatrix, Ent, Keyed, RangePolicy, StrategyKind, WorkloadStats, COMPARISONS,
     };
@@ -110,8 +111,7 @@ pub mod prelude {
         lsh_candidate_pairs, lsh_oracle, LshBlocking, LshConfig, LshParams, LshRound,
     };
     pub use er_sn::{
-        multipass_oracle_comparisons, multipass_sn_oracle, sn_oracle, two_source_input,
-        two_source_oracle_comparisons, two_source_sn_oracle, SnConfig, SnStrategy,
+        multipass_oracle_comparisons, multipass_sn_oracle, sn_oracle, SnConfig, SnStrategy,
     };
     pub use mr_engine::fault::{FaultKind, FaultPlan, FaultPolicy, TaskError};
     pub use mr_engine::input::{partition_evenly, partition_round_robin, Partitions};

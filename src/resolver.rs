@@ -3,7 +3,7 @@
 //!
 //! One declarative surface covers all workload classes (blocking-based
 //! dedup and linkage, single- and multi-pass Sorted Neighborhood,
-//! two-source Sorted Neighborhood, banded-MinHash LSH):
+//! banded-MinHash LSH dedup and linkage):
 //!
 //! 1. create a [`Runtime`] once — its worker pool is spawned **once**
 //!    and shared by every subsequent run;
@@ -52,7 +52,6 @@ use er_lsh::driver::run_lsh_in;
 use er_lsh::{LshConfig, LshParams, LshRound};
 use er_sn::driver::run_sorted_neighborhood_in;
 use er_sn::multipass::run_multipass_sn_in;
-use er_sn::two_source::run_two_source_sn_in;
 use er_sn::{SnConfig, SnPassReport, SnStages, SnStrategy};
 use mr_engine::error::MrError;
 use mr_engine::fault::{FaultPlan, FaultPolicy};
@@ -73,7 +72,6 @@ use er_loadbalance::ErConfig;
 /// | `Linkage` | [`er_loadbalance::driver::run_er_in`], source-tagged |
 /// | `SortedNeighborhood` (no passes) | [`er_sn::driver::run_sorted_neighborhood_in`] |
 /// | `SortedNeighborhood` (explicit passes) | [`er_sn::multipass::run_multipass_sn_in`] |
-/// | `TwoSourceSn` | [`er_sn::two_source::run_two_source_sn_in`] |
 /// | `Lsh` | [`er_lsh::driver::run_lsh_in`] |
 #[derive(Clone)]
 pub enum Scenario {
@@ -106,15 +104,6 @@ pub enum Scenario {
         /// Sort keys for multi-pass SN; empty = single pass by
         /// `title`.
         passes: Vec<Arc<dyn SortKeyFunction>>,
-    },
-    /// Two-source Sorted Neighborhood linkage: both sources interleave
-    /// in one sort order; only cross-source window pairs are
-    /// evaluated.
-    TwoSourceSn {
-        /// Boundary-handling strategy.
-        strategy: SnStrategy,
-        /// One source tag per input partition.
-        sources: Vec<SourceId>,
     },
     /// Banded-MinHash (LSH) blocking, load-balanced over the banded
     /// key space by BlockSplit: oversized band buckets split into
@@ -193,7 +182,6 @@ impl Scenario {
                 format!("sn-{strategy}")
             }
             Scenario::SortedNeighborhood { strategy, .. } => format!("sn-multipass-{strategy}"),
-            Scenario::TwoSourceSn { strategy, .. } => format!("sn-two-source-{strategy}"),
             Scenario::Lsh { sources: None, .. } => "lsh".to_string(),
             Scenario::Lsh {
                 sources: Some(_), ..
@@ -218,11 +206,6 @@ impl std::fmt::Debug for Scenario {
                 .field("strategy", strategy)
                 .field("passes", &passes.len())
                 .finish(),
-            Scenario::TwoSourceSn { strategy, sources } => f
-                .debug_struct("TwoSourceSn")
-                .field("strategy", strategy)
-                .field("sources", sources)
-                .finish(),
             Scenario::Lsh { params, sources } => f
                 .debug_struct("Lsh")
                 .field("params", params)
@@ -246,8 +229,8 @@ pub enum ResolveError {
     /// input-shape problem; no task ran).
     Mr(MrError),
     /// A linkage scenario's `sources` do not describe its input
-    /// partitions ([`Scenario::Linkage`], [`Scenario::TwoSourceSn`],
-    /// [`Scenario::Lsh`] with tags); no task ran.
+    /// partitions ([`Scenario::Linkage`], [`Scenario::Lsh`] with tags);
+    /// no task ran.
     SourceTags(SourceTagError),
     /// The session's settings cannot run the scenario; no task ran.
     InvalidConfig(ConfigError),
@@ -264,9 +247,10 @@ pub enum ConfigError {
     /// A Sorted Neighborhood scenario with a window below 2
     /// ([`Resolver::with_window`]): a window of one compares nothing.
     SnWindowTooSmall(usize),
-    /// A Sorted Neighborhood scenario with no key range: zero
-    /// [`Resolver::with_reduce_tasks`].
-    ZeroSnPartitions,
+    /// Zero reduce tasks ([`Resolver::with_reduce_tasks`]): every
+    /// scenario's jobs need one — for Sorted Neighborhood, one key
+    /// range.
+    ZeroReduceTasks,
     /// A spill threshold of zero records
     /// ([`Resolver::with_spill_threshold`], or the session's
     /// [`RuntimeConfig::spill_threshold`]): a seal needs at least one.
@@ -292,8 +276,8 @@ impl std::fmt::Display for ConfigError {
                     "a sliding window must span at least 2 slots, got {window}"
                 )
             }
-            ConfigError::ZeroSnPartitions => {
-                f.write_str("Sorted Neighborhood needs at least one key range")
+            ConfigError::ZeroReduceTasks => {
+                f.write_str("a scenario needs at least one reduce task")
             }
             ConfigError::ZeroSpillThreshold => {
                 f.write_str("a spill threshold must be at least one record")
@@ -424,9 +408,8 @@ pub enum ScenarioDetails {
         /// Metrics of the matching job.
         match_metrics: JobMetrics,
     },
-    /// Single-pass Sorted Neighborhood scenarios
-    /// (single-key [`Scenario::SortedNeighborhood`],
-    /// [`Scenario::TwoSourceSn`]).
+    /// Single-pass Sorted Neighborhood (single-key
+    /// [`Scenario::SortedNeighborhood`]).
     Sorted {
         /// The range partitioner the run routed by.
         partitioner: RangePartitioner<SortKey>,
@@ -686,6 +669,7 @@ impl<'rt> Resolver<'rt> {
     /// Overrides the number of reduce tasks for this session — both
     /// jobs of the blocking and LSH scenarios *and* the SN key-range
     /// count (the ranges are the reduce tasks of SN's matching job).
+    /// Zero is checked when a scenario runs.
     pub fn with_reduce_tasks(mut self, r: usize) -> Self {
         self.shared.reduce_tasks = r;
         self
@@ -820,16 +804,12 @@ impl<'rt> Resolver<'rt> {
         }
     }
 
-    /// Checks the settings [`Resolver::sn_config`] and the SN stages
-    /// would assert on: window and key-range count.
+    /// Checks the setting the SN stages would assert on: the window.
     fn check_sn(&self) -> Result<(), ConfigError> {
         if self.window < 2 {
             return Err(ConfigError::SnWindowTooSmall(self.window));
         }
-        if self.shared.reduce_tasks == 0 {
-            return Err(ConfigError::ZeroSnPartitions);
-        }
-        check_key_index(self.shared.reduce_tasks)
+        Ok(())
     }
 
     /// Resolves one scenario over pre-partitioned input (each inner
@@ -876,7 +856,6 @@ impl<'rt> Resolver<'rt> {
         // Tags come from outside: check them here, once, before any
         // worker sees them.
         if let Scenario::Linkage { sources, .. }
-        | Scenario::TwoSourceSn { sources, .. }
         | Scenario::Lsh {
             sources: Some(sources),
             ..
@@ -892,14 +871,11 @@ impl<'rt> Resolver<'rt> {
             return Err(ResolveError::InvalidConfig(ConfigError::ZeroSpillThreshold));
         }
         match scenario {
-            Scenario::Lsh { params, .. } => self
-                .check_lsh(params.as_ref())
-                .and_then(|()| check_key_index(self.shared.reduce_tasks)),
-            Scenario::SortedNeighborhood { .. } | Scenario::TwoSourceSn { .. } => self.check_sn(),
-            Scenario::Dedup { .. } | Scenario::Linkage { .. } => {
-                check_key_index(self.shared.reduce_tasks)
-            }
+            Scenario::Lsh { params, .. } => self.check_lsh(params.as_ref()),
+            Scenario::SortedNeighborhood { .. } => self.check_sn(),
+            Scenario::Dedup { .. } | Scenario::Linkage { .. } => Ok(()),
         }
+        .and_then(|()| check_reduce_tasks(self.shared.reduce_tasks))
         .map_err(ResolveError::InvalidConfig)?;
         let mut workflow = self.runtime.workflow(scenario.workflow_name());
         if let Some(cap) = max_parallelism {
@@ -939,15 +915,6 @@ impl<'rt> Resolver<'rt> {
                 };
                 (stages.result, details)
             }
-            Scenario::TwoSourceSn { strategy, sources } => {
-                let config = self.sn_config(*strategy);
-                sorted(run_two_source_sn_in(
-                    &mut workflow,
-                    input,
-                    sources.clone(),
-                    &config,
-                )?)
-            }
             Scenario::Lsh { params, sources } => {
                 let config = self.lsh_config(*params);
                 let stages = run_lsh_in(&mut workflow, input, sources.clone(), &config)?;
@@ -969,11 +936,12 @@ impl<'rt> Resolver<'rt> {
     }
 }
 
-/// Composite map-output keys carry the reduce task (or SN key range)
-/// as a `u32`; a count past it would be truncated or, in a map task,
-/// panic.
-fn check_key_index(reduce_tasks: usize) -> Result<(), ConfigError> {
+/// Every scenario's jobs need a reduce task (for SN, a key range), and
+/// composite map-output keys carry it as a `u32`; a count past that
+/// would be truncated or, in a map task, panic.
+fn check_reduce_tasks(reduce_tasks: usize) -> Result<(), ConfigError> {
     match u32::try_from(reduce_tasks) {
+        Ok(0) => Err(ConfigError::ZeroReduceTasks),
         Ok(_) => Ok(()),
         Err(_) => Err(ConfigError::TooManyReduceTasks(reduce_tasks)),
     }
@@ -1042,7 +1010,7 @@ mod tests {
             "linkage-Basic"
         );
         assert_eq!(
-            Scenario::sorted_neighborhood(SnStrategy::JobSn).workflow_name(),
+            Scenario::sorted_neighborhood(SnStrategy::JobSn).to_string(),
             "sn-JobSN"
         );
         assert_eq!(
@@ -1053,14 +1021,6 @@ mod tests {
             )
             .workflow_name(),
             "sn-multipass-RepSN"
-        );
-        assert_eq!(
-            Scenario::TwoSourceSn {
-                strategy: SnStrategy::RepSn,
-                sources: vec![]
-            }
-            .to_string(),
-            "sn-two-source-RepSN"
         );
     }
 

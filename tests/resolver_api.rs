@@ -154,7 +154,7 @@ fn every_scenario_compiles_to_its_fixed_stage_sequence() {
         (
             Scenario::Linkage {
                 strategy: StrategyKind::BlockSplit,
-                sources: sources.clone(),
+                sources,
             },
             &linkage_input,
             vec!["bdm", "er-block-split"],
@@ -177,15 +177,6 @@ fn every_scenario_compiles_to_its_fixed_stage_sequence() {
             &input,
             vec!["sn-sample", "sn-repsn", "sn-sample", "sn-repsn"],
             "MultiPass passes=2",
-        ),
-        (
-            Scenario::TwoSourceSn {
-                strategy: SnStrategy::JobSn,
-                sources,
-            },
-            &linkage_input,
-            vec!["sn-sample", "sn-jobsn-window", "sn-jobsn-stitch"],
-            "Sorted sample=sn-sample match=sn-jobsn-window stitch=sn-jobsn-stitch",
         ),
         (
             Scenario::lsh(LshParams::new(8, 4)),
@@ -299,7 +290,20 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
     let entities: Vec<Ent> = input.iter().flatten().map(|(_, e)| Arc::clone(e)).collect();
     let oracle_dedup = naive_reference(&entities, &resolver.er_config(StrategyKind::BlockSplit));
     let oracle_sn = sn_oracle(&input, &resolver.sn_config(SnStrategy::JobSn));
-    let oracle_linkage = two_source_sn_oracle(&ts_input, &resolver.sn_config(SnStrategy::RepSn));
+    // Linkage: the cross-source subset of the one-source reference.
+    let ts_entities: Vec<Ent> = ts_input
+        .iter()
+        .flatten()
+        .map(|(_, e)| Arc::clone(e))
+        .collect();
+    let mut oracle_linkage = MatchResult::new();
+    for (pair, score) in
+        naive_reference(&ts_entities, &resolver.er_config(StrategyKind::BlockSplit)).iter()
+    {
+        if pair.lo().source != pair.hi().source {
+            oracle_linkage.insert(pair, score);
+        }
+    }
 
     let spawned_at_construction = runtime.pool().threads_spawned();
     assert_eq!(spawned_at_construction, 2);
@@ -333,8 +337,8 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
         );
         let linkage = resolver
             .resolve(
-                &Scenario::TwoSourceSn {
-                    strategy: SnStrategy::RepSn,
+                &Scenario::Linkage {
+                    strategy: StrategyKind::BlockSplit,
                     sources: ts_sources.clone(),
                 },
                 ts_input.clone(),
@@ -343,7 +347,7 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
         assert_eq!(
             result_bits(&linkage.result),
             result_bits(&oracle_linkage),
-            "round {round}: two-source sn drifted"
+            "round {round}: linkage drifted"
         );
         for outcome in [&dedup, &sn, &linkage] {
             let executed_now = runtime.pool().tasks_executed();
@@ -368,17 +372,13 @@ fn bad_source_tags_are_a_typed_error_in_every_linkage_scenario() {
     // Source tags are outside input: a wrong count, a tag that is
     // neither R nor S, and a partition holding another source than its
     // tag all come back as `ResolveError::SourceTags` naming the
-    // partition — for blocking, Sorted Neighborhood and LSH alike —
-    // and the runtime keeps serving.
+    // partition — for blocking and LSH alike — and the runtime keeps
+    // serving.
     let (input, sources) = two_source_corpus();
     let scenarios = |tags: Vec<SourceId>| {
         [
             Scenario::Linkage {
                 strategy: StrategyKind::PairRange,
-                sources: tags.clone(),
-            },
-            Scenario::TwoSourceSn {
-                strategy: SnStrategy::JobSn,
                 sources: tags.clone(),
             },
             Scenario::lsh_linkage(Some(LshParams { bands: 4, rows: 4 }), tags),
@@ -473,11 +473,9 @@ fn a_zero_lsh_banding_is_a_typed_error() {
     );
 }
 
-/// Every Sorted Neighborhood scenario shape: single-pass, multi-pass
-/// and two-source, under both boundary strategies.
+/// Every Sorted Neighborhood scenario shape: single- and multi-pass,
+/// under both boundary strategies.
 fn sn_scenarios() -> Vec<Scenario> {
-    // `corpus` is all of source R.
-    let sources = vec![SourceId::R; 3];
     [SnStrategy::JobSn, SnStrategy::RepSn]
         .into_iter()
         .flat_map(|strategy| {
@@ -487,10 +485,6 @@ fn sn_scenarios() -> Vec<Scenario> {
                     strategy,
                     [Arc::new(ReversedSortKey::title()) as Arc<dyn SortKeyFunction>],
                 ),
-                Scenario::TwoSourceSn {
-                    strategy,
-                    sources: sources.clone(),
-                },
             ]
         })
         .collect()
@@ -510,13 +504,30 @@ fn an_sn_window_below_two_is_a_typed_error() {
 }
 
 #[test]
-fn zero_sn_partitions_are_a_typed_error() {
-    for scenario in sn_scenarios() {
-        // The key ranges are the reduce tasks.
+fn a_zero_reduce_task_count_is_a_typed_error_in_every_family() {
+    // One error whatever runs the jobs — for SN the key ranges are the
+    // reduce tasks. `corpus` is all of source R.
+    let strategies = [
+        StrategyKind::Basic,
+        StrategyKind::BlockSplit,
+        StrategyKind::PairRange,
+    ];
+    let blocked = strategies
+        .into_iter()
+        .map(|strategy| Scenario::Dedup { strategy });
+    let linkage = Scenario::Linkage {
+        strategy: StrategyKind::BlockSplit,
+        sources: vec![SourceId::R; 3],
+    };
+    let lsh = [
+        Scenario::lsh(LshParams::new(4, 4)),
+        Scenario::lsh_adaptive(),
+    ];
+    for scenario in blocked.chain([linkage]).chain(sn_scenarios()).chain(lsh) {
         assert_invalid_config(
             |session| session.with_reduce_tasks(0),
             scenario,
-            ConfigError::ZeroSnPartitions,
+            ConfigError::ZeroReduceTasks,
         );
     }
 }
