@@ -15,8 +15,8 @@ use er_core::{Entity, SourceId};
 use mr_engine::input::Partitions;
 
 use crate::bdm::BlockDistributionMatrix;
-use crate::bdm_job::rank_annotated;
-use crate::{Ent, Keyed};
+use crate::bdm_job::rank_keys;
+use crate::{Ent, Ranks};
 
 /// `(name, blocking key, partition)`; partition 0 is R, 1–2 are S.
 pub const LAYOUT: &[(&str, &str, usize)] = &[
@@ -56,29 +56,30 @@ pub fn entity_partitions() -> Partitions<(), Ent> {
     parts
 }
 
+/// The blocking key of each entity of a partition: its title's first
+/// letter.
+fn keys_of(partition: &[((), Ent)]) -> Vec<BlockKey> {
+    partition
+        .iter()
+        .map(|(_, entity)| BlockKey::new(&entity.get("title").unwrap()[..1]))
+        .collect()
+}
+
 /// Rank-annotated partitions (what the BDM job's side output
 /// yields).
-pub fn annotated_partitions() -> Partitions<u32, Keyed> {
+pub fn annotated_partitions() -> Partitions<Ranks, Ent> {
     entity_partitions()
         .into_iter()
         .map(|part| {
-            let replicas = part
-                .into_iter()
-                .map(|(_, entity)| {
-                    let key = BlockKey::new(&entity.get("title").unwrap()[..1]);
-                    Keyed::single(key, entity)
-                })
-                .collect();
-            rank_annotated(replicas, |_, _, _| {})
+            let ranks = rank_keys(&keys_of(&part), |_, _, _| {});
+            let entities = part.into_iter().map(|(_, entity)| entity);
+            ranks.into_iter().map(Ranks::One).zip(entities).collect()
         })
         .collect()
 }
 
 /// The example's source-tagged BDM.
 pub fn bdm() -> BlockDistributionMatrix {
-    let keys: Vec<Vec<BlockKey>> = annotated_partitions()
-        .iter()
-        .map(|p| p.iter().map(|(_, keyed)| keyed.key.clone()).collect())
-        .collect();
+    let keys: Vec<Vec<BlockKey>> = entity_partitions().iter().map(|p| keys_of(p)).collect();
     BlockDistributionMatrix::from_key_partitions(&keys).with_sources(partition_sources())
 }

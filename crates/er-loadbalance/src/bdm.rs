@@ -53,10 +53,12 @@
 //! `p`'s rank → block remap, one entry per such record: entry `j` is
 //! the block of the key ranked `j`, or
 //! [`PRUNED`](BlockDistributionMatrix::PRUNED) when that key's block
-//! has no pair. The matching job resolves every record with that one
-//! array load ([`BlockDistributionMatrix::block_of_rank`]) and skips
-//! the records of pruned blocks; `block_index` is a binary search over
-//! the sorted keys, for tests and tools.
+//! has no pair. The matching job reads ranks, not keys: it resolves
+//! each with that one array load
+//! ([`BlockDistributionMatrix::block_of_rank`]), skips pruned blocks,
+//! and takes the keys an entity's table row needs from the matrix
+//! ([`BlockDistributionMatrix::live_blocks`]); `block_index` is a
+//! binary search over the sorted keys, for tests and tools.
 //!
 //! **Assembly is a sort, not a tree.** The BDM job hands over `r`
 //! reduce outputs, each in key order. The notes of lone entities go
@@ -84,6 +86,7 @@ use er_core::SourceId;
 use mr_engine::partitioner::HashPartitioner;
 
 use crate::keys::key_index;
+use crate::KeyList;
 
 /// The first eight bytes of a key, zero-padded, as a big-endian
 /// integer: ordering by `(key_head, key)` is ordering by key, and
@@ -458,19 +461,58 @@ impl BlockDistributionMatrix {
     }
 
     /// The block behind `rank`, the number the BDM job's mapper of
-    /// `partition` gave `key` — as the `u32` the composite map-output
-    /// keys carry — or `None` when that block has no pair and was
-    /// pruned: the record has nothing to be compared with.
+    /// `partition` gave one of its keys — as the `u32` the composite
+    /// map-output keys carry — or `None` when that block has no pair
+    /// and was pruned: the key's entity has nothing to be compared with
+    /// there.
     ///
     /// # Panics
-    /// If the partition has no such rank or the block there has
-    /// another key: the two jobs saw different data — a pipeline bug
-    /// worth failing loudly on.
-    pub fn block_of_rank(&self, partition: usize, rank: u32, key: &BlockKey) -> Option<u32> {
+    /// If the partition has no such rank: the two jobs saw different
+    /// data — a pipeline bug worth failing loudly on.
+    pub fn block_of_rank(&self, partition: usize, rank: u32) -> Option<u32> {
         match self.blocks_in[partition].get(rank as usize) {
             Some(&Self::PRUNED) => None,
-            Some(&block) if self.keys[block as usize] == *key => Some(block),
-            _ => panic!("blocking key {key} not present in the BDM"),
+            Some(&block) => Some(block),
+            None => panic!("rank {rank} of partition {partition} is not present in the BDM"),
+        }
+    }
+
+    /// Resolves an entity's `ranks` in `partition` (in key order, as
+    /// the BDM job writes them): fills `blocks` with the blocks that
+    /// have a pair, in key order, and returns the entity's key list
+    /// for its table row — the keys of those blocks — or `None` when
+    /// every block was pruned and the entity has no pair.
+    ///
+    /// The list leaves out the keys of pruned blocks. Such a key is
+    /// held by no other entity, so the smallest-common-block rule
+    /// decides every pair as it would on the full list
+    /// ([`crate::Keyed::should_compare_in`]); and an entity left with one
+    /// key passes the rule against a block's other single-key members
+    /// without a per-pair test.
+    ///
+    /// # Panics
+    /// As [`Self::block_of_rank`].
+    pub fn live_blocks(
+        &self,
+        partition: usize,
+        ranks: &[u32],
+        blocks: &mut Vec<u32>,
+    ) -> Option<KeyList> {
+        debug_assert!(ranks.is_sorted(), "ranks arrive in key order");
+        blocks.clear();
+        blocks.extend(
+            ranks
+                .iter()
+                .filter_map(|&rank| self.block_of_rank(partition, rank)),
+        );
+        match blocks.as_slice() {
+            [] => None,
+            &[block] => Some(KeyList::One(self.keys[block as usize].clone())),
+            many => Some(KeyList::Many(
+                many.iter()
+                    .map(|&block| self.keys[block as usize].clone())
+                    .collect(),
+            )),
         }
     }
 
@@ -792,9 +834,26 @@ mod tests {
         const PRUNED: u32 = BlockDistributionMatrix::PRUNED;
         assert_eq!(bdm.blocks_in(0), [PRUNED, 0, 1, 2]);
         assert_eq!(bdm.blocks_in(1), [0, PRUNED, 2]);
-        assert_eq!(bdm.block_of_rank(0, 0, &k("a")), None);
-        assert_eq!(bdm.block_of_rank(0, 2, &k("c")), Some(1));
-        assert_eq!(bdm.block_of_rank(1, 1, &k("d")), None);
+        assert_eq!(bdm.block_of_rank(0, 0), None);
+        assert_eq!(bdm.block_of_rank(0, 2), Some(1));
+        assert_eq!(bdm.block_of_rank(1, 1), None);
+        // An entity's ranks resolve to its live blocks and their keys:
+        // a (pruned), c, e in partition 0; d (pruned) alone in 1.
+        let mut blocks = Vec::new();
+        let live = |keys: Option<KeyList>| {
+            keys.map(|keys| keys.iter().map(|k| k.to_string()).collect::<Vec<_>>())
+        };
+        assert_eq!(
+            live(bdm.live_blocks(0, &[0, 2, 3], &mut blocks)),
+            Some(vec!["c".to_string(), "e".to_string()])
+        );
+        assert_eq!(blocks, [1, 2]);
+        assert!(
+            matches!(bdm.live_blocks(0, &[0, 1], &mut blocks), Some(KeyList::One(key)) if key.as_str() == "b")
+        );
+        assert_eq!(blocks, [0]);
+        assert!(bdm.live_blocks(1, &[1], &mut blocks).is_none());
+        assert!(blocks.is_empty());
         assert_eq!(bdm.block_index(&k("a")), None);
         // Of a and d their hashes are left, in (partition, rank) order.
         assert_eq!(bdm.pruned_entities(), 2);

@@ -1,22 +1,26 @@
 //! MR Job 1: computing the BDM (paper Algorithm 3).
 //!
-//! * `map` derives the blocking key(s) of each entity and buffers the
-//!   annotated replicas of its partition;
+//! * `map` derives the blocking key(s) of each entity (sorted, without
+//!   repeats) and appends them to the partition's flat *key column*;
 //! * `finish` numbers the partition's distinct keys `0, 1, …` in
 //!   lexicographic order — the key's *rank* — and side-writes every
-//!   replica as `(rank, annotated entity)`, in input order, to the
-//!   simulated DFS (`additionalOutput`). The matching job turns a rank
-//!   into a block index with one array load
-//!   ([`BlockDistributionMatrix::block_of_rank`]) instead of looking
-//!   the key up;
+//!   entity with a key once, in input order, as a [`RankedEntity`]:
+//!   the ranks of its keys in key order (one inline `u32` under
+//!   single-key blocking) and the entity, to the simulated DFS
+//!   (`additionalOutput`). The paper annotates an entity with its key;
+//!   the rank is the key's stand-in, which the matching job turns into
+//!   a block with one array load
+//!   ([`BlockDistributionMatrix::block_of_rank`]) and, where the block
+//!   has a pair, back into the key through the matrix
+//!   ([`BlockDistributionMatrix::live_blocks`]);
 //! * counts are aggregated in the mapper — the combiner of the paper's
 //!   footnote 2, realised where the keys are already grouped: `finish`
 //!   emits one `((blocking key, partition index), (count, rank))` cell
 //!   per distinct key, in key order, so the map-side sort meets sorted
 //!   buckets (the engine itself has no combiner). With `use_combiner`
 //!   off `finish` emits Algorithm 3's record count instead — one
-//!   `(1, rank)` per replica — from the same place, because the rank
-//!   is known only there;
+//!   `(1, rank)` per key of an entity — from the same place, because
+//!   the rank is known only there;
 //! * pairs are partitioned and *grouped* by the blocking-key component
 //!   and sorted by `(blocking key, partition index)`, so one reduce
 //!   call sees one whole block, its cells in partition order;
@@ -35,10 +39,13 @@
 //!   mapper ranked thus comes back once, and the matrix builds each
 //!   partition's rank → block remap from the job's output alone.
 //!
-//! The mapper buffers exactly what it side-writes — the side output
-//! was always one record per replica of the partition. The cells
-//! `finish` emits, at most one per replica, reach the map-side spiller
-//! together; there the spill threshold bounds them as before.
+//! The key column is the map task's product ([`Mapper::into_product`]):
+//! the cells and the matrix share its key text, which thus lives until
+//! the job ends and is then freed on the pool, one map task's column
+//! per pool task in the order the mapper allocated it. The cells
+//! `finish` emits, at most one per key of the partition, reach the
+//! map-side spiller together; there the spill threshold bounds them as
+//! before.
 
 use std::sync::Arc;
 
@@ -47,7 +54,7 @@ use mr_engine::prelude::*;
 
 use crate::bdm::{key_head, BlockDistributionMatrix, RankedKey};
 use crate::keys::key_index;
-use crate::{Ent, Keyed};
+use crate::{Ent, RankedEntity, Ranks};
 
 /// Counter: entities skipped because they had no valid blocking key
 /// (`R_∅` — handled separately by [`crate::null_keys`]).
@@ -59,7 +66,7 @@ pub const PRUNED_BLOCKS: &str = "er.bdm.pruned_blocks";
 
 /// Counter: entities (replicas, under multi-pass blocking) of the
 /// dropped blocks. With the block sizes of the matrix it sums to the
-/// replicas the mappers side-wrote.
+/// keys the mappers ranked, one per key of each keyed entity.
 pub const PRUNED_ENTITIES: &str = "er.bdm.pruned_entities";
 
 /// The count key: `(blocking key, partition index)`.
@@ -68,32 +75,29 @@ pub type BdmKey = (BlockKey, u32);
 /// The count value: `(entities, rank of the key in its partition)`.
 pub type BdmCell = (u64, u32);
 
-/// Numbers the distinct keys of one partition's `replicas` `0, 1, …`
-/// in lexicographic order and returns every replica, in input order,
-/// with the rank of its key; `cell(rank, key, count)` is called once
-/// per distinct key, in key order.
-pub(crate) fn rank_annotated(
-    replicas: Vec<Keyed>,
-    mut cell: impl FnMut(u32, &BlockKey, u64),
-) -> Vec<(u32, Keyed)> {
+/// One map task's blocking keys, entity after entity (each entity's
+/// sorted and distinct) — the BDM job's map-task product.
+pub type KeyColumn = Vec<BlockKey>;
+
+/// Numbers the distinct keys of one partition's key column `0, 1, …`
+/// in lexicographic order and returns the rank of every entry;
+/// `cell(rank, key, count)` is called once per distinct key, in key
+/// order.
+pub(crate) fn rank_keys(keys: &[BlockKey], mut cell: impl FnMut(u32, &BlockKey, u64)) -> Vec<u32> {
     // `(key_head, position)`: with the head inline, most comparisons
     // never follow the key's pointer (as in the BDM's assembly).
-    let mut order: Vec<(u64, usize)> = replicas
-        .iter()
-        .map(|keyed| key_head(&keyed.key))
-        .zip(0..)
-        .collect();
-    let key_of = |&(head, at): &(u64, usize)| (head, &replicas[at].key);
+    let mut order: Vec<(u64, usize)> = keys.iter().map(key_head).zip(0..).collect();
+    let key_of = |&(head, at): &(u64, usize)| (head, &keys[at]);
     order.sort_unstable_by(|a, b| key_of(a).cmp(&key_of(b)));
-    let mut ranks = vec![0u32; replicas.len()];
+    let mut ranks = vec![0u32; keys.len()];
     for (rank, group) in order.chunk_by(|a, b| key_of(a) == key_of(b)).enumerate() {
         let rank = key_index(rank, "distinct blocking keys of a partition");
         for &(_, at) in group {
             ranks[at] = rank;
         }
-        cell(rank, &replicas[group[0].1].key, group.len() as u64);
+        cell(rank, &keys[group[0].1], group.len() as u64);
     }
-    ranks.into_iter().zip(replicas).collect()
+    ranks
 }
 
 /// Mapper of Algorithm 3.
@@ -101,11 +105,14 @@ pub(crate) fn rank_annotated(
 pub struct BdmMapper {
     blocking: Arc<dyn BlockingFunction>,
     /// Emit one count per distinct key (footnote 2) instead of a `1`
-    /// per replica.
+    /// per key of an entity.
     aggregate: bool,
     partition: Option<u32>,
-    /// The partition's annotated replicas so far, in input order.
-    replicas: Vec<Keyed>,
+    /// The partition's keys so far, entity after entity.
+    keys: KeyColumn,
+    /// The partition's keyed entities so far, in input order, each
+    /// with the end of its keys in `keys`.
+    entities: Vec<(usize, Ent)>,
 }
 
 impl BdmMapper {
@@ -116,7 +123,8 @@ impl BdmMapper {
             blocking,
             aggregate: use_combiner,
             partition: None,
-            replicas: Vec::new(),
+            keys: Vec::new(),
+            entities: Vec::new(),
         }
     }
 }
@@ -126,22 +134,30 @@ impl Mapper for BdmMapper {
     type VIn = Ent;
     type KOut = BdmKey;
     type VOut = BdmCell;
-    type Side = (u32, Keyed);
-    type Product = ();
+    type Side = RankedEntity;
+    type Product = KeyColumn;
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.partition = Some(key_index(info.task_index, "input partition index"));
     }
 
     fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<BdmKey, BdmCell, Self::Side>) {
-        if Keyed::derive_into(self.blocking.as_ref(), entity, &mut self.replicas) == 0 {
+        let mut keys = self.blocking.keys(entity);
+        if keys.is_empty() {
             ctx.add_counter(NULL_KEY_ENTITIES, 1);
+            return;
         }
+        if keys.len() > 1 {
+            keys.sort();
+            keys.dedup();
+        }
+        self.keys.append(&mut keys);
+        self.entities.push((self.keys.len(), Arc::clone(entity)));
     }
 
     fn finish(&mut self, ctx: &mut MapContext<BdmKey, BdmCell, Self::Side>) {
         let partition = self.partition.expect("setup ran");
-        let annotated = rank_annotated(std::mem::take(&mut self.replicas), |rank, key, count| {
+        let ranks = rank_keys(&self.keys, |rank, key, count| {
             let (records, each) = if self.aggregate {
                 (1, count)
             } else {
@@ -151,9 +167,15 @@ impl Mapper for BdmMapper {
                 ctx.emit((key.clone(), partition), (each, rank));
             }
         });
-        for record in annotated {
-            ctx.side_output(record);
+        let mut start = 0;
+        for (end, entity) in std::mem::take(&mut self.entities) {
+            ctx.side_output((Ranks::from(&ranks[start..end]), entity));
+            start = end;
         }
+    }
+
+    fn into_product(self) -> KeyColumn {
+        self.keys
     }
 }
 
@@ -172,11 +194,11 @@ impl Reducer for BdmReducer {
     /// `(partition index, rank)`.
     type KOut = (u32, u32);
     type VOut = RankedKey;
-    type Product = ();
+    type Product = KeyColumn;
 
     fn reduce(
         &mut self,
-        block: Group<'_, BdmKey, BdmCell>,
+        block: Group<'_, BdmKey, BdmCell, KeyColumn>,
         ctx: &mut ReduceContext<(u32, u32), RankedKey>,
     ) {
         let size: u64 = block.values().map(|&(count, _)| count).sum();
@@ -246,7 +268,7 @@ pub fn bdm_job_named(
 
 /// Products of a completed BDM job: the matrix, the rank-annotated
 /// input partitions `Π'_i` for Job 2, and the job metrics.
-pub type BdmProducts = (BlockDistributionMatrix, Partitions<u32, Keyed>, JobMetrics);
+pub type BdmProducts = (BlockDistributionMatrix, Partitions<Ranks, Ent>, JobMetrics);
 
 /// Runs the BDM job as a stage of `workflow` and assembles its
 /// [`BdmProducts`]. The side outputs it returns are chained into the
@@ -347,7 +369,10 @@ mod tests {
         assert_eq!(side.len(), 2);
         assert_eq!(side[0].len(), 7);
         assert_eq!(side[1].len(), 7);
-        assert_eq!(side[1][4].1.key.as_str(), "z", "M's annotation");
+        let (ranks, m) = &side[1][4];
+        assert_eq!(m.get("title"), Some("z M"));
+        let block = bdm.block_of_rank(1, ranks[0]).expect("z has pairs");
+        assert_eq!(bdm.key(block as usize).as_str(), "z", "M's annotation");
         assert_eq!(metrics.map_output_records(), 14);
     }
 
@@ -390,13 +415,13 @@ mod tests {
         )]];
         let job = bdm_job(mp, 2, false);
         let out = job.run_on(&WorkerPool::new(1), input).unwrap();
-        // Two keys -> two count records and two side records; both
-        // blocks are singletons, so the reducer drops them and leaves
-        // a note of each.
+        // Two keys -> two count records and one side record with both
+        // ranks, in key order ("acme" < "w"); both blocks are
+        // singletons, so the reducer drops them and leaves a note of
+        // each.
         assert_eq!(out.metrics.map_output_records(), 2);
-        assert_eq!(out.side_outputs[0].len(), 2);
-        let keyed = &out.side_outputs[0][0].1;
-        assert_eq!(keyed.all_keys.len(), 2);
+        assert_eq!(out.side_outputs[0].len(), 1);
+        assert_eq!(*out.side_outputs[0][0].0, [0, 1]);
         let mut notes: Vec<_> = out.records().cloned().collect();
         notes.sort_by_key(|&(ranked, _)| ranked);
         let lone = |key: &str| RankedKey::Lone(HashPartitioner::hash(&BlockKey::new(key)));
@@ -420,20 +445,16 @@ mod tests {
         Some("名前"),
     ];
 
-    /// What a side partition says, comparably: rank, replica key, the
-    /// entity's key list, entity id.
-    type SideView = Vec<Vec<(u32, String, Vec<String>, u64)>>;
+    /// What a side partition says, comparably: the entity's ranks and
+    /// its id.
+    type SideView = Vec<Vec<(Vec<u32>, u64)>>;
 
-    fn side_view(side: &Partitions<u32, Keyed>) -> SideView {
-        let text = |key: &BlockKey| key.as_str().to_string();
+    fn side_view(side: &Partitions<Ranks, Ent>) -> SideView {
         side.iter()
             .map(|partition| {
                 partition
                     .iter()
-                    .map(|(rank, keyed)| {
-                        let all = keyed.all_keys.iter().map(text).collect();
-                        (*rank, text(&keyed.key), all, keyed.entity.id().0)
-                    })
+                    .map(|(ranks, entity)| (ranks.to_vec(), entity.id().0))
                     .collect()
             })
             .collect()
@@ -459,20 +480,22 @@ mod tests {
                 let attributes = attributes.into_iter().filter_map(|(name, key)| Some((name, key?)));
                 input[partition % m].push(((), Arc::new(Entity::new(id as u64, attributes))));
             }
-            // The oracle: each entity's sorted keys, in input order.
-            let expected: Vec<Vec<(BlockKey, u64)>> = input
+            // The oracle: each keyed entity's sorted keys and id, in
+            // input order.
+            let expected: Vec<Vec<(Vec<BlockKey>, u64)>> = input
                 .iter()
                 .map(|partition| {
                     partition
                         .iter()
-                        .flat_map(|(_, e)| two_pass.keys(e).into_iter().map(|key| (key, e.id().0)))
+                        .map(|(_, e)| (two_pass.keys(e), e.id().0))
+                        .filter(|(keys, _)| !keys.is_empty())
                         .collect()
                 })
                 .collect();
             let null_keyed = input.iter().flatten().filter(|(_, e)| two_pass.keys(e).is_empty()).count();
             let key_lists: Vec<Vec<BlockKey>> = expected
                 .iter()
-                .map(|partition| partition.iter().map(|(key, _)| key.clone()).collect())
+                .map(|partition| partition.iter().flat_map(|(keys, _)| keys.iter().cloned()).collect())
                 .collect();
             let model = BlockDistributionMatrix::from_key_partitions(&key_lists);
             let replicas: usize = key_lists.iter().map(Vec::len).sum();
@@ -520,24 +543,32 @@ mod tests {
                         replicas as u64
                     );
                     for (p, partition) in side.iter().enumerate() {
-                        // Input order, every replica once.
-                        let order: Vec<(BlockKey, u64)> = partition
-                            .iter()
-                            .map(|(_, keyed)| (keyed.key.clone(), keyed.entity.id().0))
-                            .collect();
-                        prop_assert_eq!(&order, &expected[p]);
-                        // Dense ranks that remap to the key's block, or
-                        // to none iff the key is alone in the input.
+                        // Input order, every keyed entity once.
+                        let order: Vec<u64> = partition.iter().map(|(_, e)| e.id().0).collect();
+                        let expected_order: Vec<u64> = expected[p].iter().map(|&(_, id)| id).collect();
+                        prop_assert_eq!(&order, &expected_order);
+                        // A key's rank is its place among the
+                        // partition's distinct keys.
+                        let distinct: std::collections::BTreeSet<&BlockKey> = key_lists[p].iter().collect();
+                        let rank_of = |key: &BlockKey| distinct.iter().position(|k| *k == key).unwrap() as u32;
+                        // Dense ranks, one per key in key order, that
+                        // remap to the key's block, or to none iff the
+                        // key is alone in the input.
                         let mut seen = vec![false; bdm.blocks_in(p).len()];
-                        for (rank, keyed) in partition {
-                            let block = bdm.block_of_rank(p, *rank, &keyed.key);
-                            prop_assert_eq!(block, bdm.block_index(&keyed.key));
-                            prop_assert_eq!(block.is_none(), global_count[&keyed.key] == 1);
-                            prop_assert_eq!(
-                                bdm.blocks_in(p)[*rank as usize],
-                                block.unwrap_or(BlockDistributionMatrix::PRUNED)
-                            );
-                            seen[*rank as usize] = true;
+                        for ((ranks, _), (keys, _)) in partition.iter().zip(&expected[p]) {
+                            prop_assert_eq!(ranks.len(), keys.len());
+                            prop_assert!(ranks.is_sorted(), "ranks {:?} out of key order", &**ranks);
+                            for (&rank, key) in ranks.iter().zip(keys) {
+                                prop_assert_eq!(rank, rank_of(key));
+                                let block = bdm.block_of_rank(p, rank);
+                                prop_assert_eq!(block, bdm.block_index(key));
+                                prop_assert_eq!(block.is_none(), global_count[key] == 1);
+                                prop_assert_eq!(
+                                    bdm.blocks_in(p)[rank as usize],
+                                    block.unwrap_or(BlockDistributionMatrix::PRUNED)
+                                );
+                                seen[rank as usize] = true;
+                            }
                         }
                         prop_assert!(seen.iter().all(|&s| s), "ranks of partition {} are not dense", p);
                     }

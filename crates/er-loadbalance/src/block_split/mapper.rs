@@ -9,14 +9,14 @@ use super::match_tasks::{create_match_tasks, fits_average};
 use crate::bdm::BlockDistributionMatrix;
 use crate::compare::{EntityInterner, EntityTable, PairComparer};
 use crate::keys::{key_index, BlockSplitKey, BlockSplitValue};
-use crate::Keyed;
+use crate::{Ent, Ranks};
 
 /// The BlockSplit mapper. In the paper's `map_configure` every map
 /// task reads the BDM and computes the same deterministic match-task
 /// assignment; here the job's map tasks are clones of one mapper, so
 /// the assignment is planned once — by whichever task's `setup` runs
 /// first — and shared. Each routed entity is prepared once, however
-/// many match tasks receive it.
+/// many match tasks of however many of its blocks receive it.
 #[derive(Clone)]
 pub struct BlockSplitMapper {
     bdm: Arc<BlockDistributionMatrix>,
@@ -24,6 +24,8 @@ pub struct BlockSplitMapper {
     plan: Arc<OnceLock<TaskAssignment>>,
     state: Option<TaskState>,
     interner: EntityInterner,
+    /// The blocks of the record in hand that have a pair.
+    blocks: Vec<u32>,
 }
 
 #[derive(Clone, Copy)]
@@ -42,13 +44,14 @@ impl BlockSplitMapper {
             plan: Arc::default(),
             state: None,
             interner: EntityInterner::new(comparer),
+            blocks: Vec::new(),
         }
     }
 }
 
 impl Mapper for BlockSplitMapper {
-    type KIn = u32;
-    type VIn = Keyed;
+    type KIn = Ranks;
+    type VIn = Ent;
     type KOut = BlockSplitKey;
     type VOut = BlockSplitValue;
     type Side = ();
@@ -74,39 +77,43 @@ impl Mapper for BlockSplitMapper {
 
     fn map(
         &mut self,
-        rank: &u32,
-        keyed: &Keyed,
+        ranks: &Ranks,
+        entity: &Ent,
         ctx: &mut MapContext<BlockSplitKey, BlockSplitValue, ()>,
     ) {
         let state = self.state.expect("setup ran");
         let assignment = self.plan.get().expect("setup planned the job");
         // A pruned block has no pair, hence no match task.
-        let Some(block) = self.bdm.block_of_rank(state.partition, *rank, &keyed.key) else {
+        let Some(keys) = self
+            .bdm
+            .live_blocks(state.partition, ranks, &mut self.blocks)
+        else {
             return;
         };
-        let k = block as usize;
-        let comps = self.bdm.pairs_in_block(k);
-        let whole = fits_average(comps, self.bdm.total_pairs(), state.r);
         // Interned at its first emission; the interner hands the later
         // ones the same handle.
         let interner = &mut self.interner;
-        let mut value = || interner.intern(&keyed.entity, &keyed.all_keys);
-        if whole {
-            if comps > 0 {
-                let rt = assignment
-                    .reduce_task_for(k, 0, 0)
-                    .expect("unsplit task exists for non-empty block");
-                ctx.emit(
-                    BlockSplitKey {
-                        reduce_task: key_index(rt, "reduce task index"),
-                        block,
-                        i: 0,
-                        j: 0,
-                    },
-                    value(),
-                );
+        let mut value = || interner.intern(entity, &keys);
+        for &block in &self.blocks {
+            let k = block as usize;
+            let comps = self.bdm.pairs_in_block(k);
+            if fits_average(comps, self.bdm.total_pairs(), state.r) {
+                if comps > 0 {
+                    let rt = assignment
+                        .reduce_task_for(k, 0, 0)
+                        .expect("unsplit task exists for non-empty block");
+                    ctx.emit(
+                        BlockSplitKey {
+                            reduce_task: key_index(rt, "reduce task index"),
+                            block,
+                            i: 0,
+                            j: 0,
+                        },
+                        value(),
+                    );
+                }
+                continue;
             }
-        } else {
             // Split block: emit for the own sub-block and every
             // existing pairing with another partition's sub-block
             // (between two sources there is no own sub-block task and
@@ -157,10 +164,10 @@ mod tests {
         mapper.setup(&info);
         let mut out = Vec::new();
         let input = running_example::annotated_partitions();
-        for (rank, keyed) in &input[p] {
+        for (ranks, entity) in &input[p] {
             let mut ctx = MapContext::for_testing(info);
-            mapper.map(rank, keyed, &mut ctx);
-            let name = keyed.entity.get("name").unwrap();
+            mapper.map(ranks, entity, &mut ctx);
+            let name = entity.get("name").unwrap();
             for (k, v) in ctx.output() {
                 assert_eq!(v.arena as usize, p, "the map task's table");
                 out.push((*k, name.to_string()));
@@ -219,23 +226,16 @@ mod tests {
         );
     }
 
-    fn map_one(rank: u32, key: &str) {
+    fn map_one(rank: u32) {
         let bdm = Arc::new(running_example_bdm());
         let comparer = PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
         let mapper = BlockSplitMapper::new(bdm, &comparer);
-        running_example::map_one(mapper, 2, rank, key);
-    }
-
-    #[test]
-    #[should_panic(expected = "not present in the BDM")]
-    fn unknown_key_panics() {
-        // An in-range rank whose block has another key.
-        map_one(1, "nope");
+        running_example::map_one(mapper, 2, rank);
     }
 
     #[test]
     #[should_panic(expected = "not present in the BDM")]
     fn rank_past_the_partitions_blocks_panics() {
-        map_one(4, "z");
+        map_one(4);
     }
 }

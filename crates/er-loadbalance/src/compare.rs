@@ -239,9 +239,8 @@ pub struct EntityInterner {
     keys: Vec<KeyList>,
     /// The map task: the table's index among the stage's products.
     task: u32,
-    /// The entity queued last, and its id: the replicas of a multi-key
-    /// entity (one input record per blocking key) arrive one after
-    /// another.
+    /// The entity queued last, and its id: a mapper interns an entity
+    /// at each of its emissions, one after another.
     last: Option<(EntityRef, PreparedId)>,
 }
 

@@ -30,7 +30,7 @@ use crate::bdm_job::compute_bdm_in;
 use crate::block_split::block_split_job;
 use crate::compare::PairComparer;
 use crate::pair_range::{pair_range_job, RangePolicy};
-use crate::{Ent, Keyed, StrategyKind};
+use crate::{Ent, Ranks, StrategyKind};
 
 /// Configuration of one ER run: what [`run_er_in`] reads, and nothing
 /// else. How the stages run — spill threshold, fault policy and plan,
@@ -140,8 +140,9 @@ pub enum MatchInput {
     Annotated {
         /// The BDM; source-tagged for two-source matching.
         bdm: Arc<BlockDistributionMatrix>,
-        /// The rank-annotated partitions the BDM was counted over.
-        annotated: Partitions<u32, Keyed>,
+        /// The rank-annotated partitions the BDM was counted over: the
+        /// BDM job's side output.
+        annotated: Partitions<Ranks, Ent>,
     },
 }
 

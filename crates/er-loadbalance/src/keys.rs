@@ -158,6 +158,16 @@ mod tests {
         assert_eq!(std::mem::size_of::<PairRangeValue>(), 12);
     }
 
+    /// The BDM job's side record — the matching job's input — is an
+    /// entity's ranks and the entity: one inline rank or a boxed slice
+    /// beside the `Arc`, no key.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn the_side_record_is_ranks_and_entity_in_twenty_four_bytes() {
+        assert_eq!(std::mem::size_of::<crate::Ranks>(), 16);
+        assert_eq!(std::mem::size_of::<crate::RankedEntity>(), 24);
+    }
+
     #[test]
     fn block_split_key_orders_like_the_paper() {
         let a = BlockSplitKey {

@@ -11,8 +11,8 @@
 //! 1. **BDM job** ([`bdm_job`], Algorithm 3): counts entities per
 //!    (block, input partition) into the [`bdm::BlockDistributionMatrix`]
 //!    — the blocks that have a pair; its reducer drops the rest — and
-//!    side-writes the blocking-key-annotated entities `Π'_i`, each with
-//!    the rank of its key among its partition's keys.
+//!    side-writes the annotated entities `Π'_i`: each keyed entity
+//!    once, with the [`Ranks`] of its keys among its partition's keys.
 //! 2. **Matching job** with one of three strategies:
 //!    * [`basic`] — hash blocking keys to reduce tasks (the skew-prone
 //!      baseline),
@@ -95,9 +95,51 @@ impl std::ops::Deref for KeyList {
     }
 }
 
-/// An entity annotated with its blocking key(s) — the record format of
-/// the BDM job's *additional output* `Π'_i`, i.e. the matching job's
-/// input.
+/// The ranks of one entity's blocking keys among the distinct keys of
+/// its input partition, in key order (ascending); derefs to `[u32]`.
+/// Single-key blocking — nearly every entity — holds its one rank
+/// inline. The BDM job numbers the keys ([`bdm_job`]); the matrix
+/// turns a rank into a block
+/// ([`BlockDistributionMatrix::block_of_rank`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Ranks {
+    /// The rank of the entity's only key.
+    One(u32),
+    /// The ranks of a multi-pass-blocked entity's keys.
+    Many(Box<[u32]>),
+}
+
+impl std::ops::Deref for Ranks {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match self {
+            Ranks::One(rank) => std::slice::from_ref(rank),
+            Ranks::Many(ranks) => ranks,
+        }
+    }
+}
+
+impl From<&[u32]> for Ranks {
+    fn from(ranks: &[u32]) -> Self {
+        match ranks {
+            [rank] => Ranks::One(*rank),
+            _ => Ranks::Many(ranks.into()),
+        }
+    }
+}
+
+/// The record format of the BDM job's *additional output* `Π'_i`, i.e.
+/// the matching job's input: one per entity with a blocking key, its
+/// keys' [`Ranks`] and the entity. The keys themselves stay behind:
+/// the matching job reads the key of every block that has a pair from
+/// the matrix ([`BlockDistributionMatrix::key`]), and a key without a
+/// block is shared with no other entity.
+pub type RankedEntity = (Ranks, Ent);
+
+/// An entity annotated with one of its blocking keys — a *replica*:
+/// what Basic's mapper routes, the naive reference groups and
+/// [`compare::PairComparer::compare`] gates.
 ///
 /// `all_keys` carries every blocking key of the entity (length 1 for
 /// single-pass blocking). Multi-pass blocking replicates the entity
@@ -181,6 +223,11 @@ impl Keyed {
 /// True iff the smallest key the sorted key lists `a` and `b` share is
 /// `current` — the smallest-common-block rule behind
 /// [`Keyed::should_compare_in`], on bare key lists.
+///
+/// A key two entities share is held by at least two entities, so
+/// dropping from either list the keys no other entity holds — what a
+/// match stage's entity tables do, reading keys only of blocks in the
+/// matrix — leaves every answer unchanged.
 pub(crate) fn smallest_common_key_is(a: &[BlockKey], b: &[BlockKey], current: &BlockKey) -> bool {
     if let ([a], [b]) = (a, b) {
         // Single-pass blocking, i.e. nearly every pair evaluated.
@@ -307,6 +354,58 @@ mod tests {
                 ("a".to_string(), vec!["a".to_string()]),
             ]
         );
+    }
+
+    /// Lists over a six-key alphabet: each entity's sorted, distinct
+    /// keys.
+    fn key_lists(picks: &[Vec<usize>]) -> Vec<Vec<BlockKey>> {
+        picks
+            .iter()
+            .map(|pick| {
+                let keys: std::collections::BTreeSet<BlockKey> = pick
+                    .iter()
+                    .map(|&k| BlockKey::new(["a", "ab", "b", "m", "z", "zz"][k % 6]))
+                    .collect();
+                keys.into_iter().collect()
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn smallest_common_key_is_blind_to_keys_no_other_entity_holds(
+            picks in proptest::collection::vec(proptest::collection::vec(0usize..6, 1..5), 2..8),
+        ) {
+            let full = key_lists(&picks);
+            let mut holders = std::collections::BTreeMap::new();
+            for key in full.iter().flatten() {
+                *holders.entry(key.clone()).or_insert(0usize) += 1;
+            }
+            let filtered: Vec<Vec<BlockKey>> = full
+                .iter()
+                .map(|keys| keys.iter().filter(|k| holders[*k] >= 2).cloned().collect())
+                .collect();
+            for (a, b) in (0..full.len()).flat_map(|a| (0..full.len()).map(move |b| (a, b))) {
+                if a == b {
+                    continue;
+                }
+                // Every block both are in, and a key neither holds.
+                for current in full[a].iter().chain([&BlockKey::new("q")]) {
+                    proptest::prop_assert_eq!(
+                        smallest_common_key_is(&full[a], &full[b], current),
+                        smallest_common_key_is(&filtered[a], &filtered[b], current),
+                        "{:?} / {:?} in {}", full[a], full[b], current
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranks_hold_one_rank_inline() {
+        assert_eq!(Ranks::from(&[7][..]), Ranks::One(7));
+        assert_eq!(&*Ranks::from(&[1, 4, 9][..]), &[1, 4, 9]);
+        assert_eq!(&*Ranks::One(3), &[3]);
     }
 
     #[test]

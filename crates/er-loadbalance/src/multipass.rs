@@ -7,10 +7,14 @@
 //! emitted) once per shared block. The classic remedy — applied here —
 //! is the *smallest common block* rule: a pair is evaluated only in
 //! the lexicographically smallest block both entities belong to. The
-//! rule needs each entity's full key set at comparison time, which is
-//! why [`crate::Keyed`] carries `all_keys` through the map side and a
-//! match stage's [`crate::compare::EntityTable`] keeps it, once per
-//! entity and map task, for the reducers; the check lives in
+//! rule needs each entity's shared keys at comparison time: Basic's
+//! [`crate::Keyed`] replicas carry `all_keys`, BlockSplit and PairRange
+//! read an entity's ranks and take the keys of its blocks that have a
+//! pair from the matrix ([`crate::BlockDistributionMatrix::live_blocks`]
+//! — a key of a pruned block is held by no other entity, so it is never
+//! a shared one), and a match stage's
+//! [`crate::compare::EntityTable`] keeps the list, once per entity and
+//! map task, for the reducers; the check lives in
 //! [`crate::compare::PairComparer`] and therefore applies uniformly to
 //! Basic, BlockSplit and PairRange (one- and two-source).
 //!

@@ -26,16 +26,18 @@ use super::ranges::{RangeIndexer, RangePolicy};
 use crate::bdm::BlockDistributionMatrix;
 use crate::compare::{EntityInterner, EntityTable, PairComparer};
 use crate::keys::{key_index, PairRangeKey, PairRangeValue};
-use crate::Keyed;
+use crate::{Ent, Ranks};
 
 /// The PairRange mapper. Each routed entity is prepared once, however
-/// many ranges receive it.
+/// many ranges of however many of its blocks receive it.
 #[derive(Clone)]
 pub struct PairRangeMapper {
     bdm: Arc<BlockDistributionMatrix>,
     policy: RangePolicy,
     state: Option<MapState>,
     interner: EntityInterner,
+    /// The blocks of the record in hand that have a pair.
+    blocks: Vec<u32>,
 }
 
 #[derive(Clone)]
@@ -59,6 +61,7 @@ impl PairRangeMapper {
             policy,
             state: None,
             interner: EntityInterner::new(comparer),
+            blocks: Vec::new(),
         }
     }
 }
@@ -189,8 +192,8 @@ pub fn relevant_ranges(
 }
 
 impl Mapper for PairRangeMapper {
-    type KIn = u32;
-    type VIn = Keyed;
+    type KIn = Ranks;
+    type VIn = Ent;
     type KOut = PairRangeKey;
     type VOut = PairRangeValue;
     type Side = ();
@@ -208,34 +211,39 @@ impl Mapper for PairRangeMapper {
 
     fn map(
         &mut self,
-        rank: &u32,
-        keyed: &Keyed,
+        ranks: &Ranks,
+        entity: &Ent,
         ctx: &mut MapContext<PairRangeKey, PairRangeValue, ()>,
     ) {
         let state = self.state.as_mut().expect("setup ran");
         // A pruned block has no pair, hence no range to go to.
-        let Some(block) = self.bdm.block_of_rank(state.partition, *rank, &keyed.key) else {
+        let Some(keys) = self
+            .bdm
+            .live_blocks(state.partition, ranks, &mut self.blocks)
+        else {
             return;
         };
-        let x = state.indexer.next(block as usize);
         let source = state.source;
-        // Interned at its first emission; the interner hands the later
-        // ones the same handle.
-        let interner = &mut self.interner;
-        let emit = |first: u64, last: u64| {
-            for range in first..=last {
-                ctx.emit(
-                    PairRangeKey {
-                        range: key_index(range, "range index"),
-                        block,
-                        source,
-                        index: x,
-                    },
-                    interner.intern(&keyed.entity, &keyed.all_keys),
-                );
-            }
-        };
-        for_each_relevant_interval(&self.bdm, &state.ranges, block as usize, source, x, emit);
+        for &block in &self.blocks {
+            let x = state.indexer.next(block as usize);
+            // Interned at its first emission; the interner hands the
+            // later ones the same handle.
+            let interner = &mut self.interner;
+            let emit = |first: u64, last: u64| {
+                for range in first..=last {
+                    ctx.emit(
+                        PairRangeKey {
+                            range: key_index(range, "range index"),
+                            block,
+                            source,
+                            index: x,
+                        },
+                        interner.intern(entity, &keys),
+                    );
+                }
+            };
+            for_each_relevant_interval(&self.bdm, &state.ranges, block as usize, source, x, emit);
+        }
     }
 
     fn finish(&mut self, ctx: &mut MapContext<PairRangeKey, PairRangeValue, ()>) {
@@ -350,10 +358,10 @@ mod tests {
         mapper.setup(&info);
         let mut out = Vec::new();
         let input = running_example::annotated_partitions();
-        for (rank, keyed) in &input[p] {
+        for (ranks, entity) in &input[p] {
             let mut ctx = MapContext::for_testing(info);
-            mapper.map(rank, keyed, &mut ctx);
-            let name = keyed.entity.get("name").unwrap();
+            mapper.map(ranks, entity, &mut ctx);
+            let name = entity.get("name").unwrap();
             for (k, v) in ctx.output() {
                 assert_eq!(v.arena as usize, p, "the map task's table");
                 out.push((*k, name.to_string()));
@@ -362,24 +370,17 @@ mod tests {
         out
     }
 
-    fn map_one(rank: u32, key: &str) {
+    fn map_one(rank: u32) {
         let bdm = Arc::new(running_example_bdm());
         let comparer = PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
         let mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv, &comparer);
-        running_example::map_one(mapper, 2, rank, key);
-    }
-
-    #[test]
-    #[should_panic(expected = "not present in the BDM")]
-    fn unknown_key_panics() {
-        // An in-range rank whose block has another key.
-        map_one(1, "nope");
+        running_example::map_one(mapper, 2, rank);
     }
 
     #[test]
     #[should_panic(expected = "not present in the BDM")]
     fn rank_past_the_partitions_blocks_panics() {
-        map_one(4, "z");
+        map_one(4);
     }
 
     #[test]

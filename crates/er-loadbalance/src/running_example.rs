@@ -20,8 +20,8 @@ use er_core::blocking::BlockKey;
 use er_core::Entity;
 use mr_engine::input::Partitions;
 
-use crate::bdm_job::rank_annotated;
-use crate::{Ent, Keyed};
+use crate::bdm_job::rank_keys;
+use crate::{Ent, Ranks};
 
 /// `(name, blocking key, partition)` for all 14 entities, in the
 /// paper's order.
@@ -58,18 +58,17 @@ pub fn entity_partitions() -> Partitions<(), Ent> {
 
 /// Rank-annotated partitions (input of the matching job — what the
 /// BDM job's side output produces for this data).
-pub fn annotated_partitions() -> Partitions<u32, Keyed> {
+pub fn annotated_partitions() -> Partitions<Ranks, Ent> {
     entity_partitions()
         .into_iter()
         .map(|part| {
-            let replicas = part
-                .into_iter()
-                .map(|(_, entity)| {
-                    let key = BlockKey::new(&entity.get("title").unwrap()[..1]);
-                    Keyed::single(key, entity)
-                })
+            let keys: Vec<BlockKey> = part
+                .iter()
+                .map(|(_, entity)| BlockKey::new(&entity.get("title").unwrap()[..1]))
                 .collect();
-            rank_annotated(replicas, |_, _, _| {})
+            let ranks = rank_keys(&keys, |_, _, _| {});
+            let entities = part.into_iter().map(|(_, entity)| entity);
+            ranks.into_iter().map(Ranks::One).zip(entities).collect()
         })
         .collect()
 }
@@ -79,13 +78,14 @@ pub fn blocking() -> Arc<dyn er_core::blocking::BlockingFunction> {
     Arc::new(er_core::blocking::PrefixBlocking::new("title", 1))
 }
 
-/// Maps one record `(rank, key)` through `mapper` as partition 0's
-/// map task of `m` — in this example and the appendix's, the task
-/// whose ranks 0..=3 are the keys w, x, y, z.
+/// Maps one record — an entity whose one key has rank `rank` —
+/// through `mapper` as partition 0's map task of `m`: in this example
+/// and the appendix's, the task whose ranks 0..=3 are the keys w, x,
+/// y, z.
 #[cfg(test)]
-pub(crate) fn map_one<M>(mut mapper: M, m: usize, rank: u32, key: &str)
+pub(crate) fn map_one<M>(mut mapper: M, m: usize, rank: u32)
 where
-    M: mr_engine::mapper::Mapper<KIn = u32, VIn = Keyed, Side = ()>,
+    M: mr_engine::mapper::Mapper<KIn = Ranks, VIn = Ent, Side = ()>,
 {
     let info = mr_engine::mapper::MapTaskInfo {
         task_index: 0,
@@ -95,7 +95,7 @@ where
     mapper.setup(&info);
     let entity = Arc::new(Entity::new(0, [("name", "X")]));
     let mut ctx = mr_engine::mapper::MapContext::for_testing(info);
-    mapper.map(&rank, &Keyed::single(BlockKey::new(key), entity), &mut ctx);
+    mapper.map(&Ranks::One(rank), &entity, &mut ctx);
 }
 
 #[cfg(test)]
@@ -114,13 +114,29 @@ mod tests {
 
     #[test]
     fn annotated_partitions_induce_the_figure4_bdm() {
+        // Every block of the example has a pair, so each entity's one
+        // rank resolves to a block of the Figure 4 matrix — and that
+        // block's key is the entity's own.
+        let bdm = running_example_bdm();
         let annotated = annotated_partitions();
         let keys: Vec<Vec<BlockKey>> = annotated
             .iter()
-            .map(|p| p.iter().map(|(_, keyed)| keyed.key.clone()).collect())
+            .enumerate()
+            .map(|(p, part)| {
+                part.iter()
+                    .map(|(ranks, _)| {
+                        let block = bdm.block_of_rank(p, ranks[0]).expect("a block with a pair");
+                        bdm.key(block as usize).clone()
+                    })
+                    .collect()
+            })
             .collect();
-        let bdm = BlockDistributionMatrix::from_key_partitions(&keys);
-        assert_eq!(bdm, running_example_bdm());
+        for (part, keys) in annotated.iter().zip(&keys) {
+            for ((_, entity), key) in part.iter().zip(keys) {
+                assert_eq!(&entity.get("title").unwrap()[..1], key.as_str());
+            }
+        }
+        assert_eq!(BlockDistributionMatrix::from_key_partitions(&keys), bdm);
     }
 
     #[test]

@@ -283,24 +283,17 @@ mod block_split {
             }
         }
 
-        fn map_one(rank: u32, key: &str) {
+        fn map_one(rank: u32) {
             let bdm = Arc::new(appendix_example::bdm());
             let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
             let mapper = BlockSplitMapper::new(bdm, &comparer);
-            crate::running_example::map_one(mapper, 3, rank, key);
-        }
-
-        #[test]
-        #[should_panic(expected = "not present in the BDM")]
-        fn unknown_key_panics() {
-            // An in-range rank whose block has another key.
-            map_one(1, "nope");
+            crate::running_example::map_one(mapper, 3, rank);
         }
 
         #[test]
         #[should_panic(expected = "not present in the BDM")]
         fn rank_past_the_partitions_blocks_panics() {
-            map_one(4, "z");
+            map_one(4);
         }
     }
 }
@@ -495,24 +488,17 @@ mod pair_range {
             }
         }
 
-        fn map_one(rank: u32, key: &str) {
+        fn map_one(rank: u32) {
             let bdm = Arc::new(appendix_example::bdm());
             let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
             let mapper = PairRangeMapper::new(bdm, RangePolicy::CeilDiv, &comparer);
-            crate::running_example::map_one(mapper, 3, rank, key);
-        }
-
-        #[test]
-        #[should_panic(expected = "not present in the BDM")]
-        fn unknown_key_panics() {
-            // An in-range rank whose block has another key.
-            map_one(1, "nope");
+            crate::running_example::map_one(mapper, 3, rank);
         }
 
         #[test]
         #[should_panic(expected = "not present in the BDM")]
         fn rank_past_the_partitions_blocks_panics() {
-            map_one(4, "z");
+            map_one(4);
         }
     }
 }

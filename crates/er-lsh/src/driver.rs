@@ -219,11 +219,22 @@ pub fn run_lsh_in(
     let last_rung = config.ladder.len() - 1;
     let mut rounds = Vec::new();
     let mut accepted = None;
+    let mut input = Some(input);
     for (i, &params) in config.ladder.iter().enumerate() {
+        // Only a rung a later one may follow — under a budget it can
+        // overrun — reads a copy; the rung that must be accepted takes
+        // the input itself.
+        let later_rung_may_run = i < last_rung && config.candidate_budget.is_some();
+        let rung_input = if later_rung_may_run {
+            input.clone()
+        } else {
+            input.take()
+        }
+        .expect("the rung that takes the input is accepted");
         let (bdm, annotated, bdm_metrics) = compute_bdm_named_in(
             workflow,
             &format!("lsh-sig-{params}"),
-            input.clone(),
+            rung_input,
             Arc::new(config.blocking_for(params)),
             config.reduce_tasks,
             true,
@@ -408,6 +419,62 @@ mod tests {
             "every enumerated bucket pair is either compared once or gated"
         );
         assert!(skipped > 0, "duplicate clusters must share several bands");
+    }
+
+    #[test]
+    fn the_signature_job_side_writes_each_entity_once_with_every_band_rank() {
+        use er_core::blocking::BlockingFunction;
+        use er_loadbalance::bdm_job::{compute_bdm_named_in, PRUNED_ENTITIES};
+        let params = LshParams::new(8, 2);
+        let blocking = config().blocking_for(params);
+        let input = input(2);
+        let pool = Arc::new(mr_engine::pool::WorkerPool::new(1));
+        let mut workflow = Workflow::on_pool("lsh", pool);
+        let (bdm, side, metrics) = compute_bdm_named_in(
+            &mut workflow,
+            "lsh-sig",
+            input.clone(),
+            Arc::new(blocking.clone()),
+            3,
+            true,
+        )
+        .unwrap();
+        let mut ranked = 0;
+        for (p, (partition, records)) in input.iter().zip(&side).enumerate() {
+            assert_eq!(
+                records.len(),
+                partition.len(),
+                "one record per keyed entity"
+            );
+            let mut keys: Vec<_> = partition
+                .iter()
+                .flat_map(|(_, e)| blocking.keys(e))
+                .collect();
+            keys.sort();
+            keys.dedup();
+            for (((), entity), (ranks, written)) in partition.iter().zip(records) {
+                assert_eq!(entity.id(), written.id(), "input order");
+                let mut own = blocking.keys(entity);
+                own.sort();
+                let expected: Vec<u32> = own
+                    .iter()
+                    .map(|key| keys.binary_search(key).unwrap() as u32)
+                    .collect();
+                assert_eq!(ranks.len(), 8, "one rank per band");
+                assert_eq!(
+                    **ranks, *expected,
+                    "the ranks of its band keys, in key order"
+                );
+                for (&rank, key) in ranks.iter().zip(&own) {
+                    if let Some(block) = bdm.block_of_rank(p, rank) {
+                        assert_eq!(bdm.key(block as usize), key);
+                    }
+                }
+                ranked += ranks.len() as u64;
+            }
+        }
+        let kept: u64 = (0..bdm.num_blocks()).map(|k| bdm.size(k)).sum();
+        assert_eq!(kept + metrics.counters.get(PRUNED_ENTITIES), ranked);
     }
 
     #[test]

@@ -8,20 +8,25 @@
 //! rides the existing machinery:
 //!
 //! * the **signature job** is the block-distribution-matrix job run
-//!   under [`LshBlocking`]: it emits one `(band key, partition)` count
-//!   per band replica and side-writes the band-annotated entities,
-//!   yielding the exact per-bucket pair counts of the banded key
-//!   space;
+//!   under [`LshBlocking`]: it counts every `(band key, partition)`
+//!   and side-writes each entity once with the ranks of its band keys
+//!   ([`er_loadbalance::RankedEntity`]), yielding the exact per-bucket
+//!   pair counts of the banded key space;
 //! * the **candidate job** is BlockSplit over that BDM:
 //!   oversized buckets (near-duplicate clusters that collide in many
 //!   bands) are split into balanced sub-tasks exactly as the paper
 //!   splits skewed blocks;
-//! * **cross-band dedup is free**: every replica carries all of its
-//!   entity's band keys, and the reducers' smallest-common-block gate
+//! * **cross-band dedup is free**: the candidate job's map task keeps
+//!   each entity's live band keys — those of its buckets that have a
+//!   pair, read from the matrix — in its entity table, and the
+//!   reducers' smallest-common-block gate
 //!   ([`er_loadbalance::Keyed::should_compare_in`]) evaluates a pair
 //!   only in its lexicographically smallest shared band — the
 //!   smallest-band-wins analogue of multi-pass blocking, counted
-//!   under [`er_loadbalance::compare::MULTIPASS_SKIPPED`];
+//!   under [`er_loadbalance::compare::MULTIPASS_SKIPPED`]. A band key
+//!   no other entity holds cannot be shared, so leaving it out changes
+//!   no decision, and an entity with one live band skips the per-pair
+//!   gate altogether;
 //! * the **adaptive driver** ([`driver::run_lsh_in`]) walks a ladder
 //!   of `(bands, rows)` rungs from widest (highest recall, most
 //!   candidates) to tightest, running only the cheap signature job
@@ -87,11 +92,11 @@ impl std::fmt::Display for LshParams {
 }
 
 /// Banded-MinHash blocking: an entity's blocking keys are the digests
-/// of its signature bands, rendered as `b<band>:<digest hex>`. Plugged
-/// into [`er_loadbalance::Keyed::derive_into`], this replicates each
-/// entity into every band bucket it occupies — multi-pass blocking
-/// over the banded key space — and the smallest-common-block rule
-/// turns into *smallest-band-wins* exactly-once candidate dedup.
+/// of its signature bands, rendered as `b<band>:<digest hex>`. Under
+/// the BDM job an entity thus has one rank per band and lands in every
+/// band bucket it occupies — multi-pass blocking over the banded key
+/// space — and the smallest-common-block rule turns into
+/// *smallest-band-wins* exactly-once candidate dedup.
 #[derive(Debug, Clone)]
 pub struct LshBlocking {
     params: LshParams,

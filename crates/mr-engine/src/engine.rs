@@ -125,6 +125,26 @@ impl Exec<'_> {
             |i, ctx| phase.run_task(i, ctx, |attempt| body(i, attempt, ctx)),
         )
     }
+
+    /// Drops `items` on the pool, one task per item in index order —
+    /// a job's map-task products, which may be a map task's whole
+    /// entity table or key column: the workers free them in the order
+    /// the map tasks allocated them instead of the coordinator freeing
+    /// them one after another. Untraced: the batch is no task of the
+    /// job's phases. A type without drop glue costs no dispatch.
+    fn release<P: Send>(&self, items: Vec<P>) {
+        if !std::mem::needs_drop::<P>() {
+            return;
+        }
+        let slots: Vec<Mutex<Option<P>>> = items.into_iter().map(|p| Mutex::new(Some(p))).collect();
+        self.pool.run_tasks_tagged_ctx(
+            slots.len(),
+            self.cap,
+            &Tracer::off(),
+            self.tag.clone(),
+            |i, _| drop(lock_unpoisoned(&slots[i]).take()),
+        );
+    }
 }
 
 /// Result of a completed job.
@@ -488,8 +508,8 @@ where
         });
         let mut map_tasks_metrics = Vec::with_capacity(m);
         let mut side_outputs = Vec::with_capacity(m);
-        // Lent to every reduce task in map-task order; dropped with the
-        // job.
+        // Lent to every reduce task in map-task order; released on the
+        // pool once the last reduce task finished.
         let mut products = Vec::with_capacity(m);
         let mut all_runs: Vec<Vec<Vec<Vec<(M::KOut, M::VOut)>>>> = Vec::with_capacity(m);
         for res in map_results {
@@ -620,6 +640,7 @@ where
             reduce_outputs.push(out);
             reduce_tasks_metrics.push(metrics);
         }
+        exec.release(products);
 
         let mut counters_total = CounterSet::new();
         for t in map_tasks_metrics.iter().chain(reduce_tasks_metrics.iter()) {
@@ -1299,6 +1320,98 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A product that logs its map task when it is dropped.
+    #[derive(Default)]
+    struct Logged {
+        task: usize,
+        log: Option<Arc<Mutex<Vec<usize>>>>,
+    }
+
+    impl Drop for Logged {
+        fn drop(&mut self) {
+            if let Some(log) = &self.log {
+                log.lock().unwrap().push(self.task);
+            }
+        }
+    }
+
+    /// Leaves a [`Logged`] product per map task.
+    #[derive(Clone, Default)]
+    struct DropLogger {
+        task: usize,
+        log: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Mapper for DropLogger {
+        type KIn = ();
+        type VIn = String;
+        type KOut = String;
+        type VOut = u64;
+        type Side = ();
+        type Product = Logged;
+
+        fn setup(&mut self, info: &MapTaskInfo) {
+            self.task = info.task_index;
+        }
+
+        fn map(&mut self, _: &(), line: &String, ctx: &mut MapContext<String, u64, ()>) {
+            ctx.emit(line.clone(), 1);
+        }
+
+        fn into_product(self) -> Logged {
+            Logged {
+                task: self.task,
+                log: Some(self.log),
+            }
+        }
+    }
+
+    #[derive(Clone)]
+    struct CountProducts;
+
+    impl Reducer for CountProducts {
+        type KIn = String;
+        type VIn = u64;
+        type KOut = String;
+        type VOut = usize;
+        type Product = Logged;
+
+        fn reduce(
+            &mut self,
+            group: Group<'_, String, u64, Logged>,
+            ctx: &mut ReduceContext<String, usize>,
+        ) {
+            ctx.emit(group.key().clone(), group.products().len());
+        }
+    }
+
+    #[test]
+    fn products_are_released_on_the_pool_before_the_job_returns() {
+        for parallelism in [1usize, 2, 4] {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let mapper = DropLogger {
+                task: 0,
+                log: Arc::clone(&log),
+            };
+            let job = Job::builder("release", mapper, CountProducts)
+                .reduce_tasks(2)
+                .build();
+            let input = partition_evenly(lines(&["a", "b", "c", "d", "e"]), 5);
+            let out = job.run_on(&WorkerPool::new(parallelism), input).unwrap();
+            assert!(out.records().all(|(_, lent)| *lent == 5));
+            let mut released = log.lock().unwrap().clone();
+            if parallelism == 1 {
+                assert_eq!(released, [0, 1, 2, 3, 4], "map-task order inline");
+            }
+            released.sort_unstable();
+            assert_eq!(
+                released,
+                [0, 1, 2, 3, 4],
+                "each product once, at p = {parallelism}"
+            );
         }
     }
 

@@ -139,8 +139,9 @@ pub trait Mapper: Clone + Send + Sync {
 
     /// Hands over the task's product once `finish` ran. After the map
     /// barrier the engine lends the `m` products, in map-task order,
-    /// to every reduce task of the job ([`Group::products`]) and drops
-    /// them when the job ends. A retried map task starts from a fresh
+    /// to every reduce task of the job ([`Group::products`]) and, once
+    /// the last reduce task finished, drops them on the pool — one
+    /// task per map task, in map-task order. A retried map task starts from a fresh
     /// clone of the prototype, so its product is rebuilt from its own
     /// input and replaces the failed attempt's.
     ///

@@ -139,7 +139,7 @@ fn fail_once_matrix_is_byte_identical_and_counted_exactly() {
     }
 }
 
-/// The BDM job's mapper buffers its whole partition and ranks it in
+/// The BDM job's mapper buffers its partition's key column and ranks it in
 /// `finish`, so a re-executed attempt must start from an empty buffer:
 /// each attempt runs a fresh clone of the job's prototype mapper. A
 /// map fault strikes before the attempt's body, a sort fault after the
@@ -156,12 +156,12 @@ fn bdm_map_fault_leaves_ranks_and_result_byte_identical() {
         let blocking = Arc::new(PrefixBlocking::title3());
         let (bdm, side, _) = compute_bdm_in(&mut workflow, input.clone(), blocking, 3, true)
             .expect("the retry absorbs the fault");
-        let ranks: Vec<Vec<(u32, String, u64)>> = side
+        let ranks: Vec<Vec<(Vec<u32>, u64)>> = side
             .iter()
             .map(|partition| {
                 partition
                     .iter()
-                    .map(|(rank, keyed)| (*rank, keyed.key.to_string(), keyed.entity.id().0))
+                    .map(|(ranks, entity)| (ranks.to_vec(), entity.id().0))
                     .collect()
             })
             .collect();
