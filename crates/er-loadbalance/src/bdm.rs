@@ -47,9 +47,11 @@
 //!
 //! **Ranks instead of lookups.** The BDM job's mapper numbers its
 //! partition's distinct keys `0, 1, …` in lexicographic order — the
-//! key's *rank* — and sends that rank with every cell it emits; the
-//! reducer writes one record per `(partition, rank)`, a cell or the
-//! note of a lone entity ([`RankedKey`]). `blocks_in(p)` is partition
+//! key's *rank* — and sends that rank with every cell it emits, beside
+//! the key's hash; the reducer finds a key's text, where it needs it,
+//! at that rank of the mapper's distinct keys, and writes one record
+//! per `(partition, rank)`, a cell or the note of a lone entity
+//! ([`RankedKey`]). `blocks_in(p)` is partition
 //! `p`'s rank → block remap, one entry per such record: entry `j` is
 //! the block of the key ranked `j`, or
 //! [`PRUNED`](BlockDistributionMatrix::PRUNED) when that key's block
@@ -61,19 +63,21 @@
 //! binary search over the sorted keys, for tests and tools.
 //!
 //! **Assembly is a sort, not a tree.** The BDM job hands over `r`
-//! reduce outputs, each in key order. The notes of lone entities go
-//! straight to their remap entry — one pass, no key behind them; the
-//! cells, all of blocks with a pair, are collected and stable-sorted
-//! by key — a run-adaptive merge sort does about `log₂ r` merge passes
-//! over them, comparing the keys' first eight bytes inline before
-//! their text — and then grouped in linear passes into a matrix
-//! allocated once. Sort, matrix and key vector are linear in the
-//! blocks that have pairs, not in the blocks the input has; only the
-//! remaps (four bytes per ranked key) and the lone entities' hashes
-//! are as long as the partitions' key lists. [`from_counts`] sorts its
-//! triples by `(key, partition)`, numbers each partition's keys in
-//! that order and goes through the same routine, whose own sort then
-//! finds a single run.
+//! reduce outputs, each in the order of its keys' hashes (the job
+//! shuffles hashes, not keys): an order the matrix cannot use. The
+//! notes of lone entities go straight to their remap entry — one pass,
+//! no key behind them; the cells, all of blocks with a pair, are
+//! collected and sorted by key — comparing the keys' first eight bytes
+//! inline before their text; the order of a block's cells is
+//! immaterial, so the sort need not be stable — and then grouped in
+//! linear passes into a matrix allocated once. Sort, matrix and key
+//! vector are linear in the blocks that have pairs, not in the blocks
+//! the input has; only the remaps (four bytes per ranked key, a lone
+//! entity's entry marked in place) and the lone entities' hashes are as
+//! long as the partitions' key lists. [`from_counts`] sorts its triples by `(key,
+//! partition)`, numbers each partition's keys in that order and goes
+//! through the same routine, whose own sort then finds its input
+//! sorted.
 //!
 //! [`from_counts`]: BlockDistributionMatrix::from_counts
 //! [`pruned_entities`]: BlockDistributionMatrix::pruned_entities
@@ -150,54 +154,58 @@ type Cell = (u64, BlockKey, u32, u64, u32);
 
 /// The partitions' rank → block remaps while a matrix is assembled:
 /// every ranked key claims the entry of its rank, for the block of its
-/// cell or for the key hash of a lone entity.
+/// cell or, marked [`Remaps::LONE`], for a lone entity, whose key hash
+/// goes to the partition's `hashes` at the same place.
 struct Remaps {
     blocks_in: Vec<Vec<u32>>,
-    /// Parallel to `blocks_in`: the hash where a lone entity claimed
-    /// the entry.
-    lone_at: Vec<Vec<Option<u64>>>,
+    /// Per partition, by rank: the key hash where the entry is `LONE`
+    /// (zero elsewhere; it ends at the partition's highest lone rank).
+    hashes: Vec<Vec<u64>>,
     lone: usize,
 }
 
 impl Remaps {
+    /// The entry of a lone entity's rank until [`Remaps::finish`] makes
+    /// it [`BlockDistributionMatrix::PRUNED`]; a block index reaches it
+    /// only in a matrix of `u32::MAX` blocks.
+    const LONE: u32 = BlockDistributionMatrix::PRUNED - 1;
+
     fn new(m: usize) -> Self {
         Self {
             blocks_in: vec![Vec::new(); m],
-            lone_at: vec![Vec::new(); m],
+            hashes: vec![Vec::new(); m],
             lone: 0,
         }
     }
 
-    /// Entry `rank` of `partition`, the remap grown to hold it.
+    /// The key ranked `rank` in `partition` has `entry`: its block, or
+    /// `LONE`. The remap grows to hold it.
     ///
     /// # Panics
     /// If the entry is claimed: a partition has one record per rank.
-    fn unclaimed(&mut self, partition: u32, rank: u32) -> (&mut u32, &mut Option<u64>) {
-        let (blocks_in, lone_at) = (
-            &mut self.blocks_in[partition as usize],
-            &mut self.lone_at[partition as usize],
-        );
+    fn claim(&mut self, partition: u32, rank: u32, entry: u32) {
+        let blocks_in = &mut self.blocks_in[partition as usize];
         let at = rank as usize;
         if at >= blocks_in.len() {
             blocks_in.resize(at + 1, BlockDistributionMatrix::PRUNED);
-            lone_at.resize(at + 1, None);
         }
         assert!(
-            blocks_in[at] == BlockDistributionMatrix::PRUNED && lone_at[at].is_none(),
+            blocks_in[at] == BlockDistributionMatrix::PRUNED,
             "partition {partition} has two keys ranked {rank}"
         );
-        (&mut blocks_in[at], &mut lone_at[at])
-    }
-
-    /// The key ranked `rank` in `partition` has block `block`.
-    fn claim_block(&mut self, partition: u32, rank: u32, block: u32) {
-        *self.unclaimed(partition, rank).0 = block;
+        blocks_in[at] = entry;
     }
 
     /// The key ranked `rank` in `partition` hashes to `hash` and has
     /// one entity.
     fn claim_lone(&mut self, partition: u32, rank: u32, hash: u64) {
-        *self.unclaimed(partition, rank).1 = Some(hash);
+        self.claim(partition, rank, Self::LONE);
+        let hashes = &mut self.hashes[partition as usize];
+        let at = rank as usize;
+        if at >= hashes.len() {
+            hashes.resize(at + 1, 0);
+        }
+        hashes[at] = hash;
         self.lone += 1;
     }
 
@@ -206,17 +214,21 @@ impl Remaps {
     ///
     /// # Panics
     /// If an entry below a partition's highest rank was never claimed.
-    fn finish(self) -> (Vec<Vec<u32>>, Vec<u64>) {
+    fn finish(mut self) -> (Vec<Vec<u32>>, Vec<u64>) {
         let mut lone = Vec::with_capacity(self.lone);
-        for (partition, (blocks_in, lone_at)) in self.blocks_in.iter().zip(self.lone_at).enumerate()
+        for (partition, (blocks_in, hashes)) in
+            self.blocks_in.iter_mut().zip(self.hashes).enumerate()
         {
-            for (rank, (&block, hash)) in blocks_in.iter().zip(lone_at).enumerate() {
-                match hash {
-                    Some(hash) => lone.push(hash),
-                    None => assert!(
-                        block != BlockDistributionMatrix::PRUNED,
-                        "partition {partition} has no key ranked {rank}"
-                    ),
+            for (rank, entry) in blocks_in.iter_mut().enumerate() {
+                match *entry {
+                    Self::LONE => {
+                        lone.push(hashes[rank]);
+                        *entry = BlockDistributionMatrix::PRUNED;
+                    }
+                    BlockDistributionMatrix::PRUNED => {
+                        panic!("partition {partition} has no key ranked {rank}")
+                    }
+                    _ => {}
                 }
             }
         }
@@ -308,7 +320,7 @@ impl BlockDistributionMatrix {
     /// entities the caller has already told apart. Blocks without a
     /// pair that are still among the cells join them.
     fn assemble(m: usize, mut cells: Vec<Cell>, mut remaps: Remaps) -> Self {
-        cells.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        cells.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
         let same_block = |a: &Cell, b: &Cell| a.0 == b.0 && a.1 == b.1;
         let has_pair = |block: &&[Cell]| block.iter().map(|cell| cell.3).sum::<u64>() >= 2;
         let mut blocks = 0;
@@ -333,7 +345,7 @@ impl BlockDistributionMatrix {
         {
             for &(_, _, partition, count, rank) in block {
                 row[1 + partition as usize] += count;
-                remaps.claim_block(partition, rank, k);
+                remaps.claim(partition, rank, k);
             }
             for p in 1..stride {
                 row[p] += row[p - 1];

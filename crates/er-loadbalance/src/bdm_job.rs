@@ -1,7 +1,7 @@
 //! MR Job 1: computing the BDM (paper Algorithm 3).
 //!
 //! * `map` derives the blocking key(s) of each entity (sorted, without
-//!   repeats) and appends them to the partition's flat *key column*;
+//!   repeats) and appends them to the partition's flat key column;
 //! * `finish` numbers the partition's distinct keys `0, 1, …` in
 //!   lexicographic order — the key's *rank* — and side-writes every
 //!   entity with a key once, in input order, as a [`RankedEntity`]:
@@ -15,15 +15,19 @@
 //!   ([`BlockDistributionMatrix::live_blocks`]);
 //! * counts are aggregated in the mapper — the combiner of the paper's
 //!   footnote 2, realised where the keys are already grouped: `finish`
-//!   emits one `((blocking key, partition index), (count, rank))` cell
-//!   per distinct key, in key order, so the map-side sort meets sorted
-//!   buckets (the engine itself has no combiner). With `use_combiner`
-//!   off `finish` emits Algorithm 3's record count instead — one
-//!   `(1, rank)` per key of an entity — from the same place, because
-//!   the rank is known only there;
-//! * pairs are partitioned and *grouped* by the blocking-key component
-//!   and sorted by `(blocking key, partition index)`, so one reduce
-//!   call sees one whole block, its cells in partition order;
+//!   emits one `((key hash, partition index), (count, rank))` cell per
+//!   distinct key (the engine itself has no combiner). With
+//!   `use_combiner` off `finish` emits Algorithm 3's record count
+//!   instead — one `(1, rank)` per key of an entity — from the same
+//!   place, because the rank is known only there. The shuffle record
+//!   is four integers: the key travels as its
+//!   [`HashPartitioner::hash`], which is also what places the block on
+//!   a reduce task, so sorting, merging and grouping never follow a
+//!   pointer;
+//! * pairs are partitioned and *grouped* by the hash and sorted by
+//!   `(hash, partition index)`, so one reduce call sees every block
+//!   with that hash — one block, but for a 64-bit collision — its
+//!   cells in partition order;
 //! * `reduce` sums the block's cells per partition and writes them,
 //!   each under the `(partition, rank)` its mapper gave the key — a
 //!   row-wise enumeration of the non-zero BDM cells — unless the block
@@ -33,16 +37,25 @@
 //!   [`PRUNED_BLOCKS`] / [`PRUNED_ENTITIES`]. (A mapper cannot drop
 //!   its singletons: their partners may sit in another partition.) Of
 //!   its one entity the reducer writes a sixteen-byte note — the same
-//!   `(partition, rank)` and the hash of the key ([`RankedKey::Lone`])
-//!   — which is what Basic, hashing keys to reduce tasks, would need
-//!   to place it, so that [`crate::analysis`] stays exact. Every key a
-//!   mapper ranked thus comes back once, and the matrix builds each
+//!   `(partition, rank)` and the key hash ([`RankedKey::Lone`]) — which
+//!   is what Basic, hashing keys to reduce tasks, would need to place
+//!   it, so that [`crate::analysis`] stays exact. Every key a mapper
+//!   ranked thus comes back once, and the matrix builds each
 //!   partition's rank → block remap from the job's output alone.
 //!
-//! The key column is the map task's product ([`Mapper::into_product`]):
-//! the cells and the matrix share its key text, which thus lives until
-//! the job ends and is then freed on the pool, one map task's column
-//! per pool task in the order the mapper allocated it. The cells
+//! **Key text from the products.** A map task's product
+//! ([`Mapper::into_product`]) is its partition's distinct keys in rank
+//! order ([`KeyColumn`]); the engine lends every reduce task all of
+//! them ([`Group::products`]), so the key of a record is
+//! `products[partition][rank]`. A group of one record counting one
+//! entity — a lone key, nearly every key under sparse blocking — is
+//! written without reading its text. Any other group reads its keys
+//! there: equal keys are folded as one block, and keys that merely
+//! share a hash are sorted apart and folded one by one, so a collision
+//! costs a sort and never a wrong cell. The cells and the matrix share
+//! the products' key text, which lives until the job ends and is then
+//! freed on the pool, one map task's keys per pool task; the full
+//! per-entity key column is dropped when `finish` returns. The cells
 //! `finish` emits, at most one per key of the partition, reach the
 //! map-side spiller together; there the spill threshold bounds them as
 //! before.
@@ -69,14 +82,15 @@ pub const PRUNED_BLOCKS: &str = "er.bdm.pruned_blocks";
 /// keys the mappers ranked, one per key of each keyed entity.
 pub const PRUNED_ENTITIES: &str = "er.bdm.pruned_entities";
 
-/// The count key: `(blocking key, partition index)`.
-pub type BdmKey = (BlockKey, u32);
+/// The count key: `(`[`HashPartitioner::hash`]` of the blocking key,
+/// partition index)`.
+pub type BdmKey = (u64, u32);
 
 /// The count value: `(entities, rank of the key in its partition)`.
 pub type BdmCell = (u64, u32);
 
-/// One map task's blocking keys, entity after entity (each entity's
-/// sorted and distinct) — the BDM job's map-task product.
+/// One map task's distinct blocking keys in rank order — the BDM job's
+/// map-task product: entry `j` is the key ranked `j`.
 pub type KeyColumn = Vec<BlockKey>;
 
 /// Numbers the distinct keys of one partition's key column `0, 1, …`
@@ -108,11 +122,15 @@ pub struct BdmMapper {
     /// per key of an entity.
     aggregate: bool,
     partition: Option<u32>,
-    /// The partition's keys so far, entity after entity.
-    keys: KeyColumn,
+    /// The partition's keys so far, entity after entity (each entity's
+    /// sorted and distinct).
+    keys: Vec<BlockKey>,
     /// The partition's keyed entities so far, in input order, each
     /// with the end of its keys in `keys`.
     entities: Vec<(usize, Ent)>,
+    /// The partition's distinct keys in rank order, set by `finish`:
+    /// the product.
+    distinct: KeyColumn,
 }
 
 impl BdmMapper {
@@ -125,6 +143,7 @@ impl BdmMapper {
             partition: None,
             keys: Vec::new(),
             entities: Vec::new(),
+            distinct: Vec::new(),
         }
     }
 }
@@ -157,15 +176,18 @@ impl Mapper for BdmMapper {
 
     fn finish(&mut self, ctx: &mut MapContext<BdmKey, BdmCell, Self::Side>) {
         let partition = self.partition.expect("setup ran");
-        let ranks = rank_keys(&self.keys, |rank, key, count| {
+        let keys = std::mem::take(&mut self.keys);
+        let ranks = rank_keys(&keys, |rank, key, count| {
             let (records, each) = if self.aggregate {
                 (1, count)
             } else {
                 (count, 1)
             };
+            let hash = HashPartitioner::hash(key);
             for _ in 0..records {
-                ctx.emit((key.clone(), partition), (each, rank));
+                ctx.emit((hash, partition), (each, rank));
             }
+            self.distinct.push(key.clone());
         });
         let mut start = 0;
         for (end, entity) in std::mem::take(&mut self.entities) {
@@ -175,17 +197,55 @@ impl Mapper for BdmMapper {
     }
 
     fn into_product(self) -> KeyColumn {
-        self.keys
+        self.distinct
     }
 }
 
-/// Reducer of Algorithm 3, one call per block: sums the block's counts
-/// per partition and writes the cells — or, of a block without a pair,
-/// the note of its one entity (see the module header).
+/// One shuffle record of the BDM job as the reducer reads it:
+/// `(partition, count, rank)`.
+type Record = (u32, u64, u32);
+
+/// Reducer of Algorithm 3, one call per key hash: sums each block's
+/// counts per partition and writes the cells — or, of a block without
+/// a pair, the note of its one entity (see the module header).
 #[derive(Debug, Clone, Default)]
 pub struct BdmReducer {
     pruned_blocks: u64,
     pruned_entities: u64,
+}
+
+impl BdmReducer {
+    /// Writes the note of the one entity of a block without a pair.
+    fn lone(
+        &mut self,
+        (partition, _, rank): Record,
+        hash: u64,
+        ctx: &mut ReduceContext<(u32, u32), RankedKey>,
+    ) {
+        self.pruned_blocks += 1;
+        self.pruned_entities += 1;
+        ctx.emit((partition, rank), RankedKey::Lone(hash));
+    }
+}
+
+/// Writes the cells of the block of `key`, whose records arrive sorted
+/// by partition: those of one cell (several only with `use_combiner`
+/// off) are adjacent.
+fn cells(
+    key: &BlockKey,
+    mut records: impl Iterator<Item = Record>,
+    ctx: &mut ReduceContext<(u32, u32), RankedKey>,
+) {
+    let (mut partition, mut count, mut rank) = records.next().expect("never empty");
+    for (next, more, next_rank) in records {
+        if next == partition {
+            count += more;
+        } else {
+            ctx.emit((partition, rank), RankedKey::Cell(key.clone(), count));
+            (partition, count, rank) = (next, more, next_rank);
+        }
+    }
+    ctx.emit((partition, rank), RankedKey::Cell(key.clone(), count));
 }
 
 impl Reducer for BdmReducer {
@@ -198,35 +258,35 @@ impl Reducer for BdmReducer {
 
     fn reduce(
         &mut self,
-        block: Group<'_, BdmKey, BdmCell, KeyColumn>,
+        group: Group<'_, BdmKey, BdmCell, KeyColumn>,
         ctx: &mut ReduceContext<(u32, u32), RankedKey>,
     ) {
-        let size: u64 = block.values().map(|&(count, _)| count).sum();
-        let mut records = block
-            .iter()
-            .map(|(&(_, partition), &cell)| (partition, cell));
-        let key = &block.key().0;
-        let (mut partition, (mut count, mut rank)) = records.next().expect("never empty");
-        if size < 2 {
-            self.pruned_blocks += 1;
-            self.pruned_entities += size;
-            ctx.emit(
-                (partition, rank),
-                RankedKey::Lone(HashPartitioner::hash(key)),
-            );
-            return;
+        let hash = group.key().0;
+        let records = || {
+            group
+                .iter()
+                .map(|(&(_, partition), &(count, rank))| (partition, count, rank))
+        };
+        let first = records().next().expect("never empty");
+        if group.len() == 1 && first.1 == 1 {
+            return self.lone(first, hash, ctx);
         }
-        // Sorted by partition: the records of one cell (several only
-        // with `use_combiner` off) are adjacent.
-        for (next, (more, next_rank)) in records {
-            if next == partition {
-                count += more;
-            } else {
-                ctx.emit((partition, rank), RankedKey::Cell(key.clone(), count));
-                (partition, count, rank) = (next, more, next_rank);
+        let products = group.products();
+        let key_of = |&(partition, _, rank): &Record| &products[partition as usize][rank as usize];
+        let key = key_of(&first);
+        if records().all(|record| key_of(&record) == key) {
+            return cells(key, records(), ctx);
+        }
+        // Keys that share a 64-bit hash: split the group by key,
+        // keeping each key's records in partition order.
+        let mut split: Vec<Record> = records().collect();
+        split.sort_by(|a, b| key_of(a).cmp(key_of(b)));
+        for block in split.chunk_by(|a, b| key_of(a) == key_of(b)) {
+            match *block {
+                [record @ (_, 1, _)] => self.lone(record, hash, ctx),
+                _ => cells(key_of(&block[0]), block.iter().copied(), ctx),
             }
         }
-        ctx.emit((partition, rank), RankedKey::Cell(key.clone(), count));
     }
 
     fn finish(&mut self, ctx: &mut ReduceContext<(u32, u32), RankedKey>) {
@@ -235,9 +295,10 @@ impl Reducer for BdmReducer {
     }
 }
 
-/// Builds the BDM job. Partitioning and grouping are on the
-/// blocking-key component; sorting uses the entire `(key, partition)`
-/// pair.
+/// Builds the BDM job. Partitioning and grouping are on the key-hash
+/// component — the reduce task of a block is the one
+/// [`HashPartitioner::bucket`] gives its key; sorting uses the entire
+/// `(hash, partition)` pair.
 pub fn bdm_job(
     blocking: Arc<dyn BlockingFunction>,
     reduce_tasks: usize,
@@ -260,7 +321,7 @@ pub fn bdm_job_named(
     Job::builder(name, mapper, BdmReducer::default())
         .reduce_tasks(reduce_tasks)
         .partitioner(FnPartitioner::new(|key: &BdmKey, r: usize| {
-            HashPartitioner::bucket(&key.0, r)
+            HashPartitioner::bucket_of_hash(key.0, r)
         }))
         .group_by(Arc::new(|a: &BdmKey, b: &BdmKey| a.0.cmp(&b.0)))
         .build()
@@ -325,6 +386,7 @@ mod tests {
     use super::*;
     use er_core::blocking::PrefixBlocking;
     use er_core::Entity;
+    use mr_engine::counters::REDUCE_INPUT_GROUPS;
 
     fn entity(id: u64, title: &str) -> ((), Ent) {
         ((), Arc::new(Entity::new(id, [("title", title)])))
@@ -374,6 +436,98 @@ mod tests {
         let block = bdm.block_of_rank(1, ranks[0]).expect("z has pairs");
         assert_eq!(bdm.key(block as usize).as_str(), "z", "M's annotation");
         assert_eq!(metrics.map_output_records(), 14);
+    }
+
+    /// The shuffle record is plain integers: nothing to clone, drop or
+    /// follow on either side of the shuffle.
+    #[test]
+    fn the_shuffle_record_is_pointer_free() {
+        assert!(!std::mem::needs_drop::<(BdmKey, BdmCell)>());
+        assert!(std::mem::size_of::<(BdmKey, BdmCell)>() <= 32);
+    }
+
+    /// What a reducer writes: its output records.
+    type Written = Vec<((u32, u32), RankedKey)>;
+
+    /// Runs one reducer over `groups`, one reduce call each, lending
+    /// `products`: its output and its pruning counters.
+    fn reduce_groups(
+        groups: &[Vec<(BdmKey, BdmCell)>],
+        products: &[KeyColumn],
+    ) -> (Written, u64, u64) {
+        let mut reducer = BdmReducer::default();
+        let mut ctx = ReduceContext::for_testing(ReduceTaskInfo {
+            task_index: 0,
+            num_reduce_tasks: 1,
+            num_map_tasks: products.len(),
+        });
+        for entries in groups {
+            reducer.reduce(
+                Group::for_testing(entries).with_products(products),
+                &mut ctx,
+            );
+        }
+        reducer.finish(&mut ctx);
+        let counter = |name| ctx.counters().get(name);
+        (
+            ctx.output().to_vec(),
+            counter(PRUNED_BLOCKS),
+            counter(PRUNED_ENTITIES),
+        )
+    }
+
+    /// Two keys that share a hash arrive in one group; the reducer
+    /// splits it by key, and writes what each key writes in a group of
+    /// its own — whether the keys meet in one partition or in two,
+    /// lone or with a pair, one record per cell or one per entity.
+    #[test]
+    fn a_hash_collision_splits_the_group_by_key() {
+        const HASH: u64 = 42;
+        // Entities of "a" and of "b" per partition; both partitions
+        // also rank a key "0" that is not in the group.
+        let shapes: [([u64; 2], [u64; 2]); 6] = [
+            ([1, 0], [0, 1]),
+            ([1, 0], [1, 0]),
+            ([1, 1], [0, 1]),
+            ([0, 2], [1, 0]),
+            ([2, 1], [1, 3]),
+            ([1, 2], [2, 1]),
+        ];
+        let k = |s: &str| BlockKey::new(s);
+        for (a, b) in shapes {
+            let counts = [(k("a"), a), (k("b"), b)];
+            let products: Vec<KeyColumn> = (0..2)
+                .map(|p| {
+                    let present = counts.iter().filter(|(_, n)| n[p] > 0);
+                    std::iter::once(k("0"))
+                        .chain(present.map(|(key, _)| key.clone()))
+                        .collect()
+                })
+                .collect();
+            for use_combiner in [true, false] {
+                // Each key's records in partition order, as its mappers
+                // emit them.
+                let records = |(key, n): &(BlockKey, [u64; 2])| -> Vec<(BdmKey, BdmCell)> {
+                    let mut records = Vec::new();
+                    for (p, &count) in n.iter().enumerate().filter(|(_, &c)| c > 0) {
+                        let rank = products[p].iter().position(|k| k == key).unwrap() as u32;
+                        let (times, each) = if use_combiner { (1, count) } else { (count, 1) };
+                        records.extend((0..times).map(|_| ((HASH, p as u32), (each, rank))));
+                    }
+                    records
+                };
+                let alone: Vec<_> = counts.iter().map(records).collect();
+                // The shuffle sorts the collided group by partition
+                // only: within a partition "b" may come first.
+                let mut collided: Vec<_> = alone.iter().rev().flatten().copied().collect();
+                collided.sort_by_key(|&((_, p), _)| p);
+                assert_eq!(
+                    reduce_groups(&[collided], &products),
+                    reduce_groups(&alone, &products),
+                    "a {a:?}, b {b:?}, combiner {use_combiner}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -533,6 +687,9 @@ mod tests {
                     // as the note of a lone entity.
                     let written = metrics.counters.get(mr_engine::counters::REDUCE_OUTPUT_RECORDS);
                     prop_assert_eq!(written as usize, cells);
+                    // One reduce call per distinct key.
+                    let groups = metrics.counters.get(REDUCE_INPUT_GROUPS);
+                    prop_assert_eq!(groups as usize, global_count.len());
                     // Singleton blocks are dropped and counted, the
                     // rest is in the matrix: no replica is lost.
                     prop_assert_eq!(bdm.num_blocks(), global_count.len() - singletons);
