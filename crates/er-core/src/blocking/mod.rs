@@ -5,6 +5,11 @@
 //! evaluation derives keys as the first three letters of the title; the
 //! degree of key skew is exactly what the load-balancing strategies
 //! must survive.
+//!
+//! A [`BlockKey`] is one shared heap string, made to travel. Where keys
+//! are only derived, compared and counted — the BDM job's map task —
+//! they are written back to back into one [`KeyText`] instead
+//! ([`BlockingFunction::write_keys`]), with no allocation per key.
 
 use std::fmt;
 use std::sync::Arc;
@@ -46,6 +51,102 @@ impl From<&str> for BlockKey {
     }
 }
 
+/// Blocking keys as one flat column: the text of every key back to
+/// back in one `String`, and the end of each in a `Vec<u32>`. Entry `i`
+/// is `text[ends[i - 1]..ends[i]]`; pushing a key copies its bytes and
+/// allocates only when a buffer grows.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KeyText {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl KeyText {
+    /// An empty column.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty column with room for `keys` keys of `bytes` bytes in
+    /// all.
+    pub fn with_capacity(keys: usize, bytes: usize) -> Self {
+        Self {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(keys),
+        }
+    }
+
+    /// Appends `key` as the last entry.
+    ///
+    /// # Panics
+    /// If the column's text would pass `u32::MAX` bytes.
+    pub fn push(&mut self, key: &str) {
+        self.text.push_str(key);
+        let end = u32::try_from(self.text.len()).expect("key text fits u32 offsets");
+        self.ends.push(end);
+    }
+
+    /// The key at entry `i`.
+    ///
+    /// # Panics
+    /// If `i >= self.len()`.
+    pub fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start as usize..self.ends[i] as usize]
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the column holds no key.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Keeps the first `len` keys and drops the rest (no-op if there
+    /// are at most `len`).
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            let end = if len == 0 { 0 } else { self.ends[len - 1] };
+            self.text.truncate(end as usize);
+            self.ends.truncate(len);
+        }
+    }
+
+    /// The keys in entry order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Sorts the keys from entry `start` on and drops repeats among
+    /// them — one entity's keys, as an entity enters each of its blocks
+    /// once. Keys already strictly increasing (every single key, and
+    /// the band keys of LSH blocking) are left as they are, with no
+    /// allocation.
+    pub fn sort_and_dedup_from(&mut self, start: usize) {
+        if (start + 1..self.len()).all(|i| self.get(i - 1) < self.get(i)) {
+            return;
+        }
+        let mut keys: Vec<String> = (start..self.len())
+            .map(|i| self.get(i).to_owned())
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        self.truncate(start);
+        keys.iter().for_each(|key| self.push(key));
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for KeyText {
+    fn from_iter<I: IntoIterator<Item = S>>(keys: I) -> Self {
+        let mut column = Self::new();
+        keys.into_iter().for_each(|key| column.push(key.as_ref()));
+        column
+    }
+}
+
 /// Derives blocking keys from entities.
 ///
 /// `key` returns `None` when the entity has no valid blocking key (e.g.
@@ -59,6 +160,18 @@ pub trait BlockingFunction: Send + Sync {
     /// blocking. The default is the single-pass key.
     fn keys(&self, entity: &Entity) -> Vec<BlockKey> {
         self.key(entity).into_iter().collect()
+    }
+
+    /// Appends the text of `keys(entity)` to `out`, in the same order
+    /// (the BDM job's mapper then sorts and deduplicates one entity's
+    /// keys with [`KeyText::sort_and_dedup_from`]). The default pushes
+    /// `keys()`; a function that can build a key's text without a
+    /// [`BlockKey`] overrides it and writes the text straight into the
+    /// column.
+    fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
+        self.keys(entity)
+            .iter()
+            .for_each(|key| out.push(key.as_str()));
     }
 }
 
@@ -88,33 +201,30 @@ impl PrefixBlocking {
     /// Longest prefix the ASCII fast path of `key` builds on the stack.
     const STACK_PREFIX: usize = 32;
 
-    /// The defining normalization, for any text.
-    fn general_key(&self, value: &str) -> Option<BlockKey> {
+    /// The defining normalization, for any text: hands the key's text
+    /// to `use_key`, or returns `None` if the key is empty.
+    fn general_key<R>(&self, value: &str, use_key: impl FnOnce(&str) -> R) -> Option<R> {
         let normalized: String = value
             .chars()
             .filter(|c| c.is_alphanumeric())
             .take(self.len)
             .flat_map(char::to_lowercase)
             .collect();
-        if normalized.is_empty() {
-            None
-        } else {
-            Some(BlockKey::new(normalized))
-        }
+        (!normalized.is_empty()).then(|| use_key(&normalized))
     }
-}
 
-impl BlockingFunction for PrefixBlocking {
-    fn key(&self, entity: &Entity) -> Option<BlockKey> {
+    /// The key of `entity` as text, handed to `use_key` — what both
+    /// `key` and `write_keys` build.
+    fn with_key<R>(&self, entity: &Entity, use_key: impl FnOnce(&str) -> R) -> Option<R> {
         let value = entity.get(&self.attribute)?;
         if self.len > Self::STACK_PREFIX {
-            return self.general_key(value);
+            return self.general_key(value, use_key);
         }
         // ASCII fast path: on ASCII, `is_alphanumeric` and
         // `to_lowercase` are their one-byte `is_ascii_*` forms, so the
-        // prefix is built in a stack buffer with one allocation (the
-        // key). The first non-ASCII byte met before the prefix is
-        // complete hands the whole value to the general path.
+        // prefix is built in a stack buffer, with no allocation. The
+        // first non-ASCII byte met before the prefix is complete hands
+        // the whole value to the general path.
         let mut prefix = [0u8; Self::STACK_PREFIX];
         let mut filled = 0;
         for &byte in value.as_bytes() {
@@ -122,7 +232,7 @@ impl BlockingFunction for PrefixBlocking {
                 break;
             }
             if !byte.is_ascii() {
-                return self.general_key(value);
+                return self.general_key(value, use_key);
             }
             if byte.is_ascii_alphanumeric() {
                 prefix[filled] = byte.to_ascii_lowercase();
@@ -130,7 +240,17 @@ impl BlockingFunction for PrefixBlocking {
             }
         }
         let prefix = std::str::from_utf8(&prefix[..filled]).expect("ASCII bytes are UTF-8");
-        (!prefix.is_empty()).then(|| BlockKey::new(prefix))
+        (!prefix.is_empty()).then(|| use_key(prefix))
+    }
+}
+
+impl BlockingFunction for PrefixBlocking {
+    fn key(&self, entity: &Entity) -> Option<BlockKey> {
+        self.with_key(entity, |key| BlockKey::new(key))
+    }
+
+    fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
+        self.with_key(entity, |key| out.push(key));
     }
 }
 
@@ -231,7 +351,7 @@ mod tests {
         ) {
             let value = pieces.concat();
             let blocking = PrefixBlocking::new("title", len);
-            prop_assert_eq!(blocking.key(&product(&value)), blocking.general_key(&value));
+            prop_assert_eq!(blocking.key(&product(&value)), blocking.general_key(&value, |key| BlockKey::new(key)));
         }
     }
 
@@ -254,7 +374,7 @@ mod tests {
             ] {
                 assert_eq!(
                     blocking.key(&product(value)),
-                    blocking.general_key(value),
+                    blocking.general_key(value, |key| BlockKey::new(key)),
                     "len {len}, value {value:?}"
                 );
             }
@@ -334,5 +454,44 @@ mod tests {
         ks.sort();
         let s: Vec<&str> = ks.iter().map(BlockKey::as_str).collect();
         assert_eq!(s, vec!["a", "m", "z"]);
+    }
+
+    #[test]
+    fn key_text_holds_keys_back_to_back() {
+        let mut column: KeyText = ["can", "", "名前", "b000:ff"].into_iter().collect();
+        assert_eq!(column.len(), 4);
+        assert_eq!(column.get(1), "");
+        assert_eq!(column.get(2), "名前");
+        assert_eq!(
+            column.iter().collect::<Vec<_>>(),
+            ["can", "", "名前", "b000:ff"]
+        );
+        column.truncate(5);
+        assert_eq!(column.len(), 4);
+        column.truncate(2);
+        column.push("x");
+        assert_eq!(column.iter().collect::<Vec<_>>(), ["can", "", "x"]);
+        column.truncate(0);
+        assert!(column.is_empty());
+        column.push("y");
+        assert_eq!(column, ["y"].into_iter().collect());
+    }
+
+    #[test]
+    fn key_text_sorts_and_dedups_only_the_tail() {
+        let mut column: KeyText = ["z", "a", "m", "b", "m", "a"].into_iter().collect();
+        column.sort_and_dedup_from(2);
+        assert_eq!(column.iter().collect::<Vec<_>>(), ["z", "a", "a", "b", "m"]);
+        // Sorted keys with a repeat are not strictly increasing.
+        let mut repeated: KeyText = ["a", "b", "b"].into_iter().collect();
+        repeated.sort_and_dedup_from(0);
+        assert_eq!(repeated.iter().collect::<Vec<_>>(), ["a", "b"]);
+        // Strictly increasing keys stay where they are.
+        let mut increasing: KeyText = ["b", "a", "b", "c"].into_iter().collect();
+        let before = increasing.clone();
+        increasing.sort_and_dedup_from(1);
+        assert_eq!(increasing, before);
+        increasing.sort_and_dedup_from(4);
+        assert_eq!(increasing, before);
     }
 }

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
+use er_core::blocking::{BlockKey, KeyText};
 use er_core::{Entity, SourceId};
 use mr_engine::input::Partitions;
 
@@ -58,10 +58,10 @@ pub fn entity_partitions() -> Partitions<(), Ent> {
 
 /// The blocking key of each entity of a partition: its title's first
 /// letter.
-fn keys_of(partition: &[((), Ent)]) -> Vec<BlockKey> {
+fn keys_of(partition: &[((), Ent)]) -> KeyText {
     partition
         .iter()
-        .map(|(_, entity)| BlockKey::new(&entity.get("title").unwrap()[..1]))
+        .map(|(_, entity)| &entity.get("title").unwrap()[..1])
         .collect()
 }
 
@@ -80,6 +80,9 @@ pub fn annotated_partitions() -> Partitions<Ranks, Ent> {
 
 /// The example's source-tagged BDM.
 pub fn bdm() -> BlockDistributionMatrix {
-    let keys: Vec<Vec<BlockKey>> = entity_partitions().iter().map(|p| keys_of(p)).collect();
+    let keys: Vec<Vec<BlockKey>> = entity_partitions()
+        .iter()
+        .map(|p| keys_of(p).iter().map(BlockKey::new).collect())
+        .collect();
     BlockDistributionMatrix::from_key_partitions(&keys).with_sources(partition_sources())
 }

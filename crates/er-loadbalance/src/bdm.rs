@@ -95,8 +95,8 @@ use crate::KeyList;
 /// The first eight bytes of a key, zero-padded, as a big-endian
 /// integer: ordering by `(key_head, key)` is ordering by key, and
 /// equal keys have equal heads.
-pub(crate) fn key_head(key: &BlockKey) -> u64 {
-    let bytes = key.as_str().as_bytes();
+pub(crate) fn key_head(key: &str) -> u64 {
+    let bytes = key.as_bytes();
     let mut head = [0u8; 8];
     let len = bytes.len().min(8);
     head[..len].copy_from_slice(&bytes[..len]);
@@ -261,7 +261,7 @@ impl BlockDistributionMatrix {
                     partition < m,
                     "partition index {partition} out of range (m = {m})"
                 );
-                (key_head(&key), key, partition as u32, count, 0)
+                (key_head(key.as_str()), key, partition as u32, count, 0)
             })
             .collect();
         cells.sort_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)));
@@ -307,7 +307,7 @@ impl BlockDistributionMatrix {
             match ranked {
                 RankedKey::Cell(key, count) => {
                     assert!(count > 0, "a ranked key has an entity ({key})");
-                    cells.push((key_head(&key), key, partition, count, rank));
+                    cells.push((key_head(key.as_str()), key, partition, count, rank));
                 }
                 RankedKey::Lone(hash) => remaps.claim_lone(partition, rank, hash),
             }

@@ -1,7 +1,10 @@
 //! MR Job 1: computing the BDM (paper Algorithm 3).
 //!
-//! * `map` derives the blocking key(s) of each entity (sorted, without
-//!   repeats) and appends them to the partition's flat key column;
+//! * `map` writes the text of each entity's blocking key(s) into the
+//!   partition's flat key column ([`KeyText`],
+//!   [`BlockingFunction::write_keys`]) and, if they are not strictly
+//!   increasing already, sorts them and drops repeats there — no
+//!   allocation per key;
 //! * `finish` numbers the partition's distinct keys `0, 1, …` in
 //!   lexicographic order — the key's *rank* — and side-writes every
 //!   entity with a key once, in input order, as a [`RankedEntity`]:
@@ -45,24 +48,28 @@
 //!
 //! **Key text from the products.** A map task's product
 //! ([`Mapper::into_product`]) is its partition's distinct keys in rank
-//! order ([`KeyColumn`]); the engine lends every reduce task all of
-//! them ([`Group::products`]), so the key of a record is
-//! `products[partition][rank]`. A group of one record counting one
-//! entity — a lone key, nearly every key under sparse blocking — is
-//! written without reading its text. Any other group reads its keys
-//! there: equal keys are folded as one block, and keys that merely
-//! share a hash are sorted apart and folded one by one, so a collision
-//! costs a sort and never a wrong cell. The cells and the matrix share
-//! the products' key text, which lives until the job ends and is then
-//! freed on the pool, one map task's keys per pool task; the full
-//! per-entity key column is dropped when `finish` returns. The cells
-//! `finish` emits, at most one per key of the partition, reach the
-//! map-side spiller together; there the spill threshold bounds them as
-//! before.
+//! order, back to back in one buffer ([`KeyColumn`]); the engine lends
+//! every reduce task all of them ([`Group::products`]), so the key of
+//! a record is `products[partition].get(rank)`, a `&str`. A group of
+//! one record counting one entity — a lone key, nearly every key under
+//! sparse blocking — is written without reading its text. Any other
+//! group reads its keys there: equal keys are folded as one block, and
+//! keys that merely share a hash are sorted apart and folded one by
+//! one, so a collision costs a sort and never a wrong cell. Only a
+//! block with a pair becomes a [`BlockKey`], one per block, shared by
+//! its cells and the matrix. The products live until the job ends and
+//! are then freed on the pool, one map task's buffer per pool task;
+//! the full per-entity key column is dropped when `finish` returns.
+//! The mapper hashes a key's text (`HashPartitioner::hash(&&str)`),
+//! which equals the hash of the key's `BlockKey`: reduce placement and
+//! the notes' hashes do not depend on the form the key takes. The
+//! cells `finish` emits, at most one per key of the partition, reach
+//! the map-side spiller together; there the spill threshold bounds
+//! them as before.
 
 use std::sync::Arc;
 
-use er_core::blocking::{BlockKey, BlockingFunction};
+use er_core::blocking::{BlockKey, BlockingFunction, KeyText};
 use mr_engine::prelude::*;
 
 use crate::bdm::{key_head, BlockDistributionMatrix, RankedKey};
@@ -89,19 +96,20 @@ pub type BdmKey = (u64, u32);
 /// The count value: `(entities, rank of the key in its partition)`.
 pub type BdmCell = (u64, u32);
 
-/// One map task's distinct blocking keys in rank order — the BDM job's
-/// map-task product: entry `j` is the key ranked `j`.
-pub type KeyColumn = Vec<BlockKey>;
+/// One map task's distinct blocking keys in rank order, back to back
+/// in one buffer — the BDM job's map-task product: entry `j` is the key
+/// ranked `j`.
+pub type KeyColumn = KeyText;
 
 /// Numbers the distinct keys of one partition's key column `0, 1, …`
 /// in lexicographic order and returns the rank of every entry;
 /// `cell(rank, key, count)` is called once per distinct key, in key
 /// order.
-pub(crate) fn rank_keys(keys: &[BlockKey], mut cell: impl FnMut(u32, &BlockKey, u64)) -> Vec<u32> {
+pub(crate) fn rank_keys(keys: &KeyText, mut cell: impl FnMut(u32, &str, u64)) -> Vec<u32> {
     // `(key_head, position)`: with the head inline, most comparisons
-    // never follow the key's pointer (as in the BDM's assembly).
+    // never read the key's text (as in the BDM's assembly).
     let mut order: Vec<(u64, usize)> = keys.iter().map(key_head).zip(0..).collect();
-    let key_of = |&(head, at): &(u64, usize)| (head, &keys[at]);
+    let key_of = |&(head, at): &(u64, usize)| (head, keys.get(at));
     order.sort_unstable_by(|a, b| key_of(a).cmp(&key_of(b)));
     let mut ranks = vec![0u32; keys.len()];
     for (rank, group) in order.chunk_by(|a, b| key_of(a) == key_of(b)).enumerate() {
@@ -109,7 +117,7 @@ pub(crate) fn rank_keys(keys: &[BlockKey], mut cell: impl FnMut(u32, &BlockKey, 
         for &(_, at) in group {
             ranks[at] = rank;
         }
-        cell(rank, &keys[group[0].1], group.len() as u64);
+        cell(rank, keys.get(group[0].1), group.len() as u64);
     }
     ranks
 }
@@ -124,7 +132,7 @@ pub struct BdmMapper {
     partition: Option<u32>,
     /// The partition's keys so far, entity after entity (each entity's
     /// sorted and distinct).
-    keys: Vec<BlockKey>,
+    keys: KeyText,
     /// The partition's keyed entities so far, in input order, each
     /// with the end of its keys in `keys`.
     entities: Vec<(usize, Ent)>,
@@ -141,9 +149,9 @@ impl BdmMapper {
             blocking,
             aggregate: use_combiner,
             partition: None,
-            keys: Vec::new(),
+            keys: KeyText::new(),
             entities: Vec::new(),
-            distinct: Vec::new(),
+            distinct: KeyText::new(),
         }
     }
 }
@@ -161,16 +169,13 @@ impl Mapper for BdmMapper {
     }
 
     fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<BdmKey, BdmCell, Self::Side>) {
-        let mut keys = self.blocking.keys(entity);
-        if keys.is_empty() {
+        let start = self.keys.len();
+        self.blocking.write_keys(entity, &mut self.keys);
+        if self.keys.len() == start {
             ctx.add_counter(NULL_KEY_ENTITIES, 1);
             return;
         }
-        if keys.len() > 1 {
-            keys.sort();
-            keys.dedup();
-        }
-        self.keys.append(&mut keys);
+        self.keys.sort_and_dedup_from(start);
         self.entities.push((self.keys.len(), Arc::clone(entity)));
     }
 
@@ -183,11 +188,11 @@ impl Mapper for BdmMapper {
             } else {
                 (count, 1)
             };
-            let hash = HashPartitioner::hash(key);
+            let hash = HashPartitioner::hash(&key);
             for _ in 0..records {
                 ctx.emit((hash, partition), (each, rank));
             }
-            self.distinct.push(key.clone());
+            self.distinct.push(key);
         });
         let mut start = 0;
         for (end, entity) in std::mem::take(&mut self.entities) {
@@ -230,12 +235,13 @@ impl BdmReducer {
 
 /// Writes the cells of the block of `key`, whose records arrive sorted
 /// by partition: those of one cell (several only with `use_combiner`
-/// off) are adjacent.
+/// off) are adjacent. The cells share one [`BlockKey`].
 fn cells(
-    key: &BlockKey,
+    key: &str,
     mut records: impl Iterator<Item = Record>,
     ctx: &mut ReduceContext<(u32, u32), RankedKey>,
 ) {
+    let key = BlockKey::new(key);
     let (mut partition, mut count, mut rank) = records.next().expect("never empty");
     for (next, more, next_rank) in records {
         if next == partition {
@@ -245,7 +251,7 @@ fn cells(
             (partition, count, rank) = (next, more, next_rank);
         }
     }
-    ctx.emit((partition, rank), RankedKey::Cell(key.clone(), count));
+    ctx.emit((partition, rank), RankedKey::Cell(key, count));
 }
 
 impl Reducer for BdmReducer {
@@ -272,7 +278,8 @@ impl Reducer for BdmReducer {
             return self.lone(first, hash, ctx);
         }
         let products = group.products();
-        let key_of = |&(partition, _, rank): &Record| &products[partition as usize][rank as usize];
+        let key_of =
+            |&(partition, _, rank): &Record| products[partition as usize].get(rank as usize);
         let key = key_of(&first);
         if records().all(|record| key_of(&record) == key) {
             return cells(key, records(), ctx);
@@ -493,21 +500,20 @@ mod tests {
             ([2, 1], [1, 3]),
             ([1, 2], [2, 1]),
         ];
-        let k = |s: &str| BlockKey::new(s);
         for (a, b) in shapes {
-            let counts = [(k("a"), a), (k("b"), b)];
+            let counts = [("a", a), ("b", b)];
             let products: Vec<KeyColumn> = (0..2)
                 .map(|p| {
                     let present = counts.iter().filter(|(_, n)| n[p] > 0);
-                    std::iter::once(k("0"))
-                        .chain(present.map(|(key, _)| key.clone()))
+                    std::iter::once("0")
+                        .chain(present.map(|&(key, _)| key))
                         .collect()
                 })
                 .collect();
             for use_combiner in [true, false] {
                 // Each key's records in partition order, as its mappers
                 // emit them.
-                let records = |(key, n): &(BlockKey, [u64; 2])| -> Vec<(BdmKey, BdmCell)> {
+                let records = |&(key, n): &(&str, [u64; 2])| -> Vec<(BdmKey, BdmCell)> {
                     let mut records = Vec::new();
                     for (p, &count) in n.iter().enumerate().filter(|(_, &c)| c > 0) {
                         let rank = products[p].iter().position(|k| k == key).unwrap() as u32;
@@ -578,6 +584,8 @@ mod tests {
         assert_eq!(*out.side_outputs[0][0].0, [0, 1]);
         let mut notes: Vec<_> = out.records().cloned().collect();
         notes.sort_by_key(|&(ranked, _)| ranked);
+        // The mapper hashed the key's text (`&str`): equal to the hash
+        // of its `BlockKey`, as this comparison pins.
         let lone = |key: &str| RankedKey::Lone(HashPartitioner::hash(&BlockKey::new(key)));
         assert_eq!(notes, [((0, 0), lone("acme")), ((0, 1), lone("w"))]);
         assert_eq!(out.metrics.counters.get(PRUNED_BLOCKS), 2);

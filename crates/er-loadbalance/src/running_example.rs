@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
+use er_core::blocking::KeyText;
 use er_core::Entity;
 use mr_engine::input::Partitions;
 
@@ -62,9 +62,9 @@ pub fn annotated_partitions() -> Partitions<Ranks, Ent> {
     entity_partitions()
         .into_iter()
         .map(|part| {
-            let keys: Vec<BlockKey> = part
+            let keys: KeyText = part
                 .iter()
-                .map(|(_, entity)| BlockKey::new(&entity.get("title").unwrap()[..1]))
+                .map(|(_, entity)| &entity.get("title").unwrap()[..1])
                 .collect();
             let ranks = rank_keys(&keys, |_, _, _| {});
             let entities = part.into_iter().map(|(_, entity)| entity);
@@ -103,6 +103,7 @@ mod tests {
     use super::*;
     use crate::bdm::running_example_bdm;
     use crate::bdm::BlockDistributionMatrix;
+    use er_core::blocking::BlockKey;
 
     #[test]
     fn layout_matches_figure3() {

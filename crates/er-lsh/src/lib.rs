@@ -40,7 +40,7 @@
 
 pub mod driver;
 
-use er_core::blocking::{BlockKey, BlockingFunction};
+use er_core::blocking::{BlockKey, BlockingFunction, KeyText};
 use er_core::minhash::{band_hash, banding_probability, MinHasher, ShingleScheme};
 use er_core::Entity;
 
@@ -146,20 +146,22 @@ impl LshBlocking {
     /// lexicographic key order groups by band index first.
     pub fn band_keys_of(&self, signature: &[u64]) -> Vec<BlockKey> {
         (0..self.params.bands)
-            .map(|band| self.band_key_of(signature, band))
+            .map(|band| self.band_key_of(signature, band, |key| BlockKey::new(key)))
             .collect()
     }
 
-    fn band_key_of(&self, signature: &[u64], band: usize) -> BlockKey {
-        band_key(band, band_hash(signature, band, self.params.rows))
+    /// The text of band `band`'s key of a signature, handed to
+    /// `use_key` — what `key`, `keys` and `write_keys` all build.
+    fn band_key_of<R>(&self, signature: &[u64], band: usize, use_key: impl FnOnce(&str) -> R) -> R {
+        band_key(band, band_hash(signature, band, self.params.rows), use_key)
     }
 }
 
 /// The key text `b<band>:<digest>` — `format!("b{band:03}:{digest:016x}")`
 /// written into a stack buffer (`format!` and its `String` were most
-/// of the key's cost). The band index widens past three digits from
-/// band 1000 on.
-fn band_key(band: usize, digest: u64) -> BlockKey {
+/// of the key's cost) and handed to `use_key`. The band index widens
+/// past three digits from band 1000 on.
+fn band_key<R>(band: usize, digest: u64, use_key: impl FnOnce(&str) -> R) -> R {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     // 'b', up to 20 decimal digits of a 64-bit band, ':', 16 hex digits.
     const LEN: usize = 1 + 20 + 1 + 16;
@@ -180,19 +182,30 @@ fn band_key(band: usize, digest: u64) -> BlockKey {
     }
     at -= 1;
     text[at] = b'b';
-    BlockKey::new(std::str::from_utf8(&text[at..]).expect("ASCII bytes are UTF-8"))
+    use_key(std::str::from_utf8(&text[at..]).expect("ASCII bytes are UTF-8"))
 }
 
 impl BlockingFunction for LshBlocking {
     /// The band-0 key.
     fn key(&self, entity: &Entity) -> Option<BlockKey> {
-        Some(self.band_key_of(&self.signature(entity)?, 0))
+        Some(self.band_key_of(&self.signature(entity)?, 0, |key| BlockKey::new(key)))
     }
 
     fn keys(&self, entity: &Entity) -> Vec<BlockKey> {
         match self.signature(entity) {
             Some(sig) => self.band_keys_of(&sig),
             None => Vec::new(),
+        }
+    }
+
+    /// The band keys in band order — strictly increasing below band
+    /// 1000, so the BDM job's mapper need not sort them — written
+    /// straight into `out`: the signature is the one allocation.
+    fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
+        if let Some(signature) = self.signature(entity) {
+            for band in 0..self.params.bands {
+                self.band_key_of(&signature, band, |key| out.push(key));
+            }
         }
     }
 }
@@ -234,7 +247,7 @@ mod tests {
         for band in [0, 7, 10, 99, 100, 999, 1000, 12_345, usize::MAX] {
             for digest in digests {
                 assert_eq!(
-                    band_key(band, digest).as_str(),
+                    band_key(band, digest, str::to_owned),
                     format!("b{band:03}:{digest:016x}")
                 );
             }
