@@ -6,7 +6,9 @@
 //!   increasing already, sorts them and drops repeats there — no
 //!   allocation per key;
 //! * `finish` numbers the partition's distinct keys `0, 1, …` in
-//!   lexicographic order — the key's *rank* — and side-writes every
+//!   lexicographic order — the key's *rank* — by sorting an index of
+//!   `(key head, position)` pairs that reads a key's text only where
+//!   two eight-byte heads (`key_head`) tie, and side-writes every
 //!   entity with a key once, in input order, as a [`RankedEntity`]:
 //!   the ranks of its keys in key order (one inline `u32` under
 //!   single-key blocking) and the entity, to the simulated DFS
@@ -54,12 +56,13 @@
 //! one record counting one entity — a lone key, nearly every key under
 //! sparse blocking — is written without reading its text. Any other
 //! group reads its keys there: equal keys are folded as one block, and
-//! keys that merely share a hash are sorted apart and folded one by
-//! one, so a collision costs a sort and never a wrong cell. Only a
-//! block with a pair becomes a [`BlockKey`], one per block, shared by
-//! its cells and the matrix. The products live until the job ends and
-//! are then freed on the pool, one map task's buffer per pool task;
-//! the full per-entity key column is dropped when `finish` returns.
+//! keys that merely share a hash are sorted apart, heads first as in
+//! `finish`, and folded one by one, so a collision costs a sort and
+//! never a wrong cell. Only a block with a pair becomes a
+//! [`BlockKey`], one per block, shared by its cells and the matrix.
+//! The products live until the job ends and are then freed on the
+//! pool, one map task's buffer per pool task; the full per-entity key
+//! column is dropped when `finish` returns.
 //! The mapper hashes a key's text (`HashPartitioner::hash(&&str)`),
 //! which equals the hash of the key's `BlockKey`: reduce placement and
 //! the notes' hashes do not depend on the form the key takes. The
@@ -67,6 +70,7 @@
 //! the map-side spiller together; there the spill threshold bounds
 //! them as before.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use er_core::blocking::{BlockKey, BlockingFunction, KeyText};
@@ -101,18 +105,30 @@ pub type BdmCell = (u64, u32);
 /// ranked `j`.
 pub type KeyColumn = KeyText;
 
+/// The job's order of blocking keys, lexicographic, read the cheap
+/// way: by the keys' [`key_head`]s, which `head` gives, and by their
+/// text, which `text` gives, only where two heads tie. A head is the
+/// key's first eight bytes, zero-padded and big-endian, so two heads
+/// that differ order their keys as the text does.
+fn key_order<'k, T>(
+    head: impl Fn(&T) -> u64,
+    text: impl Fn(&T) -> &'k str,
+) -> impl Fn(&T, &T) -> Ordering {
+    move |a, b| head(a).cmp(&head(b)).then_with(|| text(a).cmp(text(b)))
+}
+
 /// Numbers the distinct keys of one partition's key column `0, 1, …`
 /// in lexicographic order and returns the rank of every entry;
 /// `cell(rank, key, count)` is called once per distinct key, in key
 /// order.
 pub(crate) fn rank_keys(keys: &KeyText, mut cell: impl FnMut(u32, &str, u64)) -> Vec<u32> {
-    // `(key_head, position)`: with the head inline, most comparisons
-    // never read the key's text (as in the BDM's assembly).
+    // `(key_head, position)`, sorted and grouped in `key_order`: the
+    // text of an entry is read only when its head ties another's.
     let mut order: Vec<(u64, usize)> = keys.iter().map(key_head).zip(0..).collect();
-    let key_of = |&(head, at): &(u64, usize)| (head, keys.get(at));
-    order.sort_unstable_by(|a, b| key_of(a).cmp(&key_of(b)));
+    let by_key = key_order(|&(head, _)| head, |&(_, at)| keys.get(at));
+    order.sort_unstable_by(&by_key);
     let mut ranks = vec![0u32; keys.len()];
-    for (rank, group) in order.chunk_by(|a, b| key_of(a) == key_of(b)).enumerate() {
+    for (rank, group) in order.chunk_by(|a, b| by_key(a, b).is_eq()).enumerate() {
         let rank = key_index(rank, "distinct blocking keys of a partition");
         for &(_, at) in group {
             ranks[at] = rank;
@@ -286,12 +302,19 @@ impl Reducer for BdmReducer {
         }
         // Keys that share a 64-bit hash: split the group by key,
         // keeping each key's records in partition order.
-        let mut split: Vec<Record> = records().collect();
-        split.sort_by(|a, b| key_of(a).cmp(key_of(b)));
-        for block in split.chunk_by(|a, b| key_of(a) == key_of(b)) {
+        let mut split: Vec<(u64, Record)> = records()
+            .map(|record| (key_head(key_of(&record)), record))
+            .collect();
+        let by_key = key_order(|&(head, _)| head, |(_, record)| key_of(record));
+        split.sort_by(&by_key);
+        for block in split.chunk_by(|a, b| by_key(a, b).is_eq()) {
             match *block {
-                [record @ (_, 1, _)] => self.lone(record, hash, ctx),
-                _ => cells(key_of(&block[0]), block.iter().copied(), ctx),
+                [(_, record @ (_, 1, _))] => self.lone(record, hash, ctx),
+                _ => cells(
+                    key_of(&block[0].1),
+                    block.iter().map(|&(_, record)| record),
+                    ctx,
+                ),
             }
         }
     }
@@ -741,6 +764,60 @@ mod tests {
                     prop_assert_eq!(first_side.get_or_insert_with(|| view.clone()), &view);
                 }
             }
+        }
+    }
+
+    /// Keys whose heads tie: three skus that share their first eight
+    /// bytes, a key beside itself zero-padded (`key_head` pads with
+    /// zeros), nested keys and multi-byte text.
+    const TIED: [&str; 16] = [
+        "",
+        "\0",
+        "a",
+        "ab",
+        "ab\0",
+        "ab\0\0\0\0\0\0",
+        "abc",
+        "sku00123",
+        "sku00123\0",
+        "sku0012345",
+        "sku0012399",
+        "e",
+        "é",
+        "名",
+        "名前",
+        "名前a",
+    ];
+
+    proptest::proptest! {
+        /// `rank_keys` against a sorted map of the column's keys to
+        /// their counts: every entry's rank, and one `cell` call per
+        /// distinct key, in key order, with its text and count. Columns
+        /// repeat keys and may be empty.
+        #[test]
+        fn rank_keys_numbers_keys_as_a_sorted_map_does(
+            picks in proptest::collection::vec(0usize..TIED.len(), 0..40),
+        ) {
+            use proptest::prelude::*;
+            use std::collections::BTreeMap;
+            let column: KeyText = picks.iter().map(|&i| TIED[i]).collect();
+            let mut reference = BTreeMap::<String, u64>::new();
+            for &i in &picks {
+                *reference.entry(TIED[i].to_owned()).or_default() += 1;
+            }
+            let mut calls = Vec::new();
+            let ranks = rank_keys(&column, |rank, key, count| {
+                calls.push((rank, key.to_owned(), count));
+            });
+            let expected_calls: Vec<(u32, String, u64)> = reference
+                .iter()
+                .enumerate()
+                .map(|(rank, (key, &count))| (rank as u32, key.clone(), count))
+                .collect();
+            prop_assert_eq!(calls, expected_calls);
+            let rank_of = |key: &str| reference.keys().position(|k| k == key).unwrap() as u32;
+            let expected_ranks: Vec<u32> = picks.iter().map(|&i| rank_of(TIED[i])).collect();
+            prop_assert_eq!(ranks, expected_ranks);
         }
     }
 
