@@ -14,7 +14,7 @@ use er_core::blocking::{BlockKey, KeyText};
 use er_core::{Entity, SourceId};
 use mr_engine::input::Partitions;
 
-use crate::bdm::BlockDistributionMatrix;
+use crate::bdm::{key_hash, BlockDistributionMatrix};
 use crate::bdm_job::rank_keys;
 use crate::{Ent, Ranks};
 
@@ -71,7 +71,7 @@ pub fn annotated_partitions() -> Partitions<Ranks, Ent> {
     entity_partitions()
         .into_iter()
         .map(|part| {
-            let ranks = rank_keys(&keys_of(&part), |_, _, _| {});
+            let ranks = rank_keys(&keys_of(&part), key_hash, |_, _, _, _| {});
             let entities = part.into_iter().map(|(_, entity)| entity);
             ranks.into_iter().map(Ranks::One).zip(entities).collect()
         })

@@ -46,7 +46,8 @@
 //! that order and on nothing else about how the matrix was assembled.
 //!
 //! **Ranks instead of lookups.** The BDM job's mapper numbers its
-//! partition's distinct keys `0, 1, …` in lexicographic order — the
+//! partition's distinct keys `0, 1, …` in the order of their hashes
+//! ([`HashPartitioner::hash`]; keys that share one by text) — the
 //! key's *rank* — and sends that rank with every cell it emits, beside
 //! the key's hash; the reducer finds a key's text, where it needs it,
 //! at that rank of the mapper's distinct keys, and writes one record
@@ -74,10 +75,10 @@
 //! vector are linear in the blocks that have pairs, not in the blocks
 //! the input has; only the remaps (four bytes per ranked key, a lone
 //! entity's entry marked in place) and the lone entities' hashes are as
-//! long as the partitions' key lists. [`from_counts`] sorts its triples by `(key,
-//! partition)`, numbers each partition's keys in that order and goes
-//! through the same routine, whose own sort then finds its input
-//! sorted.
+//! long as the partitions' key lists. [`from_counts`] sorts its
+//! triples by `(key, partition)` to sum them, numbers each partition's
+//! keys in `(hash, key)` order as the mappers do, and goes through the
+//! same routine, whose own sort then finds its input sorted.
 //!
 //! [`from_counts`]: BlockDistributionMatrix::from_counts
 //! [`pruned_entities`]: BlockDistributionMatrix::pruned_entities
@@ -101,6 +102,13 @@ pub(crate) fn key_head(key: &str) -> u64 {
     let len = bytes.len().min(8);
     head[..len].copy_from_slice(&bytes[..len]);
     u64::from_be_bytes(head)
+}
+
+/// The hash the BDM job ranks, shuffles and places a key by:
+/// [`HashPartitioner::hash`] of the key's text, which equals that of
+/// its [`BlockKey`].
+pub(crate) fn key_hash(key: &str) -> u64 {
+    HashPartitioner::hash(&key)
 }
 
 /// What the BDM job's reducer writes about one ranked key of one input
@@ -248,7 +256,8 @@ impl BlockDistributionMatrix {
     /// Triples may arrive in any order; duplicate `(key, partition)`
     /// triples are summed. `m` is the total number of input partitions.
     /// A key's rank in a partition is its position among the distinct
-    /// keys with entities there, as the BDM job's mapper numbers them.
+    /// keys with entities there in `(hash, key)` order, as the BDM
+    /// job's mapper numbers them.
     ///
     /// # Panics
     /// If a partition index is `>= m`, or there are more than
@@ -273,10 +282,17 @@ impl BlockDistributionMatrix {
             same_cell
         });
         cells.retain(|cell| cell.3 > 0);
-        // In key order, the cells of a partition are its keys in rank
-        // order.
+        // A partition's keys are ranked in the mappers' order: by
+        // `(key_hash, key)`.
+        let mut by_rank: Vec<(u64, usize)> = cells
+            .iter()
+            .map(|cell| key_hash(cell.1.as_str()))
+            .zip(0..)
+            .collect();
+        by_rank.sort_unstable_by(|a, b| (a.0, &cells[a.1].1).cmp(&(b.0, &cells[b.1].1)));
         let mut ranked = vec![0usize; m];
-        for (_, _, partition, _, rank) in &mut cells {
+        for (_, at) in by_rank {
+            let (_, _, partition, _, rank) = &mut cells[at];
             let keys = &mut ranked[*partition as usize];
             *rank = key_index(*keys, "distinct blocking keys of a partition");
             *keys += 1;
@@ -286,8 +302,8 @@ impl BlockDistributionMatrix {
 
     /// Builds a BDM from the output records of the BDM job over `m`
     /// input partitions: `((partition, rank), ranked key)`, one per key
-    /// the mapper of `partition` ranked `0, 1, …` in lexicographic
-    /// order (see [`crate::bdm_job`]). Records may arrive in any order.
+    /// the mapper of `partition` ranked `0, 1, …` in the order of the
+    /// keys' hashes (see [`crate::bdm_job`]). Records may arrive in any order.
     ///
     /// # Panics
     /// If a partition index is `>= m`, a cell counts nothing, the
@@ -452,8 +468,9 @@ impl BlockDistributionMatrix {
     }
 
     /// The rank → block remap of `partition`: entry `j` is the block
-    /// of the partition's `j`-th smallest key, or [`Self::PRUNED`]
-    /// when that block has no pair (see the module header).
+    /// of the key ranked `j` — the partition's `j`-th key in `(hash,
+    /// key)` order — or [`Self::PRUNED`] when that block has no pair
+    /// (see the module header).
     pub fn blocks_in(&self, partition: usize) -> &[u32] {
         &self.blocks_in[partition]
     }
@@ -489,11 +506,12 @@ impl BlockDistributionMatrix {
         }
     }
 
-    /// Resolves an entity's `ranks` in `partition` (in key order, as
-    /// the BDM job writes them): fills `blocks` with the blocks that
-    /// have a pair, in key order, and returns the entity's key list
-    /// for its table row — the keys of those blocks — or `None` when
-    /// every block was pruned and the entity has no pair.
+    /// Resolves an entity's `ranks` in `partition`, in any order: fills
+    /// `blocks` with the blocks that have a pair, sorted (block order
+    /// is key order), and returns the entity's key list for its table
+    /// row — the keys of those blocks, in key order as the
+    /// smallest-common-key rule reads them — or `None` when every block
+    /// was pruned and the entity has no pair.
     ///
     /// The list leaves out the keys of pruned blocks. Such a key is
     /// held by no other entity, so the smallest-common-block rule
@@ -510,13 +528,15 @@ impl BlockDistributionMatrix {
         ranks: &[u32],
         blocks: &mut Vec<u32>,
     ) -> Option<KeyList> {
-        debug_assert!(ranks.is_sorted(), "ranks arrive in key order");
         blocks.clear();
         blocks.extend(
             ranks
                 .iter()
                 .filter_map(|&rank| self.block_of_rank(partition, rank)),
         );
+        // Ranks follow the keys' hashes, block indexes the keys: sorted,
+        // the blocks give their keys in key order.
+        blocks.sort_unstable();
         match blocks.as_slice() {
             [] => None,
             &[block] => Some(KeyList::One(self.keys[block as usize].clone())),
@@ -672,8 +692,9 @@ mod tests {
     /// The previous tree-based BDM, kept as the model the flat layout
     /// is checked against: one `BTreeMap` insert per cell, one `Vec`
     /// per row of a block with a pair, a second tree for lookup, and
-    /// per partition the remap of its keys' ranks and the keys of its
-    /// lone entities.
+    /// per partition the remap of its keys' ranks — in `(hash, key)`
+    /// order, from a second tree keyed so — and the keys of its lone
+    /// entities.
     struct TreeBdm {
         rows: Vec<(BlockKey, Vec<u64>)>,
         by_key: BTreeMap<BlockKey, usize>,
@@ -687,9 +708,9 @@ mod tests {
             for (key, partition, count) in counts {
                 per_key.entry(key.clone()).or_insert_with(|| vec![0; m])[*partition] += count;
             }
+            // Blocks in key order; each key's remap entry by `(hash, key)`.
             let mut rows = Vec::new();
-            let mut remaps = vec![Vec::new(); m];
-            let mut lone = vec![Vec::new(); m];
+            let mut by_hash = BTreeMap::new();
             for (key, per_partition) in per_key {
                 let has_pair = per_partition.iter().sum::<u64>() >= 2;
                 let entry = if has_pair {
@@ -697,14 +718,20 @@ mod tests {
                 } else {
                     BlockDistributionMatrix::PRUNED
                 };
-                for (p, _) in per_partition.iter().enumerate().filter(|(_, &c)| c > 0) {
-                    remaps[p].push(entry);
-                    if !has_pair {
-                        lone[p].push(key.clone());
-                    }
-                }
+                let hash = HashPartitioner::hash(&key);
+                by_hash.insert((hash, key.clone()), (entry, per_partition.clone()));
                 if has_pair {
                     rows.push((key, per_partition));
+                }
+            }
+            let mut remaps = vec![Vec::new(); m];
+            let mut lone = vec![Vec::new(); m];
+            for ((_, key), (entry, per_partition)) in by_hash {
+                for (p, _) in per_partition.iter().enumerate().filter(|(_, &c)| c > 0) {
+                    remaps[p].push(entry);
+                    if entry == BlockDistributionMatrix::PRUNED {
+                        lone[p].push(key.clone());
+                    }
                 }
             }
             let by_key = rows
@@ -843,28 +870,30 @@ mod tests {
         assert_eq!(keys, ["b", "c", "e"]);
         assert_eq!([bdm.size(0), bdm.size(1), bdm.size(2)], [2, 2, 3]);
         assert_eq!(bdm.total_pairs(), 1 + 1 + 3);
+        // Ranks follow the keys' hashes: c, a, e, b in partition 0 and
+        // d, e, b in partition 1 (`key_hash`'s golden values).
         const PRUNED: u32 = BlockDistributionMatrix::PRUNED;
-        assert_eq!(bdm.blocks_in(0), [PRUNED, 0, 1, 2]);
-        assert_eq!(bdm.blocks_in(1), [0, PRUNED, 2]);
-        assert_eq!(bdm.block_of_rank(0, 0), None);
-        assert_eq!(bdm.block_of_rank(0, 2), Some(1));
-        assert_eq!(bdm.block_of_rank(1, 1), None);
+        assert_eq!(bdm.blocks_in(0), [1, PRUNED, 2, 0]);
+        assert_eq!(bdm.blocks_in(1), [PRUNED, 2, 0]);
+        assert_eq!(bdm.block_of_rank(0, 1), None);
+        assert_eq!(bdm.block_of_rank(0, 0), Some(1));
+        assert_eq!(bdm.block_of_rank(1, 0), None);
         // An entity's ranks resolve to its live blocks and their keys:
-        // a (pruned), c, e in partition 0; d (pruned) alone in 1.
+        // c, a (pruned), e in partition 0; d (pruned) alone in 1.
         let mut blocks = Vec::new();
         let live = |keys: Option<KeyList>| {
             keys.map(|keys| keys.iter().map(|k| k.to_string()).collect::<Vec<_>>())
         };
         assert_eq!(
-            live(bdm.live_blocks(0, &[0, 2, 3], &mut blocks)),
+            live(bdm.live_blocks(0, &[0, 1, 2], &mut blocks)),
             Some(vec!["c".to_string(), "e".to_string()])
         );
         assert_eq!(blocks, [1, 2]);
         assert!(
-            matches!(bdm.live_blocks(0, &[0, 1], &mut blocks), Some(KeyList::One(key)) if key.as_str() == "b")
+            matches!(bdm.live_blocks(0, &[1, 3], &mut blocks), Some(KeyList::One(key)) if key.as_str() == "b")
         );
         assert_eq!(blocks, [0]);
-        assert!(bdm.live_blocks(1, &[1], &mut blocks).is_none());
+        assert!(bdm.live_blocks(1, &[0], &mut blocks).is_none());
         assert!(blocks.is_empty());
         assert_eq!(bdm.block_index(&k("a")), None);
         // Of a and d their hashes are left, in (partition, rank) order.
@@ -875,13 +904,13 @@ mod tests {
         // The same matrix from what the BDM job writes, in any order.
         let cell = |key: &str, count| RankedKey::Cell(k(key), count);
         let records = vec![
-            ((1, 2), cell("e", 2)),
-            ((0, 3), cell("e", 1)),
-            ((1, 1), RankedKey::Lone(hashes[1])),
-            ((0, 2), cell("c", 2)),
-            ((0, 1), cell("b", 1)),
-            ((1, 0), cell("b", 1)),
-            ((0, 0), RankedKey::Lone(hashes[0])),
+            ((1, 1), cell("e", 2)),
+            ((0, 2), cell("e", 1)),
+            ((1, 0), RankedKey::Lone(hashes[1])),
+            ((0, 0), cell("c", 2)),
+            ((0, 3), cell("b", 1)),
+            ((1, 2), cell("b", 1)),
+            ((0, 1), RankedKey::Lone(hashes[0])),
         ];
         assert_eq!(
             BlockDistributionMatrix::from_job_output(2, records.clone()),
@@ -889,8 +918,73 @@ mod tests {
         );
         // A block the job should have dropped is dropped here.
         let mut undropped = records;
-        undropped[6] = ((0, 0), cell("a", 1));
+        undropped[6] = ((0, 1), cell("a", 1));
         assert_eq!(BlockDistributionMatrix::from_job_output(2, undropped), bdm);
+    }
+
+    /// `key_hash` is [`HashPartitioner::hash`], std's `DefaultHasher`,
+    /// whose algorithm std leaves free to change between releases.
+    /// Reduce placement, Basic's analysis, the lone entities' notes and
+    /// every BDM rank rest on it: a toolchain that changes it fails
+    /// here, by name, instead of moving ranks silently. Each key's hash
+    /// is also that of its `BlockKey`.
+    #[test]
+    fn key_hash_is_pinned_to_golden_values() {
+        const GOLDEN: [(&str, u64); 8] = [
+            ("", 3_476_900_567_878_811_119),
+            ("a", 8_186_225_505_942_432_243),
+            ("b", 16_993_177_596_579_750_922),
+            ("w", 585_348_332_714_601_792),
+            ("z", 6_922_738_411_592_503_159),
+            ("acme", 1_111_676_390_585_429_433),
+            ("sku0012345", 16_721_698_873_736_694_743),
+            ("名前", 9_266_483_519_084_164_039),
+        ];
+        for (key, golden) in GOLDEN {
+            assert_eq!(key_hash(key), golden, "{key:?}");
+            assert_eq!(HashPartitioner::hash(&key), golden, "{key:?} as &str");
+            assert_eq!(
+                HashPartitioner::hash(&BlockKey::new(key)),
+                golden,
+                "{key:?} as BlockKey"
+            );
+        }
+    }
+
+    /// Ranks follow the keys' hashes and block indexes the keys, so a
+    /// multi-key entity's ascending ranks can resolve to blocks out of
+    /// key order; `live_blocks` sorts them, and the key list comes out
+    /// sorted, as the smallest-common-key rule reads it.
+    #[test]
+    fn live_blocks_sorts_an_entitys_blocks_into_key_order() {
+        let k = |s: &str| BlockKey::new(s);
+        let bdm = BlockDistributionMatrix::from_key_partitions(&[vec![
+            k("b"),
+            k("c"),
+            k("e"),
+            k("b"),
+            k("c"),
+            k("e"),
+        ]]);
+        let rank_of = |key: &str| {
+            let block = bdm.block_index(&k(key)).unwrap();
+            bdm.blocks_in(0).iter().position(|&b| b == block).unwrap() as u32
+        };
+        let mut ranks = ["b", "c", "e"].map(rank_of);
+        ranks.sort_unstable();
+        let in_rank_order: Vec<u32> = ranks
+            .iter()
+            .map(|&rank| bdm.block_of_rank(0, rank).unwrap())
+            .collect();
+        assert!(
+            !in_rank_order.is_sorted(),
+            "{in_rank_order:?}: no reordering to test"
+        );
+        let mut blocks = Vec::new();
+        let keys = bdm.live_blocks(0, &ranks, &mut blocks).expect("live");
+        assert_eq!(blocks, [0, 1, 2]);
+        let keys: Vec<&str> = keys.iter().map(BlockKey::as_str).collect();
+        assert_eq!(keys, ["b", "c", "e"]);
     }
 
     /// The remaps come from the job's output alone, so it must name

@@ -5,13 +5,16 @@
 //!   [`BlockingFunction::write_keys`]) and, if they are not strictly
 //!   increasing already, sorts them and drops repeats there — no
 //!   allocation per key;
-//! * `finish` numbers the partition's distinct keys `0, 1, …` in
-//!   lexicographic order — the key's *rank* — by sorting an index of
-//!   `(key head, position)` pairs that reads a key's text only where
-//!   two eight-byte heads (`key_head`) tie, and side-writes every
-//!   entity with a key once, in input order, as a [`RankedEntity`]:
-//!   the ranks of its keys in key order (one inline `u32` under
-//!   single-key blocking) and the entity, to the simulated DFS
+//! * `finish` hashes every key once ([`HashPartitioner::hash`] of its
+//!   text) and numbers the partition's distinct keys `0, 1, …` in the
+//!   order of their hashes — the key's *rank*; keys that share a hash
+//!   by text — by sorting an index of `(hash, position)` pairs: one
+//!   in-place bucket pass on the hashes' top bits, about one key per
+//!   bucket, then a sort of each fuller bucket that reads a key's text
+//!   only where two hashes tie. It side-writes every entity with a
+//!   key once, in input order, as a [`RankedEntity`]: the ranks of its
+//!   keys, ascending (one inline `u32` under single-key blocking), and
+//!   the entity, to the simulated DFS
 //!   (`additionalOutput`). The paper annotates an entity with its key;
 //!   the rank is the key's stand-in, which the matching job turns into
 //!   a block with one array load
@@ -21,7 +24,9 @@
 //! * counts are aggregated in the mapper — the combiner of the paper's
 //!   footnote 2, realised where the keys are already grouped: `finish`
 //!   emits one `((key hash, partition index), (count, rank))` cell per
-//!   distinct key (the engine itself has no combiner). With
+//!   distinct key, in rank order — ascending hash, so every bucket of
+//!   the engine's map-side spiller arrives as one sorted run and its
+//!   seal sorts nothing (the engine itself has no combiner). With
 //!   `use_combiner` off `finish` emits Algorithm 3's record count
 //!   instead — one `(1, rank)` per key of an entity — from the same
 //!   place, because the rank is known only there. The shuffle record
@@ -56,16 +61,16 @@
 //! one record counting one entity — a lone key, nearly every key under
 //! sparse blocking — is written without reading its text. Any other
 //! group reads its keys there: equal keys are folded as one block, and
-//! keys that merely share a hash are sorted apart, heads first as in
-//! `finish`, and folded one by one, so a collision costs a sort and
+//! keys that merely share a hash are sorted apart, eight-byte heads
+//! (`key_head`) first, and folded one by one, so a collision costs a sort and
 //! never a wrong cell. Only a block with a pair becomes a
 //! [`BlockKey`], one per block, shared by its cells and the matrix.
 //! The products live until the job ends and are then freed on the
 //! pool, one map task's buffer per pool task; the full per-entity key
 //! column is dropped when `finish` returns.
-//! The mapper hashes a key's text (`HashPartitioner::hash(&&str)`),
-//! which equals the hash of the key's `BlockKey`: reduce placement and
-//! the notes' hashes do not depend on the form the key takes. The
+//! The mapper hashes a key's text (`key_hash`), which equals the hash
+//! of the key's `BlockKey`: reduce placement, the notes' hashes and the
+//! ranks do not depend on the form the key takes. The
 //! cells `finish` emits, at most one per key of the partition, reach
 //! the map-side spiller together; there the spill threshold bounds
 //! them as before.
@@ -76,7 +81,7 @@ use std::sync::Arc;
 use er_core::blocking::{BlockKey, BlockingFunction, KeyText};
 use mr_engine::prelude::*;
 
-use crate::bdm::{key_head, BlockDistributionMatrix, RankedKey};
+use crate::bdm::{key_hash, key_head, BlockDistributionMatrix, RankedKey};
 use crate::keys::key_index;
 use crate::{Ent, RankedEntity, Ranks};
 
@@ -105,35 +110,97 @@ pub type BdmCell = (u64, u32);
 /// ranked `j`.
 pub type KeyColumn = KeyText;
 
-/// The job's order of blocking keys, lexicographic, read the cheap
-/// way: by the keys' [`key_head`]s, which `head` gives, and by their
-/// text, which `text` gives, only where two heads tie. A head is the
-/// key's first eight bytes, zero-padded and big-endian, so two heads
-/// that differ order their keys as the text does.
+/// An order of blocking keys read the cheap way: by an integer each
+/// key determines, which `int` gives, and by their text, which `text`
+/// gives, only where two integers tie. The mappers rank by the key's
+/// [`key_hash`]; the reducer's collision split sorts by its
+/// [`key_head`] — the first eight bytes, zero-padded and big-endian,
+/// so that two heads that differ order their keys as the text does.
 fn key_order<'k, T>(
-    head: impl Fn(&T) -> u64,
+    int: impl Fn(&T) -> u64,
     text: impl Fn(&T) -> &'k str,
 ) -> impl Fn(&T, &T) -> Ordering {
-    move |a, b| head(a).cmp(&head(b)).then_with(|| text(a).cmp(text(b)))
+    move |a, b| int(a).cmp(&int(b)).then_with(|| text(a).cmp(text(b)))
+}
+
+/// Sorts `(hash, position)` entries by `order`, which must order them
+/// by hash first: one in-place bucket pass on the hashes' top bits
+/// (American flag sort) with at least as many buckets as entries, then
+/// `order` within each bucket that holds more than one entry. A hash
+/// is close to uniform, so nearly every bucket holds one entry or
+/// none. Beside the entries the pass needs one `u32` per bucket.
+fn sort_by_hash(
+    entries: &mut [(u64, usize)],
+    order: impl Fn(&(u64, usize), &(u64, usize)) -> Ordering,
+) {
+    if entries.len() < 2 {
+        return;
+    }
+    u32::try_from(entries.len()).expect("a partition's keys fit the u32 bucket table");
+    let bits = entries.len().next_power_of_two().trailing_zeros();
+    let bucket = |&(hash, _): &(u64, usize)| (hash >> (64 - bits)) as usize;
+    // `ends[b]`: one past the unfilled slots of bucket `b`. The pass
+    // fills each bucket from its end, so an entry sits in its place
+    // once it is at or past its bucket's `ends`.
+    let mut ends = vec![0u32; 1 << bits];
+    for entry in entries.iter() {
+        ends[bucket(entry)] += 1;
+    }
+    let mut end = 0;
+    for slot in &mut ends {
+        end += *slot;
+        *slot = end;
+    }
+    // Slot by slot, every bucket before the slot's is full: an entry
+    // not yet in place belongs to the slot's bucket or a later one.
+    // Carry it to its bucket's last unfilled slot, then the entry found
+    // there, until one lands in the slot.
+    for at in 0..entries.len() {
+        let mut entry = entries[at];
+        let mut b = bucket(&entry);
+        if ends[b] as usize <= at {
+            continue;
+        }
+        loop {
+            ends[b] -= 1;
+            let slot = ends[b] as usize;
+            if slot == at {
+                entries[at] = entry;
+                break;
+            }
+            entry = std::mem::replace(&mut entries[slot], entry);
+            b = bucket(&entry);
+        }
+    }
+    for run in entries.chunk_by_mut(|a, b| bucket(a) == bucket(b)) {
+        if run.len() > 1 {
+            run.sort_unstable_by(&order);
+        }
+    }
 }
 
 /// Numbers the distinct keys of one partition's key column `0, 1, …`
-/// in lexicographic order and returns the rank of every entry;
-/// `cell(rank, key, count)` is called once per distinct key, in key
-/// order.
-pub(crate) fn rank_keys(keys: &KeyText, mut cell: impl FnMut(u32, &str, u64)) -> Vec<u32> {
-    // `(key_head, position)`, sorted and grouped in `key_order`: the
-    // text of an entry is read only when its head ties another's.
-    let mut order: Vec<(u64, usize)> = keys.iter().map(key_head).zip(0..).collect();
-    let by_key = key_order(|&(head, _)| head, |&(_, at)| keys.get(at));
-    order.sort_unstable_by(&by_key);
+/// in `(hash(key), key)` order — the job passes [`key_hash`] — and
+/// returns the rank of every entry; `cell(rank, hash, key, count)` is
+/// called once per distinct key, in rank order: by ascending hash, the
+/// order the engine's map-side sort puts the job's cells in. Each key
+/// is hashed once, and its text is read only where two hashes tie.
+pub(crate) fn rank_keys(
+    keys: &KeyText,
+    hash: impl Fn(&str) -> u64,
+    mut cell: impl FnMut(u32, u64, &str, u64),
+) -> Vec<u32> {
+    let mut order: Vec<(u64, usize)> = keys.iter().map(hash).zip(0..).collect();
+    let by_key = key_order(|&(hash, _)| hash, |&(_, at)| keys.get(at));
+    sort_by_hash(&mut order, &by_key);
     let mut ranks = vec![0u32; keys.len()];
     for (rank, group) in order.chunk_by(|a, b| by_key(a, b).is_eq()).enumerate() {
         let rank = key_index(rank, "distinct blocking keys of a partition");
         for &(_, at) in group {
             ranks[at] = rank;
         }
-        cell(rank, keys.get(group[0].1), group.len() as u64);
+        let (hash, at) = group[0];
+        cell(rank, hash, keys.get(at), group.len() as u64);
     }
     ranks
 }
@@ -198,13 +265,12 @@ impl Mapper for BdmMapper {
     fn finish(&mut self, ctx: &mut MapContext<BdmKey, BdmCell, Self::Side>) {
         let partition = self.partition.expect("setup ran");
         let keys = std::mem::take(&mut self.keys);
-        let ranks = rank_keys(&keys, |rank, key, count| {
+        let mut ranks = rank_keys(&keys, key_hash, |rank, hash, key, count| {
             let (records, each) = if self.aggregate {
                 (1, count)
             } else {
                 (count, 1)
             };
-            let hash = HashPartitioner::hash(&key);
             for _ in 0..records {
                 ctx.emit((hash, partition), (each, rank));
             }
@@ -212,7 +278,11 @@ impl Mapper for BdmMapper {
         });
         let mut start = 0;
         for (end, entity) in std::mem::take(&mut self.entities) {
-            ctx.side_output((Ranks::from(&ranks[start..end]), entity));
+            // An entity's keys are in key order, their ranks in hash
+            // order.
+            let own = &mut ranks[start..end];
+            own.sort_unstable();
+            ctx.side_output((Ranks::from(&*own), entity));
             start = end;
         }
     }
@@ -599,9 +669,9 @@ mod tests {
         let job = bdm_job(mp, 2, false);
         let out = job.run_on(&WorkerPool::new(1), input).unwrap();
         // Two keys -> two count records and one side record with both
-        // ranks, in key order ("acme" < "w"); both blocks are
-        // singletons, so the reducer drops them and leaves a note of
-        // each.
+        // ranks, ascending: "w" hashes below "acme", so it is ranked 0.
+        // Both blocks are singletons, so the reducer drops them and
+        // leaves a note of each.
         assert_eq!(out.metrics.map_output_records(), 2);
         assert_eq!(out.side_outputs[0].len(), 1);
         assert_eq!(*out.side_outputs[0][0].0, [0, 1]);
@@ -610,7 +680,7 @@ mod tests {
         // The mapper hashed the key's text (`&str`): equal to the hash
         // of its `BlockKey`, as this comparison pins.
         let lone = |key: &str| RankedKey::Lone(HashPartitioner::hash(&BlockKey::new(key)));
-        assert_eq!(notes, [((0, 0), lone("acme")), ((0, 1), lone("w"))]);
+        assert_eq!(notes, [((0, 0), lone("w")), ((0, 1), lone("acme"))]);
         assert_eq!(out.metrics.counters.get(PRUNED_BLOCKS), 2);
         assert_eq!(out.metrics.counters.get(PRUNED_ENTITIES), 2);
     }
@@ -736,18 +806,23 @@ mod tests {
                         let expected_order: Vec<u64> = expected[p].iter().map(|&(_, id)| id).collect();
                         prop_assert_eq!(&order, &expected_order);
                         // A key's rank is its place among the
-                        // partition's distinct keys.
-                        let distinct: std::collections::BTreeSet<&BlockKey> = key_lists[p].iter().collect();
-                        let rank_of = |key: &BlockKey| distinct.iter().position(|k| *k == key).unwrap() as u32;
-                        // Dense ranks, one per key in key order, that
+                        // partition's distinct keys in `(hash, key)`
+                        // order.
+                        let distinct: std::collections::BTreeSet<(u64, &BlockKey)> = key_lists[p]
+                            .iter()
+                            .map(|key| (HashPartitioner::hash(key), key))
+                            .collect();
+                        let rank_of = |key: &BlockKey| distinct.iter().position(|&(_, k)| k == key).unwrap() as u32;
+                        // Dense ranks, one per key, ascending, that
                         // remap to the key's block, or to none iff the
                         // key is alone in the input.
                         let mut seen = vec![false; bdm.blocks_in(p).len()];
                         for ((ranks, _), (keys, _)) in partition.iter().zip(&expected[p]) {
-                            prop_assert_eq!(ranks.len(), keys.len());
-                            prop_assert!(ranks.is_sorted(), "ranks {:?} out of key order", &**ranks);
-                            for (&rank, key) in ranks.iter().zip(keys) {
-                                prop_assert_eq!(rank, rank_of(key));
+                            let mut expected_ranks: Vec<u32> = keys.iter().map(rank_of).collect();
+                            expected_ranks.sort_unstable();
+                            prop_assert_eq!(&**ranks, &expected_ranks[..]);
+                            for key in keys {
+                                let rank = rank_of(key);
                                 let block = bdm.block_of_rank(p, rank);
                                 prop_assert_eq!(block, bdm.block_index(key));
                                 prop_assert_eq!(block.is_none(), global_count[key] == 1);
@@ -767,9 +842,10 @@ mod tests {
         }
     }
 
-    /// Keys whose heads tie: three skus that share their first eight
-    /// bytes, a key beside itself zero-padded (`key_head` pads with
-    /// zeros), nested keys and multi-byte text.
+    /// Keys that are hard to tell apart: three skus that share their
+    /// first eight bytes, a key beside itself zero-padded, nested keys
+    /// and multi-byte text. Under the low-entropy [`HASHES`] many of
+    /// them share a hash, and only their text orders them.
     const TIED: [&str; 16] = [
         "",
         "\0",
@@ -789,35 +865,132 @@ mod tests {
         "名前a",
     ];
 
+    /// Hashes for `rank_keys` besides the job's own: low-entropy ones
+    /// under which distinct keys share a hash — a real 64-bit collision
+    /// cannot be built — spread over the top bits the bucket pass reads
+    /// or kept below them, and one that ties every key.
+    const HASHES: [fn(&str) -> u64; 4] = [
+        key_hash,
+        |key| (key.len() as u64 % 3).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        |key| key.bytes().next().map_or(0, u64::from) % 4,
+        |_| 7,
+    ];
+
     proptest::proptest! {
-        /// `rank_keys` against a sorted map of the column's keys to
-        /// their counts: every entry's rank, and one `cell` call per
-        /// distinct key, in key order, with its text and count. Columns
-        /// repeat keys and may be empty.
+        /// `rank_keys` against a sorted map of the column's `(hash,
+        /// key)` pairs to their counts: every entry's rank, and one
+        /// `cell` call per distinct key, in that order, with its hash,
+        /// text and count. Columns repeat keys and may be empty.
         #[test]
         fn rank_keys_numbers_keys_as_a_sorted_map_does(
             picks in proptest::collection::vec(0usize..TIED.len(), 0..40),
+            hash in 0usize..HASHES.len(),
         ) {
             use proptest::prelude::*;
             use std::collections::BTreeMap;
+            let hash = HASHES[hash];
             let column: KeyText = picks.iter().map(|&i| TIED[i]).collect();
-            let mut reference = BTreeMap::<String, u64>::new();
+            let mut reference = BTreeMap::<(u64, String), u64>::new();
             for &i in &picks {
-                *reference.entry(TIED[i].to_owned()).or_default() += 1;
+                *reference.entry((hash(TIED[i]), TIED[i].to_owned())).or_default() += 1;
             }
             let mut calls = Vec::new();
-            let ranks = rank_keys(&column, |rank, key, count| {
-                calls.push((rank, key.to_owned(), count));
+            let ranks = rank_keys(&column, hash, |rank, hash, key, count| {
+                calls.push((rank, hash, key.to_owned(), count));
             });
-            let expected_calls: Vec<(u32, String, u64)> = reference
+            let expected_calls: Vec<(u32, u64, String, u64)> = reference
                 .iter()
                 .enumerate()
-                .map(|(rank, (key, &count))| (rank as u32, key.clone(), count))
+                .map(|(rank, ((hash, key), &count))| (rank as u32, *hash, key.clone(), count))
                 .collect();
             prop_assert_eq!(calls, expected_calls);
-            let rank_of = |key: &str| reference.keys().position(|k| k == key).unwrap() as u32;
+            let rank_of = |key: &str| reference.keys().position(|(_, k)| k == key).unwrap() as u32;
             let expected_ranks: Vec<u32> = picks.iter().map(|&i| rank_of(TIED[i])).collect();
             prop_assert_eq!(ranks, expected_ranks);
+        }
+
+        /// The bucket pass and its per-bucket sorts against one sort of
+        /// the whole index, on hashes that repeat, crowd one bucket or
+        /// differ only in their low bits.
+        #[test]
+        fn sort_by_hash_sorts_as_a_full_sort_does(
+            hashes in proptest::collection::vec((0u64..4, 0u64..64, 0u64..u64::MAX), 0..300),
+        ) {
+            use proptest::prelude::*;
+            let mut entries: Vec<(u64, usize)> = hashes
+                .iter()
+                .map(|&(shape, small, any)| match shape {
+                    0 => any,
+                    1 => small,
+                    2 => small << 58,
+                    _ => u64::MAX - small,
+                })
+                .zip(0..)
+                .collect();
+            let mut expected = entries.clone();
+            expected.sort_unstable();
+            sort_by_hash(&mut entries, |a, b| a.cmp(b));
+            prop_assert_eq!(entries, expected);
+        }
+    }
+
+    /// The cells one map task emits, in emission order: the order the
+    /// engine's map-side sort receives them in.
+    fn emitted(
+        blocking: Arc<dyn BlockingFunction>,
+        use_combiner: bool,
+        partition: &[((), Ent)],
+    ) -> Vec<(BdmKey, BdmCell)> {
+        let info = MapTaskInfo {
+            task_index: 1,
+            num_map_tasks: 2,
+            num_reduce_tasks: 3,
+        };
+        let mut mapper = BdmMapper::new(blocking, use_combiner);
+        mapper.setup(&info);
+        let mut ctx = MapContext::for_testing(info);
+        for (key, entity) in partition {
+            mapper.map(key, entity, &mut ctx);
+        }
+        mapper.finish(&mut ctx);
+        ctx.output().to_vec()
+    }
+
+    /// `finish` emits its cells in ascending `(hash, partition)` order —
+    /// the engine's shuffle order — so each of the map-side spiller's
+    /// buckets arrives as one sorted run and its seal sorts nothing.
+    /// Under single-key and two-pass blocking, with and without the
+    /// mapper's aggregation.
+    #[test]
+    fn finish_emits_cells_in_shuffle_order() {
+        use er_core::blocking::{AttributeBlocking, MultiPassBlocking};
+        let two_pass: Arc<dyn BlockingFunction> = Arc::new(MultiPassBlocking::new(vec![
+            Arc::new(AttributeBlocking::new("first")),
+            Arc::new(AttributeBlocking::new("second")),
+        ]));
+        let keys = |id: usize| (KEYS[id % KEYS.len()], KEYS[id * 7 % KEYS.len()]);
+        let input: Vec<((), Ent)> = (0..60)
+            .map(|id| {
+                let (first, second) = keys(id);
+                let attributes = [("first", first), ("second", second)]
+                    .into_iter()
+                    .filter_map(|(name, key)| Some((name, key?)));
+                ((), Arc::new(Entity::new(id as u64, attributes)))
+            })
+            .collect();
+        let one_key: Arc<dyn BlockingFunction> = Arc::new(AttributeBlocking::new("first"));
+        for (name, blocking) in [("one key", one_key), ("two passes", two_pass)] {
+            for use_combiner in [true, false] {
+                let cells = emitted(Arc::clone(&blocking), use_combiner, &input);
+                let distinct: std::collections::BTreeSet<u64> =
+                    cells.iter().map(|&((hash, _), _)| hash).collect();
+                assert!(distinct.len() > 4, "{name}: {} keys", distinct.len());
+                assert!(cells.iter().all(|&((_, p), _)| p == 1), "{name}");
+                assert!(
+                    cells.is_sorted_by_key(|&(key, _)| key),
+                    "{name}, combiner {use_combiner}: cells out of shuffle order"
+                );
+            }
         }
     }
 

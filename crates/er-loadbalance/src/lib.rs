@@ -96,9 +96,11 @@ impl std::ops::Deref for KeyList {
 }
 
 /// The ranks of one entity's blocking keys among the distinct keys of
-/// its input partition, in key order (ascending); derefs to `[u32]`.
-/// Single-key blocking — nearly every entity — holds its one rank
-/// inline. The BDM job numbers the keys ([`bdm_job`]); the matrix
+/// its input partition, ascending; derefs to `[u32]`. Ranks follow the
+/// keys' hashes, not their text, so ascending ranks are not key order:
+/// [`BlockDistributionMatrix::live_blocks`] sorts the blocks they
+/// resolve to. Single-key blocking — nearly every entity — holds its
+/// one rank inline. The BDM job numbers the keys ([`bdm_job`]); the matrix
 /// turns a rank into a block
 /// ([`BlockDistributionMatrix::block_of_rank`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,7 +133,7 @@ impl From<&[u32]> for Ranks {
 
 /// The record format of the BDM job's *additional output* `Π'_i`, i.e.
 /// the matching job's input: one per entity with a blocking key, its
-/// keys' [`Ranks`] and the entity. The keys themselves stay behind:
+/// keys' [`Ranks`] (in hash order) and the entity. The keys themselves stay behind:
 /// the matching job reads the key of every block that has a pair from
 /// the matrix ([`BlockDistributionMatrix::key`]), and a key without a
 /// block is shared with no other entity.

@@ -20,6 +20,7 @@ use er_core::blocking::KeyText;
 use er_core::Entity;
 use mr_engine::input::Partitions;
 
+use crate::bdm::key_hash;
 use crate::bdm_job::rank_keys;
 use crate::{Ent, Ranks};
 
@@ -66,7 +67,7 @@ pub fn annotated_partitions() -> Partitions<Ranks, Ent> {
                 .iter()
                 .map(|(_, entity)| &entity.get("title").unwrap()[..1])
                 .collect();
-            let ranks = rank_keys(&keys, |_, _, _| {});
+            let ranks = rank_keys(&keys, key_hash, |_, _, _, _| {});
             let entities = part.into_iter().map(|(_, entity)| entity);
             ranks.into_iter().map(Ranks::One).zip(entities).collect()
         })
@@ -80,8 +81,8 @@ pub fn blocking() -> Arc<dyn er_core::blocking::BlockingFunction> {
 
 /// Maps one record — an entity whose one key has rank `rank` —
 /// through `mapper` as partition 0's map task of `m`: in this example
-/// and the appendix's, the task whose ranks 0..=3 are the keys w, x,
-/// y, z.
+/// and the appendix's, the task whose ranks 0..=3 are its four keys
+/// in hash order — w, y, z, x.
 #[cfg(test)]
 pub(crate) fn map_one<M>(mut mapper: M, m: usize, rank: u32)
 where
