@@ -1,9 +1,8 @@
 //! K-way merge of sorted runs — the coordinator's side of a job whose
 //! reduce tasks each emit a run ascending by key.
 //!
-//! Both consumers fold the values of equal keys: er-sn's sort-key
-//! histogram sums the counts of a key several tasks saw, and a match
-//! stage's [`crate::MatchResult`] keeps a pair's best score. Merging
+//! Its consumer, a match stage's [`crate::MatchResult`], folds the
+//! values of equal keys, keeping a pair's best score. Merging
 //! the runs costs `O(n log r)` comparisons and no sort buffer, where
 //! re-sorting their concatenation would cost a second `n`-sized
 //! buffer.

@@ -2,9 +2,9 @@
 //!
 //! Both strategies share the same two-phase shape as the
 //! load-balancing workflow: a preprocessing job measuring a key
-//! distribution ([`crate::sample`]) whose side output — sort-key
-//! annotated entities, identically partitioned — feeds the matching
-//! job ([`crate::jobsn`] or [`crate::repsn`]).
+//! distribution ([`crate::sample`]) whose side output — entities
+//! annotated with their sort-key rank, identically partitioned — feeds
+//! the matching job ([`crate::jobsn`] or [`crate::repsn`]).
 //!
 //! # Determinism contract
 //!
@@ -31,7 +31,7 @@ use mr_engine::workflow::Workflow;
 
 use crate::jobsn::{assemble_boundary_input, split_window_output, stitch_job, window_job};
 use crate::repsn::repsn_job;
-use crate::sample::{sample_distribution_in, sorted_order, window_pairs};
+use crate::sample::{sample_distribution_in, sorted_order, window_pairs, SampleProducts};
 use crate::PARTITION_ENTITIES;
 
 /// Which boundary-handling strategy runs the matching job.
@@ -144,7 +144,8 @@ impl std::fmt::Debug for SnConfig {
 pub struct SnStages {
     /// The deduplicated match result of this pass.
     pub result: MatchResult,
-    /// The range partitioner the pass routed by.
+    /// The pass's key ranges over the sort keys (its window jobs
+    /// routed by the same ranges in rank space).
     pub partitioner: RangePartitioner<SortKey>,
     /// Metrics of the sort-key distribution job.
     pub sample_metrics: JobMetrics,
@@ -207,20 +208,21 @@ pub fn run_sn_stages(
         config.reduce_tasks > 0,
         "at least one partition is required"
     );
-    let (partitioner, annotated, sample_metrics) = sample_distribution_in(
+    let SampleProducts {
+        ranks,
+        sort_keys: partitioner,
+        annotated,
+        metrics: sample_metrics,
+    } = sample_distribution_in(
         workflow,
         input,
         Arc::clone(&config.sort_key),
         config.reduce_tasks,
     )?;
+    let ranks = Arc::new(ranks);
     match config.strategy {
         SnStrategy::JobSn => {
-            let job = window_job(
-                Arc::new(partitioner.clone()),
-                comparer.clone(),
-                config.window,
-                config.reduce_tasks,
-            );
+            let job = window_job(ranks, comparer.clone(), config.window, config.reduce_tasks);
             let out = workflow.chained_stage(&job, annotated)?;
             let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
             let match_metrics = out.metrics;
@@ -250,12 +252,7 @@ pub fn run_sn_stages(
             })
         }
         SnStrategy::RepSn => {
-            let job = repsn_job(
-                Arc::new(partitioner.clone()),
-                comparer,
-                config.window,
-                config.reduce_tasks,
-            );
+            let job = repsn_job(ranks, comparer, config.window, config.reduce_tasks);
             let out = workflow.chained_stage(&job, annotated)?;
             let result = MatchResult::from_runs(out.reduce_outputs);
             Ok(SnStages {

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use er_core::result::MatchPair;
-use er_core::sortkey::{RangePartitioner, SortKey};
+use er_core::sortkey::RangePartitioner;
 use er_loadbalance::compare::{EntityInterner, EntityTable, GroupComparer, PairComparer};
 use er_loadbalance::keys::key_index;
 use er_loadbalance::{Ent, KeyList};
@@ -35,11 +35,12 @@ use crate::window::WindowBuffer;
 use crate::PARTITION_ENTITIES;
 
 /// Map phase of the window job (shared verbatim with nothing — RepSN
-/// has its own replicating mapper): route each annotated entity,
+/// has its own replicating mapper): route each rank-annotated entity,
 /// prepared, to its key range.
 #[derive(Clone)]
 pub struct SnMapper {
-    partitioner: Arc<RangePartitioner<SortKey>>,
+    /// The key ranges in rank space.
+    partitioner: Arc<RangePartitioner<u32>>,
     interner: EntityInterner,
     /// The key list every entity is interned with.
     keys: KeyList,
@@ -47,8 +48,8 @@ pub struct SnMapper {
 
 impl SnMapper {
     /// Creates the mapper over the distribution job's range
-    /// boundaries, preparing entities for `comparer`.
-    pub fn new(partitioner: Arc<RangePartitioner<SortKey>>, comparer: &PairComparer) -> Self {
+    /// boundaries in rank space, preparing entities for `comparer`.
+    pub fn new(partitioner: Arc<RangePartitioner<u32>>, comparer: &PairComparer) -> Self {
         Self {
             partitioner,
             interner: EntityInterner::new(comparer),
@@ -58,7 +59,7 @@ impl SnMapper {
 }
 
 impl Mapper for SnMapper {
-    type KIn = SortKey;
+    type KIn = u32;
     type VIn = Ent;
     type KOut = SnKey;
     type VOut = SnEntity;
@@ -70,13 +71,13 @@ impl Mapper for SnMapper {
         self.keys = bottom_keys();
     }
 
-    fn map(&mut self, key: &SortKey, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
-        let partition = key_index(self.partitioner.partition_of(key), "range partition index");
+    fn map(&mut self, rank: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
+        let partition = key_index(self.partitioner.partition_of(rank), "range partition index");
         let prepared = self.interner.intern(entity, &self.keys);
         ctx.emit(
             SnKey {
                 partition,
-                key: key.clone(),
+                rank: *rank,
             },
             SnEntity::original(Arc::clone(entity), prepared),
         );
@@ -120,7 +121,7 @@ pub enum WindowOut {
 }
 
 /// Reduce phase of the window job. A reduce task owns one range, but
-/// grouping uses the full `(partition, key)` — the engine streams one
+/// grouping uses the full `(partition, rank)` — the engine streams one
 /// small group per distinct sort key out of the heap merge, so the
 /// range is never materialized; the window ([`WindowBuffer`], held in
 /// reducer state) slides *across* groups and only `w − 1` entities
@@ -215,6 +216,7 @@ impl Reducer for WindowReducer {
     }
 
     fn finish(&mut self, ctx: &mut ReduceContext<(), WindowOut>) {
+        self.buffer.flush(ctx);
         let Some(partition) = self.partition else {
             return; // the range was empty
         };
@@ -240,12 +242,12 @@ impl Reducer for WindowReducer {
     }
 }
 
-/// Builds the JobSN window job (`r` = number of range partitions).
-/// Sorting *and grouping* use the full `(partition, key)`: the
-/// reduce-side merge then streams per-key groups while the reducer
-/// carries the window across them.
+/// Builds the JobSN window job (`r` = number of range partitions,
+/// `partitioner` the ranges in rank space). Sorting *and grouping* use
+/// the full `(partition, rank)`: the reduce-side merge then streams
+/// per-key groups while the reducer carries the window across them.
 pub fn window_job(
-    partitioner: Arc<RangePartitioner<SortKey>>,
+    partitioner: Arc<RangePartitioner<u32>>,
     comparer: PairComparer,
     window: usize,
     partitions: usize,
@@ -655,11 +657,11 @@ mod tests {
             };
             let mut ctx = ReduceContext::for_testing(info);
             reducer.setup(&info);
-            let key = |key: &str| SnKey {
+            let key = |rank| SnKey {
                 partition: task_index as u32,
-                key: SortKey::new(key),
+                rank,
             };
-            let entries = vec![(key("a"), ent(1, "aa")), (key("b"), ent(2, "bb"))];
+            let entries = vec![(key(0), ent(1, "aa")), (key(1), ent(2, "bb"))];
             let (entries, tables) = crate::keys::staged(&comparer, entries);
             for group in entries.chunks(1) {
                 reducer.reduce(Group::for_testing(group).with_products(&tables), &mut ctx);
@@ -684,10 +686,7 @@ mod tests {
     fn window_reducer_streams_per_key_groups_and_publishes_thin_partitions() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
         let mut reducer = WindowReducer::new(comparer.clone(), 4, true);
-        let key = |k: &str| SnKey {
-            partition: 2,
-            key: SortKey::new(k),
-        };
+        let key = |rank| SnKey { partition: 2, rank };
         let info = ReduceTaskInfo {
             task_index: 2,
             num_reduce_tasks: 4,
@@ -698,8 +697,8 @@ mod tests {
         // The engine delivers one group per distinct sort key; the
         // window must carry across them.
         let entries = vec![
-            (key("a"), ent(1, "same title")),
-            (key("b"), ent(2, "same title")),
+            (key(5), ent(1, "same title")),
+            (key(6), ent(2, "same title")),
         ];
         let (entries, tables) = crate::keys::staged(&comparer, entries);
         for group in entries.chunks(1) {

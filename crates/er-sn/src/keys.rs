@@ -3,35 +3,38 @@
 //! The same composite-key discipline as the load-balancing strategies
 //! (partition on a *component*, sort on the whole key) applied to a
 //! total order: the window job routes on the range-partition index and
-//! sorts on `(partition, sort key)`, so that each reduce task receives
-//! one contiguous, fully sorted slice of the global order and
-//! concatenating reduce tasks in index order reproduces it. The stitch
-//! job of JobSN routes on the boundary index and sorts candidates
-//! left-side-first by distance from the boundary.
+//! sorts on `(partition, rank)` — the entity's sort-key rank from the
+//! distribution job ([`crate::sample`]), so no key text is compared,
+//! cloned or dropped after it — and each reduce task receives one
+//! contiguous, fully sorted slice of the global order; concatenating
+//! reduce tasks in index order reproduces it. The stitch job of JobSN
+//! routes on the boundary index and sorts candidates left-side-first by
+//! distance from the boundary.
 
 use er_core::blocking::BlockKey;
-use er_core::sortkey::SortKey;
 use er_core::PreparedHandle;
 use er_loadbalance::{Ent, KeyList};
 use mr_engine::comparator::{by_projection, KeyCmp};
 use mr_engine::partitioner::FnPartitioner;
 
-/// Map output key of the window job: `(partition, sort key)`.
+/// Map output key of the window jobs: `(partition, rank)`, eight
+/// bytes and no pointer.
 ///
-/// `Ord` sorts by partition first, then key; partitioning uses only
-/// the partition component; grouping uses the *full* key, so the
-/// reduce-side merge streams one small group per distinct sort key
-/// and the range is never materialized — the window reducers carry
-/// their ring across groups instead. Ties between equal sort keys
-/// resolve by the engine's stable `(map task, emission order)`
+/// `Ord` sorts by partition first, then rank — the global sort order,
+/// as ranks number the distinct sort keys ascending; partitioning uses
+/// only the partition component; grouping uses the *full* key, so the
+/// reduce-side merge streams one small group per distinct sort key and
+/// the range is never materialized — the window reducers carry their
+/// ring across groups instead. Equal sort keys share a rank, so their
+/// ties resolve by the engine's stable `(map task, emission order)`
 /// guarantee — independent of the partition count, which is what
 /// makes the match output invariant under `r`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SnKey {
     /// Range-partition index (== reduce task index).
     pub partition: u32,
-    /// The entity's sort key.
-    pub key: SortKey,
+    /// The entity's sort-key rank.
+    pub rank: u32,
 }
 
 impl SnKey {
@@ -43,7 +46,7 @@ impl SnKey {
 
 impl std::fmt::Display for SnKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.{}", self.partition, self.key)
+        write!(f, "{}.{}", self.partition, self.rank)
     }
 }
 
@@ -186,19 +189,19 @@ mod tests {
     fn sn_key_orders_partition_first_then_key() {
         let a = SnKey {
             partition: 0,
-            key: SortKey::new("zzz"),
+            rank: 9,
         };
         let b = SnKey {
             partition: 1,
-            key: SortKey::new("aaa"),
+            rank: 0,
         };
         let c = SnKey {
             partition: 1,
-            key: SortKey::new("bbb"),
+            rank: 1,
         };
-        assert!(a < b, "partition dominates the key");
-        assert!(b < c, "same partition: sort key orders");
-        assert_eq!(a.to_string(), "0.zzz");
+        assert!(a < b, "partition dominates the rank");
+        assert!(b < c, "same partition: the rank orders");
+        assert_eq!(a.to_string(), "0.9");
     }
 
     #[test]
@@ -206,7 +209,7 @@ mod tests {
         let p = SnKey::partitioner();
         let key = SnKey {
             partition: 2,
-            key: SortKey::new("anything"),
+            rank: 7,
         };
         assert_eq!(p.partition(&key, 4), 2);
         assert_eq!(p.partition(&key, 2), 0, "wraps when r shrank");
@@ -218,13 +221,17 @@ mod tests {
         // share a group, anything else separates.
         let a = SnKey {
             partition: 1,
-            key: SortKey::new("a"),
+            rank: 0,
         };
         let b = SnKey {
             partition: 1,
-            key: SortKey::new("z"),
+            rank: 25,
         };
-        assert_eq!(a.cmp(&a.clone()), std::cmp::Ordering::Equal);
+        let same = SnKey {
+            partition: 1,
+            rank: 0,
+        };
+        assert_eq!(a.cmp(&same), std::cmp::Ordering::Equal);
         assert_ne!(a.cmp(&b), std::cmp::Ordering::Equal);
     }
 
@@ -286,6 +293,14 @@ mod tests {
                 [BlockKey::bottom()]
             );
         }
+    }
+
+    /// The window jobs shuffle, sort and group integers: no key text is
+    /// compared, cloned or dropped after the distribution job.
+    #[test]
+    fn an_sn_key_is_pointer_free() {
+        assert!(!std::mem::needs_drop::<SnKey>());
+        assert!(std::mem::size_of::<SnKey>() <= 8);
     }
 
     /// A window job moves one value per entity and per replica: the

@@ -7,20 +7,27 @@
 //! size `w`. Mapped onto MapReduce following Kolb, Thor & Rahm's
 //! *Parallel Sorted Neighborhood Blocking with MapReduce*:
 //!
-//! 1. **Distribution job** ([`sample`]) — derives and side-writes each
-//!    entity's sort key (the annotated input of the matching job,
-//!    mirroring the BDM job's `Π'ᵢ` pattern) and emits an exact key
-//!    histogram, from which the driver builds an order-preserving
-//!    [`er_core::sortkey::RangePartitioner`]. Entities without a sort
-//!    key collate first, under the empty key.
+//! 1. **Distribution job** ([`sample`]) — derives each entity's sort
+//!    key, side-writes the entity (the annotated input of the matching
+//!    job, mirroring the BDM job's `Π'ᵢ` pattern) and emits the key
+//!    with the entity's `(map task, record index)`. One reduce task —
+//!    its heap merge is the global sort — numbers the distinct keys
+//!    `0, 1, …`, each key's dense *rank*, and writes every entity's
+//!    rank back; the driver scatters them into the side output and
+//!    cuts the exact histogram into an order-preserving
+//!    [`er_core::sortkey::RangePartitioner`] in rank space (and the
+//!    same ranges over the sort keys, which the outcome reports).
+//!    Entities without a sort key collate first, under the empty key
+//!    (rank 0).
 //! 2. **Window job** — a composite-key mapper emits
-//!    `(partition, sort key)` so each reduce task owns one contiguous
-//!    key range, streamed by the engine's heap merge as one small
-//!    group per distinct sort key (grouping == sorting — the range is
-//!    never materialized); the reducer carries a `w`-sized ring
-//!    buffer ([`window::WindowBuffer`]) *across* groups, so only
-//!    `w − 1` entities plus the current key run are resident, scoring
-//!    pairs on the entities its map tasks prepared
+//!    `(partition, rank)`, eight pointer-free bytes, so each reduce
+//!    task owns one contiguous key range, streamed by the engine's
+//!    heap merge as one small group per distinct sort key (grouping ==
+//!    sorting — the range is never materialized, and no key text is
+//!    compared); the reducer carries a `w`-sized ring buffer
+//!    ([`window::WindowBuffer`]) *across* groups, so only `w − 1`
+//!    entities plus the current key run are resident, scoring pairs on
+//!    the entities its map tasks prepared
 //!    (`er_loadbalance::compare`).
 //! 3. **Boundary handling**, one of two strategies
 //!    ([`SnStrategy`]):

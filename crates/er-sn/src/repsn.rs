@@ -14,11 +14,17 @@
 //! duplicate-free by construction. One job, no stitching, exact on
 //! every range layout (thin and empty ranges included); the cost is
 //! at most `(w − 1) · m` replicated entities per boundary.
+//!
+//! The mapper orders and routes by the sort-key rank the distribution
+//! job annotated each entity with: its per-range tails hold
+//! `(rank, entity, handle)` entries, and an entity that a full tail
+//! would evict at once — its rank below the tail's least — never
+//! enters it.
 
 use std::sync::Arc;
 
 use er_core::result::MatchPair;
-use er_core::sortkey::{RangePartitioner, SortKey};
+use er_core::sortkey::RangePartitioner;
 use er_core::PreparedHandle;
 use er_loadbalance::compare::{EntityInterner, EntityTable, PairComparer};
 use er_loadbalance::keys::key_index;
@@ -29,9 +35,10 @@ use crate::keys::{bottom_keys, SnEntity, SnKey};
 use crate::window::WindowBuffer;
 use crate::{PARTITION_ENTITIES, REPLICAS};
 
-/// A tail entry: an entity, its sort key, and the handle its original
-/// was emitted with (a replica reuses its original's prepared form).
-type TailEntry = (SortKey, Ent, PreparedHandle);
+/// A tail entry: an entity's sort-key rank, the entity, and the handle
+/// its original was emitted with (a replica reuses its original's
+/// prepared form).
+type TailEntry = (u32, Ent, PreparedHandle);
 
 /// Map phase: route each entity to its range and replicate, to each
 /// range, this task's last `w − 1` entities before it. An entity is
@@ -39,10 +46,11 @@ type TailEntry = (SortKey, Ent, PreparedHandle);
 /// handle.
 #[derive(Clone)]
 pub struct RepSnMapper {
-    partitioner: Arc<RangePartitioner<SortKey>>,
+    /// The key ranges in rank space.
+    partitioner: Arc<RangePartitioner<u32>>,
     window: usize,
     /// Per range: this task's last `w − 1` entities of it, kept
-    /// sorted ascending by `(key, arrival)` — the same tie order the
+    /// sorted ascending by `(rank, arrival)` — the same tie order the
     /// shuffle produces, so the replica stream is a faithful slice of
     /// the global order.
     tails: Vec<Vec<TailEntry>>,
@@ -52,9 +60,10 @@ pub struct RepSnMapper {
 }
 
 impl RepSnMapper {
-    /// Creates the mapper, preparing entities for `comparer`.
+    /// Creates the mapper over the distribution job's range boundaries
+    /// in rank space, preparing entities for `comparer`.
     pub fn new(
-        partitioner: Arc<RangePartitioner<SortKey>>,
+        partitioner: Arc<RangePartitioner<u32>>,
         window: usize,
         comparer: &PairComparer,
     ) -> Self {
@@ -69,7 +78,7 @@ impl RepSnMapper {
 }
 
 impl Mapper for RepSnMapper {
-    type KIn = SortKey;
+    type KIn = u32;
     type VIn = Ent;
     type KOut = SnKey;
     type VOut = SnEntity;
@@ -82,13 +91,14 @@ impl Mapper for RepSnMapper {
         self.keys = bottom_keys();
     }
 
-    fn map(&mut self, key: &SortKey, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
-        let partition = self.partitioner.partition_of(key);
+    fn map(&mut self, rank: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
+        let rank = *rank;
+        let partition = self.partitioner.partition_of(&rank);
         let prepared = self.interner.intern(entity, &self.keys);
         ctx.emit(
             SnKey {
                 partition: key_index(partition, "range partition index"),
-                key: key.clone(),
+                rank,
             },
             SnEntity::original(Arc::clone(entity), prepared),
         );
@@ -96,11 +106,18 @@ impl Mapper for RepSnMapper {
             return; // the last range has no successor
         }
         let tail = &mut self.tails[partition];
-        // Insert after the run of equal keys (stable by arrival), cap
+        let capacity = self.window - 1;
+        // A full tail whose least entry outranks this entity would
+        // evict it at once. An equal rank still enters: it arrived
+        // later, so it sorts after that entry.
+        if tail.len() == capacity && rank < tail[0].0 {
+            return;
+        }
+        // Insert after the run of equal ranks (stable by arrival), cap
         // at the last w − 1.
-        let pos = tail.partition_point(|(k, _, _)| k <= key);
-        tail.insert(pos, (key.clone(), Arc::clone(entity), prepared));
-        if tail.len() > self.window - 1 {
+        let pos = tail.partition_point(|&(r, _, _)| r <= rank);
+        tail.insert(pos, (rank, Arc::clone(entity), prepared));
+        if tail.len() > capacity {
             tail.remove(0);
         }
     }
@@ -114,14 +131,14 @@ impl Mapper for RepSnMapper {
         for (partition, tail) in self.tails.iter_mut().take(successors).enumerate() {
             carry.append(tail);
             carry.drain(..carry.len().saturating_sub(self.window - 1));
-            for (key, entity, prepared) in &carry {
+            for &(rank, ref entity, prepared) in &carry {
                 ctx.add_counter(REPLICAS, 1);
                 ctx.emit(
                     SnKey {
                         partition: key_index(partition + 1, "range partition index"),
-                        key: key.clone(),
+                        rank,
                     },
-                    SnEntity::replica(Arc::clone(entity), *prepared),
+                    SnEntity::replica(Arc::clone(entity), prepared),
                 );
             }
         }
@@ -134,9 +151,9 @@ impl Mapper for RepSnMapper {
 }
 
 /// Reduce phase. A reduce task owns one range, streamed as one small
-/// group per distinct sort key (grouping == sorting, so the range is
-/// never materialized): first the replica groups — their keys are
-/// strictly smaller than every original key of this range, so they
+/// group per distinct sort-key rank (grouping == sorting, so the range
+/// is never materialized): first the replica groups — their ranks are
+/// strictly smaller than every original rank of this range, so they
 /// arrive first — priming the window ([`WindowBuffer`] in reducer
 /// state; priming keeps only the last `w − 1`, which is exactly the
 /// global tail before this range), then the originals sliding over
@@ -209,6 +226,7 @@ impl Reducer for RepSnReducer {
     }
 
     fn finish(&mut self, ctx: &mut ReduceContext<MatchPair, f64>) {
+        self.buffer.flush(ctx);
         ctx.add_counter(PARTITION_ENTITIES, self.originals);
         self.matches.sort_by_key(|&(pair, _)| pair);
         for (pair, score) in self.matches.drain(..) {
@@ -217,9 +235,10 @@ impl Reducer for RepSnReducer {
     }
 }
 
-/// Builds the RepSN job.
+/// Builds the RepSN job over `partitions` key ranges, `partitioner`
+/// being those ranges in rank space.
 pub fn repsn_job(
-    partitioner: Arc<RangePartitioner<SortKey>>,
+    partitioner: Arc<RangePartitioner<u32>>,
     comparer: PairComparer,
     window: usize,
     partitions: usize,
@@ -241,41 +260,48 @@ mod tests {
     use er_loadbalance::COMPARISONS;
     use mr_engine::pool::WorkerPool;
 
-    fn annotated(titles: &[&str]) -> Partitions<SortKey, Ent> {
-        vec![titles
+    /// One map task per slice of `tasks`, each entity titled by its
+    /// label and annotated with the label's rank among all labels.
+    fn annotated(tasks: &[&[&str]]) -> Partitions<u32, Ent> {
+        let mut labels: Vec<&str> = tasks.iter().flat_map(|t| t.iter().copied()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        let mut id = 0;
+        tasks
             .iter()
-            .enumerate()
-            .map(|(i, title)| {
-                (
-                    SortKey::new(title),
-                    Arc::new(Entity::new(i as u64, [("title", *title)])),
-                )
+            .map(|task| {
+                task.iter()
+                    .map(|title| {
+                        id += 1;
+                        let rank = labels.binary_search(title).unwrap() as u32;
+                        (rank, Arc::new(Entity::new(id, [("title", *title)])))
+                    })
+                    .collect()
             })
-            .collect()]
+            .collect()
     }
 
-    fn two_range_partitioner() -> Arc<RangePartitioner<SortKey>> {
-        Arc::new(RangePartitioner::from_sample(
-            vec![
-                SortKey::new("a"),
-                SortKey::new("b"),
-                SortKey::new("c"),
-                SortKey::new("d"),
-            ],
+    /// Two key ranges over ranks `0..ranks`, cut at the median.
+    fn two_ranges(ranks: u32) -> Arc<RangePartitioner<u32>> {
+        Arc::new(RangePartitioner::from_sample((0..ranks).collect(), 2))
+    }
+
+    fn job(
+        partitioner: Arc<RangePartitioner<u32>>,
+        window: usize,
+    ) -> Job<RepSnMapper, RepSnReducer> {
+        repsn_job(
+            partitioner,
+            PairComparer::new(Arc::new(Matcher::paper_default())),
+            window,
             2,
-        ))
+        )
     }
 
     #[test]
     fn mapper_replicates_per_range_tails_to_the_successor() {
-        let job = repsn_job(
-            two_range_partitioner(),
-            PairComparer::new(Arc::new(Matcher::paper_default())),
-            3,
-            2,
-        );
-        let out = job
-            .run_on(&WorkerPool::new(1), annotated(&["a", "b", "c", "d"]))
+        let out = job(two_ranges(4), 3)
+            .run_on(&WorkerPool::new(1), annotated(&[&["a", "b", "c", "d"]]))
             .unwrap();
         // Ranges: {a, b} and {c, d}; w - 1 = 2 replicas cross.
         assert_eq!(out.metrics.counters.get(REPLICAS), 2);
@@ -293,14 +319,11 @@ mod tests {
         // as replicas, but the total comparison count must equal the
         // single-machine window count — no replica x replica extras,
         // no misses.
-        let job = repsn_job(
-            two_range_partitioner(),
-            PairComparer::new(Arc::new(Matcher::paper_default())),
-            4,
-            2,
-        );
-        let out = job
-            .run_on(&WorkerPool::new(1), annotated(&["a", "b", "c", "d", "e"]))
+        let out = job(two_ranges(4), 4)
+            .run_on(
+                &WorkerPool::new(1),
+                annotated(&[&["a", "b", "c", "d", "e"]]),
+            )
             .unwrap();
         // Global window pairs for n = 5, w = 4: 3 + 3 + 2 + 1 = 9.
         assert_eq!(out.metrics.counters.get(COMPARISONS), 9);
@@ -310,39 +333,10 @@ mod tests {
     fn multi_task_replicas_reconstruct_the_global_tail() {
         // Two map tasks interleave keys of range 0; the successor
         // range must see the true global tail regardless.
-        let input: Partitions<SortKey, Ent> = vec![
-            vec![
-                (
-                    SortKey::new("a"),
-                    Arc::new(Entity::new(0, [("title", "a")])),
-                ),
-                (
-                    SortKey::new("c"),
-                    Arc::new(Entity::new(1, [("title", "c")])),
-                ),
-            ],
-            vec![
-                (
-                    SortKey::new("b"),
-                    Arc::new(Entity::new(2, [("title", "b")])),
-                ),
-                (
-                    SortKey::new("d"),
-                    Arc::new(Entity::new(3, [("title", "d")])),
-                ),
-                (
-                    SortKey::new("e"),
-                    Arc::new(Entity::new(4, [("title", "e")])),
-                ),
-            ],
-        ];
-        let job = repsn_job(
-            two_range_partitioner(),
-            PairComparer::new(Arc::new(Matcher::paper_default())),
-            3,
-            2,
-        );
-        let out = job.run_on(&WorkerPool::new(1), input).unwrap();
+        let input = annotated(&[&["a", "c"], &["b", "d", "e"]]);
+        let out = job(two_ranges(4), 3)
+            .run_on(&WorkerPool::new(1), input)
+            .unwrap();
         // Ranges: {a, b} | {c, d, e}. Global window pairs for w = 3:
         // (a,b),(a,c),(b,c),(b,d),(c,d),(c,e),(d,e) = 7.
         assert_eq!(out.metrics.counters.get(COMPARISONS), 7);
@@ -352,29 +346,49 @@ mod tests {
     }
 
     #[test]
-    fn every_reduce_task_emits_its_matches_sorted_by_pair() {
-        // Window order (by sort key) is not pair order: entity ids
-        // descend while the keys ascend.
-        let titles = ["aa x", "aa y", "ab x", "ab y", "c x", "c y", "d x", "d y"];
-        let input: Partitions<SortKey, Ent> = vec![titles
+    fn a_full_tail_skips_lower_ranks_and_keeps_equal_ones() {
+        // w = 3: a tail of two. Ranks 2, 3 fill range 0's tail; 1 would
+        // be evicted at once and is skipped; a second 2 arrives later
+        // than the first, so it sorts after it and evicts it.
+        let partitioner = Arc::new(RangePartitioner::from_counts([(3u32, 1), (4, 1)], 2));
+        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+        let mut mapper = RepSnMapper::new(partitioner, 3, &comparer);
+        let info = MapTaskInfo {
+            task_index: 0,
+            num_map_tasks: 1,
+            num_reduce_tasks: 2,
+        };
+        let mut ctx = MapContext::for_testing(info);
+        mapper.setup(&info);
+        for (id, rank) in [2u32, 3, 1, 2].into_iter().enumerate() {
+            let entity: Ent = Arc::new(Entity::new(id as u64, [("title", "t")]));
+            mapper.map(&rank, &entity, &mut ctx);
+        }
+        mapper.finish(&mut ctx);
+        let replicas: Vec<(SnKey, u64)> = ctx
+            .output()
             .iter()
-            .enumerate()
-            .map(|(i, title)| {
-                let id = (titles.len() - i) as u64;
-                (
-                    SortKey::new(title),
-                    Arc::new(Entity::new(id, [("title", "same title")])),
-                )
+            .filter(|(_, v)| v.replica)
+            .map(|(k, v)| (*k, v.entity.id().0))
+            .collect();
+        let key = |rank| SnKey { partition: 1, rank };
+        assert_eq!(replicas, vec![(key(2), 3), (key(3), 1)]);
+    }
+
+    #[test]
+    fn every_reduce_task_emits_its_matches_sorted_by_pair() {
+        // Window order (by rank) is not pair order: entity ids descend
+        // while the ranks ascend.
+        let n = 8u32;
+        let input: Partitions<u32, Ent> = vec![(0..n)
+            .map(|rank| {
+                let id = u64::from(n - rank);
+                (rank, Arc::new(Entity::new(id, [("title", "same title")])))
             })
             .collect()];
-        let out = repsn_job(
-            two_range_partitioner(),
-            PairComparer::new(Arc::new(Matcher::paper_default())),
-            3,
-            2,
-        )
-        .run_on(&WorkerPool::new(1), input)
-        .unwrap();
+        let out = job(two_ranges(n), 3)
+            .run_on(&WorkerPool::new(1), input)
+            .unwrap();
         assert!(out.reduce_outputs.iter().all(|run| run.len() > 1));
         for run in &out.reduce_outputs {
             assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "{run:?}");
@@ -383,25 +397,15 @@ mod tests {
 
     #[test]
     fn identical_output_across_parallelism() {
-        let mk_input = || annotated(&["ab", "aa", "ba", "bb", "ac", "bc"]);
-        let reference = repsn_job(
-            two_range_partitioner(),
-            PairComparer::new(Arc::new(Matcher::paper_default())),
-            3,
-            2,
-        )
-        .run_on(&WorkerPool::new(1), mk_input())
-        .unwrap()
-        .reduce_outputs;
+        let mk_input = || annotated(&[&["ab", "aa", "ba", "bb", "ac", "bc"]]);
+        let reference = job(two_ranges(6), 3)
+            .run_on(&WorkerPool::new(1), mk_input())
+            .unwrap()
+            .reduce_outputs;
         for parallelism in [2, 4, 8] {
-            let out = repsn_job(
-                two_range_partitioner(),
-                PairComparer::new(Arc::new(Matcher::paper_default())),
-                3,
-                2,
-            )
-            .run_on(&WorkerPool::new(parallelism), mk_input())
-            .unwrap();
+            let out = job(two_ranges(6), 3)
+                .run_on(&WorkerPool::new(parallelism), mk_input())
+                .unwrap();
             assert_eq!(out.reduce_outputs, reference);
         }
     }

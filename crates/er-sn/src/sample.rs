@@ -1,33 +1,38 @@
 //! MR Job 1 of the SN workflow: the sort-key distribution job.
 //!
 //! The analogue of the load-balancing paper's BDM job (Algorithm 3),
-//! specialized to a total order: the map side derives every entity's
-//! *sort key*, side-writes the annotated entity to the simulated DFS
-//! (so the matching job reads the same partitioning, annotation
-//! included), and emits one `(sort key, 1)` record per entity; the
-//! reduce side is the engine's [`SumReducer`], which sums those `1`s
-//! per key (the shuffle carries no map-side aggregate: on the
-//! benchmark corpora every title is its own key, so there is
-//! nothing to fold before the reduce). The resulting exact
-//! histogram feeds [`RangePartitioner::from_counts`], yielding the
-//! order-preserving partition boundaries both JobSN and RepSN route
-//! by — a pure function of the input, at any parallelism.
+//! specialized to a total order. The map side derives every entity's
+//! *sort key*, side-writes the entity to the simulated DFS (so the
+//! matching job reads the same partitioning) and emits one
+//! `(sort key, (map task, record index))` record per entity. The job
+//! runs with **one** reduce task, whose heap merge is the global sort:
+//! it numbers the distinct keys `0, 1, …` in order — each key's dense
+//! *rank* — and emits, per key, a [`Ranked::Key`] with its count and a
+//! [`Ranked::Member`] per entity that carries it. The coordinator
+//! scatters each rank into its entity's side-output record (`O(n)`, no
+//! comparison, no allocation per key) and cuts the histogram into key
+//! ranges twice with [`RangePartitioner::from_counts`]: in rank space,
+//! which the window jobs route by, and over the sort keys, the same
+//! ranges as a caller reads them
+//! ([`SnStages::partitioner`](crate::SnStages::partitioner)). The
+//! window jobs then route, sort and group on `(range, rank)` integers
+//! only. Everything is a pure function of the input, at any
+//! parallelism.
 //!
 //! # Null sort keys
 //!
 //! Entities whose sort key cannot be derived are **never dropped
 //! silently**: [`routing_key`] routes them under [`SortKey::empty`],
-//! collated at the very front of the global order, and the mapper
-//! counts them under [`crate::NULL_SORT_KEYS`].
+//! collated at the very front of the global order (rank 0), and the
+//! mapper counts them under [`crate::NULL_SORT_KEYS`].
 
 use std::sync::Arc;
 
-use er_core::runs::merge_runs;
 use er_core::sortkey::{RangePartitioner, SortKey, SortKeyFunction};
 use er_core::Entity;
+use er_loadbalance::keys::key_index;
 use er_loadbalance::Ent;
 use mr_engine::prelude::*;
-use mr_engine::reducer::SumReducer;
 
 use crate::NULL_SORT_KEYS;
 
@@ -69,16 +74,25 @@ pub(crate) fn window_pairs(sorted: &[Ent], window: usize) -> impl Iterator<Item 
     })
 }
 
-/// Mapper of the distribution job: annotate + count.
+/// Mapper of the distribution job: annotate, and address each entity's
+/// sort key by `(map task, record index)`.
 #[derive(Clone)]
 pub struct SampleMapper {
     sort_key: Arc<dyn SortKeyFunction>,
+    /// This task's index.
+    task: u32,
+    /// The index of the next record in this task's input.
+    next: u32,
 }
 
 impl SampleMapper {
     /// Creates the mapper.
     pub fn new(sort_key: Arc<dyn SortKeyFunction>) -> Self {
-        Self { sort_key }
+        Self {
+            sort_key,
+            task: 0,
+            next: 0,
+        }
     }
 }
 
@@ -86,60 +100,143 @@ impl Mapper for SampleMapper {
     type KIn = ();
     type VIn = Ent;
     type KOut = SortKey;
-    type VOut = u64;
-    type Side = (SortKey, Ent);
+    type VOut = (u32, u32);
+    /// `(rank, entity)`: the rank is a placeholder until the
+    /// coordinator scatters the reduce task's ranks into it.
+    type Side = (u32, Ent);
     type Product = ();
 
-    fn map(&mut self, _key: &(), entity: &Ent, ctx: &mut MapContext<SortKey, u64, Self::Side>) {
+    fn setup(&mut self, info: &MapTaskInfo) {
+        self.task = key_index(info.task_index, "map task index");
+        self.next = 0;
+    }
+
+    fn map(
+        &mut self,
+        _key: &(),
+        entity: &Ent,
+        ctx: &mut MapContext<SortKey, (u32, u32), Self::Side>,
+    ) {
         let key = routing_key(self.sort_key.as_ref(), entity);
         if key.is_empty() {
             ctx.add_counter(NULL_SORT_KEYS, 1);
         }
-        ctx.side_output((key.clone(), Arc::clone(entity)));
-        ctx.emit(key, 1);
+        ctx.side_output((0, Arc::clone(entity)));
+        ctx.emit(key, (self.task, self.next));
+        self.next = self
+            .next
+            .checked_add(1)
+            .expect("a map task's record index fits in u32");
     }
 }
 
-/// Builds the distribution job: one `(sort key, 1)` record per entity,
-/// summed per key by the reducer.
-pub fn sample_job(
-    sort_key: Arc<dyn SortKeyFunction>,
-    reduce_tasks: usize,
-) -> Job<SampleMapper, SumReducer<SortKey>> {
+/// One record of the distribution job's reduce output, keyed by the
+/// rank it describes. Ranks ascend through the output, and each rank's
+/// [`Ranked::Key`] precedes its members.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Ranked {
+    /// The rank's sort key and the number of entities that carry it.
+    Key(SortKey, u64),
+    /// An entity of the rank, by its side-output address.
+    Member {
+        /// The map task that read it.
+        task: u32,
+        /// Its record index in that task's input.
+        index: u32,
+    },
+}
+
+/// Reducer of the distribution job — its one reduce task sees every
+/// distinct sort key, in order, and numbers them.
+#[derive(Debug, Clone, Default)]
+pub struct RankReducer {
+    /// Distinct keys numbered so far: the next key's rank.
+    keys: u64,
+}
+
+impl Reducer for RankReducer {
+    type KIn = SortKey;
+    type VIn = (u32, u32);
+    type KOut = u32;
+    type VOut = Ranked;
+    type Product = ();
+
+    fn setup(&mut self, _info: &ReduceTaskInfo) {
+        self.keys = 0;
+    }
+
+    fn reduce(
+        &mut self,
+        group: Group<'_, SortKey, (u32, u32)>,
+        ctx: &mut ReduceContext<u32, Ranked>,
+    ) {
+        let rank = key_index(self.keys, "sort-key rank");
+        self.keys += 1;
+        ctx.emit(rank, Ranked::Key(group.key().clone(), group.len() as u64));
+        for &(task, index) in group.values() {
+            ctx.emit(rank, Ranked::Member { task, index });
+        }
+    }
+}
+
+/// Builds the distribution job: one `(sort key, address)` record per
+/// entity, ranked by a single reduce task.
+pub fn sample_job(sort_key: Arc<dyn SortKeyFunction>) -> Job<SampleMapper, RankReducer> {
     Job::builder(
         "sn-sample",
         SampleMapper::new(sort_key),
-        SumReducer::default(),
+        RankReducer::default(),
     )
-    .reduce_tasks(reduce_tasks)
+    .reduce_tasks(1)
     .build()
 }
 
-/// Products of a completed distribution job: the range partitioner
-/// over the requested number of contiguous key ranges, the annotated
-/// input partitions for the matching job, and the job metrics.
-pub type SampleProducts = (
-    RangePartitioner<SortKey>,
-    Partitions<SortKey, Ent>,
-    JobMetrics,
-);
+/// Products of a completed distribution job.
+#[derive(Debug)]
+pub struct SampleProducts {
+    /// The key ranges in rank space — what the window jobs route by.
+    pub ranks: RangePartitioner<u32>,
+    /// The same ranges over the sort keys.
+    pub sort_keys: RangePartitioner<SortKey>,
+    /// The input, identically partitioned, each entity annotated with
+    /// its sort-key rank.
+    pub annotated: Partitions<u32, Ent>,
+    /// The job's metrics.
+    pub metrics: JobMetrics,
+}
 
 /// Runs the distribution job as a stage of `workflow` and assembles
-/// its [`SampleProducts`]. The annotated side outputs it returns are
-/// chained into the window job by the workflow layer, which enforces
-/// the identical-partitioning invariant.
+/// its [`SampleProducts`] over `partitions` key ranges. The annotated
+/// side outputs it returns are chained into the window job by the
+/// workflow layer, which enforces the identical-partitioning
+/// invariant.
 pub fn sample_distribution_in(
     workflow: &mut mr_engine::workflow::Workflow,
     input: Partitions<(), Ent>,
     sort_key: Arc<dyn SortKeyFunction>,
     partitions: usize,
 ) -> Result<SampleProducts, MrError> {
-    let job = sample_job(sort_key, partitions);
-    let out = workflow.chained_stage(&job, input)?;
-    // One ascending run per reduce task: merged, never re-sorted.
-    let histogram = merge_runs(out.reduce_outputs, |sum, count| *sum += count);
-    let partitioner = RangePartitioner::from_counts(histogram, partitions);
-    Ok((partitioner, out.side_outputs, out.metrics))
+    let out = workflow.chained_stage(&sample_job(sort_key), input)?;
+    let mut annotated = out.side_outputs;
+    let mut keys = Vec::new();
+    let mut counts = Vec::new();
+    for (rank, record) in out.reduce_outputs.into_iter().flatten() {
+        match record {
+            Ranked::Key(key, count) => {
+                keys.push(key);
+                counts.push(count);
+            }
+            Ranked::Member { task, index } => annotated[task as usize][index as usize].0 = rank,
+        }
+    }
+    let ranks = RangePartitioner::from_counts((0..).zip(counts.iter().copied()), partitions);
+    let sort_keys = RangePartitioner::from_counts(keys.into_iter().zip(counts), partitions);
+    Ok(SampleProducts {
+        ranks,
+        sort_keys,
+        annotated,
+        metrics: out.metrics,
+    })
 }
 
 #[cfg(test)]
@@ -180,27 +277,44 @@ mod tests {
     #[test]
     fn full_sampling_builds_even_boundaries_and_annotates_everything() {
         let input = titles(&["dd", "aa", "cc", "bb"]);
-        let (partitioner, annotated, metrics) = sample_distribution(input, 2).unwrap();
+        let products = sample_distribution(input, 2).unwrap();
+        let partitioner = &products.sort_keys;
         assert_eq!(partitioner.num_partitions(), 2);
-        assert_eq!(annotated.len(), 1, "partition shape preserved");
-        assert_eq!(annotated[0].len(), 4, "every entity annotated");
-        assert_eq!(metrics.map_output_records(), 4, "every entity counted");
+        assert_eq!(products.ranks.num_partitions(), 2);
+        assert_eq!(products.annotated.len(), 1, "partition shape preserved");
+        assert_eq!(products.annotated[0].len(), 4, "every entity annotated");
+        assert_eq!(
+            products.metrics.map_output_records(),
+            4,
+            "every entity counted"
+        );
         // Keys aa,bb route left of cc,dd.
         let p = |s: &str| partitioner.partition_of(&SortKey::new(s));
         assert!(p("aa") < p("cc"));
         assert_eq!(p("aa"), p("bb"));
+        let ranks: Vec<u32> = products.annotated[0].iter().map(|(r, _)| *r).collect();
+        assert_eq!(ranks, vec![3, 0, 2, 1], "dd, aa, cc, bb");
+        assert_eq!(products.ranks.boundaries(), [1], "ranks 0..=1 | 2..=3");
     }
 
     #[test]
     fn reducer_sums_duplicate_keys() {
         let input = titles(&["aa", "aa", "aa", "bb"]);
-        let out = sample_job(sort_key(), 2)
+        let out = sample_job(sort_key())
             .run_on(&WorkerPool::new(1), input)
             .unwrap();
         assert_eq!(out.metrics.map_output_records(), 4, "one record per entity");
+        assert_eq!(out.reduce_outputs.len(), 1, "one reduce task");
+        let keys: Vec<(u32, SortKey, u64)> = out
+            .records()
+            .filter_map(|(rank, record)| match record {
+                Ranked::Key(key, count) => Some((*rank, key.clone(), *count)),
+                Ranked::Member { .. } => None,
+            })
+            .collect();
         assert_eq!(
-            merge_runs(out.reduce_outputs, |sum, count| *sum += count),
-            vec![(SortKey::new("aa"), 3), (SortKey::new("bb"), 1)]
+            keys,
+            vec![(0, SortKey::new("aa"), 3), (1, SortKey::new("bb"), 1)]
         );
     }
 
@@ -226,7 +340,7 @@ mod tests {
             let mut workflow = Workflow::on_pool("sn-sample", Arc::new(WorkerPool::new(2)))
                 .with_spill_threshold(threshold);
             let out = workflow
-                .chained_stage(&sample_job(sort_key(), 2), input.clone())
+                .chained_stage(&sample_job(sort_key()), input.clone())
                 .unwrap();
             let inputs: Vec<u64> = out
                 .metrics
@@ -254,16 +368,17 @@ mod tests {
     #[test]
     fn sort_first_policy_routes_keyless_entities_to_the_front() {
         let input = vec![vec![ent(0, Some("mm title")), ent(1, None), ent(2, None)]];
-        let (partitioner, annotated, metrics) = sample_distribution(input, 2).unwrap();
-        assert_eq!(metrics.counters.get(NULL_SORT_KEYS), 2);
-        assert_eq!(annotated[0].len(), 3, "keyless entities stay routed");
-        let keyless: Vec<&SortKey> = annotated[0]
-            .iter()
-            .filter(|(k, _)| k.is_empty())
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(keyless.len(), 2);
-        assert_eq!(partitioner.partition_of(&SortKey::empty()), 0);
+        let products = sample_distribution(input, 2).unwrap();
+        assert_eq!(products.metrics.counters.get(NULL_SORT_KEYS), 2);
+        assert_eq!(
+            products.annotated[0].len(),
+            3,
+            "keyless entities stay routed"
+        );
+        let ranks: Vec<u32> = products.annotated[0].iter().map(|(r, _)| *r).collect();
+        assert_eq!(ranks, vec![1, 0, 0], "the empty key ranks first");
+        assert_eq!(products.sort_keys.partition_of(&SortKey::empty()), 0);
+        assert_eq!(products.ranks.partition_of(&0), 0);
     }
 
     #[test]
@@ -273,5 +388,85 @@ mod tests {
         assert_eq!(routing_key(&title, &keyless), SortKey::empty());
         let keyed = Entity::new(1, [("title", " Abc ")]);
         assert_eq!(routing_key(&title, &keyed), SortKey::new("abc"));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use er_core::sortkey::AttributeSortKey;
+    use mr_engine::pool::WorkerPool;
+    use mr_engine::workflow::Workflow;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// `picks` dealt round-robin over `m` map tasks: a pick divisible
+    /// by 5 is keyless, any other a title from the first `letters`
+    /// two-letter words — few distinct keys, so ties are heavy.
+    fn input(picks: &[usize], letters: usize, m: usize) -> Partitions<(), Ent> {
+        let mut input: Partitions<(), Ent> = vec![Vec::new(); m];
+        for (i, &pick) in picks.iter().enumerate() {
+            let entity = if pick % 5 == 0 {
+                Entity::new(i as u64, [("brand", "keyless")])
+            } else {
+                let word = pick / 5 % letters;
+                let title = format!("{}{}", char::from(b'a' + (word % 3) as u8), word);
+                Entity::new(i as u64, [("title", title)])
+            };
+            input[i % m].push(((), Arc::new(entity)));
+        }
+        input
+    }
+
+    proptest! {
+        /// Every side-output rank is its routing key's index among the
+        /// input's distinct sorted keys, at every map-task count and
+        /// spill threshold; and both partitioners send each entity to
+        /// the same range.
+        #[test]
+        fn ranks_number_the_distinct_sorted_keys(
+            picks in proptest::collection::vec(0usize..60, 0..48),
+            letters in 1usize..=9,
+            m in 1usize..=8,
+            partitions in 1usize..=6,
+        ) {
+            let input = input(&picks, letters, m);
+            let sort_key: Arc<dyn SortKeyFunction> = Arc::new(AttributeSortKey::title());
+            let distinct: BTreeSet<SortKey> = input
+                .iter()
+                .flatten()
+                .map(|((), e)| routing_key(sort_key.as_ref(), e))
+                .collect();
+            let distinct: Vec<SortKey> = distinct.into_iter().collect();
+            for threshold in [None, Some(1)] {
+                let mut workflow = Workflow::on_pool("sn-sample", Arc::new(WorkerPool::new(2)))
+                    .with_spill_threshold(threshold);
+                let products = sample_distribution_in(
+                    &mut workflow,
+                    input.clone(),
+                    Arc::clone(&sort_key),
+                    partitions,
+                )
+                .unwrap();
+                prop_assert_eq!(products.annotated.len(), m);
+                for (annotated, original) in products.annotated.iter().zip(&input) {
+                    prop_assert_eq!(annotated.len(), original.len());
+                    for ((rank, entity), ((), expected)) in annotated.iter().zip(original) {
+                        prop_assert!(Arc::ptr_eq(entity, expected));
+                        let key = routing_key(sort_key.as_ref(), entity);
+                        let oracle = distinct.binary_search(&key).unwrap();
+                        prop_assert_eq!(*rank as usize, oracle, "{:?} {:?}", key, threshold);
+                        if key.is_empty() {
+                            prop_assert_eq!(*rank, 0);
+                        }
+                        prop_assert_eq!(
+                            products.ranks.partition_of(rank),
+                            products.sort_keys.partition_of(&key),
+                            "{:?}", key
+                        );
+                    }
+                }
+            }
+        }
     }
 }

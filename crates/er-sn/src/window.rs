@@ -5,7 +5,7 @@
 //! of a compare driver ([`GroupComparer`]: entity reference, table
 //! handle, sketch) — nothing borrowed, so the buffer can live in
 //! reducer state and slide **across** reduce groups: the window jobs
-//! group by the full `(partition, key)`, so a reduce task streams one
+//! group by the full `(partition, rank)`, so a reduce task streams one
 //! small group per distinct sort key out of the engine's heap merge and
 //! never materializes its whole range; only the ring (and the current
 //! key run) is resident.
@@ -13,7 +13,9 @@
 //! [`WindowBuffer::advance`] compares the next entity against every
 //! buffered predecessor — exactly the pairs at distance `≤ w − 1`, one
 //! strip of the driver over rows read in place — then admits it,
-//! forgetting the oldest. RepSN's reducers additionally
+//! forgetting the oldest; its counts reach the task's counters at the
+//! next [`WindowBuffer::flush`], which the reducers call once, when
+//! their task finishes. RepSN's reducers additionally
 //! [`WindowBuffer::prime`] the buffer with boundary replicas so
 //! cross-partition pairs are covered *without* comparing replica ×
 //! replica (those pairs belong to an earlier partition).
@@ -71,7 +73,8 @@ impl WindowBuffer {
     }
 
     /// Compares `member` against every buffered predecessor (counting
-    /// comparisons and delivering matches to `sink`), then admits it.
+    /// comparisons until the next [`WindowBuffer::flush`] and delivering
+    /// matches to `sink`), then admits it.
     pub fn advance<KO, VO>(
         &mut self,
         tables: &[EntityTable],
@@ -83,6 +86,11 @@ impl WindowBuffer {
         self.driver.strip(tables, next, ring, false, |pair, score| {
             sink(ctx, pair, score)
         });
+    }
+
+    /// Adds what [`WindowBuffer::advance`] counted since the last flush
+    /// to `ctx`'s counters.
+    pub fn flush<KO, VO>(&mut self, ctx: &mut ReduceContext<KO, VO>) {
         self.driver.flush(ctx);
     }
 
@@ -165,6 +173,7 @@ mod tests {
         for e in &entities {
             window.advance(&tables, e, &mut c, |c, pair, score| c.emit(pair, score));
         }
+        window.flush(&mut c);
         // n = 5, w = 3: pairs = 1 + 2 + 2 + 2 = 7.
         assert_eq!(c.counters().get(COMPARISONS), 7);
         assert_eq!(window.len(), 2, "ring never exceeds w - 1");
@@ -187,6 +196,7 @@ mod tests {
         for r in replicas {
             window.prime(&tables, r);
         }
+        window.flush(&mut c);
         assert_eq!(
             c.counters().get(COMPARISONS),
             0,
@@ -195,6 +205,7 @@ mod tests {
         for o in originals {
             window.advance(&tables, o, &mut c, |c, pair, score| c.emit(pair, score));
         }
+        window.flush(&mut c);
         // Original 10: vs both replicas (2). Original 11: vs replica 1
         // and original 10 (2) — replica 0 was evicted.
         assert_eq!(c.counters().get(COMPARISONS), 4);
@@ -228,6 +239,7 @@ mod tests {
         for e in &entities {
             window.advance(&tables, e, &mut c, |c, pair, score| c.emit(pair, score));
         }
+        window.flush(&mut c);
         assert_eq!(c.counters().get(COMPARISONS), 3);
         assert_eq!(c.output().len(), 1);
         assert!((c.output()[0].1 - 0.9).abs() < 1e-12);

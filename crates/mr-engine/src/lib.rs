@@ -103,7 +103,7 @@ pub use merge::{merge_sorted_runs, ClonedRunIter, GroupStream};
 pub use metrics::{JobMetrics, TaskKind, TaskMetrics};
 pub use partitioner::{FnPartitioner, HashPartitioner, Partitioner};
 pub use pool::{BatchTag, PoolStats, WorkerPool};
-pub use reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer, SumReducer};
+pub use reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer};
 pub use runtime::{Runtime, RuntimeConfig};
 pub use trace::{JsonlSink, TraceEvent, TraceEventData, TraceRecorder, TraceReport, TraceSink};
 pub use workflow::{Workflow, WorkflowMetrics};
@@ -121,7 +121,7 @@ pub mod prelude {
     pub use crate::metrics::{JobMetrics, TaskKind, TaskMetrics};
     pub use crate::partitioner::{FnPartitioner, HashPartitioner, Partitioner};
     pub use crate::pool::{PoolStats, WorkerPool};
-    pub use crate::reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer, SumReducer};
+    pub use crate::reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer};
     pub use crate::runtime::{Runtime, RuntimeConfig};
     pub use crate::trace::{TraceEvent, TraceEventData, TraceRecorder, TraceReport, TraceSink};
     pub use crate::workflow::{Workflow, WorkflowMetrics};

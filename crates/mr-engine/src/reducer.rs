@@ -167,53 +167,9 @@ pub trait Reducer: Clone + Send + Sync {
     fn finish(&mut self, _ctx: &mut ReduceContext<Self::KOut, Self::VOut>) {}
 }
 
-/// A reducer that sums `u64` counts per group, for count-style jobs
-/// such as er-sn's sort-key distribution job.
-#[derive(Debug)]
-pub struct SumReducer<K>(std::marker::PhantomData<fn() -> K>);
-
-// Manual impls: `K` only names the key type, so the reducer itself is
-// always cloneable/constructible regardless of `K`'s bounds.
-impl<K> Clone for SumReducer<K> {
-    fn clone(&self) -> Self {
-        SumReducer(std::marker::PhantomData)
-    }
-}
-
-impl<K> Default for SumReducer<K> {
-    fn default() -> Self {
-        SumReducer(std::marker::PhantomData)
-    }
-}
-
-impl<K: Clone + Send + Sync> Reducer for SumReducer<K> {
-    type KIn = K;
-    type VIn = u64;
-    type KOut = K;
-    type VOut = u64;
-    type Product = ();
-
-    fn reduce(&mut self, group: Group<'_, K, u64>, ctx: &mut ReduceContext<K, u64>) {
-        ctx.emit(group.key().clone(), group.values().sum());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sum_reducer_totals_group_values() {
-        let entries = vec![("k", 2u64), ("k", 3), ("k", 5)];
-        let mut reducer = SumReducer::<&'static str>::default().clone();
-        let mut ctx = ReduceContext::for_testing(ReduceTaskInfo {
-            task_index: 0,
-            num_reduce_tasks: 1,
-            num_map_tasks: 1,
-        });
-        reducer.reduce(Group::for_testing(&entries), &mut ctx);
-        assert_eq!(ctx.output(), &[("k", 10u64)]);
-    }
 
     #[test]
     fn group_exposes_first_key_and_all_values() {
