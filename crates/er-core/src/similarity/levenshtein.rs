@@ -20,17 +20,29 @@ use crate::arena::{ArenaValue, PreparedArena};
 pub(crate) trait Scalar: Copy {
     /// The scalar as a `char`.
     fn char(self) -> char;
+
+    /// `scalars` as ASCII bytes, when this is the byte form.
+    fn ascii(scalars: &[Self]) -> Option<&[u8]>;
 }
 
+/// A byte scalar is ASCII: [`Text::Ascii`] holds nothing else.
 impl Scalar for u8 {
     fn char(self) -> char {
         char::from(self)
+    }
+
+    fn ascii(scalars: &[u8]) -> Option<&[u8]> {
+        Some(scalars)
     }
 }
 
 impl Scalar for char {
     fn char(self) -> char {
         self
+    }
+
+    fn ascii(_: &[char]) -> Option<&[u8]> {
+        None
     }
 }
 
@@ -58,6 +70,11 @@ thread_local! {
 
     /// The bit-parallel kernel's pattern masks, rebuilt per pair.
     static PATTERN_MASKS: RefCell<PatternMasks> = const { RefCell::new(PatternMasks::new()) };
+
+    /// The same masks for an ASCII pattern against ASCII text, indexed
+    /// by byte. All zero between calls: a call clears the entries its
+    /// pattern set.
+    static ASCII_MASKS: RefCell<[u64; 128]> = const { RefCell::new([0; 128]) };
 
     /// The batch prefilter's [`max_distance`] table, kept across calls.
     static MAX_DISTANCES: RefCell<MaxDistances> = const { RefCell::new(MaxDistances::new()) };
@@ -175,34 +192,54 @@ impl PatternMasks {
 /// Levenshtein distance by Myers' bit-parallel algorithm in Hyyrö's
 /// global-distance form: one `u64` holds a whole DP column as vertical
 /// ±1 deltas, so each scalar of `text` costs a dozen word operations
-/// instead of `|pattern|` cell updates.
+/// instead of `|pattern|` cell updates. Two ASCII sides look their
+/// masks up by byte; any other pair probes [`PatternMasks`].
 ///
 /// `pattern` must hold 1 to [`WORD`] scalars.
 fn levenshtein_bit_parallel<P: Scalar, T: Scalar>(pattern: &[P], text: &[T]) -> usize {
     debug_assert!((1..=WORD).contains(&pattern.len()));
+    if let (Some(pattern), Some(text)) = (P::ascii(pattern), T::ascii(text)) {
+        return ASCII_MASKS.with(|masks| {
+            let mut masks = masks.borrow_mut();
+            for (i, &b) in pattern.iter().enumerate() {
+                masks[usize::from(b)] |= 1 << i;
+            }
+            let distance = myers(pattern.len(), text.iter().map(|&b| masks[usize::from(b)]));
+            for &b in pattern {
+                masks[usize::from(b)] = 0;
+            }
+            distance
+        });
+    }
     PATTERN_MASKS.with(|masks| {
         let mut masks = masks.borrow_mut();
         masks.load(pattern);
-        let last_row = 1u64 << (pattern.len() - 1);
-        // Vertical deltas of the current column: +1 everywhere in
-        // column 0 (D[i][0] = i), whose bottom cell is |pattern|.
-        let (mut plus_v, mut minus_v) = (!0u64, 0u64);
-        let mut distance = pattern.len();
-        for &c in text {
-            let eq = masks.mask(c.char());
-            let diag_zero = (((eq & plus_v).wrapping_add(plus_v)) ^ plus_v) | eq | minus_v;
-            let plus_h = minus_v | !(diag_zero | plus_v);
-            let minus_h = diag_zero & plus_v;
-            distance += usize::from(plus_h & last_row != 0);
-            distance -= usize::from(minus_h & last_row != 0);
-            // Row 0 grows by one per column (D[0][j] = j).
-            let plus_h = (plus_h << 1) | 1;
-            let minus_h = minus_h << 1;
-            plus_v = minus_h | !(diag_zero | plus_h);
-            minus_v = plus_h & diag_zero;
-        }
-        distance
+        myers(pattern.len(), text.iter().map(|&c| masks.mask(c.char())))
     })
+}
+
+/// The bit-parallel column walk over a pattern of `len` scalars, given
+/// each text scalar's match mask (bit `i` set iff `pattern[i]` equals
+/// it).
+fn myers(len: usize, masks: impl Iterator<Item = u64>) -> usize {
+    let last_row = 1u64 << (len - 1);
+    // Vertical deltas of the current column: +1 everywhere in column 0
+    // (D[i][0] = i), whose bottom cell is |pattern|.
+    let (mut plus_v, mut minus_v) = (!0u64, 0u64);
+    let mut distance = len;
+    for eq in masks {
+        let diag_zero = (((eq & plus_v).wrapping_add(plus_v)) ^ plus_v) | eq | minus_v;
+        let plus_h = minus_v | !(diag_zero | plus_v);
+        let minus_h = diag_zero & plus_v;
+        distance += usize::from(plus_h & last_row != 0);
+        distance -= usize::from(minus_h & last_row != 0);
+        // Row 0 grows by one per column (D[0][j] = j).
+        let plus_h = (plus_h << 1) | 1;
+        let minus_h = minus_h << 1;
+        plus_v = minus_h | !(diag_zero | plus_h);
+        minus_v = plus_h & diag_zero;
+    }
+    distance
 }
 
 /// Unrestricted Levenshtein distance over Unicode scalar values.
@@ -530,6 +567,11 @@ mod tests {
         s.chars().collect()
     }
 
+    /// `s` in the arena's byte form, when it is ASCII.
+    fn bytes(s: &str) -> Option<&[u8]> {
+        s.is_ascii().then_some(s.as_bytes())
+    }
+
     /// `a` after a few random substitutions, insertions and deletions —
     /// the pairs independent draws almost never produce: close enough
     /// to pass the filter and to sit on either side of a floor.
@@ -711,6 +753,22 @@ mod tests {
     }
 
     #[test]
+    fn ascii_masks_are_clear_between_patterns() {
+        let d = |p: &str, t: &str| levenshtein_bit_parallel(p.as_bytes(), t.as_bytes());
+        assert_eq!(d("kitten", "sitting"), 3);
+        // Every byte of the last pattern is gone before the next one.
+        assert_eq!(d("abc", "xyz"), 3);
+        assert_eq!(d("xyz", "abc"), 3);
+        ASCII_MASKS.with(|masks| assert!(masks.borrow().iter().all(|&m| m == 0)));
+        // Repeated bytes, a full word, and the one ASCII byte past 'z'.
+        let word = "abcdefgh".repeat(8);
+        assert_eq!(d(&word, &word.replace('h', "x")), 8);
+        assert_eq!(d("\x7f\x7f", "\x7f"), 1);
+        // A byte pattern against wide text takes the probing path.
+        assert_eq!(levenshtein_bit_parallel(b"cafe", &chars("caf\u{e9}")), 1);
+    }
+
+    #[test]
     fn pattern_masks_survive_the_generation_wrap() {
         let mut masks = PatternMasks::new();
         masks.load(&chars("ab"));
@@ -763,13 +821,26 @@ mod tests {
     proptest! {
         #[test]
         fn bit_parallel_equals_full_dp(pair in string_pairs()) {
-            let (a, b) = (chars(&pair.0), chars(&pair.1));
-            let (short, long) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+            let (a, b) = if pair.0.chars().count() <= pair.1.chars().count() {
+                (&pair.0, &pair.1)
+            } else {
+                (&pair.1, &pair.0)
+            };
+            let (short, long) = (chars(a), chars(b));
             if (1..=WORD).contains(&short.len()) {
-                prop_assert_eq!(
-                    levenshtein_bit_parallel(short, long),
-                    levenshtein_distance_chars(short, long)
-                );
+                let dp = levenshtein_distance_chars(&short, &long);
+                prop_assert_eq!(levenshtein_bit_parallel(&short, &long), dp);
+                // Each ASCII side in its byte form: mixed pairs probe,
+                // ASCII × ASCII indexes by byte.
+                if let Some(s) = bytes(a) {
+                    prop_assert_eq!(levenshtein_bit_parallel(s, &long), dp);
+                }
+                if let Some(l) = bytes(b) {
+                    prop_assert_eq!(levenshtein_bit_parallel(&short, l), dp);
+                }
+                if let (Some(s), Some(l)) = (bytes(a), bytes(b)) {
+                    prop_assert_eq!(levenshtein_bit_parallel(s, l), dp);
+                }
             }
         }
 
@@ -863,6 +934,8 @@ mod tests {
             let got = s.sim_prepared_at_least(&pa, &pb, floor).map(f64::to_bits);
             prop_assert_eq!(got, expected,
                 "a={:?} b={:?} floor={}", a, b, floor);
+            // The arena keeps both sides as bytes: the ASCII kernel.
+            prop_assert_eq!(arena_at_least(&pa, &pb, floor).map(f64::to_bits), expected);
         }
 
         #[test]

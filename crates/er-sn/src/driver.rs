@@ -3,7 +3,7 @@
 //! Both strategies share the same two-phase shape as the
 //! load-balancing workflow: a preprocessing job measuring a key
 //! distribution ([`crate::sample`]) whose side output — entities
-//! annotated with their sort-key rank, identically partitioned — feeds
+//! annotated with their global position, identically partitioned — feeds
 //! the matching job ([`crate::jobsn`] or [`crate::repsn`]).
 //!
 //! # Determinism contract
@@ -40,8 +40,9 @@ pub enum SnStrategy {
     /// Second MR job stitches boundary candidates (costs an extra
     /// job).
     JobSn,
-    /// In-map replication: each map task sends every range its last
-    /// `w − 1` entities before that range (single job).
+    /// In-map replication: each range receives the `w − 1` entities
+    /// before its start, from the map tasks that hold them (single
+    /// job).
     RepSn,
 }
 
@@ -145,7 +146,7 @@ pub struct SnStages {
     /// The deduplicated match result of this pass.
     pub result: MatchResult,
     /// The pass's key ranges over the sort keys (its window jobs
-    /// routed by the same ranges in rank space).
+    /// routed by the same ranges over positions).
     pub partitioner: RangePartitioner<SortKey>,
     /// Metrics of the sort-key distribution job.
     pub sample_metrics: JobMetrics,
@@ -209,7 +210,7 @@ pub fn run_sn_stages(
         "at least one partition is required"
     );
     let SampleProducts {
-        ranks,
+        positions,
         sort_keys: partitioner,
         annotated,
         metrics: sample_metrics,
@@ -219,10 +220,15 @@ pub fn run_sn_stages(
         Arc::clone(&config.sort_key),
         config.reduce_tasks,
     )?;
-    let ranks = Arc::new(ranks);
+    let positions = Arc::new(positions);
     match config.strategy {
         SnStrategy::JobSn => {
-            let job = window_job(ranks, comparer.clone(), config.window, config.reduce_tasks);
+            let job = window_job(
+                positions,
+                comparer.clone(),
+                config.window,
+                config.reduce_tasks,
+            );
             let out = workflow.chained_stage(&job, annotated)?;
             let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
             let match_metrics = out.metrics;
@@ -252,7 +258,7 @@ pub fn run_sn_stages(
             })
         }
         SnStrategy::RepSn => {
-            let job = repsn_job(ranks, comparer, config.window, config.reduce_tasks);
+            let job = repsn_job(positions, comparer, config.window, config.reduce_tasks);
             let out = workflow.chained_stage(&job, annotated)?;
             let result = MatchResult::from_runs(out.reduce_outputs);
             Ok(SnStages {
@@ -408,7 +414,7 @@ mod tests {
         assert_eq!(
             outcome.match_metrics.counters.get(REPLICAS),
             2,
-            "w - 1 tails cross the boundary"
+            "w - 1 replicas cross the boundary"
         );
         assert_eq!(outcome.partitioner.num_partitions(), 2);
         assert_eq!(outcome.sample_metrics.map_input_records(), 6);
@@ -447,7 +453,13 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::keys::{SnEntity, SnKey};
+    use crate::repsn::RepSnMapper;
+    use crate::sample::routing_key;
+    use crate::REPLICAS;
     use er_core::Entity;
+    use er_loadbalance::compare::EntityTable;
+    use mr_engine::prelude::*;
     use proptest::prelude::*;
 
     /// `picks` as entities dealt round-robin over `m` map tasks: a
@@ -465,6 +477,32 @@ mod proptests {
             input[i % m].push(((), Arc::new(entity)));
         }
         input
+    }
+
+    /// What reaches a range: `(replica, entity id, position)` per
+    /// value, in arrival order.
+    #[derive(Clone)]
+    struct Arrivals;
+
+    impl Reducer for Arrivals {
+        type KIn = SnKey;
+        type VIn = SnEntity;
+        type KOut = ();
+        type VOut = (bool, u64, u32);
+        type Product = EntityTable;
+
+        fn reduce(
+            &mut self,
+            group: Group<'_, SnKey, SnEntity, EntityTable>,
+            ctx: &mut ReduceContext<(), (bool, u64, u32)>,
+        ) {
+            for value in group.values() {
+                ctx.emit(
+                    (),
+                    (value.replica, value.entity.id().0, group.key().position),
+                );
+            }
+        }
     }
 
     proptest! {
@@ -497,6 +535,78 @@ mod proptests {
                     oracle_comparisons(picks.len(), w),
                     "{}", strategy
                 );
+            }
+        }
+
+        /// Range `q`, starting at global position `start_q`, receives
+        /// exactly the replicas at positions
+        /// `max(0, start_q − (w − 1))..start_q`, then its own entities,
+        /// both in global order — under heavy ties that run from
+        /// several map tasks up to a range start, thin and empty
+        /// ranges, more ranges than keys, 1 to 8 map tasks and
+        /// map-side spilling; and both strategies equal the oracle.
+        #[test]
+        fn replicas_are_exactly_the_positions_before_each_range_start(
+            picks in proptest::collection::vec(0usize..84, 0..48),
+            letters in 1usize..=6,
+            m in 1usize..=8,
+            r in 1usize..=9,
+            w in 2usize..=12,
+        ) {
+            let input = hostile_input(&picks, letters, m);
+            let sort_key = SnConfig::new(SnStrategy::RepSn).sort_key;
+            let sorted = sorted_order(&input, sort_key.as_ref());
+            let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+            for threshold in [None, Some(1)] {
+                let workflow = || {
+                    Workflow::on_pool("sn", Arc::new(mr_engine::pool::WorkerPool::new(2)))
+                        .with_spill_threshold(threshold)
+                };
+                let mut stages = workflow();
+                let products =
+                    sample_distribution_in(&mut stages, input.clone(), Arc::clone(&sort_key), r)
+                        .unwrap();
+                let mapper = RepSnMapper::new(Arc::new(products.positions), w, &comparer);
+                let job = Job::builder("sn-repsn-arrivals", mapper, Arrivals)
+                    .reduce_tasks(r)
+                    .partitioner(SnKey::partitioner())
+                    .build();
+                let out = stages.chained_stage(&job, products.annotated).unwrap();
+                let at = |replica: bool, p: usize| (replica, sorted[p].id().0, p as u32);
+                let key = |p: usize| routing_key(sort_key.as_ref(), &sorted[p]);
+                let (mut start, mut replicas) = (0, 0);
+                for (q, arrivals) in out.reduce_outputs.iter().enumerate() {
+                    let originals = arrivals.iter().filter(|(_, (replica, ..))| !replica).count();
+                    let end = start + originals;
+                    let expected: Vec<(bool, u64, u32)> = (start.saturating_sub(w - 1)..start)
+                        .map(|p| at(true, p))
+                        .chain((start..end).map(|p| at(false, p)))
+                        .collect();
+                    let got: Vec<(bool, u64, u32)> = arrivals.iter().map(|&((), v)| v).collect();
+                    prop_assert_eq!(got, expected, "range {} at {:?}", q, threshold);
+                    if 0 < start && start < sorted.len() {
+                        prop_assert!(key(start - 1) != key(start), "a key straddles range {}", q);
+                    }
+                    replicas += start.min(w - 1) as u64;
+                    start = end;
+                }
+                prop_assert_eq!(start, picks.len());
+                prop_assert_eq!(out.metrics.counters.get(REPLICAS), replicas);
+                for strategy in [SnStrategy::RepSn, SnStrategy::JobSn] {
+                    let config = SnConfig::new(strategy).with_window(w).with_reduce_tasks(r);
+                    let outcome =
+                        run_sorted_neighborhood_in(&mut workflow(), input.clone(), &config).unwrap();
+                    prop_assert_eq!(
+                        outcome.result.pair_set(),
+                        sn_oracle(&input, &config).pair_set(),
+                        "{} at {:?}", strategy, threshold
+                    );
+                    prop_assert_eq!(
+                        outcome.total_comparisons(),
+                        oracle_comparisons(picks.len(), w),
+                        "{} at {:?}", strategy, threshold
+                    );
+                }
             }
         }
     }

@@ -35,11 +35,11 @@ use crate::window::WindowBuffer;
 use crate::PARTITION_ENTITIES;
 
 /// Map phase of the window job (shared verbatim with nothing — RepSN
-/// has its own replicating mapper): route each rank-annotated entity,
-/// prepared, to its key range.
+/// has its own replicating mapper): route each position-annotated
+/// entity, prepared, to its key range.
 #[derive(Clone)]
 pub struct SnMapper {
-    /// The key ranges in rank space.
+    /// The key ranges over positions.
     partitioner: Arc<RangePartitioner<u32>>,
     interner: EntityInterner,
     /// The key list every entity is interned with.
@@ -48,7 +48,7 @@ pub struct SnMapper {
 
 impl SnMapper {
     /// Creates the mapper over the distribution job's range
-    /// boundaries in rank space, preparing entities for `comparer`.
+    /// boundaries over positions, preparing entities for `comparer`.
     pub fn new(partitioner: Arc<RangePartitioner<u32>>, comparer: &PairComparer) -> Self {
         Self {
             partitioner,
@@ -71,13 +71,16 @@ impl Mapper for SnMapper {
         self.keys = bottom_keys();
     }
 
-    fn map(&mut self, rank: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
-        let partition = key_index(self.partitioner.partition_of(rank), "range partition index");
+    fn map(&mut self, position: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
+        let partition = key_index(
+            self.partitioner.partition_of(position),
+            "range partition index",
+        );
         let prepared = self.interner.intern(entity, &self.keys);
         ctx.emit(
             SnKey {
                 partition,
-                rank: *rank,
+                position: *position,
             },
             SnEntity::original(Arc::clone(entity), prepared),
         );
@@ -121,11 +124,10 @@ pub enum WindowOut {
 }
 
 /// Reduce phase of the window job. A reduce task owns one range, but
-/// grouping uses the full `(partition, rank)` — the engine streams one
-/// small group per distinct sort key out of the heap merge, so the
-/// range is never materialized; the window ([`WindowBuffer`], held in
-/// reducer state) slides *across* groups and only `w − 1` entities
-/// plus the current key run are resident. Heads are published as the
+/// grouping uses the full `(partition, position)` — the engine streams
+/// one entity per group out of the heap merge, so the range is never
+/// materialized; the window ([`WindowBuffer`], held in reducer state)
+/// slides *across* groups and only `w − 1` entities are resident. Heads are published as the
 /// first `w − 1` entities stream by; tails are read off the ring at
 /// task end ([`Reducer::finish`]).
 #[derive(Clone)]
@@ -243,9 +245,10 @@ impl Reducer for WindowReducer {
 }
 
 /// Builds the JobSN window job (`r` = number of range partitions,
-/// `partitioner` the ranges in rank space). Sorting *and grouping* use
-/// the full `(partition, rank)`: the reduce-side merge then streams
-/// per-key groups while the reducer carries the window across them.
+/// `partitioner` the ranges over positions). Sorting *and grouping*
+/// use the full `(partition, position)`: the reduce-side merge then
+/// streams one entity at a time while the reducer carries the window
+/// across them.
 pub fn window_job(
     partitioner: Arc<RangePartitioner<u32>>,
     comparer: PairComparer,
@@ -657,9 +660,9 @@ mod tests {
             };
             let mut ctx = ReduceContext::for_testing(info);
             reducer.setup(&info);
-            let key = |rank| SnKey {
+            let key = |position| SnKey {
                 partition: task_index as u32,
-                rank,
+                position,
             };
             let entries = vec![(key(0), ent(1, "aa")), (key(1), ent(2, "bb"))];
             let (entries, tables) = crate::keys::staged(&comparer, entries);
@@ -686,7 +689,10 @@ mod tests {
     fn window_reducer_streams_per_key_groups_and_publishes_thin_partitions() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
         let mut reducer = WindowReducer::new(comparer.clone(), 4, true);
-        let key = |rank| SnKey { partition: 2, rank };
+        let key = |position| SnKey {
+            partition: 2,
+            position,
+        };
         let info = ReduceTaskInfo {
             task_index: 2,
             num_reduce_tasks: 4,
@@ -694,8 +700,8 @@ mod tests {
         };
         let mut ctx = ReduceContext::for_testing(info);
         reducer.setup(&info);
-        // The engine delivers one group per distinct sort key; the
-        // window must carry across them.
+        // The engine delivers one group per entity; the window must
+        // carry across them.
         let entries = vec![
             (key(5), ent(1, "same title")),
             (key(6), ent(2, "same title")),

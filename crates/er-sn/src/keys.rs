@@ -3,11 +3,11 @@
 //! The same composite-key discipline as the load-balancing strategies
 //! (partition on a *component*, sort on the whole key) applied to a
 //! total order: the window job routes on the range-partition index and
-//! sorts on `(partition, rank)` — the entity's sort-key rank from the
-//! distribution job ([`crate::sample`]), so no key text is compared,
-//! cloned or dropped after it — and each reduce task receives one
-//! contiguous, fully sorted slice of the global order; concatenating
-//! reduce tasks in index order reproduces it. The stitch job of JobSN
+//! sorts on `(partition, position)` — the entity's global position from
+//! the distribution job ([`crate::sample`]), so no key text is
+//! compared, cloned or dropped after it — and each reduce task receives
+//! one contiguous, fully sorted slice of the global order;
+//! concatenating reduce tasks in index order reproduces it. The stitch job of JobSN
 //! routes on the boundary index and sorts candidates left-side-first by
 //! distance from the boundary.
 
@@ -17,24 +17,24 @@ use er_loadbalance::{Ent, KeyList};
 use mr_engine::comparator::{by_projection, KeyCmp};
 use mr_engine::partitioner::FnPartitioner;
 
-/// Map output key of the window jobs: `(partition, rank)`, eight
+/// Map output key of the window jobs: `(partition, position)`, eight
 /// bytes and no pointer.
 ///
-/// `Ord` sorts by partition first, then rank — the global sort order,
-/// as ranks number the distinct sort keys ascending; partitioning uses
-/// only the partition component; grouping uses the *full* key, so the
-/// reduce-side merge streams one small group per distinct sort key and
-/// the range is never materialized — the window reducers carry their
-/// ring across groups instead. Equal sort keys share a rank, so their
-/// ties resolve by the engine's stable `(map task, emission order)`
-/// guarantee — independent of the partition count, which is what
-/// makes the match output invariant under `r`.
+/// `Ord` sorts by partition first, then position — the global sort
+/// order, as positions number the entities in `(sort key, map task,
+/// record index)` order; partitioning uses only the partition
+/// component; grouping uses the *full* key, so every group is one
+/// entity and the range is never materialized — the window reducers
+/// carry their ring across groups instead. Ties between equal sort keys
+/// are settled by the positions themselves, independent of the
+/// partition count, which is what makes the match output invariant
+/// under `r`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SnKey {
     /// Range-partition index (== reduce task index).
     pub partition: u32,
-    /// The entity's sort-key rank.
-    pub rank: u32,
+    /// The entity's global position.
+    pub position: u32,
 }
 
 impl SnKey {
@@ -46,7 +46,7 @@ impl SnKey {
 
 impl std::fmt::Display for SnKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.{}", self.partition, self.rank)
+        write!(f, "{}.{}", self.partition, self.position)
     }
 }
 
@@ -189,18 +189,18 @@ mod tests {
     fn sn_key_orders_partition_first_then_key() {
         let a = SnKey {
             partition: 0,
-            rank: 9,
+            position: 9,
         };
         let b = SnKey {
             partition: 1,
-            rank: 0,
+            position: 0,
         };
         let c = SnKey {
             partition: 1,
-            rank: 1,
+            position: 1,
         };
-        assert!(a < b, "partition dominates the rank");
-        assert!(b < c, "same partition: the rank orders");
+        assert!(a < b, "partition dominates the position");
+        assert!(b < c, "same partition: the position orders");
         assert_eq!(a.to_string(), "0.9");
     }
 
@@ -209,7 +209,7 @@ mod tests {
         let p = SnKey::partitioner();
         let key = SnKey {
             partition: 2,
-            rank: 7,
+            position: 7,
         };
         assert_eq!(p.partition(&key, 4), 2);
         assert_eq!(p.partition(&key, 2), 0, "wraps when r shrank");
@@ -221,15 +221,15 @@ mod tests {
         // share a group, anything else separates.
         let a = SnKey {
             partition: 1,
-            rank: 0,
+            position: 0,
         };
         let b = SnKey {
             partition: 1,
-            rank: 25,
+            position: 25,
         };
         let same = SnKey {
             partition: 1,
-            rank: 0,
+            position: 0,
         };
         assert_eq!(a.cmp(&same), std::cmp::Ordering::Equal);
         assert_ne!(a.cmp(&b), std::cmp::Ordering::Equal);

@@ -11,36 +11,36 @@
 //!    key, side-writes the entity (the annotated input of the matching
 //!    job, mirroring the BDM job's `Π'ᵢ` pattern) and emits the key
 //!    with the entity's `(map task, record index)`. One reduce task —
-//!    its heap merge is the global sort — numbers the distinct keys
-//!    `0, 1, …`, each key's dense *rank*, and writes every entity's
-//!    rank back; the driver scatters them into the side output and
-//!    cuts the exact histogram into an order-preserving
-//!    [`er_core::sortkey::RangePartitioner`] in rank space (and the
-//!    same ranges over the sort keys, which the outcome reports).
-//!    Entities without a sort key collate first, under the empty key
-//!    (rank 0).
+//!    its heap merge is the global sort — numbers the entities
+//!    `0, 1, …` in `(sort key, map task, record index)` order, each
+//!    entity's global *position*, and writes every position back; the
+//!    driver scatters them into the side output and cuts the exact
+//!    histogram into an order-preserving
+//!    [`er_core::sortkey::RangePartitioner`] over each key's last
+//!    position (and the same ranges over the sort keys, which the
+//!    outcome reports). Entities without a sort key collate first,
+//!    under the empty key.
 //! 2. **Window job** — a composite-key mapper emits
-//!    `(partition, rank)`, eight pointer-free bytes, so each reduce
-//!    task owns one contiguous key range, streamed by the engine's
-//!    heap merge as one small group per distinct sort key (grouping ==
-//!    sorting — the range is never materialized, and no key text is
-//!    compared); the reducer carries a `w`-sized ring buffer
+//!    `(partition, position)`, eight pointer-free bytes, so each
+//!    reduce task owns one contiguous key range, streamed by the
+//!    engine's heap merge one entity per group (grouping == sorting —
+//!    the range is never materialized, and no key text is compared);
+//!    the reducer carries a `w`-sized ring buffer
 //!    ([`window::WindowBuffer`]) *across* groups, so only `w − 1`
-//!    entities plus the current key run are resident, scoring pairs on
-//!    the entities its map tasks prepared
-//!    (`er_loadbalance::compare`).
+//!    entities are resident, scoring pairs on the entities its map
+//!    tasks prepared (`er_loadbalance::compare`).
 //! 3. **Boundary handling**, one of two strategies
 //!    ([`SnStrategy`]):
 //!    * [`jobsn`] — **JobSN**: the window job publishes each range's
 //!      first/last `w − 1` entities; a second, tiny MR job compares
 //!      the pairs straddling range boundaries. Exact even for thin and
 //!      empty ranges.
-//!    * [`repsn`] — **RepSN**: each map task replicates its last
-//!      `w − 1` entities before every range to that range; the reducer
-//!      primes its window with them and never compares replica ×
-//!      replica, keeping the output duplicate-free. One job, at most
-//!      `(w − 1)·m` replicas per boundary, exact on every range
-//!      layout.
+//!    * [`repsn`] — **RepSN**: the map phase replicates the entities
+//!      at the `w − 1` positions before every range's start to that
+//!      range; the reducer primes its window with them and never
+//!      compares replica × replica, keeping the output duplicate-free.
+//!      One job, exactly `min(w − 1, start)` replicas per range —
+//!      however many map tasks — exact on every range layout.
 //!
 //! All drivers execute their stages through the shared
 //! [`mr_engine::workflow::Workflow`] layer (identical-partitioning

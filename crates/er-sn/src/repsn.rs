@@ -1,31 +1,26 @@
 //! RepSN: boundary handling via in-map replication.
 //!
 //! Strategy 2 of *Parallel Sorted Neighborhood Blocking with
-//! MapReduce*: each map task — which knows the range partitioning —
-//! additionally sends, to every range `q > 0`, its last `w − 1`
-//! entities *before* `q` (from whichever earlier ranges they come),
-//! tagged as replicas. Every entity among the global last `w − 1`
-//! before `q` is also among its own task's last `w − 1` before `q`, so
-//! the reduce task of range `q` sees (sorted strictly before its own
-//! entities) a superset of that global tail; it primes the sliding
-//! window with the greatest `w − 1` replicas and slides into its own
-//! entities. Replica × replica pairs are never compared — they were
-//! already compared in an earlier range — so matches stay
-//! duplicate-free by construction. One job, no stitching, exact on
-//! every range layout (thin and empty ranges included); the cost is
-//! at most `(w − 1) · m` replicated entities per boundary.
-//!
-//! The mapper orders and routes by the sort-key rank the distribution
-//! job annotated each entity with: its per-range tails hold
-//! `(rank, entity, handle)` entries, and an entity that a full tail
-//! would evict at once — its rank below the tail's least — never
-//! enters it.
+//! MapReduce*: besides routing each entity to its own range, the map
+//! phase sends every range `q > 0` the entities at the `w − 1` global
+//! positions before its start, tagged as replicas. The distribution job
+//! numbered every entity with its global position ([`crate::sample`])
+//! and the ranges are cut over positions, so a map task decides from
+//! an entity's position alone which ranges need it: range `q`, starting
+//! at `start_q`, needs exactly `start_q − (w − 1) ≤ position < start_q`.
+//! The reduce task of range `q` sees those replicas sorted strictly
+//! before its own entities; it primes the sliding window with them and
+//! slides into its own entities. Replica × replica pairs are never
+//! compared — they were already compared in an earlier range — so
+//! matches stay duplicate-free by construction. One job, no stitching,
+//! exact on every range layout (thin and empty ranges included); range
+//! `q` receives `min(w − 1, start_q)` replicas, so a run ships at most
+//! `(r − 1)(w − 1)`, whatever the number of map tasks.
 
 use std::sync::Arc;
 
 use er_core::result::MatchPair;
 use er_core::sortkey::RangePartitioner;
-use er_core::PreparedHandle;
 use er_loadbalance::compare::{EntityInterner, EntityTable, PairComparer};
 use er_loadbalance::keys::key_index;
 use er_loadbalance::{Ent, KeyList};
@@ -35,25 +30,18 @@ use crate::keys::{bottom_keys, SnEntity, SnKey};
 use crate::window::WindowBuffer;
 use crate::{PARTITION_ENTITIES, REPLICAS};
 
-/// A tail entry: an entity's sort-key rank, the entity, and the handle
-/// its original was emitted with (a replica reuses its original's
-/// prepared form).
-type TailEntry = (u32, Ent, PreparedHandle);
-
-/// Map phase: route each entity to its range and replicate, to each
-/// range, this task's last `w − 1` entities before it. An entity is
-/// prepared once, for its original record; its replicas carry the same
-/// handle.
+/// Map phase: route each entity to its range and replicate it to every
+/// later range whose start lies at most `w − 1` positions after it. An
+/// entity is prepared once, for its original record; its replicas carry
+/// the same handle.
 #[derive(Clone)]
 pub struct RepSnMapper {
-    /// The key ranges in rank space.
+    /// The key ranges over positions.
     partitioner: Arc<RangePartitioner<u32>>,
-    window: usize,
-    /// Per range: this task's last `w − 1` entities of it, kept
-    /// sorted ascending by `(rank, arrival)` — the same tie order the
-    /// shuffle produces, so the replica stream is a faithful slice of
-    /// the global order.
-    tails: Vec<Vec<TailEntry>>,
+    /// `starts[i]`: the first position of range `i + 1`.
+    starts: Vec<u64>,
+    /// `w − 1`: how far before a range's start its replicas reach.
+    reach: u64,
     interner: EntityInterner,
     /// The key list every entity is interned with.
     keys: KeyList,
@@ -61,16 +49,21 @@ pub struct RepSnMapper {
 
 impl RepSnMapper {
     /// Creates the mapper over the distribution job's range boundaries
-    /// in rank space, preparing entities for `comparer`.
+    /// over positions, preparing entities for `comparer`.
     pub fn new(
         partitioner: Arc<RangePartitioner<u32>>,
         window: usize,
         comparer: &PairComparer,
     ) -> Self {
+        let starts = partitioner
+            .boundaries()
+            .iter()
+            .map(|&last| u64::from(last) + 1)
+            .collect();
         Self {
             partitioner,
-            window,
-            tails: Vec::new(),
+            starts,
+            reach: u64::try_from(window - 1).unwrap_or(u64::MAX),
             interner: EntityInterner::new(comparer),
             keys: bottom_keys(),
         }
@@ -86,62 +79,40 @@ impl Mapper for RepSnMapper {
     type Product = EntityTable;
 
     fn setup(&mut self, info: &MapTaskInfo) {
-        self.tails = vec![Vec::new(); self.partitioner.num_partitions()];
         self.interner.setup(info);
         self.keys = bottom_keys();
     }
 
-    fn map(&mut self, rank: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
-        let rank = *rank;
-        let partition = self.partitioner.partition_of(&rank);
+    fn map(&mut self, position: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
+        let position = *position;
+        let partition = self.partitioner.partition_of(&position);
         let prepared = self.interner.intern(entity, &self.keys);
         ctx.emit(
             SnKey {
                 partition: key_index(partition, "range partition index"),
-                rank,
+                position,
             },
             SnEntity::original(Arc::clone(entity), prepared),
         );
-        if partition + 1 >= self.tails.len() {
-            return; // the last range has no successor
-        }
-        let tail = &mut self.tails[partition];
-        let capacity = self.window - 1;
-        // A full tail whose least entry outranks this entity would
-        // evict it at once. An equal rank still enters: it arrived
-        // later, so it sorts after that entry.
-        if tail.len() == capacity && rank < tail[0].0 {
-            return;
-        }
-        // Insert after the run of equal ranks (stable by arrival), cap
-        // at the last w − 1.
-        let pos = tail.partition_point(|&(r, _, _)| r <= rank);
-        tail.insert(pos, (rank, Arc::clone(entity), prepared));
-        if tail.len() > capacity {
-            tail.remove(0);
+        // Every later range starts after this position, the nearer
+        // ones first; walking on while the start is within reach also
+        // covers thin and empty ranges.
+        for (successor, &start) in (partition + 1..).zip(&self.starts[partition..]) {
+            if start - u64::from(position) > self.reach {
+                break;
+            }
+            ctx.add_counter(REPLICAS, 1);
+            ctx.emit(
+                SnKey {
+                    partition: key_index(successor, "range partition index"),
+                    position,
+                },
+                SnEntity::replica(Arc::clone(entity), prepared),
+            );
         }
     }
 
     fn finish(&mut self, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
-        // Range `p + 1` receives the last `w − 1` entities of ranges
-        // `0..=p`: a running carry over the per-range tails, which
-        // reaches past thin and empty ranges.
-        let mut carry: Vec<TailEntry> = Vec::new();
-        let successors = self.tails.len().saturating_sub(1);
-        for (partition, tail) in self.tails.iter_mut().take(successors).enumerate() {
-            carry.append(tail);
-            carry.drain(..carry.len().saturating_sub(self.window - 1));
-            for &(rank, ref entity, prepared) in &carry {
-                ctx.add_counter(REPLICAS, 1);
-                ctx.emit(
-                    SnKey {
-                        partition: key_index(partition + 1, "range partition index"),
-                        rank,
-                    },
-                    SnEntity::replica(Arc::clone(entity), prepared),
-                );
-            }
-        }
         self.interner.finish(ctx);
     }
 
@@ -150,14 +121,12 @@ impl Mapper for RepSnMapper {
     }
 }
 
-/// Reduce phase. A reduce task owns one range, streamed as one small
-/// group per distinct sort-key rank (grouping == sorting, so the range
-/// is never materialized): first the replica groups — their ranks are
-/// strictly smaller than every original rank of this range, so they
-/// arrive first — priming the window ([`WindowBuffer`] in reducer
-/// state; priming keeps only the last `w − 1`, which is exactly the
-/// global tail before this range), then the originals sliding over
-/// it.
+/// Reduce phase. A reduce task owns one range, streamed as one group
+/// per entity (grouping == sorting, so the range is never
+/// materialized): first the replicas — their positions precede every
+/// position of this range, so they arrive first — priming the window
+/// ([`WindowBuffer`] in reducer state) with the global tail before this
+/// range, then the originals sliding over it.
 ///
 /// A task emits its matches at its end, stably sorted by pair: the
 /// sort runs in parallel on the pool, and
@@ -236,7 +205,7 @@ impl Reducer for RepSnReducer {
 }
 
 /// Builds the RepSN job over `partitions` key ranges, `partitioner`
-/// being those ranges in rank space.
+/// being those ranges over positions.
 pub fn repsn_job(
     partitioner: Arc<RangePartitioner<u32>>,
     comparer: PairComparer,
@@ -260,12 +229,12 @@ mod tests {
     use er_loadbalance::COMPARISONS;
     use mr_engine::pool::WorkerPool;
 
-    /// One map task per slice of `tasks`, each entity titled by its
-    /// label and annotated with the label's rank among all labels.
+    /// One map task per slice of `tasks` (distinct labels), each
+    /// entity titled by its label and annotated with the label's index
+    /// among all labels — its global position.
     fn annotated(tasks: &[&[&str]]) -> Partitions<u32, Ent> {
         let mut labels: Vec<&str> = tasks.iter().flat_map(|t| t.iter().copied()).collect();
         labels.sort_unstable();
-        labels.dedup();
         let mut id = 0;
         tasks
             .iter()
@@ -273,17 +242,17 @@ mod tests {
                 task.iter()
                     .map(|title| {
                         id += 1;
-                        let rank = labels.binary_search(title).unwrap() as u32;
-                        (rank, Arc::new(Entity::new(id, [("title", *title)])))
+                        let position = labels.binary_search(title).unwrap() as u32;
+                        (position, Arc::new(Entity::new(id, [("title", *title)])))
                     })
                     .collect()
             })
             .collect()
     }
 
-    /// Two key ranges over ranks `0..ranks`, cut at the median.
-    fn two_ranges(ranks: u32) -> Arc<RangePartitioner<u32>> {
-        Arc::new(RangePartitioner::from_sample((0..ranks).collect(), 2))
+    /// Two key ranges over positions `0..n`, cut at the median.
+    fn two_ranges(n: u32) -> Arc<RangePartitioner<u32>> {
+        Arc::new(RangePartitioner::from_sample((0..n).collect(), 2))
     }
 
     fn job(
@@ -299,18 +268,43 @@ mod tests {
     }
 
     #[test]
-    fn mapper_replicates_per_range_tails_to_the_successor() {
-        let out = job(two_ranges(4), 3)
-            .run_on(&WorkerPool::new(1), annotated(&[&["a", "b", "c", "d"]]))
-            .unwrap();
-        // Ranges: {a, b} and {c, d}; w - 1 = 2 replicas cross.
-        assert_eq!(out.metrics.counters.get(REPLICAS), 2);
-        assert_eq!(out.metrics.map_output_records(), 6, "4 originals + 2");
-        let loads = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
-        assert_eq!(loads, vec![2, 2], "originals per range");
-        // w = 3 over the global order a,b,c,d: pairs (a,b), (a,c),
-        // (b,c), (b,d), (c,d).
-        assert_eq!(out.metrics.counters.get(COMPARISONS), 5);
+    fn mapper_replicates_the_positions_before_each_range_start() {
+        // Sort keys of 3, 3 and 2 entities cut into four ranges over
+        // positions: {0, 1, 2} | {3, 4, 5} | {} | {6, 7}, starting at 3,
+        // 6 and 6. With w = 3, range 1 needs positions 1 and 2, and the
+        // empty range 2 and range 3 each need 4 and 5.
+        let partitioner = Arc::new(RangePartitioner::from_counts(
+            [(2u32, 3), (5, 3), (7, 2)],
+            4,
+        ));
+        assert_eq!(partitioner.boundaries(), [2, 5, 5]);
+        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+        let mut mapper = RepSnMapper::new(partitioner, 3, &comparer);
+        let info = MapTaskInfo {
+            task_index: 0,
+            num_map_tasks: 1,
+            num_reduce_tasks: 4,
+        };
+        let mut ctx = MapContext::for_testing(info);
+        mapper.setup(&info);
+        for position in [5u32, 0, 4, 1, 2, 7, 3, 6] {
+            let entity: Ent = Arc::new(Entity::new(u64::from(position), [("title", "t")]));
+            mapper.map(&position, &entity, &mut ctx);
+        }
+        mapper.finish(&mut ctx);
+        let mut replicas: Vec<(u32, u32)> = ctx
+            .output()
+            .iter()
+            .filter(|(_, v)| v.replica)
+            .map(|(k, v)| {
+                assert_eq!(v.entity.id().0, u64::from(k.position));
+                (k.partition, k.position)
+            })
+            .collect();
+        replicas.sort_unstable();
+        assert_eq!(replicas, [(1, 1), (1, 2), (2, 4), (2, 5), (3, 4), (3, 5)]);
+        assert_eq!(ctx.counters().get(REPLICAS), 6);
+        assert_eq!(ctx.output().len(), 8 + 6, "every original once");
     }
 
     #[test]
@@ -340,50 +334,23 @@ mod tests {
         // Ranges: {a, b} | {c, d, e}. Global window pairs for w = 3:
         // (a,b),(a,c),(b,c),(b,d),(c,d),(c,e),(d,e) = 7.
         assert_eq!(out.metrics.counters.get(COMPARISONS), 7);
-        // Each task replicates its own per-range tail (task 0: a;
-        // task 1: b); the reducer primes the window with their union.
+        // Range 1 starts at c: a and b cross, each from the task that
+        // holds it; the reducer primes the window with both.
         assert_eq!(out.metrics.counters.get(REPLICAS), 2);
     }
 
     #[test]
-    fn a_full_tail_skips_lower_ranks_and_keeps_equal_ones() {
-        // w = 3: a tail of two. Ranks 2, 3 fill range 0's tail; 1 would
-        // be evicted at once and is skipped; a second 2 arrives later
-        // than the first, so it sorts after it and evicts it.
-        let partitioner = Arc::new(RangePartitioner::from_counts([(3u32, 1), (4, 1)], 2));
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut mapper = RepSnMapper::new(partitioner, 3, &comparer);
-        let info = MapTaskInfo {
-            task_index: 0,
-            num_map_tasks: 1,
-            num_reduce_tasks: 2,
-        };
-        let mut ctx = MapContext::for_testing(info);
-        mapper.setup(&info);
-        for (id, rank) in [2u32, 3, 1, 2].into_iter().enumerate() {
-            let entity: Ent = Arc::new(Entity::new(id as u64, [("title", "t")]));
-            mapper.map(&rank, &entity, &mut ctx);
-        }
-        mapper.finish(&mut ctx);
-        let replicas: Vec<(SnKey, u64)> = ctx
-            .output()
-            .iter()
-            .filter(|(_, v)| v.replica)
-            .map(|(k, v)| (*k, v.entity.id().0))
-            .collect();
-        let key = |rank| SnKey { partition: 1, rank };
-        assert_eq!(replicas, vec![(key(2), 3), (key(3), 1)]);
-    }
-
-    #[test]
     fn every_reduce_task_emits_its_matches_sorted_by_pair() {
-        // Window order (by rank) is not pair order: entity ids descend
-        // while the ranks ascend.
+        // Window order (by position) is not pair order: entity ids
+        // descend while the positions ascend.
         let n = 8u32;
         let input: Partitions<u32, Ent> = vec![(0..n)
-            .map(|rank| {
-                let id = u64::from(n - rank);
-                (rank, Arc::new(Entity::new(id, [("title", "same title")])))
+            .map(|position| {
+                let id = u64::from(n - position);
+                (
+                    position,
+                    Arc::new(Entity::new(id, [("title", "same title")])),
+                )
             })
             .collect()];
         let out = job(two_ranges(n), 3)

@@ -6,25 +6,29 @@
 //! matching job reads the same partitioning) and emits one
 //! `(sort key, (map task, record index))` record per entity. The job
 //! runs with **one** reduce task, whose heap merge is the global sort:
-//! it numbers the distinct keys `0, 1, …` in order — each key's dense
-//! *rank* — and emits, per key, a [`Ranked::Key`] with its count and a
-//! [`Ranked::Member`] per entity that carries it. The coordinator
-//! scatters each rank into its entity's side-output record (`O(n)`, no
-//! comparison, no allocation per key) and cuts the histogram into key
-//! ranges twice with [`RangePartitioner::from_counts`]: in rank space,
-//! which the window jobs route by, and over the sort keys, the same
-//! ranges as a caller reads them
-//! ([`SnStages::partitioner`](crate::SnStages::partitioner)). The
-//! window jobs then route, sort and group on `(range, rank)` integers
-//! only. Everything is a pure function of the input, at any
-//! parallelism.
+//! it meets every entity in `(sort key, map task, record index)` order
+//! and numbers them `0, 1, …` — each entity's global *position* — and
+//! emits a [`Positioned::Member`] per entity and, after a key's
+//! members, a [`Positioned::Key`] with the key and its count under the
+//! key's last position. The coordinator scatters each position into
+//! its entity's side-output record (`O(n)`, no comparison, no
+//! allocation per key) and cuts the histogram into key ranges twice
+//! with [`RangePartitioner::from_counts`]: over each key's last
+//! position, which the window jobs route by, and over the sort keys,
+//! the same ranges as a caller reads them
+//! ([`SnStages::partitioner`](crate::SnStages::partitioner)). Both cut
+//! at the same distinct keys, so equal keys share a range. The window
+//! jobs then route, sort and group on `(range, position)` integers
+//! only, and RepSN knows from a position alone which ranges need its
+//! entity as a replica. Everything is a pure function of the input, at
+//! any parallelism.
 //!
 //! # Null sort keys
 //!
 //! Entities whose sort key cannot be derived are **never dropped
 //! silently**: [`routing_key`] routes them under [`SortKey::empty`],
-//! collated at the very front of the global order (rank 0), and the
-//! mapper counts them under [`crate::NULL_SORT_KEYS`].
+//! collated at the very front of the global order, and the mapper
+//! counts them under [`crate::NULL_SORT_KEYS`].
 
 use std::sync::Arc;
 
@@ -101,8 +105,8 @@ impl Mapper for SampleMapper {
     type VIn = Ent;
     type KOut = SortKey;
     type VOut = (u32, u32);
-    /// `(rank, entity)`: the rank is a placeholder until the
-    /// coordinator scatters the reduce task's ranks into it.
+    /// `(position, entity)`: the position is a placeholder until the
+    /// coordinator scatters the reduce task's positions into it.
     type Side = (u32, Ent);
     type Product = ();
 
@@ -130,14 +134,15 @@ impl Mapper for SampleMapper {
     }
 }
 
-/// One record of the distribution job's reduce output, keyed by the
-/// rank it describes. Ranks ascend through the output, and each rank's
-/// [`Ranked::Key`] precedes its members.
+/// One record of the distribution job's reduce output, keyed by a
+/// position. Positions ascend through the output; a sort key's
+/// [`Positioned::Key`] follows its members, under the last of their
+/// positions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Ranked {
-    /// The rank's sort key and the number of entities that carry it.
+pub enum Positioned {
+    /// A sort key and the number of entities that carry it.
     Key(SortKey, u64),
-    /// An entity of the rank, by its side-output address.
+    /// The entity at this position, by its side-output address.
     Member {
         /// The map task that read it.
         task: u32,
@@ -147,45 +152,50 @@ pub enum Ranked {
 }
 
 /// Reducer of the distribution job — its one reduce task sees every
-/// distinct sort key, in order, and numbers them.
+/// entity in global order, a group per distinct sort key whose members
+/// arrive in `(map task, record index)` order, and numbers them.
 #[derive(Debug, Clone, Default)]
-pub struct RankReducer {
-    /// Distinct keys numbered so far: the next key's rank.
-    keys: u64,
+pub struct PositionReducer {
+    /// Entities numbered so far: the next entity's position.
+    entities: u64,
 }
 
-impl Reducer for RankReducer {
+impl Reducer for PositionReducer {
     type KIn = SortKey;
     type VIn = (u32, u32);
     type KOut = u32;
-    type VOut = Ranked;
+    type VOut = Positioned;
     type Product = ();
 
     fn setup(&mut self, _info: &ReduceTaskInfo) {
-        self.keys = 0;
+        self.entities = 0;
     }
 
     fn reduce(
         &mut self,
         group: Group<'_, SortKey, (u32, u32)>,
-        ctx: &mut ReduceContext<u32, Ranked>,
+        ctx: &mut ReduceContext<u32, Positioned>,
     ) {
-        let rank = key_index(self.keys, "sort-key rank");
-        self.keys += 1;
-        ctx.emit(rank, Ranked::Key(group.key().clone(), group.len() as u64));
         for &(task, index) in group.values() {
-            ctx.emit(rank, Ranked::Member { task, index });
+            let position = key_index(self.entities, "entity position");
+            self.entities += 1;
+            ctx.emit(position, Positioned::Member { task, index });
         }
+        let last = key_index(self.entities - 1, "entity position");
+        ctx.emit(
+            last,
+            Positioned::Key(group.key().clone(), group.len() as u64),
+        );
     }
 }
 
 /// Builds the distribution job: one `(sort key, address)` record per
-/// entity, ranked by a single reduce task.
-pub fn sample_job(sort_key: Arc<dyn SortKeyFunction>) -> Job<SampleMapper, RankReducer> {
+/// entity, numbered by a single reduce task.
+pub fn sample_job(sort_key: Arc<dyn SortKeyFunction>) -> Job<SampleMapper, PositionReducer> {
     Job::builder(
         "sn-sample",
         SampleMapper::new(sort_key),
-        RankReducer::default(),
+        PositionReducer::default(),
     )
     .reduce_tasks(1)
     .build()
@@ -194,12 +204,13 @@ pub fn sample_job(sort_key: Arc<dyn SortKeyFunction>) -> Job<SampleMapper, RankR
 /// Products of a completed distribution job.
 #[derive(Debug)]
 pub struct SampleProducts {
-    /// The key ranges in rank space — what the window jobs route by.
-    pub ranks: RangePartitioner<u32>,
+    /// The key ranges over positions — what the window jobs route by.
+    /// Each boundary is the last position of a sort key.
+    pub positions: RangePartitioner<u32>,
     /// The same ranges over the sort keys.
     pub sort_keys: RangePartitioner<SortKey>,
     /// The input, identically partitioned, each entity annotated with
-    /// its sort-key rank.
+    /// its global position.
     pub annotated: Partitions<u32, Ent>,
     /// The job's metrics.
     pub metrics: JobMetrics,
@@ -219,20 +230,23 @@ pub fn sample_distribution_in(
     let out = workflow.chained_stage(&sample_job(sort_key), input)?;
     let mut annotated = out.side_outputs;
     let mut keys = Vec::new();
-    let mut counts = Vec::new();
-    for (rank, record) in out.reduce_outputs.into_iter().flatten() {
+    for (position, record) in out.reduce_outputs.into_iter().flatten() {
         match record {
-            Ranked::Key(key, count) => {
-                keys.push(key);
-                counts.push(count);
+            Positioned::Key(key, count) => keys.push((key, count)),
+            Positioned::Member { task, index } => {
+                annotated[task as usize][index as usize].0 = position;
             }
-            Ranked::Member { task, index } => annotated[task as usize][index as usize].0 = rank,
         }
     }
-    let ranks = RangePartitioner::from_counts((0..).zip(counts.iter().copied()), partitions);
-    let sort_keys = RangePartitioner::from_counts(keys.into_iter().zip(counts), partitions);
+    // A key's last position is the count of entities up to it, less one.
+    let lasts = keys.iter().scan(0u64, |end, &(_, count)| {
+        *end += count;
+        Some((key_index(*end - 1, "entity position"), count))
+    });
+    let positions = RangePartitioner::from_counts(lasts, partitions);
+    let sort_keys = RangePartitioner::from_counts(keys, partitions);
     Ok(SampleProducts {
-        ranks,
+        positions,
         sort_keys,
         annotated,
         metrics: out.metrics,
@@ -280,7 +294,7 @@ mod tests {
         let products = sample_distribution(input, 2).unwrap();
         let partitioner = &products.sort_keys;
         assert_eq!(partitioner.num_partitions(), 2);
-        assert_eq!(products.ranks.num_partitions(), 2);
+        assert_eq!(products.positions.num_partitions(), 2);
         assert_eq!(products.annotated.len(), 1, "partition shape preserved");
         assert_eq!(products.annotated[0].len(), 4, "every entity annotated");
         assert_eq!(
@@ -292,9 +306,13 @@ mod tests {
         let p = |s: &str| partitioner.partition_of(&SortKey::new(s));
         assert!(p("aa") < p("cc"));
         assert_eq!(p("aa"), p("bb"));
-        let ranks: Vec<u32> = products.annotated[0].iter().map(|(r, _)| *r).collect();
-        assert_eq!(ranks, vec![3, 0, 2, 1], "dd, aa, cc, bb");
-        assert_eq!(products.ranks.boundaries(), [1], "ranks 0..=1 | 2..=3");
+        let positions: Vec<u32> = products.annotated[0].iter().map(|(p, _)| *p).collect();
+        assert_eq!(positions, vec![3, 0, 2, 1], "dd, aa, cc, bb");
+        assert_eq!(
+            products.positions.boundaries(),
+            [1],
+            "positions 0..=1 | 2..=3"
+        );
     }
 
     #[test]
@@ -305,16 +323,19 @@ mod tests {
             .unwrap();
         assert_eq!(out.metrics.map_output_records(), 4, "one record per entity");
         assert_eq!(out.reduce_outputs.len(), 1, "one reduce task");
-        let keys: Vec<(u32, SortKey, u64)> = out
-            .records()
-            .filter_map(|(rank, record)| match record {
-                Ranked::Key(key, count) => Some((*rank, key.clone(), *count)),
-                Ranked::Member { .. } => None,
-            })
-            .collect();
+        let records: Vec<(u32, Positioned)> = out.records().cloned().collect();
+        let member = |index| Positioned::Member { task: 0, index };
         assert_eq!(
-            keys,
-            vec![(0, SortKey::new("aa"), 3), (1, SortKey::new("bb"), 1)]
+            records,
+            vec![
+                (0, member(0)),
+                (1, member(1)),
+                (2, member(2)),
+                (2, Positioned::Key(SortKey::new("aa"), 3)),
+                (3, member(3)),
+                (3, Positioned::Key(SortKey::new("bb"), 1)),
+            ],
+            "each key after its members, under its last position"
         );
     }
 
@@ -375,10 +396,10 @@ mod tests {
             3,
             "keyless entities stay routed"
         );
-        let ranks: Vec<u32> = products.annotated[0].iter().map(|(r, _)| *r).collect();
-        assert_eq!(ranks, vec![1, 0, 0], "the empty key ranks first");
+        let positions: Vec<u32> = products.annotated[0].iter().map(|(p, _)| *p).collect();
+        assert_eq!(positions, vec![2, 0, 1], "the empty key sorts first");
         assert_eq!(products.sort_keys.partition_of(&SortKey::empty()), 0);
-        assert_eq!(products.ranks.partition_of(&0), 0);
+        assert_eq!(products.positions.partition_of(&1), 0);
     }
 
     #[test]
@@ -398,7 +419,6 @@ mod proptests {
     use mr_engine::pool::WorkerPool;
     use mr_engine::workflow::Workflow;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
 
     /// `picks` dealt round-robin over `m` map tasks: a pick divisible
     /// by 5 is keyless, any other a title from the first `letters`
@@ -419,12 +439,12 @@ mod proptests {
     }
 
     proptest! {
-        /// Every side-output rank is its routing key's index among the
-        /// input's distinct sorted keys, at every map-task count and
-        /// spill threshold; and both partitioners send each entity to
-        /// the same range.
+        /// Every side-output position is its entity's index in the
+        /// oracles' global order, at every map-task count and spill
+        /// threshold; and both partitioners send each entity to the
+        /// same range.
         #[test]
-        fn ranks_number_the_distinct_sorted_keys(
+        fn positions_number_the_entities_in_global_order(
             picks in proptest::collection::vec(0usize..60, 0..48),
             letters in 1usize..=9,
             m in 1usize..=8,
@@ -432,12 +452,7 @@ mod proptests {
         ) {
             let input = input(&picks, letters, m);
             let sort_key: Arc<dyn SortKeyFunction> = Arc::new(AttributeSortKey::title());
-            let distinct: BTreeSet<SortKey> = input
-                .iter()
-                .flatten()
-                .map(|((), e)| routing_key(sort_key.as_ref(), e))
-                .collect();
-            let distinct: Vec<SortKey> = distinct.into_iter().collect();
+            let sorted = sorted_order(&input, sort_key.as_ref());
             for threshold in [None, Some(1)] {
                 let mut workflow = Workflow::on_pool("sn-sample", Arc::new(WorkerPool::new(2)))
                     .with_spill_threshold(threshold);
@@ -451,16 +466,13 @@ mod proptests {
                 prop_assert_eq!(products.annotated.len(), m);
                 for (annotated, original) in products.annotated.iter().zip(&input) {
                     prop_assert_eq!(annotated.len(), original.len());
-                    for ((rank, entity), ((), expected)) in annotated.iter().zip(original) {
+                    for ((position, entity), ((), expected)) in annotated.iter().zip(original) {
                         prop_assert!(Arc::ptr_eq(entity, expected));
                         let key = routing_key(sort_key.as_ref(), entity);
-                        let oracle = distinct.binary_search(&key).unwrap();
-                        prop_assert_eq!(*rank as usize, oracle, "{:?} {:?}", key, threshold);
-                        if key.is_empty() {
-                            prop_assert_eq!(*rank, 0);
-                        }
+                        let oracle = sorted.iter().position(|e| Arc::ptr_eq(e, entity));
+                        prop_assert_eq!(Some(*position as usize), oracle, "{:?} {:?}", key, threshold);
                         prop_assert_eq!(
-                            products.ranks.partition_of(rank),
+                            products.positions.partition_of(position),
                             products.sort_keys.partition_of(&key),
                             "{:?}", key
                         );

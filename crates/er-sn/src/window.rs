@@ -5,10 +5,9 @@
 //! of a compare driver ([`GroupComparer`]: entity reference, table
 //! handle, sketch) — nothing borrowed, so the buffer can live in
 //! reducer state and slide **across** reduce groups: the window jobs
-//! group by the full `(partition, rank)`, so a reduce task streams one
-//! small group per distinct sort key out of the engine's heap merge and
-//! never materializes its whole range; only the ring (and the current
-//! key run) is resident.
+//! group by the full `(partition, position)`, so a reduce task streams
+//! one entity per group out of the engine's heap merge and never
+//! materializes its whole range; only the ring is resident.
 //!
 //! [`WindowBuffer::advance`] compares the next entity against every
 //! buffered predecessor — exactly the pairs at distance `≤ w − 1`, one

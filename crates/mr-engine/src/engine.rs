@@ -97,8 +97,9 @@ use crate::trace::{SpillTrace, TaskCtx, TraceEventData, Tracer};
 /// pool size and cap.
 struct Exec<'p> {
     pool: &'p WorkerPool,
-    /// Upper bound on concurrently used pool slots (`usize::MAX` uses
-    /// the whole pool).
+    /// Upper bound on concurrently running tasks, the dispatching
+    /// thread's included (`usize::MAX` admits every worker plus the
+    /// caller lane: one task more than the pool has slots).
     cap: usize,
     /// `(tenant, workflow, stage)`; untagged for bare [`Job::run_on`].
     tag: BatchTag,

@@ -27,6 +27,13 @@
 //! batch's completion fence. Results are index-addressed per batch, so
 //! outputs are byte-identical under every cap and tenant mix.
 //!
+//! A cap bounds a batch's running tasks, the dispatcher's own
+//! included. An uncapped batch (`usize::MAX`: [`WorkerPool::run_tasks`],
+//! and every stage of a [`crate::workflow::Workflow`] without a
+//! parallelism cap) can therefore run `parallelism + 1` tasks at once
+//! on a pool of `parallelism` slots: every worker plus the caller
+//! lane.
+//!
 //! # The one `unsafe` boundary
 //!
 //! Persistent threads cannot hold a borrow of a dispatcher's stack

@@ -31,7 +31,11 @@ pub const DEFAULT_REDUCE_TASKS: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Local worker threads (task slots). A [`Runtime`] spawns its
-    /// pool with exactly this many slots.
+    /// pool with exactly this many slots. A thread that dispatches a
+    /// stage also runs that stage's tasks while it waits, so a stage
+    /// without a parallelism cap
+    /// ([`Workflow::with_parallelism_cap`]) can run up to
+    /// `parallelism + 1` tasks at once.
     pub parallelism: usize,
     /// Default number of reduce tasks `r` for the jobs of a scenario.
     /// Blocking-based ER runs both its jobs with `r` reduce tasks;

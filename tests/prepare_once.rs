@@ -4,7 +4,7 @@
 //! records every reduce task used to re-prepare — and no reduce task
 //! prepares anything. Pinned on the ledger's corpora: DS1 at 1/8 under
 //! BlockSplit and PairRange (14 250; 23 231 and 36 924 map-output
-//! records), DS1 at 1/10 under RepSN `w = 20` (11 400; 16 112 records)
+//! records), DS1 at 1/10 under RepSN `w = 20` (11 400; 11 989 records)
 //! and the `lsh_8x4` corpus's candidate stage.
 
 use std::collections::HashMap;
@@ -127,7 +127,7 @@ fn repsn_prepares_each_entity_once_and_its_replicas_never() {
         &scenario,
         products(2012, 0.1),
     );
-    assert_eq!(routed, 16_112, "originals plus replicas");
+    assert_eq!(routed, 11_989, "originals plus (r − 1)(w − 1) replicas");
     assert_eq!(prepared, 11_400);
 }
 

@@ -345,9 +345,9 @@ fn window_growth_only_adds_pairs() {
 /// the titles that start with `c`, so its heavy task is neither the
 /// first nor the last) or last, under `w = 10` and 8 key ranges. Key
 /// ranges are cut at distinct sort keys, so the tie lands on one task
-/// and the ranges it spans stay empty. Splitting ranges in rank space
-/// (direction 9) is expected to flatten these vectors; until then they
-/// are what both strategies do, exactly.
+/// and the ranges it spans stay empty. Cutting ranges at arbitrary
+/// positions (direction 9) is expected to flatten these vectors; until
+/// then they are what both strategies do, exactly.
 #[test]
 fn skew_probe_per_task_comparisons_are_pinned() {
     let ds = generate_products(&ds1_spec(2012).scaled(0.02));
