@@ -20,9 +20,8 @@
 //! * [`minhash`] signatures and banded LSH primitives (shingle sets,
 //!   seeded [`MinHasher`] families, band digests and the banding
 //!   S-curve), consumed by the er-lsh blocking family,
-//! * [`sortkey`] primitives for Sorted Neighborhood blocking: sort-key
-//!   derivation and an order-preserving [`RangePartitioner`] built
-//!   from a sampled key distribution (consumed by the er-sn crate).
+//! * [`sortkey`] derivation for Sorted Neighborhood blocking
+//!   ([`SortKeyFunction`], consumed by the er-sn crate).
 
 #![forbid(unsafe_code)]
 
@@ -48,4 +47,4 @@ pub use result::{GoldStandard, MatchPair, MatchResult, QualityReport};
 pub use similarity::{
     Jaccard, JaroWinkler, NormalizedLevenshtein, Prepared, PreparedView, Similarity, Sketch,
 };
-pub use sortkey::{AttributeSortKey, RangePartitioner, SortKey, SortKeyFunction};
+pub use sortkey::{AttributeSortKey, SortKey, SortKeyFunction};

@@ -1,26 +1,17 @@
-//! Sort keys and range partitioning for Sorted Neighborhood blocking.
+//! Sort keys for Sorted Neighborhood blocking.
 //!
 //! Sorted Neighborhood (Hernández & Stolfo, 1995) replaces disjoint
 //! blocks with a *total order*: entities are sorted by a sort key and
 //! every pair within a sliding window of size `w` is compared. Mapping
 //! that onto MapReduce (Kolb, Thor, Rahm; "Parallel Sorted Neighborhood
-//! Blocking with MapReduce", 2010) needs exactly two primitives, both
-//! provided here:
-//!
-//! * a [`SortKeyFunction`] deriving the sort key of an entity (the
-//!   analogue of [`crate::blocking::BlockingFunction`], but producing a
-//!   key whose *order* matters rather than a partition label) — its
-//!   attribute form, [`AttributeSortKey`], derives ASCII values
-//!   byte-wise with one allocation per key and keeps a char-wise path
-//!   as the definition for all other text, and
-//! * a [`RangePartitioner`] that routes keys to `p` contiguous,
-//!   order-preserving ranges, built from a sampled key distribution —
-//!   so that concatenating reduce partitions `0..p` in index order
-//!   yields the globally sorted sequence.
-//!
-//! The partitioner is deliberately generic over the key type: the
-//! er-sn crate instantiates it with [`SortKey`], and tests exercise it
-//! with plain integers.
+//! Blocking with MapReduce", 2010) starts from a [`SortKeyFunction`]
+//! deriving the sort key of an entity (the analogue of
+//! [`crate::blocking::BlockingFunction`], but producing a key whose
+//! *order* matters rather than a partition label). Its attribute form,
+//! [`AttributeSortKey`], derives ASCII values byte-wise with one
+//! allocation per key and keeps a char-wise path as the definition for
+//! all other text. The er-sn crate sorts by these keys once and cuts
+//! its key ranges over the resulting positions.
 
 use std::fmt;
 use std::sync::Arc;
@@ -213,118 +204,6 @@ impl fmt::Debug for ReversedSortKey {
     }
 }
 
-/// An order-preserving partitioner over `p` contiguous key ranges.
-///
-/// Built from a sampled key distribution: boundary `i` (for
-/// `i ∈ 1..p`) is the smallest sampled key whose cumulative sample
-/// weight reaches `⌈total·i/p⌉`. Partition `i` then receives the keys
-/// in `(boundary[i-1], boundary[i]]` (partition 0 everything up to and
-/// including the first boundary, the last partition everything above
-/// the last boundary).
-///
-/// Two invariants hold by construction, regardless of how biased the
-/// sample is:
-///
-/// * **monotonicity** — `k₁ ≤ k₂ ⇒ partition_of(k₁) ≤ partition_of(k₂)`,
-///   so concatenating partitions in index order is globally sorted;
-/// * **equal keys collocate** — `partition_of` is a pure function of
-///   the key, so duplicate keys can never straddle a partition
-///   boundary.
-///
-/// When the sample has fewer distinct keys than requested partitions
-/// (including the degenerate all-duplicate-keys sample) consecutive
-/// boundaries coincide and the ranges between them are simply *empty*:
-/// the requested partition count is preserved and both invariants
-/// continue to hold.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangePartitioner<K> {
-    /// Upper (inclusive) bounds of partitions `0..p-1`, non-decreasing.
-    boundaries: Vec<K>,
-}
-
-impl<K: Ord + Clone> RangePartitioner<K> {
-    /// Builds the partitioner from a weighted sample: `counts` must be
-    /// sorted ascending by key with strictly positive weights (the
-    /// natural shape of a key histogram).
-    ///
-    /// An empty sample yields a single catch-all partition. The weight
-    /// total and the quantile targets are computed in `u128`, so counts
-    /// whose `total × partitions` passes `u64::MAX` still place exact
-    /// boundaries.
-    ///
-    /// # Panics
-    /// If `partitions` is zero or `counts` is not sorted ascending.
-    pub fn from_counts(counts: impl IntoIterator<Item = (K, u64)>, partitions: usize) -> Self {
-        assert!(partitions > 0, "at least one partition is required");
-        let counts: Vec<(K, u64)> = counts.into_iter().collect();
-        assert!(
-            counts.windows(2).all(|w| w[0].0 < w[1].0),
-            "key counts must be sorted ascending by distinct key"
-        );
-        let total: u128 = counts
-            .iter()
-            .try_fold(0u128, |sum, &(_, c)| sum.checked_add(u128::from(c)))
-            .expect("a histogram's total weight fits in u128");
-        if total == 0 || partitions == 1 {
-            return Self {
-                boundaries: Vec::new(),
-            };
-        }
-        let mut boundaries = Vec::with_capacity(partitions - 1);
-        let mut cumulative = 0u128;
-        let mut idx = 0usize;
-        let mut last_key: Option<K> = None;
-        for i in 1..partitions {
-            // Boundary i: the smallest key whose cumulative weight
-            // reaches the i-th quantile target. When a heavy key
-            // already passed several targets, boundaries repeat and
-            // the ranges between them are empty.
-            let target = total
-                .checked_mul(i as u128)
-                .expect("a quantile target fits in u128")
-                .div_ceil(partitions as u128);
-            while cumulative < target {
-                let (key, count) = &counts[idx];
-                cumulative += u128::from(*count);
-                last_key = Some(key.clone());
-                idx += 1;
-            }
-            boundaries.push(last_key.clone().expect("a positive target consumes a key"));
-        }
-        Self { boundaries }
-    }
-
-    /// Builds the partitioner from an unweighted sample (unsorted,
-    /// duplicates allowed).
-    pub fn from_sample(mut sample: Vec<K>, partitions: usize) -> Self {
-        sample.sort();
-        let mut counts: Vec<(K, u64)> = Vec::new();
-        for key in sample {
-            match counts.last_mut() {
-                Some((k, c)) if *k == key => *c += 1,
-                _ => counts.push((key, 1)),
-            }
-        }
-        Self::from_counts(counts, partitions)
-    }
-
-    /// The partition index of `key` — monotone in the key order.
-    pub fn partition_of(&self, key: &K) -> usize {
-        self.boundaries.partition_point(|b| b < key)
-    }
-
-    /// Number of partitions (`boundaries + 1`).
-    pub fn num_partitions(&self) -> usize {
-        self.boundaries.len() + 1
-    }
-
-    /// The boundary keys, non-decreasing; partition `i < p-1` holds
-    /// keys `≤ boundaries[i]` (and above the previous boundary).
-    pub fn boundaries(&self) -> &[K] {
-        &self.boundaries
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,140 +277,6 @@ mod tests {
         assert_eq!(a.as_str()[..13], b.as_str()[..13]);
         assert!(format!("{f:?}").contains("ReversedSortKey"));
     }
-
-    #[test]
-    fn range_partitioner_splits_a_uniform_sample_evenly() {
-        let sample: Vec<u32> = (0..100).collect();
-        let p = RangePartitioner::from_sample(sample, 4);
-        assert_eq!(p.num_partitions(), 4);
-        let mut sizes = vec![0usize; 4];
-        for k in 0..100u32 {
-            sizes[p.partition_of(&k)] += 1;
-        }
-        assert_eq!(sizes, vec![25, 25, 25, 25]);
-    }
-
-    #[test]
-    fn partition_of_is_monotone_and_collocates_equal_keys() {
-        let p = RangePartitioner::from_sample(vec![5u32, 1, 9, 5, 5, 2], 3);
-        for a in 0..12u32 {
-            for b in a..12u32 {
-                assert!(
-                    p.partition_of(&a) <= p.partition_of(&b),
-                    "monotonicity violated at ({a}, {b})"
-                );
-            }
-            assert_eq!(p.partition_of(&a), p.partition_of(&a.clone()));
-        }
-    }
-
-    #[test]
-    fn all_duplicate_keys_collapse_into_one_occupied_partition() {
-        let p = RangePartitioner::from_sample(vec![7u32; 50], 4);
-        assert_eq!(p.num_partitions(), 4, "requested count is preserved");
-        // Every key <= 7 lands in partition 0; keys beyond the sampled
-        // range go to the last partition. Either way, equal keys share
-        // a partition and order is preserved.
-        assert_eq!(p.partition_of(&7), 0);
-        assert_eq!(p.partition_of(&3), 0);
-        assert_eq!(p.partition_of(&8), 3);
-        assert!(p.boundaries().iter().all(|&b| b == 7));
-    }
-
-    #[test]
-    fn fewer_distinct_keys_than_partitions_yields_empty_ranges_not_panics() {
-        let p = RangePartitioner::from_sample(vec![1u32, 1, 1, 2, 2, 2], 4);
-        assert_eq!(p.num_partitions(), 4);
-        // Keys route deterministically; at most two ranges are occupied
-        // by the sampled keys.
-        let occupied: std::collections::BTreeSet<usize> =
-            [1u32, 2].iter().map(|k| p.partition_of(k)).collect();
-        assert!(occupied.len() <= 2);
-        assert!(p.partition_of(&1) <= p.partition_of(&2));
-    }
-
-    #[test]
-    fn empty_sample_yields_a_single_catch_all_partition() {
-        let p = RangePartitioner::<u32>::from_sample(vec![], 8);
-        assert_eq!(p.num_partitions(), 1);
-        assert_eq!(p.partition_of(&42), 0);
-    }
-
-    #[test]
-    fn single_partition_never_builds_boundaries() {
-        let p = RangePartitioner::from_sample(vec![3u32, 1, 2], 1);
-        assert_eq!(p.num_partitions(), 1);
-        assert_eq!(p.partition_of(&999), 0);
-    }
-
-    #[test]
-    fn weighted_counts_shift_boundaries_toward_heavy_keys() {
-        // Key 0 carries 90 % of the weight: with two partitions the
-        // boundary must sit at 0 so the heavy key does not drag the
-        // whole tail into partition 0.
-        let p = RangePartitioner::from_counts(vec![(0u32, 90), (1, 5), (2, 5)], 2);
-        assert_eq!(p.partition_of(&0), 0);
-        assert_eq!(p.partition_of(&1), 1);
-        assert_eq!(p.partition_of(&2), 1);
-    }
-
-    #[test]
-    fn counts_whose_total_passes_u64_place_exact_boundaries() {
-        // Σ counts itself passes u64::MAX here, and so does total × i:
-        // the walk must still split three heavy keys one per range.
-        let heavy = u64::MAX / 2;
-        let p = RangePartitioner::from_counts(vec![(0u32, heavy), (1, heavy), (2, heavy)], 3);
-        assert_eq!(p.boundaries(), &[0, 1]);
-        assert_eq!(
-            (0..3u32).map(|k| p.partition_of(&k)).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        // The total fits, `total × 2` does not.
-        let quarter = u64::MAX / 8;
-        let p = RangePartitioner::from_counts((0..4u32).map(|k| (k, quarter)), 3);
-        assert_eq!(p.boundaries(), &[1, 2]);
-    }
-
-    #[test]
-    fn a_heavy_key_repeats_boundaries_and_leaves_empty_ranges() {
-        // A heavy key passes all three targets: the ranges between the
-        // repeated boundaries are empty.
-        let p = RangePartitioner::from_counts(vec![(0u32, 10), (1, 1), (2, 1)], 4);
-        assert_eq!(p.boundaries(), &[0, 0, 0]);
-        assert_eq!(
-            (0..3u32).map(|k| p.partition_of(&k)).collect::<Vec<_>>(),
-            vec![0, 3, 3]
-        );
-        let catch_all = RangePartitioner::from_counts(vec![(5u32, 3), (6, 4)], 1);
-        assert!(catch_all.boundaries().is_empty());
-        let empty = RangePartitioner::<u32>::from_counts(vec![], 4);
-        assert!(empty.boundaries().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted ascending")]
-    fn unsorted_counts_rejected() {
-        let _ = RangePartitioner::from_counts(vec![(2u32, 1), (1, 1)], 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one partition")]
-    fn zero_partitions_rejected() {
-        let _ = RangePartitioner::<u32>::from_sample(vec![1], 0);
-    }
-
-    #[test]
-    fn sort_key_partitioner_end_to_end() {
-        let sample: Vec<SortKey> = ["apple", "banana", "cherry", "damson", "elder", "fig"]
-            .iter()
-            .map(SortKey::new)
-            .collect();
-        let p = RangePartitioner::from_sample(sample, 3);
-        assert_eq!(p.num_partitions(), 3);
-        assert_eq!(p.partition_of(&SortKey::empty()), 0);
-        assert!(p.partition_of(&SortKey::new("apple")) <= p.partition_of(&SortKey::new("fig")));
-        assert_eq!(p.partition_of(&SortKey::new("zzz")), 2);
-    }
 }
 
 #[cfg(test)]
@@ -552,33 +297,6 @@ mod proptests {
     ];
 
     proptest! {
-        /// The satellite contract: boundaries derived from *any*
-        /// sample preserve sort order — routing is monotone, equal
-        /// keys collocate, and indices stay within the requested
-        /// partition count.
-        #[test]
-        fn sampled_boundaries_preserve_sort_order(
-            sample in proptest::collection::vec(0u32..64, 0..80),
-            probes in proptest::collection::vec(0u32..64, 2..60),
-            partitions in 1usize..10,
-        ) {
-            let p = RangePartitioner::from_sample(sample, partitions);
-            prop_assert!(p.num_partitions() <= partitions.max(1));
-            let mut sorted = probes.clone();
-            sorted.sort();
-            let mut last = 0usize;
-            for key in &sorted {
-                let idx = p.partition_of(key);
-                prop_assert!(idx < p.num_partitions());
-                prop_assert!(idx >= last, "monotonicity violated");
-                last = idx;
-            }
-            // Equal keys always share a partition.
-            for key in &probes {
-                prop_assert_eq!(p.partition_of(key), p.partition_of(&key.clone()));
-            }
-        }
-
         /// The ASCII fast path of `AttributeSortKey` derives exactly
         /// the key of the char-wise path, whole-value and under every
         /// prefix length, and so does a `ReversedSortKey` on top.
@@ -602,26 +320,6 @@ mod proptests {
                     .map(|k| SortKey::new(k.as_str().chars().rev().collect::<String>()));
                 prop_assert_eq!(reversed.sort_key(&entity), reversed_oracle);
             }
-        }
-
-        /// from_sample and from_counts agree on identical data.
-        #[test]
-        fn sample_and_counts_constructions_agree(
-            sample in proptest::collection::vec(0u32..16, 1..60),
-            partitions in 1usize..8,
-        ) {
-            let by_sample = RangePartitioner::from_sample(sample.clone(), partitions);
-            let mut sorted = sample;
-            sorted.sort();
-            let mut counts: Vec<(u32, u64)> = Vec::new();
-            for k in sorted {
-                match counts.last_mut() {
-                    Some((key, c)) if *key == k => *c += 1,
-                    _ => counts.push((k, 1)),
-                }
-            }
-            let by_counts = RangePartitioner::from_counts(counts, partitions);
-            prop_assert_eq!(by_sample, by_counts);
         }
     }
 }

@@ -1,10 +1,12 @@
 //! The end-to-end Sorted Neighborhood workflow.
 //!
 //! Both strategies share the same two-phase shape as the
-//! load-balancing workflow: a preprocessing job measuring a key
-//! distribution ([`crate::sample`]) whose side output — entities
-//! annotated with their global position, identically partitioned — feeds
-//! the matching job ([`crate::jobsn`] or [`crate::repsn`]).
+//! load-balancing workflow: a preprocessing job that numbers the
+//! entities in global sort order ([`crate::sample`]), whose side
+//! output — entities annotated with their global position, identically
+//! partitioned — feeds the matching job ([`crate::jobsn`] or
+//! [`crate::repsn`]) over key ranges cut from the entity count
+//! ([`SnRanges`]).
 //!
 //! # Determinism contract
 //!
@@ -19,7 +21,7 @@
 use std::sync::Arc;
 
 use er_core::result::MatchPair;
-use er_core::sortkey::{AttributeSortKey, RangePartitioner, SortKey, SortKeyFunction};
+use er_core::sortkey::{AttributeSortKey, SortKeyFunction};
 use er_core::{MatchResult, Matcher, MatcherCache};
 use er_loadbalance::compare::PairComparer;
 use er_loadbalance::Ent;
@@ -30,6 +32,7 @@ use mr_engine::runtime::DEFAULT_REDUCE_TASKS;
 use mr_engine::workflow::Workflow;
 
 use crate::jobsn::{assemble_boundary_input, split_window_output, stitch_job, window_job};
+use crate::keys::SnRanges;
 use crate::repsn::repsn_job;
 use crate::sample::{sample_distribution_in, sorted_order, window_pairs, SampleProducts};
 use crate::PARTITION_ENTITIES;
@@ -145,9 +148,6 @@ impl std::fmt::Debug for SnConfig {
 pub struct SnStages {
     /// The deduplicated match result of this pass.
     pub result: MatchResult,
-    /// The pass's key ranges over the sort keys (its window jobs
-    /// routed by the same ranges over positions).
-    pub partitioner: RangePartitioner<SortKey>,
     /// Metrics of the sort-key distribution job.
     pub sample_metrics: JobMetrics,
     /// Metrics of the window/matching job.
@@ -210,25 +210,14 @@ pub fn run_sn_stages(
         "at least one partition is required"
     );
     let SampleProducts {
-        positions,
-        sort_keys: partitioner,
         annotated,
         metrics: sample_metrics,
-    } = sample_distribution_in(
-        workflow,
-        input,
-        Arc::clone(&config.sort_key),
-        config.reduce_tasks,
-    )?;
-    let positions = Arc::new(positions);
+    } = sample_distribution_in(workflow, input, Arc::clone(&config.sort_key))?;
+    let entities = annotated.iter().map(|task| task.len() as u64).sum();
+    let ranges = Arc::new(SnRanges::new(entities, config.window, config.reduce_tasks));
     match config.strategy {
         SnStrategy::JobSn => {
-            let job = window_job(
-                positions,
-                comparer.clone(),
-                config.window,
-                config.reduce_tasks,
-            );
+            let job = window_job(ranges, comparer.clone(), config.window);
             let out = workflow.chained_stage(&job, annotated)?;
             let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
             let match_metrics = out.metrics;
@@ -251,19 +240,17 @@ pub fn run_sn_stages(
             };
             Ok(SnStages {
                 result,
-                partitioner,
                 sample_metrics,
                 match_metrics,
                 stitch_metrics,
             })
         }
         SnStrategy::RepSn => {
-            let job = repsn_job(positions, comparer, config.window, config.reduce_tasks);
+            let job = repsn_job(ranges, comparer, config.window);
             let out = workflow.chained_stage(&job, annotated)?;
             let result = MatchResult::from_runs(out.reduce_outputs);
             Ok(SnStages {
                 result,
-                partitioner,
                 sample_metrics,
                 match_metrics: out.metrics,
                 stitch_metrics: None,
@@ -362,18 +349,22 @@ mod tests {
 
     #[test]
     fn repsn_covers_pairs_across_a_thin_interior_range() {
-        // Three 1-entity ranges with w = 4: the interior range holds
+        // Five entities hold 9 window pairs under w = 4, cut into
+        // three ranges of 3, 1 and 1 entities: the interior range holds
         // fewer than w - 1 = 3 entities, so the pair between its
         // neighbours spans two boundaries; replication must still
         // reach it. JobSN handles the identical configuration too.
+        let titles = ["aa", "bb", "cc", "dd", "ee"];
         for strategy in [SnStrategy::RepSn, SnStrategy::JobSn] {
             let cfg = SnConfig::new(strategy).with_window(4).with_reduce_tasks(3);
-            let outcome = sn_inline(input(&["aa", "bb", "cc"]), &cfg).unwrap();
-            let oracle = sn_oracle(&input(&["aa", "bb", "cc"]), &cfg);
+            let outcome = sn_inline(input(&titles), &cfg).unwrap();
+            let sizes = outcome.match_metrics.per_reduce_counter(PARTITION_ENTITIES);
+            assert_eq!(sizes, [3, 1, 1], "{strategy}");
+            let oracle = sn_oracle(&input(&titles), &cfg);
             assert_eq!(outcome.result.pair_set(), oracle.pair_set(), "{strategy}");
             assert_eq!(
                 outcome.total_comparisons(),
-                oracle_comparisons(3, 4),
+                oracle_comparisons(5, 4),
                 "{strategy}"
             );
         }
@@ -381,16 +372,20 @@ mod tests {
 
     #[test]
     fn repsn_accepts_thin_outer_ranges() {
-        // Thin first and last ranges: a range's whole content
-        // replicates forward when it holds fewer than w - 1 entities.
+        // Thin first and last ranges: four entities hold 6 window
+        // pairs under w = 5, cut into 3 | 1, both below w - 1 = 4, so
+        // the first range's whole content replicates forward.
         let cfg = SnConfig::new(SnStrategy::RepSn)
-            .with_window(4)
+            .with_window(5)
             .with_reduce_tasks(2);
         let titles = ["aa", "bb", "cc", "zz"];
         let outcome = sn_inline(input(&titles), &cfg).unwrap();
+        let sizes = outcome.match_metrics.per_reduce_counter(PARTITION_ENTITIES);
+        assert_eq!(sizes, [3, 1]);
+        assert_eq!(outcome.match_metrics.counters.get(REPLICAS), 3);
         let oracle = sn_oracle(&input(&titles), &cfg);
         assert_eq!(outcome.result.pair_set(), oracle.pair_set());
-        assert_eq!(outcome.total_comparisons(), oracle_comparisons(4, 4));
+        assert_eq!(outcome.total_comparisons(), oracle_comparisons(4, 5));
     }
 
     #[test]
@@ -416,7 +411,6 @@ mod tests {
             2,
             "w - 1 replicas cross the boundary"
         );
-        assert_eq!(outcome.partitioner.num_partitions(), 2);
         assert_eq!(outcome.sample_metrics.map_input_records(), 6);
     }
 
@@ -455,7 +449,6 @@ mod proptests {
     use super::*;
     use crate::keys::{SnEntity, SnKey};
     use crate::repsn::RepSnMapper;
-    use crate::sample::routing_key;
     use crate::REPLICAS;
     use er_core::Entity;
     use er_loadbalance::compare::EntityTable;
@@ -506,10 +499,10 @@ mod proptests {
     }
 
     proptest! {
-        /// Heavy ties, keyless entities and more ranges than distinct
-        /// keys leave ranges thin or empty anywhere in the order;
-        /// every strategy still equals the oracle, comparing each
-        /// window pair exactly once.
+        /// Heavy ties, keyless entities, and more ranges than window
+        /// pairs, which leaves ranges thin or empty: every strategy
+        /// still equals the oracle, comparing each window pair exactly
+        /// once.
         #[test]
         fn both_strategies_equal_the_oracle_on_hostile_range_layouts(
             picks in proptest::collection::vec(0usize..84, 0..40),
@@ -542,8 +535,8 @@ mod proptests {
         /// exactly the replicas at positions
         /// `max(0, start_q − (w − 1))..start_q`, then its own entities,
         /// both in global order — under heavy ties that run from
-        /// several map tasks up to a range start, thin and empty
-        /// ranges, more ranges than keys, 1 to 8 map tasks and
+        /// several map tasks across a range start, thin and empty
+        /// ranges, more ranges than entities, 1 to 8 map tasks and
         /// map-side spilling; and both strategies equal the oracle.
         #[test]
         fn replicas_are_exactly_the_positions_before_each_range_start(
@@ -564,18 +557,21 @@ mod proptests {
                 };
                 let mut stages = workflow();
                 let products =
-                    sample_distribution_in(&mut stages, input.clone(), Arc::clone(&sort_key), r)
+                    sample_distribution_in(&mut stages, input.clone(), Arc::clone(&sort_key))
                         .unwrap();
-                let mapper = RepSnMapper::new(Arc::new(products.positions), w, &comparer);
+                let ranges = Arc::new(SnRanges::new(picks.len() as u64, w, r));
+                let mapper = RepSnMapper::new(Arc::clone(&ranges), w, &comparer);
                 let job = Job::builder("sn-repsn-arrivals", mapper, Arrivals)
                     .reduce_tasks(r)
                     .partitioner(SnKey::partitioner())
                     .build();
                 let out = stages.chained_stage(&job, products.annotated).unwrap();
                 let at = |replica: bool, p: usize| (replica, sorted[p].id().0, p as u32);
-                let key = |p: usize| routing_key(sort_key.as_ref(), &sorted[p]);
                 let (mut start, mut replicas) = (0, 0);
                 for (q, arrivals) in out.reduce_outputs.iter().enumerate() {
+                    if q > 0 {
+                        prop_assert_eq!(start as u64, ranges.starts()[q - 1], "range {}", q);
+                    }
                     let originals = arrivals.iter().filter(|(_, (replica, ..))| !replica).count();
                     let end = start + originals;
                     let expected: Vec<(bool, u64, u32)> = (start.saturating_sub(w - 1)..start)
@@ -584,9 +580,6 @@ mod proptests {
                         .collect();
                     let got: Vec<(bool, u64, u32)> = arrivals.iter().map(|&((), v)| v).collect();
                     prop_assert_eq!(got, expected, "range {} at {:?}", q, threshold);
-                    if 0 < start && start < sorted.len() {
-                        prop_assert!(key(start - 1) != key(start), "a key straddles range {}", q);
-                    }
                     replicas += start.min(w - 1) as u64;
                     start = end;
                 }

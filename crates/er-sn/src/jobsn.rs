@@ -10,8 +10,10 @@
 //!
 //! # Exactness with thin and empty partitions
 //!
-//! The paper assumes every partition holds at least `w` entities. This
-//! implementation is exact without that assumption: a partition with
+//! The paper assumes every partition holds at least `w` entities. The
+//! ranges ([`SnRanges`]) hold equal window-pair shares, so that fails
+//! only on inputs with few pairs per range — but this implementation
+//! is exact without the assumption, on any layout: a partition with
 //! fewer than `w − 1` entities publishes *all* of them as both head
 //! and tail candidates, and the driver assembles each boundary group
 //! by walking right across as many partitions as the window reaches
@@ -24,13 +26,12 @@
 use std::sync::Arc;
 
 use er_core::result::MatchPair;
-use er_core::sortkey::RangePartitioner;
 use er_loadbalance::compare::{EntityInterner, EntityTable, GroupComparer, PairComparer};
 use er_loadbalance::keys::key_index;
 use er_loadbalance::{Ent, KeyList};
 use mr_engine::prelude::*;
 
-use crate::keys::{bottom_keys, BoundaryKey, BoundarySide, SnEntity, SnKey};
+use crate::keys::{bottom_keys, BoundaryKey, BoundarySide, SnEntity, SnKey, SnRanges};
 use crate::window::WindowBuffer;
 use crate::PARTITION_ENTITIES;
 
@@ -40,18 +41,18 @@ use crate::PARTITION_ENTITIES;
 #[derive(Clone)]
 pub struct SnMapper {
     /// The key ranges over positions.
-    partitioner: Arc<RangePartitioner<u32>>,
+    ranges: Arc<SnRanges>,
     interner: EntityInterner,
     /// The key list every entity is interned with.
     keys: KeyList,
 }
 
 impl SnMapper {
-    /// Creates the mapper over the distribution job's range
-    /// boundaries over positions, preparing entities for `comparer`.
-    pub fn new(partitioner: Arc<RangePartitioner<u32>>, comparer: &PairComparer) -> Self {
+    /// Creates the mapper over the key ranges, preparing entities for
+    /// `comparer`.
+    pub fn new(ranges: Arc<SnRanges>, comparer: &PairComparer) -> Self {
         Self {
-            partitioner,
+            ranges,
             interner: EntityInterner::new(comparer),
             keys: bottom_keys(),
         }
@@ -72,10 +73,7 @@ impl Mapper for SnMapper {
     }
 
     fn map(&mut self, position: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
-        let partition = key_index(
-            self.partitioner.partition_of(position),
-            "range partition index",
-        );
+        let partition = key_index(self.ranges.partition_of(*position), "range partition index");
         let prepared = self.interner.intern(entity, &self.keys);
         ctx.emit(
             SnKey {
@@ -244,21 +242,20 @@ impl Reducer for WindowReducer {
     }
 }
 
-/// Builds the JobSN window job (`r` = number of range partitions,
-/// `partitioner` the ranges over positions). Sorting *and grouping*
-/// use the full `(partition, position)`: the reduce-side merge then
-/// streams one entity at a time while the reducer carries the window
-/// across them.
+/// Builds the JobSN window job, one reduce task per key range.
+/// Sorting *and grouping* use the full `(partition, position)`: the
+/// reduce-side merge then streams one entity at a time while the
+/// reducer carries the window across them.
 pub fn window_job(
-    partitioner: Arc<RangePartitioner<u32>>,
+    ranges: Arc<SnRanges>,
     comparer: PairComparer,
     window: usize,
-    partitions: usize,
 ) -> Job<SnMapper, WindowReducer> {
+    let partitions = ranges.num_ranges();
     let emit_boundaries = partitions > 1;
     Job::builder(
         "sn-jobsn-window",
-        SnMapper::new(partitioner, &comparer),
+        SnMapper::new(ranges, &comparer),
         WindowReducer::new(comparer, window, emit_boundaries),
     )
     .reduce_tasks(partitions)

@@ -6,10 +6,10 @@
 //! sorts on `(partition, position)` — the entity's global position from
 //! the distribution job ([`crate::sample`]), so no key text is
 //! compared, cloned or dropped after it — and each reduce task receives
-//! one contiguous, fully sorted slice of the global order;
-//! concatenating reduce tasks in index order reproduces it. The stitch job of JobSN
-//! routes on the boundary index and sorts candidates left-side-first by
-//! distance from the boundary.
+//! one contiguous, fully sorted slice of the global order, a range of
+//! [`SnRanges`]; concatenating reduce tasks in index order reproduces
+//! it. The stitch job of JobSN routes on the boundary index and sorts
+//! candidates left-side-first by distance from the boundary.
 
 use er_core::blocking::BlockKey;
 use er_core::PreparedHandle;
@@ -47,6 +47,93 @@ impl SnKey {
 impl std::fmt::Display for SnKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}.{}", self.partition, self.position)
+    }
+}
+
+/// The key ranges of a Sorted Neighborhood run: `r` contiguous ranges
+/// of global positions, cut so that each holds an equal share of the
+/// window pairs.
+///
+/// A window pair belongs to the range of its later entity, and the
+/// entity at position `j` is the later entity of `min(j, w − 1)`
+/// pairs — PairRange's even split of the pair index space, applied to
+/// SN's band of pairs. The cuts are therefore a function of `(n, w, r)`
+/// alone: no key histogram, no key text. Each range holds `C(n) / r`
+/// pairs give or take `w − 1`, however the sort keys tie, where
+/// `C(k) = Σ_{j<k} min(j, w − 1)`. Ranges may be thin or empty when
+/// there are fewer than `w − 1` window pairs per range; both strategies
+/// are exact on any layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnRanges {
+    /// `starts[q]`: the first position of range `q + 1`,
+    /// non-decreasing and at most `n`.
+    starts: Vec<u64>,
+}
+
+impl SnRanges {
+    /// Cuts positions `0..entities` into `ranges` ranges of equal
+    /// window-pair load under window `window`: the start of range `q`
+    /// is the smallest `k` with `C(k) ≥ ⌈C(n) · q / r⌉`.
+    ///
+    /// # Panics
+    /// If `window < 2` or `ranges` is zero.
+    pub fn new(entities: u64, window: usize, ranges: usize) -> Self {
+        assert!(window >= 2, "a sliding window must span at least 2 slots");
+        assert!(ranges > 0, "at least one partition is required");
+        let reach = u64::try_from(window - 1).unwrap_or(u64::MAX).min(entities);
+        let total = pairs_before(entities, reach);
+        let r = ranges as u128;
+        let starts = (1..ranges as u128)
+            .map(|q| {
+                // ⌈total · q / r⌉, without forming total · q.
+                let target = total / r * q + (total % r * q).div_ceil(r);
+                let (mut lo, mut hi) = (0, entities);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if pairs_before(mid, reach) < target {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                lo
+            })
+            .collect();
+        Self { starts }
+    }
+
+    /// The range that holds `position`.
+    pub fn partition_of(&self, position: u32) -> usize {
+        self.starts
+            .partition_point(|&start| start <= u64::from(position))
+    }
+
+    /// The first position of every range but range 0, in range order.
+    pub(crate) fn starts(&self) -> &[u64] {
+        &self.starts
+    }
+
+    /// The number of ranges, `r`.
+    pub(crate) fn num_ranges(&self) -> usize {
+        self.starts.len() + 1
+    }
+
+    /// Test support: the ranges that start at `starts`.
+    #[cfg(test)]
+    pub(crate) fn from_starts(starts: Vec<u64>) -> Self {
+        assert!(starts.windows(2).all(|s| s[0] <= s[1]));
+        Self { starts }
+    }
+}
+
+/// `C(k) = Σ_{j<k} min(j, reach)`: the window pairs whose later entity
+/// lies before position `k`. Exact in `u128` for every `u64` position.
+fn pairs_before(k: u64, reach: u64) -> u128 {
+    let (k, reach) = (u128::from(k), u128::from(reach));
+    if k <= reach {
+        k * k.saturating_sub(1) / 2
+    } else {
+        reach * (reach + 1) / 2 + (k - 1 - reach) * reach
     }
 }
 
@@ -213,6 +300,78 @@ mod tests {
         };
         assert_eq!(p.partition(&key, 4), 2);
         assert_eq!(p.partition(&key, 2), 0, "wraps when r shrank");
+    }
+
+    /// `0`, the starts, `n`: range `q` spans `bounds[q]..bounds[q + 1]`.
+    fn bounds(ranges: &SnRanges, n: u64) -> Vec<u64> {
+        let starts = ranges.starts().iter().copied();
+        std::iter::once(0).chain(starts).chain([n]).collect()
+    }
+
+    /// Range `q`'s window pairs lie within `reach ≤ w − 1` of
+    /// `C(n) / r`: `|load · r − C(n)| ≤ reach · r`.
+    fn assert_even(load: u128, total: u128, reach: u64, r: usize) {
+        let (r, reach) = (r as u128, u128::from(reach));
+        assert!(
+            load * r <= total + reach * r && total <= load * r + reach * r,
+            "load {load} against {total} / {r}"
+        );
+    }
+
+    /// Every cut over `n ≤ 40` entities, windows `2..=n + 2` and
+    /// `usize::MAX`, `r ≤ 8`: the starts tile `[0, n)`, `partition_of`
+    /// agrees with them, and each range holds `C(s_{q+1}) − C(s_q)`
+    /// window pairs (counted one by one), within `w − 1` of `C(n) / r`.
+    #[test]
+    fn ranges_cut_the_window_pairs_evenly() {
+        for n in 0..=40u64 {
+            for w in (2..=n as usize + 2).chain([usize::MAX]) {
+                let reach = (w as u64 - 1).min(n);
+                let pairs_at = |j: u64| u128::from(j.min(reach));
+                let total: u128 = (0..n).map(pairs_at).sum();
+                assert_eq!(pairs_before(n, reach), total, "n {n}, w {w}");
+                for r in 1..=8 {
+                    let ranges = SnRanges::new(n, w, r);
+                    assert_eq!(ranges.num_ranges(), r);
+                    for (q, span) in bounds(&ranges, n).windows(2).enumerate() {
+                        let (start, end) = (span[0], span[1]);
+                        assert!(start <= end, "n {n}, w {w}, r {r}: {:?}", ranges);
+                        for position in start..end {
+                            assert_eq!(ranges.partition_of(position as u32), q);
+                        }
+                        let load: u128 = (start..end).map(pairs_at).sum();
+                        let closed = pairs_before(end, reach) - pairs_before(start, reach);
+                        assert_eq!(load, closed, "n {n}, w {w}, r {r}, range {q}");
+                        assert_even(load, total, reach, r);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `n = u32::MAX` under an unbounded window: `C(n)` nears `2^63`,
+    /// and the quantile targets stay exact (no entity is allocated).
+    #[test]
+    fn ranges_over_u32_max_entities_do_not_overflow() {
+        let n = u64::from(u32::MAX);
+        let total = pairs_before(n, n);
+        assert_eq!(total, u128::from(n) * u128::from(n - 1) / 2);
+        for r in 1..=64 {
+            let ranges = SnRanges::new(n, usize::MAX, r);
+            for span in bounds(&ranges, n).windows(2) {
+                assert!(span[0] <= span[1], "r {r}: {:?}", ranges);
+                let load = pairs_before(span[1], n) - pairs_before(span[0], n);
+                assert_even(load, total, n, r);
+            }
+            assert_eq!(ranges.partition_of(0), 0);
+            assert_eq!(ranges.partition_of(u32::MAX - 1), r - 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one partition")]
+    fn zero_ranges_rejected() {
+        let _ = SnRanges::new(4, 3, 0);
     }
 
     #[test]

@@ -14,13 +14,16 @@
 //!    its heap merge is the global sort — numbers the entities
 //!    `0, 1, …` in `(sort key, map task, record index)` order, each
 //!    entity's global *position*, and writes every position back; the
-//!    driver scatters them into the side output and cuts the exact
-//!    histogram into an order-preserving
-//!    [`er_core::sortkey::RangePartitioner`] over each key's last
-//!    position (and the same ranges over the sort keys, which the
-//!    outcome reports). Entities without a sort key collate first,
-//!    under the empty key.
-//! 2. **Window job** — a composite-key mapper emits
+//!    driver scatters them into the side output. Entities without a
+//!    sort key collate first, under the empty key.
+//! 2. **Key ranges** ([`SnRanges`]) — the driver cuts positions
+//!    `0..n` into `r` contiguous ranges of equal *window-pair* load:
+//!    the entity at position `j` closes `min(j, w − 1)` pairs, so the
+//!    cuts depend on `(n, w, r)` alone (PairRange's even split of the
+//!    pair index space, applied to SN's band of pairs). No key text or
+//!    histogram is needed, and a heavy tie of equal sort keys is split
+//!    across ranges like any other run of positions.
+//! 3. **Window job** — a composite-key mapper emits
 //!    `(partition, position)`, eight pointer-free bytes, so each
 //!    reduce task owns one contiguous key range, streamed by the
 //!    engine's heap merge one entity per group (grouping == sorting —
@@ -29,7 +32,7 @@
 //!    ([`window::WindowBuffer`]) *across* groups, so only `w − 1`
 //!    entities are resident, scoring pairs on the entities its map
 //!    tasks prepared (`er_loadbalance::compare`).
-//! 3. **Boundary handling**, one of two strategies
+//! 4. **Boundary handling**, one of two strategies
 //!    ([`SnStrategy`]):
 //!    * [`jobsn`] — **JobSN**: the window job publishes each range's
 //!      first/last `w − 1` entities; a second, tiny MR job compares
@@ -71,7 +74,7 @@ pub use driver::{
     oracle_comparisons, run_sn_stages, run_sorted_neighborhood_in, sn_oracle, SnConfig, SnStages,
     SnStrategy,
 };
-pub use keys::{BoundaryKey, BoundarySide, SnEntity, SnKey};
+pub use keys::{BoundaryKey, BoundarySide, SnEntity, SnKey, SnRanges};
 pub use multipass::{
     multipass_oracle_comparisons, multipass_sn_oracle, run_multipass_sn_in, window_pair_set,
     MultiPassSnStages, SnPassReport,

@@ -288,8 +288,9 @@ mod tests {
 
     #[test]
     fn repsn_covers_thin_interior_ranges_in_every_pass() {
-        // Five distinct keys over five ranges under w = 3: every range
-        // holds one entity, below w - 1 = 2, in both passes.
+        // Five entities hold 7 window pairs under w = 3, cut into five
+        // ranges of 3, 0, 1, 1 and 0 entities in both passes: thin
+        // interior ranges, below w - 1 = 2, and empty ones.
         let input = vec![vec![
             ent(0, "aa same thing"),
             ent(1, "ab same thing"),

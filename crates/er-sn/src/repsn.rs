@@ -5,9 +5,10 @@
 //! phase sends every range `q > 0` the entities at the `w − 1` global
 //! positions before its start, tagged as replicas. The distribution job
 //! numbered every entity with its global position ([`crate::sample`])
-//! and the ranges are cut over positions, so a map task decides from
-//! an entity's position alone which ranges need it: range `q`, starting
-//! at `start_q`, needs exactly `start_q − (w − 1) ≤ position < start_q`.
+//! and the ranges are cut over positions ([`SnRanges`]), so a map task
+//! decides from an entity's position alone which ranges need it: range
+//! `q`, starting at `start_q`, needs exactly
+//! `start_q − (w − 1) ≤ position < start_q`.
 //! The reduce task of range `q` sees those replicas sorted strictly
 //! before its own entities; it primes the sliding window with them and
 //! slides into its own entities. Replica × replica pairs are never
@@ -15,18 +16,20 @@
 //! matches stay duplicate-free by construction. One job, no stitching,
 //! exact on every range layout (thin and empty ranges included); range
 //! `q` receives `min(w − 1, start_q)` replicas, so a run ships at most
-//! `(r − 1)(w − 1)`, whatever the number of map tasks.
+//! `(r − 1)(w − 1)`, whatever the number of map tasks. As the ranges
+//! hold equal window-pair shares, a range is empty — and its replicas
+//! idle — only when the input has fewer than `w − 1` window pairs per
+//! range.
 
 use std::sync::Arc;
 
 use er_core::result::MatchPair;
-use er_core::sortkey::RangePartitioner;
 use er_loadbalance::compare::{EntityInterner, EntityTable, PairComparer};
 use er_loadbalance::keys::key_index;
 use er_loadbalance::{Ent, KeyList};
 use mr_engine::prelude::*;
 
-use crate::keys::{bottom_keys, SnEntity, SnKey};
+use crate::keys::{bottom_keys, SnEntity, SnKey, SnRanges};
 use crate::window::WindowBuffer;
 use crate::{PARTITION_ENTITIES, REPLICAS};
 
@@ -37,9 +40,7 @@ use crate::{PARTITION_ENTITIES, REPLICAS};
 #[derive(Clone)]
 pub struct RepSnMapper {
     /// The key ranges over positions.
-    partitioner: Arc<RangePartitioner<u32>>,
-    /// `starts[i]`: the first position of range `i + 1`.
-    starts: Vec<u64>,
+    ranges: Arc<SnRanges>,
     /// `w − 1`: how far before a range's start its replicas reach.
     reach: u64,
     interner: EntityInterner,
@@ -48,21 +49,11 @@ pub struct RepSnMapper {
 }
 
 impl RepSnMapper {
-    /// Creates the mapper over the distribution job's range boundaries
-    /// over positions, preparing entities for `comparer`.
-    pub fn new(
-        partitioner: Arc<RangePartitioner<u32>>,
-        window: usize,
-        comparer: &PairComparer,
-    ) -> Self {
-        let starts = partitioner
-            .boundaries()
-            .iter()
-            .map(|&last| u64::from(last) + 1)
-            .collect();
+    /// Creates the mapper over the key ranges, preparing entities for
+    /// `comparer`.
+    pub fn new(ranges: Arc<SnRanges>, window: usize, comparer: &PairComparer) -> Self {
         Self {
-            partitioner,
-            starts,
+            ranges,
             reach: u64::try_from(window - 1).unwrap_or(u64::MAX),
             interner: EntityInterner::new(comparer),
             keys: bottom_keys(),
@@ -85,7 +76,7 @@ impl Mapper for RepSnMapper {
 
     fn map(&mut self, position: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
         let position = *position;
-        let partition = self.partitioner.partition_of(&position);
+        let partition = self.ranges.partition_of(position);
         let prepared = self.interner.intern(entity, &self.keys);
         ctx.emit(
             SnKey {
@@ -97,7 +88,7 @@ impl Mapper for RepSnMapper {
         // Every later range starts after this position, the nearer
         // ones first; walking on while the start is within reach also
         // covers thin and empty ranges.
-        for (successor, &start) in (partition + 1..).zip(&self.starts[partition..]) {
+        for (successor, &start) in (partition + 1..).zip(&self.ranges.starts()[partition..]) {
             if start - u64::from(position) > self.reach {
                 break;
             }
@@ -204,17 +195,16 @@ impl Reducer for RepSnReducer {
     }
 }
 
-/// Builds the RepSN job over `partitions` key ranges, `partitioner`
-/// being those ranges over positions.
+/// Builds the RepSN job, one reduce task per key range.
 pub fn repsn_job(
-    partitioner: Arc<RangePartitioner<u32>>,
+    ranges: Arc<SnRanges>,
     comparer: PairComparer,
     window: usize,
-    partitions: usize,
 ) -> Job<RepSnMapper, RepSnReducer> {
+    let partitions = ranges.num_ranges();
     Job::builder(
         "sn-repsn",
-        RepSnMapper::new(partitioner, window, &comparer),
+        RepSnMapper::new(ranges, window, &comparer),
         RepSnReducer::new(comparer, window),
     )
     .reduce_tasks(partitions)
@@ -250,36 +240,28 @@ mod tests {
             .collect()
     }
 
-    /// Two key ranges over positions `0..n`, cut at the median.
-    fn two_ranges(n: u32) -> Arc<RangePartitioner<u32>> {
-        Arc::new(RangePartitioner::from_sample((0..n).collect(), 2))
+    /// Two key ranges, the second starting at `start`.
+    fn two_ranges(start: u64) -> Arc<SnRanges> {
+        Arc::new(SnRanges::from_starts(vec![start]))
     }
 
-    fn job(
-        partitioner: Arc<RangePartitioner<u32>>,
-        window: usize,
-    ) -> Job<RepSnMapper, RepSnReducer> {
+    fn job(ranges: Arc<SnRanges>, window: usize) -> Job<RepSnMapper, RepSnReducer> {
         repsn_job(
-            partitioner,
+            ranges,
             PairComparer::new(Arc::new(Matcher::paper_default())),
             window,
-            2,
         )
     }
 
     #[test]
     fn mapper_replicates_the_positions_before_each_range_start() {
-        // Sort keys of 3, 3 and 2 entities cut into four ranges over
-        // positions: {0, 1, 2} | {3, 4, 5} | {} | {6, 7}, starting at 3,
-        // 6 and 6. With w = 3, range 1 needs positions 1 and 2, and the
-        // empty range 2 and range 3 each need 4 and 5.
-        let partitioner = Arc::new(RangePartitioner::from_counts(
-            [(2u32, 3), (5, 3), (7, 2)],
-            4,
-        ));
-        assert_eq!(partitioner.boundaries(), [2, 5, 5]);
+        // Four ranges over positions 0..8 starting at 3, 6 and 6:
+        // {0, 1, 2} | {3, 4, 5} | {} | {6, 7}. With w = 3, range 1
+        // needs positions 1 and 2, and the empty range 2 and range 3
+        // each need 4 and 5.
+        let ranges = Arc::new(SnRanges::from_starts(vec![3, 6, 6]));
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut mapper = RepSnMapper::new(partitioner, 3, &comparer);
+        let mut mapper = RepSnMapper::new(ranges, 3, &comparer);
         let info = MapTaskInfo {
             task_index: 0,
             num_map_tasks: 1,
@@ -313,7 +295,7 @@ mod tests {
         // as replicas, but the total comparison count must equal the
         // single-machine window count — no replica x replica extras,
         // no misses.
-        let out = job(two_ranges(4), 4)
+        let out = job(two_ranges(2), 4)
             .run_on(
                 &WorkerPool::new(1),
                 annotated(&[&["a", "b", "c", "d", "e"]]),
@@ -328,7 +310,7 @@ mod tests {
         // Two map tasks interleave keys of range 0; the successor
         // range must see the true global tail regardless.
         let input = annotated(&[&["a", "c"], &["b", "d", "e"]]);
-        let out = job(two_ranges(4), 3)
+        let out = job(two_ranges(2), 3)
             .run_on(&WorkerPool::new(1), input)
             .unwrap();
         // Ranges: {a, b} | {c, d, e}. Global window pairs for w = 3:
@@ -353,7 +335,7 @@ mod tests {
                 )
             })
             .collect()];
-        let out = job(two_ranges(n), 3)
+        let out = job(two_ranges(4), 3)
             .run_on(&WorkerPool::new(1), input)
             .unwrap();
         assert!(out.reduce_outputs.iter().all(|run| run.len() > 1));
@@ -365,12 +347,12 @@ mod tests {
     #[test]
     fn identical_output_across_parallelism() {
         let mk_input = || annotated(&[&["ab", "aa", "ba", "bb", "ac", "bc"]]);
-        let reference = job(two_ranges(6), 3)
+        let reference = job(two_ranges(3), 3)
             .run_on(&WorkerPool::new(1), mk_input())
             .unwrap()
             .reduce_outputs;
         for parallelism in [2, 4, 8] {
-            let out = job(two_ranges(6), 3)
+            let out = job(two_ranges(3), 3)
                 .run_on(&WorkerPool::new(parallelism), mk_input())
                 .unwrap();
             assert_eq!(out.reduce_outputs, reference);

@@ -6,22 +6,17 @@
 //! matching job reads the same partitioning) and emits one
 //! `(sort key, (map task, record index))` record per entity. The job
 //! runs with **one** reduce task, whose heap merge is the global sort:
-//! it meets every entity in `(sort key, map task, record index)` order
-//! and numbers them `0, 1, …` — each entity's global *position* — and
-//! emits a [`Positioned::Member`] per entity and, after a key's
-//! members, a [`Positioned::Key`] with the key and its count under the
-//! key's last position. The coordinator scatters each position into
-//! its entity's side-output record (`O(n)`, no comparison, no
-//! allocation per key) and cuts the histogram into key ranges twice
-//! with [`RangePartitioner::from_counts`]: over each key's last
-//! position, which the window jobs route by, and over the sort keys,
-//! the same ranges as a caller reads them
-//! ([`SnStages::partitioner`](crate::SnStages::partitioner)). Both cut
-//! at the same distinct keys, so equal keys share a range. The window
-//! jobs then route, sort and group on `(range, position)` integers
-//! only, and RepSN knows from a position alone which ranges need its
-//! entity as a replica. Everything is a pure function of the input, at
-//! any parallelism.
+//! it meets every entity in `(sort key, map task, record index)` order,
+//! numbers them `0, 1, …` — each entity's global *position* — and
+//! emits one `(position, (map task, record index))` record per entity.
+//! The coordinator scatters each position into its entity's
+//! side-output record (`O(n)`, no comparison, no allocation per key).
+//! Nothing of the sort keys outlives the job: the key ranges are cut
+//! over positions from `(n, w, r)` alone ([`SnRanges`](crate::SnRanges)),
+//! the window jobs route, sort and group on `(range, position)`
+//! integers only, and RepSN knows from a position alone which ranges
+//! need its entity as a replica. Everything is a pure function of the
+//! input, at any parallelism.
 //!
 //! # Null sort keys
 //!
@@ -32,7 +27,7 @@
 
 use std::sync::Arc;
 
-use er_core::sortkey::{RangePartitioner, SortKey, SortKeyFunction};
+use er_core::sortkey::{SortKey, SortKeyFunction};
 use er_core::Entity;
 use er_loadbalance::keys::key_index;
 use er_loadbalance::Ent;
@@ -134,26 +129,10 @@ impl Mapper for SampleMapper {
     }
 }
 
-/// One record of the distribution job's reduce output, keyed by a
-/// position. Positions ascend through the output; a sort key's
-/// [`Positioned::Key`] follows its members, under the last of their
-/// positions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Positioned {
-    /// A sort key and the number of entities that carry it.
-    Key(SortKey, u64),
-    /// The entity at this position, by its side-output address.
-    Member {
-        /// The map task that read it.
-        task: u32,
-        /// Its record index in that task's input.
-        index: u32,
-    },
-}
-
 /// Reducer of the distribution job — its one reduce task sees every
 /// entity in global order, a group per distinct sort key whose members
-/// arrive in `(map task, record index)` order, and numbers them.
+/// arrive in `(map task, record index)` order, and numbers them: one
+/// `(position, (map task, record index))` record per entity.
 #[derive(Debug, Clone, Default)]
 pub struct PositionReducer {
     /// Entities numbered so far: the next entity's position.
@@ -164,7 +143,7 @@ impl Reducer for PositionReducer {
     type KIn = SortKey;
     type VIn = (u32, u32);
     type KOut = u32;
-    type VOut = Positioned;
+    type VOut = (u32, u32);
     type Product = ();
 
     fn setup(&mut self, _info: &ReduceTaskInfo) {
@@ -174,18 +153,12 @@ impl Reducer for PositionReducer {
     fn reduce(
         &mut self,
         group: Group<'_, SortKey, (u32, u32)>,
-        ctx: &mut ReduceContext<u32, Positioned>,
+        ctx: &mut ReduceContext<u32, (u32, u32)>,
     ) {
-        for &(task, index) in group.values() {
-            let position = key_index(self.entities, "entity position");
+        for &address in group.values() {
+            ctx.emit(key_index(self.entities, "entity position"), address);
             self.entities += 1;
-            ctx.emit(position, Positioned::Member { task, index });
         }
-        let last = key_index(self.entities - 1, "entity position");
-        ctx.emit(
-            last,
-            Positioned::Key(group.key().clone(), group.len() as u64),
-        );
     }
 }
 
@@ -204,11 +177,6 @@ pub fn sample_job(sort_key: Arc<dyn SortKeyFunction>) -> Job<SampleMapper, Posit
 /// Products of a completed distribution job.
 #[derive(Debug)]
 pub struct SampleProducts {
-    /// The key ranges over positions — what the window jobs route by.
-    /// Each boundary is the last position of a sort key.
-    pub positions: RangePartitioner<u32>,
-    /// The same ranges over the sort keys.
-    pub sort_keys: RangePartitioner<SortKey>,
     /// The input, identically partitioned, each entity annotated with
     /// its global position.
     pub annotated: Partitions<u32, Ent>,
@@ -216,38 +184,21 @@ pub struct SampleProducts {
     pub metrics: JobMetrics,
 }
 
-/// Runs the distribution job as a stage of `workflow` and assembles
-/// its [`SampleProducts`] over `partitions` key ranges. The annotated
-/// side outputs it returns are chained into the window job by the
-/// workflow layer, which enforces the identical-partitioning
-/// invariant.
+/// Runs the distribution job as a stage of `workflow` and scatters
+/// the positions into its side outputs. The annotated side outputs it
+/// returns are chained into the window job by the workflow layer,
+/// which enforces the identical-partitioning invariant.
 pub fn sample_distribution_in(
     workflow: &mut mr_engine::workflow::Workflow,
     input: Partitions<(), Ent>,
     sort_key: Arc<dyn SortKeyFunction>,
-    partitions: usize,
 ) -> Result<SampleProducts, MrError> {
     let out = workflow.chained_stage(&sample_job(sort_key), input)?;
     let mut annotated = out.side_outputs;
-    let mut keys = Vec::new();
-    for (position, record) in out.reduce_outputs.into_iter().flatten() {
-        match record {
-            Positioned::Key(key, count) => keys.push((key, count)),
-            Positioned::Member { task, index } => {
-                annotated[task as usize][index as usize].0 = position;
-            }
-        }
+    for (position, (task, index)) in out.reduce_outputs.into_iter().flatten() {
+        annotated[task as usize][index as usize].0 = position;
     }
-    // A key's last position is the count of entities up to it, less one.
-    let lasts = keys.iter().scan(0u64, |end, &(_, count)| {
-        *end += count;
-        Some((key_index(*end - 1, "entity position"), count))
-    });
-    let positions = RangePartitioner::from_counts(lasts, partitions);
-    let sort_keys = RangePartitioner::from_counts(keys, partitions);
     Ok(SampleProducts {
-        positions,
-        sort_keys,
         annotated,
         metrics: out.metrics,
     })
@@ -261,12 +212,9 @@ mod tests {
     use mr_engine::workflow::Workflow;
 
     /// Runs the distribution job alone, inline, without spilling.
-    fn sample_distribution(
-        input: Partitions<(), Ent>,
-        partitions: usize,
-    ) -> Result<SampleProducts, MrError> {
+    fn sample_distribution(input: Partitions<(), Ent>) -> Result<SampleProducts, MrError> {
         let mut workflow = Workflow::on_pool("sn-sample", Arc::new(WorkerPool::new(1)));
-        sample_distribution_in(&mut workflow, input, sort_key(), partitions)
+        sample_distribution_in(&mut workflow, input, sort_key())
     }
 
     fn ent(id: u64, title: Option<&str>) -> ((), Ent) {
@@ -291,10 +239,7 @@ mod tests {
     #[test]
     fn full_sampling_builds_even_boundaries_and_annotates_everything() {
         let input = titles(&["dd", "aa", "cc", "bb"]);
-        let products = sample_distribution(input, 2).unwrap();
-        let partitioner = &products.sort_keys;
-        assert_eq!(partitioner.num_partitions(), 2);
-        assert_eq!(products.positions.num_partitions(), 2);
+        let products = sample_distribution(input).unwrap();
         assert_eq!(products.annotated.len(), 1, "partition shape preserved");
         assert_eq!(products.annotated[0].len(), 4, "every entity annotated");
         assert_eq!(
@@ -302,17 +247,14 @@ mod tests {
             4,
             "every entity counted"
         );
-        // Keys aa,bb route left of cc,dd.
-        let p = |s: &str| partitioner.partition_of(&SortKey::new(s));
-        assert!(p("aa") < p("cc"));
-        assert_eq!(p("aa"), p("bb"));
         let positions: Vec<u32> = products.annotated[0].iter().map(|(p, _)| *p).collect();
         assert_eq!(positions, vec![3, 0, 2, 1], "dd, aa, cc, bb");
-        assert_eq!(
-            products.positions.boundaries(),
-            [1],
-            "positions 0..=1 | 2..=3"
-        );
+        // Under w = 2 the positions carry 0, 1, 1, 1 window pairs: two
+        // even ranges are {aa, bb, cc} | {dd}.
+        let ranges = crate::SnRanges::new(4, 2, 2);
+        assert_eq!(ranges.starts(), [3]);
+        let routed: Vec<usize> = positions.iter().map(|&p| ranges.partition_of(p)).collect();
+        assert_eq!(routed, vec![1, 0, 0, 0]);
     }
 
     #[test]
@@ -323,19 +265,11 @@ mod tests {
             .unwrap();
         assert_eq!(out.metrics.map_output_records(), 4, "one record per entity");
         assert_eq!(out.reduce_outputs.len(), 1, "one reduce task");
-        let records: Vec<(u32, Positioned)> = out.records().cloned().collect();
-        let member = |index| Positioned::Member { task: 0, index };
+        let records: Vec<(u32, (u32, u32))> = out.records().cloned().collect();
         assert_eq!(
             records,
-            vec![
-                (0, member(0)),
-                (1, member(1)),
-                (2, member(2)),
-                (2, Positioned::Key(SortKey::new("aa"), 3)),
-                (3, member(3)),
-                (3, Positioned::Key(SortKey::new("bb"), 1)),
-            ],
-            "each key after its members, under its last position"
+            vec![(0, (0, 0)), (1, (0, 1)), (2, (0, 2)), (3, (0, 3))],
+            "a position per entity, tied keys in record order"
         );
     }
 
@@ -389,7 +323,7 @@ mod tests {
     #[test]
     fn sort_first_policy_routes_keyless_entities_to_the_front() {
         let input = vec![vec![ent(0, Some("mm title")), ent(1, None), ent(2, None)]];
-        let products = sample_distribution(input, 2).unwrap();
+        let products = sample_distribution(input).unwrap();
         assert_eq!(products.metrics.counters.get(NULL_SORT_KEYS), 2);
         assert_eq!(
             products.annotated[0].len(),
@@ -398,8 +332,6 @@ mod tests {
         );
         let positions: Vec<u32> = products.annotated[0].iter().map(|(p, _)| *p).collect();
         assert_eq!(positions, vec![2, 0, 1], "the empty key sorts first");
-        assert_eq!(products.sort_keys.partition_of(&SortKey::empty()), 0);
-        assert_eq!(products.positions.partition_of(&1), 0);
     }
 
     #[test]
@@ -441,14 +373,15 @@ mod proptests {
     proptest! {
         /// Every side-output position is its entity's index in the
         /// oracles' global order, at every map-task count and spill
-        /// threshold; and both partitioners send each entity to the
-        /// same range.
+        /// threshold; so the ranges cut from the entity count hold
+        /// exactly the positions between their starts.
         #[test]
         fn positions_number_the_entities_in_global_order(
             picks in proptest::collection::vec(0usize..60, 0..48),
             letters in 1usize..=9,
             m in 1usize..=8,
             partitions in 1usize..=6,
+            w in 2usize..=12,
         ) {
             let input = input(&picks, letters, m);
             let sort_key: Arc<dyn SortKeyFunction> = Arc::new(AttributeSortKey::title());
@@ -456,14 +389,12 @@ mod proptests {
             for threshold in [None, Some(1)] {
                 let mut workflow = Workflow::on_pool("sn-sample", Arc::new(WorkerPool::new(2)))
                     .with_spill_threshold(threshold);
-                let products = sample_distribution_in(
-                    &mut workflow,
-                    input.clone(),
-                    Arc::clone(&sort_key),
-                    partitions,
-                )
-                .unwrap();
+                let products =
+                    sample_distribution_in(&mut workflow, input.clone(), Arc::clone(&sort_key))
+                        .unwrap();
                 prop_assert_eq!(products.annotated.len(), m);
+                let ranges = crate::SnRanges::new(picks.len() as u64, w, partitions);
+                let mut sizes = vec![0u64; partitions];
                 for (annotated, original) in products.annotated.iter().zip(&input) {
                     prop_assert_eq!(annotated.len(), original.len());
                     for ((position, entity), ((), expected)) in annotated.iter().zip(original) {
@@ -471,13 +402,14 @@ mod proptests {
                         let key = routing_key(sort_key.as_ref(), entity);
                         let oracle = sorted.iter().position(|e| Arc::ptr_eq(e, entity));
                         prop_assert_eq!(Some(*position as usize), oracle, "{:?} {:?}", key, threshold);
-                        prop_assert_eq!(
-                            products.positions.partition_of(position),
-                            products.sort_keys.partition_of(&key),
-                            "{:?}", key
-                        );
+                        sizes[ranges.partition_of(*position)] += 1;
                     }
                 }
+                let starts = ranges.starts().iter().copied();
+                let bounds: Vec<u64> =
+                    std::iter::once(0).chain(starts).chain([picks.len() as u64]).collect();
+                let spans: Vec<u64> = bounds.windows(2).map(|b| b[1] - b[0]).collect();
+                prop_assert_eq!(sizes, spans);
             }
         }
     }

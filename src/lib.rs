@@ -94,9 +94,7 @@ pub mod prelude {
         AttributeBlocking, BlockKey, BlockingFunction, ConstantBlocking, MultiPassBlocking,
         PrefixBlocking,
     };
-    pub use er_core::sortkey::{
-        AttributeSortKey, RangePartitioner, ReversedSortKey, SortKey, SortKeyFunction,
-    };
+    pub use er_core::sortkey::{AttributeSortKey, ReversedSortKey, SortKey, SortKeyFunction};
     pub use er_core::{
         Entity, EntityId, EntityRef, GoldStandard, MatchPair, MatchResult, MatchRule, Matcher,
         QualityReport, SourceId,

@@ -44,7 +44,7 @@
 use std::sync::Arc;
 
 use er_core::blocking::BlockingFunction;
-use er_core::sortkey::{AttributeSortKey, RangePartitioner, SortKey, SortKeyFunction};
+use er_core::sortkey::{AttributeSortKey, SortKeyFunction};
 use er_core::{MatchResult, Matcher, SourceId};
 use er_loadbalance::driver::{run_er_in, ErStages};
 use er_loadbalance::{BlockDistributionMatrix, Ent, StrategyKind};
@@ -411,8 +411,6 @@ pub enum ScenarioDetails {
     /// Single-pass Sorted Neighborhood (single-key
     /// [`Scenario::SortedNeighborhood`]).
     Sorted {
-        /// The range partitioner the run routed by.
-        partitioner: RangePartitioner<SortKey>,
         /// Metrics of the sort-key distribution job.
         sample_metrics: JobMetrics,
         /// Metrics of the window/matching job.
@@ -490,14 +488,6 @@ impl ScenarioDetails {
         }
     }
 
-    /// The range partitioner, for single-pass SN scenarios.
-    pub fn partitioner(&self) -> Option<&RangePartitioner<SortKey>> {
-        match self {
-            ScenarioDetails::Sorted { partitioner, .. } => Some(partitioner),
-            _ => None,
-        }
-    }
-
     /// Per-pass reports, for multi-pass SN scenarios.
     pub fn passes(&self) -> Option<&[SnPassReport]> {
         match self {
@@ -517,7 +507,7 @@ pub struct Outcome {
     /// Rolled-up metrics of the whole run: per-stage walls, end-to-end
     /// wall, merged counters, peak-memory gauges.
     pub workflow: WorkflowMetrics,
-    /// Per-scenario extras (BDM, range partitioner, pass reports, …).
+    /// Per-scenario extras (BDM, per-stage metrics, pass reports, …).
     pub details: ScenarioDetails,
 }
 
@@ -960,7 +950,6 @@ fn blocked(stages: ErStages) -> (MatchResult, ScenarioDetails) {
 /// The outcome parts of a single-pass SN scenario's stages.
 fn sorted(stages: SnStages) -> (MatchResult, ScenarioDetails) {
     let details = ScenarioDetails::Sorted {
-        partitioner: stages.partitioner,
         sample_metrics: stages.sample_metrics,
         match_metrics: stages.match_metrics,
         stitch_metrics: stages.stitch_metrics,
@@ -1038,14 +1027,17 @@ mod tests {
 
     #[test]
     fn a_thin_interior_range_resolves_to_the_oracle() {
-        // One entity per range with w = 4: the first and last entity
-        // are two boundaries apart and still one window apart.
+        // Five entities hold 9 window pairs under w = 4, cut into
+        // ranges of 3, 1 and 1 entities: the third and fifth entity are
+        // two boundaries apart and still one window apart.
         let runtime = runtime();
         let resolver = Resolver::new(&runtime).with_window(4).with_reduce_tasks(3);
         let entities: Vec<Ent> = [
             "canon eos 5d mark iii",
+            "canon eos 5d mark iij",
             "canon eos 5d mark iik",
             "canon eos 5d mark iri",
+            "canon eos 5d mark ixi",
         ]
         .iter()
         .enumerate()
@@ -1058,10 +1050,16 @@ mod tests {
                 input.clone(),
             )
             .unwrap();
+        let sizes = outcome
+            .details
+            .match_metrics()
+            .expect("one matching job")
+            .per_reduce_counter(er_sn::PARTITION_ENTITIES);
+        assert_eq!(sizes, [3, 1, 1]);
         let oracle = er_sn::sn_oracle(&input, &resolver.sn_config(SnStrategy::RepSn));
-        assert_eq!(oracle.len(), 3, "every pair of the three matches");
+        assert_eq!(oracle.len(), 9, "every window pair matches");
         assert_eq!(outcome.result.pair_set(), oracle.pair_set());
-        assert_eq!(outcome.total_comparisons(), er_sn::oracle_comparisons(3, 4));
+        assert_eq!(outcome.total_comparisons(), er_sn::oracle_comparisons(5, 4));
     }
 
     #[test]
@@ -1084,7 +1082,6 @@ mod tests {
         );
         assert!(outcome.details.bdm().is_some());
         assert!(outcome.details.match_metrics().is_some());
-        assert!(outcome.details.partitioner().is_none());
         assert!(outcome.details.passes().is_none());
         assert_eq!(outcome.workflow.num_stages(), 2);
     }
