@@ -6,10 +6,12 @@
 //! degree of key skew is exactly what the load-balancing strategies
 //! must survive.
 //!
-//! A [`BlockKey`] is one shared heap string, made to travel. Where keys
-//! are only derived, compared and counted — the BDM job's map task —
-//! they are written back to back into one [`KeyText`] instead
-//! ([`BlockingFunction::write_keys`]), with no allocation per key.
+//! A blocking function writes an entity's keys back to back into one
+//! [`KeyText`] ([`BlockingFunction::write_keys`], the trait's one
+//! method), with no allocation per key: that is how the BDM job's map
+//! task derives, compares and counts them. A [`BlockKey`] is one shared
+//! heap string, made to travel; [`BlockingFunction::key`] and
+//! [`BlockingFunction::keys`] build them from what `write_keys` wrote.
 
 use std::fmt;
 use std::sync::Arc;
@@ -30,12 +32,6 @@ impl BlockKey {
     /// The key text.
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-
-    /// The constant key `⊥` used to form Cartesian products for
-    /// entities without a valid blocking key (paper, Appendix I).
-    pub fn bottom() -> Self {
-        BlockKey::new("\u{22A5}")
     }
 }
 
@@ -149,29 +145,35 @@ impl<S: AsRef<str>> FromIterator<S> for KeyText {
 
 /// Derives blocking keys from entities.
 ///
-/// `key` returns `None` when the entity has no valid blocking key (e.g.
-/// a product without manufacturer); such entities are handled by the
-/// Cartesian-product decomposition in `er-loadbalance::null_keys`.
+/// [`write_keys`](Self::write_keys) is the one method to implement;
+/// [`key`](Self::key) and [`keys`](Self::keys) read what it writes. An
+/// entity it writes no key for (e.g. a product without manufacturer)
+/// is handled by the Cartesian-product decomposition in
+/// `er-loadbalance::null_keys`.
 pub trait BlockingFunction: Send + Sync {
-    /// The (single-pass) blocking key of `entity`.
-    fn key(&self, entity: &Entity) -> Option<BlockKey>;
+    /// Appends the text of every blocking key of `entity` to `out` —
+    /// none when it has no valid key, more than one under multi-pass
+    /// blocking, in any order and repeats allowed — and leaves the
+    /// entries already there as they are. The BDM job's mapper then
+    /// sorts and deduplicates one entity's keys in place
+    /// ([`KeyText::sort_and_dedup_from`]).
+    fn write_keys(&self, entity: &Entity, out: &mut KeyText);
 
-    /// All blocking keys of `entity` — more than one for multi-pass
-    /// blocking. The default is the single-pass key.
-    fn keys(&self, entity: &Entity) -> Vec<BlockKey> {
-        self.key(entity).into_iter().collect()
+    /// The first key [`write_keys`](Self::write_keys) writes — the
+    /// single-pass key — or `None` when it writes none.
+    fn key(&self, entity: &Entity) -> Option<BlockKey> {
+        let mut out = KeyText::new();
+        self.write_keys(entity, &mut out);
+        (!out.is_empty()).then(|| BlockKey::new(out.get(0)))
     }
 
-    /// Appends the text of `keys(entity)` to `out`, in the same order
-    /// (the BDM job's mapper then sorts and deduplicates one entity's
-    /// keys with [`KeyText::sort_and_dedup_from`]). The default pushes
-    /// `keys()`; a function that can build a key's text without a
-    /// [`BlockKey`] overrides it and writes the text straight into the
-    /// column.
-    fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
-        self.keys(entity)
-            .iter()
-            .for_each(|key| out.push(key.as_str()));
+    /// The keys [`write_keys`](Self::write_keys) writes, sorted and
+    /// deduplicated: the blocks `entity` enters, each once.
+    fn keys(&self, entity: &Entity) -> Vec<BlockKey> {
+        let mut out = KeyText::new();
+        self.write_keys(entity, &mut out);
+        out.sort_and_dedup_from(0);
+        out.iter().map(BlockKey::new).collect()
     }
 }
 
@@ -198,27 +200,32 @@ impl PrefixBlocking {
         Self::new("title", 3)
     }
 
-    /// Longest prefix the ASCII fast path of `key` builds on the stack.
+    /// Longest prefix the ASCII fast path of `write_keys` builds on
+    /// the stack.
     const STACK_PREFIX: usize = 32;
 
-    /// The defining normalization, for any text: hands the key's text
-    /// to `use_key`, or returns `None` if the key is empty.
-    fn general_key<R>(&self, value: &str, use_key: impl FnOnce(&str) -> R) -> Option<R> {
+    /// The defining normalization, for any text: appends the key to
+    /// `out` unless it is empty.
+    fn write_general_key(&self, value: &str, out: &mut KeyText) {
         let normalized: String = value
             .chars()
             .filter(|c| c.is_alphanumeric())
             .take(self.len)
             .flat_map(char::to_lowercase)
             .collect();
-        (!normalized.is_empty()).then(|| use_key(&normalized))
+        if !normalized.is_empty() {
+            out.push(&normalized);
+        }
     }
+}
 
-    /// The key of `entity` as text, handed to `use_key` — what both
-    /// `key` and `write_keys` build.
-    fn with_key<R>(&self, entity: &Entity, use_key: impl FnOnce(&str) -> R) -> Option<R> {
-        let value = entity.get(&self.attribute)?;
+impl BlockingFunction for PrefixBlocking {
+    fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
+        let Some(value) = entity.get(&self.attribute) else {
+            return;
+        };
         if self.len > Self::STACK_PREFIX {
-            return self.general_key(value, use_key);
+            return self.write_general_key(value, out);
         }
         // ASCII fast path: on ASCII, `is_alphanumeric` and
         // `to_lowercase` are their one-byte `is_ascii_*` forms, so the
@@ -232,25 +239,16 @@ impl PrefixBlocking {
                 break;
             }
             if !byte.is_ascii() {
-                return self.general_key(value, use_key);
+                return self.write_general_key(value, out);
             }
             if byte.is_ascii_alphanumeric() {
                 prefix[filled] = byte.to_ascii_lowercase();
                 filled += 1;
             }
         }
-        let prefix = std::str::from_utf8(&prefix[..filled]).expect("ASCII bytes are UTF-8");
-        (!prefix.is_empty()).then(|| use_key(prefix))
-    }
-}
-
-impl BlockingFunction for PrefixBlocking {
-    fn key(&self, entity: &Entity) -> Option<BlockKey> {
-        self.with_key(entity, |key| BlockKey::new(key))
-    }
-
-    fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
-        self.with_key(entity, |key| out.push(key));
+        if filled > 0 {
+            out.push(std::str::from_utf8(&prefix[..filled]).expect("ASCII bytes are UTF-8"));
+        }
     }
 }
 
@@ -271,26 +269,23 @@ impl AttributeBlocking {
 }
 
 impl BlockingFunction for AttributeBlocking {
-    fn key(&self, entity: &Entity) -> Option<BlockKey> {
-        let v = entity.get(&self.attribute)?;
-        let trimmed = v.trim();
-        if trimmed.is_empty() {
-            None
-        } else {
-            Some(BlockKey::new(trimmed.to_lowercase()))
+    fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
+        let trimmed = entity.get(&self.attribute).unwrap_or_default().trim();
+        if !trimmed.is_empty() {
+            out.push(&trimmed.to_lowercase());
         }
     }
 }
 
-/// Assigns every entity the same key — turning blocking-based matching
-/// into the full Cartesian product. Used for the `⊥` sub-problems of
-/// the null-key decomposition.
+/// Assigns every entity the same key, `⊥` — turning blocking-based
+/// matching into the full Cartesian product. Used for the `⊥`
+/// sub-problems of the null-key decomposition (paper, Appendix I).
 #[derive(Debug, Clone, Default)]
 pub struct ConstantBlocking;
 
 impl BlockingFunction for ConstantBlocking {
-    fn key(&self, _entity: &Entity) -> Option<BlockKey> {
-        Some(BlockKey::bottom())
+    fn write_keys(&self, _entity: &Entity, out: &mut KeyText) {
+        out.push("\u{22A5}");
     }
 }
 
@@ -310,16 +305,12 @@ impl MultiPassBlocking {
 }
 
 impl BlockingFunction for MultiPassBlocking {
-    /// The "primary" key of multi-pass blocking is the first pass's key.
-    fn key(&self, entity: &Entity) -> Option<BlockKey> {
-        self.passes.iter().find_map(|p| p.key(entity))
-    }
-
-    fn keys(&self, entity: &Entity) -> Vec<BlockKey> {
-        let mut keys: Vec<BlockKey> = self.passes.iter().flat_map(|p| p.keys(entity)).collect();
-        keys.sort();
-        keys.dedup();
-        keys
+    /// Every pass's keys, pass after pass: the first key written, the
+    /// "primary" one, is the first pass's that has one.
+    fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
+        for pass in &self.passes {
+            pass.write_keys(entity, out);
+        }
     }
 }
 
@@ -330,6 +321,13 @@ mod tests {
 
     fn product(title: &str) -> Entity {
         Entity::new(1, [("title", title)])
+    }
+
+    /// The key of `value` by the general (non-fast) path.
+    fn general_key(blocking: &PrefixBlocking, value: &str) -> Option<BlockKey> {
+        let mut out = KeyText::new();
+        blocking.write_general_key(value, &mut out);
+        (!out.is_empty()).then(|| BlockKey::new(out.get(0)))
     }
 
     proptest! {
@@ -351,7 +349,7 @@ mod tests {
         ) {
             let value = pieces.concat();
             let blocking = PrefixBlocking::new("title", len);
-            prop_assert_eq!(blocking.key(&product(&value)), blocking.general_key(&value, |key| BlockKey::new(key)));
+            prop_assert_eq!(blocking.key(&product(&value)), general_key(&blocking, &value));
         }
     }
 
@@ -374,7 +372,7 @@ mod tests {
             ] {
                 assert_eq!(
                     blocking.key(&product(value)),
-                    blocking.general_key(value, |key| BlockKey::new(key)),
+                    general_key(&blocking, value),
                     "len {len}, value {value:?}"
                 );
             }
@@ -423,11 +421,8 @@ mod tests {
     #[test]
     fn constant_blocking_assigns_bottom_to_everything() {
         let b = ConstantBlocking;
-        assert_eq!(b.key(&product("anything")).unwrap(), BlockKey::bottom());
-        assert_eq!(
-            b.key(&Entity::new(1, [("x", "y")])).unwrap(),
-            BlockKey::bottom()
-        );
+        assert_eq!(b.key(&product("anything")).unwrap().as_str(), "⊥");
+        assert_eq!(b.keys(&Entity::new(1, [("x", "y")])), [BlockKey::new("⊥")]);
     }
 
     #[test]

@@ -17,17 +17,16 @@ use mr_engine::prelude::*;
 
 use crate::compare::{EntityInterner, EntityTable, GroupComparer, PairComparer};
 use crate::keys::BlockSplitValue;
-use crate::{Ent, Keyed};
+use crate::Ent;
 
 /// Basic mapper: derive the blocking key(s) and emit `(key, handle)`
 /// per key, the entity prepared once however many keys it has. Its
-/// input partition is the handle's `arena`.
+/// input partition is the handle's `arena`. With no BDM to number the
+/// blocks, its table holds the keys themselves.
 #[derive(Clone)]
 pub struct BasicMapper {
     blocking: Arc<dyn BlockingFunction>,
-    /// The current entity's replicas; empty between records.
-    replicas: Vec<Keyed>,
-    interner: EntityInterner,
+    interner: EntityInterner<BlockKey>,
 }
 
 impl BasicMapper {
@@ -35,7 +34,6 @@ impl BasicMapper {
     pub fn new(blocking: Arc<dyn BlockingFunction>, comparer: &PairComparer) -> Self {
         Self {
             blocking,
-            replicas: Vec::new(),
             interner: EntityInterner::new(comparer),
         }
     }
@@ -47,7 +45,7 @@ impl Mapper for BasicMapper {
     type KOut = BlockKey;
     type VOut = BlockSplitValue;
     type Side = ();
-    type Product = EntityTable;
+    type Product = EntityTable<BlockKey>;
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.interner.setup(info);
@@ -59,13 +57,14 @@ impl Mapper for BasicMapper {
         entity: &Ent,
         ctx: &mut MapContext<BlockKey, BlockSplitValue, ()>,
     ) {
-        if Keyed::derive_into(self.blocking.as_ref(), entity, &mut self.replicas) == 0 {
+        let keys = self.blocking.keys(entity);
+        if keys.is_empty() {
             ctx.add_counter(crate::bdm_job::NULL_KEY_ENTITIES, 1);
             return;
         }
-        let prepared = self.interner.intern(entity, &self.replicas[0].all_keys);
-        for keyed in self.replicas.drain(..) {
-            ctx.emit(keyed.key, prepared);
+        let prepared = self.interner.intern(entity, &keys);
+        for key in keys {
+            ctx.emit(key, prepared);
         }
     }
 
@@ -73,7 +72,7 @@ impl Mapper for BasicMapper {
         self.interner.finish(ctx);
     }
 
-    fn into_product(self) -> EntityTable {
+    fn into_product(self) -> EntityTable<BlockKey> {
         self.interner.into_table()
     }
 }
@@ -87,7 +86,7 @@ impl Mapper for BasicMapper {
 /// O(b²) pairs run block at a time on those.
 #[derive(Clone)]
 pub struct BasicReducer {
-    driver: GroupComparer,
+    driver: GroupComparer<BlockKey>,
     /// The partitions' source tags; `None` for one source.
     sources: Option<Arc<[SourceId]>>,
 }
@@ -108,16 +107,17 @@ impl Reducer for BasicReducer {
     type VIn = BlockSplitValue;
     type KOut = MatchPair;
     type VOut = f64;
-    type Product = EntityTable;
+    type Product = EntityTable<BlockKey>;
 
     fn reduce(
         &mut self,
-        group: Group<'_, BlockKey, BlockSplitValue, EntityTable>,
+        group: Group<'_, BlockKey, BlockSplitValue, EntityTable<BlockKey>>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let emit = |pair, score| ctx.emit(pair, score);
         let sources = self.sources.as_deref();
-        block_pairs(&mut self.driver, group.key(), &group, sources, emit);
+        let block = group.key().clone();
+        block_pairs(&mut self.driver, block, &group, sources, emit);
         self.driver.flush(ctx);
     }
 }
@@ -128,10 +128,10 @@ impl Reducer for BasicReducer {
 /// entities of R and compare each entity of S to all entities of R"),
 /// a member's source being its partition's, i.e. its arena's. The
 /// reduce step Basic shares with BlockSplit's `k.*` task.
-pub(crate) fn block_pairs<K>(
-    driver: &mut GroupComparer,
-    block: &BlockKey,
-    group: &Group<'_, K, BlockSplitValue, EntityTable>,
+pub(crate) fn block_pairs<G, K: Ord>(
+    driver: &mut GroupComparer<K>,
+    block: K,
+    group: &Group<'_, G, BlockSplitValue, EntityTable<K>>,
     sources: Option<&[SourceId]>,
     emit: impl FnMut(MatchPair, f64),
 ) {

@@ -91,7 +91,6 @@ use er_core::SourceId;
 use mr_engine::partitioner::HashPartitioner;
 
 use crate::keys::key_index;
-use crate::KeyList;
 
 /// The first eight bytes of a key, zero-padded, as a big-endian
 /// integer: ordering by `(key_head, key)` is ordering by key, and
@@ -507,45 +506,29 @@ impl BlockDistributionMatrix {
     }
 
     /// Resolves an entity's `ranks` in `partition`, in any order: fills
-    /// `blocks` with the blocks that have a pair, sorted (block order
-    /// is key order), and returns the entity's key list for its table
-    /// row — the keys of those blocks, in key order as the
-    /// smallest-common-key rule reads them — or `None` when every block
-    /// was pruned and the entity has no pair.
+    /// `blocks` with the blocks that have a pair, sorted — block order
+    /// is key order, so this is the entity's sorted key list as the
+    /// smallest-common-key rule reads it, and its table row in a match
+    /// stage — and leaves it empty when every block was pruned and the
+    /// entity has no pair.
     ///
-    /// The list leaves out the keys of pruned blocks. Such a key is
-    /// held by no other entity, so the smallest-common-block rule
-    /// decides every pair as it would on the full list
-    /// ([`crate::Keyed::should_compare_in`]); and an entity left with one
-    /// key passes the rule against a block's other single-key members
-    /// without a per-pair test.
+    /// The list leaves out pruned blocks. Their keys are held by no
+    /// other entity, so the smallest-common-block rule decides every
+    /// pair as it would on the full list (`smallest_common_key_is`);
+    /// and an entity left with one block passes the rule against the
+    /// block's other single-block members without a per-pair test.
     ///
     /// # Panics
     /// As [`Self::block_of_rank`].
-    pub fn live_blocks(
-        &self,
-        partition: usize,
-        ranks: &[u32],
-        blocks: &mut Vec<u32>,
-    ) -> Option<KeyList> {
+    pub fn live_blocks(&self, partition: usize, ranks: &[u32], blocks: &mut Vec<u32>) {
         blocks.clear();
         blocks.extend(
             ranks
                 .iter()
                 .filter_map(|&rank| self.block_of_rank(partition, rank)),
         );
-        // Ranks follow the keys' hashes, block indexes the keys: sorted,
-        // the blocks give their keys in key order.
+        // Ranks follow the keys' hashes, block indexes the keys.
         blocks.sort_unstable();
-        match blocks.as_slice() {
-            [] => None,
-            &[block] => Some(KeyList::One(self.keys[block as usize].clone())),
-            many => Some(KeyList::Many(
-                many.iter()
-                    .map(|&block| self.keys[block as usize].clone())
-                    .collect(),
-            )),
-        }
     }
 
     /// The blocking key of block `k`.
@@ -878,22 +861,14 @@ mod tests {
         assert_eq!(bdm.block_of_rank(0, 1), None);
         assert_eq!(bdm.block_of_rank(0, 0), Some(1));
         assert_eq!(bdm.block_of_rank(1, 0), None);
-        // An entity's ranks resolve to its live blocks and their keys:
-        // c, a (pruned), e in partition 0; d (pruned) alone in 1.
+        // An entity's ranks resolve to its live blocks: c, a (pruned),
+        // e in partition 0; a (pruned), b; d (pruned) alone in 1.
         let mut blocks = Vec::new();
-        let live = |keys: Option<KeyList>| {
-            keys.map(|keys| keys.iter().map(|k| k.to_string()).collect::<Vec<_>>())
-        };
-        assert_eq!(
-            live(bdm.live_blocks(0, &[0, 1, 2], &mut blocks)),
-            Some(vec!["c".to_string(), "e".to_string()])
-        );
+        bdm.live_blocks(0, &[0, 1, 2], &mut blocks);
         assert_eq!(blocks, [1, 2]);
-        assert!(
-            matches!(bdm.live_blocks(0, &[1, 3], &mut blocks), Some(KeyList::One(key)) if key.as_str() == "b")
-        );
+        bdm.live_blocks(0, &[1, 3], &mut blocks);
         assert_eq!(blocks, [0]);
-        assert!(bdm.live_blocks(1, &[0], &mut blocks).is_none());
+        bdm.live_blocks(1, &[0], &mut blocks);
         assert!(blocks.is_empty());
         assert_eq!(bdm.block_index(&k("a")), None);
         // Of a and d their hashes are left, in (partition, rank) order.
@@ -953,8 +928,8 @@ mod tests {
 
     /// Ranks follow the keys' hashes and block indexes the keys, so a
     /// multi-key entity's ascending ranks can resolve to blocks out of
-    /// key order; `live_blocks` sorts them, and the key list comes out
-    /// sorted, as the smallest-common-key rule reads it.
+    /// key order; `live_blocks` sorts them, so their keys come out
+    /// sorted, as the smallest-common-key rule reads them.
     #[test]
     fn live_blocks_sorts_an_entitys_blocks_into_key_order() {
         let k = |s: &str| BlockKey::new(s);
@@ -981,9 +956,12 @@ mod tests {
             "{in_rank_order:?}: no reordering to test"
         );
         let mut blocks = Vec::new();
-        let keys = bdm.live_blocks(0, &ranks, &mut blocks).expect("live");
+        bdm.live_blocks(0, &ranks, &mut blocks);
         assert_eq!(blocks, [0, 1, 2]);
-        let keys: Vec<&str> = keys.iter().map(BlockKey::as_str).collect();
+        let keys: Vec<&str> = blocks
+            .iter()
+            .map(|&b| bdm.key(b as usize).as_str())
+            .collect();
         assert_eq!(keys, ["b", "c", "e"]);
     }
 

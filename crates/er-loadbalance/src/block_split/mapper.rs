@@ -84,16 +84,12 @@ impl Mapper for BlockSplitMapper {
         let state = self.state.expect("setup ran");
         let assignment = self.plan.get().expect("setup planned the job");
         // A pruned block has no pair, hence no match task.
-        let Some(keys) = self
-            .bdm
-            .live_blocks(state.partition, ranks, &mut self.blocks)
-        else {
-            return;
-        };
+        self.bdm
+            .live_blocks(state.partition, ranks, &mut self.blocks);
         // Interned at its first emission; the interner hands the later
         // ones the same handle.
         let interner = &mut self.interner;
-        let mut value = || interner.intern(entity, &keys);
+        let mut value = || interner.intern(entity, &self.blocks);
         for &block in &self.blocks {
             let k = block as usize;
             let comps = self.bdm.pairs_in_block(k);

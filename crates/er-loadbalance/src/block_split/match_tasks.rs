@@ -145,11 +145,9 @@ mod tests {
 
     #[test]
     fn empty_partitions_produce_no_tasks() {
-        use er_core::blocking::BlockKey;
         // Block confined to partition 1 of 3: splitting yields exactly
         // one sub-block task.
-        let bdm =
-            crate::bdm::BlockDistributionMatrix::from_counts(3, vec![(BlockKey::new("a"), 1, 5)]);
+        let bdm = crate::bdm::BlockDistributionMatrix::from_counts(3, vec![("a".into(), 1, 5)]);
         let tasks = create_match_tasks(&bdm, 10);
         assert_eq!(tasks.len(), 1);
         assert_eq!((tasks[0].i, tasks[0].j, tasks[0].comparisons), (1, 1, 10));

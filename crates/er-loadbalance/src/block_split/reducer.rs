@@ -27,8 +27,9 @@ use crate::bdm::BlockDistributionMatrix;
 use crate::compare::{EntityTable, GroupComparer, PairComparer};
 use crate::keys::{BlockSplitKey, BlockSplitValue};
 
-/// The BlockSplit reducer. It reads a match task's block key and its
-/// partitions' sources off the BDM the job was planned from.
+/// The BlockSplit reducer. It compares a match task's members under
+/// the task's block index and reads its partitions' sources off the
+/// BDM the job was planned from.
 #[derive(Clone)]
 pub struct BlockSplitReducer {
     bdm: Arc<BlockDistributionMatrix>,
@@ -59,7 +60,7 @@ impl Reducer for BlockSplitReducer {
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let key = *group.key();
-        let block = self.bdm.key(key.block as usize);
+        let block = key.block;
         let sources = self.bdm.sources();
         let driver = &mut self.driver;
         let emit = |pair, score| ctx.emit(pair, score);
@@ -87,8 +88,7 @@ impl Reducer for BlockSplitReducer {
 mod tests {
     use super::*;
     use crate::compare::EntityInterner;
-    use crate::{KeyList, COMPARISONS};
-    use er_core::blocking::BlockKey;
+    use crate::COMPARISONS;
     use er_core::{Entity, Matcher};
     use mr_engine::reducer::ReduceTaskInfo;
 
@@ -111,8 +111,7 @@ mod tests {
             j: 0,
         };
         let entity: crate::Ent = Arc::new(Entity::new(id, [("title", title)]));
-        let keys = KeyList::One(BlockKey::new("b"));
-        (key, interners[partition].intern(&entity, &keys))
+        (key, interners[partition].intern(&entity, &[0]))
     }
 
     /// The two map tasks' interners.
@@ -130,10 +129,7 @@ mod tests {
 
     /// A reducer over a BDM whose block 0 is `b`.
     fn reducer() -> BlockSplitReducer {
-        let bdm = BlockDistributionMatrix::from_counts(
-            2,
-            [(BlockKey::new("b"), 0, 2), (BlockKey::new("b"), 1, 3)],
-        );
+        let bdm = BlockDistributionMatrix::from_counts(2, [("b".into(), 0, 2), ("b".into(), 1, 3)]);
         BlockSplitReducer::new(Arc::new(bdm), comparer())
     }
 

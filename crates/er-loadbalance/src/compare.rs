@@ -13,25 +13,28 @@
 //!    ([`mr_engine::reducer::Group::products`]). The table holds each
 //!    entity once per map task however many reduce tasks receive it:
 //!    its prepared form in a [`PreparedArena`] (counted under
-//!    [`PREPARED_ENTITIES`]), its [`EntityRef`] and its key list. A
-//!    shuffle record carries only the [`PreparedHandle`] `(arena, id)`
-//!    of the entity's row — no [`Keyed`], no `Arc` — and no reduce task
-//!    prepares.
+//!    [`PREPARED_ENTITIES`]), its [`EntityRef`] and its sorted keys, in
+//!    one flat column per table: BDM block indices under BlockSplit,
+//!    PairRange and LSH (the matrix numbers its blocks in key order),
+//!    block `0` under Sorted Neighborhood, the keys themselves under
+//!    Basic, which has no matrix. A shuffle record carries only the
+//!    [`PreparedHandle`] `(arena, id)` of the entity's row — no `Arc` —
+//!    and no reduce task prepares.
 //! 1. **Handles → columns.** [`GroupComparer::push`] resolves each
-//!    member's handle once: its [`EntityRef`] and whether its key list
-//!    is the group's block alone (see 2.) come from its table, its
+//!    member's handle once: its [`EntityRef`] and whether its keys are
+//!    the group's block alone (see 2.) come from its table, its
 //!    prepared form goes into an [`er_core::PreparedColumn`] over the
 //!    stage's arenas (a pair may span two tables; it is scored by the
 //!    same kernel). The columns borrow nothing: they are refilled group
 //!    after group, and a sliding window keeps them across groups,
 //!    evicting from the front.
 //! 2. **Gates, where they are cheapest.** The smallest-common-block
-//!    rule is decided *per member*: for single-key lists it reads
+//!    rule is decided *per member*: for single-key rows it reads
 //!    `a == b && a == block`, so a group whose members all have the
 //!    group's block as their only key (all of single-pass blocking)
 //!    needs no per-pair key test — O(n) key compares instead of O(n²).
 //!    One member that is multi-key, or keyed elsewhere, drops the group
-//!    to the per-pair rule, which reads the key lists from the tables.
+//!    to the per-pair rule, which reads the keys from the tables.
 //!    `skip_pairs` is a property of the comparer, read once per strip.
 //!    Linkage needs no gate here: its strategies take a member's side
 //!    from its partition's source tag (`bdm.source_of(arena)`) and walk
@@ -65,15 +68,15 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
 use er_core::{
-    ArenaBuilder, EntityRef, Matcher, PreparedArena, PreparedColumn, PreparedHandle, PreparedId,
+    ArenaBuilder, Entity, EntityRef, Matcher, PreparedArena, PreparedColumn, PreparedHandle,
+    PreparedId,
 };
 use mr_engine::mapper::{MapContext, MapTaskInfo};
 use mr_engine::reducer::ReduceContext;
 
-use crate::{smallest_common_key_is, Ent, KeyList, Keyed, COMPARISONS};
+use crate::{smallest_common_key_is, Ent, COMPARISONS};
 
 /// Counter: entities a match stage's map tasks prepared — each entity
 /// once per map task that routes it, however many reduce tasks receive
@@ -142,11 +145,11 @@ impl PairComparer {
     /// blocking), then already-compared (multi-pass SN) — and counts
     /// the pair under the counter it falls to. True iff the pair is to
     /// be evaluated.
-    fn admit(
+    fn admit<K: Ord>(
         &self,
-        (a, a_keys): (EntityRef, &[BlockKey]),
-        (b, b_keys): (EntityRef, &[BlockKey]),
-        current: &BlockKey,
+        (a, a_keys): (EntityRef, &[K]),
+        (b, b_keys): (EntityRef, &[K]),
+        current: &K,
         tally: &mut PairTally,
     ) -> bool {
         if !smallest_common_key_is(a_keys, b_keys, current) {
@@ -163,35 +166,29 @@ impl PairComparer {
         true
     }
 
-    /// Compares `a` and `b` within `current` block, emitting a match
-    /// record if the pair reaches the matcher's threshold.
+    /// Compares `a` and `b`, each with its sorted keys, within
+    /// `current` block, emitting a match record if the pair reaches the
+    /// matcher's threshold.
     ///
     /// One-shot: both entities are preprocessed from scratch, the pair
     /// gated, counted and scored on its own. Reducers go through a
     /// [`GroupComparer`]; this is the reference it is tested against.
-    pub fn compare(
+    pub fn compare<K: Ord>(
         &self,
-        a: &Keyed,
-        b: &Keyed,
-        current: &BlockKey,
+        (a, a_keys): (&Entity, &[K]),
+        (b, b_keys): (&Entity, &[K]),
+        current: &K,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         let mut tally = PairTally::default();
-        let admitted = self.admit(
-            (a.entity.entity_ref(), &a.all_keys),
-            (b.entity.entity_ref(), &b.all_keys),
-            current,
-            &mut tally,
-        );
+        let (a_ref, b_ref) = (a.entity_ref(), b.entity_ref());
+        let admitted = self.admit((a_ref, a_keys), (b_ref, b_keys), current, &mut tally);
         tally.flush(ctx);
         if !admitted {
             return;
         }
-        if let Some(score) = self.matcher.matches(&a.entity, &b.entity) {
-            ctx.emit(
-                MatchPair::new(a.entity.entity_ref(), b.entity.entity_ref()),
-                score,
-            );
+        if let Some(score) = self.matcher.matches(a, b) {
+            ctx.emit(MatchPair::new(a_ref, b_ref), score);
         }
     }
 }
@@ -199,29 +196,45 @@ impl PairComparer {
 /// A match-stage map task's product (step 0 of the
 /// [module documentation](self)): every entity the task routed, once,
 /// in the order it was first routed — its prepared form in a
-/// [`PreparedArena`], its [`EntityRef`] and its sorted key list. A
+/// [`PreparedArena`], its [`EntityRef`] and its sorted keys. A
 /// [`PreparedHandle`] addresses a row: `arena` is the table's map
-/// task, `id` the entity's row there.
-#[derive(Debug, Clone, Default)]
-pub struct EntityTable {
+/// task, `id` the entity's row there. A key `K` is a BDM block index
+/// unless the stage has no matrix: Basic's are the keys themselves.
+#[derive(Debug, Clone)]
+pub struct EntityTable<K = u32> {
     arena: PreparedArena,
     refs: Vec<EntityRef>,
-    keys: Vec<KeyList>,
+    /// Every row's keys back to back; row `i` ends at `key_ends[i]`.
+    keys: Vec<K>,
+    key_ends: Vec<u32>,
 }
 
-impl EntityTable {
+impl<K> EntityTable<K> {
     /// The reference of the entity at `id`.
     pub fn entity_ref(&self, id: PreparedId) -> EntityRef {
         self.refs[id.index()]
     }
 
     /// The sorted blocking keys of the entity at `id`.
-    pub fn keys(&self, id: PreparedId) -> &[BlockKey] {
-        &self.keys[id.index()]
+    pub fn keys(&self, id: PreparedId) -> &[K] {
+        let row = id.index();
+        let start = if row == 0 { 0 } else { self.key_ends[row - 1] };
+        &self.keys[start as usize..self.key_ends[row] as usize]
     }
 }
 
-impl AsRef<PreparedArena> for EntityTable {
+impl<K> Default for EntityTable<K> {
+    fn default() -> Self {
+        Self {
+            arena: PreparedArena::default(),
+            refs: Vec::new(),
+            keys: Vec::new(),
+            key_ends: Vec::new(),
+        }
+    }
+}
+
+impl<K> AsRef<PreparedArena> for EntityTable<K> {
     fn as_ref(&self) -> &PreparedArena {
         &self.arena
     }
@@ -233,10 +246,11 @@ impl AsRef<PreparedArena> for EntityTable {
 /// [`PreparedHandle`] its shuffle records carry, and builds the table
 /// when the task ends ([`ArenaBuilder`]: slabs sized exactly).
 #[derive(Debug, Clone)]
-pub struct EntityInterner {
+pub struct EntityInterner<K = u32> {
     builder: ArenaBuilder,
     refs: Vec<EntityRef>,
-    keys: Vec<KeyList>,
+    keys: Vec<K>,
+    key_ends: Vec<u32>,
     /// The map task: the table's index among the stage's products.
     task: u32,
     /// The entity queued last, and its id: a mapper interns an entity
@@ -244,13 +258,14 @@ pub struct EntityInterner {
     last: Option<(EntityRef, PreparedId)>,
 }
 
-impl EntityInterner {
+impl<K: Clone> EntityInterner<K> {
     /// An interner preparing under `comparer`'s matcher.
     pub fn new(comparer: &PairComparer) -> Self {
         Self {
             builder: ArenaBuilder::new(Arc::clone(&comparer.matcher)),
             refs: Vec::new(),
             keys: Vec::new(),
+            key_ends: Vec::new(),
             task: 0,
             last: None,
         }
@@ -261,16 +276,18 @@ impl EntityInterner {
         self.task = crate::keys::key_index(info.task_index, "map task index");
     }
 
-    /// The handle of `entity`'s row, whose blocking keys are `keys`,
-    /// queueing it unless it is the entity queued last.
-    pub fn intern(&mut self, entity: &Ent, keys: &KeyList) -> PreparedHandle {
+    /// The handle of `entity`'s row, whose sorted blocking keys are
+    /// `keys`, queueing it unless it is the entity queued last.
+    pub fn intern(&mut self, entity: &Ent, keys: &[K]) -> PreparedHandle {
         let entity_ref = entity.entity_ref();
         let id = match self.last {
             Some((last, id)) if last == entity_ref => id,
             _ => {
                 let id = self.builder.queue(entity);
                 self.refs.push(entity_ref);
-                self.keys.push(keys.clone());
+                self.keys.extend_from_slice(keys);
+                let end = u32::try_from(self.keys.len()).expect("key column fits u32 offsets");
+                self.key_ends.push(end);
                 self.last = Some((entity_ref, id));
                 id
             }
@@ -291,11 +308,12 @@ impl EntityInterner {
 
     /// Prepares the queued entities into the task's table — the
     /// mapper's product.
-    pub fn into_table(self) -> EntityTable {
+    pub fn into_table(self) -> EntityTable<K> {
         EntityTable {
             arena: self.builder.build(),
             refs: self.refs,
             keys: self.keys,
+            key_ends: self.key_ends,
         }
     }
 }
@@ -309,14 +327,15 @@ impl EntityInterner {
 /// group's [`products`](mr_engine::reducer::Group::products) — and a
 /// member is the handle its map task gave it.
 #[derive(Debug, Clone)]
-pub struct GroupComparer {
+pub struct GroupComparer<K = u32> {
     comparer: PairComparer,
-    /// The block the members are compared under.
-    block: BlockKey,
+    /// The block the members are compared under; `None` before the
+    /// first group.
+    block: Option<K>,
     refs: Vec<EntityRef>,
     /// Per member: false when its only key is `block` (it passes the
     /// smallest-common-block rule against every other such member),
-    /// true when the per-pair rule reads its key list from its table.
+    /// true when the per-pair rule reads its keys from its table.
     off_block: Vec<bool>,
     /// How many `off_block` are true.
     per_pair_members: usize,
@@ -327,12 +346,12 @@ pub struct GroupComparer {
     tally: PairTally,
 }
 
-impl GroupComparer {
+impl<K: Ord> GroupComparer<K> {
     /// A driver with empty columns.
     pub fn new(comparer: PairComparer) -> Self {
         Self {
             comparer,
-            block: BlockKey::bottom(),
+            block: None,
             refs: Vec::new(),
             off_block: Vec::new(),
             per_pair_members: 0,
@@ -343,8 +362,8 @@ impl GroupComparer {
     }
 
     /// Starts a group compared under `block`: empties the columns.
-    pub fn begin(&mut self, block: &BlockKey) {
-        self.block = block.clone();
+    pub fn begin(&mut self, block: K) {
+        self.block = Some(block);
         self.truncate(0);
     }
 
@@ -352,8 +371,8 @@ impl GroupComparer {
     /// [`push`](Self::push)es `members` in order.
     pub fn load(
         &mut self,
-        tables: &[EntityTable],
-        block: &BlockKey,
+        tables: &[EntityTable<K>],
+        block: K,
         members: impl IntoIterator<Item = PreparedHandle>,
     ) {
         self.begin(block);
@@ -364,9 +383,10 @@ impl GroupComparer {
 
     /// Appends the member at `handle` in `tables` to the columns;
     /// returns its position.
-    pub fn push(&mut self, tables: &[EntityTable], handle: PreparedHandle) -> usize {
+    pub fn push(&mut self, tables: &[EntityTable<K>], handle: PreparedHandle) -> usize {
         let table = &tables[handle.arena as usize];
-        let off_block = !matches!(table.keys(handle.id), [only] if *only == self.block);
+        let off_block =
+            !matches!(table.keys(handle.id), [only] if Some(only) == self.block.as_ref());
         self.per_pair_members += usize::from(off_block);
         self.off_block.push(off_block);
         self.refs.push(table.entity_ref(handle.id));
@@ -404,7 +424,7 @@ impl GroupComparer {
     /// probe the pair's first entity (the measures' left argument).
     pub fn strip(
         &mut self,
-        tables: &[EntityTable],
+        tables: &[EntityTable<K>],
         probe: usize,
         members: Range<usize>,
         probe_first: bool,
@@ -412,12 +432,13 @@ impl GroupComparer {
     ) {
         let per_pair = self.per_pair_members > 0 || self.comparer.skip_pairs.is_some();
         if per_pair {
+            let block = self.block.as_ref().expect("a group began");
             let gate_entry = |position: usize| {
                 let keys = if self.off_block[position] {
                     let handle = self.prepared.handle(position);
                     tables[handle.arena as usize].keys(handle.id)
                 } else {
-                    std::slice::from_ref(&self.block)
+                    std::slice::from_ref(block)
                 };
                 (self.refs[position], keys)
             };
@@ -425,7 +446,7 @@ impl GroupComparer {
             self.picked.clear();
             for (offset, member) in (0u32..).zip(members.clone()) {
                 let (a, b) = ordered(probe_first, probe, gate_entry(member));
-                if self.comparer.admit(a, b, &self.block, &mut self.tally) {
+                if self.comparer.admit(a, b, block, &mut self.tally) {
                     self.picked.push(offset);
                 }
             }
@@ -454,7 +475,7 @@ impl GroupComparer {
     }
 
     /// Every pair of the columns' members: each against all before it.
-    pub fn all_pairs(&mut self, tables: &[EntityTable], mut sink: impl FnMut(MatchPair, f64)) {
+    pub fn all_pairs(&mut self, tables: &[EntityTable<K>], mut sink: impl FnMut(MatchPair, f64)) {
         for later in 1..self.len() {
             self.strip(tables, later, 0..later, false, &mut sink);
         }
@@ -464,8 +485,8 @@ impl GroupComparer {
     /// cross product: each of `first` against all of `second`.
     pub fn cross(
         &mut self,
-        tables: &[EntityTable],
-        block: &BlockKey,
+        tables: &[EntityTable<K>],
+        block: K,
         first: impl IntoIterator<Item = PreparedHandle>,
         second: impl IntoIterator<Item = PreparedHandle>,
         mut sink: impl FnMut(MatchPair, f64),
@@ -521,12 +542,30 @@ mod tests {
         })
     }
 
+    /// An entity and its sorted block indices, as a match stage's map
+    /// task interns it.
+    struct Member {
+        entity: Ent,
+        keys: Vec<u32>,
+    }
+
+    /// The one-shot [`PairComparer::compare`] of `a` and `b` in `block`.
+    fn one_shot(
+        comparer: &PairComparer,
+        a: &Member,
+        b: &Member,
+        block: u32,
+        ctx: &mut ReduceContext<MatchPair, f64>,
+    ) {
+        comparer.compare((&a.entity, &a.keys), (&b.entity, &b.keys), &block, ctx);
+    }
+
     /// `members` as a match stage of `tasks` map tasks delivers them:
     /// member `i` interned for `comparer` by map task `i % tasks`. Returns
     /// the stage's tables and each member's handle.
     fn staged(
         comparer: &PairComparer,
-        members: &[&Keyed],
+        members: &[&Member],
         tasks: usize,
     ) -> (Vec<EntityTable>, Vec<PreparedHandle>) {
         let mut interners: Vec<EntityInterner> = (0..tasks)
@@ -544,7 +583,7 @@ mod tests {
         let handles = members
             .iter()
             .enumerate()
-            .map(|(i, keyed)| interners[i % tasks].intern(&keyed.entity, &keyed.all_keys))
+            .map(|(i, member)| interners[i % tasks].intern(&member.entity, &member.keys))
             .collect();
         let tables = interners
             .into_iter()
@@ -557,8 +596,8 @@ mod tests {
     /// two map tasks, loaded, all pairs, flush.
     fn all_pairs(
         driver: &mut GroupComparer,
-        block: &BlockKey,
-        members: &[&Keyed],
+        block: u32,
+        members: &[&Member],
     ) -> ReduceContext<MatchPair, f64> {
         let (tables, handles) = staged(&driver.comparer, members, 2);
         let mut c = ctx();
@@ -572,36 +611,35 @@ mod tests {
         PairComparer::new(Arc::new(Matcher::paper_default()))
     }
 
-    fn keyed(id: u64, title: &str) -> Keyed {
-        Keyed::single(
-            BlockKey::new("blk"),
-            Arc::new(Entity::new(id, [("title", title)])),
-        )
+    /// The block of the single-key members.
+    const BLK: u32 = 0;
+
+    fn keyed(id: u64, title: &str) -> Member {
+        Member {
+            entity: Arc::new(Entity::new(id, [("title", title)])),
+            keys: vec![BLK],
+        }
     }
 
-    /// Two replicas of a two-key entity pair meeting in their *larger*
-    /// common block `zzz`.
-    fn multipass_pair() -> (Keyed, Keyed) {
-        let all: Arc<[BlockKey]> =
-            Arc::from(vec![BlockKey::new("aaa"), BlockKey::new("zzz")].into_boxed_slice());
-        let replica = |id| {
-            Keyed::replica(
-                BlockKey::new("zzz"),
-                Arc::clone(&all),
-                Arc::new(Entity::new(id, [("title", "same title")])),
-            )
+    /// A pair of two-key entities, in blocks 0 and 2, meeting in their
+    /// *larger* common block 2.
+    fn multipass_pair() -> (Member, Member) {
+        let member = |id| Member {
+            entity: Arc::new(Entity::new(id, [("title", "same title")])),
+            keys: vec![0, 2],
         };
-        (replica(1), replica(2))
+        (member(1), member(2))
     }
 
     #[test]
     fn matching_pair_is_emitted_with_score() {
         let comparer = paper_comparer();
         let mut c = ctx();
-        comparer.compare(
+        one_shot(
+            &comparer,
             &keyed(1, "abcdefghij"),
             &keyed(2, "abcdefghiX"),
-            &BlockKey::new("blk"),
+            BLK,
             &mut c,
         );
         assert_eq!(c.info().task_index, 0);
@@ -614,10 +652,11 @@ mod tests {
     fn non_matching_pair_is_counted_but_not_emitted() {
         let comparer = paper_comparer();
         let mut c = ctx();
-        comparer.compare(
+        one_shot(
+            &comparer,
             &keyed(1, "abcdefghij"),
             &keyed(2, "zzzzzzzzzz"),
-            &BlockKey::new("blk"),
+            BLK,
             &mut c,
         );
         assert_eq!(c.counters().get(COMPARISONS), 1);
@@ -628,7 +667,6 @@ mod tests {
     fn prepared_path_matches_unprepared_path() {
         let comparer = paper_comparer();
         let mut driver = GroupComparer::new(comparer.clone());
-        let block = BlockKey::new("blk");
         for (id, (ta, tb)) in [
             ("abcdefghij", "abcdefghiX"), // match at 0.9
             ("abcdefghij", "zzzzzzzzzz"), // counted, no match
@@ -638,8 +676,8 @@ mod tests {
         {
             let (a, b) = (keyed(2 * id as u64, ta), keyed(2 * id as u64 + 1, tb));
             let mut direct = ctx();
-            comparer.compare(&a, &b, &block, &mut direct);
-            let prepared = all_pairs(&mut driver, &block, &[&a, &b]);
+            one_shot(&comparer, &a, &b, BLK, &mut direct);
+            let prepared = all_pairs(&mut driver, BLK, &[&a, &b]);
             assert_eq!(direct.output(), prepared.output());
             assert_eq!(
                 direct.counters().get(COMPARISONS),
@@ -653,7 +691,7 @@ mod tests {
         let mut driver = GroupComparer::new(paper_comparer());
         let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghiX"));
         let (tables, handles) = staged(&driver.comparer, &[&a, &b], 1);
-        driver.load(&tables, &BlockKey::new("blk"), handles);
+        driver.load(&tables, BLK, handles);
         let mut matches = Vec::new();
         driver.strip(&tables, 1, 0..1, false, |pair, score| {
             matches.push((pair, score))
@@ -699,7 +737,7 @@ mod tests {
         let mut driver = GroupComparer::new(comparer);
         for _ in 0..2 {
             let members = [handles[0], handles[2]];
-            driver.load(&tables, &BlockKey::new("blk"), members);
+            driver.load(&tables, BLK, members);
             driver.all_pairs(&tables, |pair, score| c.emit(pair, score));
         }
         assert_eq!(c.output().len(), 2);
@@ -709,12 +747,12 @@ mod tests {
     fn prepared_multipass_gate_skips_non_smallest_common_block() {
         let (a, b) = multipass_pair();
         let mut driver = GroupComparer::new(paper_comparer());
-        let c = all_pairs(&mut driver, &BlockKey::new("zzz"), &[&a, &b]);
+        let c = all_pairs(&mut driver, 2, &[&a, &b]);
         assert_eq!(c.counters().get(COMPARISONS), 0);
         assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 1);
         assert!(c.output().is_empty());
         // In their smallest common block the same two compare.
-        let c = all_pairs(&mut driver, &BlockKey::new("aaa"), &[&a, &b]);
+        let c = all_pairs(&mut driver, 0, &[&a, &b]);
         assert_eq!(c.counters().get(COMPARISONS), 1);
         assert_eq!(c.output().len(), 1);
     }
@@ -726,16 +764,16 @@ mod tests {
             [MatchPair::new(a.entity.entity_ref(), b.entity.entity_ref())].into();
         let comparer = paper_comparer().with_skip_pairs(Some(Arc::new(seen)));
         let mut c = ctx();
-        comparer.compare(&a, &b, &BlockKey::new("blk"), &mut c);
+        one_shot(&comparer, &a, &b, BLK, &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 0);
         assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 1);
         assert!(c.output().is_empty(), "a gated pair is never re-emitted");
         // A pair outside the set still compares — through both paths.
         let fresh = keyed(3, "abcdefghij");
-        comparer.compare(&a, &fresh, &BlockKey::new("blk"), &mut c);
+        one_shot(&comparer, &a, &fresh, BLK, &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 1);
         let mut driver = GroupComparer::new(comparer);
-        let c = all_pairs(&mut driver, &BlockKey::new("blk"), &[&a, &b, &fresh]);
+        let c = all_pairs(&mut driver, BLK, &[&a, &b, &fresh]);
         assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 1);
         assert_eq!(c.counters().get(COMPARISONS), 2);
         assert_eq!(c.output().len(), 2);
@@ -745,7 +783,7 @@ mod tests {
     fn multipass_gate_skips_non_smallest_common_block() {
         let (a, b) = multipass_pair();
         let mut c = ctx();
-        paper_comparer().compare(&a, &b, &BlockKey::new("zzz"), &mut c);
+        one_shot(&paper_comparer(), &a, &b, 2, &mut c);
         assert_eq!(c.counters().get(COMPARISONS), 0);
         assert_eq!(c.counters().get(MULTIPASS_SKIPPED), 1);
         assert!(c.output().is_empty());
@@ -755,17 +793,15 @@ mod tests {
     fn eviction_and_truncation_keep_the_columns_in_step() {
         let mut driver = GroupComparer::new(paper_comparer());
         let (a, b) = multipass_pair();
-        let plain: Vec<Keyed> = (10..14)
-            .map(|id| {
-                Keyed::single(
-                    BlockKey::new("aaa"),
-                    Arc::new(Entity::new(id, [("title", "same title")])),
-                )
+        let plain: Vec<Member> = (10..14)
+            .map(|id| Member {
+                entity: Arc::new(Entity::new(id, [("title", "same title")])),
+                keys: vec![0],
             })
             .collect();
         let members = [&a, &plain[0], &plain[1], &b, &plain[2]];
         let (tables, handles) = staged(&driver.comparer, &members, 3);
-        driver.load(&tables, &BlockKey::new("aaa"), handles[..4].iter().copied());
+        driver.load(&tables, 0, handles[..4].iter().copied());
         // The multi-key member at the front leaves: what remains of the
         // first three is single-key, and the strip takes the bulk path.
         driver.truncate(3);
@@ -815,22 +851,27 @@ mod tests {
         })
     }
 
+    /// Blocks `a < m < z`: the proptest's groups are compared under `m`.
+    const A: u32 = 0;
+    const M: u32 = 1;
+    const Z: u32 = 2;
+
     /// Member `id` of a group compared under block `m`.
-    fn member(id: u64, (source, keys, title_choice): MemberSpec) -> Keyed {
+    fn member(id: u64, (source, keys, title_choice): MemberSpec) -> Member {
         let mut attributes = vec![("brand", "acme corp".to_string())];
         attributes.extend(title(title_choice).map(|t| ("title", t)));
         let entity = Arc::new(Entity::with_source(SourceId(source), id, attributes));
-        let all = |keys: &[&str]| -> Arc<[BlockKey]> { keys.iter().map(BlockKey::new).collect() };
-        match keys {
+        let keys = match keys {
             // Single-pass blocking, keyed by the group's block.
-            0 => Keyed::single(BlockKey::new("m"), entity),
+            0 => vec![M],
             // Multi-pass: `m` is (1) or is not (2, 3) the smallest key.
-            1 => Keyed::replica(BlockKey::new("m"), all(&["m", "z"]), entity),
-            2 => Keyed::replica(BlockKey::new("m"), all(&["a", "m"]), entity),
-            3 => Keyed::replica(BlockKey::new("m"), all(&["a", "m", "z"]), entity),
+            1 => vec![M, Z],
+            2 => vec![A, M],
+            3 => vec![A, M, Z],
             // A member the framework should never have sent here.
-            _ => Keyed::single(BlockKey::new("a"), entity),
-        }
+            _ => vec![A],
+        };
+        Member { entity, keys }
     }
 
     /// A measure that is *not* symmetric, so a driver that swapped a
@@ -894,7 +935,7 @@ mod tests {
             tasks in 1usize..4,
         ) {
             let (single_pass, skips, skipped) = gates;
-            let members: Vec<Keyed> = (0u64..)
+            let members: Vec<Member> = (0u64..)
                 .zip(specs)
                 .map(|(id, (source, keys, title))| {
                     member(id, (source, if single_pass == 0 { 0 } else { keys }, title))
@@ -918,26 +959,25 @@ mod tests {
                 1 => (0..split).map(|i| (i, split..n, true)).collect(),
                 _ => (1..n).map(|j| (j, j.saturating_sub(window)..j, false)).collect(),
             };
-            let block = BlockKey::new("m");
 
             let mut expected = ctx();
             for (probe, partners, probe_first) in strips.clone() {
                 for partner in partners {
                     let (a, b) = ordered(probe_first, &members[probe], &members[partner]);
-                    comparer.compare(a, b, &block, &mut expected);
+                    one_shot(&comparer, a, b, M, &mut expected);
                 }
             }
 
-            let member_refs: Vec<&Keyed> = members.iter().collect();
+            let member_refs: Vec<&Member> = members.iter().collect();
             let (tables, handles) = staged(&comparer, &member_refs, tasks);
             let mut driver = GroupComparer::new(comparer);
             let mut got = ctx();
-            driver.load(&tables, &block, handles.iter().copied());
+            driver.load(&tables, M, handles.iter().copied());
             match kind {
                 0 => driver.all_pairs(&tables, |pair, score| got.emit(pair, score)),
                 1 => driver.cross(
                     &tables,
-                    &block,
+                    M,
                     handles[..split].iter().copied(),
                     handles[split..].iter().copied(),
                     |pair, score| got.emit(pair, score),

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use er_core::blocking::{BlockingFunction, PrefixBlocking};
+use er_core::blocking::{BlockKey, BlockingFunction, PrefixBlocking};
 use er_core::result::MatchPair;
 use er_core::{MatchResult, Matcher, SourceId};
 use mr_engine::engine::Job;
@@ -30,7 +30,7 @@ use crate::bdm_job::compute_bdm_in;
 use crate::block_split::block_split_job;
 use crate::compare::PairComparer;
 use crate::pair_range::{pair_range_job, RangePolicy};
-use crate::{Ent, Ranks, StrategyKind};
+use crate::{smallest_common_key_is, Ent, Ranks, StrategyKind};
 
 /// Configuration of one ER run: what [`run_er_in`] reads, and nothing
 /// else. How the stages run — spill threshold, fault policy and plan,
@@ -268,34 +268,26 @@ pub(crate) fn run_er_inline(input: Partitions<(), Ent>, config: &ErConfig) -> Er
 /// Reference implementation: per-block all-pairs matching with no
 /// MapReduce — the ground truth every strategy must reproduce exactly.
 pub fn naive_reference(entities: &[Ent], config: &ErConfig) -> MatchResult {
-    use std::collections::BTreeMap;
-    let mut blocks: BTreeMap<er_core::blocking::BlockKey, Vec<crate::Keyed>> = BTreeMap::new();
-    let mut replicas = Vec::new();
-    for e in entities {
-        crate::Keyed::derive_into(config.blocking.as_ref(), e, &mut replicas);
-    }
-    for keyed in replicas {
-        blocks.entry(keyed.key.clone()).or_default().push(keyed);
+    let keys: Vec<Vec<BlockKey>> = entities.iter().map(|e| config.blocking.keys(e)).collect();
+    let mut blocks: std::collections::BTreeMap<&BlockKey, Vec<usize>> = Default::default();
+    for (member, keys) in keys.iter().enumerate() {
+        for key in keys {
+            blocks.entry(key).or_default().push(member);
+        }
     }
     let mut result = MatchResult::new();
     // Prepared once per entity across *all* of its blocks (multi-pass
     // blocking replicates entities), via the memoizing cache.
     let mut cache = er_core::MatcherCache::new(Arc::clone(&config.matcher));
-    for (block_key, members) in &blocks {
-        for i in 0..members.len() {
-            for j in (i + 1)..members.len() {
-                let (a, b) = (&members[i], &members[j]);
-                if !a.should_compare_in(b, block_key) {
+    for (&block, members) in &blocks {
+        for (i, &a) in members.iter().enumerate() {
+            for &b in &members[i + 1..] {
+                if !smallest_common_key_is(&keys[a], &keys[b], block) {
                     continue;
                 }
-                if let Some(score) = cache.matches(&a.entity, &b.entity) {
-                    result.insert(
-                        er_core::result::MatchPair::new(
-                            a.entity.entity_ref(),
-                            b.entity.entity_ref(),
-                        ),
-                        score,
-                    );
+                let (a, b) = (&entities[a], &entities[b]);
+                if let Some(score) = cache.matches(a, b) {
+                    result.insert(MatchPair::new(a.entity_ref(), b.entity_ref()), score);
                 }
             }
         }

@@ -9,7 +9,7 @@
 //! The values are what the keys leave out of an entity: nothing but
 //! the [`PreparedHandle`] of its row in its map task's
 //! [`crate::compare::EntityTable`], which holds the entity's reference,
-//! key list and prepared form once per map task. What the paper
+//! sorted keys and prepared form once per map task. What the paper
 //! annotates an entity with travels elsewhere: the input partition is
 //! the handle's `arena` (a match stage's map task reads the partition
 //! of its own index), the partition's source is

@@ -22,6 +22,13 @@
 //!    * [`pair_range`] — Algorithm 2: enumerate all comparison pairs
 //!      globally and give each reduce task an equal range.
 //!
+//! Keys are derived once, by the BDM job's mappers
+//! ([`er_core::blocking::BlockingFunction::write_keys`]); past it a
+//! block is its number in the matrix, which follows key order:
+//! BlockSplit and PairRange route on it, and their match stages keep
+//! an entity's block numbers for the multi-pass gate ([`compare`]).
+//! Basic, which has no matrix, shuffles and keeps the keys.
+//!
 //! Linkage between two sources (Appendix I) is the same three
 //! strategies over a source-tagged BDM, which counts a block's pairs
 //! as `|Φ_k,R|·|Φ_k,S|` ([`bdm::BlockDistributionMatrix::with_sources`]);
@@ -54,7 +61,6 @@ pub mod two_source;
 
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use er_core::Entity;
 
 pub use analysis::{analyze, StrategyWorkload};
@@ -72,28 +78,6 @@ pub const COMPARISONS: &str = "er.comparisons";
 /// Replication (BlockSplit emits split-block entities `m` times) then
 /// clones a pointer, not the record.
 pub type Ent = Arc<Entity>;
-
-/// Every blocking key of one entity, sorted; derefs to `[BlockKey]`.
-/// Single-pass blocking — nearly every entity — holds its one key
-/// inline instead of allocating a shared list for it.
-#[derive(Debug, Clone)]
-pub enum KeyList {
-    /// The entity's only key.
-    One(BlockKey),
-    /// The keys of a multi-pass-blocked entity, shared by its replicas.
-    Many(Arc<[BlockKey]>),
-}
-
-impl std::ops::Deref for KeyList {
-    type Target = [BlockKey];
-
-    fn deref(&self) -> &[BlockKey] {
-        match self {
-            KeyList::One(key) => std::slice::from_ref(key),
-            KeyList::Many(keys) => keys,
-        }
-    }
-}
 
 /// The ranks of one entity's blocking keys among the distinct keys of
 /// its input partition, ascending; derefs to `[u32]`. Ranks follow the
@@ -139,98 +123,17 @@ impl From<&[u32]> for Ranks {
 /// block is shared with no other entity.
 pub type RankedEntity = (Ranks, Ent);
 
-/// An entity annotated with one of its blocking keys — a *replica*:
-/// what Basic's mapper routes, the naive reference groups and
-/// [`compare::PairComparer::compare`] gates.
-///
-/// `all_keys` carries every blocking key of the entity (length 1 for
-/// single-pass blocking). Multi-pass blocking replicates the entity
-/// into several blocks; reducers then compare a pair only in its
-/// lexicographically smallest common block so results stay duplicate
-/// free (see [`multipass`]).
-#[derive(Debug, Clone)]
-pub struct Keyed {
-    /// The blocking key of this replica (∈ `all_keys`).
-    pub key: BlockKey,
-    /// All blocking keys of the entity, sorted.
-    pub all_keys: KeyList,
-    /// The entity itself.
-    pub entity: Ent,
-}
-
-impl Keyed {
-    /// Annotates an entity with a single blocking key.
-    pub fn single(key: BlockKey, entity: Ent) -> Self {
-        Keyed {
-            all_keys: KeyList::One(key.clone()),
-            key,
-            entity,
-        }
-    }
-
-    /// Derives every blocking key of `entity` (sorted, deduplicated)
-    /// and pushes one annotated replica per key onto `out` — the
-    /// shared first step of the Basic mapper, the BDM mapper and the
-    /// naive reference. Returns the number pushed: zero for a keyless
-    /// entity, which callers must count (never drop silently).
-    pub fn derive_into(
-        blocking: &dyn er_core::blocking::BlockingFunction,
-        entity: &Ent,
-        out: &mut Vec<Keyed>,
-    ) -> usize {
-        let mut keys = blocking.keys(entity);
-        if keys.len() <= 1 {
-            // Single-pass blocking, i.e. nearly every entity: nothing
-            // to sort, no shared key list to build.
-            let only = keys.pop().map(|key| Keyed::single(key, Arc::clone(entity)));
-            let pushed = usize::from(only.is_some());
-            out.extend(only);
-            return pushed;
-        }
-        keys.sort();
-        keys.dedup();
-        let all: Arc<[BlockKey]> = Arc::from(keys);
-        out.extend(all.iter().map(|key| Keyed {
-            key: key.clone(),
-            all_keys: KeyList::Many(Arc::clone(&all)),
-            entity: Arc::clone(entity),
-        }));
-        all.len()
-    }
-
-    /// Annotates one replica of a multi-pass-blocked entity.
-    ///
-    /// # Panics
-    /// If `key` is not contained in `all_keys`.
-    pub fn replica(key: BlockKey, all_keys: Arc<[BlockKey]>, entity: Ent) -> Self {
-        assert!(
-            all_keys.contains(&key),
-            "replica key {key} missing from the entity's key set"
-        );
-        Keyed {
-            key,
-            all_keys: KeyList::Many(all_keys),
-            entity,
-        }
-    }
-
-    /// True iff this pair should be compared in `current` block: the
-    /// smallest common key of the two entities must be `current`
-    /// (trivially true for single-pass blocking).
-    pub fn should_compare_in(&self, other: &Keyed, current: &BlockKey) -> bool {
-        smallest_common_key_is(&self.all_keys, &other.all_keys, current)
-    }
-}
-
 /// True iff the smallest key the sorted key lists `a` and `b` share is
-/// `current` — the smallest-common-block rule behind
-/// [`Keyed::should_compare_in`], on bare key lists.
+/// `current` — the smallest-common-block rule of multi-pass blocking
+/// (see [`multipass`]), on any ordered key: block indices of a
+/// [`BlockDistributionMatrix`], which numbers its blocks in key order,
+/// or the keys themselves.
 ///
 /// A key two entities share is held by at least two entities, so
 /// dropping from either list the keys no other entity holds — what a
-/// match stage's entity tables do, reading keys only of blocks in the
-/// matrix — leaves every answer unchanged.
-pub(crate) fn smallest_common_key_is(a: &[BlockKey], b: &[BlockKey], current: &BlockKey) -> bool {
+/// match stage's entity tables do, holding only blocks of the matrix —
+/// leaves every answer unchanged.
+pub(crate) fn smallest_common_key_is<K: Ord>(a: &[K], b: &[K], current: &K) -> bool {
     if let ([a], [b]) = (a, b) {
         // Single-pass blocking, i.e. nearly every pair evaluated.
         return a == b && a == current;
@@ -276,86 +179,77 @@ impl std::fmt::Display for StrategyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn keyed(keys: &[&str], replica: &str) -> Keyed {
-        let all: Vec<BlockKey> = keys.iter().map(BlockKey::new).collect();
-        Keyed::replica(
-            BlockKey::new(replica),
-            Arc::from(all.into_boxed_slice()),
-            Arc::new(Entity::new(1, [("title", "t")])),
-        )
-    }
+    use er_core::blocking::BlockKey;
 
     #[test]
     fn single_key_always_compares_in_its_block() {
-        let a = Keyed::single(BlockKey::new("abc"), Arc::new(Entity::new(1, [("t", "x")])));
-        let b = Keyed::single(BlockKey::new("abc"), Arc::new(Entity::new(2, [("t", "y")])));
-        assert!(a.should_compare_in(&b, &BlockKey::new("abc")));
+        assert!(smallest_common_key_is(&["abc"], &["abc"], &"abc"));
+        assert!(smallest_common_key_is(&[7u32], &[7], &7));
     }
 
     #[test]
     fn multipass_compares_only_in_smallest_common_block() {
-        let a = keyed(&["aaa", "mmm"], "mmm");
-        let b = keyed(&["aaa", "mmm", "zzz"], "mmm");
-        assert!(a.should_compare_in(&b, &BlockKey::new("aaa")));
-        assert!(!a.should_compare_in(&b, &BlockKey::new("mmm")));
-        assert!(!a.should_compare_in(&b, &BlockKey::new("zzz")));
+        let (a, b) = (["aaa", "mmm"], ["aaa", "mmm", "zzz"]);
+        assert!(smallest_common_key_is(&a, &b, &"aaa"));
+        assert!(!smallest_common_key_is(&a, &b, &"mmm"));
+        assert!(!smallest_common_key_is(&a, &b, &"zzz"));
     }
 
     #[test]
     fn disjoint_key_sets_never_compare() {
-        let a = keyed(&["aaa"], "aaa");
-        let b = keyed(&["bbb"], "bbb");
-        assert!(!a.should_compare_in(&b, &BlockKey::new("aaa")));
+        assert!(!smallest_common_key_is(&["aaa"], &["bbb"], &"aaa"));
+        assert!(!smallest_common_key_is(&[0u32, 2], &[1, 3], &0));
     }
 
+    /// Every pair of non-empty key sets over a four-key alphabet, in
+    /// each block either entity is in and under a key neither holds:
+    /// the gate on the block indices of the matrix the two make — with
+    /// or without a third entity that holds every key, so with or
+    /// without their unshared keys pruned — and the gate on the keys
+    /// both decide as the rule's definition does.
     #[test]
-    #[should_panic(expected = "missing from the entity's key set")]
-    fn replica_key_must_be_member() {
-        let _ = keyed(&["aaa"], "zzz");
-    }
-
-    #[test]
-    fn derive_into_appends_one_replica_per_distinct_key() {
-        use er_core::blocking::{AttributeBlocking, MultiPassBlocking, PrefixBlocking};
-        let two_pass = MultiPassBlocking::new(vec![
-            Arc::new(AttributeBlocking::new("brand")),
-            Arc::new(PrefixBlocking::new("title", 1)),
-        ]);
-        let entity = |attributes: &[(&str, &str)]| -> Ent {
-            Arc::new(Entity::new(1, attributes.iter().copied()))
-        };
-        let mut out = Vec::new();
-        assert_eq!(
-            Keyed::derive_into(
-                &two_pass,
-                &entity(&[("title", "w x"), ("brand", "z")]),
-                &mut out
-            ),
-            2
-        );
-        assert_eq!(
-            Keyed::derive_into(&two_pass, &entity(&[("name", "keyless")]), &mut out),
-            0
-        );
-        assert_eq!(
-            Keyed::derive_into(&two_pass, &entity(&[("brand", "a")]), &mut out),
-            1
-        );
-        let keys = |keyed: &Keyed| -> Vec<String> {
-            keyed.all_keys.iter().map(|k| k.to_string()).collect()
-        };
-        let seen: Vec<(String, Vec<String>)> =
-            out.iter().map(|k| (k.key.to_string(), keys(k))).collect();
-        let both = vec!["w".to_string(), "z".to_string()];
-        assert_eq!(
-            seen,
-            vec![
-                ("w".to_string(), both.clone()),
-                ("z".to_string(), both),
-                ("a".to_string(), vec!["a".to_string()]),
-            ]
-        );
+    fn smallest_common_key_on_block_indices_equals_the_text_gate() {
+        const ALPHABET: [&str; 4] = ["a", "ab", "b", "z"];
+        let subsets: Vec<Vec<BlockKey>> = (1u32..16)
+            .map(|bits| {
+                (0..4)
+                    .filter(|i| bits >> i & 1 == 1)
+                    .map(|i| BlockKey::new(ALPHABET[i]))
+                    .collect()
+            })
+            .collect();
+        let everything: Vec<BlockKey> = ALPHABET.iter().map(BlockKey::new).collect();
+        let neither = BlockKey::new("q");
+        for third in [None, Some(&everything)] {
+            for a in &subsets {
+                for b in &subsets {
+                    let mut partitions = vec![a.clone(), b.clone()];
+                    partitions.extend(third.cloned());
+                    let bdm = BlockDistributionMatrix::from_key_partitions(&partitions);
+                    let blocks = |keys: &[BlockKey]| -> Vec<u32> {
+                        keys.iter().filter_map(|key| bdm.block_index(key)).collect()
+                    };
+                    let (a_blocks, b_blocks) = (blocks(a), blocks(b));
+                    let smallest_shared = a.iter().find(|key| b.contains(key));
+                    for current in a.iter().chain(b).chain([&neither]) {
+                        let expected = smallest_shared == Some(current);
+                        // A key without a block keys no group: stand in
+                        // an index no entity holds.
+                        let block = bdm.block_index(current).unwrap_or(bdm.num_blocks() as u32);
+                        assert_eq!(
+                            smallest_common_key_is(&a_blocks, &b_blocks, &block),
+                            expected,
+                            "blocks {a_blocks:?} / {b_blocks:?} in {block} ({a:?} / {b:?} in {current})"
+                        );
+                        assert_eq!(
+                            smallest_common_key_is(a, b, current),
+                            expected,
+                            "{a:?} / {b:?} in {current}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Lists over a six-key alphabet: each entity's sorted, distinct

@@ -7,14 +7,16 @@
 //! emitted) once per shared block. The classic remedy — applied here —
 //! is the *smallest common block* rule: a pair is evaluated only in
 //! the lexicographically smallest block both entities belong to. The
-//! rule needs each entity's shared keys at comparison time: Basic's
-//! [`crate::Keyed`] replicas carry `all_keys`, BlockSplit and PairRange
-//! read an entity's ranks and take the keys of its blocks that have a
-//! pair from the matrix ([`crate::BlockDistributionMatrix::live_blocks`]
-//! — a key of a pruned block is held by no other entity, so it is never
-//! a shared one), and a match stage's
-//! [`crate::compare::EntityTable`] keeps the list, once per entity and
-//! map task, for the reducers; the check lives in
+//! rule needs each entity's shared keys at comparison time, sorted: a
+//! match stage's [`crate::compare::EntityTable`] keeps them, once per
+//! entity and map task, for the reducers. Basic's mapper keeps the
+//! keys themselves ([`er_core::blocking::BlockingFunction::keys`]);
+//! BlockSplit and PairRange read an entity's ranks and keep the
+//! indices of its blocks that have a pair
+//! ([`crate::BlockDistributionMatrix::live_blocks`]) — the matrix
+//! numbers its blocks in key order, so the smallest common index is
+//! the smallest common key, and a key of a pruned block is held by no
+//! other entity, so it is never a shared one. The check lives in
 //! [`crate::compare::PairComparer`] and therefore applies uniformly to
 //! Basic, BlockSplit and PairRange (one- and two-source).
 //!

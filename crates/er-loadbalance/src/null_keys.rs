@@ -59,7 +59,7 @@ pub fn split_by_key(input: &Partitions<(), Ent>, blocking: &dyn BlockingFunction
         let mut k = Vec::new();
         let mut n = Vec::new();
         for ((), e) in partition {
-            if blocking.keys(e).is_empty() {
+            if blocking.key(e).is_none() {
                 n.push(((), Arc::clone(e)));
             } else {
                 k.push(((), Arc::clone(e)));

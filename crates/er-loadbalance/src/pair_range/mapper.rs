@@ -217,12 +217,8 @@ impl Mapper for PairRangeMapper {
     ) {
         let state = self.state.as_mut().expect("setup ran");
         // A pruned block has no pair, hence no range to go to.
-        let Some(keys) = self
-            .bdm
-            .live_blocks(state.partition, ranks, &mut self.blocks)
-        else {
-            return;
-        };
+        self.bdm
+            .live_blocks(state.partition, ranks, &mut self.blocks);
         let source = state.source;
         for &block in &self.blocks {
             let x = state.indexer.next(block as usize);
@@ -238,7 +234,7 @@ impl Mapper for PairRangeMapper {
                             source,
                             index: x,
                         },
-                        interner.intern(entity, &keys),
+                        interner.intern(entity, &self.blocks),
                     );
                 }
             };
@@ -260,7 +256,6 @@ mod tests {
     use super::*;
     use crate::bdm::running_example_bdm;
     use crate::running_example;
-    use er_core::blocking::BlockKey;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -301,7 +296,7 @@ mod tests {
                 sizes
                     .iter()
                     .enumerate()
-                    .map(|(k, &n)| (BlockKey::new(format!("b{k}")), 0, n)),
+                    .map(|(k, &n)| (format!("b{k}").as_str().into(), 0, n)),
             );
             let ranges = RangeIndexer::new(bdm.total_pairs(), r, policy);
             for block in 0..bdm.num_blocks() {
@@ -329,7 +324,7 @@ mod tests {
         for n in 2u64..=14 {
             let bdm = BlockDistributionMatrix::from_counts(
                 1,
-                vec![(BlockKey::new("a"), 0, 3), (BlockKey::new("b"), 0, n)],
+                vec![("a".into(), 0, 3), ("b".into(), 0, n)],
             );
             for r in 1..=bdm.total_pairs() as usize + 3 {
                 for policy in [RangePolicy::CeilDiv, RangePolicy::Proportional] {

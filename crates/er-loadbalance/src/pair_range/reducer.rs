@@ -150,7 +150,7 @@ impl Reducer for PairRangeReducer {
         let span = ranges.span(u64::from(key.range));
         let tables = group.products();
         let driver = &mut self.driver;
-        driver.load(tables, self.bdm.key(block), group.values().copied());
+        driver.load(tables, key.block, group.values().copied());
         self.indexes.clear();
         self.indexes.extend(group.iter().map(|(key, _)| key.index));
         let offset = self.bdm.pair_offset(block);
@@ -217,8 +217,7 @@ mod tests {
     use super::*;
     use crate::compare::EntityInterner;
     use crate::pair_range::mapper::relevant_ranges;
-    use crate::{KeyList, COMPARISONS};
-    use er_core::blocking::BlockKey;
+    use crate::COMPARISONS;
     use er_core::{Entity, Matcher};
     use mr_engine::reducer::ReduceTaskInfo;
 
@@ -234,11 +233,6 @@ mod tests {
         block: u32,
         indices: impl IntoIterator<Item = u64>,
     ) -> (Vec<(PairRangeKey, PairRangeValue)>, [EntityTable; 1]) {
-        let keys = KeyList::One(
-            crate::bdm::running_example_bdm()
-                .key(block as usize)
-                .clone(),
-        );
         let mut interner = EntityInterner::new(&comparer());
         let entries = indices
             .into_iter()
@@ -250,7 +244,7 @@ mod tests {
                     source: SourceId::R,
                     index,
                 };
-                (key, interner.intern(&entity, &keys))
+                (key, interner.intern(&entity, &[block]))
             })
             .collect();
         (entries, [interner.into_table()])
@@ -278,7 +272,7 @@ mod tests {
     /// every probe — and every pair evaluated exactly once.
     #[test]
     fn slices_equal_the_per_pair_walk() {
-        let block = |k: usize| BlockKey::new(format!("b{k}"));
+        let block = |k: usize| format!("b{k}").as_str().into();
         // Blocks of 5, 1, 9 and 3 entities: P = 10 + 0 + 36 + 3 = 49;
         // the matrix leaves the pair-less one out.
         let one_source = BlockDistributionMatrix::from_counts(

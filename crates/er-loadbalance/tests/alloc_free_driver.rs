@@ -13,10 +13,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use er_core::{Entity, Matcher, PreparedHandle};
 use er_loadbalance::compare::{EntityInterner, EntityTable, GroupComparer, PairComparer};
-use er_loadbalance::{Ent, KeyList};
+use er_loadbalance::Ent;
 use mr_engine::mapper::MapTaskInfo;
 
 /// Counts every allocation routed through the global allocator.
@@ -45,8 +44,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn a_warm_driver_allocates_nothing_per_group() {
-    let block = BlockKey::new("can");
-    let keys = KeyList::One(block.clone());
+    let block = 3;
     let members: Vec<Ent> = (0..40u64)
         .map(|id| {
             let title = format!("canon eos {}d mark {} body kit", id % 7, id % 3);
@@ -68,7 +66,7 @@ fn a_warm_driver_allocates_nothing_per_group() {
                 num_reduce_tasks: 1,
             };
             interner.setup(&info);
-            handles.extend(half.iter().map(|entity| interner.intern(entity, &keys)));
+            handles.extend(half.iter().map(|entity| interner.intern(entity, &[block])));
             interner.into_table()
         })
         .collect();
@@ -80,12 +78,12 @@ fn a_warm_driver_allocates_nothing_per_group() {
         let (first, second) = handles.split_at(n / 2);
         driver.cross(
             &tables,
-            &block,
+            block,
             first.iter().copied(),
             second.iter().copied(),
             |_, _| *matches += 1,
         );
-        driver.load(&tables, &block, handles.iter().copied());
+        driver.load(&tables, block, handles.iter().copied());
         driver.all_pairs(&tables, |_, _| *matches += 1);
         for next in 1..n {
             driver.strip(

@@ -21,6 +21,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use er_core::blocking::BlockingFunction;
 use er_core::result::MatchPair;
 use er_core::{MatchResult, Matcher, MatcherCache, SourceId};
 use er_loadbalance::bdm_job::compute_bdm_named_in;
@@ -289,18 +290,17 @@ pub fn lsh_candidate_pairs(
     blocking: &LshBlocking,
     cross_source_only: bool,
 ) -> BTreeSet<MatchPair> {
-    let keys: Vec<Option<Vec<er_core::blocking::BlockKey>>> = entities
-        .iter()
-        .map(|e| blocking.signature(e).map(|sig| blocking.band_keys_of(&sig)))
-        .collect();
+    let keys: Vec<_> = entities.iter().map(|e| blocking.keys(e)).collect();
     let mut candidates = BTreeSet::new();
     for i in 0..entities.len() {
-        let Some(a) = &keys[i] else { continue };
+        let a = &keys[i];
         for j in (i + 1)..entities.len() {
-            let Some(b) = &keys[j] else { continue };
+            let b = &keys[j];
             if cross_source_only && entities[i].source() == entities[j].source() {
                 continue;
             }
+            // Sorted, band keys fall in one band order for every
+            // entity: a key's `b<band>:` prefix decides it.
             if a.iter().zip(b).any(|(ka, kb)| ka == kb) {
                 candidates.insert(MatchPair::new(
                     entities[i].entity_ref(),

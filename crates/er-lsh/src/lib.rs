@@ -17,10 +17,10 @@
 //!   bands) are split into balanced sub-tasks exactly as the paper
 //!   splits skewed blocks;
 //! * **cross-band dedup is free**: the candidate job's map task keeps
-//!   each entity's live band keys — those of its buckets that have a
-//!   pair, read from the matrix — in its entity table, and the
-//!   reducers' smallest-common-block gate
-//!   ([`er_loadbalance::Keyed::should_compare_in`]) evaluates a pair
+//!   each entity's live buckets — the matrix's indices of its buckets
+//!   that have a pair, which it numbers in key order — in its entity
+//!   table, and the reducers' smallest-common-block gate
+//!   ([`er_loadbalance::compare::GroupComparer`]) evaluates a pair
 //!   only in its lexicographically smallest shared band — the
 //!   smallest-band-wins analogue of multi-pass blocking, counted
 //!   under [`er_loadbalance::compare::MULTIPASS_SKIPPED`]. A band key
@@ -40,7 +40,7 @@
 
 pub mod driver;
 
-use er_core::blocking::{BlockKey, BlockingFunction, KeyText};
+use er_core::blocking::{BlockingFunction, KeyText};
 use er_core::minhash::{band_hash, banding_probability, MinHasher, ShingleScheme};
 use er_core::Entity;
 
@@ -141,20 +141,6 @@ impl LshBlocking {
         let text = entity.get(&self.attribute)?;
         self.hasher.text_signature(text, self.scheme)
     }
-
-    /// The band keys of a signature: one per band, zero-padded so the
-    /// lexicographic key order groups by band index first.
-    pub fn band_keys_of(&self, signature: &[u64]) -> Vec<BlockKey> {
-        (0..self.params.bands)
-            .map(|band| self.band_key_of(signature, band, |key| BlockKey::new(key)))
-            .collect()
-    }
-
-    /// The text of band `band`'s key of a signature, handed to
-    /// `use_key` — what `key`, `keys` and `write_keys` all build.
-    fn band_key_of<R>(&self, signature: &[u64], band: usize, use_key: impl FnOnce(&str) -> R) -> R {
-        band_key(band, band_hash(signature, band, self.params.rows), use_key)
-    }
 }
 
 /// The key text `b<band>:<digest>` — `format!("b{band:03}:{digest:016x}")`
@@ -186,25 +172,15 @@ fn band_key<R>(band: usize, digest: u64, use_key: impl FnOnce(&str) -> R) -> R {
 }
 
 impl BlockingFunction for LshBlocking {
-    /// The band-0 key.
-    fn key(&self, entity: &Entity) -> Option<BlockKey> {
-        Some(self.band_key_of(&self.signature(entity)?, 0, |key| BlockKey::new(key)))
-    }
-
-    fn keys(&self, entity: &Entity) -> Vec<BlockKey> {
-        match self.signature(entity) {
-            Some(sig) => self.band_keys_of(&sig),
-            None => Vec::new(),
-        }
-    }
-
-    /// The band keys in band order — strictly increasing below band
-    /// 1000, so the BDM job's mapper need not sort them — written
-    /// straight into `out`: the signature is the one allocation.
+    /// The band keys in band order, band 0's first — strictly
+    /// increasing below band 1000, so the BDM job's mapper need not
+    /// sort them — written straight into `out`: the signature is the
+    /// one allocation.
     fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
         if let Some(signature) = self.signature(entity) {
             for band in 0..self.params.bands {
-                self.band_key_of(&signature, band, |key| out.push(key));
+                let digest = band_hash(&signature, band, self.params.rows);
+                band_key(band, digest, |key| out.push(key));
             }
         }
     }
@@ -213,6 +189,7 @@ impl BlockingFunction for LshBlocking {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use er_core::blocking::BlockKey;
     use er_core::minhash::shingle_hashes;
 
     fn entity(id: u64, title: &str) -> Entity {

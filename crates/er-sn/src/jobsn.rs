@@ -28,10 +28,10 @@ use std::sync::Arc;
 use er_core::result::MatchPair;
 use er_loadbalance::compare::{EntityInterner, EntityTable, GroupComparer, PairComparer};
 use er_loadbalance::keys::key_index;
-use er_loadbalance::{Ent, KeyList};
+use er_loadbalance::Ent;
 use mr_engine::prelude::*;
 
-use crate::keys::{bottom_keys, BoundaryKey, BoundarySide, SnEntity, SnKey, SnRanges};
+use crate::keys::{BoundaryKey, BoundarySide, SnEntity, SnKey, SnRanges, SN_BLOCK};
 use crate::window::WindowBuffer;
 use crate::PARTITION_ENTITIES;
 
@@ -43,8 +43,6 @@ pub struct SnMapper {
     /// The key ranges over positions.
     ranges: Arc<SnRanges>,
     interner: EntityInterner,
-    /// The key list every entity is interned with.
-    keys: KeyList,
 }
 
 impl SnMapper {
@@ -54,7 +52,6 @@ impl SnMapper {
         Self {
             ranges,
             interner: EntityInterner::new(comparer),
-            keys: bottom_keys(),
         }
     }
 }
@@ -69,12 +66,11 @@ impl Mapper for SnMapper {
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.interner.setup(info);
-        self.keys = bottom_keys();
     }
 
     fn map(&mut self, position: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
         let partition = key_index(self.ranges.partition_of(*position), "range partition index");
-        let prepared = self.interner.intern(entity, &self.keys);
+        let prepared = self.interner.intern(entity, &[SN_BLOCK]);
         ctx.emit(
             SnKey {
                 partition,
@@ -393,8 +389,8 @@ impl StitchReducer {
     /// Creates the reducer.
     pub fn new(comparer: PairComparer, window: usize) -> Self {
         let mut driver = GroupComparer::new(comparer);
-        // All SN comparisons run under the constant `⊥` block key.
-        driver.begin(&er_core::blocking::BlockKey::bottom());
+        // All SN comparisons run under the one window block.
+        driver.begin(SN_BLOCK);
         Self {
             driver,
             window,
@@ -447,8 +443,6 @@ impl Reducer for StitchReducer {
 #[derive(Clone)]
 pub struct BoundaryMapper {
     interner: EntityInterner,
-    /// The key list every candidate is interned with.
-    keys: KeyList,
 }
 
 impl BoundaryMapper {
@@ -456,7 +450,6 @@ impl BoundaryMapper {
     pub fn new(comparer: &PairComparer) -> Self {
         Self {
             interner: EntityInterner::new(comparer),
-            keys: bottom_keys(),
         }
     }
 }
@@ -471,7 +464,6 @@ impl Mapper for BoundaryMapper {
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.interner.setup(info);
-        self.keys = bottom_keys();
     }
 
     fn map(
@@ -480,7 +472,7 @@ impl Mapper for BoundaryMapper {
         entity: &Ent,
         ctx: &mut MapContext<BoundaryKey, SnEntity, ()>,
     ) {
-        let prepared = self.interner.intern(entity, &self.keys);
+        let prepared = self.interner.intern(entity, &[SN_BLOCK]);
         ctx.emit(*key, SnEntity::original(Arc::clone(entity), prepared));
     }
 

@@ -11,9 +11,8 @@
 //! it. The stitch job of JobSN routes on the boundary index and sorts
 //! candidates left-side-first by distance from the boundary.
 
-use er_core::blocking::BlockKey;
 use er_core::PreparedHandle;
-use er_loadbalance::{Ent, KeyList};
+use er_loadbalance::Ent;
 use mr_engine::comparator::{by_projection, KeyCmp};
 use mr_engine::partitioner::FnPartitioner;
 
@@ -142,11 +141,11 @@ fn pairs_before(k: u64, reach: u64) -> u128 {
 /// in-map boundary replication; always `false` under JobSN) and the
 /// entity itself, which JobSN publishes as a boundary candidate.
 ///
-/// The row's key list is the constant `⊥` block key ([`bottom_keys`])
-/// that every window compares under, so the sliding window reuses the
-/// prepared-entity comparison path
-/// ([`er_loadbalance::compare::GroupComparer`]) unchanged — under a
-/// single constant key the multi-pass gate is trivially open.
+/// The row's key list is the one block every window compares under
+/// ([`SN_BLOCK`]), so the sliding window reuses the prepared-entity
+/// comparison path ([`er_loadbalance::compare::GroupComparer`])
+/// unchanged — under a single constant block the multi-pass gate is
+/// trivially open.
 #[derive(Debug, Clone)]
 pub struct SnEntity {
     /// The entity.
@@ -231,12 +230,9 @@ impl std::fmt::Display for BoundaryKey {
     }
 }
 
-/// The key list an SN map task interns every entity with: the constant
-/// `⊥` block key its windows compare under. Made once per map task,
-/// so the tasks share no reference count.
-pub fn bottom_keys() -> KeyList {
-    KeyList::One(BlockKey::bottom())
-}
+/// The one block every Sorted Neighborhood window compares under: an
+/// SN map task interns each entity with the key list `[SN_BLOCK]`.
+pub const SN_BLOCK: u32 = 0;
 
 /// Test support: the entities of `entries` as one map task emits them
 /// for `comparer` — originals with their handles — and the stage's
@@ -250,11 +246,10 @@ pub(crate) fn staged<K>(
     Vec<er_loadbalance::compare::EntityTable>,
 ) {
     let mut interner = er_loadbalance::compare::EntityInterner::new(comparer);
-    let keys = bottom_keys();
     let entries = entries
         .into_iter()
         .map(|(key, entity)| {
-            let prepared = interner.intern(&entity, &keys);
+            let prepared = interner.intern(&entity, &[SN_BLOCK]);
             (key, SnEntity::original(entity, prepared))
         })
         .collect();
@@ -444,13 +439,11 @@ mod tests {
         assert!(!original.replica);
         assert!(replica.replica);
         assert_eq!(original.entity.id().0, 1);
-        // Rows keyed by `⊥` alone keep the multi-pass gate open.
+        // Rows in the one window block alone keep the multi-pass gate
+        // open.
         for value in [&original, &replica] {
             let row = value.prepared;
-            assert_eq!(
-                tables[row.arena as usize].keys(row.id),
-                [BlockKey::bottom()]
-            );
+            assert_eq!(tables[row.arena as usize].keys(row.id), [SN_BLOCK]);
         }
     }
 

@@ -26,10 +26,10 @@ use std::sync::Arc;
 use er_core::result::MatchPair;
 use er_loadbalance::compare::{EntityInterner, EntityTable, PairComparer};
 use er_loadbalance::keys::key_index;
-use er_loadbalance::{Ent, KeyList};
+use er_loadbalance::Ent;
 use mr_engine::prelude::*;
 
-use crate::keys::{bottom_keys, SnEntity, SnKey, SnRanges};
+use crate::keys::{SnEntity, SnKey, SnRanges, SN_BLOCK};
 use crate::window::WindowBuffer;
 use crate::{PARTITION_ENTITIES, REPLICAS};
 
@@ -44,8 +44,6 @@ pub struct RepSnMapper {
     /// `w − 1`: how far before a range's start its replicas reach.
     reach: u64,
     interner: EntityInterner,
-    /// The key list every entity is interned with.
-    keys: KeyList,
 }
 
 impl RepSnMapper {
@@ -56,7 +54,6 @@ impl RepSnMapper {
             ranges,
             reach: u64::try_from(window - 1).unwrap_or(u64::MAX),
             interner: EntityInterner::new(comparer),
-            keys: bottom_keys(),
         }
     }
 }
@@ -71,13 +68,12 @@ impl Mapper for RepSnMapper {
 
     fn setup(&mut self, info: &MapTaskInfo) {
         self.interner.setup(info);
-        self.keys = bottom_keys();
     }
 
     fn map(&mut self, position: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
         let position = *position;
         let partition = self.ranges.partition_of(position);
-        let prepared = self.interner.intern(entity, &self.keys);
+        let prepared = self.interner.intern(entity, &[SN_BLOCK]);
         ctx.emit(
             SnKey {
                 partition: key_index(partition, "range partition index"),

@@ -22,20 +22,19 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use er_core::blocking::BlockKey;
 use er_core::result::MatchPair;
 use er_loadbalance::compare::{EntityTable, GroupComparer, PairComparer};
 use er_loadbalance::Ent;
 use mr_engine::reducer::ReduceContext;
 
-use crate::keys::SnEntity;
+use crate::keys::{SnEntity, SN_BLOCK};
 
 /// The `w − 1` most recent entities, as the tail of a compare driver's
 /// columns. Forgetting is amortized: the columns grow to twice the
 /// ring before their stale front is dropped in one move.
 #[derive(Debug, Clone)]
 pub struct WindowBuffer {
-    /// All SN comparisons run under the constant `⊥` block key.
+    /// All SN comparisons run under the one window block.
     driver: GroupComparer,
     /// The entity behind each driver row.
     entities: Vec<Ent>,
@@ -53,7 +52,7 @@ impl WindowBuffer {
     pub fn new(comparer: PairComparer, window: usize) -> Self {
         assert!(window >= 2, "a sliding window must span at least 2 slots");
         let mut driver = GroupComparer::new(comparer);
-        driver.begin(&BlockKey::bottom());
+        driver.begin(SN_BLOCK);
         let capacity = window - 1;
         Self {
             driver,

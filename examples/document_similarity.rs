@@ -121,11 +121,10 @@ impl AttributeBlockingFirstWord {
 }
 
 impl BlockingFunction for AttributeBlockingFirstWord {
-    fn key(&self, entity: &Entity) -> Option<BlockKey> {
-        entity
-            .get(&self.attribute)?
-            .split_whitespace()
-            .next()
-            .map(BlockKey::new)
+    fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
+        let text = entity.get(&self.attribute).unwrap_or_default();
+        if let Some(word) = text.split_whitespace().next() {
+            out.push(word);
+        }
     }
 }

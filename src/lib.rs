@@ -91,8 +91,8 @@ pub mod prelude {
         ConfigError, Outcome, ResolveError, Resolver, Scenario, ScenarioDetails, SourceTagError,
     };
     pub use er_core::blocking::{
-        AttributeBlocking, BlockKey, BlockingFunction, ConstantBlocking, MultiPassBlocking,
-        PrefixBlocking,
+        AttributeBlocking, BlockKey, BlockingFunction, ConstantBlocking, KeyText,
+        MultiPassBlocking, PrefixBlocking,
     };
     pub use er_core::sortkey::{AttributeSortKey, ReversedSortKey, SortKey, SortKeyFunction};
     pub use er_core::{
@@ -103,7 +103,7 @@ pub mod prelude {
     pub use er_loadbalance::null_keys::{deduplicate_with_null_keys, link_with_null_keys};
     pub use er_loadbalance::two_source::two_source_input;
     pub use er_loadbalance::{
-        BlockDistributionMatrix, Ent, Keyed, RangePolicy, StrategyKind, WorkloadStats, COMPARISONS,
+        BlockDistributionMatrix, Ent, RangePolicy, StrategyKind, WorkloadStats, COMPARISONS,
     };
     pub use er_lsh::{
         lsh_candidate_pairs, lsh_oracle, LshBlocking, LshConfig, LshParams, LshRound,

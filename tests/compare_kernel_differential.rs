@@ -18,7 +18,7 @@ use er_loadbalance::keys::{BlockSplitKey, PairRangeKey};
 use er_loadbalance::pair_range::mapper::relevant_ranges;
 use er_loadbalance::pair_range::ranges::RangeIndexer;
 use er_loadbalance::pair_range::reducer::PairRangeReducer;
-use er_loadbalance::{BlockDistributionMatrix, Ent, KeyList, RangePolicy, COMPARISONS};
+use er_loadbalance::{BlockDistributionMatrix, Ent, RangePolicy, COMPARISONS};
 use mr_engine::mapper::MapTaskInfo;
 use mr_engine::reducer::{Group, ReduceContext, ReduceTaskInfo, Reducer};
 
@@ -59,17 +59,15 @@ fn full_dp_matches(matcher: &Matcher, block: &[Ent]) -> BTreeMap<MatchPair, u64>
     matches
 }
 
-/// `block`, keyed by `key`, as a match stage's map tasks prepare it for
-/// `comparer`: entity `x` by map task `partition_of(x)` of `m`. Returns
-/// the stage's tables and each entity's handle.
+/// `block`, the matrix's block 0, as a match stage's map tasks prepare
+/// it for `comparer`: entity `x` by map task `partition_of(x)` of `m`.
+/// Returns the stage's tables and each entity's handle.
 fn staged(
     comparer: &PairComparer,
-    key: &BlockKey,
     block: &[Ent],
     m: usize,
     partition_of: impl Fn(usize) -> usize,
 ) -> (Vec<EntityTable>, Vec<PreparedHandle>) {
-    let keys = KeyList::One(key.clone());
     let mut interners: Vec<EntityInterner> = (0..m)
         .map(|task_index| {
             let mut interner = EntityInterner::new(comparer);
@@ -85,7 +83,7 @@ fn staged(
     let handles = block
         .iter()
         .enumerate()
-        .map(|(x, e)| interners[partition_of(x)].intern(e, &keys))
+        .map(|(x, e)| interners[partition_of(x)].intern(e, &[0]))
         .collect();
     let tables = interners
         .into_iter()
@@ -140,7 +138,7 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
     let comparer = PairComparer::new(Arc::clone(&matcher));
     let half = block.len() / 2;
     let partition_of = |x: usize| usize::from(x >= half);
-    let (tables, handles) = staged(&comparer, &key, &block, 2, partition_of);
+    let (tables, handles) = staged(&comparer, &block, 2, partition_of);
     let mut reducer = BlockSplitReducer::new(Arc::clone(&bdm), comparer);
     let task = |i: u32, j: u32, members: std::ops::Range<usize>| -> Vec<_> {
         let key = BlockSplitKey {
@@ -174,7 +172,7 @@ fn reducers_equal_full_dp_on_the_largest_ds1_block() {
     let tasks = 7;
     let ranges = RangeIndexer::new(bdm.total_pairs(), tasks, RangePolicy::CeilDiv);
     let comparer = PairComparer::new(Arc::clone(&matcher));
-    let (tables, handles) = staged(&comparer, &key, &block, 1, |_| 0);
+    let (tables, handles) = staged(&comparer, &block, 1, |_| 0);
     let mut reducer = PairRangeReducer::new(Arc::clone(&bdm), comparer, RangePolicy::CeilDiv);
     for range in 0..tasks as u32 {
         let entries: Vec<_> = (0..n)

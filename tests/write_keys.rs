@@ -1,13 +1,13 @@
-//! `BlockingFunction::write_keys` against `keys`, for every blocking
-//! function of the workspace: written into a `KeyText` that already
-//! holds keys, an entity's keys append exactly the text of `keys()`, in
-//! its order; after the BDM job's mapper sorts and deduplicates them
-//! (`KeyText::sort_and_dedup_from`) they are `keys()` sorted and
-//! without repeats; and the entries before them stay as they were.
-//! Prefix blocking runs on non-ASCII text and past its 32-byte stack
-//! prefix, LSH blocking past band 999 (where its band keys stop being
-//! strictly increasing), and one local function yields unsorted,
-//! repeated keys through the trait's default `write_keys`.
+//! The `BlockingFunction` contract, for every blocking function of the
+//! workspace: `write_keys`, the one method a function implements,
+//! appends an entity's keys to a `KeyText` and leaves the entries
+//! already there as they were; `key` is the first key it wrote; `keys`
+//! is what it wrote, sorted and without repeats — as is the column
+//! after the BDM job's mapper sorts and deduplicates the entity's keys
+//! in place (`KeyText::sort_and_dedup_from`). Prefix blocking runs on
+//! non-ASCII text and past its 32-byte stack prefix, LSH blocking past
+//! band 999 (where its band keys stop being strictly increasing), and
+//! one local function writes unsorted, repeated keys.
 
 use std::sync::Arc;
 
@@ -25,16 +25,11 @@ use proptest::prelude::*;
 struct TitleWords;
 
 impl BlockingFunction for TitleWords {
-    fn key(&self, entity: &Entity) -> Option<BlockKey> {
-        self.keys(entity).into_iter().next()
-    }
-
-    fn keys(&self, entity: &Entity) -> Vec<BlockKey> {
+    fn write_keys(&self, entity: &Entity, out: &mut KeyText) {
         let title = entity.get("title").unwrap_or_default();
-        title
-            .split_whitespace()
-            .map(|word| BlockKey::new(word.to_lowercase()))
-            .collect()
+        for word in title.split_whitespace() {
+            out.push(&word.to_lowercase());
+        }
     }
 }
 
@@ -114,22 +109,27 @@ proptest! {
             let mut column: KeyText = prior.iter().collect();
             let start = column.len();
             function.write_keys(&entity, &mut column);
-            let keys: Vec<String> = function
-                .keys(&entity)
-                .iter()
-                .map(|key| key.as_str().to_owned())
-                .collect();
-            let written: Vec<&str> = column.iter().skip(start).collect();
-            prop_assert_eq!(&written, &keys, "{} writes keys() in order", name);
-
-            column.sort_and_dedup_from(start);
-            let mut expected = keys;
-            expected.sort();
-            expected.dedup();
             let before: Vec<&str> = column.iter().take(start).collect();
             prop_assert_eq!(&before, &prior, "{} keeps the earlier entries", name);
+            let written: Vec<String> = column.iter().skip(start).map(str::to_owned).collect();
+            let key = function.key(&entity);
+            prop_assert_eq!(
+                key.as_ref().map(BlockKey::as_str),
+                written.first().map(String::as_str),
+                "{} key() is the first key written", name
+            );
+
+            let mut expected = written;
+            expected.sort();
+            expected.dedup();
+            let keys = function.keys(&entity);
+            let keys: Vec<&str> = keys.iter().map(BlockKey::as_str).collect();
+            prop_assert_eq!(&keys, &expected, "{} keys() sorts and dedups what it wrote", name);
+            column.sort_and_dedup_from(start);
             let after: Vec<&str> = column.iter().skip(start).collect();
-            prop_assert_eq!(&after, &expected, "{} after sort and dedup", name);
+            prop_assert_eq!(&after, &expected, "{} after the mapper's sort and dedup", name);
+            let before: Vec<&str> = column.iter().take(start).collect();
+            prop_assert_eq!(&before, &prior, "{} sorts only its own entries", name);
         }
     }
 }

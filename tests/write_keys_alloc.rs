@@ -3,7 +3,7 @@
 //! `PrefixBlocking` on an ASCII value allocates nothing per entity (its
 //! prefix is built on the stack and copied into the column), and
 //! `LshBlocking` 8×4 allocates once — its signature — where `keys`
-//! allocates the signature, the key list and one key per band. A
+//! adds its own column, the key list and one key per band. A
 //! per-key allocation cannot creep back into the map task.
 //!
 //! A single `#[test]` drives the whole file — integration tests in one
