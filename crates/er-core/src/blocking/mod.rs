@@ -148,8 +148,10 @@ impl<S: AsRef<str>> FromIterator<S> for KeyText {
 /// [`write_keys`](Self::write_keys) is the one method to implement;
 /// [`key`](Self::key) and [`keys`](Self::keys) read what it writes. An
 /// entity it writes no key for (e.g. a product without manufacturer)
-/// is handled by the Cartesian-product decomposition in
-/// `er-loadbalance::null_keys`.
+/// is in no block. Each family states what becomes of it: blocking
+/// dedup and linkage compare it with every other entity (the paper's
+/// decomposition, `er_loadbalance::driver::run_er_in`), and LSH
+/// compares it with none.
 pub trait BlockingFunction: Send + Sync {
     /// Appends the text of every blocking key of `entity` to `out` —
     /// none when it has no valid key, more than one under multi-pass
@@ -277,15 +279,21 @@ impl BlockingFunction for AttributeBlocking {
     }
 }
 
-/// Assigns every entity the same key, `⊥` — turning blocking-based
-/// matching into the full Cartesian product. Used for the `⊥`
-/// sub-problems of the null-key decomposition (paper, Appendix I).
+/// Assigns every entity the same key, [`ConstantBlocking::KEY`] —
+/// turning blocking-based matching into the full Cartesian product.
+/// The `⊥` stages of the null-key decomposition (paper, Appendix I)
+/// block under it.
 #[derive(Debug, Clone, Default)]
 pub struct ConstantBlocking;
 
+impl ConstantBlocking {
+    /// The one key, `⊥`.
+    pub const KEY: &'static str = "\u{22A5}";
+}
+
 impl BlockingFunction for ConstantBlocking {
     fn write_keys(&self, _entity: &Entity, out: &mut KeyText) {
-        out.push("\u{22A5}");
+        out.push(Self::KEY);
     }
 }
 

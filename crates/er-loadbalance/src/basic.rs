@@ -4,9 +4,9 @@
 //! block lower-bounds the job's execution time.
 //!
 //! Between two sources (the baseline of linkage workloads and of the
-//! null-key decomposition; the paper evaluates one-source Basic only)
-//! the job is told its partitions' source tags and compares the R × S
-//! pairs of each block.
+//! `⊥` stages of [`crate::driver::run_er_in`]; the paper evaluates
+//! one-source Basic only) the job is told its partitions' source tags
+//! and compares the R × S pairs of each block.
 
 use std::sync::Arc;
 
@@ -22,7 +22,9 @@ use crate::Ent;
 /// Basic mapper: derive the blocking key(s) and emit `(key, handle)`
 /// per key, the entity prepared once however many keys it has. Its
 /// input partition is the handle's `arena`. With no BDM to number the
-/// blocks, its table holds the keys themselves.
+/// blocks, its table holds the keys themselves. It side-writes every
+/// entity as a [`KeyedEntity`], which is where
+/// [`crate::driver::run_er_in`] finds the keyless ones.
 #[derive(Clone)]
 pub struct BasicMapper {
     blocking: Arc<dyn BlockingFunction>,
@@ -39,12 +41,16 @@ impl BasicMapper {
     }
 }
 
+/// Basic's side output, one per entity in input order: whether the
+/// entity has a blocking key, and the entity.
+pub type KeyedEntity = (bool, Ent);
+
 impl Mapper for BasicMapper {
     type KIn = ();
     type VIn = Ent;
     type KOut = BlockKey;
     type VOut = BlockSplitValue;
-    type Side = ();
+    type Side = KeyedEntity;
     type Product = EntityTable<BlockKey>;
 
     fn setup(&mut self, info: &MapTaskInfo) {
@@ -55,9 +61,10 @@ impl Mapper for BasicMapper {
         &mut self,
         _key: &(),
         entity: &Ent,
-        ctx: &mut MapContext<BlockKey, BlockSplitValue, ()>,
+        ctx: &mut MapContext<BlockKey, BlockSplitValue, KeyedEntity>,
     ) {
         let keys = self.blocking.keys(entity);
+        ctx.side_output((!keys.is_empty(), Arc::clone(entity)));
         if keys.is_empty() {
             ctx.add_counter(crate::bdm_job::NULL_KEY_ENTITIES, 1);
             return;
@@ -68,7 +75,7 @@ impl Mapper for BasicMapper {
         }
     }
 
-    fn finish(&mut self, ctx: &mut MapContext<BlockKey, BlockSplitValue, ()>) {
+    fn finish(&mut self, ctx: &mut MapContext<BlockKey, BlockSplitValue, KeyedEntity>) {
         self.interner.finish(ctx);
     }
 

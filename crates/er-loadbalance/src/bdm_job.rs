@@ -11,10 +11,10 @@
 //!   by text — by sorting an index of `(hash, position)` pairs: one
 //!   in-place bucket pass on the hashes' top bits, about one key per
 //!   bucket, then a sort of each fuller bucket that reads a key's text
-//!   only where two hashes tie. It side-writes every entity with a
-//!   key once, in input order, as a [`RankedEntity`]: the ranks of its
-//!   keys, ascending (one inline `u32` under single-key blocking), and
-//!   the entity, to the simulated DFS
+//!   only where two hashes tie. It side-writes every entity once, in
+//!   input order, as a [`RankedEntity`]: the ranks of its keys,
+//!   ascending (one inline `u32` under single-key blocking; none for an
+//!   entity without a key), and the entity, to the simulated DFS
 //!   (`additionalOutput`). The paper annotates an entity with its key;
 //!   the rank is the key's stand-in, which the matching job turns into
 //!   a block with one array load
@@ -85,8 +85,9 @@ use crate::bdm::{key_hash, key_head, BlockDistributionMatrix, RankedKey};
 use crate::keys::key_index;
 use crate::{Ent, RankedEntity, Ranks};
 
-/// Counter: entities skipped because they had no valid blocking key
-/// (`R_∅` — handled separately by [`crate::null_keys`]).
+/// Counter: entities without a valid blocking key (`R_∅`). They are
+/// in no block; [`crate::driver::run_er_in`] compares them in its `⊥`
+/// stages when this counter is not zero.
 pub const NULL_KEY_ENTITIES: &str = "er.null_key.entities";
 
 /// Counter: blocks the reducer dropped because they have no pair
@@ -216,8 +217,9 @@ pub struct BdmMapper {
     /// The partition's keys so far, entity after entity (each entity's
     /// sorted and distinct).
     keys: KeyText,
-    /// The partition's keyed entities so far, in input order, each
-    /// with the end of its keys in `keys`.
+    /// The partition's entities so far, in input order, each with the
+    /// end of its keys in `keys` (a keyless entity's keys end where
+    /// they start).
     entities: Vec<(usize, Ent)>,
     /// The partition's distinct keys in rank order, set by `finish`:
     /// the product.
@@ -256,7 +258,6 @@ impl Mapper for BdmMapper {
         self.blocking.write_keys(entity, &mut self.keys);
         if self.keys.len() == start {
             ctx.add_counter(NULL_KEY_ENTITIES, 1);
-            return;
         }
         self.keys.sort_and_dedup_from(start);
         self.entities.push((self.keys.len(), Arc::clone(entity)));
@@ -735,15 +736,14 @@ mod tests {
                 let attributes = attributes.into_iter().filter_map(|(name, key)| Some((name, key?)));
                 input[partition % m].push(((), Arc::new(Entity::new(id as u64, attributes))));
             }
-            // The oracle: each keyed entity's sorted keys and id, in
-            // input order.
+            // The oracle: each entity's sorted keys (none when it is
+            // keyless) and id, in input order.
             let expected: Vec<Vec<(Vec<BlockKey>, u64)>> = input
                 .iter()
                 .map(|partition| {
                     partition
                         .iter()
                         .map(|(_, e)| (two_pass.keys(e), e.id().0))
-                        .filter(|(keys, _)| !keys.is_empty())
                         .collect()
                 })
                 .collect();
@@ -801,7 +801,7 @@ mod tests {
                         replicas as u64
                     );
                     for (p, partition) in side.iter().enumerate() {
-                        // Input order, every keyed entity once.
+                        // Input order, every entity once.
                         let order: Vec<u64> = partition.iter().map(|(_, e)| e.id().0).collect();
                         let expected_order: Vec<u64> = expected[p].iter().map(|&(_, id)| id).collect();
                         prop_assert_eq!(&order, &expected_order);

@@ -29,6 +29,7 @@ use crate::bdm::BlockDistributionMatrix;
 use crate::bdm_job::compute_bdm_in;
 use crate::block_split::block_split_job;
 use crate::compare::PairComparer;
+use crate::null_keys;
 use crate::pair_range::{pair_range_job, RangePolicy};
 use crate::{smallest_common_key_is, Ent, Ranks, StrategyKind};
 
@@ -121,7 +122,9 @@ impl ErStages {
         self.match_metrics.per_reduce_counter(crate::COMPARISONS)
     }
 
-    /// Total comparisons across all reduce tasks.
+    /// Total comparisons across all reduce tasks of the matching job
+    /// (the `⊥` stages of [`run_er_in`] count theirs in the
+    /// workflow's metrics).
     pub fn total_comparisons(&self) -> u64 {
         self.reduce_loads().iter().sum()
     }
@@ -159,20 +162,32 @@ pub fn run_match_stage(
     config: &ErConfig,
     input: MatchInput,
 ) -> Result<(MatchResult, JobMetrics), MrError> {
+    match_stage(workflow, config, input, true)
+}
+
+/// [`run_match_stage`], as a chained stage or — for the `⊥` stages of
+/// [`crate::null_keys`], which re-partition the input — as a
+/// repartitioned one.
+pub(crate) fn match_stage(
+    workflow: &mut Workflow,
+    config: &ErConfig,
+    input: MatchInput,
+    chained: bool,
+) -> Result<(MatchResult, JobMetrics), MrError> {
     let r = config.reduce_tasks;
     match (config.strategy, input) {
         (StrategyKind::Basic, MatchInput::Entities { input, sources }) => {
             let blocking = Arc::clone(&config.blocking);
             let job = basic_job(blocking, sources.map(Arc::from), config.comparer(), r);
-            run_job(workflow, job, input)
+            run_job(workflow, job, input, chained)
         }
         (StrategyKind::BlockSplit, MatchInput::Annotated { bdm, annotated }) => {
             let job = block_split_job(bdm, config.comparer(), r);
-            run_job(workflow, job, annotated)
+            run_job(workflow, job, annotated, chained)
         }
         (StrategyKind::PairRange, MatchInput::Annotated { bdm, annotated }) => {
             let job = pair_range_job(bdm, config.comparer(), RangePolicy::CeilDiv, r);
-            run_job(workflow, job, annotated)
+            run_job(workflow, job, annotated, chained)
         }
         (strategy, _) => panic!("{strategy} was handed another strategy's input"),
     }
@@ -183,6 +198,7 @@ fn run_job<M, R>(
     workflow: &mut Workflow,
     job: Job<M, R>,
     input: Partitions<M::KIn, M::VIn>,
+    chained: bool,
 ) -> Result<(MatchResult, JobMetrics), MrError>
 where
     M: Mapper,
@@ -190,7 +206,11 @@ where
     M::VOut: Sync,
     R: Reducer<KIn = M::KOut, VIn = M::VOut, KOut = MatchPair, VOut = f64, Product = M::Product>,
 {
-    let out = workflow.chained_stage(&job, input)?;
+    let out = if chained {
+        workflow.chained_stage(&job, input)?
+    } else {
+        workflow.repartitioned_stage(&job, input)?
+    };
     let result = MatchResult::from_runs(out.reduce_outputs);
     Ok((result, out.metrics))
 }
@@ -205,55 +225,63 @@ where
 /// `Some(tags)` links two (paper Appendix I: `tags[p]` labels input
 /// partition `p` as `R` or `S`, and only cross-source pairs within
 /// shared blocks are compared). The tags, not the entities' own
-/// sources, say which side a partition is — [`crate::null_keys`] links
-/// the keyed and keyless entities of *one* source this way.
-///
-/// Entities without a valid blocking key are *skipped* (counted under
-/// [`crate::bdm_job::NULL_KEY_ENTITIES`]); use
-/// [`crate::null_keys::deduplicate_with_null_keys`] to include them
-/// via the paper's Cartesian decomposition.
+/// sources, say which side a partition is.
 ///
 /// Basic runs one stage, the matching job; BlockSplit and PairRange
 /// run the BDM job (whose matrix is then tagged with `sources`) and
-/// feed its products to the matching job.
+/// feed its products to the matching job. Both first stages side-write
+/// every entity and count those without a blocking key under
+/// [`NULL_KEY_ENTITIES`](crate::bdm_job::NULL_KEY_ENTITIES). When that
+/// count is not zero, the `⊥` stages follow: repartitioned stages of
+/// the same strategy that compare each keyless entity with every other
+/// entity (cross-source only between two sources), as the paper
+/// defines. With no keyless entity no further stage runs.
 pub fn run_er_in(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
     sources: Option<Vec<SourceId>>,
     config: &ErConfig,
 ) -> Result<ErStages, MrError> {
-    if config.strategy == StrategyKind::Basic {
-        let input = MatchInput::Entities { input, sources };
-        let (result, match_metrics) = run_match_stage(workflow, config, input)?;
-        return Ok(ErStages {
-            result,
+    let (mut stages, split) = if config.strategy == StrategyKind::Basic {
+        let tags = sources.clone().map(Arc::from);
+        let r = config.reduce_tasks;
+        let job = basic_job(Arc::clone(&config.blocking), tags, config.comparer(), r);
+        let out = workflow.chained_stage(&job, input)?;
+        let split = null_keys::split_keyless(&out.metrics, &out.side_outputs, |&keyed| !keyed);
+        let stages = ErStages {
+            result: MatchResult::from_runs(out.reduce_outputs),
             bdm: None,
             bdm_metrics: None,
-            match_metrics,
+            match_metrics: out.metrics,
+        };
+        (stages, split)
+    } else {
+        let blocking = Arc::clone(&config.blocking);
+        let (bdm, annotated, bdm_metrics) =
+            compute_bdm_in(workflow, input, blocking, config.reduce_tasks, true)?;
+        let bdm = Arc::new(match sources.clone() {
+            Some(tags) => bdm.with_sources(tags),
+            None => bdm,
         });
-    }
-    let (bdm, annotated, bdm_metrics) = compute_bdm_in(
-        workflow,
-        input,
-        Arc::clone(&config.blocking),
-        config.reduce_tasks,
-        true,
-    )?;
-    let bdm = Arc::new(match sources {
-        Some(tags) => bdm.with_sources(tags),
-        None => bdm,
-    });
-    let input = MatchInput::Annotated {
-        bdm: Arc::clone(&bdm),
-        annotated,
+        let split = null_keys::split_keyless(&bdm_metrics, &annotated, |ranks| ranks.is_empty());
+        let input = MatchInput::Annotated {
+            bdm: Arc::clone(&bdm),
+            annotated,
+        };
+        let (result, match_metrics) = run_match_stage(workflow, config, input)?;
+        let stages = ErStages {
+            result,
+            bdm: Some(bdm),
+            bdm_metrics: Some(bdm_metrics),
+            match_metrics,
+        };
+        (stages, split)
     };
-    let (result, match_metrics) = run_match_stage(workflow, config, input)?;
-    Ok(ErStages {
-        result,
-        bdm: Some(bdm),
-        bdm_metrics: Some(bdm_metrics),
-        match_metrics,
-    })
+    if let Some(split) = split {
+        let bottom = null_keys::run_bottom_stages(workflow, split, sources.as_deref(), config)?;
+        stages.result.union(&bottom);
+    }
+    Ok(stages)
 }
 
 /// Test helper of this crate: compiles `config` onto a single-slot
@@ -266,7 +294,10 @@ pub(crate) fn run_er_inline(input: Partitions<(), Ent>, config: &ErConfig) -> Er
 }
 
 /// Reference implementation: per-block all-pairs matching with no
-/// MapReduce — the ground truth every strategy must reproduce exactly.
+/// MapReduce, plus every pair with an entity that has no blocking key
+/// (paper Section III: such an entity is compared with every other
+/// entity) — the ground truth every strategy must reproduce exactly.
+/// A linkage's ground truth is its cross-source subset.
 pub fn naive_reference(entities: &[Ent], config: &ErConfig) -> MatchResult {
     let keys: Vec<Vec<BlockKey>> = entities.iter().map(|e| config.blocking.keys(e)).collect();
     let mut blocks: std::collections::BTreeMap<&BlockKey, Vec<usize>> = Default::default();
@@ -279,17 +310,26 @@ pub fn naive_reference(entities: &[Ent], config: &ErConfig) -> MatchResult {
     // Prepared once per entity across *all* of its blocks (multi-pass
     // blocking replicates entities), via the memoizing cache.
     let mut cache = er_core::MatcherCache::new(Arc::clone(&config.matcher));
+    let mut compare = |a: &Ent, b: &Ent| {
+        if let Some(score) = cache.matches(a, b) {
+            result.insert(MatchPair::new(a.entity_ref(), b.entity_ref()), score);
+        }
+    };
     for (&block, members) in &blocks {
         for (i, &a) in members.iter().enumerate() {
             for &b in &members[i + 1..] {
-                if !smallest_common_key_is(&keys[a], &keys[b], block) {
-                    continue;
-                }
-                let (a, b) = (&entities[a], &entities[b]);
-                if let Some(score) = cache.matches(a, b) {
-                    result.insert(MatchPair::new(a.entity_ref(), b.entity_ref()), score);
+                if smallest_common_key_is(&keys[a], &keys[b], block) {
+                    compare(&entities[a], &entities[b]);
                 }
             }
+        }
+    }
+    // Each pair with a keyless entity once: from its keyless member,
+    // or from the first of two keyless members.
+    let keyless = |e: usize| keys[e].is_empty();
+    for a in (0..entities.len()).filter(|&a| keyless(a)) {
+        for b in (0..entities.len()).filter(|&b| b != a && !(keyless(b) && b < a)) {
+            compare(&entities[a], &entities[b]);
         }
     }
     result

@@ -11,8 +11,8 @@
 //! 1. **BDM job** ([`bdm_job`], Algorithm 3): counts entities per
 //!    (block, input partition) into the [`bdm::BlockDistributionMatrix`]
 //!    — the blocks that have a pair; its reducer drops the rest — and
-//!    side-writes the annotated entities `Π'_i`: each keyed entity
-//!    once, with the [`Ranks`] of its keys among its partition's keys.
+//!    side-writes the annotated entities `Π'_i`: each entity once,
+//!    with the [`Ranks`] of its keys among its partition's keys.
 //! 2. **Matching job** with one of three strategies:
 //!    * [`basic`] — hash blocking keys to reduce tasks (the skew-prone
 //!      baseline),
@@ -33,9 +33,9 @@
 //! strategies over a source-tagged BDM, which counts a block's pairs
 //! as `|Φ_k,R|·|Φ_k,S|` ([`bdm::BlockDistributionMatrix::with_sources`]);
 //! [`two_source`] lays out its input, one source per partition;
-//! [`null_keys`] composes matching for
-//! entities without a valid blocking key; [`multipass`] explains how
-//! the paper's future-work multi-pass blocking (any
+//! entities without a valid blocking key are compared in further
+//! stages of the same workflow ([`run_er_in`]); [`multipass`]
+//! explains how the paper's future-work multi-pass blocking (any
 //! [`er_core::blocking::MultiPassBlocking`]) stays duplicate free;
 //! [`analysis`] computes exact
 //! per-task workloads straight from the BDM (no execution) for the
@@ -53,7 +53,7 @@ pub mod compare;
 pub mod driver;
 pub mod keys;
 pub mod multipass;
-pub mod null_keys;
+mod null_keys;
 pub mod pair_range;
 pub mod running_example;
 pub mod stats;
@@ -116,8 +116,9 @@ impl From<&[u32]> for Ranks {
 }
 
 /// The record format of the BDM job's *additional output* `Π'_i`, i.e.
-/// the matching job's input: one per entity with a blocking key, its
-/// keys' [`Ranks`] (in hash order) and the entity. The keys themselves stay behind:
+/// the matching job's input: one per entity, its keys' [`Ranks`] (in
+/// hash order; none for an entity without a key, which the matching
+/// job skips) and the entity. The keys themselves stay behind:
 /// the matching job reads the key of every block that has a pair from
 /// the matrix ([`BlockDistributionMatrix::key`]), and a key without a
 /// block is shared with no other entity.

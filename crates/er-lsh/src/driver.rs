@@ -441,11 +441,7 @@ mod tests {
         .unwrap();
         let mut ranked = 0;
         for (p, (partition, records)) in input.iter().zip(&side).enumerate() {
-            assert_eq!(
-                records.len(),
-                partition.len(),
-                "one record per keyed entity"
-            );
+            assert_eq!(records.len(), partition.len(), "one record per entity");
             // The partition's distinct band keys in rank order: by
             // `(hash, key)`.
             let mut keys: Vec<_> = partition

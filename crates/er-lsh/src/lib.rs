@@ -134,9 +134,10 @@ impl LshBlocking {
     }
 
     /// The entity's MinHash signature, or `None` when the attribute is
-    /// missing or shingles to the empty set (such entities carry no
-    /// band keys and are counted under
-    /// [`er_loadbalance::bdm_job::NULL_KEY_ENTITIES`]).
+    /// missing or shingles to the empty set. Such an entity has no band
+    /// key: it is counted under
+    /// [`er_loadbalance::bdm_job::NULL_KEY_ENTITIES`] and compared with
+    /// no entity (LSH does not run the blocking families' `⊥` stages).
     pub fn signature(&self, entity: &Entity) -> Option<Vec<u64>> {
         let text = entity.get(&self.attribute)?;
         self.hasher.text_signature(text, self.scheme)

@@ -162,27 +162,35 @@ fn main() {
         ],
         0.5,
     ));
-    // The null-key composition runs its sub-problems on workflows of
-    // the same runtime, under exactly the config the resolver would
-    // compile.
-    let config = resolver
+    // The same front door: the match stage links what blocking sees,
+    // and since S#11 has no key, the ⊥ stages match⊥(R, S∅) and
+    // match⊥(R∅, S − S∅) follow as stages of the same workflow (the
+    // second has no keyless R record, so it does not run).
+    let outcome = resolver
         .clone()
         .with_matcher(matcher)
-        .er_config(StrategyKind::PairRange);
-    let (result, report) = link_with_null_keys(
-        |name| runtime.workflow(name),
-        &mini_input,
-        &mini_sources,
-        &config,
-    )
-    .unwrap();
+        .resolve(
+            &Scenario::Linkage {
+                strategy: StrategyKind::PairRange,
+                sources: mini_sources,
+            },
+            mini_input,
+        )
+        .unwrap();
+    // PairRange runs the BDM job and the match stage first.
+    for (stage, metrics) in outcome.workflow.stages.iter().enumerate() {
+        println!(
+            "  stage {stage} {:<14} {:<15} comparisons={}",
+            metrics.job_name,
+            if stage < 2 { "" } else { "(⊥ sub-problem)" },
+            metrics.counters.get(COMPARISONS)
+        );
+    }
     println!(
-        "matches={} (blocked={} + cartesian={}); the title-less S#11 was linked via match⊥",
-        result.len(),
-        report.blocked_matches,
-        report.cartesian_matches
+        "matches={}; the title-less S#11 was linked in the ⊥ stage",
+        outcome.result.len()
     );
-    for (pair, score) in result.iter() {
+    for (pair, score) in outcome.result.iter() {
         println!("  {:.3}  {} == {}", score, pair.lo(), pair.hi());
     }
 }

@@ -100,7 +100,6 @@ pub mod prelude {
         QualityReport, SourceId,
     };
     pub use er_loadbalance::driver::{naive_reference, ErConfig};
-    pub use er_loadbalance::null_keys::{deduplicate_with_null_keys, link_with_null_keys};
     pub use er_loadbalance::two_source::two_source_input;
     pub use er_loadbalance::{
         BlockDistributionMatrix, Ent, RangePolicy, StrategyKind, WorkloadStats, COMPARISONS,

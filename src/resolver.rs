@@ -66,13 +66,15 @@ use er_loadbalance::ErConfig;
 /// A declarative description of *what* to resolve; the [`Resolver`]
 /// compiles it into the matching multi-stage workflow.
 ///
-/// | Scenario | Scenario compiler |
-/// |---|---|
-/// | `Dedup` | [`er_loadbalance::driver::run_er_in`] |
-/// | `Linkage` | [`er_loadbalance::driver::run_er_in`], source-tagged |
-/// | `SortedNeighborhood` (no passes) | [`er_sn::driver::run_sorted_neighborhood_in`] |
-/// | `SortedNeighborhood` (explicit passes) | [`er_sn::multipass::run_multipass_sn_in`] |
-/// | `Lsh` | [`er_lsh::driver::run_lsh_in`] |
+/// Each family has one rule for an entity without a key:
+///
+/// | Scenario | Scenario compiler | An entity without a key |
+/// |---|---|---|
+/// | `Dedup` | [`er_loadbalance::driver::run_er_in`] | is compared with every other entity: the paper's decomposition, run as further `⊥` stages |
+/// | `Linkage` | [`er_loadbalance::driver::run_er_in`], source-tagged | is compared with every entity of the other source, likewise |
+/// | `SortedNeighborhood` (no passes) | [`er_sn::driver::run_sorted_neighborhood_in`] | has the empty sort key and sorts first, counted under [`er_sn::NULL_SORT_KEYS`] |
+/// | `SortedNeighborhood` (explicit passes) | [`er_sn::multipass::run_multipass_sn_in`] | likewise, per pass |
+/// | `Lsh` | [`er_lsh::driver::run_lsh_in`] | has zero shingles, hence no band key: it is counted under [`er_loadbalance::bdm_job::NULL_KEY_ENTITIES`] and compared with no entity |
 #[derive(Clone)]
 pub enum Scenario {
     /// Single-source deduplication via blocking (paper Figure 2) under
@@ -83,7 +85,7 @@ pub enum Scenario {
     },
     /// Two-source record linkage (paper Appendix I): `sources[p]` tags
     /// input partition `p` as `R` or `S`; only cross-source pairs
-    /// within shared blocks are compared.
+    /// within shared blocks, or with a keyless member, are compared.
     Linkage {
         /// Matching-job strategy.
         strategy: StrategyKind,
