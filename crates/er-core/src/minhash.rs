@@ -28,32 +28,42 @@
 //! *multiset* — `min` is idempotent — so only the public
 //! [`shingle_hashes`] pays for the sort + dedup of set form.
 //!
-//! The slot loop `min(slot, mix64(x ^ salt))` carries a
-//! `std::hint::black_box` on the shingle. On the default `x86_64`
-//! target (SSE2 only) LLVM vectorises that loop and has to *emulate*
-//! both the 64-bit multiply (three `pmuludq` and shifts per product)
-//! and the unsigned 64-bit minimum, which costs more than it saves.
-//! Per 32-slot signature of ≈ 29 trigrams on the 2.1 GHz reference
-//! container:
+//! A hash costs two `imul`s, so the kernel's cost is the number of
+//! hashes it makes. Classic MinHash makes `bands × rows` per shingle
+//! (32 under 8 × 4); row-wise one-permutation hashing makes `rows`
+//! (4), each of which fills one of the row's `bands` bins, and
+//! densification fills the bins no shingle reached (0.7 of the 32
+//! slots per signature on the titles below). Rows take separate
+//! passes: a single permutation cut into `bands · rows` bins lets the
+//! rows of a band borrow the same bins, so its band collisions drift
+//! off the S-curve on small sets (`minhash_props`' band-collision test
+//! fails it: under 4 × 8, pairs of 8 shingles with 6 shared collide at
+//! 0.078 against the curve's 0.066, 7σ), and with ≈ 13 of 32 bins to
+//! densify it is no faster (365 ns). Per 8 × 4 signature of ≈ 29
+//! trigrams (the ledger's `lsh_8x4` titles) on the 2-core 2.1 GHz Xeon
+//! reference container, one thread:
 //!
-//! | the slot loop                                         | µs   |
-//! |-------------------------------------------------------|------|
-//! | plain, default build (SSE2 auto-vectorised)           | 2.3  |
-//! | plain, `-C no-vectorize-loops -C no-vectorize-slp`    | 1.0  |
-//! | `black_box` on the shingle, default build             | 1.15 |
-//! | the same with shingling, inside `LshBlocking`         | 1.3  |
+//! | step                                                       | ns  |
+//! |------------------------------------------------------------|-----|
+//! | classic MinHash, text → signature (32 hashes per shingle)  | 905 |
+//! | 4 hashes per shingle, binned, no densification             | 155 |
+//! | … densified, from a shingle set ([`MinHasher::signature`]) | 180 |
+//! | … from text ([`MinHasher::text_signature`])                | 290 |
+//! | 8 band digests, FNV-1a over each band's bytes              | 137 |
+//! | 8 band digests, a `mix64` fold over each band's words      | 38  |
 //!
-//! 1.0 µs is ≈ 2.3 cycles per hash, the bound of two `imul`s; the
-//! opaque value keeps the loop scalar for the price of one stack
-//! round trip per hash. An `#[inline(never)]` per salt, a `u128`
-//! widening multiply, an `if h < m` branch and a four-accumulator
-//! unroll were all still vectorised (2.3 µs). Re-measure with the
-//! ledger's `core.minhash.signature_ns_per_entity` (text → signature)
-//! and `core.blocking.ns_per_entity` (text → band keys) on a traced
+//! 155 ns is ≈ 2.8 cycles per hash, about the throughput of a hash's
+//! dozen instructions; a shift in place of the bin's multiply-high
+//! (equal when `bands` is a power of two) saved 3 %. The row loop
+//! scatters into data-dependent slots, so LLVM leaves it scalar: the
+//! `black_box` the classic slot loop needed against SSE2
+//! auto-vectorisation is gone, and put back it costs 2 %. `min` must
+//! stay branch-free: with an `if h < slot` store, which mispredicts,
+//! the binned loop took 700 ns. Re-measure with the ledger's
+//! `core.minhash.signature_ns_per_entity` (text → signature) and
+//! `core.blocking.ns_per_entity` (text → band keys) on a traced
 //! `lsh_8x4` run; the textbook forms the kernel is pinned to
 //! bit-for-bit live in this module's tests.
-
-use std::hint::black_box;
 
 use crate::similarity::{fnv1a_bytes, into_hash_set};
 
@@ -88,6 +98,8 @@ impl std::fmt::Display for ShingleScheme {
 /// to it (the minimum over a non-empty set is a mixed hash, which is
 /// `u64::MAX` with probability 2⁻⁶⁴ per slot), so empty-text
 /// signatures compare equal only to other empty-text signatures.
+/// While a signature is built it marks the bins no shingle reached,
+/// which densification then fills.
 pub const EMPTY_SLOT: u64 = u64::MAX;
 
 /// Cuts `text` into its shingle *set*: sorted, deduplicated FNV-1a
@@ -200,6 +212,7 @@ fn for_each_unicode_shingle(text: &str, scheme: ShingleScheme, mut emit: impl Fn
 
 /// SplitMix64 step: advances `state` and returns the next stream
 /// value. The standard mixer — full 64-bit avalanche, deterministic.
+/// Its period is 2⁶⁴ and it returns every 64-bit value once per period.
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -214,33 +227,66 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A family of `num_hashes` independent hash functions producing
-/// MinHash signatures: slot `i` of a signature is the minimum of
-/// `h_i(x)` over the shingle set, where `h_i(x) = mix64(x ⊕ salt_i)`
-/// and the salts are drawn from a SplitMix64 stream seeded by the
-/// caller. Equal seeds give equal families — signatures are stable
-/// across runs, machines, and parallelism.
+/// The bin of `bins` that the top of `hash` picks: `⌊hash · bins / 2⁶⁴⌋`.
+#[inline]
+fn bin_of(hash: u64, bins: usize) -> usize {
+    ((u128::from(hash) * bins as u128) >> 64) as usize
+}
+
+/// A seeded MinHash family producing `bands × rows` signatures by
+/// row-wise one-permutation hashing (Li, Owen and Zhang, "One
+/// Permutation Hashing", NIPS 2012) with optimal densification
+/// (Shrivastava, "Optimal Densification for Fast and Accurate Minwise
+/// Hashing", ICML 2017).
+///
+/// Row `r` hashes each shingle once, `h = mix64(x ⊕ salt_r)`. The top
+/// of `h` picks a bin `b = ⌊h · bands / 2⁶⁴⌋`, and slot `b · rows + r`
+/// keeps the minimum: row `r`'s pass is one permutation cut into
+/// `bands` bins. A slot that no shingle reached is *empty*; it takes
+/// the value of the first non-empty bin of the same row along the
+/// probe sequence of its `(row, bin)` — a SplitMix64 stream seeded by
+/// the pair, which reaches every bin. Each slot then agrees between
+/// two sets with probability their Jaccard similarity, and the rows of
+/// a band come from independent passes, so a band agrees with
+/// probability `J^rows`, as under classic MinHash.
+///
+/// The layout is band-major: band `b` is slots `[b · rows, (b + 1) ·
+/// rows)`. With `bands = 1` every shingle lands in the one bin, and
+/// the signature is classic MinHash with `rows` salts. The salts, then
+/// the probe seed, are drawn from a SplitMix64 stream seeded by the
+/// caller: equal seeds give equal families, so signatures are stable
+/// across runs, machines and parallelism.
 #[derive(Debug, Clone)]
 pub struct MinHasher {
     seed: u64,
+    bands: usize,
+    /// One salt per row.
     salts: Vec<u64>,
+    /// Seeds the probe sequence of every `(row, bin)`.
+    probe_seed: u64,
 }
 
 impl MinHasher {
-    /// A family of `num_hashes` functions derived from `seed`.
+    /// The `bands × rows` family derived from `seed`. A plain `K`-slot
+    /// signature is `new(K, 1, seed)`, one hash per shingle;
+    /// `new(1, K, seed)` is classic MinHash, `K` hashes per shingle.
     ///
     /// # Panics
-    /// If `num_hashes` is zero.
-    pub fn new(num_hashes: usize, seed: u64) -> Self {
-        assert!(num_hashes > 0, "a signature needs at least one hash");
+    /// If `bands` or `rows` is zero.
+    pub fn new(bands: usize, rows: usize, seed: u64) -> Self {
+        assert!(
+            bands >= 1 && rows >= 1,
+            "a signature needs a band and a row"
+        );
         let mut state = seed;
-        let salts = (0..num_hashes).map(|_| splitmix64(&mut state)).collect();
-        Self { seed, salts }
-    }
-
-    /// Signature length (the number of hash functions).
-    pub fn num_hashes(&self) -> usize {
-        self.salts.len()
+        let salts = (0..rows).map(|_| splitmix64(&mut state)).collect();
+        let probe_seed = splitmix64(&mut state);
+        Self {
+            seed,
+            bands,
+            salts,
+            probe_seed,
+        }
     }
 
     /// The seed this family was derived from.
@@ -248,15 +294,18 @@ impl MinHasher {
         self.seed
     }
 
-    /// The MinHash signature of a shingle set: slot `i` holds
-    /// `min h_i(x)`. The empty set signs as all-[`EMPTY_SLOT`].
+    /// The MinHash signature of a shingle set, `bands · rows` slots.
+    /// The empty set signs as all-[`EMPTY_SLOT`].
     ///
     /// Order- and multiplicity-insensitive: any permutation or
     /// duplication of `shingles` produces the identical signature.
     pub fn signature(&self, shingles: &[u64]) -> Vec<u64> {
-        let mut signature = vec![EMPTY_SLOT; self.salts.len()];
+        let mut signature = self.empty_signature();
         for &shingle in shingles {
             self.absorb(&mut signature, shingle);
+        }
+        if !shingles.is_empty() {
+            self.densify(&mut signature);
         }
         signature
     }
@@ -268,28 +317,62 @@ impl MinHasher {
     /// # Panics
     /// If the scheme is `CharGrams(0)`.
     pub fn text_signature(&self, text: &str, scheme: ShingleScheme) -> Option<Vec<u64>> {
-        let mut signature = vec![EMPTY_SLOT; self.salts.len()];
+        let mut signature = self.empty_signature();
         let mut shingled = false;
         for_each_shingle(text, scheme, |shingle| {
             shingled = true;
             self.absorb(&mut signature, shingle);
         });
-        shingled.then_some(signature)
+        shingled.then(|| {
+            self.densify(&mut signature);
+            signature
+        })
     }
 
-    /// Lowers every slot of `signature` to its hash of `shingle`.
+    fn empty_signature(&self) -> Vec<u64> {
+        vec![EMPTY_SLOT; self.bands * self.salts.len()]
+    }
+
+    /// Lowers, in each row, the slot of the bin `shingle`'s hash picks.
     #[inline]
     fn absorb(&self, signature: &mut [u64], shingle: u64) {
-        for (slot, &salt) in signature.iter_mut().zip(&self.salts) {
-            // Opaque to the vectoriser: see the module header.
-            *slot = (*slot).min(mix64(black_box(shingle) ^ salt));
+        let rows = self.salts.len();
+        for (row, &salt) in self.salts.iter().enumerate() {
+            let hash = mix64(shingle ^ salt);
+            let slot = &mut signature[bin_of(hash, self.bands) * rows + row];
+            *slot = (*slot).min(hash);
+        }
+    }
+
+    /// Fills every empty slot from the first non-empty bin of its row
+    /// along its probe sequence. A slot holds its own bin's minimum
+    /// exactly when that value picks its bin (a borrowed value picks
+    /// its source's), so filling in place never lends a borrowed value
+    /// on. Every row has a non-empty bin once a shingle is absorbed.
+    fn densify(&self, signature: &mut [u64]) {
+        let (bands, rows) = (self.bands, self.salts.len());
+        for at in 0..signature.len() {
+            if signature[at] != EMPTY_SLOT {
+                continue;
+            }
+            // The probe sequence of `(row, bin)`, `bin · rows + row = at`.
+            let (bin, row) = (at / rows, at % rows);
+            let mut state = mix64(self.probe_seed ^ (row * bands + bin) as u64);
+            signature[at] = loop {
+                let source = bin_of(splitmix64(&mut state), bands);
+                let value = signature[source * rows + row];
+                if value != EMPTY_SLOT && bin_of(value, bands) == source {
+                    break value;
+                }
+            };
         }
     }
 }
 
 /// The Jaccard estimate two signatures encode: the fraction of slots
-/// that agree. Unbiased with expectation `J(A, B)`; the standard error
-/// is `√(J(1−J)/num_hashes)`.
+/// that agree. Each slot agrees with probability `J(A, B)`, so the
+/// estimate is unbiased; its standard error is at most about
+/// `√(J(1−J)/slots)`.
 ///
 /// # Panics
 /// If the signatures have different lengths (different families never
@@ -301,9 +384,10 @@ pub fn estimate_jaccard(a: &[u64], b: &[u64]) -> f64 {
     agree as f64 / a.len() as f64
 }
 
-/// The banded digest of one band: FNV-1a over the little-endian bytes
-/// of signature slots `[band · rows, (band + 1) · rows)`. Two entities
-/// share a band-`band` bucket exactly when these digests are equal.
+/// The banded digest of one band: signature slots `[band · rows,
+/// (band + 1) · rows)` folded word by word, `d ← mix64(d ⊕ slot)`. Two
+/// entities share a band-`band` bucket exactly when these digests are
+/// equal.
 ///
 /// # Panics
 /// If the band's row range exceeds the signature.
@@ -315,12 +399,14 @@ pub fn band_hash(signature: &[u64], band: usize, rows: usize) -> u64 {
         "band {band} x {rows} rows exceeds a {}-slot signature",
         signature.len()
     );
-    fnv1a_bytes(
-        signature[start..start + rows]
-            .iter()
-            .flat_map(|v| v.to_le_bytes()),
-    )
+    signature[start..start + rows]
+        .iter()
+        .fold(BAND_DIGEST_SEED, |digest, &slot| mix64(digest ^ slot))
 }
+
+/// The start of every band digest (the FNV-1a offset basis; any
+/// non-zero constant would do, as `mix64(0) = 0`).
+const BAND_DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The banding S-curve: the probability that two sets of Jaccard
 /// similarity `s` collide in at least one of `bands` bands of `rows`
@@ -373,23 +459,56 @@ mod tests {
         }
     }
 
-    /// The definition of the signature: per salt, the minimum mixed
-    /// hash over the shingles.
-    fn textbook_signature(hasher: &MinHasher, shingles: &[u64]) -> Vec<u64> {
+    /// The definition of the `bands × rows` signature, written out
+    /// plainly: draw the row salts, then the probe seed, from the
+    /// seed's SplitMix64 stream; per row, hash every shingle, bin it by
+    /// the top of its hash and keep each bin's minimum (a bin whose
+    /// minimum is [`EMPTY_SLOT`] counts as empty); then give each empty
+    /// bin the minimum of the first non-empty bin of the same row along
+    /// its probe sequence, generated here one step at a time.
+    fn textbook_signature(bands: usize, rows: usize, seed: u64, shingles: &[u64]) -> Vec<u64> {
+        let mut signature = vec![EMPTY_SLOT; bands * rows];
         if shingles.is_empty() {
-            return vec![EMPTY_SLOT; hasher.salts.len()];
+            return signature;
         }
-        hasher
-            .salts
-            .iter()
-            .map(|&salt| {
-                shingles
-                    .iter()
-                    .map(|&x| mix64(x ^ salt))
-                    .min()
-                    .expect("non-empty shingle set")
-            })
+        let mut stream = seed;
+        let salts: Vec<u64> = (0..rows).map(|_| splitmix64(&mut stream)).collect();
+        let probe_seed = splitmix64(&mut stream);
+        let bin = |hash: u64| ((u128::from(hash) * bands as u128) >> 64) as usize;
+        for (row, salt) in salts.into_iter().enumerate() {
+            let mut minima = vec![EMPTY_SLOT; bands];
+            for &x in shingles {
+                let hash = mix64(x ^ salt);
+                minima[bin(hash)] = minima[bin(hash)].min(hash);
+            }
+            for (b, &minimum) in minima.iter().enumerate() {
+                let mut value = minimum;
+                let mut probe = mix64(probe_seed ^ (row * bands + b) as u64);
+                while value == EMPTY_SLOT {
+                    probe = probe.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    value = minima[bin(mix64(probe))];
+                }
+                signature[b * rows + row] = value;
+            }
+        }
+        signature
+    }
+
+    /// Classic MinHash with `slots` salts from the seed's SplitMix64
+    /// stream: slot `i` is the minimum of `mix64(x ⊕ salt_i)`.
+    fn classic_signature(slots: usize, seed: u64, shingles: &[u64]) -> Vec<u64> {
+        let mut stream = seed;
+        let salts = (0..slots).map(|_| splitmix64(&mut stream));
+        let minimum = |salt: u64| shingles.iter().map(|&x| mix64(x ^ salt)).min();
+        salts
+            .map(|salt| minimum(salt).unwrap_or(EMPTY_SLOT))
             .collect()
+    }
+
+    fn bandings() -> impl Strategy<Value = (usize, usize)> {
+        let bands = prop_oneof![Just(1usize), Just(7), Just(8), Just(16), Just(33)];
+        let rows = prop_oneof![Just(1usize), Just(2), Just(4), Just(8)];
+        (bands, rows)
     }
 
     /// Text pieces that reach every branch of the normaliser: ASCII
@@ -436,13 +555,14 @@ mod tests {
         fn shingling_and_text_signatures_equal_the_textbook_forms(
             text in text_pieces(),
             scheme in schemes(),
-            slots in prop_oneof![Just(1usize), Just(7usize), Just(32usize), Just(33usize)],
+            banding in bandings(),
             seed in 0u64..1_000_000,
         ) {
+            let (bands, rows) = banding;
             let set = textbook_shingle_hashes(&text, scheme);
             prop_assert_eq!(&shingle_hashes(&text, scheme), &set, "{:?} {}", text, scheme);
-            let hasher = MinHasher::new(slots, seed);
-            let expected = (!set.is_empty()).then(|| textbook_signature(&hasher, &set));
+            let hasher = MinHasher::new(bands, rows, seed);
+            let expected = (!set.is_empty()).then(|| textbook_signature(bands, rows, seed, &set));
             prop_assert_eq!(
                 hasher.text_signature(&text, scheme),
                 expected,
@@ -459,15 +579,28 @@ mod tests {
                 0..60,
             ),
             dup in 0usize..8,
-            slots in prop_oneof![Just(1usize), Just(7usize), Just(32usize), Just(33usize)],
+            banding in bandings(),
             seed in 0u64..1_000_000,
         ) {
+            let (bands, rows) = banding;
             let mut multiset = shingles.clone();
             multiset.extend(shingles.iter().take(dup));
-            let hasher = MinHasher::new(slots, seed);
+            let hasher = MinHasher::new(bands, rows, seed);
             prop_assert_eq!(
                 hasher.signature(&multiset),
-                textbook_signature(&hasher, &shingles)
+                textbook_signature(bands, rows, seed, &shingles)
+            );
+        }
+
+        #[test]
+        fn one_band_is_classic_minhash(
+            shingles in proptest::collection::vec(0u64..u64::MAX, 0..40),
+            rows in 1usize..40,
+            seed in 0u64..1_000_000,
+        ) {
+            prop_assert_eq!(
+                MinHasher::new(1, rows, seed).signature(&shingles),
+                classic_signature(rows, seed, &shingles)
             );
         }
     }
@@ -538,18 +671,18 @@ mod tests {
 
     #[test]
     fn signatures_are_deterministic_and_order_insensitive() {
-        let hasher = MinHasher::new(16, 42);
+        let hasher = MinHasher::new(8, 2, 42);
         let shingles = shingle_hashes("canon eos 5d mark iii", ShingleScheme::CharGrams(3));
         let mut reversed = shingles.clone();
         reversed.reverse();
         assert_eq!(hasher.signature(&shingles), hasher.signature(&reversed));
         assert_eq!(
-            MinHasher::new(16, 42).signature(&shingles),
+            MinHasher::new(8, 2, 42).signature(&shingles),
             hasher.signature(&shingles),
             "equal seeds give equal families"
         );
         assert_ne!(
-            MinHasher::new(16, 43).signature(&shingles),
+            MinHasher::new(8, 2, 43).signature(&shingles),
             hasher.signature(&shingles),
             "different seeds give different families"
         );
@@ -557,13 +690,13 @@ mod tests {
 
     #[test]
     fn empty_set_signs_as_sentinel() {
-        let hasher = MinHasher::new(4, 7);
+        let hasher = MinHasher::new(2, 2, 7);
         assert_eq!(hasher.signature(&[]), vec![EMPTY_SLOT; 4]);
     }
 
     #[test]
     fn identical_sets_estimate_one_disjoint_zero() {
-        let hasher = MinHasher::new(64, 1);
+        let hasher = MinHasher::new(64, 1, 1);
         let a = shingle_hashes("alpha beta gamma", ShingleScheme::Tokens);
         let b = shingle_hashes("delta epsilon zeta", ShingleScheme::Tokens);
         assert_eq!(

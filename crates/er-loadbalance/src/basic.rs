@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use er_core::blocking::{BlockKey, BlockingFunction};
+use er_core::blocking::{BlockKey, BlockingFunction, KeyText};
 use er_core::result::MatchPair;
 use er_core::SourceId;
 use mr_engine::prelude::*;
@@ -29,6 +29,11 @@ use crate::Ent;
 pub struct BasicMapper {
     blocking: Arc<dyn BlockingFunction>,
     interner: EntityInterner<BlockKey>,
+    /// The current entity's key text, written, sorted and deduplicated
+    /// in place, and its keys: both reused from record to record, so a
+    /// key allocates only its `BlockKey`.
+    text: KeyText,
+    keys: Vec<BlockKey>,
 }
 
 impl BasicMapper {
@@ -37,6 +42,8 @@ impl BasicMapper {
         Self {
             blocking,
             interner: EntityInterner::new(comparer),
+            text: KeyText::new(),
+            keys: Vec::new(),
         }
     }
 }
@@ -63,14 +70,17 @@ impl Mapper for BasicMapper {
         entity: &Ent,
         ctx: &mut MapContext<BlockKey, BlockSplitValue, KeyedEntity>,
     ) {
-        let keys = self.blocking.keys(entity);
-        ctx.side_output((!keys.is_empty(), Arc::clone(entity)));
-        if keys.is_empty() {
+        self.text.truncate(0);
+        self.blocking.write_keys(entity, &mut self.text);
+        ctx.side_output((!self.text.is_empty(), Arc::clone(entity)));
+        if self.text.is_empty() {
             ctx.add_counter(crate::bdm_job::NULL_KEY_ENTITIES, 1);
             return;
         }
-        let prepared = self.interner.intern(entity, &keys);
-        for key in keys {
+        self.text.sort_and_dedup_from(0);
+        self.keys.extend(self.text.iter().map(BlockKey::new));
+        let prepared = self.interner.intern(entity, &self.keys);
+        for key in self.keys.drain(..) {
             ctx.emit(key, prepared);
         }
     }

@@ -162,32 +162,32 @@ pub fn run_match_stage(
     config: &ErConfig,
     input: MatchInput,
 ) -> Result<(MatchResult, JobMetrics), MrError> {
-    match_stage(workflow, config, input, true)
+    match_stage(workflow, config, input, None)
 }
 
-/// [`run_match_stage`], as a chained stage or — for the `⊥` stages of
-/// [`crate::null_keys`], which re-partition the input — as a
-/// repartitioned one.
+/// [`run_match_stage`], as a chained stage, or — for the `⊥` stage
+/// `bottom` of [`crate::null_keys`], which re-partitions the input —
+/// as a repartitioned one named `<job>-bottom-<bottom>`.
 pub(crate) fn match_stage(
     workflow: &mut Workflow,
     config: &ErConfig,
     input: MatchInput,
-    chained: bool,
+    bottom: Option<usize>,
 ) -> Result<(MatchResult, JobMetrics), MrError> {
     let r = config.reduce_tasks;
     match (config.strategy, input) {
         (StrategyKind::Basic, MatchInput::Entities { input, sources }) => {
             let blocking = Arc::clone(&config.blocking);
             let job = basic_job(blocking, sources.map(Arc::from), config.comparer(), r);
-            run_job(workflow, job, input, chained)
+            run_job(workflow, job, input, bottom)
         }
         (StrategyKind::BlockSplit, MatchInput::Annotated { bdm, annotated }) => {
             let job = block_split_job(bdm, config.comparer(), r);
-            run_job(workflow, job, annotated, chained)
+            run_job(workflow, job, annotated, bottom)
         }
         (StrategyKind::PairRange, MatchInput::Annotated { bdm, annotated }) => {
             let job = pair_range_job(bdm, config.comparer(), RangePolicy::CeilDiv, r);
-            run_job(workflow, job, annotated, chained)
+            run_job(workflow, job, annotated, bottom)
         }
         (strategy, _) => panic!("{strategy} was handed another strategy's input"),
     }
@@ -198,7 +198,7 @@ fn run_job<M, R>(
     workflow: &mut Workflow,
     job: Job<M, R>,
     input: Partitions<M::KIn, M::VIn>,
-    chained: bool,
+    bottom: Option<usize>,
 ) -> Result<(MatchResult, JobMetrics), MrError>
 where
     M: Mapper,
@@ -206,10 +206,12 @@ where
     M::VOut: Sync,
     R: Reducer<KIn = M::KOut, VIn = M::VOut, KOut = MatchPair, VOut = f64, Product = M::Product>,
 {
-    let out = if chained {
-        workflow.chained_stage(&job, input)?
-    } else {
-        workflow.repartitioned_stage(&job, input)?
+    let out = match bottom {
+        None => workflow.chained_stage(&job, input)?,
+        Some(bottom) => {
+            let name = format!("{}-bottom-{bottom}", job.name());
+            workflow.repartitioned_stage(&job.named(name), input)?
+        }
     };
     let result = MatchResult::from_runs(out.reduce_outputs);
     Ok((result, out.metrics))

@@ -56,7 +56,9 @@ pub(crate) fn split_keyless<V>(
 /// Runs the `⊥` sub-problems of `(keyed, keyless)` — between the sides
 /// `sources` tags, or within one source — as repartitioned stages of
 /// `workflow` under `config.strategy`, crossing sides first, and
-/// returns their matches.
+/// returns their matches. Sub-problem `i` (from 1, in the order of the
+/// module's formulas) runs as the stage `<match job>-bottom-<i>`, and
+/// one without a pair does not run.
 pub(crate) fn run_bottom_stages(
     workflow: &mut Workflow,
     (keyed, keyless): Split,
@@ -84,7 +86,7 @@ pub(crate) fn run_bottom_stages(
     let config = config.clone().with_blocking(Arc::new(ConstantBlocking));
     let count = |parts: &Partitions<(), Ent>| parts.iter().map(Vec::len).sum::<usize>();
     let mut result = MatchResult::new();
-    for (mut partitions, s) in sub_problems {
+    for (bottom, (mut partitions, s)) in (1..).zip(sub_problems) {
         let (nr, ns) = (count(&partitions), s.as_ref().map(count));
         if ns.map_or(nr < 2, |ns| nr == 0 || ns == 0) {
             continue; // no pair
@@ -96,7 +98,7 @@ pub(crate) fn run_bottom_stages(
             tags
         });
         let input = bottom_input(partitions, tags, config.strategy);
-        result.union(&match_stage(workflow, &config, input, false)?.0);
+        result.union(&match_stage(workflow, &config, input, Some(bottom))?.0);
     }
     Ok(result)
 }

@@ -67,8 +67,8 @@ impl Default for LshConfig {
 
 impl LshConfig {
     /// The workspace default: trigrams of `title`, a 16×2 → 8×4 → 4×8
-    /// ladder (constant 32-slot signature), no budget, the paper
-    /// matcher.
+    /// ladder (32 slots on every rung, each rung signing with its own
+    /// `rows` hashes per shingle), no budget, the paper matcher.
     pub fn new() -> Self {
         Self {
             ladder: vec![

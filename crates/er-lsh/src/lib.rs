@@ -116,7 +116,7 @@ impl LshBlocking {
     ) -> Self {
         Self {
             params,
-            hasher: MinHasher::new(params.signature_len(), seed),
+            hasher: MinHasher::new(params.bands, params.rows, seed),
             scheme,
             attribute: attribute.into(),
         }
@@ -244,7 +244,7 @@ mod tests {
         ] {
             for scheme in [ShingleScheme::CharGrams(3), ShingleScheme::Tokens] {
                 let blocking = LshBlocking::new(params, scheme, "title", 99);
-                let hasher = MinHasher::new(params.signature_len(), 99);
+                let hasher = MinHasher::new(params.bands, params.rows, 99);
                 for title in ["Canon EOS\x0b5D  Mark III ", "ab", "ΟΔΟΣ\u{a0}5", &long] {
                     let signature = hasher.signature(&shingle_hashes(title, scheme));
                     let stepwise: Vec<BlockKey> = (0..params.bands)

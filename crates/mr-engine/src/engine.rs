@@ -210,6 +210,14 @@ where
     pub fn name(&self) -> &str {
         &self.name
     }
+
+    /// The same job under `name`, so that a workflow running it more
+    /// than once can tell the stages apart in its metrics, its trace
+    /// and its fault plan.
+    pub fn named(mut self, name: impl Into<String>) -> Self {
+        self.name = name.into();
+        self
+    }
 }
 
 impl<M, R> Job<M, R>

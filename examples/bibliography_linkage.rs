@@ -177,12 +177,12 @@ fn main() {
             mini_input,
         )
         .unwrap();
-    // PairRange runs the BDM job and the match stage first.
+    // PairRange runs the BDM job and the match stage first; each ⊥
+    // stage is named after the match job and its sub-problem.
     for (stage, metrics) in outcome.workflow.stages.iter().enumerate() {
         println!(
-            "  stage {stage} {:<14} {:<15} comparisons={}",
+            "  stage {stage} {:<22} comparisons={}",
             metrics.job_name,
-            if stage < 2 { "" } else { "(⊥ sub-problem)" },
             metrics.counters.get(COMPARISONS)
         );
     }

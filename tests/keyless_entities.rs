@@ -216,6 +216,43 @@ fn a_retried_fault_in_every_stage_recovers_byte_identically() {
 }
 
 #[test]
+fn a_fault_plan_naming_the_match_job_hits_the_match_stage_only() {
+    let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
+    let resolver = session(&runtime, prefix2()).with_fault_policy(FaultPolicy::retry(2));
+    for (strategy, job) in [
+        (StrategyKind::Basic, "er-basic"),
+        (StrategyKind::BlockSplit, "er-block-split"),
+        (StrategyKind::PairRange, "er-pair-range"),
+    ] {
+        let scenario = Scenario::Dedup { strategy };
+        let reference = resolver.resolve(&scenario, mixed_input()).unwrap();
+        let once = FaultPlan::new().silence_injected_panics().panic_at(
+            job,
+            FaultKind::Reduce,
+            0,
+            1,
+            "injected once",
+        );
+        let faulted = resolver.clone().with_fault_plan(once);
+        let recovered = faulted.resolve(&scenario, mixed_input()).unwrap();
+        assert_eq!(
+            result_bits(&recovered.result),
+            result_bits(&reference.result)
+        );
+        let retried: Vec<(&str, u64)> = recovered
+            .workflow
+            .stages
+            .iter()
+            .map(|stage| (stage.job_name.as_str(), stage.tasks_retried()))
+            .filter(|&(_, retried)| retried > 0)
+            .collect();
+        assert_eq!(retried, [(job, 1)], "{strategy}");
+        let bottom = format!("{job}-bottom-2");
+        assert!(recovered.workflow.stage(&bottom).is_some(), "{strategy}");
+    }
+}
+
+#[test]
 fn the_sessions_tenant_and_trace_sink_see_every_bottom_stage() {
     let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(2));
     let recorder = Arc::new(TraceRecorder::new());
@@ -245,14 +282,27 @@ fn the_sessions_tenant_and_trace_sink_see_every_bottom_stage() {
             .map(|(stage, job)| (workflow.to_string(), job.to_string(), stage))
             .collect()
     };
-    let mut expected = stages("er-Basic", &["er-basic"; 3]);
+    let mut expected = stages(
+        "er-Basic",
+        &["er-basic", "er-basic-bottom-1", "er-basic-bottom-2"],
+    );
     expected.extend(stages(
         "er-BlockSplit",
-        &["bdm", "er-block-split", "er-block-split", "er-block-split"],
+        &[
+            "bdm",
+            "er-block-split",
+            "er-block-split-bottom-1",
+            "er-block-split-bottom-2",
+        ],
     ));
     expected.extend(stages(
         "er-PairRange",
-        &["bdm", "er-pair-range", "er-pair-range", "er-pair-range"],
+        &[
+            "bdm",
+            "er-pair-range",
+            "er-pair-range-bottom-1",
+            "er-pair-range-bottom-2",
+        ],
     ));
     assert_eq!(started, expected);
     let report = TraceReport::from_events(&events);

@@ -420,8 +420,9 @@ fn lsh_beats_block_split_on_comparisons_under_skew() {
     assert!(recall >= 0.8, "LSH recall {recall:.3}");
     assert!(imbalance <= 1.5, "LSH reduce imbalance {imbalance:.2}");
 
-    // Spending the same 32-slot signature on fewer, longer bands never
-    // grows the candidate set.
+    // Spending 32 signature slots on fewer, longer bands does not grow
+    // the candidate set (each banding signs with its own family, so
+    // this is the S-curve tightening, not one signature re-cut).
     let sweep = [(32, 1), (16, 2), (8, 4), (4, 8)].map(|(bands, rows)| {
         resolver
             .resolve(&Scenario::lsh(LshParams { bands, rows }), input.clone())

@@ -159,5 +159,5 @@ fn lsh_candidate_stage_prepares_each_routed_entity_once() {
     let (prepared, routed) = match_stage(|session| session, &scenario, input);
     assert!(routed >= replicas);
     assert_eq!(prepared, routed_entities);
-    assert_eq!((prepared, replicas, routed), (3_090, 6_843, 7_753));
+    assert_eq!((prepared, replicas, routed), (3_108, 6_872, 7_705));
 }
