@@ -95,7 +95,7 @@ use crate::keys::key_index;
 /// The first eight bytes of a key, zero-padded, as a big-endian
 /// integer: ordering by `(key_head, key)` is ordering by key, and
 /// equal keys have equal heads.
-pub(crate) fn key_head(key: &str) -> u64 {
+pub fn key_head(key: &str) -> u64 {
     let bytes = key.as_bytes();
     let mut head = [0u8; 8];
     let len = bytes.len().min(8);

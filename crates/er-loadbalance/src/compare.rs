@@ -19,7 +19,9 @@
 //!    block `0` under Sorted Neighborhood, the keys themselves under
 //!    Basic, which has no matrix. A shuffle record carries only the
 //!    [`PreparedHandle`] `(arena, id)` of the entity's row — no `Arc` —
-//!    and no reduce task prepares.
+//!    and no reduce task prepares. A product may also hold its table
+//!    beside other data (Sorted Neighborhood's sorted runs): the
+//!    driver reads tables through [`StageTable`].
 //! 1. **Handles → columns.** [`GroupComparer::push`] resolves each
 //!    member's handle once: its [`EntityRef`] and whether its keys are
 //!    the group's block alone (see 2.) come from its table, its
@@ -240,6 +242,19 @@ impl<K> AsRef<PreparedArena> for EntityTable<K> {
     }
 }
 
+impl<K> AsRef<EntityTable<K>> for EntityTable<K> {
+    fn as_ref(&self) -> &Self {
+        self
+    }
+}
+
+/// A match-stage map task's product as the compare path reads it: an
+/// [`EntityTable`] itself, or a product that holds one beside other
+/// data (Sorted Neighborhood's sorted runs).
+pub trait StageTable<K = u32>: AsRef<EntityTable<K>> + AsRef<PreparedArena> {}
+
+impl<K, T: AsRef<EntityTable<K>> + AsRef<PreparedArena>> StageTable<K> for T {}
+
 /// The map side of the compare path (step 0 of the
 /// [module documentation](self)): queues each entity a match-stage map
 /// task routes for the task's [`EntityTable`] once, hands out the
@@ -371,7 +386,7 @@ impl<K: Ord> GroupComparer<K> {
     /// [`push`](Self::push)es `members` in order.
     pub fn load(
         &mut self,
-        tables: &[EntityTable<K>],
+        tables: &[impl StageTable<K>],
         block: K,
         members: impl IntoIterator<Item = PreparedHandle>,
     ) {
@@ -383,8 +398,8 @@ impl<K: Ord> GroupComparer<K> {
 
     /// Appends the member at `handle` in `tables` to the columns;
     /// returns its position.
-    pub fn push(&mut self, tables: &[EntityTable<K>], handle: PreparedHandle) -> usize {
-        let table = &tables[handle.arena as usize];
+    pub fn push(&mut self, tables: &[impl StageTable<K>], handle: PreparedHandle) -> usize {
+        let table: &EntityTable<K> = tables[handle.arena as usize].as_ref();
         let off_block =
             !matches!(table.keys(handle.id), [only] if Some(only) == self.block.as_ref());
         self.per_pair_members += usize::from(off_block);
@@ -424,7 +439,7 @@ impl<K: Ord> GroupComparer<K> {
     /// probe the pair's first entity (the measures' left argument).
     pub fn strip(
         &mut self,
-        tables: &[EntityTable<K>],
+        tables: &[impl StageTable<K>],
         probe: usize,
         members: Range<usize>,
         probe_first: bool,
@@ -436,7 +451,8 @@ impl<K: Ord> GroupComparer<K> {
             let gate_entry = |position: usize| {
                 let keys = if self.off_block[position] {
                     let handle = self.prepared.handle(position);
-                    tables[handle.arena as usize].keys(handle.id)
+                    let table: &EntityTable<K> = tables[handle.arena as usize].as_ref();
+                    table.keys(handle.id)
                 } else {
                     std::slice::from_ref(block)
                 };
@@ -475,7 +491,11 @@ impl<K: Ord> GroupComparer<K> {
     }
 
     /// Every pair of the columns' members: each against all before it.
-    pub fn all_pairs(&mut self, tables: &[EntityTable<K>], mut sink: impl FnMut(MatchPair, f64)) {
+    pub fn all_pairs(
+        &mut self,
+        tables: &[impl StageTable<K>],
+        mut sink: impl FnMut(MatchPair, f64),
+    ) {
         for later in 1..self.len() {
             self.strip(tables, later, 0..later, false, &mut sink);
         }
@@ -485,7 +505,7 @@ impl<K: Ord> GroupComparer<K> {
     /// cross product: each of `first` against all of `second`.
     pub fn cross(
         &mut self,
-        tables: &[EntityTable<K>],
+        tables: &[impl StageTable<K>],
         block: K,
         first: impl IntoIterator<Item = PreparedHandle>,
         second: impl IntoIterator<Item = PreparedHandle>,
@@ -727,7 +747,7 @@ mod tests {
         let (a, b) = (keyed(1, "abcdefghij"), keyed(2, "abcdefghiX"));
         let (tables, handles) = staged(&comparer, &[&a, &a, &b, &b], 1);
         assert_eq!(
-            tables[0].as_ref().len(),
+            AsRef::<PreparedArena>::as_ref(&tables[0]).len(),
             2,
             "same entity must be prepared once"
         );

@@ -149,7 +149,9 @@ pub struct LshRound {
     /// evaluates each distinct pair once).
     pub candidate_pairs: u64,
     /// The banding S-curve estimate of recall at Jaccard similarity
-    /// 0.8, the match boundary.
+    /// 0.8, the match boundary — low by up to ≈ 0.018 near a rung's
+    /// threshold under the row-wise one-permutation signatures (see
+    /// [`LshParams::collision_probability`]).
     pub est_recall: f64,
     /// Whether the workload fit the candidate budget.
     pub within_budget: bool,

@@ -80,6 +80,16 @@ impl LshParams {
     /// ([`er_core::minhash::banding_probability`]). This is the
     /// *estimated recall at similarity `s`* the adaptive driver
     /// reports per round.
+    ///
+    /// The S-curve is exact for classic MinHash, whose slots are
+    /// independent. The row-wise one-permutation family
+    /// ([`er_core::MinHasher`]) splits each row's shingles over the
+    /// bands, so two entities collide somewhat more often near the
+    /// curve's threshold, and the estimate reads low there by up to
+    /// ≈ 0.018: in a simulation over 200 000 pairs per point, 0.866
+    /// collided against the curve's 0.848 at 16 × 2 with `s = 1/3`,
+    /// 0.947 against 0.935 at 8 × 4 with `s = 0.733`, and 0.452
+    /// against 0.437 at 4 × 8 with `s = 0.778`.
     pub fn collision_probability(&self, s: f64) -> f64 {
         banding_probability(s, self.bands, self.rows)
     }

@@ -1,12 +1,11 @@
 //! The end-to-end Sorted Neighborhood workflow.
 //!
-//! Both strategies share the same two-phase shape as the
-//! load-balancing workflow: a preprocessing job that numbers the
-//! entities in global sort order ([`crate::sample`]), whose side
-//! output — entities annotated with their global position, identically
-//! partitioned — feeds the matching job ([`crate::jobsn`] or
-//! [`crate::repsn`]) over key ranges cut from the entity count
-//! ([`SnRanges`]).
+//! Both strategies run **one** matching job ([`crate::repsn`], or
+//! JobSN's window job in [`crate::jobsn`], followed by its small stitch
+//! job): its map tasks sort their own runs, and each reduce task owns a
+//! key range cut from the entity count ([`crate::SnRanges`]) and merges
+//! its slice of the global order out of the runs ([`crate::runs`]).
+//! No preprocessing job runs, and no stage has a single reduce task.
 //!
 //! # Determinism contract
 //!
@@ -15,7 +14,7 @@
 //! every `reduce_tasks` count and across the two strategies, and equal
 //! to the single-machine sliding-window oracle [`sn_oracle`]. Ties
 //! between equal sort keys resolve by `(input partition, record
-//! order)` — the engine's stable shuffle order — which the oracle
+//! order)` — the order the runs' merge produces — which the oracle
 //! reproduces with a stable sort over the concatenated input.
 
 use std::sync::Arc;
@@ -32,9 +31,8 @@ use mr_engine::runtime::DEFAULT_REDUCE_TASKS;
 use mr_engine::workflow::Workflow;
 
 use crate::jobsn::{assemble_boundary_input, split_window_output, stitch_job, window_job};
-use crate::keys::SnRanges;
 use crate::repsn::repsn_job;
-use crate::sample::{sample_distribution_in, sorted_order, window_pairs, SampleProducts};
+use crate::runs::{sorted_order, window_pairs};
 use crate::PARTITION_ENTITIES;
 
 /// Which boundary-handling strategy runs the matching job.
@@ -43,9 +41,8 @@ pub enum SnStrategy {
     /// Second MR job stitches boundary candidates (costs an extra
     /// job).
     JobSn,
-    /// In-map replication: each range receives the `w − 1` entities
-    /// before its start, from the map tasks that hold them (single
-    /// job).
+    /// Replication: each range also reads the `w − 1` entities before
+    /// its start out of the map tasks' runs (single job).
     RepSn,
 }
 
@@ -148,8 +145,6 @@ impl std::fmt::Debug for SnConfig {
 pub struct SnStages {
     /// The deduplicated match result of this pass.
     pub result: MatchResult,
-    /// Metrics of the sort-key distribution job.
-    pub sample_metrics: JobMetrics,
     /// Metrics of the window/matching job.
     pub match_metrics: JobMetrics,
     /// Metrics of JobSN's stitch job (absent for RepSN and for
@@ -187,14 +182,13 @@ pub fn run_sorted_neighborhood_in(
     run_sn_stages(workflow, input, config, config.comparer())
 }
 
-/// Executes one full SN pass (distribution job → window job → optional
-/// stitch job) as stages of `workflow`, evaluating pairs through the
-/// given `comparer` — the hook by which multi-pass SN installs its
-/// pair-level dedup gate.
+/// Executes one full SN pass (matching job → optional stitch job) as
+/// stages of `workflow`, evaluating pairs through the given `comparer`
+/// — the hook by which multi-pass SN installs its pair-level dedup
+/// gate.
 ///
-/// RepSN runs `sample → match`; JobSN runs `sample → match → stitch`,
-/// where the stitch job is left out when no window crosses a range
-/// boundary.
+/// RepSN runs its one job; JobSN runs `window → stitch`, where the
+/// stitch job is left out when no window crosses a range boundary.
 pub fn run_sn_stages(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
@@ -209,21 +203,16 @@ pub fn run_sn_stages(
         config.reduce_tasks > 0,
         "at least one partition is required"
     );
-    let SampleProducts {
-        annotated,
-        metrics: sample_metrics,
-    } = sample_distribution_in(workflow, input, Arc::clone(&config.sort_key))?;
-    let entities = annotated.iter().map(|task| task.len() as u64).sum();
-    let ranges = Arc::new(SnRanges::new(entities, config.window, config.reduce_tasks));
+    let sort_key = Arc::clone(&config.sort_key);
+    let (window, ranges) = (config.window, config.reduce_tasks);
     match config.strategy {
         SnStrategy::JobSn => {
-            let job = window_job(ranges, comparer.clone(), config.window);
-            let out = workflow.chained_stage(&job, annotated)?;
+            let job = window_job(sort_key, comparer.clone(), window, ranges);
+            let out = workflow.chained_stage(&job, input)?;
             let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
             let match_metrics = out.metrics;
-            let (mut result, candidates) =
-                split_window_output(out.reduce_outputs, config.reduce_tasks, lens);
-            let boundary_input = assemble_boundary_input(&candidates, config.window);
+            let (mut result, candidates) = split_window_output(out.reduce_outputs, ranges, lens);
+            let boundary_input = assemble_boundary_input(&candidates, window);
             let stitch_metrics = if boundary_input.is_empty() {
                 None
             } else {
@@ -231,7 +220,7 @@ pub fn run_sn_stages(
                 // partition per boundary), so it runs outside the
                 // chained-shape invariant.
                 let boundaries = boundary_input.len();
-                let job = stitch_job(comparer, config.window, boundaries);
+                let job = stitch_job(comparer, window, boundaries);
                 let out = workflow.repartitioned_stage(&job, boundary_input)?;
                 for (pair, score) in out.reduce_outputs.into_iter().flatten() {
                     result.insert(pair, score);
@@ -240,18 +229,15 @@ pub fn run_sn_stages(
             };
             Ok(SnStages {
                 result,
-                sample_metrics,
                 match_metrics,
                 stitch_metrics,
             })
         }
         SnStrategy::RepSn => {
-            let job = repsn_job(ranges, comparer, config.window);
-            let out = workflow.chained_stage(&job, annotated)?;
-            let result = MatchResult::from_runs(out.reduce_outputs);
+            let job = repsn_job(sort_key, comparer, window, ranges);
+            let out = workflow.chained_stage(&job, input)?;
             Ok(SnStages {
-                result,
-                sample_metrics,
+                result: MatchResult::from_runs(out.reduce_outputs),
                 match_metrics: out.metrics,
                 stitch_metrics: None,
             })
@@ -272,8 +258,8 @@ pub(crate) fn inline_workflow(name: &str) -> Workflow {
 ///
 /// Entities are enumerated in `(input partition, record order)` and
 /// stable-sorted by the same
-/// [`routing_key`](crate::sample::routing_key) the mapper uses,
-/// mirroring the engine's shuffle tie order.
+/// [`routing_key`](crate::runs::routing_key) the mapper uses,
+/// mirroring the runs' merge order.
 pub fn sn_oracle(input: &Partitions<(), Ent>, config: &SnConfig) -> MatchResult {
     let sorted = sorted_order(input, config.sort_key.as_ref());
     let mut result = MatchResult::new();
@@ -411,7 +397,12 @@ mod tests {
             2,
             "w - 1 replicas cross the boundary"
         );
-        assert_eq!(outcome.sample_metrics.map_input_records(), 6);
+        assert_eq!(outcome.match_metrics.map_input_records(), 6);
+        assert_eq!(
+            outcome.match_metrics.map_output_records(),
+            2,
+            "one trigger per range"
+        );
     }
 
     #[test]
@@ -447,11 +438,10 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::keys::{SnEntity, SnKey};
-    use crate::repsn::RepSnMapper;
+    use crate::keys::SnRanges;
+    use crate::runs::{range_entries, sn_job, test_mapper, SortedRun};
     use crate::REPLICAS;
     use er_core::Entity;
-    use er_loadbalance::compare::EntityTable;
     use mr_engine::prelude::*;
     use proptest::prelude::*;
 
@@ -472,28 +462,32 @@ mod proptests {
         input
     }
 
-    /// What reaches a range: `(replica, entity id, position)` per
-    /// value, in arrival order.
+    /// What a RepSN range task walks: `(replica, entity id)` per
+    /// entry, in walk order — the slice [`RepSnReducer`] primes and
+    /// advances over, read inside a job.
     #[derive(Clone)]
-    struct Arrivals;
+    struct Arrivals {
+        window: usize,
+    }
 
     impl Reducer for Arrivals {
-        type KIn = SnKey;
-        type VIn = SnEntity;
+        type KIn = u32;
+        type VIn = ();
         type KOut = ();
-        type VOut = (bool, u64, u32);
-        type Product = EntityTable;
+        type VOut = (bool, u64);
+        type Product = SortedRun;
 
         fn reduce(
             &mut self,
-            group: Group<'_, SnKey, SnEntity, EntityTable>,
-            ctx: &mut ReduceContext<(), (bool, u64, u32)>,
+            group: Group<'_, u32, (), SortedRun>,
+            ctx: &mut ReduceContext<(), (bool, u64)>,
         ) {
-            for value in group.values() {
-                ctx.emit(
-                    (),
-                    (value.replica, value.entity.id().0, group.key().position),
-                );
+            let runs = group.products();
+            let ranges = ctx.info().num_reduce_tasks;
+            let (replicas, entries) = range_entries(runs, self.window, *group.key(), ranges, true);
+            for (i, (run, position)) in entries.into_iter().enumerate() {
+                let id = runs[run as usize].entity(position).id().0;
+                ctx.emit((), (i < replicas, id));
             }
         }
     }
@@ -531,13 +525,13 @@ mod proptests {
             }
         }
 
-        /// Range `q`, starting at global position `start_q`, receives
-        /// exactly the replicas at positions
-        /// `max(0, start_q − (w − 1))..start_q`, then its own entities,
-        /// both in global order — under heavy ties that run from
-        /// several map tasks across a range start, thin and empty
-        /// ranges, more ranges than entities, 1 to 8 map tasks and
-        /// map-side spilling; and both strategies equal the oracle.
+        /// Range `q`, starting at global rank `start_q`, walks exactly
+        /// the replicas at ranks `max(0, start_q − (w − 1))..start_q`,
+        /// then its own entities, both in global order — under heavy
+        /// ties that run from several map tasks across a range start,
+        /// thin and empty ranges, more ranges than entities, 1 to 8 map
+        /// tasks and map-side spilling; the RepSN job counts exactly
+        /// those replicas; and both strategies equal the oracle.
         #[test]
         fn replicas_are_exactly_the_positions_before_each_range_start(
             picks in proptest::collection::vec(0usize..84, 0..48),
@@ -550,40 +544,31 @@ mod proptests {
             let sort_key = SnConfig::new(SnStrategy::RepSn).sort_key;
             let sorted = sorted_order(&input, sort_key.as_ref());
             let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+            let ranges = SnRanges::new(picks.len() as u64, w, r);
             for threshold in [None, Some(1)] {
                 let workflow = || {
                     Workflow::on_pool("sn", Arc::new(mr_engine::pool::WorkerPool::new(2)))
                         .with_spill_threshold(threshold)
                 };
                 let mut stages = workflow();
-                let products =
-                    sample_distribution_in(&mut stages, input.clone(), Arc::clone(&sort_key))
-                        .unwrap();
-                let ranges = Arc::new(SnRanges::new(picks.len() as u64, w, r));
-                let mapper = RepSnMapper::new(Arc::clone(&ranges), w, &comparer);
-                let job = Job::builder("sn-repsn-arrivals", mapper, Arrivals)
-                    .reduce_tasks(r)
-                    .partitioner(SnKey::partitioner())
-                    .build();
-                let out = stages.chained_stage(&job, products.annotated).unwrap();
-                let at = |replica: bool, p: usize| (replica, sorted[p].id().0, p as u32);
-                let (mut start, mut replicas) = (0, 0);
+                let mapper = test_mapper(Arc::clone(&sort_key));
+                let job = sn_job("sn-repsn-arrivals", mapper, Arrivals { window: w }, r);
+                let out = stages.chained_stage(&job, input.clone()).unwrap();
+                let at = |replica: bool, p: u64| (replica, sorted[p as usize].id().0);
+                let mut replicas = 0;
                 for (q, arrivals) in out.reduce_outputs.iter().enumerate() {
-                    if q > 0 {
-                        prop_assert_eq!(start as u64, ranges.starts()[q - 1], "range {}", q);
-                    }
-                    let originals = arrivals.iter().filter(|(_, (replica, ..))| !replica).count();
-                    let end = start + originals;
-                    let expected: Vec<(bool, u64, u32)> = (start.saturating_sub(w - 1)..start)
+                    let span = ranges.range(q);
+                    let expected: Vec<(bool, u64)> = (span.start.saturating_sub(w as u64 - 1)..span.start)
                         .map(|p| at(true, p))
-                        .chain((start..end).map(|p| at(false, p)))
+                        .chain(span.clone().map(|p| at(false, p)))
                         .collect();
-                    let got: Vec<(bool, u64, u32)> = arrivals.iter().map(|&((), v)| v).collect();
+                    let got: Vec<(bool, u64)> = arrivals.iter().map(|&((), v)| v).collect();
                     prop_assert_eq!(got, expected, "range {} at {:?}", q, threshold);
-                    replicas += start.min(w - 1) as u64;
-                    start = end;
+                    replicas += span.start.min(w as u64 - 1);
                 }
-                prop_assert_eq!(start, picks.len());
+                prop_assert_eq!(ranges.range(r - 1).end, picks.len() as u64);
+                let job = crate::repsn::repsn_job(Arc::clone(&sort_key), comparer.clone(), w, r);
+                let out = stages.chained_stage(&job, input.clone()).unwrap();
                 prop_assert_eq!(out.metrics.counters.get(REPLICAS), replicas);
                 for strategy in [SnStrategy::RepSn, SnStrategy::JobSn] {
                     let config = SnConfig::new(strategy).with_window(w).with_reduce_tasks(r);

@@ -2,16 +2,17 @@
 //!
 //! Strategy 1 of *Parallel Sorted Neighborhood Blocking with
 //! MapReduce*: the window job slides the window inside each range
-//! partition and additionally publishes each partition's first and
-//! last `w − 1` entities as *boundary candidates*; a second, tiny MR
-//! job then compares the candidate pairs that straddle partition
-//! boundaries. No entity is replicated during the main job — the cost
-//! is an extra (small) job.
+//! partition — each reduce task merges its slice of the map tasks'
+//! sorted runs ([`crate::runs`]) — and additionally publishes each
+//! partition's first and last `w − 1` entities as *boundary
+//! candidates*; a second, tiny MR job then compares the candidate pairs
+//! that straddle partition boundaries. No range reads another's
+//! entities during the main job — the cost is an extra (small) job.
 //!
 //! # Exactness with thin and empty partitions
 //!
 //! The paper assumes every partition holds at least `w` entities. The
-//! ranges ([`SnRanges`]) hold equal window-pair shares, so that fails
+//! ranges ([`SnRanges`](crate::SnRanges)) hold equal window-pair shares, so that fails
 //! only on inputs with few pairs per range — but this implementation
 //! is exact without the assumption, on any layout: a partition with
 //! fewer than `w − 1` entities publishes *all* of them as both head
@@ -26,68 +27,17 @@
 use std::sync::Arc;
 
 use er_core::result::MatchPair;
+use er_core::sortkey::SortKeyFunction;
+use er_core::PreparedHandle;
 use er_loadbalance::compare::{EntityInterner, EntityTable, GroupComparer, PairComparer};
 use er_loadbalance::keys::key_index;
 use er_loadbalance::Ent;
 use mr_engine::prelude::*;
 
-use crate::keys::{BoundaryKey, BoundarySide, SnEntity, SnKey, SnRanges, SN_BLOCK};
+use crate::keys::{BoundaryKey, BoundarySide, SN_BLOCK};
+use crate::runs::{range_entries, sn_job, RunMapper, SortedRun};
 use crate::window::WindowBuffer;
 use crate::PARTITION_ENTITIES;
-
-/// Map phase of the window job (shared verbatim with nothing — RepSN
-/// has its own replicating mapper): route each position-annotated
-/// entity, prepared, to its key range.
-#[derive(Clone)]
-pub struct SnMapper {
-    /// The key ranges over positions.
-    ranges: Arc<SnRanges>,
-    interner: EntityInterner,
-}
-
-impl SnMapper {
-    /// Creates the mapper over the key ranges, preparing entities for
-    /// `comparer`.
-    pub fn new(ranges: Arc<SnRanges>, comparer: &PairComparer) -> Self {
-        Self {
-            ranges,
-            interner: EntityInterner::new(comparer),
-        }
-    }
-}
-
-impl Mapper for SnMapper {
-    type KIn = u32;
-    type VIn = Ent;
-    type KOut = SnKey;
-    type VOut = SnEntity;
-    type Side = ();
-    type Product = EntityTable;
-
-    fn setup(&mut self, info: &MapTaskInfo) {
-        self.interner.setup(info);
-    }
-
-    fn map(&mut self, position: &u32, entity: &Ent, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
-        let partition = key_index(self.ranges.partition_of(*position), "range partition index");
-        let prepared = self.interner.intern(entity, &[SN_BLOCK]);
-        ctx.emit(
-            SnKey {
-                partition,
-                position: *position,
-            },
-            SnEntity::original(Arc::clone(entity), prepared),
-        );
-    }
-
-    fn finish(&mut self, ctx: &mut MapContext<SnKey, SnEntity, ()>) {
-        self.interner.finish(ctx);
-    }
-
-    fn into_product(self) -> EntityTable {
-        self.interner.into_table()
-    }
-}
 
 /// One record of the window job's reduce output: either a found match
 /// or a boundary candidate for the stitch job.
@@ -117,146 +67,95 @@ pub enum WindowOut {
     },
 }
 
-/// Reduce phase of the window job. A reduce task owns one range, but
-/// grouping uses the full `(partition, position)` — the engine streams
-/// one entity per group out of the heap merge, so the range is never
-/// materialized; the window ([`WindowBuffer`], held in reducer state)
-/// slides *across* groups and only `w − 1` entities are resident. Heads are published as the
-/// first `w − 1` entities stream by; tails are read off the ring at
-/// task end ([`Reducer::finish`]).
+/// Reduce phase of the window job. A reduce task owns one key range:
+/// it merges its slice out of the sorted runs and slides the window
+/// ([`WindowBuffer`]) over the merge, so only `w − 1` entities are
+/// resident. The first `w − 1` entities are published as heads, the
+/// last `w − 1` as tails, where a boundary faces them.
 #[derive(Clone)]
 pub struct WindowReducer {
     window: usize,
-    /// Whether to publish head/tail candidates (false when the job
-    /// runs with a single partition — there are no boundaries).
-    emit_boundaries: bool,
     buffer: WindowBuffer,
-    /// The range this task owns (learned from the first group).
-    partition: Option<u32>,
-    /// Entities streamed so far.
-    seen: u64,
-    /// Whether this task owns the first / last range — their heads /
-    /// tails face no boundary and are never consumed, so they are not
-    /// published.
-    is_first: bool,
-    is_last: bool,
 }
 
 impl WindowReducer {
     /// Creates the reducer.
-    pub fn new(comparer: PairComparer, window: usize, emit_boundaries: bool) -> Self {
+    pub fn new(comparer: PairComparer, window: usize) -> Self {
         let buffer = WindowBuffer::new(comparer, window);
-        Self {
-            window,
-            emit_boundaries,
-            buffer,
-            partition: None,
-            seen: 0,
-            is_first: false,
-            is_last: false,
-        }
+        Self { window, buffer }
     }
 }
 
 impl Reducer for WindowReducer {
-    type KIn = SnKey;
-    type VIn = SnEntity;
+    type KIn = u32;
+    type VIn = ();
     type KOut = ();
     type VOut = WindowOut;
-    type Product = EntityTable;
-
-    fn setup(&mut self, info: &ReduceTaskInfo) {
-        // Tasks clone a fresh reducer from the prototype; the explicit
-        // reset just makes the streaming state impossible to misuse.
-        self.buffer.clear();
-        self.partition = None;
-        self.seen = 0;
-        // Task index == partition index (the partitioner is `p % r`
-        // with p < r).
-        self.is_first = info.task_index == 0;
-        self.is_last = info.task_index + 1 == info.num_reduce_tasks;
-    }
+    type Product = SortedRun;
 
     fn reduce(
         &mut self,
-        group: Group<'_, SnKey, SnEntity, EntityTable>,
+        group: Group<'_, u32, (), SortedRun>,
         ctx: &mut ReduceContext<(), WindowOut>,
     ) {
-        let partition = group.key().partition;
-        debug_assert!(
-            self.partition.is_none_or(|p| p == partition),
-            "a reduce task owns exactly one range"
-        );
-        self.partition = Some(partition);
-        let fringe = (self.window - 1) as u64;
-        for value in group.values() {
-            debug_assert!(!value.replica, "JobSN never replicates");
-            // Heads face the boundary to the *left*, which the first
-            // range does not have.
-            if self.emit_boundaries && !self.is_first && self.seen < fringe {
+        let runs = group.products();
+        let (partition, ranges) = (*group.key(), ctx.info().num_reduce_tasks);
+        let (_, entries) = range_entries(runs, self.window, partition, ranges, false);
+        let len = entries.len();
+        let fringe = len.min(self.window - 1);
+        // Heads face the boundary to the *left*, which the first range
+        // does not have; tails the boundary to the *right*, which the
+        // last range does not have.
+        let heads = if partition > 0 { fringe } else { 0 };
+        let last = partition as usize + 1 == ranges;
+        let tails = if last { 0 } else { fringe };
+        self.buffer.clear();
+        for (i, (run, position)) in entries.enumerate() {
+            let entity = || Arc::clone(runs[run as usize].entity(position));
+            if i < heads {
+                let dist = key_index(i + 1, "boundary distance");
                 ctx.emit(
                     (),
                     WindowOut::Head {
                         partition,
-                        dist: key_index(self.seen + 1, "boundary distance"),
-                        entity: Arc::clone(&value.entity),
+                        dist,
+                        entity: entity(),
                     },
                 );
             }
-            self.seen += 1;
-            self.buffer
-                .advance(group.products(), value, ctx, |ctx, pair, score| {
-                    ctx.emit((), WindowOut::Match(pair, score));
-                });
+            if len - i <= tails {
+                let dist = key_index(len - i, "boundary distance");
+                ctx.emit(
+                    (),
+                    WindowOut::Tail {
+                        partition,
+                        dist,
+                        entity: entity(),
+                    },
+                );
+            }
+            let member = runs[run as usize].handle(position);
+            self.buffer.advance(runs, member, |pair, score| {
+                ctx.emit((), WindowOut::Match(pair, score))
+            });
         }
-    }
-
-    fn finish(&mut self, ctx: &mut ReduceContext<(), WindowOut>) {
         self.buffer.flush(ctx);
-        let Some(partition) = self.partition else {
-            return; // the range was empty
-        };
-        ctx.add_counter(PARTITION_ENTITIES, self.seen);
-        // Tails face the boundary to the *right*, which the last
-        // range does not have.
-        if !self.emit_boundaries || self.is_last {
-            return;
-        }
-        // The ring holds exactly the last min(w − 1, n) entities,
-        // oldest first.
-        let tail_len = self.buffer.len();
-        for (i, entity) in self.buffer.entries().enumerate() {
-            ctx.emit(
-                (),
-                WindowOut::Tail {
-                    partition,
-                    dist: key_index(tail_len - i, "boundary distance"),
-                    entity: Arc::clone(entity),
-                },
-            );
+        if len > 0 {
+            ctx.add_counter(PARTITION_ENTITIES, len as u64);
         }
     }
 }
 
-/// Builds the JobSN window job, one reduce task per key range.
-/// Sorting *and grouping* use the full `(partition, position)`: the
-/// reduce-side merge then streams one entity at a time while the
-/// reducer carries the window across them.
+/// Builds the JobSN window job over `ranges` key ranges.
 pub fn window_job(
-    ranges: Arc<SnRanges>,
+    sort_key: Arc<dyn SortKeyFunction>,
     comparer: PairComparer,
     window: usize,
-) -> Job<SnMapper, WindowReducer> {
-    let partitions = ranges.num_ranges();
-    let emit_boundaries = partitions > 1;
-    Job::builder(
-        "sn-jobsn-window",
-        SnMapper::new(ranges, &comparer),
-        WindowReducer::new(comparer, window, emit_boundaries),
-    )
-    .reduce_tasks(partitions)
-    .partitioner(SnKey::partitioner())
-    .build()
+    ranges: usize,
+) -> Job<RunMapper, WindowReducer> {
+    let mapper = RunMapper::new(sort_key, &comparer).keeping_entities();
+    let reducer = WindowReducer::new(comparer, window);
+    sn_job("sn-jobsn-window", mapper, reducer, ranges)
 }
 
 /// Head/tail candidates and sizes of every partition, split out of the
@@ -401,14 +300,14 @@ impl StitchReducer {
 
 impl Reducer for StitchReducer {
     type KIn = BoundaryKey;
-    type VIn = SnEntity;
+    type VIn = PreparedHandle;
     type KOut = MatchPair;
     type VOut = f64;
     type Product = EntityTable;
 
     fn reduce(
         &mut self,
-        group: Group<'_, BoundaryKey, SnEntity, EntityTable>,
+        group: Group<'_, BoundaryKey, PreparedHandle, EntityTable>,
         ctx: &mut ReduceContext<MatchPair, f64>,
     ) {
         // Distances are `u32`, so a wider window reaches all of them.
@@ -417,7 +316,7 @@ impl Reducer for StitchReducer {
         self.driver.truncate(0);
         self.left_dists.clear();
         for (key, value) in group.iter() {
-            let position = self.driver.push(tables, value.prepared);
+            let position = self.driver.push(tables, *value);
             match key.side {
                 BoundarySide::Left => self.left_dists.push(key.dist),
                 BoundarySide::Right => {
@@ -458,7 +357,7 @@ impl Mapper for BoundaryMapper {
     type KIn = BoundaryKey;
     type VIn = Ent;
     type KOut = BoundaryKey;
-    type VOut = SnEntity;
+    type VOut = PreparedHandle;
     type Side = ();
     type Product = EntityTable;
 
@@ -470,13 +369,12 @@ impl Mapper for BoundaryMapper {
         &mut self,
         key: &BoundaryKey,
         entity: &Ent,
-        ctx: &mut MapContext<BoundaryKey, SnEntity, ()>,
+        ctx: &mut MapContext<BoundaryKey, PreparedHandle, ()>,
     ) {
-        let prepared = self.interner.intern(entity, &[SN_BLOCK]);
-        ctx.emit(*key, SnEntity::original(Arc::clone(entity), prepared));
+        ctx.emit(*key, self.interner.intern(entity, &[SN_BLOCK]));
     }
 
-    fn finish(&mut self, ctx: &mut MapContext<BoundaryKey, SnEntity, ()>) {
+    fn finish(&mut self, ctx: &mut MapContext<BoundaryKey, PreparedHandle, ()>) {
         self.interner.finish(ctx);
     }
 
@@ -634,88 +532,74 @@ mod tests {
         assert_eq!(ctx.output().len(), 3, "identical titles all match");
     }
 
+    /// The outputs of reduce task `task` of `ranges` over `titles`,
+    /// dealt over two map tasks, under window `w`.
+    fn window_task(
+        titles: &[&str],
+        w: usize,
+        task: usize,
+        ranges: usize,
+    ) -> ReduceContext<(), WindowOut> {
+        let entities: Vec<((), Ent)> = (0..)
+            .zip(titles)
+            .map(|(id, title)| ((), ent(id, title)))
+            .collect();
+        let input: Partitions<(), Ent> = entities
+            .chunks(titles.len().div_ceil(2))
+            .map(<[_]>::to_vec)
+            .collect();
+        let runs = crate::runs::runs_of(
+            &input,
+            Arc::new(er_core::sortkey::AttributeSortKey::title()),
+        );
+        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
+        let mut reducer = WindowReducer::new(comparer, w);
+        let info = ReduceTaskInfo {
+            task_index: task,
+            num_reduce_tasks: ranges,
+            num_map_tasks: runs.len(),
+        };
+        let mut ctx = ReduceContext::for_testing(info);
+        reducer.setup(&info);
+        let trigger = [(key_index(task, "key range index"), ())];
+        reducer.reduce(Group::for_testing(&trigger).with_products(&runs), &mut ctx);
+        reducer.finish(&mut ctx);
+        ctx
+    }
+
+    /// `(matches, heads, tails)` among a window task's outputs.
+    fn census(ctx: &ReduceContext<(), WindowOut>) -> (usize, usize, usize) {
+        let count = |f: fn(&WindowOut) -> bool| ctx.output().iter().filter(|(_, v)| f(v)).count();
+        (
+            count(|v| matches!(v, WindowOut::Match { .. })),
+            count(|v| matches!(v, WindowOut::Head { .. })),
+            count(|v| matches!(v, WindowOut::Tail { .. })),
+        )
+    }
+
     #[test]
     fn outer_partitions_publish_no_unconsumed_candidates() {
         // The first range has no left boundary (no heads), the last
         // no right boundary (no tails) — those candidates would never
-        // be consumed by assemble_boundary_input.
-        for (task_index, expect_heads, expect_tails) in [(0usize, 0usize, 2usize), (1, 2, 0)] {
-            let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-            let mut reducer = WindowReducer::new(comparer.clone(), 4, true);
-            let info = ReduceTaskInfo {
-                task_index,
-                num_reduce_tasks: 2,
-                num_map_tasks: 1,
-            };
-            let mut ctx = ReduceContext::for_testing(info);
-            reducer.setup(&info);
-            let key = |position| SnKey {
-                partition: task_index as u32,
-                position,
-            };
-            let entries = vec![(key(0), ent(1, "aa")), (key(1), ent(2, "bb"))];
-            let (entries, tables) = crate::keys::staged(&comparer, entries);
-            for group in entries.chunks(1) {
-                reducer.reduce(Group::for_testing(group).with_products(&tables), &mut ctx);
-            }
-            reducer.finish(&mut ctx);
-            let heads = ctx
-                .output()
-                .iter()
-                .filter(|(_, v)| matches!(v, WindowOut::Head { .. }))
-                .count();
-            let tails = ctx
-                .output()
-                .iter()
-                .filter(|(_, v)| matches!(v, WindowOut::Tail { .. }))
-                .count();
-            assert_eq!(heads, expect_heads, "task {task_index} heads");
-            assert_eq!(tails, expect_tails, "task {task_index} tails");
+        // be consumed by assemble_boundary_input. Four entities under
+        // w = 4 are cut 3 | 1.
+        let titles = ["aa", "bbb", "cccc", "ddddd"];
+        for (task, expect_heads, expect_tails) in [(0usize, 0usize, 3usize), (1, 1, 0)] {
+            let (_, heads, tails) = census(&window_task(&titles, 4, task, 2));
+            assert_eq!(heads, expect_heads, "task {task} heads");
+            assert_eq!(tails, expect_tails, "task {task} tails");
         }
     }
 
     #[test]
     fn window_reducer_streams_per_key_groups_and_publishes_thin_partitions() {
-        let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let mut reducer = WindowReducer::new(comparer.clone(), 4, true);
-        let key = |position| SnKey {
-            partition: 2,
-            position,
-        };
-        let info = ReduceTaskInfo {
-            task_index: 2,
-            num_reduce_tasks: 4,
-            num_map_tasks: 1,
-        };
-        let mut ctx = ReduceContext::for_testing(info);
-        reducer.setup(&info);
-        // The engine delivers one group per entity; the window must
-        // carry across them.
-        let entries = vec![
-            (key(5), ent(1, "same title")),
-            (key(6), ent(2, "same title")),
-        ];
-        let (entries, tables) = crate::keys::staged(&comparer, entries);
-        for group in entries.chunks(1) {
-            reducer.reduce(Group::for_testing(group).with_products(&tables), &mut ctx);
-        }
-        reducer.finish(&mut ctx);
-        let matches = ctx
-            .output()
-            .iter()
-            .filter(|(_, v)| matches!(v, WindowOut::Match { .. }))
-            .count();
-        let heads = ctx
-            .output()
-            .iter()
-            .filter(|(_, v)| matches!(v, WindowOut::Head { .. }))
-            .count();
-        let tails = ctx
-            .output()
-            .iter()
-            .filter(|(_, v)| matches!(v, WindowOut::Tail { .. }))
-            .count();
-        assert_eq!(matches, 1, "the cross-group pair is compared");
+        // Eight entities under w = 4 are cut 4 | 1 | 2 | 1: range 2
+        // holds ranks 5 and 6, fewer than w - 1, so each is a head and
+        // a tail, and the two are compared.
+        let titles = ["same title"; 8];
+        let ctx = window_task(&titles, 4, 2, 4);
+        let (matches, heads, tails) = census(&ctx);
+        assert_eq!(matches, 1, "the range's one pair is compared");
         assert_eq!(heads, 2, "n < w - 1: every entity is a head");
         assert_eq!(tails, 2, "and a tail");
         assert_eq!(ctx.counters().get(PARTITION_ENTITIES), 2);

@@ -1,53 +1,16 @@
-//! Composite map-output keys of the Sorted Neighborhood jobs.
+//! Key ranges and stitch keys of the Sorted Neighborhood jobs.
 //!
-//! The same composite-key discipline as the load-balancing strategies
-//! (partition on a *component*, sort on the whole key) applied to a
-//! total order: the window job routes on the range-partition index and
-//! sorts on `(partition, position)` — the entity's global position from
-//! the distribution job ([`crate::sample`]), so no key text is
-//! compared, cloned or dropped after it — and each reduce task receives
-//! one contiguous, fully sorted slice of the global order, a range of
-//! [`SnRanges`]; concatenating reduce tasks in index order reproduces
-//! it. The stitch job of JobSN routes on the boundary index and sorts
-//! candidates left-side-first by distance from the boundary.
+//! A Sorted Neighborhood job shuffles no entity: each reduce task owns
+//! one contiguous range of global ranks, [`SnRanges`], and reads its
+//! slice from the map tasks' sorted runs ([`crate::runs`]);
+//! concatenating reduce tasks in index order reproduces the global
+//! order. The stitch job of JobSN routes on the boundary index and
+//! sorts candidates left-side-first by distance from the boundary.
 
-use er_core::PreparedHandle;
-use er_loadbalance::Ent;
+use std::ops::Range;
+
 use mr_engine::comparator::{by_projection, KeyCmp};
 use mr_engine::partitioner::FnPartitioner;
-
-/// Map output key of the window jobs: `(partition, position)`, eight
-/// bytes and no pointer.
-///
-/// `Ord` sorts by partition first, then position — the global sort
-/// order, as positions number the entities in `(sort key, map task,
-/// record index)` order; partitioning uses only the partition
-/// component; grouping uses the *full* key, so every group is one
-/// entity and the range is never materialized — the window reducers
-/// carry their ring across groups instead. Ties between equal sort keys
-/// are settled by the positions themselves, independent of the
-/// partition count, which is what makes the match output invariant
-/// under `r`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SnKey {
-    /// Range-partition index (== reduce task index).
-    pub partition: u32,
-    /// The entity's global position.
-    pub position: u32,
-}
-
-impl SnKey {
-    /// Partitioner: route on the partition component only.
-    pub fn partitioner() -> FnPartitioner<SnKey> {
-        FnPartitioner::new(|key: &SnKey, r: usize| (key.partition as usize) % r)
-    }
-}
-
-impl std::fmt::Display for SnKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.{}", self.partition, self.position)
-    }
-}
 
 /// The key ranges of a Sorted Neighborhood run: `r` contiguous ranges
 /// of global positions, cut so that each holds an equal share of the
@@ -67,6 +30,8 @@ pub struct SnRanges {
     /// `starts[q]`: the first position of range `q + 1`,
     /// non-decreasing and at most `n`.
     starts: Vec<u64>,
+    /// `n`, the end of the last range.
+    entities: u64,
 }
 
 impl SnRanges {
@@ -98,30 +63,17 @@ impl SnRanges {
                 lo
             })
             .collect();
-        Self { starts }
+        Self { starts, entities }
     }
 
-    /// The range that holds `position`.
-    pub fn partition_of(&self, position: u32) -> usize {
-        self.starts
-            .partition_point(|&start| start <= u64::from(position))
-    }
-
-    /// The first position of every range but range 0, in range order.
-    pub(crate) fn starts(&self) -> &[u64] {
-        &self.starts
-    }
-
-    /// The number of ranges, `r`.
-    pub(crate) fn num_ranges(&self) -> usize {
-        self.starts.len() + 1
-    }
-
-    /// Test support: the ranges that start at `starts`.
-    #[cfg(test)]
-    pub(crate) fn from_starts(starts: Vec<u64>) -> Self {
-        assert!(starts.windows(2).all(|s| s[0] <= s[1]));
-        Self { starts }
+    /// The positions of range `q`.
+    ///
+    /// # Panics
+    /// If `q` is not below the number of ranges.
+    pub fn range(&self, q: usize) -> Range<u64> {
+        let start = if q == 0 { 0 } else { self.starts[q - 1] };
+        let end = self.starts.get(q).copied().unwrap_or(self.entities);
+        start..end
     }
 }
 
@@ -133,48 +85,6 @@ fn pairs_before(k: u64, reach: u64) -> u128 {
         k * k.saturating_sub(1) / 2
     } else {
         reach * (reach + 1) / 2 + (k - 1 - reach) * reach
-    }
-}
-
-/// Map output value of the window jobs and of JobSN's stitch job: the
-/// entity's row in its map task's table, its replica flag (RepSN's
-/// in-map boundary replication; always `false` under JobSN) and the
-/// entity itself, which JobSN publishes as a boundary candidate.
-///
-/// The row's key list is the one block every window compares under
-/// ([`SN_BLOCK`]), so the sliding window reuses the prepared-entity
-/// comparison path ([`er_loadbalance::compare::GroupComparer`])
-/// unchanged — under a single constant block the multi-pass gate is
-/// trivially open.
-#[derive(Debug, Clone)]
-pub struct SnEntity {
-    /// The entity.
-    pub entity: Ent,
-    /// Its row in its map task's table (see
-    /// [`er_loadbalance::compare::EntityInterner`]).
-    pub prepared: PreparedHandle,
-    /// True for a RepSN boundary replica (window-primer only; replica
-    /// × replica pairs are never compared — they belong to an earlier
-    /// partition).
-    pub replica: bool,
-}
-
-impl SnEntity {
-    /// An original (non-replicated) entity, prepared as `prepared`.
-    pub fn original(entity: Ent, prepared: PreparedHandle) -> Self {
-        Self {
-            entity,
-            prepared,
-            replica: false,
-        }
-    }
-
-    /// A RepSN boundary replica, prepared as `prepared`.
-    pub fn replica(entity: Ent, prepared: PreparedHandle) -> Self {
-        Self {
-            replica: true,
-            ..Self::original(entity, prepared)
-        }
     }
 }
 
@@ -230,28 +140,30 @@ impl std::fmt::Display for BoundaryKey {
     }
 }
 
+/// Partitioner of the SN window jobs' trigger records, keyed by key
+/// range: range `q` goes to reduce task `q`.
+pub(crate) fn range_partitioner() -> FnPartitioner<u32> {
+    FnPartitioner::new(|&range: &u32, r: usize| range as usize % r)
+}
+
 /// The one block every Sorted Neighborhood window compares under: an
 /// SN map task interns each entity with the key list `[SN_BLOCK]`.
 pub const SN_BLOCK: u32 = 0;
 
-/// Test support: the entities of `entries` as one map task emits them
-/// for `comparer` — originals with their handles — and the stage's
-/// tables.
+/// Test support: `entries` as one map task of the stitch job emits
+/// them for `comparer` — each entity's row — and the stage's tables.
 #[cfg(test)]
 pub(crate) fn staged<K>(
     comparer: &er_loadbalance::compare::PairComparer,
-    entries: Vec<(K, Ent)>,
+    entries: Vec<(K, er_loadbalance::Ent)>,
 ) -> (
-    Vec<(K, SnEntity)>,
+    Vec<(K, er_core::PreparedHandle)>,
     Vec<er_loadbalance::compare::EntityTable>,
 ) {
     let mut interner = er_loadbalance::compare::EntityInterner::new(comparer);
     let entries = entries
         .into_iter()
-        .map(|(key, entity)| {
-            let prepared = interner.intern(&entity, &[SN_BLOCK]);
-            (key, SnEntity::original(entity, prepared))
-        })
+        .map(|(key, entity)| (key, interner.intern(&entity, &[SN_BLOCK])))
         .collect();
     (entries, vec![interner.into_table()])
 }
@@ -259,48 +171,11 @@ pub(crate) fn staged<K>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_core::Entity;
     use mr_engine::partitioner::Partitioner;
-    use std::sync::Arc;
 
-    fn ent(id: u64) -> Ent {
-        Arc::new(Entity::new(id, [("title", "t")]))
-    }
-
-    #[test]
-    fn sn_key_orders_partition_first_then_key() {
-        let a = SnKey {
-            partition: 0,
-            position: 9,
-        };
-        let b = SnKey {
-            partition: 1,
-            position: 0,
-        };
-        let c = SnKey {
-            partition: 1,
-            position: 1,
-        };
-        assert!(a < b, "partition dominates the position");
-        assert!(b < c, "same partition: the position orders");
-        assert_eq!(a.to_string(), "0.9");
-    }
-
-    #[test]
-    fn sn_partitioner_routes_on_partition_component() {
-        let p = SnKey::partitioner();
-        let key = SnKey {
-            partition: 2,
-            position: 7,
-        };
-        assert_eq!(p.partition(&key, 4), 2);
-        assert_eq!(p.partition(&key, 2), 0, "wraps when r shrank");
-    }
-
-    /// `0`, the starts, `n`: range `q` spans `bounds[q]..bounds[q + 1]`.
-    fn bounds(ranges: &SnRanges, n: u64) -> Vec<u64> {
-        let starts = ranges.starts().iter().copied();
-        std::iter::once(0).chain(starts).chain([n]).collect()
+    /// Every range's span, in range order.
+    fn spans(ranges: &SnRanges, r: usize) -> Vec<Range<u64>> {
+        (0..r).map(|q| ranges.range(q)).collect()
     }
 
     /// Range `q`'s window pairs lie within `reach ≤ w − 1` of
@@ -314,8 +189,8 @@ mod tests {
     }
 
     /// Every cut over `n ≤ 40` entities, windows `2..=n + 2` and
-    /// `usize::MAX`, `r ≤ 8`: the starts tile `[0, n)`, `partition_of`
-    /// agrees with them, and each range holds `C(s_{q+1}) − C(s_q)`
+    /// `usize::MAX`, `r ≤ 8`: the ranges tile `[0, n)` in order, and
+    /// each holds `C(s_{q+1}) − C(s_q)`
     /// window pairs (counted one by one), within `w − 1` of `C(n) / r`.
     #[test]
     fn ranges_cut_the_window_pairs_evenly() {
@@ -327,12 +202,13 @@ mod tests {
                 assert_eq!(pairs_before(n, reach), total, "n {n}, w {w}");
                 for r in 1..=8 {
                     let ranges = SnRanges::new(n, w, r);
-                    assert_eq!(ranges.num_ranges(), r);
-                    for (q, span) in bounds(&ranges, n).windows(2).enumerate() {
-                        let (start, end) = (span[0], span[1]);
+                    let spans = spans(&ranges, r);
+                    assert_eq!((spans[0].start, spans[r - 1].end), (0, n));
+                    for (q, span) in spans.iter().enumerate() {
+                        let (start, end) = (span.start, span.end);
                         assert!(start <= end, "n {n}, w {w}, r {r}: {:?}", ranges);
-                        for position in start..end {
-                            assert_eq!(ranges.partition_of(position as u32), q);
+                        if q > 0 {
+                            assert_eq!(spans[q - 1].end, start, "n {n}, w {w}, r {r}");
                         }
                         let load: u128 = (start..end).map(pairs_at).sum();
                         let closed = pairs_before(end, reach) - pairs_before(start, reach);
@@ -353,13 +229,13 @@ mod tests {
         assert_eq!(total, u128::from(n) * u128::from(n - 1) / 2);
         for r in 1..=64 {
             let ranges = SnRanges::new(n, usize::MAX, r);
-            for span in bounds(&ranges, n).windows(2) {
-                assert!(span[0] <= span[1], "r {r}: {:?}", ranges);
-                let load = pairs_before(span[1], n) - pairs_before(span[0], n);
+            let spans = spans(&ranges, r);
+            for span in &spans {
+                assert!(span.start <= span.end, "r {r}: {:?}", ranges);
+                let load = pairs_before(span.end, n) - pairs_before(span.start, n);
                 assert_even(load, total, n, r);
             }
-            assert_eq!(ranges.partition_of(0), 0);
-            assert_eq!(ranges.partition_of(u32::MAX - 1), r - 1);
+            assert_eq!((spans[0].start, spans[r - 1].end), (0, n));
         }
     }
 
@@ -370,23 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn sn_natural_order_groups_by_distinct_full_key() {
-        // Grouping == sorting for the window jobs: equal full keys
-        // share a group, anything else separates.
-        let a = SnKey {
-            partition: 1,
-            position: 0,
-        };
-        let b = SnKey {
-            partition: 1,
-            position: 25,
-        };
-        let same = SnKey {
-            partition: 1,
-            position: 0,
-        };
-        assert_eq!(a.cmp(&same), std::cmp::Ordering::Equal);
-        assert_ne!(a.cmp(&b), std::cmp::Ordering::Equal);
+    fn sn_partitioner_routes_on_partition_component() {
+        let p = range_partitioner();
+        assert_eq!(p.partition(&2, 4), 2, "range q to reduce task q");
+        assert_eq!(p.partition(&2, 2), 0, "wraps when r shrank");
     }
 
     #[test]
@@ -427,39 +290,5 @@ mod tests {
             dist: 1,
         };
         assert_eq!(cmp(&key, &other), std::cmp::Ordering::Equal);
-    }
-
-    #[test]
-    fn sn_entity_wraps_under_the_bottom_key() {
-        let comparer =
-            er_loadbalance::compare::PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
-        let (entries, tables) = staged(&comparer, vec![((), ent(1)), ((), ent(2))]);
-        let original = entries[0].1.clone();
-        let replica = SnEntity::replica(ent(2), entries[1].1.prepared);
-        assert!(!original.replica);
-        assert!(replica.replica);
-        assert_eq!(original.entity.id().0, 1);
-        // Rows in the one window block alone keep the multi-pass gate
-        // open.
-        for value in [&original, &replica] {
-            let row = value.prepared;
-            assert_eq!(tables[row.arena as usize].keys(row.id), [SN_BLOCK]);
-        }
-    }
-
-    /// The window jobs shuffle, sort and group integers: no key text is
-    /// compared, cloned or dropped after the distribution job.
-    #[test]
-    fn an_sn_key_is_pointer_free() {
-        assert!(!std::mem::needs_drop::<SnKey>());
-        assert!(std::mem::size_of::<SnKey>() <= 8);
-    }
-
-    /// A window job moves one value per entity and per replica: the
-    /// entity (JobSN publishes it), its row and its replica flag.
-    #[cfg(target_pointer_width = "64")]
-    #[test]
-    fn an_sn_value_is_twenty_four_bytes() {
-        assert_eq!(std::mem::size_of::<SnEntity>(), 24);
     }
 }

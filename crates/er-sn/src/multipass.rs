@@ -14,13 +14,14 @@
 //! rule ([`er_loadbalance::multipass`]), a pair is evaluated only in
 //! the **first** pass whose window covers it: before pass `i` runs,
 //! the driver derives the window pair sets of passes `0..i` from the
-//! annotated sort orders (a pure function of the input — the same
+//! passes' sort orders (a pure function of the input — the same
 //! enumeration [`crate::sn_oracle`] uses) and installs them as a
 //! pair-level dedup gate
 //! ([`er_loadbalance::compare::PairComparer::with_skip_pairs`]) on the
 //! pass's comparer; gated pairs are counted under
 //! [`er_loadbalance::compare::MULTIPASS_SKIPPED`], never re-scored.
-//! Every pass runs as chained stages of **one** [`Workflow`], so the
+//! Every pass runs as chained stages of **one** [`Workflow`] — one SN
+//! job per RepSN pass, through [`run_sn_stages`] — so the
 //! whole multi-pass run reports a single rolled-up
 //! [`mr_engine::workflow::WorkflowMetrics`].
 
@@ -38,7 +39,7 @@ use mr_engine::metrics::JobMetrics;
 use mr_engine::workflow::Workflow;
 
 use crate::driver::{run_sn_stages, sn_oracle};
-use crate::sample::{sorted_order, window_pairs};
+use crate::runs::{sorted_order, window_pairs};
 use crate::SnConfig;
 
 /// What one pass of a multi-pass run contributed.
@@ -51,8 +52,6 @@ pub struct SnPassReport {
     pub skipped: u64,
     /// Matches this pass added to the union.
     pub new_matches: u64,
-    /// Metrics of the pass's distribution job.
-    pub sample_metrics: JobMetrics,
     /// Metrics of the pass's window/matching job.
     pub match_metrics: JobMetrics,
     /// Metrics of the pass's stitch job (JobSN only, when boundaries
@@ -129,7 +128,6 @@ pub fn run_multipass_sn_in(
             comparisons,
             skipped,
             new_matches: (result.len() - before) as u64,
-            sample_metrics: stages.sample_metrics,
             match_metrics: stages.match_metrics,
             stitch_metrics: stages.stitch_metrics,
         });

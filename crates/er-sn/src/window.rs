@@ -3,31 +3,27 @@
 //! A [`WindowBuffer`] holds the `w − 1` immediate predecessors (in
 //! global sort order) of the next entity as `Copy` rows in the columns
 //! of a compare driver ([`GroupComparer`]: entity reference, table
-//! handle, sketch) — nothing borrowed, so the buffer can live in
-//! reducer state and slide **across** reduce groups: the window jobs
-//! group by the full `(partition, position)`, so a reduce task streams
-//! one entity per group out of the engine's heap merge and never
-//! materializes its whole range; only the ring is resident.
+//! handle, sketch) — nothing borrowed, so a reduce task walks its merged
+//! slice of the sorted runs through it and only the ring is resident.
 //!
 //! [`WindowBuffer::advance`] compares the next entity against every
 //! buffered predecessor — exactly the pairs at distance `≤ w − 1`, one
 //! strip of the driver over rows read in place — then admits it,
 //! forgetting the oldest; its counts reach the task's counters at the
 //! next [`WindowBuffer::flush`], which the reducers call once, when
-//! their task finishes. RepSN's reducers additionally
-//! [`WindowBuffer::prime`] the buffer with boundary replicas so
-//! cross-partition pairs are covered *without* comparing replica ×
-//! replica (those pairs belong to an earlier partition).
+//! their slice is walked. RepSN's reducer additionally
+//! [`WindowBuffer::prime`]s the buffer with the `w − 1` entities before
+//! its range, so cross-range pairs are covered *without* comparing
+//! replica × replica (those pairs belong to an earlier range).
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use er_core::result::MatchPair;
-use er_loadbalance::compare::{EntityTable, GroupComparer, PairComparer};
-use er_loadbalance::Ent;
+use er_core::PreparedHandle;
+use er_loadbalance::compare::{GroupComparer, PairComparer, StageTable};
 use mr_engine::reducer::ReduceContext;
 
-use crate::keys::{SnEntity, SN_BLOCK};
+use crate::keys::SN_BLOCK;
 
 /// The `w − 1` most recent entities, as the tail of a compare driver's
 /// columns. Forgetting is amortized: the columns grow to twice the
@@ -36,8 +32,6 @@ use crate::keys::{SnEntity, SN_BLOCK};
 pub struct WindowBuffer {
     /// All SN comparisons run under the one window block.
     driver: GroupComparer,
-    /// The entity behind each driver row.
-    entities: Vec<Ent>,
     capacity: usize,
     /// Column length at which the stale front is dropped: twice the
     /// ring, saturating for windows past `usize::MAX / 2`.
@@ -56,34 +50,31 @@ impl WindowBuffer {
         let capacity = window - 1;
         Self {
             driver,
-            entities: Vec::new(),
             capacity,
             evict_at: capacity.saturating_mul(2),
         }
     }
 
-    /// Admits `member` without comparing it against the buffer — used
-    /// to pre-load RepSN boundary replicas (keeping only the last
-    /// `w − 1` primed entries, like any admission). `tables` are the
-    /// stage's, which every member's handle addresses.
-    pub fn prime(&mut self, tables: &[EntityTable], member: &SnEntity) {
+    /// Admits the entity at `member` without comparing it against the
+    /// buffer — used to pre-load RepSN's replicas (keeping only the
+    /// last `w − 1` primed entries, like any admission). `tables` are
+    /// the stage's, which every member's handle addresses.
+    pub fn prime(&mut self, tables: &[impl StageTable], member: PreparedHandle) {
         self.admit(tables, member);
     }
 
-    /// Compares `member` against every buffered predecessor (counting
-    /// comparisons until the next [`WindowBuffer::flush`] and delivering
-    /// matches to `sink`), then admits it.
-    pub fn advance<KO, VO>(
+    /// Compares the entity at `member` against every buffered
+    /// predecessor (counting comparisons until the next
+    /// [`WindowBuffer::flush`] and delivering matches to `sink`), then
+    /// admits it.
+    pub fn advance(
         &mut self,
-        tables: &[EntityTable],
-        member: &SnEntity,
-        ctx: &mut ReduceContext<KO, VO>,
-        mut sink: impl FnMut(&mut ReduceContext<KO, VO>, MatchPair, f64),
+        tables: &[impl StageTable],
+        member: PreparedHandle,
+        sink: impl FnMut(MatchPair, f64),
     ) {
         let (ring, next) = self.admit(tables, member);
-        self.driver.strip(tables, next, ring, false, |pair, score| {
-            sink(ctx, pair, score)
-        });
+        self.driver.strip(tables, next, ring, false, sink);
     }
 
     /// Adds what [`WindowBuffer::advance`] counted since the last flush
@@ -94,27 +85,22 @@ impl WindowBuffer {
 
     /// Appends `member`'s row; returns the ring as it was before, and
     /// the new row's position.
-    fn admit(&mut self, tables: &[EntityTable], member: &SnEntity) -> (Range<usize>, usize) {
+    fn admit(
+        &mut self,
+        tables: &[impl StageTable],
+        member: PreparedHandle,
+    ) -> (Range<usize>, usize) {
         if self.driver.len() == self.evict_at {
             self.driver.evict_front(self.capacity);
-            self.entities.drain(..self.capacity);
         }
         let ring = self.ring();
-        self.entities.push(Arc::clone(&member.entity));
-        (ring, self.driver.push(tables, member.prepared))
+        (ring, self.driver.push(tables, member))
     }
 
     /// The driver rows the ring currently spans.
     fn ring(&self) -> Range<usize> {
         let len = self.driver.len();
         len.saturating_sub(self.capacity)..len
-    }
-
-    /// The buffered entities, oldest first — i.e. the last
-    /// `min(w − 1, admitted)` entities in admission order. JobSN reads
-    /// this at task end to publish the partition's tail candidates.
-    pub fn entries(&self) -> impl Iterator<Item = &Ent> + '_ {
-        self.entities[self.ring()].iter()
     }
 
     /// Number of buffered predecessors.
@@ -130,7 +116,6 @@ impl WindowBuffer {
     /// Drops all buffered entries (the capacity stays).
     pub fn clear(&mut self) {
         self.driver.truncate(0);
-        self.entities.clear();
     }
 }
 
@@ -138,7 +123,8 @@ impl WindowBuffer {
 mod tests {
     use super::*;
     use er_core::{Entity, Matcher};
-    use er_loadbalance::COMPARISONS;
+    use er_loadbalance::compare::EntityTable;
+    use er_loadbalance::{Ent, COMPARISONS};
     use mr_engine::reducer::ReduceTaskInfo;
     use std::sync::Arc;
 
@@ -155,29 +141,45 @@ mod tests {
     }
 
     /// `entities` prepared for `comparer` by one map task.
-    fn staged(comparer: &PairComparer, entities: Vec<Ent>) -> (Vec<SnEntity>, Vec<EntityTable>) {
+    fn staged(
+        comparer: &PairComparer,
+        entities: Vec<Ent>,
+    ) -> (Vec<PreparedHandle>, Vec<EntityTable>) {
         let entries = entities.into_iter().map(|e| ((), e)).collect();
         let (entries, tables) = crate::keys::staged(comparer, entries);
         (entries.into_iter().map(|(_, e)| e).collect(), tables)
     }
 
+    /// The ids of the pairs `window` matches `member` with.
+    fn partners(
+        window: &mut WindowBuffer,
+        tables: &[EntityTable],
+        member: PreparedHandle,
+    ) -> Vec<(u64, u64)> {
+        let mut pairs = Vec::new();
+        window.advance(tables, member, |pair, _| {
+            pairs.push((pair.lo().id.0, pair.hi().id.0))
+        });
+        pairs
+    }
+
     #[test]
     fn advance_compares_each_entity_to_its_w_minus_1_predecessors() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let entities = (0..5).map(|i| keyed(i, "distinct title x")).collect();
+        let entities = (0..6).map(|i| keyed(i, "distinct title x")).collect();
         let (entities, tables) = staged(&comparer, entities);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 3);
-        for e in &entities {
-            window.advance(&tables, e, &mut c, |c, pair, score| c.emit(pair, score));
+        for &e in &entities[..5] {
+            window.advance(&tables, e, |pair, score| c.emit(pair, score));
         }
         window.flush(&mut c);
         // n = 5, w = 3: pairs = 1 + 2 + 2 + 2 = 7.
         assert_eq!(c.counters().get(COMPARISONS), 7);
         assert_eq!(window.len(), 2, "ring never exceeds w - 1");
-        // The ring holds the last two entities, oldest first.
-        let ids: Vec<u64> = window.entries().map(|e| e.id().0).collect();
-        assert_eq!(ids, vec![3, 4]);
+        // The ring holds the last two entities.
+        let pairs = partners(&mut window, &tables, entities[5]);
+        assert_eq!(pairs, [(3, 5), (4, 5)]);
         window.clear();
         assert!(window.is_empty());
     }
@@ -191,7 +193,7 @@ mod tests {
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 3);
         assert!(window.is_empty());
-        for r in replicas {
+        for &r in replicas {
             window.prime(&tables, r);
         }
         window.flush(&mut c);
@@ -200,8 +202,8 @@ mod tests {
             0,
             "priming must not compare replica x replica"
         );
-        for o in originals {
-            window.advance(&tables, o, &mut c, |c, pair, score| c.emit(pair, score));
+        for &o in originals {
+            window.advance(&tables, o, |pair, score| c.emit(pair, score));
         }
         window.flush(&mut c);
         // Original 10: vs both replicas (2). Original 11: vs replica 1
@@ -213,14 +215,14 @@ mod tests {
     #[test]
     fn priming_beyond_capacity_keeps_only_the_last_w_minus_1() {
         let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
-        let entities = (0..5).map(|i| keyed(i, "aaa")).collect();
+        let entities = (0..6).map(|i| keyed(i, "aaa")).collect();
         let (entities, tables) = staged(&comparer, entities);
         let mut window = WindowBuffer::new(comparer.clone(), 3);
-        for e in &entities {
+        for &e in &entities[..5] {
             window.prime(&tables, e);
         }
-        let ids: Vec<u64> = window.entries().map(|e| e.id().0).collect();
-        assert_eq!(ids, vec![3, 4], "only the freshest replicas stay");
+        let pairs = partners(&mut window, &tables, entities[5]);
+        assert_eq!(pairs, [(3, 5), (4, 5)], "only the freshest replicas stay");
     }
 
     #[test]
@@ -234,8 +236,8 @@ mod tests {
         let (entities, tables) = staged(&comparer, entities);
         let mut c = ctx();
         let mut window = WindowBuffer::new(comparer.clone(), 4);
-        for e in &entities {
-            window.advance(&tables, e, &mut c, |c, pair, score| c.emit(pair, score));
+        for &e in &entities {
+            window.advance(&tables, e, |pair, score| c.emit(pair, score));
         }
         window.flush(&mut c);
         assert_eq!(c.counters().get(COMPARISONS), 3);

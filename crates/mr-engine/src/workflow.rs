@@ -5,9 +5,8 @@
 //! (annotated entities, written per map task) becomes the —
 //! identically partitioned — input of one or more follow-up jobs. A
 //! scenario compiler (the ER driver's BDM job → matching job, the
-//! Sorted Neighborhood driver's distribution job → window job →
-//! optional stitch job, the LSH ladder's signature rounds → candidate
-//! job) is plain sequential code over one `&mut` [`Workflow`]: each
+//! Sorted Neighborhood driver's window job → optional stitch job, the
+//! LSH ladder's signature rounds → candidate job) is plain sequential code over one `&mut` [`Workflow`]: each
 //! stage call blocks its caller until the job finished, and the next
 //! line feeds its products to the next stage. A failing stage returns
 //! its error through `?`, so no later stage runs. Tenants still

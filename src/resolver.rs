@@ -413,7 +413,10 @@ pub enum ScenarioDetails {
     /// Single-pass Sorted Neighborhood (single-key
     /// [`Scenario::SortedNeighborhood`]).
     Sorted {
-        /// Metrics of the sort-key distribution job.
+        /// Always empty — no tasks, no counters, zero wall: SN runs no
+        /// distribution job, as each map task sorts its own run. Kept
+        /// because the performance ledger reads it as
+        /// `sn.sample_stage_s`, which therefore reads 0.
         sample_metrics: JobMetrics,
         /// Metrics of the window/matching job.
         match_metrics: JobMetrics,
@@ -544,8 +547,9 @@ impl Outcome {
 /// [`Resolver::lsh_config`] assemble a family's config from them on
 /// demand. The balancing runs the paper's constants: BlockSplit splits
 /// a block only on its share of the pairs, PairRange cuts ranges of
-/// `⌈P/r⌉` pairs, the BDM and SN distribution jobs pre-aggregate their
-/// counts, and LSH's candidate job is BlockSplit.
+/// `⌈P/r⌉` pairs, the BDM job pre-aggregates its counts, SN cuts its
+/// key ranges at window-pair quantiles, and LSH's candidate job is
+/// BlockSplit.
 ///
 /// # Concurrency contract
 ///
@@ -952,7 +956,14 @@ fn blocked(stages: ErStages) -> (MatchResult, ScenarioDetails) {
 /// The outcome parts of a single-pass SN scenario's stages.
 fn sorted(stages: SnStages) -> (MatchResult, ScenarioDetails) {
     let details = ScenarioDetails::Sorted {
-        sample_metrics: stages.sample_metrics,
+        sample_metrics: JobMetrics {
+            job_name: String::new(),
+            map_tasks: Vec::new(),
+            reduce_tasks: Vec::new(),
+            counters: Default::default(),
+            shuffle_wall: Default::default(),
+            wall: Default::default(),
+        },
         match_metrics: stages.match_metrics,
         stitch_metrics: stages.stitch_metrics,
     };

@@ -4,8 +4,9 @@
 //! records every reduce task used to re-prepare — and no reduce task
 //! prepares anything. Pinned on the ledger's corpora: DS1 at 1/8 under
 //! BlockSplit and PairRange (14 250; 23 231 and 36 924 map-output
-//! records), DS1 at 1/10 under RepSN `w = 20` (11 400; 11 989 records)
-//! and the `lsh_8x4` corpus's candidate stage.
+//! records), DS1 at 1/10 under RepSN `w = 20` (11 400; 32 trigger
+//! records and 589 replicas read from the map tasks' tables) and the
+//! `lsh_8x4` corpus's candidate stage.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -80,14 +81,14 @@ fn prepared_by_map_tasks(stage: &JobMetrics) -> u64 {
         .sum()
 }
 
-/// `(prepared entities, map-output records)` of the scenario's match
-/// stage, on the ledger's runtime shape (32 reduce tasks) with the
-/// session `configure`d.
+/// `(prepared entities, map-output records, replicas)` of the
+/// scenario's match stage, on the ledger's runtime shape (32 reduce
+/// tasks) with the session `configure`d.
 fn match_stage(
     configure: fn(Resolver<'_>) -> Resolver<'_>,
     scenario: &Scenario,
     input: Partitions<(), Ent>,
-) -> (u64, u64) {
+) -> (u64, u64, u64) {
     let runtime = Runtime::new(
         RuntimeConfig::new()
             .with_parallelism(2)
@@ -103,7 +104,8 @@ fn match_stage(
         prepared,
         "only the match stage prepares"
     );
-    (prepared, stage.map_output_records())
+    let replicas = stage.counters.get(er_sn::REPLICAS);
+    (prepared, stage.map_output_records(), replicas)
 }
 
 #[test]
@@ -113,7 +115,8 @@ fn block_split_and_pair_range_prepare_each_routed_entity_once() {
         (StrategyKind::PairRange, 36_924),
     ] {
         let scenario = Scenario::Dedup { strategy };
-        let (prepared, routed) = match_stage(|session| session, &scenario, products(2012, 0.125));
+        let (prepared, routed, _) =
+            match_stage(|session| session, &scenario, products(2012, 0.125));
         assert_eq!(routed, records, "{strategy} map-output records");
         assert_eq!(prepared, 14_250, "{strategy} prepares");
     }
@@ -122,12 +125,16 @@ fn block_split_and_pair_range_prepare_each_routed_entity_once() {
 #[test]
 fn repsn_prepares_each_entity_once_and_its_replicas_never() {
     let scenario = Scenario::sorted_neighborhood(SnStrategy::RepSn);
-    let (prepared, routed) = match_stage(
+    let (prepared, routed, replicas) = match_stage(
         |session| session.with_window(20),
         &scenario,
         products(2012, 0.1),
     );
-    assert_eq!(routed, 11_989, "originals plus (r − 1)(w − 1) replicas");
+    // The map tasks shuffle no entity: one trigger record per key
+    // range. The range tasks read the (r − 1)(w − 1) replicas out of
+    // the map tasks' tables.
+    assert_eq!(routed, 32, "one trigger per key range");
+    assert_eq!(replicas, 31 * 19);
     assert_eq!(prepared, 11_400);
 }
 
@@ -156,7 +163,7 @@ fn lsh_candidate_stage_prepares_each_routed_entity_once() {
     let replicas = keys.iter().flatten().filter(|&k| shared(k)).count() as u64;
 
     let scenario = Scenario::lsh(params);
-    let (prepared, routed) = match_stage(|session| session, &scenario, input);
+    let (prepared, routed, _) = match_stage(|session| session, &scenario, input);
     assert!(routed >= replicas);
     assert_eq!(prepared, routed_entities);
     assert_eq!((prepared, replicas, routed), (3_108, 6_872, 7_705));

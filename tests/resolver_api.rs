@@ -79,12 +79,16 @@ fn details_shape(details: &ScenarioDetails) -> String {
             match_metrics,
             stitch_metrics,
             ..
-        } => format!(
-            "Sorted sample={} match={} stitch={}",
-            sample_metrics.job_name,
-            match_metrics.job_name,
-            name(stitch_metrics.as_ref())
-        ),
+        } => {
+            // SN runs no distribution job: the field is empty.
+            assert!(sample_metrics.map_tasks.is_empty() && sample_metrics.reduce_tasks.is_empty());
+            assert_eq!(sample_metrics.wall, std::time::Duration::ZERO);
+            format!(
+                "Sorted match={} stitch={}",
+                match_metrics.job_name,
+                name(stitch_metrics.as_ref())
+            )
+        }
         ScenarioDetails::MultiPass { passes } => format!("MultiPass passes={}", passes.len()),
         ScenarioDetails::Lsh {
             params,
@@ -163,19 +167,19 @@ fn every_scenario_compiles_to_its_fixed_stage_sequence() {
         (
             Scenario::sorted_neighborhood(SnStrategy::JobSn),
             &input,
-            vec!["sn-sample", "sn-jobsn-window", "sn-jobsn-stitch"],
-            "Sorted sample=sn-sample match=sn-jobsn-window stitch=sn-jobsn-stitch",
+            vec!["sn-jobsn-window", "sn-jobsn-stitch"],
+            "Sorted match=sn-jobsn-window stitch=sn-jobsn-stitch",
         ),
         (
             Scenario::sorted_neighborhood(SnStrategy::RepSn),
             &input,
-            vec!["sn-sample", "sn-repsn"],
-            "Sorted sample=sn-sample match=sn-repsn stitch=-",
+            vec!["sn-repsn"],
+            "Sorted match=sn-repsn stitch=-",
         ),
         (
             Scenario::multipass_sn(SnStrategy::RepSn, passes()),
             &input,
-            vec!["sn-sample", "sn-repsn", "sn-sample", "sn-repsn"],
+            vec!["sn-repsn", "sn-repsn"],
             "MultiPass passes=2",
         ),
         (

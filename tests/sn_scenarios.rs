@@ -82,7 +82,7 @@ fn multipass_equals_the_union_of_oracles_and_compares_each_pair_once() {
             outcome.workflow.num_stages(),
             pass_reports
                 .iter()
-                .map(|p| 2 + usize::from(p.stitch_metrics.is_some()))
+                .map(|p| 1 + usize::from(p.stitch_metrics.is_some()))
                 .sum::<usize>()
         );
     }

@@ -204,11 +204,11 @@ fn null_sort_keys_are_routed_not_dropped() {
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let config = resolver.sn_config(strategy);
         let outcome = run_sn(&resolver, strategy, &input).unwrap();
-        let ScenarioDetails::Sorted { sample_metrics, .. } = &outcome.details else {
+        let ScenarioDetails::Sorted { match_metrics, .. } = &outcome.details else {
             panic!("a single-pass SN outcome carries sorted details");
         };
         assert_eq!(
-            sample_metrics.counters.get(NULL_SORT_KEYS),
+            match_metrics.counters.get(NULL_SORT_KEYS),
             2,
             "{strategy}: keyless entities counted"
         );
@@ -312,19 +312,26 @@ fn a_window_past_usize_max_half_covers_every_pair() {
 
 #[test]
 fn window_job_streams_ranges_instead_of_materializing_them() {
-    // Grouping == sorting for the window jobs: the reduce side
-    // buffers one key run + the w-1 ring, never the whole range. The
-    // engine's resident gauges must stay far below task input.
+    // The window jobs shuffle no entity: each reduce task reads one
+    // trigger record and merges its range lazily out of the map tasks'
+    // sorted runs, so the engine never holds a range — its resident
+    // gauge is one record per task — and the window keeps w - 1.
     let input = corpus(4);
     let runtime = runtime(1);
     let resolver = base_session(&runtime);
     for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
         let outcome = run_sn(&resolver, strategy, &input).unwrap();
         let m = outcome.details.match_metrics().expect("one matching job");
+        let inputs = m.per_reduce_counter(mr_engine::counters::REDUCE_INPUT_RECORDS);
+        assert_eq!(
+            inputs,
+            vec![1; m.reduce_tasks.len()],
+            "{strategy}: one trigger per task"
+        );
         assert!(
-            m.peak_resident_fraction() < 0.5,
-            "{strategy}: resident/input = {:.3} — the range is being materialized",
-            m.peak_resident_fraction()
+            m.peak_resident_records() <= 1,
+            "{strategy}: {} records resident — the range is being shuffled",
+            m.peak_resident_records()
         );
     }
 }

@@ -65,7 +65,7 @@ fn families() -> Vec<(&'static str, Scenario, Partitions<(), Ent>, u64)> {
             "RepSN",
             Scenario::sorted_neighborhood(SnStrategy::RepSn),
             corpus(4),
-            2,
+            1, // sn-repsn
         ),
         (
             "two-source linkage",

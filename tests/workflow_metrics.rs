@@ -103,7 +103,7 @@ fn sn_outcome_reports_stage_rollup() {
             .resolve(&Scenario::sorted_neighborhood(strategy), input.clone())
             .unwrap();
         let ScenarioDetails::Sorted {
-            sample_metrics,
+            match_metrics,
             stitch_metrics,
             ..
         } = &outcome.details
@@ -113,13 +113,16 @@ fn sn_outcome_reports_stage_rollup() {
         let wf = &outcome.workflow;
         assert_eq!(wf.workflow_name, format!("sn-{strategy}"));
         let expected_stages = match strategy {
-            SnStrategy::JobSn => 2 + usize::from(stitch_metrics.is_some()),
-            SnStrategy::RepSn => 2,
+            SnStrategy::JobSn => 1 + usize::from(stitch_metrics.is_some()),
+            SnStrategy::RepSn => 1,
         };
         assert_eq!(wf.num_stages(), expected_stages, "{strategy}");
+        // The match stage is the first: it derives the sort keys and
+        // counts the keyless entities.
+        assert_eq!(wf.stages[0].counters, match_metrics.counters);
         assert_eq!(
-            wf.stage("sn-sample").unwrap().counters,
-            sample_metrics.counters
+            wf.counters.get(er_sn::NULL_SORT_KEYS),
+            match_metrics.counters.get(er_sn::NULL_SORT_KEYS)
         );
         assert!(wf.stages_wall() <= wf.wall, "{strategy}");
         assert_counters_merge(wf);
