@@ -1,21 +1,21 @@
 //! The end-to-end Sorted Neighborhood workflow.
 //!
-//! Both strategies run **one** matching job ([`crate::repsn`], or
-//! JobSN's window job in [`crate::jobsn`], followed by its small stitch
-//! job): its map tasks sort their own runs, and each reduce task owns a
-//! key range cut from the entity count ([`crate::SnRanges`]) and merges
-//! its slice of the global order out of the runs ([`crate::runs`]).
-//! No preprocessing job runs, and no stage has a single reduce task.
+//! A pass runs **one** matching job ([`crate::repsn`]): its map tasks
+//! sort their own runs, and each reduce task owns a key range cut from
+//! the entity count ([`crate::SnRanges`]), merges its replicas and its
+//! slice of the global order out of the runs ([`crate::runs`]) and
+//! slides its window over them. No preprocessing job runs, and no stage
+//! has a single reduce task.
 //!
 //! # Determinism contract
 //!
 //! The match output is a pure function of `(input, SnConfig)`:
 //! byte-identical at every `parallelism`, identical as a pair set at
-//! every `reduce_tasks` count and across the two strategies, and equal
-//! to the single-machine sliding-window oracle [`sn_oracle`]. Ties
-//! between equal sort keys resolve by `(input partition, record
-//! order)` — the order the runs' merge produces — which the oracle
-//! reproduces with a stable sort over the concatenated input.
+//! every `reduce_tasks` count, and equal to the single-machine
+//! sliding-window oracle [`sn_oracle`]. Ties between equal sort keys
+//! resolve by `(input partition, record order)` — the order the runs'
+//! merge produces — which the oracle reproduces with a stable sort
+//! over the concatenated input.
 
 use std::sync::Arc;
 
@@ -30,29 +30,25 @@ use mr_engine::metrics::JobMetrics;
 use mr_engine::runtime::DEFAULT_REDUCE_TASKS;
 use mr_engine::workflow::Workflow;
 
-use crate::jobsn::{assemble_boundary_input, split_window_output, stitch_job, window_job};
 use crate::repsn::repsn_job;
 use crate::runs::{sorted_order, window_pairs};
-use crate::PARTITION_ENTITIES;
 
-/// Which boundary-handling strategy runs the matching job.
+/// The Sorted Neighborhood boundary strategy: replication (RepSN), the
+/// only one there is.
+///
+/// Kolb, Thor & Rahm give a second, JobSN, which compares the pairs
+/// that straddle range boundaries in a second job. It saved shipping
+/// RepSN's replicas; here a range task reads its replicas in place out
+/// of the map tasks' sorted runs, so nothing is shipped for them and
+/// the second job has nothing left to save. The type is kept, with one
+/// variant, because the performance ledger names it when it builds its
+/// Sorted Neighborhood scenario and config
+/// (`Scenario::sorted_neighborhood`, `Resolver::sn_config`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SnStrategy {
-    /// Second MR job stitches boundary candidates (costs an extra
-    /// job).
-    JobSn,
     /// Replication: each range also reads the `w − 1` entities before
-    /// its start out of the map tasks' runs (single job).
+    /// its start out of the map tasks' runs.
     RepSn,
-}
-
-impl std::fmt::Display for SnStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnStrategy::JobSn => write!(f, "JobSN"),
-            SnStrategy::RepSn => write!(f, "RepSN"),
-        }
-    }
 }
 
 /// Configuration of one Sorted Neighborhood run: what
@@ -66,8 +62,6 @@ pub struct SnConfig {
     /// Match rule (default: the paper's edit distance ≥ 0.8 on
     /// `title`).
     pub matcher: Arc<Matcher>,
-    /// Boundary-handling strategy.
-    pub strategy: SnStrategy,
     /// Window size `w ≥ 2`: every pair within `w − 1` sort positions
     /// is compared.
     pub window: usize,
@@ -79,11 +73,10 @@ pub struct SnConfig {
 impl SnConfig {
     /// Defaults: window 4, [`DEFAULT_REDUCE_TASKS`] key ranges, the
     /// full normalized `title` as sort key.
-    pub fn new(strategy: SnStrategy) -> Self {
+    pub fn new() -> Self {
         Self {
             sort_key: Arc::new(AttributeSortKey::title()),
             matcher: Arc::new(Matcher::paper_default()),
-            strategy,
             window: 4,
             reduce_tasks: DEFAULT_REDUCE_TASKS,
         }
@@ -127,10 +120,15 @@ impl SnConfig {
     }
 }
 
+impl Default for SnConfig {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl std::fmt::Debug for SnConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnConfig")
-            .field("strategy", &self.strategy)
             .field("window", &self.window)
             .field("reduce_tasks", &self.reduce_tasks)
             .finish_non_exhaustive()
@@ -145,11 +143,8 @@ impl std::fmt::Debug for SnConfig {
 pub struct SnStages {
     /// The deduplicated match result of this pass.
     pub result: MatchResult,
-    /// Metrics of the window/matching job.
+    /// Metrics of the matching job.
     pub match_metrics: JobMetrics,
-    /// Metrics of JobSN's stitch job (absent for RepSN and for
-    /// boundary-free JobSN runs).
-    pub stitch_metrics: Option<JobMetrics>,
 }
 
 impl SnStages {
@@ -159,14 +154,9 @@ impl SnStages {
             .per_reduce_counter(er_loadbalance::COMPARISONS)
     }
 
-    /// Total comparisons across the matching and stitch jobs.
+    /// Total comparisons of the matching job.
     pub fn total_comparisons(&self) -> u64 {
-        let stitch: u64 = self
-            .stitch_metrics
-            .as_ref()
-            .map(|m| m.counters.get(er_loadbalance::COMPARISONS))
-            .unwrap_or(0);
-        self.match_metrics.counters.get(er_loadbalance::COMPARISONS) + stitch
+        self.match_metrics.counters.get(er_loadbalance::COMPARISONS)
     }
 }
 
@@ -182,13 +172,9 @@ pub fn run_sorted_neighborhood_in(
     run_sn_stages(workflow, input, config, config.comparer())
 }
 
-/// Executes one full SN pass (matching job → optional stitch job) as
-/// stages of `workflow`, evaluating pairs through the given `comparer`
-/// — the hook by which multi-pass SN installs its pair-level dedup
-/// gate.
-///
-/// RepSN runs its one job; JobSN runs `window → stitch`, where the
-/// stitch job is left out when no window crosses a range boundary.
+/// Executes one full SN pass — its one matching job — as a stage of
+/// `workflow`, evaluating pairs through the given `comparer`: the hook
+/// by which multi-pass SN installs its pair-level dedup gate.
 pub fn run_sn_stages(
     workflow: &mut Workflow,
     input: Partitions<(), Ent>,
@@ -204,45 +190,12 @@ pub fn run_sn_stages(
         "at least one partition is required"
     );
     let sort_key = Arc::clone(&config.sort_key);
-    let (window, ranges) = (config.window, config.reduce_tasks);
-    match config.strategy {
-        SnStrategy::JobSn => {
-            let job = window_job(sort_key, comparer.clone(), window, ranges);
-            let out = workflow.chained_stage(&job, input)?;
-            let lens = out.metrics.per_reduce_counter(PARTITION_ENTITIES);
-            let match_metrics = out.metrics;
-            let (mut result, candidates) = split_window_output(out.reduce_outputs, ranges, lens);
-            let boundary_input = assemble_boundary_input(&candidates, window);
-            let stitch_metrics = if boundary_input.is_empty() {
-                None
-            } else {
-                // The stitch input is deliberately re-partitioned (one
-                // partition per boundary), so it runs outside the
-                // chained-shape invariant.
-                let boundaries = boundary_input.len();
-                let job = stitch_job(comparer, window, boundaries);
-                let out = workflow.repartitioned_stage(&job, boundary_input)?;
-                for (pair, score) in out.reduce_outputs.into_iter().flatten() {
-                    result.insert(pair, score);
-                }
-                Some(out.metrics)
-            };
-            Ok(SnStages {
-                result,
-                match_metrics,
-                stitch_metrics,
-            })
-        }
-        SnStrategy::RepSn => {
-            let job = repsn_job(sort_key, comparer, window, ranges);
-            let out = workflow.chained_stage(&job, input)?;
-            Ok(SnStages {
-                result: MatchResult::from_runs(out.reduce_outputs),
-                match_metrics: out.metrics,
-                stitch_metrics: None,
-            })
-        }
-    }
+    let job = repsn_job(sort_key, comparer, config.window, config.reduce_tasks);
+    let out = workflow.chained_stage(&job, input)?;
+    Ok(SnStages {
+        result: MatchResult::from_runs(out.reduce_outputs),
+        match_metrics: out.metrics,
+    })
 }
 
 /// Test helper of this crate: a workflow on a single-slot pool, so
@@ -253,7 +206,7 @@ pub(crate) fn inline_workflow(name: &str) -> Workflow {
 }
 
 /// Reference implementation: single-machine sliding window over the
-/// globally sorted input — the ground truth both strategies must
+/// globally sorted input — the ground truth the MR jobs must
 /// reproduce exactly, at every partition count and parallelism.
 ///
 /// Entities are enumerated in `(input partition, record order)` and
@@ -273,8 +226,8 @@ pub fn sn_oracle(input: &Partitions<(), Ent>, config: &SnConfig) -> MatchResult 
 }
 
 /// The number of window comparisons the oracle performs for `n` sorted
-/// entities under window `w` — the count both strategies must hit
-/// exactly (each pair compared once, no replica × replica extras).
+/// entities under window `w` — the count the MR jobs must hit exactly
+/// (each pair compared once, no replica × replica extras).
 pub fn oracle_comparisons(n: usize, window: usize) -> u64 {
     (0..n).map(|j| j.min(window - 1) as u64).sum()
 }
@@ -282,6 +235,7 @@ pub fn oracle_comparisons(n: usize, window: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::SnRanges;
     use crate::REPLICAS;
     use er_core::Entity;
 
@@ -297,12 +251,21 @@ mod tests {
             .collect()]
     }
 
-    fn config(strategy: SnStrategy) -> SnConfig {
-        SnConfig::new(strategy).with_window(3).with_reduce_tasks(2)
+    fn config() -> SnConfig {
+        SnConfig::new().with_window(3).with_reduce_tasks(2)
     }
 
     fn sn_inline(input: Partitions<(), Ent>, config: &SnConfig) -> Result<SnStages, MrError> {
         run_sorted_neighborhood_in(&mut inline_workflow("sn"), input, config)
+    }
+
+    /// The number of entities in each of `config`'s key ranges over
+    /// `n` entities.
+    fn range_sizes(n: u64, config: &SnConfig) -> Vec<u64> {
+        let ranges = SnRanges::new(n, config.window, config.reduce_tasks);
+        (0..config.reduce_tasks)
+            .map(|q| ranges.range(q).end - ranges.range(q).start)
+            .collect()
     }
 
     #[test]
@@ -315,22 +278,16 @@ mod tests {
             "nikon d800 body onlx",
             "sony alpha a7 ii kit",
         ];
-        for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let cfg = config(strategy);
-            let outcome = sn_inline(input(&titles), &cfg).unwrap();
-            let oracle = sn_oracle(&input(&titles), &cfg);
-            assert_eq!(
-                outcome.result.pair_set(),
-                oracle.pair_set(),
-                "{strategy} diverged from the oracle"
-            );
-            assert_eq!(
-                outcome.total_comparisons(),
-                oracle_comparisons(titles.len(), cfg.window),
-                "{strategy} must compare each window pair exactly once"
-            );
-            assert!(!outcome.result.is_empty(), "near-duplicates must match");
-        }
+        let cfg = config();
+        let outcome = sn_inline(input(&titles), &cfg).unwrap();
+        let oracle = sn_oracle(&input(&titles), &cfg);
+        assert_eq!(outcome.result.pair_set(), oracle.pair_set());
+        assert_eq!(
+            outcome.total_comparisons(),
+            oracle_comparisons(titles.len(), cfg.window),
+            "each window pair is compared exactly once"
+        );
+        assert!(!outcome.result.is_empty(), "near-duplicates must match");
     }
 
     #[test]
@@ -339,21 +296,17 @@ mod tests {
         // three ranges of 3, 1 and 1 entities: the interior range holds
         // fewer than w - 1 = 3 entities, so the pair between its
         // neighbours spans two boundaries; replication must still
-        // reach it. JobSN handles the identical configuration too.
+        // reach it.
         let titles = ["aa", "bb", "cc", "dd", "ee"];
-        for strategy in [SnStrategy::RepSn, SnStrategy::JobSn] {
-            let cfg = SnConfig::new(strategy).with_window(4).with_reduce_tasks(3);
-            let outcome = sn_inline(input(&titles), &cfg).unwrap();
-            let sizes = outcome.match_metrics.per_reduce_counter(PARTITION_ENTITIES);
-            assert_eq!(sizes, [3, 1, 1], "{strategy}");
-            let oracle = sn_oracle(&input(&titles), &cfg);
-            assert_eq!(outcome.result.pair_set(), oracle.pair_set(), "{strategy}");
-            assert_eq!(
-                outcome.total_comparisons(),
-                oracle_comparisons(5, 4),
-                "{strategy}"
-            );
-        }
+        let cfg = SnConfig::new().with_window(4).with_reduce_tasks(3);
+        assert_eq!(range_sizes(5, &cfg), [3, 1, 1]);
+        let outcome = sn_inline(input(&titles), &cfg).unwrap();
+        // Range 1 reads aa, bb, cc; range 2 bb, cc, dd.
+        assert_eq!(outcome.match_metrics.counters.get(REPLICAS), 6);
+        let oracle = sn_oracle(&input(&titles), &cfg);
+        assert_eq!(outcome.result.pair_set(), oracle.pair_set());
+        assert_eq!(outcome.reduce_loads(), [3, 3, 3]);
+        assert_eq!(outcome.total_comparisons(), oracle_comparisons(5, 4));
     }
 
     #[test]
@@ -361,36 +314,30 @@ mod tests {
         // Thin first and last ranges: four entities hold 6 window
         // pairs under w = 5, cut into 3 | 1, both below w - 1 = 4, so
         // the first range's whole content replicates forward.
-        let cfg = SnConfig::new(SnStrategy::RepSn)
-            .with_window(5)
-            .with_reduce_tasks(2);
+        let cfg = SnConfig::new().with_window(5).with_reduce_tasks(2);
+        assert_eq!(range_sizes(4, &cfg), [3, 1]);
         let titles = ["aa", "bb", "cc", "zz"];
         let outcome = sn_inline(input(&titles), &cfg).unwrap();
-        let sizes = outcome.match_metrics.per_reduce_counter(PARTITION_ENTITIES);
-        assert_eq!(sizes, [3, 1]);
         assert_eq!(outcome.match_metrics.counters.get(REPLICAS), 3);
         let oracle = sn_oracle(&input(&titles), &cfg);
         assert_eq!(outcome.result.pair_set(), oracle.pair_set());
+        assert_eq!(outcome.reduce_loads(), [3, 3]);
         assert_eq!(outcome.total_comparisons(), oracle_comparisons(4, 5));
     }
 
     #[test]
     fn single_partition_degenerates_to_a_plain_window() {
-        for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let cfg = SnConfig::new(strategy).with_window(3).with_reduce_tasks(1);
-            let outcome = sn_inline(input(&["b", "a", "c"]), &cfg).unwrap();
-            assert_eq!(outcome.total_comparisons(), oracle_comparisons(3, 3));
-            assert!(outcome.stitch_metrics.is_none());
-            assert_eq!(outcome.match_metrics.counters.get(REPLICAS), 0);
-        }
+        let cfg = SnConfig::new().with_window(3).with_reduce_tasks(1);
+        let outcome = sn_inline(input(&["b", "a", "c"]), &cfg).unwrap();
+        assert_eq!(outcome.total_comparisons(), oracle_comparisons(3, 3));
+        assert_eq!(outcome.match_metrics.counters.get(REPLICAS), 0);
     }
 
     #[test]
     fn outcome_exposes_loads_sizes_and_sampling() {
-        let cfg = config(SnStrategy::RepSn);
+        let cfg = config();
+        assert_eq!(range_sizes(6, &cfg).iter().sum::<u64>(), 6);
         let outcome = sn_inline(input(&["aa", "ab", "ac", "ba", "bb", "bc"]), &cfg).unwrap();
-        let sizes = outcome.match_metrics.per_reduce_counter(PARTITION_ENTITIES);
-        assert_eq!(sizes.iter().sum::<u64>(), 6);
         assert_eq!(outcome.reduce_loads().len(), 2);
         assert_eq!(
             outcome.match_metrics.counters.get(REPLICAS),
@@ -415,23 +362,22 @@ mod tests {
 
     #[test]
     fn config_debug_and_display() {
-        let cfg = config(SnStrategy::JobSn);
-        let dbg = format!("{cfg:?}");
-        assert!(dbg.contains("window: 3"));
-        assert_eq!(SnStrategy::JobSn.to_string(), "JobSN");
-        assert_eq!(SnStrategy::RepSn.to_string(), "RepSN");
+        let dbg = format!("{:?}", config());
+        assert!(dbg.contains("window: 3"), "{dbg}");
+        assert!(dbg.contains("reduce_tasks: 2"), "{dbg}");
+        assert_eq!(format!("{:?}", SnStrategy::RepSn), "RepSn");
     }
 
     #[test]
     #[should_panic(expected = "at least 2")]
     fn window_below_two_rejected() {
-        let _ = SnConfig::new(SnStrategy::JobSn).with_window(1);
+        let _ = SnConfig::new().with_window(1);
     }
 
     #[test]
     #[should_panic(expected = "at least one partition")]
     fn zero_partitions_rejected() {
-        let _ = SnConfig::new(SnStrategy::JobSn).with_reduce_tasks(0);
+        let _ = SnConfig::new().with_reduce_tasks(0);
     }
 }
 
@@ -439,7 +385,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::keys::SnRanges;
-    use crate::runs::{range_entries, sn_job, test_mapper, SortedRun};
+    use crate::runs::{range_entries, sn_job, RunMapper, SortedRun};
     use crate::REPLICAS;
     use er_core::Entity;
     use mr_engine::prelude::*;
@@ -484,19 +430,17 @@ mod proptests {
         ) {
             let runs = group.products();
             let ranges = ctx.info().num_reduce_tasks;
-            let (replicas, entries) = range_entries(runs, self.window, *group.key(), ranges, true);
+            let (replicas, entries) = range_entries(runs, self.window, *group.key(), ranges);
             for (i, (run, position)) in entries.into_iter().enumerate() {
-                let id = runs[run as usize].entity(position).id().0;
-                ctx.emit((), (i < replicas, id));
+                ctx.emit((), (i < replicas, runs[run as usize].id(position)));
             }
         }
     }
 
     proptest! {
         /// Heavy ties, keyless entities, and more ranges than window
-        /// pairs, which leaves ranges thin or empty: every strategy
-        /// still equals the oracle, comparing each window pair exactly
-        /// once.
+        /// pairs, which leaves ranges thin or empty: the run still
+        /// equals the oracle, comparing each window pair exactly once.
         #[test]
         fn both_strategies_equal_the_oracle_on_hostile_range_layouts(
             picks in proptest::collection::vec(0usize..84, 0..40),
@@ -506,23 +450,19 @@ mod proptests {
             w in 2usize..=16,
         ) {
             let input = hostile_input(&picks, letters, m);
-            for strategy in [SnStrategy::RepSn, SnStrategy::JobSn] {
-                let config = SnConfig::new(strategy).with_window(w).with_reduce_tasks(r);
-                let outcome =
-                    run_sorted_neighborhood_in(&mut inline_workflow("sn"), input.clone(), &config);
-                prop_assert_eq!(outcome.as_ref().err(), None, "{}", strategy);
-                let outcome = outcome.unwrap();
-                prop_assert_eq!(
-                    outcome.result.pair_set(),
-                    sn_oracle(&input, &config).pair_set(),
-                    "{}", strategy
-                );
-                prop_assert_eq!(
-                    outcome.total_comparisons(),
-                    oracle_comparisons(picks.len(), w),
-                    "{}", strategy
-                );
-            }
+            let config = SnConfig::new().with_window(w).with_reduce_tasks(r);
+            let outcome =
+                run_sorted_neighborhood_in(&mut inline_workflow("sn"), input.clone(), &config);
+            prop_assert_eq!(outcome.as_ref().err(), None);
+            let outcome = outcome.unwrap();
+            prop_assert_eq!(
+                outcome.result.pair_set(),
+                sn_oracle(&input, &config).pair_set()
+            );
+            prop_assert_eq!(
+                outcome.total_comparisons(),
+                oracle_comparisons(picks.len(), w)
+            );
         }
 
         /// Range `q`, starting at global rank `start_q`, walks exactly
@@ -531,7 +471,7 @@ mod proptests {
         /// ties that run from several map tasks across a range start,
         /// thin and empty ranges, more ranges than entities, 1 to 8 map
         /// tasks and map-side spilling; the RepSN job counts exactly
-        /// those replicas; and both strategies equal the oracle.
+        /// those replicas; and the run equals the oracle.
         #[test]
         fn replicas_are_exactly_the_positions_before_each_range_start(
             picks in proptest::collection::vec(0usize..84, 0..48),
@@ -541,7 +481,8 @@ mod proptests {
             w in 2usize..=12,
         ) {
             let input = hostile_input(&picks, letters, m);
-            let sort_key = SnConfig::new(SnStrategy::RepSn).sort_key;
+            let config = SnConfig::new().with_window(w).with_reduce_tasks(r);
+            let sort_key = Arc::clone(&config.sort_key);
             let sorted = sorted_order(&input, sort_key.as_ref());
             let comparer = PairComparer::new(Arc::new(Matcher::paper_default()));
             let ranges = SnRanges::new(picks.len() as u64, w, r);
@@ -551,7 +492,7 @@ mod proptests {
                         .with_spill_threshold(threshold)
                 };
                 let mut stages = workflow();
-                let mapper = test_mapper(Arc::clone(&sort_key));
+                let mapper = RunMapper::new(Arc::clone(&sort_key), &comparer);
                 let job = sn_job("sn-repsn-arrivals", mapper, Arrivals { window: w }, r);
                 let out = stages.chained_stage(&job, input.clone()).unwrap();
                 let at = |replica: bool, p: u64| (replica, sorted[p as usize].id().0);
@@ -570,21 +511,18 @@ mod proptests {
                 let job = crate::repsn::repsn_job(Arc::clone(&sort_key), comparer.clone(), w, r);
                 let out = stages.chained_stage(&job, input.clone()).unwrap();
                 prop_assert_eq!(out.metrics.counters.get(REPLICAS), replicas);
-                for strategy in [SnStrategy::RepSn, SnStrategy::JobSn] {
-                    let config = SnConfig::new(strategy).with_window(w).with_reduce_tasks(r);
-                    let outcome =
-                        run_sorted_neighborhood_in(&mut workflow(), input.clone(), &config).unwrap();
-                    prop_assert_eq!(
-                        outcome.result.pair_set(),
-                        sn_oracle(&input, &config).pair_set(),
-                        "{} at {:?}", strategy, threshold
-                    );
-                    prop_assert_eq!(
-                        outcome.total_comparisons(),
-                        oracle_comparisons(picks.len(), w),
-                        "{} at {:?}", strategy, threshold
-                    );
-                }
+                let outcome =
+                    run_sorted_neighborhood_in(&mut workflow(), input.clone(), &config).unwrap();
+                prop_assert_eq!(
+                    outcome.result.pair_set(),
+                    sn_oracle(&input, &config).pair_set(),
+                    "at {:?}", threshold
+                );
+                prop_assert_eq!(
+                    outcome.total_comparisons(),
+                    oracle_comparisons(picks.len(), w),
+                    "at {:?}", threshold
+                );
             }
         }
     }

@@ -1,15 +1,13 @@
-//! Key ranges and stitch keys of the Sorted Neighborhood jobs.
+//! Key ranges of the Sorted Neighborhood job.
 //!
 //! A Sorted Neighborhood job shuffles no entity: each reduce task owns
 //! one contiguous range of global ranks, [`SnRanges`], and reads its
 //! slice from the map tasks' sorted runs ([`crate::runs`]);
 //! concatenating reduce tasks in index order reproduces the global
-//! order. The stitch job of JobSN routes on the boundary index and
-//! sorts candidates left-side-first by distance from the boundary.
+//! order.
 
 use std::ops::Range;
 
-use mr_engine::comparator::{by_projection, KeyCmp};
 use mr_engine::partitioner::FnPartitioner;
 
 /// The key ranges of a Sorted Neighborhood run: `r` contiguous ranges
@@ -23,8 +21,8 @@ use mr_engine::partitioner::FnPartitioner;
 /// alone: no key histogram, no key text. Each range holds `C(n) / r`
 /// pairs give or take `w − 1`, however the sort keys tie, where
 /// `C(k) = Σ_{j<k} min(j, w − 1)`. Ranges may be thin or empty when
-/// there are fewer than `w − 1` window pairs per range; both strategies
-/// are exact on any layout.
+/// there are fewer than `w − 1` window pairs per range; RepSN is exact
+/// on any layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnRanges {
     /// `starts[q]`: the first position of range `q + 1`,
@@ -88,59 +86,7 @@ fn pairs_before(k: u64, reach: u64) -> u128 {
     }
 }
 
-/// Which side of a partition boundary a JobSN stitch candidate lies
-/// on. `Left < Right`, so a stitch reduce group buffers the (few)
-/// left-side entities before streaming the right side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum BoundarySide {
-    /// Last entities of the partition directly before the boundary.
-    Left,
-    /// First entities of the global order after the boundary (may span
-    /// several thin partitions).
-    Right,
-}
-
-/// Map output key of the JobSN stitch job:
-/// `(boundary, side, distance)`.
-///
-/// `boundary` is the index of the gap after partition `boundary`;
-/// `dist` is the 1-based number of global sort positions between the
-/// entity and the boundary. A left entity at distance `dl` and a right
-/// entity at distance `dr` are `dl + dr - 1` positions apart, so the
-/// window-`w` condition is `dl + dr ≤ w`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BoundaryKey {
-    /// Boundary index (between partitions `boundary` and `boundary+1`).
-    pub boundary: u32,
-    /// Which side of the boundary.
-    pub side: BoundarySide,
-    /// 1-based distance from the boundary.
-    pub dist: u32,
-}
-
-impl BoundaryKey {
-    /// Partitioner: route on the boundary component only.
-    pub fn partitioner() -> FnPartitioner<BoundaryKey> {
-        FnPartitioner::new(|key: &BoundaryKey, r: usize| (key.boundary as usize) % r)
-    }
-
-    /// Grouping comparator: boundary only — one group per boundary.
-    pub fn group_cmp() -> KeyCmp<BoundaryKey> {
-        by_projection(|k: &BoundaryKey| k.boundary)
-    }
-}
-
-impl std::fmt::Display for BoundaryKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let side = match self.side {
-            BoundarySide::Left => "L",
-            BoundarySide::Right => "R",
-        };
-        write!(f, "{}.{side}{}", self.boundary, self.dist)
-    }
-}
-
-/// Partitioner of the SN window jobs' trigger records, keyed by key
+/// Partitioner of the SN job's trigger records, keyed by key
 /// range: range `q` goes to reduce task `q`.
 pub(crate) fn range_partitioner() -> FnPartitioner<u32> {
     FnPartitioner::new(|&range: &u32, r: usize| range as usize % r)
@@ -149,24 +95,6 @@ pub(crate) fn range_partitioner() -> FnPartitioner<u32> {
 /// The one block every Sorted Neighborhood window compares under: an
 /// SN map task interns each entity with the key list `[SN_BLOCK]`.
 pub const SN_BLOCK: u32 = 0;
-
-/// Test support: `entries` as one map task of the stitch job emits
-/// them for `comparer` — each entity's row — and the stage's tables.
-#[cfg(test)]
-pub(crate) fn staged<K>(
-    comparer: &er_loadbalance::compare::PairComparer,
-    entries: Vec<(K, er_loadbalance::Ent)>,
-) -> (
-    Vec<(K, er_core::PreparedHandle)>,
-    Vec<er_loadbalance::compare::EntityTable>,
-) {
-    let mut interner = er_loadbalance::compare::EntityInterner::new(comparer);
-    let entries = entries
-        .into_iter()
-        .map(|(key, entity)| (key, interner.intern(&entity, &[SN_BLOCK])))
-        .collect();
-    (entries, vec![interner.into_table()])
-}
 
 #[cfg(test)]
 mod tests {
@@ -250,45 +178,5 @@ mod tests {
         let p = range_partitioner();
         assert_eq!(p.partition(&2, 4), 2, "range q to reduce task q");
         assert_eq!(p.partition(&2, 2), 0, "wraps when r shrank");
-    }
-
-    #[test]
-    fn boundary_key_sorts_left_before_right_by_distance() {
-        let mk = |boundary, side, dist| BoundaryKey {
-            boundary,
-            side,
-            dist,
-        };
-        let mut keys = [
-            mk(0, BoundarySide::Right, 1),
-            mk(0, BoundarySide::Left, 2),
-            mk(0, BoundarySide::Left, 1),
-            mk(1, BoundarySide::Left, 1),
-        ];
-        keys.sort();
-        assert_eq!(keys[0], mk(0, BoundarySide::Left, 1));
-        assert_eq!(keys[1], mk(0, BoundarySide::Left, 2));
-        assert_eq!(keys[2], mk(0, BoundarySide::Right, 1));
-        assert_eq!(keys[3].boundary, 1);
-        assert_eq!(keys[0].to_string(), "0.L1");
-        assert_eq!(keys[2].to_string(), "0.R1");
-    }
-
-    #[test]
-    fn boundary_partitioner_and_grouping() {
-        let p = BoundaryKey::partitioner();
-        let key = BoundaryKey {
-            boundary: 5,
-            side: BoundarySide::Right,
-            dist: 3,
-        };
-        assert_eq!(p.partition(&key, 4), 1);
-        let cmp = BoundaryKey::group_cmp();
-        let other = BoundaryKey {
-            boundary: 5,
-            side: BoundarySide::Left,
-            dist: 1,
-        };
-        assert_eq!(cmp(&key, &other), std::cmp::Ordering::Equal);
     }
 }

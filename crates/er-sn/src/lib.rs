@@ -22,25 +22,21 @@
 //!    the pair index space, applied to SN's band of pairs). No key text
 //!    or histogram is needed, and a heavy tie of equal sort keys is
 //!    split across ranges like any other run of ranks.
-//! 3. **Window tasks** — reduce task `q`, reached by one trigger
-//!    record, finds the cuts of its range in every run by exact
+//! 3. **Window tasks** ([`repsn`]) — reduce task `q`, reached by one
+//!    trigger record, finds the cuts of its range in every run by exact
 //!    multisequence selection and merges the slices between them in
 //!    global order; a `w`-sized ring buffer ([`window::WindowBuffer`])
 //!    slides over the merge, so only `w − 1` entities are in the compare
 //!    columns, scoring pairs on the entities the map tasks prepared
 //!    (`er_loadbalance::compare`).
-//! 4. **Boundary handling**, one of two strategies
-//!    ([`SnStrategy`]):
-//!    * [`jobsn`] — **JobSN**: the window job publishes each range's
-//!      first/last `w − 1` entities; a second, tiny MR job compares
-//!      the pairs straddling range boundaries. Exact even for thin and
-//!      empty ranges.
-//!    * [`repsn`] — **RepSN**: each range task also reads the `w − 1`
-//!      entities before its start out of the runs, primes its window
-//!      with them and never compares replica × replica, keeping the
-//!      output duplicate-free. One job, exactly `min(w − 1, start)`
-//!      replicas per range — however many map tasks — exact on every
-//!      range layout.
+//! 4. **Boundary handling by replication** (RepSN) — each range task
+//!    first reads the `w − 1` entities before its start out of the
+//!    runs, primes its window with them and never compares replica ×
+//!    replica, keeping the output duplicate-free. One job, exactly
+//!    `min(w − 1, start)` replicas per range — however many map tasks —
+//!    and nothing shipped for them; exact on every range layout, thin
+//!    and empty ranges included. The paper's second-job alternative is
+//!    not implemented ([`SnStrategy`] says why).
 //!
 //! All drivers execute their stages through the shared
 //! [`mr_engine::workflow::Workflow`] layer (identical-partitioning
@@ -55,12 +51,11 @@
 //! match output is byte-identical at every parallelism and equal — as
 //! a pair set, with exactly one comparison per window pair — to the
 //! single-machine oracle [`driver::sn_oracle`], at every partition
-//! count and under both strategies.
+//! count.
 
 #![forbid(unsafe_code)]
 
 pub mod driver;
-pub mod jobsn;
 pub mod keys;
 pub mod multipass;
 pub mod repsn;
@@ -71,7 +66,7 @@ pub use driver::{
     oracle_comparisons, run_sn_stages, run_sorted_neighborhood_in, sn_oracle, SnConfig, SnStages,
     SnStrategy,
 };
-pub use keys::{BoundaryKey, BoundarySide, SnRanges};
+pub use keys::SnRanges;
 pub use multipass::{
     multipass_oracle_comparisons, multipass_sn_oracle, run_multipass_sn_in, window_pair_set,
     MultiPassSnStages, SnPassReport,
@@ -86,8 +81,3 @@ pub const NULL_SORT_KEYS: &str = "er.sn.null_sort_keys";
 /// Counter: boundary replicas RepSN's range tasks prime their windows
 /// with.
 pub const REPLICAS: &str = "er.sn.replicas";
-
-/// Counter: original (non-replica) entities per key range, recorded by
-/// the range tasks — the fill levels JobSN's boundary assembly
-/// and the balance stats read.
-pub const PARTITION_ENTITIES: &str = "er.sn.partition_entities";

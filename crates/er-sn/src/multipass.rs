@@ -20,8 +20,8 @@
 //! ([`er_loadbalance::compare::PairComparer::with_skip_pairs`]) on the
 //! pass's comparer; gated pairs are counted under
 //! [`er_loadbalance::compare::MULTIPASS_SKIPPED`], never re-scored.
-//! Every pass runs as chained stages of **one** [`Workflow`] — one SN
-//! job per RepSN pass, through [`run_sn_stages`] — so the
+//! Every pass runs as a chained stage of **one** [`Workflow`] — one SN
+//! job per pass, through [`run_sn_stages`] — so the
 //! whole multi-pass run reports a single rolled-up
 //! [`mr_engine::workflow::WorkflowMetrics`].
 
@@ -52,11 +52,8 @@ pub struct SnPassReport {
     pub skipped: u64,
     /// Matches this pass added to the union.
     pub new_matches: u64,
-    /// Metrics of the pass's window/matching job.
+    /// Metrics of the pass's matching job.
     pub match_metrics: JobMetrics,
-    /// Metrics of the pass's stitch job (JobSN only, when boundaries
-    /// had candidates).
-    pub stitch_metrics: Option<JobMetrics>,
 }
 
 /// Products of the multi-pass stages executed inside a caller-owned
@@ -88,8 +85,8 @@ impl MultiPassSnStages {
 /// Executes multi-pass Sorted Neighborhood as stages of `workflow`:
 /// one window workflow per sort key in `passes`, unioned with the
 /// first-pass-wins dedup gate. `config.sort_key` is ignored — each
-/// pass routes by its own key function; everything else (strategy,
-/// window, partitions, matcher) applies to every pass.
+/// pass routes by its own key function; everything else (window,
+/// partitions, matcher) applies to every pass.
 ///
 /// # Panics
 /// If `passes` is empty.
@@ -111,25 +108,14 @@ pub fn run_multipass_sn_in(
             .comparer()
             .with_skip_pairs((!seen.is_empty()).then(|| Arc::new(seen.clone())));
         let stages = run_sn_stages(workflow, input.clone(), &pass_config, comparer)?;
-        let stitch_counter = |name: &str| {
-            stages
-                .stitch_metrics
-                .as_ref()
-                .map(|m| m.counters.get(name))
-                .unwrap_or(0)
-        };
-        let comparisons =
-            stages.match_metrics.counters.get(COMPARISONS) + stitch_counter(COMPARISONS);
-        let skipped = stages.match_metrics.counters.get(MULTIPASS_SKIPPED)
-            + stitch_counter(MULTIPASS_SKIPPED);
+        let counters = &stages.match_metrics.counters;
         let before = result.len();
         result.union(&stages.result);
         reports.push(SnPassReport {
-            comparisons,
-            skipped,
+            comparisons: counters.get(COMPARISONS),
+            skipped: counters.get(MULTIPASS_SKIPPED),
             new_matches: (result.len() - before) as u64,
             match_metrics: stages.match_metrics,
-            stitch_metrics: stages.stitch_metrics,
         });
         seen.extend(window_pair_set(&input, sort_key.as_ref(), config.window));
     }
@@ -192,7 +178,6 @@ pub fn multipass_oracle_comparisons(
 mod tests {
     use super::*;
     use crate::driver::{inline_workflow, run_sorted_neighborhood_in, SnStages};
-    use crate::SnStrategy;
     use er_core::sortkey::{AttributeSortKey, ReversedSortKey};
     use er_core::Entity;
 
@@ -230,9 +215,7 @@ mod tests {
             ent(2, "yy unrelated item aa"),
             ent(3, "ya other product bb"),
         ]];
-        let config = SnConfig::new(SnStrategy::JobSn)
-            .with_window(2)
-            .with_reduce_tasks(2);
+        let config = SnConfig::new().with_window(2).with_reduce_tasks(2);
         let single = sn_inline(
             input.clone(),
             &config
@@ -268,20 +251,18 @@ mod tests {
             ent(3, "bb other thing"),
             ent(4, "ca third thing"),
         ]];
-        for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let config = SnConfig::new(strategy).with_window(3).with_reduce_tasks(2);
-            let outcome = multipass_inline(input.clone(), &config, &passes()).unwrap();
-            assert_eq!(
-                outcome.total_comparisons(),
-                multipass_oracle_comparisons(&input, &config, &passes()),
-                "{strategy}: union size"
-            );
-            // Overlapping window pairs exist (both passes cover the
-            // adjacent same-suffix runs) and must be gated, not
-            // re-evaluated.
-            assert!(outcome.total_skipped() > 0, "{strategy}: gate engaged");
-            assert_eq!(outcome.passes.len(), 2);
-        }
+        let config = SnConfig::new().with_window(3).with_reduce_tasks(2);
+        let outcome = multipass_inline(input.clone(), &config, &passes()).unwrap();
+        assert_eq!(
+            outcome.total_comparisons(),
+            multipass_oracle_comparisons(&input, &config, &passes()),
+            "union size"
+        );
+        // Overlapping window pairs exist (both passes cover the
+        // adjacent same-suffix runs) and must be gated, not
+        // re-evaluated.
+        assert!(outcome.total_skipped() > 0, "gate engaged");
+        assert_eq!(outcome.passes.len(), 2);
     }
 
     #[test]
@@ -296,9 +277,7 @@ mod tests {
             ent(3, "bb other thing"),
             ent(4, "ca third thing"),
         ]];
-        let config = SnConfig::new(SnStrategy::RepSn)
-            .with_window(3)
-            .with_reduce_tasks(5);
+        let config = SnConfig::new().with_window(3).with_reduce_tasks(5);
         let outcome = multipass_inline(input.clone(), &config, &passes()).unwrap();
         assert_eq!(
             outcome.result.pair_set(),
@@ -317,9 +296,7 @@ mod tests {
             ent(1, "canon eos 5d mark iri"),
             ent(2, "nikon d800 body only"),
         ]];
-        let config = SnConfig::new(SnStrategy::RepSn)
-            .with_window(2)
-            .with_reduce_tasks(1);
+        let config = SnConfig::new().with_window(2).with_reduce_tasks(1);
         let single_key: Vec<Arc<dyn SortKeyFunction>> = vec![Arc::new(AttributeSortKey::title())];
         let multi = multipass_inline(input.clone(), &config, &single_key).unwrap();
         let plain = sn_inline(input, &config).unwrap();
@@ -332,10 +309,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one pass")]
     fn zero_passes_rejected() {
-        let _ = multipass_inline(
-            vec![vec![ent(0, "x")]],
-            &SnConfig::new(SnStrategy::JobSn),
-            &[],
-        );
+        let _ = multipass_inline(vec![vec![ent(0, "x")]], &SnConfig::new(), &[]);
     }
 }

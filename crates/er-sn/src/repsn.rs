@@ -1,7 +1,8 @@
 //! RepSN: boundary handling by replication.
 //!
-//! Strategy 2 of *Parallel Sorted Neighborhood Blocking with
-//! MapReduce*: besides its own entities, every range `q > 0` needs the
+//! The boundary strategy of *Parallel Sorted Neighborhood Blocking
+//! with MapReduce* that this crate runs (see [`crate::SnStrategy`]):
+//! besides its own entities, every range `q > 0` needs the
 //! entities at the `w − 1` global ranks before its start, as replicas.
 //! Here nothing is shipped for them: the reduce task of range `q`,
 //! starting at `s_q`, reads the map tasks' sorted runs
@@ -9,7 +10,7 @@
 //! sliding window with the replicas and slides into its own entities.
 //! Replica × replica pairs are never compared — they were already
 //! compared in an earlier range — so matches stay duplicate-free by
-//! construction. One job, no stitching, exact on every range layout
+//! construction. One job, exact on every range layout
 //! (thin and empty ranges included); range `q` reads
 //! `min(w − 1, s_q)` replicas, counted under [`REPLICAS`], so a run
 //! reads at most `(r − 1)(w − 1)`, whatever the number of map tasks.
@@ -23,7 +24,7 @@ use mr_engine::prelude::*;
 
 use crate::runs::{range_entries, sn_job, RunMapper, SortedRun};
 use crate::window::WindowBuffer;
-use crate::{PARTITION_ENTITIES, REPLICAS};
+use crate::REPLICAS;
 
 /// Reduce phase. A reduce task owns one key range: it merges its
 /// replicas and its own entities out of the sorted runs, primes the
@@ -64,8 +65,7 @@ impl Reducer for RepSnReducer {
     ) {
         let runs = group.products();
         let ranges = ctx.info().num_reduce_tasks;
-        let (replicas, entries) = range_entries(runs, self.window, *group.key(), ranges, true);
-        let originals = entries.len() - replicas;
+        let (replicas, entries) = range_entries(runs, self.window, *group.key(), ranges);
         let mut matches = Vec::new();
         self.buffer.clear();
         for (i, (run, position)) in entries.enumerate() {
@@ -81,7 +81,6 @@ impl Reducer for RepSnReducer {
         if replicas > 0 {
             ctx.add_counter(REPLICAS, replicas as u64);
         }
-        ctx.add_counter(PARTITION_ENTITIES, originals as u64);
         matches.sort_by_key(|&(pair, _)| pair);
         for (pair, score) in matches {
             ctx.emit(pair, score);
@@ -109,6 +108,7 @@ pub fn repsn_job(
 mod tests {
     use super::*;
     use crate::runs::runs_of;
+    use crate::SnRanges;
     use er_core::sortkey::AttributeSortKey;
     use er_core::{Entity, Matcher};
     use er_loadbalance::{Ent, COMPARISONS};
@@ -147,35 +147,33 @@ mod tests {
         // replicas, range 3 c and d, the empty range 4 d and e.
         let input = input(&[&["d", "a", "e"], &["c", "b"]]);
         let runs = runs_of(&input, Arc::new(AttributeSortKey::title()));
+        // The ids number d, a, e, c, b from 1.
         let titles = |entries: crate::runs::Merge<'_>| -> String {
             entries
                 .map(|(run, position)| {
-                    runs[run as usize]
-                        .entity(position)
-                        .get("title")
-                        .unwrap()
-                        .to_owned()
+                    ["d", "a", "e", "c", "b"][runs[run as usize].id(position) as usize - 1]
                 })
                 .collect()
         };
         let walked: Vec<(usize, String)> = (0..5)
             .map(|q| {
-                let (replicas, entries) = range_entries(&runs, 3, q, 5, true);
+                let (replicas, entries) = range_entries(&runs, 3, q, 5);
                 (replicas, titles(entries))
             })
             .collect();
         let expected = [(0, "abc"), (2, "bc"), (2, "bcd"), (2, "cde"), (2, "de")];
         assert_eq!(walked, expected.map(|(n, t)| (n, t.to_owned())));
+        let ranges = SnRanges::new(5, 3, 5);
+        let sizes: Vec<u64> = (0..5)
+            .map(|q| ranges.range(q).end - ranges.range(q).start)
+            .collect();
+        assert_eq!(sizes, [3, 0, 1, 1, 0]);
         let out = job(3, 5).run_on(&WorkerPool::new(1), input).unwrap();
         assert_eq!(out.metrics.counters.get(REPLICAS), 8);
         assert_eq!(
-            out.metrics.per_reduce_counter(PARTITION_ENTITIES),
-            [3, 0, 1, 1, 0]
-        );
-        assert_eq!(
-            out.metrics.counters.get(COMPARISONS),
-            7,
-            "each window pair once"
+            out.metrics.per_reduce_counter(COMPARISONS),
+            [3, 0, 2, 2, 0],
+            "each window pair once, in the range of its later entity"
         );
     }
 

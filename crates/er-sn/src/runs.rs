@@ -6,7 +6,7 @@
 //! task's own entities, sorted by `(sort key, record index)`, are a run
 //! of it. So nothing has to be shuffled to sort. [`RunMapper`] writes
 //! each entity's [`routing_key`] into one flat
-//! [`KeyText`](er_core::blocking::KeyText), interns the entity into its
+//! [`KeyText`], interns the entity into its
 //! task's table once, and sorts the task's `(key head, record)` column
 //! heads first: the 8-byte big-endian [`key_head`]s decide, and the key
 //! text is read only where two heads tie. In that order it lays out
@@ -18,9 +18,9 @@
 //!
 //! Reduce task `q` owns key range `q` of [`SnRanges`], cut from the
 //! entity count alone. It finds, in every run, how many entries precede
-//! the global ranks that bound its slice ([`cut`]: exact multisequence
+//! the global ranks that bound its slice (`cut`: exact multisequence
 //! selection, no sample) and merges those slices in global order
-//! ([`slice`]). Everything is a pure function of the input, at any
+//! (`slice`). Everything is a pure function of the input, at any
 //! parallelism and spill threshold.
 //!
 //! # Null sort keys
@@ -98,9 +98,6 @@ pub struct SortedRun {
     keys: KeyText,
     /// The entity's row in `table`.
     ids: Vec<PreparedId>,
-    /// The entity, when the job publishes entities (JobSN's window
-    /// job); empty otherwise.
-    entities: Vec<Ent>,
     table: EntityTable,
 }
 
@@ -123,13 +120,10 @@ impl SortedRun {
         }
     }
 
-    /// The entity at `position`.
-    ///
-    /// # Panics
-    /// If the run was built without
-    /// [`keeping_entities`](RunMapper::keeping_entities).
-    pub fn entity(&self, position: u32) -> &Ent {
-        &self.entities[position as usize]
+    /// Test support: the id of the entity at `position`.
+    #[cfg(test)]
+    pub(crate) fn id(&self, position: u32) -> u64 {
+        self.table.entity_ref(self.ids[position as usize]).id.0
     }
 }
 
@@ -167,15 +161,11 @@ fn global_cmp(runs: &[SortedRun], (a, p): Entry, (b, q): Entry) -> Ordering {
 pub struct RunMapper {
     sort_key: Arc<dyn SortKeyFunction>,
     interner: EntityInterner,
-    /// Whether the run keeps its entities.
-    keep_entities: bool,
     /// The map task.
     task: u32,
-    /// The task's routing keys, rows and (when kept) entities, in
-    /// record order.
+    /// The task's routing keys and rows, in record order.
     keys: KeyText,
     ids: Vec<PreparedId>,
-    entities: Vec<Ent>,
 }
 
 impl RunMapper {
@@ -184,20 +174,9 @@ impl RunMapper {
         Self {
             sort_key,
             interner: EntityInterner::new(comparer),
-            keep_entities: false,
             task: 0,
             keys: KeyText::new(),
             ids: Vec::new(),
-            entities: Vec::new(),
-        }
-    }
-
-    /// The mapper whose runs keep their entities, for reducers that
-    /// publish them ([`SortedRun::entity`]).
-    pub fn keeping_entities(self) -> Self {
-        Self {
-            keep_entities: true,
-            ..self
         }
     }
 }
@@ -222,9 +201,6 @@ impl Mapper for RunMapper {
         }
         self.keys.push(key.as_str());
         self.ids.push(self.interner.intern(entity, &[SN_BLOCK]).id);
-        if self.keep_entities {
-            self.entities.push(Arc::clone(entity));
-        }
     }
 
     fn finish(&mut self, ctx: &mut MapContext<u32, (), ()>) {
@@ -241,7 +217,7 @@ impl Mapper for RunMapper {
     /// lays the run out in that order, each column at its exact size,
     /// and frees the record-order columns before the table is built.
     fn into_product(self) -> SortedRun {
-        let (keys, ids, entities) = (self.keys, self.ids, self.entities);
+        let (keys, ids) = (self.keys, self.ids);
         let mut order: Vec<(u64, usize)> = keys.iter().map(key_head).zip(0..).collect();
         order.sort_unstable_by(|&(a, i), &(b, j)| {
             a.cmp(&b)
@@ -259,11 +235,7 @@ impl Mapper for RunMapper {
         for &(_, record) in &order {
             run.keys.push(keys.get(record));
         }
-        if !entities.is_empty() {
-            let sorted = order.iter().map(|&(_, record)| &entities[record]);
-            run.entities = sorted.map(Arc::clone).collect();
-        }
-        drop((keys, ids, entities, order));
+        drop((keys, ids, order));
         run.table = self.interner.into_table();
         run
     }
@@ -414,33 +386,28 @@ impl Iterator for Merge<'_> {
 impl ExactSizeIterator for Merge<'_> {}
 
 /// What the task of key range `range` (of `ranges`) walks, in global
-/// order: the `w − 1` entries before the range's start when `replicas`
-/// is set (RepSN primes its window with them), then the range's own.
-/// Returns how many of them lead as replicas.
+/// order: the `w − 1` entries before the range's start (RepSN primes
+/// its window with them), then the range's own. Returns how many of
+/// them lead as replicas.
 pub(crate) fn range_entries(
     runs: &[SortedRun],
     window: usize,
     range: u32,
     ranges: usize,
-    replicas: bool,
 ) -> (usize, Merge<'_>) {
     let entities = runs.iter().map(|run| run.len() as u64).sum();
     let span = SnRanges::new(entities, window, ranges).range(range as usize);
-    let reach = if replicas {
-        u64::try_from(window - 1).unwrap_or(u64::MAX)
-    } else {
-        0
-    };
+    let reach = u64::try_from(window - 1).unwrap_or(u64::MAX);
     let from = span.start.saturating_sub(reach);
     ((span.start - from) as usize, slice(runs, from..span.end))
 }
 
-/// Test support: the mapper of the tests' jobs — paper matcher, runs
-/// that keep their entities.
+/// Test support: the mapper of the tests' jobs, preparing for the
+/// paper matcher.
 #[cfg(test)]
 pub(crate) fn test_mapper(sort_key: Arc<dyn SortKeyFunction>) -> RunMapper {
     let comparer = PairComparer::new(Arc::new(er_core::Matcher::paper_default()));
-    RunMapper::new(sort_key, &comparer).keeping_entities()
+    RunMapper::new(sort_key, &comparer)
 }
 
 /// Test support: the runs `input`'s map tasks build under `sort_key`.
@@ -499,7 +466,7 @@ mod tests {
     /// The ids of `ranks` of the global order.
     fn ids(runs: &[SortedRun], ranks: Range<u64>) -> Vec<u64> {
         slice(runs, ranks)
-            .map(|(run, position)| runs[run as usize].entity(position).id().0)
+            .map(|(run, position)| runs[run as usize].id(position))
             .collect()
     }
 
@@ -509,18 +476,15 @@ mod tests {
         assert_eq!(runs.len(), 1, "one run per map task");
         assert_eq!(runs[0].len(), 4, "every entity in the run");
         assert_eq!(ids(&runs, 0..4), [1, 3, 2, 0], "aa, bb, cc, dd");
-        for position in 0..4 {
-            let handle = runs[0].handle(position);
+        for (position, id) in [1, 3, 2, 0].into_iter().enumerate() {
+            let handle = runs[0].handle(position as u32);
             let table: &EntityTable = runs[0].as_ref();
-            assert_eq!(
-                table.entity_ref(handle.id),
-                runs[0].entity(position).entity_ref()
-            );
+            assert_eq!(table.entity_ref(handle.id).id.0, id);
             assert_eq!(table.keys(handle.id), [SN_BLOCK]);
         }
         // Under w = 2 the ranks carry 0, 1, 1, 1 window pairs: two
         // even ranges are {aa, bb, cc} | {dd}.
-        let (replicas, entries) = range_entries(&runs, 2, 1, 2, true);
+        let (replicas, entries) = range_entries(&runs, 2, 1, 2);
         assert_eq!(replicas, 1, "cc primes range 1");
         assert_eq!(entries.collect::<Vec<_>>(), [(0, 2), (0, 3)]);
     }
@@ -702,9 +666,10 @@ mod proptests {
                 fn reduce(&mut self, group: Group<'_, u32, (), SortedRun>, ctx: &mut ReduceContext<(), u64>) {
                     let runs = group.products();
                     let ranges = ctx.info().num_reduce_tasks;
-                    let (_, entries) = range_entries(runs, self.0, *group.key(), ranges, false);
-                    for (run, position) in entries {
-                        ctx.emit((), runs[run as usize].entity(position).id().0);
+                    let entities = runs.iter().map(|run| run.len() as u64).sum();
+                    let span = SnRanges::new(entities, self.0, ranges).range(*group.key() as usize);
+                    for (run, position) in slice(runs, span) {
+                        ctx.emit((), runs[run as usize].id(position));
                     }
                 }
             }

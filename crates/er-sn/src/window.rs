@@ -1,4 +1,4 @@
-//! The sliding-window kernel shared by every SN reducer.
+//! The sliding-window kernel of the SN reducer.
 //!
 //! A [`WindowBuffer`] holds the `w − 1` immediate predecessors (in
 //! global sort order) of the next entity as `Copy` rows in the columns
@@ -10,8 +10,8 @@
 //! buffered predecessor — exactly the pairs at distance `≤ w − 1`, one
 //! strip of the driver over rows read in place — then admits it,
 //! forgetting the oldest; its counts reach the task's counters at the
-//! next [`WindowBuffer::flush`], which the reducers call once, when
-//! their slice is walked. RepSN's reducer additionally
+//! next [`WindowBuffer::flush`], which the reducer calls once, when its
+//! slice is walked. Before its own entities, RepSN's reducer
 //! [`WindowBuffer::prime`]s the buffer with the `w − 1` entities before
 //! its range, so cross-range pairs are covered *without* comparing
 //! replica × replica (those pairs belong to an earlier range).
@@ -123,7 +123,7 @@ impl WindowBuffer {
 mod tests {
     use super::*;
     use er_core::{Entity, Matcher};
-    use er_loadbalance::compare::EntityTable;
+    use er_loadbalance::compare::{EntityInterner, EntityTable};
     use er_loadbalance::{Ent, COMPARISONS};
     use mr_engine::reducer::ReduceTaskInfo;
     use std::sync::Arc;
@@ -140,14 +140,18 @@ mod tests {
         Arc::new(Entity::new(id, [("title", title)]))
     }
 
-    /// `entities` prepared for `comparer` by one map task.
+    /// `entities` prepared for `comparer` by one map task: each
+    /// entity's row, and the stage's one table.
     fn staged(
         comparer: &PairComparer,
         entities: Vec<Ent>,
     ) -> (Vec<PreparedHandle>, Vec<EntityTable>) {
-        let entries = entities.into_iter().map(|e| ((), e)).collect();
-        let (entries, tables) = crate::keys::staged(comparer, entries);
-        (entries.into_iter().map(|(_, e)| e).collect(), tables)
+        let mut interner = EntityInterner::new(comparer);
+        let rows = entities
+            .iter()
+            .map(|entity| interner.intern(entity, &[SN_BLOCK]))
+            .collect();
+        (rows, vec![interner.into_table()])
     }
 
     /// The ids of the pairs `window` matches `member` with.

@@ -4,9 +4,10 @@
 //! (the paper's Figure 2): a preprocessing MR job whose *side output*
 //! (annotated entities, written per map task) becomes the —
 //! identically partitioned — input of one or more follow-up jobs. A
-//! scenario compiler (the ER driver's BDM job → matching job, the
-//! Sorted Neighborhood driver's window job → optional stitch job, the
-//! LSH ladder's signature rounds → candidate job) is plain sequential code over one `&mut` [`Workflow`]: each
+//! scenario compiler (the ER driver's BDM job → matching job → keyless
+//! `⊥` stages, the Sorted Neighborhood driver's one window job per
+//! pass, the LSH ladder's signature rounds → candidate job) is plain
+//! sequential code over one `&mut` [`Workflow`]: each
 //! stage call blocks its caller until the job finished, and the next
 //! line feeds its products to the next stage. A failing stage returns
 //! its error through `?`, so no later stage runs. Tenants still
@@ -29,9 +30,9 @@
 //!   job"). The invariant is enforced by the layer — a violation is
 //!   the typed [`MrError::StageShapeMismatch`], not a debug assertion.
 //! * **Repartitioning** — some stages legitimately re-shape the data
-//!   (JobSN's stitch job runs over one partition per range boundary);
-//!   [`Workflow::repartitioned_stage`] runs them without touching the
-//!   established shape.
+//!   (each `⊥` stage of the ER driver runs over its own keyless
+//!   sub-problem); [`Workflow::repartitioned_stage`] runs them without
+//!   touching the established shape.
 //! * **Metrics roll-up** — each stage's [`JobMetrics`] is recorded in
 //!   execution order; [`Workflow::finish`] rolls them into a
 //!   [`WorkflowMetrics`]: per-stage walls, the end-to-end wall
@@ -261,9 +262,8 @@ impl Workflow {
     }
 
     /// Runs `job` as the next stage over deliberately re-partitioned
-    /// input (e.g. one partition per range boundary in JobSN's stitch
-    /// job); the workflow's established shape is neither checked nor
-    /// changed.
+    /// input (e.g. an ER `⊥` stage over its own keyless sub-problem);
+    /// the workflow's established shape is neither checked nor changed.
     pub fn repartitioned_stage<M, R>(
         &mut self,
         job: &Job<M, R>,

@@ -93,7 +93,7 @@ fn main() {
     // Scenario 2: Sorted Neighborhood over the same input — same
     // resolver, same pool, no new threads.
     let sn = resolver
-        .resolve(&Scenario::sorted_neighborhood(SnStrategy::JobSn), input)
+        .resolve(&Scenario::sorted_neighborhood(SnStrategy::RepSn), input)
         .expect("pipeline runs");
     println!(
         "\nsorted-neighborhood (window 4) agrees: {} matches, {} window comparisons",

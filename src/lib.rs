@@ -50,7 +50,7 @@
 //!
 //! // ...and Sorted Neighborhood, on the same pool, same session:
 //! let sn = resolver
-//!     .resolve(&Scenario::sorted_neighborhood(SnStrategy::JobSn), input)
+//!     .resolve(&Scenario::sorted_neighborhood(SnStrategy::RepSn), input)
 //!     .unwrap();
 //! assert_eq!(sn.result.pair_set(), outcome.result.pair_set());
 //! ```

@@ -35,7 +35,7 @@
 //!     .resolve(&Scenario::Dedup { strategy: StrategyKind::BlockSplit }, input.clone())
 //!     .unwrap();
 //! let sn = resolver
-//!     .resolve(&Scenario::sorted_neighborhood(SnStrategy::JobSn), input)
+//!     .resolve(&Scenario::sorted_neighborhood(SnStrategy::RepSn), input)
 //!     .unwrap();
 //! assert_eq!(dedup.result.len(), 1);
 //! assert_eq!(sn.result.len(), 1);
@@ -93,7 +93,7 @@ pub enum Scenario {
         sources: Vec<SourceId>,
     },
     /// Sorted Neighborhood blocking: sliding window over a total sort
-    /// order, with one of the two boundary strategies.
+    /// order, range boundaries covered by replication (RepSN).
     ///
     /// With `passes` empty, a single pass sorts by the full normalized
     /// `title` (the sort key of [`SnConfig::new`]). With explicit
@@ -101,8 +101,6 @@ pub enum Scenario {
     /// and the pair sets union under the first-pass-wins dedup gate —
     /// multi-pass SN.
     SortedNeighborhood {
-        /// Boundary-handling strategy (JobSN / RepSN).
-        strategy: SnStrategy,
         /// Sort keys for multi-pass SN; empty = single pass by
         /// `title`.
         passes: Vec<Arc<dyn SortKeyFunction>>,
@@ -129,21 +127,15 @@ pub enum Scenario {
 }
 
 impl Scenario {
-    /// Single-pass Sorted Neighborhood, sorted by `title`.
-    pub fn sorted_neighborhood(strategy: SnStrategy) -> Self {
-        Scenario::SortedNeighborhood {
-            strategy,
-            passes: Vec::new(),
-        }
+    /// Single-pass Sorted Neighborhood, sorted by `title`. RepSN is the
+    /// one strategy; [`SnStrategy`] says why the argument stays.
+    pub fn sorted_neighborhood(_strategy: SnStrategy) -> Self {
+        Scenario::SortedNeighborhood { passes: Vec::new() }
     }
 
     /// Multi-pass Sorted Neighborhood over the given sort keys.
-    pub fn multipass_sn(
-        strategy: SnStrategy,
-        passes: impl IntoIterator<Item = Arc<dyn SortKeyFunction>>,
-    ) -> Self {
+    pub fn multipass_sn(passes: impl IntoIterator<Item = Arc<dyn SortKeyFunction>>) -> Self {
         Scenario::SortedNeighborhood {
-            strategy,
             passes: passes.into_iter().collect(),
         }
     }
@@ -180,10 +172,10 @@ impl Scenario {
         match self {
             Scenario::Dedup { strategy } => format!("er-{strategy}"),
             Scenario::Linkage { strategy, .. } => format!("linkage-{strategy}"),
-            Scenario::SortedNeighborhood { strategy, passes } if passes.is_empty() => {
-                format!("sn-{strategy}")
-            }
-            Scenario::SortedNeighborhood { strategy, .. } => format!("sn-multipass-{strategy}"),
+            // The names carry the strategy's label, RepSN: trace
+            // streams and tenant names are keyed by them.
+            Scenario::SortedNeighborhood { passes } if passes.is_empty() => "sn-RepSN".to_string(),
+            Scenario::SortedNeighborhood { .. } => "sn-multipass-RepSN".to_string(),
             Scenario::Lsh { sources: None, .. } => "lsh".to_string(),
             Scenario::Lsh {
                 sources: Some(_), ..
@@ -203,9 +195,8 @@ impl std::fmt::Debug for Scenario {
                 .field("strategy", strategy)
                 .field("sources", sources)
                 .finish(),
-            Scenario::SortedNeighborhood { strategy, passes } => f
+            Scenario::SortedNeighborhood { passes } => f
                 .debug_struct("SortedNeighborhood")
-                .field("strategy", strategy)
                 .field("passes", &passes.len())
                 .finish(),
             Scenario::Lsh { params, sources } => f
@@ -418,11 +409,8 @@ pub enum ScenarioDetails {
         /// because the performance ledger reads it as
         /// `sn.sample_stage_s`, which therefore reads 0.
         sample_metrics: JobMetrics,
-        /// Metrics of the window/matching job.
+        /// Metrics of the matching job.
         match_metrics: JobMetrics,
-        /// Metrics of JobSN's stitch job (absent for RepSN and
-        /// boundary-free runs).
-        stitch_metrics: Option<JobMetrics>,
     },
     /// Multi-pass Sorted Neighborhood: one report per pass.
     MultiPass {
@@ -519,8 +507,7 @@ pub struct Outcome {
 impl Outcome {
     /// Total pair comparisons across every stage of the run — the
     /// workload unit the paper's strategies balance. Uniform over all
-    /// scenarios (matching + stitch jobs for JobSN, summed passes for
-    /// multi-pass).
+    /// scenarios (summed passes for multi-pass).
     pub fn total_comparisons(&self) -> u64 {
         self.workflow.counters.get(er_loadbalance::COMPARISONS)
     }
@@ -620,7 +607,7 @@ impl<'rt> Resolver<'rt> {
     pub fn new(runtime: &'rt Runtime) -> Self {
         // The family crates own the paper defaults.
         let er = ErConfig::new(StrategyKind::Basic);
-        let sn = SnConfig::new(SnStrategy::JobSn);
+        let sn = SnConfig::new();
         let lsh = LshConfig::new();
         Self {
             runtime,
@@ -756,14 +743,14 @@ impl<'rt> Resolver<'rt> {
         }
     }
 
-    /// The SN config this session compiles for `strategy`: sorted by
-    /// `title`, over `reduce_tasks` key ranges. Every field is built
-    /// here, so no default (and no core count) is computed per resolve.
-    pub fn sn_config(&self, strategy: SnStrategy) -> SnConfig {
+    /// The SN config this session compiles: sorted by `title`, over
+    /// `reduce_tasks` key ranges. Every field is built here, so no
+    /// default (and no core count) is computed per resolve. RepSN is
+    /// the one strategy; [`SnStrategy`] says why the argument stays.
+    pub fn sn_config(&self, _strategy: SnStrategy) -> SnConfig {
         SnConfig {
             sort_key: Arc::new(AttributeSortKey::title()),
             matcher: Arc::clone(&self.matcher),
-            strategy,
             window: self.window,
             reduce_tasks: self.shared.reduce_tasks,
         }
@@ -899,12 +886,12 @@ impl<'rt> Resolver<'rt> {
                 let sources = Some(sources.clone());
                 blocked(run_er_in(&mut workflow, input, sources, &config)?)
             }
-            Scenario::SortedNeighborhood { strategy, passes } if passes.is_empty() => {
-                let config = self.sn_config(*strategy);
+            Scenario::SortedNeighborhood { passes } if passes.is_empty() => {
+                let config = self.sn_config(SnStrategy::RepSn);
                 sorted(run_sorted_neighborhood_in(&mut workflow, input, &config)?)
             }
-            Scenario::SortedNeighborhood { strategy, passes } => {
-                let config = self.sn_config(*strategy);
+            Scenario::SortedNeighborhood { passes } => {
+                let config = self.sn_config(SnStrategy::RepSn);
                 let stages = run_multipass_sn_in(&mut workflow, input, &config, passes)?;
                 let details = ScenarioDetails::MultiPass {
                     passes: stages.passes,
@@ -965,7 +952,6 @@ fn sorted(stages: SnStages) -> (MatchResult, ScenarioDetails) {
             wall: Default::default(),
         },
         match_metrics: stages.match_metrics,
-        stitch_metrics: stages.stitch_metrics,
     };
     (stages.result, details)
 }
@@ -1012,15 +998,13 @@ mod tests {
             "linkage-Basic"
         );
         assert_eq!(
-            Scenario::sorted_neighborhood(SnStrategy::JobSn).to_string(),
-            "sn-JobSN"
+            Scenario::sorted_neighborhood(SnStrategy::RepSn).to_string(),
+            "sn-RepSN"
         );
         assert_eq!(
-            Scenario::multipass_sn(
-                SnStrategy::RepSn,
-                [Arc::new(er_core::sortkey::AttributeSortKey::title())
-                    as Arc<dyn SortKeyFunction>]
-            )
+            Scenario::multipass_sn([
+                Arc::new(er_core::sortkey::AttributeSortKey::title()) as Arc<dyn SortKeyFunction>
+            ])
             .workflow_name(),
             "sn-multipass-RepSN"
         );
@@ -1057,18 +1041,18 @@ mod tests {
         .map(|(id, t)| Arc::new(Entity::new(id as u64, [("title", *t)])) as Ent)
         .collect();
         let input: Partitions<(), Ent> = vec![entities.into_iter().map(|e| ((), e)).collect()];
+        let ranges = er_sn::SnRanges::new(5, 4, 3);
+        let sizes: Vec<u64> = (0..3)
+            .map(|q| ranges.range(q).end - ranges.range(q).start)
+            .collect();
+        assert_eq!(sizes, [3, 1, 1]);
         let outcome = resolver
             .resolve(
                 &Scenario::sorted_neighborhood(SnStrategy::RepSn),
                 input.clone(),
             )
             .unwrap();
-        let sizes = outcome
-            .details
-            .match_metrics()
-            .expect("one matching job")
-            .per_reduce_counter(er_sn::PARTITION_ENTITIES);
-        assert_eq!(sizes, [3, 1, 1]);
+        assert_eq!(outcome.reduce_loads().expect("one matching job"), [3, 3, 3]);
         let oracle = er_sn::sn_oracle(&input, &resolver.sn_config(SnStrategy::RepSn));
         assert_eq!(oracle.len(), 9, "every window pair matches");
         assert_eq!(outcome.result.pair_set(), oracle.pair_set());
@@ -1129,7 +1113,7 @@ mod tests {
             .with_matcher(Arc::clone(&matcher));
         // ...read back identically from all three families.
         let er = session.er_config(StrategyKind::BlockSplit);
-        let sn = session.sn_config(SnStrategy::JobSn);
+        let sn = session.sn_config(SnStrategy::RepSn);
         let lsh = session.lsh_config(Some(LshParams::new(8, 4)));
         for (family, reduce_tasks, family_matcher) in [
             ("er", er.reduce_tasks, &er.matcher),

@@ -67,8 +67,10 @@ fn tenants() -> Vec<(&'static str, Scenario, Partitions<(), Ent>)> {
             corpus(3),
         ),
         (
-            "tenant-jobsn",
-            Scenario::sorted_neighborhood(SnStrategy::JobSn),
+            "tenant-basic",
+            Scenario::Dedup {
+                strategy: StrategyKind::Basic,
+            },
             corpus(4),
         ),
         (

@@ -155,7 +155,7 @@ fn map_memory_gauges_are_parallelism_invariant() {
     // instant), not the schedule: timing-independent by construction,
     // pinned here across worker counts.
     let input = spill_corpus(120, 3);
-    let scenario = Scenario::sorted_neighborhood(SnStrategy::JobSn);
+    let scenario = Scenario::sorted_neighborhood(SnStrategy::RepSn);
     let mut reference: Option<(u64, u64)> = None;
     for parallelism in [1usize, 2, 8] {
         let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(parallelism));
@@ -179,8 +179,8 @@ fn map_memory_gauges_are_parallelism_invariant() {
 }
 
 /// One scenario per family and stage shape: Basic, BlockSplit and
-/// PairRange dedup, BlockSplit linkage, RepSN, JobSN (with a stitch
-/// stage), two-pass SN and LSH, with the input each one reads.
+/// PairRange dedup, BlockSplit linkage, RepSN, two-pass SN and LSH,
+/// with the input each one reads.
 fn every_family() -> Vec<(Scenario, Partitions<(), Ent>)> {
     let dedup = spill_corpus(120, 3);
     let (r, s): (Vec<Ent>, Vec<Ent>) = dedup
@@ -217,14 +217,7 @@ fn every_family() -> Vec<(Scenario, Partitions<(), Ent>)> {
             Scenario::sorted_neighborhood(SnStrategy::RepSn),
             dedup.clone(),
         ),
-        (
-            Scenario::sorted_neighborhood(SnStrategy::JobSn),
-            dedup.clone(),
-        ),
-        (
-            Scenario::multipass_sn(SnStrategy::RepSn, passes),
-            dedup.clone(),
-        ),
+        (Scenario::multipass_sn(passes), dedup.clone()),
         (Scenario::lsh(LshParams::new(4, 4)), dedup),
     ]);
     family
@@ -243,18 +236,6 @@ fn a_spill_threshold_set_once_reaches_every_stage_of_every_family() {
     for (scenario, input) in every_family() {
         let reference = plain.resolve(&scenario, input.clone()).unwrap();
         assert_eq!(reference.workflow.spilled_runs(), 0, "{scenario}");
-        if scenario.workflow_name() == "sn-JobSN" {
-            let stages: Vec<&str> = reference
-                .workflow
-                .stages
-                .iter()
-                .map(|stage| stage.job_name.as_str())
-                .collect();
-            assert!(
-                stages.contains(&"sn-jobsn-stitch"),
-                "the corpus must give JobSN boundary candidates: {stages:?}"
-            );
-        }
         for (set_on, resolver) in [("session", &on_the_session), ("runtime", &on_the_runtime)] {
             let outcome = resolver.resolve(&scenario, input.clone()).unwrap();
             assert_eq!(

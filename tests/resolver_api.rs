@@ -77,17 +77,12 @@ fn details_shape(details: &ScenarioDetails) -> String {
         ScenarioDetails::Sorted {
             sample_metrics,
             match_metrics,
-            stitch_metrics,
             ..
         } => {
             // SN runs no distribution job: the field is empty.
             assert!(sample_metrics.map_tasks.is_empty() && sample_metrics.reduce_tasks.is_empty());
             assert_eq!(sample_metrics.wall, std::time::Duration::ZERO);
-            format!(
-                "Sorted match={} stitch={}",
-                match_metrics.job_name,
-                name(stitch_metrics.as_ref())
-            )
+            format!("Sorted match={}", match_metrics.job_name)
         }
         ScenarioDetails::MultiPass { passes } => format!("MultiPass passes={}", passes.len()),
         ScenarioDetails::Lsh {
@@ -165,19 +160,13 @@ fn every_scenario_compiles_to_its_fixed_stage_sequence() {
             "Blocked bdm=bdm match=er-block-split",
         ),
         (
-            Scenario::sorted_neighborhood(SnStrategy::JobSn),
-            &input,
-            vec!["sn-jobsn-window", "sn-jobsn-stitch"],
-            "Sorted match=sn-jobsn-window stitch=sn-jobsn-stitch",
-        ),
-        (
             Scenario::sorted_neighborhood(SnStrategy::RepSn),
             &input,
             vec!["sn-repsn"],
-            "Sorted match=sn-repsn stitch=-",
+            "Sorted match=sn-repsn",
         ),
         (
-            Scenario::multipass_sn(SnStrategy::RepSn, passes()),
+            Scenario::multipass_sn(passes()),
             &input,
             vec!["sn-repsn", "sn-repsn"],
             "MultiPass passes=2",
@@ -228,7 +217,7 @@ fn resolve_with_caps_parallelism_without_spawning_threads() {
         Scenario::Dedup {
             strategy: StrategyKind::BlockSplit,
         },
-        Scenario::sorted_neighborhood(SnStrategy::JobSn),
+        Scenario::sorted_neighborhood(SnStrategy::RepSn),
     ] {
         let uncapped = resolver.resolve(&scenario, input.clone()).unwrap();
         for cap in [1, 2, 8] {
@@ -293,7 +282,7 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
     // Reference results from the brute-force oracles.
     let entities: Vec<Ent> = input.iter().flatten().map(|(_, e)| Arc::clone(e)).collect();
     let oracle_dedup = naive_reference(&entities, &resolver.er_config(StrategyKind::BlockSplit));
-    let oracle_sn = sn_oracle(&input, &resolver.sn_config(SnStrategy::JobSn));
+    let oracle_sn = sn_oracle(&input, &resolver.sn_config(SnStrategy::RepSn));
     // Linkage: the cross-source subset of the one-source reference.
     let ts_entities: Vec<Ent> = ts_input
         .iter()
@@ -330,7 +319,7 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
         );
         let sn = resolver
             .resolve(
-                &Scenario::sorted_neighborhood(SnStrategy::JobSn),
+                &Scenario::sorted_neighborhood(SnStrategy::RepSn),
                 input.clone(),
             )
             .unwrap();
@@ -353,11 +342,13 @@ fn one_runtime_reuses_its_pool_across_scenarios_without_drift() {
             result_bits(&oracle_linkage),
             "round {round}: linkage drifted"
         );
-        for outcome in [&dedup, &sn, &linkage] {
+        // BDM + match job for the blocked scenarios, one window job
+        // for SN.
+        for (outcome, stages) in [(&dedup, 2), (&sn, 1), (&linkage, 2)] {
             let executed_now = runtime.pool().tasks_executed();
             assert!(executed_now >= executed_before, "counter is monotonic");
             executed_before = executed_now;
-            assert!(outcome.workflow.num_stages() >= 2);
+            assert_eq!(outcome.workflow.num_stages(), stages);
         }
         assert_eq!(
             runtime.pool().threads_spawned(),
@@ -477,21 +468,12 @@ fn a_zero_lsh_banding_is_a_typed_error() {
     );
 }
 
-/// Every Sorted Neighborhood scenario shape: single- and multi-pass,
-/// under both boundary strategies.
+/// Every Sorted Neighborhood scenario shape: single- and multi-pass.
 fn sn_scenarios() -> Vec<Scenario> {
-    [SnStrategy::JobSn, SnStrategy::RepSn]
-        .into_iter()
-        .flat_map(|strategy| {
-            [
-                Scenario::sorted_neighborhood(strategy),
-                Scenario::multipass_sn(
-                    strategy,
-                    [Arc::new(ReversedSortKey::title()) as Arc<dyn SortKeyFunction>],
-                ),
-            ]
-        })
-        .collect()
+    vec![
+        Scenario::sorted_neighborhood(SnStrategy::RepSn),
+        Scenario::multipass_sn([Arc::new(ReversedSortKey::title()) as Arc<dyn SortKeyFunction>]),
+    ]
 }
 
 #[test]
@@ -542,7 +524,7 @@ fn a_zero_spill_threshold_is_a_typed_error_in_every_family() {
         Scenario::Dedup {
             strategy: StrategyKind::BlockSplit,
         },
-        Scenario::sorted_neighborhood(SnStrategy::JobSn),
+        Scenario::sorted_neighborhood(SnStrategy::RepSn),
         Scenario::lsh(LshParams::new(4, 4)),
     ] {
         // The session builder stores the value as given...
@@ -588,7 +570,6 @@ fn a_reduce_task_count_past_u32_is_a_typed_error() {
         Scenario::Dedup {
             strategy: StrategyKind::BlockSplit,
         },
-        Scenario::sorted_neighborhood(SnStrategy::JobSn),
         Scenario::sorted_neighborhood(SnStrategy::RepSn),
         Scenario::lsh(LshParams::new(4, 4)),
     ] {

@@ -1,15 +1,14 @@
-//! The er-sn acceptance suite: JobSN and RepSN must produce pair sets
-//! exactly equal to the single-machine sliding-window oracle —
-//! including cross-boundary pairs, with no replica × replica
-//! duplicates — on er-datagen corpora, byte-identical across
-//! parallelism ∈ {1, 2, 4, 8}, identical across partition counts and
-//! across the two strategies.
+//! The er-sn acceptance suite: RepSN must produce pair sets exactly
+//! equal to the single-machine sliding-window oracle — including
+//! cross-boundary pairs, with no replica × replica duplicates — on
+//! er-datagen corpora, byte-identical across parallelism ∈ {1, 2, 4,
+//! 8} and identical across partition counts.
 
 use std::sync::Arc;
 
 use dedupe_mr::prelude::*;
 use er_datagen::{ds1_spec, generate_products};
-use er_sn::{oracle_comparisons, NULL_SORT_KEYS, PARTITION_ENTITIES};
+use er_sn::{oracle_comparisons, SnRanges, NULL_SORT_KEYS};
 
 const PARALLELISM_LEVELS: [usize; 4] = [1, 2, 4, 8];
 
@@ -32,12 +31,20 @@ fn base_session(runtime: &Runtime) -> Resolver<'_> {
     Resolver::new(runtime).with_window(5).with_reduce_tasks(4)
 }
 
-fn run_sn(
-    resolver: &Resolver<'_>,
-    strategy: SnStrategy,
-    input: &Partitions<(), Ent>,
-) -> Result<Outcome, ResolveError> {
-    resolver.resolve(&Scenario::sorted_neighborhood(strategy), input.clone())
+fn run_sn(resolver: &Resolver<'_>, input: &Partitions<(), Ent>) -> Result<Outcome, ResolveError> {
+    resolver.resolve(
+        &Scenario::sorted_neighborhood(SnStrategy::RepSn),
+        input.clone(),
+    )
+}
+
+/// The number of entities in each of the `r` key ranges that cut `n`
+/// entities under window `w`.
+fn range_sizes(n: usize, w: usize, r: usize) -> Vec<u64> {
+    let ranges = SnRanges::new(n as u64, w, r);
+    (0..r)
+        .map(|q| ranges.range(q).end - ranges.range(q).start)
+        .collect()
 }
 
 fn corpus_entities(input: &Partitions<(), Ent>) -> usize {
@@ -50,51 +57,42 @@ fn both_strategies_equal_the_oracle_on_a_product_corpus() {
     let n = corpus_entities(&input);
     let runtime = runtime(1);
     let resolver = base_session(&runtime);
-    for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let config = resolver.sn_config(strategy);
-        let oracle = sn_oracle(&input, &config);
-        let outcome = run_sn(&resolver, strategy, &input).unwrap();
-        assert_eq!(
-            outcome.result.pair_set(),
-            oracle.pair_set(),
-            "{strategy} diverged from the sliding-window oracle"
-        );
-        assert!(
-            !outcome.result.is_empty(),
-            "the corpus contains injected near-duplicates"
-        );
-        // Exactly one comparison per window pair: cross-boundary pairs
-        // are covered and nothing (replica x replica, double stitch)
-        // is compared twice.
-        assert_eq!(
-            outcome.total_comparisons(),
-            oracle_comparisons(n, config.window),
-            "{strategy} comparison count"
-        );
-    }
+    let config = resolver.sn_config(SnStrategy::RepSn);
+    let oracle = sn_oracle(&input, &config);
+    let outcome = run_sn(&resolver, &input).unwrap();
+    assert_eq!(
+        outcome.result.pair_set(),
+        oracle.pair_set(),
+        "diverged from the sliding-window oracle"
+    );
+    assert!(
+        !outcome.result.is_empty(),
+        "the corpus contains injected near-duplicates"
+    );
+    // Exactly one comparison per window pair: cross-boundary pairs are
+    // covered and nothing (replica x replica) is compared twice.
+    assert_eq!(
+        outcome.total_comparisons(),
+        oracle_comparisons(n, config.window)
+    );
 }
 
 #[test]
 fn output_is_byte_identical_across_parallelism() {
     let input = corpus(4);
-    for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let mut reference: Option<Vec<(er_core::MatchPair, u64)>> = None;
-        for parallelism in PARALLELISM_LEVELS {
-            let runtime = runtime(parallelism);
-            let outcome = run_sn(&base_session(&runtime), strategy, &input).unwrap();
-            // Compare scores bit-for-bit, not approximately.
-            let bits: Vec<(er_core::MatchPair, u64)> = outcome
-                .result
-                .iter()
-                .map(|(pair, score)| (pair, score.to_bits()))
-                .collect();
-            match &reference {
-                None => reference = Some(bits),
-                Some(r) => assert_eq!(
-                    r, &bits,
-                    "{strategy} changed its output at parallelism {parallelism}"
-                ),
-            }
+    let mut reference: Option<Vec<(er_core::MatchPair, u64)>> = None;
+    for parallelism in PARALLELISM_LEVELS {
+        let runtime = runtime(parallelism);
+        let outcome = run_sn(&base_session(&runtime), &input).unwrap();
+        // Compare scores bit-for-bit, not approximately.
+        let bits: Vec<(er_core::MatchPair, u64)> = outcome
+            .result
+            .iter()
+            .map(|(pair, score)| (pair, score.to_bits()))
+            .collect();
+        match &reference {
+            None => reference = Some(bits),
+            Some(r) => assert_eq!(r, &bits, "output changed at parallelism {parallelism}"),
         }
     }
 }
@@ -105,18 +103,16 @@ fn pair_set_is_invariant_under_the_partition_count() {
     let n = corpus_entities(&input);
     let runtime = runtime(1);
     let base = base_session(&runtime);
-    for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let oracle = sn_oracle(&input, &base.sn_config(strategy));
-        for partitions in [1usize, 2, 4, 8] {
-            let resolver = base.clone().with_reduce_tasks(partitions);
-            let outcome = run_sn(&resolver, strategy, &input).unwrap();
-            assert_eq!(
-                outcome.result.pair_set(),
-                oracle.pair_set(),
-                "{strategy} with {partitions} partitions"
-            );
-            assert_eq!(outcome.total_comparisons(), oracle_comparisons(n, 5));
-        }
+    let oracle = sn_oracle(&input, &base.sn_config(SnStrategy::RepSn));
+    for partitions in [1usize, 2, 4, 8] {
+        let resolver = base.clone().with_reduce_tasks(partitions);
+        let outcome = run_sn(&resolver, &input).unwrap();
+        assert_eq!(
+            outcome.result.pair_set(),
+            oracle.pair_set(),
+            "{partitions} partitions"
+        );
+        assert_eq!(outcome.total_comparisons(), oracle_comparisons(n, 5));
     }
 }
 
@@ -144,30 +140,23 @@ fn cross_boundary_duplicates_are_found() {
         .collect()];
     let runtime = runtime(1);
     let resolver = Resolver::new(&runtime).with_window(2).with_reduce_tasks(2);
-    for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let config = resolver.sn_config(strategy);
-        let outcome = run_sn(&resolver, strategy, &input).unwrap();
-        // The boundary falls between the two "mmm" entities, so this
-        // match only exists if boundary handling works.
-        let sizes = outcome
-            .details
-            .match_metrics()
-            .expect("one matching job")
-            .per_reduce_counter(PARTITION_ENTITIES);
-        assert_eq!(sizes, vec![5, 3], "{strategy}: boundary placement");
-        let pair = er_core::MatchPair::new(
-            Entity::new(4, [("t", "")]).entity_ref(),
-            Entity::new(5, [("t", "")]).entity_ref(),
-        );
-        assert!(
-            outcome.result.contains(&pair),
-            "{strategy} missed the cross-boundary duplicate"
-        );
-        assert_eq!(
-            outcome.result.pair_set(),
-            sn_oracle(&input, &config).pair_set()
-        );
-    }
+    // The boundary falls between the two "mmm" entities, so this match
+    // only exists if boundary handling works.
+    assert_eq!(range_sizes(8, 2, 2), [5, 3], "boundary placement");
+    let outcome = run_sn(&resolver, &input).unwrap();
+    let pair = er_core::MatchPair::new(
+        Entity::new(4, [("t", "")]).entity_ref(),
+        Entity::new(5, [("t", "")]).entity_ref(),
+    );
+    assert!(
+        outcome.result.contains(&pair),
+        "missed the cross-boundary duplicate"
+    );
+    let config = resolver.sn_config(SnStrategy::RepSn);
+    assert_eq!(
+        outcome.result.pair_set(),
+        sn_oracle(&input, &config).pair_set()
+    );
 }
 
 #[test]
@@ -201,30 +190,28 @@ fn null_sort_keys_are_routed_not_dropped() {
         .with_window(2)
         .with_reduce_tasks(2)
         .with_matcher(matcher);
-    for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let config = resolver.sn_config(strategy);
-        let outcome = run_sn(&resolver, strategy, &input).unwrap();
-        let ScenarioDetails::Sorted { match_metrics, .. } = &outcome.details else {
-            panic!("a single-pass SN outcome carries sorted details");
-        };
-        assert_eq!(
-            match_metrics.counters.get(NULL_SORT_KEYS),
-            2,
-            "{strategy}: keyless entities counted"
-        );
-        let keyless_pair = er_core::MatchPair::new(
-            Entity::new(10, [("t", "")]).entity_ref(),
-            Entity::new(11, [("t", "")]).entity_ref(),
-        );
-        assert!(
-            outcome.result.contains(&keyless_pair),
-            "{strategy}: keyless duplicates must meet in the window"
-        );
-        assert_eq!(
-            outcome.result.pair_set(),
-            sn_oracle(&input, &config).pair_set()
-        );
-    }
+    let outcome = run_sn(&resolver, &input).unwrap();
+    let ScenarioDetails::Sorted { match_metrics, .. } = &outcome.details else {
+        panic!("a single-pass SN outcome carries sorted details");
+    };
+    assert_eq!(
+        match_metrics.counters.get(NULL_SORT_KEYS),
+        2,
+        "keyless entities counted"
+    );
+    let keyless_pair = er_core::MatchPair::new(
+        Entity::new(10, [("t", "")]).entity_ref(),
+        Entity::new(11, [("t", "")]).entity_ref(),
+    );
+    assert!(
+        outcome.result.contains(&keyless_pair),
+        "keyless duplicates must meet in the window"
+    );
+    let config = resolver.sn_config(SnStrategy::RepSn);
+    assert_eq!(
+        outcome.result.pair_set(),
+        sn_oracle(&input, &config).pair_set()
+    );
 }
 
 #[test]
@@ -234,7 +221,8 @@ fn both_strategies_cover_thin_and_empty_ranges() {
     // than w - 1 = 2, so window pairs span two boundaries, and the tie
     // of one shared title straddles all of them. 4 entities hold only
     // 5 pairs, cut into 3, 0, 1 and 0 entities: two ranges stay empty.
-    // Both strategies stay exact on both.
+    // RepSN stays exact on both, each later range reading its w - 1
+    // replicas.
     let same: Partitions<(), Ent> = vec![(0..6u64)
         .map(|i| {
             (
@@ -250,27 +238,30 @@ fn both_strategies_cover_thin_and_empty_ranges() {
         .collect()];
     let runtime = runtime(1);
     let resolver = Resolver::new(&runtime).with_window(3).with_reduce_tasks(4);
-    for (input, sizes) in [(&same, [3, 1, 1, 1]), (&spread, [3, 0, 1, 0])] {
+    for (input, sizes, loads) in [
+        (&same, [3, 1, 1, 1], [3, 2, 2, 2]),
+        (&spread, [3, 0, 1, 0], [3, 0, 2, 0]),
+    ] {
         let n = corpus_entities(input);
-        for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-            let outcome = run_sn(&resolver, strategy, input).unwrap();
-            let match_metrics = outcome.details.match_metrics().expect("one matching job");
-            assert_eq!(
-                match_metrics.per_reduce_counter(PARTITION_ENTITIES),
-                sizes,
-                "{strategy} over {n} entities"
-            );
-            assert_eq!(
-                outcome.result.pair_set(),
-                sn_oracle(input, &resolver.sn_config(strategy)).pair_set(),
-                "{strategy} over {n} entities"
-            );
-            assert_eq!(
-                outcome.total_comparisons(),
-                oracle_comparisons(n, 3),
-                "{strategy} over {n} entities"
-            );
-        }
+        assert_eq!(range_sizes(n, 3, 4), sizes, "{n} entities");
+        let outcome = run_sn(&resolver, input).unwrap();
+        let match_metrics = outcome.details.match_metrics().expect("one matching job");
+        assert_eq!(
+            match_metrics.counters.get(er_sn::REPLICAS),
+            6,
+            "{n} entities"
+        );
+        assert_eq!(outcome.reduce_loads().unwrap(), loads, "{n} entities");
+        assert_eq!(
+            outcome.result.pair_set(),
+            sn_oracle(input, &resolver.sn_config(SnStrategy::RepSn)).pair_set(),
+            "{n} entities"
+        );
+        assert_eq!(
+            outcome.total_comparisons(),
+            oracle_comparisons(n, 3),
+            "{n} entities"
+        );
     }
 }
 
@@ -289,51 +280,44 @@ fn a_window_past_usize_max_half_covers_every_pair() {
         .collect()];
     let runtime = runtime(1);
     let wide = Resolver::new(&runtime).with_window(usize::MAX);
-    for (ranges, strategy) in [
-        (1, SnStrategy::JobSn),
-        (1, SnStrategy::RepSn),
-        (3, SnStrategy::JobSn),
-        (3, SnStrategy::RepSn),
-    ] {
+    for ranges in [1, 3] {
         let resolver = wide.clone().with_reduce_tasks(ranges);
-        let outcome = run_sn(&resolver, strategy, &input).unwrap();
+        let outcome = run_sn(&resolver, &input).unwrap();
         assert_eq!(
             outcome.result.pair_set(),
-            sn_oracle(&input, &resolver.sn_config(strategy)).pair_set(),
-            "{strategy} over {ranges} ranges"
+            sn_oracle(&input, &resolver.sn_config(SnStrategy::RepSn)).pair_set(),
+            "{ranges} ranges"
         );
         assert_eq!(
             outcome.total_comparisons(),
             oracle_comparisons(10, usize::MAX),
-            "{strategy} over {ranges} ranges"
+            "{ranges} ranges"
         );
     }
 }
 
 #[test]
 fn window_job_streams_ranges_instead_of_materializing_them() {
-    // The window jobs shuffle no entity: each reduce task reads one
+    // The window job shuffles no entity: each reduce task reads one
     // trigger record and merges its range lazily out of the map tasks'
     // sorted runs, so the engine never holds a range — its resident
     // gauge is one record per task — and the window keeps w - 1.
     let input = corpus(4);
     let runtime = runtime(1);
     let resolver = base_session(&runtime);
-    for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let outcome = run_sn(&resolver, strategy, &input).unwrap();
-        let m = outcome.details.match_metrics().expect("one matching job");
-        let inputs = m.per_reduce_counter(mr_engine::counters::REDUCE_INPUT_RECORDS);
-        assert_eq!(
-            inputs,
-            vec![1; m.reduce_tasks.len()],
-            "{strategy}: one trigger per task"
-        );
-        assert!(
-            m.peak_resident_records() <= 1,
-            "{strategy}: {} records resident — the range is being shuffled",
-            m.peak_resident_records()
-        );
-    }
+    let outcome = run_sn(&resolver, &input).unwrap();
+    let m = outcome.details.match_metrics().expect("one matching job");
+    let inputs = m.per_reduce_counter(mr_engine::counters::REDUCE_INPUT_RECORDS);
+    assert_eq!(
+        inputs,
+        vec![1; m.reduce_tasks.len()],
+        "one trigger per task"
+    );
+    assert!(
+        m.peak_resident_records() <= 1,
+        "{} records resident — the range is being shuffled",
+        m.peak_resident_records()
+    );
 }
 
 #[test]
@@ -343,7 +327,7 @@ fn window_growth_only_adds_pairs() {
     let mut previous: Option<std::collections::BTreeSet<er_core::MatchPair>> = None;
     for window in [2usize, 4, 8] {
         let resolver = base_session(&runtime).with_window(window);
-        let outcome = run_sn(&resolver, SnStrategy::JobSn, &input).unwrap();
+        let outcome = run_sn(&resolver, &input).unwrap();
         let pairs = outcome.result.pair_set();
         if let Some(prev) = &previous {
             assert!(
@@ -361,10 +345,9 @@ fn window_growth_only_adds_pairs() {
 /// that start with `c`) or last, under `w = 10` and 8 key ranges. The
 /// ranges are cut at window-pair quantiles over positions, from
 /// `(n, w, r)` alone, so a tie straddles ranges like any other run of
-/// positions: every case loads the tasks alike, within `w − 1` pairs
-/// of the mean (RepSN's loads are the ranges' window pairs; JobSN's
-/// leave out what its stitch job compares), and max/mean stays ≤ 1.05
-/// where cutting at distinct keys read 4.0× at a 50 % tie.
+/// positions: every case loads the tasks alike — each range's window
+/// pairs, within `w − 1` of the mean — and max/mean stays ≤ 1.05 where
+/// cutting at distinct keys read 4.0× at a 50 % tie.
 #[test]
 fn skew_probe_per_task_comparisons_are_pinned() {
     let ds = generate_products(&ds1_spec(2012).scaled(0.02));
@@ -372,8 +355,7 @@ fn skew_probe_per_task_comparisons_are_pinned() {
     assert_eq!(n, 2280);
     let runtime = runtime(2);
     let resolver = Resolver::new(&runtime).with_window(10).with_reduce_tasks(8);
-    let jobsn_loads = [2565, 2511, 2520, 2511, 2511, 2520, 2511, 2511];
-    let repsn_loads = [2565, 2556, 2565, 2556, 2556, 2565, 2556, 2556];
+    let loads = [2565, 2556, 2565, 2556, 2556, 2565, 2556, 2556];
     // (tie share in tenths, tied title)
     let cases: [(usize, &str); 7] = [
         (0, ""),
@@ -403,23 +385,18 @@ fn skew_probe_per_task_comparisons_are_pinned() {
             .collect();
         let input = partition_evenly(entities, 8);
         let oracle = sn_oracle(&input, &resolver.sn_config(SnStrategy::RepSn));
-        for (strategy, loads) in [
-            (SnStrategy::JobSn, jobsn_loads),
-            (SnStrategy::RepSn, repsn_loads),
-        ] {
-            let outcome = run_sn(&resolver, strategy, &input).unwrap();
-            let label = format!("{strategy}, {} % tied as {tie:?}", tenths * 10);
-            assert_eq!(outcome.result.pair_set(), oracle.pair_set(), "{label}");
-            assert_eq!(
-                outcome.total_comparisons(),
-                oracle_comparisons(n, 10),
-                "{label}"
-            );
-            let loads_seen = outcome.reduce_loads().unwrap();
-            assert_eq!(loads_seen, loads, "{label}");
-            let max = *loads_seen.iter().max().unwrap() as f64;
-            let mean = loads_seen.iter().sum::<u64>() as f64 / loads_seen.len() as f64;
-            assert!(max / mean <= 1.05, "{label}: max/mean {:.3}", max / mean);
-        }
+        let outcome = run_sn(&resolver, &input).unwrap();
+        let label = format!("{} % tied as {tie:?}", tenths * 10);
+        assert_eq!(outcome.result.pair_set(), oracle.pair_set(), "{label}");
+        assert_eq!(
+            outcome.total_comparisons(),
+            oracle_comparisons(n, 10),
+            "{label}"
+        );
+        let loads_seen = outcome.reduce_loads().unwrap();
+        assert_eq!(loads_seen, loads, "{label}");
+        let max = *loads_seen.iter().max().unwrap() as f64;
+        let mean = loads_seen.iter().sum::<u64>() as f64 / loads_seen.len() as f64;
+        assert!(max / mean <= 1.05, "{label}: max/mean {:.3}", max / mean);
     }
 }

@@ -98,47 +98,36 @@ fn sn_outcome_reports_stage_rollup() {
     let input = corpus(4);
     let runtime = Runtime::new(RuntimeConfig::new().with_parallelism(1));
     let resolver = Resolver::new(&runtime).with_window(5).with_reduce_tasks(4);
-    for strategy in [SnStrategy::JobSn, SnStrategy::RepSn] {
-        let outcome = resolver
-            .resolve(&Scenario::sorted_neighborhood(strategy), input.clone())
-            .unwrap();
-        let ScenarioDetails::Sorted {
-            match_metrics,
-            stitch_metrics,
-            ..
-        } = &outcome.details
-        else {
-            panic!("a single-pass SN outcome carries sorted details");
-        };
-        let wf = &outcome.workflow;
-        assert_eq!(wf.workflow_name, format!("sn-{strategy}"));
-        let expected_stages = match strategy {
-            SnStrategy::JobSn => 1 + usize::from(stitch_metrics.is_some()),
-            SnStrategy::RepSn => 1,
-        };
-        assert_eq!(wf.num_stages(), expected_stages, "{strategy}");
-        // The match stage is the first: it derives the sort keys and
-        // counts the keyless entities.
-        assert_eq!(wf.stages[0].counters, match_metrics.counters);
-        assert_eq!(
-            wf.counters.get(er_sn::NULL_SORT_KEYS),
-            match_metrics.counters.get(er_sn::NULL_SORT_KEYS)
-        );
-        assert!(wf.stages_wall() <= wf.wall, "{strategy}");
-        assert_counters_merge(wf);
-        assert_eq!(wf.counters.get(COMPARISONS), outcome.total_comparisons());
-        // The streaming-reduce gauges survive the roll-up: the window
-        // job's peaks dominate and stay below its task input.
-        assert_eq!(
-            wf.peak_group_len(),
-            wf.stages
-                .iter()
-                .map(|s| s.peak_group_len())
-                .max()
-                .unwrap_or(0)
-        );
-        assert!(wf.peak_resident_records() > 0, "{strategy}");
-    }
+    let outcome = resolver
+        .resolve(&Scenario::sorted_neighborhood(SnStrategy::RepSn), input)
+        .unwrap();
+    let ScenarioDetails::Sorted { match_metrics, .. } = &outcome.details else {
+        panic!("a single-pass SN outcome carries sorted details");
+    };
+    let wf = &outcome.workflow;
+    assert_eq!(wf.workflow_name, "sn-RepSN");
+    assert_eq!(wf.num_stages(), 1);
+    // The match stage derives the sort keys and counts the keyless
+    // entities.
+    assert_eq!(wf.stages[0].counters, match_metrics.counters);
+    assert_eq!(
+        wf.counters.get(er_sn::NULL_SORT_KEYS),
+        match_metrics.counters.get(er_sn::NULL_SORT_KEYS)
+    );
+    assert!(wf.stages_wall() <= wf.wall);
+    assert_counters_merge(wf);
+    assert_eq!(wf.counters.get(COMPARISONS), outcome.total_comparisons());
+    // The streaming-reduce gauges survive the roll-up: the window job's
+    // peaks dominate and stay below its task input.
+    assert_eq!(
+        wf.peak_group_len(),
+        wf.stages
+            .iter()
+            .map(|s| s.peak_group_len())
+            .max()
+            .unwrap_or(0)
+    );
+    assert!(wf.peak_resident_records() > 0);
 }
 
 #[test]
